@@ -1,16 +1,15 @@
 """Figure 16 (extension): statement hot-path latency and throughput vs
-SMO-chain depth — plan cache (cached vs cold) and flattened views (flat
-vs nested), in-process and remote.
+SMO-chain depth — plan cache (cached vs cold), in-process and remote.
 
 Runnable two ways:
 
-- ``pytest benchmarks/bench_fig16_hotpath.py`` — pytest-benchmark
-  wrappers timing single cached/cold/flat/nested statements at depth 16;
+- ``pytest benchmarks/bench_fig16_hotpath.py`` — a pytest-benchmark
+  wrapper timing a single cached statement at depth 16;
 - ``python benchmarks/bench_fig16_hotpath.py [--smoke]`` — print the
   full latency/throughput table.  ``--smoke`` shrinks the workload for
   CI, asserts the two hot-path claims (cached plans beat cold
-  parse+plan; flat views beat nested views ≥2x at depth 16), and records
-  the measured numbers to ``BENCH_fig16.json`` so the perf trajectory
+  parse+plan; metrics instrumentation costs ≤5%), and records the
+  measured numbers to ``BENCH_fig16.json`` so the perf trajectory
   persists across PRs.
 """
 
@@ -35,32 +34,22 @@ ROWS = 3000
 if pytest is not None:
 
     @pytest.fixture(scope="module")
-    def chains():
+    def chain():
         from repro.backend.sqlite import LiveSqliteBackend
         from repro.bench.experiments.fig16 import build_chain
         from repro.sql.connection import connect
 
-        systems = {}
-        for flatten in (True, False):
-            engine, table = build_chain(DEPTH, ROWS)
-            backend = LiveSqliteBackend.attach(engine, flatten=flatten)
-            conn = connect(
-                engine, f"S{DEPTH}", autocommit=True, backend=backend
-            )
-            sql = f"SELECT count(rowid), sum(b) FROM {table}"
-            conn.execute(sql).fetchall()  # warm
-            systems["flat" if flatten else "nested"] = (backend, conn, sql)
-        yield systems
-        for backend, conn, _sql in systems.values():
-            conn.close()
-            backend.close()
+        engine, table = build_chain(DEPTH, ROWS)
+        backend = LiveSqliteBackend.attach(engine)
+        conn = connect(engine, f"S{DEPTH}", autocommit=True, backend=backend)
+        sql = f"SELECT count(rowid), sum(b) FROM {table}"
+        conn.execute(sql).fetchall()  # warm
+        yield conn, sql
+        conn.close()
+        backend.close()
 
-    def test_fig16_flat_cached_statement(benchmark, chains):
-        _backend, conn, sql = chains["flat"]
-        benchmark(lambda: conn.execute(sql).fetchall())
-
-    def test_fig16_nested_statement(benchmark, chains):
-        _backend, conn, sql = chains["nested"]
+    def test_fig16_cached_statement(benchmark, chain):
+        conn, sql = chain
         benchmark(lambda: conn.execute(sql).fetchall())
 
     def test_fig16_rows(print_result):
@@ -71,8 +60,8 @@ if pytest is not None:
 
 def _cached_vs_cold_interleaved(ops: int = 150) -> tuple[float, float]:
     """(cached seconds, cold seconds) for ``ops`` statements each,
-    alternating one cached and one cold execution on the SAME flat
-    depth-16 system — phase-skew-free basis for the smoke gate."""
+    alternating one cached and one cold execution on the SAME depth-16
+    system — phase-skew-free basis for the smoke gate."""
     import time
 
     from repro.backend.sqlite import LiveSqliteBackend
@@ -81,7 +70,7 @@ def _cached_vs_cold_interleaved(ops: int = 150) -> tuple[float, float]:
     from repro.sql.connection import connect
 
     engine, table = build_chain(DEPTH, ROWS)
-    backend = LiveSqliteBackend.attach(engine, flatten=True)
+    backend = LiveSqliteBackend.attach(engine)
     cached_conn = connect(engine, f"S{DEPTH}", autocommit=True, backend=backend)
     cold_conn = connect(
         engine, f"S{DEPTH}", autocommit=True, backend=backend, plan_cache=False
@@ -118,7 +107,7 @@ def _instrumented_vs_uninstrumented_interleaved(ops: int = 150) -> tuple[float, 
     from repro.sql.connection import connect
 
     engine, table = build_chain(DEPTH, ROWS)
-    backend = LiveSqliteBackend.attach(engine, flatten=True)
+    backend = LiveSqliteBackend.attach(engine)
     conn = connect(engine, f"S{DEPTH}", autocommit=True, backend=backend)
     sql = f"SELECT count(rowid), sum(b) FROM {table}"
     conn.execute(sql).fetchall()  # warm session, plan cache, metric series
@@ -147,8 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small CI workload; asserts cached>cold, flat>=2x nested at "
-        "depth 16, and metrics overhead <=5%%; records BENCH_fig16.json",
+        help="small CI workload; asserts cached>cold at depth 16 and "
+        "metrics overhead <=5%%; records BENCH_fig16.json",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -161,16 +150,10 @@ def main(argv=None) -> int:
     path = record.record("fig16", result)
     print(f"\nrecorded {path}")
     if args.smoke:
-        by_key = {
-            (row[0], f"{row[1]}-{row[2]}", row[3]): row[7] for row in result.rows
-        }
-        flat = by_key[(DEPTH, "flat-cached", "in-process")]
-        cold = by_key[(DEPTH, "flat-cold", "in-process")]
-        nested = by_key[(DEPTH, "nested-cached", "in-process")]
-        print(
-            f"depth {DEPTH}: flat-cached {flat:.1f} ops/s, flat-cold "
-            f"{cold:.1f} ops/s, nested {nested:.1f} ops/s"
-        )
+        by_key = {(row[0], row[1], row[2]): row[6] for row in result.rows}
+        cached = by_key[(DEPTH, "cached", "in-process")]
+        cold = by_key[(DEPTH, "cold", "in-process")]
+        print(f"depth {DEPTH}: cached {cached:.1f} ops/s, cold {cold:.1f} ops/s")
         # The cached-vs-cold gate interleaves the two modes on ONE system,
         # so ambient CI load skews both sides equally (the table's
         # separately-phased numbers stay informational).
@@ -182,13 +165,6 @@ def main(argv=None) -> int:
         assert cached_s < cold_s, (
             f"cached plans no faster than cold parse+plan: {cached_s:.3f}s "
             f"vs {cold_s:.3f}s interleaved at depth {DEPTH}"
-        )
-        # The flat-view floor: composed emission must beat the nested view
-        # stack by at least 2x at depth 16 (in practice the gap is an
-        # order of magnitude — nested UNION chains expand exponentially).
-        assert flat >= 2.0 * nested, (
-            f"flattened views regressed below the 2x floor: {flat:.1f} vs "
-            f"{nested:.1f} ops/s at depth {DEPTH}"
         )
         # The observability bound: the instrumented hot path (metrics
         # registry enabled, tracing off — the production default) must

@@ -28,7 +28,7 @@ from repro.persist.recovery import open_database as open
 from repro.server import ReproServer, connect_remote, serve
 from repro.sql import Connection, Cursor, connect
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "InVerDa",

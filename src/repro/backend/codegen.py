@@ -2,7 +2,8 @@
 
 For the current materialization this module produces, in dependency order,
 
-1. scaffolding DDL (sequence table, per-SMO put/scratch tables),
+1. scaffolding DDL (sequence table, the put/scratch tables the trigger
+   programs name),
 2. one ``CREATE VIEW`` per table version (physical table versions get a
    pass-through view so that every version is written through the same
    trigger machinery),
@@ -128,12 +129,16 @@ def scaffold_statements(engine) -> list[str]:
 def view_statements(engine, *, flatten: bool = True) -> list[str]:
     """One ``CREATE VIEW`` per active table version.
 
-    With ``flatten=True`` (the default) the rule-rendered SELECTs are
-    algebraically composed along the SMO chain by
-    :class:`~repro.backend.compose.ViewComposer`, so a version at chain
-    depth N is served by one shallow query instead of an N-deep view
+    The rule-rendered SELECTs are algebraically composed along the SMO
+    chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
+    chain depth N is served by one shallow query instead of an N-deep view
     sandwich; SMOs the composer cannot flatten (the hand-written FK/COND
-    views, over-budget unions) keep their nested view references."""
+    views, over-budget unions) keep their nested view references.
+
+    ``flatten=False`` renders every view in that nested one-view-per-hop
+    form.  The backend never installs it; it is the reference basis of the
+    verifier's RPC106 and the third leg of the test suite's memory /
+    composed / nested oracle."""
     from repro.backend.compose import ViewComposer
 
     ctx = HandlerContext(engine)

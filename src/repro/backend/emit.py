@@ -33,7 +33,7 @@ def sequences_ddl() -> str:
     )
 
 
-def table_ddl(name: str, columns: Sequence[str], *, temp: bool = False) -> str:
+def table_ddl(name: str, columns: Sequence[str]) -> str:
     """``CREATE TABLE`` with the leading ``p`` key plus payload columns.
 
     The table name is quoted like every column: generated physical names
@@ -41,8 +41,7 @@ def table_ddl(name: str, columns: Sequence[str], *, temp: bool = False) -> str:
     slipping through must never produce broken DDL.
     """
     parts = ["p INTEGER PRIMARY KEY"] + [f"{q(c)}" for c in columns]
-    keyword = "CREATE TEMP TABLE" if temp else "CREATE TABLE"
-    return f"{keyword} IF NOT EXISTS {q(name)} ({', '.join(parts)})"
+    return f"CREATE TABLE IF NOT EXISTS {q(name)} ({', '.join(parts)})"
 
 
 def empty_relation(columns: Sequence[str]) -> str:
@@ -150,27 +149,14 @@ def delete_row(target: str, key_sql: str, *, guard: str | None = None) -> str:
     return f"DELETE FROM {target} WHERE p IS {key_sql}{guard_sql}"
 
 
-def apply_extent(
-    target: str,
-    columns: Sequence[str],
-    source: str,
-    *,
-    plain_table: bool = False,
-) -> list[str]:
-    """Make ``target``'s extent equal to ``source``'s (a staged table):
-    delete missing rows, update changed rows, insert new rows.  ``target``
-    may be a generated view (fires its INSTEAD OF triggers row by row) or a
-    physical/aux table."""
+def apply_extent(target: str, columns: Sequence[str], source: str) -> list[str]:
+    """Make the generated view ``target``'s extent equal to ``source``'s (a
+    staged table): delete missing rows, update changed rows, insert new
+    rows — each firing the view's INSTEAD OF triggers row by row."""
     collist = ", ".join(["p", *qcols(columns)])
     statements = [
         f"DELETE FROM {target} WHERE p NOT IN (SELECT p FROM {source})"
     ]
-    if plain_table:
-        statements.append(
-            f"INSERT OR REPLACE INTO {target} ({collist}) "
-            f"SELECT {collist} FROM {source}"
-        )
-        return statements
     if columns:
         setlist = ", ".join(qcols(columns))
         changed = (

@@ -66,6 +66,10 @@ from repro.sqlgen.views import branches_for_rules, select_sql_for_rules
 # ids) from one global sequence; the backend mirrors that.
 GLOBAL_SEQUENCE = "p"
 
+# Payload columns of the identifier-assignment scratch tables: two
+# candidate ids and their dense ranks among the rows needing fresh ones.
+SCRATCH_COLUMNS = ("a", "b", "rnk", "rnk2")
+
 
 @dataclass
 class HandlerContext:
@@ -129,6 +133,11 @@ class SmoHandler:
     def side_of(self, tv: TableVersion) -> str:
         return "source" if tv in self.smo.sources else "target"
 
+    def routed_here(self, tv: TableVersion) -> bool:
+        """Is ``tv`` read and written through this SMO under the current
+        materialization (the data lives on the SMO's other side)?"""
+        return self.smo.materialized == (tv in self.smo.sources)
+
     def role_of(self, tv: TableVersion) -> str:
         if tv in self.smo.sources:
             return self.sem.source_roles[self.smo.sources.index(tv)]
@@ -185,15 +194,18 @@ class SmoHandler:
         return {}
 
     def put_tables(self) -> dict[str, tuple[str, ...]]:
-        """Scratch/staging tables this SMO's trigger programs write into
-        (name -> payload columns; every table also carries the ``p`` key)."""
-        tables: dict[str, tuple[str, ...]] = {}
-        for role, tv in zip(self.sem.source_roles, self.smo.sources):
-            tables[self.smo.put_table_name(role)] = tv.schema.column_names
-        for role, tv in zip(self.sem.target_roles, self.smo.targets):
-            tables[self.smo.put_table_name(role)] = tv.schema.column_names
-        tables[self.smo.put_table_name("scratch")] = ("a", "b", "rnk", "rnk2")
-        return tables
+        """Scratch/staging tables the programs of :meth:`write_statements`
+        and :meth:`repair_statements` name under the current
+        materialization (name -> payload columns; every table also carries
+        the ``p`` key).  Default: none."""
+        return {}
+
+    def _row_puts(self, tvs: Sequence[TableVersion]) -> dict[str, tuple[str, ...]]:
+        """One row-snapshot staging table per table version, keyed by role."""
+        return {
+            self.smo.put_table_name(self.role_of(tv)): tv.schema.column_names
+            for tv in tvs
+        }
 
 
 class RuleBackedHandler(SmoHandler):
@@ -291,26 +303,31 @@ class IdentityHandler(RuleBackedHandler):
 # ---------------------------------------------------------------------------
 
 
-class AddColumnHandler(RuleBackedHandler):
+class ColumnHandler(RuleBackedHandler):
+    """ADD COLUMN / DROP COLUMN: a narrow table versus the same table with
+    one more column (ADD's target, DROP's source).  Widening a row computes
+    the column with the SMO's function (ADD's ``AS``, DROP's ``DEFAULT``);
+    narrowing it keeps the written value in the aux table B, which is only
+    stored on the narrow-ward side."""
+
     def write_statements(self, tv, op, *, apply_data=True):
         if not apply_data:
             return []
         node = self.sem.node
-        narrow_cols = self.smo.sources[0].schema.column_names
-        wide_tv = self.smo.targets[0]
-        if self.side_of(tv) == "source":
-            # Forward (SMO materialized): compute the new column; the aux
-            # override table B is not stored on this side.
+        if isinstance(self.sem, AddColumnSemantics):
+            narrow_tv, wide_tv = self.smo.sources[0], self.smo.targets[0]
+            function = node.function
+        else:
+            narrow_tv, wide_tv = self.smo.targets[0], self.smo.sources[0]
+            function = node.default
+        narrow_cols = narrow_tv.schema.column_names
+        if tv is narrow_tv:
             if op == "DELETE":
                 return [delete_row(self.ctx.view(wide_tv), "OLD.p")]
-            values = [f"NEW.{q(c)}" for c in narrow_cols]
-            values.append(render_expression(node.function, new_refs(narrow_cols)))
-            return upsert_row(
-                self.ctx.view(wide_tv), wide_tv.schema.column_names, "NEW.p", values
-            )
-        # Backward (virtualized): narrow the row and record the written
-        # value in the aux table B for repeatable reads.
-        narrow_tv = self.smo.sources[0]
+            computed = render_expression(function, new_refs(narrow_cols))
+            wide_cols = wide_tv.schema.column_names
+            values = [computed if c == node.column else f"NEW.{q(c)}" for c in wide_cols]
+            return upsert_row(self.ctx.view(wide_tv), wide_cols, "NEW.p", values)
         aux = self.smo.aux_table_name("B")
         if op == "DELETE":
             return [
@@ -329,60 +346,56 @@ class AddColumnHandler(RuleBackedHandler):
         return statements
 
 
-class DropColumnHandler(RuleBackedHandler):
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
-        node = self.sem.node
-        wide_tv = self.smo.sources[0]
-        narrow_tv = self.smo.targets[0]
-        narrow_cols = narrow_tv.schema.column_names
-        if self.side_of(tv) == "source":
-            # Forward (materialized): project the column away, keep its
-            # value in the target-side aux table B.
-            aux = self.smo.aux_table_name("B")
-            if op == "DELETE":
-                return [
-                    delete_row(self.ctx.view(narrow_tv), "OLD.p"),
-                    delete_row(aux, "OLD.p"),
-                ]
-            statements = upsert_row(
-                self.ctx.view(narrow_tv),
-                narrow_cols,
-                "NEW.p",
-                [f"NEW.{q(c)}" for c in narrow_cols],
-            )
-            statements += upsert_row(
-                aux, (node.column,), "NEW.p", [f"NEW.{q(node.column)}"], plain_table=True
-            )
-            return statements
-        # Backward (virtualized): widen with the DEFAULT function (the aux
-        # override B is not stored on this side).
-        if op == "DELETE":
-            return [delete_row(self.ctx.view(wide_tv), "OLD.p")]
-        index = self.smo.sources[0].schema.index_of(node.column)
-        values = [f"NEW.{q(c)}" for c in narrow_cols]
-        values.insert(index, render_expression(node.default, new_refs(narrow_cols)))
-        return upsert_row(
-            self.ctx.view(wide_tv), wide_tv.schema.column_names, "NEW.p", values
-        )
-
-
 # ---------------------------------------------------------------------------
 # Key-preserving vertical SMOs (DECOMPOSE/OUTER JOIN/JOIN ON PK)
 # ---------------------------------------------------------------------------
 
 
-class _VerticalBase(RuleBackedHandler):
-    """Shared write templates between the wide table and two key-sharing
-    projections (the paper's omega-filling outer-join lens)."""
+class VerticalHandler(RuleBackedHandler):
+    """DECOMPOSE / OUTER JOIN ON PK: the wide table versus two key-sharing
+    projections (the paper's omega-filling outer-join lens), either way
+    round."""
 
-    def _wide_parts(self):
+    def _tvs(self):
+        """(wide_tv, first_tv, second_tv) regardless of SMO kind."""
+        if isinstance(self.sem, DecomposePkSemantics):
+            return (self.smo.sources[0], *self.smo.targets)
+        return (self.smo.targets[0], *self.smo.sources)
+
+    def put_tables(self):
+        # Only a write at one projection (_combine_write) snapshots its
+        # sibling, and only the side routed through this SMO is written.
+        _wide_tv, *projections = self._tvs()
+        return self._row_puts(projections) if self.routed_here(projections[0]) else {}
+
+    def write_statements(self, tv, op, *, apply_data=True):
+        if not apply_data:
+            return []
         lens = self.sem._lens
         wide_cols = lens.wide_schema.column_names
         first_cols = tuple(wide_cols[i] for i in lens.first_indices)
         second_cols = tuple(wide_cols[i] for i in lens.second_indices)
-        return lens, wide_cols, first_cols, second_cols
+        wide_tv, first_tv, second_tv = self._tvs()
+        if tv is wide_tv:
+            return self._split_write(
+                [
+                    (self.ctx.view(first_tv), first_cols),
+                    (self.ctx.view(second_tv), second_cols),
+                ],
+                op,
+            )
+        if tv is first_tv:
+            own, other_tv, other_cols = first_cols, second_tv, second_cols
+        else:
+            own, other_tv, other_cols = second_cols, first_tv, first_cols
+        return self._combine_write(
+            wide_tv,
+            own,
+            self.ctx.view(other_tv),
+            other_cols,
+            self.smo.put_table_name(self.role_of(other_tv)),
+            op,
+        )
 
     def _split_write(self, narrow_views: list[tuple[str, tuple[str, ...]]], op):
         """Write at the wide table: project both parts, suppressing all-null
@@ -452,66 +465,13 @@ class _VerticalBase(RuleBackedHandler):
         return statements
 
 
-class DecomposePkHandler(_VerticalBase):
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
-        _lens, _wide, first_cols, second_cols = self._wide_parts()
-        first_tv, second_tv = self.smo.targets
-        if self.side_of(tv) == "source":
-            return self._split_write(
-                [
-                    (self.ctx.view(first_tv), first_cols),
-                    (self.ctx.view(second_tv), second_cols),
-                ],
-                op,
-            )
-        wide_tv = self.smo.sources[0]
-        if tv is first_tv:
-            own, other_tv, other_cols = first_cols, second_tv, second_cols
-        else:
-            own, other_tv, other_cols = second_cols, first_tv, first_cols
-        return self._combine_write(
-            wide_tv,
-            own,
-            self.ctx.view(other_tv),
-            other_cols,
-            self.smo.put_table_name(self.role_of(other_tv)),
-            op,
-        )
-
-
-class OuterJoinPkHandler(_VerticalBase):
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
-        _lens, _wide, first_cols, second_cols = self._wide_parts()
-        first_tv, second_tv = self.smo.sources
-        wide_tv = self.smo.targets[0]
-        if self.side_of(tv) == "target":
-            return self._split_write(
-                [
-                    (self.ctx.view(first_tv), first_cols),
-                    (self.ctx.view(second_tv), second_cols),
-                ],
-                op,
-            )
-        if tv is first_tv:
-            own, other_tv, other_cols = first_cols, second_tv, second_cols
-        else:
-            own, other_tv, other_cols = second_cols, first_tv, first_cols
-        return self._combine_write(
-            wide_tv,
-            own,
-            self.ctx.view(other_tv),
-            other_cols,
-            self.smo.put_table_name(self.role_of(other_tv)),
-            op,
-        )
-
-
 class InnerJoinPkHandler(RuleBackedHandler):
     """JOIN ON PK with the Rplus/Splus preservation aux tables."""
+
+    def put_tables(self):
+        # The forward program snapshots the other source's current row.
+        sources = self.smo.sources
+        return self._row_puts(sources) if self.routed_here(sources[0]) else {}
 
     def write_statements(self, tv, op, *, apply_data=True):
         if not apply_data:
@@ -603,8 +563,8 @@ class InnerJoinPkHandler(RuleBackedHandler):
 # ---------------------------------------------------------------------------
 
 
-class _PartitionBase(RuleBackedHandler):
-    """Shared templates of the unified <-> partitioned lens."""
+class PartitionHandler(RuleBackedHandler):
+    """SPLIT / MERGE: the unified <-> partitioned lens, either way round."""
 
     def _lens(self):
         return self.sem._lens
@@ -623,6 +583,22 @@ class _PartitionBase(RuleBackedHandler):
     def is_unified(self, tv: TableVersion) -> bool:
         unified, _first, _second = self._tvs()
         return tv is unified
+
+    def _partition_puts(self) -> tuple[str, str]:
+        roles = self._lens().roles
+        return (
+            self.smo.put_table_name(roles.first),
+            self.smo.put_table_name(roles.second or "S2"),
+        )
+
+    def put_tables(self):
+        # Only a write at one partition (_to_unified) stages rows, and the
+        # partitions are written through this SMO only while they are the
+        # routed side.
+        _unified, first, _second = self._tvs()
+        if not self.routed_here(first):
+            return {}
+        return dict.fromkeys(self._partition_puts(), self._lens().schema.column_names)
 
     def _to_partitions(self, op) -> list[str]:
         """Write at the unified table; the partitioned side (including its
@@ -685,8 +661,7 @@ class _PartitionBase(RuleBackedHandler):
         columns = lens.schema.column_names
         key = "OLD.p" if op == "DELETE" else "NEW.p"
         writing_first = tv is first
-        put_first = self.smo.put_table_name(roles.first)
-        put_second = self.smo.put_table_name(roles.second or "S2")
+        put_first, put_second = self._partition_puts()
         collist = ", ".join(["p", *qcols(columns)])
 
         statements = [f"DELETE FROM {put_first}", f"DELETE FROM {put_second}"]
@@ -806,19 +781,6 @@ class _PartitionBase(RuleBackedHandler):
         return self._to_unified(tv, op)
 
 
-class SplitHandler(_PartitionBase):
-    def put_tables(self):
-        tables = super().put_tables()
-        lens = self._lens()
-        if lens.roles.second is None:
-            tables[self.smo.put_table_name("S2")] = lens.schema.column_names
-        return tables
-
-
-class MergeHandler(_PartitionBase):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # DECOMPOSE / OUTER JOIN ON FOREIGN KEY
 # ---------------------------------------------------------------------------
@@ -849,8 +811,13 @@ class FkHandler(SmoHandler):
         return self.smo.aux_table_name("ID")
 
     def put_tables(self) -> dict[str, tuple[str, ...]]:
-        tables = super().put_tables()
+        # ID is shared aux, so all three table versions carry a program of
+        # this SMO (on or off the storage route) in either state.
+        _wide_tv, s_tv, t_tv, *_ = self._parts()
+        tables = self._row_puts((s_tv, t_tv))
         tables[self.smo.put_table_name("ID")] = ("fk",)
+        if self._wide_stored_ward():
+            tables[self.smo.put_table_name("scratch")] = SCRATCH_COLUMNS
         return tables
 
     # -- views -------------------------------------------------------------
@@ -1141,14 +1108,6 @@ class FkHandler(SmoHandler):
         return statements
 
 
-class DecomposeFkHandler(FkHandler):
-    pass
-
-
-class OuterJoinFkHandler(FkHandler):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # DECOMPOSE / JOIN ON condition
 # ---------------------------------------------------------------------------
@@ -1179,16 +1138,22 @@ class CondHandler(SmoHandler):
         return self.smo.aux_table_name("ID")
 
     def put_tables(self) -> dict[str, tuple[str, ...]]:
-        tables = super().put_tables()
+        # ID is shared aux, so all three table versions carry a program of
+        # this SMO in either state; which side applies data (and stages
+        # the rows it applies) follows the storage route.
         wide_tv, s_tv, t_tv, *_ = self._parts()
-        tables[self.smo.put_table_name("regen_W")] = wide_tv.schema.column_names
-        tables[self.smo.put_table_name("regen_" + self.role_of(s_tv))] = (
-            s_tv.schema.column_names
-        )
-        tables[self.smo.put_table_name("regen_" + self.role_of(t_tv))] = (
-            t_tv.schema.column_names
-        )
-        tables[self.smo.put_table_name("regen_scratch")] = ("a", "b", "rnk", "rnk2")
+        put = self.smo.put_table_name
+        tables = self._row_puts((s_tv, t_tv))
+        tables[put("scratch")] = SCRATCH_COLUMNS
+        tables[put("regen_scratch")] = SCRATCH_COLUMNS
+        tables[put("regen_W")] = wide_tv.schema.column_names
+        if self._wide_stored_ward():
+            tables[put("R")] = wide_tv.schema.column_names
+        else:
+            for narrow_tv in (s_tv, t_tv):
+                tables[put("regen_" + self.role_of(narrow_tv))] = (
+                    narrow_tv.schema.column_names
+                )
         return tables
 
     def _scratch(self) -> str:
@@ -1599,14 +1564,6 @@ class CondHandler(SmoHandler):
         }
 
 
-class DecomposeCondHandler(CondHandler):
-    pass
-
-
-class InnerJoinCondHandler(CondHandler):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -1615,17 +1572,17 @@ _HANDLERS = {
     DropTableSemantics: DropTableHandler,
     RenameTableSemantics: IdentityHandler,
     RenameColumnSemantics: IdentityHandler,
-    AddColumnSemantics: AddColumnHandler,
-    DropColumnSemantics: DropColumnHandler,
-    DecomposePkSemantics: DecomposePkHandler,
-    OuterJoinPkSemantics: OuterJoinPkHandler,
+    AddColumnSemantics: ColumnHandler,
+    DropColumnSemantics: ColumnHandler,
+    DecomposePkSemantics: VerticalHandler,
+    OuterJoinPkSemantics: VerticalHandler,
     InnerJoinPkSemantics: InnerJoinPkHandler,
-    SplitSemantics: SplitHandler,
-    MergeSemantics: MergeHandler,
-    DecomposeFkSemantics: DecomposeFkHandler,
-    OuterJoinFkSemantics: OuterJoinFkHandler,
-    DecomposeCondSemantics: DecomposeCondHandler,
-    InnerJoinCondSemantics: InnerJoinCondHandler,
+    SplitSemantics: PartitionHandler,
+    MergeSemantics: PartitionHandler,
+    DecomposeFkSemantics: FkHandler,
+    OuterJoinFkSemantics: FkHandler,
+    DecomposeCondSemantics: CondHandler,
+    InnerJoinCondSemantics: CondHandler,
 }
 
 

@@ -50,6 +50,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import InVerDa
 
 
+def _next_row_id(connection: sqlite3.Connection) -> int:
+    """Advance the shared row-identifier sequence on ``connection`` (inside
+    its open transaction, if any) and return the new value."""
+    connection.execute(
+        f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + 1 WHERE name = ?",
+        (emit.ROW_ID_SEQUENCE,),
+    )
+    row = connection.execute(
+        f"SELECT value FROM {emit.SEQUENCES_TABLE} WHERE name = ?",
+        (emit.ROW_ID_SEQUENCE,),
+    ).fetchone()
+    return int(row[0])
+
+
 class SqliteSession:
     """One client's leased handle to the backend's shared database.
 
@@ -86,16 +100,7 @@ class SqliteSession:
     def allocate_key(self) -> int:
         """Advance the shared row-identifier sequence on this session's
         handle (joins the session's open transaction, if any)."""
-        connection = self._check_open()
-        connection.execute(
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + 1 WHERE name = ?",
-            (emit.ROW_ID_SEQUENCE,),
-        )
-        row = connection.execute(
-            f"SELECT value FROM {emit.SEQUENCES_TABLE} WHERE name = ?",
-            (emit.ROW_ID_SEQUENCE,),
-        ).fetchone()
-        return int(row[0])
+        return _next_row_id(self._check_open())
 
     # -- transactions ----------------------------------------------------
 
@@ -162,10 +167,9 @@ class SqliteSession:
 class LiveSqliteBackend:
     """A SQLite database serving reads *and* writes on every version."""
 
-    def __init__(self, engine: "InVerDa", pool: SessionPool, *, flatten: bool = True):
+    def __init__(self, engine: "InVerDa", pool: SessionPool):
         self.engine = engine
         self.pool = pool
-        self.flatten = flatten
         # The administrative handle: snapshot load, delta-code install,
         # migrations, and the engine-facing read helpers below.
         self.connection = pool.connect()
@@ -227,7 +231,6 @@ class LiveSqliteBackend:
         max_sessions: int | None = None,
         busy_timeout: float = 5.0,
         cached_statements: int = 256,
-        flatten: bool = True,
         persist: bool = True,
         repair: bool = False,
         force: bool = False,
@@ -242,12 +245,6 @@ class LiveSqliteBackend:
         that file in WAL mode so concurrent readers scale.  ``pool_size``,
         ``max_sessions``, ``busy_timeout``, and ``cached_statements`` are
         passed through to the :class:`~repro.backend.pool.SessionPool`.
-
-        ``flatten`` controls view emission: ``True`` (the default) emits
-        algebraically composed flat views (one shallow SELECT per table
-        version wherever the composer can flatten the SMO chain);
-        ``False`` emits the naive nested view stack, one view per SMO hop
-        (the fig16 benchmark's baseline).
 
         ``persist`` (default ``True``) keeps the catalog durable: the
         engine's genealogy, materialization, and generation live in
@@ -297,7 +294,7 @@ class LiveSqliteBackend:
         )
         from repro.persist.store import CatalogStore
 
-        backend = cls(engine, pool, flatten=flatten)
+        backend = cls(engine, pool)
         backend.verify_transitions = verify_transitions
         try:
             if persist and CatalogStore.has_catalog(backend.connection):
@@ -328,7 +325,7 @@ class LiveSqliteBackend:
             if persist:
                 store = CatalogStore(self.connection)
                 store.save_snapshot(self.engine)
-                store.set_delta_meta(self.engine.catalog_generation, self.flatten)
+                store.set_delta_meta(self.engine.catalog_generation)
                 self.store = store
             self.connection.commit()
         except BaseException:
@@ -370,7 +367,6 @@ class LiveSqliteBackend:
         self.recovered = True
         if (
             state.delta_generation == self.engine.catalog_generation
-            and state.delta_flatten == self.flatten
             and self._delta_installed()
         ):
             self.delta_reused = True
@@ -379,7 +375,7 @@ class LiveSqliteBackend:
             try:
                 self.regenerate()
                 self._run(codegen.repair_all_statements(self.engine))
-                store.set_delta_meta(self.engine.catalog_generation, self.flatten)
+                store.set_delta_meta(self.engine.catalog_generation)
                 self.connection.commit()
             except BaseException:
                 self._abort()
@@ -550,7 +546,7 @@ class LiveSqliteBackend:
         try:
             self.drop_generated()
             self._run(codegen.scaffold_statements(self.engine))
-            self._run(codegen.view_statements(self.engine, flatten=self.flatten))
+            self._run(self._view_statements())
             self._run(codegen.trigger_statements(self.engine))
         except BaseException:
             cursor.execute("ROLLBACK TO repro_regenerate")
@@ -558,11 +554,17 @@ class LiveSqliteBackend:
             raise
         cursor.execute("RELEASE repro_regenerate")
 
+    def _view_statements(self) -> list[str]:
+        """The view emission :meth:`regenerate` installs.  The product has
+        one — the composed emission; the test suite's nested-emission
+        backend overrides exactly this method to keep the three-way
+        memory / composed / nested oracle running."""
+        return codegen.view_statements(self.engine)
+
     def generated_sql(self) -> str:
         """The full delta-code script (for inspection and code metrics)."""
         return ";\n".join(
-            codegen.view_statements(self.engine, flatten=self.flatten)
-            + codegen.trigger_statements(self.engine)
+            self._view_statements() + codegen.trigger_statements(self.engine)
         )
 
     # ------------------------------------------------------------------
@@ -597,7 +599,7 @@ class LiveSqliteBackend:
             self.regenerate()
             self._run(codegen.repair_all_statements(self.engine))
             if self.store is not None:
-                self.store.set_delta_meta(self.engine.catalog_generation, self.flatten)
+                self.store.set_delta_meta(self.engine.catalog_generation)
             self._fault("evolution:before-commit")
             self.connection.commit()
         except BaseException:
@@ -608,15 +610,17 @@ class LiveSqliteBackend:
     def on_materialize(self, schema: frozenset["SmoInstance"]) -> None:
         self._begin()
         try:
-            if self._online_move is not None:
-                self._online_cutover(schema)
-            else:
-                stage, swap = codegen.migration_statements(self.engine, schema)
-                self._run(stage)
-                self._fault("materialize:staged")
-                self.drop_generated()
-                self._run(swap)
-                self._fault("materialize:swapped")
+            # An online move arrives with its data tables already staged
+            # by the backfill; the offline move stages everything here.
+            staged = self._online_cutover() if self._online_move is not None else None
+            stage, swap = codegen.migration_statements(
+                self.engine, schema, staged=staged
+            )
+            self._run(stage)
+            self._fault("materialize:staged")
+            self.drop_generated()
+            self._run(swap)
+            self._fault("materialize:swapped")
         except BaseException:
             self._abort()
             raise
@@ -627,7 +631,7 @@ class LiveSqliteBackend:
             self._run(codegen.repair_all_statements(self.engine))
             if self.store is not None:
                 self.store.record_materialize(self.engine)
-                self.store.set_delta_meta(self.engine.catalog_generation, self.flatten)
+                self.store.set_delta_meta(self.engine.catalog_generation)
                 if self._online_move is not None:
                     # The journal, the cutover DDL, and the new catalog
                     # commit together: a crash before this commit leaves
@@ -774,11 +778,12 @@ class LiveSqliteBackend:
         move = self._online_move
         return (move.chunks, move.rows) if move is not None else (0, 0)
 
-    def _online_cutover(self, schema: frozenset["SmoInstance"]) -> None:
+    def _online_cutover(self) -> dict[int, str]:
         """Phase 3 (inside ``on_materialize``'s transaction, under the
         write lock): finalize the staged copies, verify them against the
-        live views, tear the capture machinery down, and reuse the offline
-        swap with the staged tables standing in for the one-shot copies."""
+        live views, and tear the capture machinery down.  Returns the
+        staged-table map that stands in for the offline move's one-shot
+        copies in the swap."""
         from repro.backend import online
 
         move = self._online_move
@@ -800,22 +805,12 @@ class LiveSqliteBackend:
                 )
         self._fault("materialize-online:pre-cutover")
         self._run(online.capture_teardown_statements(plan))
-        stage, swap = codegen.migration_statements(
-            self.engine, schema, staged=plan.staged_map()
-        )
-        self._run(stage)
-        self._fault("materialize:staged")
-        self.drop_generated()
-        self._run(swap)
-        self._fault("materialize:swapped")
+        return plan.staged_map()
 
     def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
-        from repro.backend.handlers import HandlerContext, handler_for
-
         self._begin()
         try:
             cursor = self.connection.cursor()
-            ctx = HandlerContext(self.engine)
             for smo in removed:
                 semantics = smo.semantics
                 tables: set[str] = set()
@@ -826,13 +821,23 @@ class LiveSqliteBackend:
                         | set(semantics.aux_shared())
                     ):
                         tables.add(smo.aux_table_name(role))
-                    tables |= set(handler_for(ctx, smo).put_tables())
+                # Staging tables by name, not by the handler's declared
+                # set: that set follows the materialization, and a file
+                # scaffolded by an earlier release holds more of them.
+                tables.update(
+                    row[0]
+                    for row in cursor.execute(
+                        "SELECT name FROM sqlite_master "
+                        "WHERE type = 'table' AND name GLOB ?",
+                        (smo.put_table_name("") + "*",),
+                    ).fetchall()
+                )
                 for table in tables:
                     cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
             self.regenerate()
             if self.store is not None:
                 self.store.record_drop(self.engine, version_name)
-                self.store.set_delta_meta(self.engine.catalog_generation, self.flatten)
+                self.store.set_delta_meta(self.engine.catalog_generation)
             self._fault("drop:before-commit")
             self.connection.commit()
         except BaseException:
@@ -852,7 +857,7 @@ class LiveSqliteBackend:
         from repro.check.diagnostics import error_count, record_findings
         from repro.errors import CatalogError
 
-        findings = verify_delta_code(self.engine, flatten=self.flatten)
+        findings = verify_delta_code(self.engine)
         record_findings(self.engine, findings, scope=f"transition:{kind}")
         if error_count(findings):
             details = "; ".join(
@@ -898,16 +903,7 @@ class LiveSqliteBackend:
     # ------------------------------------------------------------------
 
     def allocate_key(self) -> int:
-        cursor = self.connection.cursor()
-        cursor.execute(
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + 1 WHERE name = ?",
-            (emit.ROW_ID_SEQUENCE,),
-        )
-        row = cursor.execute(
-            f"SELECT value FROM {emit.SEQUENCES_TABLE} WHERE name = ?",
-            (emit.ROW_ID_SEQUENCE,),
-        ).fetchone()
-        return int(row[0])
+        return _next_row_id(self.connection)
 
     def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
         return self.connection.execute(sql, parameters)

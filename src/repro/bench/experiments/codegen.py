@@ -9,9 +9,9 @@ generation for good measure.
 
 from __future__ import annotations
 
+from repro.backend import codegen
 from repro.bench.harness import Experiment, ExperimentResult, register, time_once
 from repro.core.engine import InVerDa
-from repro.sqlgen.scripts import generated_delta_code_for_version
 from repro.workloads.tasky import DO_SCRIPT, TASKY2_SCRIPT, TASKY_INITIAL_SCRIPT
 
 
@@ -45,8 +45,10 @@ def run(num_tasks: int = 10_000) -> ExperimentResult:
     tasky2_ms = time_once(lambda: engine.execute(TASKY2_SCRIPT)) * 1000
     result.add("evolve to TasKy2 (2 SMOs)", tasky2_ms, 230)
 
-    script_ms = time_once(lambda: generated_delta_code_for_version(engine, "TasKy2")) * 1000
-    result.add("generate TasKy2 SQL delta code", script_ms, -1)
+    script_ms = time_once(
+        lambda: (codegen.view_statements(engine), codegen.trigger_statements(engine))
+    ) * 1000
+    result.add("generate SQL delta code (all versions)", script_ms, -1)
     result.note(
         "evolution latency includes eager ID initialization over "
         f"{num_tasks} rows for the FK decomposition; the paper's <1 s bound "

@@ -2,28 +2,21 @@
 
 The paper's core claim is that co-existing schema versions cost
 *negligible overhead* because delta code is compiled once and served
-cheaply.  This experiment measures the two optimizations that make the
-reproduction live up to that at depth:
-
-- **plan caching** (``cached`` vs ``cold``): a repeated statement skips
-  parsing and planner lowering via the engine's shared
-  :class:`~repro.sql.plancache.PlanCache` (and sqlite3's per-session
-  prepared-statement cache);
-- **flattened view composition** (``flat`` vs ``nested``): the backend
-  emits one algebraically composed view per table version instead of an
-  N-deep nested view stack, so SQLite's planner sees one shallow query.
-  Nested UNION-shaped chains (SPLIT every few steps) expand
-  *exponentially* under SQLite's textual view expansion — at depth 16
-  the nested emission is close to unusable, which is exactly the
-  regression this experiment guards against.
+cheaply.  This experiment measures how the statement hot path holds up
+at depth, and what **plan caching** buys (``cached`` vs ``cold``): a
+repeated statement skips parsing and planner lowering via the engine's
+shared :class:`~repro.sql.plancache.PlanCache` (and sqlite3's
+per-session prepared-statement cache).
 
 The schema chain alternates RENAME COLUMN with a SPLIT TABLE every
 fourth step — a depth-16 chain holds 4 union-shaped levels, the worst
-realistic shape the composer must keep linear.  Reported per depth
-(1/4/16), mode, and transport: p50/p95 statement latency and read
-throughput on the tip version.  ``remote`` rows serve the flat/cached
-configuration through the TCP server (the server-side connection shares
-the same plan cache).
+realistic shape the view composer must keep linear.  (The nested
+one-view-per-hop rendering it replaced expands exponentially there:
+``BENCH_fig16.json`` holds the last recorded comparison, 51x at depth
+16.)  Reported per depth (1/4/16), mode, and transport: p50/p95
+statement latency and read throughput on the tip version.  ``remote``
+rows serve the cached configuration through the TCP server (the
+server-side connection shares the same plan cache).
 """
 
 from __future__ import annotations
@@ -101,7 +94,6 @@ def run(
     rows: int = 5000,
     ops: int = 150,
     depths: tuple[int, ...] = (1, 4, 16),
-    nested_depth_cap: int = 16,
     remote: bool = True,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -109,7 +101,6 @@ def run(
         title="Figure 16: statement hot path vs SMO-chain depth",
         columns=(
             "depth",
-            "views",
             "plans",
             "transport",
             "ops",
@@ -128,16 +119,9 @@ def run(
     warm_conn.close()
     warm_backend.close()
     for depth in depths:
-        configurations = [("flat", "cached"), ("flat", "cold"), ("nested", "cached")]
-        for views, plans in configurations:
-            if views == "nested" and depth > nested_depth_cap:
-                result.note(
-                    f"nested emission skipped at depth {depth}: SQLite's "
-                    "textual view expansion is exponential in union levels"
-                )
-                continue
+        for plans in ("cached", "cold"):
             engine, table = build_chain(depth, rows)
-            backend = LiveSqliteBackend.attach(engine, flatten=(views == "flat"))
+            backend = LiveSqliteBackend.attach(engine)
             sql = f"SELECT count(rowid), sum(b) FROM {table}"
             connection = connect(
                 engine,
@@ -146,24 +130,18 @@ def run(
                 backend=backend,
                 plan_cache=(plans == "cached"),
             )
-            # Fewer ops for the slow nested configuration so deep chains
-            # stay benchmarkable.
-            effective_ops = ops if views == "flat" else max(10, ops // 10)
-            measured = _measure(
-                connection, sql, effective_ops, cold=(plans == "cold")
-            )
-            summary[(depth, f"{views}-{plans}")] = measured["ops_per_s"]
+            measured = _measure(connection, sql, ops, cold=(plans == "cold"))
+            summary[(depth, plans)] = measured["ops_per_s"]
             result.add(
                 depth,
-                views,
                 plans,
                 "in-process",
-                effective_ops,
+                ops,
                 measured["p50_ms"],
                 measured["p95_ms"],
                 measured["ops_per_s"],
             )
-            if remote and views == "flat" and plans == "cached":
+            if remote and plans == "cached":
                 from repro.server.client import connect_remote
                 from repro.server.server import ReproServer
 
@@ -172,14 +150,12 @@ def run(
                     remote_conn = connect_remote(
                         *server.address, f"S{depth}", autocommit=True, timeout=60.0
                     )
-                    measured = _measure(remote_conn, sql, effective_ops)
-                    summary[(depth, "remote")] = measured["ops_per_s"]
+                    measured = _measure(remote_conn, sql, ops)
                     result.add(
                         depth,
-                        views,
                         plans,
                         "remote",
-                        effective_ops,
+                        ops,
                         measured["p50_ms"],
                         measured["p95_ms"],
                         measured["ops_per_s"],
@@ -189,13 +165,9 @@ def run(
                     server.close()
             connection.close()
             backend.close()
-        flat = summary.get((depth, "flat-cached"))
-        nested = summary.get((depth, "nested-cached"))
-        cold = summary.get((depth, "flat-cold"))
-        if flat and nested:
-            result.note(f"depth {depth}: flat/nested = {flat / nested:.2f}x")
-        if flat and cold:
-            result.note(f"depth {depth}: cached/cold = {flat / cold:.2f}x")
+        cached, cold = summary[(depth, "cached")], summary[(depth, "cold")]
+        if cold:
+            result.note(f"depth {depth}: cached/cold = {cached / cold:.2f}x")
     result.note(
         f"{rows} rows at the base version; chain = RENAME COLUMN with a "
         f"SPLIT every {SPLIT_EVERY}th step; read workload on the tip version"

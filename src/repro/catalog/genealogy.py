@@ -95,9 +95,6 @@ class SmoInstance:
     def aux_table_name(self, role: str) -> str:
         return physical_name("aux", str(self.uid), role)
 
-    def sequence_name(self, role: str) -> str:
-        return physical_name("seq", str(self.uid), role)
-
     def put_table_name(self, role: str) -> str:
         """Staging table for the ``role`` output of this SMO's generated
         write-propagation (put) programs."""

@@ -3,7 +3,7 @@
 Modes (combinable; every requested pass runs, findings are merged):
 
 - ``--db PATH``       verify the generated delta code of a persisted
-                      database (both the flattened and nested emission);
+                      database (the emission the backend installs);
 - ``--preflight FILE`` / ``--preflight-text SQL``
                       pre-flight a BiDEL script (against ``--db``'s
                       catalog when given, else an empty catalog);
@@ -70,11 +70,7 @@ def run(argv: list[str] | None = None) -> int:
         # on the transitional state instead (RPC107).
         engine = repro.open(args.db, create=False, resume_backfill=None)
         try:
-            delta_findings = verify_delta_code(engine, flatten=True)
-            delta_findings += [
-                d for d in verify_delta_code(engine, flatten=False)
-                if d not in delta_findings
-            ]
+            delta_findings = verify_delta_code(engine)
             backend = engine.live_backend
             if backend is not None and hasattr(backend, "store"):
                 from repro.check.delta import verify_transitional_objects

@@ -13,15 +13,16 @@ of it:
 - **RPC104** every active table version has INSTEAD OF triggers for all
   three DML operations;
 - **RPC105** identifiers that need quoting are never emitted bare;
-- **RPC106** the flattened emission never reads a physical base table
-  the nested composition does not.  (The converse is legal: flattening
-  prunes joins whose columns a later SMO dropped, so the nested basis
-  may be a strict superset — the differential suite covers content
-  agreement.)
+- **RPC106** the installed (composed) emission never reads a physical
+  base table the nested reference composition does not.  (The converse
+  is legal: flattening prunes joins whose columns a later SMO dropped,
+  so the nested basis may be a strict superset — the differential suite
+  covers content agreement.)
 
 ``view_statements`` / ``trigger_statements`` are injectable so the
-seeded-defect suite can verify *mutated* delta code; RPC106 (which needs
-both emissions) only runs on generator output.
+seeded-defect suite can verify *mutated* delta code, and the oracle
+suite the nested reference rendering; RPC106 (which compares the
+generator's two renderings) only runs on generator output.
 """
 
 from __future__ import annotations
@@ -264,7 +265,6 @@ def _check_emission_agreement(engine) -> list[Diagnostic]:
 def verify_delta_code(
     engine,
     *,
-    flatten: bool = True,
     view_statements: list[str] | None = None,
     trigger_statements: list[str] | None = None,
 ) -> list[Diagnostic]:
@@ -278,7 +278,7 @@ def verify_delta_code(
 
     injected = view_statements is not None or trigger_statements is not None
     if view_statements is None:
-        view_statements = codegen.view_statements(engine, flatten=flatten)
+        view_statements = codegen.view_statements(engine)
     if trigger_statements is None:
         trigger_statements = codegen.trigger_statements(engine)
 
@@ -369,10 +369,10 @@ def verify_transitional_objects(connection, store) -> list[Diagnostic]:
     return diagnostics
 
 
-def verify_and_record(engine, *, flatten: bool = True, scope: str) -> dict:
+def verify_and_record(engine, *, scope: str) -> dict:
     """Run the verifier and record the outcome (metrics +
     ``engine.last_check``); returns the summary dict."""
-    diagnostics = verify_delta_code(engine, flatten=flatten)
+    diagnostics = verify_delta_code(engine)
     summary = record_findings(engine, diagnostics, scope=scope)
     # engine.last_check stays compact; the caller-facing report carries
     # the individual findings too.

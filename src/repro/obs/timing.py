@@ -1,8 +1,4 @@
-"""The timing primitive: a reusable, lap-recording stopwatch.
-
-Moved here from ``repro.util.timing`` when observability became a
-subsystem — ``repro.util.timing`` re-exports it for compatibility.
-"""
+"""The timing primitive: a reusable, lap-recording stopwatch."""
 
 from __future__ import annotations
 

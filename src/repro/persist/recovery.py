@@ -246,7 +246,7 @@ def open_database(
     views and triggers.  A bare or missing file starts an empty,
     persistence-enabled database (``create=False`` forbids that and
     raises instead).  ``attach_options`` are passed through to
-    :meth:`LiveSqliteBackend.attach` (``pool_size``, ``flatten``, ...).
+    :meth:`LiveSqliteBackend.attach` (``pool_size``, ``busy_timeout``, ...).
     """
     from repro.backend.sqlite import LiveSqliteBackend
     from repro.core.engine import InVerDa

@@ -13,9 +13,9 @@ Tables
 ``_repro_catalog_meta``
     key/value: ``format_version`` (forward compatibility), ``generation``
     (the engine's monotonic catalog generation), ``fingerprint`` (the
-    whole-catalog fingerprint), and ``delta_generation``/``delta_flatten``
-    (the generation and view-emission mode the installed delta code was
-    generated for — the key for idempotent reuse on re-attach).
+    whole-catalog fingerprint), and ``delta_generation`` (the generation
+    the installed delta code was generated for — the key for idempotent
+    reuse on re-attach).
 
 ``_repro_catalog_log``
     The append-only catalog log, one row per catalog transition in
@@ -121,7 +121,6 @@ class CatalogState:
     generation: int
     fingerprint: str | None
     delta_generation: int | None
-    delta_flatten: bool | None
     entries: list[dict] = field(default_factory=list)
     versions: list[VersionRecord] = field(default_factory=list)
 
@@ -222,12 +221,11 @@ class CatalogStore:
             return None
         return self._get_meta("generation")
 
-    def set_delta_meta(self, generation: int, flatten: bool) -> None:
-        """Record which catalog generation (and view-emission mode) the
-        installed views/triggers were generated for; re-attach skips
-        regeneration when both still match."""
+    def set_delta_meta(self, generation: int) -> None:
+        """Record which catalog generation the installed views/triggers
+        were generated for; re-attach skips regeneration while it still
+        matches."""
         self._set_meta("delta_generation", generation)
-        self._set_meta("delta_flatten", flatten)
 
     # ------------------------------------------------------------------
     # Recording catalog transitions
@@ -399,7 +397,6 @@ class CatalogStore:
             generation=self._get_meta("generation", 0),
             fingerprint=self._get_meta("fingerprint"),
             delta_generation=self._get_meta("delta_generation"),
-            delta_flatten=self._get_meta("delta_flatten"),
             entries=entries,
             versions=versions,
         )

@@ -40,6 +40,9 @@ from repro.sql.planner import StatementResult
 
 _request_ids = itertools.count(1)
 
+#: Seconds close() waits for the server's goodbye acknowledgement.
+GOODBYE_TIMEOUT = 5.0
+
 
 class ConnectionLostError(OperationalError):
     """The TCP stream to the server died mid-conversation."""
@@ -473,18 +476,27 @@ class RemoteConnection(BaseConnection):
             return
         self._closed = True
         try:
-            # Fire-and-forget: waiting for the goodbye reply could block
-            # forever if the server is already gone (the disconnect itself
-            # triggers the same server-side teardown).
+            # The server acknowledges only after the rollback, so once
+            # close() returns the open transaction is gone.  The wait is
+            # bounded: a server that is already gone must not hang the
+            # caller (the disconnect triggers the same teardown anyway).
             with self._io_lock:
                 self._write_request({"op": "close"})
+                self._sock.settimeout(GOODBYE_TIMEOUT)
+                protocol.read_frame(self._rfile)
         except Exception:
             pass  # best effort: the server tears down on disconnect anyway
         self._drop_socket()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
-            self.close()
+            if sys.is_finalizing():
+                # An in-process server's threads are already gone: skip
+                # the goodbye exchange, just release the socket.
+                self._closed = True
+                self._drop_socket()
+            else:
+                self.close()
         except Exception:
             pass
 

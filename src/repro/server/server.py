@@ -111,8 +111,8 @@ class _ClientHandler:
         finally:
             self._teardown()
 
-    def _teardown(self) -> None:
-        # A client that vanishes mid-transaction must not leak its work:
+    def _release_connection(self) -> None:
+        # A client that leaves mid-transaction must not leak its work:
         # closing the server-side connection rolls back any open
         # transaction and returns the leased session to the pool.
         self._statements.clear()
@@ -122,6 +122,9 @@ class _ClientHandler:
             except Exception:
                 pass
             self.connection = None
+
+    def _teardown(self) -> None:
+        self._release_connection()
         for f in (self.wfile, self.rfile):
             try:
                 f.close()
@@ -395,6 +398,9 @@ class _ClientHandler:
         }
 
     def _op_close(self, request: dict) -> None:
+        # Release before acknowledging: a client whose close() returned
+        # relies on its transaction being rolled back already.
+        self._release_connection()
         try:
             self._send({"id": request.get("id"), "ok": True})
         except _Disconnect:
@@ -514,6 +520,23 @@ class ReproServer:
                 self._m_clients.set(len(self._handlers))
             handler.start()
 
+    def _stop_listening(self) -> None:
+        """Release the listening socket and wake the accept thread.
+
+        ``close()`` alone does not interrupt a thread already blocked in
+        ``accept()`` on Linux (the descriptor stays referenced until the
+        call returns); ``shutdown()`` does, so it comes first."""
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+
     def close(self) -> None:
         """Stop accepting, disconnect every client (rolling back their
         open transactions, returning sessions to the pool), and release
@@ -524,11 +547,7 @@ class ReproServer:
             self._closed = True
             handlers = list(self._handlers)
         self.engine.remove_catalog_listener(self._on_catalog_event)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._stop_listening()
         for handler in handlers:
             handler.shutdown()
         for handler in handlers:
@@ -546,13 +565,9 @@ class ReproServer:
         A request still running at the deadline is cut off mid-flight —
         the deadline exists precisely so a wedged statement cannot hold
         the shutdown hostage."""
-        if self._listener is not None:
-            # New connects are refused from here on; connected clients
-            # get their in-flight replies before the sockets drop.
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        # New connects are refused from here on; connected clients get
+        # their in-flight replies before the sockets drop.
+        self._stop_listening()
         deadline = time.monotonic() + timeout
         with self._lock:
             handlers = list(self._handlers)

@@ -1,25 +1,18 @@
-"""Delta-code generation: Datalog rules → SQL views and triggers (Section 6).
+"""Rule → view SQL rendering, and the hand-written comparison baselines.
 
-The paper's InVerDa compiles each table version's mapping rules into a view
-(reads) and three triggers (writes). This package reproduces that pipeline:
+All executable delta code is produced by :mod:`repro.backend.codegen`
+(Section 6: each table version's mapping rules compile into a view for
+reads and three ``INSTEAD OF`` triggers for writes).  This package holds
+the two pieces that sit beside that generator:
 
-- :mod:`repro.sqlgen.views` — the Figure-7 translation of rule sets into
-  ``CREATE VIEW`` statements;
-- :mod:`repro.sqlgen.triggers` — trigger bodies from the derived update
-  propagation rules (Rules 52–54 style);
-- :mod:`repro.sqlgen.scripts` — whole-scenario delta-code scripts (used by
-  the Table-3 code-size comparison and the code-generation latency bench);
+- :mod:`repro.sqlgen.views` — the Figure-7 translation of Datalog rule
+  sets into ``SELECT`` bodies / structured UNION branches, which the
+  backend's handlers and view composer build on;
 - :mod:`repro.sqlgen.handwritten` — the hand-optimized comparison baseline;
-- :mod:`repro.sqlgen.sqlite_backend` — executes generated view SQL on
-  stdlib SQLite, proving the generated delta code runs on a real DBMS
-  query engine.
+- :mod:`repro.sqlgen.scripts` — the TasKy artifacts Table 3 sizes, read
+  off the live generator.
 """
 
-from repro.sqlgen.views import view_sql_for_rules
-from repro.sqlgen.scripts import generated_delta_code_for_version, tasky_generated_scripts
+from repro.sqlgen.scripts import tasky_generated_scripts
 
-__all__ = [
-    "view_sql_for_rules",
-    "generated_delta_code_for_version",
-    "tasky_generated_scripts",
-]
+__all__ = ["tasky_generated_scripts"]

@@ -1,120 +1,15 @@
 """Whole-scenario delta-code scripts (the Table-3 comparison inputs).
 
-``generated_delta_code_for_version`` emits, for every derived table version
-of a schema version, the view implementing its reads and the trigger bundle
-implementing its writes — the SQL a developer would otherwise write and
-maintain by hand. ``tasky_generated_scripts`` packages the three TasKy
-artifacts (initial schema, evolution, migration) the paper sizes in
-Table 3.
+``tasky_generated_scripts`` packages the three TasKy artifacts the paper
+sizes in Table 3 (initial schema, evolution, migration).  The SQL side is
+read off the live generator (:mod:`repro.backend.codegen`) on an attached
+backend, so the text that is sized is the text that is installed and runs
+— the SQL a developer would otherwise write and maintain by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.catalog.genealogy import SmoInstance, TableVersion
-from repro.core.engine import InVerDa
-from repro.errors import BackendError
-from repro.sqlgen.triggers import trigger_sql_for_table_version
-from repro.sqlgen.views import view_sql_for_rules
-
-
-def _role_tables(smo: SmoInstance) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
-    """Role → SQL object name and role → payload columns for one SMO."""
-    semantics = smo.semantics
-    assert semantics is not None
-    names: dict[str, str] = {}
-    columns: dict[str, tuple[str, ...]] = {}
-    for role, tv in zip(semantics.source_roles, smo.sources):
-        names[role] = _object_name(tv)
-        columns[role] = tv.schema.column_names
-    for role, tv in zip(semantics.target_roles, smo.targets):
-        names[role] = _object_name(tv)
-        columns[role] = tv.schema.column_names
-    for aux_group in (semantics.aux_src(), semantics.aux_tgt(), semantics.aux_shared()):
-        for role, schema in aux_group.items():
-            names[role] = smo.aux_table_name(role)
-            columns[role] = schema.column_names
-    return names, columns
-
-
-def _object_name(tv: TableVersion) -> str:
-    return tv.view_name
-
-
-@dataclass
-class GeneratedDeltaCode:
-    views: list[str]
-    triggers: list[str]
-
-    @property
-    def sql(self) -> str:
-        return "\n\n".join(self.views + self.triggers)
-
-
-def generated_delta_code_for_version(engine: InVerDa, version_name: str) -> GeneratedDeltaCode:
-    """Views + trigger bundles for every derived table version reachable
-    from ``version_name`` down to the physical tables (step-local, exactly
-    like InVerDa's O(N+M) generation)."""
-    version = engine.genealogy.schema_version(version_name)
-    views: list[str] = []
-    triggers: list[str] = []
-    visited: set[int] = set()
-
-    def emit_for(tv: TableVersion) -> None:
-        if tv.uid in visited:
-            return
-        visited.add(tv.uid)
-        if engine._is_physical(tv):
-            return
-        forward = engine._forward_smo(tv)
-        if forward is not None:
-            smo = forward
-            rules = smo.semantics.gamma_src_rules()
-            role = smo.semantics.source_roles[smo.sources.index(tv)]
-            neighbors = smo.targets
-        else:
-            smo = tv.incoming
-            if smo is None or smo.is_initial:
-                return
-            rules = smo.semantics.gamma_tgt_rules()
-            role = smo.semantics.target_roles[smo.targets.index(tv)]
-            neighbors = smo.sources
-        if rules is None:
-            views.append(
-                f"-- {_object_name(tv)}: engine-native mapping "
-                f"({smo.smo_type}); no rule-generated view"
-            )
-        else:
-            names, columns = _role_tables(smo)
-            try:
-                views.append(
-                    view_sql_for_rules(
-                        _object_name(tv),
-                        role,
-                        rules,
-                        table_names=names,
-                        table_columns=columns,
-                        head_columns=tv.schema.column_names,
-                    )
-                )
-                triggers.append(
-                    trigger_sql_for_table_version(
-                        _object_name(tv),
-                        rules,
-                        role,
-                        table_names=names,
-                        table_columns=columns,
-                    )
-                )
-            except BackendError as exc:
-                views.append(f"-- {_object_name(tv)}: {exc}")
-        for neighbor in neighbors:
-            emit_for(neighbor)
-
-    for tv in version.tables.values():
-        emit_for(tv)
-    return GeneratedDeltaCode(views=views, triggers=triggers)
 
 
 @dataclass
@@ -129,11 +24,17 @@ class TaskyScripts:
     sql_migration: str
 
 
+def script(statements: list[str]) -> str:
+    """``;``-terminated statements, one after the other."""
+    return "".join(statement + ";\n" for statement in statements)
+
+
 def tasky_generated_scripts() -> TaskyScripts:
-    from repro.sqlgen.handwritten import (
-        HANDWRITTEN_TASKY_INITIAL_SQL,
-        handwritten_migration_sql,
-    )
+    from repro.backend import codegen
+    from repro.backend.sqlite import LiveSqliteBackend
+    from repro.catalog.materialization import materialization_for_versions
+    from repro.core.engine import InVerDa
+    from repro.sqlgen.handwritten import HANDWRITTEN_TASKY_INITIAL_SQL
     from repro.workloads.tasky import (
         DO_SCRIPT,
         MIGRATION_SCRIPT,
@@ -146,17 +47,29 @@ def tasky_generated_scripts() -> TaskyScripts:
     engine.execute(DO_SCRIPT)
     engine.execute(TASKY2_SCRIPT)
 
-    do_code = generated_delta_code_for_version(engine, "Do!")
-    tasky2_code = generated_delta_code_for_version(engine, "TasKy2")
-    evolution_sql = do_code.sql + "\n\n" + tasky2_code.sql
+    def delta_code() -> list[str]:
+        return codegen.view_statements(engine) + codegen.trigger_statements(engine)
 
-    migration_sql = handwritten_migration_sql(engine)
+    backend = LiveSqliteBackend.attach(engine)
+    try:
+        evolution = delta_code()
+        # MATERIALIZE = stage the new physical tables from the old views,
+        # swap them in, and regenerate every version's delta code.
+        tasky2 = engine.genealogy.schema_version("TasKy2")
+        stage, swap = codegen.migration_statements(
+            engine,
+            materialization_for_versions(engine.genealogy, list(tasky2.tables.values())),
+        )
+        engine.execute(MIGRATION_SCRIPT)
+        migration = stage + swap + delta_code()
+    finally:
+        backend.close()
 
     return TaskyScripts(
         bidel_initial=TASKY_INITIAL_SCRIPT.strip() + "\n",
         bidel_evolution=(DO_SCRIPT.strip() + "\n" + TASKY2_SCRIPT.strip() + "\n"),
         bidel_migration=MIGRATION_SCRIPT,
         sql_initial=HANDWRITTEN_TASKY_INITIAL_SQL,
-        sql_evolution=evolution_sql,
-        sql_migration=migration_sql,
+        sql_evolution=script(evolution),
+        sql_migration=script(migration),
     )

@@ -106,9 +106,6 @@ class _Subquery:
                 self.var_sources[term.name] = reference
         return constraints
 
-    def build(self) -> str:
-        return self.branch().sql()
-
     def branch(self) -> ViewBranch:
         positives = [lit for lit in self.rule.body if isinstance(lit, Atom) and lit.positive]
         negatives = [lit for lit in self.rule.body if isinstance(lit, Atom) and not lit.positive]
@@ -127,18 +124,21 @@ class _Subquery:
                     f"function binding {assign} has no SQL form; identifier "
                     "generation is handled by the engine, not by views"
                 )
-            rendered = assign.expression.to_sql()
+            # Column references are rebound on the expression AST, never by
+            # text replacement over rendered SQL: that would also rewrite a
+            # string literal spelling a column name, or an earlier binding.
+            sources = {}
             for column in assign.expression.columns():
                 source = self.var_sources.get(self._column_var(column))
                 if source is None:
                     raise BackendError(f"no source for column {column!r} in {assign}")
-                rendered = _replace_column(rendered, column, source)
-            self.computed[assign.target.name] = rendered
+                sources[column] = source
+            self.computed[assign.target.name] = assign.expression.rename(sources).to_sql()
 
         for cond in conditions:
-            rendered = cond.expression.to_sql()
-            for column, term in cond.columns:
-                rendered = _replace_column(rendered, column, self._term_sql(term))
+            rendered = cond.expression.rename(
+                {column: self._term_sql(term) for column, term in cond.columns}
+            ).to_sql()
             # The engine's is_true() treats NULL as not-satisfied, so the
             # negated literal must hold for NULL conditions: IS NOT TRUE.
             self.where.append(rendered if cond.positive else f"({rendered}) IS NOT TRUE")
@@ -196,12 +196,6 @@ class _Subquery:
         raise BackendError(f"column {column!r} not bound by any positive literal")
 
 
-def _replace_column(sql: str, column: str, replacement: str) -> str:
-    import re
-
-    return re.sub(rf"\b{re.escape(column)}\b", replacement, sql)
-
-
 def select_sql_for_rules(
     head_pred: str,
     rules: RuleSet,
@@ -242,23 +236,3 @@ def branches_for_rules(
     if not branches:
         raise BackendError(f"no rules derive {head_pred!r}")
     return branches
-
-
-def view_sql_for_rules(
-    view_name: str,
-    head_pred: str,
-    rules: RuleSet,
-    *,
-    table_names: Mapping[str, str],
-    table_columns: Mapping[str, tuple[str, ...]],
-    head_columns: tuple[str, ...],
-) -> str:
-    """``CREATE VIEW`` implementing every rule with head ``head_pred``."""
-    body = select_sql_for_rules(
-        head_pred,
-        rules,
-        table_names=table_names,
-        table_columns=table_columns,
-        head_columns=head_columns,
-    )
-    return f"CREATE VIEW {view_name} AS\n{body};"

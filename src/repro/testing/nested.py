@@ -1,0 +1,19 @@
+"""The nested-emission backend: the third leg of the differential oracle.
+
+The product installs one view emission — the composed one.  The nested
+one-view-per-hop rendering stays the independent reference the suite
+compares it against (memory ≡ composed ≡ nested), so tests need a backend
+that *installs* it.
+"""
+
+from __future__ import annotations
+
+from repro.backend import codegen
+from repro.backend.sqlite import LiveSqliteBackend
+
+
+class NestedEmissionBackend(LiveSqliteBackend):
+    """A live backend whose regenerated views are the nested rendering."""
+
+    def _view_statements(self) -> list[str]:
+        return codegen.view_statements(self.engine, flatten=False)

@@ -1,13 +1,11 @@
-"""Small shared utilities: code metrics, timing, identifier handling."""
+"""Small shared utilities: code metrics, identifier handling."""
 
 from repro.util.codemetrics import CodeMetrics, measure_code
 from repro.util.naming import check_identifier, quote_identifier
-from repro.util.timing import Stopwatch
 
 __all__ = [
     "CodeMetrics",
     "measure_code",
     "check_identifier",
     "quote_identifier",
-    "Stopwatch",
 ]

@@ -15,6 +15,7 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.core.engine import InVerDa
 from repro.sql.connection import connect
+from repro.testing import NestedEmissionBackend
 
 WORDS = ["ant", "bee", "cat", "dog", "elk", "fox"]
 
@@ -30,8 +31,8 @@ class TriSystem:
         self.backends = {}
 
     def attach(self):
-        self.backends["flat"] = LiveSqliteBackend.attach(self.flat, flatten=True)
-        self.backends["nested"] = LiveSqliteBackend.attach(self.nested, flatten=False)
+        self.backends["flat"] = LiveSqliteBackend.attach(self.flat)
+        self.backends["nested"] = NestedEmissionBackend.attach(self.nested)
 
     def ddl(self, script: str) -> None:
         for engine in (self.mem, self.flat, self.nested):
@@ -270,20 +271,37 @@ def test_tautology_elimination_requires_matching_outer_aliases():
     assert merged[0].where == ("f2.p = f1.p",)
 
 
-def test_flatten_knob_defaults_on_and_is_honored():
-    engine = InVerDa()
-    engine.execute("CREATE SCHEMA VERSION S0 WITH CREATE TABLE T(a INTEGER);")
-    engine.execute(
-        "CREATE SCHEMA VERSION S1 FROM S0 WITH RENAME COLUMN a IN T TO b;"
-    )
-    backend = LiveSqliteBackend.attach(engine)
-    try:
-        assert backend.flatten is True
-        tip = engine.genealogy.schema_version("S1").table_version("T")
-        base = engine.genealogy.schema_version("S0").table_version("T")
-        flat_body = _view_bodies(engine, flatten=True)[tip.view_name]
-        nested_body = _view_bodies(engine, flatten=False)[tip.view_name]
-        assert base.data_table_name in flat_body
-        assert base.view_name in nested_body
-    finally:
-        backend.close()
+def _installed_view_bodies(backend):
+    return {
+        name: sql.split(" AS\n", 1)[1]
+        for name, sql in backend.connection.execute(
+            "SELECT name, sql FROM sqlite_master WHERE type = 'view'"
+        )
+    }
+
+
+def test_backend_installs_composed_emission_and_nested_stays_reachable():
+    """The product backend installs the composed emission and takes no
+    knob to choose otherwise; the nested rendering is what the test-only
+    subclass installs, byte for byte what ``view_statements`` renders."""
+    bodies = {}
+    for cls in (LiveSqliteBackend, NestedEmissionBackend):
+        engine = InVerDa()
+        engine.execute("CREATE SCHEMA VERSION S0 WITH CREATE TABLE T(a INTEGER);")
+        engine.execute(
+            "CREATE SCHEMA VERSION S1 FROM S0 WITH RENAME COLUMN a IN T TO b;"
+        )
+        backend = cls.attach(engine)
+        try:
+            assert not hasattr(backend, "flatten")
+            bodies[cls] = _installed_view_bodies(backend)
+            flatten = cls is LiveSqliteBackend
+            assert bodies[cls] == _view_bodies(engine, flatten=flatten)
+        finally:
+            backend.close()
+    with pytest.raises(TypeError):
+        LiveSqliteBackend.attach(InVerDa(), flatten=False)
+    tip = engine.genealogy.schema_version("S1").table_version("T")
+    base = engine.genealogy.schema_version("S0").table_version("T")
+    assert base.data_table_name in bodies[LiveSqliteBackend][tip.view_name]
+    assert base.view_name in bodies[NestedEmissionBackend][tip.view_name]

@@ -17,7 +17,7 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.errors import BackendError
 from repro.sql.connection import connect
-from tests.backend.util import DualSystem
+from repro.testing import DualSystem
 
 
 RESERVED_DDL = (

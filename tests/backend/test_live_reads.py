@@ -8,7 +8,7 @@ from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.workloads.tasky import build_tasky
-from tests.backend.util import DualSystem
+from repro.testing import DualSystem
 
 
 def test_tasky_read_parity_every_version():

@@ -54,7 +54,7 @@ class TestStructure:
 
 class TestUtilHelpers:
     def test_stopwatch_accumulates(self):
-        from repro.util.timing import Stopwatch
+        from repro.obs import Stopwatch
 
         watch = Stopwatch()
         with watch:

@@ -26,22 +26,25 @@ def engine():
     return engine
 
 
-def _emission(engine, *, flatten=True):
-    return (
-        codegen.view_statements(engine, flatten=flatten),
-        codegen.trigger_statements(engine),
-    )
+def _emission(engine):
+    return codegen.view_statements(engine), codegen.trigger_statements(engine)
+
+
+def _both_emissions(engine):
+    """``view_statements=`` arguments selecting the installed (composed)
+    emission — the verifier's default — and the nested reference."""
+    return (None, codegen.view_statements(engine, flatten=False))
 
 
 class TestCleanOutput:
     def test_clean_on_generator_output(self, engine):
-        for flatten in (True, False):
-            assert verify_delta_code(engine, flatten=flatten) == []
+        for views in _both_emissions(engine):
+            assert verify_delta_code(engine, view_statements=views) == []
 
     def test_clean_on_tasky(self):
         scenario = build_tasky(50, seed=11)
-        for flatten in (True, False):
-            findings = verify_delta_code(scenario.engine, flatten=flatten)
+        for views in _both_emissions(scenario.engine):
+            findings = verify_delta_code(scenario.engine, view_statements=views)
             assert findings == [], [d.render() for d in findings]
 
     def test_clean_when_flattening_prunes_a_dead_join(self):

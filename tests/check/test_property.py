@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend import codegen
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.check.delta import verify_delta_code
 from repro.core.engine import InVerDa
@@ -36,10 +37,11 @@ def test_verifier_clean_over_chain_and_materializations(chain_name):
     assert schemas, "every chain must admit at least one materialization"
     for schema in schemas:
         engine.apply_materialization(schema)
-        for flatten in (True, False):
-            findings = verify_delta_code(engine, flatten=flatten)
+        nested = codegen.view_statements(engine, flatten=False)
+        for label, views in (("composed", None), ("nested", nested)):
+            findings = verify_delta_code(engine, view_statements=views)
             assert findings == [], (
-                f"{chain_name}, flatten={flatten}, "
+                f"{chain_name}, {label} emission, "
                 f"materialization={sorted(s.uid for s in schema)}: "
                 + "; ".join(d.render() for d in findings)
             )

@@ -1,29 +1,26 @@
-"""Regression: the trigger condition renderer must rewrite column
+"""Regression: condition rendering for trigger bodies must rewrite column
 references token-wise, never by raw substring replacement.
 
-The old ``str.replace`` pass corrupted conditions two ways: a column
-name inside a longer identifier (``id`` in ``uid`` → ``uNEW.id``), and a
-column name inside a string literal.  The verifier's RPC102 pass is the
-safety net that would have caught the corrupted output
+A ``str.replace`` pass over rendered SQL corrupts conditions two ways: a
+column name inside a longer identifier (``id`` in ``uid`` → ``uNEW.id``),
+and a column name inside a string literal.  The backend's renderer
+(:func:`repro.backend.emit.render_expression`) renames on the expression
+AST, which rules both out; these cases pin that.  The verifier's RPC102
+pass is the safety net that would catch corrupted output
 (tests/check/test_delta_verifier.py::test_unknown_qualifier_rpc102).
 """
 
 from __future__ import annotations
 
-from repro.datalog.ast import CondLit, Var
+from repro.backend.emit import new_refs, render_expression
+from repro.backend.handlers import cond_not_true
 from repro.expr.parser import parse_expression
-from repro.sqlgen.triggers import _render_condition
 
 
-def render(expression: str, columns: list[str], row_var: str = "NEW",
-           *, positive: bool = True) -> str:
-    literal = CondLit(
-        "c",
-        parse_expression(expression),
-        tuple((name, Var(name.upper())) for name in columns),
-        positive=positive,
+def render(expression: str, columns: list[str], row_var: str = "NEW") -> str:
+    return render_expression(
+        parse_expression(expression), new_refs(columns, row=row_var)
     )
-    return _render_condition(literal, row_var)
 
 
 class TestTokenWiseRewrite:
@@ -42,10 +39,45 @@ class TestTokenWiseRewrite:
         assert render("name = 'id'", ["name", "id"]) == "(NEW.name = 'id')"
 
     def test_negated_condition(self):
-        assert render("v >= 10", ["v"], positive=False) == "NOT ((NEW.v >= 10))"
+        # Three-valued: the negated guard also holds for NULL outcomes.
+        assert (
+            cond_not_true(parse_expression("v >= 10"), new_refs(["v"]))
+            == "((NEW.v >= 10)) IS NOT TRUE"
+        )
 
     def test_no_columns(self):
         assert render("1 = 1", []) == "(1 = 1)"
 
     def test_column_used_twice(self):
         assert render("a = a", ["a"]) == "(NEW.a = NEW.a)"
+
+
+class TestViewRendering:
+    """The same hazard in the rule → view renderer, end to end: a string
+    literal that spells a column name must reach SQLite untouched."""
+
+    def test_literals_naming_columns_survive_in_views(self):
+        from repro.testing import DualSystem
+
+        ds = DualSystem()
+        ds.execute_ddl(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(name TEXT, id INTEGER);"
+        )
+        ds.attach()
+        ds.execute_ddl(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+            "SPLIT TABLE R INTO X WITH name = 'id';"
+        )
+        ds.execute_ddl(
+            "CREATE SCHEMA VERSION v3 FROM v2 WITH "
+            "ADD COLUMN tag AS name || ':name' INTO X;"
+        )
+        try:
+            ds.runmany(
+                "v1", "INSERT INTO R(name, id) VALUES (?, ?)", [("id", 1), ("x", 2)]
+            )
+            ds.check("literal-naming-a-column")
+            _mem, sq = ds.run("v3", "SELECT name, id, tag FROM X")
+            assert sq.fetchall() == [("id", 1, "id:name")]
+        finally:
+            ds.close()

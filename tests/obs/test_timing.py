@@ -1,5 +1,4 @@
-"""Stopwatch regression tests (moved into ``repro.obs`` from
-``repro.util.timing``, which stays as a compatibility shim)."""
+"""Stopwatch regression tests."""
 
 from __future__ import annotations
 
@@ -43,8 +42,3 @@ class TestStopwatch:
         assert not watch.running
         assert len(watch.laps) == 1
         assert watch.elapsed >= 0.0
-
-    def test_util_shim_exports_the_same_class(self):
-        from repro.util.timing import Stopwatch as ShimStopwatch
-
-        assert ShimStopwatch is Stopwatch

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.backend.util import DualSystem
+from repro.testing import DualSystem
 
 
 class SimulatedCrash(Exception):

@@ -21,7 +21,7 @@ from repro.bidel.ast import Materialize
 from repro.bidel.parser import parse_script
 from repro.check.delta import verify_transitional_objects
 from repro.errors import CatalogError
-from repro.testing import DualSystem, InjectedFault, one_shot
+from repro.testing import DualSystem, InjectedFault, NestedEmissionBackend, one_shot
 
 ONLINE_FAULT_POINTS = [
     # Raised before the prepare transaction commits: the journal never
@@ -41,16 +41,17 @@ ONLINE_FAULT_POINTS = [
 
 
 class OnlineDual(DualSystem):
-    """DualSystem whose SQLite side pins a flatten mode across reopens."""
+    """DualSystem whose SQLite side pins a view emission (the product's
+    composed one, or the nested reference) across reopens."""
 
-    def __init__(self, database: str, *, flatten: bool = True):
+    def __init__(self, database: str, backend_class=LiveSqliteBackend):
         super().__init__(database)
-        self.flatten = flatten
+        self.backend_class = backend_class
 
     def attach(self) -> None:
         if self.backend is None:
-            self.backend = LiveSqliteBackend.attach(
-                self.sq, database=self.database, flatten=self.flatten
+            self.backend = self.backend_class.attach(
+                self.sq, database=self.database
             )
 
     def reopen(self, **open_options) -> None:
@@ -59,12 +60,15 @@ class OnlineDual(DualSystem):
         self._sq_conns.clear()
         if self.backend is not None:
             self.backend.close()
-        self.sq = repro.open(self.database, flatten=self.flatten, **open_options)
-        self.backend = self.sq.live_backend
+        # repro.open() with the pinned backend class.
+        self.sq = repro.InVerDa()
+        self.backend = self.backend_class.attach(
+            self.sq, database=self.database, **open_options
+        )
 
 
-def build(tmp_path, *, flatten: bool = True) -> OnlineDual:
-    ds = OnlineDual(str(tmp_path / "online.db"), flatten=flatten)
+def build(tmp_path, backend_class=LiveSqliteBackend) -> OnlineDual:
+    ds = OnlineDual(str(tmp_path / "online.db"), backend_class)
     ds.execute_ddl(
         "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);"
     )
@@ -94,10 +98,12 @@ def assert_clean(ds: OnlineDual, context: str) -> None:
     assert leftovers == [], f"[{context}] transitional leftovers: {leftovers}"
 
 
-@pytest.mark.parametrize("flatten", [True, False], ids=["flat", "nested"])
+@pytest.mark.parametrize(
+    "backend_class", [LiveSqliteBackend, NestedEmissionBackend], ids=["flat", "nested"]
+)
 class TestOnlineMove:
-    def test_matches_offline_semantics(self, tmp_path, flatten):
-        ds = build(tmp_path, flatten=flatten)
+    def test_matches_offline_semantics(self, tmp_path, backend_class):
+        ds = build(tmp_path, backend_class)
         try:
             ds.execute_ddl("MATERIALIZE ONLINE 'v2';")
             ds.check("moved")
@@ -110,8 +116,8 @@ class TestOnlineMove:
             ds.close()
 
     @pytest.mark.parametrize("point", ONLINE_FAULT_POINTS)
-    def test_crash_resumes_through_open(self, tmp_path, flatten, point):
-        ds = build(tmp_path, flatten=flatten)
+    def test_crash_resumes_through_open(self, tmp_path, backend_class, point):
+        ds = build(tmp_path, backend_class)
         try:
             ds.backend.fault_injector = one_shot(point)
             with pytest.raises(InjectedFault):

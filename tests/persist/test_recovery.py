@@ -122,13 +122,25 @@ class TestDeltaCodeReuse:
             if not backend._closed:
                 backend.close()
 
-    def test_flatten_change_regenerates(self, tmp_path):
+    def test_legacy_delta_flatten_key_is_ignored(self, tmp_path):
+        """Files written while the view emission was a persisted knob carry
+        a ``delta_flatten`` meta row; it no longer decides anything."""
+        import sqlite3
+
         path = str(tmp_path / "tasky.db")
         build_tasky_file(path)
-        engine = repro.open(path, flatten=False)
+        handle = sqlite3.connect(path)
+        handle.execute(
+            "INSERT INTO _repro_catalog_meta (key, value) "
+            "VALUES ('delta_flatten', 'false')"
+        )
+        handle.commit()
+        handle.close()
+        engine = repro.open(path)
         try:
             backend = engine.live_backend
-            assert backend.recovered and not backend.delta_reused
+            assert backend.recovered and backend.delta_reused
+            assert not hasattr(backend.store.load(), "delta_flatten")
             conn = repro.connect(engine, "Do!")
             conn.execute("SELECT author, task FROM Todo").fetchall()
             conn.close()

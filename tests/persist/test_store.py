@@ -117,7 +117,6 @@ class TestLiveRecording:
             engine.execute(SCRIPT)
             state = backend.store.load()
             assert state.delta_generation == engine.catalog_generation
-            assert state.delta_flatten is True
         finally:
             backend.close()
 

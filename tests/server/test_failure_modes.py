@@ -320,3 +320,21 @@ class TestOversizedResults:
         with pytest.raises(ProtocolError, match="limit"):
             conn.execute(giant)
         conn.close()
+
+
+class TestShutdown:
+    """Closing the listening socket does not wake a blocked ``accept()``
+    on Linux; ``close()``/``drain()`` must shut it down first instead of
+    waiting out the accept thread's join timeout."""
+
+    @pytest.mark.parametrize("stop", ["close", "drain"])
+    def test_idle_server_stops_promptly(self, stop):
+        server = ReproServer(repro.InVerDa()).start()
+        address = server.address
+        time.sleep(0.05)  # let the accept thread block in accept()
+        started = time.monotonic()
+        getattr(server, stop)()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=1.0)

@@ -263,7 +263,7 @@ class TestDeltaVerifier:
         return engine
 
     def test_clean_emission_passes(self, engine):
-        findings = verify_delta_code(engine, flatten=True)
+        findings = verify_delta_code(engine)
         assert DeltaVerifierProbe().finalize(
             final_state(delta_findings=findings)
         ).ok
@@ -271,7 +271,7 @@ class TestDeltaVerifier:
     def test_dangling_view_fires(self, engine):
         """The seeded defect: a view left pointing at a data table that no
         longer exists (the verifier's RPC101 class)."""
-        views = codegen.view_statements(engine, flatten=True)
+        views = codegen.view_statements(engine)
         triggers = codegen.trigger_statements(engine)
         views = [s.replace("d__0__R", "d__9__GONE") for s in views]
         findings = verify_delta_code(

@@ -1,9 +1,11 @@
-"""Generated view SQL: structure, and row-parity on a real SQL engine."""
+"""Generated delta code: structure, Table 3's inputs, and row-parity on a
+real SQL engine."""
 
 import pytest
 
-from repro.sqlgen.scripts import generated_delta_code_for_version, tasky_generated_scripts
-from repro.sqlgen.sqlite_backend import SqliteBackend
+from repro.backend import codegen
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.sqlgen.scripts import script, tasky_generated_scripts
 from repro.util.codemetrics import measure_code
 from tests.conftest import build_paper_tasky
 
@@ -15,13 +17,40 @@ def scenario():
 
 class TestGeneratedScripts:
     def test_delta_code_has_view_per_derived_table(self, scenario):
-        code = generated_delta_code_for_version(scenario.engine, "Do!")
-        assert any("CREATE VIEW" in view for view in code.views)
+        views = codegen.view_statements(scenario.engine)
+        todo = scenario.engine.genealogy.schema_version("Do!").table_version("Todo")
+        assert any(
+            view.startswith(f"CREATE VIEW {todo.view_name} AS") for view in views
+        )
+        assert len(views) == len(codegen.active_table_versions(scenario.engine))
 
     def test_delta_code_has_triggers(self, scenario):
-        code = generated_delta_code_for_version(scenario.engine, "Do!")
-        assert any("CREATE TRIGGER" in trigger for trigger in code.triggers)
-        assert any("INSTEAD OF" in trigger for trigger in code.triggers)
+        triggers = codegen.trigger_statements(scenario.engine)
+        assert all(
+            trigger.startswith("CREATE TRIGGER") and "INSTEAD OF" in trigger
+            for trigger in triggers
+        )
+        assert len(triggers) == 3 * len(codegen.active_table_versions(scenario.engine))
+
+    def test_table3_evolution_is_the_installed_delta_code(self, scenario):
+        """Table 3 sizes the code that runs: its "evolution" SQL is, byte
+        for byte, the ``sql`` of every view and trigger ``sqlite_master``
+        holds for a TasKy backend."""
+        backend = LiveSqliteBackend.attach(scenario.engine)
+        try:
+            installed = [
+                sql
+                for (sql,) in backend.connection.execute(
+                    "SELECT sql FROM sqlite_master "
+                    "WHERE type IN ('view', 'trigger') ORDER BY rowid"
+                )
+            ]
+        finally:
+            backend.close()
+        evolution = tasky_generated_scripts().sql_evolution
+        assert evolution == script(installed)
+        size = measure_code(evolution)
+        assert (size.statements, size.characters) == (114, 13370)
 
     def test_tasky_scripts_table3_direction(self):
         scripts = tasky_generated_scripts()
@@ -45,7 +74,7 @@ class TestSqliteParity:
         [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task"), ("TasKy2", "Author")],
     )
     def test_initial_materialization(self, scenario, version, table):
-        backend = SqliteBackend.build(scenario.engine)
+        backend = LiveSqliteBackend.attach(scenario.engine)
         try:
             sqlite_rows = backend.select_keyed(version, table)
             engine_rows = {
@@ -60,7 +89,7 @@ class TestSqliteParity:
     def test_other_materializations(self, materialize):
         scenario = build_paper_tasky()
         scenario.materialize(materialize)
-        backend = SqliteBackend.build(scenario.engine)
+        backend = LiveSqliteBackend.attach(scenario.engine)
         try:
             for version, table in [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]:
                 sqlite_rows = backend.select_keyed(version, table)
@@ -78,7 +107,7 @@ class TestSqliteParity:
         from repro.workloads.micro import build_two_smo_scenario
 
         engine = build_two_smo_scenario("split", "add_column", rows=60)
-        backend = SqliteBackend.build(engine)
+        backend = LiveSqliteBackend.attach(engine)
         try:
             sqlite_rows = backend.select_keyed("v3", "R")
             engine_rows = {
