@@ -29,6 +29,14 @@ from repro.catalog.materialization import physical_table_versions
 from repro.errors import BackendError
 from repro.util.naming import physical_name
 
+#: Revision of the emitted delta-code text, persisted beside the catalog
+#: generation the code was generated for.  Bump it whenever this package
+#: would emit different SQL for the same catalog: a file stamped
+#: otherwise (or not at all) regenerates once on its next open instead of
+#: serving the old text until the next transition.
+#: 2 = key-disjoint compounds are joined by UNION ALL.
+EMISSION_STAMP = 2
+
 
 def route_for(engine, tv: TableVersion) -> tuple[SmoInstance, str] | None:
     """The SMO through which ``tv``'s reads and writes are routed, or
@@ -126,31 +134,36 @@ def scaffold_statements(engine) -> list[str]:
     return statements
 
 
-def view_statements(engine, *, flatten: bool = True) -> list[str]:
-    """One ``CREATE VIEW`` per active table version.
+def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, list | None]]:
+    """``(view name, SELECT body, composed branches)`` per active table
+    version, in dependency order.
 
     The rule-rendered SELECTs are algebraically composed along the SMO
     chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
     chain depth N is served by one shallow query instead of an N-deep view
     sandwich; SMOs the composer cannot flatten (the hand-written FK/COND
-    views, over-budget unions) keep their nested view references.
+    views, over-budget unions) keep their nested view references.  The
+    branches are ``None`` where the body is not the composer's (those
+    hand-written views, and everything under ``flatten=False``).
 
     ``flatten=False`` renders every view in that nested one-view-per-hop
-    form.  The backend never installs it; it is the reference basis of the
-    verifier's RPC106 and the third leg of the test suite's memory /
-    composed / nested oracle."""
+    form, always on plain ``UNION``.  The backend never installs it; it is
+    the reference basis of the verifier's RPC106 and the third leg of the
+    test suite's memory / composed / nested oracle — which makes that
+    oracle the bag-vs-set check of the composed ``UNION ALL`` emission."""
     from repro.backend.compose import ViewComposer
 
     ctx = HandlerContext(engine)
     composer = ViewComposer() if flatten else None
-    statements = []
+    definitions = []
     for tv in active_table_versions(engine):
         route = route_for(engine, tv)
+        flat = None
         if route is None:
             columns = ", ".join(["p", *qcols(tv.schema.column_names)])
             select = f"SELECT {columns} FROM {q(tv.data_table_name)}"
             if composer is not None:
-                composer.register_physical(
+                flat = composer.register_physical(
                     tv.view_name, tv.data_table_name, tv.schema.column_names
                 )
         else:
@@ -160,8 +173,17 @@ def view_statements(engine, *, flatten: bool = True) -> list[str]:
                 flat = composer.register(tv.view_name, handler.view_branches(tv))
                 if flat is not None:
                     select = composer.sql(flat)
-        statements.append(emit.create_view(tv.view_name, select))
-    return statements
+        definitions.append((tv.view_name, select, flat))
+    return definitions
+
+
+def view_statements(engine, *, flatten: bool = True) -> list[str]:
+    """One ``CREATE VIEW`` per active table version (see
+    :func:`view_definitions`)."""
+    return [
+        emit.create_view(name, select)
+        for name, select, _branches in view_definitions(engine, flatten=flatten)
+    ]
 
 
 def trigger_statements(engine) -> list[str]:

@@ -23,8 +23,12 @@ emits in:
    the same scanned tables differ only in their predicates, so they
    collapse into ONE branch whose WHERE is the disjunction, with each
    branch's purely-filtering extra FROM entries rewritten to correlated
-   ``EXISTS`` subqueries (set-equivalent under UNION's set semantics).
-   This is what keeps SPLIT/MERGE chains *linear*: the union of
+   ``EXISTS`` subqueries.  The merged branch yields the same *set* of
+   rows, and it is bag-safe wherever that matters: ``UNION ALL`` is only
+   emitted under (K) (below), where every FROM entry holds at most the
+   one row keyed ``p`` — a filtering entry turned into ``EXISTS`` had no
+   multiplicity to lose, and members that both match agree on the one
+   row.  This is what keeps SPLIT/MERGE chains *linear*: the union of
    "rows satisfying the condition" and "rows pinned by the Rstar aux
    table" becomes a single scan of the parent with an OR.
 
@@ -32,14 +36,23 @@ Anything the composer cannot flatten — the hand-written FK/COND views,
 or a composition that would exceed the branch budget — simply keeps its
 view-name reference: the referenced view still exists and is itself
 composed, so the emitted stack stays shallow instead of deep.
+
+**Compound keyword.**  The identifier facts on every
+:class:`~repro.sqlgen.views.ViewBranch` ride along: inlining unions the
+child's facts into a key-preserving parent (plus the inlined view itself
+as a required relation), merging keeps what every member shares.  Where
+:func:`~repro.sqlgen.views.key_disjoint` proves (K) + (X) the branches
+are joined with ``UNION ALL`` — which SQLite flattens into the enclosing
+statement, so an identifier probe becomes a rowid seek — else ``UNION``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import replace
 
-from repro.sqlgen.views import ViewBranch
+from repro.sqlgen.views import ViewBranch, alias_pattern, key_disjoint
 from repro.util.naming import quote_identifier
 
 #: Composition budget: a view whose flattened form would exceed this many
@@ -59,16 +72,16 @@ def _wrap(expr: str) -> str:
     return f"({expr})"
 
 
-def _alias_pattern(alias: str) -> str:
-    return rf"(?<![\w\"]){re.escape(alias)}\."
-
-
 class ViewComposer:
     """Bottom-up flattener over the code generator's view emission order."""
 
     def __init__(self, max_branches: int = MAX_BRANCHES):
         self.max_branches = max_branches
         self._flat: dict[str, list[ViewBranch]] = {}
+        #: Views that may hold an identifier twice (hand-written bodies,
+        #: compounds emitted as UNION): a kept reference to one voids the
+        #: referencing branch's key preservation.
+        self._unproven: set[str] = set()
         self._fresh = itertools.count()
 
     # ------------------------------------------------------------------
@@ -90,6 +103,8 @@ class ViewComposer:
                 head=head,
                 froms=((alias, quote_identifier(data_table)),),
                 where=(),
+                requires=frozenset({quote_identifier(data_table)}),
+                key_preserving=True,
             )
         ]
         self._flat[view_name] = branches
@@ -103,16 +118,20 @@ class ViewComposer:
         branches, or ``None`` when the handler produced no structured form
         (the view keeps its legacy nested body and stays opaque)."""
         if branches is None:
+            self._unproven.add(view_name)
             return None
         composed: list[ViewBranch] = []
         for branch in branches:
             composed.extend(self._compose_branch(self._refresh(branch)))
         composed = self._merge(composed)
         self._flat[view_name] = composed
+        if not key_disjoint(composed):
+            self._unproven.add(view_name)
         return composed
 
     def sql(self, branches: list[ViewBranch]) -> str:
-        return "\nUNION\n".join(branch.sql() for branch in branches)
+        keyword = "UNION ALL" if key_disjoint(branches) else "UNION"
+        return f"\n{keyword}\n".join(branch.sql() for branch in branches)
 
     # ------------------------------------------------------------------
     # Alias hygiene
@@ -129,10 +148,11 @@ class ViewComposer:
 
         def rewrite(text: str) -> str:
             for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
-                text = re.sub(_alias_pattern(old), f"{new}.", text)
+                text = re.sub(alias_pattern(old), f"{new}.", text)
             return text
 
-        return ViewBranch(
+        return replace(
+            branch,
             head=tuple((column, rewrite(expr)) for column, expr in branch.head),
             froms=tuple((mapping[alias], table) for alias, table in branch.froms),
             where=tuple(rewrite(cond) for cond in branch.where),
@@ -149,10 +169,12 @@ class ViewComposer:
         partials = [branch]
         for alias, table in branch.froms:
             children = self._flat.get(table)
-            if children is None:
+            if children is None or len(partials) * len(children) > self.max_branches:
+                # The entry stays a reference (base table, opaque view, or
+                # over budget): it is key-unique only if proven so.
+                if table in self._unproven:
+                    partials = [replace(p, key_preserving=False) for p in partials]
                 continue
-            if len(partials) * len(children) > self.max_branches:
-                continue  # keep the view-name reference for this entry
             partials = [
                 self._inline(partial, alias, child)
                 for partial in partials
@@ -179,15 +201,23 @@ class ViewComposer:
             return pattern.sub(lambda m: alternatives[m.group("col")], text)
 
         froms = []
+        requires, forbids = outer.requires, outer.forbids
         for from_alias, table in outer.froms:
             if from_alias == alias:
                 froms.extend(child.froms)
+                if outer.key_preserving:
+                    # The inlined row is the view's row at the head's p.
+                    requires = requires | child.requires | {table}
+                    forbids = forbids | child.forbids
             else:
                 froms.append((from_alias, table))
         return ViewBranch(
             head=tuple((column, rewrite(expr)) for column, expr in outer.head),
             froms=tuple(froms),
             where=tuple(rewrite(cond) for cond in outer.where) + child.where,
+            requires=requires,
+            forbids=forbids,
+            key_preserving=outer.key_preserving and child.key_preserving,
         )
 
     # ------------------------------------------------------------------
@@ -197,7 +227,7 @@ class ViewComposer:
     def _referenced_aliases(self, branch: ViewBranch, text: str) -> set[str]:
         found = set()
         for alias, _table in branch.froms:
-            if re.search(_alias_pattern(alias), text):
+            if re.search(alias_pattern(alias), text):
                 found.add(alias)
         return found
 
@@ -284,7 +314,8 @@ class ViewComposer:
     def _merge(self, branches: list[ViewBranch]) -> list[ViewBranch]:
         """Collapse branches that scan the same tables with the same select
         list into one branch whose WHERE is the disjunction of the branch
-        predicates (set-equivalent under UNION).
+        predicates (set-equivalent; the merged branch keeps only the
+        identifier facts every member shares).
 
         Conjuncts shared by every merged branch — typically the already-
         merged predicate of the child view they were all inlined from —
@@ -292,7 +323,7 @@ class ViewComposer:
         linearly along an SMO chain instead of doubling per level."""
         if len(branches) <= 1:
             return branches
-        # group := [head, scanned froms, [member conjunct-lists], original]
+        # group := [head, scanned froms, [member conjunct-lists], [members]]
         groups: list[list] = []
         for branch in branches:
             scanned, extra = self._split_froms(branch)
@@ -300,7 +331,7 @@ class ViewComposer:
                 # No scanned anchor (head built purely from literals):
                 # leave the branch alone rather than risk a FROM-less
                 # select with a different cardinality.
-                groups.append([branch.head, None, [], branch])
+                groups.append([branch.head, None, [], [branch]])
                 continue
             merged = False
             for group in groups:
@@ -324,6 +355,7 @@ class ViewComposer:
                 group[2].append(
                     self._conjuncts(renamed_froms, renamed_extra, renamed_where)
                 )
+                group[3].append(branch)
                 merged = True
                 break
             if not merged:
@@ -332,13 +364,13 @@ class ViewComposer:
                         branch.head,
                         scanned,
                         [self._conjuncts(branch.froms, extra, branch.where)],
-                        branch,
+                        [branch],
                     ]
                 )
         out: list[ViewBranch] = []
-        for head, scanned, members, original in groups:
-            if scanned is None or len(members) == 1:
-                out.append(original)
+        for head, scanned, members, sources in groups:
+            if len(sources) == 1:
+                out.append(sources[0])
                 continue
             # Factor conjuncts common to every member out of the OR.
             common = [c for c in members[0] if all(c in m for m in members[1:])]
@@ -353,7 +385,14 @@ class ViewComposer:
             if not self._is_tautology(predicates, scanned):
                 where.append("((" + ") OR (".join(predicates) + "))")
             out.append(
-                ViewBranch(head=head, froms=tuple(scanned), where=tuple(where))
+                ViewBranch(
+                    head=head,
+                    froms=tuple(scanned),
+                    where=tuple(where),
+                    requires=frozenset.intersection(*(b.requires for b in sources)),
+                    forbids=frozenset.intersection(*(b.forbids for b in sources)),
+                    key_preserving=all(b.key_preserving for b in sources),
+                )
             )
         return out
 
@@ -375,7 +414,7 @@ class ViewComposer:
 
     def _rename_text(self, text: str, mapping: dict[str, str]) -> str:
         for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
-            text = re.sub(_alias_pattern(old), f"{new}.", text)
+            text = re.sub(alias_pattern(old), f"{new}.", text)
         return text
 
     def _rename(

@@ -145,6 +145,22 @@ def _max_param_index(expression) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _query_plan(session: "SqliteSession", sql: str, param_count: int) -> str:
+    """SQLite's ``EXPLAIN QUERY PLAN`` for ``sql`` on ``session`` — the
+    plan the statement would run with there, one detail line per node,
+    indented by depth.  Nothing is executed; parameters are bound to
+    NULL (the plan does not depend on their values).  SQLite does not
+    descend into ``INSTEAD OF`` trigger programs."""
+    depth = {0: -1}
+    lines = []
+    for node, parent, _unused, detail in session.execute(
+        "EXPLAIN QUERY PLAN " + sql, (None,) * param_count
+    ):
+        depth[node] = depth[parent] + 1
+        lines.append("  " * depth[node] + detail)
+    return "\n".join(lines)
+
+
 class SqliteSelectPlan:
     kind = "select"
 
@@ -161,11 +177,12 @@ class SqliteSelectPlan:
             description=self.description, rows=rows, rowcount=len(rows)
         )
 
-    def explain_entries(self) -> list[tuple[str, str]]:
+    def explain_entries(self, session: "SqliteSession") -> list[tuple[str, str]]:
         return [
             ("plan", type(self).__name__),
             ("view", self.view_name),
             ("backend_sql", self.sql),
+            ("query_plan", _query_plan(session, self.sql, self.param_count)),
         ]
 
 
@@ -223,11 +240,13 @@ class SqliteInsertPlan:
     def view_name(self) -> str:
         return self.tv.view_name
 
-    def explain_entries(self) -> list[tuple[str, str]]:
+    def explain_entries(self, session: "SqliteSession") -> list[tuple[str, str]]:
+        width = len(self.tv.schema.column_names) + 1
         return [
             ("plan", type(self).__name__),
             ("view", self.view_name),
             ("backend_sql", self.insert_sql),
+            ("query_plan", _query_plan(session, self.insert_sql, width)),
         ]
 
 
@@ -242,12 +261,17 @@ class SqliteUpdatePlan:
         self.param_count = param_count
         self.view_name = view_name
 
-    def explain_entries(self) -> list[tuple[str, str]]:
+    def explain_entries(self, session: "SqliteSession") -> list[tuple[str, str]]:
         return [
             ("plan", type(self).__name__),
             ("view", self.view_name),
             ("backend_sql", self.dml_sql),
+            ("query_plan", _query_plan(session, self.dml_sql, self.param_count)),
             ("count_sql", self.count_sql),
+            (
+                "count_query_plan",
+                _query_plan(session, self.count_sql, self.where_params),
+            ),
         ]
 
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:

@@ -192,8 +192,8 @@ class LiveSqliteBackend:
         #: instead of snapshotting the engine.
         self.recovered = False
         #: True when recovery reused the file's installed views/triggers
-        #: (the persisted delta generation matched) instead of
-        #: regenerating them.
+        #: (the persisted delta generation and emission stamp matched)
+        #: instead of regenerating them.
         self.delta_reused = False
         #: Wall-clock seconds the whole attach-side recovery took (log
         #: replay, verification, and delta regeneration when needed);
@@ -325,7 +325,7 @@ class LiveSqliteBackend:
             if persist:
                 store = CatalogStore(self.connection)
                 store.save_snapshot(self.engine)
-                store.set_delta_meta(self.engine.catalog_generation)
+                store.set_delta_meta(*self._delta_key())
                 self.store = store
             self.connection.commit()
         except BaseException:
@@ -366,7 +366,7 @@ class LiveSqliteBackend:
         self.store = store
         self.recovered = True
         if (
-            state.delta_generation == self.engine.catalog_generation
+            (state.delta_generation, state.delta_emission) == self._delta_key()
             and self._delta_installed()
         ):
             self.delta_reused = True
@@ -375,7 +375,7 @@ class LiveSqliteBackend:
             try:
                 self.regenerate()
                 self._run(codegen.repair_all_statements(self.engine))
-                store.set_delta_meta(self.engine.catalog_generation)
+                store.set_delta_meta(*self._delta_key())
                 self.connection.commit()
             except BaseException:
                 self._abort()
@@ -438,6 +438,11 @@ class LiveSqliteBackend:
             self.engine.genealogy.smo_instances[uid] for uid in record.smos
         )
         self.engine.apply_materialization(schema)
+
+    def _delta_key(self) -> tuple[int, int]:
+        """What installed delta code must have been generated for (the
+        catalog generation) and by (the emitter revision) to be reused."""
+        return self.engine.catalog_generation, codegen.EMISSION_STAMP
 
     def _delta_installed(self) -> bool:
         """Does the database hold a view for every active table version?
@@ -599,7 +604,7 @@ class LiveSqliteBackend:
             self.regenerate()
             self._run(codegen.repair_all_statements(self.engine))
             if self.store is not None:
-                self.store.set_delta_meta(self.engine.catalog_generation)
+                self.store.set_delta_meta(*self._delta_key())
             self._fault("evolution:before-commit")
             self.connection.commit()
         except BaseException:
@@ -631,7 +636,7 @@ class LiveSqliteBackend:
             self._run(codegen.repair_all_statements(self.engine))
             if self.store is not None:
                 self.store.record_materialize(self.engine)
-                self.store.set_delta_meta(self.engine.catalog_generation)
+                self.store.set_delta_meta(*self._delta_key())
                 if self._online_move is not None:
                     # The journal, the cutover DDL, and the new catalog
                     # commit together: a crash before this commit leaves
@@ -837,7 +842,7 @@ class LiveSqliteBackend:
             self.regenerate()
             if self.store is not None:
                 self.store.record_drop(self.engine, version_name)
-                self.store.set_delta_meta(self.engine.catalog_generation)
+                self.store.set_delta_meta(*self._delta_key())
             self._fault("drop:before-commit")
             self.connection.commit()
         except BaseException:

@@ -1,4 +1,4 @@
-"""Static verification of the generated delta code (RPC101–RPC106).
+"""Static verification of the generated delta code (RPC101–RPC108).
 
 The backend compiles the catalog into ``CREATE VIEW`` and ``CREATE
 TRIGGER`` statements (:mod:`repro.backend.codegen`).  This pass checks
@@ -18,6 +18,13 @@ of it:
   is legal: flattening prunes joins whose columns a later SMO dropped,
   so the nested basis may be a strict superset — the differential suite
   covers content agreement.)
+- **RPC108** a view whose branches are joined by ``UNION ALL`` is one
+  whose catalog-derived branches are provably key-disjoint
+  (:func:`repro.sqlgen.views.key_disjoint` — the function the emitter
+  itself decides by); plain ``UNION`` always passes.
+
+(RPC107, the transitional-object bound, is
+:func:`verify_transitional_objects`.)
 
 ``view_statements`` / ``trigger_statements`` are injectable so the
 seeded-defect suite can verify *mutated* delta code, and the oracle
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
 
-from repro.backend.emit import SEQUENCES_TABLE
+from repro.backend.emit import SEQUENCES_TABLE, create_view
 from repro.check.diagnostics import Diagnostic, record_findings
 from repro.check.sqlscan import (
     STRUCTURAL_KEYWORDS,
@@ -38,6 +45,7 @@ from repro.check.sqlscan import (
     scan_statement,
     unquoted_occurrence,
 )
+from repro.sqlgen.views import key_disjoint
 from repro.util.naming import quote_identifier
 
 _DML_OPS = ("INSERT", "UPDATE", "DELETE")
@@ -233,12 +241,30 @@ def _physical_basis(
     return {name: leaves(name, set()) for name in refs}
 
 
-def _check_emission_agreement(engine) -> list[Diagnostic]:
+def _check_key_disjoint(
+    view_scans: list[StatementScan], branches: dict[str, list | None]
+) -> list[Diagnostic]:
+    """RPC108.  Hand-written view bodies (no composed branches) are not
+    the composer's to decide and are skipped."""
+    diagnostics: list[Diagnostic] = []
+    for scan in view_scans:
+        flat = branches.get(scan.name)
+        if scan.union_all and flat is not None and not key_disjoint(flat):
+            diagnostics.append(Diagnostic(
+                "RPC108", "error", scan.name or "<view>",
+                "branches are joined by UNION ALL, but the catalog does "
+                "not prove them key-disjoint: an identifier could be "
+                "served twice",
+            ))
+    return diagnostics
+
+
+def _check_emission_agreement(
+    engine, flat_scans: list[StatementScan]
+) -> list[Diagnostic]:
     from repro.backend import codegen
 
-    flat = _physical_basis(
-        [scan_statement(s) for s in codegen.view_statements(engine, flatten=True)]
-    )
+    flat = _physical_basis(flat_scans)
     nested = _physical_basis(
         [scan_statement(s) for s in codegen.view_statements(engine, flatten=False)]
     )
@@ -277,8 +303,11 @@ def verify_delta_code(
     from repro.backend import codegen
 
     injected = view_statements is not None or trigger_statements is not None
+    definitions = codegen.view_definitions(engine)
     if view_statements is None:
-        view_statements = codegen.view_statements(engine)
+        view_statements = [
+            create_view(name, select) for name, select, _flat in definitions
+        ]
     if trigger_statements is None:
         trigger_statements = codegen.trigger_statements(engine)
 
@@ -307,8 +336,11 @@ def verify_delta_code(
             view_scans + trigger_scans,
             quotable,
         )
+    diagnostics += _check_key_disjoint(
+        view_scans, {name: flat for name, _select, flat in definitions}
+    )
     if not injected:
-        diagnostics += _check_emission_agreement(engine)
+        diagnostics += _check_emission_agreement(engine, view_scans)
     return diagnostics
 
 

@@ -40,6 +40,9 @@ DIAGNOSTIC_CATALOG: dict[str, str] = {
     "RPC107": "transitional online-MATERIALIZE object (backfill staging "
               "table, capture trigger, or dirty table) exists without a "
               "journal entry that accounts for it",
+    "RPC108": "a generated view joins its branches with UNION ALL although "
+              "the catalog does not prove them disjoint on the tuple "
+              "identifier p",
     # -- BiDEL pre-flight (RPC2xx) --------------------------------------
     "RPC200": "the BiDEL script does not parse",
     "RPC201": "name collision: the schema version, table, or column "

@@ -105,6 +105,7 @@ class StatementScan:
     aliases: dict[str, set[str]] = field(default_factory=dict)
     column_refs: list[tuple[str, str]] = field(default_factory=list)
     columns_defined: tuple[str, ...] = ()  # CREATE TABLE column list
+    union_all: bool = False  # view: its branches are joined by UNION ALL
 
 
 def _is_name(token: SqlToken) -> bool:
@@ -124,6 +125,20 @@ def _matching_paren(tokens: list[SqlToken], start: int) -> int:
             if depth == 0:
                 return i
     return len(tokens) - 1
+
+
+def _joined_by_union_all(tokens: list[SqlToken]) -> bool:
+    """Does a ``UNION ALL`` join the top-level branches of this body (as
+    opposed to one inside a parenthesized subquery)?"""
+    depth = 0
+    for token, following in zip(tokens, tokens[1:]):
+        if token.text == "(":
+            depth += 1
+        elif token.text == ")":
+            depth -= 1
+        elif depth == 0 and token.upper == "UNION" and following.upper == "ALL":
+            return True
+    return False
 
 
 class _BodyScanner:
@@ -220,6 +235,7 @@ def scan_statement(sql: str) -> StatementScan:
         for i, token in enumerate(tokens):
             if token.upper == "AS":
                 _BodyScanner(scan).run(tokens[i + 1:])
+                scan.union_all = _joined_by_union_all(tokens[i + 1:])
                 break
         return scan
     if uppers[:2] == ["CREATE", "TRIGGER"]:

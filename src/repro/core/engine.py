@@ -473,7 +473,12 @@ class InVerDa:
             for tv in smo.sources:
                 if smo in tv.outgoing:
                     tv.outgoing.remove(smo)
-            for role in smo.semantics.aux_src() if smo.semantics else {}:
+            # The SMO is virtual, so its stored aux is the source side plus
+            # the always-stored shared ID tables — the tables a backend's
+            # on_drop removes from the file.
+            semantics = smo.semantics
+            stored = {**semantics.aux_src(), **semantics.aux_shared()} if semantics else {}
+            for role in stored:
                 table_name = smo.aux_table_name(role)
                 if self.database.has_table(table_name):
                     self.database.drop_table(table_name)

@@ -13,9 +13,10 @@ Tables
 ``_repro_catalog_meta``
     key/value: ``format_version`` (forward compatibility), ``generation``
     (the engine's monotonic catalog generation), ``fingerprint`` (the
-    whole-catalog fingerprint), and ``delta_generation`` (the generation
-    the installed delta code was generated for — the key for idempotent
-    reuse on re-attach).
+    whole-catalog fingerprint), ``delta_generation`` (the generation
+    the installed delta code was generated for) and ``delta_emission``
+    (the emitter revision that wrote it) — together the key for
+    idempotent reuse on re-attach.
 
 ``_repro_catalog_log``
     The append-only catalog log, one row per catalog transition in
@@ -121,6 +122,7 @@ class CatalogState:
     generation: int
     fingerprint: str | None
     delta_generation: int | None
+    delta_emission: int | None
     entries: list[dict] = field(default_factory=list)
     versions: list[VersionRecord] = field(default_factory=list)
 
@@ -221,11 +223,13 @@ class CatalogStore:
             return None
         return self._get_meta("generation")
 
-    def set_delta_meta(self, generation: int) -> None:
+    def set_delta_meta(self, generation: int, emission: int) -> None:
         """Record which catalog generation the installed views/triggers
-        were generated for; re-attach skips regeneration while it still
-        matches."""
+        were generated for, and by which emitter revision
+        (``codegen.EMISSION_STAMP``); re-attach skips regeneration while
+        both still match.  A file without the stamp predates it: stale."""
         self._set_meta("delta_generation", generation)
+        self._set_meta("delta_emission", emission)
 
     # ------------------------------------------------------------------
     # Recording catalog transitions
@@ -397,6 +401,7 @@ class CatalogStore:
             generation=self._get_meta("generation", 0),
             fingerprint=self._get_meta("fingerprint"),
             delta_generation=self._get_meta("delta_generation"),
+            delta_emission=self._get_meta("delta_emission"),
             entries=entries,
             versions=versions,
         )

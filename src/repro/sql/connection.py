@@ -135,7 +135,8 @@ _EXPLAIN_DESCRIPTION = (
 class ExplainPlan:
     """The compiled form of ``EXPLAIN <statement>``: wraps the inner
     statement's plan and, when run, reports its provenance — plan class,
-    rendered backend SQL, the flattened view's stored SQL, and whether
+    rendered backend SQL, the plan SQLite chose for it on this
+    connection's session, the flattened view's stored SQL, and whether
     the inner statement currently sits in the shared plan cache —
     without touching any data."""
 
@@ -153,7 +154,10 @@ class ExplainPlan:
             ("version", connection.version_name),
             ("catalog_generation", str(engine.catalog_generation)),
         ]
-        rows.extend((name, str(value)) for name, value in self.inner.explain_entries())
+        rows.extend(
+            (name, str(value))
+            for name, value in self.inner.explain_entries(connection._session)
+        )
         view_name = getattr(self.inner, "view_name", None)
         if view_name and connection._session is not None:
             stored = connection._session.execute(

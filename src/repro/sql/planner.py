@@ -383,7 +383,7 @@ class MemoryPlan:
     def run(self, engine: "InVerDa", params: tuple) -> StatementResult:
         return execute_statement(engine, self.version, self.stmt, params)
 
-    def explain_entries(self) -> list[tuple[str, str]]:
+    def explain_entries(self, _session) -> list[tuple[str, str]]:
         tv = resolve_table(self.version, self.stmt.table)
         return [
             ("plan", type(self).__name__),

@@ -16,7 +16,9 @@ leading column ``p``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import itertools
+import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.datalog.ast import Assign, Atom, Compare, CondLit, Const, Rule, RuleSet, Term, Var
@@ -34,11 +36,23 @@ class ViewBranch:
     ``p``) with its SQL expression; ``froms`` lists ``(alias, table
     reference)`` entries (table references may be physical tables, other
     view names, or inline subqueries); ``where`` is a conjunction.
+
+    The last three fields are what the rule knows about the tuple
+    identifier (Lemma 5) and :func:`key_disjoint` decides on: the branch
+    yields a row with identifier ``p`` only if every relation in
+    ``requires`` holds a row with that ``p`` and no relation in
+    ``forbids`` does; ``key_preserving`` says the head's ``p`` comes from
+    one FROM entry and every other entry is equi-joined to it on ``p``
+    (so the branch yields each ``p`` at most once over key-unique
+    entries).  The defaults claim nothing.
     """
 
     head: tuple[tuple[str, str], ...]
     froms: tuple[tuple[str, str], ...]
     where: tuple[str, ...]
+    requires: frozenset[str] = frozenset()
+    forbids: frozenset[str] = frozenset()
+    key_preserving: bool = False
 
     def sql(self) -> str:
         select_items = ", ".join(
@@ -49,6 +63,51 @@ class ViewBranch:
         if self.where:
             sql += " WHERE " + " AND ".join(self.where)
         return sql
+
+
+def alias_pattern(alias: str) -> str:
+    """Regex matching ``alias.`` as a column qualifier (not as the tail
+    of a longer or quoted name)."""
+    return rf"(?<![\w\"]){re.escape(alias)}\."
+
+
+def _keyed_conditions(branch: ViewBranch) -> set[str]:
+    """The WHERE conjuncts with each FROM alias spelled as its relation.
+    In a key-preserving branch every entry holds *the* row identified by
+    ``p``, so two branches' conjuncts that agree in this spelling test
+    the same row."""
+    conditions = set()
+    for cond in branch.where:
+        for alias, table in branch.froms:
+            cond = re.sub(alias_pattern(alias), lambda _m: f"{table}.", cond)
+        conditions.add(cond)
+    return conditions
+
+
+def _key_exclusive(left: ViewBranch, right: ViewBranch) -> bool:
+    """No ``p`` can come out of both branches: one requires a row the
+    other forbids, or they carry complementary ``c`` / ``(c) IS NOT TRUE``
+    conditions over the same keyed rows."""
+    if left.requires & right.forbids or right.requires & left.forbids:
+        return True
+    ours, theirs = _keyed_conditions(left), _keyed_conditions(right)
+    return any(f"({c}) IS NOT TRUE" in theirs for c in ours) or any(
+        f"({c}) IS NOT TRUE" in ours for c in theirs
+    )
+
+
+def key_disjoint(branches: Sequence[ViewBranch]) -> bool:
+    """Is ``UNION ALL`` of ``branches`` the same relation as ``UNION``?
+
+    Yes when (K) every branch is key-preserving and (X) every pair is
+    key-exclusive: each ``p`` then occurs at most once in the compound,
+    so there is nothing to de-duplicate.  This is the one place the
+    compound keyword is decided — the composer emits by it and the
+    verifier (RPC108) re-checks installed text against it."""
+    return all(branch.key_preserving for branch in branches) and all(
+        _key_exclusive(left, right)
+        for left, right in itertools.combinations(branches, 2)
+    )
 
 
 def _sql_literal(value) -> str:
@@ -157,6 +216,13 @@ class _Subquery:
                 ]
                 self.where.append("(" + " AND ".join(equal_pairs) + ")")
 
+        # Lemma 5: positive atoms keyed on the head's identifier are
+        # required at that p, negated payload-don't-care atoms forbidden.
+        key = self.rule.head.terms[0]
+        requires = frozenset(
+            self.table_names[atom.pred] for atom in positives if atom.terms[0] == key
+        )
+        forbids = set()
         for negative in negatives:
             alias = "n"
             columns = ("p", *self.table_columns[negative.pred])
@@ -175,13 +241,21 @@ class _Subquery:
             if constraints:
                 body += " WHERE " + " AND ".join(constraints)
             self.where.append(f"NOT EXISTS ({body})")
+            if negative.terms[0] == key and len(constraints) == 1:
+                forbids.add(self.table_names[negative.pred])
 
         head = tuple(
             (column, self._term_sql(term))
             for term, column in zip(self.rule.head.terms, ("p", *self.head_columns))
         )
         return ViewBranch(
-            head=head, froms=tuple(self.aliases), where=tuple(self.where)
+            head=head,
+            froms=tuple(self.aliases),
+            where=tuple(self.where),
+            requires=requires,
+            forbids=frozenset(forbids),
+            key_preserving=bool(positives)
+            and all(atom.terms[0] == key for atom in positives),
         )
 
     def _column_var(self, column: str) -> str:

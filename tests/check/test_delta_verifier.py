@@ -141,9 +141,38 @@ class TestSeededDefects:
             return statements
 
         monkeypatch.setattr(codegen, "view_statements", spiked)
-        findings = delta._check_emission_agreement(engine)
+        flat_scans = [delta.scan_statement(s) for s in spiked(engine)]
+        findings = delta._check_emission_agreement(engine, flat_scans)
         assert [d.code for d in findings] == ["RPC106"]
         assert "phantom_table" in findings[0].message
+
+    def test_forged_union_all_rpc108(self):
+        """``UNION ALL`` on branches the catalog does not prove
+        key-disjoint (JOIN ON PK: "T's rows" plus "rows only L had") is
+        an error; the ``UNION`` the generator emits for them is clean, and
+        so is its ``UNION ALL`` where the proof holds."""
+        engine = InVerDa()
+        engine.execute(
+            "CREATE SCHEMA VERSION j1 WITH "
+            "CREATE TABLE L(x INTEGER); CREATE TABLE R(y INTEGER);"
+        )
+        engine.execute(
+            "CREATE SCHEMA VERSION j2 FROM j1 WITH JOIN TABLE L, R INTO T ON PK;"
+        )
+        engine.execute(
+            "CREATE SCHEMA VERSION j3 FROM j2 WITH ADD COLUMN z AS x + y INTO T;"
+        )
+        engine.execute("MATERIALIZE 'j2';")
+        views, triggers = _emission(engine)
+        assert sum("\nUNION\n" in v for v in views) == 2
+        assert sum("\nUNION ALL\n" in v for v in views) == 1
+        assert verify_delta_code(engine) == []
+        forged = [v.replace("\nUNION\n", "\nUNION ALL\n") for v in views]
+        findings = verify_delta_code(
+            engine, view_statements=forged, trigger_statements=triggers
+        )
+        assert {d.code for d in findings} == {"RPC108"}
+        assert len(findings) == 2 and error_count(findings) == 2
 
     def test_unknown_qualifier_rpc102(self, engine):
         """The corruption class the old trigger renderer could produce

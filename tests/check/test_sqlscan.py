@@ -47,6 +47,18 @@ class TestViewScan:
         )
         assert scan.aliases["t0"] == {"x", "y"}
 
+    def test_union_all_is_the_top_level_compound_keyword(self):
+        plain = "CREATE VIEW v AS SELECT t0.a FROM x t0 UNION SELECT t0.a FROM y t0"
+        assert not scan_statement(plain).union_all
+        scan = scan_statement(plain.replace("UNION", "UNION ALL"))
+        assert scan.union_all
+        assert scan.aliases["t0"] == {"x", "y"}  # ALL is structure, not a name
+        nested = (
+            "CREATE VIEW v AS SELECT d.a FROM "
+            "(SELECT a FROM x UNION ALL SELECT a FROM y) d UNION SELECT z.a FROM z"
+        )
+        assert not scan_statement(nested).union_all
+
     def test_subquery_alias_is_opaque(self):
         scan = scan_statement(
             "CREATE VIEW v AS SELECT d.a FROM (SELECT NULL AS a WHERE 0) d"

@@ -80,6 +80,35 @@ class TestReopen:
         finally:
             engine.live_backend.close()
 
+    def test_reopen_after_dropping_version_behind_fk_smo(self, tmp_path):
+        # Regression: the drop removed the SMO's shared ID table from the
+        # file but not from the engine's layout, so the next open refused
+        # the file ("physical table 'aux__1__ID' is missing").
+        path = str(tmp_path / "fk.db")
+        engine = repro.open(path)
+        engine.execute(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Task(author TEXT, task TEXT);"
+        )
+        conn = repro.connect(engine, "v1", autocommit=True)
+        conn.execute("INSERT INTO Task(author, task) VALUES ('Ann', 'Write paper')")
+        conn.close()
+        engine.execute(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE Task "
+            "INTO Task(task), Author(author) ON FOREIGN KEY author;"
+        )
+        engine.execute("DROP SCHEMA VERSION v2;")
+        assert not any("aux__" in name for name in engine.database.table_names())
+        engine.live_backend.close()
+        again = repro.open(path)
+        try:
+            conn = repro.connect(again, "v1")
+            assert conn.execute("SELECT author, task FROM Task").fetchall() == [
+                ("Ann", "Write paper")
+            ]
+            conn.close()
+        finally:
+            again.live_backend.close()
+
     def test_open_missing_file_with_create_false(self, tmp_path):
         with pytest.raises(CatalogError, match="no persisted catalog"):
             repro.open(str(tmp_path / "nope.db"), create=False)
@@ -144,6 +173,67 @@ class TestDeltaCodeReuse:
             conn = repro.connect(engine, "Do!")
             conn.execute("SELECT author, task FROM Todo").fetchall()
             conn.close()
+        finally:
+            engine.live_backend.close()
+
+    def test_file_written_by_an_older_emitter_regenerates_once(self, tmp_path):
+        """Delta code is reused only when this library's emitter wrote
+        it: a file without the emission stamp, still holding the plain
+        UNION views, is regenerated on open — once."""
+        import sqlite3
+
+        from repro.workloads.orders import build_orders
+
+        path = str(tmp_path / "orders.db")
+        backend = LiveSqliteBackend.attach(build_orders(2, 8, 2).engine, database=path)
+        backend.close()
+
+        def contents(connection):
+            return {
+                name: sorted(connection.execute(f"SELECT * FROM {name}").fetchall())
+                for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'view'"
+                ).fetchall()
+            }
+
+        handle = sqlite3.connect(path)
+        before = contents(handle)
+        compounds = handle.execute(
+            "SELECT name, sql FROM sqlite_master WHERE type = 'view' "
+            "AND sql LIKE '%UNION ALL%'"
+        ).fetchall()
+        assert compounds
+        for name, sql in compounds:
+            # Dropping a view drops its INSTEAD OF triggers with it.
+            triggers = handle.execute(
+                "SELECT sql FROM sqlite_master WHERE type = 'trigger' AND tbl_name = ?",
+                (name,),
+            ).fetchall()
+            handle.execute(f"DROP VIEW {name}")
+            handle.execute(sql.replace("\nUNION ALL\n", "\nUNION\n"))
+            for (trigger,) in triggers:
+                handle.execute(trigger)
+        handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
+        handle.commit()
+        assert contents(handle) == before
+        handle.close()
+
+        engine = repro.open(path)
+        try:
+            backend = engine.live_backend
+            assert backend.recovered and not backend.delta_reused
+            installed = dict(backend.connection.execute(
+                "SELECT name, sql FROM sqlite_master WHERE type = 'view'"
+            ).fetchall())
+            for name, _sql in compounds:
+                assert "\nUNION ALL\n" in installed[name]
+            assert contents(backend.connection) == before
+            assert backend.store.load().delta_emission == codegen.EMISSION_STAMP
+        finally:
+            engine.live_backend.close()
+        engine = repro.open(path)
+        try:
+            assert engine.live_backend.delta_reused
         finally:
             engine.live_backend.close()
 
