@@ -29,6 +29,7 @@ calls safe.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import sqlite3
 import threading
@@ -37,6 +38,28 @@ import time
 from repro.errors import OperationalError
 
 _shared_memory_counter = itertools.count()
+
+#: How much freed memory at the top of the heap the process keeps
+#: (``M_TRIM_THRESHOLD``), and from what size an allocation gets a mapping
+#: of its own (``M_MMAP_THRESHOLD``, which glibc stops adapting by itself
+#: once either is set).  Every statement of an ``INSTEAD OF`` trigger
+#: cascade that writes to a view makes SQLite open an ephemeral table,
+#: whose page cache is one 85 KiB allocation: a write four hops from the
+#: data allocates and frees 1.2-1.4 MB.  Under glibc's initial 128 KiB
+#: trim threshold each such write shrinks and regrows the heap and takes
+#: 30-100 page faults (a third to a half of its time) -- or none,
+#: depending on what else sits at the top of the heap in that process.
+_HEAP_SLACK = 16 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap_slack() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not glibc: nothing to tune
+        return
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_SLACK)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_SLACK // 2)
 
 
 def shared_memory_uri() -> str:
@@ -112,6 +135,7 @@ class SessionPool:
         self._leased = 0
         self._closed = False
         self._cond = threading.Condition()
+        _keep_heap_slack()
 
     # ------------------------------------------------------------------
     # Connection construction

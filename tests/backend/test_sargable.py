@@ -7,7 +7,8 @@ of hops is a rowid seek, not a materialize-sort-deduplicate of the view.
     equals its nested plain-``UNION`` rendering as a sorted bag;
 (b) everything unproven keeps ``UNION``;
 (c) plan shape, read through ``EXPLAIN``;
-(d) the work it buys, in SQLite VM steps.
+(d) the work it buys, in SQLite VM steps;
+(e) and that such a write, now cheap, does not pay for memory instead.
 
 (c) and (d) depend on the bundled SQLite's planner, so their failures
 name the version.
@@ -15,9 +16,14 @@ name the version.
 
 from __future__ import annotations
 
+import os
+import platform
 import random
 import re
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +422,47 @@ def test_update_four_hops_away_costs_at_most_four_times_local(chain):
     assert forward <= 4 * local and backward <= 4 * local, (
         f"{SQLITE}: local {local}, forward {forward}, backward {backward} VM steps"
     )
+
+
+_FAULTS_PER_WRITE = """
+import resource, sys
+import repro
+from repro.backend.sqlite import LiveSqliteBackend
+
+engine = repro.InVerDa()
+for script in sys.argv[1:]:
+    engine.execute(script)
+LiveSqliteBackend.attach(engine)
+engine.execute("MATERIALIZE 'S4';")
+pins = [
+    (repro.connect(engine, version, autocommit=True, backend="sqlite"), table)
+    for version, table in (("S8", "Lo"), ("S0", "Item"))
+]
+
+def writes(first):
+    for k in range(first, first + 40):
+        for conn, table in pins:
+            conn.execute(f"INSERT INTO {table}(k, grp, qty) VALUES (?, 2, 4)", (k,))
+            conn.execute(f"UPDATE {table} SET qty = 6 WHERE k = ?", (k,))
+            conn.execute(f"DELETE FROM {table} WHERE k = ?", (k,))
+
+writes(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+writes(40)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 240)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_write_four_hops_away_does_not_shrink_and_regrow_the_heap():
+    # Every nested trigger statement allocates and frees an ephemeral
+    # table's page cache; in a fresh process glibc would give that memory
+    # back and fault it in again on each statement (30-100 faults).
+    faults = float(
+        subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_WRITE, *CHAIN],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        ).stdout
+    )
+    assert faults < 5, f"{faults:.0f} page faults per write"
