@@ -7,7 +7,8 @@ For the current materialization this module produces, in dependency order,
 2. one ``CREATE VIEW`` per table version (physical table versions get a
    pass-through view so that every version is written through the same
    trigger machinery),
-3. one ``INSTEAD OF INSERT/UPDATE/DELETE`` trigger triple per view,
+3. one ``INSTEAD OF INSERT/UPDATE/DELETE`` trigger triple per view (two
+   programs — upsert and delete — the former under both INSERT and UPDATE),
    combining the storage-route propagation program with shared-aux
    maintenance for adjacent off-route SMOs and extent repairs for shared
    aux tables deeper down virtual branches,
@@ -35,7 +36,15 @@ from repro.util.naming import physical_name
 #: otherwise (or not at all) regenerates once on its next open instead of
 #: serving the old text until the next transition.
 #: 2 = key-disjoint compounds are joined by UNION ALL.
-EMISSION_STAMP = 2
+#: 3 = a view upsert is one INSERT; INSERT and UPDATE triggers share a body.
+EMISSION_STAMP = 3
+
+#: First statement of every UPDATE trigger; what follows is the INSERT
+#: trigger's body verbatim.
+IMMUTABLE_KEY_CHECK = (
+    "SELECT RAISE(ABORT, 'the row identifier p is immutable') "
+    "WHERE NEW.p IS NOT OLD.p"
+)
 
 
 def route_for(engine, tv: TableVersion) -> tuple[SmoInstance, str] | None:
@@ -187,19 +196,20 @@ def view_statements(engine, *, flatten: bool = True) -> list[str]:
 
 
 def trigger_statements(engine) -> list[str]:
+    """The ``INSTEAD OF`` trigger triple of every active table version.
+
+    A table version has two write programs, upsert and delete.  The upsert
+    program is rendered once and installed under the INSERT trigger and —
+    behind the ``p``-immutability check — under the UPDATE trigger."""
     ctx = HandlerContext(engine)
     statements = []
     for tv in active_table_versions(engine):
         route = route_for(engine, tv)
         route_smo = route[0] if route is not None else None
         adjacent_shared, deep = _off_route_shared(tv, route_smo)
-        for op in ("INSERT", "UPDATE", "DELETE"):
+
+        def program(op: str) -> list[str]:
             body: list[str] = []
-            if op == "UPDATE":
-                body.append(
-                    "SELECT RAISE(ABORT, 'the row identifier p is immutable') "
-                    "WHERE NEW.p IS NOT OLD.p"
-                )
             # Adjacent shared-aux maintenance first: like the engine, the
             # identifier decision procedure reads the PRE-write state (the
             # derived views still show it while the INSTEAD OF trigger runs).
@@ -207,30 +217,37 @@ def trigger_statements(engine) -> list[str]:
                 body += handler_for(ctx, smo).write_statements(
                     tv, op, apply_data=False
                 )
-            if route is None:
-                body += _physical_write(tv, op)
+            if route_smo is None:
+                body.append(_physical_write(tv, op))
             else:
-                body += handler_for(ctx, route[0]).write_statements(
-                    tv, op, apply_data=True
-                )
+                body += handler_for(ctx, route_smo).write_statements(tv, op)
             # Extent repairs for distant shared-aux SMOs read the POST-write
             # state, so they come last.
             for smo in deep:
                 body += handler_for(ctx, smo).repair_statements()
+            return body
+
+        upsert = program("UPSERT")
+        for operation, body in (
+            ("INSERT", upsert),
+            ("UPDATE", [IMMUTABLE_KEY_CHECK, *upsert]),
+            ("DELETE", program("DELETE")),
+        ):
             statements.append(
-                emit.create_trigger(tv.trigger_name(op), op, tv.view_name, body)
+                emit.create_trigger(
+                    tv.trigger_name(operation), operation, tv.view_name, body
+                )
             )
     return statements
 
 
-def _physical_write(tv: TableVersion, op: str) -> list[str]:
-    data = tv.data_table_name
-    columns = tv.schema.column_names
+def _physical_write(tv: TableVersion, op: str) -> str:
+    data = q(tv.data_table_name)
     if op == "DELETE":
-        return [f"DELETE FROM {q(data)} WHERE p IS OLD.p"]
-    collist = ", ".join(["p", *qcols(columns)])
-    values = ", ".join(["NEW.p", *[f"NEW.{q(c)}" for c in columns]])
-    return [f"INSERT OR REPLACE INTO {q(data)} ({collist}) VALUES ({values})"]
+        return emit.delete_row(data, "OLD.p")
+    columns = tv.schema.column_names
+    values = list(emit.new_refs(columns).values())
+    return emit.upsert_row(data, columns, "NEW.p", values, plain_table=True)
 
 
 def repair_all_statements(engine) -> list[str]:

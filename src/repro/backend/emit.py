@@ -115,33 +115,21 @@ def upsert_row(
     *,
     guard: str | None = None,
     plain_table: bool = False,
-) -> list[str]:
+) -> str:
     """Upsert one row (``key_sql`` -> values) into a view or table.
 
-    Views have no conflict clause, so the view form is an UPDATE of the
-    existing row followed by an insert-if-absent; both honour ``guard``.
+    ``INSERT`` into a generated view *is* an upsert: its ``INSTEAD OF
+    INSERT`` program bottoms out in ``INSERT OR REPLACE`` on stored tables.
+    View targets take the plain verb because SQLite applies an outer
+    statement's conflict clause to every statement of the triggers it
+    fires, which would turn the key clashes the identifier-generating
+    programs abort on into silent replaces.
     """
+    verb = "INSERT OR REPLACE" if plain_table else "INSERT"
     collist = ", ".join(["p", *qcols(columns)])
     values = ", ".join([key_sql, *value_sqls])
-    guard_sql = f" AND ({guard})" if guard is not None else ""
-    if plain_table:
-        return [
-            f"INSERT OR REPLACE INTO {target} ({collist}) "
-            f"SELECT {values} WHERE 1{guard_sql}"
-        ]
-    statements = []
-    if columns:
-        sets = ", ".join(
-            f"{q(c)} = {v}" for c, v in zip(columns, value_sqls)
-        )
-        statements.append(
-            f"UPDATE {target} SET {sets} WHERE p IS {key_sql}{guard_sql}"
-        )
-    statements.append(
-        f"INSERT INTO {target} ({collist}) SELECT {values} "
-        f"WHERE NOT EXISTS (SELECT 1 FROM {target} WHERE p IS {key_sql}){guard_sql}"
-    )
-    return statements
+    where = f" WHERE {guard}" if guard is not None else ""
+    return f"{verb} INTO {target} ({collist}) SELECT {values}{where}"
 
 
 def delete_row(target: str, key_sql: str, *, guard: str | None = None) -> str:

@@ -70,6 +70,10 @@ GLOBAL_SEQUENCE = "p"
 # candidate ids and their dense ranks among the rows needing fresh ones.
 SCRATCH_COLUMNS = ("a", "b", "rnk", "rnk2")
 
+# The two write programs of a table version.  There is no INSERT/UPDATE
+# distinction: INSERT into a generated view is an upsert.
+WRITE_OPS = ("UPSERT", "DELETE")
+
 
 @dataclass
 class HandlerContext:
@@ -176,11 +180,20 @@ class SmoHandler:
     def write_statements(
         self, tv: TableVersion, op: str, *, apply_data: bool = True
     ) -> list[str]:
-        """Trigger-body statements propagating one row-level ``op``
-        (INSERT/UPDATE/DELETE with NEW/OLD in scope) across this SMO.
+        """Trigger-body statements propagating one row-level ``op`` across
+        this SMO: ``UPSERT`` (``NEW`` in scope; installed under both the
+        INSERT and the UPDATE trigger, so a program must not depend on
+        which of the two fired) or ``DELETE`` (``OLD`` in scope).
 
         ``apply_data=False`` restricts the program to shared-aux (ID)
         maintenance — the off-route case."""
+        if op not in WRITE_OPS:
+            raise BackendError(f"no write program for {op!r}; expected one of {WRITE_OPS}")
+        if not apply_data and not has_shared_aux(self.smo):
+            return []
+        return self._write(tv, op, apply_data)
+
+    def _write(self, tv: TableVersion, op: str, apply_data: bool) -> list[str]:
         raise NotImplementedError
 
     def repair_statements(self) -> list[str]:
@@ -268,24 +281,19 @@ class RuleBackedHandler(SmoHandler):
 class DropTableHandler(RuleBackedHandler):
     """DROP TABLE: identity between the retired table and its aux home."""
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         aux = self.smo.aux_table_name("R_retired")
         columns = tv.schema.column_names
         if op == "DELETE":
             return [delete_row(aux, "OLD.p")]
-        return upsert_row(
-            aux, columns, "NEW.p", list(new_refs(columns).values()), plain_table=True
-        )
+        values = list(new_refs(columns).values())
+        return [upsert_row(aux, columns, "NEW.p", values, plain_table=True)]
 
 
 class IdentityHandler(RuleBackedHandler):
     """RENAME TABLE / RENAME COLUMN: positional identity on rows."""
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         if self.side_of(tv) == "source":
             other = self.smo.targets[0]
         else:
@@ -293,9 +301,9 @@ class IdentityHandler(RuleBackedHandler):
         if op == "DELETE":
             return [delete_row(self.ctx.view(other), "OLD.p")]
         values = [f"NEW.{q(c)}" for c in tv.schema.column_names]
-        return upsert_row(
-            self.ctx.view(other), other.schema.column_names, "NEW.p", values
-        )
+        return [
+            upsert_row(self.ctx.view(other), other.schema.column_names, "NEW.p", values)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +318,7 @@ class ColumnHandler(RuleBackedHandler):
     narrowing it keeps the written value in the aux table B, which is only
     stored on the narrow-ward side."""
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         node = self.sem.node
         if isinstance(self.sem, AddColumnSemantics):
             narrow_tv, wide_tv = self.smo.sources[0], self.smo.targets[0]
@@ -327,23 +333,20 @@ class ColumnHandler(RuleBackedHandler):
             computed = render_expression(function, new_refs(narrow_cols))
             wide_cols = wide_tv.schema.column_names
             values = [computed if c == node.column else f"NEW.{q(c)}" for c in wide_cols]
-            return upsert_row(self.ctx.view(wide_tv), wide_cols, "NEW.p", values)
+            return [upsert_row(self.ctx.view(wide_tv), wide_cols, "NEW.p", values)]
         aux = self.smo.aux_table_name("B")
         if op == "DELETE":
             return [
                 delete_row(self.ctx.view(narrow_tv), "OLD.p"),
                 delete_row(aux, "OLD.p"),
             ]
-        statements = upsert_row(
-            self.ctx.view(narrow_tv),
-            narrow_cols,
-            "NEW.p",
-            [f"NEW.{q(c)}" for c in narrow_cols],
-        )
-        statements += upsert_row(
-            aux, (node.column,), "NEW.p", [f"NEW.{q(node.column)}"], plain_table=True
-        )
-        return statements
+        narrow_values = [f"NEW.{q(c)}" for c in narrow_cols]
+        return [
+            upsert_row(self.ctx.view(narrow_tv), narrow_cols, "NEW.p", narrow_values),
+            upsert_row(
+                aux, (node.column,), "NEW.p", [f"NEW.{q(node.column)}"], plain_table=True
+            ),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +371,7 @@ class VerticalHandler(RuleBackedHandler):
         _wide_tv, *projections = self._tvs()
         return self._row_puts(projections) if self.routed_here(projections[0]) else {}
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         lens = self.sem._lens
         wide_cols = lens.wide_schema.column_names
         first_cols = tuple(wide_cols[i] for i in lens.first_indices)
@@ -407,8 +408,8 @@ class VerticalHandler(RuleBackedHandler):
                 continue
             refs = [f"NEW.{q(c)}" for c in columns]
             statements.append(delete_row(view, "NEW.p", guard=all_null(refs)))
-            statements += upsert_row(
-                view, columns, "NEW.p", refs, guard=not_all_null(refs)
+            statements.append(
+                upsert_row(view, columns, "NEW.p", refs, guard=not_all_null(refs))
             )
         return statements
 
@@ -444,25 +445,15 @@ class VerticalHandler(RuleBackedHandler):
                     values.append("NULL")
             return values
 
+        wide_cols = wide_tv.schema.column_names
         if op == "DELETE":
-            statements += upsert_row(
-                wide_view,
-                wide_tv.schema.column_names,
-                key,
-                wide_values({c: "NULL" for c in own_cols}),
-                guard=other_exists,
-            )
-            statements.append(
-                delete_row(wide_view, key, guard=f"NOT {other_exists}")
-            )
-            return statements
-        statements += upsert_row(
-            wide_view,
-            wide_tv.schema.column_names,
-            key,
-            wide_values({c: f"NEW.{q(c)}" for c in own_cols}),
-        )
-        return statements
+            values = wide_values({c: "NULL" for c in own_cols})
+            return statements + [
+                upsert_row(wide_view, wide_cols, key, values, guard=other_exists),
+                delete_row(wide_view, key, guard=f"NOT {other_exists}"),
+            ]
+        values = wide_values({c: f"NEW.{q(c)}" for c in own_cols})
+        return statements + [upsert_row(wide_view, wide_cols, key, values)]
 
 
 class InnerJoinPkHandler(RuleBackedHandler):
@@ -473,33 +464,25 @@ class InnerJoinPkHandler(RuleBackedHandler):
         sources = self.smo.sources
         return self._row_puts(sources) if self.routed_here(sources[0]) else {}
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         first_tv, second_tv = self.smo.sources
         joined_tv = self.smo.targets[0]
         if self.side_of(tv) == "target":
             # Backward (virtualized): split the joined row into both parts.
-            first_cols = first_tv.schema.column_names
-            second_cols = second_tv.schema.column_names
             if op == "DELETE":
                 return [
                     delete_row(self.ctx.view(first_tv), "OLD.p"),
                     delete_row(self.ctx.view(second_tv), "OLD.p"),
                 ]
-            statements = upsert_row(
-                self.ctx.view(first_tv),
-                first_cols,
-                "NEW.p",
-                [f"NEW.{q(c)}" for c in first_cols],
-            )
-            statements += upsert_row(
-                self.ctx.view(second_tv),
-                second_cols,
-                "NEW.p",
-                [f"NEW.{q(c)}" for c in second_cols],
-            )
-            return statements
+            return [
+                upsert_row(
+                    self.ctx.view(part_tv),
+                    part_tv.schema.column_names,
+                    "NEW.p",
+                    [f"NEW.{q(c)}" for c in part_tv.schema.column_names],
+                )
+                for part_tv in (first_tv, second_tv)
+            ]
         # Forward (materialized): join with the other source's current row.
         own_tv = tv
         other_tv = second_tv if tv is first_tv else first_tv
@@ -519,13 +502,15 @@ class InnerJoinPkHandler(RuleBackedHandler):
         if op == "DELETE":
             statements.append(delete_row(joined_view, key))
             statements.append(delete_row(own_plus, key))
-            statements += upsert_row(
-                other_plus,
-                other_cols,
-                key,
-                [f"(SELECT {q(c)} FROM {put_other})" for c in other_cols],
-                guard=other_exists,
-                plain_table=True,
+            statements.append(
+                upsert_row(
+                    other_plus,
+                    other_cols,
+                    key,
+                    [f"(SELECT {q(c)} FROM {put_other})" for c in other_cols],
+                    guard=other_exists,
+                    plain_table=True,
+                )
             )
             statements.append(
                 delete_row(other_plus, key, guard=f"NOT {other_exists}")
@@ -537,25 +522,26 @@ class InnerJoinPkHandler(RuleBackedHandler):
                 joined_values.append(f"NEW.{q(column)}")
             else:
                 joined_values.append(f"(SELECT {q(column)} FROM {put_other})")
-        statements += upsert_row(
-            joined_view,
-            joined_tv.schema.column_names,
-            key,
-            joined_values,
-            guard=other_exists,
-        )
-        statements.append(delete_row(joined_view, key, guard=f"NOT {other_exists}"))
-        statements += upsert_row(
-            own_plus,
-            own_cols,
-            key,
-            [f"NEW.{q(c)}" for c in own_cols],
-            guard=f"NOT {other_exists}",
-            plain_table=True,
-        )
-        statements.append(delete_row(own_plus, key, guard=other_exists))
-        statements.append(delete_row(other_plus, key))
-        return statements
+        return statements + [
+            upsert_row(
+                joined_view,
+                joined_tv.schema.column_names,
+                key,
+                joined_values,
+                guard=other_exists,
+            ),
+            delete_row(joined_view, key, guard=f"NOT {other_exists}"),
+            upsert_row(
+                own_plus,
+                own_cols,
+                key,
+                [f"NEW.{q(c)}" for c in own_cols],
+                guard=f"NOT {other_exists}",
+                plain_table=True,
+            ),
+            delete_row(own_plus, key, guard=other_exists),
+            delete_row(other_plus, key),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +603,15 @@ class PartitionHandler(RuleBackedHandler):
         values = [f"NEW.{q(c)}" for c in columns]
         cr = cond_true(lens.c_first, refs)
         not_cr = cond_not_true(lens.c_first, refs)
-        statements = upsert_row(self.ctx.view(first), columns, "NEW.p", values, guard=cr)
-        statements.append(delete_row(self.ctx.view(first), "NEW.p", guard=not_cr))
+        statements = [
+            upsert_row(self.ctx.view(first), columns, "NEW.p", values, guard=cr),
+            delete_row(self.ctx.view(first), "NEW.p", guard=not_cr),
+        ]
         if second is not None and lens.c_second is not None:
             cs = cond_true(lens.c_second, refs)
             not_cs = cond_not_true(lens.c_second, refs)
-            statements += upsert_row(
-                self.ctx.view(second), columns, "NEW.p", values, guard=cs
+            statements.append(
+                upsert_row(self.ctx.view(second), columns, "NEW.p", values, guard=cs)
             )
             statements.append(delete_row(self.ctx.view(second), "NEW.p", guard=not_cs))
             neither = f"{not_cr} AND {not_cs}"
@@ -631,8 +619,8 @@ class PartitionHandler(RuleBackedHandler):
         else:
             neither = not_cr
             either = cr
-        statements += upsert_row(
-            uprime, columns, "NEW.p", values, guard=neither, plain_table=True
+        statements.append(
+            upsert_row(uprime, columns, "NEW.p", values, guard=neither, plain_table=True)
         )
         statements.append(delete_row(uprime, "NEW.p", guard=either))
         return statements
@@ -685,20 +673,18 @@ class PartitionHandler(RuleBackedHandler):
         second_refs = {c: f"(SELECT {q(c)} FROM {put_second})" for c in columns}
 
         unified_view = self.ctx.view(unified)
-        statements += upsert_row(
-            unified_view,
-            columns,
-            key,
-            list(first_refs.values()),
-            guard=first_exists,
-        )
-        statements += upsert_row(
-            unified_view,
-            columns,
-            key,
-            list(second_refs.values()),
-            guard=f"NOT {first_exists} AND {second_exists}",
-        )
+        statements += [
+            upsert_row(
+                unified_view, columns, key, list(first_refs.values()), guard=first_exists
+            ),
+            upsert_row(
+                unified_view,
+                columns,
+                key,
+                list(second_refs.values()),
+                guard=f"NOT {first_exists} AND {second_exists}",
+            ),
+        ]
         # A stored unified row matching neither condition stays put; the
         # engine reads the unified table's routed extent here, which is
         # exactly its generated view.
@@ -773,9 +759,7 @@ class PartitionHandler(RuleBackedHandler):
             )
         return statements
 
-    def write_statements(self, tv, op, *, apply_data=True):
-        if not apply_data:
-            return []
+    def _write(self, tv, op, apply_data):
         if self.is_unified(tv):
             return self._to_partitions(op)
         return self._to_unified(tv, op)
@@ -932,17 +916,19 @@ class FkHandler(SmoHandler):
                 fk_sql if c == id_col else f"NEW.{q(c)}"
                 for c in t_tv.schema.column_names
             ]
-            statements += upsert_row(
-                vt,
-                t_tv.schema.column_names,
-                fk_sql,
-                t_values,
-                guard=f"{fk_sql} IS NOT NULL AND NOT {b_null}",
-            )
             s_values = [
                 fk_sql if c == fk else f"NEW.{q(c)}" for c in s_tv.schema.column_names
             ]
-            statements += upsert_row(vs, s_tv.schema.column_names, "NEW.p", s_values)
+            statements += [
+                upsert_row(
+                    vt,
+                    t_tv.schema.column_names,
+                    fk_sql,
+                    t_values,
+                    guard=f"{fk_sql} IS NOT NULL AND NOT {b_null}",
+                ),
+                upsert_row(vs, s_tv.schema.column_names, "NEW.p", s_values),
+            ]
         return statements
 
     def _s_write(self, op, apply_data: bool) -> list[str]:
@@ -969,7 +955,9 @@ class FkHandler(SmoHandler):
                     values.append(f"NEW.{q(column)}")
                 else:
                     values.append(f"(SELECT {q(column)} FROM {put_t})")
-            statements += upsert_row(vw, wide_tv.schema.column_names, "NEW.p", values)
+            statements.append(
+                upsert_row(vw, wide_tv.schema.column_names, "NEW.p", values)
+            )
             if isinstance(self.sem, OuterJoinFkSemantics):
                 # The engine's full put regenerates the stored wide table:
                 # a T row surfaced as an unreferenced padded row disappears
@@ -1027,12 +1015,14 @@ class FkHandler(SmoHandler):
                 "NULL" if c in a_cols else f"NEW.{q(c)}"
                 for c in wide_tv.schema.column_names
             ]
-            statements += upsert_row(
-                vw,
-                wide_tv.schema.column_names,
-                key,
-                values,
-                guard=f"NOT {refs_exist}",
+            statements.append(
+                upsert_row(
+                    vw,
+                    wide_tv.schema.column_names,
+                    key,
+                    values,
+                    guard=f"NOT {refs_exist}",
+                )
             )
         statements.append(
             f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, {key} FROM {put_s}"
@@ -1047,7 +1037,7 @@ class FkHandler(SmoHandler):
         )
         return statements
 
-    def write_statements(self, tv, op, *, apply_data=True):
+    def _write(self, tv, op, apply_data):
         wide_tv, s_tv, t_tv, *_ = self._parts()
         if tv is wide_tv:
             return self._wide_write(op, apply_data)
@@ -1451,18 +1441,20 @@ class CondHandler(SmoHandler):
             matched = f"EXISTS (SELECT 1 FROM {put_wide})"
             own_cols = tv.schema.column_names
             statements.append(delete_row(own_plus, key, guard=matched))
-            statements += upsert_row(
-                own_plus,
-                own_cols,
-                key,
-                [f"NEW.{q(c)}" for c in own_cols],
-                guard=f"NOT {matched}",
-                plain_table=True,
+            statements.append(
+                upsert_row(
+                    own_plus,
+                    own_cols,
+                    key,
+                    [f"NEW.{q(c)}" for c in own_cols],
+                    guard=f"NOT {matched}",
+                    plain_table=True,
+                )
             )
             statements += other_plus_recompute()
         return statements
 
-    def write_statements(self, tv, op, *, apply_data=True):
+    def _write(self, tv, op, apply_data):
         wide_tv, *_ = self._parts()
         if tv is wide_tv:
             return self._wide_write(op, apply_data)
