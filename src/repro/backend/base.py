@@ -21,9 +21,9 @@ open transaction (DDL is not transactional), and only then runs the
 hooks above — so delta code is regenerated exactly once and republished
 atomically to all sessions.
 
-Once DML flows through an attached backend, the engine's in-memory tables
-no longer track the data (they are a snapshot from attach time); reads and
-writes must go through backend sessions.
+An attached backend takes the rows: the engine's in-memory tables are
+emptied once the backend has committed its copy, and reads and writes must
+go through backend sessions.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ generated views, writes issued against any version's view propagate to the
 physical and auxiliary tables entirely inside SQLite via the trigger
 cascade, and ``MATERIALIZE`` runs as a generated in-place SQL migration
 (stage new physical tables from the old views, swap, regenerate).  The
-engine's in-memory tables remain a snapshot from attach time.
+rows are handed over, not copied: once the snapshot commits the engine's
+in-memory tables are emptied and the engine is catalog plus storage layout.
 
 Concurrency
 -----------
@@ -37,6 +38,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.backend import codegen, emit
@@ -317,20 +319,24 @@ class LiveSqliteBackend:
         catalog — all in one transaction."""
         from repro.persist.store import CatalogStore
 
-        self._begin()
-        try:
+        if self.engine.rows_handed_over:
+            raise CatalogError(
+                "this engine's rows live in the database it was attached to "
+                "(its in-memory tables were emptied then); reopen that file "
+                "with repro.open(path) instead of attaching the engine to a "
+                "new database"
+            )
+        with self._transaction():
             self._load_snapshot()
-            self.regenerate()
-            self._run(codegen.repair_all_statements(self.engine))
             if persist:
-                store = CatalogStore(self.connection)
-                store.save_snapshot(self.engine)
-                store.set_delta_meta(*self._delta_key())
-                self.store = store
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
+                self.store = CatalogStore(self.connection)
+                self.store.save_snapshot(self.engine)
+            self._install_delta_code()
+        # Hand the rows over.  The schemas stay: they are the storage
+        # layout the code generators read.
+        for table in self.engine.database.tables.values():
+            table.clear()
+        self.engine.rows_handed_over = True
 
     def _recover(
         self, *, repair: bool, force: bool, resume_backfill: bool | None = True
@@ -371,15 +377,8 @@ class LiveSqliteBackend:
         ):
             self.delta_reused = True
         else:
-            self._begin()
-            try:
-                self.regenerate()
-                self._run(codegen.repair_all_statements(self.engine))
-                store.set_delta_meta(*self._delta_key())
-                self.connection.commit()
-            except BaseException:
-                self._abort()
-                raise
+            with self._transaction():
+                self._install_delta_code()
         self._finish_backfill(resume_backfill)
         self.recovery_seconds = time.perf_counter() - recover_started
 
@@ -413,14 +412,9 @@ class LiveSqliteBackend:
         if resume is None and not stale:
             return
         if stale or not resume:
-            self._begin()
-            try:
+            with self._transaction():
                 self._run(online.rollback_statements(plan))
                 self.store.clear_backfill()
-                self.connection.commit()
-            except BaseException:
-                self._abort()
-                raise
             return
         move = online.OnlineMove(
             plan,
@@ -590,31 +584,47 @@ class LiveSqliteBackend:
         if self.connection.in_transaction:
             self.connection.execute("ROLLBACK")
 
+    @contextmanager
+    def _transaction(self, *, commit: bool = True):
+        """Run the block inside the administrative handle's transaction
+        (joining the open one, if any): roll back when it raises, commit
+        when it completes — unless ``commit=False`` leaves the transaction
+        open for a later scope to finish."""
+        self._begin()
+        try:
+            yield
+            if commit:
+                self.connection.commit()
+        except BaseException:
+            self._abort()
+            raise
+
+    def _install_delta_code(self) -> None:
+        """Regenerate the delta code for the catalog's current state, bring
+        the shared aux tables up to it, and stamp what was installed."""
+        self.regenerate()
+        self._run(codegen.repair_all_statements(self.engine))
+        if self.store is not None:
+            self.store.set_delta_meta(*self._delta_key())
+
     def _fault(self, point: str) -> None:
         if self.fault_injector is not None:
             self.fault_injector(point)
 
     def on_evolution(self, version: "SchemaVersion") -> None:
-        self._begin()
-        try:
+        with self._transaction():
             if self.store is not None:
                 self.store.record_evolution(self.engine, version)
                 self._fault("evolution:after-catalog")
             self._run(codegen.evolution_statements(self.engine, version))
-            self.regenerate()
-            self._run(codegen.repair_all_statements(self.engine))
-            if self.store is not None:
-                self.store.set_delta_meta(*self._delta_key())
+            self._install_delta_code()
             self._fault("evolution:before-commit")
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
         self._verify_after_transition("evolution")
 
     def on_materialize(self, schema: frozenset["SmoInstance"]) -> None:
-        self._begin()
-        try:
+        # Left open: the engine flips its materialization flags next, and
+        # after_materialize() finishes this same transaction.
+        with self._transaction(commit=False):
             # An online move arrives with its data tables already staged
             # by the backfill; the offline move stages everything here.
             staged = self._online_cutover() if self._online_move is not None else None
@@ -626,27 +636,18 @@ class LiveSqliteBackend:
             self.drop_generated()
             self._run(swap)
             self._fault("materialize:swapped")
-        except BaseException:
-            self._abort()
-            raise
 
     def after_materialize(self) -> None:
-        try:
-            self.regenerate()
-            self._run(codegen.repair_all_statements(self.engine))
+        with self._transaction():
+            self._install_delta_code()
             if self.store is not None:
                 self.store.record_materialize(self.engine)
-                self.store.set_delta_meta(*self._delta_key())
                 if self._online_move is not None:
                     # The journal, the cutover DDL, and the new catalog
                     # commit together: a crash before this commit leaves
                     # the backfill resumable, after it the move is done.
                     self.store.clear_backfill()
             self._fault("materialize:before-commit")
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
         self._online_move = None
         self._verify_after_transition("materialize")
 
@@ -669,8 +670,7 @@ class LiveSqliteBackend:
             chunk_rows=int(chunk_rows) if chunk_rows else online.DEFAULT_CHUNK_ROWS,
             cursors={table_move.stage: 0 for table_move in plan.trackable()},
         )
-        self._begin()
-        try:
+        with self._transaction():
             self._run(online.prepare_statements(plan))
             if self.store is not None:
                 self.store.write_backfill(
@@ -684,10 +684,6 @@ class LiveSqliteBackend:
                     )
                 )
             self._fault("materialize-online:prepared")
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
         self._online_move = move
         return move
 
@@ -813,8 +809,7 @@ class LiveSqliteBackend:
         return plan.staged_map()
 
     def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
-        self._begin()
-        try:
+        with self._transaction():
             cursor = self.connection.cursor()
             for smo in removed:
                 semantics = smo.semantics
@@ -844,10 +839,6 @@ class LiveSqliteBackend:
                 self.store.record_drop(self.engine, version_name)
                 self.store.set_delta_meta(*self._delta_key())
             self._fault("drop:before-commit")
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
         self._verify_after_transition("drop")
 
     def _verify_after_transition(self, kind: str) -> None:

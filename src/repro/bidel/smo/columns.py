@@ -55,8 +55,6 @@ def _column_rules(
     wide_terms = list(narrow_vars)
     wide_terms.insert(column_index, b)
 
-    compute = None
-
     def fn(*args):
         return function.evaluate(dict(zip(narrow_columns, args)))
 
@@ -84,7 +82,6 @@ def _column_rules(
         ),
         name=f"{name_prefix}.narrowing",
     )
-    del compute
     return widening, narrowing
 
 

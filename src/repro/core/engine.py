@@ -143,10 +143,14 @@ class InVerDa:
         # every evolution and migration.
         self._propagation_needs: dict[tuple[int, str], bool] = {}
         # Attached execution backends (e.g. the live SQLite backend). When
-        # one is attached it owns the data plane; the in-memory tables are
-        # a snapshot from attach time, but the catalog (and the *layout* of
-        # physical storage, which the code generators consult) stays live.
+        # one is attached it owns the data plane: it takes the rows and
+        # leaves the in-memory tables empty, while the catalog (and the
+        # *layout* of physical storage, which the code generators consult)
+        # stays live here.
         self._backends: list = []
+        # Set by a backend once it has taken the rows; such an engine can
+        # no longer seed another database.
+        self.rows_handed_over = False
         # Catalog read/write lock: concurrent sessions' statements take the
         # read side, catalog transitions (DDL) the write side.
         self.catalog_lock = RWLock()

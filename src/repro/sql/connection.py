@@ -493,17 +493,21 @@ class Cursor(BaseCursor):
         workload, error counters); spans are recorded only when tracing is
         on for this connection/engine or the statement arrived with a
         remote trace context."""
-        connection = self._check_open("execute")
+        return self._run_statement("execute", self._execute_inner, operation, parameters)
+
+    def _run_statement(self, name: str, inner, operation: str, argument) -> "Cursor":
+        """The wrapper every statement runs in: open check, result reset,
+        trace, timing, and the metrics/trace bookkeeping on both exits.
+        ``inner`` does the work and returns the statement kind."""
+        connection = self._check_open(name)
         self._install_result(StatementResult())
         self.trace = None
         self.cache_event = None
-        engine = connection.engine
         builder = connection._begin_statement_trace(operation)
         started = time.perf_counter()
         kind = "unknown"
         try:
-            kind = self._execute_inner(connection, engine, builder, operation,
-                                       parameters)
+            kind = inner(connection, connection.engine, builder, operation, argument)
         except BaseException:
             connection._finish_statement(self, operation, kind, started, builder,
                                          error=True)
@@ -511,14 +515,19 @@ class Cursor(BaseCursor):
         connection._finish_statement(self, operation, kind, started, builder)
         return self
 
+    def _plan(self, connection, builder, operation):
+        """Plan ``operation`` through the shared cache, noting how."""
+        with _span(builder, "plan"):
+            plan, cached = connection._plan_for(operation)
+        self.cache_event = (
+            "hit" if cached else ("miss" if connection._use_plan_cache else "off")
+        )
+        return plan
+
     def _execute_inner(self, connection, engine, builder, operation,
                        parameters) -> str:
         with engine.catalog_lock.read_locked():
-            with _span(builder, "plan"):
-                plan, cached = connection._plan_for(operation)
-            self.cache_event = (
-                "hit" if cached else ("miss" if connection._use_plan_cache else "off")
-            )
+            plan = self._plan(connection, builder, operation)
             if plan.kind == "explain":
                 with _translated_errors():
                     self._install_result(plan.run_explain(connection, operation))
@@ -572,34 +581,15 @@ class Cursor(BaseCursor):
         row by row inside one atomic scope. Either way, an error in the
         middle of the batch undoes the whole batch.
         """
-        connection = self._check_open("executemany")
-        self._install_result(StatementResult())
-        self.trace = None
-        self.cache_event = None
-        engine = connection.engine
-        seq_of_parameters = list(seq_of_parameters)
-        builder = connection._begin_statement_trace(operation)
-        started = time.perf_counter()
-        kind = "unknown"
-        try:
-            kind = self._executemany_inner(
-                connection, engine, builder, operation, seq_of_parameters
-            )
-        except BaseException:
-            connection._finish_statement(self, operation, kind, started, builder,
-                                         error=True)
-            raise
-        connection._finish_statement(self, operation, kind, started, builder)
-        return self
+        return self._run_statement(
+            "executemany", self._executemany_inner, operation, seq_of_parameters
+        )
 
     def _executemany_inner(self, connection, engine, builder, operation,
                            seq_of_parameters) -> str:
+        seq_of_parameters = list(seq_of_parameters)
         with engine.catalog_lock.read_locked():
-            with _span(builder, "plan"):
-                plan, cached = connection._plan_for(operation)
-            self.cache_event = (
-                "hit" if cached else ("miss" if connection._use_plan_cache else "off")
-            )
+            plan = self._plan(connection, builder, operation)
             if plan.kind in ("select", "ddl", "explain", "check"):
                 raise ProgrammingError("executemany() only accepts DML statements")
             if plan.kind == "insert":

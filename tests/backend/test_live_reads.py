@@ -13,11 +13,14 @@ from repro.testing import DualSystem
 
 def test_tasky_read_parity_every_version():
     scenario = build_tasky(30)
+    # Read before attaching: attach hands the engine's rows to SQLite.
+    expected = visible_state(scenario.engine)
+    assert any(expected.values())
     backend = LiveSqliteBackend.attach(scenario.engine)
     state = visible_state(scenario.engine, backend)
     # The engine's own reads agree with SQLite's generated views verbatim
     # (same identifiers: the backend was attached to this very engine).
-    for key, rows in visible_state(scenario.engine).items():
+    for key, rows in expected.items():
         assert state[key] == rows, key
 
 

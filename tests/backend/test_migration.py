@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.backend.compare import visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
@@ -73,3 +74,41 @@ def test_micro_chain_migrations(first, second):
     for schema in enumerate_valid_materializations(engine.genealogy):
         engine.apply_materialization(schema)
         assert visible_state(engine, backend) == before
+
+
+def test_attach_hands_the_rows_over(tmp_path):
+    """After attach the engine is catalog + storage layout: its in-memory
+    tables hold no rows — so no MATERIALIZE re-derives them — while every
+    version keeps serving all of them through the backend."""
+    rows = 5000
+    engine = repro.InVerDa()
+    engine.execute(
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Item(k INTEGER, grp INTEGER, note TEXT);"
+    )
+    conn = repro.connect(engine, "v1", autocommit=True)
+    conn.executemany(
+        "INSERT INTO Item(k, grp, note) VALUES (?, ?, ?)",
+        [(i, i % 7, f"n{i}") for i in range(rows)],
+    )
+    conn.close()
+    engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN dbl AS k * 2 INTO Item;")
+    engine.execute("CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN note IN Item TO memo;")
+    backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "items.db"))
+
+    def check(context: str) -> None:
+        held = {name: len(table) for name, table in engine.database.tables.items()}
+        assert held and not any(held.values()), f"{context}: engine memory holds {held}"
+        for version in ("v1", "v2", "v3"):
+            assert len(backend.select(version, "Item")) == rows, f"{context}: {version}"
+
+    try:
+        check("attached")
+        layout = set(engine.database.tables)
+        engine.execute("MATERIALIZE 'v3';")
+        check("offline move")
+        assert set(engine.database.tables) != layout
+        engine.execute("MATERIALIZE ONLINE 'v1';")
+        check("online move")
+        assert set(engine.database.tables) == layout
+    finally:
+        backend.close()

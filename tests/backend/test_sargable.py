@@ -7,7 +7,7 @@ of hops is a rowid seek, not a materialize-sort-deduplicate of the view.
     equals its nested plain-``UNION`` rendering as a sorted bag;
 (b) everything unproven keeps ``UNION``;
 (c) plan shape, read through ``EXPLAIN``;
-(d) the work it buys, in SQLite VM steps;
+(d) the work it buys, in SQLite VM steps and in statements run;
 (e) and that such a write, now cheap, does not pay for memory instead.
 
 (c) and (d) depend on the bundled SQLite's planner, so their failures
@@ -421,6 +421,33 @@ def test_update_four_hops_away_costs_at_most_four_times_local(chain):
     backward = _vm_steps(chain, "S0", "UPDATE Item SET note = ? WHERE k = ?", ("c", 28))
     assert forward <= 4 * local and backward <= 4 * local, (
         f"{SQLITE}: local {local}, forward {forward}, backward {backward} VM steps"
+    )
+
+
+def _cascade_statements(engine, version: str, sql: str, params: tuple) -> int:
+    """Statements SQLite traces for one UPDATE: itself plus every statement
+    of the trigger programs it fires.  The benchmark's
+    ``backend.trigger_invocations.*`` is this plus three on every pin
+    (BEGIN IMMEDIATE, the count query, ROLLBACK)."""
+    conn = repro.connect(engine, version, autocommit=True, backend="sqlite")
+    handle = conn._session.connection
+    traced: list[str] = []
+    handle.set_trace_callback(traced.append)
+    try:
+        assert conn.execute(sql, params).rowcount == 1
+    finally:
+        handle.set_trace_callback(None)
+        conn.close()
+    # Every statement of the cascade is traced under the outer text.
+    return sum(text.startswith("UPDATE") for text in traced)
+
+
+def test_update_four_hops_away_runs_one_upsert_per_hop(chain):
+    local = _cascade_statements(chain, "S4", "UPDATE Even SET memo = ? WHERE k = ?", ("d", 28))
+    forward = _cascade_statements(chain, "S8", "UPDATE Lo SET remark = ? WHERE k = ?", ("e", 28))
+    backward = _cascade_statements(chain, "S0", "UPDATE Item SET note = ? WHERE k = ?", ("f", 28))
+    assert local + 3 == 7 and forward + 3 <= 32 and backward + 3 <= 20, (
+        f"{SQLITE}: local {local}, forward {forward}, backward {backward} statements"
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.backend import codegen
+from repro.backend import codegen, emit, handlers
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.errors import CatalogCorruptError, CatalogError
 from repro.workloads.tasky import build_tasky
@@ -16,6 +16,24 @@ CREATE TABLE R(a INTEGER, b TEXT);
 CREATE SCHEMA VERSION v2 FROM v1 WITH
 ADD COLUMN c AS a * 2 INTO R;
 """
+
+
+def stamp_2_upsert_row(target, columns, key_sql, value_sqls, *, guard=None, plain_table=False):
+    """``emit.upsert_row`` as emission stamp 2 rendered a view target: an
+    UPDATE of the row, then an insert-if-absent."""
+    if plain_table:
+        return emit.upsert_row(
+            target, columns, key_sql, value_sqls, guard=guard, plain_table=True
+        )
+    sets = ", ".join(f"{emit.q(c)} = {v}" for c, v in zip(columns, value_sqls))
+    collist = ", ".join(["p", *emit.qcols(columns)])
+    values = ", ".join([key_sql, *value_sqls])
+    guard_sql = f" AND ({guard})" if guard is not None else ""
+    return (
+        f"UPDATE {target} SET {sets} WHERE p IS {key_sql}{guard_sql};\n  "
+        f"INSERT INTO {target} ({collist}) SELECT {values} "
+        f"WHERE NOT EXISTS (SELECT 1 FROM {target} WHERE p IS {key_sql}){guard_sql}"
+    )
 
 
 def build_tasky_file(path: str):
@@ -176,17 +194,36 @@ class TestDeltaCodeReuse:
         finally:
             engine.live_backend.close()
 
-    def test_file_written_by_an_older_emitter_regenerates_once(self, tmp_path):
+    @pytest.mark.parametrize("older", ["unstamped", "stamp-2"])
+    def test_file_written_by_an_older_emitter_regenerates_once(
+        self, tmp_path, monkeypatch, older
+    ):
         """Delta code is reused only when this library's emitter wrote
         it: a file without the emission stamp, still holding the plain
-        UNION views, is regenerated on open — once."""
+        UNION views — or one stamped 2, whose triggers upsert a view in
+        two statements — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
 
         path = str(tmp_path / "orders.db")
-        backend = LiveSqliteBackend.attach(build_orders(2, 8, 2).engine, database=path)
-        backend.close()
+        two_statement = "WHERE NOT EXISTS (SELECT 1 FROM v"
+        with monkeypatch.context() as patch:
+            if older == "stamp-2":
+                patch.setattr(handlers, "upsert_row", stamp_2_upsert_row)
+                patch.setattr(codegen, "EMISSION_STAMP", 2)
+            backend = LiveSqliteBackend.attach(
+                build_orders(2, 8, 2).engine, database=path
+            )
+            backend.close()
+
+        def trigger_script(connection):
+            return "\n".join(
+                sql
+                for (sql,) in connection.execute(
+                    "SELECT sql FROM sqlite_master WHERE type = 'trigger'"
+                )
+            )
 
         def contents(connection):
             return {
@@ -203,7 +240,9 @@ class TestDeltaCodeReuse:
             "AND sql LIKE '%UNION ALL%'"
         ).fetchall()
         assert compounds
-        for name, sql in compounds:
+        if older == "stamp-2":
+            assert two_statement in trigger_script(handle)
+        for name, sql in compounds if older == "unstamped" else ():
             # Dropping a view drops its INSTEAD OF triggers with it.
             triggers = handle.execute(
                 "SELECT sql FROM sqlite_master WHERE type = 'trigger' AND tbl_name = ?",
@@ -213,7 +252,8 @@ class TestDeltaCodeReuse:
             handle.execute(sql.replace("\nUNION ALL\n", "\nUNION\n"))
             for (trigger,) in triggers:
                 handle.execute(trigger)
-        handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
+        if older == "unstamped":
+            handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
         handle.commit()
         assert contents(handle) == before
         handle.close()
@@ -227,6 +267,7 @@ class TestDeltaCodeReuse:
             ).fetchall())
             for name, _sql in compounds:
                 assert "\nUNION ALL\n" in installed[name]
+            assert two_statement not in trigger_script(backend.connection)
             assert contents(backend.connection) == before
             assert backend.store.load().delta_emission == codegen.EMISSION_STAMP
         finally:
@@ -252,6 +293,31 @@ class TestDeltaCodeReuse:
             conn.close()
         finally:
             again.close()
+
+    def test_attached_engine_cannot_seed_another_database(self, tmp_path):
+        """The rows went to the first database; attaching the engine to a
+        fresh one used to serve the pre-attach snapshot, silently losing
+        every write since."""
+        first, second = str(tmp_path / "first.db"), str(tmp_path / "second.db")
+        engine = repro.InVerDa()
+        engine.execute(SCRIPT)
+        conn = repro.connect(engine, "v1", autocommit=True)
+        conn.execute("INSERT INTO R(a, b) VALUES (1, 'before')")
+        conn.close()
+        backend = LiveSqliteBackend.attach(engine, database=first)
+        conn = repro.connect(engine, "v1", autocommit=True, backend=backend)
+        conn.execute("INSERT INTO R(a, b) VALUES (2, 'after')")
+        conn.close()
+        backend.close()
+        with pytest.raises(CatalogError, match=r"repro\.open"):
+            LiveSqliteBackend.attach(engine, database=second)
+        reopened = repro.open(first)
+        try:
+            conn = repro.connect(reopened, "v2")
+            assert conn.execute("SELECT a FROM R ORDER BY a").fetchall() == [(1,), (2,)]
+            conn.close()
+        finally:
+            reopened.live_backend.close()
 
     def test_reattach_different_catalog_refused(self, tmp_path):
         path = str(tmp_path / "tasky.db")

@@ -66,6 +66,15 @@ class TestGeneratedScripts:
         assert measure_code(scripts.bidel_migration).lines == 1
 
 
+def engine_rows(engine, version, table):
+    """The memory engine's keyed extent.  Attach hands the rows to SQLite,
+    so the reference is always read *before* attaching."""
+    return {
+        key: tuple(row.values())
+        for key, row in engine.connect(version).select_keyed(table).items()
+    }
+
+
 class TestSqliteParity:
     """The generated views return exactly the engine's rows on SQLite."""
 
@@ -73,15 +82,13 @@ class TestSqliteParity:
         "version,table",
         [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task"), ("TasKy2", "Author")],
     )
-    def test_initial_materialization(self, scenario, version, table):
-        backend = LiveSqliteBackend.attach(scenario.engine)
+    def test_initial_materialization(self, version, table):
+        engine = build_paper_tasky().engine
+        expected = engine_rows(engine, version, table)
+        backend = LiveSqliteBackend.attach(engine)
         try:
             sqlite_rows = backend.select_keyed(version, table)
-            engine_rows = {
-                key: tuple(row.values())
-                for key, row in scenario.engine.connect(version).select_keyed(table).items()
-            }
-            assert sqlite_rows == engine_rows
+            assert sqlite_rows == expected
         finally:
             backend.close()
 
@@ -89,17 +96,18 @@ class TestSqliteParity:
     def test_other_materializations(self, materialize):
         scenario = build_paper_tasky()
         scenario.materialize(materialize)
+        tables = [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]
+        expected = {
+            (version, table): engine_rows(scenario.engine, version, table)
+            for version, table in tables
+        }
         backend = LiveSqliteBackend.attach(scenario.engine)
         try:
-            for version, table in [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]:
+            for version, table in tables:
                 sqlite_rows = backend.select_keyed(version, table)
-                engine_rows = {
-                    key: tuple(row.values())
-                    for key, row in scenario.engine.connect(version)
-                    .select_keyed(table)
-                    .items()
-                }
-                assert sqlite_rows == engine_rows, f"{version}.{table} under {materialize}"
+                assert sqlite_rows == expected[version, table], (
+                    f"{version}.{table} under {materialize}"
+                )
         finally:
             backend.close()
 
@@ -107,14 +115,11 @@ class TestSqliteParity:
         from repro.workloads.micro import build_two_smo_scenario
 
         engine = build_two_smo_scenario("split", "add_column", rows=60)
+        expected = engine_rows(engine, "v3", "R")
         backend = LiveSqliteBackend.attach(engine)
         try:
             sqlite_rows = backend.select_keyed("v3", "R")
-            engine_rows = {
-                key: tuple(row.values())
-                for key, row in engine.connect("v3").select_keyed("R").items()
-            }
-            assert sqlite_rows == engine_rows
+            assert sqlite_rows == expected
         finally:
             backend.close()
 
