@@ -188,12 +188,16 @@ class SmoHandler:
         ``apply_data=False`` restricts the program to shared-aux (ID)
         maintenance — the off-route case."""
         if op not in WRITE_OPS:
-            raise BackendError(f"no write program for {op!r}; expected one of {WRITE_OPS}")
+            raise BackendError(
+                f"no write program for {op!r}; expected one of {WRITE_OPS}"
+            )
         if not apply_data and not has_shared_aux(self.smo):
             return []
         return self._write(tv, op, apply_data)
 
     def _write(self, tv: TableVersion, op: str, apply_data: bool) -> list[str]:
+        """The program behind :meth:`write_statements`.  ``apply_data`` is
+        only ever ``False`` for an SMO with shared aux tables."""
         raise NotImplementedError
 
     def repair_statements(self) -> list[str]:
