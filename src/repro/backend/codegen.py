@@ -18,7 +18,10 @@ plus the in-place SQL migration script implementing ``MATERIALIZE``.
 
 from __future__ import annotations
 
+import re
+
 from repro.backend import emit
+from repro.backend.compose import ViewComposer
 from repro.backend.emit import q, qcols, table_ddl
 from repro.backend.handlers import (
     HandlerContext,
@@ -37,7 +40,8 @@ from repro.util.naming import physical_name
 #: serving the old text until the next transition.
 #: 2 = key-disjoint compounds are joined by UNION ALL.
 #: 3 = a view upsert is one INSERT; INSERT and UPDATE triggers share a body.
-EMISSION_STAMP = 3
+#: 4 = FROM aliases are numbered per view, not across the whole script.
+EMISSION_STAMP = 4
 
 #: First statement of every UPDATE trigger; what follows is the INSERT
 #: trigger's body verbatim.
@@ -143,30 +147,57 @@ def scaffold_statements(engine) -> list[str]:
     return statements
 
 
-def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, list | None]]:
-    """``(view name, SELECT body, composed branches)`` per active table
-    version, in dependency order.
+class Renderer:
+    """Renders the delta code one table version at a time and keeps what
+    it rendered.
 
-    The rule-rendered SELECTs are algebraically composed along the SMO
-    chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
-    chain depth N is served by one shallow query instead of an N-deep view
-    sandwich; SMOs the composer cannot flatten (the hand-written FK/COND
-    views, over-budget unions) keep their nested view references.  The
-    branches are ``None`` where the body is not the composer's (those
-    hand-written views, and everything under ``flatten=False``).
+    :func:`view_definitions` and :func:`trigger_statements` accept a
+    ``Renderer`` in place of the engine; the table versions it has already
+    rendered are then served from its memo, which is what makes a catalog
+    transition cost what it changes (the live backend keeps one between
+    transitions).  Handed the engine itself they render everything afresh
+    — the memo-less reference.
 
-    ``flatten=False`` renders every view in that nested one-view-per-hop
-    form, always on plain ``UNION``.  The backend never installs it; it is
-    the reference basis of the verifier's RPC106 and the third leg of the
-    test suite's memory / composed / nested oracle — which makes that
-    oracle the bag-vs-set check of the composed ``UNION ALL`` emission."""
-    from repro.backend.compose import ViewComposer
+    The memo is sound between two MATERIALIZEs only: a surviving table
+    version's view reads nothing but its route to the physical tables
+    (:func:`route_for` — materialization flags plus the physical table
+    set), which evolve and drop never change for survivors; its triggers
+    additionally read :func:`_off_route_shared`, so they are remembered
+    under those SMOs' uids.  A MATERIALIZE moves the routes — the holder
+    must start a new ``Renderer`` then.
+    """
 
-    ctx = HandlerContext(engine)
-    composer = ViewComposer() if flatten else None
-    definitions = []
-    for tv in active_table_versions(engine):
-        route = route_for(engine, tv)
+    def __init__(self, engine, *, flatten: bool = True):
+        self.engine = engine
+        self.ctx = HandlerContext(engine)
+        self.composer = ViewComposer() if flatten else None
+        self._views: dict[int, tuple[str, str, list | None]] = {}
+        self._triggers: dict[int, tuple[tuple, list[str]]] = {}
+
+    def active(self) -> list[TableVersion]:
+        """:func:`active_table_versions`, after forgetting every table
+        version that left that set."""
+        tvs = active_table_versions(self.engine)
+        alive = {tv.uid for tv in tvs}
+        for uid in self._views.keys() - alive:
+            name, _select, _flat = self._views.pop(uid)
+            if self.composer is not None:
+                self.composer.forget(name)
+        for uid in self._triggers.keys() - alive:
+            del self._triggers[uid]
+        return tvs
+
+    def view(self, tv: TableVersion) -> tuple[str, str, list | None]:
+        """``(view name, SELECT body, composed branches)`` of ``tv``; every
+        view it reads must have been rendered before it."""
+        definition = self._views.get(tv.uid)
+        if definition is None:
+            definition = self._views[tv.uid] = self._render_view(tv)
+        return definition
+
+    def _render_view(self, tv: TableVersion) -> tuple[str, str, list | None]:
+        composer = self.composer
+        route = route_for(self.engine, tv)
         flat = None
         if route is None:
             columns = ", ".join(["p", *qcols(tv.schema.column_names)])
@@ -175,38 +206,33 @@ def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, li
                 flat = composer.register_physical(
                     tv.view_name, tv.data_table_name, tv.schema.column_names
                 )
-        else:
-            handler = handler_for(ctx, route[0])
-            select = handler.view_select(tv)
-            if composer is not None:
-                flat = composer.register(tv.view_name, handler.view_branches(tv))
-                if flat is not None:
-                    select = composer.sql(flat)
-        definitions.append((tv.view_name, select, flat))
-    return definitions
+            return tv.view_name, select, flat
+        handler = handler_for(self.ctx, route[0])
+        if composer is not None:
+            flat = composer.register(tv.view_name, handler.view_branches(tv))
+        # The handler's own (nested) body only where the composer yields
+        # none: rendering it costs as much as the branches did.
+        select = composer.sql(flat) if flat is not None else handler.view_select(tv)
+        return tv.view_name, select, flat
 
+    def triggers(self, tv: TableVersion) -> list[str]:
+        """The ``INSTEAD OF`` trigger triple of ``tv``.
 
-def view_statements(engine, *, flatten: bool = True) -> list[str]:
-    """One ``CREATE VIEW`` per active table version (see
-    :func:`view_definitions`)."""
-    return [
-        emit.create_view(name, select)
-        for name, select, _branches in view_definitions(engine, flatten=flatten)
-    ]
-
-
-def trigger_statements(engine) -> list[str]:
-    """The ``INSTEAD OF`` trigger triple of every active table version.
-
-    A table version has two write programs, upsert and delete.  The upsert
-    program is rendered once and installed under the INSERT trigger and —
-    behind the ``p``-immutability check — under the UPDATE trigger."""
-    ctx = HandlerContext(engine)
-    statements = []
-    for tv in active_table_versions(engine):
-        route = route_for(engine, tv)
+        A table version has two write programs, upsert and delete.  The
+        upsert program is rendered once and installed under the INSERT
+        trigger and — behind the ``p``-immutability check — under the
+        UPDATE trigger."""
+        route = route_for(self.engine, tv)
         route_smo = route[0] if route is not None else None
         adjacent_shared, deep = _off_route_shared(tv, route_smo)
+        key = (
+            tuple(smo.uid for smo in adjacent_shared),
+            tuple(smo.uid for smo in deep),
+        )
+        remembered = self._triggers.get(tv.uid)
+        if remembered is not None and remembered[0] == key:
+            return remembered[1]
+        ctx = self.ctx
 
         def program(op: str) -> list[str]:
             body: list[str] = []
@@ -228,17 +254,68 @@ def trigger_statements(engine) -> list[str]:
             return body
 
         upsert = program("UPSERT")
-        for operation, body in (
-            ("INSERT", upsert),
-            ("UPDATE", [IMMUTABLE_KEY_CHECK, *upsert]),
-            ("DELETE", program("DELETE")),
-        ):
-            statements.append(
-                emit.create_trigger(
-                    tv.trigger_name(operation), operation, tv.view_name, body
-                )
+        statements = [
+            emit.create_trigger(
+                tv.trigger_name(operation), operation, tv.view_name, body
             )
-    return statements
+            for operation, body in (
+                ("INSERT", upsert),
+                ("UPDATE", [IMMUTABLE_KEY_CHECK, *upsert]),
+                ("DELETE", program("DELETE")),
+            )
+        ]
+        self._triggers[tv.uid] = (key, statements)
+        return statements
+
+
+def _renderer(engine, *, flatten: bool = True) -> Renderer:
+    if isinstance(engine, Renderer):
+        if flatten:
+            return engine
+        engine = engine.engine
+    return Renderer(engine, flatten=flatten)
+
+
+def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, list | None]]:
+    """``(view name, SELECT body, composed branches)`` per active table
+    version, in dependency order.  ``engine`` may be a :class:`Renderer`.
+
+    The rule-rendered SELECTs are algebraically composed along the SMO
+    chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
+    chain depth N is served by one shallow query instead of an N-deep view
+    sandwich; SMOs the composer cannot flatten (the hand-written FK/COND
+    views, over-budget unions) keep their nested view references.  The
+    branches are ``None`` where the body is not the composer's (those
+    hand-written views, and everything under ``flatten=False``).
+
+    ``flatten=False`` renders every view in that nested one-view-per-hop
+    form, always on plain ``UNION``.  The backend never installs it; it is
+    the reference basis of the verifier's RPC106 and the third leg of the
+    test suite's memory / composed / nested oracle — which makes that
+    oracle the bag-vs-set check of the composed ``UNION ALL`` emission."""
+    renderer = _renderer(engine, flatten=flatten)
+    return [renderer.view(tv) for tv in renderer.active()]
+
+
+def view_statements(engine, *, flatten: bool = True) -> list[str]:
+    """One ``CREATE VIEW`` per active table version (see
+    :func:`view_definitions`)."""
+    return [
+        emit.create_view(name, select)
+        for name, select, _branches in view_definitions(engine, flatten=flatten)
+    ]
+
+
+def trigger_statements(engine) -> list[str]:
+    """The ``INSTEAD OF`` trigger triple of every active table version
+    (see :meth:`Renderer.triggers`).  ``engine`` may be a
+    :class:`Renderer`."""
+    renderer = _renderer(engine)
+    return [
+        statement
+        for tv in renderer.active()
+        for statement in renderer.triggers(tv)
+    ]
 
 
 def _physical_write(tv: TableVersion, op: str) -> str:
@@ -261,23 +338,50 @@ def repair_all_statements(engine) -> list[str]:
     return statements
 
 
+#: The names :attr:`TableVersion.view_name` / :meth:`TableVersion
+#: .trigger_name` produce — and nothing else a database may hold, such as
+#: a user's own ``vendor_report`` view.
+_GENERATED_NAME = {
+    "view": re.compile(r"v\d+__.*", re.DOTALL),
+    "trigger": re.compile(r"tg__\d+__.*", re.DOTALL),
+}
+
+_CREATED_NAME = re.compile(r'CREATE (?:VIEW|TRIGGER) (?:"((?:[^"]|"")+)"|(\w+))')
+
+
+def installed_objects(connection) -> dict[str, tuple[str, str, str]]:
+    """``{name: (type, CREATE text, view it belongs to)}`` of the views and
+    triggers this package generated, as ``sqlite_master`` holds them — the
+    one place both the full drop and the install-by-diff learn what is
+    installed."""
+    return {
+        name: (kind, sql, on)
+        for kind, name, on, sql in connection.execute(
+            "SELECT type, name, tbl_name, sql FROM sqlite_master "
+            "WHERE type IN ('view', 'trigger')"
+        )
+        if _GENERATED_NAME[kind].fullmatch(name)
+    }
+
+
 def generated_object_names(connection) -> tuple[list[str], list[str]]:
     """(views, triggers) previously generated by this package, as recorded
     in ``sqlite_master``."""
-    views = [
-        row[0]
-        for row in connection.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'view' AND name LIKE 'v%'"
-        )
-    ]
-    triggers = [
-        row[0]
-        for row in connection.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'trigger' "
-            "AND name LIKE 'tg__%'"
-        )
-    ]
-    return views, triggers
+    installed = installed_objects(connection)
+    return (
+        [name for name, (kind, _sql, _on) in installed.items() if kind == "view"],
+        [name for name, (kind, _sql, _on) in installed.items() if kind == "trigger"],
+    )
+
+
+def created_name(statement: str) -> str | None:
+    """The object a ``CREATE VIEW`` / ``CREATE TRIGGER`` statement of
+    :mod:`~repro.backend.emit` names, or ``None`` for any other text."""
+    match = _CREATED_NAME.match(statement)
+    if match is None:
+        return None
+    quoted, bare = match.groups()
+    return bare if quoted is None else quoted.replace('""', '"')
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ _SIMPLE_EXPR = re.compile(r'^[A-Za-z_]\w*\.(?:"[^"]+"|[A-Za-z_]\w*|p)$')
 _LITERAL_EXPR = re.compile(r"^(?:NULL|\d+|'[^']*')$")
 
 
+#: An ``f<N>`` alias as a whole token — its declaration (``table f3``) or
+#: its use as a qualifier (``f3.``) inside an EXISTS body the merger wrote.
+_EMBEDDED_ALIAS = r"(?<![\w.\"])(?P<embedded>f\d+)(?![\w\"])"
+
+
+def _outside_literals(text: str, rewrite) -> str:
+    """Apply ``rewrite`` to the parts of ``text`` outside single-quoted
+    string literals (``''`` for an escaped quote toggles twice, so the
+    parity of the split survives it)."""
+    segments = text.split("'")
+    segments[::2] = [rewrite(segment) for segment in segments[::2]]
+    return "'".join(segments)
+
+
 def _wrap(expr: str) -> str:
     """Parenthesize a select expression unless it is an atomic reference
     or literal (so substitution into an outer expression cannot change
@@ -82,6 +96,9 @@ class ViewComposer:
         #: compounds emitted as UNION): a kept reference to one voids the
         #: referencing branch's key preservation.
         self._unproven: set[str] = set()
+        #: Alias numbers restart with every registered view, so a view's
+        #: text is a function of its own inputs alone — not of how many
+        #: aliases the views registered before it consumed.
         self._fresh = itertools.count()
 
     # ------------------------------------------------------------------
@@ -93,6 +110,7 @@ class ViewComposer:
     ) -> list[ViewBranch]:
         """A physical table version's pass-through view: composing through
         it reaches the data table directly."""
+        self._fresh = itertools.count()
         alias = self._alias()
         head = tuple(
             (column, f"{alias}.{quote_identifier(column)}")
@@ -120,6 +138,7 @@ class ViewComposer:
         if branches is None:
             self._unproven.add(view_name)
             return None
+        self._fresh = itertools.count()
         composed: list[ViewBranch] = []
         for branch in branches:
             composed.extend(self._compose_branch(self._refresh(branch)))
@@ -133,6 +152,12 @@ class ViewComposer:
         keyword = "UNION ALL" if key_disjoint(branches) else "UNION"
         return f"\n{keyword}\n".join(branch.sql() for branch in branches)
 
+    def forget(self, view_name: str) -> None:
+        """Drop a view that left the catalog; nothing registered later may
+        compose against it."""
+        self._flat.pop(view_name, None)
+        self._unproven.discard(view_name)
+
     # ------------------------------------------------------------------
     # Alias hygiene
     # ------------------------------------------------------------------
@@ -141,20 +166,36 @@ class ViewComposer:
         return f"f{next(self._fresh)}"
 
     def _refresh(self, branch: ViewBranch) -> ViewBranch:
-        """Rename every FROM alias to a globally fresh name (rewriting all
-        references in head expressions and WHERE conjuncts), so merged
-        branch bodies can never collide."""
+        """Rename every alias of ``branch`` to the next free names of the
+        view being registered — its FROM aliases and the ``f<N>`` aliases
+        an earlier EXISTS-merge folded into its predicate text — so merged
+        branch bodies can never collide.  An inlined child arrives
+        numbered in its own view's range, which overlaps the new names:
+        the renaming is one simultaneous pass (string literals untouched),
+        never a chain of substitutions."""
         mapping = {alias: self._alias() for alias, _table in branch.froms}
+        qualifiers = "|".join(
+            re.escape(alias) for alias in sorted(mapping, key=len, reverse=True)
+        )
+        pattern = re.compile(
+            rf"(?<![\w\"])(?P<qualifier>{qualifiers or '(?!)'})\.|{_EMBEDDED_ALIAS}"
+        )
+
+        def rename(match: re.Match) -> str:
+            if match.group("qualifier") is not None:
+                return mapping[match.group("qualifier")] + "."
+            alias = match.group("embedded")
+            if alias not in mapping:
+                mapping[alias] = self._alias()
+            return mapping[alias]
 
         def rewrite(text: str) -> str:
-            for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
-                text = re.sub(alias_pattern(old), f"{new}.", text)
-            return text
+            return _outside_literals(text, lambda part: pattern.sub(rename, part))
 
         return replace(
             branch,
-            head=tuple((column, rewrite(expr)) for column, expr in branch.head),
             froms=tuple((mapping[alias], table) for alias, table in branch.froms),
+            head=tuple((column, rewrite(expr)) for column, expr in branch.head),
             where=tuple(rewrite(cond) for cond in branch.where),
         )
 
@@ -286,22 +327,17 @@ class ViewComposer:
                 seen[alias] = f"c{len(seen)}"
             return seen[alias]
 
-        # Even-indexed segments are outside single-quoted literals ('' for
-        # an escaped quote toggles twice, preserving the parity).
-        segments = text.split("'")
-        for index in range(0, len(segments), 2):
-            segments[index] = self._ALIAS_TOKEN.sub(rename, segments[index])
-        return "'".join(segments)
+        return _outside_literals(
+            text, lambda part: self._ALIAS_TOKEN.sub(rename, part)
+        )
 
-    def _is_tautology(
-        self, predicates: list[str], scanned: list[tuple[str, str]]
-    ) -> bool:
+    def _is_tautology(self, predicates: list[str], fixed: dict[str, str]) -> bool:
         """True when the disjunction is provably always true: some branch
         predicate is empty, or two branches are complementary EXISTS / NOT
         EXISTS probes of the same subquery correlated against the same
         outer entries (the shape projection-merged ADD/DROP COLUMN unions
-        collapse to)."""
-        fixed = {alias: f"o{i}" for i, (alias, _table) in enumerate(scanned)}
+        collapse to).  ``fixed`` pins the group's scanned aliases (see
+        :meth:`_canonical`)."""
         canon = [self._canonical(p, fixed) for p in predicates]
         if any(p == "1" for p in canon):
             return True
@@ -372,17 +408,23 @@ class ViewComposer:
             if len(sources) == 1:
                 out.append(sources[0])
                 continue
-            # Factor conjuncts common to every member out of the OR.
-            common = [c for c in members[0] if all(c in m for m in members[1:])]
+            # Factor conjuncts common to every member out of the OR.  The
+            # same child predicate inlined into two members differs in the
+            # spelling of its EXISTS aliases, so compare canonical forms.
+            fixed = {alias: f"o{i}" for i, (alias, _table) in enumerate(scanned)}
+            keys = [[self._canonical(c, fixed) for c in member] for member in members]
+            shared = set(keys[0]).intersection(*keys[1:])
+            common = [c for c, key in zip(members[0], keys[0]) if key in shared]
             residuals = [
-                [c for c in member if c not in common] for member in members
+                [c for c, key in zip(member, member_keys) if key not in shared]
+                for member, member_keys in zip(members, keys)
             ]
             predicates = [
                 " AND ".join(residual) if residual else "1"
                 for residual in residuals
             ]
             where = list(common)
-            if not self._is_tautology(predicates, scanned):
+            if not self._is_tautology(predicates, fixed):
                 where.append("((" + ") OR (".join(predicates) + "))")
             out.append(
                 ViewBranch(

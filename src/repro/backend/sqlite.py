@@ -218,6 +218,19 @@ class LiveSqliteBackend:
         #: in the metrics and ``engine.last_check``; error-severity ones
         #: raise CatalogError.
         self.verify_transitions = False
+        # What the delta code of each table version reads is fixed between
+        # two MATERIALIZEs, so its rendered text is kept across evolve and
+        # drop; what is *installed* is never remembered — regenerate()
+        # reads it from sqlite_master every time.
+        self._renderer = codegen.Renderer(engine)
+        #: Generated objects the last regenerate() created / dropped /
+        #: left in place; ``None`` until one has run.
+        self.last_install: dict | None = None
+        self._delta_objects = engine.metrics.counter(
+            "repro_delta_objects_total",
+            "Generated views and triggers touched by delta-code installs.",
+            ("action",),
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -371,6 +384,8 @@ class LiveSqliteBackend:
             state = recover(self.engine, self.connection, repair=repair, force=force)
         self.store = store
         self.recovered = True
+        # A recovered engine never held the rows: the file does.
+        self.engine.rows_handed_over = True
         if (
             (state.delta_generation, state.delta_emission) == self._delta_key()
             and self._delta_installed()
@@ -439,21 +454,20 @@ class LiveSqliteBackend:
         return self.engine.catalog_generation, codegen.EMISSION_STAMP
 
     def _delta_installed(self) -> bool:
-        """Does the database hold a view for every active table version?
-        Guards delta-code reuse against files whose generated objects were
-        stripped (e.g. by a vacuum-into or a manual cleanup)."""
-        installed = {
-            row[0]
-            for row in self.connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'view'"
+        """Does the database hold the view and the trigger triple of every
+        active table version?  Guards delta-code reuse against files whose
+        generated objects were stripped (e.g. by a vacuum-into or a manual
+        cleanup); the install that follows creates exactly the missing
+        ones."""
+        installed = codegen.installed_objects(self.connection)
+        return all(
+            name in installed
+            for tv in codegen.active_table_versions(self.engine)
+            for name in (
+                tv.view_name,
+                *(tv.trigger_name(op) for op in ("INSERT", "UPDATE", "DELETE")),
             )
-        }
-        expected = {
-            tv.view_name
-            for version in self.engine.genealogy.active_versions()
-            for tv in version.tables.values()
-        }
-        return expected <= installed
+        )
 
     def _load_snapshot(self) -> None:
         cursor = self.connection.cursor()
@@ -523,47 +537,92 @@ class LiveSqliteBackend:
                     f"generated SQL failed: {exc}\n--- statement ---\n{statement}"
                 ) from exc
 
-    def drop_generated(self) -> None:
-        views, triggers = codegen.generated_object_names(self.connection)
+    def _drop(self, installed: dict, names) -> None:
+        """Drop the generated objects ``names`` — triggers first: a
+        ``DROP VIEW`` would take its triggers along unseen."""
         cursor = self.connection.cursor()
-        for trigger in triggers:
-            cursor.execute(f"DROP TRIGGER IF EXISTS {q(trigger)}")
-        for view in views:
-            cursor.execute(f"DROP VIEW IF EXISTS {q(view)}")
+        for kind in ("trigger", "view"):
+            for name in names:
+                if installed[name][0] == kind:
+                    cursor.execute(f"DROP {kind.upper()} IF EXISTS {q(name)}")
+
+    def drop_generated(self) -> None:
+        """Drop every generated view and trigger ahead of a MATERIALIZE
+        swap, and forget the rendered text: the move changes the routes it
+        was rendered for."""
+        installed = codegen.installed_objects(self.connection)
+        self._drop(installed, installed)
+        self._delta_objects.inc(len(installed), action="dropped")
+        self._renderer = codegen.Renderer(self.engine)
 
     def regenerate(self) -> None:
-        """(Re)install scaffolding, views, and trigger programs for the
-        catalog's current state — atomically.
+        """Bring scaffolding, views, and trigger programs to the catalog's
+        current state — atomically, touching only what differs.
 
-        The drop + reinstall runs under a savepoint: a mid-install failure
-        (a :class:`BackendError` from any generated statement) rolls the
+        The wanted ``CREATE`` text of every generated object is compared
+        with what ``sqlite_master`` holds: objects the catalog no longer
+        renders, or renders differently, are dropped (a trigger also when
+        its view is), and only the missing ones are created.  A first
+        install is the same diff against a database that holds none.
+
+        It all runs under a savepoint: a mid-install failure (a
+        :class:`BackendError` from any generated statement) rolls the
         database back to the previous, complete delta code instead of
         leaving half-installed views serving wrong answers.
         """
         cursor = self.connection.cursor()
         cursor.execute("SAVEPOINT repro_regenerate")
         try:
-            self.drop_generated()
+            wanted = {
+                codegen.created_name(statement) or statement: statement
+                for statement in (
+                    *self._view_statements(),
+                    *codegen.trigger_statements(self._renderer),
+                )
+            }
+            installed = codegen.installed_objects(self.connection)
+            stale = {
+                name
+                for name, (_kind, sql, _view) in installed.items()
+                if wanted.get(name) != sql
+            }
+            stale.update(
+                name
+                for name, (kind, _sql, view) in installed.items()
+                if kind == "trigger" and view in stale
+            )
+            self._drop(installed, stale)
             self._run(codegen.scaffold_statements(self.engine))
-            self._run(self._view_statements())
-            self._run(codegen.trigger_statements(self.engine))
+            missing = [
+                statement
+                for name, statement in wanted.items()
+                if name not in installed or name in stale
+            ]
+            self._run(missing)
         except BaseException:
             cursor.execute("ROLLBACK TO repro_regenerate")
             cursor.execute("RELEASE repro_regenerate")
             raise
         cursor.execute("RELEASE repro_regenerate")
+        self.last_install = {
+            "created": len(missing),
+            "dropped": len(stale),
+            "kept": len(installed) - len(stale),
+        }
+        for action, count in self.last_install.items():
+            self._delta_objects.inc(count, action=action)
 
     def _view_statements(self) -> list[str]:
         """The view emission :meth:`regenerate` installs.  The product has
         one — the composed emission; the test suite's nested-emission
         backend overrides exactly this method to keep the three-way
         memory / composed / nested oracle running."""
-        return codegen.view_statements(self.engine)
+        return codegen.view_statements(self._renderer)
 
     def generated_sql(self) -> str:
         """The full delta-code script (for inspection and code metrics)."""
         return ";\n".join(
-            self._view_statements() + codegen.trigger_statements(self.engine)
+            self._view_statements() + codegen.trigger_statements(self._renderer)
         )
 
     # ------------------------------------------------------------------
@@ -853,7 +912,7 @@ class LiveSqliteBackend:
         from repro.check.diagnostics import error_count, record_findings
         from repro.errors import CatalogError
 
-        findings = verify_delta_code(self.engine)
+        findings = verify_delta_code(self.engine, connection=self.connection)
         record_findings(self.engine, findings, scope=f"transition:{kind}")
         if error_count(findings):
             details = "; ".join(
@@ -885,6 +944,7 @@ class LiveSqliteBackend:
             "recovered": self.recovered,
             "delta_reused": self.delta_reused,
             "recovery_seconds": self.recovery_seconds,
+            "last_install": self.last_install,
         }
         if self.store is not None:
             on_disk = self.store.read_generation()

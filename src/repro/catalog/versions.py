@@ -24,6 +24,9 @@ class SchemaVersion:
     tables: dict[str, "TableVersion"] = field(default_factory=dict)
     parent: str | None = None
     dropped: bool = False
+    #: Memo of :func:`repro.persist.fingerprint.version_fingerprint`: the
+    #: table set, columns and key columns are fixed once the version exists.
+    fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     def table_version(self, table_name: str) -> "TableVersion":
         try:

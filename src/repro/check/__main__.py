@@ -70,8 +70,10 @@ def run(argv: list[str] | None = None) -> int:
         # on the transitional state instead (RPC107).
         engine = repro.open(args.db, create=False, resume_backfill=None)
         try:
-            delta_findings = verify_delta_code(engine)
             backend = engine.live_backend
+            delta_findings = verify_delta_code(
+                engine, connection=getattr(backend, "connection", None)
+            )
             if backend is not None and hasattr(backend, "store"):
                 from repro.check.delta import verify_transitional_objects
 

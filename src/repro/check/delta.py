@@ -1,4 +1,4 @@
-"""Static verification of the generated delta code (RPC101–RPC108).
+"""Static verification of the generated delta code (RPC101–RPC109).
 
 The backend compiles the catalog into ``CREATE VIEW`` and ``CREATE
 TRIGGER`` statements (:mod:`repro.backend.codegen`).  This pass checks
@@ -22,6 +22,10 @@ of it:
   whose catalog-derived branches are provably key-disjoint
   (:func:`repro.sqlgen.views.key_disjoint` — the function the emitter
   itself decides by); plain ``UNION`` always passes.
+- **RPC109** (only with a ``connection``) the generated views and
+  triggers the database holds are, name for name and byte for byte, the
+  ones the catalog renders — the backend installs by diff against
+  ``sqlite_master``, so this is the check that the diff converged.
 
 (RPC107, the transitional-object bound, is
 :func:`verify_transitional_objects`.)
@@ -288,18 +292,44 @@ def _check_emission_agreement(
     return diagnostics
 
 
+def _check_installed(connection, statements: list[str]) -> list[Diagnostic]:
+    """RPC109: ``sqlite_master`` against the rendered ``statements``."""
+    from repro.backend import codegen
+
+    rendered = {codegen.created_name(s): s for s in statements}
+    installed = {
+        name: sql for name, (_kind, sql, _view) in
+        codegen.installed_objects(connection).items()
+    }
+    diagnostics: list[Diagnostic] = []
+    rendered.pop(None, None)  # injected text that creates no view or trigger
+    for name in sorted(rendered.keys() | installed.keys()):
+        if name not in installed:
+            message = "the catalog renders this object but the database does not hold it"
+        elif name not in rendered:
+            message = "the database holds this generated object but the catalog does not render it"
+        elif installed[name] != rendered[name]:
+            message = "the installed text differs from what the catalog renders"
+        else:
+            continue
+        diagnostics.append(Diagnostic("RPC109", "error", name, message))
+    return diagnostics
+
+
 def verify_delta_code(
     engine,
     *,
     view_statements: list[str] | None = None,
     trigger_statements: list[str] | None = None,
+    connection=None,
 ) -> list[Diagnostic]:
     """Statically verify the delta code for ``engine``'s current catalog.
 
     Generates the program from the catalog unless explicit statements
     are injected (the seeded-defect tests mutate known-good output and
-    pass it back in).  Returns every finding; callers gate on
-    error-severity ones."""
+    pass it back in).  With ``connection`` — the database the code is
+    installed in — the installed text is held against it too (RPC109).
+    Returns every finding; callers gate on error-severity ones."""
     from repro.backend import codegen
 
     injected = view_statements is not None or trigger_statements is not None
@@ -341,6 +371,10 @@ def verify_delta_code(
     )
     if not injected:
         diagnostics += _check_emission_agreement(engine, view_scans)
+    if connection is not None:
+        diagnostics += _check_installed(
+            connection, view_statements + trigger_statements
+        )
     return diagnostics
 
 

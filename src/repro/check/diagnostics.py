@@ -43,6 +43,8 @@ DIAGNOSTIC_CATALOG: dict[str, str] = {
     "RPC108": "a generated view joins its branches with UNION ALL although "
               "the catalog does not prove them disjoint on the tuple "
               "identifier p",
+    "RPC109": "a generated view or trigger in the database is not, name for "
+              "name and byte for byte, what the catalog renders",
     # -- BiDEL pre-flight (RPC2xx) --------------------------------------
     "RPC200": "the BiDEL script does not parse",
     "RPC201": "name collision: the schema version, table, or column "

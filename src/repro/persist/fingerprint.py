@@ -60,7 +60,12 @@ def version_payload(version: "SchemaVersion") -> dict:
 
 
 def version_fingerprint(version: "SchemaVersion") -> str:
-    return digest(version_payload(version))
+    """Hashed once per :class:`SchemaVersion` object: a version's shape
+    never changes after its creation, and recovery replays into new
+    objects, so nothing remembered here outlives what it describes."""
+    if version.fingerprint is None:
+        version.fingerprint = digest(version_payload(version))
+    return version.fingerprint
 
 
 def engine_layout(engine: "InVerDa") -> dict[str, tuple[str, ...]]:

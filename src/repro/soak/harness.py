@@ -743,7 +743,9 @@ class SoakHarness:
             barrier_windows=list(self.barrier_windows),
             backfill_windows=list(self.backfill_windows),
             p95_budget_ms=self.config.p95_budget_ms,
-            delta_findings=verify_delta_code(self.live),
+            delta_findings=verify_delta_code(
+                self.live, connection=self.backend.connection
+            ),
         )
 
     def _report(self, clients: list[_Client]) -> dict:

@@ -746,15 +746,8 @@ class Connection(BaseConnection):
         once a live backend owns the data plane, a connection still bound
         to the in-memory snapshot may not serve (stale) data — only DDL,
         which runs through the engine, is still allowed."""
-        if (
-            plan.kind != "ddl"
-            and self._session is None
-            and self.engine.live_backend is not None
-        ):
-            raise InterfaceError(
-                "connection was opened before a live execution backend "
-                "was attached; reconnect with backend='sqlite'"
-            )
+        if plan.kind != "ddl" and self._session is None:
+            _require_memory_plane(self.engine)
 
     def _compile(self, statement: SqlStatement):
         if isinstance(statement, BidelStatement):
@@ -767,14 +760,10 @@ class Connection(BaseConnection):
             # connection may still run it (like DDL and EXPLAIN over it).
             return CheckPlan(statement.script)
         if self._session is None:
-            if self.engine.live_backend is not None:
-                # This connection predates the backend attach; its data
-                # plane is the dead in-memory snapshot. Refuse rather than
-                # silently diverge from the SQLite state.
-                raise InterfaceError(
-                    "connection was opened before a live execution backend "
-                    "was attached; reconnect with backend='sqlite'"
-                )
+            # A connection that predates the backend attach (or outlived
+            # the backend) must refuse rather than silently diverge from
+            # the SQLite state.
+            _require_memory_plane(self.engine)
             return compile_statement_memory(self._version, statement)
         from repro.backend.planner import compile_statement_sqlite
 
@@ -1051,6 +1040,25 @@ class Connection(BaseConnection):
             self._begin()
 
 
+def _require_memory_plane(engine: "InVerDa") -> None:
+    """Refuse to serve a statement from the engine's in-memory tables once
+    they no longer hold the rows: while a live backend owns the data
+    plane, and — the attach having handed the rows over — after that
+    backend was closed.  (DDL and ``CHECK`` read the catalog only and
+    never come here.)"""
+    if engine.live_backend is not None:
+        raise InterfaceError(
+            "a live execution backend owns this engine's data plane; its "
+            "in-memory tables are empty — connect with backend='sqlite'"
+        )
+    if engine.rows_handed_over:
+        raise InterfaceError(
+            "this engine's rows live in the database its (now closed) live "
+            "backend was attached to; its in-memory tables are empty — "
+            "reopen that file with repro.open(path)"
+        )
+
+
 def _resolve_backend(engine: "InVerDa", backend) -> "LiveSqliteBackend | None":
     from repro.backend.sqlite import LiveSqliteBackend
 
@@ -1059,11 +1067,7 @@ def _resolve_backend(engine: "InVerDa", backend) -> "LiveSqliteBackend | None":
     if isinstance(backend, LiveSqliteBackend):
         return backend
     if backend == "memory":
-        if engine.live_backend is not None:
-            raise InterfaceError(
-                "engine has a live execution backend attached; its in-memory "
-                "tables are a stale snapshot — connect with backend='sqlite'"
-            )
+        _require_memory_plane(engine)
         return None
     if backend == "sqlite":
         live = engine.live_backend

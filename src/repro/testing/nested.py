@@ -13,7 +13,11 @@ from repro.backend.sqlite import LiveSqliteBackend
 
 
 class NestedEmissionBackend(LiveSqliteBackend):
-    """A live backend whose regenerated views are the nested rendering."""
+    """A live backend whose regenerated views are the nested rendering
+    (rendered afresh on every install — the diff against ``sqlite_master``
+    still touches only what changed).  The verifier's RPC109 knows the
+    product's emission only, so ``verify_transitions`` is not for this
+    class."""
 
     def _view_statements(self) -> list[str]:
         return codegen.view_statements(self.engine, flatten=False)

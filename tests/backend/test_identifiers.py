@@ -122,6 +122,34 @@ class TestAtomicRegenerate:
         assert conn.execute("SELECT a FROM R ORDER BY a").fetchall() == [(1,), (2,)]
         backend.close()
 
+    def test_failed_diff_keeps_every_installed_object_and_its_text(self, monkeypatch):
+        """The install is a diff, so a failure can strike after some
+        objects were dropped and one was created: all of it rolls back."""
+        engine, backend, conn = self._attached()
+        before = codegen.installed_objects(backend.connection)
+        real = codegen.trigger_statements
+
+        def broken(eng):
+            first, *rest = real(eng)
+            return [
+                first.replace("BEGIN\n", "BEGIN\n  SELECT 1;\n"),  # dropped, re-created
+                *rest,
+                "CREATE TRIGGER tg__99__insert INSTEAD OF INSERT ON v0__R\n"
+                "BEGIN\n  SELECT 1;\nEND",  # created
+                "CREATE TRIGGER tg__99__update INSTEAD OF UPDATE ON v99__gone\n"
+                "BEGIN\n  SELECT 1;\nEND",  # fails: no such view
+            ]
+
+        monkeypatch.setattr(codegen, "trigger_statements", broken)
+        with pytest.raises(BackendError):
+            backend.regenerate()
+        monkeypatch.setattr(codegen, "trigger_statements", real)
+        assert codegen.installed_objects(backend.connection) == before
+        conn.execute("INSERT INTO R(a, b) VALUES (3, 'z')")
+        backend.regenerate()
+        assert backend.last_install == {"created": 0, "dropped": 0, "kept": 4}
+        backend.close()
+
 
 class TestCloseSemantics:
     def test_backend_close_rolls_back_dangling_transaction(self):

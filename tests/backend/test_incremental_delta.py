@@ -1,0 +1,335 @@
+"""Transitions that cost what they change: the live backend renders each
+table version once and installs delta code by diff against
+``sqlite_master``.
+
+(a) installed ≡ rendered: after every transition the generated objects'
+    ``sqlite_master`` text equals, name for name and byte for byte, a
+    memo-less render on a newly recovered engine;
+(b) a leaf evolve creates only the leaf's objects and drops none, its
+    drop the mirror image — counted in statements SQLite executes;
+(c) foreign views and triggers in the same file are left alone;
+(d) a file whose generated objects were partly stripped gets back exactly
+    the missing ones.
+
+Byte identity depends on how the bundled SQLite stores ``CREATE VIEW`` /
+``CREATE TRIGGER`` text, so failures name the version.
+"""
+
+from __future__ import annotations
+
+import random
+import sqlite3
+
+import pytest
+
+import repro
+from repro.backend import codegen
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.catalog.materialization import enumerate_valid_materializations
+from repro.persist.recovery import replay_into
+from repro.persist.store import CatalogStore
+from repro.testing import NestedEmissionBackend
+from repro.workloads.orders import build_orders
+from repro.workloads.tasky import build_tasky
+from tests.backend.test_sargable import CHAIN
+from tests.backend.test_upsert_primitive import ALL_CHAINS, WORDS
+
+SQLITE = f"SQLite {sqlite3.sqlite_version}"
+EMISSIONS = {"composed": LiveSqliteBackend, "nested": NestedEmissionBackend}
+
+
+def installed_text(connection) -> dict[str, str]:
+    return {
+        name: sql
+        for name, (_kind, sql, _view) in codegen.installed_objects(connection).items()
+    }
+
+
+def fresh_render(backend) -> dict[str, str]:
+    """What a newly recovered engine renders for the catalog on disk — no
+    memo, no history of earlier transitions."""
+    engine = repro.InVerDa()
+    replay_into(engine, CatalogStore(backend.connection).load().entries)
+    views = codegen.view_statements(
+        engine, flatten=not isinstance(backend, NestedEmissionBackend)
+    )
+    statements = views + codegen.trigger_statements(engine)
+    return {codegen.created_name(statement): statement for statement in statements}
+
+
+def assert_installed_is_rendered(backend, context: str) -> None:
+    installed, rendered = installed_text(backend.connection), fresh_render(backend)
+    assert sorted(installed) == sorted(rendered), f"{SQLITE} [{context}]"
+    for name, sql in rendered.items():
+        assert installed[name] == sql, f"{SQLITE} [{context}] {name}"
+
+
+def some_table(engine, version: str) -> str:
+    return sorted(engine.genealogy.schema_version(version).table_names())[0]
+
+
+def walk_transitions(engine, backend_class, path: str, tip: str, middle: str | None):
+    """Every kind of transition from the built catalog on, checking the
+    installed text after each; returns the last backend (still open)."""
+    backend = engine.live_backend
+
+    def check(context: str) -> None:
+        assert_installed_is_rendered(backend, context)
+
+    check("built")
+    table = some_table(engine, tip)
+    tip_version = engine.genealogy.schema_version(tip)
+    last_column = tip_version.table_version(table).schema.column_names[-1]
+    engine.execute(
+        f"CREATE SCHEMA VERSION leaf FROM {tip} WITH ADD COLUMN zz AS 1 INTO {table};"
+    )
+    check("leaf evolved")
+    engine.execute("DROP SCHEMA VERSION leaf;")
+    check("leaf dropped")
+    if middle is not None:
+        engine.execute(f"DROP SCHEMA VERSION {middle};")
+        check(f"middle version {middle} dropped")
+    # A second leaf with the first one's renders forgotten but the rest
+    # remembered: its text may not depend on what was rendered before it.
+    engine.execute(
+        f"CREATE SCHEMA VERSION leaf_b FROM {tip} WITH ADD COLUMN zz AS 3 INTO {table};"
+    )
+    check("second leaf evolved")
+    engine.execute("DROP SCHEMA VERSION leaf_b;")
+    check("second leaf dropped")
+    count = len(enumerate_valid_materializations(engine.genealogy))
+    indexes = list(range(count))
+    if count > 4:
+        indexes = indexes[:3] + [indexes[-1]]
+    for index in indexes:
+        engine.apply_materialization(
+            enumerate_valid_materializations(engine.genealogy)[index]
+        )
+        check(f"materialization {index}")
+        engine.execute(
+            f"CREATE SCHEMA VERSION leaf{index} FROM {tip} WITH "
+            f"RENAME COLUMN {last_column} IN {table} TO zz{index};"
+        )
+        check(f"materialization {index}, leaf evolved")
+        engine.execute(f"DROP SCHEMA VERSION leaf{index};")
+        check(f"materialization {index}, leaf dropped")
+    first = next(iter(engine.genealogy.active_versions())).name
+    for target in (tip, first):
+        engine.execute(f"MATERIALIZE ONLINE '{target}';")
+        check(f"online move to {target}")
+    backend.close()
+    reopened = repro.InVerDa()
+    backend = backend_class.attach(reopened, database=path)
+    assert backend.recovered and backend.delta_reused
+    check("reopened")
+    reopened.execute(
+        f"CREATE SCHEMA VERSION again FROM {tip} WITH ADD COLUMN zz AS 2 INTO {table};"
+    )
+    check("evolved after reopen")
+    return backend
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
+@pytest.mark.parametrize("name", sorted(ALL_CHAINS))
+def test_chains_install_what_a_fresh_engine_renders(name, emission, tmp_path):
+    create, load, evolutions = ALL_CHAINS[name]
+    rng = random.Random(3)
+    path = str(tmp_path / "chain.db")
+    engine = repro.InVerDa()
+    engine.execute(f"CREATE SCHEMA VERSION v1 WITH {create};")
+    backend = EMISSIONS[emission].attach(engine, database=path)
+    try:
+        conn = repro.connect(engine, "v1", autocommit=True, backend=backend)
+        for table, columns in load.items():
+            rows = [
+                (i, i)
+                if name == "condition_decompose"
+                else tuple(
+                    rng.choice(WORDS) if c in ("author", "task", "w") else rng.randint(0, 6)
+                    for c in columns
+                )
+                for i in range(1, 7)
+            ]
+            conn.executemany(
+                f"INSERT INTO {table}({', '.join(columns)}) "
+                f"VALUES ({', '.join('?' for _ in columns)})",
+                rows,
+            )
+        conn.close()
+        sources = set()
+        for step, evolution in enumerate(evolutions, start=2):
+            source = f"v{step - 1}"
+            if isinstance(evolution, tuple):
+                evolution, source = evolution
+            sources.add(source)
+            engine.execute(
+                f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};"
+            )
+            assert_installed_is_rendered(backend, f"{name}/{emission}/v{step}")
+        tip = f"v{len(evolutions) + 1}"
+        # A version others were evolved from, where the chain is a line.
+        middle = "v2" if "v2" in sources else None
+        backend = walk_transitions(engine, EMISSIONS[emission], path, tip, middle)
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("scenario", ["tasky", "orders", "benchmark"])
+def test_scenarios_install_what_a_fresh_engine_renders(scenario, tmp_path):
+    path = str(tmp_path / "scenario.db")
+    if scenario == "tasky":
+        engine, tip, middle = build_tasky(20).engine, "TasKy2", None
+    elif scenario == "orders":
+        engine, tip, middle = build_orders(2, 8, 2, versions=3).engine, "v3", "v2"
+    else:
+        engine, tip, middle = repro.InVerDa(), "S8", "S6"
+        for script in CHAIN:
+            engine.execute(script)
+    backend = LiveSqliteBackend.attach(engine, database=path)
+    try:
+        backend = walk_transitions(engine, LiveSqliteBackend, path, tip, middle)
+    finally:
+        backend.close()
+
+
+# ---------------------------------------------------------------------------
+# (b) statements executed per transition, on the benchmark's chain
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chain():
+    engine = repro.InVerDa()
+    engine.execute(CHAIN[0])
+    conn = repro.connect(engine, "S0", autocommit=True)
+    conn.executemany(
+        "INSERT INTO Item(k, grp, qty, note) VALUES (?, ?, ?, ?)",
+        [(i, i % 7, i % 13, f"n{i}") for i in range(1000)],
+    )
+    conn.close()
+    for script in CHAIN[1:]:
+        engine.execute(script)
+    backend = LiveSqliteBackend.attach(engine)
+    engine.execute("MATERIALIZE 'S4';")
+    yield engine
+    backend.close()
+
+
+def _generated_ddl(engine, script: str) -> tuple[int, int]:
+    """(CREATE, DROP) statements for views and triggers that ``script``
+    makes SQLite execute on the administrative handle."""
+    handle = engine.live_backend.connection
+    traced: list[str] = []
+    handle.set_trace_callback(traced.append)
+    try:
+        engine.execute(script)
+    finally:
+        handle.set_trace_callback(None)
+    return (
+        sum(text.startswith(("CREATE VIEW", "CREATE TRIGGER")) for text in traced),
+        sum(text.startswith(("DROP VIEW", "DROP TRIGGER")) for text in traced),
+    )
+
+
+@pytest.mark.parametrize(
+    "leaf, smo, objects",
+    [
+        ("L0", "RENAME COLUMN remark IN Lo TO r0", 4),
+        ("L1", "SPLIT TABLE Lo INTO A1 WITH k % 2 = 0, B1 WITH k % 2 = 1", 8),
+    ],
+)
+def test_leaf_cycle_touches_only_the_leaf(chain, leaf, smo, objects):
+    backend = chain.live_backend
+    total = len(codegen.installed_objects(backend.connection))
+    assert total == 44
+    counter = chain.metrics.get("repro_delta_objects_total")
+    kept = counter.value(action="kept")
+    evolved = _generated_ddl(chain, f"CREATE SCHEMA VERSION {leaf} FROM S8 WITH {smo};")
+    assert evolved == (objects, 0), f"{SQLITE}: evolve ran {evolved} CREATE, DROP"
+    assert backend.last_install == {"created": objects, "dropped": 0, "kept": total}
+    assert backend.catalog_stats()["last_install"] == backend.last_install
+    dropped = _generated_ddl(chain, f"DROP SCHEMA VERSION {leaf};")
+    assert dropped == (0, objects), f"{SQLITE}: drop ran {dropped} CREATE, DROP"
+    assert backend.last_install == {"created": 0, "dropped": objects, "kept": total}
+    assert counter.value(action="kept") == kept + 2 * total
+    assert_installed_is_rendered(backend, "after the leaf cycle")
+
+
+# ---------------------------------------------------------------------------
+# (c) objects the catalog did not generate
+# ---------------------------------------------------------------------------
+
+
+def test_foreign_views_and_triggers_survive_every_transition():
+    engine = repro.InVerDa()
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);")
+    backend = LiveSqliteBackend.attach(engine)
+    handle = backend.connection
+    handle.execute("CREATE TABLE vendor(name TEXT)")
+    handle.execute("CREATE VIEW vendor_report AS SELECT name FROM vendor")
+    handle.execute(
+        "CREATE TRIGGER tg__vendor_audit AFTER INSERT ON vendor "
+        "BEGIN SELECT 1; END"
+    )
+    handle.commit()
+
+    def foreign():
+        return sorted(
+            name
+            for (name,) in handle.execute(
+                "SELECT name FROM sqlite_master WHERE type IN ('view', 'trigger')"
+            )
+            if name in ("vendor_report", "tg__vendor_audit")
+        )
+
+    try:
+        assert codegen.generated_object_names(handle) == (
+            ["v0__R"], ["tg__0__insert", "tg__0__update", "tg__0__delete"],
+        )
+        for script in (
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + 1 INTO R;",
+            "MATERIALIZE 'v2';",
+            "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN b IN R TO bb;",
+            "DROP SCHEMA VERSION v3;",
+        ):
+            engine.execute(script)
+            assert foreign() == ["tg__vendor_audit", "vendor_report"], script
+    finally:
+        backend.close()
+
+
+# ---------------------------------------------------------------------------
+# (d) a file that lost some of its generated objects
+# ---------------------------------------------------------------------------
+
+
+def test_partly_stripped_file_gets_back_exactly_the_missing_objects(tmp_path):
+    path = str(tmp_path / "tasky.db")
+    scenario = build_tasky(10)
+    backend = LiveSqliteBackend.attach(scenario.engine, database=path)
+    before = installed_text(backend.connection)
+    todo = scenario.engine.genealogy.schema_version("Do!").table_version("Todo")
+    task = scenario.engine.genealogy.schema_version("TasKy").table_version("Task")
+    backend.close()
+
+    handle = sqlite3.connect(path)
+    handle.execute(f"DROP VIEW {todo.view_name}")  # and its three triggers
+    handle.execute(f"DROP TRIGGER {task.trigger_name('DELETE')}")
+    handle.commit()
+    handle.close()
+
+    engine = repro.open(path)
+    backend = engine.live_backend
+    try:
+        assert backend.recovered and not backend.delta_reused
+        assert backend.last_install == {
+            "created": 5, "dropped": 0, "kept": len(before) - 5
+        }
+        assert installed_text(backend.connection) == before
+    finally:
+        backend.close()
+    engine = repro.open(path)
+    try:
+        assert engine.live_backend.delta_reused
+    finally:
+        engine.live_backend.close()

@@ -273,6 +273,29 @@ class TestBackendSelection:
         with pytest.raises(InterfaceError):
             stale.execute("INSERT INTO Item(name, qty, tag) VALUES ('x', 1, NULL)")
 
+    def test_memory_refused_once_the_rows_were_handed_over(self):
+        # Attach emptied the in-memory tables; with the backend closed a
+        # memory connection used to be accepted again and read nothing.
+        engine = _engine()
+        stale = connect(engine, "v1", autocommit=True)
+        stale.execute("INSERT INTO Item(name, qty, tag) VALUES ('x', 1, NULL)")
+        LiveSqliteBackend.attach(engine).close()
+        with pytest.raises(InterfaceError, match=r"repro\.open\(path\)"):
+            connect(engine, "v1", backend="memory")
+        for conn in (stale, connect(engine, "v1", autocommit=True)):
+            with pytest.raises(InterfaceError, match=r"repro\.open\(path\)"):
+                conn.execute("SELECT * FROM Item")  # cached plan / fresh compile
+            with pytest.raises(InterfaceError, match=r"repro\.open\(path\)"):
+                conn.execute("EXPLAIN SELECT * FROM Item")
+        # The catalog is all such an engine still has: DDL and CHECK run.
+        assert stale.execute(
+            "CHECK CREATE SCHEMA VERSION v9 FROM v1 WITH RENAME COLUMN qty IN Item TO n;"
+        ).fetchall() == []
+        stale.execute(
+            "CREATE SCHEMA VERSION v9 FROM v1 WITH RENAME COLUMN qty IN Item TO n;"
+        )
+        assert "v9" in engine.version_names()
+
     def test_default_uses_attached_backend(self):
         engine = _engine()
         LiveSqliteBackend.attach(engine)

@@ -77,7 +77,7 @@ class TestSeededDefects:
 
     def test_dangling_column_rpc102(self, engine):
         views, triggers = _emission(engine)
-        views = [s.replace("f3.a AS a", "f3.zz AS a") for s in views]
+        views = [s.replace("f2.a AS a", "f2.zz AS a") for s in views]
         findings = verify_delta_code(
             engine, view_statements=views, trigger_statements=triggers
         )
@@ -233,6 +233,81 @@ class TestRecoveryIntegration:
             assert recovered.last_check["errors"] == 0
         finally:
             recovered.live_backend.close()
+
+
+class TestInstalledAgainstCatalog:
+    """RPC109: what the database holds is what the catalog renders."""
+
+    @staticmethod
+    def _hand_edit(connection, view: str, old: str, new: str) -> None:
+        (sql,) = connection.execute(
+            "SELECT sql FROM sqlite_master WHERE name = ?", (view,)
+        ).fetchone()
+        triggers = connection.execute(
+            "SELECT sql FROM sqlite_master WHERE type = 'trigger' AND tbl_name = ?",
+            (view,),
+        ).fetchall()
+        assert old in sql
+        connection.execute(f"DROP VIEW {view}")  # takes its triggers along
+        connection.execute(sql.replace(old, new))
+        for (trigger,) in triggers:
+            connection.execute(trigger)
+
+    def test_hand_edited_view_body_rpc109(self, engine, tmp_path):
+        from repro.backend.sqlite import LiveSqliteBackend
+        from repro.check.__main__ import run
+
+        path = str(tmp_path / "edited.db")
+        backend = LiveSqliteBackend.attach(engine, database=path)
+        assert verify_delta_code(engine, connection=backend.connection) == []
+        self._hand_edit(backend.connection, "v1__R", "(f4.a + 1) AS c", "(f4.a + 2) AS c")
+        backend.connection.commit()
+        findings = verify_delta_code(engine, connection=backend.connection)
+        assert [(d.code, d.severity, d.obj) for d in findings] == [
+            ("RPC109", "error", "v1__R")
+        ]
+        # Without the database there is nothing to hold the render against.
+        assert verify_delta_code(engine) == []
+        backend.close()
+        assert run(["--db", path]) == 1
+        # The next install is a diff against sqlite_master, so it repairs
+        # exactly the edited view (and the triggers that go with it).
+        backend = LiveSqliteBackend.attach(engine, database=path)
+        try:
+            backend.regenerate()
+            assert backend.last_install == {"created": 4, "dropped": 4, "kept": 4}
+            assert verify_delta_code(engine, connection=backend.connection) == []
+        finally:
+            backend.close()
+
+    def test_missing_and_left_behind_objects_rpc109(self, engine):
+        from repro.backend.sqlite import LiveSqliteBackend
+
+        backend = LiveSqliteBackend.attach(engine)
+        try:
+            backend.connection.execute("DROP TRIGGER tg__1__delete")
+            backend.connection.execute(
+                "CREATE VIEW v7__Gone AS SELECT p FROM d__0__R"
+            )
+            findings = verify_delta_code(engine, connection=backend.connection)
+            assert sorted((d.code, d.obj) for d in findings) == [
+                ("RPC109", "tg__1__delete"), ("RPC109", "v7__Gone"),
+            ]
+        finally:
+            backend.close()
+
+    def test_transition_gate_reads_the_database(self, engine):
+        from repro.backend.sqlite import LiveSqliteBackend
+
+        backend = LiveSqliteBackend.attach(engine, verify_transitions=True)
+        try:
+            engine.execute(
+                "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN c IN R TO cc;"
+            )
+            assert engine.last_check["errors"] == 0
+            assert backend.last_install == {"created": 4, "dropped": 0, "kept": 8}
+        finally:
+            backend.close()
 
 
 class TestTransitionVerification:

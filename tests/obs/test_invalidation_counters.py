@@ -1,11 +1,13 @@
-"""Plan-cache invalidation and transition metrics across all three
-catalog transitions (evolve / materialize / drop), on both transports."""
+"""Plan-cache invalidation, transition metrics and generated objects
+touched across all three catalog transitions (evolve / materialize /
+drop), on both transports."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro
+from repro.backend import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.server.client import connect_remote
 from repro.server.server import ReproServer
@@ -36,6 +38,31 @@ def transition_counts(engine) -> dict:
         kind: (transitions.value(kind=kind),
                durations.series_stats(kind=kind)["count"])
         for kind in ("evolve", "materialize", "drop")
+    }
+
+
+def delta_objects(engine) -> dict:
+    counter = engine.metrics.get("repro_delta_objects_total")
+    return {
+        action: counter.value(action=action)
+        for action in ("created", "dropped", "kept")
+    }
+
+
+def assert_delta_objects_follow(conn, engine) -> None:
+    """``R`` is one table version per schema version here: a view and its
+    trigger triple each.  Evolve adds v2's four and keeps v1's; the move
+    to v2 re-creates all eight; dropping v1 then drops its four and keeps
+    v2's."""
+    assert delta_objects(engine) == {"created": 4, "dropped": 0, "kept": 0}
+    conn.execute(EVOLVE)
+    assert delta_objects(engine) == {"created": 8, "dropped": 0, "kept": 4}
+    conn.execute(MATERIALIZE)
+    assert delta_objects(engine) == {"created": 16, "dropped": 8, "kept": 4}
+    conn.execute(DROP)
+    assert delta_objects(engine) == {"created": 16, "dropped": 12, "kept": 8}
+    assert engine.live_backend.catalog_stats()["last_install"] == {
+        "created": 0, "dropped": 4, "kept": 4,
     }
 
 
@@ -74,7 +101,31 @@ class TestInProcess:
         assert_transition_metrics(engine, baseline, base_generation)
 
 
+    def test_installs_count_the_generated_objects_they_touch(self):
+        engine = build_engine()
+        conn = repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+        try:
+            assert_delta_objects_follow(conn, engine)
+            assert conn.stats()["catalog"]["last_install"]["kept"] == 4
+        finally:
+            engine.live_backend.close()
+
+
 class TestRemote:
+    def test_installs_count_the_generated_objects_they_touch_over_tcp(self):
+        engine = build_engine()
+        backend = LiveSqliteBackend.attach(engine)
+        server = ReproServer(engine, backend=backend).start()
+        host, port = server.address
+        conn = connect_remote(host, port, "v1", autocommit=True)
+        try:
+            assert_delta_objects_follow(conn, engine)
+            assert 'repro_delta_objects_total{action="kept"} 8' in conn.metrics_text()
+        finally:
+            conn.close()
+            server.close()
+            backend.close()
+
     def test_each_transition_invalidates_and_is_timed_over_tcp(self):
         engine = build_engine()
         base_generation = engine.catalog_generation

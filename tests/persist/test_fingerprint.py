@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import repro
 from repro.backend.sqlite import LiveSqliteBackend
+from repro.persist import fingerprint
 from repro.persist.fingerprint import (
     catalog_fingerprint,
     engine_layout,
     layout_fingerprint,
     sqlite_layout,
     version_fingerprint,
+    version_payload,
 )
 
 SCRIPT = """
@@ -76,6 +78,68 @@ class TestCatalogFingerprint:
 
     def test_deterministic_across_engines(self):
         assert catalog_fingerprint(build()) == catalog_fingerprint(build())
+
+
+class TestFingerprintMemo:
+    """A version is hashed once; the catalog fingerprint is assembled from
+    the remembered digests."""
+
+    @staticmethod
+    def uncached(engine) -> str:
+        genealogy = engine.genealogy
+        return fingerprint.digest({
+            "versions": [
+                [v.name, v.parent, bool(v.dropped),
+                 fingerprint.digest(version_payload(v))]
+                for v in genealogy.schema_versions.values()
+            ],
+            "materialized": sorted(
+                smo.uid for smo in genealogy.evolution_smos() if smo.materialized
+            ),
+            "layout": layout_fingerprint(engine_layout(engine)),
+        })
+
+    def test_equals_the_uncached_digest_after_every_transition(self, tmp_path):
+        path = str(tmp_path / "memo.db")
+        engine = build()
+        backend = LiveSqliteBackend.attach(engine, database=path)
+        for script in (
+            "CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN c AS aa + 1 INTO R;",
+            "DROP SCHEMA VERSION v2;",
+            "MATERIALIZE 'v3';",
+        ):
+            engine.execute(script)
+            assert engine.catalog_fingerprint() == self.uncached(engine), script
+            assert backend.store.load().fingerprint == self.uncached(engine), script
+        backend.close()
+        reopened = repro.open(path)
+        try:
+            assert reopened.catalog_fingerprint() == self.uncached(reopened)
+            assert reopened.catalog_fingerprint() == self.uncached(engine)
+        finally:
+            reopened.live_backend.close()
+
+    def test_a_transition_hashes_a_constant_number_of_payloads(self, monkeypatch):
+        engine = build()
+        backend = LiveSqliteBackend.attach(engine)
+        calls = []
+        real = fingerprint.digest
+        monkeypatch.setattr(
+            fingerprint, "digest", lambda payload: calls.append(1) or real(payload)
+        )
+        per_cycle = []
+        for index in range(12):
+            del calls[:]
+            engine.execute(
+                f"CREATE SCHEMA VERSION L{index} FROM v2 WITH "
+                f"RENAME COLUMN b IN R TO b{index};"
+            )
+            engine.execute(f"DROP SCHEMA VERSION L{index};")
+            per_cycle.append(len(calls))
+        backend.close()
+        # The new version, the layout and the catalog payload per evolve;
+        # layout and catalog payload per drop — however long the history.
+        assert per_cycle == [5] * 12
 
 
 class TestLayoutFingerprint:

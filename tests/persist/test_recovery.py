@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import repro
 from repro.backend import codegen, emit, handlers
+from repro.backend.compose import ViewComposer
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.errors import CatalogCorruptError, CatalogError
 from repro.workloads.tasky import build_tasky
@@ -34,6 +37,18 @@ def stamp_2_upsert_row(target, columns, key_sql, value_sqls, *, guard=None, plai
         f"INSERT INTO {target} ({collist}) SELECT {values} "
         f"WHERE NOT EXISTS (SELECT 1 FROM {target} WHERE p IS {key_sql}){guard_sql}"
     )
+
+
+class Stamp3Composer(ViewComposer):
+    """FROM aliases as emission stamp 3 numbered them: from one counter
+    running through the whole script, not restarting with every view."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._run_wide = itertools.count()
+
+    def _alias(self) -> str:
+        return f"f{next(self._run_wide)}"
 
 
 def build_tasky_file(path: str):
@@ -194,14 +209,15 @@ class TestDeltaCodeReuse:
         finally:
             engine.live_backend.close()
 
-    @pytest.mark.parametrize("older", ["unstamped", "stamp-2"])
+    @pytest.mark.parametrize("older", ["unstamped", "stamp-2", "stamp-3"])
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
     ):
         """Delta code is reused only when this library's emitter wrote
         it: a file without the emission stamp, still holding the plain
         UNION views — or one stamped 2, whose triggers upsert a view in
-        two statements — is regenerated on open, once."""
+        two statements, or 3, whose views number their aliases across
+        the whole script — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -212,6 +228,9 @@ class TestDeltaCodeReuse:
             if older == "stamp-2":
                 patch.setattr(handlers, "upsert_row", stamp_2_upsert_row)
                 patch.setattr(codegen, "EMISSION_STAMP", 2)
+            if older == "stamp-3":
+                patch.setattr(codegen, "ViewComposer", Stamp3Composer)
+                patch.setattr(codegen, "EMISSION_STAMP", 3)
             backend = LiveSqliteBackend.attach(
                 build_orders(2, 8, 2).engine, database=path
             )
@@ -233,8 +252,14 @@ class TestDeltaCodeReuse:
                 ).fetchall()
             }
 
+        def view_script(connection):
+            return dict(connection.execute(
+                "SELECT name, sql FROM sqlite_master WHERE type = 'view'"
+            ).fetchall())
+
         handle = sqlite3.connect(path)
         before = contents(handle)
+        stamp_3_views = view_script(handle)
         compounds = handle.execute(
             "SELECT name, sql FROM sqlite_master WHERE type = 'view' "
             "AND sql LIKE '%UNION ALL%'"
@@ -262,11 +287,15 @@ class TestDeltaCodeReuse:
         try:
             backend = engine.live_backend
             assert backend.recovered and not backend.delta_reused
-            installed = dict(backend.connection.execute(
-                "SELECT name, sql FROM sqlite_master WHERE type = 'view'"
-            ).fetchall())
+            installed = view_script(backend.connection)
             for name, _sql in compounds:
                 assert "\nUNION ALL\n" in installed[name]
+            if older == "stamp-3":
+                # Same views, renumbered: the last one no longer continues
+                # where the one before it stopped.
+                assert installed.keys() == stamp_3_views.keys()
+                assert installed != stamp_3_views
+                assert backend.last_install["dropped"] > 0
             assert two_statement not in trigger_script(backend.connection)
             assert contents(backend.connection) == before
             assert backend.store.load().delta_emission == codegen.EMISSION_STAMP
