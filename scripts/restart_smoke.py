@@ -13,7 +13,10 @@ would hit it:
    catalog fingerprint is unchanged, and writes still propagate;
 6. the recovered server reports how long recovery took, and the
    ``repro_catalog_generation`` gauge on the scrape endpoint matches the
-   generation committed on disk (``on_disk_generation``).
+   generation committed on disk (``on_disk_generation``);
+7. that first restart verified the delta code in full and left the
+   ``verified_at`` mark; a second restart reports ``verify_skipped`` for
+   the same catalog fingerprint and leaves the mark row as it was.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/restart_smoke.py``
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -68,6 +72,17 @@ def start_server(*args: str) -> tuple[subprocess.Popen, str, int, str | None]:
     raise SystemExit("server did not report a listening address")
 
 
+def read_mark(database: str) -> str | None:
+    handle = sqlite3.connect(database)
+    try:
+        row = handle.execute(
+            "SELECT value FROM _repro_catalog_meta WHERE key = 'verified_at'"
+        ).fetchone()
+    finally:
+        handle.close()
+    return None if row is None else row[0]
+
+
 def connect(host: str, port: int, version: str):
     deadline = time.time() + 10
     while True:
@@ -99,6 +114,7 @@ def main() -> int:
         print(f"  marker written; catalog generation {generation}, "
               f"fingerprint {fingerprint[:12]}")
         conn.close()
+        assert read_mark(database) is None, "a plain install left a verified-at mark"
     finally:
         print("== phase 2: SIGKILL the server (no clean shutdown)")
         process.send_signal(signal.SIGKILL)
@@ -145,6 +161,15 @@ def main() -> int:
         assert "repro_recovery_duration_seconds_count 1" in scrape, scrape
         print(f"  recovery reported: {recovery_seconds * 1000:.1f} ms; "
               f"generation gauge == on-disk generation {on_disk}")
+        recovery = status["catalog"]["recovery"]
+        assert recovery.get("verify_delta_ms", 0) > 0 and "verify_skipped" not in recovery, (
+            f"restart 1 did not verify the delta code in full: {recovery}"
+        )
+        assert 'repro_recovery_verify_total{outcome="full"} 1' in scrape, scrape
+        mark = read_mark(database)
+        assert mark is not None, "restart 1 left no verified-at mark"
+        print(f"  restart 1 verified in full ({recovery['verify_delta_ms']:.1f} ms) "
+              "and left the mark")
         conn.close()
 
         expectations = {
@@ -189,6 +214,14 @@ def main() -> int:
     process, host, port, _metrics = start_server("--db", database)
     try:
         conn = connect(host, port, "TasKy")
+        catalog = conn.server_status()["catalog"]
+        assert catalog["recovery"].get("verify_skipped") is True, (
+            f"restart 2 did not go by the mark: {catalog['recovery']}"
+        )
+        assert catalog["fingerprint"] == fingerprint and catalog["delta_reused"]
+        assert read_mark(database) == mark, "restart 2 rewrote the verified-at mark"
+        print(f"  restart 2 skipped the verifier: "
+              f"{catalog['recovery']['total_ms']:.1f} ms in all")
         rows = conn.execute(
             "SELECT prio FROM Task WHERE task = ?", ("post-restart",)
         ).fetchall()

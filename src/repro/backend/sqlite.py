@@ -44,12 +44,19 @@ from typing import TYPE_CHECKING
 from repro.backend import codegen, emit
 from repro.backend.emit import q, qcols
 from repro.backend.pool import SessionPool, shared_memory_uri
-from repro.errors import BackendError, CatalogError, InterfaceError
+from repro.errors import BackendError, CatalogCorruptError, CatalogError, InterfaceError
+from repro.obs.timing import ms_since
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.genealogy import SmoInstance
     from repro.catalog.versions import SchemaVersion
     from repro.core.engine import InVerDa
+
+
+def _errors(findings) -> list[str]:
+    return [
+        f"[{d.code}] {d.obj}: {d.message}" for d in findings if d.severity == "error"
+    ]
 
 
 def _next_row_id(connection: sqlite3.Connection) -> int:
@@ -194,13 +201,15 @@ class LiveSqliteBackend:
         #: instead of snapshotting the engine.
         self.recovered = False
         #: True when recovery reused the file's installed views/triggers
-        #: (the persisted delta generation and emission stamp matched)
-        #: instead of regenerating them.
+        #: (vouched for by the ``verified_at`` mark, or textually what the
+        #: catalog renders) instead of regenerating them.
         self.delta_reused = False
         #: Wall-clock seconds the whole attach-side recovery took (log
         #: replay, verification, and delta regeneration when needed);
         #: ``None`` until a recovery has run.
         self.recovery_seconds = None
+        #: The same recovery phase by phase (``catalog_stats()["recovery"]``).
+        self.recovery_phases: dict | None = None
         # Test hook: callable(point: str) invoked at named points inside
         # catalog transitions, so the crash-safety suite can simulate a
         # process dying between the catalog write and the commit.  Any
@@ -222,7 +231,7 @@ class LiveSqliteBackend:
         # two MATERIALIZEs, so its rendered text is kept across evolve and
         # drop; what is *installed* is never remembered — regenerate()
         # reads it from sqlite_master every time.
-        self._renderer = codegen.Renderer(engine)
+        self.renderer = codegen.Renderer(engine)
         #: Generated objects the last regenerate() created / dropped /
         #: left in place; ``None`` until one has run.
         self.last_install: dict | None = None
@@ -362,8 +371,10 @@ class LiveSqliteBackend:
         from repro.persist.store import CatalogStore
 
         recover_started = time.perf_counter()
+        phases: dict = {}
         store = CatalogStore(self.connection)
-        if self.engine.genealogy.schema_versions:
+        reattach = bool(self.engine.genealogy.schema_versions)
+        if reattach:
             # Re-attach of an engine that already holds this catalog
             # (close() + attach() in one process): accept only an exact
             # fingerprint match — anything else would silently serve one
@@ -381,21 +392,107 @@ class LiveSqliteBackend:
                 state.generation
             )
         else:
-            state = recover(self.engine, self.connection, repair=repair, force=force)
+            state = recover(
+                self.engine, self.connection, repair=repair, force=force, phases=phases
+            )
         self.store = store
         self.recovered = True
         # A recovered engine never held the rows: the file does.
         self.engine.rows_handed_over = True
-        if (
-            (state.delta_generation, state.delta_emission) == self._delta_key()
-            and self._delta_installed()
+        installed = codegen.installed_objects(self.connection)
+        current = (state.delta_generation, state.delta_emission) == self._delta_key()
+        if reattach or force:
+            # Neither path verifies, so neither goes by a mark or leaves
+            # one: current code is reused while every name is there.
+            self.delta_reused = current and self._wanted().keys() <= installed.keys()
+            if not self.delta_reused:
+                with self._transaction():
+                    self._install_delta_code()
+        else:
+            if repair:  # may have recreated tables under the mark
+                state.verified = {}
+            self._verify_on_open(state, installed, current, phases)
+        phases["install"] = self.last_install
+        backfill_started = time.perf_counter()
+        self._finish_backfill(resume_backfill)
+        phases["backfill_ms"] = ms_since(backfill_started)
+        phases["total_ms"] = ms_since(recover_started)
+        self.recovery_phases = phases
+        self.recovery_seconds = phases["total_ms"] / 1000
+        self.engine.metrics.histogram(
+            "repro_recovery_duration_seconds",
+            "Attach-side recovery duration (catalog.recovery_seconds).",
+        ).observe(self.recovery_seconds)
+
+    def _verify_on_open(
+        self, state, installed: dict, current: bool, phases: dict
+    ) -> None:
+        """The open's delta-code gate.  A ``verified_at`` mark whose digest
+        still describes this file stands in for the verifier; anything else
+        takes the full path: verify the render, reuse the installed objects
+        if they are that render text for text (install by diff otherwise),
+        hold the database against it (RPC109), leave a mark."""
+        from repro.check import delta
+        from repro.check.diagnostics import record_findings
+
+        outcomes = self.engine.metrics.counter(
+            "repro_recovery_verify_total",
+            "Opens that ran the delta-code verifier in full, or skipped it "
+            "on a matching verified-at mark.",
+            ("outcome",),
+        )
+        mark = state.verified
+        if current and mark.get("digest") == delta.verified_digest(
+            state.log_digest, self._delta_key(), installed
         ):
             self.delta_reused = True
-        else:
+            self.engine.last_check = dict(
+                mark["summary"], scope="recovery", verified_at=mark["generation"]
+            )
+            phases["verify_skipped"] = True
+            outcomes.inc(outcome="skipped")
+            return
+        outcomes.inc(outcome="full")
+        started = time.perf_counter()
+        findings = delta.verify_delta_code(self.engine, backend=self)
+        phases["verify_delta_ms"] = ms_since(started)
+        if not _errors(findings):
+            wanted = self._wanted()
+            if current and wanted == {
+                name: sql for name, (_kind, sql, _view) in installed.items()
+            }:
+                self.delta_reused = True
+            else:
+                with self._transaction():
+                    self._install_delta_code()
+                installed = codegen.installed_objects(self.connection)
+            findings += delta.check_installed(installed, list(wanted.values()))
+        summary = record_findings(self.engine, findings, scope="recovery")
+        if summary["errors"]:
+            raise CatalogCorruptError(
+                "the delta code of the persisted catalog does not verify "
+                "(force=True skips verification):\n- " + "\n- ".join(_errors(findings))
+            )
+        self._fault("recover:before-mark")
+        self._write_mark(state.log_digest, installed, summary)
+
+    def _write_mark(self, log_digest: str, installed: dict, summary: dict) -> None:
+        """Leave the ``verified_at`` mark over exactly the state a
+        zero-error verdict (RPC109 included) was just reached for, in its
+        own short transaction; a read-only or busy file goes without."""
+        from repro.check.delta import verified_digest
+
+        key = self._delta_key()
+        mark = {
+            "digest": verified_digest(log_digest, key, installed),
+            "generation": key[0],
+            "summary": summary,
+        }
+        try:
             with self._transaction():
-                self._install_delta_code()
-        self._finish_backfill(resume_backfill)
-        self.recovery_seconds = time.perf_counter() - recover_started
+                self.store.set_verified(mark)
+        except sqlite3.OperationalError:
+            pass
 
     def _finish_backfill(self, resume: bool | None) -> None:
         """Converge an in-flight online-MATERIALIZE journal found at
@@ -452,22 +549,6 @@ class LiveSqliteBackend:
         """What installed delta code must have been generated for (the
         catalog generation) and by (the emitter revision) to be reused."""
         return self.engine.catalog_generation, codegen.EMISSION_STAMP
-
-    def _delta_installed(self) -> bool:
-        """Does the database hold the view and the trigger triple of every
-        active table version?  Guards delta-code reuse against files whose
-        generated objects were stripped (e.g. by a vacuum-into or a manual
-        cleanup); the install that follows creates exactly the missing
-        ones."""
-        installed = codegen.installed_objects(self.connection)
-        return all(
-            name in installed
-            for tv in codegen.active_table_versions(self.engine)
-            for name in (
-                tv.view_name,
-                *(tv.trigger_name(op) for op in ("INSERT", "UPDATE", "DELETE")),
-            )
-        )
 
     def _load_snapshot(self) -> None:
         cursor = self.connection.cursor()
@@ -553,7 +634,7 @@ class LiveSqliteBackend:
         installed = codegen.installed_objects(self.connection)
         self._drop(installed, installed)
         self._delta_objects.inc(len(installed), action="dropped")
-        self._renderer = codegen.Renderer(self.engine)
+        self.renderer = codegen.Renderer(self.engine)
 
     def regenerate(self) -> None:
         """Bring scaffolding, views, and trigger programs to the catalog's
@@ -573,13 +654,7 @@ class LiveSqliteBackend:
         cursor = self.connection.cursor()
         cursor.execute("SAVEPOINT repro_regenerate")
         try:
-            wanted = {
-                codegen.created_name(statement) or statement: statement
-                for statement in (
-                    *self._view_statements(),
-                    *codegen.trigger_statements(self._renderer),
-                )
-            }
+            wanted = self._wanted()
             installed = codegen.installed_objects(self.connection)
             stale = {
                 name
@@ -592,6 +667,7 @@ class LiveSqliteBackend:
                 if kind == "trigger" and view in stale
             )
             self._drop(installed, stale)
+            self._fault("regenerate:dropped")
             self._run(codegen.scaffold_statements(self.engine))
             missing = [
                 statement
@@ -617,13 +693,24 @@ class LiveSqliteBackend:
         one — the composed emission; the test suite's nested-emission
         backend overrides exactly this method to keep the three-way
         memory / composed / nested oracle running."""
-        return codegen.view_statements(self._renderer)
+        return codegen.view_statements(self.renderer)
+
+    def delta_statements(self) -> tuple[list[str], list[str]]:
+        """(``CREATE VIEW``, ``CREATE TRIGGER``) statements :meth:`regenerate`
+        installs, rendered through :attr:`renderer`."""
+        return self._view_statements(), codegen.trigger_statements(self.renderer)
+
+    def _wanted(self) -> dict[str, str]:
+        """``{object name: CREATE text}`` of :meth:`delta_statements`."""
+        views, triggers = self.delta_statements()
+        return {
+            codegen.created_name(statement) or statement: statement
+            for statement in (*views, *triggers)
+        }
 
     def generated_sql(self) -> str:
         """The full delta-code script (for inspection and code metrics)."""
-        return ";\n".join(
-            self._view_statements() + codegen.trigger_statements(self._renderer)
-        )
+        return ";\n".join(self._wanted().values())
 
     # ------------------------------------------------------------------
     # Engine hooks (ExecutionBackend)
@@ -908,20 +995,23 @@ class LiveSqliteBackend:
         whose views do not resolve."""
         if not self.verify_transitions:
             return
-        from repro.check.delta import verify_delta_code
-        from repro.check.diagnostics import error_count, record_findings
-        from repro.errors import CatalogError
+        from repro.check.delta import check_installed, verify_delta_code
+        from repro.check.diagnostics import record_findings
 
-        findings = verify_delta_code(self.engine, connection=self.connection)
-        record_findings(self.engine, findings, scope=f"transition:{kind}")
-        if error_count(findings):
-            details = "; ".join(
-                f"[{d.code}] {d.obj}: {d.message}"
-                for d in findings if d.severity == "error"
-            )
+        # From a new memo: the gate must not take the remembered renders
+        # on trust; what it renders afresh is then the memo.
+        self.renderer = codegen.Renderer(self.engine)
+        installed = codegen.installed_objects(self.connection)
+        findings = verify_delta_code(self.engine, backend=self)
+        findings += check_installed(installed, list(self._wanted().values()))
+        summary = record_findings(self.engine, findings, scope=f"transition:{kind}")
+        if summary["errors"]:
             raise CatalogError(
-                f"delta code verification failed after {kind}: {details}"
+                f"delta code verification failed after {kind}: "
+                + "; ".join(_errors(findings))
             )
+        if self.store is not None:
+            self._write_mark(self.store.load().log_digest, installed, summary)
 
     # ------------------------------------------------------------------
     # Catalog introspection
@@ -944,6 +1034,7 @@ class LiveSqliteBackend:
             "recovered": self.recovered,
             "delta_reused": self.delta_reused,
             "recovery_seconds": self.recovery_seconds,
+            "recovery": self.recovery_phases,
             "last_install": self.last_install,
         }
         if self.store is not None:

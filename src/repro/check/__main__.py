@@ -61,35 +61,42 @@ def run(argv: list[str] | None = None) -> int:
     findings: list[Diagnostic] = []
     engine = None
     if args.db:
-        import repro
-        from repro.check.delta import verify_delta_code
+        import sqlite3
+
+        from repro.backend import codegen
+        from repro.check import delta
         from repro.check.diagnostics import record_findings
+        from repro.core.engine import InVerDa
+        from repro.errors import CatalogError
+        from repro.persist.recovery import database_has_catalog, recover
+        from repro.persist.store import CatalogStore
 
-        # resume_backfill=None: static inspection must neither resume nor
-        # roll back an in-flight online-MATERIALIZE journal — it reports
-        # on the transitional state instead (RPC107).
-        engine = repro.open(args.db, create=False, resume_backfill=None)
+        if not database_has_catalog(args.db):
+            raise CatalogError(f"{args.db!r} carries no persisted catalog")
+        # A plain handle, not repro.open: an open would resume an in-flight
+        # online MATERIALIZE, repair drifted delta code and leave a mark.
+        # Checking a database never mutates it and always verifies in full.
+        handle = sqlite3.connect(args.db, timeout=5.0)
         try:
-            backend = engine.live_backend
-            delta_findings = verify_delta_code(
-                engine, connection=getattr(backend, "connection", None)
+            engine = InVerDa()
+            state = recover(engine, handle)
+            delta_findings = delta.verify_delta_code(engine, connection=handle)
+            delta_findings += delta.verify_transitional_objects(
+                handle, CatalogStore(handle)
             )
-            if backend is not None and hasattr(backend, "store"):
-                from repro.check.delta import verify_transitional_objects
-
-                delta_findings += verify_transitional_objects(
-                    backend.connection, backend.store
-                )
-            record_findings(engine, delta_findings, scope="cli")
-            findings += delta_findings
-            print(f"delta code: {len(delta_findings)} finding(s) over "
-                  f"{len(engine.version_names())} schema version(s)")
+            marked = state.verified.get("digest") == delta.verified_digest(
+                state.log_digest,
+                (state.generation, codegen.EMISSION_STAMP),
+                codegen.installed_objects(handle),
+            )
         finally:
-            backend = engine.live_backend
-            if args.preflight is None and args.preflight_text is None:
-                if backend is not None:
-                    backend.close()
-                engine = None
+            handle.close()
+        record_findings(engine, delta_findings, scope="cli")
+        findings += delta_findings
+        print(f"delta code: {len(delta_findings)} finding(s) over "
+              f"{len(engine.version_names())} schema version(s)")
+        print("verified-at mark: "
+              + ("matches this file" if marked else "absent or stale"))
 
     script = None
     if args.preflight:
@@ -103,8 +110,6 @@ def run(argv: list[str] | None = None) -> int:
         preflight_findings = preflight_script(engine, script)
         findings += preflight_findings
         print(f"pre-flight: {len(preflight_findings)} finding(s)")
-        if engine is not None and engine.live_backend is not None:
-            engine.live_backend.close()
 
     if args.lint is not None:
         from repro.check.lint import run_project_lint

@@ -54,6 +54,23 @@ from repro.util.naming import quote_identifier
 
 _DML_OPS = ("INSERT", "UPDATE", "DELETE")
 
+#: Bump when a rule below is added or tightened: ``verified_at`` marks
+#: left under older rules stop matching and the next open verifies in full.
+RULES_REVISION = 1
+
+
+def verified_digest(log_digest: str, delta_key: tuple, installed: dict) -> str:
+    """What a verdict of :func:`verify_delta_code` is a pure function of:
+    the stored catalog log, ``delta_key`` (catalog generation, revision of
+    the backend's emitter), the revision of these rules and the text of
+    every generated object in ``codegen.installed_objects()`` form."""
+    from repro.persist.fingerprint import digest
+
+    objects = sorted(
+        (name, digest(sql)) for name, (_kind, sql, _view) in installed.items()
+    )
+    return digest([log_digest, *delta_key, RULES_REVISION, objects])
+
 
 def _physical_objects(engine) -> dict[str, set[str]]:
     """Every physical relation the generated code may read or write:
@@ -292,15 +309,13 @@ def _check_emission_agreement(
     return diagnostics
 
 
-def _check_installed(connection, statements: list[str]) -> list[Diagnostic]:
-    """RPC109: ``sqlite_master`` against the rendered ``statements``."""
+def check_installed(installed: dict, statements: list[str]) -> list[Diagnostic]:
+    """RPC109: ``sqlite_master`` (``codegen.installed_objects()``) against
+    the rendered ``statements``."""
     from repro.backend import codegen
 
     rendered = {codegen.created_name(s): s for s in statements}
-    installed = {
-        name: sql for name, (_kind, sql, _view) in
-        codegen.installed_objects(connection).items()
-    }
+    installed = {name: sql for name, (_kind, sql, _view) in installed.items()}
     diagnostics: list[Diagnostic] = []
     rendered.pop(None, None)  # injected text that creates no view or trigger
     for name in sorted(rendered.keys() | installed.keys()):
@@ -322,18 +337,26 @@ def verify_delta_code(
     view_statements: list[str] | None = None,
     trigger_statements: list[str] | None = None,
     connection=None,
+    backend=None,
 ) -> list[Diagnostic]:
     """Statically verify the delta code for ``engine``'s current catalog.
 
     Generates the program from the catalog unless explicit statements
     are injected (the seeded-defect tests mutate known-good output and
-    pass it back in).  With ``connection`` — the database the code is
-    installed in — the installed text is held against it too (RPC109).
+    pass it back in).  With ``backend`` — the live backend serving the
+    engine — the program is the one that backend installs, rendered
+    through its ``Renderer`` (an install that follows renders nothing
+    again).  With ``connection`` — the database the code is installed
+    in — the installed text is held against it too (RPC109).
     Returns every finding; callers gate on error-severity ones."""
     from repro.backend import codegen
 
     injected = view_statements is not None or trigger_statements is not None
-    definitions = codegen.view_definitions(engine)
+    source = engine
+    if backend is not None:
+        source = backend.renderer
+        view_statements, trigger_statements = backend.delta_statements()
+    definitions = codegen.view_definitions(source)
     if view_statements is None:
         view_statements = [
             create_view(name, select) for name, select, _flat in definitions
@@ -372,8 +395,9 @@ def verify_delta_code(
     if not injected:
         diagnostics += _check_emission_agreement(engine, view_scans)
     if connection is not None:
-        diagnostics += _check_installed(
-            connection, view_statements + trigger_statements
+        diagnostics += check_installed(
+            codegen.installed_objects(connection),
+            view_statements + trigger_statements,
         )
     return diagnostics
 

@@ -43,12 +43,12 @@ SUBQUERY = "(subquery)"
 
 _TOKEN = re.compile(
     r"""
-      '(?:[^']|'')*'             # string literal ('' escapes)
-    | "(?:[^"]|"")*"             # quoted identifier ("" escapes)
-    | [A-Za-z_][A-Za-z0-9_]*     # bare identifier or keyword
-    | \d+(?:\.\d+)?              # number
-    | <=|>=|!=|<>|\|\|           # two-char operators
-    | .                          # any other single character
+      (?P<ws>\s+)
+    | (?P<string>'(?:[^']|'')*')           # string literal ('' escapes)
+    | (?P<qident>"(?:[^"]|"")*")           # quoted identifier ("" escapes)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)    # bare identifier or keyword
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<punct><=|>=|!=|<>|\|\||.)         # two-char operators, any other character
     """,
     re.VERBOSE,
 )
@@ -72,23 +72,11 @@ class SqlToken:
 
 
 def tokenize_sql(sql: str) -> list[SqlToken]:
-    tokens: list[SqlToken] = []
-    for match in _TOKEN.finditer(sql):
-        text = match.group(0)
-        if text.isspace():
-            continue
-        if text.startswith("'"):
-            kind = "string"
-        elif text.startswith('"'):
-            kind = "qident"
-        elif re.match(r"[A-Za-z_]", text):
-            kind = "ident"
-        elif text[0].isdigit():
-            kind = "number"
-        else:
-            kind = "punct"
-        tokens.append(SqlToken(text, kind))
-    return tokens
+    return [
+        SqlToken(match.group(), match.lastgroup)
+        for match in _TOKEN.finditer(sql)
+        if match.lastgroup != "ws"
+    ]
 
 
 @dataclass

@@ -6,6 +6,12 @@ import time
 from dataclasses import dataclass, field
 
 
+def ms_since(started: float) -> float:
+    """Milliseconds since the ``time.perf_counter()`` reading ``started``,
+    to the microsecond — the unit of every reported phase split."""
+    return round((time.perf_counter() - started) * 1000, 3)
+
+
 @dataclass
 class Stopwatch:
     """Accumulating stopwatch with laps; usable as a context manager.

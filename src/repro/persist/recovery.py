@@ -21,7 +21,10 @@ After the replay, recovery *verifies* before it trusts:
 A mismatch raises :class:`~repro.errors.CatalogCorruptError` naming every
 problem.  ``repair=True`` recreates missing physical tables as empty and
 proceeds when that resolves everything; ``force=True`` skips verification
-entirely (the escape hatch for forensics on a damaged file).
+entirely (the escape hatch for forensics on a damaged file).  The third
+gate — the static delta-code verifier, or the ``verified_at`` mark standing
+in for it — belongs to the backend that owns the installed code
+(:meth:`LiveSqliteBackend._verify_on_open`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import TYPE_CHECKING
 from repro.bidel.ast import CreateSchemaVersion
 from repro.bidel.parser import parse_script
 from repro.errors import CatalogCorruptError, CatalogError
+from repro.obs.timing import ms_since
 from repro.persist.fingerprint import (
     engine_layout,
     sqlite_layout,
@@ -161,62 +165,44 @@ def verify_layout(
     return problems
 
 
-def _verify_delta_code(engine: "InVerDa") -> list[str]:
-    """The static delta-code verifier as the third recovery gate: a
-    catalog whose regenerated views or triggers do not resolve must not
-    come back up.  Fingerprints catch *changed* catalogs; this catches
-    *inconsistent* ones (a deeper, semantic complement).  Warnings are
-    recorded but never block recovery."""
-    from repro.check.delta import verify_delta_code
-    from repro.check.diagnostics import record_findings
-
-    findings = verify_delta_code(engine)
-    record_findings(engine, findings, scope="recovery")
-    return [
-        f"delta code: [{d.code}] {d.obj}: {d.message}"
-        for d in findings
-        if d.severity == "error"
-    ]
-
-
 def recover(
     engine: "InVerDa",
     connection: sqlite3.Connection,
     *,
     repair: bool = False,
     force: bool = False,
+    phases: dict | None = None,
 ) -> CatalogState:
     """Rebuild ``engine`` (fresh) from the catalog persisted on
     ``connection``'s database, verifying fingerprints and physical layout.
 
     Returns the loaded :class:`CatalogState` so the caller can decide
-    whether the installed delta code is still current."""
+    whether the installed delta code is still current and verified;
+    ``phases`` receives ``replay_ms`` and ``verify_catalog_ms``."""
     if engine.genealogy.schema_versions:
         raise CatalogError(
             "recover() needs a fresh engine; this one already has "
             f"{len(engine.genealogy.schema_versions)} schema versions"
         )
+    phases = {} if phases is None else phases
     started = time.perf_counter()
     state = CatalogStore(connection).load()
     replay_into(engine, state.entries)
     # Recovery rebuilds a fresh, unshared engine; no session can hold
     # the read side yet.
     engine.catalog_generation = state.generation  # repro-lint: allow(RPC302)
+    phases["replay_ms"] = ms_since(started)
+    replayed = time.perf_counter()
     if not force:
         problems = verify_catalog(engine, state)
         problems += verify_layout(engine, connection, repair=repair)
-        problems += _verify_delta_code(engine)
         if problems:
             raise CatalogCorruptError(
                 "the persisted catalog does not match this database "
                 "(pass repair=True to recreate missing tables empty, or "
                 "force=True to skip verification):\n- " + "\n- ".join(problems)
             )
-    duration = time.perf_counter() - started
-    engine.metrics.histogram(
-        "repro_recovery_duration_seconds",
-        "Durable-catalog recovery duration (log replay + verification).",
-    ).observe(duration)
+        phases["verify_catalog_ms"] = ms_since(replayed)
     engine.metrics.counter(
         "repro_recoveries_total", "Completed catalog recoveries."
     ).inc()

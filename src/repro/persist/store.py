@@ -16,7 +16,10 @@ Tables
     whole-catalog fingerprint), ``delta_generation`` (the generation
     the installed delta code was generated for) and ``delta_emission``
     (the emitter revision that wrote it) — together the key for
-    idempotent reuse on re-attach.
+    idempotent reuse on re-attach — and ``verified_at``, the mark left
+    after a zero-error verdict of the static verifier (``{"digest",
+    "generation", "summary"}``, :func:`repro.check.delta.verified_digest`):
+    an open that finds the digest unchanged skips the verifier.
 
 ``_repro_catalog_log``
     The append-only catalog log, one row per catalog transition in
@@ -54,6 +57,7 @@ from repro.bidel.ast import CreateSchemaVersion
 from repro.errors import CatalogError
 from repro.persist.fingerprint import (
     catalog_fingerprint,
+    digest,
     version_fingerprint,
     version_payload,
 )
@@ -125,6 +129,10 @@ class CatalogState:
     delta_emission: int | None
     entries: list[dict] = field(default_factory=list)
     versions: list[VersionRecord] = field(default_factory=list)
+    #: SHA-256 over the log rows as stored: an entry edited in place
+    #: changes it even when it still parses and replays to the same shapes.
+    log_digest: str = ""
+    verified: dict = field(default_factory=dict)  # the mark; {} if unreadable
 
 
 def evolution_entry(engine: "InVerDa", version: "SchemaVersion") -> dict:
@@ -230,6 +238,9 @@ class CatalogStore:
         both still match.  A file without the stamp predates it: stale."""
         self._set_meta("delta_generation", generation)
         self._set_meta("delta_emission", emission)
+
+    def set_verified(self, mark: dict) -> None:
+        self._set_meta("verified_at", mark)
 
     # ------------------------------------------------------------------
     # Recording catalog transitions
@@ -383,12 +394,14 @@ class CatalogStore:
                 f"catalog format {format_version} is newer than this library "
                 f"understands (max {FORMAT_VERSION}); upgrade repro to open it"
             )
-        entries = [
-            {"kind": kind, **json.loads(payload)}
-            for kind, payload in self.connection.execute(
-                f"SELECT kind, payload FROM {LOG_TABLE} ORDER BY seq"
-            )
-        ]
+        rows = self.connection.execute(
+            f"SELECT kind, payload FROM {LOG_TABLE} ORDER BY seq"
+        ).fetchall()
+        entries = [{"kind": kind, **json.loads(payload)} for kind, payload in rows]
+        try:
+            verified = self._get_meta("verified_at")
+        except ValueError:  # a mark that does not parse vouches for nothing
+            verified = None
         versions = [
             VersionRecord(position, name, parent, bool(dropped), fingerprint)
             for position, name, parent, dropped, fingerprint in self.connection.execute(
@@ -404,4 +417,6 @@ class CatalogStore:
             delta_emission=self._get_meta("delta_emission"),
             entries=entries,
             versions=versions,
+            log_digest=digest(rows),
+            verified=verified if isinstance(verified, dict) else {},
         )

@@ -15,9 +15,14 @@ from repro.backend.sqlite import LiveSqliteBackend
 class NestedEmissionBackend(LiveSqliteBackend):
     """A live backend whose regenerated views are the nested rendering
     (rendered afresh on every install — the diff against ``sqlite_master``
-    still touches only what changed).  The verifier's RPC109 knows the
-    product's emission only, so ``verify_transitions`` is not for this
-    class."""
+    still touches only what changed).  It is another emitter than the
+    product's and stamps its files so: the product regenerates them once
+    on open, and a ``verified_at`` mark left here vouches for nothing
+    there."""
 
     def _view_statements(self) -> list[str]:
         return codegen.view_statements(self.engine, flatten=False)
+
+    def _delta_key(self) -> tuple[int, int]:
+        generation, stamp = super()._delta_key()
+        return generation, -stamp

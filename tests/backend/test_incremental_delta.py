@@ -255,6 +255,33 @@ def test_leaf_cycle_touches_only_the_leaf(chain, leaf, smo, objects):
     assert_installed_is_rendered(backend, "after the leaf cycle")
 
 
+def test_plain_transition_pays_nothing_for_the_verified_at_mark(chain):
+    """With ``verify_transitions`` off a transition computes no digest,
+    writes no mark and reads ``sqlite_master`` no more often than before
+    the mark existed: every statement the administrative handle runs for
+    a leaf evolve / drop, counted (23 / 20 at the parent commit too)."""
+    handle = chain.live_backend.connection
+
+    def statements(script: str) -> list[str]:
+        traced: list[str] = []
+        handle.set_trace_callback(traced.append)
+        try:
+            chain.execute(script)
+        finally:
+            handle.set_trace_callback(None)
+        return traced
+
+    evolve = statements(
+        "CREATE SCHEMA VERSION LM FROM S8 WITH RENAME COLUMN remark IN Lo TO rm;"
+    )
+    drop = statements("DROP SCHEMA VERSION LM;")
+    for traced, total, master_reads in ((evolve, 23, 1), (drop, 20, 2)):
+        assert len(traced) == total, f"{SQLITE}: " + "\n".join(traced)
+        assert sum("sqlite_master" in text for text in traced) == master_reads
+        assert not any("verified_at" in text for text in traced)
+    assert chain.live_backend.store.load().verified == {}
+
+
 # ---------------------------------------------------------------------------
 # (c) objects the catalog did not generate
 # ---------------------------------------------------------------------------
@@ -331,5 +358,87 @@ def test_partly_stripped_file_gets_back_exactly_the_missing_objects(tmp_path):
     engine = repro.open(path)
     try:
         assert engine.live_backend.delta_reused
+    finally:
+        engine.live_backend.close()
+
+
+# ---------------------------------------------------------------------------
+# (e) the verifier checks the emission the backend installs
+# ---------------------------------------------------------------------------
+
+
+def _contents(engine) -> dict:
+    contents = {}
+    for version in engine.genealogy.active_versions():
+        conn = repro.connect(engine, version.name)
+        for table in sorted(version.table_names()):
+            columns = ", ".join(version.table_version(table).schema.column_names)
+            contents[version.name, table] = sorted(
+                conn.execute(f"SELECT {columns} FROM {table}").fetchall()
+            )
+        conn.close()
+    return contents
+
+
+def test_nested_backend_passes_the_transition_gate_and_the_product_replaces_its_views(
+    tmp_path,
+):
+    path = str(tmp_path / "nested.db")
+    engine = repro.InVerDa()
+    backend = NestedEmissionBackend.attach(
+        engine, database=path, verify_transitions=True
+    )
+
+    def clean(context: str) -> None:
+        assert engine.last_check["scope"].startswith("transition:"), context
+        assert engine.last_check["findings"] == 0, f"{context}: {engine.last_check}"
+        mark = backend.store.load().verified
+        assert mark["generation"] == engine.catalog_generation, context
+        assert_installed_is_rendered(backend, context)
+
+    engine.execute(CHAIN[0])
+    conn = repro.connect(engine, "S0", autocommit=True)
+    conn.executemany(
+        "INSERT INTO Item(k, grp, qty, note) VALUES (?, ?, ?, ?)",
+        [(i, i % 7, i % 13, f"n{i}") for i in range(40)],
+    )
+    conn.close()
+    for script in CHAIN[1:]:
+        engine.execute(script)
+        clean(script)
+    engine.execute("MATERIALIZE 'S4';")
+    clean("materialized")
+    engine.execute("CREATE SCHEMA VERSION leaf FROM S8 WITH RENAME COLUMN remark IN Lo TO r;")
+    clean("leaf evolved")
+    engine.execute("DROP SCHEMA VERSION leaf;")
+    clean("leaf dropped")
+    before = _contents(engine)
+    nested_views = installed_text(backend.connection)
+    backend.close()
+
+    # Its own kind of backend goes by the mark ...
+    backend = NestedEmissionBackend.attach(repro.InVerDa(), database=path)
+    try:
+        assert backend.delta_reused and backend.recovery_phases["verify_skipped"]
+    finally:
+        backend.close()
+    # ... the product's emitter is another one: nothing vouches for these
+    # views there, and the diff replaces them.
+    engine = repro.open(path)
+    try:
+        backend = engine.live_backend
+        assert not backend.delta_reused
+        assert "verify_delta_ms" in backend.recovery_phases
+        assert backend.last_install["dropped"] > 0
+        composed_views = installed_text(backend.connection)
+        assert composed_views.keys() == nested_views.keys()
+        assert composed_views != nested_views
+        assert_installed_is_rendered(backend, "reopened by the product")
+        assert _contents(engine) == before
+    finally:
+        engine.live_backend.close()
+    engine = repro.open(path)
+    try:
+        assert engine.live_backend.recovery_phases["verify_skipped"]
     finally:
         engine.live_backend.close()

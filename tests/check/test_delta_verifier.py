@@ -356,6 +356,66 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 
+    def test_cli_db_mode_ignores_the_mark_and_leaves_the_file_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import sqlite3
+
+        import repro
+        from repro.check import delta
+        from repro.check.__main__ import run
+
+        def file_state():
+            handle = sqlite3.connect(path)
+            try:
+                return (
+                    handle.execute("SELECT * FROM _repro_catalog_meta ORDER BY key").fetchall(),
+                    handle.execute("SELECT name, sql FROM sqlite_master ORDER BY name").fetchall(),
+                )
+            finally:
+                handle.close()
+
+        calls = []
+        real = delta.verify_delta_code
+        monkeypatch.setattr(
+            delta, "verify_delta_code",
+            lambda *a, **kw: calls.append(kw) or real(*a, **kw),
+        )
+        path = str(tmp_path / "cli.db")
+        engine = repro.open(path)
+        engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE T(a INTEGER);")
+        engine.live_backend.close()
+
+        unmarked = file_state()
+        assert run(["--db", path]) == 0
+        assert "verified-at mark: absent or stale" in capsys.readouterr().out
+        assert len(calls) == 1 and file_state() == unmarked
+
+        repro.open(path).live_backend.close()  # verifies in full, marks
+        marked = file_state()
+        assert marked != unmarked
+        del calls[:]
+        assert run(["--db", path]) == 0
+        assert "verified-at mark: matches this file" in capsys.readouterr().out
+        assert len(calls) == 1 and calls[0]["connection"] is not None
+        assert file_state() == marked
+
+        handle = sqlite3.connect(path)
+        handle.execute("DROP TRIGGER tg__0__delete")
+        handle.commit()
+        handle.close()
+        assert run(["--db", path]) == 1
+        out = capsys.readouterr().out
+        assert "RPC109" in out and "verified-at mark: absent or stale" in out
+
+    def test_cli_db_mode_refuses_a_file_without_a_catalog(self, tmp_path):
+        from repro.check.__main__ import run
+        from repro.errors import CatalogError
+
+        with pytest.raises(CatalogError, match="no persisted catalog"):
+            run(["--db", str(tmp_path / "nothing.db")])
+        assert not (tmp_path / "nothing.db").exists()
+
     def test_cli_requires_a_mode(self, capsys):
         from repro.check.__main__ import run
 

@@ -2,12 +2,70 @@
 
 from __future__ import annotations
 
+import re
+
+import pytest
+
+import repro
+from repro.backend import codegen
 from repro.check.sqlscan import (
     SUBQUERY,
+    SqlToken,
     scan_statement,
     tokenize_sql,
     unquoted_occurrence,
 )
+from tests.backend.test_differential import CHAINS
+from tests.backend.test_sargable import CHAIN
+
+_OLD_TOKEN = re.compile(
+    r"""
+      '(?:[^']|'')*'             # string literal ('' escapes)
+    | "(?:[^"]|"")*"             # quoted identifier ("" escapes)
+    | [A-Za-z_][A-Za-z0-9_]*     # bare identifier or keyword
+    | \d+(?:\.\d+)?              # number
+    | <=|>=|!=|<>|\|\|           # two-char operators
+    | .                          # any other single character
+    """,
+    re.VERBOSE,
+)
+
+
+def old_tokenize_sql(sql: str) -> list[SqlToken]:
+    """The tokenizer as it was before the one-pass rewrite: match, then
+    classify every token by looking at its text again.  The reference the
+    named-group tokenizer must agree with, token for token."""
+    tokens: list[SqlToken] = []
+    for match in _OLD_TOKEN.finditer(sql):
+        text = match.group(0)
+        if text.isspace():
+            continue
+        if text.startswith("'"):
+            kind = "string"
+        elif text.startswith('"'):
+            kind = "qident"
+        elif re.match(r"[A-Za-z_]", text):
+            kind = "ident"
+        elif text[0].isdigit():
+            kind = "number"
+        else:
+            kind = "punct"
+        tokens.append(SqlToken(text, kind))
+    return tokens
+
+
+def _chain_scripts() -> dict[str, list[str]]:
+    scripts = {"benchmark": list(CHAIN)}
+    for name, (create, _load, evolutions) in CHAINS.items():
+        scripts[name] = [f"CREATE SCHEMA VERSION v1 WITH {create};"]
+        for step, evolution in enumerate(evolutions, start=2):
+            source = f"v{step - 1}"
+            if isinstance(evolution, tuple):
+                evolution, source = evolution
+            scripts[name].append(
+                f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};"
+            )
+    return scripts
 
 
 class TestTokenizer:
@@ -21,6 +79,25 @@ class TestTokenizer:
         assert token.kind == "qident"
         assert token.name == 'a"b'
         assert token.upper == ""  # quoted identifiers are never keywords
+
+
+    @pytest.mark.parametrize("chain", sorted(_chain_scripts()))
+    def test_token_stream_equals_the_two_pass_classifier(self, chain):
+        engine = repro.InVerDa()
+        for script in _chain_scripts()[chain]:
+            engine.execute(script)
+        statements = (
+            codegen.view_statements(engine)
+            + codegen.trigger_statements(engine)
+            + codegen.view_statements(engine, flatten=False)
+        )
+        assert statements
+        for statement in statements:
+            assert tokenize_sql(statement) == old_tokenize_sql(statement), statement
+
+    def test_oddities_classify_as_before(self):
+        for text in ("a<=b<>c||d!=e", "x = 'it''s' -- 1.5e3", "  \n\t ", '"q""i" . 7.25.1'):
+            assert tokenize_sql(text) == old_tokenize_sql(text), text
 
 
 class TestViewScan:

@@ -116,3 +116,86 @@ class TestServerSurfaces:
             assert stats["client"]["tracing"]["enabled"] is False
         finally:
             conn.close()
+
+
+class TestRecoveryPhases:
+    """An open reports its phases from the product: ``catalog.recovery``
+    on every surface, one histogram observation of the same total, and a
+    counter saying whether the delta-code gate ran or was skipped."""
+
+    @staticmethod
+    def build_file(path: str) -> None:
+        engine = repro.open(path)
+        engine.execute(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);"
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a * 2 INTO R;"
+        )
+        engine.live_backend.close()
+
+    @staticmethod
+    def check(engine, recovery: dict, catalog: dict, *, skipped: bool) -> None:
+        keys = {"replay_ms", "verify_catalog_ms", "install", "backfill_ms", "total_ms"}
+        if skipped:
+            assert recovery["verify_skipped"] is True
+            assert recovery.keys() == keys | {"verify_skipped"}
+        else:
+            assert recovery["verify_delta_ms"] > 0
+            assert recovery.keys() == keys | {"verify_delta_ms"}
+        assert recovery["install"] is None and catalog["delta_reused"] is True
+        parts = sum(
+            recovery.get(key, 0.0)
+            for key in ("replay_ms", "verify_catalog_ms", "verify_delta_ms", "backfill_ms")
+        )
+        assert 0 < parts <= recovery["total_ms"]
+        assert recovery["total_ms"] == round(catalog["recovery_seconds"] * 1000, 3)
+        histogram = engine.metrics.get("repro_recovery_duration_seconds")
+        stats = histogram.series_stats()
+        assert stats["count"] == 1
+        assert stats["sum"] == pytest.approx(catalog["recovery_seconds"])
+        counter = engine.metrics.get("repro_recovery_verify_total")
+        assert counter.value(outcome="skipped") == int(skipped)
+        assert counter.value(outcome="full") == int(not skipped)
+
+    def test_in_process(self, tmp_path):
+        path = str(tmp_path / "phases.db")
+        self.build_file(path)
+        for skipped in (False, True):
+            engine = repro.open(path)
+            try:
+                conn = repro.connect(engine, "v2", autocommit=True)
+                catalog = conn.stats()["catalog"]
+                assert catalog["recovery"] == engine.live_backend.catalog_stats()["recovery"]
+                self.check(engine, catalog["recovery"], catalog, skipped=skipped)
+                conn.close()
+            finally:
+                engine.live_backend.close()
+
+    def test_over_tcp(self, tmp_path):
+        path = str(tmp_path / "phases.db")
+        self.build_file(path)
+        for skipped in (False, True):
+            engine = repro.open(path)
+            server = ReproServer(engine, backend=engine.live_backend).start()
+            host, port = server.address
+            conn = connect_remote(host, port, "v2", autocommit=True)
+            try:
+                catalog = conn.server_status()["catalog"]
+                self.check(engine, catalog["recovery"], catalog, skipped=skipped)
+                outcome = "skipped" if skipped else "full"
+                assert (
+                    f'repro_recovery_verify_total{{outcome="{outcome}"}} 1'
+                    in conn.metrics_text()
+                )
+            finally:
+                conn.close()
+                server.close()
+                engine.live_backend.close()
+
+    def test_fresh_attach_reports_no_recovery(self):
+        engine = build_engine()
+        conn = repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+        try:
+            assert conn.stats()["catalog"]["recovery"] is None
+            assert engine.metrics.get("repro_recovery_verify_total") is None
+        finally:
+            engine.live_backend.close()

@@ -5,8 +5,13 @@ crashed."""
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+import repro
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.check.delta import verify_delta_code
 from repro.testing import DualSystem
 
 
@@ -118,3 +123,94 @@ def test_generation_never_torn(tmp_path):
         assert ds.sq.catalog_fingerprint() == ds.backend.store.load().fingerprint
     finally:
         ds.close()
+
+
+# ---------------------------------------------------------------------------
+# Inside the install: the diff has dropped what it replaces and created
+# nothing yet.
+# ---------------------------------------------------------------------------
+
+
+def _materialize_then(statement: str):
+    def prepare(ds: DualSystem) -> str:
+        ds.materialize("v2")
+        return statement
+
+    return prepare
+
+
+HALF_INSTALLED = {
+    "evolution": lambda ds: EVOLUTION,
+    # Alters the triggers of a surviving table version (its neighbour gains
+    # shared aux to maintain), so the diff really has dropped something.
+    "evolution-fk": lambda ds: (
+        "CREATE SCHEMA VERSION v3 FROM v2 WITH "
+        "DECOMPOSE TABLE R INTO S(a, b), T(c) ON FOREIGN KEY ref;"
+    ),
+    "drop": _materialize_then("DROP SCHEMA VERSION v1;"),
+    "materialize": lambda ds: "MATERIALIZE 'v2';",
+    "materialize-online": lambda ds: "MATERIALIZE ONLINE 'v2';",
+}
+
+
+@pytest.mark.parametrize("transition", sorted(HALF_INSTALLED))
+def test_crash_between_the_drops_and_the_creates(tmp_path, transition):
+    ds = build(tmp_path)
+    try:
+        statement = HALF_INSTALLED[transition](ds)
+        for conn in (*ds._mem_conns.values(), *ds._sq_conns.values()):
+            conn.close()
+        ds._mem_conns.clear()
+        ds._sq_conns.clear()
+        committed = ds.sq.catalog_generation
+        versions = ds.sq.version_names()
+        ds.backend.fault_injector = injector("regenerate:dropped")
+        with pytest.raises(SimulatedCrash):
+            ds.sq.execute(statement)
+        ds.reopen()
+        ds.check(f"recovered-after-{transition}")
+        assert ds.sq.version_names() == versions
+        # Wholly before — except the online move, whose journal committed
+        # with the last chunk: the open resumes it, wholly after.
+        resumed = transition == "materialize-online"
+        assert ds.sq.catalog_generation == committed + resumed
+        assert ds.backend.on_disk_generation() == committed + resumed
+        assert verify_delta_code(ds.sq, connection=ds.backend.connection) == []
+        if resumed:
+            ds.mem.execute("MATERIALIZE 'v2';")
+        else:
+            ds.execute_ddl(statement)
+        ds.check(f"{transition}-after-the-crash")
+    finally:
+        ds.close()
+
+
+def test_crash_before_the_mark_is_written(tmp_path):
+    """Verified, installed, not yet marked: the file goes without a mark
+    and the next open does it all again."""
+
+    class DiesBeforeTheMark(LiveSqliteBackend):
+        def _fault(self, point: str) -> None:
+            if point == "recover:before-mark":
+                raise SimulatedCrash(point)
+
+    ds = build(tmp_path)
+    ds.close()
+    with pytest.raises(SimulatedCrash):
+        DiesBeforeTheMark.attach(repro.InVerDa(), database=ds.database)
+    handle = sqlite3.connect(ds.database)
+    assert handle.execute(
+        "SELECT count(*) FROM _repro_catalog_meta WHERE key = 'verified_at'"
+    ).fetchone() == (0,)
+    handle.close()
+    for full, skipped in ((1, 0), (0, 1)):
+        engine = repro.open(ds.database)
+        try:
+            counter = engine.metrics.get("repro_recovery_verify_total")
+            assert counter.value(outcome="full") == full
+            assert counter.value(outcome="skipped") == skipped
+            assert engine.live_backend.store.load().verified["generation"] == (
+                engine.catalog_generation
+            )
+        finally:
+            engine.live_backend.close()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import sqlite3
 
 import pytest
 
@@ -12,6 +14,10 @@ from repro.backend.compose import ViewComposer
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.errors import CatalogCorruptError, CatalogError
 from repro.workloads.tasky import build_tasky
+from tests.backend.test_incremental_delta import (
+    assert_installed_is_rendered,
+    installed_text,
+)
 
 SCRIPT = """
 CREATE SCHEMA VERSION v1 WITH
@@ -397,6 +403,303 @@ class TestCorruption:
         engine = repro.open(path, force=True)
         assert engine.version_names() == ["TasKy", "Do!", "TasKy2"]
         engine.live_backend.close()
+
+
+SPLIT = "CREATE SCHEMA VERSION v3 FROM v2 WITH SPLIT TABLE R INTO Odd WITH a % 2 = 1;"
+
+
+def read_mark(path: str):
+    """The ``verified_at`` meta row of a closed file, as stored."""
+    handle = sqlite3.connect(path)
+    try:
+        row = handle.execute(
+            "SELECT value FROM _repro_catalog_meta WHERE key = 'verified_at'"
+        ).fetchone()
+    finally:
+        handle.close()
+    return None if row is None else row[0]
+
+
+def tamper(path: str, *statements: str) -> None:
+    handle = sqlite3.connect(path)
+    try:
+        for statement in statements:
+            assert handle.execute(statement).rowcount != 0, statement
+        handle.commit()
+    finally:
+        handle.close()
+
+
+def hand_edit_a_view(path: str) -> None:
+    """Another body under the same name, every trigger put back."""
+    handle = sqlite3.connect(path)
+    try:
+        (sql,) = handle.execute(
+            "SELECT sql FROM sqlite_master WHERE name = 'v1__R'"
+        ).fetchone()
+        triggers = handle.execute(
+            "SELECT sql FROM sqlite_master WHERE type = 'trigger' AND tbl_name = 'v1__R'"
+        ).fetchall()
+        handle.execute("DROP VIEW v1__R")
+        handle.execute(sql.replace("AS\nSELECT", "AS\nSELECT DISTINCT", 1))
+        for (trigger,) in triggers:
+            handle.execute(trigger)
+        handle.commit()
+    finally:
+        handle.close()
+
+
+def evolve_once(path: str) -> None:
+    engine = repro.open(path)
+    engine.execute("CREATE SCHEMA VERSION v4 FROM v3 WITH RENAME COLUMN b IN Odd TO bb;")
+    engine.live_backend.close()
+
+
+def drop_a_data_table(path: str) -> None:
+    handle = sqlite3.connect(path)
+    (name,) = handle.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' AND name LIKE 'd\\_\\_%' ESCAPE '\\'"
+    ).fetchone()
+    handle.close()
+    tamper(path, f'DROP TABLE "{name}"')
+
+
+TAMPERS = {
+    "hand-edited view body": (hand_edit_a_view, {}),
+    "stripped trigger": (lambda path: tamper(path, "DROP TRIGGER tg__2__delete"), {}),
+    "older emission stamp": (
+        lambda path: tamper(
+            path, "UPDATE _repro_catalog_meta SET value = '3' WHERE key = 'delta_emission'"
+        ),
+        {},
+    ),
+    "log payload edited in place": (
+        lambda path: tamper(
+            path,
+            "UPDATE _repro_catalog_log SET payload = "
+            "replace(payload, '((a % 2) = 1)', '((a % 2) = 0)') WHERE seq = 3",
+        ),
+        {},
+    ),
+    "committed transition": (evolve_once, {}),
+    "mark deleted": (
+        lambda path: tamper(
+            path, "DELETE FROM _repro_catalog_meta WHERE key = 'verified_at'"
+        ),
+        {},
+    ),
+    "mark is garbage": (
+        lambda path: tamper(
+            path, "UPDATE _repro_catalog_meta SET value = '{not json' WHERE key = 'verified_at'"
+        ),
+        {},
+    ),
+    "mark is not a mark": (
+        lambda path: tamper(
+            path, "UPDATE _repro_catalog_meta SET value = '[1, 2]' WHERE key = 'verified_at'"
+        ),
+        {},
+    ),
+    "repair after a dropped table": (drop_a_data_table, {"repair": True}),
+}
+
+
+class TestVerifiedAtMark:
+    """An open skips the static verifier exactly when a mark vouches for
+    the file as it is; anything else runs it in full and leaves a mark."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.check import delta
+
+        calls: list[dict] = []
+        real = delta.verify_delta_code
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(delta, "verify_delta_code", counting)
+        return calls
+
+    @staticmethod
+    def outcomes(engine) -> tuple[float, float]:
+        counter = engine.metrics.get("repro_recovery_verify_total")
+        if counter is None:
+            return (0, 0)
+        return counter.value(outcome="full"), counter.value(outcome="skipped")
+
+    @staticmethod
+    def build(path: str) -> None:
+        engine = repro.open(path)
+        engine.execute(SCRIPT + SPLIT)
+        conn = repro.connect(engine, "v1", autocommit=True)
+        conn.executemany(
+            "INSERT INTO R(a, b) VALUES (?, ?)", [(i, f"r{i}") for i in range(8)]
+        )
+        conn.close()
+        engine.live_backend.close()
+
+    def marked(self, tmp_path, calls) -> str:
+        """A file whose last open verified in full and left a mark."""
+        path = str(tmp_path / "marked.db")
+        self.build(path)
+        assert read_mark(path) is None  # a plain install verifies and marks nothing
+        engine = repro.open(path)
+        try:
+            assert len(calls) == 1 and calls[0]["backend"] is engine.live_backend
+            assert self.outcomes(engine) == (1, 0)
+            assert engine.live_backend.delta_reused
+            assert engine.last_check["scope"] == "recovery"
+            assert engine.last_check["errors"] == 0
+            assert "verify_delta_ms" in engine.live_backend.recovery_phases
+        finally:
+            engine.live_backend.close()
+        mark = json.loads(read_mark(path))
+        assert mark["generation"] == 3 and mark["summary"]["errors"] == 0
+        del calls[:]
+        return path
+
+    def test_second_open_skips_the_verifier(self, tmp_path, calls):
+        path = self.marked(tmp_path, calls)
+        before = read_mark(path)
+        engine = repro.open(path)
+        try:
+            backend = engine.live_backend
+            assert calls == []
+            assert self.outcomes(engine) == (0, 1)
+            assert backend.recovered and backend.delta_reused
+            assert engine.last_check["scope"] == "recovery"
+            assert engine.last_check["errors"] == 0
+            assert engine.last_check["verified_at"] == engine.catalog_generation
+            phases = backend.catalog_stats()["recovery"]
+            assert phases["verify_skipped"] is True and "verify_delta_ms" not in phases
+            assert phases["install"] is None
+            conn = repro.connect(engine, "v3")
+            assert conn.execute("SELECT a FROM Odd ORDER BY a").fetchall() == [
+                (1,), (3,), (5,), (7,)
+            ]
+            conn.close()
+            assert_installed_is_rendered(backend, "skipped open")
+        finally:
+            engine.live_backend.close()
+        assert read_mark(path) == before
+
+    @pytest.mark.parametrize("case", sorted(TAMPERS))
+    def test_anything_else_falls_to_the_full_path(self, tmp_path, calls, case):
+        path = self.marked(tmp_path, calls)
+        change, options = TAMPERS[case]
+        change(path)
+        del calls[:]  # evolve_once opens the file itself
+        engine = repro.open(path, **options)
+        try:
+            backend = engine.live_backend
+            assert len(calls) == 1, case
+            assert self.outcomes(engine) == (1, 0)
+            assert engine.last_check["scope"] == "recovery"
+            assert engine.last_check["errors"] == 0
+            assert "verified_at" not in engine.last_check
+            assert_installed_is_rendered(backend, case)
+            if case == "hand-edited view body":
+                # Every name was there: the parent reused this file as it
+                # was.  The diff re-creates the view and its triggers.
+                assert not backend.delta_reused
+                assert backend.last_install == {"created": 4, "dropped": 4, "kept": 8}
+                counter = engine.metrics.get("repro_delta_objects_total")
+                assert counter.value(action="created") == 4
+            if case == "stripped trigger":
+                assert backend.last_install == {"created": 1, "dropped": 0, "kept": 11}
+            if case == "log payload edited in place":
+                # Same shapes, so the fingerprints still match; only the
+                # log digest under the mark sees the edit.
+                assert "= 0" in installed_text(backend.connection)["v2__Odd"]
+        finally:
+            engine.live_backend.close()
+        # A fresh mark: the one the next open goes by.
+        assert json.loads(read_mark(path))["summary"]["errors"] == 0
+        del calls[:]
+        engine = repro.open(path)
+        try:
+            assert calls == [] and self.outcomes(engine) == (0, 1), case
+        finally:
+            engine.live_backend.close()
+
+    def test_force_neither_honours_nor_writes_a_mark(self, tmp_path, calls):
+        path = str(tmp_path / "forced.db")
+        self.build(path)
+        for _ in range(2):
+            engine = repro.open(path, force=True)
+            try:
+                assert calls == [] and self.outcomes(engine) == (0, 0)
+                assert engine.last_check is None
+            finally:
+                engine.live_backend.close()
+            assert read_mark(path) is None
+        path = self.marked(tmp_path, calls)
+        before = read_mark(path)
+        engine = repro.open(path, force=True)
+        try:
+            assert calls == [] and self.outcomes(engine) == (0, 0)
+            assert engine.last_check is None
+        finally:
+            engine.live_backend.close()
+        assert read_mark(path) == before
+
+    def test_read_only_file_opens_without_a_mark(self, tmp_path, calls):
+        path = str(tmp_path / "readonly.db")
+        self.build(path)
+        for _ in range(2):
+            engine = repro.open(f"file:{path}?mode=ro")
+            try:
+                assert len(calls) == 1 and self.outcomes(engine) == (1, 0)
+                assert engine.last_check["errors"] == 0
+                conn = repro.connect(engine, "v2")
+                assert len(conn.execute("SELECT a, c FROM R").fetchall()) == 8
+                conn.close()
+            finally:
+                engine.live_backend.close()
+            del calls[:]
+            assert read_mark(path) is None
+
+    def test_file_without_the_mark_key_verifies_once(self, tmp_path, calls):
+        """What a file written before the mark existed looks like: every
+        meta key but ``verified_at``."""
+        path = str(tmp_path / "tasky.db")
+        build_tasky_file(path)
+        assert read_mark(path) is None
+        for expected in ((1, 0), (0, 1)):
+            engine = repro.open(path)
+            try:
+                assert self.outcomes(engine) == expected
+                assert engine.live_backend.delta_reused
+            finally:
+                engine.live_backend.close()
+        assert len(calls) == 1
+
+    def test_transition_gate_marks_and_a_plain_transition_does_not(self, tmp_path, calls):
+        path = str(tmp_path / "gated.db")
+        engine = repro.InVerDa()
+        backend = LiveSqliteBackend.attach(engine, database=path, verify_transitions=True)
+        engine.execute(SCRIPT)
+        mark = json.loads(read_mark(path))
+        assert mark["generation"] == engine.catalog_generation
+        assert len(calls) == 2 and all(call["backend"] is backend for call in calls)
+        backend.close()
+        del calls[:]
+        engine = repro.open(path)  # no gate from here on
+        try:
+            assert calls == [] and self.outcomes(engine) == (0, 1)
+            engine.execute(SPLIT)
+            assert calls == []
+        finally:
+            engine.live_backend.close()
+        # The transition moved the generation: the mark is there, and stale.
+        assert json.loads(read_mark(path)) == mark
+        engine = repro.open(path)
+        try:
+            assert len(calls) == 1 and self.outcomes(engine) == (1, 0)
+        finally:
+            engine.live_backend.close()
 
 
 class TestMultiProcess:
