@@ -200,38 +200,35 @@ class SqliteInsertPlan:
             f"INSERT INTO {tv.view_name} ({collist}) VALUES ({placeholders})"
         )
 
-    def _rows(self, session: "SqliteSession", params: tuple) -> tuple[list, list]:
-        _tv, mappings = build_insert_mappings(self.version, self.stmt, params)
-        keys: list[int] = []
-        rows: list[tuple] = []
-        tv = self.tv
-        for values in mappings:
-            if tv.key_column is not None:
-                provided = values.get(tv.key_column)
-                key = int(provided) if provided is not None else session.allocate_key()
-                values = dict(values)
-                values[tv.key_column] = key
-            else:
-                key = session.allocate_key()
-            rows.append((key, *tv.schema.row_from_mapping(values)))
-            keys.append(key)
-        return keys, rows
-
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:
         return self.run_many(session, [params])
 
     def run_many(self, session: "SqliteSession", seq_of_params) -> StatementResult:
         """One multi-row write for the whole batch (``seq_of_params`` rows
         are already-normalized tuples): every parameter row's VALUES are
-        evaluated and keyed first, then a single ``executemany`` against
-        the generated view fires the INSTEAD OF trigger program per row
-        inside SQLite — no per-row re-planning in Python."""
-        keys: list[int] = []
+        evaluated first, the rows that bring no key of their own take
+        theirs from the sequence as one block, then a single
+        ``executemany`` against the generated view fires the INSTEAD OF
+        trigger program per row inside SQLite — no per-row re-planning
+        in Python."""
+        tv = self.tv
+        mappings = [
+            values
+            for params in seq_of_params
+            for values in build_insert_mappings(self.version, self.stmt, params)[1]
+        ]
+        provided = [
+            None if tv.key_column is None else values.get(tv.key_column)
+            for values in mappings
+        ]
+        missing = provided.count(None)
+        fresh = iter(session.allocate_keys(missing) if missing else ())
+        keys = [next(fresh) if key is None else int(key) for key in provided]
         rows: list[tuple] = []
-        for params in seq_of_params:
-            batch_keys, batch_rows = self._rows(session, params)
-            keys.extend(batch_keys)
-            rows.extend(batch_rows)
+        for key, values in zip(keys, mappings):
+            if tv.key_column is not None:
+                values = {**values, tv.key_column: key}
+            rows.append((key, *tv.schema.row_from_mapping(values)))
         if rows:
             session.cursor().executemany(self.insert_sql, rows)
         return StatementResult(rowcount=len(keys), lastrowid=keys[-1] if keys else None)
@@ -255,8 +252,13 @@ class SqliteUpdatePlan:
 
     def __init__(self, count_sql: str, dml_sql: str, where_params: int,
                  param_count: int, view_name: str = ""):
+        #: The equivalent read, kept for plan inspection; never executed.
         self.count_sql = count_sql
         self.dml_sql = dml_sql
+        #: What ``run`` sends: ``changes()`` is always 0 on a view, but
+        #: RETURNING yields one row per view row an INSTEAD OF trigger
+        #: fired for — the rows matched before the write.
+        self.executed_sql = dml_sql + " RETURNING 1"
         self.where_params = where_params
         self.param_count = param_count
         self.view_name = view_name
@@ -266,7 +268,8 @@ class SqliteUpdatePlan:
             ("plan", type(self).__name__),
             ("view", self.view_name),
             ("backend_sql", self.dml_sql),
-            ("query_plan", _query_plan(session, self.dml_sql, self.param_count)),
+            ("executed_sql", self.executed_sql),
+            ("query_plan", _query_plan(session, self.executed_sql, self.param_count)),
             ("count_sql", self.count_sql),
             (
                 "count_query_plan",
@@ -275,24 +278,13 @@ class SqliteUpdatePlan:
         ]
 
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:
-        count = int(
-            session.execute(self.count_sql, params[: self.where_params]).fetchone()[0]
-        )
-        if count:
-            session.execute(self.dml_sql, params)
-        return StatementResult(rowcount=count)
+        rows = session.execute(self.executed_sql, params).fetchall()
+        return StatementResult(rowcount=len(rows))
 
 
 class SqliteDeletePlan(SqliteUpdatePlan):
+    # A DELETE's only parameters are its WHERE's, so ``run`` is shared.
     kind = "delete"
-
-    def run(self, session: "SqliteSession", params: tuple) -> StatementResult:
-        count = int(
-            session.execute(self.count_sql, params[: self.where_params]).fetchone()[0]
-        )
-        if count:
-            session.execute(self.dml_sql, params[: self.where_params])
-        return StatementResult(rowcount=count)
 
 
 def compile_select(version: SchemaVersion, stmt: Select) -> SqliteSelectPlan:

@@ -53,24 +53,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import InVerDa
 
 
+#: Oldest SQLite the backend runs on: ``RETURNING`` (3.35) carries a
+#: write's row count out of an INSTEAD OF cascade; ``NULLS LAST`` needs 3.30.
+MIN_SQLITE = (3, 35)
+
+
 def _errors(findings) -> list[str]:
     return [
         f"[{d.code}] {d.obj}: {d.message}" for d in findings if d.severity == "error"
     ]
 
 
-def _next_row_id(connection: sqlite3.Connection) -> int:
+def _next_row_ids(connection: sqlite3.Connection, count: int = 1) -> range:
     """Advance the shared row-identifier sequence on ``connection`` (inside
-    its open transaction, if any) and return the new value."""
+    its open transaction, if any) by ``count`` and return the new values.
+    Two plain statements on purpose: ``UPDATE … RETURNING`` buffers its
+    row through an ephemeral table, a page-cache allocation per call."""
     connection.execute(
-        f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + 1 WHERE name = ?",
-        (emit.ROW_ID_SEQUENCE,),
+        f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + ? WHERE name = ?",
+        (count, emit.ROW_ID_SEQUENCE),
     )
-    row = connection.execute(
+    (last,) = connection.execute(
         f"SELECT value FROM {emit.SEQUENCES_TABLE} WHERE name = ?",
         (emit.ROW_ID_SEQUENCE,),
     ).fetchone()
-    return int(row[0])
+    return range(last - count + 1, last + 1)
 
 
 class SqliteSession:
@@ -90,6 +97,7 @@ class SqliteSession:
         self.backend = backend
         self.connection = connection
         self.transaction_epoch = 0
+        self._trace_callback = None
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -106,10 +114,21 @@ class SqliteSession:
     def cursor(self) -> sqlite3.Cursor:
         return self._check_open().cursor()
 
+    def set_trace_callback(self, callback):
+        """Install ``callback`` as the handle's ``sqlite3`` trace callback
+        and return the one it displaces, for the caller to put back
+        (``sqlite3`` has no getter, so the session remembers)."""
+        previous, self._trace_callback = self._trace_callback, callback
+        self._check_open().set_trace_callback(callback)
+        return previous
+
+    def allocate_keys(self, count: int) -> range:
+        """``count`` consecutive identifiers from the shared sequence, taken
+        on this session's handle (joins its open transaction, if any)."""
+        return _next_row_ids(self._check_open(), count)
+
     def allocate_key(self) -> int:
-        """Advance the shared row-identifier sequence on this session's
-        handle (joins the session's open transaction, if any)."""
-        return _next_row_id(self._check_open())
+        return self.allocate_keys(1)[0]
 
     # -- transactions ----------------------------------------------------
 
@@ -295,6 +314,11 @@ class LiveSqliteBackend:
         ``repro.check --db``).  A stale journal (superseded by a later
         committed transition) is always rolled back.
         """
+        if sqlite3.sqlite_version_info < MIN_SQLITE:
+            raise InterfaceError(
+                f"the live backend needs SQLite {'.'.join(map(str, MIN_SQLITE))} "
+                f"or later; this Python's sqlite3 is linked to {sqlite3.sqlite_version}"
+            )
         if database == ":memory:":
             database, uri, wal = shared_memory_uri(), True, False
         elif database.startswith("file:"):
@@ -1050,7 +1074,7 @@ class LiveSqliteBackend:
     # ------------------------------------------------------------------
 
     def allocate_key(self) -> int:
-        return _next_row_id(self.connection)
+        return _next_row_ids(self.connection)[0]
 
     def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
         return self.connection.execute(sql, parameters)

@@ -74,9 +74,15 @@ class WorkloadRecorder:
             "Statements executed, by schema version and statement kind.",
             ("version", "kind"),
         )
+        self._bound: dict = {}  # (version, kind) -> its series, bound once
 
     def record(self, version_name: str, kind: str, count: int = 1) -> None:
-        self._counter.inc(count, version=version_name, kind=kind)
+        series = self._bound.get((version_name, kind))
+        if series is None:
+            series = self._bound[version_name, kind] = self._counter.bound(
+                version=version_name, kind=kind
+            )
+        series.inc(count)
 
     def record_read(self, version_name: str, count: int = 1) -> None:
         self.record(version_name, "select", count)

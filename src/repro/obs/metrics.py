@@ -79,6 +79,16 @@ class MetricFamily:
             )
         return tuple(str(labels[name]) for name in self.labelnames)
 
+    def bound(self, **labels) -> "BoundSeries":
+        """A handle on the one series ``labels`` name, for a caller that
+        updates it per statement: the label check and ``str()`` are paid
+        here, once."""
+        return BoundSeries(self, self._key(labels))
+
+    def _update(self, key: tuple, amount: float) -> None:
+        with self._lock:
+            self._series[key] = self._series.get(key, 0) + amount
+
     def reset(self) -> None:
         """Drop every series (test/advisor-window helper; a scraped
         production registry should never be reset mid-flight)."""
@@ -124,19 +134,36 @@ class MetricFamily:
         return [f"{self.name}{self._label_text(key)} {_format_value(value)}"]
 
 
+class BoundSeries:
+    """One series of a family, its label tuple already resolved."""
+
+    __slots__ = ("_family", "_key")
+
+    def __init__(self, family: MetricFamily, key: tuple):
+        self._family = family
+        self._key = key
+
+    def inc(self, amount: float = 1) -> None:
+        family = self._family
+        if family._registry.enabled:
+            family._update(self._key, amount)
+
+    observe = inc
+
+
 class Counter(MetricFamily):
     """A monotonically increasing sum per label combination."""
 
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if not self._registry.enabled:
-            return
+        if self._registry.enabled:
+            self._update(self._key(labels), amount)
+
+    def _update(self, key: tuple, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
+        super()._update(key, amount)
 
     def value(self, **labels) -> float:
         with self._lock:
@@ -161,11 +188,8 @@ class Gauge(MetricFamily):
             self._series[key] = value
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
+        if self._registry.enabled:
+            self._update(self._key(labels), amount)
 
     def dec(self, amount: float = 1, **labels) -> None:
         self.inc(-amount, **labels)
@@ -197,9 +221,10 @@ class Histogram(MetricFamily):
             raise ValueError(f"histogram {self.name!r} needs at least one bucket")
 
     def observe(self, value: float, **labels) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
+        if self._registry.enabled:
+            self._update(self._key(labels), value)
+
+    def _update(self, key: tuple, value: float) -> None:
         index = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)

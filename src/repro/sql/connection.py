@@ -56,7 +56,6 @@ Common semantics on both backends:
 
 from __future__ import annotations
 
-import itertools
 import re
 import sqlite3
 import time
@@ -84,8 +83,6 @@ from repro.sql.planner import StatementResult, compile_statement_memory
 if TYPE_CHECKING:  # pragma: no cover
     from repro.backend.sqlite import LiveSqliteBackend, SqliteSession
     from repro.core.engine import InVerDa
-
-_scope_counter = itertools.count()
 
 
 @dataclass
@@ -541,14 +538,12 @@ class Cursor(BaseCursor):
             if plan.kind != "ddl":
                 params = _normalize_params(parameters, plan.param_count)
                 if plan.kind == "select":
-                    with _span(
-                        builder, "execute", backend=connection.backend_name
-                    ), _translated_errors():
+                    with connection._execute_span(builder), _translated_errors():
                         self._install_result(connection._run_plan(plan, params))
                     engine.workload.record(connection.version_name, "select")
                     return "select"
-                with _span(
-                    builder, "execute", backend=connection.backend_name
+                with connection._execute_span(
+                    builder
                 ), connection._write_scope(), _translated_errors():
                     self._install_result(connection._run_plan(plan, params))
                 engine.workload.record(connection.version_name, plan.kind)
@@ -597,9 +592,8 @@ class Cursor(BaseCursor):
                     _normalize_params(parameters, plan.param_count)
                     for parameters in seq_of_parameters
                 ]
-                with _span(
-                    builder, "execute", backend=connection.backend_name,
-                    batch=len(normalized),
+                with connection._execute_span(
+                    builder, batch=len(normalized)
                 ), connection._write_scope(), _translated_errors():
                     self._install_result(
                         connection._run_plan_many(plan, normalized)
@@ -607,9 +601,8 @@ class Cursor(BaseCursor):
             else:
                 total = 0
                 lastrowid: int | None = None
-                with _span(
-                    builder, "execute", backend=connection.backend_name,
-                    batch=len(seq_of_parameters),
+                with connection._execute_span(
+                    builder, batch=len(seq_of_parameters)
                 ), connection._write_scope(), _translated_errors():
                     for parameters in seq_of_parameters:
                         params = _normalize_params(parameters, plan.param_count)
@@ -661,6 +654,7 @@ class Connection(BaseConnection):
             "plan-cache outcome.",
             ("version", "kind", "cache"),
         )
+        self._latency_series: dict = {}  # (kind, cache) -> its series, bound once
         self._m_errors = metrics.counter(
             "repro_statement_errors_total",
             "Statements that raised, by schema version.",
@@ -799,6 +793,34 @@ class Connection(BaseConnection):
         builder.root.attributes["sql"] = operation
         return builder
 
+    def _execute_span(self, builder, **attributes):
+        """The ``execute`` span around a data-plane statement — a shared
+        no-op when untraced.  On the live backend it also counts, as
+        ``sqlite_statements``, everything SQLite ran on the session's
+        handle meanwhile: the scope's own BEGIN / COMMIT / savepoint
+        statements and every trigger statement of the cascade."""
+        if builder is None:
+            return _NOOP_SPAN
+        span = builder.span("execute", backend=self.backend_name, **attributes)
+        return span if self._session is None else self._counting(span)
+
+    @contextmanager
+    def _counting(self, span):
+        session, events = self._session, 0
+
+        def count(_text):
+            nonlocal events
+            events += 1
+
+        with span as execute:
+            previous = session.set_trace_callback(count)
+            try:
+                yield
+            finally:
+                execute.attributes["sqlite_statements"] = events
+                if not session.closed:
+                    session.set_trace_callback(previous)
+
     def _finish_statement(self, cursor: BaseCursor, operation: str, kind: str,
                           started: float, builder, *, error: bool = False) -> None:
         """Record the statement's metrics (latency or error counter, slow
@@ -810,8 +832,12 @@ class Connection(BaseConnection):
         if error:
             self._m_errors.inc(version=version)
         else:
-            self._m_latency.observe(duration, version=version, kind=kind,
-                                    cache=cache)
+            series = self._latency_series.get((kind, cache))
+            if series is None:
+                series = self._latency_series[kind, cache] = self._m_latency.bound(
+                    version=version, kind=kind, cache=cache
+                )
+            series.observe(duration)
         slow = self.engine.tracer.note_statement(
             operation, version, duration,
             threshold_ms=self._slow_ms,
@@ -945,70 +971,63 @@ class Connection(BaseConnection):
     def _write_scope(self):
         """Statement-level atomicity around a write.
 
-        Opens the implicit transaction when not in autocommit mode, then
-        guards the statement with a savepoint so a failure mid-statement
-        (or mid-executemany-batch) never leaves partial effects behind."""
+        Opens the implicit transaction when not in autocommit mode; a
+        failure mid-statement (or mid-executemany-batch) never leaves
+        partial effects behind."""
         self._check_open("execute")
         if not self.autocommit:
             self._begin()
         if self._session is not None:
-            # The statement savepoint runs on this connection's OWN
-            # session: in autocommit mode (no open transaction) releasing
-            # it commits the statement; inside a transaction it only
-            # bounds the statement's effects.  Conflicts with other
-            # sessions surface as SQLite lock errors, not silent joins.
+            # Both forms run on this connection's OWN session, so
+            # conflicts with other sessions surface as SQLite lock
+            # errors, not silent joins.
             session = self._session
-            # An autocommit write takes the backend's write lock up
-            # front: routed writes read the view before the trigger
-            # writes, and that deferred upgrade loses a WAL snapshot
-            # race against any concurrent writer (e.g. an online
-            # backfill chunk) as an immediate, untimed-out lock error.
-            # It queues for the backend write *gate* first — waiters on
-            # a Python lock are woken the moment the holder releases,
-            # where SQLite's busy handler would poll and starve behind a
-            # back-to-back backfill chunk loop.
-            own_txn = False
-            gate = None
             if self.autocommit and not session.in_transaction:
+                # The statement is the transaction — success commits it,
+                # any failure rolls it back, which undoes exactly the
+                # statement (or executemany batch).  It takes the
+                # backend's write lock up front: routed writes read the
+                # view before the trigger writes, and that deferred
+                # upgrade loses a WAL snapshot race against any
+                # concurrent writer (e.g. an online backfill chunk) as an
+                # immediate, untimed-out lock error.  It queues for the
+                # backend write *gate* first — waiters on a Python lock
+                # are woken the moment the holder releases, where
+                # SQLite's busy handler would poll and starve behind a
+                # back-to-back backfill chunk loop.
                 gate = getattr(session.backend, "write_gate", None)
                 if gate is not None:
                     gate.acquire()
                 try:
                     with _translated_errors():
                         session.begin_immediate()
-                    own_txn = True
-                except BaseException:
+                    try:
+                        yield
+                        with _translated_errors():
+                            session.commit()
+                    except BaseException:
+                        if not session.closed:
+                            session.rollback()
+                        raise
+                finally:
                     if gate is not None:
                         gate.release()
-                    raise
+                return
+            # Inside a transaction a savepoint bounds the statement's
+            # effects.  The name is fixed, so its texts are prepared once
+            # per handle; SQLite nests equal names, and ROLLBACK TO /
+            # RELEASE address the innermost.
+            with _translated_errors():
+                session.execute("SAVEPOINT repro_stmt")
             try:
-                # The savepoint name is generated here (stmt_<counter>),
-                # never user input, so no identifier quoting applies.
-                savepoint = f"stmt_{next(_scope_counter)}"
-                try:
-                    with _translated_errors():
-                        session.execute(f"SAVEPOINT {savepoint}")  # repro-lint: allow(RPC301)
-                except BaseException:
-                    if own_txn and not session.closed:
-                        session.rollback()
-                    raise
-                try:
-                    yield
-                except BaseException:
-                    if not session.closed:
-                        session.execute(f"ROLLBACK TO {savepoint}")  # repro-lint: allow(RPC301)
-                        session.execute(f"RELEASE {savepoint}")  # repro-lint: allow(RPC301)
-                        if own_txn:
-                            session.rollback()
-                    raise
-                else:
-                    with _translated_errors():
-                        session.execute(f"RELEASE {savepoint}")  # repro-lint: allow(RPC301)
-                        if own_txn:
-                            session.commit()
-            finally:
-                if gate is not None and own_txn:
-                    gate.release()
+                yield
+            except BaseException:
+                if not session.closed:
+                    session.execute("ROLLBACK TO repro_stmt")
+                    session.execute("RELEASE repro_stmt")
+                raise
+            with _translated_errors():
+                session.execute("RELEASE repro_stmt")
             return
         engine = self.engine
         if engine._undo_log is None:

@@ -68,6 +68,8 @@ class PlanCache:
             "Plan cache events by outcome.",
             ("event",),
         )
+        self._hit = self._events.bound(event="hit")
+        self._miss = self._events.bound(event="miss")
 
     def get(self, key: PlanKey, generation: int):
         """The cached plan for ``key`` compiled under ``generation``, or
@@ -86,7 +88,7 @@ class PlanCache:
                 hit = False
                 plan = None
         if self._events is not None:
-            self._events.inc(event="hit" if hit else "miss")
+            (self._hit if hit else self._miss).inc()
         return plan
 
     def peek(self, key: PlanKey, generation: int):

@@ -353,20 +353,24 @@ CHAIN = (
 )
 
 
-@pytest.fixture(scope="module")
-def chain():
+def build_chain(rows):
+    """The chain over ``rows`` of S0's Item, served by a live backend with
+    the data at S4; returns ``(engine, backend)``."""
     engine = repro.InVerDa()
     engine.execute(CHAIN[0])
     conn = repro.connect(engine, "S0", autocommit=True)
-    conn.executemany(
-        "INSERT INTO Item(k, grp, qty, note) VALUES (?, ?, ?, ?)",
-        [(i, i % 7, i % 13, f"n{i}") for i in range(1000)],
-    )
+    conn.executemany("INSERT INTO Item(k, grp, qty, note) VALUES (?, ?, ?, ?)", rows)
     conn.close()
     for script in CHAIN[1:]:
         engine.execute(script)
     backend = LiveSqliteBackend.attach(engine)
     engine.execute("MATERIALIZE 'S4';")
+    return engine, backend
+
+
+@pytest.fixture(scope="module")
+def chain():
+    engine, backend = build_chain([(i, i % 7, i % 13, f"n{i}") for i in range(1000)])
     yield engine
     backend.close()
 

@@ -312,3 +312,102 @@ class TestBackendSelection:
     def test_unknown_backend(self):
         with pytest.raises(InterfaceError):
             connect(_engine(), "v1", backend="duckdb")
+
+    def test_sqlite_older_than_the_floor_is_refused_by_name(self, monkeypatch, tmp_path):
+        """3.34 has no RETURNING: say so at attach / open, not as a syntax
+        error inside somebody's UPDATE."""
+        import repro
+        from repro.backend import sqlite as backend_module
+
+        monkeypatch.setattr(backend_module.sqlite3, "sqlite_version_info", (3, 34, 1))
+        monkeypatch.setattr(backend_module.sqlite3, "sqlite_version", "3.34.1")
+        for attach in (
+            lambda: LiveSqliteBackend.attach(_engine()),
+            lambda: connect(_engine(), "v1", backend="sqlite"),
+            lambda: repro.open(str(tmp_path / "floor.db")),
+        ):
+            with pytest.raises(InterfaceError, match=r"SQLite 3\.35 or later.*3\.34\.1"):
+                attach()
+        monkeypatch.undo()
+        assert backend_module.sqlite3.sqlite_version_info >= backend_module.MIN_SQLITE
+        LiveSqliteBackend.attach(_engine()).close()
+
+
+class TestKeyAllocation:
+    """``executemany`` takes its identifiers from the sequence as one
+    block — the identifiers per-row allocation would have handed out."""
+
+    def test_block_is_consecutive_and_ends_where_per_row_allocation_would(self):
+        engine = _engine()
+        backend = LiveSqliteBackend.attach(engine)
+        session = backend.open_session()
+        first = session.allocate_key()
+        assert list(session.allocate_keys(5)) == [first + n for n in range(1, 6)]
+        assert session.allocate_key() == first + 6
+        assert backend.allocate_key() == first + 7
+        session.close()
+        backend.close()
+
+    def test_batch_keys_match_row_by_row_inserts(self):
+        statement = "INSERT INTO Item(name, qty, tag) VALUES (?, ?, ?)"
+        rowids = []
+        for batched in (True, False):
+            conn = connect(_engine(), "v1", autocommit=True, backend="sqlite")
+            if batched:
+                cursor = conn.executemany(statement, ROWS)
+                assert cursor.rowcount == len(ROWS)
+            else:
+                for row in ROWS:
+                    cursor = conn.execute(statement, row)
+            last = cursor.lastrowid
+            rowids.append(conn.execute("SELECT rowid, name FROM Item ORDER BY rowid").fetchall())
+            assert rowids[-1][-1][0] == last
+            # The sequence ends at the same value either way.
+            assert conn.execute(statement, ("egg", 1, None)).lastrowid == last + 1
+        assert rowids[0] == rowids[1]
+
+    def test_rows_that_bring_their_own_key_take_none_from_the_block(self):
+        engine = _engine()
+        connect(engine, "v1", autocommit=True, backend="sqlite").executemany(
+            "INSERT INTO Item(name, qty, tag) VALUES (?, ?, ?)", ROWS
+        )
+        engine.execute(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+            "DECOMPOSE TABLE Item INTO Item(name, qty), Tag(tag) ON FK tid;"
+        )
+        v2 = connect(engine, "v2", autocommit=True, backend="sqlite")
+        before = v2._session.allocate_key()
+        cursor = v2.executemany(
+            "INSERT INTO Tag(id, tag) VALUES (?, ?)",
+            [(9001, "own"), (None, "fresh"), (9002, "own too"), (None, "fresh too")],
+        )
+        assert cursor.rowcount == 4
+        ids = dict(v2.execute("SELECT tag, id FROM Tag").fetchall())
+        assert (ids["own"], ids["own too"]) == (9001, 9002)
+        assert (ids["fresh"], ids["fresh too"]) == (before + 1, before + 2)
+
+
+class TestExplainWrite:
+    def test_explain_shows_the_text_that_runs_and_the_equivalent_read(self):
+        conn = connect(_engine(), "v1", autocommit=True, backend="sqlite")
+        conn.executemany("INSERT INTO Item(name, qty, tag) VALUES (?, ?, ?)", ROWS)
+        handle = conn._session.connection
+        for sql, params in (
+            ("UPDATE Item SET qty = qty + ? WHERE tag = ?", (1, "fruit")),
+            ("DELETE FROM Item WHERE tag = ?", ("veg",)),
+        ):
+            report = dict(conn.execute("EXPLAIN " + sql).fetchall())
+            assert report["executed_sql"] == report["backend_sql"] + " RETURNING 1"
+            assert report["count_sql"].startswith("SELECT COUNT(*) FROM")
+            assert report["query_plan"] and report["count_query_plan"]
+            # Both replay on a bare handle: the read says how many rows the
+            # write is about to report.
+            (count,) = handle.execute(report["count_sql"], params).fetchone()
+            seen: list[str] = []
+            handle.set_trace_callback(seen.append)
+            try:
+                assert conn.execute(sql, params).rowcount == count > 0
+            finally:
+                handle.set_trace_callback(None)
+            assert not any(text.startswith("SELECT COUNT") for text in seen)
+            assert any(text.endswith("RETURNING 1") for text in seen if not text.startswith("--"))

@@ -173,3 +173,52 @@ class TestExposition:
         round_tripped = json.loads(json.dumps(registry.snapshot()))
         assert round_tripped["c_total"]["type"] == "counter"
         assert round_tripped["h_seconds"]["series"][0]["buckets"][-1][0] == "+Inf"
+
+
+class TestBoundSeries:
+    """``family.bound(**labels)``: the same series, its labels resolved once."""
+
+    def test_bound_updates_land_in_the_keyword_api_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "", ("version", "kind"))
+        histogram = registry.histogram("h_seconds", "", ("kind",), buckets=(0.1, 1.0))
+        gauge = registry.gauge("g", "", ("pool",))
+        reads = counter.bound(version="v1", kind="select")
+        reads.inc()
+        reads.inc(3)
+        counter.inc(version="v1", kind="select")
+        assert counter.value(version="v1", kind="select") == 5
+        assert isinstance(counter.value(version="v1", kind="select"), int)
+        timed = histogram.bound(kind="select")
+        timed.observe(0.05)
+        histogram.observe(0.5, kind="select")
+        assert histogram.series_stats(kind="select") == {"count": 2, "sum": 0.55}
+        gauge.bound(pool="a").inc(2)
+        assert gauge.value(pool="a") == 2
+        assert 'c_total{version="v1",kind="select"} 5' in registry.render_prometheus()
+
+    def test_labels_are_checked_and_stringified_at_bind_time(self):
+        counter = MetricsRegistry().counter("c_total", "", ("version",))
+        with pytest.raises(ValueError):
+            counter.bound(kind="x")
+        with pytest.raises(ValueError):
+            counter.bound()
+        counter.bound(version=7).inc()
+        assert counter.value(version="7") == 1
+
+    def test_bound_counter_cannot_decrease(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().counter("c_total").bound().inc(-1)
+
+    def test_handle_survives_reset_and_honours_disabled(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "", ("op",))
+        series = counter.bound(op="a")
+        series.inc()
+        counter.reset()
+        assert counter.value(op="a") == 0
+        series.inc()
+        assert counter.value(op="a") == 1
+        registry.enabled = False
+        series.inc()
+        assert counter.value(op="a") == 1
