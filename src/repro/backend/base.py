@@ -8,9 +8,10 @@ backend can regenerate its delta code:
 
 - :meth:`ExecutionBackend.on_evolution` after a ``CREATE SCHEMA VERSION``
   committed new table versions and SMO instances to the catalog;
-- :meth:`ExecutionBackend.on_materialize` when a ``MATERIALIZE`` statement
-  moves the physical table schema (called *before* the engine mutates its
-  own in-memory storage, so the backend migrates from its current state);
+- :meth:`ExecutionBackend.on_materialize`, the one ``MATERIALIZE`` hook,
+  for a move's cutover — the whole offline move; ``MATERIALIZE ONLINE``
+  runs :meth:`~ExecutionBackend.prepare_move` and
+  :meth:`~ExecutionBackend.copy_chunk` first and hands the move over;
 - :meth:`ExecutionBackend.on_drop` after ``DROP SCHEMA VERSION`` removed
   SMO instances from the catalog.
 
@@ -19,7 +20,7 @@ write lock (draining every in-flight session statement), calls
 :meth:`ExecutionBackend.quiesce` so the backend can end every session's
 open transaction (DDL is not transactional), and only then runs the
 hooks above — so delta code is regenerated exactly once and republished
-atomically to all sessions.
+atomically to all sessions.  Online chunks alone run under the read side.
 
 An attached backend takes the rows: the engine's in-memory tables are
 emptied once the backend has committed its copy, and reads and writes must
@@ -28,9 +29,11 @@ go through backend sessions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.backend.online import Move
     from repro.catalog.genealogy import SmoInstance
     from repro.catalog.versions import SchemaVersion
 
@@ -42,14 +45,20 @@ class ExecutionBackend(Protocol):
     def on_evolution(self, version: "SchemaVersion") -> None:
         """A new schema version (and its SMO instances) entered the catalog."""
 
-    def on_materialize(self, schema: frozenset["SmoInstance"]) -> None:
-        """The materialization schema is about to become ``schema``; stage
-        and swap the backend's physical storage in place (the catalog still
-        carries the old materialization flags at this point)."""
+    def on_materialize(
+        self, schema: frozenset["SmoInstance"], apply: Callable[[], None],
+        move: "Move | None" = None,
+    ) -> None:
+        """Cut storage over to ``schema`` in one transaction: stage what
+        ``move``'s chunks did not (everything, offline), swap it in, call
+        ``apply`` (the engine's layout rebuild and flag flip) and
+        regenerate views and triggers."""
 
-    def after_materialize(self) -> None:
-        """The catalog now carries the new materialization flags; regenerate
-        views and triggers."""
+    def prepare_move(self, schema: frozenset["SmoInstance"], chunk_rows=None) -> "Move":
+        """Start and journal an online move to ``schema``."""
+
+    def copy_chunk(self, move: "Move") -> bool:
+        """Copy one chunk of ``move``; ``True`` once the copy has drained."""
 
     def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
         """A schema version was dropped; ``removed`` SMOs left the catalog."""

@@ -28,6 +28,7 @@ from repro.backend.handlers import (
     handler_for,
     has_shared_aux,
 )
+from repro.backend.online import stage_name
 from repro.catalog.genealogy import SmoInstance, TableVersion
 from repro.catalog.materialization import physical_table_versions
 from repro.errors import BackendError
@@ -394,25 +395,20 @@ def _aux_stage_name(smo: SmoInstance, role: str) -> str:
 
 
 def migration_statements(
-    engine, schema: frozenset[SmoInstance], staged: dict[int, str] | None = None
+    engine, schema: frozenset[SmoInstance]
 ) -> tuple[list[str], list[str]]:
-    """(stage_statements, swap_statements) implementing ``MATERIALIZE``.
+    """(stage_statements, swap_statements) of a ``MATERIALIZE`` cutover.
 
     Stage statements run against the *old* views: they create staging
-    tables holding every new physical data table and every aux table of
-    each SMO's newly stored side.  Swap statements (run after the generated
-    views/triggers are dropped) drop the old tables and rename the staged
-    ones into place.  Shared aux tables (ID) survive unchanged.
-
-    ``staged`` maps table-version uids to tables that were *already*
-    staged elsewhere (the online backfill's chunked copies): those skip
-    the one-shot stage copy and the swap renames the pre-staged table
-    into place instead.  Aux tables are always rebuilt here — they are
-    small derived state, not worth tracking incrementally.
+    tables holding every aux table of each SMO's newly stored side — small
+    derived state, rebuilt whole by every move.  The move stages the new
+    physical data tables itself (:mod:`repro.backend.online`).  Swap
+    statements (run after the generated views/triggers are dropped) drop
+    the old tables and rename both kinds of staged table into place.
+    Shared aux tables (ID) survive unchanged.
     """
     ctx = HandlerContext(engine)
     genealogy = engine.genealogy
-    staged = staged or {}
     stage: list[str] = []
     swap: list[str] = []
 
@@ -424,18 +420,9 @@ def migration_statements(
     ]
 
     for tv in new_physical:
-        name = staged.get(tv.uid)
-        if name is None:
-            name = tv.stage_table_name
-            columns = ", ".join(["p", *qcols(tv.schema.column_names)])
-            stage += [
-                f"DROP TABLE IF EXISTS {q(name)}",
-                table_ddl(name, tv.schema.column_names),
-                f"INSERT INTO {q(name)} SELECT {columns} FROM {q(tv.view_name)}",
-            ]
         swap += [
             f"DROP TABLE IF EXISTS {q(tv.data_table_name)}",
-            f"ALTER TABLE {q(name)} RENAME TO {q(tv.data_table_name)}",
+            f"ALTER TABLE {q(stage_name(tv))} RENAME TO {q(tv.data_table_name)}",
         ]
 
     keep_data = {tv.data_table_name for tv in new_physical}

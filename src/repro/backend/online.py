@@ -1,37 +1,34 @@
-"""Online MATERIALIZE: the journaled backfill / change-capture plan.
+"""MATERIALIZE as one move: its plan, and the SQL of its phases.
 
-The offline migration (:func:`repro.backend.codegen.migration_statements`)
-copies every new physical table in one transaction under the engine's
-catalog write lock — a stop-the-world outage proportional to data volume.
-The online pipeline splits the same move into three phases:
+Every ``MATERIALIZE`` plans one staging table per new physical data table
+(:func:`build_plan`) and ends in one cutover transaction that stages what
+is not staged yet, swaps the staged tables in and regenerates the delta
+code.  The *offline* schedule is prepare + cutover under one hold of the
+engine's catalog write lock: no capture machinery, no journal, no chunk —
+every table is copied whole at cutover.  The *online* schedule
+(``MATERIALIZE ONLINE``) adds, before the cutover:
 
-1. **prepare** — create one (empty) backfill staging table per new
-   physical data table, a single change-capture table
-   (``_repro_backfill_dirty``), and ``AFTER INSERT/UPDATE/DELETE``
+1. **prepare** (a brief write-lock window, one transaction) — the empty
+   staging tables of the tables the move can track, a change-capture
+   table (``_repro_backfill_dirty``), ``AFTER INSERT/UPDATE/DELETE``
    capture triggers on every physical table the moved views read from,
-   then journal the move in ``_repro_catalog_backfill`` — all in one
-   transaction, under a brief write-lock window.
-2. **backfill** — chunked keyset-paginated copies from the *live* views
-   into the staging tables, each chunk its own transaction holding only
-   the read side of the engine RWLock, with the journal cursor advanced
-   in the same transaction.  Concurrent writes keep flowing: the capture
-   triggers record every touched row identifier, and each chunk repairs
-   the staged rows those identifiers name, so staging is never more than
-   one chunk stale.
-3. **cutover** — a brief write-lock window that drains the capture
-   table, copies the keyset tail, verifies counts, tears the capture
-   machinery down, and reuses the offline swap path (with the staged
-   tables standing in for the one-shot copies).
+   and the move journaled in ``_repro_catalog_backfill``;
+2. **chunks** (each one transaction under the read side of the RWLock) —
+   keyset-paginated copies from the live views, the journal cursor
+   advanced in the same transaction.  Writes keep flowing: the capture
+   triggers record every touched row identifier and each chunk repairs
+   the staged rows they name, so staging is never more than one chunk
+   stale.  The cutover then copies the keyset tail, drains the capture
+   table, verifies counts and tears the capture machinery down.
 
 **Trackability.**  Incremental repair keys staged rows by the row
 identifier ``p``.  That is sound exactly when the moved view *preserves*
 identifiers — no SMO on its storage route generates fresh ones (shared
 ID auxiliary tables, :func:`~repro.backend.handlers.has_shared_aux`).
 Targets routed through an identifier-generating SMO are planned as
-non-trackable: they skip the chunked copy and are staged in full during
-cutover (bounded work under the write lock, same as the offline path,
-but only for those tables).  Auxiliary tables are always rebuilt at
-cutover by the reused offline machinery.
+non-trackable: they skip the chunks and are copied whole at cutover,
+like every table of an offline move.  Auxiliary tables are always
+rebuilt at cutover (:func:`repro.backend.codegen.migration_statements`).
 
 All transitional objects are named ``_repro_bf…`` /
 ``_repro_backfill_dirty`` so :func:`codegen.generated_object_names`
@@ -105,10 +102,6 @@ class MovePlan:
     def trackable(self) -> list[TableMove]:
         return [move for move in self.tables if move.trackable]
 
-    def staged_map(self) -> dict[int, str]:
-        """tv uid -> pre-staged table, for the offline swap generator."""
-        return {move.uid: move.stage for move in self.trackable()}
-
     def transitional_names(self) -> set[str]:
         names = {DIRTY_TABLE}
         names.update(move.stage for move in self.trackable())
@@ -119,10 +112,15 @@ class MovePlan:
 
 
 @dataclass
-class OnlineMove:
-    """In-memory progress of one running (or resumed) move."""
+class Move:
+    """One move in progress; it lives only inside the call that runs it.
+
+    ``cursors`` holds the tables the chunks copy (staging table -> highest
+    identifier copied); every other table of the plan is copied whole at
+    cutover — all of them for an offline move."""
 
     plan: MovePlan
+    online: bool = False  # capture machinery and a journal are installed
     chunk_rows: int = DEFAULT_CHUNK_ROWS
     cursors: dict[str, int] = field(default_factory=dict)
     chunks: int = 0
@@ -255,7 +253,7 @@ def plan_from_payload(payload: dict) -> MovePlan:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: prepare
+# Prepare
 # ---------------------------------------------------------------------------
 
 
@@ -283,18 +281,22 @@ def prepare_statements(plan: MovePlan) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: backfill chunks
+# Chunks
 # ---------------------------------------------------------------------------
 
 
-def chunk_copy_sql(move: TableMove, cursor: int, limit: int) -> str:
-    """Copy the next keyset page ``p > cursor`` into the staging table."""
+def copy_sql(move: TableMove, cursor: int | None = None, limit: int | None = None) -> str:
+    """Copy the view's rows into the staging table: all of them (no
+    ``cursor``), those past ``cursor`` (the cutover's tail), or the next
+    keyset page of ``limit`` rows past it (a chunk)."""
     columns = ", ".join(["p", *qcols(move.columns)])
-    return (
+    if cursor is None:
+        return f"INSERT INTO {q(move.stage)} SELECT {columns} FROM {q(move.view)}"
+    sql = (
         f"INSERT INTO {q(move.stage)} ({columns}) "
-        f"SELECT {columns} FROM {q(move.view)} "
-        f"WHERE p > {int(cursor)} ORDER BY p LIMIT {int(limit)}"
+        f"SELECT {columns} FROM {q(move.view)} WHERE p > {int(cursor)}"
     )
+    return sql if limit is None else f"{sql} ORDER BY p LIMIT {int(limit)}"
 
 
 def staged_max_sql(move: TableMove) -> str:
@@ -329,21 +331,19 @@ def repair_statements(
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: cutover
+# Cutover
 # ---------------------------------------------------------------------------
 
 
-def tail_copy_statements(plan: MovePlan, cursors: dict[str, int]) -> list[str]:
-    """Copy everything beyond each chunk cursor (runs under the write
-    lock, so the tail is final)."""
-    statements = []
-    for move in plan.trackable():
-        columns = ", ".join(["p", *qcols(move.columns)])
-        statements.append(
-            f"INSERT INTO {q(move.stage)} ({columns}) "
-            f"SELECT {columns} FROM {q(move.view)} "
-            f"WHERE p > {int(cursors.get(move.stage, 0))}"
-        )
+def stage_statements(tables: list[TableMove]) -> list[str]:
+    """Stage ``tables`` whole from their views."""
+    statements: list[str] = []
+    for move in tables:
+        statements += [
+            f"DROP TABLE IF EXISTS {q(move.stage)}",
+            table_ddl(move.stage, move.columns),
+            copy_sql(move),
+        ]
     return statements
 
 
@@ -368,7 +368,7 @@ def capture_teardown_statements(plan: MovePlan) -> list[str]:
 
 
 def rollback_statements(plan: MovePlan) -> list[str]:
-    """Undo the prepare phase entirely: capture machinery and staging."""
+    """Undo the prepare entirely: capture machinery and staging."""
     statements = capture_teardown_statements(plan)
     for move in plan.trackable():
         statements.append(f"DROP TABLE IF EXISTS {q(move.stage)}")

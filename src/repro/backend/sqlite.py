@@ -38,10 +38,11 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-from repro.backend import codegen, emit
+from repro.backend import codegen, emit, online
 from repro.backend.emit import q, qcols
 from repro.backend.pool import SessionPool, shared_memory_uri
 from repro.errors import BackendError, CatalogCorruptError, CatalogError, InterfaceError
@@ -236,10 +237,6 @@ class LiveSqliteBackend:
         # repro.testing.RandomFaultInjector for seeded probability-based
         # injection across a long soak run.
         self.fault_injector = None
-        #: In-flight online MATERIALIZE (an :class:`repro.backend.online
-        #: .OnlineMove`), set between ``online_prepare`` and the commit of
-        #: ``after_materialize``; ``None`` otherwise.
-        self._online_move = None
         #: When True, the static delta-code verifier runs after every
         #: committed catalog transition (off the statement hot path, but
         #: on the transition path — opt-in via attach()).  Findings land
@@ -534,14 +531,11 @@ class LiveSqliteBackend:
         and is rolled back regardless — its staged rows describe a
         physical layout that no longer exists.
         """
-        from repro.backend import online
-
         if self.store is None:
             return
         record = self.store.read_backfill()
         if record is None:
             return
-        plan = online.plan_from_payload(record.plan)
         stale = record.generation != self.engine.catalog_generation or any(
             uid not in self.engine.genealogy.smo_instances for uid in record.smos
         )
@@ -549,25 +543,24 @@ class LiveSqliteBackend:
             return
         if stale or not resume:
             with self._transaction():
-                self._run(online.rollback_statements(plan))
-                self.store.clear_backfill()
+                self._roll_back_prepare()
             return
-        move = online.OnlineMove(
-            plan,
+        move = online.Move(
+            online.plan_from_payload(record.plan),
+            online=True,
             cursors={name: int(p) for name, p in record.cursors.items()},
             chunks=record.chunks,
         )
-        self._online_move = move
-        # apply_materialization drives attached backends; normally the
-        # engine registers us after attach() returns, but the resume needs
-        # the hookup now (attach_backend is idempotent).
+        # The cutover drives the live backend; normally the engine
+        # registers us after attach() returns, but the resume needs the
+        # hookup now (attach_backend is idempotent).
         self.engine.attach_backend(self)
-        while not self.online_chunk():
+        while not self.copy_chunk(move):
             pass
         schema = frozenset(
             self.engine.genealogy.smo_instances[uid] for uid in record.smos
         )
-        self.engine.apply_materialization(schema)
+        self.engine._cut_over(schema, move)
 
     def _delta_key(self) -> tuple[int, int]:
         """What installed delta code must have been generated for (the
@@ -755,16 +748,14 @@ class LiveSqliteBackend:
             self.connection.execute("ROLLBACK")
 
     @contextmanager
-    def _transaction(self, *, commit: bool = True):
+    def _transaction(self):
         """Run the block inside the administrative handle's transaction
         (joining the open one, if any): roll back when it raises, commit
-        when it completes — unless ``commit=False`` leaves the transaction
-        open for a later scope to finish."""
+        when it completes."""
         self._begin()
         try:
             yield
-            if commit:
-                self.connection.commit()
+            self.connection.commit()
         except BaseException:
             self._abort()
             raise
@@ -781,8 +772,19 @@ class LiveSqliteBackend:
         if self.fault_injector is not None:
             self.fault_injector(point)
 
+    def _roll_back_prepare(self) -> None:
+        """Roll back the prepare of a journaled move that never cut over —
+        capture machinery, staging tables, journal.  Every catalog
+        transition runs this inside its own transaction, so none commits
+        over a journal it supersedes."""
+        record = self.store.read_backfill() if self.store is not None else None
+        if record is not None:
+            self._run(online.rollback_statements(online.plan_from_payload(record.plan)))
+            self.store.clear_backfill()
+
     def on_evolution(self, version: "SchemaVersion") -> None:
         with self._transaction():
+            self._roll_back_prepare()
             if self.store is not None:
                 self.store.record_evolution(self.engine, version)
                 self._fault("evolution:after-catalog")
@@ -791,56 +793,91 @@ class LiveSqliteBackend:
             self._fault("evolution:before-commit")
         self._verify_after_transition("evolution")
 
-    def on_materialize(self, schema: frozenset["SmoInstance"]) -> None:
-        # Left open: the engine flips its materialization flags next, and
-        # after_materialize() finishes this same transaction.
-        with self._transaction(commit=False):
-            # An online move arrives with its data tables already staged
-            # by the backfill; the offline move stages everything here.
-            staged = self._online_cutover() if self._online_move is not None else None
-            stage, swap = codegen.migration_statements(
-                self.engine, schema, staged=staged
-            )
-            self._run(stage)
-            self._fault("materialize:staged")
-            self.drop_generated()
-            self._run(swap)
-            self._fault("materialize:swapped")
+    def on_materialize(
+        self,
+        schema: frozenset["SmoInstance"],
+        apply: Callable[[], None],
+        move: online.Move | None = None,
+    ) -> None:
+        """The MATERIALIZE hook: a move's whole cutover, one transaction.
 
-    def after_materialize(self) -> None:
-        with self._transaction():
-            self._install_delta_code()
-            if self.store is not None:
-                self.store.record_materialize(self.engine)
-                if self._online_move is not None:
-                    # The journal, the cutover DDL, and the new catalog
-                    # commit together: a crash before this commit leaves
-                    # the backfill resumable, after it the move is done.
-                    self.store.clear_backfill()
-            self._fault("materialize:before-commit")
-        self._online_move = None
+        Without ``move`` it is the offline move, prepared in the same
+        transaction.  An online ``move`` first finishes what its chunks
+        began.  Then every table no chunk copied is staged whole, the
+        staged tables are swapped in, ``apply`` (the engine's layout
+        rebuild and flag flip) runs, and delta code and catalog follow.
+        """
+        renderer = self.renderer
+        try:
+            with self._transaction():
+                if move is None:
+                    self._roll_back_prepare()
+                    move = online.Move(online.build_plan(self.engine, schema))
+                plan, cursors = move.plan, move.cursors
+                if move.online:
+                    # Rows past the last chunk cursor, then every row live
+                    # writes touched — the write lock makes both final.
+                    self._run([online.copy_sql(t, cursors[t.stage]) for t in plan.trackable()])
+                    bound = int(self.connection.execute(online.dirty_bound_sql()).fetchone()[0])
+                    if bound:
+                        self._run(online.repair_statements(plan, cursors, bound, final=True))
+                    for table_move in plan.trackable():
+                        staged_sql, live_sql = online.count_check_sql(table_move)
+                        staged = self.connection.execute(staged_sql).fetchone()[0]
+                        live = self.connection.execute(live_sql).fetchone()[0]
+                        if staged != live:
+                            raise BackendError(
+                                f"online backfill diverged for {table_move.view}: "
+                                f"staged {staged} rows but the live view serves {live}"
+                            )
+                    self._fault("materialize-online:pre-cutover")
+                    self._run(online.capture_teardown_statements(plan))
+                whole = [t for t in plan.tables if t.stage not in cursors]
+                self._run(online.stage_statements(whole))
+                stage, swap = codegen.migration_statements(self.engine, schema)
+                self._run(stage)
+                self._fault("materialize:staged")
+                self.drop_generated()
+                self._run(swap)
+                self._fault("materialize:swapped")
+                apply()
+                self._install_delta_code()
+                if self.store is not None:
+                    self.store.record_materialize(self.engine)
+                    if move.online:
+                        # The journal, the cutover DDL, and the new catalog
+                        # commit together: a crash before this commit leaves
+                        # the backfill resumable, after it the move is done.
+                        self.store.clear_backfill()
+                self._fault("materialize:before-commit")
+        except BaseException:
+            # The layout rolls back with the transaction, and its renders
+            # with it: the delta code is rendered for the old layout again.
+            self.renderer = renderer
+            raise
         self._verify_after_transition("materialize")
 
     # ------------------------------------------------------------------
-    # Online MATERIALIZE (journaled backfill; see repro.backend.online)
+    # The online schedule (journaled backfill; see repro.backend.online)
     # ------------------------------------------------------------------
 
-    def online_prepare(self, schema: frozenset["SmoInstance"], *, chunk_rows=None):
-        """Phase 1: install the change-capture machinery and the (empty)
-        staging tables, and journal the move — one transaction, called by
-        the engine under a brief write-lock window."""
-        from repro.backend import online
+    def prepare_move(
+        self, schema: frozenset["SmoInstance"], chunk_rows: int | None = None
+    ) -> online.Move:
+        """Prepare an online move: install the change-capture machinery and
+        the empty staging tables of the tables it tracks, and journal it —
+        one transaction, under the engine's brief write-lock window."""
         from repro.persist.store import BackfillRecord
 
-        if self._online_move is not None:
-            raise BackendError("an online materialization is already in flight")
         plan = online.build_plan(self.engine, schema)
-        move = online.OnlineMove(
+        move = online.Move(
             plan,
+            online=True,
             chunk_rows=int(chunk_rows) if chunk_rows else online.DEFAULT_CHUNK_ROWS,
             cursors={table_move.stage: 0 for table_move in plan.trackable()},
         )
         with self._transaction():
+            self._roll_back_prepare()
             self._run(online.prepare_statements(plan))
             if self.store is not None:
                 self.store.write_backfill(
@@ -854,22 +891,17 @@ class LiveSqliteBackend:
                     )
                 )
             self._fault("materialize-online:prepared")
-        self._online_move = move
         return move
 
-    def online_chunk(self) -> bool:
-        """Phase 2, one step: copy the next keyset page of every trackable
-        table into its staging table, repair the rows live writes touched
-        since the last chunk, and advance the journal cursors — all in one
-        transaction, called under the *read* side of the catalog lock so
-        concurrent statements keep flowing.  Returns ``True`` once every
-        copy has drained (the cutover tail handles rows arriving later).
+    def copy_chunk(self, move: online.Move) -> bool:
+        """One chunk of an online move: copy the next keyset page of every
+        tracked table into its staging table, repair the rows live writes
+        touched since the last chunk, and advance the journal cursors — all
+        in one transaction, called under the *read* side of the catalog
+        lock so concurrent statements keep flowing.  Returns ``True`` once
+        every copy has drained (the cutover's tail copy takes the rows
+        arriving later).
         """
-        from repro.backend import online
-
-        move = self._online_move
-        if move is None:
-            raise BackendError("no online materialization is in flight")
         plan = move.plan
         last_error = None
         for _ in range(5):
@@ -891,7 +923,7 @@ class LiveSqliteBackend:
                     )
                     for table_move in plan.trackable():
                         result = self.connection.execute(
-                            online.chunk_copy_sql(
+                            online.copy_sql(
                                 table_move,
                                 cursors[table_move.stage],
                                 move.chunk_rows,
@@ -944,42 +976,9 @@ class LiveSqliteBackend:
             f"online backfill chunk could not get the write lock: {last_error}"
         )
 
-    def online_progress(self) -> tuple[int, int]:
-        """(chunks committed, rows copied) of the in-flight move."""
-        move = self._online_move
-        return (move.chunks, move.rows) if move is not None else (0, 0)
-
-    def _online_cutover(self) -> dict[int, str]:
-        """Phase 3 (inside ``on_materialize``'s transaction, under the
-        write lock): finalize the staged copies, verify them against the
-        live views, and tear the capture machinery down.  Returns the
-        staged-table map that stands in for the offline move's one-shot
-        copies in the swap."""
-        from repro.backend import online
-
-        move = self._online_move
-        plan = move.plan
-        # Rows past the last chunk cursor, then every row live writes
-        # touched — the write lock makes both final.
-        self._run(online.tail_copy_statements(plan, move.cursors))
-        bound = int(self.connection.execute(online.dirty_bound_sql()).fetchone()[0])
-        if bound:
-            self._run(online.repair_statements(plan, move.cursors, bound, final=True))
-        for table_move in plan.trackable():
-            staged_sql, live_sql = online.count_check_sql(table_move)
-            staged = self.connection.execute(staged_sql).fetchone()[0]
-            live = self.connection.execute(live_sql).fetchone()[0]
-            if staged != live:
-                raise BackendError(
-                    f"online backfill diverged for {table_move.view}: staged "
-                    f"{staged} rows but the live view serves {live}"
-                )
-        self._fault("materialize-online:pre-cutover")
-        self._run(online.capture_teardown_statements(plan))
-        return plan.staged_map()
-
     def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
         with self._transaction():
+            self._roll_back_prepare()
             cursor = self.connection.cursor()
             for smo in removed:
                 semantics = smo.semantics

@@ -50,12 +50,6 @@ class TableVersion:
         and writes on a live execution backend (and in emitted delta code)."""
         return physical_name("v" + str(self.uid), self.name)
 
-    @property
-    def stage_table_name(self) -> str:
-        """Staging table used by generated trigger programs to assemble
-        this table version's post-write extent."""
-        return physical_name("stage", str(self.uid), self.name)
-
     def trigger_name(self, operation: str) -> str:
         """Name of the INSTEAD OF trigger for ``operation`` on the view."""
         return physical_name("tg", str(self.uid), operation.lower())

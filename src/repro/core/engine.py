@@ -28,7 +28,7 @@ import threading
 import time
 from collections.abc import Callable, Iterable
 from contextlib import AbstractContextManager as ContextManager
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from repro.bidel.ast import (
     CreateSchemaVersion,
@@ -68,8 +68,8 @@ class RWLock:
     the transition exclusive access to regenerate delta code once and
     republish it to every session.
 
-    The write side is reentrant (``materialize`` calls
-    ``apply_materialization``); a thread holding the write lock may also
+    The write side is reentrant (``materialize`` calls ``_cut_over``);
+    a thread holding the write lock may also
     enter the read side.  Waiting writers block *new* readers so a steady
     stream of statements cannot starve DDL.
     """
@@ -851,25 +851,46 @@ class InVerDa:
     ) -> None:
         """``MATERIALIZE 'version'`` / ``MATERIALIZE 'version.table', ...``
 
-        ``online=True`` (BiDEL ``MATERIALIZE ONLINE``) runs the move as a
-        journaled, crash-resumable backfill: statements keep flowing while
-        the new physical tables are copied in chunks under the read side
-        of the catalog lock, and only the prepare and cutover steps take
-        brief write-lock windows.  ``chunk_rows`` overrides the backfill
-        chunk size.  Falls back to the offline single-transaction move
-        when no attached backend implements the online pipeline (the pure
-        in-memory engine, where "offline" is a dict swap anyway).
+        One move on one of two schedules.  Offline, prepare and cutover
+        run under one hold of the catalog write lock.  ``online=True``
+        (BiDEL ``MATERIALIZE ONLINE``) journals the move and copies the
+        new physical tables in chunks under the read side of the lock, so
+        statements keep flowing and only the prepare and cutover take
+        brief write-lock windows; ``chunk_rows`` overrides the chunk size.
+        Without a live backend the move is offline either way (the pure
+        in-memory engine, where it is a dict swap).
         """
-        if online:
-            backend = next(
-                (b for b in self._backends if hasattr(b, "online_prepare")), None
-            )
-            if backend is not None:
-                self._materialize_online(targets, backend, chunk_rows)
-                return
+        backend = self.live_backend if online else None
+        started = time.perf_counter()
         with self.catalog_lock.write_locked():
             self._ensure_no_online_move()
-            self.apply_materialization(self._resolve_materialization(targets))
+            schema = self._resolve_materialization(targets)
+            if backend is None:
+                self._cut_over(schema)
+                return
+            validate_materialization(self.genealogy, schema)
+            self._backfill_phase.set(1)
+            self._quiesce_backends()
+            move = backend.prepare_move(schema, chunk_rows)
+            self._online_materialize_active = True
+            self._backfill_phase.set(2)
+        try:
+            done = False
+            while not done:
+                with self.catalog_lock.read_locked():
+                    done = backend.copy_chunk(move)
+                self._backfill_chunks.set(move.chunks)
+                self._backfill_rows.set(move.rows)
+            self._backfill_phase.set(3)
+            # The guard stays up through the cutover: _cut_over re-enters
+            # the write lock and never checks it, while any other
+            # transition slipping in before it would still be refused.
+            with (self.online_cutover_hook or nullcontext)():
+                self._cut_over(schema, move)
+        finally:
+            self._online_materialize_active = False
+            self._backfill_phase.set(0)
+        self._online_materialize_seconds.observe(time.perf_counter() - started)
 
     def _resolve_materialization(
         self, targets: Iterable[str]
@@ -896,64 +917,50 @@ class InVerDa:
                 "catalog transition after it cuts over"
             )
 
-    def _materialize_online(
-        self, targets: Iterable[str], backend, chunk_rows: int | None
-    ) -> None:
-        started = time.perf_counter()
-        with self.catalog_lock.write_locked():
-            self._ensure_no_online_move()
-            schema = self._resolve_materialization(targets)
-            validate_materialization(self.genealogy, schema)
-            self._backfill_phase.set(1)
-            self._quiesce_backends()
-            backend.online_prepare(schema, chunk_rows=chunk_rows)
-            self._online_materialize_active = True
-            self._backfill_phase.set(2)
-        try:
-            while True:
-                with self.catalog_lock.read_locked():
-                    done = backend.online_chunk()
-                chunks, rows = backend.online_progress()
-                self._backfill_chunks.set(chunks)
-                self._backfill_rows.set(rows)
-                if done:
-                    break
-            self._backfill_phase.set(3)
-            # The guard stays up through the cutover: apply_materialization
-            # re-enters the write lock itself and never checks the guard,
-            # while any other transition that slipped in between the chunk
-            # loop and here would still be refused.
-            hook = self.online_cutover_hook
-            if hook is not None:
-                with hook():
-                    self.apply_materialization(schema)
-            else:
-                self.apply_materialization(schema)
-        finally:
-            self._online_materialize_active = False
-            self._backfill_phase.set(0)
-        self._online_materialize_seconds.observe(time.perf_counter() - started)
-
     def apply_materialization(self, schema: frozenset[SmoInstance]) -> None:
-        """Move the physical data representation to ``schema``.
+        """Move the physical data representation to ``schema`` offline.
 
         All new physical contents (data tables and auxiliary tables) are
         computed from the *current* state through the existing delta code,
         then swapped in atomically; afterwards every SMO's materialization
         flag is updated and obsolete tables are dropped.
         """
+        with self.catalog_lock.write_locked():
+            self._ensure_no_online_move()
+            self._cut_over(schema)
+
+    def _cut_over(self, schema: frozenset[SmoInstance], move=None) -> None:
+        """A move's cutover: the whole offline move, or the end of the
+        online ``move`` whose chunks have run.  A live backend runs it as
+        one transaction and calls back into :meth:`_relayout` inside it."""
         with self.catalog_lock.write_locked(), self._timed_transition("materialize"):
             self._quiesce_backends()
-            self._apply_materialization(schema)
+            validate_materialization(self.genealogy, schema)
+            backend = self.live_backend
+            if backend is None:
+                self._relayout(schema)
+            else:
+                tables, generation = self.database.tables, self.catalog_generation
+                flags = [(smo, smo.materialized) for smo in self.genealogy.evolution_smos()]
+                try:
+                    backend.on_materialize(schema, lambda: self._relayout(schema), move)
+                except BaseException:
+                    # The backend rolled the cutover back; so does the layout,
+                    # or the process would serve a layout the file lacks.
+                    self.database.tables, self.catalog_generation = tables, generation
+                    self._fingerprint_memo = None
+                    for smo, flag in flags:
+                        smo.materialized = flag
+                    self._invalidate_semantics_caches()
+                    self._propagation_needs.clear()
+                    raise
             self._notify_catalog("materialize")
 
-    def _apply_materialization(self, schema: frozenset[SmoInstance]) -> None:
-        validate_materialization(self.genealogy, schema)
-        # Attached backends migrate first, against the old views and flags;
-        # the in-memory rebuild below then keeps the *layout* of physical
-        # storage in sync (backends own the actual contents).
-        for backend in self._backends:
-            backend.on_materialize(schema)
+    def _relayout(self, schema: frozenset[SmoInstance]) -> None:
+        """Rebuild the in-memory storage for ``schema`` and flip the
+        materialization flags.  With a live backend attached the tables
+        are empty and only their *layout* matters: the code generators
+        read it (the backend owns the contents)."""
         cache: ReadCache = {}
         new_tables: dict[str, Table] = {}
 
@@ -1007,12 +1014,10 @@ class InVerDa:
             smo.materialized = smo in schema
         self._invalidate_semantics_caches()
         self._propagation_needs.clear()
-        # Bump before after_materialize so a persisting backend records
+        # Inside the backend's transaction, so a persisting backend records
         # the new generation with the regenerated delta code.  Only ever
-        # called from materialize(), which holds the write lock.
+        # called from _cut_over(), which holds the write lock.
         self.catalog_generation += 1  # repro-lint: allow(RPC302)
-        for backend in self._backends:
-            backend.after_materialize()
 
     def current_materialization(self) -> frozenset[SmoInstance]:
         return current_materialization(self.genealogy)

@@ -235,9 +235,15 @@ class CatalogStore:
         """Record which catalog generation the installed views/triggers
         were generated for, and by which emitter revision
         (``codegen.EMISSION_STAMP``); re-attach skips regeneration while
-        both still match.  A file without the stamp predates it: stale."""
-        self._set_meta("delta_generation", generation)
-        self._set_meta("delta_emission", emission)
+        both still match.  A file without the stamp predates it: stale.
+        The two rows are one stamp, written by one statement."""
+        self.connection.execute(
+            f"INSERT OR REPLACE INTO {META_TABLE} (key, value) VALUES (?, ?), (?, ?)",
+            (
+                "delta_generation", json.dumps(generation),
+                "delta_emission", json.dumps(emission),
+            ),
+        )
 
     def set_verified(self, mark: dict) -> None:
         self._set_meta("verified_at", mark)
@@ -295,14 +301,10 @@ class CatalogStore:
     # The online-MATERIALIZE backfill journal
     # ------------------------------------------------------------------
 
-    def _ensure_backfill_table(self) -> None:
-        """Databases persisted before the journal existed lack the table;
-        create it on demand (DDL joins the caller's transaction)."""
-        self.connection.execute(_BACKFILL_DDL)
-
     def write_backfill(self, record: BackfillRecord) -> None:
-        """Journal a new in-flight move (the prepare transaction)."""
-        self._ensure_backfill_table()
+        """Journal a new in-flight move (the prepare transaction).  A file
+        persisted before the journal existed gains its table here."""
+        self.connection.execute(_BACKFILL_DDL)
         self.connection.execute(
             f"INSERT OR REPLACE INTO {BACKFILL_TABLE} "
             "(id, phase, generation, smos, plan, cursors, chunks) "
@@ -317,41 +319,27 @@ class CatalogStore:
             ),
         )
 
-    def update_backfill(
-        self, *, phase: str | None = None, cursors: dict[str, int] | None = None,
-        chunks: int | None = None,
-    ) -> None:
+    def update_backfill(self, *, cursors: dict[str, int], chunks: int) -> None:
         """Advance the journaled move; joins the caller's chunk transaction
         so cursor and copied rows commit (or vanish) together."""
-        sets, params = [], []
-        if phase is not None:
-            sets.append("phase = ?")
-            params.append(phase)
-        if cursors is not None:
-            sets.append("cursors = ?")
-            params.append(json.dumps(cursors))
-        if chunks is not None:
-            sets.append("chunks = ?")
-            params.append(chunks)
-        if not sets:
-            return
         self.connection.execute(
-            f"UPDATE {BACKFILL_TABLE} SET {', '.join(sets)} WHERE id = 1", params
+            f"UPDATE {BACKFILL_TABLE} SET cursors = ?, chunks = ? WHERE id = 1",
+            (json.dumps(cursors), chunks),
         )
 
     def read_backfill(self) -> BackfillRecord | None:
         """The journaled in-flight move, or ``None`` when none is pending
-        (including on databases that predate the journal table)."""
-        row = self.connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?",
-            (BACKFILL_TABLE,),
-        ).fetchone()
-        if row is None:
+        (including on databases that predate the journal table) — in one
+        statement: every catalog transition asks before it commits."""
+        try:
+            row = self.connection.execute(
+                f"SELECT phase, generation, smos, plan, cursors, chunks "
+                f"FROM {BACKFILL_TABLE} WHERE id = 1"
+            ).fetchone()
+        except sqlite3.OperationalError as exc:
+            if "no such table" not in str(exc):
+                raise
             return None
-        row = self.connection.execute(
-            f"SELECT phase, generation, smos, plan, cursors, chunks "
-            f"FROM {BACKFILL_TABLE} WHERE id = 1"
-        ).fetchone()
         if row is None:
             return None
         phase, generation, smos, plan, cursors, chunks = row
@@ -365,8 +353,8 @@ class CatalogStore:
         )
 
     def clear_backfill(self) -> None:
-        """Drop the journal row (the cutover or rollback transaction)."""
-        self._ensure_backfill_table()
+        """Drop the journal row (the cutover or rollback transaction; the
+        table exists whenever there is a move to clear)."""
         self.connection.execute(f"DELETE FROM {BACKFILL_TABLE}")
 
     def save_snapshot(self, engine: "InVerDa") -> None:

@@ -30,7 +30,7 @@ def script(statements: list[str]) -> str:
 
 
 def tasky_generated_scripts() -> TaskyScripts:
-    from repro.backend import codegen
+    from repro.backend import codegen, online
     from repro.backend.sqlite import LiveSqliteBackend
     from repro.catalog.materialization import materialization_for_versions
     from repro.core.engine import InVerDa
@@ -56,12 +56,13 @@ def tasky_generated_scripts() -> TaskyScripts:
         # MATERIALIZE = stage the new physical tables from the old views,
         # swap them in, and regenerate every version's delta code.
         tasky2 = engine.genealogy.schema_version("TasKy2")
-        stage, swap = codegen.migration_statements(
-            engine,
-            materialization_for_versions(engine.genealogy, list(tasky2.tables.values())),
+        schema = materialization_for_versions(
+            engine.genealogy, list(tasky2.tables.values())
         )
+        data = online.stage_statements(online.build_plan(engine, schema).tables)
+        stage, swap = codegen.migration_statements(engine, schema)
         engine.execute(MIGRATION_SCRIPT)
-        migration = stage + swap + delta_code()
+        migration = data + stage + swap + delta_code()
     finally:
         backend.close()
 

@@ -65,6 +65,9 @@ def test_crash_mid_evolution(tmp_path, point):
         ds.close()
 
 
+# The full MATERIALIZE crash matrix (schedule x fault point x emission)
+# is tests/persist/test_online_materialize.py::TestOnlineMove; this is
+# the offline move against the crash-safety harness.
 @pytest.mark.parametrize(
     "point",
     ["materialize:staged", "materialize:swapped", "materialize:before-commit"],

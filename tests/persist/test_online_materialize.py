@@ -1,13 +1,14 @@
-"""Online ``MATERIALIZE``: journaled backfill, crash-resume, change capture.
+"""``MATERIALIZE``, offline and online: journaled backfill, crash-resume,
+change capture.
 
-A seeded crash at every fault point in the online pipeline — prepare,
-each chunk boundary, the pre-cutover verification, and the offline
-cutover points the online path reuses — must converge through
-``repro.open()`` to a state differentially identical to an engine that
-never crashed.  The in-memory oracle side of :class:`DualSystem` has no
-live backend, so ``MATERIALIZE ONLINE`` falls back to the offline path
-there; the visible contents of every schema version are materialization-
-independent, which is exactly what ``ds.check()`` asserts.
+A seeded crash at every fault point of the move — the online schedule's
+prepare, chunk boundary and pre-cutover verification, and the cutover
+points both schedules cross — must converge through ``repro.open()`` to
+a state differentially identical to an engine that never crashed.  The
+in-memory oracle side of :class:`DualSystem` has no live backend, so
+``MATERIALIZE ONLINE`` is an offline move there; the visible contents of
+every schema version are materialization-independent, which is exactly
+what ``ds.check()`` asserts.
 """
 
 from __future__ import annotations
@@ -23,21 +24,36 @@ from repro.check.delta import verify_transitional_objects
 from repro.errors import CatalogError
 from repro.testing import DualSystem, InjectedFault, NestedEmissionBackend, one_shot
 
-ONLINE_FAULT_POINTS = [
-    # Raised before the prepare transaction commits: the journal never
-    # lands, so recovery sees nothing and the move simply never happened.
+MOVE_FAULT_POINTS = [
+    # Online only.  Raised before the prepare transaction commits: the
+    # journal never lands, so recovery sees nothing and the move simply
+    # never happened.
     "materialize-online:prepared",
-    # Raised before a chunk's transaction commits: the journal carries
-    # the previous chunk's cursor and recovery resumes from there.
+    # Online only.  Raised before a chunk's transaction commits: the
+    # journal carries the previous chunk's cursor and recovery resumes
+    # from there.
     "materialize-online:chunk",
-    # Raised after tail copy + final repair, inside the cutover
-    # transaction: everything rolls back to the last committed chunk.
+    # Online only.  Raised after tail copy + final repair, inside the
+    # cutover transaction: everything rolls back to the last committed
+    # chunk.
     "materialize-online:pre-cutover",
-    # The offline cutover fault points, reused by the online swap.
+    # The cutover's own points, crossed by both schedules: an offline
+    # move rolls back to before it started, an online one to its last
+    # committed chunk.
     "materialize:staged",
     "materialize:swapped",
     "materialize:before-commit",
 ]
+
+MOVES = {"online": "MATERIALIZE ONLINE 'v2';", "offline": "MATERIALIZE 'v2';"}
+
+
+def crash_matrix():
+    """(schedule, fault point) pairs: every point the schedule crosses."""
+    for point in MOVE_FAULT_POINTS:
+        yield pytest.param("online", point, id=point)
+        if not point.startswith("materialize-online:"):
+            yield pytest.param("offline", point, id=f"offline-{point}")
 
 
 class OnlineDual(DualSystem):
@@ -115,19 +131,23 @@ class TestOnlineMove:
         finally:
             ds.close()
 
-    @pytest.mark.parametrize("point", ONLINE_FAULT_POINTS)
-    def test_crash_resumes_through_open(self, tmp_path, backend_class, point):
+    @pytest.mark.parametrize("mode, point", crash_matrix())
+    def test_crash_resumes_through_open(self, tmp_path, backend_class, mode, point):
+        """The one crash matrix: schedule x fault point x emission."""
         ds = build(tmp_path, backend_class)
         try:
             ds.backend.fault_injector = one_shot(point)
             with pytest.raises(InjectedFault):
-                ds.sq.execute("MATERIALIZE ONLINE 'v2';")
+                ds.sq.execute(MOVES[mode])
             # Reopen: recovery either resumes the journaled move to
-            # completion or (no journal committed yet) finds nothing.
-            # Both converge to a clean, fully serving catalog.
+            # completion or (no journal committed — every offline crash)
+            # finds nothing.  Both converge to a clean, fully serving
+            # catalog.
             ds.reopen()
             assert_clean(ds, f"recovered-after-{point}")
             ds.check(f"recovered-after-{point}")
+            ds.materialize("v2")
+            ds.check(f"materialized-after-{point}")
             ds.run("v1", "INSERT INTO R(a, b) VALUES (?, ?)", (500, 501))
             ds.run("v2", "DELETE FROM R WHERE a = ?", (1,))
             ds.check(f"written-after-{point}")
@@ -211,6 +231,53 @@ class TestResumePolicy:
             ds.close()
 
 
+AFTER_A_FAILED_CUTOVER = {
+    "retry-online": lambda ds: (
+        ds.sq.execute("MATERIALIZE ONLINE 'v2';"),
+        ds.mem.execute("MATERIALIZE 'v2';"),
+    ),
+    "evolve": lambda ds: ds.execute_ddl(
+        "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN c IN R TO d;"
+    ),
+    "offline-v1": lambda ds: ds.materialize("v1"),
+}
+
+
+class TestFailedCutoverInProcess:
+    """An online cutover that fails while the process lives on leaves its
+    prepare (journal, capture triggers, staging tables) committed, for a
+    reopen to resume.  The process itself must not be wedged by it, and
+    the next transition must roll it back instead of committing over it."""
+
+    # Before and after the engine's own layout flip inside the cutover.
+    @pytest.mark.parametrize("point", ["materialize:staged", "materialize:before-commit"])
+    @pytest.mark.parametrize("transition", sorted(AFTER_A_FAILED_CUTOVER))
+    def test_next_transition_supersedes_the_move(self, tmp_path, transition, point):
+        from repro.check.__main__ import run as check_cli
+
+        ds = build(tmp_path)
+        try:
+            generation = ds.sq.catalog_generation
+            ds.backend.fault_injector = one_shot(point)
+            with pytest.raises(InjectedFault):
+                ds.sq.execute("MATERIALIZE ONLINE 'v2';")
+            assert ds.sq.catalog_generation == generation
+            assert not any(smo.materialized for smo in ds.sq.genealogy.evolution_smos())
+            ds.backend.fault_injector = None
+            AFTER_A_FAILED_CUTOVER[transition](ds)
+            assert_clean(ds, transition)
+            findings = verify_transitional_objects(
+                ds.backend.connection, ds.backend.store
+            )
+            assert findings == [], [f.message for f in findings]
+            ds.check(transition)
+            ds.run("v1", "INSERT INTO R(a, b) VALUES (?, ?)", (700, 701))
+            ds.check(f"written-after-{transition}")
+        finally:
+            ds.close()
+        assert check_cli(["--db", ds.database]) == 0
+
+
 class TestChangeCapture:
     def test_live_writes_between_chunks_are_captured(self, tmp_path):
         """White-box: drive the chunk loop by hand, interleaving writes.
@@ -233,10 +300,10 @@ class TestChangeCapture:
                 "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + b INTO R;"
             )
             schema = engine._resolve_materialization(["v2"])
-            backend.online_prepare(schema, chunk_rows=60)
+            move = backend.prepare_move(schema, chunk_rows=60)
             round_no = 0
             while True:
-                done = backend.online_chunk()
+                done = backend.copy_chunk(move)
                 # Dirty the already-copied prefix *and* the tail, both of
                 # which the per-chunk repair and cutover must reconcile.
                 conn.execute(
@@ -253,10 +320,12 @@ class TestChangeCapture:
             expected = sorted(
                 conn.execute("SELECT a, b FROM R").fetchall()
             )
-            engine.apply_materialization(schema)
+            engine._cut_over(schema, move)
             assert sorted(conn.execute("SELECT a, b FROM R").fetchall()) == expected
-            chunks, rows = backend.online_progress()
-            assert chunks == 0 and rows == 0, "progress must reset after cutover"
+            # The progress lives in ``move`` alone: the backend keeps none.
+            assert not any(
+                isinstance(value, online.Move) for value in vars(backend).values()
+            ), "progress must reset after cutover"
             assert backend.store.read_backfill() is None
             assert transitional_leftovers(backend) == []
             conn.close()
@@ -302,7 +371,7 @@ class TestGuardsAndDiagnostics:
         try:
             # The engine raises CatalogError for catalog transitions that
             # would race an in-flight backfill; the flag is set under the
-            # write lock by _materialize_online and cleared after cutover.
+            # write lock by an online materialize and cleared after cutover.
             ds.sq._online_materialize_active = True
             with pytest.raises(CatalogError, match="backfill is in flight"):
                 ds.sq.execute(
