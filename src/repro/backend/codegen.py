@@ -8,10 +8,10 @@ For the current materialization this module produces, in dependency order,
    pass-through view so that every version is written through the same
    trigger machinery),
 3. one ``INSTEAD OF INSERT/UPDATE/DELETE`` trigger triple per view (two
-   programs — upsert and delete — the former under both INSERT and UPDATE),
-   combining the storage-route propagation program with shared-aux
-   maintenance for adjacent off-route SMOs and extent repairs for shared
-   aux tables deeper down virtual branches,
+   programs — upsert and delete — the former under INSERT, with UPDATE
+   handing its row to it), combining the storage-route propagation program
+   with shared-aux maintenance for adjacent off-route SMOs and extent
+   repairs for shared aux tables deeper down virtual branches,
 
 plus the in-place SQL migration script implementing ``MATERIALIZE``.
 """
@@ -19,6 +19,7 @@ plus the in-place SQL migration script implementing ``MATERIALIZE``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from repro.backend import emit
 from repro.backend.compose import ViewComposer
@@ -42,13 +43,15 @@ from repro.util.naming import physical_name
 #: 2 = key-disjoint compounds are joined by UNION ALL.
 #: 3 = a view upsert is one INSERT; INSERT and UPDATE triggers share a body.
 #: 4 = FROM aliases are numbered per view, not across the whole script.
-EMISSION_STAMP = 4
+#: 5 = an UPDATE trigger upserts through its own view's INSERT trigger; a
+#:     partition write folds the written row into NEW.
+EMISSION_STAMP = 5
 
-#: First statement of every UPDATE trigger; what follows is the INSERT
-#: trigger's body verbatim.
-IMMUTABLE_KEY_CHECK = (
-    "SELECT RAISE(ABORT, 'the row identifier p is immutable') "
-    "WHERE NEW.p IS NOT OLD.p"
+#: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
+#: statement changed the row identifier.
+IMMUTABLE_KEY = (
+    "CASE WHEN NEW.p IS NOT OLD.p "
+    "THEN RAISE(ABORT, 'the row identifier p is immutable') ELSE NEW.p END"
 )
 
 
@@ -220,9 +223,10 @@ class Renderer:
         """The ``INSTEAD OF`` trigger triple of ``tv``.
 
         A table version has two write programs, upsert and delete.  The
-        upsert program is rendered once and installed under the INSERT
-        trigger and — behind the ``p``-immutability check — under the
-        UPDATE trigger."""
+        upsert program is installed under the INSERT trigger; the UPDATE
+        trigger is one statement handing the row, under its immutable
+        ``p``, to that trigger (SQLite re-parses every installed program
+        on each connection after a transition, so a second copy costs)."""
         route = route_for(self.engine, tv)
         route_smo = route[0] if route is not None else None
         adjacent_shared, deep = _off_route_shared(tv, route_smo)
@@ -254,14 +258,17 @@ class Renderer:
                 body += handler_for(ctx, smo).repair_statements()
             return body
 
-        upsert = program("UPSERT")
+        columns = tv.schema.column_names
+        update = emit.upsert_row(
+            q(tv.view_name), columns, IMMUTABLE_KEY, list(emit.new_refs(columns).values())
+        )
         statements = [
             emit.create_trigger(
                 tv.trigger_name(operation), operation, tv.view_name, body
             )
             for operation, body in (
-                ("INSERT", upsert),
-                ("UPDATE", [IMMUTABLE_KEY_CHECK, *upsert]),
+                ("INSERT", program("UPSERT")),
+                ("UPDATE", [update]),
                 ("DELETE", program("DELETE")),
             )
         ]
@@ -317,6 +324,11 @@ def trigger_statements(engine) -> list[str]:
         for tv in renderer.active()
         for statement in renderer.triggers(tv)
     ]
+
+
+def script(statements: Iterable[str]) -> str:
+    """The delta-code script of ``statements`` (``repro_delta_code_bytes``)."""
+    return ";\n".join(statements)
 
 
 def _physical_write(tv: TableVersion, op: str) -> str:

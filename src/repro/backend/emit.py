@@ -84,12 +84,12 @@ def not_all_null(expressions: Sequence[str]) -> str:
     return "(" + " OR ".join(f"{e} IS NOT NULL" for e in expressions) + ")"
 
 
-def rows_differ(left_alias: str, right_alias: str, columns: Sequence[str]) -> str:
-    """Null-safe row inequality across payload columns."""
-    if not columns:
+def rows_differ(left: Mapping[str, str], right: Mapping[str, str]) -> str:
+    """Null-safe row inequality across the payload columns of ``left``
+    (column -> SQL reference; ``right`` binds the same columns)."""
+    if not left:
         return "0"
-    parts = [f"{left_alias}.{q(c)} IS NOT {right_alias}.{q(c)}" for c in columns]
-    return "(" + " OR ".join(parts) + ")"
+    return "(" + " OR ".join(f"{ref} IS NOT {right[c]}" for c, ref in left.items()) + ")"
 
 
 def render_expression(expression: Expression, references: Mapping[str, str]) -> str:
@@ -149,7 +149,7 @@ def apply_extent(target: str, columns: Sequence[str], source: str) -> list[str]:
         setlist = ", ".join(qcols(columns))
         changed = (
             f"SELECT s.p FROM {source} s JOIN {target} t ON t.p = s.p "
-            f"WHERE {rows_differ('s', 't', columns)}"
+            f"WHERE {rows_differ(new_refs(columns, row='s'), new_refs(columns, row='t'))}"
         )
         statements.append(
             f"UPDATE {target} SET ({setlist}) = "

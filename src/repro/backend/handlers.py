@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.backend import emit
 from repro.backend.emit import (
@@ -124,6 +125,36 @@ def payload_match(left: Sequence[str], right: Sequence[str]) -> str:
     return " AND ".join(ident(a, b) for a, b in zip(left, right))
 
 
+# Guards folded at render time: ``True``, ``False``, or SQL text.  Every
+# SQL term folded is an IS TRUE / IS NOT TRUE / IS NOT / EXISTS test, never
+# NULL, so NOT of it is exact.
+Guard = bool | str
+
+
+def _all(*terms: Guard) -> Guard:
+    sql = [term for term in terms if term is not True]
+    return False if False in sql else " AND ".join(sql) or True
+
+
+def _not(term: Guard) -> Guard:
+    return not term if isinstance(term, bool) else f"NOT ({term})"
+
+
+def _guarded(guard: Guard, build, *args) -> list[str]:
+    """``build(*args, guard=guard)``: no statement when the guard folds to
+    false, no ``WHERE`` when it folds to true."""
+    return [] if guard is False else [build(*args, guard=None if guard is True else guard)]
+
+
+class _PartitionRow(NamedTuple):
+    """One partition's row as a partition write program sees it."""
+
+    exists: Guard
+    refs: dict[str, str]  # column -> reference, inside an EXISTS over source
+    source: str | None  # FROM item of its snapshot; None when folded to NEW
+    values: list[str]  # column values as scalar expressions
+
+
 class SmoHandler:
     """Base: compile one SMO instance's delta code."""
 
@@ -181,9 +212,9 @@ class SmoHandler:
         self, tv: TableVersion, op: str, *, apply_data: bool = True
     ) -> list[str]:
         """Trigger-body statements propagating one row-level ``op`` across
-        this SMO: ``UPSERT`` (``NEW`` in scope; installed under both the
-        INSERT and the UPDATE trigger, so a program must not depend on
-        which of the two fired) or ``DELETE`` (``OLD`` in scope).
+        this SMO: ``UPSERT`` (``NEW`` in scope; the INSERT trigger's
+        program, which the UPDATE trigger fires too, so ``OLD`` is never
+        in scope) or ``DELETE`` (``OLD`` in scope).
 
         ``apply_data=False`` restricts the program to shared-aux (ID)
         maintenance — the off-route case."""
@@ -574,21 +605,14 @@ class PartitionHandler(RuleBackedHandler):
         unified, _first, _second = self._tvs()
         return tv is unified
 
-    def _partition_puts(self) -> tuple[str, str]:
-        roles = self._lens().roles
-        return (
-            self.smo.put_table_name(roles.first),
-            self.smo.put_table_name(roles.second or "S2"),
-        )
-
     def put_tables(self):
-        # Only a write at one partition (_to_unified) stages rows, and the
-        # partitions are written through this SMO only while they are the
-        # routed side.
-        _unified, first, _second = self._tvs()
-        if not self.routed_here(first):
+        # Only a write at one partition (_to_unified) snapshots its twin,
+        # and the partitions are written through this SMO only while they
+        # are the routed side.
+        _unified, first, second = self._tvs()
+        if second is None or not self.routed_here(first):
             return {}
-        return dict.fromkeys(self._partition_puts(), self._lens().schema.column_names)
+        return self._row_puts((first, second))
 
     def _to_partitions(self, op) -> list[str]:
         """Write at the unified table; the partitioned side (including its
@@ -629,138 +653,93 @@ class PartitionHandler(RuleBackedHandler):
         statements.append(delete_row(uprime, "NEW.p", guard=either))
         return statements
 
-    def _member_statements(self, aux: str, key: str, present: str, payload_select: str | None, columns) -> list[str]:
-        """Maintain one aux membership (Rules 21-25, key-restricted)."""
-        statements = []
-        collist = ", ".join(["p", *qcols(columns)])
-        if payload_select is None:
-            statements.append(
-                f"INSERT OR REPLACE INTO {aux} (p) SELECT {key} WHERE {present}"
-            )
-        else:
-            statements.append(
-                f"INSERT OR REPLACE INTO {aux} ({collist}) {payload_select}"
-            )
-        statements.append(delete_row(aux, key, guard=f"NOT ({present})"))
-        return statements
-
     def _to_unified(self, tv: TableVersion, op) -> list[str]:
         """Write at one partition; the unified side (and its aux tables) is
-        stored.  Mirrors ``_PartitionLens.propagate_to_unified``."""
+        stored.  Mirrors ``_PartitionLens.propagate_to_unified``.
+
+        The written partition's post-write row is known when the program is
+        rendered — ``NEW`` for an upsert, none for a delete — and is folded
+        in.  Only the twin partition's row is read, from a snapshot taken
+        first: writing the unified view changes what the twin's view shows."""
         lens = self._lens()
         unified, first, second = self._tvs()
-        roles = lens.roles
-        columns = lens.schema.column_names
+        roles, columns = lens.roles, lens.schema.column_names
+        c_first, c_second = lens.c_first, lens.c_second
         key = "OLD.p" if op == "DELETE" else "NEW.p"
-        writing_first = tv is first
-        put_first, put_second = self._partition_puts()
-        collist = ", ".join(["p", *qcols(columns)])
-
-        statements = [f"DELETE FROM {put_first}", f"DELETE FROM {put_second}"]
-        # The written partition's post-write row; the twin's current row.
-        own_put, twin_put = (put_first, put_second) if writing_first else (put_second, put_first)
-        twin_tv = second if writing_first else first
-        if op != "DELETE":
-            statements.append(
-                f"INSERT INTO {own_put} ({collist}) "
-                f"VALUES ({', '.join([key, *[f'NEW.{q(c)}' for c in columns]])})"
-            )
+        new = new_refs(columns)
+        own = _PartitionRow(op != "DELETE", new, None, list(new.values()))
+        twin = _PartitionRow(False, {}, None, [])
+        twin_tv, alias = (second, "s") if tv is first else (first, "f")
+        statements = []
         if twin_tv is not None:
-            statements.append(
-                f"INSERT INTO {twin_put} SELECT p, {', '.join(qcols(columns))} "
-                f"FROM {self.ctx.view(twin_tv)} WHERE p IS {key}"
+            put = self.smo.put_table_name(self.role_of(twin_tv))
+            statements += [
+                f"DELETE FROM {put}",
+                f"INSERT INTO {put} SELECT p, {', '.join(qcols(columns))} "
+                f"FROM {self.ctx.view(twin_tv)} WHERE p IS {key}",
+            ]
+            twin = _PartitionRow(
+                f"EXISTS (SELECT 1 FROM {put})",
+                new_refs(columns, row=alias),
+                f"{put} {alias}",
+                [f"(SELECT {q(c)} FROM {put})" for c in columns],
             )
+        f_row, s_row = (own, twin) if tv is first else (twin, own)
 
-        first_exists = f"EXISTS (SELECT 1 FROM {put_first})"
-        second_exists = f"EXISTS (SELECT 1 FROM {put_second})"
-        first_refs = {c: f"(SELECT {q(c)} FROM {put_first})" for c in columns}
-        second_refs = {c: f"(SELECT {q(c)} FROM {put_second})" for c in columns}
+        def some(test, *rows: _PartitionRow) -> Guard:
+            """``EXISTS (SELECT 1 FROM <the rows> WHERE test(<their refs>))``."""
+            if not all(row.exists for row in rows):
+                return False
+            condition = test(*(row.refs for row in rows))
+            sources = ", ".join(row.source for row in rows if row.source is not None)
+            return f"EXISTS (SELECT 1 FROM {sources} WHERE {condition})" if sources else condition
 
         unified_view = self.ctx.view(unified)
-        statements += [
-            upsert_row(
-                unified_view, columns, key, list(first_refs.values()), guard=first_exists
-            ),
-            upsert_row(
-                unified_view,
-                columns,
-                key,
-                list(second_refs.values()),
-                guard=f"NOT {first_exists} AND {second_exists}",
-            ),
-        ]
+        statements += _guarded(f_row.exists, upsert_row, unified_view, columns, key, f_row.values)
+        statements += _guarded(
+            _all(_not(f_row.exists), s_row.exists),
+            upsert_row, unified_view, columns, key, s_row.values,
+        )
         # A stored unified row matching neither condition stays put; the
         # engine reads the unified table's routed extent here, which is
         # exactly its generated view.
-        drefs = {c: f"d.{q(c)}" for c in columns}
+        drefs = new_refs(columns, row="d")
+        neither = [cond_not_true(c, drefs) for c in (c_first, c_second) if c is not None]
         keeper = (
             f"EXISTS (SELECT 1 FROM {unified_view} d WHERE d.p IS {key} "
-            f"AND {cond_not_true(lens.c_first, drefs)}"
-            + (
-                f" AND {cond_not_true(lens.c_second, drefs)}"
-                if lens.c_second is not None
-                else ""
-            )
-            + ")"
+            f"AND {' AND '.join(neither)})"
         )
-        statements.append(
-            delete_row(
-                unified_view,
-                key,
-                guard=f"NOT {first_exists} AND NOT {second_exists} AND NOT ({keeper})",
-            )
+        statements += _guarded(
+            _all(_not(f_row.exists), _not(s_row.exists), _not(keeper)),
+            delete_row, unified_view, key,
         )
 
-        # Aux memberships on the unified side.
-        def aux_name(role: str) -> str:
-            return self.smo.aux_table_name(role)
-
-        statements += self._member_statements(
-            aux_name(roles.rstar),
-            key,
-            f"{first_exists} AND EXISTS (SELECT 1 FROM {put_first} f "
-            f"WHERE {cond_not_true(lens.c_first, {c: f'f.{q(c)}' for c in columns})})",
-            None,
-            (),
-        )
-        if roles.second is not None and lens.c_second is not None:
-            f_refs = {c: f"f.{q(c)}" for c in columns}
-            s_refs = {c: f"s.{q(c)}" for c in columns}
-            statements += self._member_statements(
-                aux_name(roles.rminus),
-                key,
-                f"{second_exists} AND NOT {first_exists} AND EXISTS "
-                f"(SELECT 1 FROM {put_second} s WHERE {cond_true(lens.c_first, s_refs)})",
-                None,
-                (),
+        # Aux memberships on the unified side (Rules 21-25, key-restricted):
+        # (role, the row is a member, SELECT of a member with payload).
+        members = [(roles.rstar, some(lambda f: cond_not_true(c_first, f), f_row), None)]
+        if roles.second is not None and c_second is not None:
+            splus = (
+                f"SELECT {', '.join([key, *s_row.refs.values()])} "
+                f"FROM {twin.source} WHERE {rows_differ(f_row.refs, s_row.refs)}"
             )
-            differ = rows_differ("f", "s", columns)
-            splus_present = (
-                f"EXISTS (SELECT 1 FROM {put_first} f, {put_second} s WHERE {differ})"
-            )
-            payload = (
-                f"SELECT s.p, {', '.join(f's.{q(c)}' for c in columns)} "
-                f"FROM {put_second} s, {put_first} f WHERE {differ}"
-            )
-            statements += self._member_statements(
-                aux_name(roles.splus), key, splus_present, payload, columns
-            )
-            statements += self._member_statements(
-                aux_name(roles.sminus),
-                key,
-                f"{first_exists} AND NOT {second_exists} AND EXISTS "
-                f"(SELECT 1 FROM {put_first} f WHERE {cond_true(lens.c_second, f_refs)})",
-                None,
-                (),
-            )
-            statements += self._member_statements(
-                aux_name(roles.sstar),
-                key,
-                f"{second_exists} AND EXISTS (SELECT 1 FROM {put_second} s "
-                f"WHERE {cond_not_true(lens.c_second, s_refs)})",
-                None,
-                (),
-            )
+            members += [
+                (roles.rminus, _all(
+                    _not(f_row.exists), some(lambda s: cond_true(c_first, s), s_row)
+                ), None),
+                (roles.splus, some(rows_differ, f_row, s_row), splus),
+                (roles.sminus, _all(
+                    _not(s_row.exists), some(lambda f: cond_true(c_second, f), f_row)
+                ), None),
+                (roles.sstar, some(lambda s: cond_not_true(c_second, s), s_row), None),
+            ]
+        for role, present, payload in members:
+            aux = self.smo.aux_table_name(role)
+            if present is not False:
+                where = "" if present is True else f" WHERE {present}"
+                collist = ", ".join(["p", *qcols(columns if payload else ())])
+                select = payload or f"SELECT {key}{where}"
+                statements.append(f"INSERT OR REPLACE INTO {aux} ({collist}) {select}")
+            statements += _guarded(_not(present), delete_row, aux, key)
         return statements
 
     def _write(self, tv, op, apply_data):

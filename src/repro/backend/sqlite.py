@@ -249,12 +249,16 @@ class LiveSqliteBackend:
         # reads it from sqlite_master every time.
         self.renderer = codegen.Renderer(engine)
         #: Generated objects the last regenerate() created / dropped /
-        #: left in place; ``None`` until one has run.
+        #: left in place, and the ``bytes`` of delta code it left
+        #: installed; ``None`` until one has run.
         self.last_install: dict | None = None
         self._delta_objects = engine.metrics.counter(
             "repro_delta_objects_total",
             "Generated views and triggers touched by delta-code installs.",
             ("action",),
+        )
+        self._delta_bytes = engine.metrics.gauge(
+            "repro_delta_code_bytes", "Installed generated view and trigger text."
         )
 
     # ------------------------------------------------------------------
@@ -433,6 +437,9 @@ class LiveSqliteBackend:
             if repair:  # may have recreated tables under the mark
                 state.verified = {}
             self._verify_on_open(state, installed, current, phases)
+        if self.delta_reused:
+            text = codegen.script(sql for _kind, sql, _view in installed.values())
+            self._delta_bytes.set(len(text.encode()))
         phases["install"] = self.last_install
         backfill_started = time.perf_counter()
         self._finish_backfill(resume_backfill)
@@ -704,6 +711,8 @@ class LiveSqliteBackend:
         }
         for action, count in self.last_install.items():
             self._delta_objects.inc(count, action=action)
+        self.last_install["bytes"] = len(codegen.script(wanted.values()).encode())
+        self._delta_bytes.set(self.last_install["bytes"])
 
     def _view_statements(self) -> list[str]:
         """The view emission :meth:`regenerate` installs.  The product has
@@ -727,7 +736,7 @@ class LiveSqliteBackend:
 
     def generated_sql(self) -> str:
         """The full delta-code script (for inspection and code metrics)."""
-        return ";\n".join(self._wanted().values())
+        return codegen.script(self._wanted().values())
 
     # ------------------------------------------------------------------
     # Engine hooks (ExecutionBackend)

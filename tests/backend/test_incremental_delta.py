@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+from unittest.mock import ANY
 
 import pytest
 
@@ -246,11 +247,18 @@ def test_leaf_cycle_touches_only_the_leaf(chain, leaf, smo, objects):
     kept = counter.value(action="kept")
     evolved = _generated_ddl(chain, f"CREATE SCHEMA VERSION {leaf} FROM S8 WITH {smo};")
     assert evolved == (objects, 0), f"{SQLITE}: evolve ran {evolved} CREATE, DROP"
-    assert backend.last_install == {"created": objects, "dropped": 0, "kept": total}
+    grown = len(backend.generated_sql().encode())
+    assert backend.last_install == {
+        "created": objects, "dropped": 0, "kept": total, "bytes": grown
+    }
     assert backend.catalog_stats()["last_install"] == backend.last_install
     dropped = _generated_ddl(chain, f"DROP SCHEMA VERSION {leaf};")
     assert dropped == (0, objects), f"{SQLITE}: drop ran {dropped} CREATE, DROP"
-    assert backend.last_install == {"created": 0, "dropped": objects, "kept": total}
+    shrunk = len(backend.generated_sql().encode())
+    assert backend.last_install == {
+        "created": 0, "dropped": objects, "kept": total, "bytes": shrunk
+    }
+    assert shrunk < grown
     assert counter.value(action="kept") == kept + 2 * total
     assert_installed_is_rendered(backend, "after the leaf cycle")
 
@@ -350,7 +358,7 @@ def test_partly_stripped_file_gets_back_exactly_the_missing_objects(tmp_path):
     try:
         assert backend.recovered and not backend.delta_reused
         assert backend.last_install == {
-            "created": 5, "dropped": 0, "kept": len(before) - 5
+            "created": 5, "dropped": 0, "kept": len(before) - 5, "bytes": ANY,
         }
         assert installed_text(backend.connection) == before
     finally:

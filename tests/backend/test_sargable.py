@@ -450,7 +450,9 @@ def test_update_four_hops_away_runs_one_upsert_per_hop(chain):
     local = _cascade_statements(chain, "S4", "UPDATE Even SET memo = ? WHERE k = ?", ("d", 28))
     forward = _cascade_statements(chain, "S8", "UPDATE Lo SET remark = ? WHERE k = ?", ("e", 28))
     backward = _cascade_statements(chain, "S0", "UPDATE Item SET note = ? WHERE k = ?", ("f", 28))
-    assert local + 3 == 7 and forward + 3 <= 32 and backward + 3 <= 20, (
+    # An UPDATE hands its row to its own view's INSERT trigger: one more
+    # statement on every pin, fewer down a partition hop.
+    assert local + 3 == 8 and forward + 3 <= 28 and backward + 3 <= 21, (
         f"{SQLITE}: local {local}, forward {forward}, backward {backward} statements"
     )
 

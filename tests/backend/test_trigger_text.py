@@ -1,0 +1,150 @@
+"""The installed trigger text: one upsert program per view, and a partition
+write that folds the row it writes into ``NEW``.
+
+Every connection re-parses the whole delta code after a transition, so its
+size is a cost on the transition path.  These tests pin what keeps it
+small without changing what any statement does:
+
+(a) the UPDATE trigger's ``p``-immutability check, now the key of its one
+    delegating statement, still raises the same message at every view of
+    every differential chain under every valid materialization — on a
+    repro session and on a raw ``sqlite3`` handle with default pragmas —
+    and leaves every version as it was;
+(b) no partition's trigger names its own snapshot table: the row a
+    partition write writes is ``NEW``, only the twin's row is staged;
+(c) the benchmark chain's installed delta code stays within its byte
+    budget, which the ``repro_delta_code_bytes`` gauge reports.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+import sqlite3
+
+import pytest
+
+import repro
+from repro.backend import codegen
+from repro.backend.compare import visible_state
+from repro.backend.emit import q
+from repro.backend.handlers import HandlerContext, PartitionHandler, handler_for
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.catalog.materialization import enumerate_valid_materializations
+from repro.core.engine import InVerDa
+from tests.backend.test_differential import CHAINS, _apply_materialization
+from tests.backend.test_sargable import build_chain
+from tests.backend.test_upsert_primitive import _build
+
+SQLITE = f"SQLite {sqlite3.sqlite_version}"
+IMMUTABLE = "the row identifier p is immutable"
+
+
+class _OnFile:
+    """``LiveSqliteBackend`` attached to one database file, so that a raw
+    handle can open the same database."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def attach(self, engine):
+        return LiveSqliteBackend.attach(engine, database=self.path)
+
+
+def _rekey_each_view(ds, run, context: str) -> int:
+    """Try to change ``p`` of one row of every view through ``run``; each
+    attempt must fail with the immutability message."""
+    tried = 0
+    for tv in codegen.active_table_versions(ds.sq):
+        view = q(tv.view_name)
+        row = ds.backend.connection.execute(
+            f"SELECT p, (SELECT MAX(p) FROM {view}) FROM {view} ORDER BY p LIMIT 1"
+        ).fetchone()
+        if row is None:
+            continue
+        p, highest = row
+        with pytest.raises(sqlite3.IntegrityError) as raised:
+            run(f"UPDATE {view} SET p = ? WHERE p = ?", (highest + 1000, p))
+        assert str(raised.value) == IMMUTABLE, f"[{context}] {SQLITE}: {tv.view_name}"
+        tried += 1
+    return tried
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_changing_p_raises_the_same_message_at_every_view(name, tmp_path):
+    path = str(tmp_path / "chain.db")
+    ds = _build(name, _OnFile(path), random.Random(5))
+    try:
+        count = len(enumerate_valid_materializations(ds.mem.genealogy))
+        tried = 0
+        for index in range(count):
+            _apply_materialization(ds, index)
+            context = f"{name}/materialization-{index}"
+            before = visible_state(ds.sq, ds.backend)
+            conn = repro.connect(ds.sq, "v1", backend=ds.backend)
+            try:
+                tried += _rekey_each_view(ds, conn._session.execute, f"{context}/repro")
+            finally:
+                conn.close()
+            raw = sqlite3.connect(path)
+            try:
+                tried += _rekey_each_view(ds, raw.execute, f"{context}/raw")
+                raw.rollback()
+            finally:
+                raw.close()
+            assert visible_state(ds.sq, ds.backend) == before, context
+            ds.check(context)
+        assert tried >= 2 * count
+    finally:
+        ds.close()
+
+
+PARTITION_CHAINS = sorted(
+    name
+    for name, (_create, _load, evolutions) in CHAINS.items()
+    if any(word in str(evolutions) for word in ("SPLIT", "MERGE"))
+)
+
+
+@pytest.mark.parametrize("name", PARTITION_CHAINS)
+def test_no_partition_trigger_names_its_own_snapshot(name):
+    create, _load, evolutions = CHAINS[name]
+    engine = InVerDa()
+    engine.execute(f"CREATE SCHEMA VERSION v1 WITH {create};")
+    for step, evolution in enumerate(evolutions, start=2):
+        source = f"v{step - 1}"
+        if isinstance(evolution, tuple):
+            evolution, source = evolution
+        engine.execute(f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};")
+    ctx = HandlerContext(engine)
+    checked = 0
+    for schema in enumerate_valid_materializations(engine.genealogy):
+        engine.apply_materialization(schema)
+        for tv in codegen.active_table_versions(engine):
+            route = codegen.route_for(engine, tv)
+            if route is None:
+                continue
+            handler = handler_for(ctx, route[0])
+            if not isinstance(handler, PartitionHandler) or handler.is_unified(tv):
+                continue
+            own = re.compile(rf"\b{route[0].put_table_name(handler.role_of(tv))}\b")
+            for trigger in codegen.trigger_statements(engine):
+                if f" ON {q(tv.view_name)}\n" in trigger:
+                    assert not own.search(trigger), trigger
+                    checked += 1
+    assert checked
+
+
+def test_benchmark_chain_delta_code_fits_its_budget():
+    engine, backend = build_chain([(i, i % 7, i % 13, f"n{i}") for i in range(1000)])
+    try:
+        installed = [
+            sql for _kind, sql, _view in codegen.installed_objects(backend.connection).values()
+        ]
+        size = len(codegen.script(installed).encode())
+        assert size == len(backend.generated_sql().encode())
+        assert size <= 18_000, f"{size} bytes of delta code"
+        assert engine.metrics.get("repro_delta_code_bytes").value() == size
+        assert backend.last_install["bytes"] == size
+    finally:
+        backend.close()

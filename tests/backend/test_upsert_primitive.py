@@ -3,16 +3,16 @@ is an upsert.
 
 Every handler emits one ``INSERT INTO <view> (p, ...)`` per hop and relies
 on the target view's ``INSTEAD OF INSERT`` program doing what its UPDATE
-program does, so codegen installs one rendered program under both
-triggers.  A handler (or a SQLite) that told the two apart would break
-that silently; these tests name it:
+does, so codegen renders one upsert program per view and the UPDATE
+trigger hands its row to it.  A handler (or a SQLite) that told the two
+apart would break that silently; these tests name it:
 
 (a) on every view of every differential chain, under every valid
     materialization and both view emissions, ``INSERT`` of an existing
     ``p`` leaves every stored table exactly as the ``UPDATE`` does, and
     ``INSERT`` of a fresh row equals the memory engine;
-(b) the installed INSERT and UPDATE trigger bodies are the same text
-    behind the UPDATE trigger's ``p``-immutability check;
+(b) the installed UPDATE trigger is one ``INSERT`` into its own view,
+    keyed by the ``p``-immutability check;
 (c) no view target takes a conflict clause (SQLite would apply it to
     every statement of the triggers the write fires), and there are
     exactly two write programs.
@@ -230,11 +230,12 @@ def test_insert_and_update_triggers_share_one_program(name):
             views = codegen.active_table_versions(ds.sq)
             assert len(bodies) == 3 * len(views)
             for tv in views:
-                insert = bodies[tv.trigger_name("INSERT")]
-                update = bodies[tv.trigger_name("UPDATE")]
-                assert update == f"  {codegen.IMMUTABLE_KEY_CHECK};\n{insert}", (
-                    f"{name}/materialization-{index}: {tv.view_name}"
-                )
+                columns = ", ".join(qcols(tv.schema.column_names))
+                new = ", ".join(f"NEW.{c}" for c in qcols(tv.schema.column_names))
+                assert bodies[tv.trigger_name("UPDATE")] == (
+                    f"  INSERT INTO {q(tv.view_name)} (p, {columns}) "
+                    f"SELECT {codegen.IMMUTABLE_KEY}, {new};"
+                ), f"{name}/materialization-{index}: {tv.view_name}"
     finally:
         ds.close()
 

@@ -3,6 +3,8 @@ defect class flagged with its stable diagnostic code."""
 
 from __future__ import annotations
 
+from unittest.mock import ANY
+
 import pytest
 
 from repro.backend import codegen
@@ -275,7 +277,7 @@ class TestInstalledAgainstCatalog:
         backend = LiveSqliteBackend.attach(engine, database=path)
         try:
             backend.regenerate()
-            assert backend.last_install == {"created": 4, "dropped": 4, "kept": 4}
+            assert backend.last_install == {"created": 4, "dropped": 4, "kept": 4, "bytes": ANY}
             assert verify_delta_code(engine, connection=backend.connection) == []
         finally:
             backend.close()
@@ -305,7 +307,7 @@ class TestInstalledAgainstCatalog:
                 "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN c IN R TO cc;"
             )
             assert engine.last_check["errors"] == 0
-            assert backend.last_install == {"created": 4, "dropped": 0, "kept": 8}
+            assert backend.last_install == {"created": 4, "dropped": 0, "kept": 8, "bytes": ANY}
         finally:
             backend.close()
 

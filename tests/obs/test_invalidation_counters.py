@@ -4,6 +4,8 @@ drop), on both transports."""
 
 from __future__ import annotations
 
+from unittest.mock import ANY
+
 import pytest
 
 import repro
@@ -62,8 +64,28 @@ def assert_delta_objects_follow(conn, engine) -> None:
     conn.execute(DROP)
     assert delta_objects(engine) == {"created": 16, "dropped": 12, "kept": 8}
     assert engine.live_backend.catalog_stats()["last_install"] == {
-        "created": 0, "dropped": 4, "kept": 4,
+        "created": 0, "dropped": 4, "kept": 4, "bytes": ANY,
     }
+
+
+def delta_code_bytes(snapshot: dict) -> tuple[int, int]:
+    """(``repro_delta_code_bytes``, the last install's ``bytes``) as a
+    stats or status snapshot reports them."""
+    (series,) = snapshot["metrics"]["repro_delta_code_bytes"]["series"]
+    return series["value"], snapshot["catalog"]["last_install"]["bytes"]
+
+
+def assert_delta_code_bytes_follow(conn, engine, snapshot) -> None:
+    """The gauge is the installed script's size after every install: it
+    grows with the evolve and shrinks with the drop."""
+    sizes = []
+    for statement in (None, EVOLVE, MATERIALIZE, DROP):
+        if statement is not None:
+            conn.execute(statement)
+        size = len(engine.live_backend.generated_sql().encode())
+        assert delta_code_bytes(snapshot()) == (size, size), statement
+        sizes.append(size)
+    assert sizes[0] < sizes[1] and sizes[3] < sizes[2]
 
 
 def assert_transition_metrics(engine, baseline: dict,
@@ -110,6 +132,25 @@ class TestInProcess:
         finally:
             engine.live_backend.close()
 
+    def test_delta_code_bytes_follow_installs_and_open(self, tmp_path):
+        path = str(tmp_path / "bytes.db")
+        engine = repro.open(path)
+        engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);")
+        conn = repro.connect(engine, "v1", autocommit=True)
+        try:
+            assert_delta_code_bytes_follow(conn, engine, conn.stats)
+            size = len(engine.live_backend.generated_sql().encode())
+        finally:
+            conn.close()
+            engine.live_backend.close()
+        reopened = repro.open(path)
+        try:
+            assert reopened.live_backend.delta_reused
+            gauge = reopened.metrics.get("repro_delta_code_bytes")
+            assert gauge.value() == size
+        finally:
+            reopened.live_backend.close()
+
 
 class TestRemote:
     def test_installs_count_the_generated_objects_they_touch_over_tcp(self):
@@ -121,6 +162,19 @@ class TestRemote:
         try:
             assert_delta_objects_follow(conn, engine)
             assert 'repro_delta_objects_total{action="kept"} 8' in conn.metrics_text()
+        finally:
+            conn.close()
+            server.close()
+            backend.close()
+
+    def test_delta_code_bytes_follow_installs_over_tcp_status(self):
+        engine = build_engine()
+        backend = LiveSqliteBackend.attach(engine)
+        server = ReproServer(engine, backend=backend).start()
+        host, port = server.address
+        conn = connect_remote(host, port, "v1", autocommit=True)
+        try:
+            assert_delta_code_bytes_follow(conn, engine, conn.server_status)
         finally:
             conn.close()
             server.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import sqlite3
+from unittest.mock import ANY
 
 import pytest
 
@@ -55,6 +56,25 @@ class Stamp3Composer(ViewComposer):
 
     def _alias(self) -> str:
         return f"f{next(self._run_wide)}"
+
+
+STAMP_4_CHECK = (
+    "SELECT RAISE(ABORT, 'the row identifier p is immutable') WHERE NEW.p IS NOT OLD.p"
+)
+
+
+class Stamp4Renderer(codegen.Renderer):
+    """UPDATE triggers as emission stamp 4 rendered them: the immutability
+    check followed by the INSERT trigger's program."""
+
+    def triggers(self, tv):
+        insert, _update, delete = super().triggers(tv)
+        update = (
+            insert.replace(tv.trigger_name("INSERT"), tv.trigger_name("UPDATE"), 1)
+            .replace("INSTEAD OF INSERT", "INSTEAD OF UPDATE", 1)
+            .replace("\nBEGIN\n", f"\nBEGIN\n  {STAMP_4_CHECK};\n", 1)
+        )
+        return [insert, update, delete]
 
 
 def build_tasky_file(path: str):
@@ -215,7 +235,7 @@ class TestDeltaCodeReuse:
         finally:
             engine.live_backend.close()
 
-    @pytest.mark.parametrize("older", ["unstamped", "stamp-2", "stamp-3"])
+    @pytest.mark.parametrize("older", ["unstamped", "stamp-2", "stamp-3", "stamp-4"])
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
     ):
@@ -223,7 +243,8 @@ class TestDeltaCodeReuse:
         it: a file without the emission stamp, still holding the plain
         UNION views — or one stamped 2, whose triggers upsert a view in
         two statements, or 3, whose views number their aliases across
-        the whole script — is regenerated on open, once."""
+        the whole script, or 4, whose UPDATE triggers repeat the INSERT
+        trigger's program — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -237,6 +258,9 @@ class TestDeltaCodeReuse:
             if older == "stamp-3":
                 patch.setattr(codegen, "ViewComposer", Stamp3Composer)
                 patch.setattr(codegen, "EMISSION_STAMP", 3)
+            if older == "stamp-4":
+                patch.setattr(codegen, "Renderer", Stamp4Renderer)
+                patch.setattr(codegen, "EMISSION_STAMP", 4)
             backend = LiveSqliteBackend.attach(
                 build_orders(2, 8, 2).engine, database=path
             )
@@ -273,6 +297,8 @@ class TestDeltaCodeReuse:
         assert compounds
         if older == "stamp-2":
             assert two_statement in trigger_script(handle)
+        if older == "stamp-4":
+            assert STAMP_4_CHECK in trigger_script(handle)
         for name, sql in compounds if older == "unstamped" else ():
             # Dropping a view drops its INSTEAD OF triggers with it.
             triggers = handle.execute(
@@ -302,7 +328,13 @@ class TestDeltaCodeReuse:
                 assert installed.keys() == stamp_3_views.keys()
                 assert installed != stamp_3_views
                 assert backend.last_install["dropped"] > 0
+            if older == "stamp-4":
+                # Every UPDATE trigger, and nothing else, is replaced.
+                views = len(installed)
+                assert backend.last_install["dropped"] == views
+                assert backend.last_install["created"] == views
             assert two_statement not in trigger_script(backend.connection)
+            assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert contents(backend.connection) == before
             assert backend.store.load().delta_emission == codegen.EMISSION_STAMP
         finally:
@@ -604,11 +636,11 @@ class TestVerifiedAtMark:
                 # Every name was there: the parent reused this file as it
                 # was.  The diff re-creates the view and its triggers.
                 assert not backend.delta_reused
-                assert backend.last_install == {"created": 4, "dropped": 4, "kept": 8}
+                assert backend.last_install == {"created": 4, "dropped": 4, "kept": 8, "bytes": ANY}
                 counter = engine.metrics.get("repro_delta_objects_total")
                 assert counter.value(action="created") == 4
             if case == "stripped trigger":
-                assert backend.last_install == {"created": 1, "dropped": 0, "kept": 11}
+                assert backend.last_install == {"created": 1, "dropped": 0, "kept": 11, "bytes": ANY}
             if case == "log payload edited in place":
                 # Same shapes, so the fingerprints still match; only the
                 # log digest under the mark sees the edit.
