@@ -11,7 +11,9 @@ For the current materialization this module produces, in dependency order,
    programs — upsert and delete — the former under INSERT, with UPDATE
    handing its row to it), combining the storage-route propagation program
    with shared-aux maintenance for adjacent off-route SMOs and extent
-   repairs for shared aux tables deeper down virtual branches,
+   repairs for shared aux tables deeper down virtual branches; a write
+   into a view whose own program is one row-local statement is that
+   statement, so a write crosses one trigger per real hop,
 
 plus the in-place SQL migration script implementing ``MATERIALIZE``.
 """
@@ -28,6 +30,7 @@ from repro.backend.handlers import (
     HandlerContext,
     handler_for,
     has_shared_aux,
+    own_row,
 )
 from repro.backend.online import stage_name
 from repro.catalog.genealogy import SmoInstance, TableVersion
@@ -45,7 +48,9 @@ from repro.util.naming import physical_name
 #: 4 = FROM aliases are numbered per view, not across the whole script.
 #: 5 = an UPDATE trigger upserts through its own view's INSERT trigger; a
 #:     partition write folds the written row into NEW.
-EMISSION_STAMP = 5
+#: 6 = a write into a view whose own program is one row-local statement
+#:     is that statement (UPDATE triggers included).
+EMISSION_STAMP = 6
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -165,22 +170,30 @@ class Renderer:
     The memo is sound between two MATERIALIZEs only: a surviving table
     version's view reads nothing but its route to the physical tables
     (:func:`route_for` — materialization flags plus the physical table
-    set), which evolve and drop never change for survivors; its triggers
-    additionally read :func:`_off_route_shared`, so they are remembered
-    under those SMOs' uids.  A MATERIALIZE moves the routes — the holder
-    must start a new ``Renderer`` then.
+    set), which evolve and drop never change for survivors.  Its triggers
+    additionally read :func:`_off_route_shared` of itself and of every
+    *hop* — each view a write was offered to (:meth:`row_program`), since
+    whether that view's program is one statement, and so inlined, turns
+    on those SMOs — so they are remembered under the hops' SMO uids.  A
+    MATERIALIZE moves the routes — the holder must start a new
+    ``Renderer`` then.
     """
 
     def __init__(self, engine, *, flatten: bool = True):
         self.engine = engine
-        self.ctx = HandlerContext(engine)
+        self.ctx = HandlerContext(engine, self.row_program)
         self.composer = ViewComposer() if flatten else None
         self._views: dict[int, tuple[str, str, list | None]] = {}
-        self._triggers: dict[int, tuple[tuple, list[str]]] = {}
+        self._triggers: dict[int, tuple[list[TableVersion], tuple, list[str]]] = {}
+        # Per pass (cleared by active()): uid -> (route SMO, adjacent and
+        # deep off-route shared, the hop key of both by uid).
+        self._routes: dict[int, tuple] = {}
+        self._hops: dict[int, TableVersion] = {}
 
     def active(self) -> list[TableVersion]:
         """:func:`active_table_versions`, after forgetting every table
         version that left that set."""
+        self._routes.clear()
         tvs = active_table_versions(self.engine)
         alive = {tv.uid for tv in tvs}
         for uid in self._views.keys() - alive:
@@ -219,24 +232,49 @@ class Renderer:
         select = composer.sql(flat) if flat is not None else handler.view_select(tv)
         return tv.view_name, select, flat
 
+    def _route(self, tv: TableVersion) -> tuple:
+        """``(route SMO or None, adjacent shared, deep shared, hop key)``."""
+        found = self._routes.get(tv.uid)
+        if found is None:
+            route = route_for(self.engine, tv)
+            smo = route[0] if route is not None else None
+            adjacent, deep = _off_route_shared(tv, smo)
+            key = (tv.uid, *(smo.uid for smo in adjacent), None, *(smo.uid for smo in deep))
+            found = self._routes[tv.uid] = (smo, adjacent, deep, key)
+        return found
+
+    def _hop_key(self, hops: list[TableVersion]) -> tuple:
+        return tuple(self._route(hop)[3] for hop in hops)
+
+    def row_program(self, tv, op, key, values, guard) -> str | None:
+        """``tv``'s own ``op`` program bound to a writer's row, when it is
+        one row-local statement — no shared-aux upkeep around it, and the
+        physical pass-through or a handler's
+        :meth:`~repro.backend.handlers.SmoHandler.row_write` — else
+        ``None`` (:attr:`HandlerContext.inline`)."""
+        self._hops.setdefault(tv.uid, tv)
+        route_smo, adjacent_shared, deep, _key = self._route(tv)
+        if adjacent_shared or deep:
+            return None
+        if route_smo is None:
+            return _physical_write(tv, op, key, values, guard)
+        return handler_for(self.ctx, route_smo).row_write(tv, op, key, values, guard)
+
     def triggers(self, tv: TableVersion) -> list[str]:
         """The ``INSTEAD OF`` trigger triple of ``tv``.
 
         A table version has two write programs, upsert and delete.  The
         upsert program is installed under the INSERT trigger; the UPDATE
-        trigger is one statement handing the row, under its immutable
-        ``p``, to that trigger (SQLite re-parses every installed program
-        on each connection after a transition, so a second copy costs)."""
-        route = route_for(self.engine, tv)
-        route_smo = route[0] if route is not None else None
-        adjacent_shared, deep = _off_route_shared(tv, route_smo)
-        key = (
-            tuple(smo.uid for smo in adjacent_shared),
-            tuple(smo.uid for smo in deep),
-        )
+        trigger is that program bound to the immutable ``p`` where it is
+        one row-local statement, else one statement handing the row, under
+        its immutable ``p``, to the INSERT trigger (SQLite re-parses every
+        installed program on each connection after a transition, so a
+        second copy of a longer program costs)."""
         remembered = self._triggers.get(tv.uid)
-        if remembered is not None and remembered[0] == key:
-            return remembered[1]
+        if remembered is not None and self._hop_key(remembered[0]) == remembered[1]:
+            return remembered[2]
+        self._hops = {tv.uid: tv}
+        route_smo, adjacent_shared, deep, _key = self._route(tv)
         ctx = self.ctx
 
         def program(op: str) -> list[str]:
@@ -249,7 +287,7 @@ class Renderer:
                     tv, op, apply_data=False
                 )
             if route_smo is None:
-                body.append(_physical_write(tv, op))
+                body.append(_physical_write(tv, op, *own_row(tv, op), None))
             else:
                 body += handler_for(ctx, route_smo).write_statements(tv, op)
             # Extent repairs for distant shared-aux SMOs read the POST-write
@@ -258,10 +296,7 @@ class Renderer:
                 body += handler_for(ctx, smo).repair_statements()
             return body
 
-        columns = tv.schema.column_names
-        update = emit.upsert_row(
-            q(tv.view_name), columns, IMMUTABLE_KEY, list(emit.new_refs(columns).values())
-        )
+        update = ctx.upsert(tv, IMMUTABLE_KEY, own_row(tv, "UPSERT")[1])
         statements = [
             emit.create_trigger(
                 tv.trigger_name(operation), operation, tv.view_name, body
@@ -272,7 +307,8 @@ class Renderer:
                 ("DELETE", program("DELETE")),
             )
         ]
-        self._triggers[tv.uid] = (key, statements)
+        hops = list(self._hops.values())
+        self._triggers[tv.uid] = (hops, self._hop_key(hops), statements)
         return statements
 
 
@@ -331,13 +367,15 @@ def script(statements: Iterable[str]) -> str:
     return ";\n".join(statements)
 
 
-def _physical_write(tv: TableVersion, op: str) -> str:
+def _physical_write(tv: TableVersion, op: str, key: str, values, guard) -> str:
+    """The pass-through program of a physical table version, bound to the
+    row ``key`` / ``values`` under ``guard``."""
     data = q(tv.data_table_name)
     if op == "DELETE":
-        return emit.delete_row(data, "OLD.p")
-    columns = tv.schema.column_names
-    values = list(emit.new_refs(columns).values())
-    return emit.upsert_row(data, columns, "NEW.p", values, plain_table=True)
+        return emit.delete_row(data, key, guard=guard)
+    return emit.upsert_row(
+        data, tv.schema.column_names, key, values, guard=guard, plain_table=True
+    )
 
 
 def repair_all_statements(engine) -> list[str]:

@@ -21,7 +21,7 @@ eager identifier initialization at evolution time.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,14 +76,55 @@ SCRATCH_COLUMNS = ("a", "b", "rnk", "rnk2")
 WRITE_OPS = ("UPSERT", "DELETE")
 
 
+def own_row(tv: TableVersion, op: str) -> tuple[str, list[str]]:
+    """``(key, values)`` of the row a trigger program of ``tv`` writes:
+    ``NEW`` for an upsert, ``OLD.p`` alone for a delete."""
+    if op == "DELETE":
+        return "OLD.p", []
+    return "NEW.p", list(new_refs(tv.schema.column_names).values())
+
+
+def _never(*_hop) -> None:
+    return None
+
+
 @dataclass
 class HandlerContext:
-    """Catalog-aware naming and storage-state lookups for handlers."""
+    """Catalog-aware naming and storage-state lookups for handlers, and the
+    seam every write of one row into a table version goes through."""
 
     engine: object  # InVerDa; duck-typed to avoid an import cycle
+    #: ``(tv, op, key, values, guard)`` -> ``tv``'s own ``op`` program with
+    #: its row bound, or ``None`` unless that program is one row-local
+    #: statement (:meth:`repro.backend.codegen.Renderer.row_program`).
+    inline: Callable[..., str | None] = _never
 
     def view(self, tv: TableVersion) -> str:
         return tv.view_name
+
+    def upsert(
+        self, tv: TableVersion, key: str, row: Sequence[str], guard: str | None = None
+    ) -> str:
+        """Upsert ``row`` (one value per column of ``tv``) under ``key``
+        when ``guard`` holds: ``tv``'s own program with the row substituted
+        for ``NEW`` and the guards conjoined where it is one row-local
+        statement, else the ``INSERT`` into its view that fires it.  Every
+        value is a reference, a literal or parenthesized, so it substitutes
+        as an operand."""
+        return self.inline(tv, "UPSERT", key, row, guard) or upsert_row(
+            self.view(tv), tv.schema.column_names, key, row, guard=guard
+        )
+
+    def delete(self, tv: TableVersion, key: str, guard: str | None = None) -> str:
+        """Delete ``key`` from ``tv`` when ``guard`` holds, through ``tv``'s
+        one-statement program where the guard reads nothing but the row:
+        every such program maps rows 1:1 on ``p``, so an absent row stays
+        no effect.  A guard reading state (a subquery) stays a hop."""
+        if guard is None or "SELECT" not in guard:
+            inlined = self.inline(tv, "DELETE", key, (), guard)
+            if inlined is not None:
+                return inlined
+        return delete_row(self.view(tv), key, guard=guard)
 
     def aux_is_stored(self, smo: SmoInstance, role: str) -> bool:
         semantics = smo.semantics
@@ -228,8 +269,23 @@ class SmoHandler:
 
     def _write(self, tv: TableVersion, op: str, apply_data: bool) -> list[str]:
         """The program behind :meth:`write_statements`.  ``apply_data`` is
-        only ever ``False`` for an SMO with shared aux tables."""
-        raise NotImplementedError
+        only ever ``False`` for an SMO with shared aux tables.  Default:
+        the one statement of :meth:`row_write` over the trigger's row."""
+        return [self.row_write(tv, op, *own_row(tv, op), None)]
+
+    def row_write(
+        self,
+        tv: TableVersion,
+        op: str,
+        key: str,
+        values: Sequence[str],
+        guard: str | None,
+    ) -> str | None:
+        """``tv``'s ``op`` program when it is one row-local statement
+        (reading nothing but its row and literals), rendered for the row
+        ``key`` / ``values`` (none for a delete) under ``guard``;
+        ``None`` when the program is more (default)."""
+        return None
 
     def repair_statements(self) -> list[str]:
         """Idempotent extent-level upkeep of shared aux tables (default:
@@ -316,29 +372,26 @@ class RuleBackedHandler(SmoHandler):
 class DropTableHandler(RuleBackedHandler):
     """DROP TABLE: identity between the retired table and its aux home."""
 
-    def _write(self, tv, op, apply_data):
+    def row_write(self, tv, op, key, values, guard):
         aux = self.smo.aux_table_name("R_retired")
-        columns = tv.schema.column_names
         if op == "DELETE":
-            return [delete_row(aux, "OLD.p")]
-        values = list(new_refs(columns).values())
-        return [upsert_row(aux, columns, "NEW.p", values, plain_table=True)]
+            return delete_row(aux, key, guard=guard)
+        return upsert_row(
+            aux, tv.schema.column_names, key, values, guard=guard, plain_table=True
+        )
 
 
 class IdentityHandler(RuleBackedHandler):
     """RENAME TABLE / RENAME COLUMN: positional identity on rows."""
 
-    def _write(self, tv, op, apply_data):
+    def row_write(self, tv, op, key, values, guard):
         if self.side_of(tv) == "source":
             other = self.smo.targets[0]
         else:
             other = self.smo.sources[0]
         if op == "DELETE":
-            return [delete_row(self.ctx.view(other), "OLD.p")]
-        values = [f"NEW.{q(c)}" for c in tv.schema.column_names]
-        return [
-            upsert_row(self.ctx.view(other), other.schema.column_names, "NEW.p", values)
-        ]
+            return self.ctx.delete(other, key, guard)
+        return self.ctx.upsert(other, key, values, guard)
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +406,39 @@ class ColumnHandler(RuleBackedHandler):
     narrowing it keeps the written value in the aux table B, which is only
     stored on the narrow-ward side."""
 
-    def _write(self, tv, op, apply_data):
+    def _sides(self):
+        """(narrow_tv, wide_tv, the function computing the column)."""
         node = self.sem.node
         if isinstance(self.sem, AddColumnSemantics):
-            narrow_tv, wide_tv = self.smo.sources[0], self.smo.targets[0]
-            function = node.function
-        else:
-            narrow_tv, wide_tv = self.smo.targets[0], self.smo.sources[0]
-            function = node.default
-        narrow_cols = narrow_tv.schema.column_names
+            return self.smo.sources[0], self.smo.targets[0], node.function
+        return self.smo.targets[0], self.smo.sources[0], node.default
+
+    def row_write(self, tv, op, key, values, guard):
+        narrow_tv, wide_tv, function = self._sides()
+        if tv is not narrow_tv:
+            return None
+        if op == "DELETE":
+            return self.ctx.delete(wide_tv, key, guard)
+        row = dict(zip(narrow_tv.schema.column_names, values))
+        computed = render_expression(function, row)
+        wide_values = [
+            computed if c == self.sem.node.column else row[c]
+            for c in wide_tv.schema.column_names
+        ]
+        return self.ctx.upsert(wide_tv, key, wide_values, guard)
+
+    def _write(self, tv, op, apply_data):
+        narrow_tv, _wide_tv, _function = self._sides()
         if tv is narrow_tv:
-            if op == "DELETE":
-                return [delete_row(self.ctx.view(wide_tv), "OLD.p")]
-            computed = render_expression(function, new_refs(narrow_cols))
-            wide_cols = wide_tv.schema.column_names
-            values = [computed if c == node.column else f"NEW.{q(c)}" for c in wide_cols]
-            return [upsert_row(self.ctx.view(wide_tv), wide_cols, "NEW.p", values)]
+            return super()._write(tv, op, apply_data)
+        column = self.sem.node.column
         aux = self.smo.aux_table_name("B")
         if op == "DELETE":
-            return [
-                delete_row(self.ctx.view(narrow_tv), "OLD.p"),
-                delete_row(aux, "OLD.p"),
-            ]
-        narrow_values = [f"NEW.{q(c)}" for c in narrow_cols]
+            return [self.ctx.delete(narrow_tv, "OLD.p"), delete_row(aux, "OLD.p")]
+        narrow_values = [f"NEW.{q(c)}" for c in narrow_tv.schema.column_names]
         return [
-            upsert_row(self.ctx.view(narrow_tv), narrow_cols, "NEW.p", narrow_values),
-            upsert_row(
-                aux, (node.column,), "NEW.p", [f"NEW.{q(node.column)}"], plain_table=True
-            ),
+            self.ctx.upsert(narrow_tv, "NEW.p", narrow_values),
+            upsert_row(aux, (column,), "NEW.p", [f"NEW.{q(column)}"], plain_table=True),
         ]
 
 
@@ -413,13 +471,7 @@ class VerticalHandler(RuleBackedHandler):
         second_cols = tuple(wide_cols[i] for i in lens.second_indices)
         wide_tv, first_tv, second_tv = self._tvs()
         if tv is wide_tv:
-            return self._split_write(
-                [
-                    (self.ctx.view(first_tv), first_cols),
-                    (self.ctx.view(second_tv), second_cols),
-                ],
-                op,
-            )
+            return self._split_write(((first_tv, first_cols), (second_tv, second_cols)), op)
         if tv is first_tv:
             own, other_tv, other_cols = first_cols, second_tv, second_cols
         else:
@@ -433,19 +485,17 @@ class VerticalHandler(RuleBackedHandler):
             op,
         )
 
-    def _split_write(self, narrow_views: list[tuple[str, tuple[str, ...]]], op):
-        """Write at the wide table: project both parts, suppressing all-null
-        (omega) parts."""
+    def _split_write(self, parts, op):
+        """Write at the wide table: project both parts (``(tv, columns)``),
+        suppressing all-null (omega) parts."""
         statements = []
-        for view, columns in narrow_views:
+        for part_tv, columns in parts:
             if op == "DELETE":
-                statements.append(delete_row(view, "OLD.p"))
+                statements.append(self.ctx.delete(part_tv, "OLD.p"))
                 continue
             refs = [f"NEW.{q(c)}" for c in columns]
-            statements.append(delete_row(view, "NEW.p", guard=all_null(refs)))
-            statements.append(
-                upsert_row(view, columns, "NEW.p", refs, guard=not_all_null(refs))
-            )
+            statements.append(self.ctx.delete(part_tv, "NEW.p", all_null(refs)))
+            statements.append(self.ctx.upsert(part_tv, "NEW.p", refs, not_all_null(refs)))
         return statements
 
     def _combine_write(
@@ -466,7 +516,6 @@ class VerticalHandler(RuleBackedHandler):
             f"INSERT INTO {put_other} SELECT p, {', '.join(qcols(other_cols))} "
             f"FROM {other_view} WHERE p IS {key}",
         ]
-        wide_view = self.ctx.view(wide_tv)
         other_exists = f"EXISTS (SELECT 1 FROM {put_other})"
 
         def wide_values(own_sql: dict[str, str]) -> list[str]:
@@ -480,15 +529,14 @@ class VerticalHandler(RuleBackedHandler):
                     values.append("NULL")
             return values
 
-        wide_cols = wide_tv.schema.column_names
         if op == "DELETE":
             values = wide_values({c: "NULL" for c in own_cols})
             return statements + [
-                upsert_row(wide_view, wide_cols, key, values, guard=other_exists),
-                delete_row(wide_view, key, guard=f"NOT {other_exists}"),
+                self.ctx.upsert(wide_tv, key, values, other_exists),
+                self.ctx.delete(wide_tv, key, f"NOT {other_exists}"),
             ]
         values = wide_values({c: f"NEW.{q(c)}" for c in own_cols})
-        return statements + [upsert_row(wide_view, wide_cols, key, values)]
+        return statements + [self.ctx.upsert(wide_tv, key, values)]
 
 
 class InnerJoinPkHandler(RuleBackedHandler):
@@ -505,17 +553,9 @@ class InnerJoinPkHandler(RuleBackedHandler):
         if self.side_of(tv) == "target":
             # Backward (virtualized): split the joined row into both parts.
             if op == "DELETE":
-                return [
-                    delete_row(self.ctx.view(first_tv), "OLD.p"),
-                    delete_row(self.ctx.view(second_tv), "OLD.p"),
-                ]
+                return [self.ctx.delete(part_tv, "OLD.p") for part_tv in (first_tv, second_tv)]
             return [
-                upsert_row(
-                    self.ctx.view(part_tv),
-                    part_tv.schema.column_names,
-                    "NEW.p",
-                    [f"NEW.{q(c)}" for c in part_tv.schema.column_names],
-                )
+                self.ctx.upsert(part_tv, *own_row(part_tv, op))
                 for part_tv in (first_tv, second_tv)
             ]
         # Forward (materialized): join with the other source's current row.
@@ -533,9 +573,8 @@ class InnerJoinPkHandler(RuleBackedHandler):
             f"FROM {self.ctx.view(other_tv)} WHERE p IS {key}",
         ]
         other_exists = f"EXISTS (SELECT 1 FROM {put_other})"
-        joined_view = self.ctx.view(joined_tv)
         if op == "DELETE":
-            statements.append(delete_row(joined_view, key))
+            statements.append(self.ctx.delete(joined_tv, key))
             statements.append(delete_row(own_plus, key))
             statements.append(
                 upsert_row(
@@ -558,14 +597,8 @@ class InnerJoinPkHandler(RuleBackedHandler):
             else:
                 joined_values.append(f"(SELECT {q(column)} FROM {put_other})")
         return statements + [
-            upsert_row(
-                joined_view,
-                joined_tv.schema.column_names,
-                key,
-                joined_values,
-                guard=other_exists,
-            ),
-            delete_row(joined_view, key, guard=f"NOT {other_exists}"),
+            self.ctx.upsert(joined_tv, key, joined_values, other_exists),
+            self.ctx.delete(joined_tv, key, f"NOT {other_exists}"),
             upsert_row(
                 own_plus,
                 own_cols,
@@ -622,9 +655,9 @@ class PartitionHandler(RuleBackedHandler):
         columns = lens.schema.column_names
         uprime = self.smo.aux_table_name(lens.roles.uprime)
         if op == "DELETE":
-            statements = [delete_row(self.ctx.view(first), "OLD.p")]
+            statements = [self.ctx.delete(first, "OLD.p")]
             if second is not None:
-                statements.append(delete_row(self.ctx.view(second), "OLD.p"))
+                statements.append(self.ctx.delete(second, "OLD.p"))
             statements.append(delete_row(uprime, "OLD.p"))
             return statements
         refs = new_refs(columns)
@@ -632,16 +665,14 @@ class PartitionHandler(RuleBackedHandler):
         cr = cond_true(lens.c_first, refs)
         not_cr = cond_not_true(lens.c_first, refs)
         statements = [
-            upsert_row(self.ctx.view(first), columns, "NEW.p", values, guard=cr),
-            delete_row(self.ctx.view(first), "NEW.p", guard=not_cr),
+            self.ctx.upsert(first, "NEW.p", values, cr),
+            self.ctx.delete(first, "NEW.p", not_cr),
         ]
         if second is not None and lens.c_second is not None:
             cs = cond_true(lens.c_second, refs)
             not_cs = cond_not_true(lens.c_second, refs)
-            statements.append(
-                upsert_row(self.ctx.view(second), columns, "NEW.p", values, guard=cs)
-            )
-            statements.append(delete_row(self.ctx.view(second), "NEW.p", guard=not_cs))
+            statements.append(self.ctx.upsert(second, "NEW.p", values, cs))
+            statements.append(self.ctx.delete(second, "NEW.p", not_cs))
             neither = f"{not_cr} AND {not_cs}"
             either = f"({cr} OR {cs})"
         else:
@@ -695,10 +726,10 @@ class PartitionHandler(RuleBackedHandler):
             return f"EXISTS (SELECT 1 FROM {sources} WHERE {condition})" if sources else condition
 
         unified_view = self.ctx.view(unified)
-        statements += _guarded(f_row.exists, upsert_row, unified_view, columns, key, f_row.values)
+        statements += _guarded(f_row.exists, self.ctx.upsert, unified, key, f_row.values)
         statements += _guarded(
             _all(_not(f_row.exists), s_row.exists),
-            upsert_row, unified_view, columns, key, s_row.values,
+            self.ctx.upsert, unified, key, s_row.values,
         )
         # A stored unified row matching neither condition stays put; the
         # engine reads the unified table's routed extent here, which is
@@ -711,7 +742,7 @@ class PartitionHandler(RuleBackedHandler):
         )
         statements += _guarded(
             _all(_not(f_row.exists), _not(s_row.exists), _not(keeper)),
-            delete_row, unified_view, key,
+            self.ctx.delete, unified, key,
         )
 
         # Aux memberships on the unified side (Rules 21-25, key-restricted):
@@ -837,7 +868,7 @@ class FkHandler(SmoHandler):
 
     def _wide_write(self, op, apply_data: bool) -> list[str]:
         wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
-        vs, vt = self.ctx.view(s_tv), self.ctx.view(t_tv)
+        vt = self.ctx.view(t_tv)
         id_table = self._id_table()
         put = self.smo.put_table_name("ID")
         if op == "DELETE":
@@ -849,7 +880,7 @@ class FkHandler(SmoHandler):
                     f"AND NOT EXISTS (SELECT 1 FROM {id_table} i2 "
                     f"WHERE i2.p IS NOT OLD.p AND i2.fk IS {recorded})"
                 )
-                statements.append(delete_row(vs, "OLD.p"))
+                statements.append(self.ctx.delete(s_tv, "OLD.p"))
             statements.append(delete_row(id_table, "OLD.p"))
             return statements
         b_new = [f"NEW.{q(c)}" for c in b_cols]
@@ -903,14 +934,10 @@ class FkHandler(SmoHandler):
                 fk_sql if c == fk else f"NEW.{q(c)}" for c in s_tv.schema.column_names
             ]
             statements += [
-                upsert_row(
-                    vt,
-                    t_tv.schema.column_names,
-                    fk_sql,
-                    t_values,
-                    guard=f"{fk_sql} IS NOT NULL AND NOT {b_null}",
+                self.ctx.upsert(
+                    t_tv, fk_sql, t_values, f"{fk_sql} IS NOT NULL AND NOT {b_null}"
                 ),
-                upsert_row(vs, s_tv.schema.column_names, "NEW.p", s_values),
+                self.ctx.upsert(s_tv, "NEW.p", s_values),
             ]
         return statements
 
@@ -921,7 +948,7 @@ class FkHandler(SmoHandler):
         if op == "DELETE":
             statements = []
             if apply_data:
-                statements.append(delete_row(vw, "OLD.p"))
+                statements.append(self.ctx.delete(wide_tv, "OLD.p"))
             statements.append(delete_row(id_table, "OLD.p"))
             return statements
         put_t = self.smo.put_table_name("T")
@@ -938,9 +965,7 @@ class FkHandler(SmoHandler):
                     values.append(f"NEW.{q(column)}")
                 else:
                     values.append(f"(SELECT {q(column)} FROM {put_t})")
-            statements.append(
-                upsert_row(vw, wide_tv.schema.column_names, "NEW.p", values)
-            )
+            statements.append(self.ctx.upsert(wide_tv, "NEW.p", values))
             if isinstance(self.sem, OuterJoinFkSemantics):
                 # The engine's full put regenerates the stored wide table:
                 # a T row surfaced as an unreferenced padded row disappears
@@ -998,15 +1023,7 @@ class FkHandler(SmoHandler):
                 "NULL" if c in a_cols else f"NEW.{q(c)}"
                 for c in wide_tv.schema.column_names
             ]
-            statements.append(
-                upsert_row(
-                    vw,
-                    wide_tv.schema.column_names,
-                    key,
-                    values,
-                    guard=f"NOT {refs_exist}",
-                )
-            )
+            statements.append(self.ctx.upsert(wide_tv, key, values, f"NOT {refs_exist}"))
         statements.append(
             f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, {key} FROM {put_s}"
         )
@@ -1212,7 +1229,6 @@ class CondHandler(SmoHandler):
         allocated fresh; narrow rows no longer derivable disappear."""
         wide_tv, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
         vw = self.ctx.view(wide_tv)
-        vs, vt = self.ctx.view(s_tv), self.ctx.view(t_tv)
         id_table = self._id_table()
         # Dedicated staging: applying the regenerated narrow rows fires
         # nested maintenance triggers of this same SMO, which snapshot into

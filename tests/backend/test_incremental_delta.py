@@ -175,6 +175,28 @@ def test_chains_install_what_a_fresh_engine_renders(name, emission, tmp_path):
         backend.close()
 
 
+def test_a_trigger_is_rendered_again_when_a_hop_it_inlined_changes(tmp_path):
+    """A trigger depends on the program of every view it composed through.
+    In the ``branching`` chain the partition hop of ``Todo`` inlines the
+    physical ``Task``'s one-statement program; the FK DECOMPOSE off ``v1``
+    then gives ``Task`` identifier upkeep, so that program is a hop again.
+    ``Todo``'s own off-route SMOs do not change: a memo keyed on them alone
+    serves the stale inlined text."""
+    create, _load, evolutions = ALL_CHAINS["branching"]
+    engine = repro.InVerDa()
+    engine.execute(f"CREATE SCHEMA VERSION v1 WITH {create};")
+    backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "branching.db"))
+    try:
+        for step, evolution in enumerate(evolutions, start=2):
+            source = f"v{step - 1}"
+            if isinstance(evolution, tuple):
+                evolution, source = evolution
+            engine.execute(f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};")
+            assert_installed_is_rendered(backend, f"branching/v{step}")
+    finally:
+        backend.close()
+
+
 @pytest.mark.parametrize("scenario", ["tasky", "orders", "benchmark"])
 def test_scenarios_install_what_a_fresh_engine_renders(scenario, tmp_path):
     path = str(tmp_path / "scenario.db")

@@ -13,7 +13,13 @@ small without changing what any statement does:
 (b) no partition's trigger names its own snapshot table: the row a
     partition write writes is ``NEW``, only the twin's row is staged;
 (c) the benchmark chain's installed delta code stays within its byte
-    budget, which the ``repro_delta_code_bytes`` gauge reports.
+    budget, which the ``repro_delta_code_bytes`` gauge reports;
+(d) composition is complete and exact: no installed trigger writes a view
+    whose own program is one row-local statement (that statement is
+    inlined instead), every write through every view of every chain under
+    every valid materialization leaves the stored tables exactly as the
+    hop-by-hop triggers do, and a DELETE of an absent key changes nothing
+    — on a raw ``sqlite3`` handle.
 """
 
 from __future__ import annotations
@@ -26,15 +32,28 @@ import pytest
 
 import repro
 from repro.backend import codegen
-from repro.backend.compare import visible_state
+from repro.backend.compare import generated_id_spaces, visible_state
 from repro.backend.emit import q
-from repro.backend.handlers import HandlerContext, PartitionHandler, handler_for
+from repro.backend.handlers import (
+    ColumnHandler,
+    DropTableHandler,
+    HandlerContext,
+    IdentityHandler,
+    PartitionHandler,
+    handler_for,
+)
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.core.engine import InVerDa
 from tests.backend.test_differential import CHAINS, _apply_materialization
 from tests.backend.test_sargable import build_chain
-from tests.backend.test_upsert_primitive import _build
+from tests.backend.test_upsert_primitive import (
+    ALL_CHAINS,
+    _build,
+    _changed,
+    _outcome,
+    _stored_state,
+)
 
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 IMMUTABLE = "the row identifier p is immutable"
@@ -148,3 +167,120 @@ def test_benchmark_chain_delta_code_fits_its_budget():
         assert backend.last_install["bytes"] == size
     finally:
         backend.close()
+
+
+# ---------------------------------------------------------------------------
+# (d) composition: complete, and exact against the hop-by-hop triggers
+# ---------------------------------------------------------------------------
+
+
+class HopByHop(codegen.Renderer):
+    """Every write into a view fires that view's trigger (no program is
+    inlined): the reference composition must agree with."""
+
+    def row_program(self, *_hop):
+        return None
+
+
+def _one_row_local_statement(engine, tv) -> bool:
+    """Is ``tv``'s own write program one statement reading nothing but its
+    row — decided from the catalog, not from the rendered text?"""
+    route = codegen.route_for(engine, tv)
+    smo = route[0] if route is not None else None
+    if any(codegen._off_route_shared(tv, smo)):
+        return False
+    if smo is None:
+        return True
+    handler = handler_for(HandlerContext(engine), smo)
+    if isinstance(handler, ColumnHandler):
+        return tv is handler._sides()[0]
+    return isinstance(handler, (IdentityHandler, DropTableHandler))
+
+
+_VIEW_INSERT = re.compile(r"INSERT INTO (\w+) \(")
+_ROW_DELETE = re.compile(r"DELETE FROM (\w+) WHERE p IS (?:NEW|OLD)\.p(?: AND \((.*)\))?", re.S)
+
+
+def _hop_writes(connection, inlinable: set[str]) -> list[str]:
+    """Installed statements that still write an inlinable view: any INSERT
+    into it, or a row delete whose guard reads nothing but the row."""
+    found = []
+    for (sql,) in connection.execute("SELECT sql FROM sqlite_master WHERE type = 'trigger'"):
+        body = sql[sql.index("\nBEGIN\n  ") + len("\nBEGIN\n  ") : sql.rindex(";\nEND")]
+        for statement in body.split(";\n  "):
+            insert, delete = _VIEW_INSERT.match(statement), _ROW_DELETE.fullmatch(statement)
+            if insert and insert.group(1) in inlinable:
+                found.append(statement)
+            elif delete and delete.group(1) in inlinable and "SELECT" not in (delete.group(2) or ""):
+                found.append(statement)
+    return found
+
+
+def _writes(ds, handle, rng) -> list[tuple[str, tuple]]:
+    """Per view: UPDATE, INSERT of an existing ``p`` and DELETE of one row,
+    INSERT and DELETE of an absent key."""
+    identifiers = generated_id_spaces(ds.sq.genealogy)
+    writes = []
+    for tv in codegen.active_table_versions(ds.sq):
+        view, columns = q(tv.view_name), tv.schema.column_names
+        collist = ", ".join(q(c) for c in columns)
+        marks = ", ".join("?" for _ in range(len(columns) + 1))
+        absent = handle.execute(f"SELECT COALESCE(MAX(p), 0) + 1000 FROM {view}").fetchone()[0]
+        row = handle.execute(f"SELECT p, {collist} FROM {view} ORDER BY p LIMIT 1").fetchone()
+        if row is not None:
+            p, *values = row
+            new = _changed(tv, identifiers.get(tv.uid, {}), tuple(values), rng)
+            sets = ", ".join(f"{q(c)} = ?" for c in columns)
+            writes += [
+                (f"UPDATE {view} SET {sets} WHERE p = ?", (*new, p)),
+                (f"INSERT INTO {view} (p, {collist}) VALUES ({marks})", (p, *new)),
+                (f"DELETE FROM {view} WHERE p = ?", (p,)),
+            ]
+            writes.append(
+                (f"INSERT INTO {view} (p, {collist}) VALUES ({marks})", (absent, *new))
+            )
+        writes.append((f"DELETE FROM {view} WHERE p = ?", (absent,)))
+    return writes
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CHAINS))
+def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
+    path = str(tmp_path / "chain.db")
+    rng = random.Random(13)
+    ds = _build(name, _OnFile(path), rng)
+    try:
+        count = len(enumerate_valid_materializations(ds.mem.genealogy))
+        compared = 0
+        for index in range(count):
+            _apply_materialization(ds, index)
+            context = f"{SQLITE} {name}/materialization-{index}"
+            inlinable = {
+                tv.view_name
+                for tv in codegen.active_table_versions(ds.sq)
+                if _one_row_local_statement(ds.sq, tv)
+            }
+            handle = sqlite3.connect(path, isolation_level=None)
+            try:
+                assert _hop_writes(handle, inlinable) == [], context
+                before = _stored_state(handle)
+                writes = _writes(ds, handle, rng)
+                composed = [_outcome(handle, sql, params) for sql, params in writes]
+                for (sql, params), outcome in zip(writes, composed):
+                    if sql.startswith("DELETE") and params[0] >= 1000:
+                        assert outcome == before, f"{context}: {sql} {params}"
+                handle.execute("SAVEPOINT hop_by_hop")
+                for trigger in codegen.generated_object_names(handle)[1]:
+                    handle.execute(f"DROP TRIGGER {q(trigger)}")
+                for statement in codegen.trigger_statements(HopByHop(ds.sq)):
+                    handle.execute(statement)
+                for (sql, params), outcome in zip(writes, composed):
+                    assert _outcome(handle, sql, params) == outcome, f"{context}: {sql} {params}"
+                    compared += 1
+                handle.execute("ROLLBACK TO hop_by_hop")
+                handle.execute("RELEASE hop_by_hop")
+                assert _stored_state(handle) == before, context
+            finally:
+                handle.close()
+        assert compared > count
+    finally:
+        ds.close()

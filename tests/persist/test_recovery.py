@@ -77,6 +77,14 @@ class Stamp4Renderer(codegen.Renderer):
         return [insert, update, delete]
 
 
+class Stamp5Renderer(codegen.Renderer):
+    """Triggers as emission stamp 5 rendered them: every write into a view
+    fires that view's trigger, none is inlined."""
+
+    def row_program(self, *_hop):
+        return None
+
+
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -235,7 +243,9 @@ class TestDeltaCodeReuse:
         finally:
             engine.live_backend.close()
 
-    @pytest.mark.parametrize("older", ["unstamped", "stamp-2", "stamp-3", "stamp-4"])
+    @pytest.mark.parametrize(
+        "older", ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5"]
+    )
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
     ):
@@ -244,7 +254,9 @@ class TestDeltaCodeReuse:
         UNION views — or one stamped 2, whose triggers upsert a view in
         two statements, or 3, whose views number their aliases across
         the whole script, or 4, whose UPDATE triggers repeat the INSERT
-        trigger's program — is regenerated on open, once."""
+        trigger's program, or 5, whose triggers fire one another through
+        hops that only rename or recompute columns — is regenerated on
+        open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -261,6 +273,9 @@ class TestDeltaCodeReuse:
             if older == "stamp-4":
                 patch.setattr(codegen, "Renderer", Stamp4Renderer)
                 patch.setattr(codegen, "EMISSION_STAMP", 4)
+            if older == "stamp-5":
+                patch.setattr(codegen, "Renderer", Stamp5Renderer)
+                patch.setattr(codegen, "EMISSION_STAMP", 5)
             backend = LiveSqliteBackend.attach(
                 build_orders(2, 8, 2).engine, database=path
             )
@@ -333,6 +348,11 @@ class TestDeltaCodeReuse:
                 views = len(installed)
                 assert backend.last_install["dropped"] == views
                 assert backend.last_install["created"] == views
+            if older == "stamp-5":
+                # Same views; the triggers that wrote a one-statement hop
+                # are replaced.
+                assert installed == stamp_3_views
+                assert backend.last_install["created"] == backend.last_install["dropped"] > 0
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert contents(backend.connection) == before
