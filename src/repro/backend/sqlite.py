@@ -260,6 +260,10 @@ class LiveSqliteBackend:
         self._delta_bytes = engine.metrics.gauge(
             "repro_delta_code_bytes", "Installed generated view and trigger text."
         )
+        self._compactions = engine.metrics.counter(
+            "repro_catalog_compactions_total",
+            "Drops that rewrote the catalog log as a snapshot of the catalog.",
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -1013,10 +1017,16 @@ class LiveSqliteBackend:
                 for table in tables:
                     cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
             self.regenerate()
+            compacted = False
             if self.store is not None:
-                self.store.record_drop(self.engine, version_name)
+                log_length = self.store.record_drop(self.engine, version_name)
                 self.store.set_delta_meta(*self._delta_key())
+                compacted = self.store.compact(self.engine, log_length)
+                if compacted:
+                    self._fault("drop:compacted")
             self._fault("drop:before-commit")
+        if compacted:
+            self._compactions.inc()
         self._verify_after_transition("drop")
 
     def _verify_after_transition(self, kind: str) -> None:
@@ -1068,10 +1078,12 @@ class LiveSqliteBackend:
             "recovery_seconds": self.recovery_seconds,
             "recovery": self.recovery_phases,
             "last_install": self.last_install,
+            "retired_versions": len(self.engine.genealogy.retired),
         }
         if self.store is not None:
             on_disk = self.store.read_generation()
             stats["on_disk_generation"] = on_disk
+            stats["log_entries"] = self.store.log_size()
             stats["stale"] = (
                 on_disk is not None and on_disk > self.engine.catalog_generation
             )

@@ -112,6 +112,9 @@ class Genealogy:
     schema_versions: dict[str, SchemaVersion] = field(default_factory=dict)
     table_versions: dict[int, TableVersion] = field(default_factory=dict)
     smo_instances: dict[int, SmoInstance] = field(default_factory=dict)
+    #: Names of dropped versions that left the catalog (:meth:`retire_dropped`);
+    #: kept so a retired name is still refused and still "has been dropped".
+    retired: set[str] = field(default_factory=set)
     _next_table_uid: int = 0
     _next_smo_uid: int = 0
 
@@ -154,9 +157,12 @@ class Genealogy:
             target.incoming = smo
         return smo
 
+    def check_new_name(self, name: str) -> None:
+        if name in self.schema_versions or name in self.retired:
+            raise CatalogError(f"schema version {name!r} already exists")
+
     def add_schema_version(self, version: SchemaVersion) -> None:
-        if version.name in self.schema_versions:
-            raise CatalogError(f"schema version {version.name!r} already exists")
+        self.check_new_name(version.name)
         self.schema_versions[version.name] = version
 
     # -- lookups ----------------------------------------------------------
@@ -165,6 +171,8 @@ class Genealogy:
         try:
             version = self.schema_versions[name]
         except KeyError:
+            if name in self.retired:
+                raise CatalogError(f"schema version {name!r} has been dropped") from None
             raise CatalogError(f"unknown schema version {name!r}") from None
         if version.dropped:
             raise CatalogError(f"schema version {name!r} has been dropped")
@@ -232,3 +240,27 @@ class Genealogy:
             if smo.uid not in needed and smo.evolution == name
         ]
         return unneeded
+
+    def retire_dropped(self) -> None:
+        """Retire every dropped version the catalog no longer needs: no SMO
+        it created survives (CREATE TABLE ones included) and no retained
+        version names it as parent — to a fixpoint, since retiring a child
+        can free its parent.  Its table versions leave with it; its name
+        stays in :attr:`retired`."""
+        creators = {smo.evolution for smo in self.smo_instances.values()}
+        while True:
+            parents = {version.parent for version in self.schema_versions.values()}
+            gone = {
+                name
+                for name, version in self.schema_versions.items()
+                if version.dropped and name not in creators and name not in parents
+            }
+            if not gone:
+                return
+            for name in gone:
+                del self.schema_versions[name]
+            self.retired |= gone
+            for uid in [
+                uid for uid, tv in self.table_versions.items() if tv.created_in in gone
+            ]:
+                del self.table_versions[uid]

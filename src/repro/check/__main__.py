@@ -94,7 +94,8 @@ def run(argv: list[str] | None = None) -> int:
         record_findings(engine, delta_findings, scope="cli")
         findings += delta_findings
         print(f"delta code: {len(delta_findings)} finding(s) over "
-              f"{len(engine.version_names())} schema version(s)")
+              f"{len(engine.version_names())} schema version(s) "
+              f"({len(engine.genealogy.retired)} retired)")
         print("verified-at mark: "
               + ("matches this file" if marked else "absent or stale"))
 

@@ -352,6 +352,8 @@ class InVerDa:
             return version
 
     def _create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
+        # Before any SMO is applied: a refused name must leave no SMO behind.
+        self.genealogy.check_new_name(statement.name)
         working: dict[str, TableVersion] = {}
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
@@ -488,6 +490,7 @@ class InVerDa:
                     self.database.drop_table(table_name)
             self.genealogy.smo_instances.pop(smo.uid, None)
             removed.append(smo)
+        self.genealogy.retire_dropped()
         return removed
 
     # ------------------------------------------------------------------

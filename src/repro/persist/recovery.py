@@ -4,16 +4,18 @@ Recovery replays the stored catalog log through a fresh engine: every
 ``evolution`` entry re-executes its BiDEL text (with the genealogy's uid
 counters seeded from the entry, so table-version and SMO uids — and the
 physical names that embed them — come out exactly as they were), every
-``materialize`` entry re-applies the stored SMO set, and every ``drop``
-entry re-runs the drop (whose garbage collection reproduces the original
-decisions, because the materialization state at that log position is the
-original one).
+``materialize`` entry re-applies the stored SMO set, every ``drop``
+entry re-runs the drop (whose garbage collection and retirement reproduce
+the original decisions, because the materialization state at that log
+position is the original one), and a ``retired`` entry — the tail of a
+compacted log — restores the retired names and the uid counters.
 
 After the replay, recovery *verifies* before it trusts:
 
 - every persisted schema version must exist in the replayed genealogy
   with its stored parent and dropped flag, and its recomputed
-  fingerprint must match the stored one (detects log corruption);
+  fingerprint must match the stored one (detects log corruption) — or,
+  stored as dropped, have been retired by the replay;
 - every physical table the replayed catalog expects must exist in the
   SQLite file with exactly the expected columns (detects drift — tables
   dropped, renamed, or altered behind the catalog's back).
@@ -36,12 +38,13 @@ from typing import TYPE_CHECKING
 
 from repro.bidel.ast import CreateSchemaVersion
 from repro.bidel.parser import parse_script
-from repro.errors import CatalogCorruptError, CatalogError
+from repro.errors import CatalogCorruptError, CatalogError, ReproError
 from repro.obs.timing import ms_since
 from repro.persist.fingerprint import (
     engine_layout,
     sqlite_layout,
     version_fingerprint,
+    version_payload,
 )
 from repro.persist.store import CatalogState, CatalogStore
 
@@ -97,8 +100,46 @@ def replay_into(engine: "InVerDa", entries: list[dict]) -> None:
             engine.apply_materialization(frozenset(smos))
         elif kind == "drop":
             engine.drop_schema_version(entry["name"])
+        elif kind == "retired":
+            genealogy.retired.update(entry["names"])
+            genealogy._next_table_uid = entry["table_uid"]
+            genealogy._next_smo_uid = entry["smo_uid"]
         else:
             raise CatalogCorruptError(f"unknown catalog log entry kind {kind!r}")
+
+
+def catalog_identity(engine: "InVerDa") -> tuple:
+    """What a replay of the catalog log must reproduce: what the catalog
+    fingerprint hashes (versions, materialization, physical layout —
+    compared, not hashed), every uid the physical names embed, the retired
+    names and the uid counters."""
+    genealogy = engine.genealogy
+    return (
+        [
+            (v.name, v.parent, v.dropped, version_payload(v))
+            for v in genealogy.schema_versions.values()
+        ],
+        sorted(smo.uid for smo in genealogy.evolution_smos() if smo.materialized),
+        engine_layout(engine),
+        sorted(genealogy.smo_instances),
+        sorted(genealogy.table_versions),
+        sorted(genealogy.retired),
+        genealogy._next_table_uid,
+        genealogy._next_smo_uid,
+    )
+
+
+def replays_to(engine: "InVerDa", entries: list[tuple[str, dict]]) -> bool:
+    """Does the log ``entries`` replay, through a fresh engine, to exactly
+    ``engine``'s catalog (:func:`catalog_identity`)?"""
+    from repro.core.engine import InVerDa
+
+    replica = InVerDa()
+    try:
+        replay_into(replica, [{"kind": kind, **payload} for kind, payload in entries])
+    except ReproError:
+        return False
+    return catalog_identity(replica) == catalog_identity(engine)
 
 
 def verify_catalog(engine: "InVerDa", state: CatalogState) -> list[str]:
@@ -107,6 +148,8 @@ def verify_catalog(engine: "InVerDa", state: CatalogState) -> list[str]:
     for record in state.versions:
         version = engine.genealogy.schema_versions.get(record.name)
         if version is None:
+            if record.dropped and record.name in engine.genealogy.retired:
+                continue  # a row written before retirement; the replay retired it
             problems.append(
                 f"persisted schema version {record.name!r} did not come back "
                 "from the log replay"

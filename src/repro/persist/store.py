@@ -22,13 +22,16 @@ Tables
     an open that finds the digest unchanged skips the verifier.
 
 ``_repro_catalog_log``
-    The append-only catalog log, one row per catalog transition in
-    chronological order: ``evolution`` rows carry the version's BiDEL text
-    plus the uid counters to seed before replaying it (so physical names,
-    which embed uids, come out identical even across garbage-collected
-    gaps); ``materialize`` rows carry the materialized SMO uid set;
-    ``drop`` rows the dropped version name.  Recovery replays this log
-    through a fresh engine.
+    The catalog log, one row per catalog transition in chronological
+    order: ``evolution`` rows carry the version's BiDEL text plus the uid
+    counters to seed before replaying it (so physical names, which embed
+    uids, come out identical even across garbage-collected gaps);
+    ``materialize`` rows carry the materialized SMO uid set; ``drop`` rows
+    the dropped version name; a ``retired`` row the names of the dropped
+    versions that left the catalog and the uid counters' high-water marks.
+    Recovery replays this log through a fresh engine.  A drop that leaves
+    the log more than twice as long as :func:`snapshot_entries` compacts
+    it: the log is rewritten as that snapshot (:meth:`CatalogStore.compact`).
 
 ``_repro_catalog_versions`` / ``_repro_catalog_schemas``
     Per-version bookkeeping (genealogy position, parent, dropped flag)
@@ -66,8 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.versions import SchemaVersion
     from repro.core.engine import InVerDa
 
-#: Bump when the catalog serialization format changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the catalog serialization format changes incompatibly
+#: (2: the ``retired`` log entry; the log is compacted, not append-only).
+FORMAT_VERSION = 2
 
 META_TABLE = "_repro_catalog_meta"
 LOG_TABLE = "_repro_catalog_log"
@@ -158,27 +162,40 @@ def evolution_entry(engine: "InVerDa", version: "SchemaVersion") -> dict:
 
 def snapshot_entries(engine: "InVerDa") -> list[tuple[str, dict]]:
     """Synthesize a complete catalog log from the engine's current state
-    (used when persistence starts on a catalog that predates it).
+    (used when persistence starts on a catalog that predates it, and by
+    :meth:`CatalogStore.compact`).
 
     The synthesized order — every version creation in genealogy order,
-    then the current materialization, then the drops — replays to the
-    same catalog: SMO instances the original drops garbage-collected are
-    simply absent from their version's entry, uid seeds bridge the gaps,
-    and the surviving SMOs of dropped versions survive the replayed drop
-    for the same reason they survived the original one (they are
-    materialized, physical, or still routing an active version).
+    then the current materialization, then the drops, then (once anything
+    was dropped) the ``retired`` entry — replays to the same catalog: SMO
+    instances the original drops garbage-collected are simply absent from
+    their version's entry, uid seeds bridge the gaps, retired versions are
+    absent altogether and the ``retired`` entry restores their names and
+    the uid counters.  Where a surviving SMO of a dropped version survived
+    for a reason the final materialization no longer gives, the replayed
+    drop decides differently; :func:`repro.persist.recovery.replays_to`
+    tells, and compaction checks it.
     """
+    genealogy = engine.genealogy
     entries: list[tuple[str, dict]] = []
-    for version in engine.genealogy.schema_versions.values():
+    for version in genealogy.schema_versions.values():
         entries.append(("evolution", evolution_entry(engine, version)))
     materialized = sorted(
-        smo.uid for smo in engine.genealogy.evolution_smos() if smo.materialized
+        smo.uid for smo in genealogy.evolution_smos() if smo.materialized
     )
     if materialized:
         entries.append(("materialize", {"smos": materialized}))
-    for version in engine.genealogy.schema_versions.values():
-        if version.dropped:
-            entries.append(("drop", {"name": version.name}))
+    dropped = [v.name for v in genealogy.schema_versions.values() if v.dropped]
+    entries += [("drop", {"name": name}) for name in dropped]
+    if dropped or genealogy.retired:
+        entries.append((
+            "retired",
+            {
+                "names": sorted(genealogy.retired),
+                "table_uid": genealogy._next_table_uid,
+                "smo_uid": genealogy._next_smo_uid,
+            },
+        ))
     return entries
 
 
@@ -252,14 +269,23 @@ class CatalogStore:
     # Recording catalog transitions
     # ------------------------------------------------------------------
 
-    def _append_log(self, kind: str, payload: dict) -> None:
-        self.connection.execute(
+    def _append_log(self, kind: str, payload: dict) -> int:
+        """Append one entry; returns its ``seq`` — the log's length, since
+        ``seq`` runs from 1 without gaps (a rewrite starts it again)."""
+        (seq,) = self.connection.execute(
             f"INSERT INTO {LOG_TABLE} (seq, kind, payload) VALUES "
-            f"((SELECT COALESCE(MAX(seq), 0) + 1 FROM {LOG_TABLE}), ?, ?)",
+            f"((SELECT COALESCE(MAX(seq), 0) + 1 FROM {LOG_TABLE}), ?, ?) "
+            "RETURNING seq",
             (kind, json.dumps(payload)),
-        )
+        ).fetchone()
+        return seq
 
-    def _write_version_row(self, version: "SchemaVersion", position: int) -> None:
+    def log_size(self) -> int:
+        return self.connection.execute(f"SELECT COUNT(*) FROM {LOG_TABLE}").fetchone()[0]
+
+    def _write_version_row(self, version: "SchemaVersion") -> None:
+        """Record a version at the next free position: a retired version's
+        row may still hold an earlier one (a rewrite renumbers)."""
         fingerprint = version_fingerprint(version)
         self.connection.execute(
             f"INSERT OR IGNORE INTO {SCHEMAS_TABLE} (fingerprint, snapshot) "
@@ -267,9 +293,11 @@ class CatalogStore:
             (fingerprint, json.dumps(version_payload(version))),
         )
         self.connection.execute(
-            f"INSERT OR REPLACE INTO {VERSIONS_TABLE} "
-            "(position, name, parent, dropped, fingerprint) VALUES (?, ?, ?, ?, ?)",
-            (position, version.name, version.parent, int(version.dropped), fingerprint),
+            f"INSERT INTO {VERSIONS_TABLE} "
+            "(position, name, parent, dropped, fingerprint) VALUES "
+            f"((SELECT COALESCE(MAX(position), -1) + 1 FROM {VERSIONS_TABLE}), "
+            "?, ?, ?, ?)",
+            (version.name, version.parent, int(version.dropped), fingerprint),
         )
 
     def _refresh_meta(self, engine: "InVerDa") -> None:
@@ -279,8 +307,7 @@ class CatalogStore:
 
     def record_evolution(self, engine: "InVerDa", version: "SchemaVersion") -> None:
         self._append_log("evolution", evolution_entry(engine, version))
-        position = list(engine.genealogy.schema_versions).index(version.name)
-        self._write_version_row(version, position)
+        self._write_version_row(version)
         self._refresh_meta(engine)
 
     def record_materialize(self, engine: "InVerDa") -> None:
@@ -290,12 +317,43 @@ class CatalogStore:
         self._append_log("materialize", {"smos": materialized})
         self._refresh_meta(engine)
 
-    def record_drop(self, engine: "InVerDa", name: str) -> None:
-        self._append_log("drop", {"name": name})
+    def record_drop(self, engine: "InVerDa", name: str) -> int:
+        """Record a drop; returns the log's length after it."""
+        length = self._append_log("drop", {"name": name})
         self.connection.execute(
             f"UPDATE {VERSIONS_TABLE} SET dropped = 1 WHERE name = ?", (name,)
         )
         self._refresh_meta(engine)
+        return length
+
+    def compact(self, engine: "InVerDa", log_length: int) -> bool:
+        """Rewrite a log of ``log_length`` entries as :func:`snapshot_entries`
+        once it holds more than twice as many, and only when that snapshot
+        replays to this very catalog.  Joins the caller's transaction (the
+        drop's); returns whether it rewrote."""
+        from repro.persist.recovery import replays_to
+
+        entries = snapshot_entries(engine)
+        if log_length <= 2 * len(entries) or not replays_to(engine, entries):
+            return False
+        self._rewrite(engine, entries)
+        return True
+
+    def _rewrite(self, engine: "InVerDa", entries: list[tuple[str, dict]]) -> None:
+        """Replace log and version rows with ``entries`` and the engine's
+        versions (renumbered in genealogy order), and delete the schema
+        snapshots no version references any more.  The meta rows describe
+        the catalog, not its log: the caller refreshes them."""
+        for table in (LOG_TABLE, VERSIONS_TABLE):
+            self.connection.execute(f"DELETE FROM {table}")
+        for kind, payload in entries:
+            self._append_log(kind, payload)
+        for version in engine.genealogy.schema_versions.values():
+            self._write_version_row(version)
+        self.connection.execute(
+            f"DELETE FROM {SCHEMAS_TABLE} WHERE fingerprint NOT IN "
+            f"(SELECT fingerprint FROM {VERSIONS_TABLE})"
+        )
 
     # ------------------------------------------------------------------
     # The online-MATERIALIZE backfill journal
@@ -361,12 +419,8 @@ class CatalogStore:
         """(Re)write the whole catalog from the engine's current state —
         the first persist of an engine that predates the store."""
         self.install()
-        for table in (LOG_TABLE, VERSIONS_TABLE, SCHEMAS_TABLE, META_TABLE):
-            self.connection.execute(f"DELETE FROM {table}")
-        for kind, payload in snapshot_entries(engine):
-            self._append_log(kind, payload)
-        for position, version in enumerate(engine.genealogy.schema_versions.values()):
-            self._write_version_row(version, position)
+        self.connection.execute(f"DELETE FROM {META_TABLE}")
+        self._rewrite(engine, snapshot_entries(engine))
         self._refresh_meta(engine)
 
     # ------------------------------------------------------------------

@@ -10,8 +10,10 @@ import sqlite3
 import pytest
 
 import repro
+from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.check.delta import verify_delta_code
+from repro.persist.recovery import catalog_identity
 from repro.testing import DualSystem
 
 
@@ -107,6 +109,48 @@ def test_crash_mid_drop(tmp_path):
         ds.mem.drop_schema_version("v1")
         ds.sq.drop_schema_version("v1")
         ds.check("dropped-after-crash")
+    finally:
+        ds.close()
+
+
+def test_crash_mid_compaction(tmp_path):
+    """A drop that compacts the log dies between the rewrite and the
+    commit: the reopen serves the pre-drop catalog, uncompacted; the drop
+    then compacts, and the next reopen serves the compacted catalog —
+    with the same fingerprints and physical names either way."""
+
+    def catalog(ds: DualSystem):
+        names = sorted(codegen.installed_objects(ds.backend.connection))
+        return catalog_identity(ds.sq), names, ds.backend.store.load().entries
+
+    ds = build(tmp_path)
+    try:
+        ds.backend.fault_injector = injector("drop:compacted")
+        for index in range(20):
+            leaf = f"L{index}"
+            ds.execute_ddl(
+                f"CREATE SCHEMA VERSION {leaf} FROM v2 WITH RENAME COLUMN c IN R TO c{index};"
+            )
+            before = catalog(ds)
+            try:
+                ds.sq.drop_schema_version(leaf)
+            except SimulatedCrash:
+                break
+            ds.mem.drop_schema_version(leaf)
+        else:
+            pytest.fail("no drop compacted the log")
+        ds.reopen()
+        ds.check("recovered-after-compaction-crash")
+        assert catalog(ds) == before
+        ds.mem.drop_schema_version(leaf)
+        ds.sq.drop_schema_version(leaf)
+        ds.check("compacted")
+        after = catalog(ds)
+        assert len(after[2]) < len(before[2])
+        assert after[0] == catalog_identity(ds.mem)
+        ds.reopen()
+        ds.check("recovered-compacted")
+        assert catalog(ds) == after
     finally:
         ds.close()
 

@@ -107,6 +107,26 @@ class TestLiveRecording:
             ]
             assert recorded.generation == engine.catalog_generation
             assert recorded.fingerprint == engine.catalog_fingerprint()
+            # A log a drop compacted is that snapshot, entry for entry.
+            compactions = engine.metrics.get("repro_catalog_compactions_total")
+            for index in range(10):
+                engine.execute(
+                    f"CREATE SCHEMA VERSION leaf{index} FROM v3 "
+                    f"WITH RENAME COLUMN a IN R TO a{index};"
+                    f"DROP SCHEMA VERSION leaf{index};"
+                )
+                if compactions.value():
+                    break
+            compacted = backend.store.load()
+            assert compactions.value() == 1
+            assert compacted.format_version == FORMAT_VERSION == 2
+            assert compacted.entries == [
+                {"kind": kind, **payload}
+                for kind, payload in snapshot_entries(engine)
+            ]
+            assert compacted.entries[-1]["kind"] == "retired"
+            assert compacted.generation == engine.catalog_generation
+            assert compacted.fingerprint == engine.catalog_fingerprint()
         finally:
             backend.close()
 
