@@ -4,8 +4,8 @@ Schema Versions with a Bidirectional Database Evolution Language"
 
 Public entry points:
 
-- :class:`InVerDa` — the engine: execute BiDEL scripts, connect to any
-  schema version, and migrate the physical table schema with one call.
+- :class:`InVerDa` — the engine: execute BiDEL scripts and migrate the
+  physical table schema with one call.
 - :func:`connect` — a PEP-249 (DB-API) connection to one schema version:
   cursors, SQL with ``?`` parameter binding, commit/rollback.
 - :func:`open` — reopen a SQLite file whose catalog was persisted by a
@@ -22,7 +22,7 @@ Public entry points:
 """
 
 from repro.bidel import parse_script, parse_smo
-from repro.core import InVerDa, VersionConnection
+from repro.core import InVerDa
 from repro.errors import ReproError
 from repro.persist.recovery import open_database as open
 from repro.server import ReproServer, connect_remote, serve
@@ -39,7 +39,6 @@ __all__ = [
     "ReproServer",
     "Connection",
     "Cursor",
-    "VersionConnection",
     "parse_script",
     "parse_smo",
     "ReproError",

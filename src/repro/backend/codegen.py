@@ -160,12 +160,11 @@ class Renderer:
     """Renders the delta code one table version at a time and keeps what
     it rendered.
 
-    :func:`view_definitions` and :func:`trigger_statements` accept a
-    ``Renderer`` in place of the engine; the table versions it has already
-    rendered are then served from its memo, which is what makes a catalog
-    transition cost what it changes (the live backend keeps one between
-    transitions).  Handed the engine itself they render everything afresh
-    — the memo-less reference.
+    The table versions it has already rendered are served from its memo,
+    which is what makes a catalog transition cost what it changes (the
+    live backend keeps one between transitions); the module functions
+    :func:`view_definitions` and :func:`trigger_statements` render
+    through a fresh one — the memo-less reference.
 
     The memo is sound between two MATERIALIZEs only: a surviving table
     version's view reads nothing but its route to the physical tables
@@ -311,18 +310,24 @@ class Renderer:
         self._triggers[tv.uid] = (hops, self._hop_key(hops), statements)
         return statements
 
+    def view_definitions(self) -> list[tuple[str, str, list | None]]:
+        """:meth:`view` of every active table version (see
+        :func:`view_definitions`)."""
+        return [self.view(tv) for tv in self.active()]
 
-def _renderer(engine, *, flatten: bool = True) -> Renderer:
-    if isinstance(engine, Renderer):
-        if flatten:
-            return engine
-        engine = engine.engine
-    return Renderer(engine, flatten=flatten)
+    def view_statements(self) -> list[str]:
+        return [
+            emit.create_view(name, select)
+            for name, select, _branches in self.view_definitions()
+        ]
+
+    def trigger_statements(self) -> list[str]:
+        return [statement for tv in self.active() for statement in self.triggers(tv)]
 
 
 def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, list | None]]:
     """``(view name, SELECT body, composed branches)`` per active table
-    version, in dependency order.  ``engine`` may be a :class:`Renderer`.
+    version, in dependency order.
 
     The rule-rendered SELECTs are algebraically composed along the SMO
     chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
@@ -337,29 +342,19 @@ def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, li
     the reference basis of the verifier's RPC106 and the third leg of the
     test suite's memory / composed / nested oracle — which makes that
     oracle the bag-vs-set check of the composed ``UNION ALL`` emission."""
-    renderer = _renderer(engine, flatten=flatten)
-    return [renderer.view(tv) for tv in renderer.active()]
+    return Renderer(engine, flatten=flatten).view_definitions()
 
 
 def view_statements(engine, *, flatten: bool = True) -> list[str]:
     """One ``CREATE VIEW`` per active table version (see
     :func:`view_definitions`)."""
-    return [
-        emit.create_view(name, select)
-        for name, select, _branches in view_definitions(engine, flatten=flatten)
-    ]
+    return Renderer(engine, flatten=flatten).view_statements()
 
 
 def trigger_statements(engine) -> list[str]:
     """The ``INSTEAD OF`` trigger triple of every active table version
-    (see :meth:`Renderer.triggers`).  ``engine`` may be a
-    :class:`Renderer`."""
-    renderer = _renderer(engine)
-    return [
-        statement
-        for tv in renderer.active()
-        for statement in renderer.triggers(tv)
-    ]
+    (see :meth:`Renderer.triggers`)."""
+    return Renderer(engine).trigger_statements()
 
 
 def script(statements: Iterable[str]) -> str:

@@ -364,10 +364,3 @@ def compile_statement_sqlite(version: SchemaVersion, stmt):
         raise ProgrammingError("BiDEL DDL runs through the engine, not the backend")
     raise ProgrammingError(f"cannot execute {type(stmt).__name__} here")
 
-
-def execute_statement_sqlite(
-    session: "SqliteSession", version: SchemaVersion, stmt, params: tuple
-) -> StatementResult:
-    """Compile-and-run convenience (the cursor hot path caches the
-    compiled plan instead of calling this)."""
-    return compile_statement_sqlite(version, stmt).run(session, params)

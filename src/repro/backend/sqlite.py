@@ -47,6 +47,7 @@ from repro.backend.emit import q, qcols
 from repro.backend.pool import SessionPool, shared_memory_uri
 from repro.errors import BackendError, CatalogCorruptError, CatalogError, InterfaceError
 from repro.obs.timing import ms_since
+from repro.persist.store import BackfillRecord, CatalogStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.genealogy import SmoInstance
@@ -213,10 +214,9 @@ class LiveSqliteBackend:
         # every live writer for the whole move; a Python lock wakes the
         # next waiter the moment the holder releases.
         self.write_gate = threading.Lock()
-        # The durable catalog (None when persistence is off): every
-        # catalog-transition hook writes through it, inside the same
-        # transaction as the DDL it installs.
-        self.store = None
+        # The durable catalog: every catalog-transition hook writes
+        # through it, inside the same transaction as the DDL it installs.
+        self.store = CatalogStore(self.connection)
         #: True when attach found a persisted catalog and recovered it
         #: instead of snapshotting the engine.
         self.recovered = False
@@ -279,7 +279,6 @@ class LiveSqliteBackend:
         max_sessions: int | None = None,
         busy_timeout: float = 5.0,
         cached_statements: int = 256,
-        persist: bool = True,
         repair: bool = False,
         force: bool = False,
         verify_transitions: bool = False,
@@ -294,15 +293,14 @@ class LiveSqliteBackend:
         ``max_sessions``, ``busy_timeout``, and ``cached_statements`` are
         passed through to the :class:`~repro.backend.pool.SessionPool`.
 
-        ``persist`` (default ``True``) keeps the catalog durable: the
-        engine's genealogy, materialization, and generation live in
-        ``_repro_catalog_*`` tables inside the database, written in the
-        same transaction as every catalog transition's DDL.  When the
-        database already carries a catalog (a file from a previous
-        process), ``engine`` must be fresh and is *recovered* from it —
-        the stored BiDEL log is replayed, fingerprints are verified
-        against the physical tables, and the installed views/triggers are
-        reused when still current.  ``repair``/``force`` are the
+        The catalog is durable: the engine's genealogy, materialization,
+        and generation live in ``_repro_catalog_*`` tables inside the
+        database, written in the same transaction as every catalog
+        transition's DDL.  When the database already carries a catalog (a
+        file from a previous process), ``engine`` must be fresh and is
+        *recovered* from it — the stored BiDEL log is replayed,
+        fingerprints are verified against the physical tables, and the
+        installed views/triggers are reused when still current.  ``repair``/``force`` are the
         recovery escape hatches (see :func:`repro.persist.recover`).
 
         ``verify_transitions`` (default ``False``) runs the static
@@ -319,6 +317,11 @@ class LiveSqliteBackend:
         ``repro.check --db``).  A stale journal (superseded by a later
         committed transition) is always rolled back.
         """
+        if engine.live_backend is not None:
+            raise CatalogError(
+                "this engine already serves through a live backend; close() "
+                "it before attaching another"
+            )
         if sqlite3.sqlite_version_info < MIN_SQLITE:
             raise InterfaceError(
                 f"the live backend needs SQLite {'.'.join(map(str, MIN_SQLITE))} "
@@ -345,17 +348,15 @@ class LiveSqliteBackend:
             plan_cache_stats=engine.plan_cache.stats,
             metrics=engine.metrics,
         )
-        from repro.persist.store import CatalogStore
-
         backend = cls(engine, pool)
         backend.verify_transitions = verify_transitions
         try:
-            if persist and CatalogStore.has_catalog(backend.connection):
+            if CatalogStore.has_catalog(backend.connection):
                 backend._recover(
                     repair=repair, force=force, resume_backfill=resume_backfill
                 )
             else:
-                backend._install_fresh(persist=persist)
+                backend._install_fresh()
         except BaseException:
             backend._closed = True
             pool.close()
@@ -364,12 +365,10 @@ class LiveSqliteBackend:
         engine.attach_backend(backend)
         return backend
 
-    def _install_fresh(self, *, persist: bool) -> None:
+    def _install_fresh(self) -> None:
         """First attach to an empty database: load the engine's snapshot,
-        install the delta code, and (with ``persist``) write the initial
-        catalog — all in one transaction."""
-        from repro.persist.store import CatalogStore
-
+        install the delta code, and write the initial catalog — all in one
+        transaction."""
         if self.engine.rows_handed_over:
             raise CatalogError(
                 "this engine's rows live in the database it was attached to "
@@ -379,9 +378,7 @@ class LiveSqliteBackend:
             )
         with self._transaction():
             self._load_snapshot()
-            if persist:
-                self.store = CatalogStore(self.connection)
-                self.store.save_snapshot(self.engine)
+            self.store.save_snapshot(self.engine)
             self._install_delta_code()
         # Hand the rows over.  The schemas stay: they are the storage
         # layout the code generators read.
@@ -397,18 +394,16 @@ class LiveSqliteBackend:
         over it, and reuse the installed delta code when still current."""
         from repro.persist.fingerprint import catalog_fingerprint
         from repro.persist.recovery import recover
-        from repro.persist.store import CatalogStore
 
         recover_started = time.perf_counter()
         phases: dict = {}
-        store = CatalogStore(self.connection)
         reattach = bool(self.engine.genealogy.schema_versions)
         if reattach:
             # Re-attach of an engine that already holds this catalog
             # (close() + attach() in one process): accept only an exact
             # fingerprint match — anything else would silently serve one
             # catalog's data through another catalog's views.
-            state = store.load()
+            state = self.store.load()
             if catalog_fingerprint(self.engine) != state.fingerprint:
                 raise CatalogError(
                     "this database already carries a different catalog; "
@@ -424,7 +419,6 @@ class LiveSqliteBackend:
             state = recover(
                 self.engine, self.connection, repair=repair, force=force, phases=phases
             )
-        self.store = store
         self.recovered = True
         # A recovered engine never held the rows: the file does.
         self.engine.rows_handed_over = True
@@ -542,8 +536,6 @@ class LiveSqliteBackend:
         and is rolled back regardless — its staged rows describe a
         physical layout that no longer exists.
         """
-        if self.store is None:
-            return
         record = self.store.read_backfill()
         if record is None:
             return
@@ -723,12 +715,12 @@ class LiveSqliteBackend:
         one — the composed emission; the test suite's nested-emission
         backend overrides exactly this method to keep the three-way
         memory / composed / nested oracle running."""
-        return codegen.view_statements(self.renderer)
+        return self.renderer.view_statements()
 
     def delta_statements(self) -> tuple[list[str], list[str]]:
         """(``CREATE VIEW``, ``CREATE TRIGGER``) statements :meth:`regenerate`
         installs, rendered through :attr:`renderer`."""
-        return self._view_statements(), codegen.trigger_statements(self.renderer)
+        return self._view_statements(), self.renderer.trigger_statements()
 
     def _wanted(self) -> dict[str, str]:
         """``{object name: CREATE text}`` of :meth:`delta_statements`."""
@@ -778,8 +770,7 @@ class LiveSqliteBackend:
         the shared aux tables up to it, and stamp what was installed."""
         self.regenerate()
         self._run(codegen.repair_all_statements(self.engine))
-        if self.store is not None:
-            self.store.set_delta_meta(*self._delta_key())
+        self.store.set_delta_meta(*self._delta_key())
 
     def _fault(self, point: str) -> None:
         if self.fault_injector is not None:
@@ -790,7 +781,7 @@ class LiveSqliteBackend:
         capture machinery, staging tables, journal.  Every catalog
         transition runs this inside its own transaction, so none commits
         over a journal it supersedes."""
-        record = self.store.read_backfill() if self.store is not None else None
+        record = self.store.read_backfill()
         if record is not None:
             self._run(online.rollback_statements(online.plan_from_payload(record.plan)))
             self.store.clear_backfill()
@@ -798,9 +789,8 @@ class LiveSqliteBackend:
     def on_evolution(self, version: "SchemaVersion") -> None:
         with self._transaction():
             self._roll_back_prepare()
-            if self.store is not None:
-                self.store.record_evolution(self.engine, version)
-                self._fault("evolution:after-catalog")
+            self.store.record_evolution(self.engine, version)
+            self._fault("evolution:after-catalog")
             self._run(codegen.evolution_statements(self.engine, version))
             self._install_delta_code()
             self._fault("evolution:before-commit")
@@ -855,13 +845,12 @@ class LiveSqliteBackend:
                 self._fault("materialize:swapped")
                 apply()
                 self._install_delta_code()
-                if self.store is not None:
-                    self.store.record_materialize(self.engine)
-                    if move.online:
-                        # The journal, the cutover DDL, and the new catalog
-                        # commit together: a crash before this commit leaves
-                        # the backfill resumable, after it the move is done.
-                        self.store.clear_backfill()
+                self.store.record_materialize(self.engine)
+                if move.online:
+                    # The journal, the cutover DDL, and the new catalog
+                    # commit together: a crash before this commit leaves
+                    # the backfill resumable, after it the move is done.
+                    self.store.clear_backfill()
                 self._fault("materialize:before-commit")
         except BaseException:
             # The layout rolls back with the transaction, and its renders
@@ -880,8 +869,6 @@ class LiveSqliteBackend:
         """Prepare an online move: install the change-capture machinery and
         the empty staging tables of the tables it tracks, and journal it —
         one transaction, under the engine's brief write-lock window."""
-        from repro.persist.store import BackfillRecord
-
         plan = online.build_plan(self.engine, schema)
         move = online.Move(
             plan,
@@ -892,17 +879,16 @@ class LiveSqliteBackend:
         with self._transaction():
             self._roll_back_prepare()
             self._run(online.prepare_statements(plan))
-            if self.store is not None:
-                self.store.write_backfill(
-                    BackfillRecord(
-                        phase="backfill",
-                        generation=self.engine.catalog_generation,
-                        smos=list(plan.smos),
-                        plan=online.plan_payload(plan),
-                        cursors=dict(move.cursors),
-                        chunks=0,
-                    )
+            self.store.write_backfill(
+                BackfillRecord(
+                    phase="backfill",
+                    generation=self.engine.catalog_generation,
+                    smos=list(plan.smos),
+                    plan=online.plan_payload(plan),
+                    cursors=dict(move.cursors),
+                    chunks=0,
                 )
+            )
             self._fault("materialize-online:prepared")
         return move
 
@@ -965,10 +951,7 @@ class LiveSqliteBackend:
                         self._run(online.repair_statements(plan, cursors, bound))
                     move.chunks += 1
                     move.rows += copied
-                    if self.store is not None:
-                        self.store.update_backfill(
-                            cursors=dict(cursors), chunks=move.chunks
-                        )
+                    self.store.update_backfill(cursors=dict(cursors), chunks=move.chunks)
                     self._fault("materialize-online:chunk")
                     self.connection.commit()
                 except sqlite3.OperationalError as exc:
@@ -1017,13 +1000,11 @@ class LiveSqliteBackend:
                 for table in tables:
                     cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
             self.regenerate()
-            compacted = False
-            if self.store is not None:
-                log_length = self.store.record_drop(self.engine, version_name)
-                self.store.set_delta_meta(*self._delta_key())
-                compacted = self.store.compact(self.engine, log_length)
-                if compacted:
-                    self._fault("drop:compacted")
+            log_length = self.store.record_drop(self.engine, version_name)
+            self.store.set_delta_meta(*self._delta_key())
+            compacted = self.store.compact(self.engine, log_length)
+            if compacted:
+                self._fault("drop:compacted")
             self._fault("drop:before-commit")
         if compacted:
             self._compactions.inc()
@@ -1052,8 +1033,7 @@ class LiveSqliteBackend:
                 f"delta code verification failed after {kind}: "
                 + "; ".join(_errors(findings))
             )
-        if self.store is not None:
-            self._write_mark(self.store.load().log_digest, installed, summary)
+        self._write_mark(self.store.load().log_digest, installed, summary)
 
     # ------------------------------------------------------------------
     # Catalog introspection
@@ -1063,31 +1043,25 @@ class LiveSqliteBackend:
         """The catalog generation last committed to the database — on a
         WAL file this sees other processes' commits, so a caller can
         detect that the shared catalog moved under it."""
-        if self.store is None:
-            return None
         return self.store.read_generation()
 
     def catalog_stats(self) -> dict:
         """Durability facts for ``Connection.stats()`` / server status."""
-        stats: dict = {
+        on_disk = self.store.read_generation()
+        return {
             "generation": self.engine.catalog_generation,
             "fingerprint": self.engine.catalog_fingerprint(),
-            "persisted": self.store is not None,
+            "persisted": True,
             "recovered": self.recovered,
             "delta_reused": self.delta_reused,
             "recovery_seconds": self.recovery_seconds,
             "recovery": self.recovery_phases,
             "last_install": self.last_install,
             "retired_versions": len(self.engine.genealogy.retired),
+            "on_disk_generation": on_disk,
+            "log_entries": self.store.log_size(),
+            "stale": on_disk is not None and on_disk > self.engine.catalog_generation,
         }
-        if self.store is not None:
-            on_disk = self.store.read_generation()
-            stats["on_disk_generation"] = on_disk
-            stats["log_entries"] = self.store.log_size()
-            stats["stale"] = (
-                on_disk is not None and on_disk > self.engine.catalog_generation
-            )
-        return stats
 
     # ------------------------------------------------------------------
     # Data plane (administrative handle)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -114,12 +114,3 @@ def time_once(fn: Callable[[], object]) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def accumulate(callables: Iterable[Callable[[], object]]) -> float:
-    total = 0.0
-    for fn in callables:
-        start = time.perf_counter()
-        fn()
-        total += time.perf_counter() - start
-    return total

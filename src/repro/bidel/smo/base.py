@@ -213,9 +213,5 @@ def require(condition: bool, message: str) -> None:
         raise EvolutionError(message)
 
 
-def project_row(row: Row, indices: list[int]) -> Row:
-    return tuple(row[i] for i in indices)
-
-
 def is_all_null(row: Row) -> bool:
     return all(value is None for value in row)

@@ -21,7 +21,6 @@ from repro.bidel.smo.base import (
     MapContext,
     SideState,
     SmoSemantics,
-    evaluate_condition,
     require,
 )
 from repro.expr.ast import Expression
@@ -33,21 +32,6 @@ ID_COLUMN = "id"
 SEQ_R = "id_R"
 SEQ_S = "id_S"
 SEQ_T = "id_T"
-
-
-def _dedup_with_ids(
-    rows: list[Row],
-    existing: dict[Row, Key],
-    allocate,
-) -> dict[Key, Row]:
-    out: dict[Key, Row] = {}
-    for row in rows:
-        key = existing.get(row)
-        if key is None:
-            key = allocate()
-            existing[row] = key
-        out[key] = row
-    return out
 
 
 class _CondJoinLens:

@@ -361,27 +361,6 @@ class DecomposeFkSemantics(SmoSemantics):
                 t_out.upserts[fk] = (fk, *b_part)
         return {"S": s_out, "T": t_out, "ID": id_out}
 
-    def _payload_index(self, ctx: MapContext) -> dict[Row, Key]:
-        """Payload → generated id, for the ``¬T_o(_, B)`` reuse check of
-        Rule 142. Prefer the stored target extent; when the SMO is
-        virtualized derive the index from the source table plus the ID
-        auxiliary."""
-        index: dict[Row, Key] = {}
-        stored = ctx.read("T")
-        if stored:
-            for t_key, t_row in stored.items():
-                index.setdefault(t_row[1:], t_key)
-            return index
-        id_rows = ctx.read("ID")
-        for r_key, wide_row in ctx.read("R").items():
-            entry = id_rows.get(r_key)
-            fk = entry[0] if entry else None
-            if fk is None:
-                continue
-            _, b_part = self._lens.split_row(wide_row)
-            index.setdefault(b_part, fk)
-        return index
-
     def _fk_still_referenced(self, fk: Key, ctx: MapContext, exclude: set[Key]) -> bool:
         # The stored ID table maps every source row to its target id, so a
         # scan of ID (narrow, always stored) suffices instead of reading S.

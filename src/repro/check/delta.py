@@ -352,17 +352,16 @@ def verify_delta_code(
     from repro.backend import codegen
 
     injected = view_statements is not None or trigger_statements is not None
-    source = engine
+    renderer = codegen.Renderer(engine) if backend is None else backend.renderer
     if backend is not None:
-        source = backend.renderer
         view_statements, trigger_statements = backend.delta_statements()
-    definitions = codegen.view_definitions(source)
+    definitions = renderer.view_definitions()
     if view_statements is None:
         view_statements = [
             create_view(name, select) for name, select, _flat in definitions
         ]
     if trigger_statements is None:
-        trigger_statements = codegen.trigger_statements(engine)
+        trigger_statements = renderer.trigger_statements()
 
     view_scans = [scan_statement(s) for s in view_statements]
     trigger_scans = [scan_statement(s) for s in trigger_statements]

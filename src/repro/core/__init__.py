@@ -2,17 +2,17 @@
 
 The public entry point is :class:`~repro.core.engine.InVerDa`:
 
->>> from repro import InVerDa
->>> db = InVerDa()
+>>> import repro
+>>> db = repro.InVerDa()
 >>> db.execute('''
 ...     CREATE SCHEMA VERSION TasKy WITH
 ...     CREATE TABLE Task(author TEXT, task TEXT, prio INTEGER);
 ... ''')
->>> tasky = db.connect("TasKy")
->>> tasky.insert("Task", {"author": "Ann", "task": "Organize party", "prio": 3})  # doctest: +SKIP
+>>> tasky = repro.connect(db, "TasKy", autocommit=True)
+>>> tasky.execute("INSERT INTO Task VALUES ('Ann', 'Organize party', 3)").rowcount
+1
 """
 
-from repro.core.access import VersionConnection
 from repro.core.engine import InVerDa
 
-__all__ = ["InVerDa", "VersionConnection"]
+__all__ = ["InVerDa"]

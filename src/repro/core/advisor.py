@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.catalog.genealogy import Genealogy, SmoInstance, TableVersion
+from repro.catalog.genealogy import Genealogy, TableVersion
 from repro.catalog.materialization import (
     MaterializationSchema,
     enumerate_valid_materializations,
@@ -56,7 +56,7 @@ class WorkloadRecorder:
     statement lands in the ``repro_statements_total{version, kind}``
     counter family, and :attr:`reads`/:attr:`writes` aggregate that
     family per version (``select`` counts as a read; ``insert``,
-    ``update``, ``delete``, and the legacy ``write`` kind as writes;
+    ``update`` and ``delete`` as writes;
     ``ddl``/``explain`` are counted but excluded from the profile).
     The advisor therefore reads the same numbers a scrape does.
     """
@@ -83,12 +83,6 @@ class WorkloadRecorder:
                 version=version_name, kind=kind
             )
         series.inc(count)
-
-    def record_read(self, version_name: str, count: int = 1) -> None:
-        self.record(version_name, "select", count)
-
-    def record_write(self, version_name: str, count: int = 1) -> None:
-        self.record(version_name, "write", count)
 
     def _aggregate(self, want_reads: bool) -> dict[str, int]:
         totals: dict[str, int] = {}

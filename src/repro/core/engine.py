@@ -50,9 +50,8 @@ from repro.catalog.materialization import (
 )
 from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
-from repro.errors import AccessError, CatalogError, EvolutionError, TransactionError
+from repro.errors import AccessError, CatalogError, EvolutionError
 from repro.relational.database import Database
-from repro.relational.schema import TableSchema
 from repro.relational.table import Key, Table
 
 _ID_COLUMN = "id"
@@ -142,12 +141,12 @@ class InVerDa:
         # Memo: does anything stored lie beyond (smo, direction)? Reset on
         # every evolution and migration.
         self._propagation_needs: dict[tuple[int, str], bool] = {}
-        # Attached execution backends (e.g. the live SQLite backend). When
-        # one is attached it owns the data plane: it takes the rows and
-        # leaves the in-memory tables empty, while the catalog (and the
-        # *layout* of physical storage, which the code generators consult)
-        # stays live here.
-        self._backends: list = []
+        # The attached execution backend (the live SQLite backend), if any.
+        # It owns the data plane: it takes the rows and leaves the
+        # in-memory tables empty, while the catalog (and the *layout* of
+        # physical storage, which the code generators consult) stays live
+        # here.
+        self.live_backend = None
         # Set by a backend once it has taken the rows; such an engine can
         # no longer seed another database.
         self.rows_handed_over = False
@@ -253,17 +252,14 @@ class InVerDa:
     # ------------------------------------------------------------------
 
     def attach_backend(self, backend) -> None:
-        if backend not in self._backends:
-            self._backends.append(backend)
+        """Give ``backend`` the engine's one backend slot (idempotent)."""
+        if self.live_backend not in (None, backend):
+            raise CatalogError("this engine already serves through another live backend")
+        self.live_backend = backend
 
     def detach_backend(self, backend) -> None:
-        if backend in self._backends:
-            self._backends.remove(backend)
-
-    @property
-    def live_backend(self):
-        """The attached execution backend, if any."""
-        return self._backends[0] if self._backends else None
+        if self.live_backend is backend:
+            self.live_backend = None
 
     def add_catalog_listener(self, listener) -> None:
         """Register ``listener(event: str, **info)`` to be called after
@@ -283,14 +279,12 @@ class InVerDa:
             except Exception:  # pragma: no cover - listeners are advisory
                 pass  # the catalog already changed; a listener cannot veto it
 
-    def _quiesce_backends(self) -> None:
+    def _quiesce_backend(self) -> None:
         """Commit every backend session's open transaction before a
         catalog transition (DDL is not transactional).  Runs under the
         catalog write lock, so no session statements are in flight."""
-        for backend in self._backends:
-            quiesce = getattr(backend, "quiesce", None)
-            if quiesce is not None:
-                quiesce()
+        if self.live_backend is not None:
+            self.live_backend.quiesce()
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -311,28 +305,6 @@ class InVerDa:
         else:  # pragma: no cover - parser guarantees the union
             raise EvolutionError(f"unknown statement {statement!r}")
 
-    def connect(self, version_name: str):
-        """A legacy Python-method connection bound to one schema version.
-
-        .. deprecated:: prefer :func:`repro.connect`, which returns a
-           PEP-249 connection speaking SQL with parameter binding.
-        """
-        from repro.core.access import VersionConnection
-
-        return VersionConnection(self, self.genealogy.schema_version(version_name))
-
-    def sql_connect(
-        self,
-        version_name: str | None = None,
-        *,
-        autocommit: bool = False,
-        backend: str | None = None,
-    ):
-        """A PEP-249 connection to one schema version (see :func:`repro.connect`)."""
-        from repro.sql.connection import connect
-
-        return connect(self, version_name, autocommit=autocommit, backend=backend)
-
     # ------------------------------------------------------------------
     # Database Evolution Operation
     # ------------------------------------------------------------------
@@ -340,14 +312,14 @@ class InVerDa:
     def create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
         with self.catalog_lock.write_locked(), self._timed_transition("evolve"):
             self._ensure_no_online_move()
-            self._quiesce_backends()
+            self._quiesce_backend()
             version = self._create_schema_version(statement)
             # The generation moves BEFORE the backend hooks run, so a
             # persisting backend records the new generation in the same
             # transaction as the DDL it installs.
             self.catalog_generation += 1
-            for backend in self._backends:
-                backend.on_evolution(version)
+            if self.live_backend is not None:
+                self.live_backend.on_evolution(version)
             self._notify_catalog("evolution", version=version.name)
             return version
 
@@ -456,11 +428,11 @@ class InVerDa:
     def drop_schema_version(self, name: str) -> None:
         with self.catalog_lock.write_locked(), self._timed_transition("drop"):
             self._ensure_no_online_move()
-            self._quiesce_backends()
+            self._quiesce_backend()
             removed = self._drop_schema_version(name)
             self.catalog_generation += 1
-            for backend in self._backends:
-                backend.on_drop(name, removed)
+            if self.live_backend is not None:
+                self.live_backend.on_drop(name, removed)
             self._notify_catalog("drop", version=name)
 
     def _drop_schema_version(self, name: str) -> list[SmoInstance]:
@@ -873,7 +845,7 @@ class InVerDa:
                 return
             validate_materialization(self.genealogy, schema)
             self._backfill_phase.set(1)
-            self._quiesce_backends()
+            self._quiesce_backend()
             move = backend.prepare_move(schema, chunk_rows)
             self._online_materialize_active = True
             self._backfill_phase.set(2)
@@ -937,7 +909,7 @@ class InVerDa:
         online ``move`` whose chunks have run.  A live backend runs it as
         one transaction and calls back into :meth:`_relayout` inside it."""
         with self.catalog_lock.write_locked(), self._timed_transition("materialize"):
-            self._quiesce_backends()
+            self._quiesce_backend()
             validate_materialization(self.genealogy, schema)
             backend = self.live_backend
             if backend is None:

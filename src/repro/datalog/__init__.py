@@ -9,9 +9,7 @@ The paper defines every SMO by two Datalog rule sets ``γ_tgt`` and ``γ_src``
 - a *symbolic* representation (:mod:`repro.datalog.symbolic`) with the
   paper's simplification Lemmas 1–5 (:mod:`repro.datalog.simplify`) and the
   round-trip composition machinery (:mod:`repro.datalog.compose`) used to
-  mechanically reproduce the bidirectionality proofs;
-- update-propagation rule derivation (:mod:`repro.datalog.delta`) in the
-  style of Rules 52–54, used for trigger generation.
+  mechanically reproduce the bidirectionality proofs.
 """
 
 from repro.datalog.ast import (

@@ -204,14 +204,6 @@ class RuleSet:
                 seen.append(rule.head.pred)
         return seen
 
-    def referenced_predicates(self) -> set[str]:
-        preds: set[str] = set()
-        for rule in self.rules:
-            for literal in rule.body:
-                if isinstance(literal, Atom):
-                    preds.add(literal.pred)
-        return preds
-
     def rules_for(self, pred: str) -> list[Rule]:
         return [rule for rule in self.rules if rule.head.pred == pred]
 

@@ -4,8 +4,7 @@ Before the observability layer, four classes each grew their own
 ``stats()`` dict shape (connection, remote connection, session pool,
 server status).  :func:`engine_snapshot` is now the single source: every
 surface returns this schema (or a subset of it, for surfaces that can't
-see the whole engine), with the pre-existing keys kept in place as
-compatible aliases.
+see the whole engine).
 
 Schema (``schema`` key names the version of this very layout)::
 

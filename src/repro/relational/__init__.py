@@ -3,9 +3,7 @@
 The paper's InVerDa prototype sits on PostgreSQL; this package provides the
 equivalent substrate for the reproduction: typed table schemas, tables whose
 rows are keyed by the InVerDa-managed identifier ``p`` (unique across all
-versions of a tuple), databases with named tables and sequences, a small
-relational-algebra toolkit, and snapshot/diff utilities used by migration
-tests.
+versions of a tuple), and databases with named tables and sequences.
 """
 
 from repro.relational.database import Database

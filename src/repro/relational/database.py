@@ -9,7 +9,6 @@ FK/condition variants of DECOMPOSE and JOIN.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import SchemaError
@@ -32,12 +31,6 @@ class Database:
         table = Table(schema)
         self.tables[schema.name] = table
         return table
-
-    def ensure_table(self, schema: TableSchema) -> Table:
-        existing = self.tables.get(schema.name)
-        if existing is not None:
-            return existing
-        return self.create_table(schema)
 
     def drop_table(self, name: str) -> None:
         try:
@@ -64,20 +57,9 @@ class Database:
         self.sequences[sequence] = value
         return value
 
-    def peek_value(self, sequence: str = ROW_ID_SEQUENCE) -> int:
-        return self.sequences.get(sequence, 0)
-
-    def advance_to(self, sequence: str, value: int) -> None:
-        if value > self.sequences.get(sequence, 0):
-            self.sequences[sequence] = value
-
     # -- whole-database operations ------------------------------------------
 
     def clone(self) -> "Database":
         clone = Database(sequences=dict(self.sequences))
         clone.tables = {name: table.copy() for name, table in self.tables.items()}
         return clone
-
-    def total_rows(self, names: Iterable[str] | None = None) -> int:
-        selected = self.tables.values() if names is None else (self.table(n) for n in names)
-        return sum(len(table) for table in selected)

@@ -32,7 +32,6 @@ import argparse
 import signal
 import sys
 import threading
-import time
 
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
@@ -157,7 +156,7 @@ def main(argv=None) -> int:
         mhost, mport = metrics_http.address
         print(f"metrics endpoint on http://{mhost}:{mport}/metrics", flush=True)
     print(f"serving versions: {', '.join(engine.version_names())}", flush=True)
-    if backend is not None and backend.store is not None:
+    if backend is not None:
         verb = "recovered" if backend.recovered else "persisting"
         print(
             f"catalog {verb}: generation {engine.catalog_generation}, "

@@ -855,9 +855,7 @@ class Connection(BaseConnection):
         counters, catalog durability facts (generation, fingerprint,
         on-disk staleness), workload and tracing summaries, the full
         metrics snapshot, and — on the live backend — the session pool's
-        occupancy.  The top-level ``backend`` / ``plan_cache`` /
-        ``catalog`` / ``pool`` keys predate the unified schema and are
-        kept as stable aliases."""
+        occupancy."""
         from repro.obs import engine_snapshot
 
         return engine_snapshot(self.engine, backend=self._backend)
@@ -995,10 +993,7 @@ class Connection(BaseConnection):
                 # are woken the moment the holder releases, where
                 # SQLite's busy handler would poll and starve behind a
                 # back-to-back backfill chunk loop.
-                gate = getattr(session.backend, "write_gate", None)
-                if gate is not None:
-                    gate.acquire()
-                try:
+                with session.backend.write_gate:
                     with _translated_errors():
                         session.begin_immediate()
                     try:
@@ -1009,9 +1004,6 @@ class Connection(BaseConnection):
                         if not session.closed:
                             session.rollback()
                         raise
-                finally:
-                    if gate is not None:
-                        gate.release()
                 return
             # Inside a transaction a savepoint bounds the statement's
             # effects.  The name is fixed, so its texts are prepared once

@@ -3,9 +3,7 @@
 This module owns the CRUD primitives of the access layer: every visible
 read goes through :meth:`InVerDa.read_table_version` and every write
 through :meth:`InVerDa.apply_change`, so the engine's generated mapping
-logic keeps all co-existing schema versions consistent. Both the DB-API
-cursor and the legacy :class:`~repro.core.access.VersionConnection` shim
-call into these functions.
+logic keeps all co-existing schema versions consistent.
 
 Like SQLite, every table exposes a ``rowid`` pseudo-column carrying the
 internal tuple identifier ``p`` of the paper's trigger architecture —
@@ -29,7 +27,6 @@ from repro.errors import (
     CatalogError,
     ExpressionError,
     ProgrammingError,
-    SchemaError,
 )
 from repro.expr.ast import Column as ColumnRef
 from repro.expr.ast import Expression, is_true
@@ -66,22 +63,16 @@ def rowid_exposed(tv: TableVersion) -> bool:
     return not tv.schema.has_column(ROWID)
 
 
-def visible_rows(
-    engine: "InVerDa", tv: TableVersion, *, with_rowid: bool = False
-) -> Iterable[tuple[int, RowMapping]]:
-    """(key, mapping) pairs of the table version's visible extent."""
+def visible_rows(engine: "InVerDa", tv: TableVersion) -> Iterable[tuple[int, RowMapping]]:
+    """(key, mapping) pairs of the table version's visible extent, each
+    mapping carrying the ``rowid`` pseudo-column unless a real one shadows it."""
     schema = tv.schema
-    expose = with_rowid and rowid_exposed(tv)
+    expose = rowid_exposed(tv)
     for key, row in engine.read_table_version(tv, cache={}).items():
         mapping = schema.row_to_mapping(row)
         if expose:
             mapping[ROWID] = key
         yield key, mapping
-
-
-# ---------------------------------------------------------------------------
-# Write primitives (shared with the legacy VersionConnection shim)
-# ---------------------------------------------------------------------------
 
 
 def insert_rows(
@@ -104,58 +95,6 @@ def insert_rows(
     if keys:
         engine.apply_change(tv, change)
     return keys
-
-
-def update_rows(
-    engine: "InVerDa",
-    tv: TableVersion,
-    predicate: Predicate,
-    transform: Callable[[RowMapping], Mapping[str, Any]],
-    *,
-    with_rowid: bool = False,
-) -> int:
-    """Update matching rows; ``transform`` maps the current row to its SET
-    values. Applied as one change batch; returns the number of rows."""
-    schema = tv.schema
-    change = TableChange()
-    for key, mapping in visible_rows(engine, tv, with_rowid=with_rowid):
-        if not predicate(mapping):
-            continue
-        updates = transform(mapping)
-        if tv.key_column is not None and tv.key_column in updates:
-            raise AccessError(
-                f"column {tv.key_column!r} of {tv.name!r} is the generated "
-                "identifier and cannot be updated"
-            )
-        if ROWID in updates and rowid_exposed(tv):
-            raise AccessError("the rowid pseudo-column cannot be updated")
-        mapping = dict(mapping)
-        if rowid_exposed(tv):
-            mapping.pop(ROWID, None)
-        mapping.update(updates)
-        change.upserts[key] = schema.row_from_mapping(mapping)
-    if change.empty:
-        return 0
-    engine.apply_change(tv, change)
-    return len(change.upserts)
-
-
-def delete_rows(
-    engine: "InVerDa",
-    tv: TableVersion,
-    predicate: Predicate,
-    *,
-    with_rowid: bool = False,
-) -> int:
-    """Delete matching rows as one change batch; returns the number removed."""
-    change = TableChange()
-    for key, mapping in visible_rows(engine, tv, with_rowid=with_rowid):
-        if predicate(mapping):
-            change.deletes.add(key)
-    if change.empty:
-        return 0
-    engine.apply_change(tv, change)
-    return len(change.deletes)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +185,7 @@ def execute_select(
         for item in stmt.order_by
     )
     predicate = _where_predicate(where)
-    matched = [
-        entry
-        for entry in visible_rows(engine, tv, with_rowid=True)
-        if predicate(entry[1])
-    ]
+    matched = [entry for entry in visible_rows(engine, tv) if predicate(entry[1])]
     _sort_rows(matched, order_by)
     if stmt.offset is not None:
         # Negative offsets clamp to 0 (as in SQLite), never a tail slice.
@@ -319,17 +254,22 @@ def execute_update(
             )
         assignments.append((name, bind_expression(expression, params)))
     where = bind_expression(stmt.where, params) if stmt.where is not None else None
-
-    def transform(mapping: RowMapping) -> Mapping[str, Any]:
-        return {
+    predicate = _where_predicate(where)
+    expose = rowid_exposed(tv)
+    change = TableChange()
+    for key, mapping in visible_rows(engine, tv):
+        if not predicate(mapping):
+            continue
+        updates = {
             name: _evaluate_scalar(expression, mapping)
             for name, expression in assignments
         }
-
-    count = update_rows(
-        engine, tv, _where_predicate(where), transform, with_rowid=True
-    )
-    return StatementResult(rowcount=count)
+        if expose:
+            del mapping[ROWID]
+        change.upserts[key] = schema.row_from_mapping({**mapping, **updates})
+    if not change.empty:
+        engine.apply_change(tv, change)
+    return StatementResult(rowcount=len(change.upserts))
 
 
 def execute_delete(
@@ -337,8 +277,14 @@ def execute_delete(
 ) -> StatementResult:
     tv = resolve_table(version, stmt.table)
     where = bind_expression(stmt.where, params) if stmt.where is not None else None
-    count = delete_rows(engine, tv, _where_predicate(where), with_rowid=True)
-    return StatementResult(rowcount=count)
+    predicate = _where_predicate(where)
+    change = TableChange()
+    change.deletes.update(
+        key for key, mapping in visible_rows(engine, tv) if predicate(mapping)
+    )
+    if not change.empty:
+        engine.apply_change(tv, change)
+    return StatementResult(rowcount=len(change.deletes))
 
 
 def execute_statement(

@@ -63,20 +63,6 @@ class TaskyScenario:
         """A DB-API connection to one of the co-existing versions."""
         return connect(self.engine, version, autocommit=autocommit)
 
-    # Legacy Python-method connections (deprecated; prefer ``connect``).
-
-    @property
-    def tasky(self):
-        return self.engine.connect("TasKy")
-
-    @property
-    def do(self):
-        return self.engine.connect("Do!")
-
-    @property
-    def tasky2(self):
-        return self.engine.connect("TasKy2")
-
     def materialize(self, version: str) -> None:
         self.engine.execute(f"MATERIALIZE '{version}';")
 

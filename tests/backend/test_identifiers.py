@@ -87,15 +87,15 @@ class TestAtomicRegenerate:
 
     def test_failed_regenerate_keeps_previous_delta_code(self, monkeypatch):
         engine, backend, conn = self._attached()
-        real = codegen.trigger_statements
+        real = codegen.Renderer.trigger_statements
 
-        def broken(eng):
-            return real(eng) + ["THIS IS NOT SQL"]
+        def broken(renderer):
+            return real(renderer) + ["THIS IS NOT SQL"]
 
-        monkeypatch.setattr(codegen, "trigger_statements", broken)
+        monkeypatch.setattr(codegen.Renderer, "trigger_statements", broken)
         with pytest.raises(BackendError):
             backend.regenerate()
-        monkeypatch.setattr(codegen, "trigger_statements", real)
+        monkeypatch.setattr(codegen.Renderer, "trigger_statements", real)
         # The savepoint rolled the half-installed delta code back: the
         # previous views AND triggers still serve reads and writes.
         assert conn.execute("SELECT a FROM R ORDER BY a").fetchall() == [(1,), (2,)]
@@ -109,16 +109,16 @@ class TestAtomicRegenerate:
 
     def test_failed_regenerate_mid_views_keeps_previous_views(self, monkeypatch):
         engine, backend, conn = self._attached()
-        real = codegen.view_statements
+        real = codegen.Renderer.view_statements
 
-        def broken(eng, **kwargs):
-            statements = real(eng, **kwargs)
+        def broken(renderer):
+            statements = real(renderer)
             return statements[:1] + ["CREATE VIEW broken AS SELECT"] + statements[1:]
 
-        monkeypatch.setattr(codegen, "view_statements", broken)
+        monkeypatch.setattr(codegen.Renderer, "view_statements", broken)
         with pytest.raises(BackendError):
             backend.regenerate()
-        monkeypatch.setattr(codegen, "view_statements", real)
+        monkeypatch.setattr(codegen.Renderer, "view_statements", real)
         views, triggers = codegen.generated_object_names(backend.connection)
         assert views and triggers  # the old generation is intact
         assert conn.execute("SELECT a FROM R ORDER BY a").fetchall() == [(1,), (2,)]
@@ -129,10 +129,10 @@ class TestAtomicRegenerate:
         objects were dropped and one was created: all of it rolls back."""
         engine, backend, conn = self._attached()
         before = codegen.installed_objects(backend.connection)
-        real = codegen.trigger_statements
+        real = codegen.Renderer.trigger_statements
 
-        def broken(eng):
-            first, *rest = real(eng)
+        def broken(renderer):
+            first, *rest = real(renderer)
             return [
                 first.replace("BEGIN\n", "BEGIN\n  SELECT 1;\n"),  # dropped, re-created
                 *rest,
@@ -142,10 +142,10 @@ class TestAtomicRegenerate:
                 "BEGIN\n  SELECT 1;\nEND",  # fails: no such view
             ]
 
-        monkeypatch.setattr(codegen, "trigger_statements", broken)
+        monkeypatch.setattr(codegen.Renderer, "trigger_statements", broken)
         with pytest.raises(BackendError):
             backend.regenerate()
-        monkeypatch.setattr(codegen, "trigger_statements", real)
+        monkeypatch.setattr(codegen.Renderer, "trigger_statements", real)
         assert codegen.installed_objects(backend.connection) == before
         conn.execute("INSERT INTO R(a, b) VALUES (3, 'z')")
         backend.regenerate()

@@ -271,7 +271,7 @@ def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
                 handle.execute("SAVEPOINT hop_by_hop")
                 for trigger in codegen.generated_object_names(handle)[1]:
                     handle.execute(f"DROP TRIGGER {q(trigger)}")
-                for statement in codegen.trigger_statements(HopByHop(ds.sq)):
+                for statement in HopByHop(ds.sq).trigger_statements():
                     handle.execute(statement)
                 for (sql, params), outcome in zip(writes, composed):
                     assert _outcome(handle, sql, params) == outcome, f"{context}: {sql} {params}"

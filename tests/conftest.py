@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.workloads.tasky import build_tasky
 
 PAPER_ROWS = [
@@ -17,9 +18,27 @@ PAPER_ROWS = [
 def build_paper_tasky():
     """The exact four-row database of Figure 1."""
     scenario = build_tasky(0)
-    for author, task, prio in PAPER_ROWS:
-        scenario.tasky.insert("Task", {"author": author, "task": task, "prio": prio})
+    tasky = scenario.connect("TasKy")
+    for row in PAPER_ROWS:
+        tasky.execute("INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)", row)
     return scenario
+
+
+def rows(engine, version: str, sql: str, params=()) -> list[dict]:
+    """A SELECT on ``version`` of ``engine``, one dictionary per row."""
+    cursor = repro.connect(engine, version, autocommit=True).execute(sql, params)
+    names = [column[0] for column in cursor.description]
+    return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+
+def keyed(engine, version: str, table: str) -> dict[int, tuple]:
+    """``{rowid: row}`` of ``table`` as ``version`` of ``engine`` shows it."""
+    tv = engine.genealogy.schema_version(version).table_version(table)
+    columns = ", ".join(tv.schema.column_names)
+    cursor = repro.connect(engine, version, autocommit=True).execute(
+        f"SELECT rowid, {columns} FROM {table}"
+    )
+    return {row[0]: row[1:] for row in cursor.fetchall()}
 
 
 @pytest.fixture

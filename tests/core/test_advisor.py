@@ -80,10 +80,9 @@ class TestCostModel:
         import time
 
         scenario = build_paper_tasky()
-        for _ in range(200):
-            scenario.tasky.insert(
-                "Task", {"author": "X", "task": "bulk", "prio": 2}
-            )
+        scenario.connect("TasKy").executemany(
+            "INSERT INTO Task(author, task, prio) VALUES ('X', 'bulk', ?)", [(2,)] * 200
+        )
         profile = WorkloadProfile(reads={"TasKy2": 100})
         recommendation = recommend_materialization(
             scenario.engine.genealogy, profile
@@ -91,8 +90,9 @@ class TestCostModel:
 
         def read_cost():
             start = time.perf_counter()
+            tasky2 = scenario.connect("TasKy2")
             for _ in range(5):
-                scenario.tasky2.select("Task")
+                tasky2.execute("SELECT * FROM Task").fetchall()
             return time.perf_counter() - start
 
         before = read_cost()

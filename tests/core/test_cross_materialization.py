@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.materialization import enumerate_valid_materializations
-from tests.conftest import build_paper_tasky
+from tests.conftest import build_paper_tasky, rows
 
 AUTHORS = ["Ann", "Ben", "Cara"]
 TASKS = ["alpha", "beta", "gamma", "delta"]
@@ -23,15 +23,19 @@ def visible_state(scenario):
     state is compared as content: TasKy2's foreign keys are resolved to
     author names and rows are order-normalized multisets.
     """
-    by_id = {a["id"]: a["name"] for a in scenario.tasky2.select("Author")}
+    engine = scenario.engine
+    by_id = {a["id"]: a["name"] for a in rows(engine, "TasKy2", "SELECT * FROM Author")}
     return {
         "TasKy": sorted(
-            (r["author"], r["task"], r["prio"]) for r in scenario.tasky.select("Task")
+            (r["author"], r["task"], r["prio"])
+            for r in rows(engine, "TasKy", "SELECT * FROM Task")
         ),
-        "Do!": sorted((r["author"], r["task"]) for r in scenario.do.select("Todo")),
+        "Do!": sorted(
+            (r["author"], r["task"]) for r in rows(engine, "Do!", "SELECT * FROM Todo")
+        ),
         "TasKy2.Task": sorted(
             (r["task"], r["prio"], by_id.get(r["author"]))
-            for r in scenario.tasky2.select("Task")
+            for r in rows(engine, "TasKy2", "SELECT * FROM Task")
         ),
         "TasKy2.Author": sorted(by_id.values()),
     }
@@ -39,20 +43,19 @@ def visible_state(scenario):
 
 def apply_operation(scenario, op, rng):
     kind = op[0]
+    tasky, do, tasky2 = (scenario.connect(v) for v in ("TasKy", "Do!", "TasKy2"))
     if kind == "insert_tasky":
-        scenario.tasky.insert(
-            "Task", {"author": op[1], "task": op[2], "prio": op[3]}
-        )
+        tasky.execute("INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)", op[1:])
     elif kind == "insert_do":
-        scenario.do.insert("Todo", {"author": op[1], "task": op[2]})
+        do.execute("INSERT INTO Todo(author, task) VALUES (?, ?)", op[1:])
     elif kind == "update_prio":
-        scenario.tasky.update("Task", {"prio": op[2]}, f"task LIKE '%{op[1]}%'")
+        tasky.execute("UPDATE Task SET prio = ? WHERE task LIKE ?", (op[2], f"%{op[1]}%"))
     elif kind == "update_author_via_tasky2":
-        scenario.tasky2.update("Author", {"name": op[1] + "X"}, f"name = '{op[1]}'")
+        tasky2.execute("UPDATE Author SET name = ? WHERE name = ?", (op[1] + "X", op[1]))
     elif kind == "delete_by_task":
-        scenario.tasky.delete("Task", f"task LIKE '%{op[1]}%'")
+        tasky.execute("DELETE FROM Task WHERE task LIKE ?", (f"%{op[1]}%",))
     elif kind == "delete_via_do":
-        scenario.do.delete("Todo", f"task LIKE '%{op[1]}%'")
+        do.execute("DELETE FROM Todo WHERE task LIKE ?", (f"%{op[1]}%",))
 
 
 operations = st.lists(
@@ -111,15 +114,20 @@ def test_interleaved_writes_and_migrations(seed):
         if op == "insert":
             prio = rng.randint(1, 3)
             for s in (scenario, shadow):
-                s.tasky.insert("Task", {"author": author, "task": task, "prio": prio})
+                s.connect("TasKy").execute(
+                    "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)",
+                    (author, task, prio),
+                )
         elif op == "update":
             victim = rng.choice(TASKS)
             for s in (scenario, shadow):
-                s.tasky.update("Task", {"prio": 2}, f"task LIKE '{victim}%'")
+                s.connect("TasKy").execute(
+                    "UPDATE Task SET prio = 2 WHERE task LIKE ?", (f"{victim}%",)
+                )
         else:
             victim = rng.choice(TASKS + ["Organize party"])
             for s in (scenario, shadow):
-                s.tasky.delete("Task", f"task LIKE '{victim}%'")
+                s.connect("TasKy").execute("DELETE FROM Task WHERE task LIKE ?", (f"{victim}%",))
     assert visible_state(scenario) == visible_state(shadow)
 
 

@@ -2,12 +2,23 @@
 
 import pytest
 
-from repro.errors import AccessError, CatalogError, EvolutionError
-from tests.conftest import PAPER_ROWS, build_paper_tasky
+from repro.errors import (
+    CatalogError,
+    EvolutionError,
+    InterfaceError,
+    OperationalError,
+    ProgrammingError,
+)
+from tests.conftest import PAPER_ROWS, keyed, rows
 
 
-def tasks_in(connection, table="Task"):
-    return sorted(r["task"] for r in connection.select(table))
+def tasks_in(scenario, version, table="Task"):
+    return sorted(r["task"] for r in rows(scenario.engine, version, f"SELECT task FROM {table}"))
+
+
+def columns(scenario, version, table):
+    description = scenario.connect(version).execute(f"SELECT * FROM {table}").description
+    return tuple(column[0] for column in description)
 
 
 class TestEvolution:
@@ -17,23 +28,24 @@ class TestEvolution:
         assert paper_tasky.engine.version_names() == ["TasKy", "Do!", "TasKy2"]
 
     def test_do_schema(self, paper_tasky):
-        assert paper_tasky.do.columns("Todo") == ("author", "task")
+        assert columns(paper_tasky, "Do!", "Todo") == ("author", "task")
 
     def test_tasky2_schema(self, paper_tasky):
-        assert paper_tasky.tasky2.columns("Task") == ("task", "prio", "author")
-        assert paper_tasky.tasky2.columns("Author") == ("id", "name")
+        assert columns(paper_tasky, "TasKy2", "Task") == ("task", "prio", "author")
+        assert columns(paper_tasky, "TasKy2", "Author") == ("id", "name")
 
     def test_figure1_do_contents(self, paper_tasky):
-        rows = paper_tasky.do.select("Todo", order_by="task")
-        assert [(r["author"], r["task"]) for r in rows] == [
+        found = rows(paper_tasky.engine, "Do!", "SELECT * FROM Todo ORDER BY task")
+        assert [(r["author"], r["task"]) for r in found] == [
             ("Ben", "Clean room"),
             ("Ann", "Write paper"),
         ]
 
     def test_figure1_tasky2_contents(self, paper_tasky):
-        authors = paper_tasky.tasky2.select("Author", order_by="name")
+        engine = paper_tasky.engine
+        authors = rows(engine, "TasKy2", "SELECT * FROM Author ORDER BY name")
         assert [a["name"] for a in authors] == ["Ann", "Ben"]
-        tasks = paper_tasky.tasky2.select("Task", order_by="task")
+        tasks = rows(engine, "TasKy2", "SELECT * FROM Task ORDER BY task")
         by_name = {a["id"]: a["name"] for a in authors}
         assert [(t["task"], by_name[t["author"]]) for t in tasks] == [
             ("Clean room", "Ben"),
@@ -66,76 +78,81 @@ class TestCoExistingWrites:
 
     def test_insert_via_tasky_everywhere(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.insert("Task", {"author": "Cara", "task": "New urgent", "prio": 1})
-        assert "New urgent" in tasks_in(scenario.tasky)
-        assert "New urgent" in tasks_in(scenario.do, "Todo")
-        assert "New urgent" in tasks_in(scenario.tasky2)
+        scenario.connect("TasKy").execute(
+            "INSERT INTO Task(author, task, prio) VALUES ('Cara', 'New urgent', 1)"
+        )
+        assert "New urgent" in tasks_in(scenario, "TasKy")
+        assert "New urgent" in tasks_in(scenario, "Do!", "Todo")
+        assert "New urgent" in tasks_in(scenario, "TasKy2")
 
     def test_insert_via_do_defaults_prio(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.do.insert("Todo", {"author": "Ann", "task": "Via phone"})
-        row = scenario.tasky.select("Task", "task = 'Via phone'")[0]
+        scenario.connect("Do!").execute(
+            "INSERT INTO Todo(author, task) VALUES ('Ann', 'Via phone')"
+        )
+        row = rows(scenario.engine, "TasKy", "SELECT * FROM Task WHERE task = 'Via phone'")[0]
         assert row["prio"] == 1  # DROP COLUMN ... DEFAULT 1
 
     def test_insert_via_do_reuses_author(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.do.insert("Todo", {"author": "Ann", "task": "Via phone"})
-        assert scenario.tasky2.count("Author") == 2
+        scenario.connect("Do!").execute(
+            "INSERT INTO Todo(author, task) VALUES ('Ann', 'Via phone')"
+        )
+        assert scenario.connect("TasKy2").execute("SELECT * FROM Author").rowcount == 2
 
     def test_insert_via_tasky2(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        ann = scenario.tasky2.select("Author", "name = 'Ann'")[0]
-        scenario.tasky2.insert(
-            "Task", {"task": "From v2", "prio": 1, "author": ann["id"]}
+        tasky2 = scenario.connect("TasKy2")
+        ann = rows(scenario.engine, "TasKy2", "SELECT * FROM Author WHERE name = 'Ann'")[0]
+        tasky2.execute(
+            "INSERT INTO Task(task, prio, author) VALUES ('From v2', 1, ?)", (ann["id"],)
         )
-        row = scenario.tasky.select("Task", "task = 'From v2'")[0]
+        row = rows(scenario.engine, "TasKy", "SELECT * FROM Task WHERE task = 'From v2'")[0]
         assert row["author"] == "Ann"
-        assert "From v2" in tasks_in(scenario.do, "Todo")
+        assert "From v2" in tasks_in(scenario, "Do!", "Todo")
 
     def test_update_via_tasky2_prio_moves_into_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        changed = scenario.tasky2.update("Task", {"prio": 1}, "task = 'Learn for exam'")
+        changed = scenario.connect("TasKy2").execute(
+            "UPDATE Task SET prio = 1 WHERE task = 'Learn for exam'"
+        ).rowcount
         assert changed == 1
-        assert "Learn for exam" in tasks_in(scenario.do, "Todo")
+        assert "Learn for exam" in tasks_in(scenario, "Do!", "Todo")
 
     def test_update_via_tasky_prio_leaves_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.update("Task", {"prio": 3}, "task = 'Clean room'")
-        assert "Clean room" not in tasks_in(scenario.do, "Todo")
+        scenario.connect("TasKy").execute("UPDATE Task SET prio = 3 WHERE task = 'Clean room'")
+        assert "Clean room" not in tasks_in(scenario, "Do!", "Todo")
 
     def test_delete_via_do(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        assert scenario.do.delete("Todo", "task = 'Write paper'") == 1
-        assert "Write paper" not in tasks_in(scenario.tasky)
-        assert "Write paper" not in tasks_in(scenario.tasky2)
+        deleted = scenario.connect("Do!").execute("DELETE FROM Todo WHERE task = 'Write paper'")
+        assert deleted.rowcount == 1
+        assert "Write paper" not in tasks_in(scenario, "TasKy")
+        assert "Write paper" not in tasks_in(scenario, "TasKy2")
 
     def test_delete_all_tasks_of_author_removes_author(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky.delete("Task", "author = 'Ben'")
-        names = [a["name"] for a in scenario.tasky2.select("Author")]
+        scenario.connect("TasKy").execute("DELETE FROM Task WHERE author = 'Ben'")
+        names = [a["name"] for a in rows(scenario.engine, "TasKy2", "SELECT name FROM Author")]
         assert names == ["Ann"]
 
     def test_rename_column_view(self, materialized_paper_tasky):
         scenario = materialized_paper_tasky
-        scenario.tasky2.update("Author", {"name": "Annette"}, "name = 'Ann'")
-        assert "Annette" in {r["author"] for r in scenario.tasky.select("Task")}
+        scenario.connect("TasKy2").execute("UPDATE Author SET name = 'Annette' WHERE name = 'Ann'")
+        authors = rows(scenario.engine, "TasKy", "SELECT author FROM Task")
+        assert "Annette" in {r["author"] for r in authors}
 
 
 class TestMigration:
     def test_all_versions_stable_across_all_materializations(self, paper_tasky):
         scenario = paper_tasky
-        before = {
-            "TasKy": scenario.tasky.select_keyed("Task"),
-            "Do!": scenario.do.select_keyed("Todo"),
-            "TasKy2.Task": scenario.tasky2.select_keyed("Task"),
-            "TasKy2.Author": scenario.tasky2.select_keyed("Author"),
-        }
+        tables = [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task"), ("TasKy2", "Author")]
+        before = {table: keyed(scenario.engine, *table) for table in tables}
         for target in ["TasKy2", "Do!", "TasKy", "TasKy2", "TasKy"]:
             scenario.materialize(target)
-            assert scenario.tasky.select_keyed("Task") == before["TasKy"], target
-            assert scenario.do.select_keyed("Todo") == before["Do!"], target
-            assert scenario.tasky2.select_keyed("Task") == before["TasKy2.Task"], target
-            assert scenario.tasky2.select_keyed("Author") == before["TasKy2.Author"], target
+            for table in tables:
+                assert keyed(scenario.engine, *table) == before[table], target
 
     def test_physical_tables_change(self, paper_tasky):
         scenario = paper_tasky
@@ -162,53 +179,58 @@ class TestMigration:
 class TestDropSchemaVersion:
     def test_dropped_version_unreachable(self, paper_tasky):
         paper_tasky.engine.execute("DROP SCHEMA VERSION Do!;")
-        with pytest.raises(CatalogError):
-            paper_tasky.engine.connect("Do!")
+        with pytest.raises(InterfaceError):
+            paper_tasky.connect("Do!")
 
     def test_data_survives_for_other_versions(self, paper_tasky):
         paper_tasky.engine.execute("DROP SCHEMA VERSION Do!;")
-        assert len(paper_tasky.tasky.select("Task")) == len(PAPER_ROWS)
-        assert paper_tasky.tasky2.count("Task") == len(PAPER_ROWS)
+        assert paper_tasky.connect("TasKy").execute("SELECT * FROM Task").rowcount == len(PAPER_ROWS)
+        assert paper_tasky.connect("TasKy2").execute("SELECT * FROM Task").rowcount == len(PAPER_ROWS)
 
 
 class TestAccessApi:
     def test_select_projection_and_order(self, paper_tasky):
-        rows = paper_tasky.tasky.select("Task", columns=["task"], order_by="task")
-        assert rows[0] == {"task": "Clean room"}
+        found = rows(paper_tasky.engine, "TasKy", "SELECT task FROM Task ORDER BY task")
+        assert found[0] == {"task": "Clean room"}
 
     def test_select_with_string_predicate(self, paper_tasky):
-        assert paper_tasky.tasky.count("Task", "prio = 1") == 2
-
-    def test_select_with_callable_predicate(self, paper_tasky):
-        assert paper_tasky.tasky.count("Task", lambda r: r["prio"] > 1) == 2
+        assert paper_tasky.connect("TasKy").execute("SELECT * FROM Task WHERE prio = 1").rowcount == 2
 
     def test_unknown_table(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky.select("Nope")
+        with pytest.raises(ProgrammingError):
+            paper_tasky.connect("TasKy").execute("SELECT * FROM Nope")
 
     def test_id_column_not_updatable(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky2.update("Author", {"id": 99})
+        with pytest.raises(OperationalError):
+            paper_tasky.connect("TasKy2").execute("UPDATE Author SET id = 99")
 
     def test_update_by_key_missing(self, paper_tasky):
-        with pytest.raises(AccessError):
-            paper_tasky.tasky.update_by_key("Task", 424242, {"prio": 1})
+        before = keyed(paper_tasky.engine, "TasKy", "Task")
+        missing = paper_tasky.connect("TasKy").execute(
+            "UPDATE Task SET prio = 1 WHERE rowid = 424242"
+        )
+        assert missing.rowcount == 0
+        assert keyed(paper_tasky.engine, "TasKy", "Task") == before
 
     def test_insert_returns_key(self, paper_tasky):
-        key = paper_tasky.tasky.insert("Task", {"author": "X", "task": "t", "prio": 5})
-        assert key in paper_tasky.tasky.select_keyed("Task")
+        key = paper_tasky.connect("TasKy").execute(
+            "INSERT INTO Task(author, task, prio) VALUES ('X', 't', 5)"
+        ).lastrowid
+        assert key in keyed(paper_tasky.engine, "TasKy", "Task")
 
     def test_transaction_rollback(self, paper_tasky):
         scenario = paper_tasky
-        before = scenario.tasky.select_keyed("Task")
+        before = keyed(scenario.engine, "TasKy", "Task")
+        tasky = scenario.connect("TasKy")
         with pytest.raises(RuntimeError):
-            with scenario.tasky.transaction():
-                scenario.tasky.insert("Task", {"author": "X", "task": "tmp", "prio": 1})
+            with tasky:
+                tasky.execute("INSERT INTO Task(author, task, prio) VALUES ('X', 'tmp', 1)")
                 raise RuntimeError("abort")
-        assert scenario.tasky.select_keyed("Task") == before
+        assert keyed(scenario.engine, "TasKy", "Task") == before
 
     def test_transaction_commit(self, paper_tasky):
         scenario = paper_tasky
-        with scenario.tasky.transaction():
-            scenario.tasky.insert("Task", {"author": "X", "task": "kept", "prio": 1})
-        assert scenario.tasky.count("Task", "task = 'kept'") == 1
+        tasky = scenario.connect("TasKy")
+        with tasky:
+            tasky.execute("INSERT INTO Task(author, task, prio) VALUES ('X', 'kept', 1)")
+        assert tasky.execute("SELECT * FROM Task WHERE task = 'kept'").rowcount == 1

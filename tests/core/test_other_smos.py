@@ -2,13 +2,23 @@
 
 import pytest
 
+import repro
 from repro.core.engine import InVerDa
+from tests.conftest import keyed, rows
 
 
 def engine_with(script: str) -> InVerDa:
     engine = InVerDa()
     engine.execute(script)
     return engine
+
+
+def sql(engine, version, statement, params=()):
+    return repro.connect(engine, version, autocommit=True).execute(statement, params)
+
+
+def count(engine, version, table, where="TRUE"):
+    return sql(engine, version, f"SELECT * FROM {table} WHERE {where}").rowcount
 
 
 class TestMergeVersions:
@@ -19,9 +29,8 @@ class TestMergeVersions:
             "CREATE TABLE Urgent(title TEXT, prio INTEGER); "
             "CREATE TABLE Later(title TEXT, prio INTEGER);"
         )
-        v1 = engine.connect("v1")
-        v1.insert("Urgent", {"title": "now", "prio": 1})
-        v1.insert("Later", {"title": "someday", "prio": 9})
+        sql(engine, "v1", "INSERT INTO Urgent(title, prio) VALUES ('now', 1)")
+        sql(engine, "v1", "INSERT INTO Later(title, prio) VALUES ('someday', 9)")
         engine.execute(
             "CREATE SCHEMA VERSION v2 FROM v1 WITH "
             "MERGE TABLE Urgent (prio <= 3), Later (prio > 3) INTO All_;"
@@ -29,30 +38,26 @@ class TestMergeVersions:
         return engine
 
     def test_merge_unions_rows(self, engine):
-        titles = sorted(r["title"] for r in engine.connect("v2").select("All_"))
+        titles = sorted(r["title"] for r in rows(engine, "v2", "SELECT title FROM All_"))
         assert titles == ["now", "someday"]
 
     def test_insert_into_merged_routes_by_condition(self, engine):
-        v2 = engine.connect("v2")
-        v2.insert("All_", {"title": "fresh", "prio": 2})
-        v1 = engine.connect("v1")
-        assert v1.count("Urgent", "title = 'fresh'") == 1
-        assert v1.count("Later", "title = 'fresh'") == 0
+        sql(engine, "v2", "INSERT INTO All_(title, prio) VALUES ('fresh', 2)")
+        assert count(engine, "v1", "Urgent", "title = 'fresh'") == 1
+        assert count(engine, "v1", "Later", "title = 'fresh'") == 0
 
     def test_insert_matching_neither_condition_survives(self, engine):
-        v2 = engine.connect("v2")
-        v2.insert("All_", {"title": "nullprio", "prio": None})
+        sql(engine, "v2", "INSERT INTO All_(title, prio) VALUES ('nullprio', NULL)")
         # Visible in v2 (stored in the source-side Uprime aux), invisible in v1.
-        assert v2.count("All_", "title = 'nullprio'") == 1
-        v1 = engine.connect("v1")
-        assert v1.count("Urgent", "title = 'nullprio'") == 0
-        assert v1.count("Later", "title = 'nullprio'") == 0
+        assert count(engine, "v2", "All_", "title = 'nullprio'") == 1
+        assert count(engine, "v1", "Urgent", "title = 'nullprio'") == 0
+        assert count(engine, "v1", "Later", "title = 'nullprio'") == 0
 
     def test_materialize_merged_version(self, engine):
-        before = engine.connect("v2").select_keyed("All_")
+        before = keyed(engine, "v2", "All_")
         engine.execute("MATERIALIZE 'v2';")
-        assert engine.connect("v2").select_keyed("All_") == before
-        assert engine.connect("v1").count("Urgent") == 1
+        assert keyed(engine, "v2", "All_") == before
+        assert count(engine, "v1", "Urgent") == 1
 
 
 class TestJoinPkVersions:
@@ -62,36 +67,34 @@ class TestJoinPkVersions:
             "CREATE SCHEMA VERSION v1 WITH "
             "CREATE TABLE Person(name TEXT); CREATE TABLE Address(city TEXT);"
         )
-        v1 = engine.connect("v1")
-        key = v1.insert("Person", {"name": "Ann"})
+        key = sql(engine, "v1", "INSERT INTO Person(name) VALUES ('Ann')").lastrowid
         from repro.bidel.smo.base import TableChange
 
         tv = engine.genealogy.schema_version("v1").table_version("Address")
         engine.apply_change(
             tv, TableChange(upserts={key: tv.schema.row_from_mapping({"city": "Dresden"})})
         )
-        v1.insert("Person", {"name": "Solo"})  # no address partner
+        # no address partner
+        sql(engine, "v1", "INSERT INTO Person(name) VALUES ('Solo')")
         engine.execute(
             "CREATE SCHEMA VERSION v2 FROM v1 WITH JOIN TABLE Person, Address INTO Resident ON PK;"
         )
         return engine
 
     def test_inner_join_rows(self, engine):
-        rows = engine.connect("v2").select("Resident")
-        assert rows == [{"name": "Ann", "city": "Dresden"}]
+        found = rows(engine, "v2", "SELECT * FROM Resident")
+        assert found == [{"name": "Ann", "city": "Dresden"}]
 
     def test_unmatched_row_survives_migration(self, engine):
         engine.execute("MATERIALIZE 'v2';")
-        v1 = engine.connect("v1")
-        assert sorted(r["name"] for r in v1.select("Person")) == ["Ann", "Solo"]
+        names = sorted(r["name"] for r in rows(engine, "v1", "SELECT name FROM Person"))
+        assert names == ["Ann", "Solo"]
 
     def test_write_through_join(self, engine):
         engine.execute("MATERIALIZE 'v2';")
-        v2 = engine.connect("v2")
-        v2.insert("Resident", {"name": "Ben", "city": "Bonn"})
-        v1 = engine.connect("v1")
-        assert v1.count("Person", "name = 'Ben'") == 1
-        assert v1.count("Address", "city = 'Bonn'") == 1
+        sql(engine, "v2", "INSERT INTO Resident(name, city) VALUES ('Ben', 'Bonn')")
+        assert count(engine, "v1", "Person", "name = 'Ben'") == 1
+        assert count(engine, "v1", "Address", "city = 'Bonn'") == 1
 
 
 class TestDecomposeOuterJoinPk:
@@ -99,15 +102,14 @@ class TestDecomposeOuterJoinPk:
         engine = engine_with(
             "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Wide(a TEXT, b TEXT);"
         )
-        v1 = engine.connect("v1")
-        v1.insert("Wide", {"a": "x", "b": "y"})
+        sql(engine, "v1", "INSERT INTO Wide(a, b) VALUES ('x', 'y')")
         engine.execute(
             "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE Wide INTO L(a), R(b) ON PK;"
         )
         engine.execute(
             "CREATE SCHEMA VERSION v3 FROM v2 WITH OUTER JOIN TABLE L, R INTO Wide2 ON PK;"
         )
-        assert engine.connect("v3").select("Wide2") == [{"a": "x", "b": "y"}]
+        assert rows(engine, "v3", "SELECT * FROM Wide2") == [{"a": "x", "b": "y"}]
 
     def test_partial_row_outer_join_null_fill(self):
         engine = engine_with(
@@ -116,10 +118,9 @@ class TestDecomposeOuterJoinPk:
         engine.execute(
             "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE Wide INTO L(a), R(b) ON PK;"
         )
-        v2 = engine.connect("v2")
-        v2.insert("L", {"a": "only-left"})
-        rows = engine.connect("v1").select("Wide", "a = 'only-left'")
-        assert rows == [{"a": "only-left", "b": None}]
+        sql(engine, "v2", "INSERT INTO L(a) VALUES ('only-left')")
+        found = rows(engine, "v1", "SELECT * FROM Wide WHERE a = 'only-left'")
+        assert found == [{"a": "only-left", "b": None}]
 
 
 class TestDropTable:
@@ -127,23 +128,23 @@ class TestDropTable:
         engine = engine_with(
             "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Keep(a TEXT); CREATE TABLE Gone(b TEXT);"
         )
-        engine.connect("v1").insert("Gone", {"b": "precious"})
+        sql(engine, "v1", "INSERT INTO Gone(b) VALUES ('precious')")
         engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH DROP TABLE Gone;")
-        assert engine.connect("v2").table_names() == ["Keep"]
-        assert engine.connect("v1").count("Gone") == 1
+        assert repro.connect(engine, "v2").table_names() == ["Keep"]
+        assert count(engine, "v1", "Gone") == 1
 
     def test_data_survives_materializing_the_dropping_version(self):
         engine = engine_with(
             "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Keep(a TEXT); CREATE TABLE Gone(b TEXT);"
         )
-        engine.connect("v1").insert("Gone", {"b": "precious"})
-        engine.connect("v1").insert("Keep", {"a": "also"})
+        sql(engine, "v1", "INSERT INTO Gone(b) VALUES ('precious')")
+        sql(engine, "v1", "INSERT INTO Keep(a) VALUES ('also')")
         engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH DROP TABLE Gone;")
         engine.execute("MATERIALIZE 'v2';")
         # The retired rows moved into the DROP TABLE aux; v1 still sees them.
-        assert engine.connect("v1").select("Gone") == [{"b": "precious"}]
-        engine.connect("v1").insert("Gone", {"b": "more"})
-        assert engine.connect("v1").count("Gone") == 2
+        assert rows(engine, "v1", "SELECT * FROM Gone") == [{"b": "precious"}]
+        sql(engine, "v1", "INSERT INTO Gone(b) VALUES ('more')")
+        assert count(engine, "v1", "Gone") == 2
 
 
 class TestConditionalSmos:
@@ -151,45 +152,42 @@ class TestConditionalSmos:
         engine = engine_with(
             "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Pair(x INTEGER, y INTEGER);"
         )
-        v1 = engine.connect("v1")
-        v1.insert("Pair", {"x": 1, "y": 1})
-        v1.insert("Pair", {"x": 2, "y": 2})
+        sql(engine, "v1", "INSERT INTO Pair(x, y) VALUES (1, 1)")
+        sql(engine, "v1", "INSERT INTO Pair(x, y) VALUES (2, 2)")
         engine.execute(
             "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE Pair INTO Xs(x), Ys(y) ON x = y;"
         )
-        v2 = engine.connect("v2")
-        assert sorted(r["x"] for r in v2.select("Xs")) == [1, 2]
-        assert sorted(r["y"] for r in v2.select("Ys")) == [1, 2]
+        assert sorted(r["x"] for r in rows(engine, "v2", "SELECT x FROM Xs")) == [1, 2]
+        assert sorted(r["y"] for r in rows(engine, "v2", "SELECT y FROM Ys")) == [1, 2]
         # Generated ids are exposed and stable across reads.
-        first = v2.select("Xs", order_by="id")
-        second = v2.select("Xs", order_by="id")
+        first = rows(engine, "v2", "SELECT * FROM Xs ORDER BY id")
+        second = rows(engine, "v2", "SELECT * FROM Xs ORDER BY id")
         assert first == second
 
     def test_rename_table_version(self):
         engine = engine_with("CREATE SCHEMA VERSION v1 WITH CREATE TABLE Old(a TEXT);")
-        engine.connect("v1").insert("Old", {"a": "kept"})
+        sql(engine, "v1", "INSERT INTO Old(a) VALUES ('kept')")
         engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME TABLE Old INTO New;")
-        assert engine.connect("v2").select("New") == [{"a": "kept"}]
-        engine.connect("v2").insert("New", {"a": "back"})
-        assert engine.connect("v1").count("Old") == 2
+        assert rows(engine, "v2", "SELECT * FROM New") == [{"a": "kept"}]
+        sql(engine, "v2", "INSERT INTO New(a) VALUES ('back')")
+        assert count(engine, "v1", "Old") == 2
 
 
 class TestLongChains:
     def test_five_add_columns(self):
         engine = engine_with("CREATE SCHEMA VERSION v1 WITH CREATE TABLE T(base INTEGER);")
-        engine.connect("v1").insert("T", {"base": 10})
+        sql(engine, "v1", "INSERT INTO T(base) VALUES (10)")
         for index in range(5):
             engine.execute(
                 f"CREATE SCHEMA VERSION v{index + 2} FROM v{index + 1} WITH "
                 f"ADD COLUMN c{index} AS base + {index} INTO T;"
             )
-        last = engine.connect("v6")
-        row = last.select("T")[0]
+        row = rows(engine, "v6", "SELECT * FROM T")[0]
         assert row == {"base": 10, "c0": 10, "c1": 11, "c2": 12, "c3": 13, "c4": 14}
         # Write at the far end; read at the origin.
-        last.insert("T", {"base": 1, "c0": 0, "c1": 0, "c2": 0, "c3": 0, "c4": 0})
-        assert engine.connect("v1").count("T") == 2
+        sql(engine, "v6", "INSERT INTO T(base, c0, c1, c2, c3, c4) VALUES (1, 0, 0, 0, 0, 0)")
+        assert count(engine, "v1", "T") == 2
         # Materialize the middle and re-check both ends.
         engine.execute("MATERIALIZE 'v4';")
-        assert engine.connect("v1").count("T") == 2
-        assert engine.connect("v6").count("T") == 2
+        assert count(engine, "v1", "T") == 2
+        assert count(engine, "v6", "T") == 2

@@ -381,6 +381,23 @@ class TestDeltaCodeReuse:
         finally:
             again.close()
 
+    def test_second_attach_while_attached_is_refused(self, tmp_path):
+        """One engine, one live backend.  A second attach used to be
+        accepted, and the next evolution then failed with a raw
+        ``IntegrityError`` after the first backend had committed it."""
+        path = str(tmp_path / "one.db")
+        engine = repro.InVerDa()
+        engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER);")
+        backend = LiveSqliteBackend.attach(engine, database=path)
+        try:
+            with pytest.raises(CatalogError, match=r"close\(\)"):
+                LiveSqliteBackend.attach(engine, database=path)
+            assert engine.live_backend is backend
+            engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME COLUMN a IN R TO b;")
+            assert backend.catalog_stats()["on_disk_generation"] == engine.catalog_generation
+        finally:
+            backend.close()
+
     def test_attached_engine_cannot_seed_another_database(self, tmp_path):
         """The rows went to the first database; attaching the engine to a
         fresh one used to serve the pre-attach snapshot, silently losing

@@ -139,12 +139,3 @@ class TestLiveRecording:
             assert state.delta_generation == engine.catalog_generation
         finally:
             backend.close()
-
-    def test_persist_false_leaves_no_catalog(self):
-        engine = build()
-        backend = LiveSqliteBackend.attach(engine, persist=False)
-        try:
-            assert backend.store is None
-            assert not CatalogStore.has_catalog(backend.connection)
-        finally:
-            backend.close()

@@ -3,7 +3,6 @@ import pytest
 from repro.errors import AccessError, SchemaError
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
-from repro.relational.snapshot import diff_databases
 from repro.relational.table import Table
 from repro.relational.types import DataType, coerce_value, infer_type
 
@@ -90,31 +89,6 @@ class TestDatabase:
         clone = db.clone()
         clone.table("T").delete(1)
         assert 1 in db.table("T")
-
-
-class TestSnapshot:
-    def test_diff_detects_all_change_kinds(self):
-        before = Database()
-        before.create_table(TableSchema.of("T", ["a"]))
-        before.table("T").insert(1, ("x",))
-        before.table("T").insert(2, ("y",))
-        after = before.clone()
-        after.table("T").delete(1)
-        after.table("T").upsert(2, ("z",))
-        after.table("T").insert(3, ("w",))
-        after.create_table(TableSchema.of("New", ["b"]))
-
-        diff = diff_databases(before, after)
-        assert diff.created_tables == ("New",)
-        table_diff = diff.table_diffs["T"]
-        assert table_diff.removed == {1: ("x",)}
-        assert table_diff.changed == {2: (("y",), ("z",))}
-        assert table_diff.added == {3: ("w",)}
-
-    def test_empty_diff(self):
-        db = Database()
-        db.create_table(TableSchema.of("T", ["a"]))
-        assert diff_databases(db, db.clone()).empty
 
 
 class TestTypes:

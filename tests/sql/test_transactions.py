@@ -9,7 +9,7 @@ generated mapping logic.
 import pytest
 
 import repro
-from repro.errors import ProgrammingError, SchemaError
+from repro.errors import ProgrammingError
 from repro.workloads.tasky import build_tasky
 
 
@@ -199,16 +199,15 @@ class TestBatchAtomicity:
         assert conn.execute("SELECT prio FROM Task ORDER BY rowid").fetchall() == baseline
 
     def test_insert_many_error_mid_batch_is_atomic(self, scenario):
-        # The legacy bulk-insert shim shares the same batched primitive:
-        # a schema violation halfway through must leave nothing behind.
-        legacy = scenario.engine.connect("TasKy")
+        # A bulk insert is one batch: a schema violation halfway through
+        # must leave nothing behind.
+        conn = repro.connect(scenario.engine, "TasKy", autocommit=True)
         before = counts(scenario.engine)
-        rows = [
-            {"author": "H1", "task": "h", "prio": 1},
-            {"author": "H2", "task": "h", "nope": 9},
-        ]
-        with pytest.raises(SchemaError):
-            legacy.insert_many("Task", rows)
+        with pytest.raises(ProgrammingError):
+            conn.executemany(
+                "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)",
+                [("H1", "h", 1), ("H2", "h", "not a number")],
+            )
         assert counts(scenario.engine) == before
 
     def test_failed_statement_inside_transaction_keeps_prior_writes(self, scenario):

@@ -7,7 +7,7 @@ from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.sqlgen.scripts import script, tasky_generated_scripts
 from repro.util.codemetrics import measure_code
-from tests.conftest import build_paper_tasky
+from tests.conftest import build_paper_tasky, keyed, rows
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +66,10 @@ class TestGeneratedScripts:
         assert measure_code(scripts.bidel_migration).lines == 1
 
 
-def engine_rows(engine, version, table):
-    """The memory engine's keyed extent.  Attach hands the rows to SQLite,
-    so the reference is always read *before* attaching."""
-    return {
-        key: tuple(row.values())
-        for key, row in engine.connect(version).select_keyed(table).items()
-    }
-
-
 class TestSqliteParity:
-    """The generated views return exactly the engine's rows on SQLite."""
+    """The generated views return exactly the engine's rows on SQLite.
+    Attach hands the rows to SQLite, so the memory engine's keyed extent
+    is always read *before* attaching."""
 
     @pytest.mark.parametrize(
         "version,table",
@@ -84,7 +77,7 @@ class TestSqliteParity:
     )
     def test_initial_materialization(self, version, table):
         engine = build_paper_tasky().engine
-        expected = engine_rows(engine, version, table)
+        expected = keyed(engine, version, table)
         backend = LiveSqliteBackend.attach(engine)
         try:
             sqlite_rows = backend.select_keyed(version, table)
@@ -98,7 +91,7 @@ class TestSqliteParity:
         scenario.materialize(materialize)
         tables = [("TasKy", "Task"), ("Do!", "Todo"), ("TasKy2", "Task")]
         expected = {
-            (version, table): engine_rows(scenario.engine, version, table)
+            (version, table): keyed(scenario.engine, version, table)
             for version, table in tables
         }
         backend = LiveSqliteBackend.attach(scenario.engine)
@@ -115,7 +108,7 @@ class TestSqliteParity:
         from repro.workloads.micro import build_two_smo_scenario
 
         engine = build_two_smo_scenario("split", "add_column", rows=60)
-        expected = engine_rows(engine, "v3", "R")
+        expected = keyed(engine, "v3", "R")
         backend = LiveSqliteBackend.attach(engine)
         try:
             sqlite_rows = backend.select_keyed("v3", "R")
@@ -132,10 +125,13 @@ class TestHandwrittenBaseline:
         scenario = build_tasky(50)
         baseline = handwritten_tasky(50, materialization="initial")
         engine_tasks = sorted(
-            (r["author"], r["task"], r["prio"]) for r in scenario.tasky.select("Task")
+            (r["author"], r["task"], r["prio"])
+            for r in rows(scenario.engine, "TasKy", "SELECT * FROM Task")
         )
         assert sorted(baseline.read_tasky()) == engine_tasks
-        engine_do = sorted((r["author"], r["task"]) for r in scenario.do.select("Todo"))
+        engine_do = sorted(
+            (r["author"], r["task"]) for r in rows(scenario.engine, "Do!", "SELECT * FROM Todo")
+        )
         assert sorted(baseline.read_do()) == engine_do
 
     def test_migration_preserves_reads(self):

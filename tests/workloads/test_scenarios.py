@@ -1,5 +1,6 @@
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.workloads.micro import (
     TWO_SMO_FIRST,
@@ -10,16 +11,22 @@ from repro.workloads.micro import (
 from repro.workloads.mixes import PAPER_MIX, WorkloadMix, adoption_curve
 from repro.workloads.tasky import build_tasky
 from repro.workloads.wikimedia import TABLE4_HISTOGRAM, build_wikimedia
+from tests.conftest import keyed, rows
+
+
+def count(engine, version, table, where="TRUE"):
+    cursor = repro.connect(engine, version).execute(f"SELECT * FROM {table} WHERE {where}")
+    return cursor.rowcount
 
 
 class TestTaskyScenario:
     def test_row_count(self):
         scenario = build_tasky(100)
-        assert scenario.tasky.count("Task") == 100
+        assert count(scenario.engine, "TasKy", "Task") == 100
 
     def test_deterministic_given_seed(self):
-        a = build_tasky(20, seed=7).tasky.select("Task", order_by="task")
-        b = build_tasky(20, seed=7).tasky.select("Task", order_by="task")
+        a = rows(build_tasky(20, seed=7).engine, "TasKy", "SELECT * FROM Task ORDER BY task")
+        b = rows(build_tasky(20, seed=7).engine, "TasKy", "SELECT * FROM Task ORDER BY task")
         assert a == b
 
     def test_without_branches(self):
@@ -47,17 +54,17 @@ class TestTwoSmoScenarios:
     @pytest.mark.parametrize("first", sorted(TWO_SMO_FIRST))
     def test_v2_always_contains_r_abc(self, first):
         engine = build_two_smo_scenario(first, "add_column", rows=30)
-        columns = engine.connect("v2").columns("R")
-        assert columns == ("a", "b", "c")
+        description = repro.connect(engine, "v2").execute("SELECT * FROM R").description
+        assert tuple(column[0] for column in description) == ("a", "b", "c")
 
     @pytest.mark.parametrize("second", sorted(TWO_SMO_SECOND))
     def test_v3_readable_under_all_materializations(self, second):
         engine = build_two_smo_scenario("split", second, rows=30)
         table = V3_READ_TABLE[second]
-        baseline = engine.connect("v3").select_keyed(table)
+        baseline = keyed(engine, "v3", table)
         for target in ("v2", "v3", "v1"):
             engine.execute(f"MATERIALIZE '{target}';")
-            assert engine.connect("v3").select_keyed(table) == baseline, target
+            assert keyed(engine, "v3", table) == baseline, target
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ReproError):
@@ -78,18 +85,20 @@ class TestWikimediaScenario:
         assert len(scenario.version_names) == 171
 
     def test_core_tables_survive(self, scenario):
-        last = scenario.engine.connect(scenario.version_at(171))
-        assert scenario.engine.connect("v001").count("page") == last.count("page")
-        assert scenario.engine.connect("v001").count("links") == last.count("links")
+        engine, last = scenario.engine, scenario.version_at(171)
+        assert count(engine, "v001", "page") == count(engine, last, "page")
+        assert count(engine, "v001", "links") == count(engine, last, "links")
 
     def test_write_at_late_version_visible_early(self, scenario):
-        late = scenario.engine.connect(scenario.version_at(100))
-        late_columns = late.columns("page")
+        late = repro.connect(scenario.engine, scenario.version_at(100), autocommit=True)
+        late_columns = [column[0] for column in late.execute("SELECT * FROM page").description]
         row = {name: 1 for name in late_columns if name != "title"}
         row["title"] = "RoundTrip"
-        late.insert("page", row)
-        early = scenario.engine.connect("v001")
-        assert early.count("page", "title = 'RoundTrip'") == 1
+        late.execute(
+            f"INSERT INTO page({', '.join(row)}) VALUES ({', '.join('?' * len(row))})",
+            tuple(row.values()),
+        )
+        assert count(scenario.engine, "v001", "page", "title = 'RoundTrip'") == 1
 
     def test_deterministic(self):
         a = build_wikimedia(scale=0.001, versions=30, seed=5)
