@@ -60,7 +60,7 @@ print("Do!   over TCP:", do.execute(
 # ---------------------------------------------------------------------------
 status = tasky.server_status()
 print(f"\nserver status: {status['clients']} clients, "
-      f"{status['pool']['leased']} leased sessions")
+      f"{status['pool']['leased']} leased overflow handles")
 
 txn = repro.connect_remote(host, port, "TasKy")  # transactional client
 txn.execute("DELETE FROM Task")

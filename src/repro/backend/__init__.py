@@ -16,10 +16,12 @@ package is that execution path for SQLite:
   evolution, and executes ``MATERIALIZE`` as an in-place SQL migration;
 - :mod:`repro.backend.planner` lowers DB-API statements onto backend SQL
   with WHERE/ORDER BY/LIMIT pushdown;
-- :mod:`repro.backend.pool` leases every SQL-layer connection its own
-  ``sqlite3`` session over the one shared database (WAL for file-backed
-  databases, shared-cache for in-memory ones), so concurrent clients of
-  different schema versions run real, independent transactions.
+- :mod:`repro.backend.pool` holds the ``sqlite3`` handles of the one
+  shared database (WAL for file-backed databases, shared-cache for
+  in-memory ones): the primary, which runs the DDL and every autocommit
+  statement that finds it free, and pooled overflow handles for open
+  transactions and concurrent statements, so clients of different
+  schema versions run real, independent transactions.
 
 ``repro.connect(engine, version=..., backend="sqlite")`` is the public
 entry point.

@@ -1,27 +1,38 @@
-"""A pool of per-session SQLite connections over one shared database.
+"""The handles of one shared SQLite database: a primary and a pool.
 
-The live backend serves *many* concurrent clients: every SQL-layer
-connection (``repro.connect(engine, version, backend="sqlite")``) leases
-its own ``sqlite3`` handle to the one shared database holding the physical
-tables and the generated delta code, so sessions run real, independent
-transactions instead of time-sharing a single handle.
+The live backend serves *many* concurrent clients over one database that
+holds the physical tables and the generated delta code.  Two kinds of
+``sqlite3`` handle serve them:
+
+- the **primary** handle is the backend's administrative handle.  It
+  runs every catalog transition's DDL, so SQLite keeps its in-memory
+  schema current in place: a statement on it never pays a schema reload
+  after a transition.  An autocommit statement runs on it whenever it is
+  free (:meth:`SessionPool.try_primary`); transitions, online backfill
+  chunks and the engine-facing helpers wait for it
+  (:meth:`SessionPool.primary_held`), and a statement never takes it
+  while one of them is waiting.
+- **overflow** handles are pooled (:meth:`SessionPool.acquire`).  A
+  session leases one while it holds an open transaction, or for one
+  statement when another thread holds the primary, so transactions stay
+  real and independent and concurrent statements still run in parallel.
 
 Two database modes are supported:
 
 - **file-backed (WAL)** — the database lives on disk and is opened in
-  write-ahead-log mode: any number of sessions read concurrently without
+  write-ahead-log mode: any number of handles read concurrently without
   blocking each other or the (single) writer, each read sees a consistent
   committed snapshot, and writers queue on SQLite's write lock with a
   busy timeout.  This is the serving configuration; it is what the
   ``fig14`` concurrency benchmark measures.
-- **shared-cache in-memory** (the default ``:memory:``) — all sessions
+- **shared-cache in-memory** (the default ``:memory:``) — all handles
   attach to one shared-cache memory database with ``read_uncommitted``
   enabled, preserving the engine's documented READ UNCOMMITTED semantics:
   in-flight writes are visible to every co-existing version until rolled
   back, and a write that conflicts with another session's open
   transaction fails fast instead of deadlocking.
 
-Every handle is created with ``check_same_thread=False`` so a session can
+Every handle is created with ``check_same_thread=False`` so a handle can
 be leased on one thread and driven from another (the pool itself is
 thread-safe); SQLite's serialized threading mode makes the cross-thread
 calls safe.
@@ -34,6 +45,7 @@ import itertools
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 
 from repro.errors import OperationalError
 
@@ -71,13 +83,15 @@ def shared_memory_uri() -> str:
 
 
 class SessionPool:
-    """Thread-safe pool of ``sqlite3`` connections to one database.
+    """The primary handle plus a thread-safe pool of overflow handles to
+    one database.
 
     Sizing knobs:
 
     - ``pool_size`` — how many idle handles are retained for reuse; a
       released handle beyond this is closed instead of cached.
-    - ``max_sessions`` — hard cap on handles leased out at once.  ``None``
+    - ``max_sessions`` — hard cap on overflow handles leased out at once
+      (the primary is not counted).  ``None``
       (the default) means unbounded: SQLite itself arbitrates concurrency,
       so an uncapped pool cannot deadlock, only add sessions.  With a cap,
       :meth:`acquire` blocks up to ``acquire_timeout`` seconds and then
@@ -92,8 +106,9 @@ class SessionPool:
       engine's plan-cache counters; when set, :meth:`stats` folds them in
       so one ``status`` round trip reports pool *and* cache health.
     - ``metrics`` — optional :class:`repro.obs.MetricsRegistry`; when set,
-      lease waits land in ``repro_pool_lease_wait_seconds`` and occupancy
-      in ``repro_pool_sessions{state=leased|idle}``.
+      lease waits land in ``repro_pool_lease_wait_seconds``, overflow
+      occupancy in ``repro_pool_sessions{state=leased|idle}``, and every
+      lease in ``repro_pool_leases_total{handle=primary|overflow}``.
     """
 
     def __init__(
@@ -121,21 +136,37 @@ class SessionPool:
         self.plan_cache_stats = plan_cache_stats
         self._lease_wait = None
         self._sessions_gauge = None
+        self._lease_series = None  # handle kind -> its bound counter series
         if metrics is not None:
             self._lease_wait = metrics.histogram(
                 "repro_pool_lease_wait_seconds",
-                "Time spent waiting to lease a pooled session.",
+                "Time spent waiting to lease a pooled overflow handle.",
             )
             self._sessions_gauge = metrics.gauge(
                 "repro_pool_sessions",
-                "Pooled sessions by state.",
+                "Leased and idle overflow handles (the primary is not counted).",
                 ("state",),
             )
+            leases = metrics.counter(
+                "repro_pool_leases_total",
+                "Handles leased to sessions, primary or overflow.",
+                ("handle",),
+            )
+            self._lease_series = {
+                kind: leases.bound(handle=kind) for kind in ("primary", "overflow")
+            }
         self._idle: list[sqlite3.Connection] = []
         self._leased = 0
+        self._leases = {"primary": 0, "overflow": 0}
         self._closed = False
         self._cond = threading.Condition()
         _keep_heap_slack()
+        #: The backend's administrative handle, lent to one statement at a
+        #: time when free; see :meth:`try_primary` / :meth:`primary_held`.
+        self.primary = self.connect()
+        self._primary_lock = threading.Lock()
+        self._primary_owner: int | None = None
+        self._primary_waiting = 0  # guarded by _cond
 
     # ------------------------------------------------------------------
     # Connection construction
@@ -166,8 +197,7 @@ class SessionPool:
         return connection
 
     def connect(self) -> sqlite3.Connection:
-        """One new configured handle, outside the pool's accounting (used
-        by the backend for its own administrative connection)."""
+        """One new configured handle, outside the pool's accounting."""
         return self._configure(
             sqlite3.connect(
                 self.database,
@@ -179,7 +209,52 @@ class SessionPool:
         )
 
     # ------------------------------------------------------------------
-    # Leasing
+    # The primary handle
+    # ------------------------------------------------------------------
+
+    def try_primary(self) -> sqlite3.Connection | None:
+        """The primary handle for one statement, or ``None`` when another
+        thread holds it or waits for it (the caller then leases an
+        overflow handle).  Never blocks; :meth:`release_primary` ends the
+        lease."""
+        # Unlocked read: a waiter registers before it blocks, so at most a
+        # statement already past this check goes ahead of it.
+        if self._primary_waiting or not self._primary_lock.acquire(blocking=False):
+            return None
+        self._primary_owner = threading.get_ident()
+        self._leases["primary"] += 1  # serialized by the primary lock
+        if self._lease_series is not None:
+            self._lease_series["primary"].inc()
+        return self.primary
+
+    def release_primary(self) -> None:
+        self._primary_owner = None
+        self._primary_lock.release()
+
+    @contextmanager
+    def primary_held(self):
+        """Hold the primary handle for the block, waiting for it: catalog
+        transitions, online backfill chunks and the engine-facing helpers.
+        A statement does not take the primary while anyone waits here.
+        Reentrant on the holding thread."""
+        if self._primary_owner == threading.get_ident():
+            yield self.primary
+            return
+        with self._cond:
+            self._primary_waiting += 1
+        try:
+            self._primary_lock.acquire()
+        finally:
+            with self._cond:
+                self._primary_waiting -= 1
+        self._primary_owner = threading.get_ident()
+        try:
+            yield self.primary
+        finally:
+            self.release_primary()
+
+    # ------------------------------------------------------------------
+    # Overflow leasing
     # ------------------------------------------------------------------
 
     def acquire(self) -> sqlite3.Connection:
@@ -199,7 +274,10 @@ class SessionPool:
                     if self._closed:
                         raise OperationalError("the connection pool is closed")
             self._leased += 1
+            self._leases["overflow"] += 1
             handle = self._idle.pop() if self._idle else None
+        if self._lease_series is not None:
+            self._lease_series["overflow"].inc()
         self._observe_lease(wait_start)
         if handle is not None:
             return handle
@@ -260,13 +338,16 @@ class SessionPool:
 
     def stats(self) -> dict:
         """A consistent snapshot of the pool's sizing and occupancy — the
-        numbers the network server's ``status`` op reports to clients."""
+        numbers the network server's ``status`` op reports to clients.
+        ``leased`` / ``idle`` count overflow handles; ``leases`` counts
+        every lease so far by handle (``primary`` / ``overflow``)."""
         with self._cond:
             payload = {
                 "database": self.database,
                 "wal": self.wal,
                 "leased": self._leased,
                 "idle": len(self._idle),
+                "leases": dict(self._leases),
                 "pool_size": self.pool_size,
                 "max_sessions": self.max_sessions,
                 "busy_timeout": self.busy_timeout,
@@ -288,7 +369,7 @@ class SessionPool:
             self._closed = True
             idle, self._idle = self._idle, []
             self._cond.notify_all()
-        for connection in idle:
+        for connection in (*idle, self.primary):
             try:
                 connection.close()
             except sqlite3.Error:  # pragma: no cover - close is best effort

@@ -17,20 +17,26 @@ in-memory tables are emptied and the engine is catalog plus storage layout.
 Concurrency
 -----------
 
-The backend is a *session* architecture: it owns one administrative handle
-(snapshot load, delta-code installation, migrations) plus a
-:class:`~repro.backend.pool.SessionPool`, and every SQL-layer connection
-leases its own :class:`SqliteSession` — a pooled ``sqlite3`` handle with
-real per-session ``BEGIN``/``COMMIT``/``ROLLBACK``.  With a file-backed
-database the pool runs in WAL mode, so concurrent readers never block;
-the default ``:memory:`` database uses SQLite's shared cache with
-``read_uncommitted`` (the engine's legacy isolation).  Catalog transitions
-are pool-wide events: the engine's catalog lock stops new statements,
-:meth:`LiveSqliteBackend.quiesce` commits every session's open transaction
-(DDL is not transactional), the delta code is regenerated once on the
-administrative handle — atomically, under a savepoint — and every session
-sees the republished views and triggers because they live in the shared
-database itself.
+The backend is a *session* architecture over a
+:class:`~repro.backend.pool.SessionPool`: one administrative handle, the
+pool's *primary* (snapshot load, delta-code installation, migrations),
+plus pooled *overflow* handles.  Every SQL-layer connection has a
+:class:`SqliteSession` that leases a handle per statement: the primary
+when it is free, else an overflow handle.  A session holding an open
+transaction keeps one overflow handle until the transaction ends, so
+``BEGIN``/``COMMIT``/``ROLLBACK`` stay real and per-session and a
+transaction never holds the primary.  With a file-backed database the
+pool runs in WAL mode, so concurrent readers never block; the default
+``:memory:`` database uses SQLite's shared cache with
+``read_uncommitted`` (the engine's legacy isolation).  Catalog
+transitions are pool-wide events: the engine's catalog lock stops new
+statements, :meth:`LiveSqliteBackend.quiesce` commits every session's
+open transaction (DDL is not transactional), and the delta code is
+regenerated once on the primary — atomically, under a savepoint.  Every
+handle sees the republished views and triggers because they live in the
+shared database itself; the primary, which ran the DDL, even skips the
+schema reload every other handle pays on its next statement, which is why
+single-threaded autocommit clients stall on no reload at all.
 """
 
 from __future__ import annotations
@@ -83,51 +89,128 @@ def _next_row_ids(connection: sqlite3.Connection, count: int = 1) -> range:
 
 
 class SqliteSession:
-    """One client's leased handle to the backend's shared database.
+    """One client's access to the backend's shared database.
 
-    A session owns its transaction state: ``BEGIN``/``COMMIT``/``ROLLBACK``
-    run on the session's own ``sqlite3`` connection and never interact with
-    other sessions' transactions.  ``transaction_epoch`` is bumped whenever
-    something *other than the owner* ends the session's transaction (a
-    catalog transition's quiesce, or backend shutdown), so a SQL-layer
-    connection holding a stale transaction token can detect that its
-    transaction already ended instead of committing or rolling back work
-    it does not own.
+    A session owns no handle; it leases one.  The session is the
+    context manager of a statement scope (``with session:``): the first
+    thing the statement runs leases a handle, and the scope's end returns
+    it:
+
+    - while the session holds an open transaction, that transaction's
+      overflow handle;
+    - else the pool's primary handle when it is free — the handle that
+      ran every transition's DDL, so it never reloads the schema;
+    - else an overflow handle for this one statement.
+
+    A call outside a statement scope (``allocate_keys``, a bare
+    ``execute``) leases the same way for that one call.  :meth:`begin`
+    leases an overflow handle that the transaction keeps until
+    ``COMMIT``, ``ROLLBACK`` or a quiesce ends it, so a transaction never
+    holds the primary.  ``BEGIN``/``COMMIT``/``ROLLBACK`` never interact
+    with other sessions' transactions.
+
+    ``transaction_epoch`` is bumped whenever something *other than the
+    owner* ends the session's transaction (a catalog transition's
+    quiesce, or backend shutdown), so a SQL-layer connection holding a
+    stale transaction token can detect that its transaction already ended
+    instead of committing or rolling back work it does not own.
     """
 
-    def __init__(self, backend: "LiveSqliteBackend", connection: sqlite3.Connection):
+    def __init__(self, backend: "LiveSqliteBackend"):
         self.backend = backend
-        self.connection = connection
+        self.pool = backend.pool
         self.transaction_epoch = 0
         self._trace_callback = None
         self._closed = False
         self._close_lock = threading.Lock()
+        self._held: sqlite3.Connection | None = None  # the open transaction's
+        self._leased: sqlite3.Connection | None = None  # the statement's
+        self._on_primary = False
+        self._scopes = 0
+
+    # -- leases ----------------------------------------------------------
+
+    def __enter__(self) -> "SqliteSession":
+        """Open a statement scope.  Scopes nest; the outermost one's end
+        returns the lease."""
+        self._scopes += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._scopes -= 1
+        if not self._scopes:
+            self._release_statement()
+
+    def _handle(self) -> sqlite3.Connection:
+        """The handle the current statement runs on, leased on first use."""
+        if self._closed:
+            raise InterfaceError("cannot operate on a closed backend session")
+        if self._held is not None:
+            return self._held
+        handle = self._leased
+        if handle is None:
+            handle = self.pool.try_primary()
+            self._on_primary = handle is not None
+            if handle is None:
+                handle = self.pool.acquire()
+            if self._trace_callback is not None:
+                handle.set_trace_callback(self._trace_callback)
+            self._leased = handle
+        return handle
+
+    def _release_statement(self) -> None:
+        handle, self._leased = self._leased, None
+        if handle is None:
+            return
+        if self._trace_callback is not None:
+            handle.set_trace_callback(None)
+        if not self._on_primary:
+            self.pool.release(handle)
+            return
+        try:
+            if handle.in_transaction:  # a statement never leaves one open
+                handle.execute("ROLLBACK")
+        finally:
+            self.pool.release_primary()
+
+    def _release_held(self) -> None:
+        handle, self._held = self._held, None
+        if handle is not None:
+            if self._trace_callback is not None:
+                handle.set_trace_callback(None)
+            self.pool.release(handle)
+
+    def _call(self, method, *args):
+        if self._scopes:
+            return method(self._handle(), *args)
+        with self:
+            return method(self._handle(), *args)
 
     # -- statement execution ---------------------------------------------
 
-    def _check_open(self) -> sqlite3.Connection:
-        if self._closed:
-            raise InterfaceError("cannot operate on a closed backend session")
-        return self.connection
-
     def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
-        return self._check_open().execute(sql, parameters)
+        return self._call(sqlite3.Connection.execute, sql, parameters)
 
     def cursor(self) -> sqlite3.Cursor:
-        return self._check_open().cursor()
+        return self._call(sqlite3.Connection.cursor)
 
     def set_trace_callback(self, callback):
-        """Install ``callback`` as the handle's ``sqlite3`` trace callback
-        and return the one it displaces, for the caller to put back
-        (``sqlite3`` has no getter, so the session remembers)."""
+        """Install ``callback`` as this session's ``sqlite3`` trace
+        callback and return the one it displaces, for the caller to put
+        back.  It is applied to each handle the session leases and cleared
+        when the lease ends, so it sees this session's statements only."""
+        if self._closed:
+            raise InterfaceError("cannot operate on a closed backend session")
         previous, self._trace_callback = self._trace_callback, callback
-        self._check_open().set_trace_callback(callback)
+        handle = self._held or self._leased
+        if handle is not None:
+            handle.set_trace_callback(callback)
         return previous
 
     def allocate_keys(self, count: int) -> range:
         """``count`` consecutive identifiers from the shared sequence, taken
-        on this session's handle (joins its open transaction, if any)."""
-        return _next_row_ids(self._check_open(), count)
+        on this session's lease (joins its open transaction, if any)."""
+        return self._call(_next_row_ids, count)
 
     def allocate_key(self) -> int:
         return self.allocate_keys(1)[0]
@@ -136,15 +219,29 @@ class SqliteSession:
 
     @property
     def in_transaction(self) -> bool:
-        return not self._closed and self.connection.in_transaction
+        handle = self._held or self._leased
+        return not self._closed and handle is not None and handle.in_transaction
 
     def begin(self) -> None:
-        connection = self._check_open()
-        if not connection.in_transaction:
-            connection.execute("BEGIN")
+        """Open a transaction on an overflow handle the session keeps
+        until the transaction ends."""
+        if self._held is None:
+            if self._closed:
+                raise InterfaceError("cannot operate on a closed backend session")
+            self._release_statement()
+            self._held = self.pool.acquire()
+            if self._trace_callback is not None:
+                self._held.set_trace_callback(self._trace_callback)
+        if not self._held.in_transaction:
+            try:
+                self._held.execute("BEGIN")
+            except BaseException:
+                self._release_held()
+                raise
 
     def begin_immediate(self) -> None:
-        """Open a transaction holding the write lock from the start.
+        """Open the statement's own transaction on its lease, holding the
+        write lock from the start.
 
         A deferred transaction that reads first and writes later cannot
         wait out a concurrent writer in WAL mode: by the time it tries
@@ -152,27 +249,41 @@ class SqliteSession:
         ``SQLITE_BUSY_SNAPSHOT`` immediately, busy timeout or not.
         Taking the lock up front turns that race into an ordinary
         bounded wait."""
-        connection = self._check_open()
+        connection = self._handle()
         if not connection.in_transaction:
             connection.execute("BEGIN IMMEDIATE")
 
     def commit(self) -> None:
-        connection = self._check_open()
-        if connection.in_transaction:
-            connection.execute("COMMIT")
+        self._end("COMMIT")
 
     def rollback(self) -> None:
-        connection = self._check_open()
-        if connection.in_transaction:
-            connection.execute("ROLLBACK")
+        self._end("ROLLBACK")
+
+    def _end(self, verb: str) -> None:
+        """End the open transaction — the held one, or the statement's
+        own — and return a held handle to the pool once it has ended."""
+        if self._closed:
+            raise InterfaceError("cannot operate on a closed backend session")
+        handle = self._held or self._leased
+        if handle is None:
+            return
+        if handle.in_transaction:
+            handle.execute(verb)
+        if handle is self._held:
+            self._release_held()
 
     def end_transaction(self, *, commit: bool) -> None:
         """Forcibly end the session's open transaction on behalf of a
         pool-wide event, bumping the epoch so the owner learns of it."""
-        if self._closed or not self.connection.in_transaction:
+        handle = self._held
+        if self._closed or handle is None:
             return
-        self.connection.execute("COMMIT" if commit else "ROLLBACK")
-        self.transaction_epoch += 1
+        try:
+            if handle.in_transaction:
+                self.transaction_epoch += 1
+                handle.execute("COMMIT" if commit else "ROLLBACK")
+        finally:
+            self._release_held()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -181,17 +292,18 @@ class SqliteSession:
         return self._closed
 
     def close(self) -> None:
-        """Roll back any open transaction and return the handle to the
+        """Roll back any open transaction and return its handle to the
         pool.  Safe against concurrent closers (a user thread racing the
         backend's shutdown or a GC-triggered ``Connection.__del__``): only
-        one of them releases the handle."""
+        one of them releases the handle.  A statement in flight returns
+        its own lease when its scope ends."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         self.transaction_epoch += 1
         self.backend._forget_session(self)
-        self.backend.pool.release(self.connection)
+        self._release_held()
 
 
 class LiveSqliteBackend:
@@ -200,9 +312,10 @@ class LiveSqliteBackend:
     def __init__(self, engine: "InVerDa", pool: SessionPool):
         self.engine = engine
         self.pool = pool
-        # The administrative handle: snapshot load, delta-code install,
-        # migrations, and the engine-facing read helpers below.
-        self.connection = pool.connect()
+        # The administrative handle, the pool's primary: snapshot load,
+        # delta-code install, migrations, the engine-facing read helpers
+        # below — and every autocommit statement that finds it free.
+        self.connection = pool.primary
         self._closed = False
         self._sessions: list[SqliteSession] = []
         self._sessions_lock = threading.Lock()
@@ -360,7 +473,6 @@ class LiveSqliteBackend:
         except BaseException:
             backend._closed = True
             pool.close()
-            backend.connection.close()
             raise
         engine.attach_backend(backend)
         return backend
@@ -596,11 +708,11 @@ class LiveSqliteBackend:
     # ------------------------------------------------------------------
 
     def open_session(self) -> SqliteSession:
-        """Lease a session (its own pooled ``sqlite3`` handle) for one
-        SQL-layer connection."""
+        """A session for one SQL-layer connection; it leases handles per
+        statement and per transaction, none at open."""
         if self._closed:
             raise InterfaceError("cannot open a session on a closed backend")
-        session = SqliteSession(self, self.pool.acquire())
+        session = SqliteSession(self)
         with self._sessions_lock:
             self._sessions.append(session)
         return session
@@ -617,12 +729,14 @@ class LiveSqliteBackend:
     def quiesce(self) -> None:
         """Commit every session's open transaction ahead of a catalog
         transition (BiDEL DDL is not transactional and implicitly commits
-        every open transaction, pool-wide).  Called by the engine while it
-        holds the catalog write lock, so no statements are in flight."""
+        every open transaction, pool-wide) and return its handle to the
+        pool.  Called by the engine while it holds the catalog write lock,
+        so no statements are in flight."""
         for session in self.live_sessions():
             session.end_transaction(commit=True)
-        if self.connection.in_transaction:
-            self.connection.execute("COMMIT")
+        with self.pool.primary_held():
+            if self.connection.in_transaction:
+                self.connection.execute("COMMIT")
 
     # ------------------------------------------------------------------
     # Delta-code generation
@@ -755,15 +869,16 @@ class LiveSqliteBackend:
     @contextmanager
     def _transaction(self):
         """Run the block inside the administrative handle's transaction
-        (joining the open one, if any): roll back when it raises, commit
-        when it completes."""
-        self._begin()
-        try:
-            yield
-            self.connection.commit()
-        except BaseException:
-            self._abort()
-            raise
+        (joining the open one, if any), holding the primary: roll back
+        when it raises, commit when it completes."""
+        with self.pool.primary_held():
+            self._begin()
+            try:
+                yield
+                self.connection.commit()
+            except BaseException:
+                self._abort()
+                raise
 
     def _install_delta_code(self) -> None:
         """Regenerate the delta code for the catalog's current state, bring
@@ -909,8 +1024,9 @@ class LiveSqliteBackend:
             # autocommit writes of live sessions: without it the loop
             # re-takes the SQLite write lock back-to-back and every live
             # writer — which waits by polling the busy handler — starves
-            # until the whole move finishes.
-            with self.write_gate:
+            # until the whole move finishes.  The primary comes first: a
+            # statement holding the gate only ever tries the primary.
+            with self.pool.primary_held(), self.write_gate:
                 self._begin()
                 try:
                     copied = 0
@@ -1021,19 +1137,20 @@ class LiveSqliteBackend:
         from repro.check.delta import check_installed, verify_delta_code
         from repro.check.diagnostics import record_findings
 
-        # From a new memo: the gate must not take the remembered renders
-        # on trust; what it renders afresh is then the memo.
-        self.renderer = codegen.Renderer(self.engine)
-        installed = codegen.installed_objects(self.connection)
-        findings = verify_delta_code(self.engine, backend=self)
-        findings += check_installed(installed, list(self._wanted().values()))
-        summary = record_findings(self.engine, findings, scope=f"transition:{kind}")
-        if summary["errors"]:
-            raise CatalogError(
-                f"delta code verification failed after {kind}: "
-                + "; ".join(_errors(findings))
-            )
-        self._write_mark(self.store.load().log_digest, installed, summary)
+        with self.pool.primary_held():
+            # From a new memo: the gate must not take the remembered
+            # renders on trust; what it renders afresh is then the memo.
+            self.renderer = codegen.Renderer(self.engine)
+            installed = codegen.installed_objects(self.connection)
+            findings = verify_delta_code(self.engine, backend=self)
+            findings += check_installed(installed, list(self._wanted().values()))
+            summary = record_findings(self.engine, findings, scope=f"transition:{kind}")
+            if summary["errors"]:
+                raise CatalogError(
+                    f"delta code verification failed after {kind}: "
+                    + "; ".join(_errors(findings))
+                )
+            self._write_mark(self.store.load().log_digest, installed, summary)
 
     # ------------------------------------------------------------------
     # Catalog introspection
@@ -1043,11 +1160,14 @@ class LiveSqliteBackend:
         """The catalog generation last committed to the database — on a
         WAL file this sees other processes' commits, so a caller can
         detect that the shared catalog moved under it."""
-        return self.store.read_generation()
+        with self.pool.primary_held():
+            return self.store.read_generation()
 
     def catalog_stats(self) -> dict:
         """Durability facts for ``Connection.stats()`` / server status."""
-        on_disk = self.store.read_generation()
+        with self.pool.primary_held():
+            on_disk = self.store.read_generation()
+            log_entries = self.store.log_size()
         return {
             "generation": self.engine.catalog_generation,
             "fingerprint": self.engine.catalog_fingerprint(),
@@ -1059,37 +1179,44 @@ class LiveSqliteBackend:
             "last_install": self.last_install,
             "retired_versions": len(self.engine.genealogy.retired),
             "on_disk_generation": on_disk,
-            "log_entries": self.store.log_size(),
+            "log_entries": log_entries,
             "stale": on_disk is not None and on_disk > self.engine.catalog_generation,
         }
 
     # ------------------------------------------------------------------
-    # Data plane (administrative handle)
+    # Data plane (administrative handle, waited for)
     # ------------------------------------------------------------------
 
     def allocate_key(self) -> int:
-        return _next_row_ids(self.connection)[0]
+        with self.pool.primary_held():
+            return _next_row_ids(self.connection)[0]
 
     def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
-        return self.connection.execute(sql, parameters)
+        with self.pool.primary_held():
+            return self.connection.execute(sql, parameters)
 
     def select(self, version_name: str, table: str) -> list[tuple]:
         tv = self.engine.genealogy.schema_version(version_name).table_version(table)
         columns = ", ".join(qcols(tv.schema.column_names))
-        return self.connection.execute(
-            f"SELECT {columns} FROM {tv.view_name}"
-        ).fetchall()
+        with self.pool.primary_held():
+            return self.connection.execute(
+                f"SELECT {columns} FROM {tv.view_name}"
+            ).fetchall()
 
     def select_keyed(self, version_name: str, table: str) -> dict[int, tuple]:
         tv = self.engine.genealogy.schema_version(version_name).table_version(table)
         columns = ", ".join(["p", *qcols(tv.schema.column_names)])
-        cursor = self.connection.execute(f"SELECT {columns} FROM {tv.view_name}")
-        return {row[0]: row[1:] for row in cursor.fetchall()}
+        with self.pool.primary_held():
+            rows = self.connection.execute(
+                f"SELECT {columns} FROM {tv.view_name}"
+            ).fetchall()
+        return {row[0]: row[1:] for row in rows}
 
     def table_names(self) -> list[str]:
-        rows = self.connection.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
-        ).fetchall()
+        with self.pool.primary_held():
+            rows = self.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+            ).fetchall()
         return [row[0] for row in rows]
 
     def close(self) -> None:
@@ -1106,4 +1233,3 @@ class LiveSqliteBackend:
             self.connection.execute("ROLLBACK")
         self.engine.detach_backend(self)
         self.pool.close()
-        self.connection.close()

@@ -3,8 +3,9 @@
 The paper promises that co-existing schema versions serve many
 applications at once; this experiment measures it.  A TasKy database is
 attached to a file-backed WAL SQLite backend, then N threads — each with
-its *own* pooled session — run workloads against the co-existing versions
-concurrently:
+its *own* session — run workloads against the co-existing versions
+concurrently (a statement that finds the backend's primary handle busy
+runs on a pooled overflow handle):
 
 - ``read`` — aggregate scans through the generated views (WAL readers
   never block each other: throughput should scale with sessions);
@@ -138,7 +139,7 @@ def run(
                 )
             backend.close()
     result.note(
-        "every session is its own pooled sqlite3 connection; WAL readers "
+        "concurrent statements run on their own sqlite3 handles; WAL readers "
         "do not serialize, writers queue on the write lock"
     )
     result.note(

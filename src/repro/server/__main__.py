@@ -165,8 +165,9 @@ def main(argv=None) -> int:
         )
     # Graceful drain: SIGTERM (and SIGINT / Ctrl-C) stops accepting,
     # finishes in-flight requests within --drain-timeout, returns every
-    # leased session to the pool, and exits 0 — so process managers can
-    # roll the server without killing client requests mid-reply.
+    # open transaction's handle to the pool, and exits 0 — so process
+    # managers can roll the server without killing client requests
+    # mid-reply.
     stop = threading.Event()
 
     def _request_stop(signum, frame):

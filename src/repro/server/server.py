@@ -5,10 +5,11 @@
 thread and — once it has sent ``hello`` naming a schema version — its own
 **server-side DB-API connection** to that version, opened through the
 exact same :func:`repro.sql.connection.connect` path in-process callers
-use.  On the live SQLite backend that connection leases its own pooled
-:class:`~repro.backend.sqlite.SqliteSession`, so N remote clients are N
-real database sessions: independent transactions, WAL snapshot reads,
-parallel execution.
+use.  On the live SQLite backend that connection has its own
+:class:`~repro.backend.sqlite.SqliteSession`, which leases a handle per
+statement and per transaction, so N remote clients are N real database
+sessions: independent transactions, WAL snapshot reads, parallel
+execution.
 
 Results are **paged**: an ``execute`` response carries at most
 ``page_size`` rows plus a statement handle; the client driver pulls the
@@ -21,7 +22,7 @@ machinery: statements take the read side of the catalog RWLock, BiDEL DDL
 takes the write side and quiesces every pooled session.  The server
 additionally registers a catalog listener so that a client bound to a
 version that gets dropped receives a clean ``OperationalError`` response
-on its next request (its leased session returns to the pool) instead of
+on its next request (its session is closed) instead of
 hanging or seeing engine internals fail.
 """
 
@@ -114,7 +115,7 @@ class _ClientHandler:
     def _release_connection(self) -> None:
         # A client that leaves mid-transaction must not leak its work:
         # closing the server-side connection rolls back any open
-        # transaction and returns the leased session to the pool.
+        # transaction and returns its handle to the pool.
         self._statements.clear()
         if self.connection is not None:
             try:
@@ -187,7 +188,7 @@ class _ClientHandler:
         if self.connection is None:
             raise ProtocolError(f"{op} before hello: bind a schema version first")
         if self.version_dropped:
-            # Release the leased session eagerly; the client keeps getting
+            # Close the session eagerly; the client keeps getting
             # this clean error (not a hang, not an internals traceback)
             # until it disconnects.
             try:
@@ -539,7 +540,7 @@ class ReproServer:
 
     def close(self) -> None:
         """Stop accepting, disconnect every client (rolling back their
-        open transactions, returning sessions to the pool), and release
+        open transactions, returning their handles to the pool), and release
         the listening socket."""
         with self._lock:
             if self._closed:
@@ -560,7 +561,7 @@ class ReproServer:
         give every in-flight request up to ``timeout`` seconds to finish,
         then disconnect the remaining clients exactly like :meth:`close`
         (server-side connections roll back any open transaction and
-        return their leased sessions to the pool).
+        return their transactions' handles to the pool).
 
         A request still running at the deadline is cut off mid-flight —
         the deadline exists precisely so a wedged statement cannot hold

@@ -30,10 +30,12 @@ whose transaction began while another connection's was open joins that
 transaction and only rolls back its own suffix, and isolation is READ
 UNCOMMITTED (single-process, single-writer engine).
 
-On the **live SQLite backend** every connection leases its *own* session
-(a pooled ``sqlite3`` handle to the shared database), so transactions are
-real and per-session: ``BEGIN``/``COMMIT``/``ROLLBACK`` run on the
-session's handle and concurrent sessions proceed in parallel.  Isolation
+On the **live SQLite backend** every connection has its own session,
+which leases a ``sqlite3`` handle to the shared database per statement:
+the backend's primary handle when it is free, else a pooled overflow
+handle.  An open transaction keeps its own overflow handle until it ends,
+so transactions are real and per-session: ``BEGIN``/``COMMIT``/``ROLLBACK``
+run on that handle and concurrent sessions proceed in parallel.  Isolation
 follows the database mode — snapshot isolation under WAL (file-backed
 databases: readers never block and see committed state), READ UNCOMMITTED
 on the default shared-cache in-memory database (in-flight writes are
@@ -523,7 +525,7 @@ class Cursor(BaseCursor):
 
     def _execute_inner(self, connection, engine, builder, operation,
                        parameters) -> str:
-        with engine.catalog_lock.read_locked():
+        with engine.catalog_lock.read_locked(), connection._lease():
             plan = self._plan(connection, builder, operation)
             if plan.kind == "explain":
                 with _translated_errors():
@@ -583,7 +585,7 @@ class Cursor(BaseCursor):
     def _executemany_inner(self, connection, engine, builder, operation,
                            seq_of_parameters) -> str:
         seq_of_parameters = list(seq_of_parameters)
-        with engine.catalog_lock.read_locked():
+        with engine.catalog_lock.read_locked(), connection._lease():
             plan = self._plan(connection, builder, operation)
             if plan.kind in ("select", "ddl", "explain", "check"):
                 raise ProgrammingError("executemany() only accepts DML statements")
@@ -665,8 +667,8 @@ class Connection(BaseConnection):
             "Statements exceeding the slow-query threshold, by version.",
             ("version",),
         )
-        # On the live backend every connection leases its own session — a
-        # pooled sqlite3 handle with real per-session transactions.
+        # On the live backend every connection has its own session, which
+        # leases a handle per statement and per transaction.
         self._session: "SqliteSession | None" = (
             backend.open_session() if backend is not None else None
         )
@@ -763,6 +765,13 @@ class Connection(BaseConnection):
 
         return compile_statement_sqlite(self._version, statement)
 
+    def _lease(self):
+        """The scope of a data-plane statement's handle lease: the first
+        thing the statement runs on the session leases a handle, and the
+        scope's end returns it.  BiDEL DDL runs nothing on the session,
+        so it leases nothing."""
+        return _NOOP_SPAN if self._session is None else self._session
+
     def _run_plan(self, plan, params: tuple) -> StatementResult:
         if self._session is None:
             return plan.run(self.engine, params)
@@ -797,7 +806,7 @@ class Connection(BaseConnection):
         """The ``execute`` span around a data-plane statement — a shared
         no-op when untraced.  On the live backend it also counts, as
         ``sqlite_statements``, everything SQLite ran on the session's
-        handle meanwhile: the scope's own BEGIN / COMMIT / savepoint
+        lease meanwhile: the scope's own BEGIN / COMMIT / savepoint
         statements and every trigger statement of the cascade."""
         if builder is None:
             return _NOOP_SPAN
@@ -878,8 +887,8 @@ class Connection(BaseConnection):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Roll back any open transaction, release the backend session
-        back to the pool, and close the connection."""
+        """Roll back any open transaction (its handle returns to the
+        pool), close the backend session, and close the connection."""
         if self._closed:
             return
         if self._txn is not None:
@@ -976,9 +985,10 @@ class Connection(BaseConnection):
         if not self.autocommit:
             self._begin()
         if self._session is not None:
-            # Both forms run on this connection's OWN session, so
-            # conflicts with other sessions surface as SQLite lock
-            # errors, not silent joins.
+            # Both forms run on this connection's OWN lease — the
+            # statement's, or its open transaction's — so conflicts with
+            # other sessions surface as SQLite lock errors, not silent
+            # joins.
             session = self._session
             if self.autocommit and not session.in_transaction:
                 # The statement is the transaction — success commits it,

@@ -46,15 +46,27 @@ def _run_threads(workers):
 
 class TestSessionPool:
     def test_sessions_are_independent_handles(self):
+        """Two open transactions hold distinct overflow handles; autocommit
+        connections share the primary."""
         engine = InVerDa()
         engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER);")
         backend = LiveSqliteBackend.attach(engine)
         a = connect(engine, "v1", backend=backend)
         b = connect(engine, "v1", backend=backend)
         assert a._session is not b._session
-        assert a._session.connection is not b._session.connection
-        a.close()
-        b.close()
+        with a, b:
+            held = {a._session._held, b._session._held}
+            assert len(held) == 2 and backend.connection not in held
+            assert backend.pool.leased == 2
+        c = connect(engine, "v1", autocommit=True, backend=backend)
+        d = connect(engine, "v1", autocommit=True, backend=backend)
+        before = backend.pool.stats()["leases"]
+        c.execute("SELECT * FROM R")
+        d.execute("SELECT * FROM R")
+        after = backend.pool.stats()["leases"]
+        assert after == {**before, "primary": before["primary"] + 2}
+        for conn in (a, b, c, d):
+            conn.close()
         backend.close()
 
     def test_released_sessions_are_reused(self):
@@ -62,12 +74,14 @@ class TestSessionPool:
         engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER);")
         backend = LiveSqliteBackend.attach(engine)
         conn = connect(engine, "v1", autocommit=True, backend=backend)
-        handle = conn._session.connection
+        with conn:
+            handle = conn._session._held
+        assert backend.pool.idle == 1 and backend.pool.leased == 0
         conn.close()
-        assert backend.pool.idle == 1
         again = connect(engine, "v1", autocommit=True, backend=backend)
-        assert again.execute("SELECT * FROM R").rowcount == 0
-        assert again._session.connection is handle
+        with again:
+            assert again.execute("SELECT * FROM R").rowcount == 0
+            assert again._session._held is handle
         again.close()
         backend.close()
 

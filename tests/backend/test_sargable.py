@@ -401,7 +401,9 @@ def _vm_steps(engine, version: str, sql: str, params: tuple) -> int:
     """SQLite VM steps of one statement, counted the way the benchmark's
     layer trace does: a progress handler firing on every instruction."""
     conn = repro.connect(engine, version, autocommit=True, backend="sqlite")
-    handle = conn._session.connection
+    # A lone autocommit client runs on the primary: the handle that ran
+    # the DDL.
+    handle = engine.live_backend.connection
     steps = 0
 
     def tick():
@@ -434,13 +436,13 @@ def _cascade_statements(engine, version: str, sql: str, params: tuple) -> int:
     ``backend.trigger_invocations.*`` is this plus three on every pin
     (BEGIN IMMEDIATE, the count query, ROLLBACK)."""
     conn = repro.connect(engine, version, autocommit=True, backend="sqlite")
-    handle = conn._session.connection
+    session = conn._session
     traced: list[str] = []
-    handle.set_trace_callback(traced.append)
+    session.set_trace_callback(traced.append)
     try:
         assert conn.execute(sql, params).rowcount == 1
     finally:
-        handle.set_trace_callback(None)
+        session.set_trace_callback(None)
         conn.close()
     # Every statement of the cascade is traced under the outer text.
     return sum(text.startswith("UPDATE") for text in traced)

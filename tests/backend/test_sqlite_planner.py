@@ -391,7 +391,7 @@ class TestExplainWrite:
     def test_explain_shows_the_text_that_runs_and_the_equivalent_read(self):
         conn = connect(_engine(), "v1", autocommit=True, backend="sqlite")
         conn.executemany("INSERT INTO Item(name, qty, tag) VALUES (?, ?, ?)", ROWS)
-        handle = conn._session.connection
+        session = conn._session
         for sql, params in (
             ("UPDATE Item SET qty = qty + ? WHERE tag = ?", (1, "fruit")),
             ("DELETE FROM Item WHERE tag = ?", ("veg",)),
@@ -400,14 +400,14 @@ class TestExplainWrite:
             assert report["executed_sql"] == report["backend_sql"] + " RETURNING 1"
             assert report["count_sql"].startswith("SELECT COUNT(*) FROM")
             assert report["query_plan"] and report["count_query_plan"]
-            # Both replay on a bare handle: the read says how many rows the
+            # Both replay on the session: the read says how many rows the
             # write is about to report.
-            (count,) = handle.execute(report["count_sql"], params).fetchone()
+            (count,) = session.execute(report["count_sql"], params).fetchone()
             seen: list[str] = []
-            handle.set_trace_callback(seen.append)
+            session.set_trace_callback(seen.append)
             try:
                 assert conn.execute(sql, params).rowcount == count > 0
             finally:
-                handle.set_trace_callback(None)
+                session.set_trace_callback(None)
             assert not any(text.startswith("SELECT COUNT") for text in seen)
             assert any(text.endswith("RETURNING 1") for text in seen if not text.startswith("--"))

@@ -34,14 +34,14 @@ def engine():
 def _counted_by_the_test(engine, version: str, sql: str, params: tuple) -> int:
     """Events a callback of the test's own sees for one untraced statement."""
     conn = repro.connect(engine, version, autocommit=True, backend="sqlite")
-    handle = conn._session.connection
+    session = conn._session
     conn.execute(sql, ("warm", *params[1:]))  # prepared once, like the traced side
     events: list[str] = []
-    handle.set_trace_callback(events.append)
+    session.set_trace_callback(events.append)
     try:
         cursor = conn.execute(sql, params)
     finally:
-        handle.set_trace_callback(None)
+        session.set_trace_callback(None)
         conn.close()
     assert cursor.rowcount == 1 and cursor.trace is None
     return len(events)

@@ -54,7 +54,9 @@ class TestConnectionStats:
         conn.execute("INSERT INTO R (a, b) VALUES (1, 'x')")
         stats = conn.stats()
         assert stats["backend"] == "sqlite"
-        assert stats["pool"]["leased"] >= 1
+        # A lone autocommit client runs on the primary: no overflow lease.
+        assert stats["pool"]["leases"]["primary"] >= 1
+        assert stats["pool"]["leased"] == 0
         assert "persisted" in stats["catalog"]
         assert "recovery_seconds" in stats["catalog"]
         assert stats["schema"] == SNAPSHOT_SCHEMA
@@ -73,8 +75,10 @@ class TestPoolStats:
     def test_pool_keeps_legacy_keys_and_adds_lease_waits(self):
         engine = build_engine()
         conn = repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+        with conn:  # a transaction leases an overflow handle
+            pass
         pool_stats = engine.live_backend.pool.stats()
-        for key in ("database", "wal", "leased", "idle", "pool_size",
+        for key in ("database", "wal", "leased", "idle", "leases", "pool_size",
                     "max_sessions", "busy_timeout", "closed"):
             assert key in pool_stats, key
         assert pool_stats["lease_waits"]["count"] >= 1

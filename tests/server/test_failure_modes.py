@@ -85,6 +85,7 @@ class TestVersionDropped:
     def test_dropped_version_releases_session(self, wal_server):
         scenario, server, backend = wal_server
         conn = remote(server, "Do!")
+        conn.__enter__()  # an open transaction holds an overflow handle
         conn.execute("SELECT * FROM Todo").fetchall()
         leased_with_client = backend.pool.stats()["leased"]
         scenario.engine.drop_schema_version("Do!")

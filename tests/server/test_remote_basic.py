@@ -221,9 +221,11 @@ class TestServerStatus:
         _, server, backend = wal_server
         a = remote(server, "TasKy")
         b = remote(server, "TasKy2")
-        status = a.server_status()
+        with a, b:
+            status = a.server_status()
         assert a.backend_name == "sqlite"
-        assert status["pool"]["leased"] == 2  # one leased session per client
+        assert status["pool"]["leased"] == 2  # one overflow handle per open transaction
+        assert set(status["pool"]["leases"]) == {"primary", "overflow"}
         assert status["pool"]["database"] == backend.pool.database
         a.close()
         b.close()
@@ -247,7 +249,8 @@ class TestRemoteOverLiveBackend:
         _, server, backend = wal_server
         before = backend.pool.stats()["leased"]
         conn = remote(server, "TasKy")
-        assert backend.pool.stats()["leased"] == before + 1
+        conn.execute("INSERT INTO Task(author, task, prio) VALUES ('X', 'x', 1)")
+        assert backend.pool.stats()["leased"] == before + 1  # the open transaction's
         conn.close()
         deadline = _wait_until(lambda: backend.pool.stats()["leased"] == before)
         assert deadline, "leased session was not returned on client close"

@@ -238,7 +238,7 @@ class TestObservability:
         stats = conn.stats()
         assert stats["backend"] == "sqlite"
         assert stats["plan_cache"]["hits"] >= 1
-        assert stats["pool"]["leased"] >= 1
+        assert stats["pool"]["leases"]["primary"] >= 2  # both reads, no transaction
         assert stats["pool"]["plan_cache"]["hits"] >= 1  # pool folds them in
         conn.close()
 

@@ -77,7 +77,7 @@ def _inject(monkeypatch, conn, *, after: int = 1, rows: int | None = None):
 def _assert_clean(engine, backend, conn, before) -> None:
     assert visible_state(engine, backend) == before
     assert not conn.in_transaction
-    assert not conn._session.connection.in_transaction
+    assert not conn._session.in_transaction
     # The gate is free: a second writer proceeds at once.
     assert backend.write_gate.acquire(timeout=2)
     backend.write_gate.release()
@@ -178,7 +178,7 @@ class TestInsideATransaction:
         assert visible_state(engine, backend) == expected
         assert conn.execute(INSERT_LO, (900, 0, 2, "later")).rowcount == 1
         conn.commit()
-        assert not conn._session.connection.in_transaction
+        assert not conn._session.in_transaction
         check = _connect(engine, "S0", autocommit=True)
         assert check.execute("SELECT note FROM Item WHERE k IN (24, 900) ORDER BY k").fetchall() == [
             ("kept",), ("later",)

@@ -1,7 +1,7 @@
 """Statement-count gate: what a write costs in SQLite statements.
 
-Every write is watched through ``set_trace_callback`` on the session's
-handle and reduced to the *sequence of distinct top-level statement
+Every write is watched through the session's ``set_trace_callback``
+(applied to whatever handle the session leases) and reduced to the *sequence of distinct top-level statement
 shapes*: lines starting with ``--`` are dropped (Python 3.10 reports a
 trigger's sub-statements that way), bound values are masked (3.11+
 reports the top-level statement's *expanded* text, once per
@@ -42,18 +42,18 @@ def _shape(text: str) -> str:
 
 
 class Watch:
-    """Collects what the session's handle runs inside a ``with`` block."""
+    """Collects what the session's leases run inside a ``with`` block."""
 
     def __init__(self, connection):
-        self.handle = connection._session.connection
+        self.session = connection._session
         self.texts: list[str] = []
 
     def __enter__(self):
-        self.handle.set_trace_callback(self.texts.append)
+        self.session.set_trace_callback(self.texts.append)
         return self
 
     def __exit__(self, *exc):
-        self.handle.set_trace_callback(None)
+        self.session.set_trace_callback(None)
 
     @property
     def top_level(self) -> list[str]:
@@ -231,12 +231,11 @@ def test_failed_statement_inside_a_transaction_rolls_back_to_the_fixed_name(chai
     conn = repro.connect(chain, "S4", autocommit=False, backend="sqlite")
     try:
         conn.execute("UPDATE Even SET memo = ? WHERE k = ?", ("kept", 28))
-        handle = conn._session.connection
         with Watch(conn) as watch:
             with pytest.raises(OperationalError, match="integer overflow"):
                 conn.execute("UPDATE Even SET memo = abs(?) WHERE k = ?", (-(2**63), 28))
         assert SAVEPOINT in watch.top_level and ROLLBACK_TO in watch.top_level, watch.texts
-        assert handle.in_transaction
+        assert conn._session.in_transaction
         conn.commit()
         assert conn.execute("SELECT memo FROM Even WHERE k = ?", (28,)).fetchall() == [("kept",)]
         conn.commit()
