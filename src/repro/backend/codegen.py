@@ -50,7 +50,9 @@ from repro.util.naming import physical_name
 #:     partition write folds the written row into NEW.
 #: 6 = a write into a view whose own program is one row-local statement
 #:     is that statement (UPDATE triggers included).
-EMISSION_STAMP = 6
+#: 7 = a SPLIT's first-partition keeper tests OLD, an aux membership is
+#:     a delete plus one guarded insert, a snapshot row is a FROM item.
+EMISSION_STAMP = 7
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -245,7 +247,7 @@ class Renderer:
     def _hop_key(self, hops: list[TableVersion]) -> tuple:
         return tuple(self._route(hop)[3] for hop in hops)
 
-    def row_program(self, tv, op, key, values, guard) -> str | None:
+    def row_program(self, tv, op, key, values, guard, source) -> str | None:
         """``tv``'s own ``op`` program bound to a writer's row, when it is
         one row-local statement — no shared-aux upkeep around it, and the
         physical pass-through or a handler's
@@ -256,8 +258,8 @@ class Renderer:
         if adjacent_shared or deep:
             return None
         if route_smo is None:
-            return _physical_write(tv, op, key, values, guard)
-        return handler_for(self.ctx, route_smo).row_write(tv, op, key, values, guard)
+            return _physical_write(tv, op, key, values, guard, source)
+        return handler_for(self.ctx, route_smo).row_write(tv, op, key, values, guard, source)
 
     def triggers(self, tv: TableVersion) -> list[str]:
         """The ``INSTEAD OF`` trigger triple of ``tv``.
@@ -286,7 +288,7 @@ class Renderer:
                     tv, op, apply_data=False
                 )
             if route_smo is None:
-                body.append(_physical_write(tv, op, *own_row(tv, op), None))
+                body.append(_physical_write(tv, op, *own_row(tv, op), None, None))
             else:
                 body += handler_for(ctx, route_smo).write_statements(tv, op)
             # Extent repairs for distant shared-aux SMOs read the POST-write
@@ -362,14 +364,15 @@ def script(statements: Iterable[str]) -> str:
     return ";\n".join(statements)
 
 
-def _physical_write(tv: TableVersion, op: str, key: str, values, guard) -> str:
+def _physical_write(tv: TableVersion, op: str, key: str, values, guard, source) -> str:
     """The pass-through program of a physical table version, bound to the
-    row ``key`` / ``values`` under ``guard``."""
+    row ``key`` / ``values`` (reading ``source`` if given) under ``guard``."""
     data = q(tv.data_table_name)
     if op == "DELETE":
         return emit.delete_row(data, key, guard=guard)
     return emit.upsert_row(
-        data, tv.schema.column_names, key, values, guard=guard, plain_table=True
+        data, tv.schema.column_names, key, values,
+        guard=guard, source=source, plain_table=True,
     )
 
 

@@ -9,6 +9,7 @@ routinely traffic in NULL payloads (the paper's omega rows).
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.expr.ast import Expression
@@ -114,9 +115,12 @@ def upsert_row(
     value_sqls: Sequence[str],
     *,
     guard: str | None = None,
+    source: str | None = None,
     plain_table: bool = False,
 ) -> str:
-    """Upsert one row (``key_sql`` -> values) into a view or table.
+    """Upsert one row (``key_sql`` -> values) into a view or table; with
+    ``source``, the values read that ``FROM`` item and there is a row to
+    upsert only where it has one.
 
     ``INSERT`` into a generated view *is* an upsert: its ``INSTEAD OF
     INSERT`` program bottoms out in ``INSERT OR REPLACE`` on stored tables.
@@ -128,13 +132,39 @@ def upsert_row(
     verb = "INSERT OR REPLACE" if plain_table else "INSERT"
     collist = ", ".join(["p", *qcols(columns)])
     values = ", ".join([key_sql, *value_sqls])
+    source_sql = f" FROM {source}" if source is not None else ""
     where = f" WHERE {guard}" if guard is not None else ""
-    return f"{verb} INTO {target} ({collist}) SELECT {values}{where}"
+    return f"{verb} INTO {target} ({collist}) SELECT {values}{source_sql}{where}"
 
 
 def delete_row(target: str, key_sql: str, *, guard: str | None = None) -> str:
     guard_sql = f" AND ({guard})" if guard is not None else ""
     return f"DELETE FROM {target} WHERE p IS {key_sql}{guard_sql}"
+
+
+def snapshot_exists(put: str) -> str:
+    """Whether a write program's row snapshot ``put`` holds its row: the one
+    state a row-local guard may read, as no row-local program writes one."""
+    return f"EXISTS (SELECT 1 FROM {put})"
+
+
+#: Every test :func:`snapshot_exists` renders.
+SNAPSHOT_TEST = re.compile(r"EXISTS \(SELECT 1 FROM put__\w+\)")
+
+
+def member_row(
+    target: str, key_sql: str, present: bool | str, columns: Sequence[str] = (),
+    value_sqls: Sequence[str] = (), *, source: str | None = None,
+) -> list[str]:
+    """Make ``key_sql`` a member of the stored table ``target`` exactly when
+    ``present`` holds (a folded ``True`` / ``False`` or SQL text): delete
+    it, then insert it under that guard, which is compiled once."""
+    if present is False:
+        return [delete_row(target, key_sql)]
+    guard = None if present is True else present
+    return [delete_row(target, key_sql), upsert_row(
+        target, columns, key_sql, value_sqls, guard=guard, source=source, plain_table=True
+    )]
 
 
 def apply_extent(target: str, columns: Sequence[str], source: str) -> list[str]:

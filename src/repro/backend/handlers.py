@@ -38,6 +38,7 @@ from repro.backend.emit import (
     render_expression,
     rows_differ,
     seq_value,
+    snapshot_exists,
     upsert_row,
 )
 from repro.bidel.smo.columns import AddColumnSemantics, DropColumnSemantics
@@ -94,34 +95,37 @@ class HandlerContext:
     seam every write of one row into a table version goes through."""
 
     engine: object  # InVerDa; duck-typed to avoid an import cycle
-    #: ``(tv, op, key, values, guard)`` -> ``tv``'s own ``op`` program with
-    #: its row bound, or ``None`` unless that program is one row-local
-    #: statement (:meth:`repro.backend.codegen.Renderer.row_program`).
+    #: ``(tv, op, key, values, guard, source)`` -> ``tv``'s own ``op``
+    #: program with its row bound, or ``None`` unless that program is one
+    #: row-local statement (:meth:`repro.backend.codegen.Renderer.row_program`).
     inline: Callable[..., str | None] = _never
 
     def view(self, tv: TableVersion) -> str:
         return tv.view_name
 
     def upsert(
-        self, tv: TableVersion, key: str, row: Sequence[str], guard: str | None = None
+        self, tv: TableVersion, key: str, row: Sequence[str],
+        guard: str | None = None, source: str | None = None,
     ) -> str:
-        """Upsert ``row`` (one value per column of ``tv``) under ``key``
-        when ``guard`` holds: ``tv``'s own program with the row substituted
-        for ``NEW`` and the guards conjoined where it is one row-local
-        statement, else the ``INSERT`` into its view that fires it.  Every
-        value is a reference, a literal or parenthesized, so it substitutes
-        as an operand."""
-        return self.inline(tv, "UPSERT", key, row, guard) or upsert_row(
-            self.view(tv), tv.schema.column_names, key, row, guard=guard
+        """Upsert ``row`` (one value per column of ``tv``, reading the
+        ``FROM`` item ``source`` if given) under ``key`` when ``guard``
+        holds: ``tv``'s own program with the row substituted for ``NEW``
+        and the guards conjoined where it is one row-local statement, else
+        the ``INSERT`` into its view that fires it.  Every value is a
+        reference, a literal or parenthesized, so it substitutes as an
+        operand."""
+        return self.inline(tv, "UPSERT", key, row, guard, source) or upsert_row(
+            self.view(tv), tv.schema.column_names, key, row, guard=guard, source=source
         )
 
     def delete(self, tv: TableVersion, key: str, guard: str | None = None) -> str:
         """Delete ``key`` from ``tv`` when ``guard`` holds, through ``tv``'s
-        one-statement program where the guard reads nothing but the row:
-        every such program maps rows 1:1 on ``p``, so an absent row stays
-        no effect.  A guard reading state (a subquery) stays a hop."""
-        if guard is None or "SELECT" not in guard:
-            inlined = self.inline(tv, "DELETE", key, (), guard)
+        one-statement program where the guard reads nothing but the row
+        and a write program's row snapshot: every such program maps rows
+        1:1 on ``p``, so an absent row stays no effect, and none writes a
+        snapshot.  A guard reading any other state stays a hop."""
+        if guard is None or "SELECT" not in emit.SNAPSHOT_TEST.sub("", guard):
+            inlined = self.inline(tv, "DELETE", key, (), guard, None)
             if inlined is not None:
                 return inlined
         return delete_row(self.view(tv), key, guard=guard)
@@ -181,19 +185,20 @@ def _not(term: Guard) -> Guard:
     return not term if isinstance(term, bool) else f"NOT ({term})"
 
 
-def _guarded(guard: Guard, build, *args) -> list[str]:
-    """``build(*args, guard=guard)``: no statement when the guard folds to
-    false, no ``WHERE`` when it folds to true."""
-    return [] if guard is False else [build(*args, guard=None if guard is True else guard)]
+def _guarded(guard: Guard, build, *args, **kwargs) -> list[str]:
+    """``build(*args, guard=guard, **kwargs)``: no statement when the guard
+    folds to false, no ``WHERE`` when it folds to true."""
+    return [] if guard is False else [
+        build(*args, guard=None if guard is True else guard, **kwargs)
+    ]
 
 
 class _PartitionRow(NamedTuple):
     """One partition's row as a partition write program sees it."""
 
     exists: Guard
-    refs: dict[str, str]  # column -> reference, inside an EXISTS over source
+    refs: dict[str, str]  # column -> reference, valid with source in FROM
     source: str | None  # FROM item of its snapshot; None when folded to NEW
-    values: list[str]  # column values as scalar expressions
 
 
 class SmoHandler:
@@ -271,7 +276,7 @@ class SmoHandler:
         """The program behind :meth:`write_statements`.  ``apply_data`` is
         only ever ``False`` for an SMO with shared aux tables.  Default:
         the one statement of :meth:`row_write` over the trigger's row."""
-        return [self.row_write(tv, op, *own_row(tv, op), None)]
+        return [self.row_write(tv, op, *own_row(tv, op), None, None)]
 
     def row_write(
         self,
@@ -280,11 +285,13 @@ class SmoHandler:
         key: str,
         values: Sequence[str],
         guard: str | None,
+        source: str | None,
     ) -> str | None:
         """``tv``'s ``op`` program when it is one row-local statement
         (reading nothing but its row and literals), rendered for the row
-        ``key`` / ``values`` (none for a delete) under ``guard``;
-        ``None`` when the program is more (default)."""
+        ``key`` / ``values`` (none for a delete; reading ``source`` if
+        given) under ``guard``; ``None`` when the program is more
+        (default)."""
         return None
 
     def repair_statements(self) -> list[str]:
@@ -372,26 +379,27 @@ class RuleBackedHandler(SmoHandler):
 class DropTableHandler(RuleBackedHandler):
     """DROP TABLE: identity between the retired table and its aux home."""
 
-    def row_write(self, tv, op, key, values, guard):
+    def row_write(self, tv, op, key, values, guard, source):
         aux = self.smo.aux_table_name("R_retired")
         if op == "DELETE":
             return delete_row(aux, key, guard=guard)
         return upsert_row(
-            aux, tv.schema.column_names, key, values, guard=guard, plain_table=True
+            aux, tv.schema.column_names, key, values,
+            guard=guard, source=source, plain_table=True,
         )
 
 
 class IdentityHandler(RuleBackedHandler):
     """RENAME TABLE / RENAME COLUMN: positional identity on rows."""
 
-    def row_write(self, tv, op, key, values, guard):
+    def row_write(self, tv, op, key, values, guard, source):
         if self.side_of(tv) == "source":
             other = self.smo.targets[0]
         else:
             other = self.smo.sources[0]
         if op == "DELETE":
             return self.ctx.delete(other, key, guard)
-        return self.ctx.upsert(other, key, values, guard)
+        return self.ctx.upsert(other, key, values, guard, source)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ class ColumnHandler(RuleBackedHandler):
             return self.smo.sources[0], self.smo.targets[0], node.function
         return self.smo.targets[0], self.smo.sources[0], node.default
 
-    def row_write(self, tv, op, key, values, guard):
+    def row_write(self, tv, op, key, values, guard, source):
         narrow_tv, wide_tv, function = self._sides()
         if tv is not narrow_tv:
             return None
@@ -425,7 +433,7 @@ class ColumnHandler(RuleBackedHandler):
             computed if c == self.sem.node.column else row[c]
             for c in wide_tv.schema.column_names
         ]
-        return self.ctx.upsert(wide_tv, key, wide_values, guard)
+        return self.ctx.upsert(wide_tv, key, wide_values, guard, source)
 
     def _write(self, tv, op, apply_data):
         narrow_tv, _wide_tv, _function = self._sides()
@@ -516,27 +524,17 @@ class VerticalHandler(RuleBackedHandler):
             f"INSERT INTO {put_other} SELECT p, {', '.join(qcols(other_cols))} "
             f"FROM {other_view} WHERE p IS {key}",
         ]
-        other_exists = f"EXISTS (SELECT 1 FROM {put_other})"
-
-        def wide_values(own_sql: dict[str, str]) -> list[str]:
-            values = []
-            for column in wide_tv.schema.column_names:
-                if column in own_sql:
-                    values.append(own_sql[column])
-                elif column in other_cols:
-                    values.append(f"(SELECT {q(column)} FROM {put_other})")
-                else:  # pragma: no cover - partitions cover all columns
-                    values.append("NULL")
-            return values
-
+        wide = wide_tv.schema.column_names
         if op == "DELETE":
-            values = wide_values({c: "NULL" for c in own_cols})
+            # The wide row survives as the other part's, read as a FROM item.
+            row = {**new_refs(other_cols, row="o"), **{c: "NULL" for c in own_cols}}
             return statements + [
-                self.ctx.upsert(wide_tv, key, values, other_exists),
-                self.ctx.delete(wide_tv, key, f"NOT {other_exists}"),
+                self.ctx.upsert(wide_tv, key, [row[c] for c in wide], source=f"{put_other} o"),
+                self.ctx.delete(wide_tv, key, f"NOT {snapshot_exists(put_other)}"),
             ]
-        values = wide_values({c: f"NEW.{q(c)}" for c in own_cols})
-        return statements + [self.ctx.upsert(wide_tv, key, values)]
+        row = {c: f"(SELECT {q(c)} FROM {put_other})" for c in other_cols}
+        row.update(new_refs(own_cols))
+        return statements + [self.ctx.upsert(wide_tv, key, [row[c] for c in wide])]
 
 
 class InnerJoinPkHandler(RuleBackedHandler):
@@ -572,42 +570,20 @@ class InnerJoinPkHandler(RuleBackedHandler):
             f"INSERT INTO {put_other} SELECT p, {', '.join(qcols(other_cols))} "
             f"FROM {self.ctx.view(other_tv)} WHERE p IS {key}",
         ]
-        other_exists = f"EXISTS (SELECT 1 FROM {put_other})"
+        # The other source's row is the snapshot's, read as a FROM item.
+        other, source = new_refs(other_cols, row="o"), f"{put_other} o"
+        other_exists = snapshot_exists(put_other)
         if op == "DELETE":
-            statements.append(self.ctx.delete(joined_tv, key))
-            statements.append(delete_row(own_plus, key))
-            statements.append(
-                upsert_row(
-                    other_plus,
-                    other_cols,
-                    key,
-                    [f"(SELECT {q(c)} FROM {put_other})" for c in other_cols],
-                    guard=other_exists,
-                    plain_table=True,
-                )
+            statements += [self.ctx.delete(joined_tv, key), delete_row(own_plus, key)]
+            return statements + emit.member_row(
+                other_plus, key, True, other_cols, list(other.values()), source=source
             )
-            statements.append(
-                delete_row(other_plus, key, guard=f"NOT {other_exists}")
-            )
-            return statements
-        joined_values = []
-        for column in joined_tv.schema.column_names:
-            if column in own_cols:
-                joined_values.append(f"NEW.{q(column)}")
-            else:
-                joined_values.append(f"(SELECT {q(column)} FROM {put_other})")
+        own = new_refs(own_cols)
+        joined_values = [{**other, **own}[c] for c in joined_tv.schema.column_names]
         return statements + [
-            self.ctx.upsert(joined_tv, key, joined_values, other_exists),
+            self.ctx.upsert(joined_tv, key, joined_values, source=source),
             self.ctx.delete(joined_tv, key, f"NOT {other_exists}"),
-            upsert_row(
-                own_plus,
-                own_cols,
-                key,
-                [f"NEW.{q(c)}" for c in own_cols],
-                guard=f"NOT {other_exists}",
-                plain_table=True,
-            ),
-            delete_row(own_plus, key, guard=other_exists),
+            *emit.member_row(own_plus, key, f"NOT {other_exists}", own_cols, list(own.values())),
             delete_row(other_plus, key),
         ]
 
@@ -691,15 +667,16 @@ class PartitionHandler(RuleBackedHandler):
         The written partition's post-write row is known when the program is
         rendered — ``NEW`` for an upsert, none for a delete — and is folded
         in.  Only the twin partition's row is read, from a snapshot taken
-        first: writing the unified view changes what the twin's view shows."""
+        first (writing the unified view changes what the twin's view
+        shows); a statement needing it reads the snapshot as a ``FROM``
+        item, so an empty snapshot is no row."""
         lens = self._lens()
         unified, first, second = self._tvs()
         roles, columns = lens.roles, lens.schema.column_names
         c_first, c_second = lens.c_first, lens.c_second
         key = "OLD.p" if op == "DELETE" else "NEW.p"
-        new = new_refs(columns)
-        own = _PartitionRow(op != "DELETE", new, None, list(new.values()))
-        twin = _PartitionRow(False, {}, None, [])
+        own = _PartitionRow(op != "DELETE", new_refs(columns), None)
+        twin = _PartitionRow(False, {}, None)
         twin_tv, alias = (second, "s") if tv is first else (first, "f")
         statements = []
         if twin_tv is not None:
@@ -710,67 +687,57 @@ class PartitionHandler(RuleBackedHandler):
                 f"FROM {self.ctx.view(twin_tv)} WHERE p IS {key}",
             ]
             twin = _PartitionRow(
-                f"EXISTS (SELECT 1 FROM {put})",
-                new_refs(columns, row=alias),
-                f"{put} {alias}",
-                [f"(SELECT {q(c)} FROM {put})" for c in columns],
+                snapshot_exists(put), new_refs(columns, row=alias), f"{put} {alias}"
             )
         f_row, s_row = (own, twin) if tv is first else (twin, own)
 
-        def some(test, *rows: _PartitionRow) -> Guard:
-            """``EXISTS (SELECT 1 FROM <the rows> WHERE test(<their refs>))``."""
+        def some(test, *rows: _PartitionRow) -> tuple[Guard, str | None]:
+            """``(guard, FROM items)`` selecting one row exactly when the
+            rows exist and ``test(<their refs>)`` holds."""
             if not all(row.exists for row in rows):
-                return False
-            condition = test(*(row.refs for row in rows))
-            sources = ", ".join(row.source for row in rows if row.source is not None)
-            return f"EXISTS (SELECT 1 FROM {sources} WHERE {condition})" if sources else condition
+                return False, None
+            sources = [row.source for row in rows if row.source is not None]
+            guards = [row.exists for row in rows if row.source is None]
+            return _all(*guards, test(*(row.refs for row in rows))), ", ".join(sources) or None
 
-        unified_view = self.ctx.view(unified)
-        statements += _guarded(f_row.exists, self.ctx.upsert, unified, key, f_row.values)
+        # The unified row: R wins, then S.
+        for row, others in ((f_row, True), (s_row, _not(f_row.exists))):
+            guard, source = some(lambda _refs: True, row)
+            statements += _guarded(
+                _all(others, guard), self.ctx.upsert, unified, key, list(row.refs.values()),
+                source=source,
+            )
+        # A stored unified row matching neither condition stays put.  Only a
+        # delete leaving neither partition a row gets here.  At R the unified
+        # row is then the row deleted, OLD; S may have shown its separated
+        # twin (Splus) instead, so there it is read from the unified view.
+        refs = new_refs(columns, row="OLD" if tv is first else "d")
+        neither = _all(*(cond_not_true(c, refs) for c in (c_first, c_second) if c is not None))
+        if tv is not first:
+            unified_view = self.ctx.view(unified)
+            neither = f"EXISTS (SELECT 1 FROM {unified_view} d WHERE d.p IS {key} AND {neither})"
         statements += _guarded(
-            _all(_not(f_row.exists), s_row.exists),
-            self.ctx.upsert, unified, key, s_row.values,
-        )
-        # A stored unified row matching neither condition stays put; the
-        # engine reads the unified table's routed extent here, which is
-        # exactly its generated view.
-        drefs = new_refs(columns, row="d")
-        neither = [cond_not_true(c, drefs) for c in (c_first, c_second) if c is not None]
-        keeper = (
-            f"EXISTS (SELECT 1 FROM {unified_view} d WHERE d.p IS {key} "
-            f"AND {' AND '.join(neither)})"
-        )
-        statements += _guarded(
-            _all(_not(f_row.exists), _not(s_row.exists), _not(keeper)),
+            _all(_not(f_row.exists), _not(s_row.exists), _not(neither)),
             self.ctx.delete, unified, key,
         )
 
         # Aux memberships on the unified side (Rules 21-25, key-restricted):
-        # (role, the row is a member, SELECT of a member with payload).
-        members = [(roles.rstar, some(lambda f: cond_not_true(c_first, f), f_row), None)]
+        # (role, (guard, FROM items) of a member, its payload columns).
+        members = [(roles.rstar, some(lambda f: cond_not_true(c_first, f), f_row), ())]
         if roles.second is not None and c_second is not None:
-            splus = (
-                f"SELECT {', '.join([key, *s_row.refs.values()])} "
-                f"FROM {twin.source} WHERE {rows_differ(f_row.refs, s_row.refs)}"
-            )
             members += [
-                (roles.rminus, _all(
-                    _not(f_row.exists), some(lambda s: cond_true(c_first, s), s_row)
-                ), None),
-                (roles.splus, some(rows_differ, f_row, s_row), splus),
-                (roles.sminus, _all(
-                    _not(s_row.exists), some(lambda f: cond_true(c_second, f), f_row)
-                ), None),
-                (roles.sstar, some(lambda s: cond_not_true(c_second, s), s_row), None),
+                (roles.rminus, some(lambda s: _all(
+                    _not(f_row.exists), cond_true(c_first, s)), s_row), ()),
+                (roles.splus, some(rows_differ, f_row, s_row), columns),
+                (roles.sminus, some(lambda f: _all(
+                    _not(s_row.exists), cond_true(c_second, f)), f_row), ()),
+                (roles.sstar, some(lambda s: cond_not_true(c_second, s), s_row), ()),
             ]
-        for role, present, payload in members:
-            aux = self.smo.aux_table_name(role)
-            if present is not False:
-                where = "" if present is True else f" WHERE {present}"
-                collist = ", ".join(["p", *qcols(columns if payload else ())])
-                select = payload or f"SELECT {key}{where}"
-                statements.append(f"INSERT OR REPLACE INTO {aux} ({collist}) {select}")
-            statements += _guarded(_not(present), delete_row, aux, key)
+        for role, (present, source), payload in members:
+            statements += emit.member_row(
+                self.smo.aux_table_name(role), key, present, payload,
+                [s_row.refs[c] for c in payload], source=source,
+            )
         return statements
 
     def _write(self, tv, op, apply_data):

@@ -353,9 +353,9 @@ CHAIN = (
 )
 
 
-def build_chain(rows):
-    """The chain over ``rows`` of S0's Item, served by a live backend with
-    the data at S4; returns ``(engine, backend)``."""
+def build_chain(rows, database: str = ":memory:"):
+    """The chain over ``rows`` of S0's Item, served by a live backend on
+    ``database`` with the data at S4; returns ``(engine, backend)``."""
     engine = repro.InVerDa()
     engine.execute(CHAIN[0])
     conn = repro.connect(engine, "S0", autocommit=True)
@@ -363,7 +363,7 @@ def build_chain(rows):
     conn.close()
     for script in CHAIN[1:]:
         engine.execute(script)
-    backend = LiveSqliteBackend.attach(engine)
+    backend = LiveSqliteBackend.attach(engine, database=database)
     engine.execute("MATERIALIZE 'S4';")
     return engine, backend
 

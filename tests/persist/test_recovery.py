@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import sqlite3
+from typing import NamedTuple
 from unittest.mock import ANY
 
 import pytest
@@ -28,12 +30,16 @@ ADD COLUMN c AS a * 2 INTO R;
 """
 
 
-def stamp_2_upsert_row(target, columns, key_sql, value_sqls, *, guard=None, plain_table=False):
+def stamp_2_upsert_row(
+    target, columns, key_sql, value_sqls, *, guard=None, source=None, plain_table=False
+):
     """``emit.upsert_row`` as emission stamp 2 rendered a view target: an
-    UPDATE of the row, then an insert-if-absent."""
-    if plain_table:
+    UPDATE of the row, then an insert-if-absent (a row read from a ``FROM``
+    item, which stamp 2 never rendered, keeps today's form)."""
+    if plain_table or source is not None:
         return emit.upsert_row(
-            target, columns, key_sql, value_sqls, guard=guard, plain_table=True
+            target, columns, key_sql, value_sqls,
+            guard=guard, source=source, plain_table=plain_table,
         )
     sets = ", ".join(f"{emit.q(c)} = {v}" for c, v in zip(columns, value_sqls))
     collist = ", ".join(["p", *emit.qcols(columns)])
@@ -83,6 +89,98 @@ class Stamp5Renderer(codegen.Renderer):
 
     def row_program(self, *_hop):
         return None
+
+
+class _Stamp6Row(NamedTuple):
+    exists: object
+    refs: dict
+    source: str | None
+    values: list
+
+
+#: The stamp-6 partition program read the twin's row one scalar subquery
+#: per column (its keeper's unified-view read is still rendered at S).
+STAMP_6_TWIN = re.compile(r"\(SELECT (?!1\b)\w+ FROM put__\w+\)")
+
+
+def stamp_6_to_unified(self, tv, op):
+    """``PartitionHandler._to_unified`` as emission stamp 6 rendered it: the
+    keeper tests the unified view's row, every aux membership is an
+    ``INSERT OR REPLACE`` under its guard plus a ``DELETE`` under the
+    negated guard, and the twin's row is one scalar subquery per column."""
+    lens = self._lens()
+    unified, first, second = self._tvs()
+    roles, columns = lens.roles, lens.schema.column_names
+    c_first, c_second = lens.c_first, lens.c_second
+    key = "OLD.p" if op == "DELETE" else "NEW.p"
+    new = emit.new_refs(columns)
+    own = _Stamp6Row(op != "DELETE", new, None, list(new.values()))
+    twin = _Stamp6Row(False, {}, None, [])
+    twin_tv, alias = (second, "s") if tv is first else (first, "f")
+    statements = []
+    if twin_tv is not None:
+        put = self.smo.put_table_name(self.role_of(twin_tv))
+        statements += [
+            f"DELETE FROM {put}",
+            f"INSERT INTO {put} SELECT p, {', '.join(emit.qcols(columns))} "
+            f"FROM {self.ctx.view(twin_tv)} WHERE p IS {key}",
+        ]
+        twin = _Stamp6Row(
+            f"EXISTS (SELECT 1 FROM {put})",
+            emit.new_refs(columns, row=alias),
+            f"{put} {alias}",
+            [f"(SELECT {emit.q(c)} FROM {put})" for c in columns],
+        )
+    f_row, s_row = (own, twin) if tv is first else (twin, own)
+
+    def some(test, *rows):
+        if not all(row.exists for row in rows):
+            return False
+        condition = test(*(row.refs for row in rows))
+        sources = ", ".join(row.source for row in rows if row.source is not None)
+        return f"EXISTS (SELECT 1 FROM {sources} WHERE {condition})" if sources else condition
+
+    guarded, both, negated = handlers._guarded, handlers._all, handlers._not
+    statements += guarded(f_row.exists, self.ctx.upsert, unified, key, f_row.values)
+    statements += guarded(
+        both(negated(f_row.exists), s_row.exists), self.ctx.upsert, unified, key, s_row.values
+    )
+    drefs = emit.new_refs(columns, row="d")
+    neither = [handlers.cond_not_true(c, drefs) for c in (c_first, c_second) if c is not None]
+    keeper = (
+        f"EXISTS (SELECT 1 FROM {self.ctx.view(unified)} d WHERE d.p IS {key} "
+        f"AND {' AND '.join(neither)})"
+    )
+    statements += guarded(
+        both(negated(f_row.exists), negated(s_row.exists), negated(keeper)),
+        self.ctx.delete, unified, key,
+    )
+    cond_true, cond_not_true = handlers.cond_true, handlers.cond_not_true
+    members = [(roles.rstar, some(lambda f: cond_not_true(c_first, f), f_row), None)]
+    if roles.second is not None and c_second is not None:
+        splus = (
+            f"SELECT {', '.join([key, *s_row.refs.values()])} "
+            f"FROM {twin.source} WHERE {emit.rows_differ(f_row.refs, s_row.refs)}"
+        )
+        members += [
+            (roles.rminus, both(
+                negated(f_row.exists), some(lambda s: cond_true(c_first, s), s_row)
+            ), None),
+            (roles.splus, some(emit.rows_differ, f_row, s_row), splus),
+            (roles.sminus, both(
+                negated(s_row.exists), some(lambda f: cond_true(c_second, f), f_row)
+            ), None),
+            (roles.sstar, some(lambda s: cond_not_true(c_second, s), s_row), None),
+        ]
+    for role, present, payload in members:
+        aux = self.smo.aux_table_name(role)
+        if present is not False:
+            where = "" if present is True else f" WHERE {present}"
+            collist = ", ".join(["p", *emit.qcols(columns if payload else ())])
+            select = payload or f"SELECT {key}{where}"
+            statements.append(f"INSERT OR REPLACE INTO {aux} ({collist}) {select}")
+        statements += guarded(negated(present), emit.delete_row, aux, key)
+    return statements
 
 
 def build_tasky_file(path: str):
@@ -244,7 +342,7 @@ class TestDeltaCodeReuse:
             engine.live_backend.close()
 
     @pytest.mark.parametrize(
-        "older", ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5"]
+        "older", ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6"]
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
@@ -255,8 +353,8 @@ class TestDeltaCodeReuse:
         two statements, or 3, whose views number their aliases across
         the whole script, or 4, whose UPDATE triggers repeat the INSERT
         trigger's program, or 5, whose triggers fire one another through
-        hops that only rename or recompute columns — is regenerated on
-        open, once."""
+        hops that only rename or recompute columns, or 6, whose partition
+        keeper re-reads the unified view — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -276,6 +374,9 @@ class TestDeltaCodeReuse:
             if older == "stamp-5":
                 patch.setattr(codegen, "Renderer", Stamp5Renderer)
                 patch.setattr(codegen, "EMISSION_STAMP", 5)
+            if older == "stamp-6":
+                patch.setattr(handlers.PartitionHandler, "_to_unified", stamp_6_to_unified)
+                patch.setattr(codegen, "EMISSION_STAMP", 6)
             backend = LiveSqliteBackend.attach(
                 build_orders(2, 8, 2).engine, database=path
             )
@@ -314,6 +415,8 @@ class TestDeltaCodeReuse:
             assert two_statement in trigger_script(handle)
         if older == "stamp-4":
             assert STAMP_4_CHECK in trigger_script(handle)
+        if older == "stamp-6":
+            assert STAMP_6_TWIN.search(trigger_script(handle))
         for name, sql in compounds if older == "unstamped" else ():
             # Dropping a view drops its INSTEAD OF triggers with it.
             triggers = handle.execute(
@@ -353,8 +456,14 @@ class TestDeltaCodeReuse:
                 # are replaced.
                 assert installed == stamp_3_views
                 assert backend.last_install["created"] == backend.last_install["dropped"] > 0
+            if older == "stamp-6":
+                # Same views; the partitions' INSERT and DELETE triggers are
+                # replaced.
+                assert installed == stamp_3_views
+                assert backend.last_install["created"] == backend.last_install["dropped"] == 4
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
+            assert not STAMP_6_TWIN.search(trigger_script(backend.connection))
             assert contents(backend.connection) == before
             assert backend.store.load().delta_emission == codegen.EMISSION_STAMP
         finally:

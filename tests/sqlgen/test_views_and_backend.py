@@ -50,7 +50,7 @@ class TestGeneratedScripts:
         evolution = tasky_generated_scripts().sql_evolution
         assert evolution == script(installed)
         size = measure_code(evolution)
-        assert (size.statements, size.characters) == (64, 6196)
+        assert (size.statements, size.characters) == (64, 6100)
 
     def test_tasky_scripts_table3_direction(self):
         scripts = tasky_generated_scripts()
