@@ -161,6 +161,15 @@ def _query_plan(session: "SqliteSession", sql: str, param_count: int) -> str:
     return "\n".join(lines)
 
 
+def _view_sql(session: "SqliteSession", view_name: str) -> list[tuple[str, str]]:
+    """The ``view_sql`` row: the flattened view's SQL as SQLite stores it."""
+    stored = session.execute(
+        "SELECT sql FROM sqlite_master WHERE type = 'view' AND name = ?",
+        (view_name,),
+    ).fetchone()
+    return [("view_sql", stored[0])] if stored and stored[0] else []
+
+
 class SqliteSelectPlan:
     kind = "select"
 
@@ -183,6 +192,7 @@ class SqliteSelectPlan:
             ("view", self.view_name),
             ("backend_sql", self.sql),
             ("query_plan", _query_plan(session, self.sql, self.param_count)),
+            *_view_sql(session, self.view_name),
         ]
 
 
@@ -244,6 +254,7 @@ class SqliteInsertPlan:
             ("view", self.view_name),
             ("backend_sql", self.insert_sql),
             ("query_plan", _query_plan(session, self.insert_sql, width)),
+            *_view_sql(session, self.view_name),
         ]
 
 
@@ -275,6 +286,7 @@ class SqliteUpdatePlan:
                 "count_query_plan",
                 _query_plan(session, self.count_sql, self.where_params),
             ),
+            *_view_sql(session, self.view_name),
         ]
 
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 
 from repro.backend import codegen, emit, online
 from repro.backend.emit import q, qcols
+from repro.backend.planner import compile_statement_sqlite
 from repro.backend.pool import SessionPool, shared_memory_uri
 from repro.errors import BackendError, CatalogCorruptError, CatalogError, InterfaceError
 from repro.obs.timing import ms_since
@@ -91,7 +92,9 @@ def _next_row_ids(connection: sqlite3.Connection, count: int = 1) -> range:
 class SqliteSession:
     """One client's access to the backend's shared database.
 
-    A session owns no handle; it leases one.  The session is the
+    A session owns no handle; it leases one.  It has the session surface
+    of :class:`repro.core.session.MemorySession`, which is all a DB-API
+    connection uses.  The session is the
     context manager of a statement scope (``with session:``): the first
     thing the statement runs leases a handle, and the scope's end returns
     it:
@@ -115,6 +118,9 @@ class SqliteSession:
     stale transaction token can detect that its transaction already ended
     instead of committing or rolling back work it does not own.
     """
+
+    backend_name = "sqlite"
+    compile = staticmethod(compile_statement_sqlite)
 
     def __init__(self, backend: "LiveSqliteBackend"):
         self.backend = backend
@@ -239,20 +245,6 @@ class SqliteSession:
                 self._release_held()
                 raise
 
-    def begin_immediate(self) -> None:
-        """Open the statement's own transaction on its lease, holding the
-        write lock from the start.
-
-        A deferred transaction that reads first and writes later cannot
-        wait out a concurrent writer in WAL mode: by the time it tries
-        to upgrade, its snapshot is stale and SQLite fails it with
-        ``SQLITE_BUSY_SNAPSHOT`` immediately, busy timeout or not.
-        Taking the lock up front turns that race into an ordinary
-        bounded wait."""
-        connection = self._handle()
-        if not connection.in_transaction:
-            connection.execute("BEGIN IMMEDIATE")
-
     def commit(self) -> None:
         self._end("COMMIT")
 
@@ -285,11 +277,70 @@ class SqliteSession:
         finally:
             self._release_held()
 
-    # -- lifecycle -------------------------------------------------------
+    @contextmanager
+    def write_scope(self):
+        """Statement-level atomicity around a write, on this session's own
+        lease — the statement's, or its open transaction's — so conflicts
+        with other sessions surface as SQLite lock errors, not silent
+        joins."""
+        if not self.in_transaction:
+            # The statement is the transaction — success commits it, any
+            # failure rolls it back, which undoes exactly the statement
+            # (or executemany batch).  It takes the write lock up front:
+            # routed writes read the view before the trigger writes, and
+            # that deferred upgrade loses a WAL snapshot race against any
+            # concurrent writer (e.g. an online backfill chunk) with an
+            # immediate SQLITE_BUSY_SNAPSHOT, busy timeout or not.  It
+            # queues for the backend write *gate* first — waiters on a
+            # Python lock are woken the moment the holder releases, where
+            # SQLite's busy handler would poll and starve behind a
+            # back-to-back backfill chunk loop.
+            with self.backend.write_gate:
+                self.execute("BEGIN IMMEDIATE")
+                try:
+                    yield
+                    self.commit()
+                except BaseException:
+                    if not self._closed:
+                        self.rollback()
+                    raise
+            return
+        # Inside a transaction a savepoint bounds the statement's effects.
+        # The name is fixed, so its texts are prepared once per handle;
+        # SQLite nests equal names, and ROLLBACK TO / RELEASE address the
+        # innermost.
+        self.execute("SAVEPOINT repro_stmt")
+        try:
+            yield
+        except BaseException:
+            if not self._closed:
+                self.execute("ROLLBACK TO repro_stmt")
+                self.execute("RELEASE repro_stmt")
+            raise
+        self.execute("RELEASE repro_stmt")
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    @contextmanager
+    def counting(self, span):
+        """``span``, noting as ``sqlite_statements`` everything SQLite ran
+        on this session's lease meanwhile: the write scope's own BEGIN /
+        COMMIT / savepoint statements and every trigger statement of the
+        cascade."""
+        events = 0
+
+        def count(_text):
+            nonlocal events
+            events += 1
+
+        with span as execute:
+            previous = self.set_trace_callback(count)
+            try:
+                yield
+            finally:
+                execute.attributes["sqlite_statements"] = events
+                if not self._closed:
+                    self.set_trace_callback(previous)
+
+    # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
         """Roll back any open transaction and return its handle to the

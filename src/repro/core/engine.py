@@ -138,6 +138,8 @@ class InVerDa:
         self.database = Database()
         self.genealogy = Genealogy()
         self._undo_log: list[tuple[str, Key, tuple | None]] | None = None
+        # Moves whenever a transaction's journal ends (see MemorySession).
+        self._journal_epoch = 0
         # Memo: does anything stored lie beyond (smo, direction)? Reset on
         # every evolution and migration.
         self._propagation_needs: dict[tuple[int, str], bool] = {}
@@ -280,11 +282,20 @@ class InVerDa:
                 pass  # the catalog already changed; a listener cannot veto it
 
     def _quiesce_backend(self) -> None:
-        """Commit every backend session's open transaction before a
-        catalog transition (DDL is not transactional).  Runs under the
+        """Commit every open transaction before a catalog transition (DDL
+        is not transactional): the memory journal and every backend
+        session's.  A journal kept across a migration would name physical
+        tables the swap may drop, making rollback a lie.  Runs under the
         catalog write lock, so no session statements are in flight."""
+        if self._undo_log is not None:
+            self._end_journal()
         if self.live_backend is not None:
             self.live_backend.quiesce()
+
+    def _end_journal(self) -> None:
+        """End the transaction journal, keeping its writes."""
+        self._undo_log = None
+        self._journal_epoch += 1
 
     # ------------------------------------------------------------------
     # Statement execution

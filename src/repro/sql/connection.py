@@ -22,27 +22,10 @@ The module defines the access layer twice over:
 Transactions
 ------------
 
-On the **in-memory engine** writes are applied eagerly and journalled, so
-transactions are undo-log-backed: ``commit()`` discards the journal,
-``rollback()`` replays it backwards — undoing the write everywhere it
-propagated.  Connections share the engine's single journal: a connection
-whose transaction began while another connection's was open joins that
-transaction and only rolls back its own suffix, and isolation is READ
-UNCOMMITTED (single-process, single-writer engine).
-
-On the **live SQLite backend** every connection has its own session,
-which leases a ``sqlite3`` handle to the shared database per statement:
-the backend's primary handle when it is free, else a pooled overflow
-handle.  An open transaction keeps its own overflow handle until it ends,
-so transactions are real and per-session: ``BEGIN``/``COMMIT``/``ROLLBACK``
-run on that handle and concurrent sessions proceed in parallel.  Isolation
-follows the database mode — snapshot isolation under WAL (file-backed
-databases: readers never block and see committed state), READ UNCOMMITTED
-on the default shared-cache in-memory database (in-flight writes are
-visible across sessions, and a write conflicting with another session's
-open transaction fails fast with ``OperationalError``).
-
-Common semantics on both backends:
+One protocol, on either engine: every connection holds a *session* —
+:class:`~repro.core.session.MemorySession` on the in-memory engine,
+:class:`~repro.backend.sqlite.SqliteSession` on the live SQLite backend
+— and drives its transactions only through it:
 
 - with ``autocommit=False`` (the DB-API default) a transaction starts
   implicitly at the first write and ends at ``commit()``/``rollback()``;
@@ -51,9 +34,23 @@ Common semantics on both backends:
 - ``with conn:`` commits on normal exit and rolls back on exception;
   nested ``with`` blocks join the outermost transaction (only the
   outermost block commits or rolls back);
-- executing BiDEL DDL through a cursor implicitly commits EVERY open
-  transaction, across all sessions (DDL is not transactional); a stale
-  transaction token detects this and makes later commit/rollback inert.
+- a write is atomic: a failure mid-statement (or mid-batch) leaves no
+  partial effects, inside a transaction or not;
+- ``rollback()`` undoes a write everywhere it propagated;
+- executing BiDEL DDL — through a cursor or the engine — implicitly
+  commits EVERY open transaction, across all sessions (DDL is not
+  transactional); the session's ``transaction_epoch`` moves, so the
+  connection's stale token makes a later commit/rollback inert.
+
+The two engines differ in isolation only.  The memory engine is
+single-writer and READ UNCOMMITTED: writes land eagerly in shared
+tables, so a transaction begun while another is open *joins* it and its
+rollback undoes the shared journal's suffix since it joined (see
+:mod:`repro.core.session`).  On SQLite each transaction is real and
+per-session, on its own leased handle: snapshot isolation under WAL
+(file-backed databases), READ UNCOMMITTED on the default shared-cache
+in-memory database, where a write conflicting with another session's
+open transaction fails fast with ``OperationalError``.
 """
 
 from __future__ import annotations
@@ -63,10 +60,10 @@ import sqlite3
 import time
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.catalog.versions import SchemaVersion
+from repro.core.session import MemorySession
 from repro.errors import (
     AccessError,
     CatalogError,
@@ -80,18 +77,11 @@ from repro.relational.types import DataType
 from repro.sql.ast import BidelStatement, Check, Explain, SqlStatement
 from repro.sql.parser import parse_statement
 from repro.sql.plancache import DdlPlan
-from repro.sql.planner import StatementResult, compile_statement_memory
+from repro.sql.planner import StatementResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.backend.sqlite import LiveSqliteBackend, SqliteSession
+    from repro.backend.sqlite import SqliteSession
     from repro.core.engine import InVerDa
-
-
-@dataclass
-class _Transaction:
-    journal: list | None  # engine undo log (memory backends only)
-    mark: int  # journal length (memory) / session epoch (sqlite) at begin
-    owner: bool  # did this connection open the engine-level journal?
 
 
 def _normalize_params(parameters: Sequence[Any] | None, expected: int) -> tuple:
@@ -157,14 +147,6 @@ class ExplainPlan:
             (name, str(value))
             for name, value in self.inner.explain_entries(connection._session)
         )
-        view_name = getattr(self.inner, "view_name", None)
-        if view_name and connection._session is not None:
-            stored = connection._session.execute(
-                "SELECT sql FROM sqlite_master WHERE type = 'view' AND name = ?",
-                (view_name,),
-            ).fetchone()
-            if stored and stored[0]:
-                rows.append(("view_sql", stored[0]))
         if connection._use_plan_cache:
             inner_text = _EXPLAIN_PREFIX.sub("", operation)
             key = (inner_text, connection.version_name, connection.backend_name)
@@ -525,40 +507,30 @@ class Cursor(BaseCursor):
 
     def _execute_inner(self, connection, engine, builder, operation,
                        parameters) -> str:
-        with engine.catalog_lock.read_locked(), connection._lease():
+        with engine.catalog_lock.read_locked():
             plan = self._plan(connection, builder, operation)
-            if plan.kind == "explain":
-                with _translated_errors():
-                    self._install_result(plan.run_explain(connection, operation))
-                engine.workload.record(connection.version_name, "explain")
-                return "explain"
-            if plan.kind == "check":
+            kind = plan.kind
+            if kind == "check":
                 with _translated_errors():
                     self._install_result(plan.run_check(connection, operation))
-                engine.workload.record(connection.version_name, "check")
-                return "check"
-            if plan.kind != "ddl":
-                params = _normalize_params(parameters, plan.param_count)
-                if plan.kind == "select":
-                    with connection._execute_span(builder), _translated_errors():
-                        self._install_result(connection._run_plan(plan, params))
-                    engine.workload.record(connection.version_name, "select")
-                    return "select"
-                with connection._execute_span(
-                    builder
-                ), connection._write_scope(), _translated_errors():
-                    self._install_result(connection._run_plan(plan, params))
-                engine.workload.record(connection.version_name, plan.kind)
-                return plan.kind
+            elif kind == "explain":
+                with connection._session, _translated_errors():
+                    self._install_result(plan.run_explain(connection, operation))
+            elif kind != "ddl":
+                with connection._session as session:
+                    params = _normalize_params(parameters, plan.param_count)
+                    with connection._execute_span(builder), _translated_errors(), (
+                        _NOOP_SPAN if kind == "select" else connection._write_scope()
+                    ):
+                        self._install_result(plan.run(session, params))
+            if kind != "ddl":
+                engine.workload.record(connection.version_name, kind)
+                return kind
         # BiDEL DDL runs outside the read scope: the engine takes the
-        # catalog write lock itself.  DDL is not transactional: it
-        # implicitly commits EVERY open transaction. A journal kept across
-        # a migration would name physical tables the swap may drop, making
-        # rollback a lie.
+        # catalog write lock itself, and commits every open transaction.
         _normalize_params(parameters, plan.param_count)
         with _span(builder, "commit"):
             connection.commit()
-            connection._force_end_transactions()
         with _span(builder, "execute", backend="engine"), _translated_errors():
             engine.execute(plan.statement.text)
         engine.workload.record(connection.version_name, "ddl")
@@ -585,36 +557,35 @@ class Cursor(BaseCursor):
     def _executemany_inner(self, connection, engine, builder, operation,
                            seq_of_parameters) -> str:
         seq_of_parameters = list(seq_of_parameters)
-        with engine.catalog_lock.read_locked(), connection._lease():
+        with engine.catalog_lock.read_locked():
             plan = self._plan(connection, builder, operation)
             if plan.kind in ("select", "ddl", "explain", "check"):
                 raise ProgrammingError("executemany() only accepts DML statements")
-            if plan.kind == "insert":
-                normalized = [
-                    _normalize_params(parameters, plan.param_count)
-                    for parameters in seq_of_parameters
-                ]
-                with connection._execute_span(
-                    builder, batch=len(normalized)
-                ), connection._write_scope(), _translated_errors():
+            with connection._session as session:
+                if plan.kind == "insert":
+                    normalized = [
+                        _normalize_params(parameters, plan.param_count)
+                        for parameters in seq_of_parameters
+                    ]
+                    with connection._execute_span(
+                        builder, batch=len(normalized)
+                    ), _translated_errors(), connection._write_scope():
+                        self._install_result(plan.run_many(session, normalized))
+                else:
+                    total = 0
+                    lastrowid: int | None = None
+                    with connection._execute_span(
+                        builder, batch=len(seq_of_parameters)
+                    ), _translated_errors(), connection._write_scope():
+                        for parameters in seq_of_parameters:
+                            params = _normalize_params(parameters, plan.param_count)
+                            result = plan.run(session, params)
+                            total += max(result.rowcount, 0)
+                            if result.lastrowid is not None:
+                                lastrowid = result.lastrowid
                     self._install_result(
-                        connection._run_plan_many(plan, normalized)
+                        StatementResult(rowcount=total, lastrowid=lastrowid)
                     )
-            else:
-                total = 0
-                lastrowid: int | None = None
-                with connection._execute_span(
-                    builder, batch=len(seq_of_parameters)
-                ), connection._write_scope(), _translated_errors():
-                    for parameters in seq_of_parameters:
-                        params = _normalize_params(parameters, plan.param_count)
-                        result = connection._run_plan(plan, params)
-                        total += max(result.rowcount, 0)
-                        if result.lastrowid is not None:
-                            lastrowid = result.lastrowid
-                self._install_result(
-                    StatementResult(rowcount=total, lastrowid=lastrowid)
-                )
             engine.workload.record(
                 connection.version_name, plan.kind, len(seq_of_parameters)
             )
@@ -630,7 +601,7 @@ class Connection(BaseConnection):
         version: SchemaVersion,
         *,
         autocommit: bool = False,
-        backend: "LiveSqliteBackend | None" = None,
+        session: "MemorySession | SqliteSession",
         plan_cache: bool = True,
         trace: bool = False,
         slow_ms: float | None = None,
@@ -638,7 +609,9 @@ class Connection(BaseConnection):
         super().__init__(autocommit=autocommit)
         self.engine = engine
         self._version = version
-        self._backend = backend
+        #: The engine's session for this connection: every statement and
+        #: transaction goes through it.
+        self._session = session
         self._use_plan_cache = plan_cache
         self._trace = trace
         self._slow_ms = slow_ms
@@ -667,12 +640,9 @@ class Connection(BaseConnection):
             "Statements exceeding the slow-query threshold, by version.",
             ("version",),
         )
-        # On the live backend every connection has its own session, which
-        # leases a handle per statement and per transaction.
-        self._session: "SqliteSession | None" = (
-            backend.open_session() if backend is not None else None
-        )
-        self._txn: _Transaction | None = None
+        #: The session's ``transaction_epoch`` when this connection's
+        #: transaction began; ``None`` outside one.
+        self._txn: int | None = None
 
     # -- metadata ----------------------------------------------------------
 
@@ -682,20 +652,14 @@ class Connection(BaseConnection):
 
     @property
     def backend_name(self) -> str:
-        return "memory" if self._backend is None else "sqlite"
+        return self._session.backend_name
 
     @property
     def in_transaction(self) -> bool:
-        if self._txn is None:
-            return False
-        if (
-            self._session is not None
-            and self._session.transaction_epoch != self._txn.mark
-        ):
-            # The transaction was force-ended (catalog transition or
-            # backend shutdown); report reality, not the stale token.
-            return False
-        return True
+        # A token whose epoch moved names a transaction something else
+        # ended (a catalog transition, backend shutdown, or a joined
+        # journal's owner): report reality, not the stale token.
+        return self._txn is not None and self._txn == self._session.transaction_epoch
 
     # -- statement dispatch ------------------------------------------------
 
@@ -722,7 +686,6 @@ class Connection(BaseConnection):
         if cache is not None:
             plan = cache.get(key, generation)
             if plan is not None:
-                self._check_data_plane(plan)
                 return plan, True
         statement = parse_statement(operation)
         with _translated_errors():
@@ -737,50 +700,14 @@ class Connection(BaseConnection):
             cache.put(key, generation, plan)
         return plan, False
 
-    def _check_data_plane(self, plan) -> None:
-        """A cached plan must honour the same guard a fresh compile does:
-        once a live backend owns the data plane, a connection still bound
-        to the in-memory snapshot may not serve (stale) data — only DDL,
-        which runs through the engine, is still allowed."""
-        if plan.kind != "ddl" and self._session is None:
-            _require_memory_plane(self.engine)
-
     def _compile(self, statement: SqlStatement):
         if isinstance(statement, BidelStatement):
             return DdlPlan(statement)
         if isinstance(statement, Explain):
             return ExplainPlan(self._compile(statement.statement))
         if isinstance(statement, Check):
-            # Compiled before the stale-session guard: CHECK reads only
-            # the catalog, never the data plane, so a pre-attach
-            # connection may still run it (like DDL and EXPLAIN over it).
             return CheckPlan(statement.script)
-        if self._session is None:
-            # A connection that predates the backend attach (or outlived
-            # the backend) must refuse rather than silently diverge from
-            # the SQLite state.
-            _require_memory_plane(self.engine)
-            return compile_statement_memory(self._version, statement)
-        from repro.backend.planner import compile_statement_sqlite
-
-        return compile_statement_sqlite(self._version, statement)
-
-    def _lease(self):
-        """The scope of a data-plane statement's handle lease: the first
-        thing the statement runs on the session leases a handle, and the
-        scope's end returns it.  BiDEL DDL runs nothing on the session,
-        so it leases nothing."""
-        return _NOOP_SPAN if self._session is None else self._session
-
-    def _run_plan(self, plan, params: tuple) -> StatementResult:
-        if self._session is None:
-            return plan.run(self.engine, params)
-        return plan.run(self._session, params)
-
-    def _run_plan_many(self, plan, seq_of_parameters) -> StatementResult:
-        if self._session is None:
-            return plan.run_many(self.engine, seq_of_parameters)
-        return plan.run_many(self._session, seq_of_parameters)
+        return self._session.compile(self._version, statement)
 
     # -- statement instrumentation -----------------------------------------
 
@@ -810,25 +737,9 @@ class Connection(BaseConnection):
         statements and every trigger statement of the cascade."""
         if builder is None:
             return _NOOP_SPAN
-        span = builder.span("execute", backend=self.backend_name, **attributes)
-        return span if self._session is None else self._counting(span)
-
-    @contextmanager
-    def _counting(self, span):
-        session, events = self._session, 0
-
-        def count(_text):
-            nonlocal events
-            events += 1
-
-        with span as execute:
-            previous = session.set_trace_callback(count)
-            try:
-                yield
-            finally:
-                execute.attributes["sqlite_statements"] = events
-                if not session.closed:
-                    session.set_trace_callback(previous)
+        return self._session.counting(
+            builder.span("execute", backend=self.backend_name, **attributes)
+        )
 
     def _finish_statement(self, cursor: BaseCursor, operation: str, kind: str,
                           started: float, builder, *, error: bool = False) -> None:
@@ -867,15 +778,7 @@ class Connection(BaseConnection):
         occupancy."""
         from repro.obs import engine_snapshot
 
-        return engine_snapshot(self.engine, backend=self._backend)
-
-    def _force_end_transactions(self) -> None:
-        """DDL implicitly commits every open transaction, including other
-        connections' (they will find their journal gone).  Backend
-        sessions are quiesced by the engine itself, under the catalog
-        write lock, before it touches the catalog."""
-        if self._backend is None:
-            self.engine._undo_log = None
+        return engine_snapshot(self.engine, backend=self._session.backend)
 
     def table_names(self) -> list[str]:
         return self._version.table_names()
@@ -887,15 +790,14 @@ class Connection(BaseConnection):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Roll back any open transaction (its handle returns to the
-        pool), close the backend session, and close the connection."""
+        """Roll back any open transaction, close the session (a held
+        handle returns to the pool), and close the connection."""
         if self._closed:
             return
         if self._txn is not None:
             self.rollback()
         self._closed = True
-        if self._session is not None:
-            self._session.close()
+        self._session.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -912,190 +814,60 @@ class Connection(BaseConnection):
     # -- transactions ------------------------------------------------------
 
     def _begin(self) -> None:
-        if self._txn is not None:
-            if (
-                self._session is not None
-                and self._session.transaction_epoch != self._txn.mark
-            ):
-                self._txn = None  # force-ended; a fresh transaction begins
-            else:
-                return
-        if self._session is not None:
-            with _translated_errors():
-                self._session.begin()
-            self._txn = _Transaction(
-                journal=None, mark=self._session.transaction_epoch, owner=True
-            )
+        if self.in_transaction:
             return
-        log = self.engine._undo_log
-        if log is None:
-            log = []
-            self.engine._undo_log = log
-            self._txn = _Transaction(journal=log, mark=0, owner=True)
-        else:
-            self._txn = _Transaction(journal=log, mark=len(log), owner=False)
+        with _translated_errors():
+            self._session.begin()
+        self._txn = self._session.transaction_epoch
 
     def commit(self) -> None:
         """End the current transaction, keeping its writes."""
         self._check_open("commit")
-        if self._txn is None:
-            return
-        if self._session is not None:
-            self._txn, txn = None, self._txn
-            if self._session.transaction_epoch != txn.mark:
-                return  # the transaction this token names already ended
-            with self.engine.catalog_lock.read_locked(), _translated_errors():
-                self._session.commit()
-            return
-        if self._txn.owner and self.engine._undo_log is self._txn.journal:
-            self.engine._undo_log = None
-        self._txn = None
+        self._end(self._session.commit)
 
     def rollback(self) -> None:
         """Undo every write of the current transaction — including its
         propagated effects in all other schema versions."""
         self._check_open("rollback")
-        if self._txn is None:
-            return
-        if self._session is not None:
-            self._txn, txn = None, self._txn
-            if self._session.transaction_epoch != txn.mark:
-                return  # the transaction this token names already ended
+        self._end(self._session.rollback)
+
+    def _end(self, end) -> None:
+        live, self._txn = self.in_transaction, None
+        if live:
             with self.engine.catalog_lock.read_locked(), _translated_errors():
-                self._session.rollback()
-            return
-        # Only touch the journal this transaction actually wrote into. If
-        # it is gone (the owning connection committed or rolled back), the
-        # joined transaction ended with it and there is nothing to undo —
-        # a mark into a NEWER journal would erase someone else's writes.
-        if self.engine._undo_log is self._txn.journal:
-            self.engine._rollback_to(self._txn.mark)
-            if self._txn.owner:
-                self.engine._undo_log = None
-        self._txn = None
+                end()
 
-    @contextmanager
     def _write_scope(self):
-        """Statement-level atomicity around a write.
-
-        Opens the implicit transaction when not in autocommit mode; a
-        failure mid-statement (or mid-executemany-batch) never leaves
-        partial effects behind."""
+        """Statement-level atomicity around a write, opening the implicit
+        transaction first when not in autocommit mode."""
         self._check_open("execute")
         if not self.autocommit:
             self._begin()
-        if self._session is not None:
-            # Both forms run on this connection's OWN lease — the
-            # statement's, or its open transaction's — so conflicts with
-            # other sessions surface as SQLite lock errors, not silent
-            # joins.
-            session = self._session
-            if self.autocommit and not session.in_transaction:
-                # The statement is the transaction — success commits it,
-                # any failure rolls it back, which undoes exactly the
-                # statement (or executemany batch).  It takes the
-                # backend's write lock up front: routed writes read the
-                # view before the trigger writes, and that deferred
-                # upgrade loses a WAL snapshot race against any
-                # concurrent writer (e.g. an online backfill chunk) as an
-                # immediate, untimed-out lock error.  It queues for the
-                # backend write *gate* first — waiters on a Python lock
-                # are woken the moment the holder releases, where
-                # SQLite's busy handler would poll and starve behind a
-                # back-to-back backfill chunk loop.
-                with session.backend.write_gate:
-                    with _translated_errors():
-                        session.begin_immediate()
-                    try:
-                        yield
-                        with _translated_errors():
-                            session.commit()
-                    except BaseException:
-                        if not session.closed:
-                            session.rollback()
-                        raise
-                return
-            # Inside a transaction a savepoint bounds the statement's
-            # effects.  The name is fixed, so its texts are prepared once
-            # per handle; SQLite nests equal names, and ROLLBACK TO /
-            # RELEASE address the innermost.
-            with _translated_errors():
-                session.execute("SAVEPOINT repro_stmt")
-            try:
-                yield
-            except BaseException:
-                if not session.closed:
-                    session.execute("ROLLBACK TO repro_stmt")
-                    session.execute("RELEASE repro_stmt")
-                raise
-            with _translated_errors():
-                session.execute("RELEASE repro_stmt")
-            return
-        engine = self.engine
-        if engine._undo_log is None:
-            engine._undo_log = []
-            try:
-                yield
-            except BaseException:
-                engine._rollback_to(0)
-                raise
-            finally:
-                engine._undo_log = None
-        else:
-            mark = len(engine._undo_log)
-            try:
-                yield
-            except BaseException:
-                engine._rollback_to(mark)
-                raise
-            else:
-                if self.autocommit and self._txn is None:
-                    # An autocommit statement ran while another
-                    # connection's transaction holds the journal: commit
-                    # it NOW by dropping its undo entries, so the foreign
-                    # rollback cannot erase a self-committed write.
-                    del engine._undo_log[mark:]
+        return self._session.write_scope()
 
     def _enter_scope(self) -> None:
         with self.engine.catalog_lock.read_locked():
             self._begin()
 
 
-def _require_memory_plane(engine: "InVerDa") -> None:
-    """Refuse to serve a statement from the engine's in-memory tables once
-    they no longer hold the rows: while a live backend owns the data
-    plane, and — the attach having handed the rows over — after that
-    backend was closed.  (DDL and ``CHECK`` read the catalog only and
-    never come here.)"""
-    if engine.live_backend is not None:
-        raise InterfaceError(
-            "a live execution backend owns this engine's data plane; its "
-            "in-memory tables are empty — connect with backend='sqlite'"
-        )
-    if engine.rows_handed_over:
-        raise InterfaceError(
-            "this engine's rows live in the database its (now closed) live "
-            "backend was attached to; its in-memory tables are empty — "
-            "reopen that file with repro.open(path)"
-        )
-
-
-def _resolve_backend(engine: "InVerDa", backend) -> "LiveSqliteBackend | None":
+def _open_session(engine: "InVerDa", backend) -> "MemorySession | SqliteSession":
+    """The session a new connection runs on: the engine's own, or one on
+    the live backend ``backend`` names."""
     from repro.backend.sqlite import LiveSqliteBackend
 
-    if backend is None:
-        return engine.live_backend
-    if isinstance(backend, LiveSqliteBackend):
-        return backend
     if backend == "memory":
-        _require_memory_plane(engine)
-        return None
+        session = MemorySession(engine)
+        session.require_data_plane()  # refuse now, not at the first statement
+        return session
     if backend == "sqlite":
-        live = engine.live_backend
-        if live is not None:
-            return live
-        return LiveSqliteBackend.attach(engine)
-    raise InterfaceError(f"unknown backend {backend!r}; use 'memory' or 'sqlite'")
+        backend = engine.live_backend or LiveSqliteBackend.attach(engine)
+    elif backend is None:
+        backend = engine.live_backend
+        if backend is None:
+            return MemorySession(engine)
+    elif not isinstance(backend, LiveSqliteBackend):
+        raise InterfaceError(f"unknown backend {backend!r}; use 'memory' or 'sqlite'")
+    return backend.open_session()
 
 
 def connect(
@@ -1122,7 +894,8 @@ def connect(
 
     ``plan_cache=False`` opts this connection out of the engine's shared
     statement-plan cache (every execute re-parses and re-plans; used by
-    the fig16 benchmark to measure the cold path).
+    the fig16 benchmark and ``benchmarks/e2e/layers.py`` to measure the
+    cold path).
 
     ``trace=True`` records a span trace for every statement on this
     connection (readable from ``cursor.trace``) even when the engine's
@@ -1131,12 +904,11 @@ def connect(
     engine tracer's slow-query ring buffer.
     """
     schema_version = resolve_schema_version(engine, version)
-    resolved = _resolve_backend(engine, backend)
     return Connection(
         engine,
         schema_version,
         autocommit=autocommit,
-        backend=resolved,
+        session=_open_session(engine, backend),
         plan_cache=plan_cache,
         trace=trace,
         slow_ms=slow_ms,

@@ -44,6 +44,7 @@ from repro.sql.ast import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import InVerDa
+    from repro.core.session import MemorySession
 
 ROWID = "rowid"
 
@@ -326,8 +327,8 @@ class MemoryPlan:
         if isinstance(stmt, Select):
             _projection(tv, stmt.items)
 
-    def run(self, engine: "InVerDa", params: tuple) -> StatementResult:
-        return execute_statement(engine, self.version, self.stmt, params)
+    def run(self, session: "MemorySession", params: tuple) -> StatementResult:
+        return execute_statement(session.engine, self.version, self.stmt, params)
 
     def explain_entries(self, _session) -> list[tuple[str, str]]:
         tv = resolve_table(self.version, self.stmt.table)
@@ -337,7 +338,7 @@ class MemoryPlan:
             ("routing", "engine row-level routing (memory backend)"),
         ]
 
-    def run_many(self, engine: "InVerDa", seq_of_params) -> StatementResult:
+    def run_many(self, session: "MemorySession", seq_of_params) -> StatementResult:
         """Bulk-load fast path (``seq_of_params`` rows are already-
         normalized tuples): evaluate every parameter row's VALUES, then
         insert them as ONE change batch (a single propagation pass through
@@ -350,11 +351,7 @@ class MemoryPlan:
                 self.version, self.stmt, params
             )
             mappings.extend(row_mappings)
-        keys = insert_rows(engine, tv, mappings) if tv is not None else []
+        keys = insert_rows(session.engine, tv, mappings) if tv is not None else []
         return StatementResult(
             rowcount=len(keys), lastrowid=keys[-1] if keys else None
         )
-
-
-def compile_statement_memory(version: SchemaVersion, stmt: SqlStatement) -> MemoryPlan:
-    return MemoryPlan(version, stmt)

@@ -387,6 +387,21 @@ class TestKeyAllocation:
         assert (ids["fresh"], ids["fresh too"]) == (before + 1, before + 2)
 
 
+class TestExplainViewSql:
+    def test_view_sql_is_reported_by_the_sqlite_plans_only(self, conn):
+        for sql in (
+            "SELECT * FROM Item",
+            "INSERT INTO Item(name) VALUES ('x')",
+            "UPDATE Item SET qty = 1",
+            "DELETE FROM Item",
+        ):
+            names = [name for name, _ in conn.execute("EXPLAIN " + sql).fetchall()]
+            if conn.backend_name == "sqlite":
+                assert names[-2:] == ["view_sql", "plan_cached"], sql
+            else:
+                assert "view_sql" not in names, sql
+
+
 class TestExplainWrite:
     def test_explain_shows_the_text_that_runs_and_the_equivalent_read(self):
         conn = connect(_engine(), "v1", autocommit=True, backend="sqlite")

@@ -1,14 +1,18 @@
-"""Transaction semantics of the DB-API layer.
+"""Transaction semantics of the DB-API layer, on both engines.
 
-The engine applies writes eagerly and journals undo entries, so a
-rollback must undo a write EVERYWHERE it propagated — in the version it
+A rollback must undo a write EVERYWHERE it propagated — in the version it
 was written through and in every co-existing version that saw it via the
-generated mapping logic.
+generated mapping logic.  Every test runs with several connections on
+the memory engine, and again (the ``…OnSqlite`` classes at the end) on
+the live SQLite backend — its default shared-cache database, READ
+UNCOMMITTED like the memory engine.  The tests of the memory engine's
+join semantics run on it alone.
 """
 
 import pytest
 
 import repro
+from repro.backend.sqlite import LiveSqliteBackend
 from repro.errors import ProgrammingError
 from repro.workloads.tasky import build_tasky
 
@@ -136,6 +140,8 @@ class TestWithBlocks:
         assert counts(scenario.engine) == before
 
     def test_joiner_rollback_after_owner_commit_is_inert(self, scenario):
+        """Memory join semantics: a joined transaction ends with its
+        owner's."""
         # The joiner's savepoint points into the OWNER's journal; once the
         # owner commits, that journal is gone and a later rollback by the
         # joiner must not touch anyone's newer writes.
@@ -153,6 +159,9 @@ class TestWithBlocks:
         assert check.execute("SELECT * FROM Task WHERE author LIKE 'J_'").rowcount == 2
 
     def test_autocommit_write_survives_foreign_rollback(self, scenario):
+        """Memory join semantics: an autocommit write outside the open
+        journal's transaction commits itself (SQLite instead fails it
+        fast on the table lock)."""
         # An autocommit statement commits itself even when another
         # connection's transaction happens to hold the journal.
         txn = repro.connect(scenario.engine, "TasKy")
@@ -165,6 +174,8 @@ class TestWithBlocks:
         assert check.execute("SELECT * FROM Task WHERE author = 'AC'").rowcount == 1
 
     def test_joined_connection_rolls_back_only_its_suffix(self, scenario):
+        """Memory join semantics: a joiner's rollback undoes the shared
+        journal's suffix since it joined."""
         a = repro.connect(scenario.engine, "TasKy")
         b = repro.connect(scenario.engine, "Do!")
         a.execute("INSERT INTO Task(author, task, prio) VALUES ('AA', 'a', 1)")
@@ -236,7 +247,22 @@ class TestDdlCommitsTransactions:
         txn.execute("INSERT INTO Task(author, task, prio) VALUES ('DD', 'dd', 1)")
         other = repro.connect(scenario.engine, "TasKy", autocommit=True)
         other.execute("MATERIALIZE 'TasKy2';")
+        assert not txn.in_transaction
         txn.rollback()  # transaction was committed by the DDL: nothing to undo
+        check = repro.connect(scenario.engine, "TasKy", autocommit=True)
+        assert check.execute("SELECT * FROM Task WHERE author = 'DD'").rowcount == 1
+
+    def test_engine_level_ddl_commits_open_transaction(self, scenario):
+        # DDL run on the engine itself, not through any connection, ends
+        # every transaction as well: a later rollback undoes nothing.
+        txn = repro.connect(scenario.engine, "TasKy")
+        txn.execute("INSERT INTO Task(author, task, prio) VALUES ('DD', 'dd', 1)")
+        scenario.engine.execute(
+            "CREATE SCHEMA VERSION TasKy3 FROM TasKy WITH "
+            "ADD COLUMN done AS 0 INTO Task;"
+        )
+        assert not txn.in_transaction
+        txn.rollback()
         check = repro.connect(scenario.engine, "TasKy", autocommit=True)
         assert check.execute("SELECT * FROM Task WHERE author = 'DD'").rowcount == 1
 
@@ -257,3 +283,43 @@ class TestCloseSemantics:
                 conn.execute("DELETE FROM Task")
                 raise RuntimeError("abort")
         assert counts(scenario.engine) == before
+
+
+class SqliteScenario:
+    """Runs the inherited tests on the live SQLite backend: every
+    connection defaults to the backend attached to the scenario's engine."""
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = build_tasky(20, seed=3)
+        backend = LiveSqliteBackend.attach(scenario.engine)
+        yield scenario
+        backend.close()
+
+
+class TestImplicitTransactionsOnSqlite(SqliteScenario, TestImplicitTransactions):
+    pass
+
+
+class TestRollbackAcrossVersionsOnSqlite(SqliteScenario, TestRollbackAcrossVersions):
+    pass
+
+
+class TestWithBlocksOnSqlite(SqliteScenario, TestWithBlocks):
+    # The memory engine's join semantics; a SQLite transaction is its
+    # session's own.
+    test_joiner_rollback_after_owner_commit_is_inert = None
+    test_autocommit_write_survives_foreign_rollback = None
+    test_joined_connection_rolls_back_only_its_suffix = None
+
+
+class TestBatchAtomicityOnSqlite(SqliteScenario, TestBatchAtomicity):
+    pass
+
+
+class TestDdlCommitsTransactionsOnSqlite(SqliteScenario, TestDdlCommitsTransactions):
+    pass
+
+
+class TestCloseSemanticsOnSqlite(SqliteScenario, TestCloseSemantics):
+    pass
