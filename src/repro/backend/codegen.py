@@ -52,7 +52,8 @@ from repro.util.naming import physical_name
 #:     is that statement (UPDATE triggers included).
 #: 7 = a SPLIT's first-partition keeper tests OLD, an aux membership is
 #:     a delete plus one guarded insert, a snapshot row is a FROM item.
-EMISSION_STAMP = 7
+#: 8 = ADD COLUMN's widening rule pair is one branch reading B by a probe.
+EMISSION_STAMP = 8
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.

@@ -3,11 +3,10 @@
 The naive delta code serves a table version at SMO-chain depth *N*
 through *N* nested ``CREATE VIEW``s.  SQLite expands views (and CTEs)
 textually per reference, so a chain whose levels are UNION-shaped (SPLIT,
-MERGE, virtualized ADD COLUMN, ...) doubles its reference count per level
-— at depth 16 the expansion needs 2^16 table references and cannot even
-be prepared, let alone served cheaply.  The composer turns the view stack
-back into what the paper promises: delta code *compiled once* into flat
-queries.
+MERGE, JOIN, ...) doubles its reference count per level — at depth 16 the
+expansion needs 2^16 table references and cannot even be prepared, let
+alone served cheaply.  The composer turns the view stack back into what
+the paper promises: delta code *compiled once* into flat queries.
 
 Every rule-backed view is a UNION of :class:`~repro.sqlgen.views.ViewBranch`
 branches (select list + FROM entries + WHERE conjunction).  Composition
@@ -18,7 +17,7 @@ emits in:
    is replaced by that view's branches: the single-branch case merges
    FROM lists and WHEREs and substitutes the child's select expressions
    into the parent (classic view flattening); a multi-branch child is
-   distributed over the union, bounded by :data:`MAX_BRANCHES`.
+   distributed over the union, bounded by :data:`MAX_BRANCHES` per view.
 2. **EXISTS-merging** — branches whose select lists are identical over
    the same scanned tables differ only in their predicates, so they
    collapse into ONE branch whose WHERE is the disjunction, with each
@@ -140,8 +139,10 @@ class ViewComposer:
             return None
         self._fresh = itertools.count()
         composed: list[ViewBranch] = []
-        for branch in branches:
-            composed.extend(self._compose_branch(self._refresh(branch)))
+        for index, branch in enumerate(branches):
+            # The view's budget: the branches so far, one per branch to come.
+            budget = self.max_branches - len(composed) - (len(branches) - index - 1)
+            composed.extend(self._compose_branch(self._refresh(branch), budget))
         composed = self._merge(composed)
         self._flat[view_name] = composed
         if not key_disjoint(composed):
@@ -203,14 +204,14 @@ class ViewComposer:
     # Inlining
     # ------------------------------------------------------------------
 
-    def _compose_branch(self, branch: ViewBranch) -> list[ViewBranch]:
+    def _compose_branch(self, branch: ViewBranch, budget: int) -> list[ViewBranch]:
         """Inline every FROM entry that references a composed view.
-        Multi-branch children distribute over the union; the budget guard
-        keeps a reference (nested fallback) instead of exploding."""
+        Multi-branch children distribute over the union; past ``budget``
+        branches the entry keeps its reference (nested fallback) instead."""
         partials = [branch]
         for alias, table in branch.froms:
             children = self._flat.get(table)
-            if children is None or len(partials) * len(children) > self.max_branches:
+            if children is None or len(partials) * len(children) > budget:
                 # The entry stays a reference (base table, opaque view, or
                 # over budget): it is key-unique only if proven so.
                 if table in self._unproven:
@@ -335,8 +336,7 @@ class ViewComposer:
         """True when the disjunction is provably always true: some branch
         predicate is empty, or two branches are complementary EXISTS / NOT
         EXISTS probes of the same subquery correlated against the same
-        outer entries (the shape projection-merged ADD/DROP COLUMN unions
-        collapse to).  ``fixed`` pins the group's scanned aliases (see
+        outer entries.  ``fixed`` pins the group's scanned aliases (see
         :meth:`_canonical`)."""
         canon = [self._canonical(p, fixed) for p in predicates]
         if any(p == "1" for p in canon):
@@ -376,7 +376,10 @@ class ViewComposer:
                 mapping = self._match_scans(group[1], scanned)
                 if mapping is None:
                     continue
-                if self._rename(branch.head, mapping) != group[0]:
+                renamed_head = tuple(
+                    (column, self._rename_text(expr, mapping)) for column, expr in branch.head
+                )
+                if renamed_head != group[0]:
                     continue
                 renamed_where = tuple(
                     self._rename_text(cond, mapping) for cond in branch.where
@@ -458,10 +461,3 @@ class ViewComposer:
         for old, new in sorted(mapping.items(), key=lambda i: -len(i[0])):
             text = re.sub(alias_pattern(old), f"{new}.", text)
         return text
-
-    def _rename(
-        self, head: tuple[tuple[str, str], ...], mapping: dict[str, str]
-    ) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (column, self._rename_text(expr, mapping)) for column, expr in head
-        )

@@ -1,13 +1,16 @@
 """Figure 7: translating Datalog rules into view definitions.
 
 A derived table version is defined by several rules; the generated view is
-the UNION of one subquery per rule. Within a subquery:
+the UNION of one subquery per rule, except that a rule pair which only
+says "the stored value if there is one, else the computed one" (ADD
+COLUMN's widening rules) is one subquery. Within a subquery:
 
 - positive relational literals become FROM entries with join conditions on
   shared variables;
 - condition literals become WHERE conjuncts;
 - negative literals become ``NOT EXISTS`` subselects;
-- function bindings become computed select expressions;
+- function bindings become computed select expressions (a paired one is
+  a ``CASE`` over a probe of the stored value, see :func:`_stored_or_computed`);
 - tuple comparisons expand column-wise.
 
 Every table and view carries the InVerDa tuple identifier as an explicit
@@ -21,7 +24,9 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.datalog.ast import Assign, Atom, Compare, CondLit, Const, Rule, RuleSet, Term, Var
+from repro.datalog.ast import (
+    Assign, Atom, Compare, CondLit, Const, Rule, RuleSet, Term, Var, is_wildcard,
+)
 from repro.errors import BackendError
 from repro.util.naming import quote_identifier
 
@@ -130,8 +135,12 @@ class _Subquery:
         table_names: Mapping[str, str],
         table_columns: Mapping[str, tuple[str, ...]],
         head_columns: tuple[str, ...],
+        stored: Atom | None = None,
     ):
         self.rule = rule
+        #: ``X(p, b…)`` of a merged pair: each ``b`` bound by a function
+        #: binding reads X's value at ``p`` where X holds one.
+        self.stored = stored
         self.table_names = table_names
         self.table_columns = table_columns
         self.head_columns = head_columns
@@ -192,7 +201,10 @@ class _Subquery:
                 if source is None:
                     raise BackendError(f"no source for column {column!r} in {assign}")
                 sources[column] = source
-            self.computed[assign.target.name] = assign.expression.rename(sources).to_sql()
+            computed = assign.expression.rename(sources).to_sql()
+            if self.stored is not None and assign.target in self.stored.terms[1:]:
+                computed = self._probe(assign.target, computed)
+            self.computed[assign.target.name] = computed
 
         for cond in conditions:
             rendered = cond.expression.rename(
@@ -258,6 +270,22 @@ class _Subquery:
             and all(atom.terms[0] == key for atom in positives),
         )
 
+    def _probe(self, target: Var, computed: str) -> str:
+        """``target``'s stored value where the stored relation holds a row
+        at the head's ``p``, else ``computed``.  ``CASE WHEN EXISTS``, not
+        ``COALESCE``: a stored NULL reads back as NULL."""
+        stored = self.stored
+        column = self.table_columns[stored.pred][stored.terms.index(target) - 1]
+        match = (
+            f"FROM {self.table_names[stored.pred]} n "
+            f"WHERE n.p = {self._term_sql(self.rule.head.terms[0])}"
+        )
+        return (
+            f"CASE WHEN EXISTS (SELECT 1 {match}) "
+            f"THEN (SELECT n.{quote_identifier(column)} {match}) "
+            f"ELSE {computed} END"
+        )
+
     def _column_var(self, column: str) -> str:
         # Assign expressions refer to source columns by name; the SMO rule
         # builders name variables x0..xn in column order, so map through
@@ -270,6 +298,50 @@ class _Subquery:
         raise BackendError(f"column {column!r} not bound by any positive literal")
 
 
+def _stored_or_computed(stored: Rule, computed: Rule) -> tuple[Rule, Atom] | None:
+    """``(merged rule, X)`` when the two rules are one value read two ways:
+
+        H ← S, X(p, b…)              H ← S, b… = f(…), ¬X(p, _…)
+
+    with the same head and the same rest ``S``, whose positive atoms are
+    all keyed on the head's ``p``, and ``b…`` occurring nowhere in ``S``.
+    X is keyed on ``p`` like every relation here, so each row of ``S``
+    yields exactly one of the two heads: the merged rule is the second
+    without ``¬X``, its bindings reading X's value where X holds one."""
+    if stored.head != computed.head:
+        return None
+    key = stored.head.terms[0]
+    for probe in stored.body_atoms(positive=True):
+        payload = {
+            term.name for term in probe.terms[1:] if isinstance(term, Var) and not is_wildcard(term)
+        }
+        rest = [lit for lit in stored.body if lit is not probe]
+
+        def absent(lit) -> bool:
+            return (
+                isinstance(lit, Atom)
+                and (lit.pred, lit.terms[0], lit.positive) == (probe.pred, key, False)
+                and all(is_wildcard(term) for term in lit.terms[1:])
+            )
+
+        def binding(lit) -> bool:
+            return isinstance(lit, Assign) and lit.target.name in payload
+
+        bindings = [lit.target.name for lit in computed.body if binding(lit)]
+        if (
+            probe.terms[0] == key
+            and len(payload) == len(probe.terms) - 1 == len(bindings) > 0
+            and set(bindings) == payload
+            and sum(map(absent, computed.body)) == 1
+            and not any(lit.variables() & payload for lit in rest)
+            and all(lit.terms[0] == key for lit in rest if isinstance(lit, Atom) and lit.positive)
+            and [lit for lit in computed.body if not (absent(lit) or binding(lit))] == rest
+        ):
+            merged = tuple(lit for lit in computed.body if not absent(lit))
+            return Rule(computed.head, merged), probe
+    return None
+
+
 def select_sql_for_rules(
     head_pred: str,
     rules: RuleSet,
@@ -278,8 +350,9 @@ def select_sql_for_rules(
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
 ) -> str:
-    """A bare ``SELECT`` (UNION of one subquery per rule) deriving
-    ``head_pred``; shared by view creation and generated put programs."""
+    """A bare ``SELECT`` (UNION of the branches of :func:`branches_for_rules`)
+    deriving ``head_pred``; shared by view creation and generated put
+    programs."""
     return "\nUNION\n".join(
         branch.sql()
         for branch in branches_for_rules(
@@ -300,12 +373,23 @@ def branches_for_rules(
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
 ) -> list[ViewBranch]:
-    """The structured UNION branches deriving ``head_pred`` (one per rule);
-    the backend's view composer flattens these along the SMO chain."""
+    """The structured UNION branches deriving ``head_pred``: one per rule,
+    and one per stored-or-computed pair (:func:`_stored_or_computed`),
+    which reads the stored value through a probe instead of scanning the
+    rest of the body twice.  The backend's view composer flattens these
+    along the SMO chain."""
+    pending = list(rules.rules_for(head_pred))
     branches = []
-    for rule in rules.rules_for(head_pred):
+    while pending:
+        rule, stored = pending.pop(0), None
+        for other in pending:
+            pair = _stored_or_computed(rule, other) or _stored_or_computed(other, rule)
+            if pair is not None:
+                pending.remove(other)
+                rule, stored = pair
+                break
         branches.append(
-            _Subquery(rule, table_names, table_columns, head_columns).branch()
+            _Subquery(rule, table_names, table_columns, head_columns, stored).branch()
         )
     if not branches:
         raise BackendError(f"no rules derive {head_pred!r}")

@@ -29,7 +29,7 @@ import pytest
 
 import repro
 from repro.backend import codegen
-from repro.backend.compose import ViewComposer
+from repro.backend.compose import MAX_BRANCHES, ViewComposer
 from repro.backend.emit import q
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
@@ -257,6 +257,49 @@ def test_branch_with_a_non_identifier_join_keeps_union():
     assert "\nUNION ALL\n" in ViewComposer().sql(sole)
 
 
+def test_stored_or_computed_pair_is_one_branch():
+    """ADD COLUMN's widening rules: the stored value if B holds one, else
+    the computed one — one branch over the anchor, B only probed."""
+    from repro.datalog.ast import Assign, CondLit
+    from repro.expr.parser import parse_expression
+
+    p, x, b = Var("p"), Var("x"), Var("b")
+    plus = parse_expression("x + 1")
+
+    def pair(*extra):
+        return (
+            Rule(Atom("W", (p, x, b)), (Atom("A", (p, x)), Atom("B", (p, b)), *extra)),
+            Rule(Atom("W", (p, x, b)), (
+                Atom("A", (p, x)), Assign(b, lambda v: v + 1, (x,), expression=plus),
+                Atom("B", (p, wildcard()), False), *extra,
+            )),
+        )
+
+    def render(*rules: Rule) -> list[ViewBranch]:
+        return branches_for_rules(
+            "W", RuleSet(rules), table_names={"A": "ta", "B": "tb"},
+            table_columns={"A": ("x",), "B": ("b",)}, head_columns=("x", "b"),
+        )
+
+    (merged,) = render(*pair())
+    assert merged.froms == (("t0", "ta"),) and merged.where == ()
+    assert merged.requires == {"ta"} and merged.forbids == frozenset()
+    assert merged.key_preserving
+    assert dict(merged.head)["b"] == (
+        "CASE WHEN EXISTS (SELECT 1 FROM tb n WHERE n.p = t0.p) "
+        "THEN (SELECT n.b FROM tb n WHERE n.p = t0.p) ELSE (t0.x + 1) END"
+    )
+    assert len(render(*reversed(pair()))) == 1
+    # A shared condition rides along; one that reads the stored value, or
+    # a rest that differs, is not the pair.
+    even = CondLit("c", parse_expression("x % 2 = 0"), (("x", x),))
+    assert len(render(*pair(even))) == 1
+    on_b = CondLit("c", parse_expression("b = 0"), (("b", b),))
+    stored, computed = pair()
+    assert len(render(Rule(stored.head, (*stored.body, on_b)), computed)) == 2
+    assert len(render(stored, Rule(computed.head, (*computed.body, even)))) == 2
+
+
 def test_complementary_conditions_over_the_same_keyed_rows_are_exclusive():
     """``c`` against ``(c) IS NOT TRUE`` on the one row a relation holds
     at p — but only when both branches are key-preserving and both read
@@ -323,15 +366,43 @@ def test_kept_reference_to_an_unproven_view_keeps_union():
         assert keyword in composer.sql(parent)
 
 
+def test_branch_budget_counts_the_whole_view():
+    """Two rules, each over an 8-branch child: distributing both would
+    make 16 branches where the budget is 8, so the view keeps its
+    references instead."""
+    composer = ViewComposer()
+    child = [
+        ViewBranch(head=HEAD(f"f{i}"), froms=((f"f{i}", f"T{i}"),), where=(),
+                   requires=frozenset({f"T{i}"}), key_preserving=True)
+        for i in range(MAX_BRANCHES)
+    ]
+    assert len(composer.register("child", child)) == MAX_BRANCHES
+    tagged = [
+        ViewBranch(head=(*HEAD(f"f{tag}"), ("tag", str(tag))),
+                   froms=((f"f{tag}", "child"),), where=(f"f{tag}.a = {tag}",),
+                   requires=frozenset({"child"}), key_preserving=True)
+        for tag in (1, 2)
+    ]
+    parent = composer.register("parent", tagged)
+    assert len(parent) <= MAX_BRANCHES
+    assert all(dict(branch.froms) == {f"f{i}": "child"} for i, branch in enumerate(parent))
+    # One rule alone may take the whole budget.
+    assert len(composer.register("alone", tagged[:1])) == MAX_BRANCHES
+
+
 def test_reference_to_a_hand_written_view_keeps_union():
-    """The FK views are opaque to the composer; an ADD COLUMN over one
-    has exclusive branches over a relation nobody proved key-unique."""
+    """The FK views are opaque to the composer; a SPLIT's second
+    partition over one has exclusive branches over a relation nobody
+    proved key-unique."""
     engine = repro.InVerDa()
     engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, w TEXT);")
     engine.execute(
         "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE R INTO S(a), T(w) ON FK ref;"
     )
-    engine.execute("CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN n AS a + 1 INTO S;")
+    engine.execute(
+        "CREATE SCHEMA VERSION v3 FROM v2 WITH "
+        "SPLIT TABLE S INTO A WITH a % 2 = 0, B WITH a % 2 = 1;"
+    )
     (select,) = _compounds(engine).values()
     assert "\nUNION\n" in select and "UNION ALL" not in select
 
@@ -395,6 +466,49 @@ def test_identifier_probe_is_a_rowid_seek(chain, version, table, view):
     assert _KEY_SEARCH.search(plan), f"{SQLITE}:\n{plan}"
     assert not _BASE_SCAN.search(plan), f"{SQLITE} scans a base table:\n{plan}"
     assert "TEMP B-TREE" not in plan, f"{SQLITE} de-duplicates:\n{plan}"
+
+
+# ---------------------------------------------------------------------------
+# Depth: five ADD COLUMNs over one table, the data at the oldest version
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def widened():
+    engine = repro.InVerDa()
+    engine.execute("CREATE SCHEMA VERSION w0 WITH CREATE TABLE T(k INTEGER, a INTEGER);")
+    conn = repro.connect(engine, "w0", autocommit=True)
+    conn.executemany("INSERT INTO T(k, a) VALUES (?, ?)", [(i, i % 7) for i in range(500)])
+    conn.close()
+    for depth in range(1, 6):
+        engine.execute(
+            f"CREATE SCHEMA VERSION w{depth} FROM w{depth - 1} WITH "
+            f"ADD COLUMN c{depth} AS a + {depth} INTO T;"
+        )
+    backend = LiveSqliteBackend.attach(engine)
+    yield engine
+    backend.close()
+
+
+def test_added_columns_are_one_branch_at_every_depth(widened):
+    """An added column is a probe of its aux table, not a second branch:
+    a read at depth five scans the data table once, as at depth zero."""
+    for name, select, flat in codegen.view_definitions(widened):
+        assert len(flat) == 1 and "UNION" not in select, f"{name}: {select}"
+    for depth in range(6):
+        conn = repro.connect(widened, f"w{depth}", autocommit=True, backend="sqlite")
+        try:
+            by_key = dict(conn.execute("EXPLAIN SELECT * FROM T WHERE k = ?", (250,)))
+            by_id = dict(conn.execute("EXPLAIN SELECT * FROM T WHERE rowid = ?", (250,)))
+            (row,) = conn.execute("SELECT * FROM T WHERE k = ?", (250,)).fetchall()
+        finally:
+            conn.close()
+        assert row == (250, 5, *(5 + i for i in range(1, depth + 1)))
+        plan = by_key["query_plan"]
+        assert len(re.findall(r"\bSCAN\b", plan)) == 1, f"{SQLITE} w{depth}:\n{plan}"
+        assert "CO-ROUTINE" not in plan and "TEMP B-TREE" not in plan, plan
+        plan = by_id["query_plan"]
+        assert _KEY_SEARCH.search(plan) and "SCAN" not in plan, f"{SQLITE} w{depth}:\n{plan}"
 
 
 def _vm_steps(engine, version: str, sql: str, params: tuple) -> int:

@@ -79,12 +79,26 @@ class TestSeededDefects:
 
     def test_dangling_column_rpc102(self, engine):
         views, triggers = _emission(engine)
-        views = [s.replace("f2.a AS a", "f2.zz AS a") for s in views]
+        views = [s.replace("f1.a AS a", "f1.zz AS a") for s in views]
         findings = verify_delta_code(
             engine, view_statements=views, trigger_statements=triggers
         )
         assert [d.code for d in findings] == ["RPC102"]
         assert findings[0].severity == "error"
+
+    def test_misspelled_column_inside_a_head_probe_rpc102(self, engine):
+        """The added column reads its stored value through a scalar
+        subquery in the select list; a column that subquery names must
+        exist on the aux table it reads."""
+        views, triggers = _emission(engine)
+        probe = "SELECT n.c FROM aux__1__B n"
+        assert sum(probe in s for s in views) == 1
+        views = [s.replace(probe, "SELECT n.cc FROM aux__1__B n") for s in views]
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert [d.code for d in findings] == ["RPC102"]
+        assert "cc" in findings[0].message and "v1__R" in findings[0].render()
 
     def test_reference_to_dropped_table_rpc101(self, engine):
         views, triggers = _emission(engine)
@@ -162,7 +176,8 @@ class TestSeededDefects:
             "CREATE SCHEMA VERSION j2 FROM j1 WITH JOIN TABLE L, R INTO T ON PK;"
         )
         engine.execute(
-            "CREATE SCHEMA VERSION j3 FROM j2 WITH ADD COLUMN z AS x + y INTO T;"
+            "CREATE SCHEMA VERSION j3 FROM j2 WITH "
+            "SPLIT TABLE T INTO A WITH x % 2 = 0, B WITH x % 2 = 1;"
         )
         engine.execute("MATERIALIZE 'j2';")
         views, triggers = _emission(engine)
@@ -262,7 +277,7 @@ class TestInstalledAgainstCatalog:
         path = str(tmp_path / "edited.db")
         backend = LiveSqliteBackend.attach(engine, database=path)
         assert verify_delta_code(engine, connection=backend.connection) == []
-        self._hand_edit(backend.connection, "v1__R", "(f4.a + 1) AS c", "(f4.a + 2) AS c")
+        self._hand_edit(backend.connection, "v1__R", "(f1.a + 1) END", "(f1.a + 2) END")
         backend.connection.commit()
         findings = verify_delta_code(engine, connection=backend.connection)
         assert [(d.code, d.severity, d.obj) for d in findings] == [

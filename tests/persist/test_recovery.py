@@ -16,6 +16,7 @@ from repro.backend import codegen, emit, handlers
 from repro.backend.compose import ViewComposer
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.errors import CatalogCorruptError, CatalogError
+from repro.sqlgen import views as rule_views
 from repro.workloads.tasky import build_tasky
 from tests.backend.test_incremental_delta import (
     assert_installed_is_rendered,
@@ -183,6 +184,11 @@ def stamp_6_to_unified(self, tv, op):
     return statements
 
 
+#: The stamp-7 widening views scanned the data twice: once joined to the
+#: aux table B, once where B holds no row.
+STAMP_7_PAIR = "NOT EXISTS (SELECT 1 FROM aux__2__B n"
+
+
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -342,7 +348,8 @@ class TestDeltaCodeReuse:
             engine.live_backend.close()
 
     @pytest.mark.parametrize(
-        "older", ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6"]
+        "older",
+        ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7"],
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
@@ -354,7 +361,8 @@ class TestDeltaCodeReuse:
         the whole script, or 4, whose UPDATE triggers repeat the INSERT
         trigger's program, or 5, whose triggers fire one another through
         hops that only rename or recompute columns, or 6, whose partition
-        keeper re-reads the unified view — is regenerated on open, once."""
+        keeper re-reads the unified view, or 7, whose ADD COLUMN views
+        are two branches — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -377,6 +385,9 @@ class TestDeltaCodeReuse:
             if older == "stamp-6":
                 patch.setattr(handlers.PartitionHandler, "_to_unified", stamp_6_to_unified)
                 patch.setattr(codegen, "EMISSION_STAMP", 6)
+            if older == "stamp-7":
+                patch.setattr(rule_views, "_stored_or_computed", lambda *_rules: None)
+                patch.setattr(codegen, "EMISSION_STAMP", 7)
             backend = LiveSqliteBackend.attach(
                 build_orders(2, 8, 2).engine, database=path
             )
@@ -417,6 +428,7 @@ class TestDeltaCodeReuse:
             assert STAMP_4_CHECK in trigger_script(handle)
         if older == "stamp-6":
             assert STAMP_6_TWIN.search(trigger_script(handle))
+        triggers_before = sorted(trigger_script(handle).split("\n"))
         for name, sql in compounds if older == "unstamped" else ():
             # Dropping a view drops its INSTEAD OF triggers with it.
             triggers = handle.execute(
@@ -438,8 +450,8 @@ class TestDeltaCodeReuse:
             backend = engine.live_backend
             assert backend.recovered and not backend.delta_reused
             installed = view_script(backend.connection)
-            for name, _sql in compounds:
-                assert "\nUNION ALL\n" in installed[name]
+            for name, sql in compounds:
+                assert "\nUNION ALL\n" in installed[name] or STAMP_7_PAIR in sql
             if older == "stamp-3":
                 # Same views, renumbered: the last one no longer continues
                 # where the one before it stopped.
@@ -461,6 +473,14 @@ class TestDeltaCodeReuse:
                 # replaced.
                 assert installed == stamp_3_views
                 assert backend.last_install["created"] == backend.last_install["dropped"] == 4
+            if older == "stamp-7":
+                # The three views over the widening pair are replaced (their
+                # triggers go with them and come back unchanged).
+                changed = {n for n, sql in installed.items() if stamp_3_views[n] != sql}
+                assert changed == {"v2__Orders", "v3__Open", "v4__Closed"}
+                assert all(STAMP_7_PAIR in stamp_3_views[n] for n in changed)
+                assert not any(STAMP_7_PAIR in sql for sql in installed.values())
+                assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert not STAMP_6_TWIN.search(trigger_script(backend.connection))
