@@ -7,7 +7,8 @@ plane*.  The engine notifies the backend at every catalog transition so the
 backend can regenerate its delta code:
 
 - :meth:`ExecutionBackend.on_evolution` after a ``CREATE SCHEMA VERSION``
-  committed new table versions and SMO instances to the catalog;
+  committed new table versions and SMO instances to the catalog, naming
+  the SMOs it added;
 - :meth:`ExecutionBackend.on_materialize`, the one ``MATERIALIZE`` hook,
   for a move's cutover — the whole offline move; ``MATERIALIZE ONLINE``
   runs :meth:`~ExecutionBackend.prepare_move` and
@@ -42,8 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class ExecutionBackend(Protocol):
     """What the engine expects of an attached execution backend."""
 
-    def on_evolution(self, version: "SchemaVersion") -> None:
-        """A new schema version (and its SMO instances) entered the catalog."""
+    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"]) -> None:
+        """A new schema version and the SMO instances it ``added`` entered
+        the catalog."""
 
     def on_materialize(
         self, schema: frozenset["SmoInstance"], apply: Callable[[], None],
@@ -60,7 +62,7 @@ class ExecutionBackend(Protocol):
     def copy_chunk(self, move: "Move") -> bool:
         """Copy one chunk of ``move``; ``True`` once the copy has drained."""
 
-    def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
+    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"]) -> None:
         """A schema version was dropped; ``removed`` SMOs left the catalog."""
 
     def quiesce(self) -> None:

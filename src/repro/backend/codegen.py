@@ -21,7 +21,8 @@ plus the in-place SQL migration script implementing ``MATERIALIZE``.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 from repro.backend import emit
 from repro.backend.compose import ViewComposer
@@ -109,14 +110,19 @@ def _off_route_shared(
     return adjacent_shared, deep
 
 
-def active_table_versions(engine) -> list[TableVersion]:
-    """Every table version reachable from an active schema version, in a
-    physical-first dependency order (each view's inputs precede it)."""
+def active_table_versions(
+    engine,
+    roots: Iterable[TableVersion] | None = None,
+    known: Callable[[TableVersion], bool] = lambda _tv: False,
+) -> list[TableVersion]:
+    """Every table version reachable from an active schema version — or
+    from ``roots`` — in a physical-first dependency order (each view's
+    inputs precede it), entering none for which ``known`` holds."""
     ordered: list[TableVersion] = []
     installed: set[int] = set()
 
     def install(tv: TableVersion) -> None:
-        if tv.uid in installed:
+        if tv.uid in installed or known(tv):
             return
         installed.add(tv.uid)
         route = route_for(engine, tv)
@@ -131,20 +137,88 @@ def active_table_versions(engine) -> list[TableVersion]:
                 install(sibling)
         ordered.append(tv)
 
-    for version in engine.genealogy.active_versions():
-        for tv in version.tables.values():
-            install(tv)
+    if roots is None:
+        roots = (
+            tv
+            for version in engine.genealogy.active_versions()
+            for tv in version.tables.values()
+        )
+    for tv in roots:
+        install(tv)
     return ordered
 
 
-def scaffold_statements(engine) -> list[str]:
-    """Idempotent DDL for the sequence table, per-SMO staging tables, and
-    indexes over the always-stored ID tables (the trigger programs probe
-    them by identifier on every row write)."""
+class Scope(NamedTuple):
+    """What one evolve or drop touched: the SMOs it added and removed, and
+    every table version whose delta code that can change."""
+
+    added: tuple[SmoInstance, ...]
+    removed: tuple[SmoInstance, ...]
+    table_versions: tuple[TableVersion, ...]
+
+    def object_names(self) -> list[str]:
+        """The views and triggers its table versions have, or had."""
+        return [
+            name
+            for tv in self.table_versions
+            for name in (tv.view_name, *map(tv.trigger_name, ("INSERT", "UPDATE", "DELETE")))
+        ]
+
+
+def transition_scope(
+    engine, version, added: Iterable[SmoInstance] = (), removed: Iterable[SmoInstance] = ()
+) -> Scope | None:
+    """The :class:`Scope` of evolving ``version`` (``added`` its SMOs) or
+    dropping it (``removed`` the SMOs that left the catalog), or ``None``
+    when only the whole catalog is.
+
+    In scope are the targets of those SMOs: a new table version's code is
+    rendered, a removed one's dropped.  Survivors' views read nothing but
+    their routes, which evolve and drop leave alone; their triggers read
+    the shared-aux SMOs off their routes (:func:`_off_route_shared`).  Only
+    an SMO with shared aux tables, or one joining more than one source,
+    changes that set, so it brings its whole connected genealogy component
+    into scope.  A drop has a scope only where it retired ``version`` and
+    left its parent active: any other drop may leave a survivor that no
+    active version reads through any more."""
+    added, removed = tuple(added), tuple(removed)
+    genealogy = engine.genealogy
+    if version.dropped:
+        parent = genealogy.schema_versions.get(version.parent)
+        parent_active = version.parent is None or (parent is not None and not parent.dropped)
+        if version.name not in genealogy.retired or not parent_active:
+            return None
+    touched = (*added, *removed)
+    tvs = {tv.uid: tv for smo in touched for tv in smo.targets}
+    frontier = [
+        tv
+        for smo in touched
+        if has_shared_aux(smo) or len(smo.sources) > 1
+        for tv in smo.sources
+    ]
+    tvs.update((tv.uid, tv) for tv in frontier)
+    while frontier:
+        tv = frontier.pop()
+        for smo in _adjacent_smos(tv):
+            for other in (*smo.sources, *smo.targets):
+                if other.uid not in tvs:
+                    tvs[other.uid] = other
+                    frontier.append(other)
+    return Scope(added, removed, tuple(tvs.values()))
+
+
+def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> list[str]:
+    """Idempotent DDL for the per-SMO staging tables of ``smos`` and
+    indexes over their always-stored ID tables (the trigger programs probe
+    them by identifier on every row write); for every evolution SMO, and
+    the sequence table, when ``smos`` is ``None``."""
     ctx = HandlerContext(engine)
-    statements = [emit.sequences_ddl()]
-    for smo in engine.genealogy.evolution_smos():
-        if smo.semantics is None:
+    statements = []
+    if smos is None:
+        statements.append(emit.sequences_ddl())
+        smos = engine.genealogy.evolution_smos()
+    for smo in smos:
+        if smo.semantics is None or smo.is_initial:
             continue
         handler = handler_for(ctx, smo)
         for name, columns in handler.put_tables().items():
@@ -169,16 +243,21 @@ class Renderer:
     :func:`view_definitions` and :func:`trigger_statements` render
     through a fresh one — the memo-less reference.
 
-    The memo is sound between two MATERIALIZEs only: a surviving table
-    version's view reads nothing but its route to the physical tables
-    (:func:`route_for` — materialization flags plus the physical table
-    set), which evolve and drop never change for survivors.  Its triggers
-    additionally read :func:`_off_route_shared` of itself and of every
-    *hop* — each view a write was offered to (:meth:`row_program`), since
-    whether that view's program is one statement, and so inlined, turns
-    on those SMOs — so they are remembered under the hops' SMO uids.  A
-    MATERIALIZE moves the routes — the holder must start a new
-    ``Renderer`` then.
+    A pass renders the whole catalog or one transition's :class:`Scope`
+    (:meth:`active`).  The scope rule keeps the memo sound between two
+    MATERIALIZEs: a surviving table version's view reads nothing but its
+    route to the physical tables (:func:`route_for` — materialization
+    flags plus the physical table set), which evolve and drop never
+    change for survivors, so a view is rendered once.  Its triggers also
+    read :func:`_off_route_shared` of itself and of every view a write was
+    offered to (:meth:`row_program`, since whether that view's program is
+    one statement, and so inlined, turns on those SMOs); all of them lie
+    in its connected genealogy component, which is in every scope that
+    can change one of those sets (:func:`transition_scope`).  So a scoped
+    pass renders the triggers of its table versions again and trusts the
+    rest, and a pass over the whole catalog trusts every memo entry.  A
+    transition without a scope, and a MATERIALIZE, which moves the routes,
+    need a new ``Renderer``.
     """
 
     def __init__(self, engine, *, flatten: bool = True):
@@ -186,25 +265,49 @@ class Renderer:
         self.ctx = HandlerContext(engine, self.row_program)
         self.composer = ViewComposer() if flatten else None
         self._views: dict[int, tuple[str, str, list | None]] = {}
-        self._triggers: dict[int, tuple[list[TableVersion], tuple, list[str]]] = {}
+        self._triggers: dict[int, list[str]] = {}
         # Per pass (cleared by active()): uid -> (route SMO, adjacent and
-        # deep off-route shared, the hop key of both by uid).
+        # deep off-route shared).
         self._routes: dict[int, tuple] = {}
-        self._hops: dict[int, TableVersion] = {}
+        # Uids of the active table versions, once a whole-catalog pass
+        # has walked them; a scoped pass moves its SMOs' targets in or out.
+        self._alive: set[int] | None = None
 
-    def active(self) -> list[TableVersion]:
-        """:func:`active_table_versions`, after forgetting every table
-        version that left that set."""
+    def active(self, scope: Scope | None = None) -> list[TableVersion]:
+        """:func:`active_table_versions` — of the whole catalog, or the
+        active ones of ``scope`` — after forgetting every table version
+        that left that set and the triggers ``scope`` may change.  A
+        scoped pass first renders every view those read that the memo
+        lacks, so they can be composed against."""
         self._routes.clear()
-        tvs = active_table_versions(self.engine)
-        alive = {tv.uid for tv in tvs}
-        for uid in self._views.keys() - alive:
-            name, _select, _flat = self._views.pop(uid)
-            if self.composer is not None:
-                self.composer.forget(name)
-        for uid in self._triggers.keys() - alive:
-            del self._triggers[uid]
-        return tvs
+        if scope is None or self._alive is None:
+            tvs = active_table_versions(self.engine)
+            self._alive = {tv.uid for tv in tvs}
+            self._forget(self._views.keys() - self._alive, self._triggers.keys() - self._alive)
+            if scope is None:
+                return tvs
+        alive = self._alive
+        alive.difference_update(tv.uid for smo in scope.removed for tv in smo.targets)
+        alive.update(tv.uid for smo in scope.added for tv in smo.targets)
+        in_scope = {tv.uid for tv in scope.table_versions}
+        self._forget(in_scope - alive, in_scope)
+        ordered = active_table_versions(
+            self.engine,
+            [tv for tv in scope.table_versions if tv.uid in alive],
+            known=lambda tv: tv.uid in self._views and tv.uid not in in_scope,
+        )
+        for tv in ordered:
+            if tv.uid not in in_scope:
+                self.view(tv)
+        return [tv for tv in ordered if tv.uid in in_scope]
+
+    def _forget(self, views: Iterable[int], triggers: Iterable[int]) -> None:
+        for uid in list(views):
+            definition = self._views.pop(uid, None)
+            if definition is not None and self.composer is not None:
+                self.composer.forget(definition[0])
+        for uid in list(triggers):
+            self._triggers.pop(uid, None)
 
     def view(self, tv: TableVersion) -> tuple[str, str, list | None]:
         """``(view name, SELECT body, composed branches)`` of ``tv``; every
@@ -235,18 +338,13 @@ class Renderer:
         return tv.view_name, select, flat
 
     def _route(self, tv: TableVersion) -> tuple:
-        """``(route SMO or None, adjacent shared, deep shared, hop key)``."""
+        """``(route SMO or None, adjacent shared, deep shared)``."""
         found = self._routes.get(tv.uid)
         if found is None:
             route = route_for(self.engine, tv)
             smo = route[0] if route is not None else None
-            adjacent, deep = _off_route_shared(tv, smo)
-            key = (tv.uid, *(smo.uid for smo in adjacent), None, *(smo.uid for smo in deep))
-            found = self._routes[tv.uid] = (smo, adjacent, deep, key)
+            found = self._routes[tv.uid] = (smo, *_off_route_shared(tv, smo))
         return found
-
-    def _hop_key(self, hops: list[TableVersion]) -> tuple:
-        return tuple(self._route(hop)[3] for hop in hops)
 
     def row_program(self, tv, op, key, values, guard, source) -> str | None:
         """``tv``'s own ``op`` program bound to a writer's row, when it is
@@ -254,8 +352,7 @@ class Renderer:
         physical pass-through or a handler's
         :meth:`~repro.backend.handlers.SmoHandler.row_write` — else
         ``None`` (:attr:`HandlerContext.inline`)."""
-        self._hops.setdefault(tv.uid, tv)
-        route_smo, adjacent_shared, deep, _key = self._route(tv)
+        route_smo, adjacent_shared, deep = self._route(tv)
         if adjacent_shared or deep:
             return None
         if route_smo is None:
@@ -273,10 +370,9 @@ class Renderer:
         installed program on each connection after a transition, so a
         second copy of a longer program costs)."""
         remembered = self._triggers.get(tv.uid)
-        if remembered is not None and self._hop_key(remembered[0]) == remembered[1]:
-            return remembered[2]
-        self._hops = {tv.uid: tv}
-        route_smo, adjacent_shared, deep, _key = self._route(tv)
+        if remembered is not None:
+            return remembered
+        route_smo, adjacent_shared, deep = self._route(tv)
         ctx = self.ctx
 
         def program(op: str) -> list[str]:
@@ -299,7 +395,7 @@ class Renderer:
             return body
 
         update = ctx.upsert(tv, IMMUTABLE_KEY, own_row(tv, "UPSERT")[1])
-        statements = [
+        statements = self._triggers[tv.uid] = [
             emit.create_trigger(
                 tv.trigger_name(operation), operation, tv.view_name, body
             )
@@ -309,23 +405,21 @@ class Renderer:
                 ("DELETE", program("DELETE")),
             )
         ]
-        hops = list(self._hops.values())
-        self._triggers[tv.uid] = (hops, self._hop_key(hops), statements)
         return statements
 
-    def view_definitions(self) -> list[tuple[str, str, list | None]]:
+    def view_definitions(self, scope: Scope | None = None) -> list[tuple[str, str, list | None]]:
         """:meth:`view` of every active table version (see
-        :func:`view_definitions`)."""
-        return [self.view(tv) for tv in self.active()]
+        :func:`view_definitions`), or of those in ``scope``."""
+        return [self.view(tv) for tv in self.active(scope)]
 
-    def view_statements(self) -> list[str]:
+    def view_statements(self, scope: Scope | None = None) -> list[str]:
         return [
             emit.create_view(name, select)
-            for name, select, _branches in self.view_definitions()
+            for name, select, _branches in self.view_definitions(scope)
         ]
 
-    def trigger_statements(self) -> list[str]:
-        return [statement for tv in self.active() for statement in self.triggers(tv)]
+    def trigger_statements(self, scope: Scope | None = None) -> list[str]:
+        return [statement for tv in self.active(scope) for statement in self.triggers(tv)]
 
 
 def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, list | None]]:
@@ -360,9 +454,19 @@ def trigger_statements(engine) -> list[str]:
     return Renderer(engine).trigger_statements()
 
 
+#: What joins two statements of a delta-code script.
+SEPARATOR = ";\n"
+
+
 def script(statements: Iterable[str]) -> str:
     """The delta-code script of ``statements`` (``repro_delta_code_bytes``)."""
-    return ";\n".join(statements)
+    return SEPARATOR.join(statements)
+
+
+def script_bytes(statements: int, text_bytes: int) -> int:
+    """``len(script(…).encode())`` of ``statements`` statements holding
+    ``text_bytes`` UTF-8 bytes in all."""
+    return text_bytes + len(SEPARATOR) * max(statements - 1, 0)
 
 
 def _physical_write(tv: TableVersion, op: str, key: str, values, guard, source) -> str:
@@ -377,12 +481,13 @@ def _physical_write(tv: TableVersion, op: str, key: str, values, guard, source) 
     )
 
 
-def repair_all_statements(engine) -> list[str]:
-    """Extent repairs for every shared-aux SMO (eager identifier
-    initialization at evolution time, consistency pass after migration)."""
+def repair_all_statements(engine, smos: Iterable[SmoInstance] | None = None) -> list[str]:
+    """Extent repairs for every shared-aux SMO of ``smos`` (every SMO when
+    ``None``): eager identifier initialization at evolution time,
+    consistency pass after migration."""
     ctx = HandlerContext(engine)
     statements: list[str] = []
-    for smo in engine.genealogy.evolution_smos():
+    for smo in engine.genealogy.evolution_smos() if smos is None else smos:
         if has_shared_aux(smo):
             statements += handler_for(ctx, smo).repair_statements()
     return statements
@@ -399,17 +504,19 @@ _GENERATED_NAME = {
 _CREATED_NAME = re.compile(r'CREATE (?:VIEW|TRIGGER) (?:"((?:[^"]|"")+)"|(\w+))')
 
 
-def installed_objects(connection) -> dict[str, tuple[str, str, str]]:
+def installed_objects(
+    connection, names: list[str] | None = None
+) -> dict[str, tuple[str, str, str]]:
     """``{name: (type, CREATE text, view it belongs to)}`` of the views and
-    triggers this package generated, as ``sqlite_master`` holds them — the
-    one place both the full drop and the install-by-diff learn what is
-    installed."""
+    triggers this package generated — all of them, or those among
+    ``names`` — as ``sqlite_master`` holds them: the one place both the
+    full drop and the install-by-diff learn what is installed."""
+    query = "SELECT type, name, tbl_name, sql FROM sqlite_master WHERE type IN ('view', 'trigger')"
+    if names is not None:
+        query += f" AND name IN ({', '.join('?' for _ in names)})"
     return {
         name: (kind, sql, on)
-        for kind, name, on, sql in connection.execute(
-            "SELECT type, name, tbl_name, sql FROM sqlite_master "
-            "WHERE type IN ('view', 'trigger')"
-        )
+        for kind, name, on, sql in connection.execute(query, names or ())
         if _GENERATED_NAME[kind].fullmatch(name)
     }
 
@@ -511,14 +618,13 @@ def migration_statements(
     return stage, swap
 
 
-def evolution_statements(engine, version) -> list[str]:
-    """DDL bringing the backend up to date after ``CREATE SCHEMA VERSION``:
-    data tables for new CREATE TABLE targets, (empty) aux tables for the
-    stored sides of the new SMOs, and staging scaffolding."""
+def evolution_statements(smos: Iterable[SmoInstance]) -> list[str]:
+    """DDL bringing the backend up to date after ``CREATE SCHEMA VERSION``
+    added ``smos``: data tables for new CREATE TABLE targets and (empty)
+    aux tables for the stored sides of the others.  Their staging tables
+    are scaffolding, which the install creates."""
     statements: list[str] = []
-    for smo in engine.genealogy.all_smos():
-        if smo.evolution != version.name:
-            continue
+    for smo in smos:
         if smo.is_initial:
             tv = smo.targets[0]
             statements.append(table_ddl(tv.data_table_name, tv.schema.column_names))
@@ -533,5 +639,4 @@ def evolution_statements(engine, version) -> list[str]:
             statements.append(
                 table_ddl(smo.aux_table_name(role), schema.column_names)
             )
-    statements += scaffold_statements(engine)
     return statements

@@ -73,6 +73,10 @@ def _errors(findings) -> list[str]:
     ]
 
 
+def _text_bytes(texts) -> int:
+    return sum(len(text.encode()) for text in texts)
+
+
 def _next_row_ids(connection: sqlite3.Connection, count: int = 1) -> range:
     """Advance the shared row-identifier sequence on ``connection`` (inside
     its open transaction, if any) by ``count`` and return the new values.
@@ -416,6 +420,10 @@ class LiveSqliteBackend:
         #: left in place, and the ``bytes`` of delta code it left
         #: installed; ``None`` until one has run.
         self.last_install: dict | None = None
+        # (objects, UTF-8 bytes of their text) installed: a scoped
+        # regenerate() reads only its own names from sqlite_master and
+        # carries the totals over.
+        self._delta_size = (0, 0)
         self._delta_objects = engine.metrics.counter(
             "repro_delta_objects_total",
             "Generated views and triggers touched by delta-code installs.",
@@ -543,6 +551,7 @@ class LiveSqliteBackend:
             self._load_snapshot()
             self.store.save_snapshot(self.engine)
             self._install_delta_code()
+            self.store.set_delta_meta(*self._delta_key())
         # Hand the rows over.  The schemas stay: they are the storage
         # layout the code generators read.
         for table in self.engine.database.tables.values():
@@ -594,13 +603,16 @@ class LiveSqliteBackend:
             if not self.delta_reused:
                 with self._transaction():
                     self._install_delta_code()
+                    self.store.set_delta_meta(*self._delta_key())
         else:
             if repair:  # may have recreated tables under the mark
                 state.verified = {}
             self._verify_on_open(state, installed, current, phases)
         if self.delta_reused:
-            text = codegen.script(sql for _kind, sql, _view in installed.values())
-            self._delta_bytes.set(len(text.encode()))
+            self._delta_size = (
+                len(installed), _text_bytes(sql for _kind, sql, _view in installed.values())
+            )
+            self._delta_bytes.set(codegen.script_bytes(*self._delta_size))
         phases["install"] = self.last_install
         backfill_started = time.perf_counter()
         self._finish_backfill(resume_backfill)
@@ -654,6 +666,7 @@ class LiveSqliteBackend:
             else:
                 with self._transaction():
                     self._install_delta_code()
+                    self.store.set_delta_meta(*self._delta_key())
                 installed = codegen.installed_objects(self.connection)
             findings += delta.check_installed(installed, list(wanted.values()))
         summary = record_findings(self.engine, findings, scope="recovery")
@@ -821,15 +834,17 @@ class LiveSqliteBackend:
         self._delta_objects.inc(len(installed), action="dropped")
         self.renderer = codegen.Renderer(self.engine)
 
-    def regenerate(self) -> None:
+    def regenerate(self, scope: codegen.Scope | None = None) -> None:
         """Bring scaffolding, views, and trigger programs to the catalog's
         current state — atomically, touching only what differs.
 
-        The wanted ``CREATE`` text of every generated object is compared
-        with what ``sqlite_master`` holds: objects the catalog no longer
-        renders, or renders differently, are dropped (a trigger also when
-        its view is), and only the missing ones are created.  A first
-        install is the same diff against a database that holds none.
+        ``scope`` (:func:`codegen.transition_scope`) is what an evolve or
+        drop touched; without one, the whole catalog.  The wanted
+        ``CREATE`` text of every generated object in scope is compared with
+        what ``sqlite_master`` holds under those names: objects the catalog
+        no longer renders, or renders differently, are dropped (a trigger
+        also when its view is), and only the missing ones are created.  A
+        first install is the same diff against a database that holds none.
 
         It all runs under a savepoint: a mid-install failure (a
         :class:`BackendError` from any generated statement) rolls the
@@ -839,8 +854,10 @@ class LiveSqliteBackend:
         cursor = self.connection.cursor()
         cursor.execute("SAVEPOINT repro_regenerate")
         try:
-            wanted = self._wanted()
-            installed = codegen.installed_objects(self.connection)
+            wanted = self._wanted(scope)
+            installed = codegen.installed_objects(
+                self.connection, None if scope is None else scope.object_names()
+            )
             stale = {
                 name
                 for name, (_kind, sql, _view) in installed.items()
@@ -853,7 +870,11 @@ class LiveSqliteBackend:
             )
             self._drop(installed, stale)
             self._fault("regenerate:dropped")
-            self._run(codegen.scaffold_statements(self.engine))
+            self._run(
+                codegen.scaffold_statements(
+                    self.engine, None if scope is None else scope.added
+                )
+            )
             missing = [
                 statement
                 for name, statement in wanted.items()
@@ -865,31 +886,42 @@ class LiveSqliteBackend:
             cursor.execute("RELEASE repro_regenerate")
             raise
         cursor.execute("RELEASE repro_regenerate")
+        if scope is None:
+            objects = len(installed)
+            size = _text_bytes(sql for _kind, sql, _view in installed.values())
+        else:
+            objects, size = self._delta_size
+        kept = objects - len(stale)
+        size += _text_bytes(missing) - _text_bytes(installed[name][1] for name in stale)
+        self._delta_size = (kept + len(missing), size)
         self.last_install = {
             "created": len(missing),
             "dropped": len(stale),
-            "kept": len(installed) - len(stale),
+            "kept": kept,
         }
         for action, count in self.last_install.items():
             self._delta_objects.inc(count, action=action)
-        self.last_install["bytes"] = len(codegen.script(wanted.values()).encode())
+        self.last_install["bytes"] = codegen.script_bytes(*self._delta_size)
         self._delta_bytes.set(self.last_install["bytes"])
 
-    def _view_statements(self) -> list[str]:
+    def _view_statements(self, scope: codegen.Scope | None = None) -> list[str]:
         """The view emission :meth:`regenerate` installs.  The product has
         one — the composed emission; the test suite's nested-emission
         backend overrides exactly this method to keep the three-way
         memory / composed / nested oracle running."""
-        return self.renderer.view_statements()
+        return self.renderer.view_statements(scope)
 
-    def delta_statements(self) -> tuple[list[str], list[str]]:
+    def delta_statements(
+        self, scope: codegen.Scope | None = None
+    ) -> tuple[list[str], list[str]]:
         """(``CREATE VIEW``, ``CREATE TRIGGER``) statements :meth:`regenerate`
-        installs, rendered through :attr:`renderer`."""
-        return self._view_statements(), self.renderer.trigger_statements()
+        installs — for the whole catalog, or ``scope`` — rendered through
+        :attr:`renderer`."""
+        return self._view_statements(scope), self.renderer.trigger_statements(scope)
 
-    def _wanted(self) -> dict[str, str]:
+    def _wanted(self, scope: codegen.Scope | None = None) -> dict[str, str]:
         """``{object name: CREATE text}`` of :meth:`delta_statements`."""
-        views, triggers = self.delta_statements()
+        views, triggers = self.delta_statements(scope)
         return {
             codegen.created_name(statement) or statement: statement
             for statement in (*views, *triggers)
@@ -931,12 +963,16 @@ class LiveSqliteBackend:
                 self._abort()
                 raise
 
-    def _install_delta_code(self) -> None:
-        """Regenerate the delta code for the catalog's current state, bring
-        the shared aux tables up to it, and stamp what was installed."""
-        self.regenerate()
-        self._run(codegen.repair_all_statements(self.engine))
-        self.store.set_delta_meta(*self._delta_key())
+    def _install_delta_code(self, scope: codegen.Scope | None = None) -> None:
+        """Regenerate the delta code for the catalog's current state — the
+        whole catalog, or ``scope`` — and bring the shared aux tables of
+        that scope up to it.  The caller stamps what was installed."""
+        self.regenerate(scope)
+        self._run(
+            codegen.repair_all_statements(
+                self.engine, None if scope is None else scope.added
+            )
+        )
 
     def _fault(self, point: str) -> None:
         if self.fault_injector is not None:
@@ -952,13 +988,15 @@ class LiveSqliteBackend:
             self._run(online.rollback_statements(online.plan_from_payload(record.plan)))
             self.store.clear_backfill()
 
-    def on_evolution(self, version: "SchemaVersion") -> None:
+    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"]) -> None:
+        scope = codegen.transition_scope(self.engine, version, added=added)
         with self._transaction():
             self._roll_back_prepare()
             self.store.record_evolution(self.engine, version)
             self._fault("evolution:after-catalog")
-            self._run(codegen.evolution_statements(self.engine, version))
-            self._install_delta_code()
+            self._run(codegen.evolution_statements(added))
+            self._install_delta_code(scope)
+            self.store.write_meta(self.engine, self._delta_key())
             self._fault("evolution:before-commit")
         self._verify_after_transition("evolution")
 
@@ -1012,6 +1050,7 @@ class LiveSqliteBackend:
                 apply()
                 self._install_delta_code()
                 self.store.record_materialize(self.engine)
+                self.store.write_meta(self.engine, self._delta_key())
                 if move.online:
                     # The journal, the cutover DDL, and the new catalog
                     # commit together: a crash before this commit leaves
@@ -1139,7 +1178,12 @@ class LiveSqliteBackend:
             f"online backfill chunk could not get the write lock: {last_error}"
         )
 
-    def on_drop(self, version_name: str, removed: list["SmoInstance"]) -> None:
+    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"]) -> None:
+        scope = codegen.transition_scope(self.engine, version, removed=removed)
+        if scope is None:
+            # Survivors may have left the active set: the whole catalog,
+            # rendered afresh.
+            self.renderer = codegen.Renderer(self.engine)
         with self._transaction():
             self._roll_back_prepare()
             cursor = self.connection.cursor()
@@ -1166,10 +1210,10 @@ class LiveSqliteBackend:
                 )
                 for table in tables:
                     cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
-            self.regenerate()
-            log_length = self.store.record_drop(self.engine, version_name)
-            self.store.set_delta_meta(*self._delta_key())
+            self.regenerate(scope)
+            log_length = self.store.record_drop(version.name)
             compacted = self.store.compact(self.engine, log_length)
+            self.store.write_meta(self.engine, self._delta_key())
             if compacted:
                 self._fault("drop:compacted")
             self._fault("drop:before-commit")

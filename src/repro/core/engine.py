@@ -324,29 +324,31 @@ class InVerDa:
         with self.catalog_lock.write_locked(), self._timed_transition("evolve"):
             self._ensure_no_online_move()
             self._quiesce_backend()
-            version = self._create_schema_version(statement)
+            version, added = self._create_schema_version(statement)
             # The generation moves BEFORE the backend hooks run, so a
             # persisting backend records the new generation in the same
             # transaction as the DDL it installs.
             self.catalog_generation += 1
             if self.live_backend is not None:
-                self.live_backend.on_evolution(version)
+                self.live_backend.on_evolution(version, added)
             self._notify_catalog("evolution", version=version.name)
             return version
 
-    def _create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
+    def _create_schema_version(
+        self, statement: CreateSchemaVersion
+    ) -> tuple[SchemaVersion, list[SmoInstance]]:
+        """The new version and the SMO instances it added."""
         # Before any SMO is applied: a refused name must leave no SMO behind.
         self.genealogy.check_new_name(statement.name)
         working: dict[str, TableVersion] = {}
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
-        for node in statement.smos:
-            self._apply_smo(node, working, statement.name)
+        added = [self._apply_smo(node, working, statement.name) for node in statement.smos]
         version = SchemaVersion(statement.name, working, parent=statement.source)
         self.genealogy.add_schema_version(version)
         self.genealogy.check_acyclic()
         self._propagation_needs.clear()
-        return version
+        return version, added
 
     def _apply_smo(
         self, node: SmoNode, working: dict[str, TableVersion], evolution: str
@@ -440,13 +442,14 @@ class InVerDa:
         with self.catalog_lock.write_locked(), self._timed_transition("drop"):
             self._ensure_no_online_move()
             self._quiesce_backend()
-            removed = self._drop_schema_version(name)
+            version, removed = self._drop_schema_version(name)
             self.catalog_generation += 1
             if self.live_backend is not None:
-                self.live_backend.on_drop(name, removed)
+                self.live_backend.on_drop(version, removed)
             self._notify_catalog("drop", version=name)
 
-    def _drop_schema_version(self, name: str) -> list[SmoInstance]:
+    def _drop_schema_version(self, name: str) -> tuple[SchemaVersion, list[SmoInstance]]:
+        """The dropped version and the SMO instances that left the catalog."""
         version = self.genealogy.schema_version(name)
         removable = self.genealogy.drop_schema_version(version.name)
         # SMOs no longer connecting remaining versions are garbage-collected
@@ -474,7 +477,7 @@ class InVerDa:
             self.genealogy.smo_instances.pop(smo.uid, None)
             removed.append(smo)
         self.genealogy.retire_dropped()
-        return removed
+        return version, removed
 
     # ------------------------------------------------------------------
     # Routing

@@ -199,6 +199,16 @@ def snapshot_entries(engine: "InVerDa") -> list[tuple[str, dict]]:
     return entries
 
 
+def snapshot_length(engine: "InVerDa") -> int:
+    """``len(snapshot_entries(engine))``, counted from the genealogy
+    without building (and unparsing) a single entry."""
+    genealogy = engine.genealogy
+    versions = genealogy.schema_versions.values()
+    dropped = sum(version.dropped for version in versions)
+    materialized = any(smo.materialized for smo in genealogy.evolution_smos())
+    return len(versions) + materialized + dropped + bool(dropped or genealogy.retired)
+
+
 class CatalogStore:
     """Reads and writes the ``_repro_catalog_*`` tables on one SQLite
     connection.  Writes never commit: they join whatever transaction the
@@ -228,10 +238,12 @@ class CatalogStore:
     # Meta
     # ------------------------------------------------------------------
 
-    def _set_meta(self, key: str, value: object) -> None:
+    def _set_meta(self, values: dict[str, object]) -> None:
+        """Write every key of ``values`` — one statement."""
+        rows = ", ".join("(?, ?)" for _ in values)
         self.connection.execute(
-            f"INSERT OR REPLACE INTO {META_TABLE} (key, value) VALUES (?, ?)",
-            (key, json.dumps(value)),
+            f"INSERT OR REPLACE INTO {META_TABLE} (key, value) VALUES {rows}",
+            [item for key, value in values.items() for item in (key, json.dumps(value))],
         )
 
     def _get_meta(self, key: str, default=None):
@@ -254,16 +266,24 @@ class CatalogStore:
         (``codegen.EMISSION_STAMP``); re-attach skips regeneration while
         both still match.  A file without the stamp predates it: stale.
         The two rows are one stamp, written by one statement."""
-        self.connection.execute(
-            f"INSERT OR REPLACE INTO {META_TABLE} (key, value) VALUES (?, ?), (?, ?)",
-            (
-                "delta_generation", json.dumps(generation),
-                "delta_emission", json.dumps(emission),
-            ),
-        )
+        self._set_meta({"delta_generation": generation, "delta_emission": emission})
+
+    def write_meta(self, engine: "InVerDa", delta_key: tuple[int, int] | None = None) -> None:
+        """Describe the catalog in the meta rows — format, generation,
+        fingerprint — and, given ``delta_key``, stamp the delta code
+        installed for it (:meth:`set_delta_meta`): one statement, the one
+        meta write of a catalog transition."""
+        values: dict[str, object] = {
+            "format_version": FORMAT_VERSION,
+            "generation": engine.catalog_generation,
+            "fingerprint": catalog_fingerprint(engine),
+        }
+        if delta_key is not None:
+            values["delta_generation"], values["delta_emission"] = delta_key
+        self._set_meta(values)
 
     def set_verified(self, mark: dict) -> None:
-        self._set_meta("verified_at", mark)
+        self._set_meta({"verified_at": mark})
 
     # ------------------------------------------------------------------
     # Recording catalog transitions
@@ -300,41 +320,38 @@ class CatalogStore:
             (version.name, version.parent, int(version.dropped), fingerprint),
         )
 
-    def _refresh_meta(self, engine: "InVerDa") -> None:
-        self._set_meta("format_version", FORMAT_VERSION)
-        self._set_meta("generation", engine.catalog_generation)
-        self._set_meta("fingerprint", catalog_fingerprint(engine))
+    # The record_* methods write log and version rows; the transition
+    # that calls one refreshes the meta rows once, last (:meth:`write_meta`).
 
     def record_evolution(self, engine: "InVerDa", version: "SchemaVersion") -> None:
         self._append_log("evolution", evolution_entry(engine, version))
         self._write_version_row(version)
-        self._refresh_meta(engine)
 
     def record_materialize(self, engine: "InVerDa") -> None:
         materialized = sorted(
             smo.uid for smo in engine.genealogy.evolution_smos() if smo.materialized
         )
         self._append_log("materialize", {"smos": materialized})
-        self._refresh_meta(engine)
 
-    def record_drop(self, engine: "InVerDa", name: str) -> int:
+    def record_drop(self, name: str) -> int:
         """Record a drop; returns the log's length after it."""
         length = self._append_log("drop", {"name": name})
         self.connection.execute(
             f"UPDATE {VERSIONS_TABLE} SET dropped = 1 WHERE name = ?", (name,)
         )
-        self._refresh_meta(engine)
         return length
 
     def compact(self, engine: "InVerDa", log_length: int) -> bool:
         """Rewrite a log of ``log_length`` entries as :func:`snapshot_entries`
-        once it holds more than twice as many, and only when that snapshot
-        replays to this very catalog.  Joins the caller's transaction (the
-        drop's); returns whether it rewrote."""
+        once it holds more than twice as many (:func:`snapshot_length`), and
+        only when that snapshot replays to this very catalog.  Joins the
+        caller's transaction (the drop's); returns whether it rewrote."""
         from repro.persist.recovery import replays_to
 
+        if log_length <= 2 * snapshot_length(engine):
+            return False
         entries = snapshot_entries(engine)
-        if log_length <= 2 * len(entries) or not replays_to(engine, entries):
+        if not replays_to(engine, entries):
             return False
         self._rewrite(engine, entries)
         return True
@@ -421,7 +438,7 @@ class CatalogStore:
         self.install()
         self.connection.execute(f"DELETE FROM {META_TABLE}")
         self._rewrite(engine, snapshot_entries(engine))
-        self._refresh_meta(engine)
+        self.write_meta(engine)
 
     # ------------------------------------------------------------------
     # Loading

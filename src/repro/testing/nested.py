@@ -20,8 +20,8 @@ class NestedEmissionBackend(LiveSqliteBackend):
     on open, and a ``verified_at`` mark left here vouches for nothing
     there."""
 
-    def _view_statements(self) -> list[str]:
-        return codegen.view_statements(self.engine, flatten=False)
+    def _view_statements(self, scope: codegen.Scope | None = None) -> list[str]:
+        return codegen.Renderer(self.engine, flatten=False).view_statements(scope)
 
     def _delta_key(self) -> tuple[int, int]:
         generation, stamp = super()._delta_key()

@@ -89,8 +89,8 @@ class TestAtomicRegenerate:
         engine, backend, conn = self._attached()
         real = codegen.Renderer.trigger_statements
 
-        def broken(renderer):
-            return real(renderer) + ["THIS IS NOT SQL"]
+        def broken(renderer, scope=None):
+            return real(renderer, scope) + ["THIS IS NOT SQL"]
 
         monkeypatch.setattr(codegen.Renderer, "trigger_statements", broken)
         with pytest.raises(BackendError):
@@ -111,8 +111,8 @@ class TestAtomicRegenerate:
         engine, backend, conn = self._attached()
         real = codegen.Renderer.view_statements
 
-        def broken(renderer):
-            statements = real(renderer)
+        def broken(renderer, scope=None):
+            statements = real(renderer, scope)
             return statements[:1] + ["CREATE VIEW broken AS SELECT"] + statements[1:]
 
         monkeypatch.setattr(codegen.Renderer, "view_statements", broken)
@@ -131,8 +131,8 @@ class TestAtomicRegenerate:
         before = codegen.installed_objects(backend.connection)
         real = codegen.Renderer.trigger_statements
 
-        def broken(renderer):
-            first, *rest = real(renderer)
+        def broken(renderer, scope=None):
+            first, *rest = real(renderer, scope)
             return [
                 first.replace("BEGIN\n", "BEGIN\n  SELECT 1;\n"),  # dropped, re-created
                 *rest,

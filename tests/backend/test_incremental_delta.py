@@ -6,7 +6,8 @@ table version once and installs delta code by diff against
     ``sqlite_master`` text equals, name for name and byte for byte, a
     memo-less render on a newly recovered engine;
 (b) a leaf evolve creates only the leaf's objects and drops none, its
-    drop the mirror image — counted in statements SQLite executes;
+    drop the mirror image — counted in statements SQLite executes, and
+    the same at every chain depth;
 (c) foreign views and triggers in the same file are left alone;
 (d) a file whose generated objects were partly stripped gets back exactly
     the missing ones.
@@ -18,6 +19,7 @@ Byte identity depends on how the bundled SQLite stores ``CREATE VIEW`` /
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 from unittest.mock import ANY
 
@@ -175,6 +177,17 @@ def test_chains_install_what_a_fresh_engine_renders(name, emission, tmp_path):
         backend.close()
 
 
+def _evolve_branching(engine, backend) -> None:
+    create, _load, evolutions = ALL_CHAINS["branching"]
+    engine.execute(f"CREATE SCHEMA VERSION v1 WITH {create};")
+    for step, evolution in enumerate(evolutions, start=2):
+        source = f"v{step - 1}"
+        if isinstance(evolution, tuple):
+            evolution, source = evolution
+        engine.execute(f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};")
+        assert_installed_is_rendered(backend, f"branching/v{step}")
+
+
 def test_a_trigger_is_rendered_again_when_a_hop_it_inlined_changes(tmp_path):
     """A trigger depends on the program of every view it composed through.
     In the ``branching`` chain the partition hop of ``Todo`` inlines the
@@ -182,17 +195,76 @@ def test_a_trigger_is_rendered_again_when_a_hop_it_inlined_changes(tmp_path):
     then gives ``Task`` identifier upkeep, so that program is a hop again.
     ``Todo``'s own off-route SMOs do not change: a memo keyed on them alone
     serves the stale inlined text."""
-    create, _load, evolutions = ALL_CHAINS["branching"]
     engine = repro.InVerDa()
-    engine.execute(f"CREATE SCHEMA VERSION v1 WITH {create};")
     backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "branching.db"))
     try:
-        for step, evolution in enumerate(evolutions, start=2):
-            source = f"v{step - 1}"
-            if isinstance(evolution, tuple):
-                evolution, source = evolution
-            engine.execute(f"CREATE SCHEMA VERSION v{step} FROM {source} WITH {evolution};")
-            assert_installed_is_rendered(backend, f"branching/v{step}")
+        _evolve_branching(engine, backend)
+    finally:
+        backend.close()
+
+
+def test_dropping_a_shared_aux_smo_renders_its_component_again(tmp_path):
+    """The mirror image: dropping ``v3`` removes the FK DECOMPOSE and its
+    ID table, so ``Task`` has no identifier upkeep any more and ``Todo``'s
+    partition hop inlines its program again — a drop whose scope is the
+    whole component, not just the removed table versions."""
+    engine = repro.InVerDa()
+    backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "branching.db"))
+    try:
+        _evolve_branching(engine, backend)
+        removed = 4 * len(engine.genealogy.schema_version("v3").tables)
+        engine.execute("DROP SCHEMA VERSION v3;")
+        assert_installed_is_rendered(backend, "branching/v3 dropped")
+        install = backend.last_install
+        assert install["created"] > 0 and install["dropped"] == removed + install["created"]
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize(
+    "join", ["JOIN TABLE A, B INTO J ON PK", "OUTER JOIN TABLE A, B INTO W ON PK"]
+)
+def test_a_join_across_two_components_renders_both_again(join, tmp_path):
+    """A JOIN of ``A`` with ``B`` has no shared aux of its own, but it
+    connects ``A`` to the FK DECOMPOSE of ``B``: ``A``'s triggers gain that
+    SMO's extent repairs, and lose them when the join is dropped."""
+    engine = repro.InVerDa()
+    engine.execute(
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE A(a INTEGER, b INTEGER); "
+        "CREATE TABLE B(x INTEGER, y TEXT);"
+    )
+    backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "join.db"))
+    try:
+        for script in (
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+            "DECOMPOSE TABLE B INTO B1(x), B2(y) ON FK ref;",
+            f"CREATE SCHEMA VERSION v3 FROM v1 WITH {join};",
+            "DROP SCHEMA VERSION v3;",
+        ):
+            engine.execute(script)
+            assert_installed_is_rendered(backend, script)
+    finally:
+        backend.close()
+
+
+def test_a_drop_that_strands_a_dropped_parent_renders_the_whole_catalog(tmp_path):
+    """``v2`` is dropped while ``v3`` still reads through it; dropping
+    ``v3`` then leaves no active version reading ``v2``'s table version,
+    which did not leave the catalog (its SMO survives) — only a walk of
+    the whole catalog sees that its view and triggers must go."""
+    engine = repro.InVerDa()
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
+    backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "strand.db"))
+    try:
+        for script in (
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME COLUMN b IN R TO c;",
+            "CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN d AS a + 1 INTO R;",
+            "DROP SCHEMA VERSION v2;",
+            "DROP SCHEMA VERSION v3;",
+        ):
+            engine.execute(script)
+            assert_installed_is_rendered(backend, script)
+        assert backend.last_install["dropped"] == 8
     finally:
         backend.close()
 
@@ -238,9 +310,9 @@ def chain():
     backend.close()
 
 
-def _generated_ddl(engine, script: str) -> tuple[int, int]:
-    """(CREATE, DROP) statements for views and triggers that ``script``
-    makes SQLite execute on the administrative handle."""
+def _traced(engine, script: str) -> list[str]:
+    """Every statement ``script`` makes SQLite execute on the
+    administrative handle."""
     handle = engine.live_backend.connection
     traced: list[str] = []
     handle.set_trace_callback(traced.append)
@@ -248,6 +320,13 @@ def _generated_ddl(engine, script: str) -> tuple[int, int]:
         engine.execute(script)
     finally:
         handle.set_trace_callback(None)
+    return traced
+
+
+def _generated_ddl(engine, script: str) -> tuple[int, int]:
+    """(CREATE, DROP) statements for views and triggers that ``script``
+    makes SQLite execute on the administrative handle."""
+    traced = _traced(engine, script)
     return (
         sum(text.startswith(("CREATE VIEW", "CREATE TRIGGER")) for text in traced),
         sum(text.startswith(("DROP VIEW", "DROP TRIGGER")) for text in traced),
@@ -289,27 +368,92 @@ def test_plain_transition_pays_nothing_for_the_verified_at_mark(chain):
     """With ``verify_transitions`` off a transition computes no digest,
     writes no mark and reads ``sqlite_master`` no more often than before
     the mark existed: every statement the administrative handle runs for
-    a leaf evolve / drop, counted (23 / 20 at the parent commit too)."""
-    handle = chain.live_backend.connection
-
-    def statements(script: str) -> list[str]:
-        traced: list[str] = []
-        handle.set_trace_callback(traced.append)
-        try:
-            chain.execute(script)
-        finally:
-            handle.set_trace_callback(None)
-        return traced
-
-    evolve = statements(
-        "CREATE SCHEMA VERSION LM FROM S8 WITH RENAME COLUMN remark IN Lo TO rm;"
+    a leaf evolve / drop, counted.  Each runs one meta write and no
+    scaffolding: a RENAME COLUMN stages nothing, and no other SMO's
+    staging tables are the leaf's business."""
+    evolve = _traced(
+        chain, "CREATE SCHEMA VERSION LM FROM S8 WITH RENAME COLUMN remark IN Lo TO rm;"
     )
-    drop = statements("DROP SCHEMA VERSION LM;")
-    for traced, total, master_reads in ((evolve, 23, 1), (drop, 20, 2)):
+    drop = _traced(chain, "DROP SCHEMA VERSION LM;")
+    for traced, total, master_reads in ((evolve, 14, 1), (drop, 14, 2)):
         assert len(traced) == total, f"{SQLITE}: " + "\n".join(traced)
         assert sum("sqlite_master" in text for text in traced) == master_reads
         assert not any("verified_at" in text for text in traced)
     assert chain.live_backend.store.load().verified == {}
+
+
+def deep_chain(depth: int) -> tuple[repro.InVerDa, str]:
+    """A ``depth``-SMO chain ``S0`` … ``S<depth>`` (RENAME COLUMN, ADD
+    COLUMN, DROP COLUMN, a one-partition SPLIT, again and again) over 20
+    rows stored at ``S0``, served by a live backend; returns the engine
+    and the tip's table."""
+    engine = repro.InVerDa()
+    engine.execute(
+        "CREATE SCHEMA VERSION S0 WITH "
+        "CREATE TABLE T0(k INTEGER, grp INTEGER, qty INTEGER, note TEXT);"
+    )
+    conn = repro.connect(engine, "S0", autocommit=True)
+    conn.executemany(
+        "INSERT INTO T0(k, grp, qty, note) VALUES (?, ?, ?, ?)",
+        [(i, i % 7, i % 13, f"n{i}") for i in range(20)],
+    )
+    conn.close()
+    table, column = "T0", "note"
+    for i in range(1, depth + 1):
+        smo = (
+            f"RENAME COLUMN {column} IN {table} TO c{i}",
+            f"ADD COLUMN a{i} AS qty + {i} INTO {table}",
+            f"DROP COLUMN a{i - 1} FROM {table} DEFAULT 0",
+            f"SPLIT TABLE {table} INTO T{i} WITH k >= 0",
+        )[(i - 1) % 4]
+        engine.execute(f"CREATE SCHEMA VERSION S{i} FROM S{i - 1} WITH {smo};")
+        column = f"c{i}" if smo.startswith("RENAME") else column
+        table = f"T{i}" if smo.startswith("SPLIT") else table
+    LiveSqliteBackend.attach(engine)
+    return engine, table
+
+
+_GENERATED_OR_STAGED = re.compile(r"\b(?:v\d+__\w+|tg__\d+__\w+|put__\d+__)")
+
+
+def test_a_leaf_cycle_costs_the_same_at_every_depth(monkeypatch):
+    """A leaf ADD COLUMN evolve + drop at the tip of an 8-SMO and of a
+    32-SMO chain: the same statements on the administrative handle, a
+    ``sqlite_master`` read that names the leaf's objects and nothing else,
+    and the same number of :func:`codegen.route_for` calls — nothing on
+    the transition path walks the catalog."""
+    routed: list = []
+    route_for = codegen.route_for
+    monkeypatch.setattr(
+        codegen, "route_for", lambda engine, tv: routed.append(tv) or route_for(engine, tv)
+    )
+    costs = {}
+    for depth in (8, 32):
+        engine, table = deep_chain(depth)
+        try:
+            routed.clear()
+            evolve = _traced(
+                engine,
+                f"CREATE SCHEMA VERSION leaf FROM S{depth} WITH "
+                f"ADD COLUMN z AS qty + 1 INTO {table};",
+            )
+            tv = engine.genealogy.schema_version("leaf").table_version(table)
+            objects = {tv.view_name, *map(tv.trigger_name, ("INSERT", "UPDATE", "DELETE"))}
+            leaf = {*objects, tv.incoming.put_table_name("")}
+            drop = _traced(engine, "DROP SCHEMA VERSION leaf;")
+            for traced in (evolve, drop):
+                named = {
+                    name
+                    for text in traced
+                    if "sqlite_master" in text
+                    for name in _GENERATED_OR_STAGED.findall(text)
+                }
+                assert named - leaf == set(), f"depth {depth}: {sorted(named - leaf)}"
+                assert named >= objects, f"depth {depth}"
+            costs[depth] = (len(evolve), len(drop), len(routed))
+        finally:
+            engine.live_backend.close()
+    assert costs[8] == costs[32], f"{SQLITE}: (evolve, drop, route_for) {costs}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.persist.store import (
     SCHEMAS_TABLE,
     CatalogStore,
     snapshot_entries,
+    snapshot_length,
 )
 
 SCRIPT = """
@@ -139,3 +140,29 @@ class TestLiveRecording:
             assert state.delta_generation == engine.catalog_generation
         finally:
             backend.close()
+
+    def test_snapshot_length_counts_the_snapshot_without_building_it(self):
+        """Compaction decides from :func:`snapshot_length`: it must be the
+        length of the snapshot it would write in every catalog state —
+        nothing dropped, a materialization, a retired leaf, a dropped
+        version that stays because a retained one names it as parent."""
+        engine = repro.InVerDa()
+
+        def check(context: str) -> None:
+            assert snapshot_length(engine) == len(snapshot_entries(engine)), context
+
+        check("empty")
+        for script in (
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);",
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME COLUMN a IN R TO aa;",
+            "MATERIALIZE 'v2';",
+            "CREATE SCHEMA VERSION leaf FROM v2 WITH RENAME COLUMN b IN R TO bb;",
+            "DROP SCHEMA VERSION leaf;",
+            "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN aa IN R TO a3;",
+            "DROP SCHEMA VERSION v2;",
+            "MATERIALIZE 'v1';",
+        ):
+            engine.execute(script)
+            check(script)
+        assert engine.genealogy.retired == {"leaf"}
+        assert engine.genealogy.schema_versions["v2"].dropped
