@@ -550,6 +550,31 @@ def _aux_stage_name(smo: SmoInstance, role: str) -> str:
     return physical_name("stageaux", str(smo.uid), role)
 
 
+def _unserved_views(engine) -> list[str]:
+    """``CREATE VIEW`` for each table version an SMO's aux derivation may
+    read that is not active: the other side of an SMO whose version was
+    dropped (dropping ``v1`` after materializing ``v2`` leaves ``v1``'s
+    tables to the SMOs between them, reachable from no active version).
+    The move drops them with every other generated object before its
+    swap."""
+    active = {tv.uid for tv in active_table_versions(engine)}
+    unserved = [
+        tv
+        for smo in engine.genealogy.evolution_smos()
+        for tv in (*smo.sources, *smo.targets)
+        if tv.uid not in active
+    ]
+    if not unserved:
+        return []
+    renderer = Renderer(engine)
+    statements = []
+    for tv in active_table_versions(engine, unserved):
+        name, select, _branches = renderer.view(tv)
+        if tv.uid not in active:
+            statements.append(emit.create_view(name, select))
+    return statements
+
+
 def migration_statements(
     engine, schema: frozenset[SmoInstance]
 ) -> tuple[list[str], list[str]]:
@@ -557,7 +582,9 @@ def migration_statements(
 
     Stage statements run against the *old* views: they create staging
     tables holding every aux table of each SMO's newly stored side — small
-    derived state, rebuilt whole by every move.  The move stages the new
+    derived state, rebuilt whole by every move — after creating the views
+    those derivations read that no active table version needs any more
+    (:func:`_unserved_views`).  The move stages the new
     physical data tables itself (:mod:`repro.backend.online`).  Swap
     statements (run after the generated views/triggers are dropped) drop
     the old tables and rename both kinds of staged table into place.
@@ -565,7 +592,7 @@ def migration_statements(
     """
     ctx = HandlerContext(engine)
     genealogy = engine.genealogy
-    stage: list[str] = []
+    stage: list[str] = _unserved_views(engine)
     swap: list[str] = []
 
     new_physical = physical_table_versions(genealogy, schema)

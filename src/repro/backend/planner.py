@@ -137,11 +137,13 @@ def _max_param_index(expression) -> int:
 # ``compile_statement_sqlite`` lowers a parsed statement ONCE — table
 # resolution, column validation, SQL rendering, ``description`` assembly —
 # into a plan object whose ``run()`` only binds parameters and executes.
-# The engine's :class:`~repro.sql.plancache.PlanCache` keeps plans across
-# statements, and sqlite3's per-connection statement cache (sized by the
-# pool's ``cached_statements`` knob) keeps the *prepared* form of each
-# plan's SQL per session, so a repeated statement costs two dictionary
-# lookups before SQLite runs it.
+# The engine's :class:`~repro.sql.plancache.PlanCache` keeps each plan for
+# as long as its schema version lives: a plan names only its table
+# version's view, and no evolution or ``MATERIALIZE`` renames a view.
+# sqlite3's per-connection statement cache (sized by the pool's
+# ``cached_statements`` knob) keeps the *prepared* form of each plan's SQL
+# per session, so a repeated statement costs two dictionary lookups before
+# SQLite runs it; after DDL, SQLite re-prepares it once per session.
 # ---------------------------------------------------------------------------
 
 

@@ -148,9 +148,8 @@ class ExplainPlan:
             for name, value in self.inner.explain_entries(connection._session)
         )
         if connection._use_plan_cache:
-            inner_text = _EXPLAIN_PREFIX.sub("", operation)
-            key = (inner_text, connection.version_name, connection.backend_name)
-            cached = engine.plan_cache.peek(key, engine.catalog_generation)
+            key = connection._plan_key(_EXPLAIN_PREFIX.sub("", operation))
+            cached = engine.plan_cache.peek(key)
             rows.append(("plan_cached", str(cached is not None).lower()))
         else:
             rows.append(("plan_cached", "off"))
@@ -467,8 +466,8 @@ class Cursor(BaseCursor):
         Statements are planned through the engine's shared
         :class:`~repro.sql.plancache.PlanCache`: a repeated statement text
         on the same version and backend skips parsing and planner lowering
-        entirely (plans are tagged with the catalog generation, so DDL on
-        any connection invalidates them).
+        entirely, also right after DDL on any connection (a plan lives as
+        long as its schema version).
 
         Every statement lands in the engine's metrics registry (latency,
         workload, error counters); spans are recorded only when tracing is
@@ -663,12 +662,17 @@ class Connection(BaseConnection):
 
     # -- statement dispatch ------------------------------------------------
 
+    def _plan_key(self, operation: str):
+        """This connection's plan-cache key for ``operation``."""
+        return (operation, self._version.name, self.backend_name)
+
     def _plan_for(self, operation: str):
         """The compiled plan for ``operation`` — from the engine's shared
         plan cache when possible, else parsed and lowered now (and cached
-        for the next statement).  Must run under the catalog read lock so
-        the generation tag is stable while the plan is compiled and used.
-        Returns ``(plan, cached)`` where ``cached`` reports a cache hit."""
+        for the next statement).  Must run under the catalog read lock, so
+        no drop lands between the dropped-version check and the ``put``
+        (which would leave a dropped version's plan behind).  Returns
+        ``(plan, cached)`` where ``cached`` reports a cache hit."""
         if self._version.dropped:
             # Without this guard a session pinned to a dropped version
             # could keep executing statements against table versions the
@@ -679,25 +683,22 @@ class Connection(BaseConnection):
                 f"schema version {self._version.name!r} was dropped; close "
                 "this connection and reconnect to a live version"
             )
-        engine = self.engine
-        cache = engine.plan_cache if self._use_plan_cache else None
-        generation = engine.catalog_generation
-        key = (operation, self._version.name, self.backend_name)
+        cache = self.engine.plan_cache if self._use_plan_cache else None
+        key = self._plan_key(operation)
         if cache is not None:
-            plan = cache.get(key, generation)
+            plan = cache.get(key)
             if plan is not None:
                 return plan, True
         statement = parse_statement(operation)
         with _translated_errors():
             plan = self._compile(statement)
         if cache is not None and plan.kind not in ("ddl", "explain", "check"):
-            # DDL executions bump the generation and clear the cache, so a
-            # DDL entry could never be hit again — don't churn LRU slots
-            # that could hold hot DML plans (re-parse is already cheap via
-            # the parser's own text cache).  EXPLAIN is an introspection
+            # DDL is rare next to DML — don't churn LRU slots that could
+            # hold hot DML plans (re-parse is already cheap via the
+            # parser's own text cache).  EXPLAIN is an introspection
             # one-off: caching it would shadow the inner statement's own
             # cache status, which is exactly what it reports.
-            cache.put(key, generation, plan)
+            cache.put(key, plan)
         return plan, False
 
     def _compile(self, statement: SqlStatement):

@@ -4,19 +4,19 @@ Executing a statement costs three things before any row is touched:
 parsing the SQL text, resolving it against the bound schema version, and
 lowering it to an executable plan (on the live SQLite backend: rendered
 backend SQL plus the prepared ``description``).  All three are pure
-functions of ``(sql_text, version, backend, catalog state)`` — so the
-engine keeps one :class:`PlanCache` shared by **every** connection of
-both transports (in-process and the TCP server's server-side
-connections), and repeated statements skip parsing and planning entirely.
+functions of ``(sql_text, version, backend)`` — so the engine keeps one
+:class:`PlanCache` shared by **every** connection of both transports
+(in-process and the TCP server's server-side connections), and repeated
+statements skip parsing and planning entirely.
 
-Catalog state is summarized by the engine's monotonic
-``catalog_generation``, bumped under the catalog write lock on every
-transition (evolution, ``MATERIALIZE``, drop).  Each cache entry records
-the generation it was compiled under; a lookup whose generation does not
-match is a miss (the stale entry is dropped on the spot).  The cache is
-additionally registered as a catalog listener, so a transition clears it
-wholesale — a connection that executes, evolves, and re-executes the same
-SQL text always sees the new catalog.
+A plan lives as long as its schema version.  A version's tables, columns
+and key are fixed once it exists, and neither backend's plan depends on
+the materialization: a SQLite plan names the table version's view, whose
+name is fixed by the table version, and ``MATERIALIZE`` re-renders the
+views under the same names; a memory plan routes at run time.  So an
+evolution or a ``MATERIALIZE`` leaves every entry valid, and a drop
+evicts only the dropped version's entries (the connection refuses a
+dropped version before it looks a plan up, so they were unreachable).
 """
 
 from __future__ import annotations
@@ -26,14 +26,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-#: Cache key: (sql_text, schema version name, backend kind).
+#: Cache key: (sql_text, schema version name, backend kind).  The name is
+#: a safe identity: a dropped version's name is retired, never reused.
 PlanKey = tuple[str, str, str]
 
 
 @dataclass
 class DdlPlan:
     """A parsed BiDEL DDL script (executed through the engine, not the
-    data plane); cached so repeated DDL text skips the parse."""
+    data plane); never cached — the parser's text cache makes a repeat
+    cheap."""
 
     statement: Any  # repro.sql.ast.BidelStatement
     kind: str = "ddl"
@@ -43,18 +45,17 @@ class DdlPlan:
 class PlanCache:
     """Thread-safe LRU of compiled statement plans.
 
-    Entries are keyed by ``(sql_text, version_uid, backend_kind)`` and
-    tagged with the catalog generation they were compiled under; a
-    generation mismatch invalidates the entry lazily, and catalog
-    transitions clear the cache eagerly via the engine's catalog-listener
-    hook.  Hit/miss counters feed ``Connection.stats()`` and the session
-    pool's observability surface.
+    Entries are keyed by ``(sql_text, version_name, backend_kind)`` and
+    stay valid while their version lives; the engine's catalog-listener
+    hook evicts a version's entries when it is dropped.  Hit/miss counters
+    feed ``Connection.stats()`` and the session pool's observability
+    surface.
     """
 
     def __init__(self, maxsize: int = 512):
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: OrderedDict[PlanKey, tuple[int, Any]] = OrderedDict()
+        self._entries: OrderedDict[PlanKey, Any] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -71,52 +72,42 @@ class PlanCache:
         self._hit = self._events.bound(event="hit")
         self._miss = self._events.bound(event="miss")
 
-    def get(self, key: PlanKey, generation: int):
-        """The cached plan for ``key`` compiled under ``generation``, or
-        ``None`` (stale entries are evicted as they are found)."""
+    def get(self, key: PlanKey):
+        """The cached plan for ``key``, or ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == generation:
+            plan = self._entries.get(key)
+            if plan is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                hit = True
-                plan = entry[1]
             else:
-                if entry is not None:
-                    del self._entries[key]
                 self._misses += 1
-                hit = False
-                plan = None
         if self._events is not None:
-            (self._hit if hit else self._miss).inc()
+            (self._miss if plan is None else self._hit).inc()
         return plan
 
-    def peek(self, key: PlanKey, generation: int):
+    def peek(self, key: PlanKey):
         """Like :meth:`get` but with no counter or LRU side effects —
         used by ``EXPLAIN`` to report whether a plan is cached."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == generation:
-                return entry[1]
-            return None
+            return self._entries.get(key)
 
-    def put(self, key: PlanKey, generation: int, plan: Any) -> None:
+    def put(self, key: PlanKey, plan: Any) -> None:
         with self._lock:
-            self._entries[key] = (generation, plan)
+            self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def on_catalog_event(self, event: str, **info) -> None:
-        """Catalog-listener hook: any transition invalidates every plan
-        (the generation tag already protects correctness; clearing keeps
-        the cache from carrying dead weight)."""
+        """Catalog-listener hook: a drop evicts the dropped version's
+        plans and counts one invalidation; evolution and ``MATERIALIZE``
+        leave every plan valid."""
+        if event != "drop":
+            return
+        version = info["version"]
         with self._lock:
-            self._entries.clear()
+            for key in [key for key in self._entries if key[1] == version]:
+                del self._entries[key]
             self._invalidations += 1
         if self._events is not None:
             self._events.inc(event="invalidation")

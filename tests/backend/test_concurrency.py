@@ -10,6 +10,7 @@ same workload applied sequentially to the pure-Python engine.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -39,7 +40,8 @@ def _run_threads(workers):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "a worker thread did not finish"
     if errors:
         raise errors[0]
 
@@ -307,3 +309,78 @@ class TestConcurrentWorkload:
         zz = connect(scenario.engine, "zz", autocommit=True, backend=backend)
         assert zz.execute("SELECT * FROM T2").rowcount == 50
         backend.close()
+
+    def test_cached_plans_survive_transitions_under_load(self, tmp_path):
+        """Readers execute cached statements on surviving versions while
+        one thread cycles leaf evolve / drop and another moves the data
+        to v2 and back: no error, every result right, every repeat a
+        cache hit, and no dropped leaf's plan left once its drop returns."""
+        engine = InVerDa()
+        engine.execute(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);"
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a * 2 INTO R;"
+        )
+        backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "life.db"))
+        seed = connect(engine, "v1", autocommit=True, backend=backend)
+        seed.executemany(
+            "INSERT INTO R(a, b) VALUES (?, ?)", [(i, f"r{i}") for i in range(20)]
+        )
+        seed.close()
+        stop = threading.Event()
+
+        def reader(version: str, sql: str, expected):
+            def run():
+                conn = connect(engine, version, autocommit=True, backend=backend)
+                cursor = conn.execute(sql, (7,))
+                assert cursor.fetchall() == expected
+                while not stop.is_set():
+                    cursor = conn.execute(sql, (7,))
+                    assert cursor.cache_event == "hit"
+                    assert cursor.fetchall() == expected
+                conn.close()
+
+            return run
+
+        def leaf_cycles():
+            conn = connect(engine, "v2", autocommit=True, backend=backend)
+            sql = "SELECT z FROM R WHERE a = ?"
+            for cycle in range(8):
+                name = f"leaf{cycle}"
+                conn.execute(
+                    f"CREATE SCHEMA VERSION {name} FROM v2 WITH "
+                    f"ADD COLUMN z AS a + {cycle} INTO R;"
+                )
+                leaf = connect(engine, name, autocommit=True, backend=backend)
+                assert leaf.execute(sql, (7,)).fetchall() == [(7 + cycle,)]
+                key = leaf._plan_key(sql)
+                assert engine.plan_cache.peek(key) is not None
+                conn.execute(f"DROP SCHEMA VERSION {name};")
+                assert engine.plan_cache.peek(key) is None
+                leaf.close()
+            conn.close()
+
+        def move_pair():
+            conn = connect(engine, "v1", autocommit=True, backend=backend)
+            conn.execute("MATERIALIZE 'v2';")
+            conn.execute("MATERIALIZE 'v1';")
+            conn.close()
+
+        def transitions():
+            try:
+                _run_threads([leaf_cycles, move_pair])
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            _run_threads([
+                reader("v1", "SELECT a, b FROM R WHERE a = ?", [(7, "r7")]),
+                reader("v2", "SELECT a, c FROM R WHERE a = ?", [(7, 14)]),
+                reader("v2", "SELECT b, c FROM R WHERE a = ?", [("r7", 14)]),
+                transitions,
+            ])
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+

@@ -171,3 +171,34 @@ def test_differential_chain(name, seed):
             _fuzz_ops(ds, rng, 5, f"{name}/{seed}/mat-{index}")
     finally:
         ds.close()
+
+
+@pytest.mark.parametrize("tip", [
+    "ADD COLUMN c AS a * 2 INTO Lo",
+    "RENAME COLUMN b IN Hi TO bb",
+])
+def test_a_move_after_the_sources_version_was_dropped(tip):
+    """Dropping v1 after materializing v2 leaves v1's table to the SPLIT
+    alone, reachable from no active version; a later move still derives
+    the SPLIT's aux tables from it (rows matching neither partition)."""
+    ds = DualSystem()
+    ds.execute_ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);")
+    ds.execute_ddl(
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+        "SPLIT TABLE R INTO Lo WITH a <= 5, Hi WITH a > 5;"
+    )
+    ds.attach()
+    ds.runmany("v1", "INSERT INTO R(a, b) VALUES (?, ?)",
+               [(i, f"r{i}") for i in range(10)] + [(None, "neither")])
+    try:
+        ds.materialize("v2")
+        ds.execute_ddl("DROP SCHEMA VERSION v1;")
+        ds.execute_ddl(f"CREATE SCHEMA VERSION v3 FROM v2 WITH {tip};")
+        ds.materialize("v3")
+        ds.check("moved to v3")
+        ds.run("v3", "INSERT INTO Lo(a, b) VALUES (?, ?)", (2, "new"))
+        ds.run("v2", "UPDATE Hi SET b = ? WHERE a = ?", ("upd", 7))
+        ds.materialize("v2")
+        ds.check("moved back to v2")
+    finally:
+        ds.close()

@@ -1,6 +1,7 @@
 """Plan-cache invalidation, transition metrics and generated objects
 touched across all three catalog transitions (evolve / materialize /
-drop), on both transports."""
+drop), on both transports.  A plan lives as long as its schema version:
+only a drop invalidates, and only the dropped version's plans."""
 
 from __future__ import annotations
 
@@ -102,26 +103,33 @@ def assert_transition_metrics(engine, baseline: dict,
 class TestInProcess:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_each_transition_invalidates_and_is_timed(self, backend):
+        """Evolve and materialize keep v1's plan (the next execute hits);
+        the drop of v1 is the one invalidation.  Every transition is
+        counted and timed."""
         engine = build_engine()
         base_generation = engine.catalog_generation
         conn = repro.connect(engine, "v1", autocommit=True, backend=backend)
+        conn.execute("INSERT INTO R(a, b) VALUES (1, 'x')")
         conn.execute("SELECT a FROM R")  # populate the plan cache
         before = invalidations(engine)
+        stats_before = engine.plan_cache.stats()["invalidations"]
         baseline = transition_counts(engine)
 
-        conn.execute(EVOLVE)
-        assert invalidations(engine) == before + 1
-        conn.execute("SELECT a FROM R")
-        assert conn.execute("SELECT a FROM R").cache_event == "hit"
-
-        conn.execute(MATERIALIZE)
-        assert invalidations(engine) == before + 2
+        for statement in (EVOLVE, MATERIALIZE):
+            conn.execute(statement)
+            assert invalidations(engine) == before, statement
+            assert engine.plan_cache.stats()["invalidations"] == stats_before
+            cursor = conn.execute("SELECT a FROM R")
+            assert cursor.cache_event == "hit", statement
+            assert cursor.fetchall() == [(1,)], statement
 
         conn.execute(DROP)
-        assert invalidations(engine) == before + 3
+        assert invalidations(engine) == before + 1
+        assert engine.plan_cache.stats()["invalidations"] == stats_before + 1
+        v2 = repro.connect(engine, "v2", autocommit=True, backend=backend)
+        assert v2.execute("SELECT a2 FROM R").fetchall() == [(1,)]
 
         assert_transition_metrics(engine, baseline, base_generation)
-
 
     def test_installs_count_the_generated_objects_they_touch(self):
         engine = build_engine()
@@ -187,15 +195,21 @@ class TestRemote:
         host, port = server.address
         conn = connect_remote(host, port, "v1", autocommit=True)
         try:
+            conn.execute("INSERT INTO R(a, b) VALUES (1, 'x')")
             conn.execute("SELECT a FROM R")
             before = invalidations(engine)
             baseline = transition_counts(engine)
-            conn.execute(EVOLVE)
-            assert invalidations(engine) == before + 1
-            conn.execute(MATERIALIZE)
-            assert invalidations(engine) == before + 2
+            for statement in (EVOLVE, MATERIALIZE):
+                conn.execute(statement)
+                assert invalidations(engine) == before, statement
+                cursor = conn.execute("SELECT a FROM R")
+                assert cursor.cache_event == "hit", statement
+                assert cursor.fetchall() == [(1,)], statement
             conn.execute(DROP)
-            assert invalidations(engine) == before + 3
+            assert invalidations(engine) == before + 1
+            other = connect_remote(host, port, "v2", autocommit=True)
+            assert other.execute("SELECT a2 FROM R").fetchall() == [(1,)]
+            other.close()
             assert_transition_metrics(engine, baseline, base_generation)
             # The dropped version's counters survive in the registry; the
             # statement latency series still names v1.
