@@ -13,7 +13,8 @@ For the current materialization this module produces, in dependency order,
    with shared-aux maintenance for adjacent off-route SMOs and extent
    repairs for shared aux tables deeper down virtual branches; a write
    into a view whose own program is one row-local statement is that
-   statement, so a write crosses one trigger per real hop,
+   statement, so a write crosses one trigger per real hop, and a delete
+   from a compound view runs that view's key deletes in place,
 
 plus the in-place SQL migration script implementing ``MATERIALIZE``.
 """
@@ -54,7 +55,9 @@ from repro.util.naming import physical_name
 #: 7 = a SPLIT's first-partition keeper tests OLD, an aux membership is
 #:     a delete plus one guarded insert, a snapshot row is a FROM item.
 #: 8 = ADD COLUMN's widening rule pair is one branch reading B by a probe.
-EMISSION_STAMP = 8
+#: 9 = a delete from a compound view runs that view's key deletes in place;
+#:     a NOT EXISTS guard reads a physical table version's data table.
+EMISSION_STAMP = 9
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -251,7 +254,8 @@ class Renderer:
     change for survivors, so a view is rendered once.  Its triggers also
     read :func:`_off_route_shared` of itself and of every view a write was
     offered to (:meth:`row_program`, since whether that view's program is
-    one statement, and so inlined, turns on those SMOs); all of them lie
+    row-local, and so inlined, turns on those SMOs — and on whether that
+    view is compound, which its memoized body says); all of them lie
     in its connected genealogy component, which is in every scope that
     can change one of those sets (:func:`transition_scope`).  So a scoped
     pass renders the triggers of its table versions again and trusts the
@@ -346,18 +350,35 @@ class Renderer:
             found = self._routes[tv.uid] = (smo, *_off_route_shared(tv, smo))
         return found
 
-    def row_program(self, tv, op, key, values, guard, source) -> str | None:
+    def row_program(self, tv, op, key, values, guard, source) -> list[str] | None:
         """``tv``'s own ``op`` program bound to a writer's row, when it is
-        one row-local statement — no shared-aux upkeep around it, and the
-        physical pass-through or a handler's
-        :meth:`~repro.backend.handlers.SmoHandler.row_write` — else
-        ``None`` (:attr:`HandlerContext.inline`)."""
+        row-local — no shared-aux upkeep around it, and the physical
+        pass-through or a handler's
+        :meth:`~repro.backend.handlers.SmoHandler.row_write` — and one
+        statement, or a delete from a view whose composed body is a UNION
+        of more than one branch: finding the row there costs SQLite every
+        branch, the deletes it runs do not.  Else ``None``
+        (:attr:`HandlerContext.inline`)."""
         route_smo, adjacent_shared, deep = self._route(tv)
         if adjacent_shared or deep:
             return None
         if route_smo is None:
-            return _physical_write(tv, op, key, values, guard, source)
-        return handler_for(self.ctx, route_smo).row_write(tv, op, key, values, guard, source)
+            return [_physical_write(tv, op, key, values, guard, source)]
+        handler = handler_for(self.ctx, route_smo)
+        program = handler.row_write(tv, op, key, values, guard, source)
+        if program is None or len(program) == 1 or (op == "DELETE" and self._compound(tv)):
+            return program
+        return None
+
+    def _compound(self, tv: TableVersion) -> bool:
+        """Is ``tv``'s composed view body more than one branch?  Renders
+        the views it reads first where the memo lacks them."""
+        if tv.uid not in self._views:
+            for needed in active_table_versions(
+                self.engine, [tv], known=lambda other: other.uid in self._views
+            ):
+                self.view(needed)
+        return len(self.view(tv)[2] or ()) > 1
 
     def triggers(self, tv: TableVersion) -> list[str]:
         """The ``INSTEAD OF`` trigger triple of ``tv``.

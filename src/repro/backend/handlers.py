@@ -96,12 +96,20 @@ class HandlerContext:
 
     engine: object  # InVerDa; duck-typed to avoid an import cycle
     #: ``(tv, op, key, values, guard, source)`` -> ``tv``'s own ``op``
-    #: program with its row bound, or ``None`` unless that program is one
-    #: row-local statement (:meth:`repro.backend.codegen.Renderer.row_program`).
-    inline: Callable[..., str | None] = _never
+    #: program with its row bound, or ``None`` unless that program runs in
+    #: place of the hop (:meth:`repro.backend.codegen.Renderer.row_program`).
+    inline: Callable[..., list[str] | None] = _never
 
     def view(self, tv: TableVersion) -> str:
         return tv.view_name
+
+    def probe(self, tv: TableVersion) -> str:
+        """What a key probe of ``tv`` reads: a physical table version's data
+        table, which holds the rows of its pass-through view without the
+        view SQLite would expand on every prepare; else ``tv``'s view."""
+        if self.engine._is_physical(tv):
+            return q(tv.data_table_name)
+        return self.view(tv)
 
     def upsert(
         self, tv: TableVersion, key: str, row: Sequence[str],
@@ -114,21 +122,26 @@ class HandlerContext:
         the ``INSERT`` into its view that fires it.  Every value is a
         reference, a literal or parenthesized, so it substitutes as an
         operand."""
-        return self.inline(tv, "UPSERT", key, row, guard, source) or upsert_row(
+        inlined = self.inline(tv, "UPSERT", key, row, guard, source)
+        if inlined is not None:
+            (statement,) = inlined
+            return statement
+        return upsert_row(
             self.view(tv), tv.schema.column_names, key, row, guard=guard, source=source
         )
 
-    def delete(self, tv: TableVersion, key: str, guard: str | None = None) -> str:
+    def delete(self, tv: TableVersion, key: str, guard: str | None = None) -> list[str]:
         """Delete ``key`` from ``tv`` when ``guard`` holds, through ``tv``'s
-        one-statement program where the guard reads nothing but the row
-        and a write program's row snapshot: every such program maps rows
-        1:1 on ``p``, so an absent row stays no effect, and none writes a
-        snapshot.  A guard reading any other state stays a hop."""
+        row-local program where the guard reads nothing but the row and a
+        write program's row snapshot: no such program deletes a key its
+        view lacks, so an absent row stays no effect, and none writes a
+        snapshot, so the guard reads the same before each statement.  A
+        guard reading any other state stays a hop."""
         if guard is None or "SELECT" not in emit.SNAPSHOT_TEST.sub("", guard):
             inlined = self.inline(tv, "DELETE", key, (), guard, None)
             if inlined is not None:
                 return inlined
-        return delete_row(self.view(tv), key, guard=guard)
+        return [delete_row(self.view(tv), key, guard=guard)]
 
     def aux_is_stored(self, smo: SmoInstance, role: str) -> bool:
         semantics = smo.semantics
@@ -186,11 +199,12 @@ def _not(term: Guard) -> Guard:
 
 
 def _guarded(guard: Guard, build, *args, **kwargs) -> list[str]:
-    """``build(*args, guard=guard, **kwargs)``: no statement when the guard
-    folds to false, no ``WHERE`` when it folds to true."""
-    return [] if guard is False else [
-        build(*args, guard=None if guard is True else guard, **kwargs)
-    ]
+    """The statement(s) ``build(*args, guard=guard, **kwargs)``: none when
+    the guard folds to false, no ``WHERE`` when it folds to true."""
+    if guard is False:
+        return []
+    built = build(*args, guard=None if guard is True else guard, **kwargs)
+    return [built] if isinstance(built, str) else built
 
 
 class _PartitionRow(NamedTuple):
@@ -224,22 +238,27 @@ class SmoHandler:
             return self.sem.source_roles[self.smo.sources.index(tv)]
         return self.sem.target_roles[self.smo.targets.index(tv)]
 
-    def _role_tables(self) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
-        """Role -> SQL reference and role -> payload columns, with data
-        roles resolved to views and aux roles to stored-or-empty."""
+    def _role_tables(
+        self,
+    ) -> tuple[dict[str, str], dict[str, tuple[str, ...]], dict[str, str]]:
+        """Role -> SQL reference, with data roles resolved to views and aux
+        roles to stored-or-empty; role -> payload columns; and role -> what
+        a key probe of a data role reads (:meth:`HandlerContext.probe`)."""
         names: dict[str, str] = {}
         columns: dict[str, tuple[str, ...]] = {}
-        for role, tv in zip(self.sem.source_roles, self.smo.sources):
+        probes: dict[str, str] = {}
+        for role, tv in (
+            *zip(self.sem.source_roles, self.smo.sources),
+            *zip(self.sem.target_roles, self.smo.targets),
+        ):
             names[role] = self.ctx.view(tv)
             columns[role] = tv.schema.column_names
-        for role, tv in zip(self.sem.target_roles, self.smo.targets):
-            names[role] = self.ctx.view(tv)
-            columns[role] = tv.schema.column_names
+            probes[role] = self.ctx.probe(tv)
         for group in (self.sem.aux_src(), self.sem.aux_tgt(), self.sem.aux_shared()):
             for role, schema in group.items():
                 names[role] = self.ctx.aux_ref(self.smo, role)
                 columns[role] = schema.column_names
-        return names, columns
+        return names, columns, probes
 
     # -- API ---------------------------------------------------------------
 
@@ -275,8 +294,8 @@ class SmoHandler:
     def _write(self, tv: TableVersion, op: str, apply_data: bool) -> list[str]:
         """The program behind :meth:`write_statements`.  ``apply_data`` is
         only ever ``False`` for an SMO with shared aux tables.  Default:
-        the one statement of :meth:`row_write` over the trigger's row."""
-        return [self.row_write(tv, op, *own_row(tv, op), None, None)]
+        :meth:`row_write` over the trigger's row."""
+        return self.row_write(tv, op, *own_row(tv, op), None, None)
 
     def row_write(
         self,
@@ -286,12 +305,13 @@ class SmoHandler:
         values: Sequence[str],
         guard: str | None,
         source: str | None,
-    ) -> str | None:
-        """``tv``'s ``op`` program when it is one row-local statement
-        (reading nothing but its row and literals), rendered for the row
-        ``key`` / ``values`` (none for a delete; reading ``source`` if
-        given) under ``guard``; ``None`` when the program is more
-        (default)."""
+    ) -> list[str] | None:
+        """``tv``'s ``op`` program when it is row-local — one statement
+        reading nothing but its row and literals, or for a delete, deletes
+        of the key from relations holding no key ``tv`` lacks — rendered
+        for the row ``key`` / ``values`` (none for a delete; reading
+        ``source`` if given) under ``guard``; ``None`` when the program is
+        more (default)."""
         return None
 
     def repair_statements(self) -> list[str]:
@@ -332,23 +352,25 @@ class RuleBackedHandler(SmoHandler):
         return rules
 
     def view_select(self, tv: TableVersion) -> str:
-        names, columns = self._role_tables()
+        names, columns, probes = self._role_tables()
         return select_sql_for_rules(
             self.role_of(tv),
             self._view_rules(tv),
             table_names=names,
             table_columns=columns,
             head_columns=tv.schema.column_names,
+            probe_names=probes,
         )
 
     def view_branches(self, tv: TableVersion):
-        names, columns = self._role_tables()
+        names, columns, probes = self._role_tables()
         return branches_for_rules(
             self.role_of(tv),
             self._view_rules(tv),
             table_names=names,
             table_columns=columns,
             head_columns=tv.schema.column_names,
+            probe_names=probes,
         )
 
     def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
@@ -358,7 +380,7 @@ class RuleBackedHandler(SmoHandler):
         side_aux = self.sem.aux_tgt() if will_materialize else self.sem.aux_src()
         if rules is None or not side_aux:
             return {}
-        names, columns = self._role_tables()
+        names, columns, probes = self._role_tables()
         out: dict[str, str] = {}
         for role, schema in side_aux.items():
             out[role] = select_sql_for_rules(
@@ -367,6 +389,7 @@ class RuleBackedHandler(SmoHandler):
                 table_names=names,
                 table_columns=columns,
                 head_columns=schema.column_names,
+                probe_names=probes,
             )
         return out
 
@@ -382,11 +405,11 @@ class DropTableHandler(RuleBackedHandler):
     def row_write(self, tv, op, key, values, guard, source):
         aux = self.smo.aux_table_name("R_retired")
         if op == "DELETE":
-            return delete_row(aux, key, guard=guard)
-        return upsert_row(
+            return [delete_row(aux, key, guard=guard)]
+        return [upsert_row(
             aux, tv.schema.column_names, key, values,
             guard=guard, source=source, plain_table=True,
-        )
+        )]
 
 
 class IdentityHandler(RuleBackedHandler):
@@ -399,7 +422,7 @@ class IdentityHandler(RuleBackedHandler):
             other = self.smo.sources[0]
         if op == "DELETE":
             return self.ctx.delete(other, key, guard)
-        return self.ctx.upsert(other, key, values, guard, source)
+        return [self.ctx.upsert(other, key, values, guard, source)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +456,7 @@ class ColumnHandler(RuleBackedHandler):
             computed if c == self.sem.node.column else row[c]
             for c in wide_tv.schema.column_names
         ]
-        return self.ctx.upsert(wide_tv, key, wide_values, guard, source)
+        return [self.ctx.upsert(wide_tv, key, wide_values, guard, source)]
 
     def _write(self, tv, op, apply_data):
         narrow_tv, _wide_tv, _function = self._sides()
@@ -442,7 +465,9 @@ class ColumnHandler(RuleBackedHandler):
         column = self.sem.node.column
         aux = self.smo.aux_table_name("B")
         if op == "DELETE":
-            return [self.ctx.delete(narrow_tv, "OLD.p"), delete_row(aux, "OLD.p")]
+            # Not row-local: B may hold a key the wide view lacks (a delete
+            # at the narrow side leaves its B row).
+            return [*self.ctx.delete(narrow_tv, "OLD.p"), delete_row(aux, "OLD.p")]
         narrow_values = [f"NEW.{q(c)}" for c in narrow_tv.schema.column_names]
         return [
             self.ctx.upsert(narrow_tv, "NEW.p", narrow_values),
@@ -479,7 +504,9 @@ class VerticalHandler(RuleBackedHandler):
         second_cols = tuple(wide_cols[i] for i in lens.second_indices)
         wide_tv, first_tv, second_tv = self._tvs()
         if tv is wide_tv:
-            return self._split_write(((first_tv, first_cols), (second_tv, second_cols)), op)
+            if op == "DELETE":
+                return super()._write(tv, op, apply_data)
+            return self._split_write(((first_tv, first_cols), (second_tv, second_cols)))
         if tv is first_tv:
             own, other_tv, other_cols = first_cols, second_tv, second_cols
         else:
@@ -493,16 +520,21 @@ class VerticalHandler(RuleBackedHandler):
             op,
         )
 
-    def _split_write(self, parts, op):
-        """Write at the wide table: project both parts (``(tv, columns)``),
+    def row_write(self, tv, op, key, values, guard, source):
+        # A delete at the wide table deletes the key from both parts, and
+        # the wide view is their outer join: it holds every key they hold.
+        wide_tv, first_tv, second_tv = self._tvs()
+        if op != "DELETE" or tv is not wide_tv:
+            return None
+        return self.ctx.delete(first_tv, key, guard) + self.ctx.delete(second_tv, key, guard)
+
+    def _split_write(self, parts):
+        """Upsert at the wide table: project both parts (``(tv, columns)``),
         suppressing all-null (omega) parts."""
         statements = []
         for part_tv, columns in parts:
-            if op == "DELETE":
-                statements.append(self.ctx.delete(part_tv, "OLD.p"))
-                continue
             refs = [f"NEW.{q(c)}" for c in columns]
-            statements.append(self.ctx.delete(part_tv, "NEW.p", all_null(refs)))
+            statements += self.ctx.delete(part_tv, "NEW.p", all_null(refs))
             statements.append(self.ctx.upsert(part_tv, "NEW.p", refs, not_all_null(refs)))
         return statements
 
@@ -530,7 +562,7 @@ class VerticalHandler(RuleBackedHandler):
             row = {**new_refs(other_cols, row="o"), **{c: "NULL" for c in own_cols}}
             return statements + [
                 self.ctx.upsert(wide_tv, key, [row[c] for c in wide], source=f"{put_other} o"),
-                self.ctx.delete(wide_tv, key, f"NOT {snapshot_exists(put_other)}"),
+                *self.ctx.delete(wide_tv, key, f"NOT {snapshot_exists(put_other)}"),
             ]
         row = {c: f"(SELECT {q(c)} FROM {put_other})" for c in other_cols}
         row.update(new_refs(own_cols))
@@ -551,7 +583,7 @@ class InnerJoinPkHandler(RuleBackedHandler):
         if self.side_of(tv) == "target":
             # Backward (virtualized): split the joined row into both parts.
             if op == "DELETE":
-                return [self.ctx.delete(part_tv, "OLD.p") for part_tv in (first_tv, second_tv)]
+                return self.ctx.delete(first_tv, "OLD.p") + self.ctx.delete(second_tv, "OLD.p")
             return [
                 self.ctx.upsert(part_tv, *own_row(part_tv, op))
                 for part_tv in (first_tv, second_tv)
@@ -574,7 +606,7 @@ class InnerJoinPkHandler(RuleBackedHandler):
         other, source = new_refs(other_cols, row="o"), f"{put_other} o"
         other_exists = snapshot_exists(put_other)
         if op == "DELETE":
-            statements += [self.ctx.delete(joined_tv, key), delete_row(own_plus, key)]
+            statements += [*self.ctx.delete(joined_tv, key), delete_row(own_plus, key)]
             return statements + emit.member_row(
                 other_plus, key, True, other_cols, list(other.values()), source=source
             )
@@ -582,7 +614,7 @@ class InnerJoinPkHandler(RuleBackedHandler):
         joined_values = [{**other, **own}[c] for c in joined_tv.schema.column_names]
         return statements + [
             self.ctx.upsert(joined_tv, key, joined_values, source=source),
-            self.ctx.delete(joined_tv, key, f"NOT {other_exists}"),
+            *self.ctx.delete(joined_tv, key, f"NOT {other_exists}"),
             *emit.member_row(own_plus, key, f"NOT {other_exists}", own_cols, list(own.values())),
             delete_row(other_plus, key),
         ]
@@ -623,32 +655,38 @@ class PartitionHandler(RuleBackedHandler):
             return {}
         return self._row_puts((first, second))
 
-    def _to_partitions(self, op) -> list[str]:
-        """Write at the unified table; the partitioned side (including its
+    def row_write(self, tv, op, key, values, guard, source):
+        # A delete at the unified table deletes the key from both partitions
+        # and Uprime, whose keys are all the unified view holds.
+        unified, first, second = self._tvs()
+        if op != "DELETE" or tv is not unified:
+            return None
+        statements = self.ctx.delete(first, key, guard)
+        if second is not None:
+            statements += self.ctx.delete(second, key, guard)
+        uprime = self.smo.aux_table_name(self._lens().roles.uprime)
+        return statements + [delete_row(uprime, key, guard=guard)]
+
+    def _to_partitions(self) -> list[str]:
+        """Upsert at the unified table; the partitioned side (including its
         Uprime aux) is stored."""
         lens = self._lens()
         _unified, first, second = self._tvs()
         columns = lens.schema.column_names
         uprime = self.smo.aux_table_name(lens.roles.uprime)
-        if op == "DELETE":
-            statements = [self.ctx.delete(first, "OLD.p")]
-            if second is not None:
-                statements.append(self.ctx.delete(second, "OLD.p"))
-            statements.append(delete_row(uprime, "OLD.p"))
-            return statements
         refs = new_refs(columns)
         values = [f"NEW.{q(c)}" for c in columns]
         cr = cond_true(lens.c_first, refs)
         not_cr = cond_not_true(lens.c_first, refs)
         statements = [
             self.ctx.upsert(first, "NEW.p", values, cr),
-            self.ctx.delete(first, "NEW.p", not_cr),
+            *self.ctx.delete(first, "NEW.p", not_cr),
         ]
         if second is not None and lens.c_second is not None:
             cs = cond_true(lens.c_second, refs)
             not_cs = cond_not_true(lens.c_second, refs)
             statements.append(self.ctx.upsert(second, "NEW.p", values, cs))
-            statements.append(self.ctx.delete(second, "NEW.p", not_cs))
+            statements += self.ctx.delete(second, "NEW.p", not_cs)
             neither = f"{not_cr} AND {not_cs}"
             either = f"({cr} OR {cs})"
         else:
@@ -714,7 +752,7 @@ class PartitionHandler(RuleBackedHandler):
         refs = new_refs(columns, row="OLD" if tv is first else "d")
         neither = _all(*(cond_not_true(c, refs) for c in (c_first, c_second) if c is not None))
         if tv is not first:
-            unified_view = self.ctx.view(unified)
+            unified_view = self.ctx.probe(unified)
             neither = f"EXISTS (SELECT 1 FROM {unified_view} d WHERE d.p IS {key} AND {neither})"
         statements += _guarded(
             _all(_not(f_row.exists), _not(s_row.exists), _not(neither)),
@@ -741,9 +779,11 @@ class PartitionHandler(RuleBackedHandler):
         return statements
 
     def _write(self, tv, op, apply_data):
-        if self.is_unified(tv):
-            return self._to_partitions(op)
-        return self._to_unified(tv, op)
+        if not self.is_unified(tv):
+            return self._to_unified(tv, op)
+        if op == "DELETE":
+            return super()._write(tv, op, apply_data)
+        return self._to_partitions()
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +887,7 @@ class FkHandler(SmoHandler):
                     f"AND NOT EXISTS (SELECT 1 FROM {id_table} i2 "
                     f"WHERE i2.p IS NOT OLD.p AND i2.fk IS {recorded})"
                 )
-                statements.append(self.ctx.delete(s_tv, "OLD.p"))
+                statements += self.ctx.delete(s_tv, "OLD.p")
             statements.append(delete_row(id_table, "OLD.p"))
             return statements
         b_new = [f"NEW.{q(c)}" for c in b_cols]
@@ -915,7 +955,7 @@ class FkHandler(SmoHandler):
         if op == "DELETE":
             statements = []
             if apply_data:
-                statements.append(self.ctx.delete(wide_tv, "OLD.p"))
+                statements += self.ctx.delete(wide_tv, "OLD.p")
             statements.append(delete_row(id_table, "OLD.p"))
             return statements
         put_t = self.smo.put_table_name("T")

@@ -216,24 +216,16 @@ class Genealogy:
         """
         version = self.schema_version(name)
         version.dropped = True
+        # Every SMO some active table version derives from, along every
+        # source of every SMO on the way (a worklist: a JOIN's second
+        # source may itself come from a multi-source SMO).
         needed: set[int] = set()
-        for active in self.active_versions():
-            for tv in active.tables.values():
-                cursor = tv
-                while cursor.incoming is not None and not cursor.incoming.is_initial:
-                    needed.add(cursor.incoming.uid)
-                    # walk further along every source
-                    smo = cursor.incoming
-                    if not smo.sources:
-                        break
-                    cursor = smo.sources[0]
-                    for extra in smo.sources[1:]:
-                        walker = extra
-                        while walker.incoming is not None and not walker.incoming.is_initial:
-                            needed.add(walker.incoming.uid)
-                            if not walker.incoming.sources:
-                                break
-                            walker = walker.incoming.sources[0]
+        pending = [tv for active in self.active_versions() for tv in active.tables.values()]
+        while pending:
+            smo = pending.pop().incoming
+            if smo is not None and not smo.is_initial and smo.uid not in needed:
+                needed.add(smo.uid)
+                pending.extend(smo.sources)
         unneeded = [
             smo
             for smo in self.evolution_smos()

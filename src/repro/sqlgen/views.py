@@ -136,12 +136,14 @@ class _Subquery:
         table_columns: Mapping[str, tuple[str, ...]],
         head_columns: tuple[str, ...],
         stored: Atom | None = None,
+        probe_names: Mapping[str, str] | None = None,
     ):
         self.rule = rule
         #: ``X(p, b…)`` of a merged pair: each ``b`` bound by a function
         #: binding reads X's value at ``p`` where X holds one.
         self.stored = stored
         self.table_names = table_names
+        self.probe_names = probe_names or {}
         self.table_columns = table_columns
         self.head_columns = head_columns
         self.aliases: list[tuple[str, str]] = []  # (alias, table)
@@ -249,12 +251,12 @@ class _Subquery:
                 elif term.name in self.var_sources or term.name in self.computed:
                     constraints.append(f"{reference} = {self._term_sql(term)}")
                 # otherwise: don't-care position
-            body = f"SELECT 1 FROM {self.table_names[negative.pred]} {alias}"
+            body = f"SELECT 1 FROM {self._probed(negative.pred)} {alias}"
             if constraints:
                 body += " WHERE " + " AND ".join(constraints)
             self.where.append(f"NOT EXISTS ({body})")
             if negative.terms[0] == key and len(constraints) == 1:
-                forbids.add(self.table_names[negative.pred])
+                forbids |= {self.table_names[negative.pred], self._probed(negative.pred)}
 
         head = tuple(
             (column, self._term_sql(term))
@@ -277,7 +279,7 @@ class _Subquery:
         stored = self.stored
         column = self.table_columns[stored.pred][stored.terms.index(target) - 1]
         match = (
-            f"FROM {self.table_names[stored.pred]} n "
+            f"FROM {self._probed(stored.pred)} n "
             f"WHERE n.p = {self._term_sql(self.rule.head.terms[0])}"
         )
         return (
@@ -285,6 +287,11 @@ class _Subquery:
             f"THEN (SELECT n.{quote_identifier(column)} {match}) "
             f"ELSE {computed} END"
         )
+
+    def _probed(self, pred: str) -> str:
+        """The relation a ``NOT EXISTS`` or stored-value probe of ``pred``
+        reads: its probe name where one is given, else its table name."""
+        return self.probe_names.get(pred, self.table_names[pred])
 
     def _column_var(self, column: str) -> str:
         # Assign expressions refer to source columns by name; the SMO rule
@@ -349,6 +356,7 @@ def select_sql_for_rules(
     table_names: Mapping[str, str],
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
+    probe_names: Mapping[str, str] | None = None,
 ) -> str:
     """A bare ``SELECT`` (UNION of the branches of :func:`branches_for_rules`)
     deriving ``head_pred``; shared by view creation and generated put
@@ -361,6 +369,7 @@ def select_sql_for_rules(
             table_names=table_names,
             table_columns=table_columns,
             head_columns=head_columns,
+            probe_names=probe_names,
         )
     )
 
@@ -372,12 +381,18 @@ def branches_for_rules(
     table_names: Mapping[str, str],
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
+    probe_names: Mapping[str, str] | None = None,
 ) -> list[ViewBranch]:
     """The structured UNION branches deriving ``head_pred``: one per rule,
     and one per stored-or-computed pair (:func:`_stored_or_computed`),
     which reads the stored value through a probe instead of scanning the
     rest of the body twice.  The backend's view composer flattens these
-    along the SMO chain."""
+    along the SMO chain.
+
+    ``probe_names`` maps a predicate to the relation its key probes read
+    instead of its table name (one holding the same rows: a physical
+    table version's data table for its pass-through view); a ``forbids``
+    fact names both."""
     pending = list(rules.rules_for(head_pred))
     branches = []
     while pending:
@@ -389,7 +404,9 @@ def branches_for_rules(
                 rule, stored = pair
                 break
         branches.append(
-            _Subquery(rule, table_names, table_columns, head_columns, stored).branch()
+            _Subquery(
+                rule, table_names, table_columns, head_columns, stored, probe_names
+            ).branch()
         )
     if not branches:
         raise BackendError(f"no rules derive {head_pred!r}")

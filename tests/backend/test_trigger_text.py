@@ -16,10 +16,14 @@ small without changing what any statement does:
     budget, which the ``repro_delta_code_bytes`` gauge reports;
 (d) composition is complete and exact: no installed trigger writes a view
     whose own program is one row-local statement (that statement is
-    inlined instead), every write through every view of every chain under
-    every valid materialization leaves the stored tables exactly as the
-    hop-by-hop triggers do, and a DELETE of an absent key changes nothing
-    — on a raw ``sqlite3`` handle.
+    inlined instead), nor deletes from a compound view whose deletes are
+    row-local (they run in place), every write through every view of
+    every chain under every valid materialization leaves the stored
+    tables exactly as the hop-by-hop triggers do, and a DELETE of an
+    absent key changes nothing — on a raw ``sqlite3`` handle;
+(e) what SQLite compiles for a write at either end of the benchmark chain
+    stays its exact size, and no view or trigger reads a physical table
+    version through its pass-through view.
 """
 
 from __future__ import annotations
@@ -40,11 +44,14 @@ from repro.backend.handlers import (
     HandlerContext,
     IdentityHandler,
     PartitionHandler,
+    VerticalHandler,
     handler_for,
 )
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.core.engine import InVerDa
+from repro.testing import DualSystem
+from repro.workloads.orders import build_orders
 from tests.backend.test_differential import CHAINS, _apply_materialization
 from tests.backend.test_sargable import build_chain
 from tests.backend.test_upsert_primitive import (
@@ -173,12 +180,40 @@ def test_benchmark_chain_delta_code_fits_its_budget():
 #: runs on ``v9__Lo`` (S8's Lo), trigger programs included, by SQLite version.
 FWD_OPCODES = {"3.40.1": {"INSERT": 392, "UPDATE": 520, "DELETE": 502}}
 
+#: The same for the backward writes on ``v0__Item`` (S0's Item).  Emission
+#: stamp 8 compiled them to 180 / 283 / 215: its DELETE found the row in
+#: ``v3__Thing``'s three branches before that view's trigger deleted it.
+BWD_OPCODES = {"3.40.1": {"INSERT": 180, "UPDATE": 283, "DELETE": 129}}
+
 _WRITE_TARGET = re.compile(r"(?:INSERT INTO|DELETE FROM) (\w+)")
 
 
 def _trigger_statements(sql: str) -> list[str]:
     body = sql[sql.index("\nBEGIN\n  ") + len("\nBEGIN\n  ") : sql.rindex(";\nEND")]
     return body.split(";\n  ")
+
+
+def _write_opcodes(engine, backend, version: str, table: str, view: str, payload: str):
+    """``EXPLAIN`` opcodes of the INSERT / UPDATE / DELETE the SQL layer runs
+    for writes on ``table`` at ``version`` (``payload`` its updated column),
+    and their texts."""
+    conn = repro.connect(engine, version, autocommit=True, backend="sqlite")
+    texts = {}
+    for op, sql in (
+        ("INSERT", f"INSERT INTO {table}(k, grp, qty, {payload}) VALUES (?, ?, ?, ?)"),
+        ("UPDATE", f"UPDATE {table} SET {payload} = ? WHERE k = ?"),
+        ("DELETE", f"DELETE FROM {table} WHERE k = ?"),
+    ):
+        report = dict(conn.execute(f"EXPLAIN {sql}", (1,) * sql.count("?")))
+        assert report["view"] == view
+        texts[op] = report.get("executed_sql", report["backend_sql"])
+    conn.close()
+    handle = backend.connection
+    opcodes = {
+        op: len(handle.execute(f"EXPLAIN {text}", (None,) * text.count("?")).fetchall())
+        for op, text in texts.items()
+    }
+    return opcodes, texts
 
 
 def test_benchmark_chain_forward_writes_compile_to_their_size(tmp_path):
@@ -191,25 +226,11 @@ def test_benchmark_chain_forward_writes_compile_to_their_size(tmp_path):
         [(i, i % 7, i % 13, f"n{i}") for i in range(1000)], str(tmp_path / "chain.db")
     )
     try:
-        conn = repro.connect(engine, "S8", autocommit=True, backend="sqlite")
-        texts = {}
-        for op, sql in (
-            ("INSERT", "INSERT INTO Lo(k, grp, qty, remark) VALUES (?, ?, ?, ?)"),
-            ("UPDATE", "UPDATE Lo SET remark = ? WHERE k = ?"),
-            ("DELETE", "DELETE FROM Lo WHERE k = ?"),
-        ):
-            report = dict(conn.execute(f"EXPLAIN {sql}", (1,) * sql.count("?")))
-            assert report["view"] == "v9__Lo"
-            texts[op] = report.get("executed_sql", report["backend_sql"])
-        conn.close()
-        handle = backend.connection
-        opcodes = {
-            op: len(handle.execute(f"EXPLAIN {text}", (None,) * text.count("?")).fetchall())
-            for op, text in texts.items()
-        }
+        opcodes, texts = _write_opcodes(engine, backend, "S8", "Lo", "v9__Lo", "remark")
         if sqlite3.sqlite_version in FWD_OPCODES:
             assert opcodes == FWD_OPCODES[sqlite3.sqlite_version], f"{SQLITE}: {texts}"
 
+        handle = backend.connection
         ctx = HandlerContext(engine)
         checked = 0
         for tv in codegen.active_table_versions(engine):
@@ -229,6 +250,70 @@ def test_benchmark_chain_forward_writes_compile_to_their_size(tmp_path):
                     assert not unified.search(read), statement
                 checked += 1
         assert checked == 5  # S8's Lo and Hi, three triggers each but Hi's DELETE
+    finally:
+        backend.close()
+
+
+def test_benchmark_chain_backward_writes_compile_to_their_size(tmp_path):
+    """The backward writes, four hops behind the data, on the same file: a
+    DELETE runs the row-local deletes of the compound ``v3__Thing`` in
+    place instead of finding its row there first."""
+    engine, backend = build_chain(
+        [(i, i % 7, i % 13, f"n{i}") for i in range(1000)], str(tmp_path / "chain.db")
+    )
+    try:
+        opcodes, texts = _write_opcodes(engine, backend, "S0", "Item", "v0__Item", "note")
+        if sqlite3.sqlite_version in BWD_OPCODES:
+            assert opcodes == BWD_OPCODES[sqlite3.sqlite_version], f"{SQLITE}: {texts}"
+    finally:
+        backend.close()
+
+
+def _pass_through_names(engine, connection, *, targets: bool = True) -> list[str]:
+    """Where an installed view or trigger names a physical table version's
+    pass-through view (a trigger's own ``ON`` clause aside): anywhere, or
+    with ``targets=False`` anywhere but the table a statement writes."""
+    physical = sorted(
+        tv.view_name
+        for tv in codegen.active_table_versions(engine)
+        if codegen.route_for(engine, tv) is None
+    )
+    named = re.compile(rf"\b(?:{'|'.join(map(re.escape, physical))})\b")
+    found = []
+    for kind, sql, _view in codegen.installed_objects(connection).values():
+        if kind == "view":
+            bodies = [sql[sql.index(" AS\n") :]]
+        else:
+            bodies = _trigger_statements(sql)
+            if not targets:
+                bodies = [_WRITE_TARGET.sub("", body, count=1) for body in bodies]
+        found += [
+            f"{sql.splitlines()[0]}: {match}" for body in bodies for match in named.findall(body)
+        ]
+    return found
+
+
+def test_no_generated_object_names_a_pass_through_view():
+    """A probe of a physical table version reads its data table, which
+    holds the rows of its pass-through view without the view SQLite would
+    expand at every prepare.  On the benchmark chain and the orders build
+    no view or trigger names such a view at all; under every other valid
+    materialization of the orders build none reads one (a keeper's guarded
+    delete may still write one: its guard reads more than the row)."""
+    engine, backend = build_chain([(i, i % 7, i % 13, f"n{i}") for i in range(50)])
+    try:
+        assert _pass_through_names(engine, backend.connection) == []
+    finally:
+        backend.close()
+    engine = build_orders(2, 8, 2).engine
+    backend = LiveSqliteBackend.attach(engine)
+    try:
+        assert _pass_through_names(engine, backend.connection) == []
+        schemas = enumerate_valid_materializations(engine.genealogy)
+        for schema in schemas:
+            engine.apply_materialization(schema)
+            assert _pass_through_names(engine, backend.connection, targets=False) == [], schema
+        assert len(schemas) > 1
     finally:
         backend.close()
 
@@ -265,9 +350,28 @@ _VIEW_INSERT = re.compile(r"INSERT INTO (\w+) \(")
 _ROW_DELETE = re.compile(r"DELETE FROM (\w+) WHERE p IS (?:NEW|OLD)\.p(?: AND \((.*)\))?", re.S)
 
 
-def _hop_writes(connection, inlinable: set[str]) -> list[str]:
+def _key_deletes_in_place(engine, connection, tv) -> bool:
+    """Is a delete from ``tv`` its own program run in place: a compound
+    view whose delete deletes the key from every relation its rows come
+    from (a SPLIT's unified side, a DECOMPOSE's wide side)?"""
+    route = codegen.route_for(engine, tv)
+    if route is None or any(codegen._off_route_shared(tv, route[0])):
+        return False
+    handler = handler_for(HandlerContext(engine), route[0])
+    if isinstance(handler, PartitionHandler):
+        covered = handler.is_unified(tv)
+    else:
+        covered = isinstance(handler, VerticalHandler) and tv is handler._tvs()[0]
+    (view,) = connection.execute(
+        "SELECT sql FROM sqlite_master WHERE name = ?", (tv.view_name,)
+    ).fetchone()
+    return covered and "\nUNION" in view
+
+
+def _hop_writes(connection, inlinable: set[str], spliced: set[str]) -> list[str]:
     """Installed statements that still write an inlinable view: any INSERT
-    into it, or a row delete whose guard reads nothing but the row."""
+    into it, or a row delete whose guard reads nothing but the row — or
+    such a delete from a view whose deletes run in place."""
     found = []
     for (sql,) in connection.execute("SELECT sql FROM sqlite_master WHERE type = 'trigger'"):
         body = sql[sql.index("\nBEGIN\n  ") + len("\nBEGIN\n  ") : sql.rindex(";\nEND")]
@@ -275,7 +379,11 @@ def _hop_writes(connection, inlinable: set[str]) -> list[str]:
             insert, delete = _VIEW_INSERT.match(statement), _ROW_DELETE.fullmatch(statement)
             if insert and insert.group(1) in inlinable:
                 found.append(statement)
-            elif delete and delete.group(1) in inlinable and "SELECT" not in (delete.group(2) or ""):
+            elif (
+                delete
+                and delete.group(1) in inlinable | spliced
+                and "SELECT" not in (delete.group(2) or "")
+            ):
                 found.append(statement)
     return found
 
@@ -307,14 +415,66 @@ def _writes(ds, handle, rng) -> list[tuple[str, tuple]]:
     return writes
 
 
-@pytest.mark.parametrize("name", sorted(ALL_CHAINS))
+#: The benchmark chain's shape up to a SPLIT whose conditions overlap,
+#: loaded with twin rows (grp 2..4 lie in both partitions) and Uprime rows
+#: (grp NULL lies in neither): with the data at the partitions, a delete
+#: at any older version runs the compound view's key deletes in place.
+TWINS = "split_twins"
+TWIN_EVOLUTIONS = (
+    "RENAME COLUMN qty IN Item TO amount",
+    "ADD COLUMN dbl AS amount * 2 INTO Item",
+    "RENAME TABLE Item INTO Thing",
+    "SPLIT TABLE Thing INTO Low WITH grp <= 4, High WITH grp >= 2",
+)
+TWIN_ROWS = [(k, grp, k % 5) for k, grp in enumerate((0, 1, 2, 3, 4, 5, 6, None, None))]
+
+
+def _build_twins(path: str) -> DualSystem:
+    ds = DualSystem()
+    ds.execute_ddl(
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE Item(k INTEGER, grp INTEGER, qty INTEGER);"
+    )
+    ds.backend = _OnFile(path).attach(ds.sq)
+    ds.runmany("v1", "INSERT INTO Item(k, grp, qty) VALUES (?, ?, ?)", TWIN_ROWS)
+    for step, evolution in enumerate(TWIN_EVOLUTIONS, start=2):
+        ds.execute_ddl(f"CREATE SCHEMA VERSION v{step} FROM v{step - 1} WITH {evolution};")
+    return ds
+
+
+def _twin_deletes(ds, handle) -> tuple[list[tuple[str, tuple]], bool]:
+    """A DELETE of every row through every view, and whether the data sits
+    at the partitions: they then hold twins and Uprime rows, and the older
+    views' delete triggers run the compound view's deletes in place."""
+    tables = {name for (name,) in handle.execute("SELECT name FROM sqlite_master")}
+    at_partitions = {"d__4__Low", "d__5__High"} <= tables
+    if at_partitions:
+        (twins,) = handle.execute(
+            "SELECT COUNT(*) FROM d__4__Low JOIN d__5__High USING (p)"
+        ).fetchone()
+        (uprime,) = handle.execute("SELECT COUNT(*) FROM aux__4__Uprime").fetchone()
+        assert (twins, uprime) == (3, 2)
+        (spliced,) = handle.execute(
+            "SELECT sql FROM sqlite_master WHERE name = 'tg__0__delete'"
+        ).fetchone()
+        assert len(_trigger_statements(spliced)) == 3, spliced
+    writes = []
+    for tv in codegen.active_table_versions(ds.sq):
+        view = q(tv.view_name)
+        writes += [
+            (f"DELETE FROM {view} WHERE p = ?", (p,))
+            for (p,) in handle.execute(f"SELECT p FROM {view} ORDER BY p")
+        ]
+    return writes, at_partitions
+
+
+@pytest.mark.parametrize("name", [*sorted(ALL_CHAINS), TWINS])
 def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
     path = str(tmp_path / "chain.db")
     rng = random.Random(13)
-    ds = _build(name, _OnFile(path), rng)
+    ds = _build_twins(path) if name == TWINS else _build(name, _OnFile(path), rng)
     try:
         count = len(enumerate_valid_materializations(ds.mem.genealogy))
-        compared = 0
+        compared = twin_runs = 0
         for index in range(count):
             _apply_materialization(ds, index)
             context = f"{SQLITE} {name}/materialization-{index}"
@@ -325,9 +485,18 @@ def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
             }
             handle = sqlite3.connect(path, isolation_level=None)
             try:
-                assert _hop_writes(handle, inlinable) == [], context
+                spliced = {
+                    tv.view_name
+                    for tv in codegen.active_table_versions(ds.sq)
+                    if _key_deletes_in_place(ds.sq, handle, tv)
+                }
+                assert _hop_writes(handle, inlinable, spliced) == [], context
                 before = _stored_state(handle)
                 writes = _writes(ds, handle, rng)
+                if name == TWINS:
+                    deletes, at_partitions = _twin_deletes(ds, handle)
+                    writes += deletes
+                    twin_runs += at_partitions
                 composed = [_outcome(handle, sql, params) for sql, params in writes]
                 for (sql, params), outcome in zip(writes, composed):
                     if sql.startswith("DELETE") and params[0] >= 1000:
@@ -346,5 +515,6 @@ def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
             finally:
                 handle.close()
         assert compared > count
+        assert twin_runs == (name == TWINS)
     finally:
         ds.close()

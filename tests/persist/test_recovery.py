@@ -189,6 +189,20 @@ def stamp_6_to_unified(self, tv, op):
 STAMP_7_PAIR = "NOT EXISTS (SELECT 1 FROM aux__2__B n"
 
 
+class Stamp8Renderer(codegen.Renderer):
+    """Triggers as emission stamp 8 rendered them: a delete from a compound
+    view is a hop into it, not its deletes run in place."""
+
+    def row_program(self, tv, op, *row):
+        program = super().row_program(tv, op, *row)
+        return program if program is None or len(program) == 1 else None
+
+
+#: What stamp 8's guards read at the orders file's partitions once they
+#: hold the data: their pass-through views.
+STAMP_8_GUARD = re.compile(r"FROM v\d+__(?:Open|Closed) n\b")
+
+
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -349,7 +363,10 @@ class TestDeltaCodeReuse:
 
     @pytest.mark.parametrize(
         "older",
-        ["unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7"],
+        [
+            "unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7",
+            "stamp-8",
+        ],
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
         self, tmp_path, monkeypatch, older
@@ -362,7 +379,9 @@ class TestDeltaCodeReuse:
         trigger's program, or 5, whose triggers fire one another through
         hops that only rename or recompute columns, or 6, whose partition
         keeper re-reads the unified view, or 7, whose ADD COLUMN views
-        are two branches — is regenerated on open, once."""
+        are two branches, or 8, whose guards read a partition's
+        pass-through view and whose deletes hop into the unified view
+        (with the data at the partitions) — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -388,9 +407,14 @@ class TestDeltaCodeReuse:
             if older == "stamp-7":
                 patch.setattr(rule_views, "_stored_or_computed", lambda *_rules: None)
                 patch.setattr(codegen, "EMISSION_STAMP", 7)
-            backend = LiveSqliteBackend.attach(
-                build_orders(2, 8, 2).engine, database=path
-            )
+            if older == "stamp-8":
+                patch.setattr(codegen, "Renderer", Stamp8Renderer)
+                patch.setattr(handlers.HandlerContext, "probe", handlers.HandlerContext.view)
+                patch.setattr(codegen, "EMISSION_STAMP", 8)
+            engine = build_orders(2, 8, 2).engine
+            backend = LiveSqliteBackend.attach(engine, database=path)
+            if older == "stamp-8":
+                engine.execute("MATERIALIZE 'v3';")
             backend.close()
 
         def trigger_script(connection):
@@ -481,6 +505,17 @@ class TestDeltaCodeReuse:
                 assert all(STAMP_7_PAIR in stamp_3_views[n] for n in changed)
                 assert not any(STAMP_7_PAIR in sql for sql in installed.values())
                 assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
+            if older == "stamp-8":
+                # The views over the partitions are replaced (their
+                # triggers go with them), and the narrow Orders' DELETE
+                # runs the unified view's deletes in place.
+                changed = {n for n, sql in installed.items() if stamp_3_views[n] != sql}
+                assert changed == {"v0__Orders", "v2__Orders"}
+                assert all(STAMP_8_GUARD.search(stamp_3_views[n]) for n in changed)
+                assert not any(STAMP_8_GUARD.search(sql) for sql in installed.values())
+                hop = "DELETE FROM v2__Orders WHERE p IS OLD.p"
+                assert hop in "\n".join(triggers_before)
+                assert hop not in trigger_script(backend.connection)
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert not STAMP_6_TWIN.search(trigger_script(backend.connection))
