@@ -1,4 +1,9 @@
-"""Runtime (instantiated) Datalog representation.
+"""The Datalog representation: instantiated rules, as the SMOs build them.
+
+The same rules are evaluated (:mod:`repro.datalog.evaluate`), rendered to
+SQL views and triggers, and simplified by the bidirectionality prover
+(:mod:`repro.datalog.simplify`), which reads ``Const(None)`` as the
+paper's null filler ``ω``.
 
 Rules here are fully positional: every predicate has a fixed arity and facts
 are plain tuples whose first component is, by convention, the table key
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Union
 
 from repro.errors import DatalogError
@@ -52,6 +57,11 @@ class Const:
 
 
 Term = Union[Var, Const]
+Subst = Mapping[str, Term]
+
+
+def substitute_terms(terms: tuple[Term, ...], subst: Subst) -> tuple[Term, ...]:
+    return tuple(subst.get(t.name, t) if isinstance(t, Var) else t for t in terms)
 
 _wildcard_counter = itertools.count()
 
@@ -79,6 +89,9 @@ class Atom:
     def negated(self) -> "Atom":
         return Atom(self.pred, self.terms, not self.positive)
 
+    def substitute(self, subst: Subst) -> "Atom":
+        return Atom(self.pred, substitute_terms(self.terms, subst), self.positive)
+
     def variables(self) -> set[str]:
         return {term.name for term in self.terms if isinstance(term, Var)}
 
@@ -104,6 +117,15 @@ class CondLit:
     def negated(self) -> "CondLit":
         return CondLit(self.name, self.expression, self.columns, not self.positive)
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(term for _, term in self.columns)
+
+    def substitute(self, subst: Subst) -> "CondLit":
+        names = tuple(name for name, _ in self.columns)
+        columns = tuple(zip(names, substitute_terms(self.terms, subst)))
+        return CondLit(self.name, self.expression, columns, self.positive)
+
     def variables(self) -> set[str]:
         return {term.name for _, term in self.columns if isinstance(term, Var)}
 
@@ -124,6 +146,14 @@ class Compare:
             raise DatalogError(f"unsupported comparison operator {self.op!r}")
         if len(self.left) != len(self.right):
             raise DatalogError("tuple comparison requires equal arity")
+
+    def negated(self) -> "Compare":
+        return Compare("=" if self.op == "!=" else "!=", self.left, self.right)
+
+    def substitute(self, subst: Subst) -> "Compare":
+        return Compare(
+            self.op, substitute_terms(self.left, subst), substitute_terms(self.right, subst)
+        )
 
     def variables(self) -> set[str]:
         return {
@@ -151,6 +181,12 @@ class Assign:
         names.update(term.name for term in self.args if isinstance(term, Var))
         return names
 
+    def substitute(self, subst: Subst) -> "Assign":
+        (target,) = substitute_terms((self.target,), subst)
+        if not isinstance(target, Var):
+            raise DatalogError(f"assignment target {self.target} bound to constant {target}")
+        return replace(self, target=target, args=substitute_terms(self.args, subst))
+
     def __str__(self) -> str:
         args = ", ".join(str(t) for t in self.args)
         return f"{self.target} = {self.label}({args})"
@@ -174,6 +210,12 @@ class Rule:
             raise DatalogError("rule heads must be positive atoms")
         if not self.body:
             raise DatalogError("rules must have a non-empty body")
+
+    def substitute(self, subst: Subst) -> "Rule":
+        return Rule(self.head.substitute(subst), tuple(lit.substitute(subst) for lit in self.body))
+
+    def variables(self) -> set[str]:
+        return self.head.variables().union(*(lit.variables() for lit in self.body))
 
     def body_atoms(self, *, positive: bool | None = None) -> list[Atom]:
         atoms = [lit for lit in self.body if isinstance(lit, Atom)]

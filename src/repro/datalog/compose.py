@@ -17,123 +17,93 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from repro.datalog.simplify import normalize_rule
-from repro.datalog.symbolic import (
-    SAssign,
-    SAtom,
-    SCompare,
-    SCond,
-    SLiteral,
-    SRule,
-    STerm,
-    SVar,
-    anon,
-    rules_for,
-)
+from repro.datalog.ast import Assign, Atom, Compare, Literal, Rule, Term, Var
+from repro.datalog.simplify import drop_empty_predicates, normalize_rule
+from repro.datalog.symbolic import find_renaming, rename_apart, without
 from repro.errors import DatalogError
 
 
-def _rename_for_literal(defining: SRule, literal: SAtom, taken: set[str]) -> SRule | None:
+def _rename_for_literal(defining: Rule, literal: Atom, taken: set[str]) -> Rule | None:
     """Rename ``defining`` so its head lines up with ``literal``'s terms.
 
     Head variables are substituted by the literal's terms; head *constants*
     must instead bind the literal's variables, which is performed on the
     caller's rule, so we return the defining rule plus that extra binding
-    encoded as leading ``=`` literals.
+    encoded as trailing ``=`` literals.
     """
-    renamed = defining.rename_apart(taken | {t.name for t in literal.terms if isinstance(t, SVar)})
-    subst: dict[str, STerm] = {}
-    bindings: list[SLiteral] = []
+    renamed = rename_apart(defining, taken | literal.variables())
+    subst: dict[str, Term] = {}
+    bindings: list[Literal] = []
     for head_term, lit_term in zip(renamed.head.terms, literal.terms):
-        if isinstance(head_term, SVar):
-            existing = subst.get(head_term.name)
-            if existing is None:
-                subst[head_term.name] = lit_term
-            elif existing != lit_term:
-                bindings.append(SCompare("=", existing, lit_term))
-        else:
+        if isinstance(head_term, Var):
+            existing = subst.setdefault(head_term.name, lit_term)
+            if existing != lit_term:
+                bindings.append(Compare("=", (existing,), (lit_term,)))
+        elif isinstance(lit_term, Var):
             # Head constant (e.g. ω): the literal's term must equal it.
-            if isinstance(lit_term, SVar):
-                bindings.append(SCompare("=", lit_term, head_term))
-            elif lit_term != head_term:
-                return None  # constant clash: this defining rule cannot apply
-    return SRule(renamed.head.substitute(subst), tuple(renamed.body[i].substitute(subst) for i in range(len(renamed.body))) + tuple(bindings))
+            bindings.append(Compare("=", (lit_term,), (head_term,)))
+        elif lit_term != head_term:
+            return None  # constant clash: this defining rule cannot apply
+    aligned = renamed.substitute(subst)
+    return Rule(aligned.head, aligned.body + tuple(bindings))
 
 
-def _negative_alternatives(defining_body: Sequence[SLiteral]) -> list[list[SLiteral]]:
+def _negative_alternatives(defining_body: Sequence[Literal]) -> list[list[Literal]]:
     """The paper's ``t(K)`` options for negating one defining-rule body."""
-    alternatives: list[list[SLiteral]] = []
-    atoms = [lit for lit in defining_body if isinstance(lit, SAtom) and lit.positive]
+    alternatives: list[list[Literal]] = []
+    atoms = [lit for lit in defining_body if isinstance(lit, Atom) and lit.positive]
     for literal in defining_body:
-        if isinstance(literal, SAtom):
-            if not literal.positive:
-                # ¬(¬q) contributes the positive atom as an alternative.
-                alternatives.append([literal.negated()])
-                continue
-            # Negate the atom itself; variables local to the defining body
-            # become anonymous ("don't care") variables.
-            head_like = [
-                term if not isinstance(term, SVar) else term for term in literal.terms
-            ]
-            alternatives.append([SAtom(literal.pred, tuple(head_like), False)])
-        elif isinstance(literal, (SCond, SCompare)):
-            support = [
-                atom
-                for atom in atoms
-                if atom.variables() & literal.variables()
-            ]
-            negated = literal.negated()
-            alternatives.append([*support, negated])
-        elif isinstance(literal, SAssign):
+        if isinstance(literal, Assign):
             raise DatalogError(
                 "cannot negate a rule body containing a function binding "
                 f"({literal}); use the runtime lens checks instead"
             )
+        if isinstance(literal, Atom):
+            # ¬q for a positive atom (its local variables become "don't
+            # care"), and the positive atom for ¬(¬q).
+            alternatives.append([literal.negated()])
+        else:
+            support = [atom for atom in atoms if atom.variables() & literal.variables()]
+            alternatives.append([*support, literal.negated()])
     return alternatives
 
 
-def unfold_literal(rule: SRule, literal: SAtom, definitions: list[SRule]) -> list[SRule]:
+def unfold_literal(rule: Rule, literal: Atom, definitions: list[Rule]) -> list[Rule]:
     """Lemma 1: replace ``literal`` in ``rule`` by its definitions."""
-    remainder = rule.without(literal)
+    rest = without(rule, literal)
     taken = rule.variables()
-    results: list[SRule] = []
     if literal.positive:
-        for defining in definitions:
-            aligned = _rename_for_literal(defining, literal, taken)
-            if aligned is None:
-                continue
-            results.append(SRule(remainder.head, remainder.body + aligned.body))
-        return results
+        return [
+            Rule(rule.head, rest + aligned.body)
+            for defining in definitions
+            if (aligned := _rename_for_literal(defining, literal, taken)) is not None
+        ]
 
     # Negative literal: all defining rules must fail simultaneously, so take
     # the cross product of each rule's per-literal alternatives. Defining
     # rules are renamed apart from each other so their local variables do
     # not collide inside one combination.
-    alternative_sets: list[list[list[SLiteral]]] = []
-    taken_so_far = set(taken)
+    alternative_sets: list[list[list[Literal]]] = []
     for defining in definitions:
-        aligned = _rename_for_literal(defining, literal, taken_so_far)
+        aligned = _rename_for_literal(defining, literal, taken)
         if aligned is None:
             continue  # cannot produce a matching head: trivially fails
-        for body_literal in aligned.body:
-            taken_so_far |= body_literal.variables()
+        taken |= aligned.variables()
         alternative_sets.append(_negative_alternatives(aligned.body))
     if not alternative_sets:
-        return [remainder]
-    for combination in product(*alternative_sets):
-        extra: list[SLiteral] = []
-        for option in combination:
-            extra.extend(option)
-        results.append(SRule(remainder.head, remainder.body + tuple(extra)))
-    return results
+        return [Rule(rule.head, rest)]
+    return [
+        Rule(rule.head, rest + tuple(lit for option in combination for lit in option))
+        for combination in product(*alternative_sets)
+    ]
 
 
 def unfold_all(
-    rules: Iterable[SRule],
-    definitions: Iterable[SRule],
+    rules: Iterable[Rule],
+    definitions: Iterable[Rule],
     *,
     max_rounds: int = 20,
-) -> list[SRule]:
+) -> list[Rule]:
     """Unfold every literal referring to a predicate defined in
     ``definitions`` until only extensional predicates remain."""
     definition_list = list(definitions)
@@ -141,19 +111,18 @@ def unfold_all(
     current = list(rules)
     for _ in range(max_rounds):
         progressed = False
-        next_rules: list[SRule] = []
+        next_rules: list[Rule] = []
         for rule in current:
-            target: SAtom | None = None
-            for literal in rule.body:
-                if isinstance(literal, SAtom) and literal.pred in defined:
-                    target = literal
-                    break
+            target = next(
+                (lit for lit in rule.body if isinstance(lit, Atom) and lit.pred in defined),
+                None,
+            )
             if target is None:
                 next_rules.append(rule)
                 continue
             progressed = True
-            expansions = unfold_literal(rule, target, rules_for(definition_list, target.pred))
-            for expansion in expansions:
+            own = [d for d in definition_list if d.head.pred == target.pred]
+            for expansion in unfold_literal(rule, target, own):
                 normalized = normalize_rule(expansion)
                 if normalized is not None:
                     next_rules.append(normalized)
@@ -164,12 +133,12 @@ def unfold_all(
 
 
 def compose_round_trip(
-    first: Iterable[SRule],
-    second: Iterable[SRule],
+    first: Iterable[Rule],
+    second: Iterable[Rule],
     *,
     rename_base: dict[str, str],
     empty_predicates: set[str],
-) -> list[SRule]:
+) -> list[Rule]:
     """Build the composed rule set ``second ∘ first`` over stored data.
 
     ``rename_base`` maps the predicates that are materialized at the start
@@ -177,56 +146,43 @@ def compose_round_trip(
     ``empty_predicates`` lists the predicates known to be absent on the
     unmaterialized side (Lemma 2).
     """
-    from repro.datalog.simplify import drop_empty_predicates
-
-    prepared_first: list[SRule] = []
-    for rule in first:
-        renamed_body = []
-        for literal in rule.body:
-            if isinstance(literal, SAtom) and literal.pred in rename_base:
-                literal = SAtom(rename_base[literal.pred], literal.terms, literal.positive)
-            renamed_body.append(literal)
-        prepared_first.append(SRule(rule.head, tuple(renamed_body)))
+    prepared_first = [
+        Rule(
+            rule.head,
+            tuple(
+                Atom(rename_base[lit.pred], lit.terms, lit.positive)
+                if isinstance(lit, Atom) and lit.pred in rename_base
+                else lit
+                for lit in rule.body
+            ),
+        )
+        for rule in first
+    ]
     prepared_first = drop_empty_predicates(prepared_first, empty_predicates)
-    prepared_first = [r for r in (normalize_rule(rule) for rule in prepared_first) if r is not None]
+    prepared_first = [r for r in map(normalize_rule, prepared_first) if r is not None]
     return unfold_all(second, prepared_first)
 
 
-def identity_rules(pairs: Sequence[tuple[str, str, int]]) -> list[SRule]:
+def identity_rules(pairs: Sequence[tuple[str, str, int]]) -> list[Rule]:
     """The expected post-simplification shape: one identity rule per data
     table, ``pred(p, A...) ← stored(p, A...)``."""
     rules = []
     for pred, stored, arity in pairs:
-        key = SVar("p")
-        payload = [SVar(f"x{i}") for i in range(arity)]
-        rules.append(
-            SRule(
-                SAtom(pred, (key, *payload)),
-                (SAtom(stored, (key, *payload)),),
-            )
-        )
+        terms = (Var("p"), *(Var(f"x{i}") for i in range(arity)))
+        rules.append(Rule(Atom(pred, terms), (Atom(stored, terms),)))
     return rules
 
 
 def is_identity(
-    simplified: Iterable[SRule],
-    expected: Sequence[tuple[str, str, int]],
-    *,
-    data_predicates: set[str] | None = None,
+    simplified: Iterable[Rule], expected: Sequence[tuple[str, str, int]]
 ) -> tuple[bool, list[str]]:
     """Check whether the data-table rules of ``simplified`` are exactly the
     identity mapping. Auxiliary-table rules are ignored (the paper's
     ``γ^data`` projection); anything else is reported."""
-    from repro.datalog.symbolic import find_renaming
-
     problems: list[str] = []
     expected_rules = identity_rules(expected)
     expected_preds = {pred for pred, _, _ in expected}
-    relevant = [
-        rule
-        for rule in simplified
-        if rule.head.pred in (data_predicates or expected_preds)
-    ]
+    relevant = [rule for rule in simplified if rule.head.pred in expected_preds]
     for expectation in expected_rules:
         matches = [rule for rule in relevant if find_renaming(expectation, rule, exact=True)]
         if len(matches) != 1:

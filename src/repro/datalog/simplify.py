@@ -16,28 +16,27 @@ implemented here are exactly the paper's tool kit:
 Additionally `:func:`subsumption_pass`` removes rules implied by more
 general ones (used implicitly in Appendix A, e.g. Rules 107/109 subsumed by
 Rule 108) and :func:`case_merge_pass` performs the closing case analysis
-over ``ω``-comparisons under explicit domain axioms (the paper's implicit
-assumption that payload rows are never entirely ``ω``).
+over ``ω``-comparisons under :func:`omega_completeness_axiom` (the paper's
+implicit assumption that a stored row is never entirely ``ω``).
+
+The rules are :mod:`repro.datalog.ast` rules — the ones the SMOs compile
+into views and triggers — and ``ω`` is ``Const(None)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from itertools import product
 
+from repro.datalog.ast import Assign, Atom, Compare, CondLit, Const, Literal, Rule, Term, Var
 from repro.datalog.symbolic import (
     OMEGA,
-    SAtom,
-    SCompare,
-    SCond,
-    SConst,
-    SLiteral,
-    SRule,
-    STerm,
-    SVar,
     complement,
     find_renaming,
     fresh_var,
+    literal_shape,
+    literal_terms,
+    without,
 )
 
 Trace = list[str]
@@ -53,60 +52,55 @@ def _note(trace: Trace | None, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _substitute_rule(rule: SRule, old: str, new: STerm) -> SRule:
-    return rule.substitute({old: new})
-
-
 def _is_anon_name(name: str) -> bool:
     return name.startswith("_") or "#" in name
 
 
-def _variable_counts(head_terms: Sequence[STerm], body: Sequence[SLiteral]) -> dict[str, int]:
+def _variable_counts(head_terms: Sequence[Term], body: Sequence[Literal]) -> dict[str, int]:
     counts: dict[str, int] = {}
-
-    def bump(terms: Iterable[STerm]) -> None:
-        for term in terms:
-            if isinstance(term, SVar):
-                counts[term.name] = counts.get(term.name, 0) + 1
-
-    bump(head_terms)
-    for literal in body:
-        if isinstance(literal, (SAtom, SCond)):
-            bump(literal.terms)
-        elif isinstance(literal, SCompare):
-            bump((literal.left, literal.right))
-        else:
-            bump((literal.target, *literal.args))
+    for term in (*head_terms, *(t for literal in body for t in literal_terms(literal))):
+        if isinstance(term, Var):
+            counts[term.name] = counts.get(term.name, 0) + 1
     return counts
 
 
-def _literal_key(literal: SLiteral, counts: dict[str, int]) -> tuple:
+def _oriented(left: Term, right: Term) -> tuple[Term, Term]:
+    """One side of a comparison: a constant goes right, variables in name order."""
+    if isinstance(left, Const) or (isinstance(right, Var) and left.name > right.name):
+        return right, left
+    return left, right
+
+
+def _compare(op: str, pairs: Iterable[tuple[Term, Term]]) -> Compare:
+    """The comparison of ``pairs`` in normal form (oriented, sorted, no repeats)."""
+    ordered = sorted({_oriented(*pair) for pair in pairs}, key=str)
+    return Compare(op, tuple(l for l, _ in ordered), tuple(r for _, r in ordered))
+
+
+def _pairs(compare: Compare) -> list[tuple[Term, Term]]:
+    return list(zip(compare.left, compare.right))
+
+
+def _literal_key(literal: Literal, counts: dict[str, int]) -> tuple:
     """Canonical key treating variables occurring only once in the rule as
     interchangeable — ``¬R(p, _)`` and ``¬R(p, X)`` with local ``X`` denote
     the same NOT-EXISTS check."""
 
-    def canon(term: STerm) -> object:
-        if isinstance(term, SVar) and counts.get(term.name, 0) <= 1:
+    def canon(term: Term) -> object:
+        if isinstance(term, Var) and counts.get(term.name, 0) <= 1:
             return "•"
         return term
 
-    if isinstance(literal, SAtom):
-        return ("atom", literal.pred, literal.positive, tuple(canon(t) for t in literal.terms))
-    if isinstance(literal, SCond):
-        return ("cond", literal.name, literal.positive, tuple(canon(t) for t in literal.terms))
-    if isinstance(literal, SCompare):
-        normalized = literal.normalized()
-        return ("cmp", normalized.op, canon(normalized.left), canon(normalized.right))
-    return ("assign", literal.function, canon(literal.target), tuple(canon(t) for t in literal.args))
+    return (literal_shape(literal), tuple(canon(t) for t in literal_terms(literal)))
 
 
-def _dedup_body(head_terms: Sequence[STerm], body: Sequence[SLiteral]) -> tuple[SLiteral, ...]:
+def _dedup_body(head_terms: Sequence[Term], body: Sequence[Literal]) -> tuple[Literal, ...]:
     counts = _variable_counts(head_terms, body)
     seen_keys: set[tuple] = set()
-    kept: list[SLiteral] = []
+    kept: list[Literal] = []
     for literal in body:
-        if isinstance(literal, SCompare):
-            literal = literal.normalized()
+        if isinstance(literal, Compare):
+            literal = _compare(literal.op, _pairs(literal))
         key = _literal_key(literal, counts)
         if key in seen_keys:
             continue
@@ -115,13 +109,13 @@ def _dedup_body(head_terms: Sequence[STerm], body: Sequence[SLiteral]) -> tuple[
     return tuple(kept)
 
 
-def _unify_unique_keys(rule: SRule) -> SRule | None:
+def _unify_unique_keys(rule: Rule) -> Rule | None:
     """Lemma 5: positive atoms of one predicate sharing their key term have
     all remaining terms pairwise equal; unify them by substitution."""
     changed = True
     while changed:
         changed = False
-        atoms = [lit for lit in rule.body if isinstance(lit, SAtom) and lit.positive]
+        atoms = [lit for lit in rule.body if isinstance(lit, Atom) and lit.positive]
         for i, first in enumerate(atoms):
             for second in atoms[i + 1 :]:
                 if first.pred != second.pred or not first.terms or not second.terms:
@@ -133,12 +127,12 @@ def _unify_unique_keys(rule: SRule) -> SRule | None:
                         continue
                     # Prefer replacing anonymous variables by named ones so
                     # rule heads keep their readable variable names.
-                    if isinstance(t2, SVar) and isinstance(t1, SVar) and _is_anon_name(t1.name):
-                        rule = _substitute_rule(rule, t1.name, t2)
-                    elif isinstance(t2, SVar):
-                        rule = _substitute_rule(rule, t2.name, t1)
-                    elif isinstance(t1, SVar):
-                        rule = _substitute_rule(rule, t1.name, t2)
+                    if isinstance(t2, Var) and isinstance(t1, Var) and _is_anon_name(t1.name):
+                        rule = rule.substitute({t1.name: t2})
+                    elif isinstance(t2, Var):
+                        rule = rule.substitute({t2.name: t1})
+                    elif isinstance(t1, Var):
+                        rule = rule.substitute({t1.name: t2})
                     else:
                         return None  # two different constants: contradiction
                     changed = True
@@ -150,127 +144,104 @@ def _unify_unique_keys(rule: SRule) -> SRule | None:
     return rule
 
 
-def _merge_same_constant_vars(rule: SRule) -> SRule:
-    """If ``X = c`` and ``Y = c`` both hold, ``X`` and ``Y`` are equal."""
-    seen: dict[SConst, SVar] = {}
-    for literal in rule.body:
-        if (
-            isinstance(literal, SCompare)
-            and literal.op == "="
-            and isinstance(literal.left, SVar)
-            and isinstance(literal.right, SConst)
-        ):
-            representative = seen.get(literal.right)
-            if representative is None:
-                seen[literal.right] = literal.left
-            elif representative != literal.left:
-                return _merge_same_constant_vars(
-                    _substitute_rule(rule, literal.left.name, representative)
-                )
-    return rule
+def _binding(literal: Literal) -> tuple[Var, Const] | None:
+    """``(x, c)`` when ``literal`` is the normalized scalar equality ``x = c``."""
+    if isinstance(literal, Compare) and literal.op == "=" and len(literal.left) == 1:
+        left, right = literal.left[0], literal.right[0]
+        if isinstance(left, Var) and isinstance(right, Const):
+            return left, right
+    return None
 
 
-def _is_contradictory(body: Sequence[SLiteral]) -> bool:
+def _bound_var(literal: Literal) -> Var | None:
+    """The variable a binding fixes: ``x`` of ``x = c`` or of ``x = f(…)``."""
+    if isinstance(literal, Assign):
+        return literal.target
+    binding = _binding(literal)
+    return binding[0] if binding else None
+
+
+def _is_contradictory(body: Sequence[Literal]) -> bool:
     """Lemma 4, including the wildcard-aware atom case: a positive atom
     witnesses existence, so a negative atom whose terms each equal the
     positive atom's term (or are free local variables) contradicts it."""
-    positives = [l for l in body if isinstance(l, SAtom) and l.positive]
-    negatives = [l for l in body if isinstance(l, SAtom) and not l.positive]
+    positives = [l for l in body if isinstance(l, Atom) and l.positive]
+    negatives = [l for l in body if isinstance(l, Atom) and not l.positive]
     bound: set[str] = set()
-    for literal in body:
-        if isinstance(literal, SAtom) and literal.positive:
-            bound |= literal.variables()
+    for literal in positives:
+        bound |= literal.variables()
     for negative in negatives:
         for positive in positives:
             if negative.pred != positive.pred or len(negative.terms) != len(positive.terms):
                 continue
             if all(
                 n_term == p_term
-                or (isinstance(n_term, SVar) and n_term.name not in bound)
+                or (isinstance(n_term, Var) and n_term.name not in bound)
                 for n_term, p_term in zip(negative.terms, positive.terms)
             ):
                 return True
-    conds = [l for l in body if isinstance(l, SCond)]
-    for i, first in enumerate(conds):
-        for second in conds[i + 1 :]:
-            if (
-                first.name == second.name
-                and first.terms == second.terms
-                and first.positive != second.positive
-            ):
-                return True
-    compares = [l.normalized() for l in body if isinstance(l, SCompare)]
-    for i, first in enumerate(compares):
-        for second in compares[i + 1 :]:
-            if first.left == second.left and first.right == second.right and first.op != second.op:
-                return True
-    return False
+    if any(l.negated() in body for l in body if isinstance(l, CondLit)):
+        return True
+    # A tuple ``≠`` is false when every one of its components is equal.
+    equal = {
+        _oriented(*pair)
+        for l in body
+        if isinstance(l, Compare) and l.op == "=" and len(l.left) == 1
+        for pair in _pairs(l)
+    }
+    return any(
+        isinstance(l, Compare) and l.op == "!=" and all(_oriented(*pair) in equal for pair in _pairs(l))
+        for l in body
+    )
 
 
-def normalize_rule(rule: SRule) -> SRule | None:
+def normalize_rule(rule: Rule) -> Rule | None:
     """Normalize one rule; ``None`` means the rule can never fire (Lemma 4)."""
     while True:
         before = rule
-        # An equality binding a variable that occurs nowhere else is
-        # trivially satisfiable and can be dropped.
-        counts = _variable_counts(rule.head.terms, rule.body)
-        pruned: list[SLiteral] = []
+        # A tuple ``=`` splits into scalar equalities; variable-to-variable
+        # ones are substituted (one per round), ``var = constant`` stays a
+        # literal for the closing case merge. Equal components of a ``≠``
+        # are dropped.
+        body: list[Literal] = []
+        substitution: tuple[str, Term] | None = None
         for literal in rule.body:
-            if (
-                isinstance(literal, SCompare)
-                and literal.op == "="
-                and isinstance(literal.left, SVar)
-                and isinstance(literal.right, SConst)
-                and counts.get(literal.left.name, 0) <= 1
-            ):
+            if not isinstance(literal, Compare):
+                body.append(literal)
                 continue
-            if (
-                isinstance(literal, SCompare)
-                and literal.op == "="
-                and isinstance(literal.right, SVar)
-                and isinstance(literal.left, SConst)
-                and counts.get(literal.right.name, 0) <= 1
-            ):
-                continue
-            pruned.append(literal)
-        rule = SRule(rule.head, tuple(pruned))
-        # Substitute variable-to-variable/constant-free equalities; keep
-        # var = constant comparisons as literals for the closing case merge.
-        body: list[SLiteral] = []
-        substitution: tuple[str, STerm] | None = None
-        for literal in rule.body:
-            if isinstance(literal, SCompare):
-                if literal.left == literal.right:
-                    if literal.op == "!=":
-                        return None
+            pairs = [_oriented(l, r) for l, r in _pairs(literal) if l != r]
+            ground_differs = any(isinstance(l, Const) for l, _ in pairs)
+            if literal.op == "!=":
+                if ground_differs:
                     continue  # trivially true
-                if isinstance(literal.left, SConst) and isinstance(literal.right, SConst):
-                    if (literal.left == literal.right) != (literal.op == "="):
-                        return None
-                    continue
-                if (
-                    literal.op == "="
-                    and isinstance(literal.left, SVar)
-                    and isinstance(literal.right, SVar)
-                    and substitution is None
-                ):
-                    substitution = (literal.right.name, literal.left)
-                    continue
-                if (
-                    literal.op == "="
-                    and isinstance(literal.left, SConst)
-                    and isinstance(literal.right, SVar)
-                ):
-                    literal = SCompare("=", literal.right, literal.left)
-            body.append(literal)
-        rule = SRule(rule.head, tuple(body))
+                if not pairs:
+                    return None
+                body.append(_compare("!=", pairs))
+                continue
+            if ground_differs:
+                return None
+            for left, right in pairs:
+                if isinstance(right, Var) and substitution is None:
+                    substitution = (right.name, left)
+                else:
+                    body.append(_compare("=", [(left, right)]))
+        # A binding of a variable that occurs nowhere else is trivially
+        # satisfiable: ``x = c``, or ``x = f(…)`` as ``f`` is total.
+        counts = _variable_counts(rule.head.terms, body)
+        rule = Rule(
+            rule.head,
+            tuple(
+                literal
+                for literal in body
+                if (var := _bound_var(literal)) is None or counts.get(var.name, 0) > 1
+            ),
+        )
         if substitution is not None:
-            rule = _substitute_rule(rule, substitution[0], substitution[1])
-        rule = _merge_same_constant_vars(rule)
+            rule = rule.substitute({substitution[0]: substitution[1]})
         unified = _unify_unique_keys(rule)
         if unified is None:
             return None
-        rule = SRule(unified.head, _dedup_body(unified.head.terms, unified.body))
+        rule = Rule(unified.head, _dedup_body(unified.head.terms, unified.body))
         if _is_contradictory(rule.body):
             return None
         if rule == before:
@@ -283,16 +254,16 @@ def normalize_rule(rule: SRule) -> SRule | None:
 
 
 def drop_empty_predicates(
-    rules: Iterable[SRule], empty: set[str], trace: Trace | None = None
-) -> list[SRule]:
+    rules: Iterable[Rule], empty: set[str], trace: Trace | None = None
+) -> list[Rule]:
     """Lemma 2: rules with a positive literal on an empty predicate vanish;
     negative literals on empty predicates are trivially true."""
-    result: list[SRule] = []
+    result: list[Rule] = []
     for rule in rules:
-        body: list[SLiteral] = []
+        body: list[Literal] = []
         dead = False
         for literal in rule.body:
-            if isinstance(literal, SAtom) and literal.pred in empty:
+            if isinstance(literal, Atom) and literal.pred in empty:
                 if literal.positive:
                     dead = True
                     break
@@ -304,7 +275,7 @@ def drop_empty_predicates(
         if len(body) != len(rule.body):
             _note(trace, f"Lemma 2: pruned empty-predicate negations in: {rule}")
         if body:
-            result.append(SRule(rule.head, tuple(body)))
+            result.append(Rule(rule.head, tuple(body)))
         else:
             result.append(rule)
     return result
@@ -316,8 +287,8 @@ def drop_empty_predicates(
 
 
 def _exact_complements(
-    mapped: SLiteral,
-    partner: SLiteral,
+    mapped: Literal,
+    partner: Literal,
     *,
     local_pattern: set[str],
     local_target: set[str],
@@ -329,77 +300,70 @@ def _exact_complements(
     elsewhere is *stronger* than ``∃x R(p, x)`` and must not be treated as
     the complement of ``¬R(p, _)``.
     """
-    from repro.datalog.symbolic import _literal_shape, _literal_terms
-
-    if _literal_shape(mapped) != _literal_shape(partner):
+    if literal_shape(mapped) != literal_shape(partner):
         return False
     pairing: dict[str, str] = {}
-    for m_term, p_term in zip(_literal_terms(mapped), _literal_terms(partner)):
+    for m_term, p_term in zip(literal_terms(mapped), literal_terms(partner)):
         if m_term == p_term:
             continue
         if (
-            isinstance(m_term, SVar)
-            and isinstance(p_term, SVar)
+            isinstance(m_term, Var)
+            and isinstance(p_term, Var)
             and m_term.name in local_pattern
             and p_term.name in local_target
         ):
-            bound = pairing.get(m_term.name)
-            if bound is None:
-                pairing[m_term.name] = p_term.name
-            elif bound != p_term.name:
+            bound = pairing.setdefault(m_term.name, p_term.name)
+            if bound != p_term.name:
                 return False
             continue
         return False
     return True
 
 
-def _try_tautology_merge(first: SRule, second: SRule) -> SRule | None:
+def _try_tautology_merge(first: Rule, second: Rule) -> Rule | None:
     """If the rules agree on all but one complementary literal pair, return
     the merged rule with that literal dropped (Lemma 3)."""
-    if len(first.body) != len(second.body):
+    if len(first.body) != len(second.body) or len(first.body) < 2:
         return None
     for literal in first.body:
         partner = complement(literal)
         if partner is None:
             continue
-        reduced_first = first.without(literal)
-        shared_first = reduced_first.variables() | first.head.variables()
-        local_target = {
-            name for name in literal.variables() if name not in shared_first
-        }
+        reduced_first = Rule(first.head, without(first, literal))
+        shared_first = reduced_first.variables()
+        local_target = literal.variables() - shared_first
         for candidate in second.body:
             if complement(candidate) is None:
                 continue
-            reduced_second = second.without(candidate)
-            shared_second = reduced_second.variables() | second.head.variables()
+            reduced_second = Rule(second.head, without(second, candidate))
             theta = find_renaming(reduced_second, reduced_first, exact=True)
             if theta is None:
                 continue
-            mapped = candidate.substitute(theta)
-            local_pattern = {
-                name for name in candidate.variables() if name not in shared_second
-            }
+            local_pattern = candidate.variables() - reduced_second.variables()
             if _exact_complements(
-                mapped, partner, local_pattern=local_pattern, local_target=local_target
+                candidate.substitute(theta),
+                partner,
+                local_pattern=local_pattern,
+                local_target=local_target,
             ):
                 return normalize_rule(reduced_first)
     return None
 
 
-def _try_equality_merge(general: SRule, special: SRule) -> SRule | None:
-    """The paper's Rule-118→121 move: ``H ← B, x≠y`` merges with the rule
-    obtained from ``H ← B`` by unifying ``x`` and ``y``; the result is
-    ``H ← B`` with ``x`` and ``y`` independent."""
+def _try_equality_merge(general: Rule, special: Rule) -> Rule | None:
+    """The paper's Rule-118→121 move: ``H ← B, X≠Y`` merges with the rule
+    obtained from ``H ← B`` by unifying ``X`` and ``Y`` component-wise;
+    the result is ``H ← B`` with ``X`` and ``Y`` independent."""
     if len(general.body) != len(special.body) + 1:
         return None
     for literal in general.body:
-        if not isinstance(literal, SCompare) or literal.op != "!=":
+        if not isinstance(literal, Compare) or literal.op != "!=":
             continue
-        if not isinstance(literal.left, SVar) or not isinstance(literal.right, SVar):
+        if not all(isinstance(term, Var) for term in literal_terms(literal)):
             continue
-        candidate = general.without(literal)
+        candidate = Rule(general.head, without(general, literal))
         unified = normalize_rule(
-            candidate.substitute({literal.right.name: literal.left})
+            candidate.substitute({r.name: l for l, r in _pairs(literal)})
         )
         if unified is None:
             continue
@@ -408,7 +372,7 @@ def _try_equality_merge(general: SRule, special: SRule) -> SRule | None:
     return None
 
 
-def tautology_merge_pass(rules: list[SRule], trace: Trace | None = None) -> list[SRule]:
+def tautology_merge_pass(rules: list[Rule], trace: Trace | None = None) -> list[Rule]:
     changed = True
     while changed:
         changed = False
@@ -432,11 +396,11 @@ def tautology_merge_pass(rules: list[SRule], trace: Trace | None = None) -> list
     return rules
 
 
-def subsumption_pass(rules: list[SRule], trace: Trace | None = None) -> list[SRule]:
+def subsumption_pass(rules: list[Rule], trace: Trace | None = None) -> list[Rule]:
     """Remove rules whose body is a superset of a more general same-head rule
     (e.g. Appendix A Rules 107 and 109 subsumed by Rule 108), and duplicate
     rules modulo renaming."""
-    kept: list[SRule] = []
+    kept: list[Rule] = []
     for rule in rules:
         subsumed = False
         for other in rules:
@@ -466,85 +430,80 @@ def subsumption_pass(rules: list[SRule], trace: Trace | None = None) -> list[SRu
 # Closing case analysis over ω-comparisons
 # ---------------------------------------------------------------------------
 
-CaseAtom = tuple[STerm, SConst]
-DomainAxiom = Callable[[SRule, list[CaseAtom]], list[frozenset[CaseAtom]]]
+CaseAtom = tuple[Term, Const]
 
 
-def omega_completeness_axiom(data_predicates: set[str]) -> DomainAxiom:
+def omega_completeness_axiom(rule: Rule, stored: Collection[str]) -> list[frozenset[CaseAtom]]:
     """Domain axiom: no stored data row has *all* payload parts equal ``ω``.
 
     This is the paper's implicit assumption behind the outer-join null
-    fillers: a tuple that is entirely null filler would not exist.
+    fillers: a tuple that is entirely null filler would not exist. Returns,
+    per stored atom of ``rule``, the case atoms that cannot all hold.
     """
-
-    def axiom(base_rule: SRule, case_atoms: list[CaseAtom]) -> list[frozenset[CaseAtom]]:
-        impossible: list[frozenset[CaseAtom]] = []
-        for literal in base_rule.body:
-            if not isinstance(literal, SAtom) or not literal.positive:
-                continue
-            if literal.pred not in data_predicates:
-                continue
-            payload = literal.terms[1:]
-            covering = frozenset(
-                (term, OMEGA) for term in payload if (term, OMEGA) in case_atoms
-            )
-            if covering and len(covering) == len(payload):
-                impossible.append(covering)
-        return impossible
-
-    return axiom
+    return [
+        frozenset((term, OMEGA) for term in literal.terms[1:])
+        for literal in rule.body
+        if isinstance(literal, Atom)
+        and literal.positive
+        and literal.pred in stored
+        and len(literal.terms) > 1
+    ]
 
 
-def _split_case_literals(rule: SRule) -> tuple[SRule, dict[CaseAtom, bool]]:
-    base_body: list[SLiteral] = []
-    cases: dict[CaseAtom, bool] = {}
+def _split_case_literals(rule: Rule) -> tuple[Rule, list[Compare]]:
+    """``rule`` less its ``terms (=|≠) constants`` literals, and those literals."""
+    base_body: list[Literal] = []
+    cases: list[Compare] = []
     for literal in rule.body:
-        if (
-            isinstance(literal, SCompare)
-            and isinstance(literal.right, SConst)
-        ):
-            cases[(literal.left, literal.right)] = literal.op == "="
-        elif (
-            isinstance(literal, SCompare)
-            and isinstance(literal.left, SConst)
-        ):
-            cases[(literal.right, literal.left)] = literal.op == "="
+        if isinstance(literal, Compare) and all(isinstance(t, Const) for t in literal.right):
+            cases.append(literal)
         else:
             base_body.append(literal)
-    return SRule(rule.head, tuple(base_body)), cases
+    return Rule(rule.head, tuple(base_body)), cases
 
 
-def generalize_head_constants(rule: SRule) -> SRule:
-    """Replace constants in head positions by fresh constrained variables so
-    case analysis can line the rule up with its constant-free siblings."""
-    new_terms: list[STerm] = []
-    extra: list[SLiteral] = []
-    for term in rule.head.terms:
-        if isinstance(term, SConst):
-            var = fresh_var("h")
-            new_terms.append(var)
-            extra.append(SCompare("=", var, term))
-        else:
-            new_terms.append(term)
-    if not extra:
-        return rule
-    return SRule(
-        SAtom(rule.head.pred, tuple(new_terms), rule.head.positive),
-        rule.body + tuple(extra),
-    )
+def _holds(case: Compare, truth: dict[CaseAtom, bool]) -> bool:
+    return all(truth[atom] for atom in _pairs(case)) == (case.op == "=")
+
+
+def generalize_head_constants(rule: Rule) -> Rule:
+    """Replace each constant in the head by a variable the body binds to it,
+    so case analysis can line the rule up with its constant-free siblings.
+
+    Of several such variables the one in the same position of a body atom
+    is taken (``R(p, a, ω, ω) ← R_D(p, a, b0, b1), b0 = ω, b1 = ω`` becomes
+    ``R(p, a, b0, b1) ← …``); without one, a fresh variable is bound."""
+    bound = [binding for binding in map(_binding, rule.body) if binding]
+    atoms = [lit for lit in rule.body if isinstance(lit, Atom) and lit.positive]
+    new_terms: list[Term] = []
+    extra: list[Literal] = []
+    for position, term in enumerate(rule.head.terms):
+        if isinstance(term, Const):
+            in_place = {atom.terms[position] for atom in atoms if position < len(atom.terms)}
+            options = sorted(
+                (var for var, const in bound if const == term), key=lambda var: var not in in_place
+            )
+            if options:
+                term = options[0]
+            else:
+                var = fresh_var("h")
+                extra.append(Compare("=", (var,), (term,)))
+                term = var
+        new_terms.append(term)
+    return Rule(Atom(rule.head.pred, tuple(new_terms)), rule.body + tuple(extra))
 
 
 def case_merge_pass(
-    rules: list[SRule],
-    axioms: Sequence[DomainAxiom] = (),
+    rules: list[Rule],
+    stored: Collection[str] = (),
     trace: Trace | None = None,
-) -> list[SRule]:
+) -> list[Rule]:
     """Merge a group of rules that differ only in ``term (=|≠) const``
-    literals when together they cover every possible case allowed by the
-    domain axioms."""
+    literals when together they cover every case the ω completeness axiom
+    over the ``stored`` predicates allows."""
     prepared = [normalize_rule(generalize_head_constants(rule)) for rule in rules]
     work = [rule for rule in prepared if rule is not None]
-    result: list[SRule] = []
+    result: list[Rule] = []
     consumed: set[int] = set()
     for i, rule in enumerate(work):
         if i in consumed:
@@ -553,7 +512,7 @@ def case_merge_pass(
         if not cases:
             result.append(rule)
             continue
-        group: list[tuple[int, dict[CaseAtom, bool]]] = [(i, cases)]
+        group: list[tuple[int, list[Compare]]] = [(i, cases)]
         for j in range(i + 1, len(work)):
             if j in consumed:
                 continue
@@ -561,38 +520,23 @@ def case_merge_pass(
             theta = find_renaming(other_base, base, exact=True)
             if theta is None:
                 continue
-            mapped = {
-                ((theta.get(term.name, term) if isinstance(term, SVar) else term), const): value
-                for (term, const), value in other_cases.items()
-            }
-            group.append((j, mapped))
-        atoms = sorted(
-            {atom for _, cases_ in group for atom in cases_},
-            key=lambda atom: (str(atom[0]), str(atom[1])),
+            group.append((j, [case.substitute(theta) for case in other_cases]))
+        atoms: list[CaseAtom] = sorted(
+            {atom for _, cases_ in group for case in cases_ for atom in _pairs(case)},
+            key=str,
         )
-        impossible: set[frozenset[CaseAtom]] = set()
-        for axiom in axioms:
-            impossible.update(axiom(base, atoms))
-        covered: set[tuple[bool, ...]] = set()
-        for _, cases_ in group:
-            free = [atom for atom in atoms if atom not in cases_]
-            for assignment in product((False, True), repeat=len(free)):
-                full = dict(cases_)
-                full.update(zip(free, assignment))
-                covered.add(tuple(full[atom] for atom in atoms))
+        impossible = [
+            axiom for axiom in omega_completeness_axiom(base, stored) if axiom <= set(atoms)
+        ]
         complete = True
         for assignment in product((False, True), repeat=len(atoms)):
             truth = dict(zip(atoms, assignment))
-            excluded = any(
-                all(truth.get(atom, False) for atom in axiom_set)
-                for axiom_set in impossible
-            )
-            if excluded:
+            if any(all(truth[atom] for atom in axiom) for axiom in impossible):
                 continue
-            if tuple(truth[atom] for atom in atoms) not in covered:
+            if not any(all(_holds(case, truth) for case in cases_) for _, cases_ in group):
                 complete = False
                 break
-        if complete and len(group) >= 1:
+        if complete:
             merged = normalize_rule(base)
             if merged is not None:
                 _note(
@@ -613,81 +557,50 @@ def case_merge_pass(
 # ---------------------------------------------------------------------------
 
 
-def _apply_domain_knowledge(
-    rule: SRule,
-    omega_free: set[str],
-    total_conditions: set[str],
-) -> SRule | None:
-    """Two pieces of knowledge the paper uses implicitly:
-
-    - *ω-freeness*: stored data tables never contain the null filler ``ω``
-      (an all-ω tuple would not exist). For a single-payload atom
-      ``q(p, t)`` with ``q`` ω-free, ``t ≠ ω`` is implied and ``t = ω``
-      contradictory.
-    - *Totality* of value-computing conditions (the ``f`` of ADD/DROP
-      COLUMN): ``fB(A, b)`` with an otherwise-unused output ``b`` always
-      holds for some ``b`` and can be dropped.
-    """
-    counts = _variable_counts(rule.head.terms, rule.body)
-    implied_nonomega: set[STerm] = set()
-    for literal in rule.body:
-        if (
-            isinstance(literal, SAtom)
-            and literal.positive
-            and literal.pred in omega_free
-            and len(literal.terms) == 2  # key + single payload part
-        ):
-            implied_nonomega.add(literal.terms[1])
-    body: list[SLiteral] = []
-    for literal in rule.body:
-        if isinstance(literal, SCompare):
-            normalized = literal.normalized()
-            sides = (normalized.left, normalized.right)
-            if OMEGA in sides:
-                other = sides[0] if sides[1] == OMEGA else sides[1]
-                if other in implied_nonomega:
-                    if normalized.op == "=":
-                        return None
-                    continue  # t ≠ ω is implied; drop it
-        if (
-            isinstance(literal, SCond)
-            and literal.positive
-            and literal.name in total_conditions
-            and literal.terms
-            and isinstance(literal.terms[-1], SVar)
-            and counts.get(literal.terms[-1].name, 0) <= 1
-        ):
-            continue  # total function: some output always exists
-        body.append(literal)
-    if len(body) == len(rule.body):
-        return rule
-    return SRule(rule.head, tuple(body))
+def _apply_domain_knowledge(rule: Rule, stored: Collection[str]) -> Rule | None:
+    """*ω-freeness*, which the paper uses implicitly: no stored data row is
+    all null filler ``ω``. So for a stored atom ``q(p, T)``, ``T = (ω, …)``
+    is contradictory and ``(…, T, …) ≠ (ω, …)`` is implied."""
+    payloads = [
+        {term for term, _ in axiom} for axiom in omega_completeness_axiom(rule, stored)
+    ]
+    equal_omega = {
+        binding[0] for binding in map(_binding, rule.body) if binding and binding[1] == OMEGA
+    }
+    if any(payload <= equal_omega for payload in payloads):
+        return None
+    body = tuple(
+        literal
+        for literal in rule.body
+        if not (
+            isinstance(literal, Compare)
+            and literal.op == "!="
+            and all(term == OMEGA for term in literal.right)
+            and any(payload <= set(literal.left) for payload in payloads)
+        )
+    )
+    return rule if len(body) == len(rule.body) else Rule(rule.head, body)
 
 
 def simplify_rules(
-    rules: Iterable[SRule],
+    rules: Iterable[Rule],
     *,
-    empty_predicates: set[str] | None = None,
-    axioms: Sequence[DomainAxiom] = (),
-    omega_free: set[str] | None = None,
-    total_conditions: set[str] | None = None,
+    stored: Collection[str] = (),
     trace: Trace | None = None,
     max_rounds: int = 40,
-) -> list[SRule]:
-    """Apply Lemmas 2–5, subsumption, and the closing case analysis until a
-    fixpoint is reached."""
+) -> list[Rule]:
+    """Apply Lemmas 3–5, subsumption, and the closing case analysis until a
+    fixpoint is reached (:func:`~repro.datalog.compose.compose_round_trip`
+    has applied Lemma 2). ``stored`` names the stored data predicates, none
+    of which holds an all-``ω`` row."""
     current = list(rules)
-    if empty_predicates:
-        current = drop_empty_predicates(current, empty_predicates, trace)
     for _ in range(max_rounds):
         before = list(current)
-        normalized: list[SRule] = []
+        normalized: list[Rule] = []
         for rule in current:
             clean = normalize_rule(rule)
-            if clean is not None and (omega_free or total_conditions):
-                clean = _apply_domain_knowledge(
-                    clean, omega_free or set(), total_conditions or set()
-                )
+            if clean is not None:
+                clean = _apply_domain_knowledge(clean, stored)
                 if clean is not None:
                     clean = normalize_rule(clean)
             if clean is None:
@@ -697,9 +610,8 @@ def simplify_rules(
         current = subsumption_pass(normalized, trace)
         current = tautology_merge_pass(current, trace)
         current = subsumption_pass(current, trace)
-        if axioms:
-            current = case_merge_pass(current, axioms, trace)
-            current = subsumption_pass(current, trace)
+        current = case_merge_pass(current, stored, trace)
+        current = subsumption_pass(current, trace)
         if current == before:
             break
     return current

@@ -1,231 +1,79 @@
-"""Symbolic Datalog rules for the formal bidirectionality evaluation.
+"""Matching Datalog rules modulo variable renaming, for the proofs.
 
-This module mirrors the notation of Sections 4/5 and Appendix A of the
-paper: capital-letter variables stand for whole attribute lists, condition
-predicates such as ``cR`` stay abstract, and ``ω`` is a distinguished
-constant. The accompanying :mod:`repro.datalog.simplify` module applies the
-paper's Lemmas 1–5 to such rules; :mod:`repro.datalog.compose` builds the
-round-trip rule sets ``γ_src(γ_tgt(D))`` that the proofs simplify.
+The prover (:mod:`repro.datalog.simplify`, :mod:`repro.datalog.compose`)
+works on the same :mod:`repro.datalog.ast` rules the SMOs compile into
+views and triggers. It treats every literal as a *shape* plus a tuple of
+terms (:func:`literal_shape`, :func:`literal_terms`): a condition is an
+opaque literal keyed by its expression, an ``Assign`` one keyed by its
+function, and ``Const(None)`` is the paper's null filler ``ω``.
 
-The central primitive here is *matching modulo variable renaming*
-(:func:`find_renaming`), used by the tautology lemma, rule deduplication,
-and subsumption.
+The central primitive is :func:`find_renaming`, used by the tautology
+lemma, rule deduplication, case analysis and subsumption.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional
 
-from repro.errors import DatalogError
+from repro.datalog.ast import (
+    Assign,
+    Atom,
+    Compare,
+    CondLit,
+    Const,
+    Literal,
+    Rule,
+    Subst,
+    Term,
+    Var,
+)
 
-# ---------------------------------------------------------------------------
-# Terms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SVar:
-    """A variable; may denote a scalar or a whole attribute list."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class SConst:
-    """A symbolic constant such as ``ω`` (the null filler row)."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-STerm = Union[SVar, SConst]
-
-OMEGA = SConst("ω")
+OMEGA = Const(None)
 
 _fresh_counter = itertools.count()
 
 
-def fresh_var(stem: str = "v") -> SVar:
-    return SVar(f"{stem}#{next(_fresh_counter)}")
+def fresh_var(stem: str = "v") -> Var:
+    return Var(f"{stem}#{next(_fresh_counter)}")
 
 
-def is_anonymous(term: STerm) -> bool:
-    return isinstance(term, SVar) and term.name.startswith("_")
+def complement(literal: Literal) -> Optional[Literal]:
+    return None if isinstance(literal, Assign) else literal.negated()
 
 
-def anon() -> SVar:
-    """A fresh anonymous variable (the ``_`` of the paper)."""
-    return SVar(f"_#{next(_fresh_counter)}")
+def literal_shape(literal: Literal) -> tuple:
+    """Everything about ``literal`` except its terms."""
+    if isinstance(literal, Atom):
+        return ("atom", literal.pred, literal.positive, len(literal.terms))
+    if isinstance(literal, CondLit):
+        names = tuple(name for name, _ in literal.columns)
+        return ("cond", literal.expression, names, literal.positive)
+    if isinstance(literal, Compare):
+        return ("cmp", literal.op, len(literal.left))
+    key = literal.expression if literal.expression is not None else literal.label
+    return ("assign", key, len(literal.args))
 
 
-Subst = Mapping[str, STerm]
+def literal_terms(literal: Literal) -> tuple[Term, ...]:
+    if isinstance(literal, Compare):
+        return literal.left + literal.right
+    if isinstance(literal, Assign):
+        return (literal.target, *literal.args)
+    return literal.terms
 
 
-def apply_term(term: STerm, subst: Subst) -> STerm:
-    if isinstance(term, SVar):
-        return subst.get(term.name, term)
-    return term
+def rename_apart(rule: Rule, taken: set[str]) -> Rule:
+    """Rename every variable of ``rule`` clashing with ``taken`` to a fresh one."""
+    subst = {name: fresh_var("r") for name in rule.variables() if name in taken}
+    return rule.substitute(subst) if subst else rule
 
 
-# ---------------------------------------------------------------------------
-# Literals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SAtom:
-    pred: str
-    terms: tuple[STerm, ...]
-    positive: bool = True
-
-    def negated(self) -> "SAtom":
-        return SAtom(self.pred, self.terms, not self.positive)
-
-    def substitute(self, subst: Subst) -> "SAtom":
-        return SAtom(self.pred, tuple(apply_term(t, subst) for t in self.terms), self.positive)
-
-    def variables(self) -> set[str]:
-        return {t.name for t in self.terms if isinstance(t, SVar)}
-
-    def __str__(self) -> str:
-        prefix = "" if self.positive else "¬"
-        pretty_terms = ", ".join("_" if is_anonymous(t) else str(t) for t in self.terms)
-        return f"{prefix}{self.pred}({pretty_terms})"
-
-
-@dataclass(frozen=True)
-class SCond:
-    """Abstract condition literal such as ``cR(A)``."""
-
-    name: str
-    terms: tuple[STerm, ...]
-    positive: bool = True
-
-    def negated(self) -> "SCond":
-        return SCond(self.name, self.terms, not self.positive)
-
-    def substitute(self, subst: Subst) -> "SCond":
-        return SCond(self.name, tuple(apply_term(t, subst) for t in self.terms), self.positive)
-
-    def variables(self) -> set[str]:
-        return {t.name for t in self.terms if isinstance(t, SVar)}
-
-    def __str__(self) -> str:
-        prefix = "" if self.positive else "¬"
-        return f"{prefix}{self.name}({', '.join(map(str, self.terms))})"
-
-
-@dataclass(frozen=True)
-class SCompare:
-    op: str  # '=' or '!='
-    left: STerm
-    right: STerm
-
-    def __post_init__(self) -> None:
-        if self.op not in ("=", "!="):
-            raise DatalogError(f"unsupported comparison {self.op!r}")
-
-    def negated(self) -> "SCompare":
-        return SCompare("=" if self.op == "!=" else "!=", self.left, self.right)
-
-    def substitute(self, subst: Subst) -> "SCompare":
-        return SCompare(self.op, apply_term(self.left, subst), apply_term(self.right, subst))
-
-    def variables(self) -> set[str]:
-        return {t.name for t in (self.left, self.right) if isinstance(t, SVar)}
-
-    def normalized(self) -> "SCompare":
-        """Order the operands deterministically so ``A=B`` equals ``B=A``."""
-        left, right = self.left, self.right
-        if str(left) > str(right):
-            left, right = right, left
-        return SCompare(self.op, left, right)
-
-    def __str__(self) -> str:
-        return f"{self.left} {'≠' if self.op == '!=' else '='} {self.right}"
-
-
-@dataclass(frozen=True)
-class SAssign:
-    """Function binding ``target = f(args)`` (e.g. ``t = id_T(B)``)."""
-
-    target: SVar
-    function: str
-    args: tuple[STerm, ...]
-
-    def substitute(self, subst: Subst) -> "SAssign":
-        target = apply_term(self.target, subst)
-        if not isinstance(target, SVar):
-            raise DatalogError(f"assignment target {self.target} bound to constant")
-        return SAssign(target, self.function, tuple(apply_term(t, subst) for t in self.args))
-
-    def variables(self) -> set[str]:
-        names = {self.target.name}
-        names.update(t.name for t in self.args if isinstance(t, SVar))
-        return names
-
-    def __str__(self) -> str:
-        return f"{self.target} = {self.function}({', '.join(map(str, self.args))})"
-
-
-SLiteral = Union[SAtom, SCond, SCompare, SAssign]
-
-
-def complement(literal: SLiteral) -> Optional[SLiteral]:
-    if isinstance(literal, (SAtom, SCond, SCompare)):
-        return literal.negated()
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Rules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SRule:
-    head: SAtom
-    body: tuple[SLiteral, ...]
-
-    def substitute(self, subst: Subst) -> "SRule":
-        return SRule(self.head.substitute(subst), tuple(l.substitute(subst) for l in self.body))
-
-    def variables(self) -> set[str]:
-        names = self.head.variables()
-        for literal in self.body:
-            names |= literal.variables()
-        return names
-
-    def rename_apart(self, taken: set[str]) -> "SRule":
-        """Rename every variable clashing with ``taken`` to a fresh one."""
-        subst = {
-            name: fresh_var("r") for name in self.variables() if name in taken
-        }
-        return self.substitute(subst) if subst else self
-
-    def without(self, literal: SLiteral) -> "SRule":
-        body = list(self.body)
-        body.remove(literal)
-        return SRule(self.head, tuple(body))
-
-    def __str__(self) -> str:
-        body = ", ".join(str(l) for l in self.body)
-        return f"{self.head} ← {body}" if body else f"{self.head} ←"
-
-
-def rules_for(rules: Iterable[SRule], pred: str) -> list[SRule]:
-    return [rule for rule in rules if rule.head.pred == pred]
-
-
-def head_predicates(rules: Iterable[SRule]) -> set[str]:
-    return {rule.head.pred for rule in rules}
+def without(rule: Rule, literal: Literal) -> tuple[Literal, ...]:
+    """``rule``'s body less one occurrence of ``literal``."""
+    body = list(rule.body)
+    body.remove(literal)
+    return tuple(body)
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +82,29 @@ def head_predicates(rules: Iterable[SRule]) -> set[str]:
 
 
 def _match_terms(
-    pattern: tuple[STerm, ...],
-    target: tuple[STerm, ...],
-    subst: dict[str, STerm],
+    pattern: tuple[Term, ...],
+    target: tuple[Term, ...],
+    subst: dict[str, Term],
     used: set[str],
     *,
     bijective: bool,
-) -> Optional[dict[str, STerm]]:
+) -> Optional[dict[str, Term]]:
     """Extend ``subst`` so pattern terms map onto target terms."""
     if len(pattern) != len(target):
         return None
     extended = dict(subst)
     extended_used = set(used)
     for p_term, t_term in zip(pattern, target):
-        if isinstance(p_term, SConst):
+        if isinstance(p_term, Const):
             if p_term != t_term:
                 return None
             continue
         bound = extended.get(p_term.name)
         if bound is None:
-            if bijective and isinstance(t_term, SVar) and t_term.name in extended_used:
+            if bijective and isinstance(t_term, Var) and t_term.name in extended_used:
                 return None
             extended[p_term.name] = t_term
-            if isinstance(t_term, SVar):
+            if isinstance(t_term, Var):
                 extended_used.add(t_term.name)
         elif bound != t_term:
             return None
@@ -267,47 +115,26 @@ def _match_terms(
     return subst
 
 
-def _literal_shape(literal: SLiteral) -> tuple:
-    if isinstance(literal, SAtom):
-        return ("atom", literal.pred, literal.positive, len(literal.terms))
-    if isinstance(literal, SCond):
-        return ("cond", literal.name, literal.positive, len(literal.terms))
-    if isinstance(literal, SCompare):
-        return ("cmp", literal.op)
-    return ("assign", literal.function, len(literal.args))
-
-
-def _literal_terms(literal: SLiteral) -> tuple[STerm, ...]:
-    if isinstance(literal, (SAtom, SCond)):
-        return literal.terms
-    if isinstance(literal, SCompare):
-        return (literal.left, literal.right)
-    return (literal.target, *literal.args)
-
-
 def _match_literal(
-    pattern: SLiteral,
-    target: SLiteral,
-    subst: dict[str, STerm],
+    pattern: Literal,
+    target: Literal,
+    subst: dict[str, Term],
     used: set[str],
     *,
     bijective: bool,
-) -> Optional[dict[str, STerm]]:
-    if _literal_shape(pattern) != _literal_shape(target):
-        # '=' comparisons are symmetric; try the swapped orientation too.
+) -> Optional[dict[str, Term]]:
+    if literal_shape(pattern) != literal_shape(target):
         return None
-    candidate_orders: list[tuple[tuple[STerm, ...], tuple[STerm, ...]]]
-    if isinstance(pattern, SCompare) and isinstance(target, SCompare):
-        candidate_orders = [
-            ((pattern.left, pattern.right), (target.left, target.right)),
-            ((pattern.left, pattern.right), (target.right, target.left)),
-        ]
-    else:
-        candidate_orders = [(_literal_terms(pattern), _literal_terms(target))]
-    for p_terms, t_terms in candidate_orders:
+    candidate_orders = [literal_terms(target)]
+    if isinstance(target, Compare):
+        # comparisons are symmetric; try the swapped orientation too.
+        candidate_orders.append(target.right + target.left)
+    for t_terms in candidate_orders:
         trial_subst = dict(subst)
         trial_used = set(used)
-        if _match_terms(p_terms, t_terms, trial_subst, trial_used, bijective=bijective) is not None:
+        if _match_terms(
+            literal_terms(pattern), t_terms, trial_subst, trial_used, bijective=bijective
+        ) is not None:
             subst.clear()
             subst.update(trial_subst)
             used.clear()
@@ -317,14 +144,14 @@ def _match_literal(
 
 
 def match_body(
-    pattern_body: Iterable[SLiteral],
-    target_body: Iterable[SLiteral],
-    subst: dict[str, STerm],
+    pattern_body: Iterable[Literal],
+    target_body: Iterable[Literal],
+    subst: dict[str, Term],
     used: set[str],
     *,
     exact: bool,
     bijective: bool,
-) -> Optional[dict[str, STerm]]:
+) -> Optional[dict[str, Term]]:
     """Match the pattern literals onto (a subset of) the target literals.
 
     ``exact`` requires a perfect pairing (both multisets fully consumed);
@@ -337,11 +164,11 @@ def match_body(
         return None
 
     def backtrack(
-        remaining: list[SLiteral],
-        available: list[SLiteral],
-        current: dict[str, STerm],
+        remaining: list[Literal],
+        available: list[Literal],
+        current: dict[str, Term],
         current_used: set[str],
-    ) -> Optional[dict[str, STerm]]:
+    ) -> Optional[dict[str, Term]]:
         if not remaining:
             if exact and available:
                 return None
@@ -366,14 +193,14 @@ def match_body(
     return result
 
 
-def find_renaming(pattern: SRule, target: SRule, *, exact: bool = True) -> Optional[Subst]:
+def find_renaming(pattern: Rule, target: Rule, *, exact: bool = True) -> Optional[Subst]:
     """Find a variable renaming mapping ``pattern`` onto ``target``.
 
     With ``exact=True`` the bodies must correspond one-to-one (rule equality
     modulo renaming); with ``exact=False`` the pattern body only needs to
     embed into the target body (``pattern`` subsumes ``target``).
     """
-    subst: dict[str, STerm] = {}
+    subst: dict[str, Term] = {}
     used: set[str] = set()
     if _match_literal(pattern.head, target.head, subst, used, bijective=exact) is None:
         return None

@@ -1,8 +1,8 @@
 """Mechanical reproduction of the paper's bidirectionality proofs.
 
-For each supported SMO we transcribe the paper's symbolic rule sets
-(Section 4 for SPLIT, Appendix B for the rest) and check both symmetric
-lens conditions:
+:func:`verify_smo` proves both symmetric lens conditions on the rule sets an
+SMO instance compiles into views and triggers (``gamma_tgt_rules`` /
+``gamma_src_rules``):
 
 - Condition 27, ``D_src = γ_src^data(γ_tgt(D_src))`` — the Section 5
   derivation;
@@ -11,49 +11,23 @@ lens conditions:
 
 The check composes the two rule sets with Lemma 1, simplifies with Lemmas
 2–5 plus subsumption and the closing ω case analysis, and asserts that the
-data-table rules collapse to the identity mapping. The identifier-
-generating SMOs (FK/condition DECOMPOSE and JOIN) contain function bindings
-that symbolic negation cannot unfold (the paper proves those by exhibiting
-the simplified result); they are covered by the runtime lens checks in
-:mod:`repro.verification.lenses`.
+data-table rules collapse to the identity mapping. Everything it needs comes
+from the instance: the data predicates are its source / target roles, the
+auxiliary ones its ``aux_src()`` / ``aux_tgt()``. The identifier-generating
+SMOs (FK/condition DECOMPOSE and JOIN) have no rule sets yet; the runtime
+lens checks in :mod:`repro.verification.lenses` cover them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.bidel.smo.base import SmoSemantics
+from repro.datalog.ast import Rule
 from repro.datalog.compose import compose_round_trip, is_identity
-from repro.datalog.simplify import (
-    DomainAxiom,
-    omega_completeness_axiom,
-    simplify_rules,
-)
-from repro.datalog.symbolic import (
-    SAtom,
-    SCompare,
-    SCond,
-    SRule,
-    SVar,
-    anon,
-)
+from repro.datalog.simplify import simplify_rules
 from repro.errors import VerificationError
-
-
-@dataclass(frozen=True)
-class SymbolicSmoSpec:
-    """Everything needed to run both round-trip checks for one SMO."""
-
-    name: str
-    gamma_tgt: tuple[SRule, ...]
-    gamma_src: tuple[SRule, ...]
-    # (visible predicate, stored-table predicate, payload arity)
-    src_data: tuple[tuple[str, str, int], ...]
-    tgt_data: tuple[tuple[str, str, int], ...]
-    src_aux: frozenset[str]
-    tgt_aux: frozenset[str]
-    axioms: tuple[DomainAxiom, ...] = ()
-    omega_free: frozenset[str] = frozenset()
-    total_conditions: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -61,7 +35,7 @@ class VerificationResult:
     smo: str
     condition: str
     holds: bool
-    simplified: list[SRule]
+    simplified: list[Rule]
     problems: list[str] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
 
@@ -70,309 +44,52 @@ class VerificationResult:
 
 
 def _check(
-    spec: SymbolicSmoSpec,
-    *,
+    smo: str,
     condition: str,
-    collect_trace: bool = False,
+    first: Sequence[Rule],
+    second: Sequence[Rule],
+    *,
+    data: Iterable[str],
+    aux: Mapping[str, object],
+    collect_trace: bool,
 ) -> VerificationResult:
+    """Store ``data`` (the other side's aux tables empty), apply ``first``
+    then ``second``, and check ``data`` comes back unchanged."""
     trace: list[str] | None = [] if collect_trace else None
-    if condition == "27":
-        # Data stored at the source: γ_tgt first (source aux empty), then γ_src.
-        rename = {pred: stored for pred, stored, _ in spec.src_data}
-        composed = compose_round_trip(
-            spec.gamma_tgt,
-            spec.gamma_src,
-            rename_base=rename,
-            empty_predicates=set(spec.src_aux),
-        )
-        expected = [(pred, stored, arity) for pred, stored, arity in spec.src_data]
-        data_preds = {pred for pred, _, _ in spec.src_data}
-    elif condition == "26":
-        rename = {pred: stored for pred, stored, _ in spec.tgt_data}
-        composed = compose_round_trip(
-            spec.gamma_src,
-            spec.gamma_tgt,
-            rename_base=rename,
-            empty_predicates=set(spec.tgt_aux),
-        )
-        expected = [(pred, stored, arity) for pred, stored, arity in spec.tgt_data]
-        data_preds = {pred for pred, _, _ in spec.tgt_data}
-    else:  # pragma: no cover - internal misuse
-        raise VerificationError(f"unknown condition {condition!r}")
-    simplified = simplify_rules(
-        composed,
-        axioms=spec.axioms,
-        omega_free=set(spec.omega_free),
-        total_conditions=set(spec.total_conditions),
-        trace=trace,
+    stored = {pred: f"{pred}_D" for pred in data}
+    composed = compose_round_trip(
+        first, second, rename_base=stored, empty_predicates=set(aux)
     )
-    holds, problems = is_identity(simplified, expected, data_predicates=data_preds)
-    return VerificationResult(
-        smo=spec.name,
-        condition=condition,
-        holds=holds,
-        simplified=simplified,
-        problems=problems,
-        trace=trace or [],
-    )
+    simplified = simplify_rules(composed, stored=set(stored.values()), trace=trace)
+    expected = [
+        (pred, name, next(len(r.head.terms) for r in second if r.head.pred == pred) - 1)
+        for pred, name in stored.items()
+    ]
+    holds, problems = is_identity(simplified, expected)
+    return VerificationResult(smo, condition, holds, simplified, problems, trace or [])
 
 
-def verify_smo_symbolically(
-    spec: SymbolicSmoSpec, *, collect_trace: bool = False
+def verify_smo(
+    semantics: SmoSemantics, *, collect_trace: bool = False
 ) -> tuple[VerificationResult, VerificationResult]:
-    """Run both lens conditions; returns (condition 27, condition 26)."""
-    return (
-        _check(spec, condition="27", collect_trace=collect_trace),
-        _check(spec, condition="26", collect_trace=collect_trace),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The transcribed rule sets
-# ---------------------------------------------------------------------------
-
-_p = SVar("p")
-_A = SVar("A")
-_A2 = SVar("A2")
-_B = SVar("B")
-_b = SVar("b")
-
-
-def _cond(name: str, term, positive: bool = True) -> SCond:
-    return SCond(name, (term,), positive)
-
-
-def split_spec() -> SymbolicSmoSpec:
-    """SPLIT TABLE T INTO R WITH cR, S WITH cS (Rules 12–25)."""
-    gamma_tgt = (
-        SRule(
-            SAtom("R", (_p, _A)),
-            (SAtom("T", (_p, _A)), _cond("cR", _A), SAtom("Rminus", (_p,), False)),
-        ),
-        SRule(SAtom("R", (_p, _A)), (SAtom("T", (_p, _A)), SAtom("Rstar", (_p,)))),
-        SRule(
-            SAtom("S", (_p, _A)),
-            (
-                SAtom("T", (_p, _A)),
-                _cond("cS", _A),
-                SAtom("Sminus", (_p,), False),
-                SAtom("Splus", (_p, anon()), False),
-            ),
-        ),
-        SRule(SAtom("S", (_p, _A)), (SAtom("Splus", (_p, _A)),)),
-        SRule(
-            SAtom("S", (_p, _A)),
-            (
-                SAtom("T", (_p, _A)),
-                SAtom("Sstar", (_p,)),
-                SAtom("Splus", (_p, anon()), False),
-            ),
-        ),
-        SRule(
-            SAtom("Tprime", (_p, _A)),
-            (
-                SAtom("T", (_p, _A)),
-                _cond("cR", _A, False),
-                _cond("cS", _A, False),
-                SAtom("Rstar", (_p,), False),
-                SAtom("Sstar", (_p,), False),
-            ),
-        ),
-    )
-    gamma_src = (
-        SRule(SAtom("T", (_p, _A)), (SAtom("R", (_p, _A)),)),
-        SRule(
-            SAtom("T", (_p, _A)),
-            (SAtom("S", (_p, _A)), SAtom("R", (_p, anon()), False)),
-        ),
-        SRule(SAtom("T", (_p, _A)), (SAtom("Tprime", (_p, _A)),)),
-        SRule(
-            SAtom("Rminus", (_p,)),
-            (SAtom("S", (_p, _A)), SAtom("R", (_p, anon()), False), _cond("cR", _A)),
-        ),
-        SRule(SAtom("Rstar", (_p,)), (SAtom("R", (_p, _A)), _cond("cR", _A, False))),
-        SRule(
-            SAtom("Splus", (_p, _A)),
-            (SAtom("S", (_p, _A)), SAtom("R", (_p, _A2)), SCompare("!=", _A, _A2)),
-        ),
-        SRule(
-            SAtom("Sminus", (_p,)),
-            (SAtom("R", (_p, _A)), SAtom("S", (_p, anon()), False), _cond("cS", _A)),
-        ),
-        SRule(SAtom("Sstar", (_p,)), (SAtom("S", (_p, _A)), _cond("cS", _A, False))),
-    )
-    return SymbolicSmoSpec(
-        name="SPLIT",
-        gamma_tgt=gamma_tgt,
-        gamma_src=gamma_src,
-        src_data=(("T", "T_D", 1),),
-        tgt_data=(("R", "R_D", 1), ("S", "S_D", 1)),
-        src_aux=frozenset({"Rminus", "Rstar", "Splus", "Sminus", "Sstar"}),
-        tgt_aux=frozenset({"Tprime"}),
-    )
-
-
-def merge_spec() -> SymbolicSmoSpec:
-    """MERGE is SPLIT with γ_tgt and γ_src exchanged (Appendix A)."""
-    split = split_spec()
-    return SymbolicSmoSpec(
-        name="MERGE",
-        gamma_tgt=split.gamma_src,
-        gamma_src=split.gamma_tgt,
-        src_data=split.tgt_data,
-        tgt_data=split.src_data,
-        src_aux=split.tgt_aux,
-        tgt_aux=split.src_aux,
-    )
-
-
-def add_column_spec() -> SymbolicSmoSpec:
-    """ADD COLUMN b AS f(...) INTO R (Rules 126–132).
-
-    The value computation ``b = f(A)`` is kept abstract as a condition-like
-    binding; for the symbolic check we model it as a condition ``fB(A, b)``
-    that is functional in ``A`` — sufficient because the round trips never
-    need to negate it after Lemma-2 pruning of the aux table.
-    """
-    fb = SCond("fB", (_A, _b))
-    gamma_tgt = (
-        SRule(
-            SAtom("R2", (_p, _A, _b)),
-            (SAtom("R", (_p, _A)), fb, SAtom("B", (_p, anon()), False)),
-        ),
-        SRule(SAtom("R2", (_p, _A, _b)), (SAtom("R", (_p, _A)), SAtom("B", (_p, _b)))),
-    )
-    gamma_src = (
-        SRule(SAtom("R", (_p, _A)), (SAtom("R2", (_p, _A, anon())),)),
-        SRule(SAtom("B", (_p, _b)), (SAtom("R2", (_p, anon(), _b)),)),
-    )
-    return SymbolicSmoSpec(
-        name="ADD COLUMN",
-        gamma_tgt=gamma_tgt,
-        gamma_src=gamma_src,
-        src_data=(("R", "R_D", 1),),
-        tgt_data=(("R2", "R2_D", 2),),
-        src_aux=frozenset({"B"}),
-        tgt_aux=frozenset(),
-        total_conditions=frozenset({"fB"}),
-    )
-
-
-def drop_column_spec() -> SymbolicSmoSpec:
-    """DROP COLUMN is the inverse of ADD COLUMN (Appendix B.1)."""
-    add = add_column_spec()
-    return SymbolicSmoSpec(
-        name="DROP COLUMN",
-        gamma_tgt=add.gamma_src,
-        gamma_src=add.gamma_tgt,
-        src_data=add.tgt_data,
-        tgt_data=add.src_data,
-        src_aux=add.tgt_aux,
-        tgt_aux=add.src_aux,
-        total_conditions=add.total_conditions,
-    )
-
-
-def decompose_pk_spec() -> SymbolicSmoSpec:
-    """DECOMPOSE ON PK (Rules 133–140), with the ω case analysis."""
-    from repro.datalog.symbolic import OMEGA
-
-    gamma_tgt = (
-        SRule(
-            SAtom("S", (_p, _A)),
-            (SAtom("R", (_p, _A, anon())), SCompare("!=", _A, OMEGA)),
-        ),
-        SRule(
-            SAtom("T", (_p, _B)),
-            (SAtom("R", (_p, anon(), _B)), SCompare("!=", _B, OMEGA)),
-        ),
-    )
-    gamma_src = (
-        SRule(SAtom("R", (_p, _A, _B)), (SAtom("S", (_p, _A)), SAtom("T", (_p, _B)))),
-        SRule(
-            SAtom("R", (_p, _A, OMEGA)),
-            (SAtom("S", (_p, _A)), SAtom("T", (_p, anon()), False)),
-        ),
-        SRule(
-            SAtom("R", (_p, OMEGA, _B)),
-            (SAtom("S", (_p, anon()), False), SAtom("T", (_p, _B))),
-        ),
-    )
-    return SymbolicSmoSpec(
-        name="DECOMPOSE ON PK",
-        gamma_tgt=gamma_tgt,
-        gamma_src=gamma_src,
-        src_data=(("R", "R_D", 2),),
-        tgt_data=(("S", "S_D", 1), ("T", "T_D", 1)),
-        src_aux=frozenset(),
-        tgt_aux=frozenset(),
-        axioms=(omega_completeness_axiom({"R_D", "S_D", "T_D"}),),
-        omega_free=frozenset({"S_D", "T_D"}),
-    )
-
-
-def outer_join_pk_spec() -> SymbolicSmoSpec:
-    """OUTER JOIN ON PK = inverse of DECOMPOSE ON PK."""
-    decompose = decompose_pk_spec()
-    return SymbolicSmoSpec(
-        name="OUTER JOIN ON PK",
-        gamma_tgt=decompose.gamma_src,
-        gamma_src=decompose.gamma_tgt,
-        src_data=decompose.tgt_data,
-        tgt_data=decompose.src_data,
-        src_aux=decompose.tgt_aux,
-        tgt_aux=decompose.src_aux,
-        axioms=decompose.axioms,
-        omega_free=decompose.omega_free,
-    )
-
-
-def inner_join_pk_spec() -> SymbolicSmoSpec:
-    """JOIN ON PK (Rules 177–186)."""
-    gamma_tgt = (
-        SRule(SAtom("T", (_p, _A, _B)), (SAtom("R", (_p, _A)), SAtom("S", (_p, _B)))),
-        SRule(
-            SAtom("Rplus", (_p, _A)),
-            (SAtom("R", (_p, _A)), SAtom("S", (_p, anon()), False)),
-        ),
-        SRule(
-            SAtom("Splus", (_p, _B)),
-            (SAtom("R", (_p, anon()), False), SAtom("S", (_p, _B))),
-        ),
-    )
-    gamma_src = (
-        SRule(SAtom("R", (_p, _A)), (SAtom("T", (_p, _A, anon())),)),
-        SRule(SAtom("R", (_p, _A)), (SAtom("Rplus", (_p, _A)),)),
-        SRule(SAtom("S", (_p, _B)), (SAtom("T", (_p, anon(), _B)),)),
-        SRule(SAtom("S", (_p, _B)), (SAtom("Splus", (_p, _B)),)),
-    )
-    return SymbolicSmoSpec(
-        name="JOIN ON PK",
-        gamma_tgt=gamma_tgt,
-        gamma_src=gamma_src,
-        src_data=(("R", "R_D", 1), ("S", "S_D", 1)),
-        tgt_data=(("T", "T_D", 2),),
-        src_aux=frozenset(),
-        tgt_aux=frozenset({"Rplus", "Splus"}),
-    )
-
-
-ALL_SYMBOLIC_SPECS = {
-    "split": split_spec,
-    "merge": merge_spec,
-    "add_column": add_column_spec,
-    "drop_column": drop_column_spec,
-    "decompose_pk": decompose_pk_spec,
-    "outer_join_pk": outer_join_pk_spec,
-    "inner_join_pk": inner_join_pk_spec,
-}
-
-
-def symbolic_spec_for(name: str) -> SymbolicSmoSpec:
-    try:
-        factory = ALL_SYMBOLIC_SPECS[name]
-    except KeyError:
+    """Prove both lens conditions on one SMO instance's own rule sets;
+    returns (condition 27, condition 26)."""
+    gamma_tgt, gamma_src = semantics.gamma_tgt_rules(), semantics.gamma_src_rules()
+    if gamma_tgt is None or gamma_src is None:
         raise VerificationError(
-            f"no symbolic spec for {name!r}; available: {sorted(ALL_SYMBOLIC_SPECS)}"
-        ) from None
-    return factory()
+            f"{semantics.describe()} has no Datalog rule sets to prove; "
+            "the runtime lens checks cover it"
+        )
+    smo = semantics.describe()
+    return (
+        _check(
+            smo, "27", gamma_tgt.rules, gamma_src.rules,
+            data=semantics.source_roles, aux=semantics.aux_src(),
+            collect_trace=collect_trace,
+        ),
+        _check(
+            smo, "26", gamma_src.rules, gamma_tgt.rules,
+            data=semantics.target_roles, aux=semantics.aux_tgt(),
+            collect_trace=collect_trace,
+        ),
+    )
