@@ -132,55 +132,29 @@ class Move:
 # ---------------------------------------------------------------------------
 
 
-def _route_walk(
-    engine: "InVerDa", tv: "TableVersion"
-) -> tuple[list["SmoInstance"], list["TableVersion"]]:
-    """(SMOs, physical table versions) on ``tv``'s current read route,
-    walked the same way the code generator installs views — siblings
-    included, so the result over-approximates what the view touches
-    (conservative for both trackability and capture coverage)."""
-    from repro.backend import codegen
-
-    seen: set[int] = set()
-    smo_uids: set[int] = set()
-    smos: list[SmoInstance] = []
-    physicals: list[TableVersion] = []
-
-    def walk(t: "TableVersion") -> None:
-        if t.uid in seen:
-            return
-        seen.add(t.uid)
-        route = codegen.route_for(engine, t)
-        if route is None:
-            physicals.append(t)
-            return
-        smo, direction = route
-        if smo.uid not in smo_uids:
-            smo_uids.add(smo.uid)
-            smos.append(smo)
-        neighbors = smo.targets if direction == "forward" else smo.sources
-        for neighbor in neighbors:
-            walk(neighbor)
-        for sibling in (*smo.sources, *smo.targets):
-            walk(sibling)
-
-    walk(tv)
-    return smos, physicals
-
-
 def build_plan(engine: "InVerDa", schema: frozenset["SmoInstance"]) -> MovePlan:
     """Plan the move of the physical representation to ``schema`` from
     the *current* catalog state (deterministic: the same catalog and
     target always plan the same object names, which is what lets a
-    resumed move pick up a journaled plan)."""
+    resumed move pick up a journaled plan).
+
+    A target's SMOs and physical sources are those on the views the code
+    generator installs for it — siblings included, so they over-approximate
+    what the view touches (conservative for both trackability and capture
+    coverage)."""
+    from repro.backend import codegen
+
     tables: list[TableMove] = []
     sources: set[str] = set()
     for tv in physical_table_versions(engine.genealogy, schema):
-        smos, physicals = _route_walk(engine, tv)
+        walked = codegen.active_table_versions(engine, [tv])
+        routes = [codegen.route_for(engine, t) for t in walked]
+        smos = {route[0] for route in routes if route is not None}
         trackable = not any(has_shared_aux(smo) for smo in smos)
         if trackable:
-            for ptv in physicals:
-                sources.add(ptv.data_table_name)
+            for t, route in zip(walked, routes):
+                if route is None:
+                    sources.add(t.data_table_name)
             for smo in smos:
                 semantics = smo.semantics
                 if semantics is None:

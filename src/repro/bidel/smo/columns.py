@@ -92,10 +92,6 @@ class AddColumnSemantics(SmoSemantics):
     node: AddColumn
 
     def validate(self) -> None:
-        require(
-            not self.source_schemas[0].has_column(self.node.column),
-            f"table {self.node.table!r} already has a column {self.node.column!r}",
-        )
         unknown = self.node.function.columns() - set(self.source_schemas[0].column_names)
         require(not unknown, f"ADD COLUMN function references unknown columns: {sorted(unknown)}")
 

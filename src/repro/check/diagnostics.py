@@ -50,13 +50,16 @@ DIAGNOSTIC_CATALOG: dict[str, str] = {
     "RPC201": "name collision: the schema version, table, or column "
               "already exists at this point of the chain",
     "RPC202": "reference to an unknown or dropped schema version or table",
-    "RPC203": "reference to a column the table does not have at this "
-              "point of the chain",
+    "RPC203": "the SMO does not apply to its source tables (unknown "
+              "column, incompatible tables, a condition JOIN whose inputs "
+              "lack id)",
     "RPC204": "information-loss warning: the SMO is not invertible "
               "without auxiliary state",
     "RPC205": "partition conditions overlap: some row satisfies both",
     "RPC206": "partition conditions leave a gap: some row satisfies "
               "neither and would be lost",
+    "RPC207": "MATERIALIZE target set the engine refuses: it violates "
+              "validity condition (55) or (56)",
     # -- project lint (RPC3xx) ------------------------------------------
     "RPC301": "f-string SQL interpolation outside the quoting-helper "
               "modules",

@@ -2,21 +2,22 @@
 engine runs it.
 
 ``CHECK <bidel>`` (and ``python -m repro.check --preflight``) parses the
-script and simulates it over a working copy of the catalog's schema —
-just names and column lists, no data, no delta code — flagging:
+script and runs each SMO through the semantics the engine instantiates
+(:func:`~repro.bidel.smo.registry.build_semantics`) over a working copy
+of the catalog's table schemas — no data, no delta code — flagging:
 
 - **RPC201** name collisions (schema versions, tables, columns),
 - **RPC202** references to unknown or dropped versions/tables,
-- **RPC203** references to columns the table does not have,
+- **RPC203** SMOs that do not apply to their source tables,
 - **RPC204** information-loss warnings for non-invertible SMOs,
-- **RPC205/RPC206** overlap/gap between partition conditions, found by
-  evaluating both conditions over a small sample grid built from the
-  literals they mention (the engine's own 3-valued
-  :meth:`~repro.expr.ast.Expression.evaluate`).
+- **RPC205/RPC206** overlap/gap between partition conditions, probed on
+  a sample grid of the literals they mention (the engine's 3-valued logic),
+- **RPC207** MATERIALIZE target sets the engine refuses.
 
-The analysis is best-effort on a broken chain: after reporting a
-problem it keeps simulating with the most plausible state, so one
-mistake does not drown the rest of the script in noise.
+Each code comes from the type of the error the engine's own code raises.
+The analysis is best-effort on a broken chain: a refused SMO leaves the
+working schema as it was and the analysis goes on, so one mistake does
+not drown the rest of the script in noise.
 """
 
 from __future__ import annotations
@@ -25,42 +26,28 @@ import itertools
 from dataclasses import fields, is_dataclass
 
 from repro.bidel.ast import (
-    AddColumn,
     CreateSchemaVersion,
-    CreateTable,
-    Decompose,
     DropColumn,
     DropSchemaVersion,
     DropTable,
     Join,
     Materialize,
     Merge,
-    RenameColumn,
-    RenameTable,
+    SmoNode,
     Split,
 )
 from repro.bidel.parser import parse_script
+from repro.bidel.smo.registry import build_semantics, source_table_names
 from repro.check.diagnostics import Diagnostic
-from repro.errors import ReproError
+from repro.errors import (EvolutionError, MaterializationError, ReproError,
+                          SchemaError)
 from repro.expr.ast import Expression, Literal, is_true
+from repro.relational.schema import TableSchema
 
-#: Working schema: live version name -> table name -> column tuple.
-Schema = dict[str, dict[str, tuple[str, ...]]]
+#: Working schema: live version name -> table name -> table schema.
+Schema = dict[str, dict[str, TableSchema]]
 
 _MAX_SAMPLES = 8192
-
-
-def catalog_schema(engine) -> Schema:
-    """The live (non-dropped) versions of ``engine`` as a working schema."""
-    if engine is None:
-        return {}
-    return {
-        version.name: {
-            name: tuple(tv.schema.column_names)
-            for name, tv in version.tables.items()
-        }
-        for version in engine.genealogy.active_versions()
-    }
 
 
 def preflight_script(engine, text: str) -> list[Diagnostic]:
@@ -70,237 +57,152 @@ def preflight_script(engine, text: str) -> list[Diagnostic]:
         statements = parse_script(text)
     except ReproError as exc:
         return [Diagnostic("RPC200", "error", "<script>", str(exc))]
-    versions = catalog_schema(engine)
     diagnostics: list[Diagnostic] = []
+    simulate(engine, statements, diagnostics)
+    return diagnostics
+
+
+def simulate(engine, statements, diagnostics: list[Diagnostic]) -> Schema:
+    """Run parsed ``statements`` over ``engine``'s catalog, appending the
+    findings to ``diagnostics``; returns the working schema they leave."""
+    catalog = engine.genealogy.active_versions() if engine is not None else []
+    versions: Schema = {
+        version.name: {name: tv.schema for name, tv in version.tables.items()}
+        for version in catalog
+    }
+    # The engine never reuses a version name, not even a dropped one.
+    taken = set(versions)
+    if engine is not None:
+        taken |= set(engine.genealogy.schema_versions) | engine.genealogy.retired
     for statement in statements:
         if isinstance(statement, CreateSchemaVersion):
-            _check_create_version(versions, statement, diagnostics)
+            name, source = statement.name, statement.source
+            if name in taken:
+                diagnostics.append(Diagnostic(
+                    "RPC201", "error", name,
+                    f"schema version {name!r} already exists",
+                ))
+            if source is not None and source not in versions:
+                diagnostics.append(Diagnostic(
+                    "RPC202", "error", name,
+                    f"source schema version {source!r} does not exist or "
+                    "was dropped",
+                ))
+            tables = dict(versions.get(source, {}))
+            for smo in statement.smos:
+                _apply_smo(name, tables, smo, diagnostics)
+            if name not in taken:
+                taken.add(name)
+                versions[name] = tables
         elif isinstance(statement, DropSchemaVersion):
-            if statement.name not in versions:
+            if versions.pop(statement.name, None) is None:
                 diagnostics.append(Diagnostic(
                     "RPC202", "error", statement.name,
                     f"no such live schema version {statement.name!r} "
                     "(DROP SCHEMA VERSION)",
                 ))
-            else:
-                del versions[statement.name]
         elif isinstance(statement, Materialize):
-            _check_materialize(versions, statement, diagnostics)
-    return diagnostics
+            _check_materialize(engine, {v.name for v in catalog}, versions,
+                               statement, diagnostics)
+    return versions
 
 
-def _check_materialize(versions: Schema, statement: Materialize,
+def _check_materialize(engine, catalog: set[str], versions: Schema,
+                       statement: Materialize,
                        diagnostics: list[Diagnostic]) -> None:
+    """Every target must name a live version (and table); a set naming
+    only catalog versions must also pass the engine's own resolution."""
+    named = True
     for target in statement.targets:
         version, _, table = target.partition(".")
         if version not in versions:
-            diagnostics.append(Diagnostic(
-                "RPC202", "error", target,
-                f"MATERIALIZE target {target!r}: no such live schema "
-                "version",
-            ))
+            problem = "no such live schema version"
         elif table and table not in versions[version]:
+            problem = f"version {version!r} has no table {table!r}"
+        else:
+            continue
+        named = False
+        diagnostics.append(Diagnostic(
+            "RPC202", "error", target,
+            f"MATERIALIZE target {target!r}: {problem}",
+        ))
+    if named and all(t.partition(".")[0] in catalog for t in statement.targets):
+        try:
+            engine.resolve_materialization(statement.targets)
+        except MaterializationError as exc:
             diagnostics.append(Diagnostic(
-                "RPC202", "error", target,
-                f"MATERIALIZE target {target!r}: version {version!r} has "
-                f"no table {table!r}",
+                "RPC207", "error", ", ".join(statement.targets),
+                f"MATERIALIZE refused: {exc}",
             ))
 
 
-def _check_create_version(versions: Schema, statement: CreateSchemaVersion,
-                          diagnostics: list[Diagnostic]) -> None:
-    if statement.name in versions:
-        diagnostics.append(Diagnostic(
-            "RPC201", "error", statement.name,
-            f"schema version {statement.name!r} already exists",
-        ))
-    if statement.source is None:
-        tables: dict[str, tuple[str, ...]] = {}
-    elif statement.source not in versions:
-        diagnostics.append(Diagnostic(
-            "RPC202", "error", statement.name,
-            f"source schema version {statement.source!r} does not exist "
-            "or was dropped",
-        ))
-        tables = {}
-    else:
-        tables = dict(versions[statement.source])
-    for smo in statement.smos:
-        _apply_smo(statement.name, tables, smo, diagnostics)
-    versions[statement.name] = tables
-
-
-def _apply_smo(version: str, tables: dict[str, tuple[str, ...]], smo,
+def _apply_smo(version: str, tables: dict[str, TableSchema], node: SmoNode,
                diagnostics: list[Diagnostic]) -> None:
-    def at(table: str) -> str:
-        return f"{version}.{table}"
+    """Apply ``node`` to ``tables`` as the engine's ``_apply_smo`` does:
+    source tables -> the SMO's semantics -> its target schemas.  A
+    refused SMO is reported and leaves ``tables`` as it was."""
+    names = source_table_names(node)
 
-    def report(code: str, severity: str, table: str, message: str) -> None:
-        diagnostics.append(Diagnostic(code, severity, at(table), message))
+    def report(code: str, table: str, message: str) -> None:
+        diagnostics.append(Diagnostic(code, "error", f"{version}.{table}",
+                                      message))
 
-    def require_table(table: str) -> tuple[str, ...] | None:
-        columns = tables.get(table)
-        if columns is None:
-            report("RPC202", "error", table,
-                   f"table {table!r} does not exist at this point of the "
-                   "chain")
-        return columns
+    missing = [name for name in names if name not in tables]
+    for name in missing:
+        report("RPC202", name, f"table {name!r} does not exist at this "
+                               "point of the chain")
+    if missing:
+        return
+    try:
+        sources = tuple(tables[name] for name in names)
+        targets = build_semantics(node, sources).target_schemas()
+    except (SchemaError, EvolutionError) as exc:
+        report("RPC201" if isinstance(exc, SchemaError) else "RPC203",
+               names[0] if names else node.table, str(exc))
+        return
+    working = {name: schema for name, schema in tables.items()
+               if name not in names}
+    for schema in targets:
+        if schema.name in working:
+            report("RPC201", schema.name, f"table {schema.name!r} already "
+                                          "exists in this version")
+            return
+        working[schema.name] = schema
+    tables.clear()
+    tables.update(working)
+    _judge_loss(version, node, diagnostics)
 
-    def require_columns(table: str, needed, columns) -> None:
-        for column in needed:
-            if column not in columns:
-                report("RPC203", "error", table,
-                       f"column {column!r} does not exist in {table!r} "
-                       f"(has: {', '.join(columns) or 'no columns'})")
 
-    def collision(name: str, *, besides: tuple[str, ...] = ()) -> bool:
-        if name in tables and name not in besides:
-            report("RPC201", "error", name,
-                   f"table {name!r} already exists in this version")
-            return True
-        return False
+def _judge_loss(version: str, node: SmoNode,
+                diagnostics: list[Diagnostic]) -> None:
+    """RPC204–206: what an applied SMO loses or leaves ambiguous."""
+    def warn(table: str, message: str) -> None:
+        diagnostics.append(Diagnostic(
+            "RPC204", "warning", f"{version}.{table}", message
+        ))
 
-    if isinstance(smo, CreateTable):
-        collision(smo.table)
-        seen: set[str] = set()
-        for column in smo.columns:
-            if column.name in seen:
-                report("RPC201", "error", smo.table,
-                       f"duplicate column {column.name!r} in CREATE TABLE")
-            seen.add(column.name)
-        tables[smo.table] = tuple(c.name for c in smo.columns)
-    elif isinstance(smo, DropTable):
-        if require_table(smo.table) is not None:
-            report("RPC204", "warning", smo.table,
-                   f"dropping table {smo.table!r} hides its rows from "
-                   "this version; they stay reachable only through "
-                   "co-existing versions")
-            del tables[smo.table]
-    elif isinstance(smo, RenameTable):
-        columns = require_table(smo.table)
-        collision(smo.new_name, besides=(smo.table,))
-        if columns is not None:
-            del tables[smo.table]
-            tables[smo.new_name] = columns
-    elif isinstance(smo, RenameColumn):
-        columns = require_table(smo.table)
-        if columns is None:
-            return
-        require_columns(smo.table, (smo.column,), columns)
-        if smo.new_name in columns and smo.new_name != smo.column:
-            report("RPC201", "error", smo.table,
-                   f"column {smo.new_name!r} already exists in {smo.table!r}")
-        tables[smo.table] = tuple(
-            smo.new_name if c == smo.column else c for c in columns
-        )
-    elif isinstance(smo, AddColumn):
-        columns = require_table(smo.table)
-        if columns is None:
-            return
-        if smo.column in columns:
-            report("RPC201", "error", smo.table,
-                   f"column {smo.column!r} already exists in {smo.table!r}")
-        require_columns(smo.table, sorted(smo.function.columns()), columns)
-        tables[smo.table] = (*columns, smo.column)
-    elif isinstance(smo, DropColumn):
-        columns = require_table(smo.table)
-        if columns is None:
-            return
-        require_columns(smo.table, (smo.column,), columns)
-        remaining = tuple(c for c in columns if c != smo.column)
-        require_columns(smo.table, sorted(smo.default.columns()), remaining)
-        report("RPC204", "warning", smo.table,
-               f"dropping column {smo.column!r} is lossy backward: rows "
-               "created in this version reconstruct it from the DEFAULT "
-               "expression")
-        tables[smo.table] = remaining
-    elif isinstance(smo, Decompose):
-        columns = require_table(smo.table)
-        if columns is None:
-            return
-        require_columns(smo.table, smo.first_columns, columns)
-        require_columns(smo.table, smo.second_columns, columns)
-        collision(smo.first_table, besides=(smo.table,))
-        del tables[smo.table]
-        tables[smo.first_table] = tuple(smo.first_columns)
-        if smo.second_table is not None:
-            collision(smo.second_table, besides=())
-            second = tuple(smo.second_columns)
-            if smo.kind.method == "FK" and smo.kind.fk_column:
-                second = (*second, smo.kind.fk_column)
-            tables[smo.second_table] = second
-            if smo.kind.method == "COND" and smo.kind.condition is not None:
-                require_columns(
-                    smo.table, sorted(smo.kind.condition.columns()), columns
-                )
-    elif isinstance(smo, Join):
-        first = require_table(smo.first_table)
-        second = require_table(smo.second_table)
-        if first is None or second is None:
-            return
-        collision(smo.target, besides=(smo.first_table, smo.second_table))
-        joint = (*first, *[c for c in second if c not in first])
-        if smo.kind.method == "FK" and smo.kind.fk_column:
-            require_columns(smo.second_table, (smo.kind.fk_column,), second)
-        if smo.kind.method == "COND" and smo.kind.condition is not None:
-            require_columns(
-                smo.target, sorted(smo.kind.condition.columns()), joint
-            )
-        if not smo.outer:
-            report("RPC204", "warning", smo.target,
-                   "inner JOIN is lossy: rows without a join partner are "
-                   "invisible in the target (use OUTER JOIN to keep them)")
-        del tables[smo.first_table]
-        if smo.second_table in tables:
-            del tables[smo.second_table]
-        tables[smo.target] = joint
-    elif isinstance(smo, Split):
-        columns = require_table(smo.table)
-        if columns is None:
-            return
-        collision(smo.first_table, besides=(smo.table,))
-        require_columns(
-            smo.table, sorted(smo.first_condition.columns()), columns
-        )
-        del tables[smo.table]
-        tables[smo.first_table] = columns
-        if smo.second_table is None:
-            report("RPC204", "warning", smo.first_table,
-                   "single-target SPLIT is lossy: rows not matching the "
-                   "condition are invisible in the new version")
-        else:
-            collision(smo.second_table, besides=())
-            assert smo.second_condition is not None
-            require_columns(
-                smo.table, sorted(smo.second_condition.columns()), columns
-            )
-            tables[smo.second_table] = columns
-            _check_partition(
-                version, smo.first_table, smo.first_condition,
-                smo.second_condition, diagnostics, gap_is_loss=True,
-            )
-    elif isinstance(smo, Merge):
-        first = require_table(smo.first_table)
-        second = require_table(smo.second_table)
-        collision(smo.target, besides=(smo.first_table, smo.second_table))
-        if first is not None:
-            require_columns(
-                smo.first_table, sorted(smo.first_condition.columns()), first
-            )
-            del tables[smo.first_table]
-        if second is not None:
-            require_columns(
-                smo.second_table, sorted(smo.second_condition.columns()),
-                second,
-            )
-            if smo.second_table in tables:
-                del tables[smo.second_table]
-        if first is not None or second is not None:
-            tables[smo.target] = first or second or ()
-            _check_partition(
-                version, smo.target, smo.first_condition,
-                smo.second_condition, diagnostics, gap_is_loss=False,
-            )
+    if isinstance(node, DropTable):
+        warn(node.table, f"dropping table {node.table!r} hides its rows from "
+                         "this version; they stay reachable only through "
+                         "co-existing versions")
+    elif isinstance(node, DropColumn):
+        warn(node.table, f"dropping column {node.column!r} is lossy "
+                         "backward: rows created in this version "
+                         "reconstruct it from the DEFAULT expression")
+    elif isinstance(node, Join) and not node.outer:
+        warn(node.target, "inner JOIN is lossy: rows without a join partner "
+                          "are invisible in the target (use OUTER JOIN to "
+                          "keep them)")
+    elif isinstance(node, Split) and node.second_condition is None:
+        warn(node.first_table, "single-target SPLIT is lossy: rows not "
+                               "matching the condition are invisible in the "
+                               "new version")
+    elif isinstance(node, Split):
+        _check_partition(version, node.first_table, node.first_condition,
+                         node.second_condition, diagnostics, gap_is_loss=True)
+    elif isinstance(node, Merge):
+        _check_partition(version, node.target, node.first_condition,
+                         node.second_condition, diagnostics, gap_is_loss=False)
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +210,30 @@ def _apply_smo(version: str, tables: dict[str, tuple[str, ...]], smo,
 # ---------------------------------------------------------------------------
 
 
-def _literal_values(expression: Expression) -> list:
-    """Every literal value mentioned anywhere inside ``expression``."""
-    values: list = []
-
-    def walk(node) -> None:
-        if isinstance(node, Literal):
-            values.append(node.value)
-            return
-        if not is_dataclass(node):
-            return
-        for field in fields(node):
-            value = getattr(node, field.name)
-            if isinstance(value, Expression):
-                walk(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Expression):
-                        walk(item)
-
-    walk(expression)
-    return values
-
-
-def _sample_values(first: Expression, second: Expression) -> list:
-    """Candidate values per column: the literals both conditions mention,
+def _sample_values(*conditions: Expression) -> list:
+    """Candidate values per column: the literals the conditions mention,
     their numeric neighbours (to probe strict-vs-inclusive boundaries),
     a few generic values, and NULL."""
     values: list = [None, 0, 1, -1]
-    for literal in (*_literal_values(first), *_literal_values(second)):
-        if literal not in values:
-            values.append(literal)
-        if isinstance(literal, (int, float)) and not isinstance(literal, bool):
-            for neighbour in (literal - 1, literal + 1):
-                if neighbour not in values:
-                    values.append(neighbour)
+
+    def walk(node) -> None:
+        if isinstance(node, Literal):
+            literal = node.value
+            numeric = (isinstance(literal, (int, float))
+                       and not isinstance(literal, bool))
+            for value in ((literal, literal - 1, literal + 1) if numeric
+                          else (literal,)):
+                if value not in values:
+                    values.append(value)
+        elif is_dataclass(node):
+            for field in fields(node):
+                child = getattr(node, field.name)
+                for item in child if isinstance(child, tuple) else (child,):
+                    if isinstance(item, Expression):
+                        walk(item)
+
+    for condition in conditions:
+        walk(condition)
     return values
 
 
@@ -375,16 +266,15 @@ def _check_partition(version: str, table: str, first: Expression,
             gap_row = row
         if overlap_row is not None and gap_row is not None:
             break
+    anchor, a, b = f"{version}.{table}", first.to_sql(), second.to_sql()
     if overlap_row is not None:
         diagnostics.append(Diagnostic(
-            "RPC205", "warning", f"{version}.{table}",
-            f"partition conditions overlap: {overlap_row!r} satisfies "
-            f"both ({first.to_sql()}) and ({second.to_sql()})",
+            "RPC205", "warning", anchor, "partition conditions overlap: "
+            f"{overlap_row!r} satisfies both ({a}) and ({b})",
         ))
     if gap_row is not None:
         diagnostics.append(Diagnostic(
-            "RPC206", "warning", f"{version}.{table}",
-            f"partition conditions leave a gap: {gap_row!r} satisfies "
-            f"neither ({first.to_sql()}) nor ({second.to_sql()})"
+            "RPC206", "warning", anchor, "partition conditions leave a gap: "
+            f"{gap_row!r} satisfies neither ({a}) nor ({b})"
             + (" — such rows are lost" if gap_is_loss else ""),
         ))

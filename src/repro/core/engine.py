@@ -161,9 +161,10 @@ class InVerDa:
         # statements (they would deadlock on the read side).
         self._catalog_listeners: list = []
         # Monotonic catalog generation: bumped under the write lock on
-        # every transition (evolution, MATERIALIZE, drop). Compiled
-        # statement plans are tagged with it, so a plan can never outlive
-        # the catalog it was lowered against.
+        # every transition (evolution, MATERIALIZE, drop). The persisted
+        # catalog, the verified-at mark and a backfill journal record it,
+        # so recovery can tell which transition they belong to; compiled
+        # plans are not tagged with it (they live as long as their version).
         self.catalog_generation = 0  # repro-lint: allow(RPC302) — initial value, no catalog exists yet
         # (generation, fingerprint) memo for catalog_fingerprint().
         self._fingerprint_memo: tuple[int, str] | None = None
@@ -853,7 +854,7 @@ class InVerDa:
         started = time.perf_counter()
         with self.catalog_lock.write_locked():
             self._ensure_no_online_move()
-            schema = self._resolve_materialization(targets)
+            schema = self.resolve_materialization(targets)
             if backend is None:
                 self._cut_over(schema)
                 return
@@ -881,9 +882,11 @@ class InVerDa:
             self._backfill_phase.set(0)
         self._online_materialize_seconds.observe(time.perf_counter() - started)
 
-    def _resolve_materialization(
+    def resolve_materialization(
         self, targets: Iterable[str]
     ) -> frozenset[SmoInstance]:
+        """The materialization schema ``MATERIALIZE targets`` moves to;
+        raises :class:`MaterializationError` for a refused target set."""
         table_versions: list[TableVersion] = []
         for target in targets:
             if "." in target:

@@ -67,6 +67,7 @@ from repro.core.session import MemorySession
 from repro.errors import (
     AccessError,
     CatalogError,
+    EvolutionError,
     ExpressionError,
     InterfaceError,
     OperationalError,
@@ -197,7 +198,7 @@ def _translated_errors():
     """Surface engine-level and backend failures as DB-API error classes."""
     try:
         yield
-    except (SchemaError, ExpressionError, CatalogError) as exc:
+    except (SchemaError, ExpressionError, CatalogError, EvolutionError) as exc:
         raise ProgrammingError(str(exc)) from exc
     except AccessError as exc:
         raise OperationalError(str(exc)) from exc

@@ -121,7 +121,7 @@ def test_a_statement_does_not_take_the_primary_while_a_chunk_waits(tmp_path):
     engine = build_tasky(20).engine
     backend = LiveSqliteBackend.attach(engine, database=str(tmp_path / "tasky.db"))
     try:
-        move = backend.prepare_move(engine._resolve_materialization(["TasKy2"]))
+        move = backend.prepare_move(engine.resolve_materialization(["TasKy2"]))
         blocked = connect(engine, "TasKy", autocommit=True, backend=backend)
         other = connect(engine, "TasKy", autocommit=True, backend=backend)
         blocker = _Blocker(backend, blocked, "SELECT hold(prio) FROM Task")

@@ -299,7 +299,7 @@ class TestChangeCapture:
             engine.execute(
                 "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + b INTO R;"
             )
-            schema = engine._resolve_materialization(["v2"])
+            schema = engine.resolve_materialization(["v2"])
             move = backend.prepare_move(schema, chunk_rows=60)
             round_no = 0
             while True:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.errors import InterfaceError
+from repro.errors import InterfaceError, ProgrammingError
 from repro.server.server import ReproServer
 from repro.workloads.tasky import build_tasky
 
@@ -79,3 +79,16 @@ class TestClosedCursor:
         conn.close()
         with pytest.raises(InterfaceError, match=rf"{name}\(\).*closed connection"):
             call(cur)
+
+
+@pytest.mark.parametrize("statement", [
+    # The engine refuses the SMO (EvolutionError) ...
+    "CREATE SCHEMA VERSION v2 FROM TasKy WITH ADD COLUMN c AS zz + 1 INTO Task;",
+    # ... or the catalog refuses the name (CatalogError).
+    "MATERIALIZE nope;",
+])
+def test_refused_ddl_is_a_programming_error(transport, statement):
+    conn = transport(autocommit=True)
+    with pytest.raises(ProgrammingError):
+        conn.execute(statement)
+    conn.close()
