@@ -57,7 +57,9 @@ from repro.util.naming import physical_name
 #: 8 = ADD COLUMN's widening rule pair is one branch reading B by a probe.
 #: 9 = a delete from a compound view runs that view's key deletes in place;
 #:     a NOT EXISTS guard reads a physical table version's data table.
-EMISSION_STAMP = 9
+#: 10 = the FK and condition SMOs' views come from their rule sets; a lone
+#:      branch not proven key-preserving is SELECT DISTINCT.
+EMISSION_STAMP = 10
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -334,12 +336,10 @@ class Renderer:
                 )
             return tv.view_name, select, flat
         handler = handler_for(self.ctx, route[0])
-        if composer is not None:
-            flat = composer.register(tv.view_name, handler.view_branches(tv))
-        # The handler's own (nested) body only where the composer yields
-        # none: rendering it costs as much as the branches did.
-        select = composer.sql(flat) if flat is not None else handler.view_select(tv)
-        return tv.view_name, select, flat
+        if composer is None:
+            return tv.view_name, handler.view_select(tv), None
+        flat = composer.register(tv.view_name, handler.view_branches(tv))
+        return tv.view_name, composer.sql(flat), flat
 
     def _route(self, tv: TableVersion) -> tuple:
         """``(route SMO or None, adjacent shared, deep shared)``."""
@@ -450,10 +450,9 @@ def view_definitions(engine, *, flatten: bool = True) -> list[tuple[str, str, li
     The rule-rendered SELECTs are algebraically composed along the SMO
     chain by :class:`~repro.backend.compose.ViewComposer`, so a version at
     chain depth N is served by one shallow query instead of an N-deep view
-    sandwich; SMOs the composer cannot flatten (the hand-written FK/COND
-    views, over-budget unions) keep their nested view references.  The
-    branches are ``None`` where the body is not the composer's (those
-    hand-written views, and everything under ``flatten=False``).
+    sandwich; a view whose composition would exceed the branch budget
+    keeps its nested view references.  The branches are ``None`` under
+    ``flatten=False``.
 
     ``flatten=False`` renders every view in that nested one-view-per-hop
     form, always on plain ``UNION``.  The backend never installs it; it is
@@ -644,11 +643,7 @@ def migration_statements(
         old_side = semantics.aux_tgt() if smo.materialized else semantics.aux_src()
         selects = handler.stored_role_selects(will_materialize)
         for role, schema_for_role in new_side.items():
-            select = selects.get(role)
-            if select is None:
-                raise BackendError(
-                    f"SMO {smo!r} cannot derive aux role {role!r} for migration"
-                )
+            select = selects[role]
             name = _aux_stage_name(smo, role)
             stage += [
                 f"DROP TABLE IF EXISTS {q(name)}",

@@ -8,7 +8,7 @@ expansion needs 2^16 table references and cannot even be prepared, let
 alone served cheaply.  The composer turns the view stack back into what
 the paper promises: delta code *compiled once* into flat queries.
 
-Every rule-backed view is a UNION of :class:`~repro.sqlgen.views.ViewBranch`
+Every view is a UNION of :class:`~repro.sqlgen.views.ViewBranch`
 branches (select list + FROM entries + WHERE conjunction).  Composition
 works bottom-up along the dependency order the code generator already
 emits in:
@@ -31,10 +31,12 @@ emits in:
    "rows satisfying the condition" and "rows pinned by the Rstar aux
    table" becomes a single scan of the parent with an OR.
 
-Anything the composer cannot flatten — the hand-written FK/COND views,
-or a composition that would exceed the branch budget — simply keeps its
+Every SMO's views come from its rule sets, so every view is composed.
+Only a composition that would exceed the branch budget keeps its
 view-name reference: the referenced view still exists and is itself
-composed, so the emitted stack stays shallow instead of deep.
+composed, so the emitted stack stays shallow instead of deep.  So does a
+relation a rule reads inside a subquery (a stored value's probe, a
+helper predicate), which the composer does not enter.
 
 **Compound keyword.**  The identifier facts on every
 :class:`~repro.sqlgen.views.ViewBranch` ride along: inlining unions the
@@ -42,7 +44,9 @@ child's facts into a key-preserving parent (plus the inlined view itself
 as a required relation), merging keeps what every member shares.  Where
 :func:`~repro.sqlgen.views.key_disjoint` proves (K) + (X) the branches
 are joined with ``UNION ALL`` — which SQLite flattens into the enclosing
-statement, so an identifier probe becomes a rowid seek — else ``UNION``.
+statement, so an identifier probe becomes a rowid seek — else ``UNION``,
+and a lone branch it does not prove key-preserving is ``SELECT
+DISTINCT`` (:func:`~repro.sqlgen.views.compound_sql`).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import itertools
 import re
 from dataclasses import replace
 
-from repro.sqlgen.views import ViewBranch, alias_pattern, key_disjoint
+from repro.sqlgen.views import ViewBranch, alias_pattern, compound_sql, key_disjoint
 from repro.util.naming import quote_identifier
 
 #: Composition budget: a view whose flattened form would exceed this many
@@ -91,9 +95,9 @@ class ViewComposer:
     def __init__(self, max_branches: int = MAX_BRANCHES):
         self.max_branches = max_branches
         self._flat: dict[str, list[ViewBranch]] = {}
-        #: Views that may hold an identifier twice (hand-written bodies,
-        #: compounds emitted as UNION): a kept reference to one voids the
-        #: referencing branch's key preservation.
+        #: Views that may hold an identifier twice (emitted as UNION or
+        #: DISTINCT): a kept reference to one voids the referencing
+        #: branch's key preservation.
         self._unproven: set[str] = set()
         #: Alias numbers restart with every registered view, so a view's
         #: text is a function of its own inputs alone — not of how many
@@ -127,16 +131,10 @@ class ViewComposer:
         self._flat[view_name] = branches
         return branches
 
-    def register(
-        self, view_name: str, branches: list[ViewBranch] | None
-    ) -> list[ViewBranch] | None:
-        """Compose ``branches`` (a rule-backed view body) against every
-        already-registered view they reference; returns the flattened
-        branches, or ``None`` when the handler produced no structured form
-        (the view keeps its legacy nested body and stays opaque)."""
-        if branches is None:
-            self._unproven.add(view_name)
-            return None
+    def register(self, view_name: str, branches: list[ViewBranch]) -> list[ViewBranch]:
+        """Compose ``branches`` (a view body rendered from rules) against
+        every already-registered view they reference; returns the
+        flattened branches."""
         self._fresh = itertools.count()
         composed: list[ViewBranch] = []
         for index, branch in enumerate(branches):
@@ -150,8 +148,7 @@ class ViewComposer:
         return composed
 
     def sql(self, branches: list[ViewBranch]) -> str:
-        keyword = "UNION ALL" if key_disjoint(branches) else "UNION"
-        return f"\n{keyword}\n".join(branch.sql() for branch in branches)
+        return compound_sql(branches, key_disjoint(branches))
 
     def forget(self, view_name: str) -> None:
         """Drop a view that left the catalog; nothing registered later may
@@ -212,8 +209,8 @@ class ViewComposer:
         for alias, table in branch.froms:
             children = self._flat.get(table)
             if children is None or len(partials) * len(children) > budget:
-                # The entry stays a reference (base table, opaque view, or
-                # over budget): it is key-unique only if proven so.
+                # The entry stays a reference (base table or over budget):
+                # it is key-unique only if proven so.
                 if table in self._unproven:
                     partials = [replace(p, key_preserving=False) for p in partials]
                 continue

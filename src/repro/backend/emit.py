@@ -66,6 +66,19 @@ def seq_value(sequence: str) -> str:
     return f"(SELECT value FROM {SEQUENCES_TABLE} WHERE name = '{sequence}')"
 
 
+def seq_draw(scratch: str, rank: str = "rnk") -> tuple[str, str]:
+    """``(fresh, advance)`` for drawing identifiers by rank: ``fresh`` is
+    the row-id sequence plus a row of ``scratch``'s ``rank`` (counted
+    from 1); ``advance``, run after every statement reading ``fresh``,
+    moves the sequence past each identifier so drawn."""
+    return (
+        f"{seq_value(ROW_ID_SEQUENCE)} + {rank}",
+        f"UPDATE {SEQUENCES_TABLE} SET value = value + "
+        f"COALESCE((SELECT MAX({rank}) FROM {scratch}), 0) "
+        f"WHERE name = '{ROW_ID_SEQUENCE}'",
+    )
+
+
 def ident(a: str, b: str) -> str:
     """Null-safe equality."""
     return f"{a} IS {b}"

@@ -3,14 +3,17 @@
 Each handler knows how to render, for one SMO instance under the current
 materialization,
 
-- the ``SELECT`` body of a derived table version's view (reads), and
+- the ``SELECT`` body of a derived table version's view (reads), rendered
+  from the SMO's instantiated Datalog rule sets, and
 - the statement list of its ``INSTEAD OF`` trigger programs (writes),
 
-mirroring the engine's native semantics: the rule-backed SMOs follow their
+mirroring the engine's native semantics: most SMOs follow their
 ``propagate_forward``/``propagate_backward`` fast paths, the identifier
 generating SMOs (FK and condition DECOMPOSE/JOIN) follow the same
 recorded-id / payload-reuse / fresh-allocation decision procedure, with
-identifiers drawn from the backend's sequence table.
+identifiers drawn from the backend's sequence table.  Their rules read the
+identifiers the ID table records; allocating them is all those handlers
+add.
 
 The engine also maintains *shared* auxiliary tables (the ID tables) of SMOs
 that are not on a write's storage route; handlers expose the same programs
@@ -63,10 +66,6 @@ from repro.catalog.genealogy import SmoInstance, TableVersion
 from repro.errors import BackendError
 from repro.expr.ast import Expression
 from repro.sqlgen.views import branches_for_rules, select_sql_for_rules
-
-# The engine draws every identifier (tuple ids and generated FK/condition
-# ids) from one global sequence; the backend mirrors that.
-GLOBAL_SEQUENCE = "p"
 
 # Payload columns of the identifier-assignment scratch tables: two
 # candidate ids and their dense ranks among the rows needing fresh ones.
@@ -153,19 +152,14 @@ class HandlerContext:
             return smo.materialized
         return False
 
-    def aux_schema(self, smo: SmoInstance, role: str):
-        semantics = smo.semantics
-        for group in (semantics.aux_shared(), semantics.aux_src(), semantics.aux_tgt()):
-            if role in group:
-                return group[role]
-        raise BackendError(f"SMO {smo!r} has no aux role {role!r}")
-
     def aux_ref(self, smo: SmoInstance, role: str) -> str:
         """Table reference for an aux role: its physical table when stored
         under the current materialization, an empty relation otherwise."""
         if self.aux_is_stored(smo, role):
             return smo.aux_table_name(role)
-        return empty_relation(self.aux_schema(smo, role).column_names)
+        semantics = smo.semantics
+        schemas = {**semantics.aux_shared(), **semantics.aux_src(), **semantics.aux_tgt()}
+        return empty_relation(schemas[role].column_names)
 
 
 def cond_true(expression: Expression, refs: dict[str, str]) -> str:
@@ -216,7 +210,8 @@ class _PartitionRow(NamedTuple):
 
 
 class SmoHandler:
-    """Base: compile one SMO instance's delta code."""
+    """Base: compile one SMO instance's delta code; its views come from
+    the SMO's instantiated Datalog rule sets."""
 
     def __init__(self, ctx: HandlerContext, smo: SmoInstance):
         self.ctx = ctx
@@ -238,12 +233,12 @@ class SmoHandler:
             return self.sem.source_roles[self.smo.sources.index(tv)]
         return self.sem.target_roles[self.smo.targets.index(tv)]
 
-    def _role_tables(
-        self,
-    ) -> tuple[dict[str, str], dict[str, tuple[str, ...]], dict[str, str]]:
-        """Role -> SQL reference, with data roles resolved to views and aux
-        roles to stored-or-empty; role -> payload columns; and role -> what
-        a key probe of a data role reads (:meth:`HandlerContext.probe`)."""
+    def _rule_args(self, head: TableVersion | None = None) -> dict:
+        """The rule renderer's keyword arguments in the current state: role
+        -> SQL reference (data roles resolved to views, aux roles to
+        stored-or-empty), role -> payload columns, role -> what a key probe
+        of a data role reads (:meth:`HandlerContext.probe`), and ``head``'s
+        columns when given."""
         names: dict[str, str] = {}
         columns: dict[str, tuple[str, ...]] = {}
         probes: dict[str, str] = {}
@@ -258,20 +253,28 @@ class SmoHandler:
             for role, schema in group.items():
                 names[role] = self.ctx.aux_ref(self.smo, role)
                 columns[role] = schema.column_names
-        return names, columns, probes
+        args = {"table_names": names, "table_columns": columns, "probe_names": probes}
+        if head is not None:
+            args["head_columns"] = head.schema.column_names
+        return args
 
     # -- API ---------------------------------------------------------------
 
+    def view_rules(self, tv: TableVersion):
+        """The rule set deriving ``tv`` from the far side."""
+        if self.side_of(tv) == "source":
+            return self.sem.gamma_src_rules()
+        return self.sem.gamma_tgt_rules()
+
     def view_select(self, tv: TableVersion) -> str:
-        """SELECT body deriving ``tv``'s visible extent from the far side."""
-        raise NotImplementedError
+        """SELECT body deriving ``tv``'s visible extent from the far side
+        (the nested, one-view-per-hop form)."""
+        return select_sql_for_rules(self.role_of(tv), self.view_rules(tv), **self._rule_args(tv))
 
     def view_branches(self, tv: TableVersion):
         """Structured UNION branches of :meth:`view_select`, for the view
-        composer — or ``None`` when this SMO's view is hand-written SQL
-        the composer must treat as opaque (flattening then falls back to
-        referencing the generated view by name)."""
-        return None
+        composer."""
+        return branches_for_rules(self.role_of(tv), self.view_rules(tv), **self._rule_args(tv))
 
     def write_statements(
         self, tv: TableVersion, op: str, *, apply_data: bool = True
@@ -322,7 +325,16 @@ class SmoHandler:
     def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
         """Migration: SELECT statements deriving the contents of each side
         aux table of the *newly stored* side, reading pre-migration views."""
-        return {}
+        rules = (
+            self.sem.gamma_tgt_rules() if will_materialize else self.sem.gamma_src_rules()
+        )
+        side_aux = self.sem.aux_tgt() if will_materialize else self.sem.aux_src()
+        return {
+            role: select_sql_for_rules(
+                role, rules, **self._rule_args(), head_columns=schema.column_names
+            )
+            for role, schema in side_aux.items()
+        }
 
     def put_tables(self) -> dict[str, tuple[str, ...]]:
         """Scratch/staging tables the programs of :meth:`write_statements`
@@ -339,67 +351,12 @@ class SmoHandler:
         }
 
 
-class RuleBackedHandler(SmoHandler):
-    """Views from the SMO's instantiated Datalog rule sets."""
-
-    def _view_rules(self, tv: TableVersion):
-        if self.side_of(tv) == "source":
-            rules = self.sem.gamma_src_rules()
-        else:
-            rules = self.sem.gamma_tgt_rules()
-        if rules is None:
-            raise BackendError(f"SMO {self.smo!r} has no rules for {tv!r}")
-        return rules
-
-    def view_select(self, tv: TableVersion) -> str:
-        names, columns, probes = self._role_tables()
-        return select_sql_for_rules(
-            self.role_of(tv),
-            self._view_rules(tv),
-            table_names=names,
-            table_columns=columns,
-            head_columns=tv.schema.column_names,
-            probe_names=probes,
-        )
-
-    def view_branches(self, tv: TableVersion):
-        names, columns, probes = self._role_tables()
-        return branches_for_rules(
-            self.role_of(tv),
-            self._view_rules(tv),
-            table_names=names,
-            table_columns=columns,
-            head_columns=tv.schema.column_names,
-            probe_names=probes,
-        )
-
-    def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
-        rules = (
-            self.sem.gamma_tgt_rules() if will_materialize else self.sem.gamma_src_rules()
-        )
-        side_aux = self.sem.aux_tgt() if will_materialize else self.sem.aux_src()
-        if rules is None or not side_aux:
-            return {}
-        names, columns, probes = self._role_tables()
-        out: dict[str, str] = {}
-        for role, schema in side_aux.items():
-            out[role] = select_sql_for_rules(
-                role,
-                rules,
-                table_names=names,
-                table_columns=columns,
-                head_columns=schema.column_names,
-                probe_names=probes,
-            )
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Structurally trivial SMOs
 # ---------------------------------------------------------------------------
 
 
-class DropTableHandler(RuleBackedHandler):
+class DropTableHandler(SmoHandler):
     """DROP TABLE: identity between the retired table and its aux home."""
 
     def row_write(self, tv, op, key, values, guard, source):
@@ -412,7 +369,7 @@ class DropTableHandler(RuleBackedHandler):
         )]
 
 
-class IdentityHandler(RuleBackedHandler):
+class IdentityHandler(SmoHandler):
     """RENAME TABLE / RENAME COLUMN: positional identity on rows."""
 
     def row_write(self, tv, op, key, values, guard, source):
@@ -430,7 +387,7 @@ class IdentityHandler(RuleBackedHandler):
 # ---------------------------------------------------------------------------
 
 
-class ColumnHandler(RuleBackedHandler):
+class ColumnHandler(SmoHandler):
     """ADD COLUMN / DROP COLUMN: a narrow table versus the same table with
     one more column (ADD's target, DROP's source).  Widening a row computes
     the column with the SMO's function (ADD's ``AS``, DROP's ``DEFAULT``);
@@ -480,7 +437,7 @@ class ColumnHandler(RuleBackedHandler):
 # ---------------------------------------------------------------------------
 
 
-class VerticalHandler(RuleBackedHandler):
+class VerticalHandler(SmoHandler):
     """DECOMPOSE / OUTER JOIN ON PK: the wide table versus two key-sharing
     projections (the paper's omega-filling outer-join lens), either way
     round."""
@@ -569,7 +526,7 @@ class VerticalHandler(RuleBackedHandler):
         return statements + [self.ctx.upsert(wide_tv, key, [row[c] for c in wide])]
 
 
-class InnerJoinPkHandler(RuleBackedHandler):
+class InnerJoinPkHandler(SmoHandler):
     """JOIN ON PK with the Rplus/Splus preservation aux tables."""
 
     def put_tables(self):
@@ -625,7 +582,7 @@ class InnerJoinPkHandler(RuleBackedHandler):
 # ---------------------------------------------------------------------------
 
 
-class PartitionHandler(RuleBackedHandler):
+class PartitionHandler(SmoHandler):
     """SPLIT / MERGE: the unified <-> partitioned lens, either way round."""
 
     def _lens(self):
@@ -809,8 +766,7 @@ class FkHandler(SmoHandler):
     def _wide_stored_ward(self) -> bool:
         """Is the wide table on the side data is routed toward (its view
         independent of this SMO)?"""
-        wide_is_target = isinstance(self.sem, OuterJoinFkSemantics)
-        return self.smo.materialized == wide_is_target
+        return self.smo.materialized == isinstance(self.sem, OuterJoinFkSemantics)
 
     def _id_table(self) -> str:
         return self.smo.aux_table_name("ID")
@@ -825,53 +781,7 @@ class FkHandler(SmoHandler):
             tables[self.smo.put_table_name("scratch")] = SCRATCH_COLUMNS
         return tables
 
-    # -- views -------------------------------------------------------------
-
-    def view_select(self, tv: TableVersion) -> str:
-        wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
-        vs, vt, vw = self.ctx.view(s_tv), self.ctx.view(t_tv), self.ctx.view(wide_tv)
-        id_table = self._id_table()
-        if tv is wide_tv:
-            joined = []
-            padded = []
-            for column in wide_tv.schema.column_names:
-                side = "s" if column in a_cols else "t"
-                joined.append(f"{side}.{q(column)} AS {q(column)}")
-                padded.append(
-                    f"NULL AS {q(column)}" if column in a_cols else f"t.{q(column)} AS {q(column)}"
-                )
-            return (
-                f"SELECT s.p AS p, {', '.join(joined)} FROM {vs} s "
-                f"LEFT JOIN {vt} t ON t.{q(id_col)} = s.{q(fk)}\n"
-                f"UNION ALL\n"
-                f"SELECT t.{q(id_col)} AS p, {', '.join(padded)} FROM {vt} t "
-                f"WHERE NOT EXISTS (SELECT 1 FROM {vs} s WHERE s.{q(fk)} = t.{q(id_col)})"
-            )
-        if tv is s_tv:
-            items = [
-                f"i.fk AS {q(c)}" if c == fk else f"r.{q(c)} AS {q(c)}"
-                for c in s_tv.schema.column_names
-            ]
-            return (
-                f"SELECT r.p AS p, {', '.join(items)} "
-                f"FROM {vw} r JOIN {id_table} i ON i.p = r.p"
-            )
-        items = [
-            f"i.fk AS {q(c)}" if c == id_col else f"r.{q(c)} AS {q(c)}"
-            for c in t_tv.schema.column_names
-        ]
-        return (
-            f"SELECT i.fk AS p, {', '.join(items)} "
-            f"FROM {vw} r JOIN {id_table} i ON i.p = r.p "
-            f"WHERE i.fk IS NOT NULL GROUP BY i.fk"
-        )
-
     # -- writes ------------------------------------------------------------
-
-    def _payload_cond(self, alias: str, b_cols, row: str = "NEW") -> str:
-        return payload_match(
-            [f"{alias}.{q(c)}" for c in b_cols], [f"{row}.{q(c)}" for c in b_cols]
-        )
 
     def _wide_write(self, op, apply_data: bool) -> list[str]:
         wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
@@ -892,7 +802,7 @@ class FkHandler(SmoHandler):
             return statements
         b_new = [f"NEW.{q(c)}" for c in b_cols]
         b_null = all_null(b_new)
-        match_t = self._payload_cond("t", b_cols)
+        match_t = payload_match([f"t.{q(c)}" for c in b_cols], b_new)
         if isinstance(self.sem, OuterJoinFkSemantics):
             # Backward writes at the wide table run through the engine's
             # full lens put, whose first pass keeps a recorded identifier
@@ -922,8 +832,9 @@ class FkHandler(SmoHandler):
         statements = [
             f"DELETE FROM {put}",
             f"INSERT INTO {put} (p, fk) SELECT NEW.p, {decision}",
-            *emit.seq_next_statements(GLOBAL_SEQUENCE, guard=unresolved),
-            f"UPDATE {put} SET fk = {seq_value(GLOBAL_SEQUENCE)} "
+            # Generated ids come from the engine's one global sequence.
+            *emit.seq_next_statements(emit.ROW_ID_SEQUENCE, guard=unresolved),
+            f"UPDATE {put} SET fk = {seq_value(emit.ROW_ID_SEQUENCE)} "
             f"WHERE fk IS NULL AND NOT {b_null}",
             f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, fk FROM {put}",
         ]
@@ -1084,6 +995,7 @@ class FkHandler(SmoHandler):
         group = payload_match(
             [f"w2.{q(c)}" for c in b_cols], [f"w.{q(c)}" for c in b_cols]
         )
+        fresh, advance = emit.seq_draw(scratch)
         statements += [
             f"INSERT INTO {id_table} (p, fk) SELECT w.p, NULL FROM {vw} w "
             f"WHERE w.p {missing} AND {w_null}",
@@ -1096,11 +1008,8 @@ class FkHandler(SmoHandler):
             f"DENSE_RANK() OVER (ORDER BY "
             f"(SELECT MIN(w2.p) FROM {vw} w2 WHERE {group})) "
             f"FROM {vw} w WHERE w.p {missing}",
-            f"INSERT INTO {id_table} (p, fk) "
-            f"SELECT p, {seq_value(GLOBAL_SEQUENCE)} + rnk FROM {scratch}",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
+            f"INSERT INTO {id_table} (p, fk) SELECT p, {fresh} FROM {scratch}",
+            advance,
         ]
         return statements
 
@@ -1128,8 +1037,7 @@ class CondHandler(SmoHandler):
         return wide_tv, s_tv, t_tv, s_payload, t_payload, lens.condition
 
     def _wide_stored_ward(self) -> bool:
-        wide_is_target = isinstance(self.sem, InnerJoinCondSemantics)
-        return self.smo.materialized == wide_is_target
+        return self.smo.materialized == isinstance(self.sem, InnerJoinCondSemantics)
 
     def _id_table(self) -> str:
         return self.smo.aux_table_name("ID")
@@ -1164,54 +1072,44 @@ class CondHandler(SmoHandler):
     def _alias_refs(self, columns, alias: str) -> dict[str, str]:
         return {c: f"{alias}.{q(c)}" for c in columns}
 
-    def _wide_values(self, s_refs: dict[str, str], t_refs: dict[str, str]) -> list[str]:
-        wide_tv, _s, _t, s_payload, _tp, _c = self._parts()
-        return [
-            s_refs[c] if c in s_payload else t_refs[c]
-            for c in wide_tv.schema.column_names
-        ]
-
-    # -- views -------------------------------------------------------------
-
-    def view_select(self, tv: TableVersion) -> str:
-        wide_tv, s_tv, t_tv, s_payload, t_payload, _cond = self._parts()
-        vw, vs, vt = self.ctx.view(wide_tv), self.ctx.view(s_tv), self.ctx.view(t_tv)
-        id_table = self._id_table()
-        if tv is wide_tv:
-            rminus = self.ctx.aux_ref(self.smo, "Rminus")
-            cond = self._cond(self._alias_refs(s_payload, "s"), self._alias_refs(t_payload, "t"))
-            values = self._wide_values(
-                {c: f"s.{q(c)} AS {q(c)}" for c in s_payload},
-                {c: f"t.{q(c)} AS {q(c)}" for c in t_payload},
-            )
-            return (
-                f"SELECT i.p AS p, {', '.join(values)} FROM {id_table} i "
-                f"JOIN {vs} s ON s.p = i.s JOIN {vt} t ON t.p = i.t "
-                f"WHERE {cond} AND NOT EXISTS "
-                f"(SELECT 1 FROM {rminus} m WHERE m.s IS i.s AND m.t IS i.t)"
-            )
-        if tv is s_tv:
-            own, key_of = s_tv, "s"
-            plus = self.ctx.aux_ref(self.smo, "Splus")
-        else:
-            own, key_of = t_tv, "t"
-            plus = self.ctx.aux_ref(self.smo, "Tplus")
-        id_col = own.schema.column_names[0]
-        items = [
-            f"i.{key_of} AS {q(c)}" if c == id_col else f"r.{q(c)} AS {q(c)}"
-            for c in own.schema.column_names
-        ]
-        derived_keys = f"SELECT i.{key_of} FROM {id_table} i JOIN {vw} r ON r.p = i.p"
-        plus_items = ", ".join(f"x.{q(c)} AS {q(c)}" for c in own.schema.column_names)
-        return (
-            f"SELECT i.{key_of} AS p, {', '.join(items)} "
-            f"FROM {vw} r JOIN {id_table} i ON i.p = r.p GROUP BY i.{key_of}\n"
-            f"UNION ALL\n"
-            f"SELECT x.p AS p, {plus_items} FROM {plus} x "
-            f"WHERE x.p NOT IN ({derived_keys})"
-        )
-
     # -- writes ------------------------------------------------------------
+
+    def _assign_pairs(
+        self, scratch: str, wide: str, *, recorded: bool = False, where: str = ""
+    ) -> list[str]:
+        """Stage in ``scratch`` the narrow identifiers (a of S, b of T) of
+        every row ``w`` of ``wide`` (``where`` it holds): the one ID records
+        for ``w`` if ``recorded``, else the least one ID records for a row
+        of ``wide`` with the same payload, else a fresh one per distinct
+        payload, ranked by that payload's first row."""
+        _w, _s, _t, s_payload, t_payload, _c = self._parts()
+        id_table = self._id_table()
+        picks, ranks = [], []
+        for role, payload in (("s", s_payload), ("t", t_payload)):
+            group = payload_match(
+                [f"w2.{q(c)}" for c in payload], [f"w.{q(c)}" for c in payload]
+            )
+            pick = (
+                f"(SELECT MIN(i.{role}) FROM {id_table} i JOIN {wide} w2 ON w2.p = i.p "
+                f"WHERE {group})"
+            )
+            if recorded:
+                pick = f"COALESCE((SELECT i.{role} FROM {id_table} i WHERE i.p = w.p), {pick})"
+            picks.append(pick)
+            ranks.append(
+                f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {wide} w2 WHERE {group}))"
+            )
+        statements = [
+            f"DELETE FROM {scratch}",
+            f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
+            f"{', '.join(picks + ranks)} FROM {wide} w{where}",
+        ]
+        for column, rank in (("a", "rnk"), ("b", "rnk2")):
+            fresh, advance = emit.seq_draw(scratch, rank)
+            statements += [
+                f"UPDATE {scratch} SET {column} = {fresh} WHERE {column} IS NULL", advance
+            ]
+        return statements
 
     def _rminus_recompute(self) -> list[str]:
         """Rule 200, full-state: matching pairs without a wide row."""
@@ -1245,11 +1143,6 @@ class CondHandler(SmoHandler):
         key = "OLD.p" if op == "DELETE" else "NEW.p"
         wide_cols = wide_tv.schema.column_names
 
-        def group(payload):
-            return payload_match(
-                [f"w2.{q(c)}" for c in payload], [f"w.{q(c)}" for c in payload]
-            )
-
         # 1. Stage the post-write wide extent.
         statements = [
             f"DELETE FROM {put_wide}",
@@ -1263,30 +1156,8 @@ class CondHandler(SmoHandler):
             )
         # 2. Identifier assignment: recorded, then payload reuse among
         #    recorded rows, then fresh per distinct payload.
+        statements += self._assign_pairs(scratch, put_wide, recorded=True)
         statements += [
-            f"DELETE FROM {scratch}",
-            f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
-            f"COALESCE((SELECT i.s FROM {id_table} i WHERE i.p = w.p), "
-            f"(SELECT MIN(i.s) FROM {id_table} i JOIN {put_wide} w2 ON w2.p = i.p "
-            f"WHERE {group(s_payload)})), "
-            f"COALESCE((SELECT i.t FROM {id_table} i WHERE i.p = w.p), "
-            f"(SELECT MIN(i.t) FROM {id_table} i JOIN {put_wide} w2 ON w2.p = i.p "
-            f"WHERE {group(t_payload)})), "
-            f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {put_wide} w2 "
-            f"WHERE {group(s_payload)})), "
-            f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {put_wide} w2 "
-            f"WHERE {group(t_payload)})) "
-            f"FROM {put_wide} w",
-            f"UPDATE {scratch} SET a = {seq_value(GLOBAL_SEQUENCE)} + rnk "
-            f"WHERE a IS NULL",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
-            f"UPDATE {scratch} SET b = {seq_value(GLOBAL_SEQUENCE)} + rnk2 "
-            f"WHERE b IS NULL",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk2) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
             # 3. Rewrite ID wholesale (entries of vanished rows go with it).
             f"DELETE FROM {id_table}",
             f"INSERT INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}",
@@ -1409,7 +1280,9 @@ class CondHandler(SmoHandler):
         own_refs = {c: f"NEW.{q(c)}" for c in own_payload}
         o_refs = self._alias_refs(other_payload, "o")
         s_refs, t_refs = (own_refs, o_refs) if writing_s else (o_refs, own_refs)
-        wide_values = ", ".join(self._wide_values(s_refs, t_refs))
+        wide_values = ", ".join(
+            s_refs[c] if c in s_payload else t_refs[c] for c in wide_tv.schema.column_names
+        )
         if apply_data:
             statements += [
                 f"DELETE FROM {put_wide}",
@@ -1418,16 +1291,14 @@ class CondHandler(SmoHandler):
                 f"FROM {id_table} i JOIN {put_other} o ON o.p = i.{other_key} "
                 f"WHERE i.{own_key} IS {key} AND {pair_cond('o')}",
                 # Fresh pairs about to be recorded.
-                f"INSERT INTO {put_wide} SELECT {seq_value(GLOBAL_SEQUENCE)} + sc.rnk, "
+                f"INSERT INTO {put_wide} SELECT {emit.seq_draw(scratch, 'sc.rnk')[0]}, "
                 f"{wide_values} FROM {scratch} sc JOIN {put_other} o ON o.p = sc.p",
             ]
-        id_cols = f"{own_key}, {other_key}"
+        fresh, advance = emit.seq_draw(scratch)
         statements += [
-            f"INSERT INTO {id_table} (p, {id_cols}) "
-            f"SELECT {seq_value(GLOBAL_SEQUENCE)} + rnk, {key}, p FROM {scratch}",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
+            f"INSERT INTO {id_table} (p, {own_key}, {other_key}) "
+            f"SELECT {fresh}, {key}, p FROM {scratch}",
+            advance,
         ]
         if apply_data:
             wide_cols = wide_tv.schema.column_names
@@ -1479,6 +1350,7 @@ class CondHandler(SmoHandler):
             cond = self._cond(
                 self._alias_refs(s_payload, "s"), self._alias_refs(t_payload, "t")
             )
+            fresh, advance = emit.seq_draw(scratch)
             return [
                 f"DELETE FROM {scratch}",
                 f"INSERT INTO {scratch} (p, a, b, rnk) "
@@ -1489,77 +1361,25 @@ class CondHandler(SmoHandler):
                 f"WHERE i.s IS s.p AND i.t IS t.p) "
                 f"AND NOT EXISTS (SELECT 1 FROM {rminus} m "
                 f"WHERE m.s IS s.p AND m.t IS t.p)",
-                f"INSERT INTO {id_table} (p, s, t) "
-                f"SELECT {seq_value(GLOBAL_SEQUENCE)} + rnk, a, b FROM {scratch}",
-                f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-                f"COALESCE((SELECT MAX(rnk) FROM {scratch}), 0) "
-                f"WHERE name = '{GLOBAL_SEQUENCE}'",
+                f"INSERT INTO {id_table} (p, s, t) SELECT {fresh}, a, b FROM {scratch}",
+                advance,
             ]
         # Wide-keyed: every wide row gets recorded (s, t) identifiers,
         # reusing by payload (first-encounter order) before allocating.
-        def group_match(payload):
-            return payload_match(
-                [f"w2.{q(c)}" for c in payload], [f"w.{q(c)}" for c in payload]
-            )
-
-        missing = f"w.p NOT IN (SELECT p FROM {id_table})"
-        statements = [
-            f"DELETE FROM {scratch}",
-            f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
-            f"(SELECT MIN(i.s) FROM {id_table} i JOIN {vw} w2 ON w2.p = i.p "
-            f"WHERE {group_match(s_payload)}), "
-            f"(SELECT MIN(i.t) FROM {id_table} i JOIN {vw} w2 ON w2.p = i.p "
-            f"WHERE {group_match(t_payload)}), "
-            f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {vw} w2 "
-            f"WHERE {group_match(s_payload)})), "
-            f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {vw} w2 "
-            f"WHERE {group_match(t_payload)})) "
-            f"FROM {vw} w WHERE {missing}",
-            f"UPDATE {scratch} SET a = {seq_value(GLOBAL_SEQUENCE)} + rnk "
-            f"WHERE a IS NULL",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
-            f"UPDATE {scratch} SET b = {seq_value(GLOBAL_SEQUENCE)} + rnk2 "
-            f"WHERE b IS NULL",
-            f"UPDATE {emit.SEQUENCES_TABLE} SET value = value + "
-            f"COALESCE((SELECT MAX(rnk2) FROM {scratch}), 0) "
-            f"WHERE name = '{GLOBAL_SEQUENCE}'",
+        return self._assign_pairs(scratch, vw, where=f" WHERE w.p NOT IN (SELECT p FROM {id_table})") + [
             f"INSERT OR REPLACE INTO {id_table} (p, s, t) "
             f"SELECT p, a, b FROM {scratch}",
         ]
-        return statements
 
     def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
-        wide_tv, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
-        vw, vs, vt = self.ctx.view(wide_tv), self.ctx.view(s_tv), self.ctx.view(t_tv)
-        id_table = self._id_table()
-        decompose = isinstance(self.sem, DecomposeCondSemantics)
-        wants_rminus = will_materialize if decompose else not will_materialize
-        cond = self._cond(
-            self._alias_refs(s_payload, "s"), self._alias_refs(t_payload, "t")
-        )
-        if wants_rminus:
-            return {
-                "Rminus": (
-                    f"SELECT ROW_NUMBER() OVER (ORDER BY s.p, t.p) AS p, "
-                    f"s.p AS s, t.p AS t FROM {vs} s, {vt} t WHERE {cond} "
-                    f"AND NOT EXISTS (SELECT 1 FROM {id_table} i "
-                    f"JOIN {vw} w ON w.p = i.p WHERE i.s IS s.p AND i.t IS t.p)"
-                )
-            }
-        s_cols = ", ".join(f"s.{q(c)}" for c in s_tv.schema.column_names)
-        t_cols = ", ".join(f"t.{q(c)}" for c in t_tv.schema.column_names)
-        return {
-            "Splus": (
-                f"SELECT s.p AS p, {s_cols} FROM {vs} s WHERE NOT EXISTS "
-                f"(SELECT 1 FROM {vt} t WHERE {cond})"
-            ),
-            "Tplus": (
-                f"SELECT t.p AS p, {t_cols} FROM {vt} t WHERE NOT EXISTS "
-                f"(SELECT 1 FROM {vs} s WHERE {cond})"
-            ),
-        }
+        selects = super().stored_role_selects(will_materialize)
+        if "Rminus" in selects:
+            # The rules key Rminus by s; the stored table by a row number.
+            selects["Rminus"] = (
+                f"SELECT ROW_NUMBER() OVER (ORDER BY s, t) AS p, s, t "
+                f"FROM ({selects['Rminus']})"
+            )
+        return selects
 
 
 # ---------------------------------------------------------------------------

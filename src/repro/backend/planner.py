@@ -17,20 +17,16 @@ from typing import TYPE_CHECKING
 from repro.backend.emit import q, qcols
 from repro.catalog.versions import SchemaVersion
 from repro.errors import AccessError, ProgrammingError
-from repro.expr.ast import (
-    Binary,
-    BoolOp,
-    Column,
-    Comparison,
-    Expression,
-    FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Unary,
+from repro.expr.ast import Expression
+from repro.sql.ast import (
+    BidelStatement,
+    Delete,
+    Insert,
+    Parameter,
+    Select,
+    Update,
+    substitute_parameters,
 )
-from repro.sql.ast import BidelStatement, Delete, Insert, Parameter, Select, Update
 from repro.sql.planner import (
     ROWID,
     StatementResult,
@@ -44,75 +40,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.backend.sqlite import SqliteSession
     from repro.catalog.genealogy import TableVersion
 
-# SQLite spellings for scalar functions whose names differ from ours.
-_FUNCTION_NAMES = {"least": "min", "greatest": "max"}
+class _Numbered(Parameter):
+    """A parameter rendered as ``?N``, so a statement rendered back keeps
+    each parameter at its position.  (:class:`Parameter` renders ``?``:
+    a projection's text is its output name.)"""
+
+    def to_sql(self) -> str:
+        return f"?{self.index + 1}"
 
 
-class SqlRenderer:
-    """Render an expression tree as SQLite SQL over one table version's
-    view, with ``?N`` parameter placeholders."""
-
-    def __init__(self, tv: "TableVersion"):
-        self.tv = tv
-
-    def render(self, expression: Expression) -> str:
-        if isinstance(expression, Literal):
-            return expression.to_sql()
-        if isinstance(expression, Parameter):
-            return f"?{expression.index + 1}"
-        if isinstance(expression, Column):
-            if self.tv.schema.has_column(expression.name):
-                return q(expression.name)
-            if expression.name == ROWID and rowid_exposed(self.tv):
-                return "p"
-            raise ProgrammingError(
-                f"table {self.tv.name!r} has no column {expression.name!r}"
-            )
-        if isinstance(expression, Unary):
-            inner = self.render(expression.operand)
-            if expression.op == "NOT":
-                return f"NOT ({inner})"
-            return f"{expression.op}({inner})"
-        if isinstance(expression, Binary):
-            return f"({self.render(expression.left)} {expression.op} {self.render(expression.right)})"
-        if isinstance(expression, Comparison):
-            op = "<>" if expression.op == "!=" else expression.op
-            return f"({self.render(expression.left)} {op} {self.render(expression.right)})"
-        if isinstance(expression, BoolOp):
-            joined = f" {expression.op} ".join(self.render(i) for i in expression.items)
-            return f"({joined})"
-        if isinstance(expression, IsNull):
-            suffix = "IS NOT NULL" if expression.negated else "IS NULL"
-            return f"({self.render(expression.operand)} {suffix})"
-        if isinstance(expression, InList):
-            values = ", ".join(self.render(i) for i in expression.items)
-            keyword = "NOT IN" if expression.negated else "IN"
-            return f"({self.render(expression.operand)} {keyword} ({values}))"
-        if isinstance(expression, Like):
-            keyword = "NOT LIKE" if expression.negated else "LIKE"
-            return (
-                f"({self.render(expression.operand)} {keyword} "
-                f"{self.render(expression.pattern)})"
-            )
-        if isinstance(expression, FuncCall):
-            if expression.name == "concat":
-                if not expression.args:
-                    return "''"
-                return "(" + " || ".join(self.render(a) for a in expression.args) + ")"
-            name = _FUNCTION_NAMES.get(expression.name, expression.name)
-            rendered = ", ".join(self.render(a) for a in expression.args)
-            return f"{name}({rendered})"
-        raise ProgrammingError(
-            f"cannot push {type(expression).__name__} down to the SQLite backend"
-        )
+def _render(tv: "TableVersion", expression: Expression) -> str:
+    """``expression`` as SQLite SQL over ``tv``'s view: every column
+    checked and quoted (``rowid`` is the tuple id ``p``), every parameter
+    numbered."""
+    references = {}
+    for name in sorted(expression.columns()):
+        if tv.schema.has_column(name):
+            references[name] = q(name)
+        elif name == ROWID and rowid_exposed(tv):
+            references[name] = "p"
+        else:
+            raise ProgrammingError(f"table {tv.name!r} has no column {name!r}")
+    numbered = substitute_parameters(expression.rename(references), lambda p: _Numbered(p.index))
+    return numbered.to_sql()
 
 
-def _where_sql(renderer: SqlRenderer, where: Expression | None) -> str:
+def _where_sql(tv: "TableVersion", where: Expression | None) -> str:
     if where is None:
         return ""
     # WHERE semantics require a genuine TRUE; SQLite's WHERE already
     # treats NULL as not-satisfied.
-    return f" WHERE {renderer.render(where)}"
+    return f" WHERE {_render(tv, where)}"
 
 
 def _max_param_index(expression) -> int:
@@ -304,20 +262,19 @@ class SqliteDeletePlan(SqliteUpdatePlan):
 def compile_select(version: SchemaVersion, stmt: Select) -> SqliteSelectPlan:
     tv = resolve_table(version, stmt.table)
     items, description = _projection(tv, stmt.items)
-    renderer = SqlRenderer(tv)
-    select_list = ", ".join(renderer.render(item.expression) for item in items)
+    select_list = ", ".join(_render(tv, item.expression) for item in items)
     sql = f"SELECT {select_list} FROM {tv.view_name}"
-    sql += _where_sql(renderer, stmt.where)
+    sql += _where_sql(tv, stmt.where)
     if stmt.order_by:
         keys = []
         for item in stmt.order_by:
             direction = "DESC" if item.descending else "ASC"
-            keys.append(f"{renderer.render(item.expression)} {direction} NULLS LAST")
+            keys.append(f"{_render(tv, item.expression)} {direction} NULLS LAST")
         sql += " ORDER BY " + ", ".join(keys)
     if stmt.limit is not None:
-        sql += f" LIMIT {renderer.render(stmt.limit)}"
+        sql += f" LIMIT {_render(tv, stmt.limit)}"
         if stmt.offset is not None:
-            sql += f" OFFSET {renderer.render(stmt.offset)}"
+            sql += f" OFFSET {_render(tv, stmt.offset)}"
     return SqliteSelectPlan(sql, description, stmt.param_count, tv.view_name)
 
 
@@ -332,7 +289,6 @@ def compile_insert(version: SchemaVersion, stmt: Insert) -> SqliteInsertPlan:
 
 def compile_update(version: SchemaVersion, stmt: Update) -> SqliteUpdatePlan:
     tv = resolve_table(version, stmt.table)
-    renderer = SqlRenderer(tv)
     sets = []
     for name, expression in stmt.assignments:
         if not tv.schema.has_column(name):
@@ -342,8 +298,8 @@ def compile_update(version: SchemaVersion, stmt: Update) -> SqliteUpdatePlan:
                 f"column {name!r} of {tv.name!r} is the generated "
                 "identifier and cannot be updated"
             )
-        sets.append(f"{q(name)} = {renderer.render(expression)}")
-    where_sql = _where_sql(renderer, stmt.where)
+        sets.append(f"{q(name)} = {_render(tv, expression)}")
+    where_sql = _where_sql(tv, stmt.where)
     count_sql = f"SELECT COUNT(*) FROM {tv.view_name}" + where_sql
     dml_sql = f"UPDATE {tv.view_name} SET {', '.join(sets)}" + where_sql
     return SqliteUpdatePlan(
@@ -354,8 +310,7 @@ def compile_update(version: SchemaVersion, stmt: Update) -> SqliteUpdatePlan:
 
 def compile_delete(version: SchemaVersion, stmt: Delete) -> SqliteDeletePlan:
     tv = resolve_table(version, stmt.table)
-    renderer = SqlRenderer(tv)
-    where_sql = _where_sql(renderer, stmt.where)
+    where_sql = _where_sql(tv, stmt.where)
     count_sql = f"SELECT COUNT(*) FROM {tv.view_name}" + where_sql
     dml_sql = f"DELETE FROM {tv.view_name}" + where_sql
     return SqliteDeletePlan(

@@ -195,12 +195,16 @@ class SmoSemantics(ABC):
 
     # -- Datalog artifacts ------------------------------------------------------
 
-    def gamma_tgt_rules(self) -> RuleSet | None:
-        """Instantiated Datalog rules for ``γ_tgt`` (SQL generation, tests)."""
-        return None
+    @abstractmethod
+    def gamma_tgt_rules(self) -> RuleSet:
+        """Instantiated Datalog rules for ``γ_tgt``: the target side's data
+        and aux roles from the source side (views, MATERIALIZE, proofs).
+        Rules read the shared aux tables and derive none: an identifier
+        they need is one ``ID`` records."""
 
-    def gamma_src_rules(self) -> RuleSet | None:
-        return None
+    @abstractmethod
+    def gamma_src_rules(self) -> RuleSet:
+        """Instantiated Datalog rules for ``γ_src``, the other way round."""
 
     # -- misc -------------------------------------------------------------
 

@@ -10,7 +10,8 @@ deleted through the joined side so they are not resurrected.
 These SMOs are not on the hot benchmark paths (the Wikimedia history uses
 FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition), so they
 implement the full-state lens maps only; the engine transparently falls
-back to whole-state puts for writes across them.
+back to whole-state puts for writes across them.  Their rule sets read the
+identifiers ``ID`` records and generate none.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.bidel.smo.base import (
     SmoSemantics,
     require,
 )
+from repro.datalog.ast import Atom, CondLit, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Key, Row
@@ -52,6 +54,59 @@ class _CondJoinLens:
         # The condition ranges over the payload columns; the leading ``id``
         # columns are engine-assigned and invisible to it.
         self.joint_columns = s_schema.column_names[1:] + t_schema.column_names[1:]
+
+    def rule_terms(self, to_wide) -> tuple:
+        """``(a, b, R(r, …), c(a, b))`` of the rule sets: the payload
+        variables, the wide atom (``to_wide`` places ``a + b`` in its
+        column order) and the condition literal."""
+        a = tuple(Var(f"a{i}") for i in range(self.s_schema.arity - 1))
+        b = tuple(Var(f"b{i}") for i in range(self.t_schema.arity - 1))
+        condition = CondLit("c", self.condition, tuple(zip(self.joint_columns, a + b)))
+        return a, b, Atom("R", (Var("r"), *to_wide(a + b))), condition
+
+    def join_rules(self, to_wide, name: str) -> RuleSet:
+        """S, T → R, Splus, Tplus (B.6 γ_tgt): each recorded pair that
+        matches and was not deleted through R, and the narrow rows
+        without a condition partner (the helper ``Match``)."""
+        a, b, wide, c = self.rule_terms(to_wide)
+        r, s, t, i = Var("r"), Var("s"), Var("t"), Var("i")
+        s_row, t_row = Atom("S", (s, wildcard(), *a)), Atom("T", (t, wildcard(), *b))
+        return RuleSet(
+            (
+                Rule(wide, (Atom("ID", (r, s, t)), s_row, t_row, c,
+                            Atom("Rminus", (wildcard(), s, t), False))),
+                Rule(Atom("Match", (s, t)), (s_row, t_row, c)),
+                Rule(Atom("Splus", (s, i, *a)),
+                     (Atom("S", (s, i, *a)), Atom("Match", (s, wildcard()), False))),
+                Rule(Atom("Tplus", (t, i, *b)),
+                     (Atom("T", (t, i, *b)), Atom("Match", (wildcard(), t), False))),
+            ),
+            name=name,
+        )
+
+    def unjoin_rules(self, to_wide, name: str) -> RuleSet:
+        """R → S, T, Rminus (B.6 γ_src): each wide row's recorded narrow
+        rows, the stored unmatched rows no wide row derives (the helper
+        ``Paired``), and matching pairs without a wide row (Rule 200),
+        keyed by ``s``: the stored Rminus is keyed by a row number."""
+        a, b, wide, c = self.rule_terms(to_wide)
+        r, s, t, i = Var("r"), Var("s"), Var("t"), Var("i")
+        return RuleSet(
+            (
+                Rule(Atom("Paired", (s, t)), (wide, Atom("ID", (r, s, t)))),
+                Rule(Atom("S", (s, s, *a)), (wide, Atom("ID", (r, s, wildcard())))),
+                Rule(Atom("S", (s, i, *a)),
+                     (Atom("Splus", (s, i, *a)), Atom("Paired", (s, wildcard()), False))),
+                Rule(Atom("T", (t, t, *b)), (wide, Atom("ID", (r, wildcard(), t)))),
+                Rule(Atom("T", (t, i, *b)),
+                     (Atom("Tplus", (t, i, *b)), Atom("Paired", (wildcard(), t), False))),
+                Rule(Atom("Rminus", (s, s, t)), (
+                    Atom("S", (s, wildcard(), *a)), Atom("T", (t, wildcard(), *b)), c,
+                    Atom("Paired", (s, t), False),
+                )),
+            ),
+            name=name,
+        )
 
     def matches(self, a_part: Row, b_part: Row) -> bool:
         row = dict(zip(self.joint_columns, a_part + b_part))
@@ -249,6 +304,12 @@ class DecomposeCondSemantics(SmoSemantics):
             "Rminus": state["Rminus"],
         }
 
+    def gamma_tgt_rules(self) -> RuleSet:
+        return self._lens.unjoin_rules(self._lens_to_wide, "decompose_cond.gamma_tgt")
+
+    def gamma_src_rules(self) -> RuleSet:
+        return self._lens.join_rules(self._lens_to_wide, "decompose_cond.gamma_src")
+
     def map_backward(self, ctx: MapContext) -> SideState:
         state = self._lens.join(ctx)
         return {
@@ -324,6 +385,12 @@ class InnerJoinCondSemantics(SmoSemantics):
 
     def sequences(self) -> tuple[str, ...]:
         return (SEQ_R, SEQ_S, SEQ_T)
+
+    def gamma_tgt_rules(self) -> RuleSet:
+        return self._lens.join_rules(tuple, "inner_join_cond.gamma_tgt")
+
+    def gamma_src_rules(self) -> RuleSet:
+        return self._lens.unjoin_rules(tuple, "inner_join_cond.gamma_src")
 
     def map_forward(self, ctx: MapContext) -> SideState:
         state = self._lens.join(ctx)

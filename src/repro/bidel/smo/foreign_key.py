@@ -7,12 +7,13 @@ foreign-key column ``fk`` to ``S``. The identity-generating function
 generated identifier) guarantees that the same identifier is reused for the
 same data across reads (repeatable reads).
 
-Design note (documented in DESIGN.md): the paper stores ``ID_R`` on the
-source side only; we keep it maintained under both materializations — the
-same choice the paper itself makes for the condition variants ("the
-auxiliary table ID stores the generated identifiers independently of the
-chosen materialization", B.4) — because it makes identifier stability
-independent of read order.
+Design note: the paper stores ``ID_R`` on the source side only; we keep
+it maintained under both materializations — the same choice the paper
+itself makes for the condition variants ("the auxiliary table ID stores
+the generated identifiers independently of the chosen materialization",
+B.4) — because it makes identifier stability independent of read order.
+The rule sets therefore read the identifiers ``ID`` records and generate
+none: allocating them is the write programs' job.
 
 Conventions: the target table ``T`` exposes its generated identifier as a
 visible first column named ``id`` (Figure 1 shows these identifiers as
@@ -31,12 +32,15 @@ from repro.bidel.smo.base import (
     is_all_null,
     require,
 )
+from repro.datalog.ast import Assign, Atom, Compare, Const, Rule, RuleSet, Var, wildcard
+from repro.expr.ast import Literal
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Key, Row
 from repro.relational.types import DataType
 
 ID_COLUMN = "id"
 SEQUENCE_ROLE = "id_T"
+OMEGA = Const(None)
 
 
 class _FkLens:
@@ -48,11 +52,13 @@ class _FkLens:
         s_columns: tuple[str, ...],
         t_columns: tuple[str, ...],
         fk_column: str,
+        fk_index: int,
     ):
         self.wide_schema = wide_schema
         self.s_indices = [wide_schema.index_of(c) for c in s_columns]
         self.t_indices = [wide_schema.index_of(c) for c in t_columns]
         self.fk_column = fk_column
+        self.fk_index = fk_index  # of the fk column among S's columns
         self.s_columns = s_columns
         self.t_columns = t_columns
 
@@ -124,6 +130,55 @@ class _FkLens:
             result["ID"] = dict(ctx.read("ID"))
         return result
 
+    # -- rule sets, over the identifiers ID records -------------------------
+
+    def _rule_terms(self) -> tuple:
+        a = tuple(Var(f"a{i}") for i in range(len(self.s_indices)))
+        return a, tuple(Var(f"b{i}") for i in range(len(self.t_indices))), Var("p"), Var("fk")
+
+    def s_row(self, a_part: tuple, fk) -> tuple:
+        """S's row (or terms): the A part with the fk column in place."""
+        return (*a_part[: self.fk_index], fk, *a_part[self.fk_index :])
+
+    def split_rules(self, name: str) -> RuleSet:
+        """R → S, T (Rules 141–146): S is R's A part with its identifier,
+        T each identified non-ω B part."""
+        a, b, p, fk = self._rule_terms()
+        body = (Atom("R", (p, *self.combine(a, b))), Atom("ID", (p, fk)))
+        t_body = (*body, Compare("!=", (fk,), (OMEGA,)), Compare("!=", b, (OMEGA,) * len(b)))
+        return RuleSet(
+            (
+                Rule(Atom("S", (p, *self.s_row(a, fk))), body),
+                Rule(Atom("T", (fk, fk, *b)), t_body),
+            ),
+            name=name,
+        )
+
+    def join_rules(self, name: str) -> RuleSet:
+        """S, T → R (Rules 147–152): each S row with the B part its fk
+        references, else ω (one rule pair, so one probe of T), and each T
+        row no S row references, keyed by its identifier."""
+        a, b, p, fk = self._rule_terms()
+        s_row, wide = Atom("S", (p, *self.s_row(a, fk))), Atom("R", (p, *self.combine(a, b)))
+        t = Var("t")
+        omega = tuple(Assign(v, lambda: None, (), label="ω", expression=Literal(None)) for v in b)
+
+        def anything(count: int) -> tuple:
+            return tuple(wildcard() for _ in range(count))
+
+        return RuleSet(
+            (
+                Rule(wide, (s_row, Atom("T", (fk, wildcard(), *b)))),
+                Rule(wide, (s_row, *omega, Atom("T", (fk, *anything(len(b) + 1)), False))),
+                Rule(Atom("R", (t, *self.combine((OMEGA,) * len(a), b))), (
+                    Atom("T", (t, wildcard(), *b)),
+                    Atom("S", (wildcard(), *self.s_row(anything(len(a)), t)), False),
+                    Atom("S", (t, *anything(len(a) + 1)), False),
+                )),
+            ),
+            name=name,
+        )
+
     # -- γ_src: S, T → R (+ID_R) (Rules 147–152) ------------------------------
 
     def backward(self, ctx: MapContext) -> SideState:
@@ -193,6 +248,7 @@ class DecomposeFkSemantics(SmoSemantics):
             node.first_columns,
             node.second_columns,
             node.kind.fk_column or "fk",
+            len(node.first_columns),
         )
         self._cache: _FkCache | None = None
 
@@ -308,6 +364,12 @@ class DecomposeFkSemantics(SmoSemantics):
 
     def map_backward(self, ctx: MapContext) -> SideState:
         return self._lens.backward(ctx)
+
+    def gamma_tgt_rules(self) -> RuleSet:
+        return self._lens.split_rules("decompose_fk.gamma_tgt")
+
+    def gamma_src_rules(self) -> RuleSet:
+        return self._lens.join_rules("decompose_fk.gamma_src")
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")
@@ -472,8 +534,7 @@ class OuterJoinFkSemantics(SmoSemantics):
             tuple(s_schema.column(c) for c in a_columns)
             + tuple(t_schema.column(c) for c in b_columns),
         )
-        self._lens = _FkLens(wide, a_columns, b_columns, fk)
-        self._fk_index = s_schema.index_of(fk)
+        self._lens = _FkLens(wide, a_columns, b_columns, fk, s_schema.index_of(fk))
 
     def validate(self) -> None:
         s_schema, t_schema = self.source_schemas
@@ -496,14 +557,12 @@ class OuterJoinFkSemantics(SmoSemantics):
 
     def _reorder_s(self, row: Row) -> Row:
         """Move the fk column to the end (the lens convention)."""
-        return tuple(v for i, v in enumerate(row) if i != self._fk_index) + (row[self._fk_index],)
+        index = self._lens.fk_index
+        return tuple(v for i, v in enumerate(row) if i != index) + (row[index],)
 
     def _restore_s(self, row: Row) -> Row:
         """Inverse of :meth:`_reorder_s`."""
-        a_part, fk = row[:-1], row[-1]
-        values = list(a_part)
-        values.insert(self._fk_index, fk)
-        return tuple(values)
+        return self._lens.s_row(row[:-1], row[-1])
 
     def _ctx_with_lens_order(self, ctx: MapContext) -> MapContext:
         outer = self
@@ -531,3 +590,9 @@ class OuterJoinFkSemantics(SmoSemantics):
             "T": state["T"],
             "ID": state["ID"],
         }
+
+    def gamma_tgt_rules(self) -> RuleSet:
+        return self._lens.join_rules("outer_join_fk.gamma_tgt")
+
+    def gamma_src_rules(self) -> RuleSet:
+        return self._lens.split_rules("outer_join_fk.gamma_src")

@@ -43,6 +43,12 @@ class CreateTableSemantics(SmoSemantics):
     def map_backward(self, ctx: MapContext) -> SideState:
         return {}
 
+    def gamma_tgt_rules(self) -> RuleSet:
+        return RuleSet((), name="create_table.gamma_tgt")  # no source side
+
+    def gamma_src_rules(self) -> RuleSet:
+        return RuleSet((), name="create_table.gamma_src")
+
     def propagate_forward(self, changes, ctx):  # pragma: no cover - unused
         return dict(changes)
 

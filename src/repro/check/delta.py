@@ -263,10 +263,10 @@ def _physical_basis(
 
 
 def _check_key_disjoint(
-    view_scans: list[StatementScan], branches: dict[str, list | None]
+    view_scans: list[StatementScan], branches: dict[str, list]
 ) -> list[Diagnostic]:
-    """RPC108.  Hand-written view bodies (no composed branches) are not
-    the composer's to decide and are skipped."""
+    """RPC108, on every view the catalog renders (an injected view the
+    catalog does not render has no branches to judge)."""
     diagnostics: list[Diagnostic] = []
     for scan in view_scans:
         flat = branches.get(scan.name)

@@ -7,12 +7,13 @@ LIMIT/OFFSET), extended with one extra node: :class:`Parameter`, a
 
 A parsed statement is immutable and reusable: executing it never mutates
 the AST — parameter binding substitutes :class:`~repro.expr.ast.Literal`
-nodes into a structural copy via :func:`bind_expression`.
+nodes into a structural copy via :func:`bind_expression` (one use of
+:func:`substitute_parameters`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,45 +59,53 @@ class Parameter(Expression):
 def bind_expression(expression: Expression, params: Sequence[Any]) -> Expression:
     """A structural copy of ``expression`` with every :class:`Parameter`
     replaced by the corresponding ``Literal`` from ``params``."""
+    return substitute_parameters(expression, lambda parameter: Literal(params[parameter.index]))
+
+
+def substitute_parameters(
+    expression: Expression, value: Callable[[Parameter], Expression]
+) -> Expression:
+    """A structural copy of ``expression`` with every :class:`Parameter`
+    replaced by ``value(parameter)``."""
     if isinstance(expression, Parameter):
-        return Literal(params[expression.index])
+        return value(expression)
     if isinstance(expression, (Literal, Column)):
         return expression
     if isinstance(expression, Unary):
-        return Unary(expression.op, bind_expression(expression.operand, params))
+        return Unary(expression.op, substitute_parameters(expression.operand, value))
     if isinstance(expression, Binary):
         return Binary(
             expression.op,
-            bind_expression(expression.left, params),
-            bind_expression(expression.right, params),
+            substitute_parameters(expression.left, value),
+            substitute_parameters(expression.right, value),
         )
     if isinstance(expression, Comparison):
         return Comparison(
             expression.op,
-            bind_expression(expression.left, params),
-            bind_expression(expression.right, params),
+            substitute_parameters(expression.left, value),
+            substitute_parameters(expression.right, value),
         )
     if isinstance(expression, BoolOp):
         return BoolOp(
-            expression.op, tuple(bind_expression(item, params) for item in expression.items)
+            expression.op, tuple(substitute_parameters(item, value) for item in expression.items)
         )
     if isinstance(expression, IsNull):
-        return IsNull(bind_expression(expression.operand, params), expression.negated)
+        return IsNull(substitute_parameters(expression.operand, value), expression.negated)
     if isinstance(expression, InList):
         return InList(
-            bind_expression(expression.operand, params),
-            tuple(bind_expression(item, params) for item in expression.items),
+            substitute_parameters(expression.operand, value),
+            tuple(substitute_parameters(item, value) for item in expression.items),
             expression.negated,
         )
     if isinstance(expression, Like):
         return Like(
-            bind_expression(expression.operand, params),
-            bind_expression(expression.pattern, params),
+            substitute_parameters(expression.operand, value),
+            substitute_parameters(expression.pattern, value),
             expression.negated,
         )
     if isinstance(expression, FuncCall):
         return FuncCall(
-            expression.name, tuple(bind_expression(arg, params) for arg in expression.args)
+            expression.name, tuple(substitute_parameters(arg, value) for arg in expression.args)
         )
     raise ProgrammingError(f"cannot bind parameters in {type(expression).__name__}")
 

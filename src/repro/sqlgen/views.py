@@ -11,7 +11,13 @@ COLUMN's widening rules) is one subquery. Within a subquery:
 - negative literals become ``NOT EXISTS`` subselects;
 - function bindings become computed select expressions (a paired one is
   a ``CASE`` over a probe of the stored value, see :func:`_stored_or_computed`);
-- tuple comparisons expand column-wise.
+- tuple comparisons expand column-wise;
+- a predicate the rules derive but no table holds (a helper such as "S
+  has a condition partner", whose negation covers a join) is inlined as
+  a subquery.
+
+A lone branch that may yield an identifier twice is ``SELECT DISTINCT``
+(:func:`compound_sql`).
 
 Every table and view carries the InVerDa tuple identifier as an explicit
 leading column ``p``.
@@ -59,11 +65,11 @@ class ViewBranch:
     forbids: frozenset[str] = frozenset()
     key_preserving: bool = False
 
-    def sql(self) -> str:
+    def sql(self, distinct: bool = False) -> str:
         select_items = ", ".join(
             f"{expr} AS {quote_identifier(column)}" for column, expr in self.head
         )
-        sql = "SELECT " + select_items
+        sql = ("SELECT DISTINCT " if distinct else "SELECT ") + select_items
         sql += " FROM " + ", ".join(f"{table} {alias}" for alias, table in self.froms)
         if self.where:
             sql += " WHERE " + " AND ".join(self.where)
@@ -115,6 +121,18 @@ def key_disjoint(branches: Sequence[ViewBranch]) -> bool:
     )
 
 
+def compound_sql(branches: Sequence[ViewBranch], disjoint: bool) -> str:
+    """``branches`` as one relation: joined by ``UNION ALL`` where
+    ``disjoint`` (:func:`key_disjoint`), else by ``UNION`` — and a lone
+    branch that is not disjoint, which may yield one identifier many
+    times (a projection onto a generated identifier), as ``SELECT
+    DISTINCT``."""
+    if len(branches) == 1:
+        return branches[0].sql(distinct=not disjoint)
+    keyword = "UNION ALL" if disjoint else "UNION"
+    return f"\n{keyword}\n".join(branch.sql() for branch in branches)
+
+
 def _sql_literal(value) -> str:
     if value is None:
         return "NULL"
@@ -137,11 +155,13 @@ class _Subquery:
         head_columns: tuple[str, ...],
         stored: Atom | None = None,
         probe_names: Mapping[str, str] | None = None,
+        prefix: str = "t",
     ):
         self.rule = rule
-        #: ``X(p, b…)`` of a merged pair: each ``b`` bound by a function
-        #: binding reads X's value at ``p`` where X holds one.
+        #: ``X(k, b…)`` of a merged pair: each ``b`` bound by a function
+        #: binding reads X's value at ``k`` where X holds one.
         self.stored = stored
+        self.prefix = prefix
         self.table_names = table_names
         self.probe_names = probe_names or {}
         self.table_columns = table_columns
@@ -184,7 +204,7 @@ class _Subquery:
         assigns = [lit for lit in self.rule.body if isinstance(lit, Assign)]
 
         for index, atom in enumerate(positives):
-            alias = f"t{index}"
+            alias = f"{self.prefix}{index}"
             self.aliases.append((alias, self.table_names[atom.pred]))
             self.where.extend(self._bind_atom(atom, alias))
 
@@ -274,14 +294,17 @@ class _Subquery:
 
     def _probe(self, target: Var, computed: str) -> str:
         """``target``'s stored value where the stored relation holds a row
-        at the head's ``p``, else ``computed``.  ``CASE WHEN EXISTS``, not
-        ``COALESCE``: a stored NULL reads back as NULL."""
+        at its key ``k``, else ``computed``.  ``CASE WHEN EXISTS``, not
+        ``COALESCE``: a stored NULL reads back as NULL — unless ``computed``
+        is NULL, when the scalar probe alone is the value."""
         stored = self.stored
         column = self.table_columns[stored.pred][stored.terms.index(target) - 1]
         match = (
             f"FROM {self._probed(stored.pred)} n "
-            f"WHERE n.p = {self._term_sql(self.rule.head.terms[0])}"
+            f"WHERE n.p = {self._term_sql(stored.terms[0])}"
         )
+        if computed == "NULL":
+            return f"(SELECT n.{quote_identifier(column)} {match})"
         return (
             f"CASE WHEN EXISTS (SELECT 1 {match}) "
             f"THEN (SELECT n.{quote_identifier(column)} {match}) "
@@ -308,26 +331,26 @@ class _Subquery:
 def _stored_or_computed(stored: Rule, computed: Rule) -> tuple[Rule, Atom] | None:
     """``(merged rule, X)`` when the two rules are one value read two ways:
 
-        H ← S, X(p, b…)              H ← S, b… = f(…), ¬X(p, _…)
+        H ← S, X(k, b…)              H ← S, b… = f(…), ¬X(k, _…)
 
     with the same head and the same rest ``S``, whose positive atoms are
-    all keyed on the head's ``p``, and ``b…`` occurring nowhere in ``S``.
-    X is keyed on ``p`` like every relation here, so each row of ``S``
-    yields exactly one of the two heads: the merged rule is the second
-    without ``¬X``, its bindings reading X's value where X holds one."""
+    all keyed on the head's ``p``, ``k`` the head's ``p`` or a variable
+    of ``S`` (an FK), and ``b…`` occurring nowhere in ``S``.  X is keyed
+    like every relation here, so each row of ``S`` yields exactly one of
+    the two heads: the merged rule is the second without ``¬X``, its
+    bindings reading X's value at ``k`` where X holds one."""
     if stored.head != computed.head:
         return None
     key = stored.head.terms[0]
     for probe in stored.body_atoms(positive=True):
-        payload = {
-            term.name for term in probe.terms[1:] if isinstance(term, Var) and not is_wildcard(term)
-        }
+        at = probe.terms[0]
+        payload = [term.name for term in probe.terms[1:] if not is_wildcard(term)]
         rest = [lit for lit in stored.body if lit is not probe]
 
         def absent(lit) -> bool:
             return (
                 isinstance(lit, Atom)
-                and (lit.pred, lit.terms[0], lit.positive) == (probe.pred, key, False)
+                and (lit.pred, lit.terms[0], lit.positive) == (probe.pred, at, False)
                 and all(is_wildcard(term) for term in lit.terms[1:])
             )
 
@@ -335,13 +358,15 @@ def _stored_or_computed(stored: Rule, computed: Rule) -> tuple[Rule, Atom] | Non
             return isinstance(lit, Assign) and lit.target.name in payload
 
         bindings = [lit.target.name for lit in computed.body if binding(lit)]
+        positives = [lit for lit in rest if isinstance(lit, Atom) and lit.positive]
         if (
-            probe.terms[0] == key
-            and len(payload) == len(probe.terms) - 1 == len(bindings) > 0
-            and set(bindings) == payload
+            (at == key or any(at in lit.terms for lit in positives))
+            and all(isinstance(term, Var) for term in probe.terms[1:])
+            and len(payload) == len(bindings) > 0
+            and set(bindings) == set(payload)
             and sum(map(absent, computed.body)) == 1
-            and not any(lit.variables() & payload for lit in rest)
-            and all(lit.terms[0] == key for lit in rest if isinstance(lit, Atom) and lit.positive)
+            and not any(lit.variables() & set(payload) for lit in rest)
+            and all(lit.terms[0] == key for lit in positives)
             and [lit for lit in computed.body if not (absent(lit) or binding(lit))] == rest
         ):
             merged = tuple(lit for lit in computed.body if not absent(lit))
@@ -359,19 +384,17 @@ def select_sql_for_rules(
     probe_names: Mapping[str, str] | None = None,
 ) -> str:
     """A bare ``SELECT`` (UNION of the branches of :func:`branches_for_rules`)
-    deriving ``head_pred``; shared by view creation and generated put
-    programs."""
-    return "\nUNION\n".join(
-        branch.sql()
-        for branch in branches_for_rules(
-            head_pred,
-            rules,
-            table_names=table_names,
-            table_columns=table_columns,
-            head_columns=head_columns,
-            probe_names=probe_names,
-        )
+    deriving ``head_pred``: the nested view emission and MATERIALIZE's aux
+    derivations."""
+    branches = branches_for_rules(
+        head_pred,
+        rules,
+        table_names=table_names,
+        table_columns=table_columns,
+        head_columns=head_columns,
+        probe_names=probe_names,
     )
+    return compound_sql(branches, len(branches) == 1 and key_disjoint(branches))
 
 
 def branches_for_rules(
@@ -394,6 +417,19 @@ def branches_for_rules(
     table version's data table for its pass-through view); a ``forbids``
     fact names both."""
     pending = list(rules.rules_for(head_pred))
+    # A helper reads relations only to test for rows, so through their
+    # probe names; its own columns are numbered.
+    helper_names = {**table_names, **(probe_names or {})}
+    table_names, table_columns = dict(table_names), dict(table_columns)
+    for pred in {atom.pred for rule in pending for atom in rule.body_atoms()}:
+        helper = rules.rules_for(pred)
+        if helper and pred not in table_names:
+            table_columns[pred] = tuple(f"c{i}" for i in range(1, len(helper[0].head.terms)))
+            table_names[pred] = "(" + " UNION ALL ".join(
+                _Subquery(rule, helper_names, table_columns, table_columns[pred], prefix="h")
+                .branch().sql()
+                for rule in helper
+            ) + ")"
     branches = []
     while pending:
         rule, stored = pending.pop(0), None

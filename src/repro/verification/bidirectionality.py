@@ -14,8 +14,11 @@ The check composes the two rule sets with Lemma 1, simplifies with Lemmas
 data-table rules collapse to the identity mapping. Everything it needs comes
 from the instance: the data predicates are its source / target roles, the
 auxiliary ones its ``aux_src()`` / ``aux_tgt()``. The identifier-generating
-SMOs (FK/condition DECOMPOSE and JOIN) have no rule sets yet; the runtime
-lens checks in :mod:`repro.verification.lenses` cover them.
+SMOs (FK/condition DECOMPOSE and JOIN) declare ``aux_shared()`` tables: their
+rules read the identifiers ``ID`` records, and the invariants those obey
+(``ID`` is total on the wide rows, one identifier names one payload) lie
+outside the prover, so it refuses them; the runtime lens checks in
+:mod:`repro.verification.lenses` cover them.
 """
 
 from __future__ import annotations
@@ -74,12 +77,13 @@ def verify_smo(
 ) -> tuple[VerificationResult, VerificationResult]:
     """Prove both lens conditions on one SMO instance's own rule sets;
     returns (condition 27, condition 26)."""
-    gamma_tgt, gamma_src = semantics.gamma_tgt_rules(), semantics.gamma_src_rules()
-    if gamma_tgt is None or gamma_src is None:
+    if semantics.aux_shared():
         raise VerificationError(
-            f"{semantics.describe()} has no Datalog rule sets to prove; "
-            "the runtime lens checks cover it"
+            f"{semantics.describe()} reads identifiers its shared aux tables "
+            "record, under invariants outside the prover; the runtime lens "
+            "checks cover it"
         )
+    gamma_tgt, gamma_src = semantics.gamma_tgt_rules(), semantics.gamma_src_rules()
     smo = semantics.describe()
     return (
         _check(

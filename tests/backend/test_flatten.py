@@ -1,6 +1,6 @@
 """Flattened view composition: equivalence with the nested emission and
-with the in-memory engine, full composition of simple chains, and graceful
-fallback for SMOs the composer treats as opaque."""
+with the in-memory engine, and full composition of simple chains — the
+identifier-generating SMOs' views included."""
 
 from __future__ import annotations
 
@@ -53,13 +53,20 @@ class TriSystem:
             finally:
                 conn.close()
 
-    def check(self, context: str) -> None:
-        mem_state = visible_state(self.mem)
-        for label in ("flat", "nested"):
-            engine = getattr(self, label)
-            state = visible_state(engine, self.backends[label])
+    def check(self, context: str, *, memory: bool = True) -> None:
+        """Flat and nested against memory — or, without ``memory``, flat
+        against nested."""
+        states = {
+            label: visible_state(getattr(self, label), self.backends[label])
+            for label in ("flat", "nested")
+        }
+        if memory:
+            reference = (self.mem, visible_state(self.mem))
+        else:
+            reference = (self.nested, states.pop("nested"))
+        for label, state in states.items():
             try:
-                assert_states_match(self.mem, mem_state, engine, state)
+                assert_states_match(*reference, getattr(self, label), state)
             except AssertionError as exc:
                 raise AssertionError(f"[{context}/{label}] {exc}") from None
 
@@ -86,12 +93,20 @@ CHAIN_STEPS = {
         "SPLIT TABLE T INTO T3 WITH bb >= 1",
         "RENAME COLUMN c IN T3 TO cc",
     ],
-    "fk_opaque_fallback": [
+    "fk_chain": [
         "DECOMPOSE TABLE R INTO S(a, b, c), Names(w) ON FK ref",
         "RENAME COLUMN w IN Names TO word",
         "SPLIT TABLE S INTO Hot WITH b >= 2",
     ],
 }
+
+# a = b pairs one wide row's S part with other rows' T parts: the views
+# above it serve off-diagonal pairs, and Rminus suppresses them.
+CONDITION_CHAIN = [
+    "DECOMPOSE TABLE R INTO S(a, w), T(b, c) ON a = b",
+    "RENAME COLUMN w IN S TO word",
+    "JOIN TABLE S, T INTO J ON a < c",
+]
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_STEPS))
@@ -155,6 +170,40 @@ def test_flat_nested_memory_differential(name, seed):
         tri.close()
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_condition_chain_composed_matches_nested(seed):
+    """The condition SMOs' composed views serve what their nested stack
+    serves, after writes at either end of the chain and after a move.
+    Memory is a leg until the first write: it still resolves some
+    condition-lens puts differently from the write programs."""
+    rng = random.Random(seed)
+    tri = TriSystem()
+    tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER, c INTEGER, w TEXT);")
+    tri.attach()
+    try:
+        for _ in range(8):
+            row = (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5), rng.choice(WORDS))
+            tri.run("v1", "INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)", row)
+        for step, evolution in enumerate(CONDITION_CHAIN, start=2):
+            tri.ddl(f"CREATE SCHEMA VERSION v{step} FROM v{step - 1} WITH {evolution};")
+            tri.check(f"condition/{seed}/after-v{step}")
+        tip = len(CONDITION_CHAIN) + 1
+        for index in range(6):
+            row = (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5), rng.choice(WORDS))
+            if index % 2:
+                version, sql = f"v{tip}", "INSERT INTO J(a, b, c, word) VALUES (?, ?, ?, ?)"
+            else:
+                version, sql = "v1", "INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)"
+            tri.run(version, sql, row)
+            tri.check(f"condition/{seed}/write-{index}@{version}", memory=False)
+        for engine in (tri.mem, tri.flat, tri.nested):
+            schemas = enumerate_valid_materializations(engine.genealogy)
+            engine.apply_materialization(schemas[len(schemas) // 2])
+        tri.check(f"condition/{seed}/after-materialization", memory=False)
+    finally:
+        tri.close()
+
+
 def _view_bodies(engine, flatten):
     bodies = {}
     for statement in codegen.view_statements(engine, flatten=flatten):
@@ -209,9 +258,10 @@ def test_union_chain_stays_linear():
     assert body.count("EXISTS") == 6
 
 
-def test_opaque_fk_views_fall_back_to_references():
-    """FK-decompose views are hand-written SQL the composer cannot
-    flatten; they keep (flat) view references and still serve correctly."""
+def test_fk_views_compose():
+    """FK-decompose views come from rules like every other SMO's: the tip
+    view over them composes down to the data and ID tables, and serves
+    each generated identifier once."""
     engine = InVerDa()
     engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, w TEXT);")
     engine.execute(
@@ -221,6 +271,9 @@ def test_opaque_fk_views_fall_back_to_references():
     engine.execute(
         "CREATE SCHEMA VERSION v3 FROM v2 WITH RENAME COLUMN w IN T TO word;"
     )
+    tip = engine.genealogy.schema_version("v3").table_version("T")
+    body = _view_bodies(engine, flatten=True)[tip.view_name]
+    assert not re.search(r"\bv\d+__", body), body  # no generated-view refs
     backend = LiveSqliteBackend.attach(engine)
     try:
         conn = connect(engine, "v1", autocommit=True, backend=backend)

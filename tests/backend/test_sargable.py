@@ -39,7 +39,9 @@ from repro.testing import DualSystem
 from repro.workloads.orders import build_orders
 from repro.workloads.tasky import build_tasky
 from tests.backend.test_differential import CHAINS, WORDS, _fuzz_ops
-from tests.backend.test_flatten import CHAIN_STEPS
+from tests.backend.test_flatten import CHAIN_STEPS, CONDITION_CHAIN
+
+FLATTEN_CHAINS = {**CHAIN_STEPS, "condition_chain": CONDITION_CHAIN}
 
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 
@@ -125,7 +127,7 @@ def test_differential_chains_serve_each_identifier_once(name):
         ds.close()
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_STEPS))
+@pytest.mark.parametrize("name", sorted(FLATTEN_CHAINS))
 def test_flatten_chains_serve_each_identifier_once(name):
     rng = random.Random(9)
     engine = repro.InVerDa()
@@ -142,7 +144,7 @@ def test_flatten_chains_serve_each_identifier_once(name):
         conn = repro.connect(engine, "v1", autocommit=True, backend=backend)
         conn.executemany("INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)", rows[:8])
         conn.close()
-        for step, evolution in enumerate(CHAIN_STEPS[name], start=2):
+        for step, evolution in enumerate(FLATTEN_CHAINS[name], start=2):
             engine.execute(
                 f"CREATE SCHEMA VERSION v{step} FROM v{step - 1} WITH {evolution};"
             )
@@ -390,20 +392,21 @@ def test_branch_budget_counts_the_whole_view():
     assert len(composer.register("alone", tagged[:1])) == MAX_BRANCHES
 
 
-def test_reference_to_a_hand_written_view_keeps_union():
-    """The FK views are opaque to the composer; a SPLIT's second
-    partition over one has exclusive branches over a relation nobody
-    proved key-unique."""
+def test_split_over_an_unproven_view_keeps_union():
+    """A condition DECOMPOSE's narrow view projects wide rows onto their
+    generated identifiers, which nothing proves key-unique; a SPLIT's
+    second partition over it has exclusive branches over that relation."""
     engine = repro.InVerDa()
-    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, w TEXT);")
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
     engine.execute(
-        "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE R INTO S(a), T(w) ON FK ref;"
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE R INTO S(a), T(b) ON a = b;"
     )
     engine.execute(
         "CREATE SCHEMA VERSION v3 FROM v2 WITH "
         "SPLIT TABLE S INTO A WITH a % 2 = 0, B WITH a % 2 = 1;"
     )
-    (select,) = _compounds(engine).values()
+    second = engine.genealogy.schema_version("v3").table_version("B").view_name
+    select = _compounds(engine)[second]
     assert "\nUNION\n" in select and "UNION ALL" not in select
 
 

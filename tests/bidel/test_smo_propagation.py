@@ -147,3 +147,89 @@ class TestRulesAgreeWithMaps:
         for role in semantics.target_roles:
             rule_rows = {key: tuple(rest) for key, *rest in derived.get(role, set())}
             assert rule_rows == state.get(role, {}), role
+
+    # States where ID records every row, as eager repair guarantees.  FK:
+    # a null FK (row 3), an identifier kept for an ω payload (row 4), a
+    # dangling FK (S row 3 → 99), an unreferenced T row (11), and one
+    # whose identifier an S row also is (3: S wins).  Condition: a pair
+    # suppressed by Rminus ((2, 12), recorded before its deletion),
+    # unmatched Splus / Tplus rows (3; 13, 14), stored plus rows their
+    # wide rows shadow (1; 11), a matching pair without a wide row (3, 14).
+    FK_WIDE = {
+        "R": {1: (1, "x"), 2: (2, "x"), 3: (3, None), 4: (4, None)},
+        "ID": {1: (10,), 2: (10,), 3: (None,), 4: (12,)},
+    }
+    FK_NARROW = {
+        "S": {1: (1, 10), 2: (2, None), 3: (3, 99)},
+        "T": {10: (10, "x"), 11: (11, "y"), 3: (3, "z")},
+    }
+    COND_NARROW = {
+        "S": {1: (1, 5), 2: (2, 6), 3: (3, 7)},
+        "T": {11: (11, 5), 12: (12, 6), 13: (13, 9)},
+        "ID": {21: (1, 11), 22: (2, 12)},
+        "Rminus": {1: (2, 12)},
+    }
+    COND_WIDE = {
+        "R": {21: (5, 5), 22: (6, 6)},
+        "ID": {21: (1, 11), 22: (2, 12)},
+        "Splus": {3: (3, 7), 1: (1, 8)},
+        "Tplus": {13: (13, 9), 11: (11, 4), 14: (14, 7)},
+    }
+
+    @pytest.mark.parametrize(
+        "smo_text,schemas,forward,backward",
+        [
+            (
+                "DECOMPOSE TABLE R INTO S(a), T(w) ON FK ref",
+                [TableSchema.of("R", ["a", "w"])],
+                FK_WIDE,
+                FK_NARROW,
+            ),
+            (
+                # The fk column first: S's layout is the source's.
+                "OUTER JOIN TABLE S, T INTO R ON FK ref",
+                [TableSchema.of("S", ["ref", "a"]), TableSchema.of("T", ["id", "w"])],
+                {"S": {k: (fk, a) for k, (a, fk) in FK_NARROW["S"].items()}, "T": FK_NARROW["T"]},
+                FK_WIDE,
+            ),
+            (
+                # The wide columns in another order than S(a), T(b).
+                "DECOMPOSE TABLE R INTO S(a), T(b) ON a = b",
+                [TableSchema.of("R", ["b", "a"])],
+                COND_WIDE,
+                COND_NARROW,
+            ),
+            (
+                "JOIN TABLE S, T INTO R ON a = b",
+                [TableSchema.of("S", ["id", "a"]), TableSchema.of("T", ["id", "b"])],
+                COND_NARROW,
+                COND_WIDE,
+            ),
+        ],
+        ids=["decompose_fk", "outer_join_fk", "decompose_cond", "inner_join_cond"],
+    )
+    def test_identifier_generating_rules_match_both_maps(
+        self, smo_text, schemas, forward, backward
+    ):
+        """γ_tgt ≡ ``map_forward`` and γ_src ≡ ``map_backward``: every data
+        and side-aux role, Rminus compared as the set of pairs it holds
+        (its stored key is a row number)."""
+        from repro.datalog.evaluate import evaluate
+
+        semantics = build_semantics(parse_smo(smo_text), tuple(schemas))
+        for rules, extents, map_side, roles in (
+            (semantics.gamma_tgt_rules(), forward, semantics.map_forward,
+             (*semantics.target_roles, *semantics.aux_tgt())),
+            (semantics.gamma_src_rules(), backward, semantics.map_backward,
+             (*semantics.source_roles, *semantics.aux_src())),
+        ):
+            facts = {role: {(key, *row) for key, row in rows.items()} for role, rows in extents.items()}
+            derived = evaluate(rules, facts)
+            state = map_side(FixedContext(extents))
+            for role in roles:
+                got = derived[role]
+                expected = {(key, *row) for key, row in state[role].items()}
+                if role == "Rminus":
+                    got = {fact[1:] for fact in got}
+                    expected = set(state[role].values())
+                assert got == expected, (rules.name, role)

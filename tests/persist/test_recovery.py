@@ -99,9 +99,10 @@ class _Stamp6Row(NamedTuple):
     values: list
 
 
-#: The stamp-6 partition program read the twin's row one scalar subquery
-#: per column (its keeper's unified-view read is still rendered at S).
-STAMP_6_TWIN = re.compile(r"\(SELECT (?!1\b)\w+ FROM put__\w+\)")
+#: The stamp-6 partition program read the twin's row (a partition's
+#: snapshot, R or S) one scalar subquery per column (its keeper's
+#: unified-view read is still rendered at S).
+STAMP_6_TWIN = re.compile(r"\(SELECT (?!1\b|p\b)\w+ FROM put__\d+__[RS]\)")
 
 
 def stamp_6_to_unified(self, tv, op):
@@ -201,6 +202,18 @@ class Stamp8Renderer(codegen.Renderer):
 #: What stamp 8's guards read at the orders file's partitions once they
 #: hold the data: their pass-through views.
 STAMP_8_GUARD = re.compile(r"FROM v\d+__(?:Open|Closed) n\b")
+
+
+#: An FK decomposition over the orders file's base Inventory, and its
+#: generated table's view as emission stamp 9 wrote it.
+STAMP_9_FK = (
+    "CREATE SCHEMA VERSION v4 FROM v3 WITH "
+    "DECOMPOSE TABLE Inventory INTO Stock(stock, reserved), Sku(sku) ON FK item;"
+)
+STAMP_9_SKU = (
+    "SELECT i.fk AS p, i.fk AS id, r.sku AS sku FROM v1__Inventory r "
+    "JOIN aux__4__ID i ON i.p = r.p WHERE i.fk IS NOT NULL GROUP BY i.fk"
+)
 
 
 def build_tasky_file(path: str):
@@ -365,7 +378,7 @@ class TestDeltaCodeReuse:
         "older",
         [
             "unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7",
-            "stamp-8",
+            "stamp-8", "stamp-9",
         ],
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
@@ -381,7 +394,8 @@ class TestDeltaCodeReuse:
         keeper re-reads the unified view, or 7, whose ADD COLUMN views
         are two branches, or 8, whose guards read a partition's
         pass-through view and whose deletes hop into the unified view
-        (with the data at the partitions) — is regenerated on open, once."""
+        (with the data at the partitions), or 9, whose FK views are
+        hand-written — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -411,7 +425,11 @@ class TestDeltaCodeReuse:
                 patch.setattr(codegen, "Renderer", Stamp8Renderer)
                 patch.setattr(handlers.HandlerContext, "probe", handlers.HandlerContext.view)
                 patch.setattr(codegen, "EMISSION_STAMP", 8)
+            if older == "stamp-9":
+                patch.setattr(codegen, "EMISSION_STAMP", 9)
             engine = build_orders(2, 8, 2).engine
+            if older == "stamp-9":
+                engine.execute(STAMP_9_FK)
             backend = LiveSqliteBackend.attach(engine, database=path)
             if older == "stamp-8":
                 engine.execute("MATERIALIZE 'v3';")
@@ -463,6 +481,18 @@ class TestDeltaCodeReuse:
             handle.execute(sql.replace("\nUNION ALL\n", "\nUNION\n"))
             for (trigger,) in triggers:
                 handle.execute(trigger)
+        if older == "stamp-9":
+            # Stamp 9 rendered FK views by hand: T grouped the wide rows.
+            (sku_view,) = [n for n in stamp_3_views if n.endswith("__Sku")]
+            triggers = handle.execute(
+                "SELECT sql FROM sqlite_master WHERE type = 'trigger' AND tbl_name = ?",
+                (sku_view,),
+            ).fetchall()
+            handle.execute(f"DROP VIEW {sku_view}")
+            handle.execute(f"CREATE VIEW {sku_view} AS\n{STAMP_9_SKU}")
+            for (trigger,) in triggers:
+                handle.execute(trigger)
+            stamp_3_views = view_script(handle)
         if older == "unstamped":
             handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
         handle.commit()
@@ -516,6 +546,13 @@ class TestDeltaCodeReuse:
                 hop = "DELETE FROM v2__Orders WHERE p IS OLD.p"
                 assert hop in "\n".join(triggers_before)
                 assert hop not in trigger_script(backend.connection)
+            if older == "stamp-9":
+                # The hand-written view is replaced (its triggers go with it).
+                changed = {n for n, sql in installed.items() if stamp_3_views[n] != sql}
+                assert changed == {sku_view}
+                assert "GROUP BY" in stamp_3_views[sku_view]
+                assert installed[sku_view].startswith(f"CREATE VIEW {sku_view} AS\nSELECT DISTINCT ")
+                assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert not STAMP_6_TWIN.search(trigger_script(backend.connection))
