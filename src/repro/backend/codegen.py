@@ -59,7 +59,9 @@ from repro.util.naming import physical_name
 #:     a NOT EXISTS guard reads a physical table version's data table.
 #: 10 = the FK and condition SMOs' views come from their rule sets; a lone
 #:      branch not proven key-preserving is SELECT DISTINCT.
-EMISSION_STAMP = 10
+#: 11 = a condition SMO's write is one staged put: the stored side comes
+#:      from its rule set.
+EMISSION_STAMP = 11
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -601,14 +603,17 @@ def migration_statements(
     """(stage_statements, swap_statements) of a ``MATERIALIZE`` cutover.
 
     Stage statements run against the *old* views: they create staging
-    tables holding every aux table of each SMO's newly stored side — small
-    derived state, rebuilt whole by every move — after creating the views
+    tables holding every aux table of the newly stored side of each SMO the
+    move flips — small derived state, rebuilt whole — after creating the views
     those derivations read that no active table version needs any more
     (:func:`_unserved_views`).  The move stages the new
     physical data tables itself (:mod:`repro.backend.online`).  Swap
     statements (run after the generated views/triggers are dropped) drop
     the old tables and rename both kinds of staged table into place.
-    Shared aux tables (ID) survive unchanged.
+    Shared aux tables (ID), and the aux tables of an SMO the move leaves
+    as it is, survive unchanged: no map of the other side recovers all
+    they hold (a computed column's values stay computed, a pair Rminus
+    suppresses stays suppressed).
     """
     ctx = HandlerContext(engine)
     genealogy = engine.genealogy
@@ -638,6 +643,8 @@ def migration_statements(
         if semantics is None:
             continue
         will_materialize = smo in schema
+        if will_materialize == smo.materialized:
+            continue
         handler = handler_for(ctx, smo)
         new_side = semantics.aux_tgt() if will_materialize else semantics.aux_src()
         old_side = semantics.aux_tgt() if smo.materialized else semantics.aux_src()

@@ -8,12 +8,13 @@ materialization,
 - the statement list of its ``INSTEAD OF`` trigger programs (writes),
 
 mirroring the engine's native semantics: most SMOs follow their
-``propagate_forward``/``propagate_backward`` fast paths, the identifier
-generating SMOs (FK and condition DECOMPOSE/JOIN) follow the same
-recorded-id / payload-reuse / fresh-allocation decision procedure, with
-identifiers drawn from the backend's sequence table.  Their rules read the
-identifiers the ID table records; allocating them is all those handlers
-add.
+``propagate_forward``/``propagate_backward`` fast paths; the FK SMOs follow
+the same recorded-id / payload-reuse / fresh-allocation decision procedure
+in key-local programs; a condition DECOMPOSE/JOIN write is the engine's full
+lens put, one staged program whose stored side comes from the SMO's rule
+set.  Identifiers are drawn from the backend's sequence table.  The rules
+read the identifiers the ID table records; allocating them is all the
+identifier-generating handlers add to their rules.
 
 The engine also maintains *shared* auxiliary tables (the ID tables) of SMOs
 that are not on a write's storage route; handlers expose the same programs
@@ -233,12 +234,14 @@ class SmoHandler:
             return self.sem.source_roles[self.smo.sources.index(tv)]
         return self.sem.target_roles[self.smo.targets.index(tv)]
 
-    def _rule_args(self, head: TableVersion | None = None) -> dict:
+    def _rule_args(
+        self, head: TableVersion | None = None, staged: dict[str, str] | None = None
+    ) -> dict:
         """The rule renderer's keyword arguments in the current state: role
         -> SQL reference (data roles resolved to views, aux roles to
-        stored-or-empty), role -> payload columns, role -> what a key probe
-        of a data role reads (:meth:`HandlerContext.probe`), and ``head``'s
-        columns when given."""
+        stored-or-empty, a role ``staged`` to its staging table), role ->
+        payload columns, role -> what a key probe of a data role reads
+        (:meth:`HandlerContext.probe`), and ``head``'s columns when given."""
         names: dict[str, str] = {}
         columns: dict[str, tuple[str, ...]] = {}
         probes: dict[str, str] = {}
@@ -253,6 +256,8 @@ class SmoHandler:
             for role, schema in group.items():
                 names[role] = self.ctx.aux_ref(self.smo, role)
                 columns[role] = schema.column_names
+        for role, table in (staged or {}).items():
+            names[role] = probes[role] = table
         args = {"table_names": names, "table_columns": columns, "probe_names": probes}
         if head is not None:
             args["head_columns"] = head.schema.column_names
@@ -322,6 +327,16 @@ class SmoHandler:
         none)."""
         return []
 
+    def role_select(
+        self, role: str, rules, columns: tuple[str, ...], staged: dict[str, str] | None = None
+    ) -> str:
+        """SELECT deriving the stored rows (``p`` then ``columns``) of
+        ``role`` by ``rules``, reading the roles ``staged`` from their
+        staging tables (:meth:`_rule_args`)."""
+        return select_sql_for_rules(
+            role, rules, **self._rule_args(staged=staged), head_columns=columns
+        )
+
     def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
         """Migration: SELECT statements deriving the contents of each side
         aux table of the *newly stored* side, reading pre-migration views."""
@@ -330,9 +345,7 @@ class SmoHandler:
         )
         side_aux = self.sem.aux_tgt() if will_materialize else self.sem.aux_src()
         return {
-            role: select_sql_for_rules(
-                role, rules, **self._rule_args(), head_columns=schema.column_names
-            )
+            role: self.role_select(role, rules, schema.column_names)
             for role, schema in side_aux.items()
         }
 
@@ -1022,341 +1035,94 @@ class FkHandler(SmoHandler):
 class CondHandler(SmoHandler):
     """The condition lens: S(id, A) x T(id, B) joined under c(A, B) with
     generated identifiers on both sides, recorded in ID(r -> s, t); Rminus
-    suppresses join results deleted through the wide side (Rule 200)."""
+    suppresses join results deleted through the wide side (Rule 200).
 
-    def _parts(self):
+    A write at any of its table versions is one staged put, the engine's
+    full lens put: stage the written side's post-write extents, record
+    identifiers for them (:meth:`_allocate`, which the extent repair
+    shares), and on the storage route stage every role of the stored side
+    from the rule set deriving that side, then apply them.  Off the route
+    the put is its allocation alone; at a narrow table, which then holds
+    the data, only the written row's pairs can lack an identifier."""
+
+    def _payloads(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The payload columns of S and of T (their ``id`` columns aside)."""
         lens = self.sem._lens
-        if isinstance(self.sem, DecomposeCondSemantics):
-            wide_tv = self.smo.sources[0]
-            s_tv, t_tv = self.smo.targets
-        else:
-            s_tv, t_tv = self.smo.sources
-            wide_tv = self.smo.targets[0]
-        s_payload = s_tv.schema.column_names[1:]
-        t_payload = t_tv.schema.column_names[1:]
-        return wide_tv, s_tv, t_tv, s_payload, t_payload, lens.condition
-
-    def _wide_stored_ward(self) -> bool:
-        return self.smo.materialized == isinstance(self.sem, InnerJoinCondSemantics)
+        return lens.s_schema.column_names[1:], lens.t_schema.column_names[1:]
 
     def _id_table(self) -> str:
         return self.smo.aux_table_name("ID")
 
+    def _outputs(self) -> list[tuple[str, tuple[str, ...], str]]:
+        """``(role, columns, relation written)`` of every role of the side
+        data is routed toward, in the order a put applies them: data roles
+        (their views), that side's aux tables, then ID."""
+        if self.smo.materialized:
+            tvs, aux = self.smo.targets, self.sem.aux_tgt()
+        else:
+            tvs, aux = self.smo.sources, self.sem.aux_src()
+        outputs = [(self.role_of(tv), tv.schema.column_names, self.ctx.view(tv)) for tv in tvs]
+        for role, schema in (*aux.items(), *self.sem.aux_shared().items()):
+            outputs.append((role, schema.column_names, self.smo.aux_table_name(role)))
+        return outputs
+
     def put_tables(self) -> dict[str, tuple[str, ...]]:
         # ID is shared aux, so all three table versions carry a program of
-        # this SMO in either state; which side applies data (and stages
-        # the rows it applies) follows the storage route.
-        wide_tv, s_tv, t_tv, *_ = self._parts()
+        # this SMO in either state: each stages its own side (but a narrow
+        # one holding the data), and the routed ones the stored side too.
         put = self.smo.put_table_name
-        tables = self._row_puts((s_tv, t_tv))
+        stored = self.smo.targets if self.smo.materialized else self.smo.sources
+        tables = self._row_puts(
+            [
+                tv
+                for tv in (*self.smo.sources, *self.smo.targets)
+                if tv not in stored or self.role_of(tv) == "R"
+            ]
+        )
         tables[put("scratch")] = SCRATCH_COLUMNS
-        tables[put("regen_scratch")] = SCRATCH_COLUMNS
-        tables[put("regen_W")] = wide_tv.schema.column_names
-        if self._wide_stored_ward():
-            tables[put("R")] = wide_tv.schema.column_names
-        else:
-            for narrow_tv in (s_tv, t_tv):
-                tables[put("regen_" + self.role_of(narrow_tv))] = (
-                    narrow_tv.schema.column_names
-                )
+        for role, columns, _relation in self._outputs():
+            tables[put("new_" + role)] = columns
         return tables
 
-    def _scratch(self) -> str:
-        return self.smo.put_table_name("scratch")
-
-    def _cond(self, s_refs: dict[str, str], t_refs: dict[str, str]) -> str:
-        _w, _s, _t, s_payload, t_payload, condition = self._parts()
-        refs = {**{c: s_refs[c] for c in s_payload}, **{c: t_refs[c] for c in t_payload}}
-        return cond_true(condition, refs)
-
-    def _alias_refs(self, columns, alias: str) -> dict[str, str]:
-        return {c: f"{alias}.{q(c)}" for c in columns}
+    def role_select(self, role, rules, columns, staged=None) -> str:
+        select = super().role_select(role, rules, columns, staged)
+        if role != "Rminus":
+            return select
+        # The rules key Rminus by s; the stored table by a row number.
+        return f"SELECT ROW_NUMBER() OVER (ORDER BY s, t) AS p, s, t FROM ({select})"
 
     # -- writes ------------------------------------------------------------
 
-    def _assign_pairs(
-        self, scratch: str, wide: str, *, recorded: bool = False, where: str = ""
-    ) -> list[str]:
-        """Stage in ``scratch`` the narrow identifiers (a of S, b of T) of
-        every row ``w`` of ``wide`` (``where`` it holds): the one ID records
-        for ``w`` if ``recorded``, else the least one ID records for a row
-        of ``wide`` with the same payload, else a fresh one per distinct
-        payload, ranked by that payload's first row."""
-        _w, _s, _t, s_payload, t_payload, _c = self._parts()
+    def _allocate(self, extents: dict[str, str], old: str | None = None) -> list[str]:
+        """Record in ID the identifiers of one side's extents (role ->
+        relation: a put's staged written side, the repair's views).
+
+        A matching narrow pair ID lacks and Rminus does not suppress takes
+        a fresh wide identifier.  A wide row ID lacks, and the row ``NEW``
+        a put writes (``old``: the wide side before the write), take for S
+        and for T apart what the lens takes for one changed row
+        (:func:`repro.bidel.smo.conditional._narrow_ids`): the one recorded
+        for it if the write keeps its payload, else the least one another
+        row of the payload records, else the one recorded for it, else a
+        fresh one per payload.  The other rows recording the identifier
+        ``NEW`` takes under another payload then take the least other one
+        recorded for theirs, else a fresh one per payload."""
         id_table = self._id_table()
-        picks, ranks = [], []
-        for role, payload in (("s", s_payload), ("t", t_payload)):
-            group = payload_match(
-                [f"w2.{q(c)}" for c in payload], [f"w.{q(c)}" for c in payload]
-            )
-            pick = (
-                f"(SELECT MIN(i.{role}) FROM {id_table} i JOIN {wide} w2 ON w2.p = i.p "
-                f"WHERE {group})"
-            )
-            if recorded:
-                pick = f"COALESCE((SELECT i.{role} FROM {id_table} i WHERE i.p = w.p), {pick})"
-            picks.append(pick)
-            ranks.append(
-                f"DENSE_RANK() OVER (ORDER BY (SELECT MIN(w2.p) FROM {wide} w2 WHERE {group}))"
-            )
-        statements = [
-            f"DELETE FROM {scratch}",
-            f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
-            f"{', '.join(picks + ranks)} FROM {wide} w{where}",
-        ]
-        for column, rank in (("a", "rnk"), ("b", "rnk2")):
-            fresh, advance = emit.seq_draw(scratch, rank)
-            statements += [
-                f"UPDATE {scratch} SET {column} = {fresh} WHERE {column} IS NULL", advance
-            ]
-        return statements
-
-    def _rminus_recompute(self) -> list[str]:
-        """Rule 200, full-state: matching pairs without a wide row."""
-        _w, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
-        rminus = self.smo.aux_table_name("Rminus")
-        cond = self._cond(self._alias_refs(s_payload, "s"), self._alias_refs(t_payload, "t"))
-        id_table = self._id_table()
-        return [
-            f"DELETE FROM {rminus}",
-            f"INSERT INTO {rminus} (p, s, t) "
-            f"SELECT ROW_NUMBER() OVER (ORDER BY s.p, t.p), s.p, t.p "
-            f"FROM {self.ctx.view(s_tv)} s, {self.ctx.view(t_tv)} t "
-            f"WHERE {cond} AND NOT EXISTS "
-            f"(SELECT 1 FROM {id_table} i WHERE i.s IS s.p AND i.t IS t.p)",
-        ]
-
-    def _wide_write(self, op, apply_data: bool) -> list[str]:
-        """Write at the wide table: the engine runs a full lens put here
-        (the condition SMOs have no incremental fast path), regenerating the
-        stored narrow side from the post-write wide extent — identifiers
-        recorded in ID survive, payload duplicates reuse, the rest is
-        allocated fresh; narrow rows no longer derivable disappear."""
-        wide_tv, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
-        vw = self.ctx.view(wide_tv)
-        id_table = self._id_table()
-        # Dedicated staging: applying the regenerated narrow rows fires
-        # nested maintenance triggers of this same SMO, which snapshot into
-        # the ordinary put/scratch tables.
-        scratch = self.smo.put_table_name("regen_scratch")
-        put_wide = self.smo.put_table_name("regen_W")
-        key = "OLD.p" if op == "DELETE" else "NEW.p"
-        wide_cols = wide_tv.schema.column_names
-
-        # 1. Stage the post-write wide extent.
-        statements = [
-            f"DELETE FROM {put_wide}",
-            f"INSERT INTO {put_wide} SELECT p, {', '.join(qcols(wide_cols))} "
-            f"FROM {vw} WHERE p IS NOT {key}",
-        ]
-        if op != "DELETE":
-            statements.append(
-                f"INSERT INTO {put_wide} (p, {', '.join(qcols(wide_cols))}) "
-                f"VALUES ({key}, {', '.join(f'NEW.{q(c)}' for c in wide_cols)})"
-            )
-        # 2. Identifier assignment: recorded, then payload reuse among
-        #    recorded rows, then fresh per distinct payload.
-        statements += self._assign_pairs(scratch, put_wide, recorded=True)
-        statements += [
-            # 3. Rewrite ID wholesale (entries of vanished rows go with it).
-            f"DELETE FROM {id_table}",
-            f"INSERT INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}",
-        ]
-        if apply_data:
-            # 4. Regenerate the narrow side.  Stage BOTH extents before
-            #    applying either (applies cascade), then apply T first so
-            #    cascaded nested maintenance finds T rows in place.
-            for narrow_tv, id_sql in ((t_tv, "b"), (s_tv, "a")):
-                put_narrow = self.smo.put_table_name(
-                    "regen_" + self.role_of(narrow_tv)
-                )
-                id_col = narrow_tv.schema.column_names[0]
-                items = [
-                    f"sc.{id_sql} AS {q(c)}" if c == id_col else f"w.{q(c)} AS {q(c)}"
-                    for c in narrow_tv.schema.column_names
-                ]
-                statements += [
-                    f"DELETE FROM {put_narrow}",
-                    f"INSERT INTO {put_narrow} "
-                    f"SELECT sc.{id_sql}, {', '.join(items)} "
-                    f"FROM {put_wide} w JOIN {scratch} sc ON sc.p = w.p "
-                    f"GROUP BY sc.{id_sql}",
-                ]
-            for narrow_tv in (t_tv, s_tv):
-                statements += emit.apply_extent(
-                    self.ctx.view(narrow_tv),
-                    narrow_tv.schema.column_names,
-                    self.smo.put_table_name("regen_" + self.role_of(narrow_tv)),
-                )
-            statements += self._rminus_recompute()
-        return statements
-
-    def _narrow_write(self, tv: TableVersion, op, apply_data: bool) -> list[str]:
-        wide_tv, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
-        vw = self.ctx.view(wide_tv)
-        id_table = self._id_table()
-        scratch = self._scratch()
-        writing_s = tv is s_tv
-        own_key, other_key = ("s", "t") if writing_s else ("t", "s")
-        other_tv = t_tv if writing_s else s_tv
-        v_other = self.ctx.view(other_tv)
-        own_plus = self.smo.aux_table_name("Splus" if writing_s else "Tplus")
-        other_plus = self.smo.aux_table_name("Tplus" if writing_s else "Splus")
-        other_payload = t_payload if writing_s else s_payload
-        own_payload = s_payload if writing_s else t_payload
-        row = "OLD" if op == "DELETE" else "NEW"
-        key = f"{row}.p"
-
-        def pair_cond(other_alias: str, own_row: str = "NEW") -> str:
-            own_refs = {c: f"{own_row}.{q(c)}" for c in own_payload}
-            other_refs = self._alias_refs(other_payload, other_alias)
-            if writing_s:
-                return self._cond(own_refs, other_refs)
-            return self._cond(other_refs, own_refs)
-
-        # Snapshot the other narrow table's PRE-change extent: applying the
-        # wide-side changes below makes derived rows vanish before the plus
-        # bookkeeping reads them (the engine computes from pre-change
-        # extents plus the change).
-        put_other = self.smo.put_table_name("T" if writing_s else "S")
-        other_cols = other_tv.schema.column_names
-        snapshot = [
-            f"DELETE FROM {put_other}",
-            f"INSERT INTO {put_other} SELECT p, {', '.join(qcols(other_cols))} "
-            f"FROM {v_other}",
-        ]
-
-        def other_plus_recompute() -> list[str]:
-            """Rows of the other narrow table matching no row of this one
-            belong in its plus table (and vice versa removals)."""
-            o_refs = self._alias_refs(other_payload, "o")
-            m_refs = self._alias_refs(own_payload, "m")
-            cond = (
-                self._cond(m_refs, o_refs) if writing_s else self._cond(o_refs, m_refs)
-            )
-            own_view = self.ctx.view(tv)
-            collist = ", ".join(["p", *qcols(other_cols)])
-            matched = (
-                f"EXISTS (SELECT 1 FROM {own_view} m WHERE {cond})"
-            )
-            tp_refs = {c: f"{other_plus}.{q(c)}" for c in other_payload}
-            cond_tp = (
-                self._cond(m_refs, tp_refs) if writing_s else self._cond(tp_refs, m_refs)
-            )
-            return [
-                f"DELETE FROM {other_plus} WHERE EXISTS "
-                f"(SELECT 1 FROM {own_view} m WHERE {cond_tp})",
-                f"INSERT OR REPLACE INTO {other_plus} ({collist}) "
-                f"SELECT o.p, {', '.join(f'o.{q(c)}' for c in other_cols)} "
-                f"FROM {put_other} o WHERE NOT {matched}",
-            ]
-
-        if op == "DELETE":
-            statements = [
-                *snapshot,
-                f"DELETE FROM {scratch}",
-                f"INSERT INTO {scratch} (p) SELECT i.p FROM {id_table} i "
-                f"WHERE i.{own_key} IS OLD.p",
-            ]
-            if apply_data:
-                statements.append(
-                    f"DELETE FROM {vw} WHERE p IN (SELECT p FROM {scratch})"
-                )
-                statements.append(delete_row(own_plus, "OLD.p"))
-                statements += other_plus_recompute()
-            return statements
-
-        put_wide = self.smo.put_table_name("R")
-        statements = [
-            *snapshot,
-            f"DELETE FROM {scratch}",
-            # New matching partners lacking a recorded pair.
-            f"INSERT INTO {scratch} (p, rnk) SELECT o.p, "
-            f"ROW_NUMBER() OVER (ORDER BY o.p) FROM {put_other} o "
-            f"WHERE {pair_cond('o')} AND NOT EXISTS "
-            f"(SELECT 1 FROM {id_table} i WHERE i.{own_key} IS {key} "
-            f"AND i.{other_key} IS o.p)",
-        ]
-        own_refs = {c: f"NEW.{q(c)}" for c in own_payload}
-        o_refs = self._alias_refs(other_payload, "o")
-        s_refs, t_refs = (own_refs, o_refs) if writing_s else (o_refs, own_refs)
-        wide_values = ", ".join(
-            s_refs[c] if c in s_payload else t_refs[c] for c in wide_tv.schema.column_names
-        )
-        if apply_data:
-            statements += [
-                f"DELETE FROM {put_wide}",
-                # Recorded pairs that (still) match, with the written payload.
-                f"INSERT INTO {put_wide} SELECT i.p, {wide_values} "
-                f"FROM {id_table} i JOIN {put_other} o ON o.p = i.{other_key} "
-                f"WHERE i.{own_key} IS {key} AND {pair_cond('o')}",
-                # Fresh pairs about to be recorded.
-                f"INSERT INTO {put_wide} SELECT {emit.seq_draw(scratch, 'sc.rnk')[0]}, "
-                f"{wide_values} FROM {scratch} sc JOIN {put_other} o ON o.p = sc.p",
-            ]
-        fresh, advance = emit.seq_draw(scratch)
-        statements += [
-            f"INSERT INTO {id_table} (p, {own_key}, {other_key}) "
-            f"SELECT {fresh}, {key}, p FROM {scratch}",
-            advance,
-        ]
-        if apply_data:
-            wide_cols = wide_tv.schema.column_names
-            statements += [
-                # Recorded pairs that no longer match disappear.
-                f"DELETE FROM {vw} WHERE p IN (SELECT i.p FROM {id_table} i "
-                f"WHERE i.{own_key} IS {key} "
-                f"AND i.p NOT IN (SELECT p FROM {put_wide}))",
-                f"UPDATE {vw} SET ({', '.join(qcols(wide_cols))}) = "
-                f"(SELECT {', '.join(qcols(wide_cols))} FROM {put_wide} s "
-                f"WHERE s.p = {vw}.p) "
-                f"WHERE p IN (SELECT p FROM {put_wide})",
-                f"INSERT INTO {vw} (p, {', '.join(qcols(wide_cols))}) "
-                f"SELECT p, {', '.join(qcols(wide_cols))} FROM {put_wide} "
-                f"WHERE p NOT IN (SELECT p FROM {vw})",
-            ]
-            matched = f"EXISTS (SELECT 1 FROM {put_wide})"
-            own_cols = tv.schema.column_names
-            statements.append(delete_row(own_plus, key, guard=matched))
-            statements.append(
-                upsert_row(
-                    own_plus,
-                    own_cols,
-                    key,
-                    [f"NEW.{q(c)}" for c in own_cols],
-                    guard=f"NOT {matched}",
-                    plain_table=True,
-                )
-            )
-            statements += other_plus_recompute()
-        return statements
-
-    def _write(self, tv, op, apply_data):
-        wide_tv, *_ = self._parts()
-        if tv is wide_tv:
-            return self._wide_write(op, apply_data)
-        return self._narrow_write(tv, op, apply_data)
-
-    # -- repair ------------------------------------------------------------
-
-    def repair_statements(self) -> list[str]:
-        wide_tv, s_tv, t_tv, s_payload, t_payload, _c = self._parts()
-        vw, vs, vt = self.ctx.view(wide_tv), self.ctx.view(s_tv), self.ctx.view(t_tv)
-        id_table = self._id_table()
-        scratch = self._scratch()
-        if not self._wide_stored_ward():
-            # Pair-keyed: every matching, non-suppressed pair gets a wide id.
+        scratch = self.smo.put_table_name("scratch")
+        if "R" not in extents:
+            s_payload, t_payload = self._payloads()
+            refs = {
+                **{c: f"s.{q(c)}" for c in s_payload},
+                **{c: f"t.{q(c)}" for c in t_payload},
+            }
             rminus = self.ctx.aux_ref(self.smo, "Rminus")
-            cond = self._cond(
-                self._alias_refs(s_payload, "s"), self._alias_refs(t_payload, "t")
-            )
-            fresh, advance = emit.seq_draw(scratch)
+            fresh, advance = emit.seq_draw(scratch, "p")
             return [
                 f"DELETE FROM {scratch}",
-                f"INSERT INTO {scratch} (p, a, b, rnk) "
-                f"SELECT 1000000 + ROW_NUMBER() OVER (ORDER BY s.p, t.p), s.p, t.p, "
-                f"ROW_NUMBER() OVER (ORDER BY s.p, t.p) "
-                f"FROM {vs} s, {vt} t WHERE {cond} "
+                f"INSERT INTO {scratch} (p, a, b) "
+                f"SELECT ROW_NUMBER() OVER (ORDER BY s.p, t.p), s.p, t.p "
+                f"FROM {extents['S']} s, {extents['T']} t "
+                f"WHERE {cond_true(self.sem._lens.condition, refs)} "
                 f"AND NOT EXISTS (SELECT 1 FROM {id_table} i "
                 f"WHERE i.s IS s.p AND i.t IS t.p) "
                 f"AND NOT EXISTS (SELECT 1 FROM {rminus} m "
@@ -1364,22 +1130,139 @@ class CondHandler(SmoHandler):
                 f"INSERT INTO {id_table} (p, s, t) SELECT {fresh}, a, b FROM {scratch}",
                 advance,
             ]
-        # Wide-keyed: every wide row gets recorded (s, t) identifiers,
-        # reusing by payload (first-encounter order) before allocating.
-        return self._assign_pairs(scratch, vw, where=f" WHERE w.p NOT IN (SELECT p FROM {id_table})") + [
-            f"INSERT OR REPLACE INTO {id_table} (p, s, t) "
-            f"SELECT p, a, b FROM {scratch}",
+        wide = extents["R"]
+        payloads = dict(zip("st", self._payloads()))
+
+        def same(alias: str, role: str, other: str = "w") -> str:
+            return payload_match(
+                [f"{alias}.{q(c)}" for c in payloads[role]],
+                [f"{other}.{q(c)}" for c in payloads[role]],
+            )
+
+        def own(role: str, test: str = "1") -> str:
+            return f"(SELECT i.{role} FROM {id_table} i WHERE i.p = w.p AND {test})"
+
+        def least(role: str, test: str = "1") -> str:
+            return (
+                f"(SELECT MIN(i2.{role}) FROM {id_table} i2 JOIN {wide} w2 ON w2.p = i2.p "
+                f"WHERE w2.p <> w.p AND {same('w2', role)} AND {test})"
+            )
+
+        def draw(picks: dict[str, str], rows: str) -> list[str]:
+            """Stage ``picks`` (role -> SQL) for ``rows`` of ``wide``, then
+            a fresh identifier per payload where a pick is NULL."""
+            ranks = [
+                f"DENSE_RANK() OVER (ORDER BY "
+                f"(SELECT MIN(w2.p) FROM {wide} w2 WHERE {same('w2', role)}))"
+                for role in "st"
+            ]
+            statements = [
+                f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
+                f"{', '.join([picks['s'], picks['t'], *ranks])} FROM {wide} w WHERE {rows}"
+            ]
+            for column, rank in (("a", "rnk"), ("b", "rnk2")):
+                fresh, advance = emit.seq_draw(scratch, rank)
+                statements += [
+                    f"UPDATE {scratch} SET {column} = {fresh} WHERE {column} IS NULL",
+                    advance,
+                ]
+            return statements
+
+        kept = {
+            role: f"EXISTS (SELECT 1 FROM {old} o WHERE o.p = w.p AND {same('o', role)})"
+            for role in "st"
+        }
+        statements = [f"DELETE FROM {scratch}"] + draw(
+            {
+                role: f"COALESCE({own(role, kept[role]) + ', ' if old else ''}"
+                f"{least(role)}, {own(role)})"
+                for role in "st"
+            },
+            f"w.p NOT IN (SELECT p FROM {id_table})" + (" OR w.p IS NEW.p" if old else ""),
+        )
+        if old:
+            # The rows NEW shares its identifier with under another payload.
+            taken = {col: f"(SELECT {col} FROM {scratch} WHERE p IS NEW.p)" for col in "ab"}
+            moved = {
+                role: f"(EXISTS (SELECT 1 FROM {id_table} i WHERE i.p = w.p "
+                f"AND i.{role} = {taken[col]}) AND NOT ({same('w', role, 'NEW')}))"
+                for role, col in (("s", "a"), ("t", "b"))
+            }
+            statements += draw(
+                {
+                    role: f"CASE WHEN {moved[role]} "
+                    f"THEN {least(role, f'i2.{role} IS NOT {taken[col]}')} ELSE {own(role)} END"
+                    for role, col in (("s", "a"), ("t", "b"))
+                },
+                f"w.p IN (SELECT p FROM {id_table}) AND w.p IS NOT NEW.p "
+                f"AND ({moved['s']} OR {moved['t']})",
+            )
+        return statements + [
+            f"INSERT OR REPLACE INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}"
         ]
 
-    def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
-        selects = super().stored_role_selects(will_materialize)
-        if "Rminus" in selects:
-            # The rules key Rminus by s; the stored table by a row number.
-            selects["Rminus"] = (
-                f"SELECT ROW_NUMBER() OVER (ORDER BY s, t) AS p, s, t "
-                f"FROM ({selects['Rminus']})"
+    def _write(self, tv, op, apply_data):
+        if not apply_data and self.role_of(tv) != "R":
+            # Off the route at a narrow table, the side that holds the data:
+            # every other matching pair is recorded or suppressed already,
+            # so only the written row's pairs can be new.
+            if op == "DELETE":
+                return []
+            narrow = self.smo.targets if tv in self.smo.targets else self.smo.sources
+            extents = {self.role_of(other): self.ctx.view(other) for other in narrow}
+            row = ", ".join(
+                f"{ref} AS {q(column)}" for column, ref in new_refs(tv.schema.column_names).items()
             )
-        return selects
+            extents[self.role_of(tv)] = f"(SELECT NEW.p AS p, {row})"
+            return self._allocate(extents)
+        key = "OLD.p" if op == "DELETE" else "NEW.p"
+        statements, staged = [], {}
+        # 1. The written side after the write: the written role is its view
+        #    without the key, plus NEW; the other role is its view.
+        for side_tv in self.smo.sources if tv in self.smo.sources else self.smo.targets:
+            put = staged[self.role_of(side_tv)] = self.smo.put_table_name(self.role_of(side_tv))
+            columns = ", ".join(qcols(side_tv.schema.column_names))
+            rest = f" WHERE p IS NOT {key}" if side_tv is tv else ""
+            statements += [
+                f"DELETE FROM {put}",
+                f"INSERT INTO {put} SELECT p, {columns} FROM {self.ctx.view(side_tv)}{rest}",
+            ]
+            if side_tv is tv and op != "DELETE":
+                values = ", ".join(new_refs(side_tv.schema.column_names).values())
+                statements.append(f"INSERT INTO {put} (p, {columns}) VALUES (NEW.p, {values})")
+        # 2. Identifiers for it; ID records the wide rows there are.
+        if "R" in staged:
+            statements.append(
+                f"DELETE FROM {self._id_table()} WHERE p NOT IN (SELECT p FROM {staged['R']})"
+            )
+        wide = op != "DELETE" and self.role_of(tv) == "R"
+        statements += self._allocate(staged, self.ctx.view(tv) if wide else None)
+        if not apply_data:
+            return statements
+        # 3. Every stored-side role from the rules deriving that side, over
+        #    the staged side, ID as recorded, the unstored side's aux empty.
+        # 4. Applied once all are staged.  Applying fires this SMO's
+        #    off-route programs at the stored side, which re-allocate over
+        #    half-applied extents: ID goes last, from its staged copy.
+        rules = self.sem.gamma_tgt_rules() if self.smo.materialized else self.sem.gamma_src_rules()
+        applies = []
+        for role, columns, relation in self._outputs():
+            new = self.smo.put_table_name("new_" + role)
+            if role == "ID":
+                select = f"SELECT p, s, t FROM {self._id_table()}"
+            else:
+                select = self.role_select(role, rules, columns, staged)
+            statements += [f"DELETE FROM {new}", f"INSERT INTO {new} {select}"]
+            applies += emit.apply_extent(relation, columns, new)
+            staged[role] = new
+        return statements + applies
+
+    # -- repair ------------------------------------------------------------
+
+    def repair_statements(self) -> list[str]:
+        """Identifiers for the stored side's extents (:meth:`_allocate`)."""
+        stored = self.smo.targets if self.smo.materialized else self.smo.sources
+        return self._allocate({self.role_of(tv): self.ctx.view(tv) for tv in stored})
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def run(num_tasks: int = 3000, writes: int = 50) -> ExperimentResult:
                 split_smo, {"U": change}, direction="forward", cache={}
             )
             engine._dispatch(
-                split_smo, out, direction="forward", cache={}, visited={split_smo.uid}
+                split_smo, out, direction="forward", cache={}, visited={split_smo.uid: "forward"}
             )
 
     # Only meaningful when the split target is materialized; flip it.

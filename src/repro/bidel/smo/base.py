@@ -39,10 +39,13 @@ SideState = dict[str, KeyedRows]
 
 @dataclass
 class TableChange:
-    """An incremental change to one table: upserts plus deletions."""
+    """An incremental change to one table: upserts plus deletions, and the
+    row each upsert replaced (None for a new key) once the engine applies
+    it to a stored table."""
 
     upserts: KeyedRows = field(default_factory=dict)
     deletes: set[Key] = field(default_factory=set)
+    replaced: dict[Key, Row | None] = field(default_factory=dict)
 
     @property
     def empty(self) -> bool:
@@ -78,6 +81,11 @@ class MapContext(ABC):
         materializing whole tables during key-local write propagation."""
         extent = self.read(role)
         return {key: extent[key] for key in keys if key in extent}
+
+    def written(self, role: str) -> dict[Key, Row | None]:
+        """The rows of ``role`` the put being mapped writes, each key with
+        the row it had before (None for a new one); none outside a put."""
+        return {}
 
     @abstractmethod
     def allocate_id(self, sequence_role: str) -> Key:
@@ -177,17 +185,6 @@ class SmoSemantics(ABC):
         self, changes: dict[str, TableChange], ctx: MapContext
     ) -> dict[str, TableChange] | None:
         """Transport target-side data changes to the source side."""
-        return None
-
-    # -- shared-aux maintenance ------------------------------------------------
-
-    def maintain_shared_aux(
-        self, side: str, changes: dict[str, TableChange], ctx: MapContext
-    ) -> dict[str, TableChange] | None:
-        """Incremental update of always-stored aux tables (ID tables) after
-        a direct write to a physical ``side`` ('source' or 'target') table.
-        ``None`` means "no fast path": the engine re-derives the aux tables
-        by running the full map of the stored side."""
         return None
 
     def invalidate_caches(self) -> None:

@@ -9,9 +9,13 @@ deleted through the joined side so they are not resurrected.
 
 These SMOs are not on the hot benchmark paths (the Wikimedia history uses
 FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition), so they
-implement the full-state lens maps only; the engine transparently falls
-back to whole-state puts for writes across them.  Their rule sets read the
-identifiers ``ID`` records and generate none.
+implement the full-state lens maps only: the engine runs a whole-state put
+for every write across them, and the delta code runs the same put, staged,
+with the stored side derived by the rule sets.  The rule sets read the
+identifiers ``ID`` records and generate none; the maps allocate the ones
+``ID`` lacks, and re-key the rows a put changes, as the delta code does
+(:func:`_narrow_ids`; a matching narrow pair gets a fresh wide
+identifier).
 """
 
 from __future__ import annotations
@@ -115,73 +119,72 @@ class _CondJoinLens:
         return is_true(self.condition.evaluate(row))
 
     def join(self, ctx: MapContext) -> SideState:
-        """Narrow → wide (B.6 γ_tgt; also B.4 γ_src modulo roles)."""
+        """Narrow → wide (B.6 γ_tgt; also B.4 γ_src modulo roles): a wide
+        row per recorded pair that matches and Rminus does not suppress,
+        and a fresh one per such pair ID lacks."""
         s_rows = ctx.read("S")
         t_rows = ctx.read("T")
         id_rows = ctx.read("ID")  # r -> (s, t)
-        removed = {row for row in ctx.read("Rminus").values()}  # {(s, t)}
-
-        pair_to_r: dict[tuple[Key, Key], Key] = {
-            (row[0], row[1]): r for r, row in id_rows.items()
+        removed = set(ctx.read("Rminus").values())  # {(s, t)}
+        pairs = {
+            (s_key, t_key): a_part[1:] + b_part[1:]  # strip the visible ids
+            for s_key, a_part in s_rows.items()
+            for t_key, b_part in t_rows.items()
+            if self.matches(a_part[1:], b_part[1:])
         }
         wide: KeyedRows = {}
         new_ids: KeyedRows = dict(id_rows)
-        matched_s: set[Key] = set()
-        matched_t: set[Key] = set()
-        for s_key, a_part in s_rows.items():
-            a_payload = a_part[1:]  # strip visible id column
-            for t_key, b_part in t_rows.items():
-                b_payload = b_part[1:]
-                if not self.matches(a_payload, b_payload):
-                    continue
-                if (s_key, t_key) in removed:
-                    matched_s.add(s_key)
-                    matched_t.add(t_key)
-                    continue
-                r_key = pair_to_r.get((s_key, t_key))
-                if r_key is None:
-                    r_key = ctx.allocate_id(SEQ_R)
-                    pair_to_r[(s_key, t_key)] = r_key
-                new_ids[r_key] = (s_key, t_key)
-                wide[r_key] = a_payload + b_payload
-                matched_s.add(s_key)
-                matched_t.add(t_key)
-        splus = {k: v for k, v in s_rows.items() if k not in matched_s}
-        tplus = {k: v for k, v in t_rows.items() if k not in matched_t}
+        for r_key, pair in id_rows.items():
+            if pair in pairs and pair not in removed:
+                wide[r_key] = pairs[pair]
+        recorded = set(id_rows.values())
+        for pair, payload in pairs.items():
+            if pair not in removed and pair not in recorded:
+                r_key = ctx.allocate_id(SEQ_R)
+                new_ids[r_key] = pair
+                wide[r_key] = payload
+        matched_s = {s_key for s_key, _t in pairs}
+        matched_t = {t_key for _s, t_key in pairs}
         return {
             "R": wide,
             "ID": new_ids,
-            "Splus": splus,
-            "Tplus": tplus,
+            "Splus": {k: v for k, v in s_rows.items() if k not in matched_s},
+            "Tplus": {k: v for k, v in t_rows.items() if k not in matched_t},
         }
 
     def unjoin(self, ctx: MapContext) -> SideState:
-        """Wide → narrow (B.6 γ_src; also B.4 γ_tgt modulo roles)."""
+        """Wide → narrow (B.6 γ_src; also B.4 γ_tgt modulo roles): each
+        wide row's narrow identifiers (:func:`_narrow_ids`), its narrow
+        rows, and the stored unmatched ones."""
         wide = ctx.read("R")
         id_rows = ctx.read("ID")
-        s_payload_to_key: dict[Row, Key] = {}
-        t_payload_to_key: dict[Row, Key] = {}
+        written = ctx.written("R")
+        s_arity = self.s_schema.arity - 1  # minus the visible id column
+        picked = []
+        for side, sequence in enumerate((SEQ_S, SEQ_T)):
+            def part(row: Row | None) -> Row | None:
+                if row is None:
+                    return None
+                return row[:s_arity] if side == 0 else row[s_arity:]
+
+            rows = [
+                (
+                    r_key,
+                    part(written.get(r_key, row)),
+                    part(row),
+                    id_rows[r_key][side] if r_key in id_rows else None,
+                )
+                for r_key, row in wide.items()
+            ]
+            picked.append(_narrow_ids(rows, lambda: ctx.allocate_id(sequence)))
         s_rows: KeyedRows = {}
         t_rows: KeyedRows = {}
         new_ids: KeyedRows = {}
         removed: KeyedRows = {}
-        s_arity = self.s_schema.arity - 1  # minus the visible id column
         for r_key, row in wide.items():
-            a_payload, b_payload = row[:s_arity], row[s_arity:]
-            recorded = id_rows.get(r_key)
-            if recorded is not None:
-                s_key, t_key = recorded
-            else:
-                s_key = s_payload_to_key.get(a_payload)
-                t_key = t_payload_to_key.get(b_payload)
-                if s_key is None:
-                    s_key = ctx.allocate_id(SEQ_S)
-                if t_key is None:
-                    t_key = ctx.allocate_id(SEQ_T)
-            s_payload_to_key.setdefault(a_payload, s_key)
-            t_payload_to_key.setdefault(b_payload, t_key)
-            s_rows[s_key] = (s_key, *a_payload)
-            t_rows[t_key] = (t_key, *b_payload)
+            s_key, t_key = picked[0][r_key], picked[1][r_key]
+            s_rows[s_key] = (s_key, *row[:s_arity])
+            t_rows[t_key] = (t_key, *row[s_arity:])
             new_ids[r_key] = (s_key, t_key)
         for s_key, s_row in ctx.read("Splus").items():
             s_rows.setdefault(s_key, s_row)
@@ -189,23 +192,67 @@ class _CondJoinLens:
             t_rows.setdefault(t_key, t_row)
         # Rule 200: surviving narrow rows whose combination satisfies the
         # condition but is absent from the wide side were deleted there.
-        counter = 0
+        paired = set(new_ids.values())
         for s_key, s_row in s_rows.items():
             for t_key, t_row in t_rows.items():
-                if not self.matches(s_row[1:], t_row[1:]):
-                    continue
-                r_key = next(
-                    (r for r, pair in new_ids.items() if pair == (s_key, t_key)), None
-                )
-                if r_key is None or r_key not in wide:
-                    counter += 1
-                    removed[counter] = (s_key, t_key)
+                if (s_key, t_key) not in paired and self.matches(s_row[1:], t_row[1:]):
+                    removed[len(removed) + 1] = (s_key, t_key)
         return {
             "S": s_rows,
             "T": t_rows,
             "ID": new_ids,
             "Rminus": removed,
         }
+
+
+def _narrow_ids(rows, fresh) -> dict[Key, Key]:
+    """The narrow identifier each wide row takes on one side, given its
+    ``(r, payload before the put or None, payload, recorded identifier or
+    None)``.
+
+    The put changes its rows one at a time, as the delta code's triggers
+    do; a row the put leaves with its payload keeps what ID records.  A
+    changed row, or one ID lacks, takes the least identifier another row
+    of its payload has, else the one recorded for it, else a fresh one.
+    The other rows that have that identifier under another payload then
+    take the least other one their payload has, else a fresh one per
+    payload.  So an UPDATE of every row sharing an identifier keeps it,
+    in any row order, and of some of them gives the others a new one."""
+    payload_of: dict[Key, Row | None] = {}  # row -> its payload so far
+    ids: dict[Key, Key] = {}
+    members: dict[Key, set] = {}  # identifier -> rows having it
+    named: dict = {}  # payload -> {identifier: how many rows have it}
+
+    def place(r_key: Key, payload, key: Key) -> None:
+        if r_key in ids:
+            members[ids[r_key]].discard(r_key)
+            counts = named[payload_of[r_key]]
+            counts[ids[r_key]] -= 1
+            if not counts[ids[r_key]]:
+                del counts[ids[r_key]]
+        payload_of[r_key], ids[r_key] = payload, key
+        members.setdefault(key, set()).add(r_key)
+        counts = named.setdefault(payload, {})
+        counts[key] = counts.get(key, 0) + 1
+
+    for r_key, before, _payload, key in rows:
+        payload_of[r_key] = before
+        if key is not None:
+            place(r_key, before, key)
+    for r_key, before, payload, key in rows:
+        if key is not None and before == payload:
+            continue
+        known = named.get(payload)
+        taken = min(known) if known else ids[r_key] if r_key in ids else fresh()
+        place(r_key, payload, taken)
+        moved: dict = {}
+        for other in [o for o in members[taken] if payload_of[o] != payload]:
+            theirs = payload_of[other]
+            if theirs not in moved:
+                left = [k for k in named[theirs] if k != taken]
+                moved[theirs] = min(left) if left else fresh()
+            place(other, theirs, moved[theirs])
+    return ids
 
 
 def _with_id_column(name: str, columns) -> TableSchema:
@@ -276,14 +323,11 @@ class DecomposeCondSemantics(SmoSemantics):
     def sequences(self) -> tuple[str, ...]:
         return (SEQ_R, SEQ_S, SEQ_T)
 
-    def _wide_as_lens(self, ctx: MapContext) -> KeyedRows:
+    def _wide_as_lens(self, row: Row) -> Row:
         """Reorder the source's columns into (A..., B...) lens order."""
-        out: KeyedRows = {}
-        for key, row in ctx.read("R").items():
-            out[key] = tuple(row[i] for i in self._s_indices) + tuple(
-                row[i] for i in self._t_indices
-            )
-        return out
+        return tuple(row[i] for i in self._s_indices) + tuple(
+            row[i] for i in self._t_indices
+        )
 
     def _lens_to_wide(self, row: Row) -> Row:
         values: list = [None] * self.source_schemas[0].arity
@@ -295,7 +339,14 @@ class DecomposeCondSemantics(SmoSemantics):
         return tuple(values)
 
     def map_forward(self, ctx: MapContext) -> SideState:
-        adapter = _RoleAdapter(ctx, {"R": self._wide_as_lens(ctx)})
+        adapter = _RoleAdapter(
+            ctx,
+            {"R": {k: self._wide_as_lens(v) for k, v in ctx.read("R").items()}},
+            {
+                k: v if v is None else self._wide_as_lens(v)
+                for k, v in ctx.written("R").items()
+            },
+        )
         state = self._lens.unjoin(adapter)
         return {
             "S": state["S"],
@@ -412,16 +463,23 @@ class InnerJoinCondSemantics(SmoSemantics):
 
 
 class _RoleAdapter(MapContext):
-    """Overlay specific role extents on top of another context."""
+    """Overlay specific role extents, and the rows R's put writes, on top
+    of another context."""
 
-    def __init__(self, inner: MapContext, overrides: dict[str, KeyedRows]):
+    def __init__(
+        self, inner: MapContext, overrides: dict[str, KeyedRows], written: dict
+    ):
         self._inner = inner
         self._overrides = overrides
+        self._written = written
 
     def read(self, role: str) -> KeyedRows:
         if role in self._overrides:
             return self._overrides[role]
         return self._inner.read(role)
+
+    def written(self, role: str) -> dict[Key, Row | None]:
+        return self._written if role == "R" else self._inner.written(role)
 
     def allocate_id(self, sequence_role: str) -> Key:
         return self._inner.allocate_id(sequence_role)

@@ -275,56 +275,6 @@ class DecomposeFkSemantics(SmoSemantics):
         self._cache = cache
         return cache
 
-    def maintain_shared_aux(self, side, changes, ctx):
-        """Key-local ID upkeep after direct writes to physical tables."""
-        cache = self._ensure_cache(ctx)
-        id_out = TableChange()
-        if side == "source":
-            change = changes.get("R")
-            if change is None or change.empty:
-                return {}
-            id_rows = ctx.read_keys("ID", change.keys())
-            for key in change.deletes:
-                id_out.deletes.add(key)
-            for key, row in change.upserts.items():
-                _, b_part = self._lens.split_row(row)
-                entry = id_rows.get(key)
-                fk = entry[0] if entry else None
-                if fk is not None and cache.by_fk.get(fk) == b_part:
-                    continue  # unchanged assignment
-                if is_all_null(b_part):
-                    fk = None
-                else:
-                    existing = cache.by_payload.get(b_part)
-                    if existing is not None:
-                        fk = existing
-                    elif fk is not None and self._fk_exclusively_owned(key, fk, ctx):
-                        # The row's payload changed and nobody shares the
-                        # target row: update it in place (Rule 141).
-                        cache.put(fk, b_part)
-                    else:
-                        fk = ctx.allocate_id(SEQUENCE_ROLE)
-                        cache.put(fk, b_part)
-                id_out.upserts[key] = (fk,)
-            return {"ID": id_out} if not id_out.empty else {}
-        # side == 'target': S carries the authoritative p→fk mapping.
-        s_change = changes.get("S", TableChange())
-        t_change = changes.get("T", TableChange())
-        for key in s_change.deletes:
-            id_out.deletes.add(key)
-        for key, row in s_change.upserts.items():
-            id_out.upserts[key] = (row[-1],)
-        for fk, t_row in t_change.upserts.items():
-            cache.put(fk, t_row[1:])
-        for fk in t_change.deletes:
-            cache.drop(fk)
-        return {"ID": id_out} if not id_out.empty else {}
-
-    def _fk_exclusively_owned(self, key: Key, fk: Key, ctx: MapContext) -> bool:
-        id_rows = ctx.read("ID")
-        owners = [p for p, entry in id_rows.items() if entry and entry[0] == fk]
-        return owners == [key]
-
     def validate(self) -> None:
         source = self.source_schemas[0]
         listed = list(self.node.first_columns) + list(self.node.second_columns)

@@ -49,12 +49,6 @@ class CreateTableSemantics(SmoSemantics):
     def gamma_src_rules(self) -> RuleSet:
         return RuleSet((), name="create_table.gamma_src")
 
-    def propagate_forward(self, changes, ctx):  # pragma: no cover - unused
-        return dict(changes)
-
-    def propagate_backward(self, changes, ctx):  # pragma: no cover - unused
-        return {}
-
 
 class DropTableSemantics(SmoSemantics):
     """``DROP TABLE R`` — the target side holds the retired rows in an

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.bidel.smo.base import KeyedRows, MapContext
-from repro.relational.table import Key
+from repro.relational.table import Key, Row
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.genealogy import SmoInstance
@@ -35,12 +35,14 @@ class EngineMapContext(MapContext):
         output_side: str,  # 'source' | 'target' — the side the map produces
         cache: ReadCache | None = None,
         overrides: dict[str, KeyedRows] | None = None,
+        written: dict[str, dict[Key, Row | None]] | None = None,
     ):
         self._engine = engine
         self._smo = smo
         self._output_side = output_side
         self._cache = cache if cache is not None else {}
         self._overrides = overrides or {}
+        self._written = written or {}
         semantics = smo.semantics
         assert semantics is not None
         self._source_by_role = dict(zip(semantics.source_roles, smo.sources))
@@ -88,6 +90,9 @@ class EngineMapContext(MapContext):
             extent = self._engine.read_stored(tv)
             return {k: extent[k] for k in keys if k in extent}
         return self._engine.read_table_version_keys(tv, keys, cache=self._cache)
+
+    def written(self, role: str) -> dict[Key, Row | None]:
+        return self._written.get(role, {})
 
     def allocate_id(self, sequence_role: str) -> Key:
         return self._engine.allocate_key()

@@ -576,7 +576,7 @@ class InVerDa:
         if own_log:
             self._undo_log = []
         try:
-            self._propagate_batch([(tv, change)], cache={}, visited=set())
+            self._propagate_batch([(tv, change)], cache={}, visited={})
         except Exception:
             if own_log:
                 self._rollback()
@@ -615,7 +615,7 @@ class InVerDa:
             if log is not None and old is not None:
                 log.append((table.name, key, old))
         for key, row in change.upserts.items():
-            old = table.get(key)
+            old = change.replaced[key] = table.get(key)
             if log is not None:
                 log.append((table.name, key, old))
             table.upsert(key, row)
@@ -669,11 +669,14 @@ class InVerDa:
         self,
         batch: list[tuple[TableVersion, TableChange]],
         cache: ReadCache,
-        visited: set[int],
+        visited: dict[int, str],
     ) -> None:
         """One wavefront step: apply the physical parts of the batch, then
-        carry the changes across every adjacent, not-yet-visited SMO that
-        leads to stored state. Changes destined for one SMO are grouped so
+        carry the changes across every adjacent SMO that leads to stored
+        state and has not been crossed the other way (``visited``: uid ->
+        direction) — never back across the SMO that wrote them, but again
+        across one a change reaches along a second path, as the delta
+        code's cascade does. Changes destined for one SMO are grouped so
         multi-source SMOs (MERGE, JOIN) see all their roles at once."""
         for tv, change in batch:
             if change.empty:
@@ -696,9 +699,11 @@ class InVerDa:
             if tv.incoming is not None and not tv.incoming.is_initial:
                 adjacent.append(tv.incoming)
             for smo in adjacent:
-                if smo.uid in visited or smo.is_initial:
+                if smo.is_initial:
                     continue
                 direction = "forward" if tv in smo.sources else "backward"
+                if visited.get(smo.uid, direction) != direction:
+                    continue
                 is_route = self._is_storage_route(tv, smo)
                 if not is_route and not self._needs_propagation(smo, direction):
                     continue
@@ -719,10 +724,10 @@ class InVerDa:
                         grouped[smo.uid][2][role] = change
 
         for smo_uid in order:
-            if smo_uid in visited:
-                continue
             smo, direction, role_changes = grouped[smo_uid]
-            visited.add(smo_uid)
+            if smo_uid in visited:
+                cache.clear()  # a second path: what the first wrote is read afresh
+            visited[smo_uid] = direction
             output_side = "target" if direction == "forward" else "source"
             ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
             if direction == "forward":
@@ -740,7 +745,7 @@ class InVerDa:
         *,
         direction: str,
         cache: ReadCache,
-        visited: set[int],
+        visited: dict[int, str],
     ) -> None:
         semantics = smo.semantics
         data_roles = (
@@ -787,13 +792,25 @@ class InVerDa:
             else dict(zip(semantics.target_roles, smo.targets))
         )
         overrides: dict[str, KeyedRows] = {}
+        written: dict[str, dict] = {}
         for role, tv in input_roles.items():
             extent = dict(self.read_table_version(tv, cache=cache))
-            changes.get(role, TableChange()).apply_to(extent)
+            change = changes.get(role, TableChange())
+            # A stored table holds the change already; it kept what it replaced.
+            written[role] = {
+                key: change.replaced[key] if key in change.replaced else extent.get(key)
+                for key in change.upserts
+            }
+            change.apply_to(extent)
             overrides[role] = extent
         output_side = "target" if direction == "forward" else "source"
         ctx = EngineMapContext(
-            self, smo, output_side=output_side, cache=cache, overrides=overrides
+            self,
+            smo,
+            output_side=output_side,
+            cache=cache,
+            overrides=overrides,
+            written=written,
         )
         new_state: SideState = (
             semantics.map_forward(ctx) if direction == "forward" else semantics.map_backward(ctx)
@@ -963,7 +980,9 @@ class InVerDa:
             table.replace_all(extent)
             new_tables[table.name] = table
 
-        # 2. Auxiliary tables for each SMO's newly stored side.
+        # 2. Auxiliary tables for each SMO's newly stored side.  An SMO
+        #    the move leaves as it is keeps its own: no map of the other
+        #    side recovers all they hold (codegen.migration_statements).
         for smo in self.genealogy.evolution_smos():
             semantics = smo.semantics
             if semantics is None:
@@ -972,6 +991,11 @@ class InVerDa:
             side_aux = semantics.aux_tgt() if will_be_materialized else semantics.aux_src()
             needed_roles = set(side_aux) | set(semantics.aux_shared())
             if not needed_roles:
+                continue
+            if will_be_materialized == smo.materialized:
+                for role in needed_roles:
+                    name = smo.aux_table_name(role)
+                    new_tables[name] = self.database.table(name)
                 continue
             output_side = "target" if will_be_materialized else "source"
             ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)

@@ -53,20 +53,14 @@ class TriSystem:
             finally:
                 conn.close()
 
-    def check(self, context: str, *, memory: bool = True) -> None:
-        """Flat and nested against memory — or, without ``memory``, flat
-        against nested."""
-        states = {
-            label: visible_state(getattr(self, label), self.backends[label])
-            for label in ("flat", "nested")
-        }
-        if memory:
-            reference = (self.mem, visible_state(self.mem))
-        else:
-            reference = (self.nested, states.pop("nested"))
-        for label, state in states.items():
+    def check(self, context: str) -> None:
+        """Flat and nested against memory."""
+        reference = visible_state(self.mem)
+        for label in ("flat", "nested"):
+            engine = getattr(self, label)
+            state = visible_state(engine, self.backends[label])
             try:
-                assert_states_match(*reference, getattr(self, label), state)
+                assert_states_match(self.mem, reference, engine, state)
             except AssertionError as exc:
                 raise AssertionError(f"[{context}/{label}] {exc}") from None
 
@@ -173,9 +167,8 @@ def test_flat_nested_memory_differential(name, seed):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_condition_chain_composed_matches_nested(seed):
     """The condition SMOs' composed views serve what their nested stack
-    serves, after writes at either end of the chain and after a move.
-    Memory is a leg until the first write: it still resolves some
-    condition-lens puts differently from the write programs."""
+    and the memory engine serve, after writes at either end of the chain
+    and after a move."""
     rng = random.Random(seed)
     tri = TriSystem()
     tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER, c INTEGER, w TEXT);")
@@ -195,13 +188,131 @@ def test_condition_chain_composed_matches_nested(seed):
             else:
                 version, sql = "v1", "INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)"
             tri.run(version, sql, row)
-            tri.check(f"condition/{seed}/write-{index}@{version}", memory=False)
+            tri.check(f"condition/{seed}/write-{index}@{version}")
         for engine in (tri.mem, tri.flat, tri.nested):
             schemas = enumerate_valid_materializations(engine.genealogy)
             engine.apply_materialization(schemas[len(schemas) // 2])
-        tri.check(f"condition/{seed}/after-materialization", memory=False)
+        tri.check(f"condition/{seed}/after-materialization")
     finally:
         tri.close()
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        CONDITION_CHAIN,
+        ["DECOMPOSE TABLE R INTO S(a, w), T(b, c) ON a <= b", "JOIN TABLE S, T INTO J ON a <= b"],
+    ],
+    ids=["condition_chain", "decompose_then_join"],
+)
+def test_condition_writes_agree_at_every_table(chain):
+    """Inserts, deletes and multi-row updates of a column outside the
+    conditions at every table of every version, under each valid
+    materialization: memory ≡ composed ≡ nested after each write."""
+    index, count = 0, 1  # count: the valid materializations, once the chain is built
+    while index < count:
+        rng = random.Random(index)
+        tri = TriSystem()
+        tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER, c INTEGER, w TEXT);")
+        tri.attach()
+        try:
+            for _ in range(5):
+                row = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4), rng.choice(WORDS))
+                tri.run("v1", "INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)", row)
+            for step, evolution in enumerate(chain, start=2):
+                tri.ddl(f"CREATE SCHEMA VERSION v{step} FROM v{step - 1} WITH {evolution};")
+            for engine in (tri.mem, tri.flat, tri.nested):
+                schemas = enumerate_valid_materializations(engine.genealogy)
+                engine.apply_materialization(schemas[index])
+            count = len(schemas)
+            for version in sorted(v.name for v in tri.mem.genealogy.active_versions()):
+                for table in sorted(tri.mem.genealogy.schema_version(version).table_names()):
+                    tv = tri.mem.genealogy.schema_version(version).table_version(table)
+                    columns = [c.name for c in tv.schema.columns if c.name != "id"]
+                    values = tuple(
+                        rng.choice(WORDS) if c in ("w", "word") else rng.randint(0, 4)
+                        for c in columns
+                    )
+                    tri.run(
+                        version,
+                        f"INSERT INTO {table}({', '.join(columns)}) "
+                        f"VALUES ({', '.join('?' for _ in columns)})",
+                        values,
+                    )
+                    tri.check(f"{index}/insert@{version}.{table}")
+                    tri.run(version, f"DELETE FROM {table} WHERE {columns[0]} = ?", (rng.randint(0, 4),))
+                    tri.check(f"{index}/delete@{version}.{table}")
+                    for text in {"w", "word"} & set(columns):
+                        tri.run(
+                            version,
+                            f"UPDATE {table} SET {text} = ? WHERE {columns[0]} <= ?",
+                            (rng.choice(WORDS), rng.randint(1, 4)),
+                        )
+                        tri.check(f"{index}/update@{version}.{table}")
+        finally:
+            tri.close()
+        index += 1
+
+
+@pytest.mark.parametrize("materialized", [False, True], ids=["virtual", "materialized"])
+def test_a_narrow_write_leaves_the_join_of_the_narrow_sides(materialized):
+    """A wide row that never met its condition, (6, 4) under x = y, is not
+    in the join of the narrow sides: once a narrow write regenerates the
+    wide side from them (or at once, where the narrow side is stored), v1
+    reads two rows on every engine."""
+    tri = TriSystem()
+    tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE Pair(x INTEGER, y INTEGER);")
+    tri.attach()
+    try:
+        for row in ((1, 1), (2, 2)):
+            tri.run("v1", "INSERT INTO Pair VALUES (?, ?)", row)
+        tri.ddl(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+            "DECOMPOSE TABLE Pair INTO Xs(x), Ys(y) ON x = y;"
+        )
+        if materialized:
+            tri.ddl("MATERIALIZE 'v2';")
+        tri.run("v1", "INSERT INTO Pair VALUES (6, 4)")
+        tri.check("pair")
+        tri.run("v2", "INSERT INTO Xs(x) VALUES (9)")
+        tri.check("xs")
+        for label in ("mem", "flat", "nested"):
+            state = visible_state(getattr(tri, label), tri.backends.get(label))
+            assert state[("v1", "Pair")] == [(1, 1), (2, 2)], label
+    finally:
+        tri.close()
+
+
+@pytest.mark.parametrize("at", [None, "v2", "v3"], ids=["v1", "v2", "v3"])
+def test_an_update_of_rows_sharing_an_identifier(at):
+    """Two wide rows share S's identifier.  An UPDATE of both moves them to
+    one S row on every engine, though SQLite puts them one at a time; an
+    UPDATE of one gives it an S row of its own and leaves the other's."""
+    for where, expected in (("a = 1", [(1, "y")]), ("c = 5", [(1, "x"), (1, "y")])):
+        tri = TriSystem()
+        tri.ddl("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER, c INTEGER, w TEXT);")
+        tri.attach()
+        try:
+            for row in ((1, 1, 5, "x"), (1, 1, 6, "x"), (2, 2, 7, "z")):
+                tri.run("v1", "INSERT INTO R(a, b, c, w) VALUES (?, ?, ?, ?)", row)
+            tri.ddl(
+                "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+                "DECOMPOSE TABLE R INTO S(a, w), T(b, c) ON a = b;"
+            )
+            tri.ddl("CREATE SCHEMA VERSION v3 FROM v2 WITH JOIN TABLE S, T INTO J ON a = b;")
+            if at:
+                tri.ddl(f"MATERIALIZE '{at}';")
+            for version, table in (("v1", "R"), ("v3", "J")):
+                tri.run(version, f"UPDATE {table} SET w = 'y' WHERE {where}")
+                tri.check(f"{at}/{where}@{version}")
+                for label in ("mem", "flat", "nested"):
+                    state = visible_state(getattr(tri, label), tri.backends.get(label))
+                    s_rows = [row[1:] for row in state[("v2", "S")] if row[1] == 1]
+                    assert sorted(s_rows) == expected, (label, version, where)
+                tri.run(version, f"UPDATE {table} SET w = 'x' WHERE a = 1")
+                tri.check(f"{at}/{where}@{version}/back")
+        finally:
+            tri.close()
 
 
 def _view_bodies(engine, flatten):

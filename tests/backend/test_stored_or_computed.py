@@ -148,6 +148,29 @@ def test_split_on_the_added_column(emission, at):
 
 
 @pytest.mark.parametrize("emission", sorted(EMISSIONS))
+def test_a_move_that_leaves_the_added_column_keeps_it_computed(emission):
+    """A move that does not flip ADD COLUMN keeps its aux table B as it
+    is: a value never written stays computed, a written one stays
+    stored."""
+    ds = _dual(
+        emission, "R(a INTEGER, b INTEGER)", [(i, i * 10) for i in range(4)],
+        ["RENAME COLUMN b IN R TO bb", "ADD COLUMN c AS a + bb INTO R"], "v1",
+    )
+    try:
+        _run_all(ds, [("v3", "UPDATE R SET c = ? WHERE a = ?", (123, 2))], emission)
+        ds.materialize("v2")  # flips RENAME; ADD COLUMN stays virtual
+        ds.check(f"{emission}/moved")
+        _run_all(ds, [
+            ("v1", "UPDATE R SET a = ? WHERE a = ?", (10, 3)),
+            ("v2", "UPDATE R SET bb = ? WHERE a = ?", (5, 1)),
+        ], f"{emission}/moved")
+        mem, sq = _both(ds, "v3", "SELECT a, c FROM R ORDER BY a")
+        assert mem == sq == [(0, 0), (1, 6), (2, 123), (10, 40)], sq
+    finally:
+        ds.close()
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
 @pytest.mark.parametrize("at", ["v1", "v2"])
 def test_drop_column_default(emission, at):
     """DROP COLUMN's aux table is on the target side: with the data there

@@ -44,9 +44,7 @@ from tests.backend.test_differential import CHAINS, WORDS, _apply_materializatio
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 
 # The differential chains plus the condition lens (generated identifiers
-# on both sides, full regeneration on a wide write).  Its rows stay on the
-# diagonal: the memory engine and the delta code disagree about wide rows
-# that never satisfied the condition, which is not this file's subject.
+# on both sides, a staged put on every write).
 ALL_CHAINS = {
     **CHAINS,
     "condition_decompose": (
@@ -168,18 +166,13 @@ def _check_views(ds: DualSystem, rng: random.Random, context: str) -> int:
     return compared
 
 
-def _insert_fresh_rows(
-    ds: DualSystem, rng: random.Random, context: str, *, diagonal: bool
-) -> None:
+def _insert_fresh_rows(ds: DualSystem, rng: random.Random, context: str) -> None:
     for version in sorted(ds.mem.genealogy.active_versions(), key=lambda v: v.name):
         for table in sorted(version.table_names()):
             tv = version.table_version(table)
             columns = [c for c in tv.schema.columns if c.name != tv.key_column]
-            same = rng.randint(7, 99)
             values = tuple(
-                rng.choice(WORDS) if c.dtype == DataType.TEXT
-                else same if diagonal
-                else rng.randint(0, 6)
+                rng.choice(WORDS) if c.dtype == DataType.TEXT else rng.randint(0, 6)
                 for c in columns
             )
             sql = (
@@ -202,9 +195,7 @@ def test_insert_into_a_view_is_an_upsert(name, emission):
             _apply_materialization(ds, index)
             context = f"{name}/{emission}/materialization-{index}"
             compared += _check_views(ds, rng, context)
-            _insert_fresh_rows(
-                ds, rng, context, diagonal=name == "condition_decompose"
-            )
+            _insert_fresh_rows(ds, rng, context)
         assert compared > count
     finally:
         ds.close()

@@ -216,6 +216,25 @@ STAMP_9_SKU = (
 )
 
 
+#: A condition decomposition over the orders file's base Inventory, and
+#: its narrow Held table's DELETE trigger as emission stamp 10 wrote it.
+STAMP_10_COND = (
+    "CREATE SCHEMA VERSION v4 FROM v3 WITH "
+    "DECOMPOSE TABLE Inventory INTO Stock(sku, stock), Held(reserved) ON stock = reserved;"
+)
+STAMP_10_HELD_DELETE = """CREATE TRIGGER tg__6__delete INSTEAD OF DELETE ON v6__Held
+BEGIN
+  DELETE FROM put__4__S;
+  INSERT INTO put__4__S SELECT p, id, sku, stock FROM v5__Stock;
+  DELETE FROM put__4__scratch;
+  INSERT INTO put__4__scratch (p) SELECT i.p FROM aux__4__ID i WHERE i.t IS OLD.p;
+  DELETE FROM v1__Inventory WHERE p IN (SELECT p FROM put__4__scratch);
+  DELETE FROM aux__4__Tplus WHERE p IS OLD.p;
+  DELETE FROM aux__4__Splus WHERE EXISTS (SELECT 1 FROM v6__Held m WHERE ((aux__4__Splus.stock = m.reserved)) IS TRUE);
+  INSERT OR REPLACE INTO aux__4__Splus (p, id, sku, stock) SELECT o.p, o.id, o.sku, o.stock FROM put__4__S o WHERE NOT EXISTS (SELECT 1 FROM v6__Held m WHERE ((o.stock = m.reserved)) IS TRUE);
+END"""
+
+
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -378,7 +397,7 @@ class TestDeltaCodeReuse:
         "older",
         [
             "unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7",
-            "stamp-8", "stamp-9",
+            "stamp-8", "stamp-9", "stamp-10",
         ],
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
@@ -395,7 +414,8 @@ class TestDeltaCodeReuse:
         are two branches, or 8, whose guards read a partition's
         pass-through view and whose deletes hop into the unified view
         (with the data at the partitions), or 9, whose FK views are
-        hand-written — is regenerated on open, once."""
+        hand-written, or 10, whose condition SMOs' write programs are
+        too — is regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -427,9 +447,13 @@ class TestDeltaCodeReuse:
                 patch.setattr(codegen, "EMISSION_STAMP", 8)
             if older == "stamp-9":
                 patch.setattr(codegen, "EMISSION_STAMP", 9)
+            if older == "stamp-10":
+                patch.setattr(codegen, "EMISSION_STAMP", 10)
             engine = build_orders(2, 8, 2).engine
             if older == "stamp-9":
                 engine.execute(STAMP_9_FK)
+            if older == "stamp-10":
+                engine.execute(STAMP_10_COND)
             backend = LiveSqliteBackend.attach(engine, database=path)
             if older == "stamp-8":
                 engine.execute("MATERIALIZE 'v3';")
@@ -493,6 +517,10 @@ class TestDeltaCodeReuse:
             for (trigger,) in triggers:
                 handle.execute(trigger)
             stamp_3_views = view_script(handle)
+        if older == "stamp-10":
+            # Stamp 10 wrote the condition SMOs' write programs by hand.
+            handle.execute("DROP TRIGGER tg__6__delete")
+            handle.execute(STAMP_10_HELD_DELETE)
         if older == "unstamped":
             handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
         handle.commit()
@@ -552,6 +580,12 @@ class TestDeltaCodeReuse:
                 assert changed == {sku_view}
                 assert "GROUP BY" in stamp_3_views[sku_view]
                 assert installed[sku_view].startswith(f"CREATE VIEW {sku_view} AS\nSELECT DISTINCT ")
+                assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
+            if older == "stamp-10":
+                # The hand-written trigger is replaced; the views stay.
+                assert installed == stamp_3_views
+                assert backend.last_install["created"] == backend.last_install["dropped"] == 1
+                assert STAMP_10_HELD_DELETE not in trigger_script(backend.connection)
                 assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
