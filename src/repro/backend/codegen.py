@@ -30,6 +30,7 @@ from repro.backend.compose import ViewComposer
 from repro.backend.emit import q, qcols, table_ddl
 from repro.backend.handlers import (
     HandlerContext,
+    IdentifierHandler,
     handler_for,
     has_shared_aux,
     own_row,
@@ -61,7 +62,9 @@ from repro.util.naming import physical_name
 #:      branch not proven key-preserving is SELECT DISTINCT.
 #: 11 = a condition SMO's write is one staged put: the stored side comes
 #:      from its rule set.
-EMISSION_STAMP = 11
+#: 12 = the FK and condition SMOs' writes are their rule sets' Δ rules
+#:      (:mod:`repro.datalog.delta`); their probed columns are indexed.
+EMISSION_STAMP = 12
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -230,13 +233,19 @@ def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> li
         handler = handler_for(ctx, smo)
         for name, columns in handler.put_tables().items():
             statements.append(table_ddl(name, columns))
-        for role, schema in smo.semantics.aux_shared().items():
-            table = smo.aux_table_name(role)
-            for column in schema.column_names:
-                index = physical_name("ix", str(smo.uid), role, column)
-                statements.append(
-                    f"CREATE INDEX IF NOT EXISTS {q(index)} ON {q(table)} ({q(column)})"
-                )
+        indexes = [
+            (smo.aux_table_name(role), (column,))
+            for role, schema in smo.semantics.aux_shared().items()
+            for column in schema.column_names
+        ]
+        if isinstance(handler, IdentifierHandler):
+            indexes += handler.probe_indexes()
+        for table, columns in indexes:
+            index = physical_name("ix", table.removeprefix("aux__"), *columns)
+            statements.append(
+                f"CREATE INDEX IF NOT EXISTS {q(index)} ON {q(table)} "
+                f"({', '.join(qcols(columns))})"
+            )
     return statements
 
 

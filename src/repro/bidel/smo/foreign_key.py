@@ -155,9 +155,10 @@ class _FkLens:
         )
 
     def join_rules(self, name: str) -> RuleSet:
-        """S, T → R (Rules 147–152): each S row with the B part its fk
+        """S, T → R, ID (Rules 147–152): each S row with the B part its fk
         references, else ω (one rule pair, so one probe of T), and each T
-        row no S row references, keyed by its identifier."""
+        row no S row references, keyed by its identifier; ID records the
+        identifier each wide row's B part has, ω for none."""
         a, b, p, fk = self._rule_terms()
         s_row, wide = Atom("S", (p, *self.s_row(a, fk))), Atom("R", (p, *self.combine(a, b)))
         t = Var("t")
@@ -166,15 +167,25 @@ class _FkLens:
         def anything(count: int) -> tuple:
             return tuple(wildcard() for _ in range(count))
 
+        def t_row(key) -> Atom:
+            return Atom("T", (key, *anything(len(b) + 1)))
+
+        def unreferenced(key) -> tuple:
+            return (
+                Atom("S", (wildcard(), *self.s_row(anything(len(a)), key)), False),
+                Atom("S", (key, *anything(len(a) + 1)), False),
+            )
+
         return RuleSet(
             (
                 Rule(wide, (s_row, Atom("T", (fk, wildcard(), *b)))),
-                Rule(wide, (s_row, *omega, Atom("T", (fk, *anything(len(b) + 1)), False))),
+                Rule(wide, (s_row, *omega, t_row(fk).negated())),
                 Rule(Atom("R", (t, *self.combine((OMEGA,) * len(a), b))), (
-                    Atom("T", (t, wildcard(), *b)),
-                    Atom("S", (wildcard(), *self.s_row(anything(len(a)), t)), False),
-                    Atom("S", (t, *anything(len(a) + 1)), False),
+                    Atom("T", (t, wildcard(), *b)), *unreferenced(t),
                 )),
+                Rule(Atom("ID", (p, fk)), (s_row, t_row(fk))),
+                Rule(Atom("ID", (p, OMEGA)), (s_row, t_row(fk).negated())),
+                Rule(Atom("ID", (t, t)), (t_row(t), *unreferenced(t))),
             ),
             name=name,
         )
@@ -354,10 +365,12 @@ class DecomposeFkSemantics(SmoSemantics):
             ):
                 t_out.deletes.add(fk)
                 cache.drop(fk)
+        left: set[Key] = set()  # identifiers an upsert moves away from
         for key, row in change.upserts.items():
             a_part, b_part = self._lens.split_row(row)
             entry = id_rows.get(key)
             fk = entry[0] if entry else None
+            recorded = fk
             if is_all_null(b_part):
                 fk = None
             elif fk is None or cache.by_fk.get(fk) != b_part:
@@ -371,6 +384,13 @@ class DecomposeFkSemantics(SmoSemantics):
             id_out.upserts[key] = (fk,)
             if fk is not None:
                 t_out.upserts[fk] = (fk, *b_part)
+            if recorded is not None and recorded != fk:
+                left.add(recorded)
+        # A T row no wide row derives any more goes, as the split rules say.
+        for fk in left - {row[0] for row in id_out.upserts.values()}:
+            if not self._fk_still_referenced(fk, ctx, exclude=keys):
+                t_out.deletes.add(fk)
+                cache.drop(fk)
         return {"S": s_out, "T": t_out, "ID": id_out}
 
     def _fk_still_referenced(self, fk: Key, ctx: MapContext, exclude: set[Key]) -> bool:
@@ -384,81 +404,11 @@ class DecomposeFkSemantics(SmoSemantics):
         return False
 
     def propagate_backward(self, changes, ctx):
-        s_change = changes.get("S", TableChange())
-        t_change = changes.get("T", TableChange())
-        if s_change.empty and t_change.empty:
-            return {}
-        wide_out = TableChange()
-        id_out = TableChange()
-        affected_fks = set(t_change.keys())
-        cache = self._ensure_cache(ctx)
-
-        # S-side changes: re-derive the wide row for each changed S key.
-        # The payload cache answers fk → payload without reading T.
-        t_lookup_keys = {
-            row[-1] for row in s_change.upserts.values() if row[-1] is not None
-        } | affected_fks
-        t_current: dict[Key, Row] = {}
-        missing: set[Key] = set()
-        for fk in t_lookup_keys:
-            payload = cache.by_fk.get(fk)
-            if payload is not None:
-                t_current[fk] = (fk, *payload)
-            else:
-                missing.add(fk)
-        if missing:
-            t_current.update(ctx.read_keys("T", missing))
-        for key, row in t_change.upserts.items():
-            t_current[key] = row
-            cache.put(key, row[1:])
-        for key in t_change.deletes:
-            t_current.pop(key, None)
-            cache.drop(key)
-
-        for key in s_change.deletes:
-            wide_out.deletes.add(key)
-            id_out.deletes.add(key)
-        for key, s_row in s_change.upserts.items():
-            a_part, fk = s_row[:-1], s_row[-1]
-            t_row = t_current.get(fk) if fk is not None else None
-            if t_row is not None:
-                wide_out.upserts[key] = self._lens.combine(a_part, t_row[1:])
-                id_out.upserts[key] = (fk,)
-            else:
-                wide_out.upserts[key] = self._lens.combine(a_part, None)
-                id_out.upserts[key] = (None,)
-
-        # T-side changes: every S row referencing a changed T row needs its
-        # wide row refreshed; unreferenced T rows surface keyed by their id.
-        if affected_fks:
-            s_extent = ctx.read("S")
-            referencing: dict[Key, list[tuple[Key, Row]]] = {}
-            for s_key, s_row in s_extent.items():
-                fk = s_row[-1]
-                if fk in affected_fks:
-                    referencing.setdefault(fk, []).append((s_key, s_row))
-            for fk in t_change.deletes:
-                wide_out.deletes.add(fk)  # was possibly surfaced as unreferenced
-                for s_key, s_row in referencing.get(fk, []):
-                    if s_key in s_change.deletes:
-                        continue
-                    wide_out.upserts[s_key] = self._lens.combine(s_row[:-1], None)
-                    id_out.upserts[s_key] = (None,)
-            for fk, t_row in t_change.upserts.items():
-                refs = [
-                    (s_key, s_row)
-                    for s_key, s_row in referencing.get(fk, [])
-                    if s_key not in s_change.deletes and s_key not in s_change.upserts
-                ]
-                for s_key, s_row in refs:
-                    wide_out.upserts[s_key] = self._lens.combine(s_row[:-1], t_row[1:])
-                    id_out.upserts[s_key] = (fk,)
-                if not refs and not any(
-                    row[-1] == fk for row in s_change.upserts.values()
-                ):
-                    wide_out.upserts[fk] = self._lens.combine(None, t_row[1:])
-                    id_out.upserts[fk] = (fk,)
-        return {"R": wide_out, "ID": id_out}
+        # A narrow write is the full lens put (the join rules, which also
+        # surface and retire unreferenced T rows); the payload index is
+        # rebuilt from what it leaves.
+        self._cache = None
+        return None
 
 
 class OuterJoinFkSemantics(SmoSemantics):

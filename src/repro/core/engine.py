@@ -52,9 +52,32 @@ from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
 from repro.errors import AccessError, CatalogError, EvolutionError
 from repro.relational.database import Database
+from repro.relational.schema import TableSchema
 from repro.relational.table import Key, Table
 
 _ID_COLUMN = "id"
+
+
+def _bind_smo(node: SmoNode, working: dict[str, TableSchema]):
+    """``(semantics, target schemas)`` of ``node`` over the working schema
+    ``working`` (table name -> schema), which it then advances past the
+    SMO; raises :class:`EvolutionError` for an SMO that does not apply."""
+    names = source_table_names(node)
+    for name in names:
+        if name not in working:
+            raise EvolutionError(
+                f"SMO {node.unparse()!r}: no table {name!r} in the working schema"
+            )
+    semantics = build_semantics(node, tuple(working.pop(name) for name in names))
+    targets = semantics.target_schemas()
+    for schema in targets:
+        if schema.name in working:
+            raise EvolutionError(
+                f"SMO {node.unparse()!r}: table {schema.name!r} already exists "
+                "in the working schema"
+            )
+        working[schema.name] = schema
+    return semantics, targets
 
 
 class RWLock:
@@ -339,12 +362,19 @@ class InVerDa:
         self, statement: CreateSchemaVersion
     ) -> tuple[SchemaVersion, list[SmoInstance]]:
         """The new version and the SMO instances it added."""
-        # Before any SMO is applied: a refused name must leave no SMO behind.
+        # Before any SMO is applied: a refused name or SMO must leave no
+        # SMO, table version, aux table or spent uid behind.  The script
+        # runs first over a schema-only working copy.
         self.genealogy.check_new_name(statement.name)
         working: dict[str, TableVersion] = {}
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
-        added = [self._apply_smo(node, working, statement.name) for node in statement.smos]
+        schemas = {name: tv.schema for name, tv in working.items()}
+        bound = [_bind_smo(node, schemas) for node in statement.smos]
+        added = [
+            self._apply_smo(node, working, statement.name, *binding)
+            for node, binding in zip(statement.smos, bound)
+        ]
         version = SchemaVersion(statement.name, working, parent=statement.source)
         self.genealogy.add_schema_version(version)
         self.genealogy.check_acyclic()
@@ -352,18 +382,11 @@ class InVerDa:
         return version, added
 
     def _apply_smo(
-        self, node: SmoNode, working: dict[str, TableVersion], evolution: str
+        self, node: SmoNode, working: dict[str, TableVersion], evolution: str,
+        semantics, target_schemas,
     ) -> SmoInstance:
-        source_names = source_table_names(node)
-        sources: list[TableVersion] = []
-        for name in source_names:
-            if name not in working:
-                raise EvolutionError(
-                    f"SMO {node.unparse()!r}: no table {name!r} in the working schema"
-                )
-            sources.append(working[name])
-        semantics = build_semantics(node, tuple(tv.schema for tv in sources))
-        target_schemas = semantics.target_schemas()
+        """Register ``node`` as :func:`_bind_smo` bound it over ``working``."""
+        sources = [working[name] for name in source_table_names(node)]
         targets = [
             self.genealogy.new_table_version(schema.name, schema, evolution)
             for schema in target_schemas
@@ -377,15 +400,9 @@ class InVerDa:
         )
         smo.semantics = semantics
         self._assign_key_columns(node, smo)
-        for name in source_names:
-            del working[name]
-        for tv in targets:
-            if tv.name in working:
-                raise EvolutionError(
-                    f"SMO {node.unparse()!r}: table {tv.name!r} already exists "
-                    "in the working schema"
-                )
-            working[tv.name] = tv
+        for tv in sources:
+            del working[tv.name]
+        working.update((tv.name, tv) for tv in targets)
 
         # Physical setup: CREATE TABLE targets are stored immediately; all
         # other SMOs start virtualized, so their source-side auxiliary

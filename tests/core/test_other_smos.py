@@ -191,3 +191,42 @@ class TestLongChains:
         engine.execute("MATERIALIZE 'v4';")
         assert count(engine, "v1", "T") == 2
         assert count(engine, "v6", "T") == 2
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_refused_script_registers_none_of_its_smos(backend):
+    """A multi-SMO script whose second SMO does not apply is refused before
+    its first is registered: no SMO, table version, aux table or uid is
+    spent, and a later evolve of the same name lists no orphan."""
+    from repro.backend.sqlite import LiveSqliteBackend
+    from repro.errors import EvolutionError
+
+    engine = engine_with("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
+    live = LiveSqliteBackend.attach(engine) if backend == "sqlite" else None
+    genealogy = engine.genealogy
+    counters = (genealogy._next_table_uid, genealogy._next_smo_uid)
+    fingerprint = engine.catalog_fingerprint()
+    try:
+        with pytest.raises(EvolutionError, match="NOPE"):
+            engine.execute(
+                "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+                "SPLIT TABLE R INTO P WITH a = 0, Q WITH a = 1; "
+                "ADD COLUMN c AS zz + 1 INTO NOPE;"
+            )
+        assert len(genealogy.smo_instances) == 1
+        assert len(genealogy.table_versions) == 1
+        assert (genealogy._next_table_uid, genealogy._next_smo_uid) == counters
+        assert engine.catalog_fingerprint() == fingerprint
+        tables = list(engine.database.tables)
+        if live is not None:
+            tables += [
+                name for (name,) in live.connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            ]
+        assert not [name for name in tables if name.startswith("aux__1__")]
+        engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME TABLE R INTO R2;")
+        assert [smo.smo_type for smo in genealogy.evolution_smos()] == ["RenameTable"]
+    finally:
+        if live is not None:
+            live.close()

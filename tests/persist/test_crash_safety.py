@@ -43,25 +43,43 @@ def build(tmp_path) -> DualSystem:
 
 EVOLUTION = "CREATE SCHEMA VERSION v3 FROM v2 WITH SPLIT TABLE R INTO Odd WITH a % 2 = 1;"
 
+# (evolution, a write at its new version): beside the SPLIT, the
+# identifier SMOs, whose evolution also initializes ID and indexes the
+# columns their programs probe.
+EVOLUTIONS = {
+    "split": (EVOLUTION, "INSERT INTO Odd(a, b, c) VALUES (1, 1, 2)"),
+    "decompose_fk": (
+        "CREATE SCHEMA VERSION v3 FROM v2 WITH "
+        "DECOMPOSE TABLE R INTO S(a, c), T(b) ON FOREIGN KEY fk;",
+        "INSERT INTO S(a, c) VALUES (1, 2)",
+    ),
+    "decompose_cond": (
+        "CREATE SCHEMA VERSION v3 FROM v2 WITH DECOMPOSE TABLE R INTO S(a, c), T(b) ON a = b;",
+        "INSERT INTO T(b) VALUES (4)",
+    ),
+}
 
+
+@pytest.mark.parametrize("evolution", sorted(EVOLUTIONS))
 @pytest.mark.parametrize(
     "point", ["evolution:after-catalog", "evolution:before-commit"]
 )
-def test_crash_mid_evolution(tmp_path, point):
+def test_crash_mid_evolution(tmp_path, point, evolution):
+    script, write = EVOLUTIONS[evolution]
     ds = build(tmp_path)
     try:
         ds.backend.fault_injector = injector(point)
         with pytest.raises(SimulatedCrash):
-            ds.sq.execute(EVOLUTION)
+            ds.sq.execute(script)
         # Reopen the file: the aborted transition must have left no trace,
         # so the recovered side still matches an engine that never saw it.
         ds.reopen()
         ds.check(f"recovered-after-{point}")
         # The catalog is fully functional: the same evolution now succeeds
         # on both sides, with identical uids (physical names line up).
-        ds.execute_ddl(EVOLUTION)
+        ds.execute_ddl(script)
         ds.check(f"evolved-after-{point}")
-        ds.run("v3", "INSERT INTO Odd(a, b, c) VALUES (?, ?, ?)", (1, 1, 2))
+        ds.run("v3", write)
         ds.check(f"written-after-{point}")
     finally:
         ds.close()

@@ -235,6 +235,19 @@ BEGIN
 END"""
 
 
+#: The FK decomposition of stamp 9, and its generated Sku table's DELETE
+#: trigger as emission stamp 11 wrote it: the FK write programs were
+#: hand-written.
+STAMP_11_SKU_DELETE = """CREATE TRIGGER tg__6__delete INSTEAD OF DELETE ON v6__Sku
+BEGIN
+  DELETE FROM put__4__S;
+  INSERT INTO put__4__S SELECT p, stock, reserved, item FROM v5__Stock WHERE item IS OLD.id;
+  DELETE FROM v1__Inventory WHERE p IS OLD.id;
+  UPDATE v1__Inventory SET sku = NULL WHERE p IN (SELECT p FROM put__4__S);
+  INSERT OR REPLACE INTO aux__4__ID (p, fk) SELECT p, NULL FROM put__4__S;
+END"""
+
+
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -397,7 +410,7 @@ class TestDeltaCodeReuse:
         "older",
         [
             "unstamped", "stamp-2", "stamp-3", "stamp-4", "stamp-5", "stamp-6", "stamp-7",
-            "stamp-8", "stamp-9", "stamp-10",
+            "stamp-8", "stamp-9", "stamp-10", "stamp-11",
         ],
     )
     def test_file_written_by_an_older_emitter_regenerates_once(
@@ -415,7 +428,8 @@ class TestDeltaCodeReuse:
         pass-through view and whose deletes hop into the unified view
         (with the data at the partitions), or 9, whose FK views are
         hand-written, or 10, whose condition SMOs' write programs are
-        too — is regenerated on open, once."""
+        too, or 11, whose FK write programs are — is regenerated on open,
+        once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -449,8 +463,10 @@ class TestDeltaCodeReuse:
                 patch.setattr(codegen, "EMISSION_STAMP", 9)
             if older == "stamp-10":
                 patch.setattr(codegen, "EMISSION_STAMP", 10)
+            if older == "stamp-11":
+                patch.setattr(codegen, "EMISSION_STAMP", 11)
             engine = build_orders(2, 8, 2).engine
-            if older == "stamp-9":
+            if older in ("stamp-9", "stamp-11"):
                 engine.execute(STAMP_9_FK)
             if older == "stamp-10":
                 engine.execute(STAMP_10_COND)
@@ -521,6 +537,10 @@ class TestDeltaCodeReuse:
             # Stamp 10 wrote the condition SMOs' write programs by hand.
             handle.execute("DROP TRIGGER tg__6__delete")
             handle.execute(STAMP_10_HELD_DELETE)
+        if older == "stamp-11":
+            # Stamp 11 wrote the FK SMOs' write programs by hand.
+            handle.execute("DROP TRIGGER tg__6__delete")
+            handle.execute(STAMP_11_SKU_DELETE)
         if older == "unstamped":
             handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
         handle.commit()
@@ -586,6 +606,12 @@ class TestDeltaCodeReuse:
                 assert installed == stamp_3_views
                 assert backend.last_install["created"] == backend.last_install["dropped"] == 1
                 assert STAMP_10_HELD_DELETE not in trigger_script(backend.connection)
+                assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
+            if older == "stamp-11":
+                # The hand-written trigger is replaced; the views stay.
+                assert installed == stamp_3_views
+                assert backend.last_install["created"] == backend.last_install["dropped"] == 1
+                assert STAMP_11_SKU_DELETE not in trigger_script(backend.connection)
                 assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
