@@ -30,7 +30,6 @@ from repro.backend.compose import ViewComposer
 from repro.backend.emit import q, qcols, table_ddl
 from repro.backend.handlers import (
     HandlerContext,
-    IdentifierHandler,
     handler_for,
     has_shared_aux,
     own_row,
@@ -218,10 +217,10 @@ def transition_scope(
 
 
 def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> list[str]:
-    """Idempotent DDL for the per-SMO staging tables of ``smos`` and
-    indexes over their always-stored ID tables (the trigger programs probe
-    them by identifier on every row write); for every evolution SMO, and
-    the sequence table, when ``smos`` is ``None``."""
+    """Idempotent DDL for the per-SMO staging tables of ``smos`` and the
+    indexes their programs probe (:meth:`~repro.backend.handlers.SmoHandler
+    .probe_indexes`); for every evolution SMO, and the sequence table, when
+    ``smos`` is ``None``."""
     ctx = HandlerContext(engine)
     statements = []
     if smos is None:
@@ -233,14 +232,7 @@ def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> li
         handler = handler_for(ctx, smo)
         for name, columns in handler.put_tables().items():
             statements.append(table_ddl(name, columns))
-        indexes = [
-            (smo.aux_table_name(role), (column,))
-            for role, schema in smo.semantics.aux_shared().items()
-            for column in schema.column_names
-        ]
-        if isinstance(handler, IdentifierHandler):
-            indexes += handler.probe_indexes()
-        for table, columns in indexes:
+        for table, columns in handler.probe_indexes():
             index = physical_name("ix", table.removeprefix("aux__"), *columns)
             statements.append(
                 f"CREATE INDEX IF NOT EXISTS {q(index)} ON {q(table)} "

@@ -357,6 +357,12 @@ class SmoHandler:
         the ``p`` key).  Default: none."""
         return {}
 
+    def probe_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
+        """``(physical table, columns)`` of each index the programs probe
+        by beside the key, over this SMO's physical data and aux tables
+        (default: none)."""
+        return []
+
     def _row_puts(self, tvs: Sequence[TableVersion]) -> dict[str, tuple[str, ...]]:
         """One row-snapshot staging table per table version, keyed by role."""
         return {
@@ -792,10 +798,14 @@ class _Reading:
         self.names[pred] = relation
         self.columns[pred] = self.columns[like]
 
-    def select(self, pred: str, rules: RuleSet, head_columns: tuple[str, ...]) -> str:
-        """``pred``'s rows by ``rules`` and these: every branch, by
-        ``UNION ALL`` (a row two rules derive is the same row twice)."""
-        flat = flatten(RuleSet((*rules.rules, *self.rules)), self.names, self.empty)
+    def flatten(self, rules: RuleSet) -> RuleSet:
+        """``rules`` and these, flattened over the bindings."""
+        return flatten(RuleSet((*rules.rules, *self.rules)), self.names, self.empty)
+
+    def select(self, pred: str, flat: RuleSet, head_columns: tuple[str, ...]) -> str:
+        """``pred``'s rows by the :meth:`flatten`\ ed rules ``flat``: every
+        branch, by ``UNION ALL`` (a row two rules derive is the same row
+        twice)."""
         return "\nUNION ALL\n".join(
             branch.sql()
             for branch in branches_for_rules(
@@ -885,11 +895,9 @@ class IdentifierHandler(SmoHandler):
                     tables[self._stage(head, sign)] = self._columns(head)
         return tables
 
-    def probe_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
-        """``(physical table, columns)`` of each index the Δ programs and
-        the allocation probe by, beside the key: the data tables of this
-        SMO's physical table versions, its stored aux tables."""
-        return []
+    def probe_indexes(self):
+        # The always-stored ID, probed by identifier on every row write.
+        return [(self._id_table(), (column,)) for column in self._columns("ID")]
 
     def _physical(self, role: str) -> str | None:
         """``role``'s physical table under the current materialization, or
@@ -961,7 +969,7 @@ class IdentifierHandler(SmoHandler):
             changed.append("ID")
         for head in heads:
             reading.bind(old(head), self._stored(head), head)
-        rules = self._derive(self._far_rules(tv), changed, heads)
+        rules = reading.flatten(self._derive(self._far_rules(tv), changed, heads))
         data = {*self.sem.source_roles, *self.sem.target_roles}
         stage, clear = [], []
         for head in heads:
@@ -1053,9 +1061,9 @@ class IdentifierHandler(SmoHandler):
             # The row the write replaces, read once.
             replaced = self.smo.put_table_name(role)
             key_only = (terms[0], *(wildcard() for _ in terms[1:]))
-            select = reading.select("replaced", RuleSet((Rule(
+            select = reading.select("replaced", reading.flatten(RuleSet((Rule(
                 Atom("replaced", terms), (Atom(WRITTEN, key_only), Atom(role, terms))
-            ),)), refs)
+            ),))), refs)
             reading.prologue = [
                 f"INSERT OR REPLACE INTO {replaced} (p, {', '.join(qcols(refs))}) {select}"
             ]
@@ -1099,7 +1107,7 @@ class FkHandler(IdentifierHandler):
         # referencing a T row).
         wide_tv, s_tv, t_tv, fk, _id_col, _a_cols, b_cols = self._parts()
         wanted = ((wide_tv, b_cols), (t_tv, b_cols), (s_tv, (fk,)))
-        return [
+        return super().probe_indexes() + [
             (table, columns)
             for tv, columns in wanted
             if columns and (table := self._physical(self.role_of(tv))) is not None
@@ -1265,7 +1273,8 @@ class CondHandler(IdentifierHandler):
         # Rminus's pair.
         condition = self.sem._lens.condition.columns()
         wide = self._physical("R")
-        indexes = [(wide, payload) for payload in self._payloads() if payload and wide]
+        indexes = super().probe_indexes()
+        indexes += [(wide, payload) for payload in self._payloads() if payload and wide]
         data = (*self.sem.source_roles, *self.sem.target_roles)
         tables = [(self._physical(role), role) for role in (*data, *self.sem.aux_src(), *self.sem.aux_tgt())]
         # A put's staged side is read like the tables it copies.
@@ -1313,8 +1322,8 @@ class CondHandler(IdentifierHandler):
 
     def _allocate(self, extents: dict[str, str], written: bool = False) -> list[str]:
         """Stage in scratch ID's new rows for one side's extents (role ->
-        relation: a write's side after it, the repair's views); the
-        repair's form records them too.
+        relation: the repair's views; a wide write's old rows and its
+        ``row``, when ``written``), recording them unless ``written``.
 
         A matching narrow pair ID lacks and Rminus does not suppress takes
         a fresh wide identifier.  A wide row ID lacks — the row ``NEW``,
@@ -1350,7 +1359,7 @@ class CondHandler(IdentifierHandler):
                 f"WHERE m.s IS s.p AND m.t IS t.p))",
                 advance,
             ]
-            return statements if written else statements + record
+            return statements + record
         wide = extents["R"]
         payloads = dict(zip("st", self._payloads()))
 
@@ -1427,12 +1436,11 @@ class CondHandler(IdentifierHandler):
     def _allocate_write(self, tv, op, routed, own, reading):
         id_table, scratch = self._id_table(), self.smo.put_table_name("scratch")
         skip = "" if own is None else f" AND NOT {own}"
-        staged = (
+        recorded = (
             f"(SELECT p, a AS s, b AS t FROM {scratch})",
             f"(SELECT p, s, t FROM {id_table} WHERE p IN (SELECT p FROM {scratch}))",
             [f"INSERT OR REPLACE INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}"],
         )
-        key = "OLD.p" if op == "DELETE" else "NEW.p"
         if self.role_of(tv) == "R":
             probe = self.ctx.probe(tv)
             # On the route, ID records the wide rows there are.
@@ -1450,7 +1458,7 @@ class CondHandler(IdentifierHandler):
                 f"{ref} AS {q(c)}" for c, ref in new_refs(tv.schema.column_names).items()
             )
             extents = {"R": probe, "row": f"(SELECT NEW.p AS p, {row}{_unless(own)})"}
-            return _Ids(self._allocate(extents, written=True) + kept, *staged)
+            return _Ids(self._allocate(extents, written=True) + kept, *recorded)
         if not routed and op == "DELETE":
             return None
         # A narrow write: the matching pairs ID lacks, of its side after it
@@ -1467,7 +1475,7 @@ class CondHandler(IdentifierHandler):
         )
         written = role if routed else plus(role)
         pair = Rule(Atom("pair", (s, t)), (Atom(written, atoms[role]), *rest))
-        select = reading.select("pair", RuleSet((pair,)), ("t",))
+        select = reading.select("pair", reading.flatten(RuleSet((pair,))), ("t",))
         seq = seq_value(emit.ROW_ID_SEQUENCE)
         _fresh, advance = emit.seq_draw(scratch)
         allocate = [
@@ -1477,7 +1485,7 @@ class CondHandler(IdentifierHandler):
             f"FROM (SELECT DISTINCT p, t FROM ({select})))",
             advance,
         ]
-        return _Ids(allocate, *staged)
+        return _Ids(allocate, *recorded)
 
     # -- repair ------------------------------------------------------------
 

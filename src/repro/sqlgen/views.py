@@ -454,12 +454,10 @@ def select_sql_for_rules(
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
     probe_names: Mapping[str, str] | None = None,
-    probed: frozenset[str] | None = None,
-    drivers: frozenset[str] = frozenset(),
 ) -> str:
     """A bare ``SELECT`` (UNION of the branches of :func:`branches_for_rules`)
-    deriving ``head_pred``: the nested view emission, MATERIALIZE's aux
-    derivations and the identifier SMOs' Δ rules."""
+    deriving ``head_pred``: the nested view emission and MATERIALIZE's aux
+    derivations."""
     branches = branches_for_rules(
         head_pred,
         rules,
@@ -467,8 +465,6 @@ def select_sql_for_rules(
         table_columns=table_columns,
         head_columns=head_columns,
         probe_names=probe_names,
-        probed=probed,
-        drivers=drivers,
     )
     return compound_sql(branches, len(branches) == 1 and key_disjoint(branches))
 
@@ -493,7 +489,12 @@ def branches_for_rules(
     ``probe_names`` maps a predicate to the relation its key probes read
     instead of its table name (one holding the same rows: a physical
     table version's data table for its pass-through view); a ``forbids``
-    fact names both.  A helper may read helpers of its own."""
+    fact names both.  A helper may read helpers of its own.
+
+    ``probed`` renders the Δ rules of a write program
+    (:class:`repro.backend.handlers.IdentifierHandler`): ``IS``-equality,
+    the ``probed`` relations read by key, and a rule reading one of the
+    small ``drivers`` joined from it outward."""
     pending = list(rules.rules_for(head_pred))
     # A helper reads relations only to test for rows, so through their
     # probe names; its own columns are numbered.
