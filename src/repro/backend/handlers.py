@@ -803,7 +803,7 @@ class _Reading:
         return flatten(RuleSet((*rules.rules, *self.rules)), self.names, self.empty)
 
     def select(self, pred: str, flat: RuleSet, head_columns: tuple[str, ...]) -> str:
-        """``pred``'s rows by the :meth:`flatten`\ ed rules ``flat``: every
+        """``pred``'s rows by the rules ``flat`` (:meth:`flatten`): every
         branch, by ``UNION ALL`` (a row two rules derive is the same row
         twice)."""
         return "\nUNION ALL\n".join(
