@@ -404,11 +404,94 @@ class DecomposeFkSemantics(SmoSemantics):
         return False
 
     def propagate_backward(self, changes, ctx):
-        # A narrow write is the full lens put (the join rules, which also
-        # surface and retire unreferenced T rows); the payload index is
-        # rebuilt from what it leaves.
-        self._cache = None
-        return None
+        s_change = changes.get("S", TableChange())
+        t_change = changes.get("T", TableChange())
+        if s_change.empty and t_change.empty:
+            return {}
+        wide_out = TableChange()
+        id_out = TableChange()
+        affected_fks = set(t_change.keys())
+        cache = self._ensure_cache(ctx)
+
+        # S-side changes: re-derive the wide row for each changed S key.
+        # The payload cache answers fk → payload without reading T.
+        t_lookup_keys = {
+            row[-1] for row in s_change.upserts.values() if row[-1] is not None
+        } | affected_fks
+        t_current: dict[Key, Row] = {}
+        missing: set[Key] = set()
+        for fk in t_lookup_keys:
+            payload = cache.by_fk.get(fk)
+            if payload is not None:
+                t_current[fk] = (fk, *payload)
+            else:
+                missing.add(fk)
+        if missing:
+            t_current.update(ctx.read_keys("T", missing))
+        for key, row in t_change.upserts.items():
+            t_current[key] = row
+            cache.put(key, row[1:])
+        for key in t_change.deletes:
+            t_current.pop(key, None)
+            cache.drop(key)
+
+        for key in s_change.deletes:
+            wide_out.deletes.add(key)
+            id_out.deletes.add(key)
+        # A T row the change leaves no S row referencing surfaces, keyed by
+        # its identifier (the join rules' third rule).
+        left = {
+            entry[0] for entry in ctx.read_keys("ID", s_change.keys()).values()
+            if entry and entry[0] is not None
+        } - {row[-1] for row in s_change.upserts.values()} - affected_fks
+        for fk in left:
+            payload = cache.by_fk.get(fk)
+            if payload is not None and not self._fk_still_referenced(
+                fk, ctx, exclude=s_change.keys()
+            ):
+                wide_out.upserts[fk] = self._lens.combine(None, payload)
+                id_out.upserts[fk] = (fk,)
+        for key, s_row in s_change.upserts.items():
+            a_part, fk = s_row[:-1], s_row[-1]
+            t_row = t_current.get(fk) if fk is not None else None
+            if t_row is not None:
+                wide_out.upserts[key] = self._lens.combine(a_part, t_row[1:])
+                id_out.upserts[key] = (fk,)
+            else:
+                wide_out.upserts[key] = self._lens.combine(a_part, None)
+                id_out.upserts[key] = (None,)
+
+        # T-side changes: every S row referencing a changed T row needs its
+        # wide row refreshed; unreferenced T rows surface keyed by their id.
+        if affected_fks:
+            s_extent = ctx.read("S")
+            referencing: dict[Key, list[tuple[Key, Row]]] = {}
+            for s_key, s_row in s_extent.items():
+                fk = s_row[-1]
+                if fk in affected_fks:
+                    referencing.setdefault(fk, []).append((s_key, s_row))
+            for fk in t_change.deletes:
+                wide_out.deletes.add(fk)  # was possibly surfaced as unreferenced
+                for s_key, s_row in referencing.get(fk, []):
+                    if s_key in s_change.deletes:
+                        continue
+                    wide_out.upserts[s_key] = self._lens.combine(s_row[:-1], None)
+                    id_out.upserts[s_key] = (None,)
+            for fk, t_row in t_change.upserts.items():
+                refs = [
+                    (s_key, s_row)
+                    for s_key, s_row in referencing.get(fk, [])
+                    if s_key not in s_change.deletes and s_key not in s_change.upserts
+                ]
+                for s_key, s_row in refs:
+                    wide_out.upserts[s_key] = self._lens.combine(s_row[:-1], t_row[1:])
+                    id_out.upserts[s_key] = (fk,)
+                if not refs and not any(
+                    row[-1] == fk for row in s_change.upserts.values()
+                ):
+                    wide_out.upserts[fk] = self._lens.combine(None, t_row[1:])
+                    id_out.upserts[fk] = (fk,)
+        return {"R": wide_out, "ID": id_out}
 
 
 class OuterJoinFkSemantics(SmoSemantics):
