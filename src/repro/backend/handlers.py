@@ -890,8 +890,10 @@ class IdentifierHandler(SmoHandler):
             if heads:
                 tables.update(self._row_puts((tv,)))
             for head in heads:
-                data = head in (*self.sem.source_roles, *self.sem.target_roles)
-                for sign in ("plus", "minus", "old") if data else ("plus", "minus"):
+                routed = head in (*self.sem.source_roles, *self.sem.target_roles) and (
+                    self._physical(head) is None
+                )
+                for sign in ("plus", "minus", "old") if routed else ("plus", "minus"):
                     tables[self._stage(head, sign)] = self._columns(head)
         return tables
 
@@ -987,11 +989,12 @@ class IdentifierHandler(SmoHandler):
             f"SELECT p FROM {self._stage(head, sign)}" for head in heads for sign in ("plus", "minus")
         )
         for head in heads:
-            if head not in data:
+            if head not in data or self._physical(head):
                 continue
-            # Such a cascade applies one role at a time, and the SMO beyond
-            # puts each apart: a row it derives at a key this program
-            # touched, which the write leaves without one, goes.
+            # A head routed through another SMO: the cascade applies one
+            # role at a time and that SMO puts each apart, so a row it
+            # derives at a key this program touched, which the write leaves
+            # without one, goes.
             kept, view = self._stage(head, "old"), self.ctx.view(self._tv(head))
             stage.append(
                 f"INSERT INTO {kept} (p) SELECT p FROM {self._stored(head)} WHERE p IN ({touched})"
@@ -1174,8 +1177,8 @@ class FkHandler(IdentifierHandler):
     # -- repair ------------------------------------------------------------
 
     def repair_statements(self) -> list[str]:
-        wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
-        vw, vs, vt = self.ctx.view(wide_tv), self.ctx.view(s_tv), self.ctx.view(t_tv)
+        wide_tv, _s_tv, t_tv, _fk, id_col, _a_cols, b_cols = self._parts()
+        vw, vt = self.ctx.view(wide_tv), self.ctx.view(t_tv)
         id_table = self._id_table()
         scratch = self.smo.put_table_name("scratch")
         missing = f"NOT IN (SELECT p FROM {id_table})"
@@ -1183,19 +1186,10 @@ class FkHandler(IdentifierHandler):
         # enclosing cascade may not have made the written row visible yet,
         # and stale entries are invisible through the generated views (the
         # row-delete programs maintain ID themselves).
-        statements = []
         if not self._wide_stored_ward():
-            # Narrow side independent: record the actual foreign keys.
-            statements += [
-                f"INSERT INTO {id_table} (p, fk) SELECT s.p, "
-                f"CASE WHEN EXISTS (SELECT 1 FROM {vt} t "
-                f"WHERE t.{q(id_col)} = s.{q(fk)}) THEN s.{q(fk)} ELSE NULL END "
-                f"FROM {vs} s WHERE s.p {missing}",
-                f"INSERT INTO {id_table} (p, fk) SELECT t.{q(id_col)}, t.{q(id_col)} "
-                f"FROM {vt} t WHERE t.{q(id_col)} {missing} AND NOT EXISTS "
-                f"(SELECT 1 FROM {vs} s WHERE s.{q(fk)} = t.{q(id_col)})",
-            ]
-            return statements
+            # Narrow side independent: the identifiers the join rules derive.
+            select = self.role_select("ID", self.view_rules(wide_tv), ("fk",))
+            return [f"INSERT INTO {id_table} (p, fk) SELECT p, fk FROM ({select}) WHERE p {missing}"]
         w_null = all_null([f"w.{q(c)}" for c in b_cols])
         match_w = payload_match(
             [f"t.{q(c)}" for c in b_cols], [f"w.{q(c)}" for c in b_cols]
@@ -1204,7 +1198,7 @@ class FkHandler(IdentifierHandler):
             [f"w2.{q(c)}" for c in b_cols], [f"w.{q(c)}" for c in b_cols]
         )
         fresh, advance = emit.seq_draw(scratch)
-        statements += [
+        return [
             f"INSERT INTO {id_table} (p, fk) SELECT w.p, NULL FROM {vw} w "
             f"WHERE w.p {missing} AND {w_null}",
             f"INSERT INTO {id_table} (p, fk) SELECT w.p, "
@@ -1219,7 +1213,6 @@ class FkHandler(IdentifierHandler):
             f"INSERT INTO {id_table} (p, fk) SELECT p, {fresh} FROM {scratch}",
             advance,
         ]
-        return statements
 
 
 class CondHandler(IdentifierHandler):

@@ -121,11 +121,10 @@ def test_declared_put_tables_are_exactly_the_referenced_ones(kind, materialized)
 
 def test_workload_scenarios_scaffold_only_what_their_programs_name():
     # TasKy's one-target SPLIT snapshots no twin, so it scaffolds nothing;
-    # its FK DECOMPOSE keeps eight: the Δ of R and of ID its narrow writes
-    # stage, R's settle snapshot, the rows S and T replace, and the
-    # scratch table.
+    # its FK DECOMPOSE keeps seven: the Δ of R and of ID its narrow writes
+    # stage, the rows S and T replace, and the scratch table.
     for engine, count in (
-        (build_tasky(5).engine, 8),
+        (build_tasky(5).engine, 7),
         (build_orders(2, 2, 2, versions=3).engine, 2),
     ):
         backend = LiveSqliteBackend.attach(engine)
