@@ -811,10 +811,10 @@ class _Reading:
             for branch in branches_for_rules(
                 pred, flat, table_names=self.names, table_columns=self.columns,
                 head_columns=head_columns,
-                probed=frozenset(pred for pred, name in self.names.items() if name in self.views),
+                probed=frozenset(bound for bound, name in self.names.items() if name in self.views),
                 drivers=frozenset(
-                    pred for pred in self.names
-                    if pred == WRITTEN or pred.startswith((INSERT_PREFIX, DELETE_PREFIX))
+                    bound for bound in self.names
+                    if bound == WRITTEN or bound.startswith((INSERT_PREFIX, DELETE_PREFIX))
                 ),
             )
         )
