@@ -27,7 +27,8 @@ whole side (a lens put that resets what it does not derive): every head
 against its rules over the new state.
 
 The backend renders these rules as the write programs of the identifier
-SMOs (:mod:`repro.backend.handlers`).
+SMOs (:mod:`repro.backend.handlers`), after :func:`flatten` unfolded them
+into the shape SQLite can push a key into.
 """
 
 from __future__ import annotations
