@@ -61,8 +61,8 @@ from repro.util.naming import physical_name
 #:      branch not proven key-preserving is SELECT DISTINCT.
 #: 11 = a condition SMO's write is one staged put: the stored side comes
 #:      from its rule set.
-#: 12 = the FK and condition SMOs' writes are their rule sets' Δ rules
-#:      (:mod:`repro.datalog.delta`); their probed columns are indexed.
+#: 12 = an FK SMO's identifier decision seeks an index over the physical
+#:      payload columns it probes (the scaffold creates it).
 EMISSION_STAMP = 12
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
@@ -217,10 +217,12 @@ def transition_scope(
 
 
 def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> list[str]:
-    """Idempotent DDL for the per-SMO staging tables of ``smos`` and the
-    indexes their programs probe (:meth:`~repro.backend.handlers.SmoHandler
-    .probe_indexes`); for every evolution SMO, and the sequence table, when
-    ``smos`` is ``None``."""
+    """Idempotent DDL for the per-SMO staging tables of ``smos``, indexes
+    over their always-stored ID tables (the trigger programs probe them by
+    identifier on every row write) and over the columns their programs
+    look physical rows up by (:meth:`~repro.backend.handlers.SmoHandler
+    .probe_indexes`); for every evolution SMO, and the sequence table,
+    when ``smos`` is ``None``."""
     ctx = HandlerContext(engine)
     statements = []
     if smos is None:
@@ -232,11 +234,18 @@ def scaffold_statements(engine, smos: Iterable[SmoInstance] | None = None) -> li
         handler = handler_for(ctx, smo)
         for name, columns in handler.put_tables().items():
             statements.append(table_ddl(name, columns))
+        for role, schema in smo.semantics.aux_shared().items():
+            table = smo.aux_table_name(role)
+            for column in schema.column_names:
+                index = physical_name("ix", str(smo.uid), role, column)
+                statements.append(
+                    f"CREATE INDEX IF NOT EXISTS {q(index)} ON {q(table)} ({q(column)})"
+                )
         for table, columns in handler.probe_indexes():
-            index = physical_name("ix", table.removeprefix("aux__"), *columns)
+            index = physical_name("ix", table, *columns)
             statements.append(
                 f"CREATE INDEX IF NOT EXISTS {q(index)} ON {q(table)} "
-                f"({', '.join(qcols(columns))})"
+                f"({', '.join(q(column) for column in columns)})"
             )
     return statements
 

@@ -180,6 +180,32 @@ def member_row(
     )]
 
 
+def apply_extent(target: str, columns: Sequence[str], source: str) -> list[str]:
+    """Make the generated view ``target``'s extent equal to ``source``'s (a
+    staged table): delete missing rows, update changed rows, insert new
+    rows — each firing the view's INSTEAD OF triggers row by row."""
+    collist = ", ".join(["p", *qcols(columns)])
+    statements = [
+        f"DELETE FROM {target} WHERE p NOT IN (SELECT p FROM {source})"
+    ]
+    if columns:
+        setlist = ", ".join(qcols(columns))
+        changed = (
+            f"SELECT s.p FROM {source} s JOIN {target} t ON t.p = s.p "
+            f"WHERE {rows_differ(new_refs(columns, row='s'), new_refs(columns, row='t'))}"
+        )
+        statements.append(
+            f"UPDATE {target} SET ({setlist}) = "
+            f"(SELECT {setlist} FROM {source} s WHERE s.p = {target}.p) "
+            f"WHERE p IN ({changed})"
+        )
+    statements.append(
+        f"INSERT INTO {target} ({collist}) SELECT {collist} FROM {source} "
+        f"WHERE p NOT IN (SELECT p FROM {target})"
+    )
+    return statements
+
+
 def create_view(name: str, select_sql: str) -> str:
     return f"CREATE VIEW {q(name)} AS\n{select_sql}"
 

@@ -7,13 +7,14 @@ materialization,
   from the SMO's instantiated Datalog rule sets, and
 - the statement list of its ``INSTEAD OF`` trigger programs (writes),
 
-mirroring the engine's native semantics.  Most SMOs follow their
-``propagate_forward``/``propagate_backward`` fast paths in row-local
-programs.  The identifier-generating SMOs (FK and condition DECOMPOSE /
-JOIN, :class:`IdentifierHandler`) derive their programs from their rule
-sets as update-propagation rules (:mod:`repro.datalog.delta`): staged Δs
-of the stored side, then applied.  Allocating identifiers, drawn from the
-backend's sequence table, is the one step they write by hand.
+mirroring the engine's native semantics: most SMOs follow their
+``propagate_forward``/``propagate_backward`` fast paths; the FK SMOs follow
+the same recorded-id / payload-reuse / fresh-allocation decision procedure
+in key-local programs; a condition DECOMPOSE/JOIN write is the engine's full
+lens put, one staged program whose stored side comes from the SMO's rule
+set.  Identifiers are drawn from the backend's sequence table.  The rules
+read the identifiers the ID table records; allocating them is all the
+identifier-generating handlers add to their rules.
 
 The engine also maintains *shared* auxiliary tables (the ID tables) of SMOs
 that are not on a write's storage route; handlers expose the same programs
@@ -25,7 +26,7 @@ eager identifier initialization at evolution time.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.backend import emit
@@ -65,17 +66,6 @@ from repro.bidel.smo.vertical import (
 from repro.catalog.genealogy import SmoInstance, TableVersion
 from repro.errors import BackendError
 from repro.expr.ast import Expression
-from repro.datalog.ast import Atom, Rule, RuleSet, Var, wildcard
-from repro.datalog.delta import (
-    DELETE_PREFIX,
-    INSERT_PREFIX,
-    delta_rules,
-    flatten,
-    minus,
-    old,
-    plus,
-    put_rules,
-)
 from repro.sqlgen.views import branches_for_rules, select_sql_for_rules
 
 # Payload columns of the identifier-assignment scratch tables: two
@@ -244,12 +234,14 @@ class SmoHandler:
             return self.sem.source_roles[self.smo.sources.index(tv)]
         return self.sem.target_roles[self.smo.targets.index(tv)]
 
-    def _rule_args(self, head: TableVersion | None = None) -> dict:
+    def _rule_args(
+        self, head: TableVersion | None = None, staged: dict[str, str] | None = None
+    ) -> dict:
         """The rule renderer's keyword arguments in the current state: role
         -> SQL reference (data roles resolved to views, aux roles to
-        stored-or-empty), role -> payload columns, role -> what a key probe
-        of a data role reads (:meth:`HandlerContext.probe`), and ``head``'s
-        columns when given."""
+        stored-or-empty, a role ``staged`` to its staging table), role ->
+        payload columns, role -> what a key probe of a data role reads
+        (:meth:`HandlerContext.probe`), and ``head``'s columns when given."""
         names: dict[str, str] = {}
         columns: dict[str, tuple[str, ...]] = {}
         probes: dict[str, str] = {}
@@ -264,6 +256,8 @@ class SmoHandler:
             for role, schema in group.items():
                 names[role] = self.ctx.aux_ref(self.smo, role)
                 columns[role] = schema.column_names
+        for role, table in (staged or {}).items():
+            names[role] = probes[role] = table
         args = {"table_names": names, "table_columns": columns, "probe_names": probes}
         if head is not None:
             args["head_columns"] = head.schema.column_names
@@ -333,10 +327,15 @@ class SmoHandler:
         none)."""
         return []
 
-    def role_select(self, role: str, rules, columns: tuple[str, ...]) -> str:
+    def role_select(
+        self, role: str, rules, columns: tuple[str, ...], staged: dict[str, str] | None = None
+    ) -> str:
         """SELECT deriving the stored rows (``p`` then ``columns``) of
-        ``role`` by ``rules``."""
-        return select_sql_for_rules(role, rules, **self._rule_args(), head_columns=columns)
+        ``role`` by ``rules``, reading the roles ``staged`` from their
+        staging tables (:meth:`_rule_args`)."""
+        return select_sql_for_rules(
+            role, rules, **self._rule_args(staged=staged), head_columns=columns
+        )
 
     def stored_role_selects(self, will_materialize: bool) -> dict[str, str]:
         """Migration: SELECT statements deriving the contents of each side
@@ -358,9 +357,9 @@ class SmoHandler:
         return {}
 
     def probe_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
-        """``(physical table, columns)`` of each index the programs probe
-        by beside the key, over this SMO's physical data and aux tables
-        (default: none)."""
+        """Physical tables this SMO's programs look rows up in by columns
+        other than the key, with those columns, under the current
+        materialization.  Default: none."""
         return []
 
     def _row_puts(self, tvs: Sequence[TableVersion]) -> dict[str, tuple[str, ...]]:
@@ -764,330 +763,13 @@ class PartitionHandler(SmoHandler):
 
 
 # ---------------------------------------------------------------------------
-# The identifier SMOs: DECOMPOSE / OUTER JOIN ON FOREIGN KEY, DECOMPOSE /
-# JOIN ON a condition
+# DECOMPOSE / OUTER JOIN ON FOREIGN KEY
 # ---------------------------------------------------------------------------
 
 
-#: The relation a write program binds to its trigger's row.
-WRITTEN = "written"
-
-
-@dataclass
-class _Reading:
-    """What a write program's rules read: predicate -> SQL relation and
-    its columns, the rules deriving the predicates no relation binds, and
-    the relations read by key (:meth:`IdentifierHandler._reading`)."""
-
-    names: dict[str, str]
-    columns: dict[str, tuple[str, ...]]
-    rules: tuple[Rule, ...]
-    #: The bound relations that are views: read by key (SQLite plans a
-    #: join of tables itself).
-    views: frozenset[str] = frozenset()
-    #: The bound predicates that hold nothing.
-    empty: frozenset[str] = frozenset()
-    #: The bound predicates the write changes (else its new state is bound).
-    changed: tuple[str, ...] = ()
-    #: Statements staging what the bindings read, and clearing it.
-    prologue: list[str] = field(default_factory=list)
-    epilogue: list[str] = field(default_factory=list)
-
-    def bind(self, pred: str, relation: str, like: str) -> None:
-        """Bind ``pred`` to ``relation``, which has ``like``'s columns."""
-        self.names[pred] = relation
-        self.columns[pred] = self.columns[like]
-
-    def flatten(self, rules: RuleSet) -> RuleSet:
-        """``rules`` and these, flattened over the bindings."""
-        return flatten(RuleSet((*rules.rules, *self.rules)), self.names, self.empty)
-
-    def select(self, pred: str, flat: RuleSet, head_columns: tuple[str, ...]) -> str:
-        """``pred``'s rows by the rules ``flat`` (:meth:`flatten`): every
-        branch, by ``UNION ALL`` (a row two rules derive is the same row
-        twice)."""
-        return "\nUNION ALL\n".join(
-            branch.sql()
-            for branch in branches_for_rules(
-                pred, flat, table_names=self.names, table_columns=self.columns,
-                head_columns=head_columns,
-                probed=frozenset(bound for bound, name in self.names.items() if name in self.views),
-                drivers=frozenset(
-                    bound for bound in self.names
-                    if bound == WRITTEN or bound.startswith((INSERT_PREFIX, DELETE_PREFIX))
-                ),
-            )
-        )
-
-
-def _unless(own: str | None) -> str:
-    """The ``WHERE`` of a statement an own-row test (:meth:`IdentifierHandler
-    ._own`) skips."""
-    return "" if own is None else f" WHERE NOT {own}"
-
-
-class _Ids(NamedTuple):
-    """A write's identifier allocation: the statements staging it, what it
-    changes in ID (Δ+ and Δ− as relations), and the statements recording
-    it."""
-
-    allocate: list[str]
-    plus: str
-    minus: str
-    apply: list[str]
-
-
-class IdentifierHandler(SmoHandler):
-    """An SMO whose generated identifiers the always-stored ID table
-    records (shared aux), so every one of its table versions carries a
-    program of it, on the storage route or off it.
-
-    A write's program is the SMO's rules as update-propagation rules
-    (:mod:`repro.datalog.delta`): the written row is its role's Δ, and the
-    Δ rules of the rule set deriving the other side stage what the write
-    inserts into and deletes from each head (``put__N__plus_<role>`` /
-    ``put__N__minus_<role>``), rendered by :func:`select_sql_for_rules`;
-    then the program applies them.  On the route the heads are the stored
-    side's roles, off it ID where the rules derive it.  Allocating
-    identifiers (:meth:`_allocate_write`) is the one step no rule says: it
-    stages ID's new rows in the scratch table, which the Δ rules read as
-    ID's change.
-
-    Applying a head fires this SMO's off-route program at the stored
-    side's view; a row the routed program staged is no change to it
-    (:meth:`_own`)."""
-
-    def _id_table(self) -> str:
-        return self.smo.aux_table_name("ID")
-
-    def _stage(self, role: str, sign: str) -> str:
-        return self.smo.put_table_name(f"{sign}_{role}")
-
-    def _far_rules(self, tv: TableVersion):
-        """The rule set deriving the side opposite ``tv`` from ``tv``'s."""
-        return self.view_rules((self.smo.targets if tv in self.smo.sources else self.smo.sources)[0])
-
-    def _heads(self, tv: TableVersion, routed: bool) -> list[str]:
-        """The roles a write at ``tv`` changes through the rules: ID where
-        they derive it, and on the route the far side's aux and data
-        roles."""
-        heads = ["ID"] if self._far_rules(tv).rules_for("ID") else []
-        if not routed:
-            return heads
-        if tv in self.smo.sources:
-            far, aux = self.smo.targets, self.sem.aux_tgt()
-        else:
-            far, aux = self.smo.sources, self.sem.aux_src()
-        return [*aux, *heads, *(self.role_of(other) for other in far)]
-
-    def _columns(self, role: str) -> tuple[str, ...]:
-        return self._rule_args()["table_columns"][role]
-
-    def put_tables(self) -> dict[str, tuple[str, ...]]:
-        tables = {self.smo.put_table_name("scratch"): SCRATCH_COLUMNS}
-        for tv in (*self.smo.sources, *self.smo.targets):
-            heads = self._heads(tv, self.routed_here(tv))
-            if heads:
-                tables.update(self._row_puts((tv,)))
-            for head in heads:
-                routed = head in (*self.sem.source_roles, *self.sem.target_roles) and (
-                    self._physical(head) is None
-                )
-                for sign in ("plus", "minus", "old") if routed else ("plus", "minus"):
-                    tables[self._stage(head, sign)] = self._columns(head)
-        return tables
-
-    def probe_indexes(self):
-        # The always-stored ID, probed by identifier on every row write.
-        return [(self._id_table(), (column,)) for column in self._columns("ID")]
-
-    def _physical(self, role: str) -> str | None:
-        """``role``'s physical table under the current materialization, or
-        ``None``: a physical table version's data table, a stored aux
-        table."""
-        if role in (*self.sem.source_roles, *self.sem.target_roles):
-            tv = self._tv(role)
-            return tv.data_table_name if self.ctx.engine._is_physical(tv) else None
-        return self.smo.aux_table_name(role) if self.ctx.aux_is_stored(self.smo, role) else None
-
-    def _own(self, tv: TableVersion, op: str) -> str | None:
-        """Off the route, the test that the row written is one this SMO's
-        routed program applies (it staged it); ``None`` when no routed
-        program stages ``tv``'s role."""
-        role = self.role_of(tv)
-        other = (self.smo.targets if tv in self.smo.sources else self.smo.sources)[0]
-        if role not in self._heads(other, True):
-            return None
-        key = "OLD.p" if op == "DELETE" else "NEW.p"
-        stage = self._stage(role, "minus" if op == "DELETE" else "plus")
-        return f"EXISTS (SELECT 1 FROM {stage} WHERE p = {key})"
-
-    def _allocate_write(
-        self, tv: TableVersion, op: str, routed: bool, own: str | None, reading: _Reading
-    ) -> _Ids | None:
-        """The identifiers a write at ``tv`` allocates, or ``None``."""
-        raise NotImplementedError
-
-    def _stored(self, role: str) -> str:
-        """What the rules read as ``role``'s stored rows (keyed like the
-        rules key them)."""
-        args = self._rule_args()
-        return args["probe_names"].get(role, args["table_names"][role])
-
-    def _apply(self, role: str) -> list[str]:
-        """Make the staged Δ of ``role`` so: delete its rows leaving, upsert
-        its rows entering (an aux table directly, a data role through its
-        view, firing its program)."""
-        plus_table, minus_table = self._stage(role, "plus"), self._stage(role, "minus")
-        columns = self._columns(role)
-        if role not in (*self.sem.source_roles, *self.sem.target_roles):
-            table = self.smo.aux_table_name(role)
-            return [
-                f"DELETE FROM {table} WHERE p IN (SELECT p FROM {minus_table})",
-                upsert_row(table, columns, "d.p", list(new_refs(columns, row="d").values()),
-                           source=f"{plus_table} d", plain_table=True),
-            ]
-        tv = self._tv(role)
-        return [
-            f"DELETE FROM {self.ctx.view(tv)} WHERE p IN (SELECT p FROM {minus_table}) "
-            f"AND p NOT IN (SELECT p FROM {plus_table})",
-            self.ctx.upsert(tv, "d.p", list(new_refs(columns, row="d").values()),
-                            source=f"{plus_table} d"),
-        ]
-
-    def _write(self, tv, op, apply_data):
-        own = None if apply_data else self._own(tv, op)
-        heads = self._heads(tv, apply_data)
-        reading = self._reading(tv, op, own, apply_data)
-        ids = self._allocate_write(tv, op, apply_data, own, reading)
-        statements = [] if ids is None else ids.allocate
-        if not heads:
-            return statements + ([] if ids is None else ids.apply)
-        statements = reading.prologue + statements
-        changed = list(reading.changed)
-        if ids is not None:
-            reading.bind(plus("ID"), ids.plus, "ID")
-            reading.bind(minus("ID"), ids.minus, "ID")
-            changed.append("ID")
-        for head in heads:
-            reading.bind(old(head), self._stored(head), head)
-        rules = reading.flatten(self._derive(self._far_rules(tv), changed, heads))
-        data = {*self.sem.source_roles, *self.sem.target_roles}
-        stage, clear = [], []
-        for head in heads:
-            for sign, pred in (("plus", plus(head)), ("minus", minus(head))):
-                if rules.rules_for(pred):
-                    select = reading.select(pred, rules, self._columns(head))
-                    stage.append(self._stage_rows(head, sign, select))
-                clear.append(f"DELETE FROM {self._stage(head, sign)}")
-        # Every delete, then the upserts, the referenced roles (T, listed
-        # after S) first: a write cascading on through another SMO reads
-        # the rows its own references name.
-        applies = [self._apply(head) for head in heads]
-        settle = []
-        touched = " UNION ".join(
-            f"SELECT p FROM {self._stage(head, sign)}" for head in heads for sign in ("plus", "minus")
-        )
-        for head in heads:
-            if head not in data or self._physical(head):
-                continue
-            # A head routed through another SMO: the cascade applies one
-            # role at a time and that SMO puts each apart, so a row it
-            # derives at a key this program touched, which the write leaves
-            # without one, goes.
-            kept, view = self._stage(head, "old"), self.ctx.view(self._tv(head))
-            stage.append(
-                f"INSERT INTO {kept} (p) SELECT p FROM {self._stored(head)} WHERE p IN ({touched})"
-            )
-            settle.append(
-                f"DELETE FROM {view} WHERE p IN ({touched}) "
-                f"AND p NOT IN (SELECT p FROM {self._stage(head, 'plus')}) "
-                f"AND (p NOT IN (SELECT p FROM {kept}) "
-                f"OR p IN (SELECT p FROM {self._stage(head, 'minus')}))"
-            )
-            clear.append(f"DELETE FROM {kept}")
-        return [
-            *statements, *stage, *([] if ids is None else ids.apply),
-            *(delete for delete, _upsert in applies),
-            *(upsert for _delete, upsert in reversed(applies)),
-            *settle, *clear, *reading.epilogue,
-        ]
-
-    def _tv(self, role: str) -> TableVersion:
-        roles = (*self.sem.source_roles, *self.sem.target_roles)
-        return dict(zip(roles, (*self.smo.sources, *self.smo.targets)))[role]
-
-    def _reading(self, tv: TableVersion, op: str, own: str | None, routed: bool) -> "_Reading":
-        """How a write program at ``tv`` reads the rules' predicates: the
-        roles and aux tables as they are, the written row as the Δ of its
-        role (NEW and the row it replaces at its key, or OLD), and on the
-        route the written side by the rules deriving it from the stored
-        side, not through its views: SQLite pushes no key into a SELECT
-        DISTINCT (the FK's T) or a compound whose arms pad with NULL (the
-        FK's wide table)."""
-        role = self.role_of(tv)
-        args = self._rule_args()
-        reading = _Reading(
-            {**args["table_names"], **args["probe_names"]}, dict(args["table_columns"]), (),
-            changed=(role,),
-        )
-        key = "OLD.p" if op == "DELETE" else "NEW.p"
-        refs = new_refs(reading.columns[role], row=key.split(".")[0])
-        row = ", ".join([f"{key} AS p", *(f"{ref} AS {q(c)}" for c, ref in refs.items())])
-        reading.bind(WRITTEN, f"(SELECT {row}{_unless(own)})", role)
-        terms = tuple(Var(f"x{i}") for i in range(len(refs) + 1))
-        written = reading.names[WRITTEN]
-        if op == "DELETE":
-            reading.bind(plus(role), empty_relation(refs), role)
-            reading.bind(minus(role), written, role)
-        else:
-            reading.bind(plus(role), written, role)
-        # Lemma 2: the unstored side's aux tables, and a delete's Δ+, hold
-        # nothing.
-        reading.empty = frozenset(
-            {*(aux for aux in (*self.sem.aux_src(), *self.sem.aux_tgt())
-               if not self.ctx.aux_is_stored(self.smo, aux)),
-             *([plus(role)] if op == "DELETE" else [])}
-        )
-        if routed:
-            for other in self.smo.sources if tv in self.smo.sources else self.smo.targets:
-                del reading.names[self.role_of(other)]
-            reading.rules = tuple(
-                rule for rule in self.view_rules(tv) if rule.head.pred not in reading.names
-            )
-        reading.views = frozenset(
-            self.ctx.view(other)
-            for other in (*self.smo.sources, *self.smo.targets)
-            if self._physical(self.role_of(other)) is None
-        )
-        if op != "DELETE":
-            # The row the write replaces, read once.
-            replaced = self.smo.put_table_name(role)
-            key_only = (terms[0], *(wildcard() for _ in terms[1:]))
-            select = reading.select("replaced", reading.flatten(RuleSet((Rule(
-                Atom("replaced", terms), (Atom(WRITTEN, key_only), Atom(role, terms))
-            ),))), refs)
-            reading.prologue = [
-                f"INSERT OR REPLACE INTO {replaced} (p, {', '.join(qcols(refs))}) {select}"
-            ]
-            reading.epilogue = [f"DELETE FROM {replaced}"]
-            reading.bind(minus(role), replaced, role)
-        return reading
-
-    def _derive(self, rules: RuleSet, changed: list[str], heads: list[str]) -> RuleSet:
-        """The Δ rules of ``heads`` for a write changing ``changed``."""
-        return delta_rules(rules, changed, heads)
-
-    def _stage_rows(self, role: str, sign: str, select: str) -> str:
-        columns = ", ".join(["p", *qcols(self._columns(role))])
-        return f"INSERT OR REPLACE INTO {self._stage(role, sign)} ({columns}) {select}"
-
-
-class FkHandler(IdentifierHandler):
-    """The FK lens: a wide table versus S(A, fk) / T(id, B).  A wide write
-    allocates its row's identifier — the recorded one, a payload match or
-    a fresh one — and a narrow write's ID upkeep comes from the rules,
-    which derive ID in that direction."""
+class FkHandler(SmoHandler):
+    """The FK lens: a wide table versus S(A, fk) / T(id, B) with generated
+    identifiers recorded in the always-stored ID table."""
 
     def _parts(self):
         lens = self.sem._lens
@@ -1105,46 +787,62 @@ class FkHandler(IdentifierHandler):
         independent of this SMO)?"""
         return self.smo.materialized == isinstance(self.sem, OuterJoinFkSemantics)
 
+    def _id_table(self) -> str:
+        return self.smo.aux_table_name("ID")
+
     def probe_indexes(self):
-        # T's payload (the identifier decision), S's foreign key (the rows
-        # referencing a T row).
-        wide_tv, s_tv, t_tv, fk, _id_col, _a_cols, b_cols = self._parts()
-        wanted = ((wide_tv, b_cols), (t_tv, b_cols), (s_tv, (fk,)))
-        return super().probe_indexes() + [
-            (table, columns)
-            for tv, columns in wanted
-            if columns and (table := self._physical(self.role_of(tv))) is not None
+        # The identifier decision looks T up by payload, through the wide
+        # table when T is a view.
+        wide_tv, _s_tv, t_tv, _fk, _id_col, _a_cols, b_cols = self._parts()
+        return [
+            (tv.data_table_name, b_cols)
+            for tv in (wide_tv, t_tv)
+            if b_cols and self.ctx.engine._is_physical(tv)
         ]
 
-    def _allocate_write(self, tv, op, routed, own, reading):
+    def put_tables(self) -> dict[str, tuple[str, ...]]:
+        # ID is shared aux, so all three table versions carry a program of
+        # this SMO (on or off the storage route) in either state.
+        _wide_tv, s_tv, t_tv, *_ = self._parts()
+        tables = self._row_puts((s_tv, t_tv))
+        tables[self.smo.put_table_name("ID")] = ("fk",)
+        if self._wide_stored_ward():
+            tables[self.smo.put_table_name("scratch")] = SCRATCH_COLUMNS
+        return tables
+
+    # -- writes ------------------------------------------------------------
+
+    def _wide_write(self, op, apply_data: bool) -> list[str]:
         wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
-        if tv is not wide_tv:
-            return None
-        id_table, scratch = self._id_table(), self.smo.put_table_name("scratch")
-        skip = "" if own is None else f" AND NOT {own}"
+        vt = self.ctx.view(t_tv)
+        id_table = self._id_table()
+        put = self.smo.put_table_name("ID")
         if op == "DELETE":
-            return _Ids(
-                [],
-                empty_relation(("fk",)),
-                f"(SELECT p, fk FROM {id_table} WHERE p = OLD.p{skip})",
-                [f"DELETE FROM {id_table} WHERE p = OLD.p{skip}"],
-            )
-        vt = self.ctx.probe(t_tv)
+            recorded = f"(SELECT fk FROM {id_table} WHERE p IS OLD.p)"
+            statements = []
+            if apply_data:
+                statements.append(
+                    f"DELETE FROM {vt} WHERE p IS {recorded} AND {recorded} IS NOT NULL "
+                    f"AND NOT EXISTS (SELECT 1 FROM {id_table} i2 "
+                    f"WHERE i2.p IS NOT OLD.p AND i2.fk IS {recorded})"
+                )
+                statements += self.ctx.delete(s_tv, "OLD.p")
+            statements.append(delete_row(id_table, "OLD.p"))
+            return statements
         b_new = [f"NEW.{q(c)}" for c in b_cols]
         b_null = all_null(b_new)
         match_t = payload_match([f"t.{q(c)}" for c in b_cols], b_new)
-        reuse = (
-            f"WHEN EXISTS (SELECT 1 FROM {vt} t WHERE {match_t}) "
-            f"THEN (SELECT MIN(t.{q(id_col)}) FROM {vt} t WHERE {match_t}) "
-        )
         if isinstance(self.sem, OuterJoinFkSemantics):
             # Backward writes at the wide table run through the engine's
             # full lens put, whose first pass keeps a recorded identifier
             # unconditionally (Rules 141/143).
             decision = (
-                f"CASE WHEN EXISTS (SELECT 1 FROM {id_table} WHERE p = NEW.p) "
-                f"THEN (SELECT fk FROM {id_table} WHERE p = NEW.p) "
-                f"WHEN {b_null} THEN NULL {reuse}ELSE NULL END"
+                f"CASE WHEN EXISTS (SELECT 1 FROM {id_table} WHERE p IS NEW.p) "
+                f"THEN (SELECT fk FROM {id_table} WHERE p IS NEW.p) "
+                f"WHEN {b_null} THEN NULL "
+                f"WHEN EXISTS (SELECT 1 FROM {vt} t WHERE {match_t}) "
+                f"THEN (SELECT MIN(t.{q(id_col)}) FROM {vt} t WHERE {match_t}) "
+                f"ELSE NULL END"
             )
         else:
             # Forward writes take the incremental fast path: a recorded id
@@ -1153,32 +851,152 @@ class FkHandler(IdentifierHandler):
             decision = (
                 f"CASE WHEN {b_null} THEN NULL "
                 f"WHEN EXISTS (SELECT 1 FROM {id_table} i JOIN {vt} t "
-                f"ON t.{q(id_col)} = i.fk WHERE i.p = NEW.p AND {match_t}) "
-                f"THEN (SELECT fk FROM {id_table} WHERE p = NEW.p) {reuse}ELSE NULL END"
+                f"ON t.{q(id_col)} = i.fk WHERE i.p IS NEW.p AND {match_t}) "
+                f"THEN (SELECT fk FROM {id_table} WHERE p IS NEW.p) "
+                f"WHEN EXISTS (SELECT 1 FROM {vt} t WHERE {match_t}) "
+                f"THEN (SELECT MIN(t.{q(id_col)}) FROM {vt} t WHERE {match_t}) "
+                f"ELSE NULL END"
             )
-        allocate = [
-            f"DELETE FROM {scratch}",
-            f"INSERT INTO {scratch} (p, a) SELECT NEW.p, {decision}{_unless(own)}",
+        unresolved = f"EXISTS (SELECT 1 FROM {put} WHERE fk IS NULL) AND NOT {b_null}"
+        statements = [
+            f"DELETE FROM {put}",
+            f"INSERT INTO {put} (p, fk) SELECT NEW.p, {decision}",
             # Generated ids come from the engine's one global sequence.
-            *emit.seq_next_statements(
-                emit.ROW_ID_SEQUENCE,
-                guard=f"EXISTS (SELECT 1 FROM {scratch} WHERE a IS NULL) AND NOT {b_null}",
-            ),
-            f"UPDATE {scratch} SET a = {seq_value(emit.ROW_ID_SEQUENCE)} "
-            f"WHERE a IS NULL AND NOT {b_null}",
+            *emit.seq_next_statements(emit.ROW_ID_SEQUENCE, guard=unresolved),
+            f"UPDATE {put} SET fk = {seq_value(emit.ROW_ID_SEQUENCE)} "
+            f"WHERE fk IS NULL AND NOT {b_null}",
+            f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, fk FROM {put}",
         ]
-        return _Ids(
-            allocate,
-            f"(SELECT p, a AS fk FROM {scratch})",
-            f"(SELECT p, fk FROM {id_table} WHERE p IN (SELECT p FROM {scratch}))",
-            [f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, a FROM {scratch}"],
+        if apply_data:
+            # The recorded assignment survives nested trigger invocations
+            # (which may clobber the put table); read the id back from ID.
+            fk_sql = f"(SELECT fk FROM {id_table} WHERE p IS NEW.p)"
+            # T before S: when S's write cascades, its nested shared-aux
+            # maintenance probes the T row, which must already exist.
+            t_values = [
+                fk_sql if c == id_col else f"NEW.{q(c)}"
+                for c in t_tv.schema.column_names
+            ]
+            s_values = [
+                fk_sql if c == fk else f"NEW.{q(c)}" for c in s_tv.schema.column_names
+            ]
+            statements += [
+                self.ctx.upsert(
+                    t_tv, fk_sql, t_values, f"{fk_sql} IS NOT NULL AND NOT {b_null}"
+                ),
+                self.ctx.upsert(s_tv, "NEW.p", s_values),
+            ]
+        return statements
+
+    def _s_write(self, op, apply_data: bool) -> list[str]:
+        wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
+        vw, vt = self.ctx.view(wide_tv), self.ctx.view(t_tv)
+        id_table = self._id_table()
+        if op == "DELETE":
+            statements = []
+            if apply_data:
+                statements += self.ctx.delete(wide_tv, "OLD.p")
+            statements.append(delete_row(id_table, "OLD.p"))
+            return statements
+        put_t = self.smo.put_table_name("T")
+        t_cols = t_tv.schema.column_names
+        statements = [
+            f"DELETE FROM {put_t}",
+            f"INSERT INTO {put_t} SELECT p, {', '.join(qcols(t_cols))} "
+            f"FROM {vt} WHERE p IS NEW.{q(fk)}",
+        ]
+        if apply_data:
+            values = []
+            for column in wide_tv.schema.column_names:
+                if column in a_cols:
+                    values.append(f"NEW.{q(column)}")
+                else:
+                    values.append(f"(SELECT {q(column)} FROM {put_t})")
+            statements.append(self.ctx.upsert(wide_tv, "NEW.p", values))
+            if isinstance(self.sem, OuterJoinFkSemantics):
+                # The engine's full put regenerates the stored wide table:
+                # a T row surfaced as an unreferenced padded row disappears
+                # once this S row references it.
+                statements.append(
+                    f"DELETE FROM {vw} WHERE p IS NEW.{q(fk)} "
+                    f"AND NEW.{q(fk)} IS NOT NEW.p "
+                    f"AND {all_null(qcols(a_cols))}"
+                )
+        statements.append(
+            # Skip when the recorded assignment already matches: an S write
+            # arriving as part of a wide-row cascade must not re-derive (and
+            # possibly NULL out) the identifier the outer program recorded.
+            f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT NEW.p, "
+            f"CASE WHEN EXISTS (SELECT 1 FROM {put_t}) THEN NEW.{q(fk)} ELSE NULL END "
+            f"WHERE NOT EXISTS (SELECT 1 FROM {id_table} "
+            f"WHERE p IS NEW.p AND fk IS NEW.{q(fk)})"
         )
+        return statements
+
+    def _t_write(self, op, apply_data: bool) -> list[str]:
+        wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
+        vw, vs = self.ctx.view(wide_tv), self.ctx.view(s_tv)
+        id_table = self._id_table()
+        row = "OLD" if op == "DELETE" else "NEW"
+        key = f"{row}.{q(id_col)}"
+        put_s = self.smo.put_table_name("S")
+        s_cols = s_tv.schema.column_names
+        statements = [
+            f"DELETE FROM {put_s}",
+            f"INSERT INTO {put_s} SELECT p, {', '.join(qcols(s_cols))} "
+            f"FROM {vs} WHERE {q(fk)} IS {key}",
+        ]
+        refs_exist = f"EXISTS (SELECT 1 FROM {put_s})"
+        if op == "DELETE":
+            if apply_data:
+                statements.append(f"DELETE FROM {vw} WHERE p IS {key}")
+                if b_cols:
+                    sets = ", ".join(f"{q(c)} = NULL" for c in b_cols)
+                    statements.append(
+                        f"UPDATE {vw} SET {sets} WHERE p IN (SELECT p FROM {put_s})"
+                    )
+            statements.append(
+                f"INSERT OR REPLACE INTO {id_table} (p, fk) "
+                f"SELECT p, NULL FROM {put_s}"
+            )
+            return statements
+        if apply_data:
+            if b_cols:
+                sets = ", ".join(f"{q(c)} = NEW.{q(c)}" for c in b_cols)
+                statements.append(
+                    f"UPDATE {vw} SET {sets} WHERE p IN (SELECT p FROM {put_s})"
+                )
+            values = [
+                "NULL" if c in a_cols else f"NEW.{q(c)}"
+                for c in wide_tv.schema.column_names
+            ]
+            statements.append(self.ctx.upsert(wide_tv, key, values, f"NOT {refs_exist}"))
+        statements.append(
+            f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, {key} FROM {put_s}"
+        )
+        statements.append(
+            # "Unreferenced T row surfaces in the wide table" — unless some
+            # recorded assignment already references this identifier (the T
+            # write is then part of a wide-row cascade, not a lone insert).
+            f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT {key}, {key} "
+            f"WHERE NOT {refs_exist} AND NOT EXISTS "
+            f"(SELECT 1 FROM {id_table} WHERE fk IS {key})"
+        )
+        return statements
+
+    def _write(self, tv, op, apply_data):
+        wide_tv, s_tv, t_tv, *_ = self._parts()
+        if tv is wide_tv:
+            return self._wide_write(op, apply_data)
+        if tv is s_tv:
+            return self._s_write(op, apply_data)
+        return self._t_write(op, apply_data)
 
     # -- repair ------------------------------------------------------------
 
     def repair_statements(self) -> list[str]:
-        wide_tv, _s_tv, t_tv, _fk, id_col, _a_cols, b_cols = self._parts()
-        vw, vt = self.ctx.view(wide_tv), self.ctx.view(t_tv)
+        wide_tv, s_tv, t_tv, fk, id_col, a_cols, b_cols = self._parts()
+        vw, vs, vt = self.ctx.view(wide_tv), self.ctx.view(s_tv), self.ctx.view(t_tv)
         id_table = self._id_table()
         scratch = self.smo.put_table_name("scratch")
         missing = f"NOT IN (SELECT p FROM {id_table})"
@@ -1186,10 +1004,19 @@ class FkHandler(IdentifierHandler):
         # enclosing cascade may not have made the written row visible yet,
         # and stale entries are invisible through the generated views (the
         # row-delete programs maintain ID themselves).
+        statements = []
         if not self._wide_stored_ward():
-            # Narrow side independent: the identifiers the join rules derive.
-            select = self.role_select("ID", self.view_rules(wide_tv), ("fk",))
-            return [f"INSERT INTO {id_table} (p, fk) SELECT p, fk FROM ({select}) WHERE p {missing}"]
+            # Narrow side independent: record the actual foreign keys.
+            statements += [
+                f"INSERT INTO {id_table} (p, fk) SELECT s.p, "
+                f"CASE WHEN EXISTS (SELECT 1 FROM {vt} t "
+                f"WHERE t.{q(id_col)} = s.{q(fk)}) THEN s.{q(fk)} ELSE NULL END "
+                f"FROM {vs} s WHERE s.p {missing}",
+                f"INSERT INTO {id_table} (p, fk) SELECT t.{q(id_col)}, t.{q(id_col)} "
+                f"FROM {vt} t WHERE t.{q(id_col)} {missing} AND NOT EXISTS "
+                f"(SELECT 1 FROM {vs} s WHERE s.{q(fk)} = t.{q(id_col)})",
+            ]
+            return statements
         w_null = all_null([f"w.{q(c)}" for c in b_cols])
         match_w = payload_match(
             [f"t.{q(c)}" for c in b_cols], [f"w.{q(c)}" for c in b_cols]
@@ -1198,7 +1025,7 @@ class FkHandler(IdentifierHandler):
             [f"w2.{q(c)}" for c in b_cols], [f"w.{q(c)}" for c in b_cols]
         )
         fresh, advance = emit.seq_draw(scratch)
-        return [
+        statements += [
             f"INSERT INTO {id_table} (p, fk) SELECT w.p, NULL FROM {vw} w "
             f"WHERE w.p {missing} AND {w_null}",
             f"INSERT INTO {id_table} (p, fk) SELECT w.p, "
@@ -1213,115 +1040,83 @@ class FkHandler(IdentifierHandler):
             f"INSERT INTO {id_table} (p, fk) SELECT p, {fresh} FROM {scratch}",
             advance,
         ]
+        return statements
 
 
-class CondHandler(IdentifierHandler):
+# ---------------------------------------------------------------------------
+# DECOMPOSE / JOIN ON condition
+# ---------------------------------------------------------------------------
+
+
+class CondHandler(SmoHandler):
     """The condition lens: S(id, A) x T(id, B) joined under c(A, B) with
     generated identifiers on both sides, recorded in ID(r -> s, t); Rminus
     suppresses join results deleted through the wide side (Rule 200).
 
-    Its writes on the storage route are the engine's full lens put, which
-    resets what the rules do not derive (the unstored side's aux reads
-    empty): the written side is staged whole, :meth:`_allocate` records
-    the identifiers of the written row — at a narrow table, of every
-    matching pair ID lacks — and :func:`~repro.datalog.delta.put_rules`
-    stage every head's Δ against it.  Off the route the program is that
-    allocation alone, key-local."""
-
-    def _reading(self, tv, op, own, routed):
-        """On the route, the put reads the written side after the write,
-        staged whole (its roles bound to their ``put__N__<role>`` tables,
-        which the scaffold indexes like the tables they copy)."""
-        reading = super()._reading(tv, op, own, False)
-        if not routed:
-            return reading
-        key = "OLD.p" if op == "DELETE" else "NEW.p"
-        reading.prologue, reading.epilogue, reading.changed = [], [], ()
-        for other in self.smo.sources if tv in self.smo.sources else self.smo.targets:
-            role, table = self.role_of(other), self.smo.put_table_name(self.role_of(other))
-            columns = ", ".join(["p", *qcols(other.schema.column_names)])
-            rest = f" WHERE p <> {key}" if other is tv else ""
-            reading.prologue.append(
-                f"INSERT INTO {table} ({columns}) SELECT {columns} FROM {self.ctx.probe(other)}{rest}"
-            )
-            if other is tv and op != "DELETE":
-                reading.prologue.append(
-                    f"INSERT INTO {table} ({columns}) SELECT {columns} FROM {reading.names[WRITTEN]}"
-                )
-            reading.epilogue.append(f"DELETE FROM {table}")
-            reading.names[role] = table
-        return reading
-
-    def _derive(self, rules, changed, heads):
-        return put_rules(rules, changed, heads)
+    A write at any of its table versions is one staged put, the engine's
+    full lens put: stage the written side's post-write extents, record
+    identifiers for them (:meth:`_allocate`, which the extent repair
+    shares), and on the storage route stage every role of the stored side
+    from the rule set deriving that side, then apply them.  Off the route
+    the put is its allocation alone; at a narrow table, which then holds
+    the data, only the written row's pairs can lack an identifier."""
 
     def _payloads(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The payload columns of S and of T (their ``id`` columns aside)."""
         lens = self.sem._lens
         return lens.s_schema.column_names[1:], lens.t_schema.column_names[1:]
 
-    def probe_indexes(self):
-        # The columns the condition reads (the pairs a row matches), the
-        # wide table's two payloads (the identifiers a row may share), and
-        # Rminus's pair.
-        condition = self.sem._lens.condition.columns()
-        wide = self._physical("R")
-        indexes = super().probe_indexes()
-        indexes += [(wide, payload) for payload in self._payloads() if payload and wide]
-        data = (*self.sem.source_roles, *self.sem.target_roles)
-        tables = [(self._physical(role), role) for role in (*data, *self.sem.aux_src(), *self.sem.aux_tgt())]
-        # A put's staged side is read like the tables it copies.
-        staged = self.put_tables()
-        tables += [(self.smo.put_table_name(role), role) for role in data
-                   if self.smo.put_table_name(role) in staged]
-        for table, role in tables:
-            if table is None:
-                continue
-            columns = self._columns(role)
-            if role == "Rminus":
-                indexes.append((table, columns))
-            indexes += [(table, (column,)) for column in sorted(condition & set(columns))]
-        return indexes
+    def _id_table(self) -> str:
+        return self.smo.aux_table_name("ID")
 
-    def _stored(self, role: str) -> str:
-        if role != "Rminus":
-            return super()._stored(role)
-        # The rules key Rminus by s; the stored table by a row number.
-        return f"(SELECT s AS p, s, t FROM {self.smo.aux_table_name(role)})"
+    def _outputs(self) -> list[tuple[str, tuple[str, ...], str]]:
+        """``(role, columns, relation written)`` of every role of the side
+        data is routed toward, in the order a put applies them: data roles
+        (their views), that side's aux tables, then ID."""
+        if self.smo.materialized:
+            tvs, aux = self.smo.targets, self.sem.aux_tgt()
+        else:
+            tvs, aux = self.smo.sources, self.sem.aux_src()
+        outputs = [(self.role_of(tv), tv.schema.column_names, self.ctx.view(tv)) for tv in tvs]
+        for role, schema in (*aux.items(), *self.sem.aux_shared().items()):
+            outputs.append((role, schema.column_names, self.smo.aux_table_name(role)))
+        return outputs
 
-    def role_select(self, role, rules, columns) -> str:
-        select = super().role_select(role, rules, columns)
+    def put_tables(self) -> dict[str, tuple[str, ...]]:
+        # ID is shared aux, so all three table versions carry a program of
+        # this SMO in either state: each stages its own side (but a narrow
+        # one holding the data), and the routed ones the stored side too.
+        put = self.smo.put_table_name
+        stored = self.smo.targets if self.smo.materialized else self.smo.sources
+        tables = self._row_puts(
+            [
+                tv
+                for tv in (*self.smo.sources, *self.smo.targets)
+                if tv not in stored or self.role_of(tv) == "R"
+            ]
+        )
+        tables[put("scratch")] = SCRATCH_COLUMNS
+        for role, columns, _relation in self._outputs():
+            tables[put("new_" + role)] = columns
+        return tables
+
+    def role_select(self, role, rules, columns, staged=None) -> str:
+        select = super().role_select(role, rules, columns, staged)
         if role != "Rminus":
             return select
+        # The rules key Rminus by s; the stored table by a row number.
         return f"SELECT ROW_NUMBER() OVER (ORDER BY s, t) AS p, s, t FROM ({select})"
 
-    def _stage_rows(self, role, sign, select):
-        if role != "Rminus":
-            return super()._stage_rows(role, sign, select)
-        return f"INSERT INTO {self._stage(role, sign)} (s, t) SELECT DISTINCT s, t FROM ({select})"
+    # -- writes ------------------------------------------------------------
 
-    def _apply(self, role):
-        if role != "Rminus":
-            return super()._apply(role)
-        table = self.smo.aux_table_name(role)
-        plus_table, minus_table = self._stage(role, "plus"), self._stage(role, "minus")
-        return [
-            f"DELETE FROM {table} WHERE EXISTS (SELECT 1 FROM {minus_table} m "
-            f"WHERE m.s = {table}.s AND m.t = {table}.t)",
-            f"INSERT INTO {table} (s, t) SELECT s, t FROM {plus_table}",
-        ]
-
-    # -- identifiers -------------------------------------------------------
-
-    def _allocate(self, extents: dict[str, str], written: bool = False) -> list[str]:
-        """Stage in scratch ID's new rows for one side's extents (role ->
-        relation: the repair's views; a wide write's old rows and its
-        ``row``, when ``written``), recording them unless ``written``.
+    def _allocate(self, extents: dict[str, str], old: str | None = None) -> list[str]:
+        """Record in ID the identifiers of one side's extents (role ->
+        relation: a put's staged written side, the repair's views).
 
         A matching narrow pair ID lacks and Rminus does not suppress takes
-        a fresh wide identifier.  A wide row ID lacks — the row ``NEW``,
-        where ``written`` — takes for S and for T apart what the lens
-        takes for one changed row
+        a fresh wide identifier.  A wide row ID lacks, and the row ``NEW``
+        a put writes (``old``: the wide side before the write), take for S
+        and for T apart what the lens takes for one changed row
         (:func:`repro.bidel.smo.conditional._narrow_ids`): the one recorded
         for it if the write keeps its payload, else the least one another
         row of the payload records, else the one recorded for it, else a
@@ -1330,7 +1125,6 @@ class CondHandler(IdentifierHandler):
         recorded for theirs, else a fresh one per payload."""
         id_table = self._id_table()
         scratch = self.smo.put_table_name("scratch")
-        record = [f"INSERT OR REPLACE INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}"]
         if "R" not in extents:
             s_payload, t_payload = self._payloads()
             refs = {
@@ -1338,21 +1132,20 @@ class CondHandler(IdentifierHandler):
                 **{c: f"t.{q(c)}" for c in t_payload},
             }
             rminus = self.ctx.aux_ref(self.smo, "Rminus")
-            seq = seq_value(emit.ROW_ID_SEQUENCE)
-            _fresh, advance = emit.seq_draw(scratch)
-            statements = [
+            fresh, advance = emit.seq_draw(scratch, "p")
+            return [
                 f"DELETE FROM {scratch}",
-                f"INSERT INTO {scratch} (p, a, b, rnk) SELECT {seq} + rn, s, t, rn FROM ("
-                f"SELECT ROW_NUMBER() OVER (ORDER BY s.p, t.p) AS rn, s.p AS s, t.p AS t "
+                f"INSERT INTO {scratch} (p, a, b) "
+                f"SELECT ROW_NUMBER() OVER (ORDER BY s.p, t.p), s.p, t.p "
                 f"FROM {extents['S']} s, {extents['T']} t "
                 f"WHERE {cond_true(self.sem._lens.condition, refs)} "
                 f"AND NOT EXISTS (SELECT 1 FROM {id_table} i "
                 f"WHERE i.s IS s.p AND i.t IS t.p) "
                 f"AND NOT EXISTS (SELECT 1 FROM {rminus} m "
-                f"WHERE m.s IS s.p AND m.t IS t.p))",
+                f"WHERE m.s IS s.p AND m.t IS t.p)",
+                f"INSERT INTO {id_table} (p, s, t) SELECT {fresh}, a, b FROM {scratch}",
                 advance,
             ]
-            return statements + record
         wide = extents["R"]
         payloads = dict(zip("st", self._payloads()))
 
@@ -1365,28 +1158,23 @@ class CondHandler(IdentifierHandler):
         def own(role: str, test: str = "1") -> str:
             return f"(SELECT i.{role} FROM {id_table} i WHERE i.p = w.p AND {test})"
 
-        # The other rows: the written row's old one has its old payload.
-        others = " AND w2.p <> NEW.p" if written else ""
-
         def least(role: str, test: str = "1") -> str:
             return (
-                f"(SELECT MIN(i2.{role}) FROM {wide} w2, {id_table} i2 "
-                f"WHERE {same('w2', role)} AND w2.p <> w.p{others} AND i2.p = w2.p AND {test})"
+                f"(SELECT MIN(i2.{role}) FROM {id_table} i2 JOIN {wide} w2 ON w2.p = i2.p "
+                f"WHERE w2.p <> w.p AND {same('w2', role)} AND {test})"
             )
 
-        def draw(picks: dict[str, str], rows: str | None, source: str = wide) -> list[str]:
-            """Stage ``picks`` (role -> SQL) for ``rows`` of ``source`` (all
-            for ``None``), then a fresh identifier per payload where a pick
-            is NULL."""
+        def draw(picks: dict[str, str], rows: str) -> list[str]:
+            """Stage ``picks`` (role -> SQL) for ``rows`` of ``wide``, then
+            a fresh identifier per payload where a pick is NULL."""
             ranks = [
                 f"DENSE_RANK() OVER (ORDER BY "
-                f"(SELECT MIN(w2.p) FROM {wide} w2 WHERE {same('w2', role)}{others}))"
+                f"(SELECT MIN(w2.p) FROM {wide} w2 WHERE {same('w2', role)}))"
                 for role in "st"
             ]
             statements = [
                 f"INSERT INTO {scratch} (p, a, b, rnk, rnk2) SELECT w.p, "
-                f"{', '.join([picks['s'], picks['t'], *ranks])} FROM {source} w"
-                + ("" if rows is None else f" WHERE {rows}")
+                f"{', '.join([picks['s'], picks['t'], *ranks])} FROM {wide} w WHERE {rows}"
             ]
             for column, rank in (("a", "rnk"), ("b", "rnk2")):
                 fresh, advance = emit.seq_draw(scratch, rank)
@@ -1396,89 +1184,94 @@ class CondHandler(IdentifierHandler):
                 ]
             return statements
 
-        if not written:
-            return [f"DELETE FROM {scratch}"] + draw(
-                {role: f"COALESCE({least(role)}, {own(role)})" for role in "st"},
-                f"w.p NOT IN (SELECT p FROM {id_table})",
-            ) + record
         kept = {
-            role: f"EXISTS (SELECT 1 FROM {wide} o WHERE o.p = w.p AND {same('o', role)})"
+            role: f"EXISTS (SELECT 1 FROM {old} o WHERE o.p = w.p AND {same('o', role)})"
             for role in "st"
         }
         statements = [f"DELETE FROM {scratch}"] + draw(
-            {role: f"COALESCE({own(role, kept[role])}, {least(role)}, {own(role)})" for role in "st"},
-            None, extents["row"],
-        )
-        # The rows NEW shares its identifier with under another payload.
-        taken = {col: f"(SELECT {col} FROM {scratch} WHERE p = NEW.p)" for col in "ab"}
-        moved = {
-            role: f"(EXISTS (SELECT 1 FROM {id_table} i WHERE i.p = w.p "
-            f"AND i.{role} = {taken[col]}) AND NOT ({same('w', role, 'NEW')}))"
-            for role, col in (("s", "a"), ("t", "b"))
-        }
-        return statements + draw(
             {
-                role: f"CASE WHEN {moved[role]} "
-                f"THEN {least(role, f'i2.{role} IS NOT {taken[col]}')} ELSE {own(role)} END"
-                for role, col in (("s", "a"), ("t", "b"))
+                role: f"COALESCE({own(role, kept[role]) + ', ' if old else ''}"
+                f"{least(role)}, {own(role)})"
+                for role in "st"
             },
-            f"w.p IN (SELECT i.p FROM {id_table} i WHERE i.s = {taken['a']} "
-            f"OR i.t = {taken['b']}) AND w.p <> NEW.p AND ({moved['s']} OR {moved['t']})",
+            f"w.p NOT IN (SELECT p FROM {id_table})" + (" OR w.p IS NEW.p" if old else ""),
         )
-
-    def _allocate_write(self, tv, op, routed, own, reading):
-        id_table, scratch = self._id_table(), self.smo.put_table_name("scratch")
-        skip = "" if own is None else f" AND NOT {own}"
-        recorded = (
-            f"(SELECT p, a AS s, b AS t FROM {scratch})",
-            f"(SELECT p, s, t FROM {id_table} WHERE p IN (SELECT p FROM {scratch}))",
-            [f"INSERT OR REPLACE INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}"],
-        )
-        if self.role_of(tv) == "R":
-            probe = self.ctx.probe(tv)
-            # On the route, ID records the wide rows there are.
-            kept = [
-                f"DELETE FROM {id_table} WHERE p NOT IN (SELECT p FROM {reading.names['R']})"
-            ] if routed else []
-            if op == "DELETE":
-                return _Ids(
-                    kept,
-                    empty_relation(("s", "t")),
-                    f"(SELECT p, s, t FROM {id_table} WHERE p = OLD.p{skip})",
-                    [f"DELETE FROM {id_table} WHERE p = OLD.p{skip}"],
-                )
-            row = ", ".join(
-                f"{ref} AS {q(c)}" for c, ref in new_refs(tv.schema.column_names).items()
+        if old:
+            # The rows NEW shares its identifier with under another payload.
+            taken = {col: f"(SELECT {col} FROM {scratch} WHERE p IS NEW.p)" for col in "ab"}
+            moved = {
+                role: f"(EXISTS (SELECT 1 FROM {id_table} i WHERE i.p = w.p "
+                f"AND i.{role} = {taken[col]}) AND NOT ({same('w', role, 'NEW')}))"
+                for role, col in (("s", "a"), ("t", "b"))
+            }
+            statements += draw(
+                {
+                    role: f"CASE WHEN {moved[role]} "
+                    f"THEN {least(role, f'i2.{role} IS NOT {taken[col]}')} ELSE {own(role)} END"
+                    for role, col in (("s", "a"), ("t", "b"))
+                },
+                f"w.p IN (SELECT p FROM {id_table}) AND w.p IS NOT NEW.p "
+                f"AND ({moved['s']} OR {moved['t']})",
             )
-            extents = {"R": probe, "row": f"(SELECT NEW.p AS p, {row}{_unless(own)})"}
-            return _Ids(self._allocate(extents, written=True) + kept, *recorded)
-        if not routed and op == "DELETE":
-            return None
-        # A narrow write: the matching pairs ID lacks, of its side after it
-        # on the route (Rminus, of the other side, reads empty), else — the
-        # written side holding the data, every other pair recorded or
-        # suppressed already — of its row.
-        a, b, _wide, condition = self.sem._lens.rule_terms(tuple)
-        role, s, t = self.role_of(tv), Var("s"), Var("t")
-        atoms = {"S": (s, wildcard(), *a), "T": (t, wildcard(), *b)}
-        other = "T" if role == "S" else "S"
-        rest = (
-            Atom(other, atoms[other]), condition,
-            Atom("ID", (wildcard(), s, t), False), Atom("Rminus", (wildcard(), s, t), False),
-        )
-        written = role if routed else plus(role)
-        pair = Rule(Atom("pair", (s, t)), (Atom(written, atoms[role]), *rest))
-        select = reading.select("pair", reading.flatten(RuleSet((pair,))), ("t",))
-        seq = seq_value(emit.ROW_ID_SEQUENCE)
-        _fresh, advance = emit.seq_draw(scratch)
-        allocate = [
-            f"DELETE FROM {scratch}",
-            f"INSERT INTO {scratch} (p, a, b, rnk) SELECT {seq} + rn, s, t, rn FROM ("
-            f"SELECT ROW_NUMBER() OVER (ORDER BY p, t) AS rn, p AS s, t "
-            f"FROM (SELECT DISTINCT p, t FROM ({select})))",
-            advance,
+        return statements + [
+            f"INSERT OR REPLACE INTO {id_table} (p, s, t) SELECT p, a, b FROM {scratch}"
         ]
-        return _Ids(allocate, *recorded)
+
+    def _write(self, tv, op, apply_data):
+        if not apply_data and self.role_of(tv) != "R":
+            # Off the route at a narrow table, the side that holds the data:
+            # every other matching pair is recorded or suppressed already,
+            # so only the written row's pairs can be new.
+            if op == "DELETE":
+                return []
+            narrow = self.smo.targets if tv in self.smo.targets else self.smo.sources
+            extents = {self.role_of(other): self.ctx.view(other) for other in narrow}
+            row = ", ".join(
+                f"{ref} AS {q(column)}" for column, ref in new_refs(tv.schema.column_names).items()
+            )
+            extents[self.role_of(tv)] = f"(SELECT NEW.p AS p, {row})"
+            return self._allocate(extents)
+        key = "OLD.p" if op == "DELETE" else "NEW.p"
+        statements, staged = [], {}
+        # 1. The written side after the write: the written role is its view
+        #    without the key, plus NEW; the other role is its view.
+        for side_tv in self.smo.sources if tv in self.smo.sources else self.smo.targets:
+            put = staged[self.role_of(side_tv)] = self.smo.put_table_name(self.role_of(side_tv))
+            columns = ", ".join(qcols(side_tv.schema.column_names))
+            rest = f" WHERE p IS NOT {key}" if side_tv is tv else ""
+            statements += [
+                f"DELETE FROM {put}",
+                f"INSERT INTO {put} SELECT p, {columns} FROM {self.ctx.view(side_tv)}{rest}",
+            ]
+            if side_tv is tv and op != "DELETE":
+                values = ", ".join(new_refs(side_tv.schema.column_names).values())
+                statements.append(f"INSERT INTO {put} (p, {columns}) VALUES (NEW.p, {values})")
+        # 2. Identifiers for it; ID records the wide rows there are.
+        if "R" in staged:
+            statements.append(
+                f"DELETE FROM {self._id_table()} WHERE p NOT IN (SELECT p FROM {staged['R']})"
+            )
+        wide = op != "DELETE" and self.role_of(tv) == "R"
+        statements += self._allocate(staged, self.ctx.view(tv) if wide else None)
+        if not apply_data:
+            return statements
+        # 3. Every stored-side role from the rules deriving that side, over
+        #    the staged side, ID as recorded, the unstored side's aux empty.
+        # 4. Applied once all are staged.  Applying fires this SMO's
+        #    off-route programs at the stored side, which re-allocate over
+        #    half-applied extents: ID goes last, from its staged copy.
+        rules = self.sem.gamma_tgt_rules() if self.smo.materialized else self.sem.gamma_src_rules()
+        applies = []
+        for role, columns, relation in self._outputs():
+            new = self.smo.put_table_name("new_" + role)
+            if role == "ID":
+                select = f"SELECT p, s, t FROM {self._id_table()}"
+            else:
+                select = self.role_select(role, rules, columns, staged)
+            statements += [f"DELETE FROM {new}", f"INSERT INTO {new} {select}"]
+            applies += emit.apply_extent(relation, columns, new)
+            staged[role] = new
+        return statements + applies
 
     # -- repair ------------------------------------------------------------
 

@@ -10,13 +10,12 @@ deleted through the joined side so they are not resurrected.
 These SMOs are not on the hot benchmark paths (the Wikimedia history uses
 FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition), so they
 implement the full-state lens maps only: the engine runs a whole-state put
-for every write across them.  The delta code derives the same put from the
-rule sets (:func:`repro.datalog.delta.put_rules` over the written side),
-and keeps ``ID`` off the storage route with key-local allocations.  The
-rule sets read the identifiers ``ID`` records and generate none; the maps
-allocate the ones ``ID`` lacks, and re-key the rows a put changes, as the
-delta code does (:func:`_narrow_ids`; a matching narrow pair gets a fresh
-wide identifier).
+for every write across them, and the delta code runs the same put, staged,
+with the stored side derived by the rule sets.  The rule sets read the
+identifiers ``ID`` records and generate none; the maps allocate the ones
+``ID`` lacks, and re-key the rows a put changes, as the delta code does
+(:func:`_narrow_ids`; a matching narrow pair gets a fresh wide
+identifier).
 """
 
 from __future__ import annotations

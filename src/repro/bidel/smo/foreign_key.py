@@ -155,10 +155,9 @@ class _FkLens:
         )
 
     def join_rules(self, name: str) -> RuleSet:
-        """S, T → R, ID (Rules 147–152): each S row with the B part its fk
+        """S, T → R (Rules 147–152): each S row with the B part its fk
         references, else ω (one rule pair, so one probe of T), and each T
-        row no S row references, keyed by its identifier; ID records the
-        identifier each wide row's B part has, ω for none."""
+        row no S row references, keyed by its identifier."""
         a, b, p, fk = self._rule_terms()
         s_row, wide = Atom("S", (p, *self.s_row(a, fk))), Atom("R", (p, *self.combine(a, b)))
         t = Var("t")
@@ -167,25 +166,15 @@ class _FkLens:
         def anything(count: int) -> tuple:
             return tuple(wildcard() for _ in range(count))
 
-        def t_row(key) -> Atom:
-            return Atom("T", (key, *anything(len(b) + 1)))
-
-        def unreferenced(key) -> tuple:
-            return (
-                Atom("S", (wildcard(), *self.s_row(anything(len(a)), key)), False),
-                Atom("S", (key, *anything(len(a) + 1)), False),
-            )
-
         return RuleSet(
             (
                 Rule(wide, (s_row, Atom("T", (fk, wildcard(), *b)))),
-                Rule(wide, (s_row, *omega, t_row(fk).negated())),
+                Rule(wide, (s_row, *omega, Atom("T", (fk, *anything(len(b) + 1)), False))),
                 Rule(Atom("R", (t, *self.combine((OMEGA,) * len(a), b))), (
-                    Atom("T", (t, wildcard(), *b)), *unreferenced(t),
+                    Atom("T", (t, wildcard(), *b)),
+                    Atom("S", (wildcard(), *self.s_row(anything(len(a)), t)), False),
+                    Atom("S", (t, *anything(len(a) + 1)), False),
                 )),
-                Rule(Atom("ID", (p, fk)), (s_row, t_row(fk))),
-                Rule(Atom("ID", (p, OMEGA)), (s_row, t_row(fk).negated())),
-                Rule(Atom("ID", (t, t)), (t_row(t), *unreferenced(t))),
             ),
             name=name,
         )
@@ -365,12 +354,10 @@ class DecomposeFkSemantics(SmoSemantics):
             ):
                 t_out.deletes.add(fk)
                 cache.drop(fk)
-        left: set[Key] = set()  # identifiers an upsert moves away from
         for key, row in change.upserts.items():
             a_part, b_part = self._lens.split_row(row)
             entry = id_rows.get(key)
             fk = entry[0] if entry else None
-            recorded = fk
             if is_all_null(b_part):
                 fk = None
             elif fk is None or cache.by_fk.get(fk) != b_part:
@@ -384,13 +371,6 @@ class DecomposeFkSemantics(SmoSemantics):
             id_out.upserts[key] = (fk,)
             if fk is not None:
                 t_out.upserts[fk] = (fk, *b_part)
-            if recorded is not None and recorded != fk:
-                left.add(recorded)
-        # A T row no wide row derives any more goes, as the split rules say.
-        for fk in left - {row[0] for row in id_out.upserts.values()}:
-            if not self._fk_still_referenced(fk, ctx, exclude=keys):
-                t_out.deletes.add(fk)
-                cache.drop(fk)
         return {"S": s_out, "T": t_out, "ID": id_out}
 
     def _fk_still_referenced(self, fk: Key, ctx: MapContext, exclude: set[Key]) -> bool:
@@ -438,19 +418,6 @@ class DecomposeFkSemantics(SmoSemantics):
         for key in s_change.deletes:
             wide_out.deletes.add(key)
             id_out.deletes.add(key)
-        # A T row the change leaves no S row referencing surfaces, keyed by
-        # its identifier (the join rules' third rule).
-        left = {
-            entry[0] for entry in ctx.read_keys("ID", s_change.keys()).values()
-            if entry and entry[0] is not None
-        } - {row[-1] for row in s_change.upserts.values()} - affected_fks
-        for fk in left:
-            payload = cache.by_fk.get(fk)
-            if payload is not None and not self._fk_still_referenced(
-                fk, ctx, exclude=s_change.keys()
-            ):
-                wide_out.upserts[fk] = self._lens.combine(None, payload)
-                id_out.upserts[fk] = (fk,)
         for key, s_row in s_change.upserts.items():
             a_part, fk = s_row[:-1], s_row[-1]
             t_row = t_current.get(fk) if fk is not None else None

@@ -2,9 +2,10 @@
 engine runs it.
 
 ``CHECK <bidel>`` (and ``python -m repro.check --preflight``) parses the
-script and runs each SMO through the semantics the engine instantiates
-(:func:`~repro.bidel.smo.registry.build_semantics`) over a working copy
-of the catalog's table schemas — no data, no delta code — flagging:
+script and binds each SMO as the engine does
+(:func:`~repro.core.engine.bind_smo`: its semantics and target schemas)
+over a working copy of the catalog's table schemas — no data, no delta
+code — flagging:
 
 - **RPC201** name collisions (schema versions, tables, columns),
 - **RPC202** references to unknown or dropped versions/tables,
@@ -37,10 +38,12 @@ from repro.bidel.ast import (
     Split,
 )
 from repro.bidel.parser import parse_script
-from repro.bidel.smo.registry import build_semantics, source_table_names
+from repro.bidel.smo.registry import source_table_names
 from repro.check.diagnostics import Diagnostic
-from repro.errors import (EvolutionError, MaterializationError, ReproError,
-                          SchemaError)
+from repro.core.engine import bind_smo
+from repro.errors import (EvolutionError, MaterializationError,
+                          MissingTableError, ReproError, SchemaError,
+                          TableExistsError)
 from repro.expr.ast import Expression, Literal, is_true
 from repro.relational.schema import TableSchema
 
@@ -138,38 +141,29 @@ def _check_materialize(engine, catalog: set[str], versions: Schema,
 
 def _apply_smo(version: str, tables: dict[str, TableSchema], node: SmoNode,
                diagnostics: list[Diagnostic]) -> None:
-    """Apply ``node`` to ``tables`` as the engine's ``_apply_smo`` does:
-    source tables -> the SMO's semantics -> its target schemas.  A
-    refused SMO is reported and leaves ``tables`` as it was."""
-    names = source_table_names(node)
-
+    """Apply ``node`` to ``tables`` as the engine binds it
+    (:func:`~repro.core.engine.bind_smo`).  A refused SMO is reported and
+    leaves ``tables`` as it was."""
     def report(code: str, table: str, message: str) -> None:
         diagnostics.append(Diagnostic(code, "error", f"{version}.{table}",
                                       message))
 
-    missing = [name for name in names if name not in tables]
-    for name in missing:
-        report("RPC202", name, f"table {name!r} does not exist at this "
-                               "point of the chain")
-    if missing:
-        return
     try:
-        sources = tuple(tables[name] for name in names)
-        targets = build_semantics(node, sources).target_schemas()
+        bind_smo(node, tables)
+    except MissingTableError as exc:
+        for name in exc.tables:
+            report("RPC202", name, f"table {name!r} does not exist at this "
+                                   "point of the chain")
+        return
+    except TableExistsError as exc:
+        report("RPC201", exc.table, f"table {exc.table!r} already exists in "
+                                    "this version")
+        return
     except (SchemaError, EvolutionError) as exc:
+        names = source_table_names(node)
         report("RPC201" if isinstance(exc, SchemaError) else "RPC203",
                names[0] if names else node.table, str(exc))
         return
-    working = {name: schema for name, schema in tables.items()
-               if name not in names}
-    for schema in targets:
-        if schema.name in working:
-            report("RPC201", schema.name, f"table {schema.name!r} already "
-                                          "exists in this version")
-            return
-        working[schema.name] = schema
-    tables.clear()
-    tables.update(working)
     _judge_loss(version, node, diagnostics)
 
 

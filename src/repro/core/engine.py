@@ -50,7 +50,9 @@ from repro.catalog.materialization import (
 )
 from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
-from repro.errors import AccessError, CatalogError, EvolutionError
+from repro.errors import (
+    AccessError, CatalogError, EvolutionError, MissingTableError, TableExistsError,
+)
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 from repro.relational.table import Key, Table
@@ -58,25 +60,31 @@ from repro.relational.table import Key, Table
 _ID_COLUMN = "id"
 
 
-def _bind_smo(node: SmoNode, working: dict[str, TableSchema]):
+def bind_smo(node: SmoNode, working: dict[str, TableSchema]):
     """``(semantics, target schemas)`` of ``node`` over the working schema
     ``working`` (table name -> schema), which it then advances past the
-    SMO; raises :class:`EvolutionError` for an SMO that does not apply."""
+    SMO.  An SMO that does not apply raises :class:`EvolutionError` (or
+    :class:`SchemaError` from its semantics) and leaves ``working`` as it
+    was."""
     names = source_table_names(node)
-    for name in names:
-        if name not in working:
-            raise EvolutionError(
-                f"SMO {node.unparse()!r}: no table {name!r} in the working schema"
-            )
-    semantics = build_semantics(node, tuple(working.pop(name) for name in names))
+    missing = [name for name in names if name not in working]
+    if missing:
+        raise MissingTableError(
+            f"SMO {node.unparse()!r}: no table {missing[0]!r} in the working schema", missing
+        )
+    semantics = build_semantics(node, tuple(working[name] for name in names))
     targets = semantics.target_schemas()
+    advanced = {name: schema for name, schema in working.items() if name not in names}
     for schema in targets:
-        if schema.name in working:
-            raise EvolutionError(
+        if schema.name in advanced:
+            raise TableExistsError(
                 f"SMO {node.unparse()!r}: table {schema.name!r} already exists "
-                "in the working schema"
+                "in the working schema",
+                schema.name,
             )
-        working[schema.name] = schema
+        advanced[schema.name] = schema
+    working.clear()
+    working.update(advanced)
     return semantics, targets
 
 
@@ -370,7 +378,7 @@ class InVerDa:
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
         schemas = {name: tv.schema for name, tv in working.items()}
-        bound = [_bind_smo(node, schemas) for node in statement.smos]
+        bound = [bind_smo(node, schemas) for node in statement.smos]
         added = [
             self._apply_smo(node, working, statement.name, *binding)
             for node, binding in zip(statement.smos, bound)
@@ -385,7 +393,7 @@ class InVerDa:
         self, node: SmoNode, working: dict[str, TableVersion], evolution: str,
         semantics, target_schemas,
     ) -> SmoInstance:
-        """Register ``node`` as :func:`_bind_smo` bound it over ``working``."""
+        """Register ``node`` as :func:`bind_smo` bound it over ``working``."""
         sources = [working[name] for name in source_table_names(node)]
         targets = [
             self.genealogy.new_table_version(schema.name, schema, evolution)

@@ -7,8 +7,6 @@ The paper defines every SMO by two Datalog rule sets ``γ_tgt`` and ``γ_src``
   compile into views and triggers;
 - bottom-up evaluation (:mod:`repro.datalog.evaluate`) used as the
   executable reference semantics of every SMO;
-- update-propagation rules (:mod:`repro.datalog.delta`), the Δ rules the
-  identifier SMOs' write programs are rendered from;
 - the paper's simplification Lemmas 1–5 (:mod:`repro.datalog.simplify`),
   the round-trip composition machinery (:mod:`repro.datalog.compose`) and
   matching modulo renaming (:mod:`repro.datalog.symbolic`), which prove

@@ -63,6 +63,22 @@ class EvolutionError(ReproError):
     """A BiDEL evolution cannot be applied to the given source version."""
 
 
+class MissingTableError(EvolutionError):
+    """An SMO reads tables its working schema lacks (``tables``)."""
+
+    def __init__(self, message: str, tables: list[str]):
+        super().__init__(message)
+        self.tables = tables
+
+
+class TableExistsError(EvolutionError):
+    """An SMO creates a table its working schema already has (``table``)."""
+
+    def __init__(self, message: str, table: str):
+        super().__init__(message)
+        self.table = table
+
+
 class AccessError(ReproError):
     """Invalid data access through a schema version (unknown table/column,
     bad value types, write to a dropped version, ...)."""

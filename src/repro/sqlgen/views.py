@@ -64,17 +64,13 @@ class ViewBranch:
     requires: frozenset[str] = frozenset()
     forbids: frozenset[str] = frozenset()
     key_preserving: bool = False
-    #: Join the FROM entries in their order (``CROSS JOIN``), the first the
-    #: loop outermost: SQLite has no statistics telling it a Δ is small.
-    ordered: bool = False
 
     def sql(self, distinct: bool = False) -> str:
         select_items = ", ".join(
             f"{expr} AS {quote_identifier(column)}" for column, expr in self.head
         )
         sql = ("SELECT DISTINCT " if distinct else "SELECT ") + select_items
-        joiner = " CROSS JOIN " if self.ordered else ", "
-        sql += " FROM " + joiner.join(f"{table} {alias}" for alias, table in self.froms)
+        sql += " FROM " + ", ".join(f"{table} {alias}" for alias, table in self.froms)
         if self.where:
             sql += " WHERE " + " AND ".join(self.where)
         return sql
@@ -160,23 +156,8 @@ class _Subquery:
         stored: Atom | None = None,
         probe_names: Mapping[str, str] | None = None,
         prefix: str = "t",
-        probed: frozenset[str] | None = None,
-        drivers: frozenset[str] = frozenset(),
     ):
         self.rule = rule
-        #: Relations known small (a write's Δ): a rule reading one is
-        #: joined from it outward.
-        self.drivers = drivers
-        self.ordered = False
-        #: The Δ-rule form (:func:`select_sql_for_rules`' ``probed``): bound
-        #: terms compare with ``IS`` (Datalog's equality, under which a NULL
-        #: payload matches itself) rather than ``=``, and a positive atom
-        #: over a ``probed`` relation reads it by key once its key is bound.
-        self.probed = probed
-        # A probe of a known value: ``+`` strips its affinity, or an untyped
-        # column compared with an INTEGER one (a rowid) is converted, and
-        # its index not used.
-        self.eq = " = " if probed is None else " IS +"
         #: ``X(k, b…)`` of a merged pair: each ``b`` bound by a function
         #: binding reads X's value at ``k`` where X holds one.
         self.stored = stored
@@ -210,9 +191,7 @@ class _Subquery:
                 else:
                     constraints.append(f"{reference} = {_sql_literal(term.value)}")
             elif term.name in self.var_sources:
-                # A join keeps both directions open unless its order is set.
-                eq = self.eq if self.ordered or self.probed is None else " IS "
-                constraints.append(f"{reference}{eq}{self.var_sources[term.name]}")
+                constraints.append(f"{reference} = {self.var_sources[term.name]}")
             else:
                 self.var_sources[term.name] = reference
         return constraints
@@ -224,13 +203,10 @@ class _Subquery:
         compares = [lit for lit in self.rule.body if isinstance(lit, Compare)]
         assigns = [lit for lit in self.rule.body if isinstance(lit, Assign)]
 
-        if self.probed is None:
-            for index, atom in enumerate(positives):
-                alias = f"{self.prefix}{index}"
-                self.aliases.append((alias, self.table_names[atom.pred]))
-                self.where.extend(self._bind_atom(atom, alias))
-        else:
-            self._join_or_probe(positives)
+        for index, atom in enumerate(positives):
+            alias = f"{self.prefix}{index}"
+            self.aliases.append((alias, self.table_names[atom.pred]))
+            self.where.extend(self._bind_atom(atom, alias))
 
         for assign in assigns:
             if assign.expression is None:
@@ -293,7 +269,7 @@ class _Subquery:
                     else:
                         constraints.append(f"{reference} = {_sql_literal(term.value)}")
                 elif term.name in self.var_sources or term.name in self.computed:
-                    constraints.append(f"{reference}{self.eq}{self._term_sql(term)}")
+                    constraints.append(f"{reference} = {self._term_sql(term)}")
                 # otherwise: don't-care position
             body = f"SELECT 1 FROM {self._probed(negative.pred)} {alias}"
             if constraints:
@@ -314,55 +290,7 @@ class _Subquery:
             forbids=frozenset(forbids),
             key_preserving=bool(positives)
             and all(atom.terms[0] == key for atom in positives),
-            ordered=self.ordered,
         )
-
-    def _bound(self, term: Term) -> bool:
-        return isinstance(term, Const) or term.name in self.var_sources
-
-    def _join_or_probe(self, positives: list[Atom]) -> None:
-        """Positive atoms of a Δ rule: a ``probed`` relation (a view, a
-        compound — SQLite scans one it joins) is read by key once an
-        earlier atom binds its key, through correlated subqueries SQLite
-        pushes the key into; every other atom, and one whose key nothing
-        binds, is a FROM entry, the other relations first."""
-        pending = list(positives)
-        self.ordered = any(atom.pred in self.drivers for atom in pending)
-        while pending:
-            joined = [a for a in pending if a.pred not in self.probed]
-            atom = (
-                next((a for a in pending if a.pred in self.probed and self._bound(a.terms[0])), None)
-                or next((a for a in joined if a.pred in self.drivers), None)
-                or next((a for a in joined if a.variables() & self.var_sources.keys()), None)
-                or next(iter(joined), pending[0])
-            )
-            pending.remove(atom)
-            if atom.pred in self.probed and self._bound(atom.terms[0]):
-                self._probe_atom(atom)
-            else:
-                alias = f"{self.prefix}{len(self.aliases)}"
-                self.aliases.append((alias, self.table_names[atom.pred]))
-                self.where.extend(self._bind_atom(atom, alias))
-
-    def _probe_atom(self, atom: Atom) -> None:
-        """``atom``'s row at its bound key: an ``EXISTS`` testing its bound
-        terms, and a scalar subquery per variable it binds."""
-        columns = self.table_columns[atom.pred]
-        match = (
-            f"FROM {self.table_names[atom.pred]} n "
-            f"WHERE n.p{self.eq}{self._term_sql(atom.terms[0])}"
-        )
-        tests = []
-        for term, column in zip(atom.terms[1:], columns):
-            reference = f"n.{quote_identifier(column)}"
-            if isinstance(term, Const) and term.value is None:
-                tests.append(f" AND {reference} IS NULL")
-            elif self._bound(term):
-                tests.append(f" AND {reference}{self.eq}{self._term_sql(term)}")
-        self.where.append(f"EXISTS (SELECT 1 {match}{''.join(tests)})")
-        for term, column in zip(atom.terms[1:], columns):
-            if not self._bound(term):
-                self.var_sources[term.name] = f"(SELECT n.{quote_identifier(column)} {match})"
 
     def _probe(self, target: Var, computed: str) -> str:
         """``target``'s stored value where the stored relation holds a row
@@ -477,8 +405,6 @@ def branches_for_rules(
     table_columns: Mapping[str, tuple[str, ...]],
     head_columns: tuple[str, ...],
     probe_names: Mapping[str, str] | None = None,
-    probed: frozenset[str] | None = None,
-    drivers: frozenset[str] = frozenset(),
 ) -> list[ViewBranch]:
     """The structured UNION branches deriving ``head_pred``: one per rule,
     and one per stored-or-computed pair (:func:`_stored_or_computed`),
@@ -489,39 +415,25 @@ def branches_for_rules(
     ``probe_names`` maps a predicate to the relation its key probes read
     instead of its table name (one holding the same rows: a physical
     table version's data table for its pass-through view); a ``forbids``
-    fact names both.  A helper may read helpers of its own.
-
-    ``probed`` renders the Δ rules of a write program
-    (:class:`repro.backend.handlers.IdentifierHandler`): ``IS``-equality,
-    the ``probed`` relations read by key, and a rule reading one of the
-    small ``drivers`` joined from it outward."""
+    fact names both."""
     pending = list(rules.rules_for(head_pred))
     # A helper reads relations only to test for rows, so through their
     # probe names; its own columns are numbered.
     helper_names = {**table_names, **(probe_names or {})}
     table_names, table_columns = dict(table_names), dict(table_columns)
-
-    def inline(pred: str) -> None:
-        helper = rules.rules_for(pred)
-        if not helper or pred in table_names:
-            return
-        for atom in {atom.pred for rule in helper for atom in rule.body_atoms()}:
-            inline(atom)
-        table_columns[pred] = tuple(f"c{i}" for i in range(1, len(helper[0].head.terms)))
-        table_names[pred] = helper_names[pred] = "(" + " UNION ALL ".join(
-            _Subquery(
-                rule, helper_names, table_columns, table_columns[pred], prefix="h",
-                probed=probed,
-            ).branch().sql()
-            for rule in helper
-        ) + ")"
-
     for pred in {atom.pred for rule in pending for atom in rule.body_atoms()}:
-        inline(pred)
+        helper = rules.rules_for(pred)
+        if helper and pred not in table_names:
+            table_columns[pred] = tuple(f"c{i}" for i in range(1, len(helper[0].head.terms)))
+            table_names[pred] = "(" + " UNION ALL ".join(
+                _Subquery(rule, helper_names, table_columns, table_columns[pred], prefix="h")
+                .branch().sql()
+                for rule in helper
+            ) + ")"
     branches = []
     while pending:
         rule, stored = pending.pop(0), None
-        for other in pending if probed is None else ():
+        for other in pending:
             pair = _stored_or_computed(rule, other) or _stored_or_computed(other, rule)
             if pair is not None:
                 pending.remove(other)
@@ -529,8 +441,7 @@ def branches_for_rules(
                 break
         branches.append(
             _Subquery(
-                rule, table_names, table_columns, head_columns, stored, probe_names,
-                probed=probed, drivers=drivers,
+                rule, table_names, table_columns, head_columns, stored, probe_names
             ).branch()
         )
     if not branches:

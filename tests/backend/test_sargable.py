@@ -547,11 +547,38 @@ IDENTIFIER_WRITES = {
     ("DELETE", "R"): ("v1", "DELETE FROM R WHERE a = ?"),
     ("DELETE", "S"): ("v2", "DELETE FROM S WHERE a = ?"),
 }
-# The condition SMO's writes on the storage route are the engine's full
-# lens put, which resets what its rules do not derive (the unstored side's
-# aux reads empty; a stored row outside the rules' image goes): a scan of
-# the written side, so linear in rows.
-LENS_PUTS = {("cond", "S", "v1"), ("cond", "R", "v2")}
+# Item 13's bounds.  An INSERT at 1 000 rows costs at most 1.3 times its
+# count at 100 rows, and at most 1.5 times emission stamp 11's count at 100
+# rows (SQLite 3.40.1, below).  A DELETE costs at most twice the ``ON PK``
+# one at the same rows and materialization.
+STAMP_11_INSERTS_AT_100 = {
+    ("cond", "R", "v1"): 11_067, ("cond", "S", "v1"): 140_510,
+    ("cond", "R", "v2"): 54_216, ("cond", "S", "v2"): 691,
+    ("fk", "R", "v1"): 847, ("fk", "S", "v1"): 264,
+    ("fk", "R", "v2"): 1_252, ("fk", "S", "v2"): 144,
+}
+# The cells that miss them, each under the ROADMAP known defect naming it.
+KNOWN_DEFECTS = {
+    **{
+        ("cond", op, table, at): "Condition-SMO writes cost whole extents"
+        for op in ("INSERT", "DELETE") for table in "RS" for at in ("v1", "v2")
+        if (op, table, at) != ("DELETE", "S", "v2")
+    },
+    ("fk", "INSERT", "R", "v2"): "An FK wide write with the narrow side stored scans S",
+}
+
+
+def _identifier_cells():
+    for kind in ("cond", "fk"):
+        for op in ("INSERT", "DELETE"):
+            for table in "RS":
+                for at in ("v1", "v2"):
+                    cell = (kind, op, table, at)
+                    defect = KNOWN_DEFECTS.get(cell)
+                    marks = [] if defect is None else [
+                        pytest.mark.xfail(reason=f"ROADMAP known defect: {defect}")
+                    ]
+                    yield pytest.param(*cell, id="-".join(cell), marks=marks)
 
 
 def _identifier_steps(kind: str, rows: int, at: str) -> dict:
@@ -594,23 +621,18 @@ def identifier_steps():
     }
 
 
-@pytest.mark.parametrize("at", ["v1", "v2"])
-@pytest.mark.parametrize("table", ["R", "S"])
-@pytest.mark.parametrize("kind", ["cond", "fk"])
-def test_identifier_writes_scale(identifier_steps, kind, table, at):
+@pytest.mark.parametrize("kind, op, table, at", list(_identifier_cells()))
+def test_identifier_writes_scale(identifier_steps, kind, op, table, at):
     """A one-row write through an FK or condition SMO costs what its row
-    touches: an INSERT at 1 000 rows at most 1.3 times its count at 100,
-    a DELETE at most twice the ``ON PK`` one.  The condition SMO's routed
-    puts stay linear, not worse."""
-    small, large = identifier_steps[kind, 100, at], identifier_steps[kind, 1000, at]
-    pk = identifier_steps["pk", 1000, at]
-    insert, delete = ("INSERT", table), ("DELETE", table)
-    cells = f"{SQLITE}: {kind} {table}@{at}: 100 rows {small}, 1 000 rows {large}, ON PK {pk}"
-    if (kind, table, at) in LENS_PUTS:
-        assert large[insert] <= 12 * small[insert] and large[delete] <= 12 * small[delete], cells
-        return
-    assert large[insert] <= 1.3 * small[insert], cells
-    assert large[delete] <= 2 * pk[delete], cells
+    touches, within item 13's bounds (``STAMP_11_INSERTS_AT_100``)."""
+    steps = {rows: identifier_steps[kind, rows, at][op, table] for rows in (100, 1000)}
+    pk = {rows: identifier_steps["pk", rows, at][op, table] for rows in (100, 1000)}
+    cell = f"{SQLITE}: {kind} {op} {table}@{at}: {steps} VM steps by rows, ON PK {pk}"
+    if op == "INSERT":
+        assert steps[1000] <= 1.3 * steps[100], cell
+        assert steps[1000] <= 1.5 * STAMP_11_INSERTS_AT_100[kind, table, at], cell
+    else:
+        assert all(steps[rows] <= 2 * pk[rows] for rows in (100, 1000)), cell
 
 
 def test_update_four_hops_away_costs_at_most_four_times_local(chain):

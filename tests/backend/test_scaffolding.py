@@ -121,10 +121,9 @@ def test_declared_put_tables_are_exactly_the_referenced_ones(kind, materialized)
 
 def test_workload_scenarios_scaffold_only_what_their_programs_name():
     # TasKy's one-target SPLIT snapshots no twin, so it scaffolds nothing;
-    # its FK DECOMPOSE keeps seven: the Δ of R and of ID its narrow writes
-    # stage, the rows S and T replace, and the scratch table.
+    # its FK DECOMPOSE keeps four.
     for engine, count in (
-        (build_tasky(5).engine, 7),
+        (build_tasky(5).engine, 4),
         (build_orders(2, 2, 2, versions=3).engine, 2),
     ):
         backend = LiveSqliteBackend.attach(engine)

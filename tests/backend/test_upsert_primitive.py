@@ -44,7 +44,7 @@ from tests.backend.test_differential import CHAINS, WORDS, _apply_materializatio
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 
 # The differential chains plus the condition lens (generated identifiers
-# on both sides, a lens put on every routed write).
+# on both sides, a staged put on every write).
 ALL_CHAINS = {
     **CHAINS,
     "condition_decompose": (

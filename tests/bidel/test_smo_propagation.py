@@ -212,9 +212,8 @@ class TestRulesAgreeWithMaps:
         self, smo_text, schemas, forward, backward
     ):
         """γ_tgt ≡ ``map_forward`` and γ_src ≡ ``map_backward``: every data
-        and side-aux role, and ID where the rules derive it (the FK's join
-        direction), Rminus compared as the set of pairs it holds (its
-        stored key is a row number)."""
+        and side-aux role, Rminus compared as the set of pairs it holds
+        (its stored key is a row number)."""
         from repro.datalog.evaluate import evaluate
 
         semantics = build_semantics(parse_smo(smo_text), tuple(schemas))
@@ -227,7 +226,7 @@ class TestRulesAgreeWithMaps:
             facts = {role: {(key, *row) for key, row in rows.items()} for role, rows in extents.items()}
             derived = evaluate(rules, facts)
             state = map_side(FixedContext(extents))
-            for role in (*roles, *(["ID"] if rules.rules_for("ID") else [])):
+            for role in roles:
                 got = derived[role]
                 expected = {(key, *row) for key, row in state[role].items()}
                 if role == "Rminus":

@@ -235,19 +235,6 @@ BEGIN
 END"""
 
 
-#: The FK decomposition of stamp 9, and its generated Sku table's DELETE
-#: trigger as emission stamp 11 wrote it: the FK write programs were
-#: hand-written.
-STAMP_11_SKU_DELETE = """CREATE TRIGGER tg__6__delete INSTEAD OF DELETE ON v6__Sku
-BEGIN
-  DELETE FROM put__4__S;
-  INSERT INTO put__4__S SELECT p, stock, reserved, item FROM v5__Stock WHERE item IS OLD.id;
-  DELETE FROM v1__Inventory WHERE p IS OLD.id;
-  UPDATE v1__Inventory SET sku = NULL WHERE p IN (SELECT p FROM put__4__S);
-  INSERT OR REPLACE INTO aux__4__ID (p, fk) SELECT p, NULL FROM put__4__S;
-END"""
-
-
 def build_tasky_file(path: str):
     scenario = build_tasky(20)
     backend = LiveSqliteBackend.attach(scenario.engine, database=path)
@@ -428,8 +415,8 @@ class TestDeltaCodeReuse:
         pass-through view and whose deletes hop into the unified view
         (with the data at the partitions), or 9, whose FK views are
         hand-written, or 10, whose condition SMOs' write programs are
-        too, or 11, whose FK write programs are — is regenerated on open,
-        once."""
+        too, or 11, whose FK identifier decision scans the payload — is
+        regenerated on open, once."""
         import sqlite3
 
         from repro.workloads.orders import build_orders
@@ -464,6 +451,7 @@ class TestDeltaCodeReuse:
             if older == "stamp-10":
                 patch.setattr(codegen, "EMISSION_STAMP", 10)
             if older == "stamp-11":
+                patch.setattr(handlers.FkHandler, "probe_indexes", handlers.SmoHandler.probe_indexes)
                 patch.setattr(codegen, "EMISSION_STAMP", 11)
             engine = build_orders(2, 8, 2).engine
             if older in ("stamp-9", "stamp-11"):
@@ -491,6 +479,13 @@ class TestDeltaCodeReuse:
                 ).fetchall()
             }
 
+        def indexes(connection):
+            return {
+                name for (name,) in connection.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL"
+                )
+            }
+
         def view_script(connection):
             return dict(connection.execute(
                 "SELECT name, sql FROM sqlite_master WHERE type = 'view'"
@@ -499,6 +494,7 @@ class TestDeltaCodeReuse:
         handle = sqlite3.connect(path)
         before = contents(handle)
         stamp_3_views = view_script(handle)
+        indexes_before = indexes(handle)
         compounds = handle.execute(
             "SELECT name, sql FROM sqlite_master WHERE type = 'view' "
             "AND sql LIKE '%UNION ALL%'"
@@ -537,10 +533,6 @@ class TestDeltaCodeReuse:
             # Stamp 10 wrote the condition SMOs' write programs by hand.
             handle.execute("DROP TRIGGER tg__6__delete")
             handle.execute(STAMP_10_HELD_DELETE)
-        if older == "stamp-11":
-            # Stamp 11 wrote the FK SMOs' write programs by hand.
-            handle.execute("DROP TRIGGER tg__6__delete")
-            handle.execute(STAMP_11_SKU_DELETE)
         if older == "unstamped":
             handle.execute("DELETE FROM _repro_catalog_meta WHERE key = 'delta_emission'")
         handle.commit()
@@ -608,11 +600,11 @@ class TestDeltaCodeReuse:
                 assert STAMP_10_HELD_DELETE not in trigger_script(backend.connection)
                 assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
             if older == "stamp-11":
-                # The hand-written trigger is replaced; the views stay.
+                # Same delta code; the scaffold indexes the wide table's
+                # payload, which the identifier decision probes.
                 assert installed == stamp_3_views
-                assert backend.last_install["created"] == backend.last_install["dropped"] == 1
-                assert STAMP_11_SKU_DELETE not in trigger_script(backend.connection)
                 assert sorted(trigger_script(backend.connection).split("\n")) == triggers_before
+                assert indexes(backend.connection) - indexes_before == {"ix__d__1__Inventory__sku"}
             assert two_statement not in trigger_script(backend.connection)
             assert STAMP_4_CHECK not in trigger_script(backend.connection)
             assert not STAMP_6_TWIN.search(trigger_script(backend.connection))
