@@ -557,14 +557,11 @@ STAMP_11_INSERTS_AT_100 = {
     ("fk", "R", "v1"): 847, ("fk", "S", "v1"): 264,
     ("fk", "R", "v2"): 1_252, ("fk", "S", "v2"): 144,
 }
-# The cells that miss them, each under the ROADMAP known defect naming it.
+# The cells that miss them, under the ROADMAP known defect naming them.
 KNOWN_DEFECTS = {
-    **{
-        ("cond", op, table, at): "Condition-SMO writes cost whole extents"
-        for op in ("INSERT", "DELETE") for table in "RS" for at in ("v1", "v2")
-        if (op, table, at) != ("DELETE", "S", "v2")
-    },
-    ("fk", "INSERT", "R", "v2"): "An FK wide write with the narrow side stored scans S",
+    ("cond", op, table, at): "Condition-SMO writes cost whole extents"
+    for op in ("INSERT", "DELETE") for table in "RS" for at in ("v1", "v2")
+    if (op, table, at) != ("DELETE", "S", "v2")
 }
 
 
