@@ -265,3 +265,55 @@ def test_write_round_trip(name, materialize):
             ds.check(f"{name}/{materialize}/op{index}: {sql}")
     finally:
         ds.close()
+
+
+# A routed write through a condition SMO, then the rows that must not move.
+ROUTED_CONDITION_WRITES = {
+    # Data at v1: S(9) matches no T row, so v1.R keeps its two rows.
+    "narrow": (
+        "ON a <= b", None, [("v2", "INSERT INTO S(a) VALUES (9)")],
+        "v1", "SELECT a, b FROM R", [(1, 1), (2, 2)],
+    ),
+    # Narrow side stored: S(9) has no partner, and an INSERT at v1.R
+    # leaves it there.
+    "wide": (
+        "ON a = b", "v2",
+        [("v2", "INSERT INTO S(a) VALUES (9)"), ("v1", "INSERT INTO R(a, b) VALUES (5, 5)")],
+        "v2", "SELECT a FROM S", [(1,), (2,), (5,), (9,)],
+    ),
+}
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP known defect: A routed condition write changes rows it does not touch",
+    strict=True,
+)
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("case", sorted(ROUTED_CONDITION_WRITES))
+def test_a_routed_condition_write_leaves_other_rows_alone(case, backend):
+    import repro
+    from repro.backend.sqlite import LiveSqliteBackend
+
+    condition, materialize, writes, version, query, expected = ROUTED_CONDITION_WRITES[case]
+    engine = repro.InVerDa()
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
+    live = LiveSqliteBackend.attach(engine) if backend == "sqlite" else None
+    try:
+        conn = repro.connect(engine, "v1", autocommit=True, backend=backend)
+        conn.executemany("INSERT INTO R(a, b) VALUES (?, ?)", [(1, 1), (2, 2)])
+        conn.close()
+        engine.execute(
+            f"CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE R INTO S(a), T(b) {condition};"
+        )
+        if materialize is not None:
+            engine.execute(f"MATERIALIZE '{materialize}';")
+        for at, sql in writes:
+            conn = repro.connect(engine, at, autocommit=True, backend=backend)
+            conn.execute(sql)
+            conn.close()
+        conn = repro.connect(engine, version, autocommit=True, backend=backend)
+        assert sorted(conn.execute(query).fetchall()) == expected
+        conn.close()
+    finally:
+        if live is not None:
+            live.close()
