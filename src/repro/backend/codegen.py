@@ -61,9 +61,9 @@ from repro.util.naming import physical_name
 #:      branch not proven key-preserving is SELECT DISTINCT.
 #: 11 = a condition SMO's write is one staged put: the stored side comes
 #:      from its rule set.
-#: 12 = an FK SMO's identifier decision and its T writes seek indexes the
-#:      scaffold creates (payload, S's foreign key); its ID repair scans S
-#:      in key order.
+#: 12 = an FK SMO's identifier decision seeks an index over the physical
+#:      payload columns it probes (the scaffold creates it), and a wide
+#:      write leaves a T row holding its payload alone.
 EMISSION_STAMP = 12
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the

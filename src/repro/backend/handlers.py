@@ -792,13 +792,12 @@ class FkHandler(SmoHandler):
 
     def probe_indexes(self):
         # The identifier decision looks T up by payload, through the wide
-        # table when T is a view; a T write looks up the S rows
-        # referencing it.
-        wide_tv, s_tv, t_tv, fk, _id_col, _a_cols, b_cols = self._parts()
+        # table when T is a view.
+        wide_tv, _s_tv, t_tv, _fk, _id_col, _a_cols, b_cols = self._parts()
         return [
-            (tv.data_table_name, columns)
-            for tv, columns in ((wide_tv, b_cols), (t_tv, b_cols), (s_tv, (fk,)))
-            if columns and self.ctx.engine._is_physical(tv)
+            (tv.data_table_name, b_cols)
+            for tv in (wide_tv, t_tv)
+            if b_cols and self.ctx.engine._is_physical(tv)
         ]
 
     def put_tables(self) -> dict[str, tuple[str, ...]]:
@@ -873,7 +872,10 @@ class FkHandler(SmoHandler):
             # (which may clobber the put table); read the id back from ID.
             fk_sql = f"(SELECT fk FROM {id_table} WHERE p IS NEW.p)"
             # T before S: when S's write cascades, its nested shared-aux
-            # maintenance probes the T row, which must already exist.
+            # maintenance probes the T row, which must already exist.  A T
+            # row that holds the payload already is left alone: writing it
+            # again would fire T's program, which looks up every S row
+            # referencing it.
             t_values = [
                 fk_sql if c == id_col else f"NEW.{q(c)}"
                 for c in t_tv.schema.column_names
@@ -883,7 +885,9 @@ class FkHandler(SmoHandler):
             ]
             statements += [
                 self.ctx.upsert(
-                    t_tv, fk_sql, t_values, f"{fk_sql} IS NOT NULL AND NOT {b_null}"
+                    t_tv, fk_sql, t_values,
+                    f"{fk_sql} IS NOT NULL AND NOT {b_null} AND NOT EXISTS "
+                    f"(SELECT 1 FROM {vt} t WHERE t.p IS {fk_sql} AND {match_t})",
                 ),
                 self.ctx.upsert(s_tv, "NEW.p", s_values),
             ]
@@ -1007,17 +1011,12 @@ class FkHandler(SmoHandler):
         # row-delete programs maintain ID themselves).
         statements = []
         if not self._wide_stored_ward():
-            # Narrow side independent: record the actual foreign keys.  S
-            # is scanned in key order: through its foreign-key index the
-            # scan would probe ID out of order.
-            scan_s = f"{vs} s"
-            if self.ctx.engine._is_physical(s_tv):
-                scan_s = f"{q(s_tv.data_table_name)} s NOT INDEXED"
+            # Narrow side independent: record the actual foreign keys.
             statements += [
                 f"INSERT INTO {id_table} (p, fk) SELECT s.p, "
                 f"CASE WHEN EXISTS (SELECT 1 FROM {vt} t "
                 f"WHERE t.{q(id_col)} = s.{q(fk)}) THEN s.{q(fk)} ELSE NULL END "
-                f"FROM {scan_s} WHERE s.p {missing}",
+                f"FROM {vs} s WHERE s.p {missing}",
                 f"INSERT INTO {id_table} (p, fk) SELECT t.{q(id_col)}, t.{q(id_col)} "
                 f"FROM {vt} t WHERE t.{q(id_col)} {missing} AND NOT EXISTS "
                 f"(SELECT 1 FROM {vs} s WHERE s.{q(fk)} = t.{q(id_col)})",
