@@ -142,9 +142,7 @@ class SqliteSelectPlan:
 
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:
         rows = session.execute(self.sql, params).fetchall()
-        return StatementResult(
-            description=self.description, rows=rows, rowcount=len(rows)
-        )
+        return StatementResult(self.description, rows, len(rows))
 
     def explain_entries(self, session: "SqliteSession") -> list[tuple[str, str]]:
         return [
@@ -251,7 +249,7 @@ class SqliteUpdatePlan:
 
     def run(self, session: "SqliteSession", params: tuple) -> StatementResult:
         rows = session.execute(self.executed_sql, params).fetchall()
-        return StatementResult(rowcount=len(rows))
+        return StatementResult(None, [], len(rows))
 
 
 class SqliteDeletePlan(SqliteUpdatePlan):

@@ -107,8 +107,9 @@ class SessionPool:
       so one ``status`` round trip reports pool *and* cache health.
     - ``metrics`` — optional :class:`repro.obs.MetricsRegistry`; when set,
       lease waits land in ``repro_pool_lease_wait_seconds``, overflow
-      occupancy in ``repro_pool_sessions{state=leased|idle}``, and every
-      lease in ``repro_pool_leases_total{handle=primary|overflow}``.
+      occupancy in ``repro_pool_sessions{state=leased|idle}``, and
+      ``repro_pool_leases_total{handle=primary|overflow}`` reads the
+      pool's own lease counts (each lease is counted once).
     """
 
     def __init__(
@@ -136,7 +137,6 @@ class SessionPool:
         self.plan_cache_stats = plan_cache_stats
         self._lease_wait = None
         self._sessions_gauge = None
-        self._lease_series = None  # handle kind -> its bound counter series
         if metrics is not None:
             self._lease_wait = metrics.histogram(
                 "repro_pool_lease_wait_seconds",
@@ -147,14 +147,13 @@ class SessionPool:
                 "Leased and idle overflow handles (the primary is not counted).",
                 ("state",),
             )
-            leases = metrics.counter(
+            metrics.counter(
                 "repro_pool_leases_total",
                 "Handles leased to sessions, primary or overflow.",
                 ("handle",),
+            ).collect_from(
+                lambda: {(kind,): n for kind, n in self._leases.items()}
             )
-            self._lease_series = {
-                kind: leases.bound(handle=kind) for kind in ("primary", "overflow")
-            }
         self._idle: list[sqlite3.Connection] = []
         self._leased = 0
         self._leases = {"primary": 0, "overflow": 0}
@@ -223,8 +222,6 @@ class SessionPool:
             return None
         self._primary_owner = threading.get_ident()
         self._leases["primary"] += 1  # serialized by the primary lock
-        if self._lease_series is not None:
-            self._lease_series["primary"].inc()
         return self.primary
 
     def release_primary(self) -> None:
@@ -276,8 +273,6 @@ class SessionPool:
             self._leased += 1
             self._leases["overflow"] += 1
             handle = self._idle.pop() if self._idle else None
-        if self._lease_series is not None:
-            self._lease_series["overflow"].inc()
         self._observe_lease(wait_start)
         if handle is not None:
             return handle

@@ -148,16 +148,14 @@ class SqliteSession:
 
     def __exit__(self, *exc) -> None:
         self._scopes -= 1
-        if not self._scopes:
+        if not self._scopes and self._leased is not None:
             self._release_statement()
 
     def _handle(self) -> sqlite3.Connection:
         """The handle the current statement runs on, leased on first use."""
         if self._closed:
             raise InterfaceError("cannot operate on a closed backend session")
-        if self._held is not None:
-            return self._held
-        handle = self._leased
+        handle = self._held or self._leased
         if handle is None:
             handle = self.pool.try_primary()
             self._on_primary = handle is not None
@@ -199,6 +197,8 @@ class SqliteSession:
     # -- statement execution ---------------------------------------------
 
     def execute(self, sql: str, parameters: tuple = ()) -> sqlite3.Cursor:
+        if self._scopes:  # a statement's own SQL: straight to its lease
+            return self._handle().execute(sql, parameters)
         return self._call(sqlite3.Connection.execute, sql, parameters)
 
     def cursor(self) -> sqlite3.Cursor:
@@ -281,52 +281,50 @@ class SqliteSession:
         finally:
             self._release_held()
 
-    @contextmanager
-    def write_scope(self):
-        """Statement-level atomicity around a write, on this session's own
-        lease — the statement's, or its open transaction's — so conflicts
-        with other sessions surface as SQLite lock errors, not silent
-        joins."""
-        if not self.in_transaction:
-            # The statement is the transaction — success commits it, any
-            # failure rolls it back, which undoes exactly the statement
-            # (or executemany batch).  It takes the write lock up front:
-            # routed writes read the view before the trigger writes, and
-            # that deferred upgrade loses a WAL snapshot race against any
-            # concurrent writer (e.g. an online backfill chunk) with an
-            # immediate SQLITE_BUSY_SNAPSHOT, busy timeout or not.  It
-            # queues for the backend write *gate* first — waiters on a
-            # Python lock are woken the moment the holder releases, where
-            # SQLite's busy handler would poll and starve behind a
-            # back-to-back backfill chunk loop.
-            with self.backend.write_gate:
-                self.execute("BEGIN IMMEDIATE")
-                try:
-                    yield
-                    self.commit()
-                except BaseException:
-                    if not self._closed:
-                        self.rollback()
-                    raise
-            return
-        # Inside a transaction a savepoint bounds the statement's effects.
-        # The name is fixed, so its texts are prepared once per handle;
-        # SQLite nests equal names, and ROLLBACK TO / RELEASE address the
-        # innermost.
-        self.execute("SAVEPOINT repro_stmt")
-        try:
-            yield
-        except BaseException:
-            if not self._closed:
-                self.execute("ROLLBACK TO repro_stmt")
-                self.execute("RELEASE repro_stmt")
-            raise
-        self.execute("RELEASE repro_stmt")
+    def write(self, run, *args):
+        """``run(*args)`` as one atomic write, on this session's own lease —
+        the statement's, or its open transaction's — so conflicts with
+        other sessions surface as SQLite lock errors, not silent joins."""
+        handle = self._held or self._leased
+        if handle is not None and handle.in_transaction and not self._closed:
+            # Inside a transaction a savepoint bounds the statement's
+            # effects.  The name is fixed, so its texts are prepared once
+            # per handle; SQLite nests equal names, and ROLLBACK TO /
+            # RELEASE address the innermost.
+            self.execute("SAVEPOINT repro_stmt")
+            try:
+                result = run(*args)
+            except BaseException:
+                if not self._closed:
+                    self.execute("ROLLBACK TO repro_stmt")
+                    self.execute("RELEASE repro_stmt")
+                raise
+            self.execute("RELEASE repro_stmt")
+            return result
+        # The statement is the transaction: a failure undoes exactly the
+        # statement (or executemany batch).  It takes SQLite's write lock up
+        # front, since a routed write reads the view before its trigger
+        # writes, and that deferred upgrade loses a WAL snapshot race
+        # (SQLITE_BUSY_SNAPSHOT, busy timeout or not) to any concurrent
+        # writer such as an online backfill chunk.  It queues for the
+        # backend write *gate* first: a Python lock wakes its waiter at
+        # once, where SQLite's busy handler polls and starves behind a
+        # back-to-back chunk loop.
+        with self.backend.write_gate:
+            self.execute("BEGIN IMMEDIATE")
+            try:
+                result = run(*args)
+                self._end("COMMIT")
+            except BaseException:
+                if not self._closed:
+                    self._end("ROLLBACK")
+                raise
+        return result
 
     @contextmanager
     def counting(self, span):
         """``span``, noting as ``sqlite_statements`` everything SQLite ran
-        on this session's lease meanwhile: the write scope's own BEGIN /
+        on this session's lease meanwhile: the write's own BEGIN /
         COMMIT / savepoint statements and every trigger statement of the
         cascade."""
         events = 0

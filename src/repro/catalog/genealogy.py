@@ -9,6 +9,7 @@ incoming SMO instance and consumed by arbitrarily many outgoing ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from repro.catalog.versions import SchemaVersion
@@ -39,7 +40,7 @@ class TableVersion:
     incoming: "SmoInstance | None" = None
     outgoing: list["SmoInstance"] = field(default_factory=list)
 
-    @property
+    @cached_property
     def data_table_name(self) -> str:
         """Physical name of this table version's data table (when stored)."""
         return physical_name("d", str(self.uid), self.name)

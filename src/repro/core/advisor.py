@@ -76,13 +76,18 @@ class WorkloadRecorder:
         )
         self._bound: dict = {}  # (version, kind) -> its series, bound once
 
-    def record(self, version_name: str, kind: str, count: int = 1) -> None:
+    def series(self, version_name: str, kind: str):
+        """The bound counter series of ``kind`` statements on the version
+        (a connection keeps it and counts each statement once)."""
         series = self._bound.get((version_name, kind))
         if series is None:
             series = self._bound[version_name, kind] = self._counter.bound(
                 version=version_name, kind=kind
             )
-        series.inc(count)
+        return series
+
+    def record(self, version_name: str, kind: str, count: int = 1) -> None:
+        self.series(version_name, kind).inc(count)
 
     def _aggregate(self, want_reads: bool) -> dict[str, int]:
         totals: dict[str, int] = {}

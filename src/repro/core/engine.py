@@ -98,14 +98,17 @@ class RWLock:
     the transition exclusive access to regenerate delta code once and
     republish it to every session.
 
-    The write side is reentrant (``materialize`` calls ``_cut_over``);
-    a thread holding the write lock may also
-    enter the read side.  Waiting writers block *new* readers so a steady
-    stream of statements cannot starve DDL.
+    The lock itself guards the read side (``with lock:`` is ``with
+    lock.read_locked():``): a reader takes a plain mutex on entry and on
+    exit, and waits only while a writer holds the lock or waits for it —
+    waiting writers block *new* readers, so a steady stream of statements
+    cannot starve DDL.  The write side is reentrant (``materialize``
+    calls ``_cut_over``), and its holder may also enter the read side.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writer: int | None = None
         self._writer_depth = 0
@@ -114,25 +117,26 @@ class RWLock:
         # exclusivity (the engine binds repro_rwlock_write_wait_seconds).
         self.write_wait_observer = None
 
-    @contextmanager
-    def read_locked(self):
-        me = threading.get_ident()
-        with self._cond:
-            reentrant = self._writer == me
-            if not reentrant:
+    def read_locked(self) -> "RWLock":
+        return self
+
+    def __enter__(self) -> None:
+        with self._mutex:
+            if self._writer is not None or self._writers_waiting:
+                if self._writer == threading.get_ident():
+                    return  # the transition itself is the only activity
                 while self._writer is not None or self._writers_waiting:
                     self._cond.wait()
-                self._readers += 1
-        try:
-            # A thread already holding the write lock reads freely: the
-            # catalog transition itself is the only activity.
-            yield
-        finally:
-            if not reentrant:
-                with self._cond:
-                    self._readers -= 1
-                    if self._readers == 0:
-                        self._cond.notify_all()
+            self._readers += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._mutex:
+            # A writer cannot hold the lock while a reader is inside, so
+            # one that does is this thread, and this read was reentrant.
+            if self._writer is None:
+                self._readers -= 1
+                if not self._readers and self._writers_waiting:
+                    self._cond.notify_all()
 
     @contextmanager
     def write_locked(self):

@@ -3,8 +3,8 @@
 :class:`MemorySession` gives the DB-API connection the surface that
 :class:`repro.backend.sqlite.SqliteSession` gives it on the live backend:
 the statement scope (``with session:``), ``begin`` / ``commit`` /
-``rollback``, ``in_transaction``, ``transaction_epoch``, the statement
-write scope and plan compile.
+``rollback``, ``in_transaction``, ``transaction_epoch``, the atomic
+statement write and plan compile.
 
 Its transactions follow the memory engine's deliberate *join semantics*.
 The engine applies writes eagerly to shared tables and journals an undo
@@ -20,7 +20,6 @@ the way a SQLite session learns of a quiesce.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.errors import InterfaceError
@@ -50,7 +49,9 @@ class MemorySession:
         nor — the attach having handed the rows over — after that
         backend was closed.  (DDL and ``CHECK`` read the catalog only and
         open no scope.)"""
-        self.require_data_plane()
+        engine = self.engine
+        if engine.live_backend is not None or engine.rows_handed_over:
+            self.require_data_plane()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -109,13 +110,12 @@ class MemorySession:
 
     close = rollback
 
-    @contextmanager
-    def write_scope(self):
-        """Statement-level atomicity around a write: a failure undoes
-        exactly the statement (or ``executemany`` batch).  Outside a
-        transaction of this session the statement commits itself — also
-        when another session's journal is open, whose rollback must not
-        erase a self-committed write."""
+    def write(self, run, *args):
+        """``run(*args)`` as one atomic write: a failure undoes exactly the
+        statement (or ``executemany`` batch).  Outside a transaction of
+        this session the statement commits itself — also when another
+        session's journal is open, whose rollback must not erase a
+        self-committed write."""
         engine = self.engine
         journal = engine._undo_log
         own = journal is None  # the statement's own journal
@@ -123,15 +123,16 @@ class MemorySession:
             journal = engine._undo_log = []
         mark = len(journal)
         try:
-            yield
+            result = run(*args)
         except BaseException:
             engine._rollback_to(mark)
             raise
         finally:
             if own:
                 engine._undo_log = None
-        if not self.in_transaction:
+        if self._journal is not journal:  # not in a transaction of ours
             del journal[mark:]
+        return result
 
     def counting(self, span):
         """The ``execute`` span as is: the engine runs no SQL to count."""

@@ -12,8 +12,10 @@ Design constraints, in order:
 1. **Hot-path cheap.** A counter increment or histogram observation is
    one lock acquisition, one dict lookup, and one add.  A *disabled*
    registry (``enabled=False``) reduces every write to a single
-   attribute check, which is what the fig16 smoke bench measures the
-   instrumented hot path against.
+   attribute check (the fig16 smoke bench's baseline).  An event a
+   component counts anyway (plan-cache hits, pool leases) is not
+   counted twice: its family reads the component's count
+   (:meth:`MetricFamily.collect_from`).
 2. **Stdlib only.** No prometheus_client dependency: the registry
    renders the text exposition format
    (``text/plain; version=0.0.4``) itself, and :meth:`snapshot`
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from functools import partial
 
 #: Default latency buckets (seconds): sub-millisecond through 10s, tuned
 #: for statement/lock/lease timings on the reproduction's workloads.
@@ -68,6 +71,7 @@ class MetricFamily:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._series: dict[tuple, object] = {}
+        self._collectors: list = []
 
     def _key(self, labels: dict) -> tuple:
         if len(labels) != len(self.labelnames) or any(
@@ -85,9 +89,16 @@ class MetricFamily:
         here, once."""
         return BoundSeries(self, self._key(labels))
 
-    def _update(self, key: tuple, amount: float) -> None:
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
+    def collect_from(self, read) -> None:
+        """Also serve the series ``read()`` returns (label tuple -> value):
+        a count its component keeps anyway.  It is read, not written, so
+        it shows while the registry is disabled too; sources add up."""
+        self._collectors.append(read)
+
+    def _update(self, key: tuple, amount: float = 1) -> None:
+        if self._registry.enabled:
+            with self._lock:
+                self._series[key] = self._series.get(key, 0) + amount
 
     def reset(self) -> None:
         """Drop every series (test/advisor-window helper; a scraped
@@ -97,9 +108,16 @@ class MetricFamily:
 
     # -- introspection ---------------------------------------------------
 
+    def value(self, **labels) -> float:
+        return self._series_snapshot().get(self._key(labels), 0)
+
     def _series_snapshot(self) -> dict[tuple, object]:
         with self._lock:
-            return dict(self._series)
+            series = dict(self._series)
+        for read in self._collectors:
+            for key, value in read().items():
+                series[key] = series.get(key, 0) + value
+        return series
 
     def snapshot(self) -> dict:
         series = []
@@ -135,20 +153,13 @@ class MetricFamily:
 
 
 class BoundSeries:
-    """One series of a family, its label tuple already resolved."""
+    """One series of a family, its label tuple already resolved:
+    ``inc`` / ``observe`` are the family's update with the key bound."""
 
-    __slots__ = ("_family", "_key")
+    __slots__ = ("inc", "observe")
 
     def __init__(self, family: MetricFamily, key: tuple):
-        self._family = family
-        self._key = key
-
-    def inc(self, amount: float = 1) -> None:
-        family = self._family
-        if family._registry.enabled:
-            family._update(self._key, amount)
-
-    observe = inc
+        self.inc = self.observe = partial(family._update, key)
 
 
 class Counter(MetricFamily):
@@ -157,17 +168,12 @@ class Counter(MetricFamily):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if self._registry.enabled:
-            self._update(self._key(labels), amount)
+        self._update(self._key(labels), amount)
 
-    def _update(self, key: tuple, amount: float) -> None:
+    def _update(self, key: tuple, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         super()._update(key, amount)
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            return self._series.get(self._key(labels), 0)
 
     def values(self) -> dict[tuple, float]:
         """Label tuple -> accumulated value (consumed by the workload
@@ -188,15 +194,10 @@ class Gauge(MetricFamily):
             self._series[key] = value
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if self._registry.enabled:
-            self._update(self._key(labels), amount)
+        self._update(self._key(labels), amount)
 
     def dec(self, amount: float = 1, **labels) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            return self._series.get(self._key(labels), 0)
 
 
 class _HistogramSeries:
@@ -221,10 +222,11 @@ class Histogram(MetricFamily):
             raise ValueError(f"histogram {self.name!r} needs at least one bucket")
 
     def observe(self, value: float, **labels) -> None:
-        if self._registry.enabled:
-            self._update(self._key(labels), value)
+        self._update(self._key(labels), value)
 
-    def _update(self, key: tuple, value: float) -> None:
+    def _update(self, key: tuple, value: float = 1) -> None:
+        if not self._registry.enabled:
+            return
         index = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)

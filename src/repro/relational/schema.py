@@ -40,11 +40,14 @@ class TableSchema:
 
     def __post_init__(self) -> None:
         check_identifier(self.name, what="table name")
-        seen: set[str] = set()
-        for column in self.columns:
-            if column.name in seen:
+        positions: dict[str, int] = {}
+        for index, column in enumerate(self.columns):
+            if column.name in positions:
                 raise SchemaError(f"duplicate column {column.name!r} in table {self.name!r}")
-            seen.add(column.name)
+            positions[column.name] = index
+        # Name lookups are dict probes: a statement makes several per row.
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_names", tuple(positions))
 
     @classmethod
     def of(cls, name: str, columns: Sequence[str | Column | tuple[str, DataType]]) -> "TableSchema":
@@ -63,20 +66,20 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
+        return self._names
 
     @property
     def arity(self) -> int:
         return len(self.columns)
 
     def has_column(self, name: str) -> bool:
-        return any(column.name == name for column in self.columns)
+        return name in self._positions
 
     def index_of(self, name: str) -> int:
-        for index, column in enumerate(self.columns):
-            if column.name == name:
-                return index
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        index = self._positions.get(name)
+        if index is None:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return index
 
     def column(self, name: str) -> Column:
         return self.columns[self.index_of(name)]
@@ -125,7 +128,7 @@ class TableSchema:
         """
         if strict:
             for key in values:
-                if not self.has_column(key):
+                if key not in self._positions:
                     raise SchemaError(f"table {self.name!r} has no column {key!r}")
         return tuple(
             coerce_value(values.get(column.name), column.dtype) for column in self.columns
@@ -141,7 +144,7 @@ class TableSchema:
         )
 
     def row_to_mapping(self, row: Sequence[Value]) -> dict[str, Value]:
-        return dict(zip(self.column_names, row))
+        return dict(zip(self._names, row))
 
     def null_row(self) -> tuple:
         return (None,) * self.arity

@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import re
 import sqlite3
-import time
 from collections.abc import Iterator, Mapping, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
+from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from repro.catalog.versions import SchemaVersion
@@ -102,16 +102,16 @@ def _normalize_params(parameters: Sequence[Any] | None, expected: int) -> tuple:
     return params
 
 
-#: Reusable no-op context for the untraced fast path (nullcontext carries
-#: no state, so one instance serves every statement).
-_NOOP_SPAN = nullcontext()
-
-
-def _span(builder, name: str, **attributes):
-    """A tracing span when a trace is active, otherwise a shared no-op."""
-    if builder is None:
-        return _NOOP_SPAN
-    return builder.span(name, **attributes)
+def _run_each(plan, session, seq_of_parameters) -> StatementResult:
+    """A non-INSERT ``executemany``: the plan once per parameter row."""
+    total = 0
+    lastrowid: int | None = None
+    for parameters in seq_of_parameters:
+        result = plan.run(session, _normalize_params(parameters, plan.param_count))
+        total += max(result.rowcount, 0)
+        if result.lastrowid is not None:
+            lastrowid = result.lastrowid
+    return StatementResult(rowcount=total, lastrowid=lastrowid)
 
 
 _EXPLAIN_PREFIX = re.compile(r"^\s*EXPLAIN\s+", re.IGNORECASE)
@@ -193,17 +193,28 @@ class CheckPlan:
         )
 
 
-@contextmanager
-def _translated_errors():
-    """Surface engine-level and backend failures as DB-API error classes."""
+def _translated(exc: BaseException) -> Exception | None:
+    """The DB-API error an engine-level or backend failure surfaces as, or
+    ``None`` for one that passes through as it is."""
+    if isinstance(exc, (SchemaError, ExpressionError, CatalogError, EvolutionError)):
+        return ProgrammingError(str(exc))
+    if isinstance(exc, (AccessError, sqlite3.Error)):
+        return OperationalError(str(exc))
+    return None
+
+
+def _surfaced(call) -> None:
+    """``call()``, its failures surfaced as :func:`_translated` says."""
     try:
-        yield
-    except (SchemaError, ExpressionError, CatalogError, EvolutionError) as exc:
-        raise ProgrammingError(str(exc)) from exc
-    except AccessError as exc:
-        raise OperationalError(str(exc)) from exc
-    except sqlite3.Error as exc:
-        raise OperationalError(str(exc)) from exc
+        call()
+    except Exception as exc:
+        translated = _translated(exc)
+        if translated is None:
+            raise
+        raise translated from exc
+
+
+_DATA_KINDS = frozenset({"select", "insert", "update", "delete"})
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +288,12 @@ class BaseCursor:
         return connection
 
     def _install_result(self, result: StatementResult, *, exhausted: bool = True) -> None:
+        """Take ``result``, its row list as the buffer (a plan's own)."""
+        rows = result.rows
         self._description = result.description
         self._rowcount = result.rowcount
         self._lastrowid = result.lastrowid
-        self._buffer = list(result.rows)
+        self._buffer = rows if type(rows) is list else list(rows)
         self._pos = 0
         self._exhausted = exhausted
 
@@ -474,67 +487,7 @@ class Cursor(BaseCursor):
         workload, error counters); spans are recorded only when tracing is
         on for this connection/engine or the statement arrived with a
         remote trace context."""
-        return self._run_statement("execute", self._execute_inner, operation, parameters)
-
-    def _run_statement(self, name: str, inner, operation: str, argument) -> "Cursor":
-        """The wrapper every statement runs in: open check, result reset,
-        trace, timing, and the metrics/trace bookkeeping on both exits.
-        ``inner`` does the work and returns the statement kind."""
-        connection = self._check_open(name)
-        self._install_result(StatementResult())
-        self.trace = None
-        self.cache_event = None
-        builder = connection._begin_statement_trace(operation)
-        started = time.perf_counter()
-        kind = "unknown"
-        try:
-            kind = inner(connection, connection.engine, builder, operation, argument)
-        except BaseException:
-            connection._finish_statement(self, operation, kind, started, builder,
-                                         error=True)
-            raise
-        connection._finish_statement(self, operation, kind, started, builder)
-        return self
-
-    def _plan(self, connection, builder, operation):
-        """Plan ``operation`` through the shared cache, noting how."""
-        with _span(builder, "plan"):
-            plan, cached = connection._plan_for(operation)
-        self.cache_event = (
-            "hit" if cached else ("miss" if connection._use_plan_cache else "off")
-        )
-        return plan
-
-    def _execute_inner(self, connection, engine, builder, operation,
-                       parameters) -> str:
-        with engine.catalog_lock.read_locked():
-            plan = self._plan(connection, builder, operation)
-            kind = plan.kind
-            if kind == "check":
-                with _translated_errors():
-                    self._install_result(plan.run_check(connection, operation))
-            elif kind == "explain":
-                with connection._session, _translated_errors():
-                    self._install_result(plan.run_explain(connection, operation))
-            elif kind != "ddl":
-                with connection._session as session:
-                    params = _normalize_params(parameters, plan.param_count)
-                    with connection._execute_span(builder), _translated_errors(), (
-                        _NOOP_SPAN if kind == "select" else connection._write_scope()
-                    ):
-                        self._install_result(plan.run(session, params))
-            if kind != "ddl":
-                engine.workload.record(connection.version_name, kind)
-                return kind
-        # BiDEL DDL runs outside the read scope: the engine takes the
-        # catalog write lock itself, and commits every open transaction.
-        _normalize_params(parameters, plan.param_count)
-        with _span(builder, "commit"):
-            connection.commit()
-        with _span(builder, "execute", backend="engine"), _translated_errors():
-            engine.execute(plan.statement.text)
-        engine.workload.record(connection.version_name, "ddl")
-        return "ddl"
+        return self._run_statement("execute", operation, parameters)
 
     def executemany(
         self, operation: str, seq_of_parameters: Sequence[Sequence[Any]]
@@ -550,46 +503,110 @@ class Cursor(BaseCursor):
         row by row inside one atomic scope. Either way, an error in the
         middle of the batch undoes the whole batch.
         """
-        return self._run_statement(
-            "executemany", self._executemany_inner, operation, seq_of_parameters
-        )
+        return self._run_statement("executemany", operation, seq_of_parameters)
 
-    def _executemany_inner(self, connection, engine, builder, operation,
-                           seq_of_parameters) -> str:
-        seq_of_parameters = list(seq_of_parameters)
-        with engine.catalog_lock.read_locked():
-            plan = self._plan(connection, builder, operation)
-            if plan.kind in ("select", "ddl", "explain", "check"):
-                raise ProgrammingError("executemany() only accepts DML statements")
-            with connection._session as session:
-                if plan.kind == "insert":
-                    normalized = [
-                        _normalize_params(parameters, plan.param_count)
-                        for parameters in seq_of_parameters
-                    ]
-                    with connection._execute_span(
-                        builder, batch=len(normalized)
-                    ), _translated_errors(), connection._write_scope():
-                        self._install_result(plan.run_many(session, normalized))
+    def _run_statement(self, name: str, operation: str, argument) -> "Cursor":
+        """The one path every statement takes, traced or not: open check,
+        plan, run under the catalog read lock, one result install, and the
+        statement's metrics (and trace) on both exits.  Engine and backend
+        failures surface as DB-API errors; a failed statement leaves the
+        cursor without a result."""
+        connection = self._connection
+        if self._closed or connection._closed:
+            self._check_open(name)
+        self.trace = self.cache_event = None
+        engine = connection.engine
+        builder = None
+        if connection._trace or connection._trace_context or engine.tracer.enabled:
+            builder = connection._begin_statement_trace(operation)
+        started = perf_counter()
+        kind, count = "unknown", 1
+        many = name == "executemany"
+        try:
+            if many:
+                argument = list(argument)
+                count = len(argument)
+            with engine.catalog_lock:
+                if builder is None:
+                    plan, cached = connection._plan_for(operation)
                 else:
-                    total = 0
-                    lastrowid: int | None = None
-                    with connection._execute_span(
-                        builder, batch=len(seq_of_parameters)
-                    ), _translated_errors(), connection._write_scope():
-                        for parameters in seq_of_parameters:
-                            params = _normalize_params(parameters, plan.param_count)
-                            result = plan.run(session, params)
-                            total += max(result.rowcount, 0)
-                            if result.lastrowid is not None:
-                                lastrowid = result.lastrowid
-                    self._install_result(
-                        StatementResult(rowcount=total, lastrowid=lastrowid)
-                    )
-            engine.workload.record(
-                connection.version_name, plan.kind, len(seq_of_parameters)
+                    with builder.span("plan"):
+                        plan, cached = connection._plan_for(operation)
+                self.cache_event = "hit" if cached else (
+                    "miss" if connection._use_plan_cache else "off"
+                )
+                kind = plan.kind
+                if many and kind not in ("insert", "update", "delete"):
+                    raise ProgrammingError("executemany() only accepts DML statements")
+                if kind in _DATA_KINDS:
+                    self._run_data(connection, builder, plan, argument, many)
+                elif kind == "check":
+                    self._install_result(plan.run_check(connection, operation))
+                elif kind == "explain":
+                    with connection._session:
+                        self._install_result(plan.run_explain(connection, operation))
+            if kind == "ddl":
+                self._run_ddl(connection, builder, plan, argument)
+        except BaseException as exc:
+            self._install_result(StatementResult())
+            connection._finish_statement(
+                self, operation, kind, count, started, builder, error=True
             )
-            return plan.kind
+            translated = _translated(exc)
+            if translated is None:
+                raise
+            raise translated from exc
+        connection._finish_statement(self, operation, kind, count, started, builder)
+        return self
+
+    def _run_data(self, connection, builder, plan, argument, many: bool) -> None:
+        """A data-plane statement in one scope of the session.  Traced, it
+        runs in the ``execute`` span, which the session makes count (as
+        ``sqlite_statements`` on the live backend) what SQLite ran on its
+        lease: the write's own BEGIN / COMMIT / savepoint statements and
+        every trigger statement of the cascade."""
+        session = connection._session
+        with session:
+            if builder is None:
+                result = self._run_plan(connection, session, plan, argument, many)
+            else:
+                span = builder.span("execute", backend=session.backend_name,
+                                    **({"batch": len(argument)} if many else {}))
+                with session.counting(span):
+                    result = self._run_plan(connection, session, plan, argument, many)
+        self._install_result(result)
+
+    @staticmethod
+    def _run_plan(connection, session, plan, argument, many: bool) -> StatementResult:
+        """A read as it is; a write as one atomic write of the session,
+        after the implicit transaction begins (not in autocommit mode)."""
+        if not many:
+            params = argument
+            if type(params) is not tuple or len(params) != plan.param_count:
+                params = _normalize_params(params, plan.param_count)
+            if plan.kind == "select":
+                return plan.run(session, params)
+            run, args = plan.run, (session, params)
+        elif plan.kind == "insert":
+            normalized = [_normalize_params(row, plan.param_count) for row in argument]
+            run, args = plan.run_many, (session, normalized)
+        else:
+            run, args = _run_each, (plan, session, argument)
+        if connection._closed:
+            connection._check_open("execute")
+        if not connection.autocommit:
+            connection._begin()
+        return session.write(run, *args)
+
+    def _run_ddl(self, connection, builder, plan, argument) -> None:
+        """BiDEL DDL runs outside the read scope: the engine takes the
+        catalog write lock itself, and commits every open transaction."""
+        _normalize_params(argument, plan.param_count)
+        self._install_result(StatementResult())
+        with builder.span("commit") if builder else nullcontext():
+            connection.commit()
+        with builder.span("execute", backend="engine") if builder else nullcontext():
+            connection.engine.execute(plan.statement.text)
 
 
 class Connection(BaseConnection):
@@ -629,7 +646,7 @@ class Connection(BaseConnection):
             "plan-cache outcome.",
             ("version", "kind", "cache"),
         )
-        self._latency_series: dict = {}  # (kind, cache) -> its series, bound once
+        self._statement_series: dict = {}  # (kind, cache) -> (latency, workload)
         self._m_errors = metrics.counter(
             "repro_statement_errors_total",
             "Statements that raised, by schema version.",
@@ -665,7 +682,7 @@ class Connection(BaseConnection):
 
     def _plan_key(self, operation: str):
         """This connection's plan-cache key for ``operation``."""
-        return (operation, self._version.name, self.backend_name)
+        return (operation, self._version.name, self._session.backend_name)
 
     def _plan_for(self, operation: str):
         """The compiled plan for ``operation`` — from the engine's shared
@@ -690,9 +707,7 @@ class Connection(BaseConnection):
             plan = cache.get(key)
             if plan is not None:
                 return plan, True
-        statement = parse_statement(operation)
-        with _translated_errors():
-            plan = self._compile(statement)
+        plan = self._compile(parse_statement(operation))
         if cache is not None and plan.kind not in ("ddl", "explain", "check"):
             # DDL is rare next to DML — don't churn LRU slots that could
             # hold hot DML plans (re-parse is already cheap via the
@@ -731,35 +746,27 @@ class Connection(BaseConnection):
         builder.root.attributes["sql"] = operation
         return builder
 
-    def _execute_span(self, builder, **attributes):
-        """The ``execute`` span around a data-plane statement — a shared
-        no-op when untraced.  On the live backend it also counts, as
-        ``sqlite_statements``, everything SQLite ran on the session's
-        lease meanwhile: the scope's own BEGIN / COMMIT / savepoint
-        statements and every trigger statement of the cascade."""
-        if builder is None:
-            return _NOOP_SPAN
-        return self._session.counting(
-            builder.span("execute", backend=self.backend_name, **attributes)
-        )
-
     def _finish_statement(self, cursor: BaseCursor, operation: str, kind: str,
-                          started: float, builder, *, error: bool = False) -> None:
-        """Record the statement's metrics (latency or error counter, slow
-        log) and, when traced, close the trace onto the cursor."""
-        duration = time.perf_counter() - started
-        version = self.version_name
+                          count: int, started: float, builder, *,
+                          error: bool = False) -> None:
+        """Count the statement once (latency and workload kind, or an
+        error; the slow log) and, when traced, close the trace onto the
+        cursor."""
+        duration = perf_counter() - started
+        version = self._version.name
         cursor.statement_kind = kind
         cache = cursor.cache_event or "off"
         if error:
             self._m_errors.inc(version=version)
         else:
-            series = self._latency_series.get((kind, cache))
+            series = self._statement_series.get((kind, cache))
             if series is None:
-                series = self._latency_series[kind, cache] = self._m_latency.bound(
-                    version=version, kind=kind, cache=cache
+                series = self._statement_series[kind, cache] = (
+                    self._m_latency.bound(version=version, kind=kind, cache=cache),
+                    self.engine.workload.series(version, kind),
                 )
-            series.observe(duration)
+            series[0].observe(duration)
+            series[1].inc(count)
         slow = self.engine.tracer.note_statement(
             operation, version, duration,
             threshold_ms=self._slow_ms,
@@ -818,8 +825,7 @@ class Connection(BaseConnection):
     def _begin(self) -> None:
         if self.in_transaction:
             return
-        with _translated_errors():
-            self._session.begin()
+        _surfaced(self._session.begin)
         self._txn = self._session.transaction_epoch
 
     def commit(self) -> None:
@@ -836,19 +842,11 @@ class Connection(BaseConnection):
     def _end(self, end) -> None:
         live, self._txn = self.in_transaction, None
         if live:
-            with self.engine.catalog_lock.read_locked(), _translated_errors():
-                end()
-
-    def _write_scope(self):
-        """Statement-level atomicity around a write, opening the implicit
-        transaction first when not in autocommit mode."""
-        self._check_open("execute")
-        if not self.autocommit:
-            self._begin()
-        return self._session.write_scope()
+            with self.engine.catalog_lock:
+                _surfaced(end)
 
     def _enter_scope(self) -> None:
-        with self.engine.catalog_lock.read_locked():
+        with self.engine.catalog_lock:
             self._begin()
 
 

@@ -47,9 +47,10 @@ class PlanCache:
 
     Entries are keyed by ``(sql_text, version_name, backend_kind)`` and
     stay valid while their version lives; the engine's catalog-listener
-    hook evicts a version's entries when it is dropped.  Hit/miss counters
-    feed ``Connection.stats()`` and the session pool's observability
-    surface.
+    hook evicts a version's entries when it is dropped.  Each hit, miss
+    and invalidation is counted once, under the cache's lock; that count
+    feeds ``Connection.stats()``, the session pool's observability
+    surface and the registry series alike.
     """
 
     def __init__(self, maxsize: int = 512):
@@ -59,30 +60,29 @@ class PlanCache:
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
-        self._events = None  # repro_plan_cache_events_total, once bound
 
     def bind_metrics(self, registry) -> None:
-        """Mirror hit/miss/invalidation counts into the metrics registry
-        (labeled series ``repro_plan_cache_events_total{event}``)."""
-        self._events = registry.counter(
+        """Serve the hit/miss/invalidation counts as the registry's
+        labeled series ``repro_plan_cache_events_total{event}``."""
+        registry.counter(
             "repro_plan_cache_events_total",
             "Plan cache events by outcome.",
             ("event",),
-        )
-        self._hit = self._events.bound(event="hit")
-        self._miss = self._events.bound(event="miss")
+        ).collect_from(self._event_counts)
+
+    def _event_counts(self) -> dict:
+        return {("hit",): self._hits, ("miss",): self._misses,
+                ("invalidation",): self._invalidations}
 
     def get(self, key: PlanKey):
         """The cached plan for ``key``, or ``None``."""
         with self._lock:
             plan = self._entries.get(key)
-            if plan is not None:
+            if plan is None:
+                self._misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self._hits += 1
-            else:
-                self._misses += 1
-        if self._events is not None:
-            (self._miss if plan is None else self._hit).inc()
         return plan
 
     def peek(self, key: PlanKey):
@@ -109,8 +109,6 @@ class PlanCache:
             for key in [key for key in self._entries if key[1] == version]:
                 del self._entries[key]
             self._invalidations += 1
-        if self._events is not None:
-            self._events.inc(event="invalidation")
 
     def stats(self) -> dict:
         """Hit/miss/size counters (surfaced through ``Connection.stats()``

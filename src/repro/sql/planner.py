@@ -171,10 +171,11 @@ def _projection(
 
 
 def execute_select(
-    engine: "InVerDa", version: SchemaVersion, stmt: Select, params: tuple
+    engine: "InVerDa", tv: TableVersion, projection, stmt: Select, params: tuple
 ) -> StatementResult:
-    tv = resolve_table(version, stmt.table)
-    items, description = _projection(tv, stmt.items)
+    """``stmt`` over ``tv`` with its resolved ``projection`` (``items,
+    description``, see :func:`_projection`)."""
+    items, description = projection
     if stmt.param_count:
         items = tuple(
             SelectItem(bind_expression(item.expression, params), item.alias)
@@ -240,9 +241,8 @@ def execute_insert(
 
 
 def execute_update(
-    engine: "InVerDa", version: SchemaVersion, stmt: Update, params: tuple
+    engine: "InVerDa", tv: TableVersion, stmt: Update, params: tuple
 ) -> StatementResult:
-    tv = resolve_table(version, stmt.table)
     schema = tv.schema
     assignments = []
     for name, expression in stmt.assignments:
@@ -256,7 +256,6 @@ def execute_update(
         assignments.append((name, bind_expression(expression, params)))
     where = bind_expression(stmt.where, params) if stmt.where is not None else None
     predicate = _where_predicate(where)
-    expose = rowid_exposed(tv)
     change = TableChange()
     for key, mapping in visible_rows(engine, tv):
         if not predicate(mapping):
@@ -265,18 +264,16 @@ def execute_update(
             name: _evaluate_scalar(expression, mapping)
             for name, expression in assignments
         }
-        if expose:
-            del mapping[ROWID]
-        change.upserts[key] = schema.row_from_mapping({**mapping, **updates})
+        # Not strict: the mapping's ``rowid`` pseudo-column is no column.
+        change.upserts[key] = schema.row_from_mapping({**mapping, **updates}, strict=False)
     if not change.empty:
         engine.apply_change(tv, change)
     return StatementResult(rowcount=len(change.upserts))
 
 
 def execute_delete(
-    engine: "InVerDa", version: SchemaVersion, stmt: Delete, params: tuple
+    engine: "InVerDa", tv: TableVersion, stmt: Delete, params: tuple
 ) -> StatementResult:
-    tv = resolve_table(version, stmt.table)
     where = bind_expression(stmt.where, params) if stmt.where is not None else None
     predicate = _where_predicate(where)
     change = TableChange()
@@ -288,27 +285,13 @@ def execute_delete(
     return StatementResult(rowcount=len(change.deletes))
 
 
-def execute_statement(
-    engine: "InVerDa", version: SchemaVersion, stmt: SqlStatement, params: tuple
-) -> StatementResult:
-    if isinstance(stmt, Select):
-        return execute_select(engine, version, stmt, params)
-    if isinstance(stmt, Insert):
-        return execute_insert(engine, version, stmt, params)
-    if isinstance(stmt, Update):
-        return execute_update(engine, version, stmt, params)
-    if isinstance(stmt, Delete):
-        return execute_delete(engine, version, stmt, params)
-    raise ProgrammingError(f"cannot execute {type(stmt).__name__} here")
-
-
 class MemoryPlan:
     """A cached statement plan for the in-memory engine.
 
     Execution on this backend *is* the engine's row-level routing, so the
     plan body only pins what is pure per statement text: the parsed AST,
-    the resolved table version (validated at compile time), and for
-    SELECTs the prebuilt cursor ``description``.
+    the resolved table version, and for SELECTs the resolved select list
+    and the prebuilt cursor ``description``.
     """
 
     _KINDS = {Select: "select", Insert: "insert", Update: "update", Delete: "delete"}
@@ -321,20 +304,26 @@ class MemoryPlan:
         self.version = version
         self.stmt = stmt
         self.param_count = stmt.param_count
-        # Validate table (and, for SELECT, projection) once at compile time
-        # so a cached plan and a cold execution fail identically.
-        tv = resolve_table(version, stmt.table)
-        if isinstance(stmt, Select):
-            _projection(tv, stmt.items)
+        # Resolve the table (and, for SELECT, the projection) once at
+        # compile time, so a cached plan and a cold execution fail
+        # identically; a version's tables are fixed while it lives.
+        self.table = resolve_table(version, stmt.table)
+        self.projection = _projection(self.table, stmt.items) if kind == "select" else None
 
     def run(self, session: "MemorySession", params: tuple) -> StatementResult:
-        return execute_statement(session.engine, self.version, self.stmt, params)
+        engine, kind = session.engine, self.kind
+        if kind == "select":
+            return execute_select(engine, self.table, self.projection, self.stmt, params)
+        if kind == "insert":
+            return execute_insert(engine, self.version, self.stmt, params)
+        if kind == "update":
+            return execute_update(engine, self.table, self.stmt, params)
+        return execute_delete(engine, self.table, self.stmt, params)
 
     def explain_entries(self, _session) -> list[tuple[str, str]]:
-        tv = resolve_table(self.version, self.stmt.table)
         return [
             ("plan", type(self).__name__),
-            ("table_version", tv.name),
+            ("table_version", self.table.name),
             ("routing", "engine row-level routing (memory backend)"),
         ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.errors import SchemaError
@@ -44,6 +45,7 @@ def quote_identifier(name: str) -> str:
     return f'"{escaped}"'
 
 
+@functools.lru_cache(maxsize=4096)
 def physical_name(*parts: str) -> str:
     """Build a deterministic physical object name from name parts.
 

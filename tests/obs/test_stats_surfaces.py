@@ -85,6 +85,62 @@ class TestPoolStats:
         assert conn is not None
 
 
+class TestOneCountPerEvent:
+    """Each plan-cache event and pool lease is counted once: the
+    ``stats()`` surfaces and the registry series read that one count, and
+    the surfaces keep counting while the registry is disabled."""
+
+    @staticmethod
+    def run_mix(engine: InVerDa) -> None:
+        engine.execute(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a * 2 INTO R;"
+        )
+        auto = repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+        for a in range(3):
+            auto.execute("INSERT INTO R (a, b) VALUES (?, ?)", (a, "x"))
+            auto.execute("SELECT a, b FROM R WHERE a = ?", (a,))
+        leaf = repro.connect(engine, "v2", autocommit=True, backend="sqlite")
+        assert leaf.execute("SELECT c FROM R WHERE a = ?", (2,)).fetchall() == [(4,)]
+        held = repro.connect(engine, "v1", backend="sqlite")
+        held.execute("UPDATE R SET b = ? WHERE a = ?", ("y", 0))  # leases overflow
+        auto.execute("SELECT a, b FROM R WHERE a = ?", (0,))  # on the free primary
+        held.commit()
+        leaf.close()
+        engine.execute("DROP SCHEMA VERSION v2;")  # evicts v2's plans
+        auto.close()
+        held.close()
+
+    @staticmethod
+    def check(engine: InVerDa) -> None:
+        cache = engine.plan_cache.stats()
+        events = engine.metrics.get("repro_plan_cache_events_total")
+        assert cache["misses"] == 4 and cache["hits"] == 5
+        assert cache["invalidations"] == 1
+        for event, key in (("hit", "hits"), ("miss", "misses"),
+                           ("invalidation", "invalidations")):
+            assert events.value(event=event) == cache[key]
+        leases = engine.live_backend.pool.stats()["leases"]
+        series = engine.metrics.get("repro_pool_leases_total")
+        assert leases["overflow"] == 1 and leases["primary"] >= 8
+        for handle in ("primary", "overflow"):
+            assert series.value(handle=handle) == leases[handle]
+
+    def test_stats_and_series_read_one_count(self):
+        engine = build_engine()
+        self.run_mix(engine)
+        self.check(engine)
+        engine.live_backend.close()
+
+    def test_stats_count_while_the_registry_is_disabled(self):
+        engine = build_engine()
+        engine.metrics.enabled = False
+        self.run_mix(engine)
+        self.check(engine)
+        latency = engine.metrics.get("repro_statement_latency_seconds")
+        assert latency.series_stats(version="v1", kind="select", cache="hit")["count"] == 0
+        engine.live_backend.close()
+
+
 class TestServerSurfaces:
     @pytest.fixture
     def server(self):

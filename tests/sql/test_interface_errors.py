@@ -7,10 +7,14 @@ that was called, on both the in-process and the network transport.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 import repro
-from repro.errors import InterfaceError, ProgrammingError
+from repro.backend.codegen import IMMUTABLE_KEY
+from repro.core.engine import InVerDa
+from repro.errors import InterfaceError, OperationalError, ProgrammingError
 from repro.server.server import ReproServer
 from repro.workloads.tasky import build_tasky
 
@@ -92,3 +96,47 @@ def test_refused_ddl_is_a_programming_error(transport, statement):
     with pytest.raises(ProgrammingError):
         conn.execute(statement)
     conn.close()
+
+
+def test_a_statement_failing_inside_sqlite_leaves_the_session_clean():
+    """A write that SQLite aborts — here with the generated UPDATE
+    trigger's ``RAISE(ABORT, 'the row identifier p is immutable')``, fired
+    by a test trigger on the data table — raises ``OperationalError``,
+    counts one statement error, leaves the primary handle free for the
+    next statement from another thread, and leaves no transaction open."""
+    engine = InVerDa()
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b TEXT);")
+    conn = repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+    conn.execute("INSERT INTO R (a, b) VALUES (?, ?)", (1, "one"))
+    backend = engine.live_backend
+    data_table = engine.genealogy.schema_version("v1").table_version("R").data_table_name
+    raise_immutable = IMMUTABLE_KEY[IMMUTABLE_KEY.index("RAISE") : IMMUTABLE_KEY.index(" ELSE")]
+    for event in ("INSERT", "UPDATE"):
+        backend.execute(
+            f"CREATE TRIGGER test_frozen_{event} BEFORE {event} ON {data_table} "
+            f"WHEN new.b = 'frozen' BEGIN SELECT {raise_immutable}; END"
+        )
+    errors = engine.metrics.get("repro_statement_errors_total")
+    pool = backend.pool
+    before = pool.stats()["leases"]
+    with pytest.raises(OperationalError, match="the row identifier p is immutable"):
+        conn.execute("UPDATE R SET b = ? WHERE a = ?", ("frozen", 1))
+    assert errors.value(version="v1") == 1
+    assert not conn.in_transaction and not conn._session.in_transaction
+    assert not backend.connection.in_transaction
+
+    rows: list = []
+    other = threading.Thread(
+        target=lambda: rows.extend(
+            repro.connect(engine, "v1", autocommit=True, backend="sqlite")
+            .execute("SELECT b FROM R WHERE a = ?", (1,))
+            .fetchall()
+        )
+    )
+    other.start()
+    other.join(10)
+    assert rows == [("one",)]
+    after = pool.stats()["leases"]
+    assert after["primary"] == before["primary"] + 2  # the failed write's, then the read's
+    assert after["overflow"] == before["overflow"]
+    backend.close()
