@@ -1107,7 +1107,7 @@ class CondHandler(SmoHandler):
 
     def role_select(self, role, rules, columns, staged=None) -> str:
         select = super().role_select(role, rules, columns, staged)
-        if role != "Rminus":
+        if role not in self.sem.numbered_roles:
             return select
         # The rules key Rminus by s; the stored table by a row number.
         return f"SELECT ROW_NUMBER() OVER (ORDER BY s, t) AS p, s, t FROM ({select})"

@@ -1182,6 +1182,18 @@ class LiveSqliteBackend:
             # Survivors may have left the active set: the whole catalog,
             # rendered afresh.
             self.renderer = codegen.Renderer(self.engine)
+        try:
+            self._drop_version(version, removed, scope)
+        except BaseException:
+            # The drop rolled back, but a scoped pass has moved the memo's
+            # entries with it: the catalog the engine restores renders afresh.
+            self.renderer = codegen.Renderer(self.engine)
+            raise
+        self._verify_after_transition("drop")
+
+    def _drop_version(self, version: "SchemaVersion", removed: list["SmoInstance"], scope) -> None:
+        """The drop's transaction: the removed SMOs' tables, the delta code
+        and the catalog log (compacted when it has grown)."""
         with self._transaction():
             self._roll_back_prepare()
             cursor = self.connection.cursor()
@@ -1217,7 +1229,6 @@ class LiveSqliteBackend:
             self._fault("drop:before-commit")
         if compacted:
             self._compactions.inc()
-        self._verify_after_transition("drop")
 
     def _verify_after_transition(self, kind: str) -> None:
         """Opt-in post-transition gate: statically verify the delta code

@@ -4,10 +4,9 @@ The package contains the parser for the Figure-2 grammar and one semantics
 module per SMO family. Each SMO's semantics object knows:
 
 - how to evolve source table schemas into target table schemas;
-- its two mapping functions ``γ_tgt``/``γ_src`` as executable state maps
-  (including all auxiliary tables);
-- the same mappings as instantiated Datalog rule sets (used for SQL/view
-  generation and as the cross-checked reference semantics);
+- its two mapping functions ``γ_tgt``/``γ_src`` as instantiated Datalog
+  rule sets (including all auxiliary tables) — the memory engine
+  evaluates them, and the SQL views and triggers are generated from them;
 - the symbolic rule sets used by the formal bidirectionality verifier.
 """
 

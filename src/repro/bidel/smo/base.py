@@ -2,18 +2,23 @@
 
 Every SMO is a *symmetric lens* between its source side and its target side
 (Figure 5 of the paper). A side consists of the data tables of the table
-versions on that side plus the SMO's auxiliary tables living on that side:
-
-- ``γ_tgt`` (:meth:`SmoSemantics.map_forward`) maps the full source side to
-  the full target side;
-- ``γ_src`` (:meth:`SmoSemantics.map_backward`) maps the full target side
-  back to the full source side.
+versions on that side plus the SMO's auxiliary tables living on that side.
+An SMO states its semantics once, as the paper does (Section 4): the rule
+sets ``γ_tgt`` (:meth:`SmoSemantics.gamma_tgt_rules`), deriving the full
+target side from the source side, and ``γ_src``
+(:meth:`SmoSemantics.gamma_src_rules`), the other way round.  The views,
+the triggers and the proofs are compiled from them, and the memory engine
+evaluates them: :meth:`SmoSemantics.map_forward` and
+:meth:`SmoSemantics.map_backward` run the instance's own rule sets through
+:func:`repro.datalog.evaluate.evaluate`.
 
 The side that is *materialized* is physically stored (data + aux); the
 other side is derived on demand. Shared auxiliary tables (the ``ID`` tables
 of the identifier-generating SMOs, Appendix B.3/B.4/B.6) are stored on both
 sides — the paper stores generated identifiers "independently of the chosen
-materialization" for repeatable reads.
+materialization" for repeatable reads.  The rules read ``ID`` and derive
+none: before a map evaluates them, :meth:`SmoSemantics.identifiers`
+completes ``ID`` for the rows it is about to map.
 
 Incremental write propagation (:meth:`propagate_forward` /
 :meth:`propagate_backward`) transports a :class:`TableChange` across the
@@ -26,15 +31,33 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.datalog.ast import RuleSet
+from repro.datalog.ast import RuleSet, Var
+from repro.datalog.evaluate import evaluate
 from repro.errors import EvolutionError
 from repro.expr.ast import Expression, is_true
 from repro.relational.schema import TableSchema
 from repro.relational.table import Key, Row
 
 KeyedRows = dict[Key, Row]
+_first = itemgetter(0)
 SideState = dict[str, KeyedRows]
+
+
+class _Direction:
+    """One rule set as a map runs it: the roles it reads, the roles of its
+    side it derives, whether it is key-local, and whether it is grounded
+    (every rule reads a positive atom, so no input rows derive no rows)."""
+
+    def __init__(self, rules: RuleSet, side: tuple[str, ...]):
+        self.rules = rules
+        atoms = [(rule.head.terms[0], atom) for rule in rules for atom in rule.body_atoms()]
+        derived = set(rules.derived_predicates())
+        self.reads = tuple(dict.fromkeys(atom.pred for _, atom in atoms if atom.pred not in derived))
+        self.writes = tuple(role for role in side if role in derived)
+        self.key_local = all(isinstance(head, Var) and atom.terms[:1] == (head,) for head, atom in atoms)
+        self.grounded = all(rule.body_atoms(positive=True) for rule in rules)
 
 
 @dataclass
@@ -127,6 +150,7 @@ class SmoSemantics(ABC):
     def __init__(self, node, source_schemas: tuple[TableSchema, ...]):
         self.node = node
         self.source_schemas = source_schemas
+        self._built_rules: dict[bool, _Direction] | None = None
         self.validate()
 
     # -- schema level -----------------------------------------------------
@@ -159,15 +183,67 @@ class SmoSemantics(ABC):
 
     # -- state-level mappings -------------------------------------------------
 
-    @abstractmethod
-    def map_forward(self, ctx: MapContext) -> SideState:
-        """``γ_tgt``: derive the full target side (data roles + aux_tgt +
-        aux_shared) from the source side read through ``ctx``."""
+    #: roles whose rules key them by a column that is not unique; their
+    #: rows are numbered in row order, as the stored table keys them
+    numbered_roles: tuple[str, ...] = ()
 
-    @abstractmethod
-    def map_backward(self, ctx: MapContext) -> SideState:
-        """``γ_src``: derive the full source side (data roles + aux_src +
+    def map_forward(self, ctx: MapContext, keys: set[Key] | None = None) -> SideState:
+        """``γ_tgt``: the full target side (data roles + aux_tgt +
+        aux_shared) from the source side read through ``ctx``; only the
+        rows keyed by ``keys`` when given (see :meth:`key_local`)."""
+        return self._map(True, ctx, keys)
+
+    def map_backward(self, ctx: MapContext, keys: set[Key] | None = None) -> SideState:
+        """``γ_src``: the full source side (data roles + aux_src +
         aux_shared) from the target side read through ``ctx``."""
+        return self._map(False, ctx, keys)
+
+    def key_local(self, forward: bool) -> bool:
+        """Does every body atom of the rule set carry its head's key
+        variable first?  Then a row of the output derives from the input
+        rows with its key alone, and a map may read just those."""
+        return self._rule_sets()[forward].key_local
+
+    def identifiers(
+        self, forward: bool, inputs: dict[str, KeyedRows], ctx: MapContext
+    ) -> KeyedRows | None:
+        """``ID`` completed for the rows the map reads (``inputs``: the
+        extents the rule set reads, by role), or None for an SMO without
+        generated identifiers."""
+        return None
+
+    def _rule_sets(self) -> dict[bool, _Direction]:
+        """Both rule sets, built once per instance (keyed by ``forward``)."""
+        if self._built_rules is None:
+            self._built_rules = {
+                True: _Direction(self.gamma_tgt_rules(), (*self.target_roles, *self.aux_tgt())),
+                False: _Direction(self.gamma_src_rules(), (*self.source_roles, *self.aux_src())),
+            }
+        return self._built_rules
+
+    def _map(self, forward: bool, ctx: MapContext, keys: set[Key] | None) -> SideState:
+        direction = self._rule_sets()[forward]
+        inputs = {
+            role: ctx.read(role) if keys is None else ctx.read_keys(role, keys)
+            for role in direction.reads
+        }
+        ids = self.identifiers(forward, inputs, ctx)
+        if ids is not None:
+            inputs["ID"] = ids
+        facts: dict = {}
+        if not direction.grounded or any(inputs.values()):
+            extensional = {role: [(key, *row) for key, row in rows.items()] for role, rows in inputs.items()}
+            facts = evaluate(direction.rules, extensional)
+        state: SideState = {}
+        for role in direction.writes:
+            if role in self.numbered_roles:
+                numbered = sorted(facts.get(role, ()), key=lambda fact: fact[1:])
+                state[role] = {number: fact[1:] for number, fact in enumerate(numbered, 1)}
+            else:
+                state[role] = {fact[0]: fact[1:] for fact in sorted(facts.get(role, ()), key=_first)}
+        if ids is not None:
+            state["ID"] = ids
+        return state
 
     # -- incremental write propagation ---------------------------------------
 

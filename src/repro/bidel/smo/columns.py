@@ -11,17 +11,11 @@ table ``B`` lives on the *target* side, storing the dropped values, and
 from __future__ import annotations
 
 from repro.bidel.ast import AddColumn, DropColumn
-from repro.bidel.smo.base import (
-    MapContext,
-    SideState,
-    SmoSemantics,
-    TableChange,
-    require,
-)
+from repro.bidel.smo.base import SmoSemantics, TableChange, require
 from repro.datalog.ast import Assign, Atom, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema
-from repro.relational.table import Key, Row
+from repro.relational.table import Row
 
 
 def _compile_function(function: Expression, schema: TableSchema):
@@ -104,23 +98,6 @@ class AddColumnSemantics(SmoSemantics):
 
     def aux_src(self) -> dict[str, TableSchema]:
         return {"B": TableSchema("B", (Column(self.node.column, self.node.dtype),))}
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        source = ctx.read("R")
-        overrides = ctx.read("B")
-        compute = _compile_function(self.node.function, self.source_schemas[0])
-        wide: dict[Key, Row] = {}
-        for key, row in source.items():
-            override = overrides.get(key)
-            value = override[0] if override is not None else compute(row)
-            wide[key] = row + (value,)
-        return {"R2": wide}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        target = ctx.read("R2")
-        narrow = {key: row[:-1] for key, row in target.items()}
-        aux = {key: (row[-1],) for key, row in target.items()}
-        return {"R": narrow, "B": aux}
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")
@@ -206,27 +183,6 @@ class DropColumnSemantics(SmoSemantics):
     def _widen_row(self, row: Row, value) -> Row:
         index = self._column_index
         return row[:index] + (value,) + row[index:]
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        source = ctx.read("R")
-        narrow: dict[Key, Row] = {}
-        aux: dict[Key, Row] = {}
-        for key, row in source.items():
-            narrow_row, dropped = self._split_row(row)
-            narrow[key] = narrow_row
-            aux[key] = dropped
-        return {"R2": narrow, "B": aux}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        target = ctx.read("R2")
-        overrides = ctx.read("B")
-        compute = _compile_function(self.node.default, self._narrow_schema)
-        wide: dict[Key, Row] = {}
-        for key, row in target.items():
-            override = overrides.get(key)
-            value = override[0] if override is not None else compute(row)
-            wide[key] = self._widen_row(row, value)
-        return {"R": wide}
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")

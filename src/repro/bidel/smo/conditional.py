@@ -9,25 +9,20 @@ deleted through the joined side so they are not resurrected.
 
 These SMOs are not on the hot benchmark paths (the Wikimedia history uses
 FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition), so they
-implement the full-state lens maps only: the engine runs a whole-state put
-for every write across them, and the delta code runs the same put, staged,
-with the stored side derived by the rule sets.  The rule sets read the
-identifiers ``ID`` records and generate none; the maps allocate the ones
-``ID`` lacks, and re-key the rows a put changes, as the delta code does
-(:func:`_narrow_ids`; a matching narrow pair gets a fresh wide
+have no incremental fast path: the memory engine runs a whole-state put
+for every write across them, evaluating their rule sets, and the delta
+code runs the same put, staged.  The rule sets read the identifiers ``ID``
+records and generate none.  Before the memory engine evaluates them, the
+:meth:`~repro.bidel.smo.base.SmoSemantics.identifiers` hook allocates the
+ones ``ID`` lacks and re-keys the rows a put changes, as the delta code
+does (:func:`_narrow_ids`; a matching narrow pair gets a fresh wide
 identifier).
 """
 
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import (
-    KeyedRows,
-    MapContext,
-    SideState,
-    SmoSemantics,
-    require,
-)
+from repro.bidel.smo.base import KeyedRows, MapContext, SmoSemantics, require
 from repro.datalog.ast import Atom, CondLit, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema
@@ -51,6 +46,7 @@ class _CondJoinLens:
         s_schema: TableSchema,
         t_schema: TableSchema,
         condition: Expression,
+        parts: tuple[list[int], list[int]],
     ):
         self.s_schema = s_schema
         self.t_schema = t_schema
@@ -58,21 +54,25 @@ class _CondJoinLens:
         # The condition ranges over the payload columns; the leading ``id``
         # columns are engine-assigned and invisible to it.
         self.joint_columns = s_schema.column_names[1:] + t_schema.column_names[1:]
+        self.parts = parts  # where S's payload and T's lie in the wide row
 
-    def rule_terms(self, to_wide) -> tuple:
+    def rule_terms(self) -> tuple:
         """``(a, b, R(r, …), c(a, b))`` of the rule sets: the payload
-        variables, the wide atom (``to_wide`` places ``a + b`` in its
-        column order) and the condition literal."""
+        variables, the wide atom (``a`` and ``b`` at :attr:`parts`) and the
+        condition literal."""
         a = tuple(Var(f"a{i}") for i in range(self.s_schema.arity - 1))
         b = tuple(Var(f"b{i}") for i in range(self.t_schema.arity - 1))
+        wide: list = [None] * (len(a) + len(b))
+        for index, term in zip((*self.parts[0], *self.parts[1]), a + b):
+            wide[index] = term
         condition = CondLit("c", self.condition, tuple(zip(self.joint_columns, a + b)))
-        return a, b, Atom("R", (Var("r"), *to_wide(a + b))), condition
+        return a, b, Atom("R", (Var("r"), *wide)), condition
 
-    def join_rules(self, to_wide, name: str) -> RuleSet:
+    def join_rules(self, name: str) -> RuleSet:
         """S, T → R, Splus, Tplus (B.6 γ_tgt): each recorded pair that
         matches and was not deleted through R, and the narrow rows
         without a condition partner (the helper ``Match``)."""
-        a, b, wide, c = self.rule_terms(to_wide)
+        a, b, wide, c = self.rule_terms()
         r, s, t, i = Var("r"), Var("s"), Var("t"), Var("i")
         s_row, t_row = Atom("S", (s, wildcard(), *a)), Atom("T", (t, wildcard(), *b))
         return RuleSet(
@@ -88,12 +88,12 @@ class _CondJoinLens:
             name=name,
         )
 
-    def unjoin_rules(self, to_wide, name: str) -> RuleSet:
+    def unjoin_rules(self, name: str) -> RuleSet:
         """R → S, T, Rminus (B.6 γ_src): each wide row's recorded narrow
         rows, the stored unmatched rows no wide row derives (the helper
         ``Paired``), and matching pairs without a wide row (Rule 200),
         keyed by ``s``: the stored Rminus is keyed by a row number."""
-        a, b, wide, c = self.rule_terms(to_wide)
+        a, b, wide, c = self.rule_terms()
         r, s, t, i = Var("r"), Var("s"), Var("t"), Var("i")
         return RuleSet(
             (
@@ -118,91 +118,34 @@ class _CondJoinLens:
 
         return is_true(self.condition.evaluate(row))
 
-    def join(self, ctx: MapContext) -> SideState:
-        """Narrow → wide (B.6 γ_tgt; also B.4 γ_src modulo roles): a wide
-        row per recorded pair that matches and Rminus does not suppress,
-        and a fresh one per such pair ID lacks."""
-        s_rows = ctx.read("S")
-        t_rows = ctx.read("T")
-        id_rows = ctx.read("ID")  # r -> (s, t)
-        removed = set(ctx.read("Rminus").values())  # {(s, t)}
-        pairs = {
-            (s_key, t_key): a_part[1:] + b_part[1:]  # strip the visible ids
-            for s_key, a_part in s_rows.items()
-            for t_key, b_part in t_rows.items()
-            if self.matches(a_part[1:], b_part[1:])
-        }
-        wide: KeyedRows = {}
-        new_ids: KeyedRows = dict(id_rows)
-        for r_key, pair in id_rows.items():
-            if pair in pairs and pair not in removed:
-                wide[r_key] = pairs[pair]
-        recorded = set(id_rows.values())
-        for pair, payload in pairs.items():
-            if pair not in removed and pair not in recorded:
-                r_key = ctx.allocate_id(SEQ_R)
-                new_ids[r_key] = pair
-                wide[r_key] = payload
-        matched_s = {s_key for s_key, _t in pairs}
-        matched_t = {t_key for _s, t_key in pairs}
-        return {
-            "R": wide,
-            "ID": new_ids,
-            "Splus": {k: v for k, v in s_rows.items() if k not in matched_s},
-            "Tplus": {k: v for k, v in t_rows.items() if k not in matched_t},
-        }
+    def pair_ids(self, ctx: MapContext, inputs: dict[str, KeyedRows]) -> KeyedRows:
+        """``ID`` completed for the narrow rows (B.6 γ_tgt, B.4 γ_src): a
+        matching pair ID lacks and Rminus does not suppress takes a fresh
+        wide identifier."""
+        ids = dict(inputs["ID"])
+        skip = set(ids.values()) | set(inputs["Rminus"].values())
+        for s_key, s_row in inputs["S"].items():
+            for t_key, t_row in inputs["T"].items():
+                if (s_key, t_key) not in skip and self.matches(s_row[1:], t_row[1:]):
+                    ids[ctx.allocate_id(SEQ_R)] = (s_key, t_key)
+        return ids
 
-    def unjoin(self, ctx: MapContext) -> SideState:
-        """Wide → narrow (B.6 γ_src; also B.4 γ_tgt modulo roles): each
-        wide row's narrow identifiers (:func:`_narrow_ids`), its narrow
-        rows, and the stored unmatched ones."""
-        wide = ctx.read("R")
-        id_rows = ctx.read("ID")
-        written = ctx.written("R")
-        s_arity = self.s_schema.arity - 1  # minus the visible id column
+    def narrow_ids(self, ctx: MapContext, inputs: dict[str, KeyedRows]) -> KeyedRows:
+        """``ID`` of the wide rows (B.6 γ_src, B.4 γ_tgt): the narrow
+        identifiers each takes on either side (:func:`_narrow_ids`)."""
+        wide, recorded, written = inputs["R"], inputs["ID"], ctx.written("R")
         picked = []
-        for side, sequence in enumerate((SEQ_S, SEQ_T)):
-            def part(row: Row | None) -> Row | None:
-                if row is None:
-                    return None
-                return row[:s_arity] if side == 0 else row[s_arity:]
+        for side, (positions, sequence) in enumerate(zip(self.parts, (SEQ_S, SEQ_T))):
+            def part(row: Row | None, positions=positions) -> Row | None:
+                return None if row is None else tuple(row[i] for i in positions)
 
             rows = [
-                (
-                    r_key,
-                    part(written.get(r_key, row)),
-                    part(row),
-                    id_rows[r_key][side] if r_key in id_rows else None,
-                )
+                (r_key, part(written.get(r_key, row)), part(row),
+                 recorded[r_key][side] if r_key in recorded else None)
                 for r_key, row in wide.items()
             ]
-            picked.append(_narrow_ids(rows, lambda: ctx.allocate_id(sequence)))
-        s_rows: KeyedRows = {}
-        t_rows: KeyedRows = {}
-        new_ids: KeyedRows = {}
-        removed: KeyedRows = {}
-        for r_key, row in wide.items():
-            s_key, t_key = picked[0][r_key], picked[1][r_key]
-            s_rows[s_key] = (s_key, *row[:s_arity])
-            t_rows[t_key] = (t_key, *row[s_arity:])
-            new_ids[r_key] = (s_key, t_key)
-        for s_key, s_row in ctx.read("Splus").items():
-            s_rows.setdefault(s_key, s_row)
-        for t_key, t_row in ctx.read("Tplus").items():
-            t_rows.setdefault(t_key, t_row)
-        # Rule 200: surviving narrow rows whose combination satisfies the
-        # condition but is absent from the wide side were deleted there.
-        paired = set(new_ids.values())
-        for s_key, s_row in s_rows.items():
-            for t_key, t_row in t_rows.items():
-                if (s_key, t_key) not in paired and self.matches(s_row[1:], t_row[1:]):
-                    removed[len(removed) + 1] = (s_key, t_key)
-        return {
-            "S": s_rows,
-            "T": t_rows,
-            "ID": new_ids,
-            "Rminus": removed,
-        }
+            picked.append(_narrow_ids(rows, lambda sequence=sequence: ctx.allocate_id(sequence)))
+        return {r_key: (picked[0][r_key], picked[1][r_key]) for r_key in wide}
 
 
 def _narrow_ids(rows, fresh) -> dict[Key, Key]:
@@ -271,6 +214,7 @@ class DecomposeCondSemantics(SmoSemantics):
 
     source_roles = ("R",)
     target_roles = ("S", "T")
+    numbered_roles = ("Rminus",)
 
     def __init__(self, node: Decompose, source_schemas):
         super().__init__(node, source_schemas)
@@ -282,9 +226,9 @@ class DecomposeCondSemantics(SmoSemantics):
             node.second_table or "T", (source.column(c) for c in node.second_columns)
         )
         assert node.kind.condition is not None
-        self._lens = _CondJoinLens(self._s_schema, self._t_schema, node.kind.condition)
-        self._s_indices = [source.index_of(c) for c in node.first_columns]
-        self._t_indices = [source.index_of(c) for c in node.second_columns]
+        parts = ([source.index_of(c) for c in node.first_columns],
+                 [source.index_of(c) for c in node.second_columns])
+        self._lens = _CondJoinLens(self._s_schema, self._t_schema, node.kind.condition, parts)
 
     def validate(self) -> None:
         source = self.source_schemas[0]
@@ -323,52 +267,16 @@ class DecomposeCondSemantics(SmoSemantics):
     def sequences(self) -> tuple[str, ...]:
         return (SEQ_R, SEQ_S, SEQ_T)
 
-    def _wide_as_lens(self, row: Row) -> Row:
-        """Reorder the source's columns into (A..., B...) lens order."""
-        return tuple(row[i] for i in self._s_indices) + tuple(
-            row[i] for i in self._t_indices
-        )
-
-    def _lens_to_wide(self, row: Row) -> Row:
-        values: list = [None] * self.source_schemas[0].arity
-        s_arity = len(self._s_indices)
-        for value, index in zip(row[:s_arity], self._s_indices):
-            values[index] = value
-        for value, index in zip(row[s_arity:], self._t_indices):
-            values[index] = value
-        return tuple(values)
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        adapter = _RoleAdapter(
-            ctx,
-            {"R": {k: self._wide_as_lens(v) for k, v in ctx.read("R").items()}},
-            {
-                k: v if v is None else self._wide_as_lens(v)
-                for k, v in ctx.written("R").items()
-            },
-        )
-        state = self._lens.unjoin(adapter)
-        return {
-            "S": state["S"],
-            "T": state["T"],
-            "ID": state["ID"],
-            "Rminus": state["Rminus"],
-        }
+    def identifiers(self, forward, inputs, ctx):
+        if forward:
+            return self._lens.narrow_ids(ctx, inputs)
+        return self._lens.pair_ids(ctx, inputs)
 
     def gamma_tgt_rules(self) -> RuleSet:
-        return self._lens.unjoin_rules(self._lens_to_wide, "decompose_cond.gamma_tgt")
+        return self._lens.unjoin_rules("decompose_cond.gamma_tgt")
 
     def gamma_src_rules(self) -> RuleSet:
-        return self._lens.join_rules(self._lens_to_wide, "decompose_cond.gamma_src")
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        state = self._lens.join(ctx)
-        return {
-            "R": {k: self._lens_to_wide(v) for k, v in state["R"].items()},
-            "ID": state["ID"],
-            "Splus": state["Splus"],
-            "Tplus": state["Tplus"],
-        }
+        return self._lens.join_rules("decompose_cond.gamma_src")
 
 
 class InnerJoinCondSemantics(SmoSemantics):
@@ -382,6 +290,7 @@ class InnerJoinCondSemantics(SmoSemantics):
 
     source_roles = ("S", "T")
     target_roles = ("R",)
+    numbered_roles = ("Rminus",)
 
     def __init__(self, node: Join, source_schemas):
         super().__init__(node, source_schemas)
@@ -397,7 +306,9 @@ class InnerJoinCondSemantics(SmoSemantics):
             f"{ID_COLUMN!r} column",
         )
         assert node.kind.condition is not None
-        self._lens = _CondJoinLens(s_schema, t_schema, node.kind.condition)
+        s_arity = s_schema.arity - 1
+        parts = (list(range(s_arity)), list(range(s_arity, s_arity + t_schema.arity - 1)))
+        self._lens = _CondJoinLens(s_schema, t_schema, node.kind.condition, parts)
 
     def validate(self) -> None:
         s_schema, t_schema = self.source_schemas
@@ -437,49 +348,13 @@ class InnerJoinCondSemantics(SmoSemantics):
     def sequences(self) -> tuple[str, ...]:
         return (SEQ_R, SEQ_S, SEQ_T)
 
+    def identifiers(self, forward, inputs, ctx):
+        if forward:
+            return self._lens.pair_ids(ctx, inputs)
+        return self._lens.narrow_ids(ctx, inputs)
+
     def gamma_tgt_rules(self) -> RuleSet:
-        return self._lens.join_rules(tuple, "inner_join_cond.gamma_tgt")
+        return self._lens.join_rules("inner_join_cond.gamma_tgt")
 
     def gamma_src_rules(self) -> RuleSet:
-        return self._lens.unjoin_rules(tuple, "inner_join_cond.gamma_src")
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        state = self._lens.join(ctx)
-        return {
-            "R": state["R"],
-            "ID": state["ID"],
-            "Splus": state["Splus"],
-            "Tplus": state["Tplus"],
-        }
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        state = self._lens.unjoin(ctx)
-        return {
-            "S": state["S"],
-            "T": state["T"],
-            "ID": state["ID"],
-            "Rminus": state["Rminus"],
-        }
-
-
-class _RoleAdapter(MapContext):
-    """Overlay specific role extents, and the rows R's put writes, on top
-    of another context."""
-
-    def __init__(
-        self, inner: MapContext, overrides: dict[str, KeyedRows], written: dict
-    ):
-        self._inner = inner
-        self._overrides = overrides
-        self._written = written
-
-    def read(self, role: str) -> KeyedRows:
-        if role in self._overrides:
-            return self._overrides[role]
-        return self._inner.read(role)
-
-    def written(self, role: str) -> dict[Key, Row | None]:
-        return self._written if role == "R" else self._inner.written(role)
-
-    def allocate_id(self, sequence_role: str) -> Key:
-        return self._inner.allocate_id(sequence_role)
+        return self._lens.unjoin_rules("inner_join_cond.gamma_src")

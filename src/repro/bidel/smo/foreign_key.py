@@ -13,7 +13,9 @@ itself makes for the condition variants ("the auxiliary table ID stores
 the generated identifiers independently of the chosen materialization",
 B.4) — because it makes identifier stability independent of read order.
 The rule sets therefore read the identifiers ``ID`` records and generate
-none: allocating them is the write programs' job.
+none: allocating them is the job of the write programs, and of
+:meth:`_FkLens.split_ids`, which completes ``ID`` before the memory engine
+evaluates the split.
 
 Conventions: the target table ``T`` exposes its generated identifier as a
 visible first column named ``id`` (Figure 1 shows these identifiers as
@@ -23,15 +25,7 @@ data); its row key equals that identifier.
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import (
-    KeyedRows,
-    MapContext,
-    SideState,
-    SmoSemantics,
-    TableChange,
-    is_all_null,
-    require,
-)
+from repro.bidel.smo.base import KeyedRows, MapContext, SmoSemantics, TableChange, is_all_null, require
 from repro.datalog.ast import Assign, Atom, Compare, Const, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Literal
 from repro.relational.schema import Column, TableSchema
@@ -44,7 +38,8 @@ OMEGA = Const(None)
 
 
 class _FkLens:
-    """Shared machinery for the FK decompose lens and its inverse."""
+    """Shared machinery for the FK decompose lens and its inverse: the rule
+    sets, and the ``ID`` each direction reads."""
 
     def __init__(
         self,
@@ -77,58 +72,6 @@ class _FkLens:
             for value, index in zip(b_part, self.t_indices):
                 values[index] = value
         return tuple(values)
-
-    # -- γ_tgt: R (+ID_R, +previous T) → S, T (Rules 141–146) ----------------
-
-    def forward(self, ctx: MapContext) -> SideState:
-        wide = ctx.read("R")
-        id_map = {key: row[0] for key, row in ctx.read("ID").items()}
-        old_t = ctx.read("T")
-
-        payload_to_id: dict[Row, Key] = {}
-        for t_key, t_row in old_t.items():
-            payload_to_id.setdefault(t_row[1:], t_key)  # strip the id column
-
-        t_rows: KeyedRows = {}
-        s_rows: KeyedRows = {}
-        new_ids: KeyedRows = {}
-
-        # First pass (Rule 141/143): rows with a recorded identifier keep
-        # it; their payloads seed the reuse index for the ¬T_o(_, B) check.
-        pending: list[tuple[Key, Row, Row]] = []
-        for key, row in wide.items():
-            a_part, b_part = self.split_row(row)
-            fk = id_map.get(key, _MISSING)
-            if fk is _MISSING:
-                pending.append((key, a_part, b_part))
-                continue
-            if fk is not None and not is_all_null(b_part):
-                t_rows[fk] = (fk, *b_part)
-                payload_to_id.setdefault(b_part, fk)
-            s_rows[key] = (*a_part, fk)
-
-        # Second pass (Rule 142/146): assign or reuse identifiers for rows
-        # not seen before.
-        for key, a_part, b_part in pending:
-            if is_all_null(b_part):
-                fk = None
-            else:
-                fk = payload_to_id.get(b_part)
-                if fk is None:
-                    fk = ctx.allocate_id(SEQUENCE_ROLE)
-                    payload_to_id[b_part] = fk
-            new_ids[key] = (fk,)
-            if fk is not None:
-                t_rows[fk] = (fk, *b_part)
-            s_rows[key] = (*a_part, fk)
-        result: SideState = {"S": s_rows, "T": t_rows}
-        if new_ids:
-            merged = dict(ctx.read("ID"))
-            merged.update(new_ids)
-            result["ID"] = merged
-        else:
-            result["ID"] = dict(ctx.read("ID"))
-        return result
 
     # -- rule sets, over the identifiers ID records -------------------------
 
@@ -179,34 +122,46 @@ class _FkLens:
             name=name,
         )
 
-    # -- γ_src: S, T → R (+ID_R) (Rules 147–152) ------------------------------
+    # -- identifiers the rules read (the hook of SmoSemantics) ---------------
 
-    def backward(self, ctx: MapContext) -> SideState:
-        s_rows = ctx.read("S")
-        t_rows = ctx.read("T")
-        wide: KeyedRows = {}
-        id_map: KeyedRows = {}
-        referenced: set[Key] = set()
+    def split_ids(self, ctx: MapContext, inputs: dict[str, KeyedRows]) -> KeyedRows:
+        """``ID`` completed for R's rows (Rules 142/146): a recorded
+        identifier stays; a row ID lacks takes the identifier of its B part
+        — in T as stored, else of a row before it — else a fresh one, and
+        none for an ω B part."""
+        ids = dict(inputs["ID"])
+        payload_to_id: dict[Row, Key] = {}
+        for t_key, t_row in ctx.read("T").items():
+            payload_to_id.setdefault(t_row[1:], t_key)  # strip the id column
+        pending: list[tuple[Key, Row]] = []
+        for key, row in inputs["R"].items():
+            b_part = self.split_row(row)[1]
+            if key not in ids:
+                pending.append((key, b_part))
+            elif ids[key][0] is not None and not is_all_null(b_part):
+                payload_to_id.setdefault(b_part, ids[key][0])
+        for key, b_part in pending:
+            fk = None
+            if not is_all_null(b_part):
+                fk = payload_to_id.get(b_part)
+                if fk is None:
+                    fk = payload_to_id[b_part] = ctx.allocate_id(SEQUENCE_ROLE)
+            ids[key] = (fk,)
+        return ids
+
+    def join_ids(self, s_rows: KeyedRows, t_rows: KeyedRows) -> KeyedRows:
+        """``ID`` of the wide rows S and T derive (Rules 147–152): an S
+        row's foreign key when T has it, else none; an unreferenced T row's
+        own identifier."""
+        ids: KeyedRows = {}
         for key, s_row in s_rows.items():
-            a_part, fk = s_row[:-1], s_row[-1]
-            t_row = t_rows.get(fk) if fk is not None else None
-            if t_row is not None:
-                referenced.add(fk)
-                wide[key] = self.combine(a_part, t_row[1:])
-                id_map[key] = (fk,)
-            else:
-                # Rule 148: dangling or null foreign keys keep the A part.
-                wide[key] = self.combine(a_part, None)
-                id_map[key] = (None,)
-        for t_key, t_row in t_rows.items():
+            fk = s_row[self.fk_index]
+            ids[key] = (fk if fk is not None and fk in t_rows else None,)
+        referenced = {entry[0] for entry in ids.values()}
+        for t_key in t_rows:
             if t_key not in referenced:
-                # Rule 149/152: unreferenced T rows surface keyed by their id.
-                wide.setdefault(t_key, self.combine(None, t_row[1:]))
-                id_map.setdefault(t_key, (t_key,))
-        return {"R": wide, "ID": id_map}
-
-
-_MISSING = object()
+                ids.setdefault(t_key, (t_key,))
+        return ids
 
 
 class _FkCache:
@@ -309,11 +264,10 @@ class DecomposeFkSemantics(SmoSemantics):
     def sequences(self) -> tuple[str, ...]:
         return (SEQUENCE_ROLE,)
 
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return self._lens.forward(ctx)
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return self._lens.backward(ctx)
+    def identifiers(self, forward, inputs, ctx):
+        if forward:
+            return self._lens.split_ids(ctx, inputs)
+        return self._lens.join_ids(inputs["S"], inputs["T"])
 
     def gamma_tgt_rules(self) -> RuleSet:
         return self._lens.split_rules("decompose_fk.gamma_tgt")
@@ -505,41 +459,10 @@ class OuterJoinFkSemantics(SmoSemantics):
     def sequences(self) -> tuple[str, ...]:
         return (SEQUENCE_ROLE,)
 
-    def _reorder_s(self, row: Row) -> Row:
-        """Move the fk column to the end (the lens convention)."""
-        index = self._lens.fk_index
-        return tuple(v for i, v in enumerate(row) if i != index) + (row[index],)
-
-    def _restore_s(self, row: Row) -> Row:
-        """Inverse of :meth:`_reorder_s`."""
-        return self._lens.s_row(row[:-1], row[-1])
-
-    def _ctx_with_lens_order(self, ctx: MapContext) -> MapContext:
-        outer = self
-
-        class _Adapter(MapContext):
-            def read(self, role: str) -> KeyedRows:
-                rows = ctx.read(role)
-                if role == "S":
-                    return {k: outer._reorder_s(r) for k, r in rows.items()}
-                return rows
-
-            def allocate_id(self, sequence_role: str) -> Key:
-                return ctx.allocate_id(sequence_role)
-
-        return _Adapter()
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        state = self._lens.backward(self._ctx_with_lens_order(ctx))
-        return {"R": state["R"], "ID": state["ID"]}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        state = self._lens.forward(self._ctx_with_lens_order(ctx))
-        return {
-            "S": {k: self._restore_s(r) for k, r in state["S"].items()},
-            "T": state["T"],
-            "ID": state["ID"],
-        }
+    def identifiers(self, forward, inputs, ctx):
+        if forward:
+            return self._lens.join_ids(inputs["S"], inputs["T"])
+        return self._lens.split_ids(ctx, inputs)
 
     def gamma_tgt_rules(self) -> RuleSet:
         return self._lens.join_rules("outer_join_fk.gamma_tgt")

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 from repro.bidel.ast import Merge, Split
 from repro.bidel.smo.base import (
-    KeyedRows,
     MapContext,
-    SideState,
     SmoSemantics,
     TableChange,
     evaluate_condition,
@@ -35,7 +33,7 @@ from repro.bidel.smo.base import (
 from repro.datalog.ast import Atom, Compare, CondLit, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import TableSchema
-from repro.relational.table import Key, Row
+from repro.relational.table import Row
 
 EMPTY_SCHEMA_COLUMNS: tuple = ()
 
@@ -56,7 +54,8 @@ class _Roles:
 
 
 class _PartitionLens:
-    """Executable semantics of the unified↔partitioned lens."""
+    """The unified↔partitioned lens: its rule sets and its key-local
+    write propagation."""
 
     def __init__(
         self,
@@ -79,85 +78,6 @@ class _PartitionLens:
         return self.c_second is not None and evaluate_condition(
             self.c_second, self.schema, row
         )
-
-    # -- full-state maps (Rules 12–17 and 18–25) ---------------------------
-
-    def partition(self, ctx: MapContext) -> SideState:
-        """Unified side (+ its aux) → partitioned side (Rules 12–17)."""
-        roles = self.roles
-        unified = ctx.read(roles.unified)
-        rminus = ctx.read(roles.rminus)
-        rstar = ctx.read(roles.rstar)
-        splus = ctx.read(roles.splus)
-        sminus = ctx.read(roles.sminus)
-        sstar = ctx.read(roles.sstar)
-
-        first: KeyedRows = {}
-        second: KeyedRows = {}
-        uprime: KeyedRows = {}
-        for key, row in unified.items():
-            in_first = (self._cr(row) and key not in rminus) or key in rstar
-            if in_first:
-                first[key] = row
-            if self.roles.second is not None:
-                if key in splus:
-                    pass  # handled below: the separated twin wins
-                elif (self._cs(row) and key not in sminus) or key in sstar:
-                    second[key] = row
-            if (
-                not self._cr(row)
-                and not self._cs(row)
-                and key not in rstar
-                and key not in sstar
-            ):
-                uprime[key] = row
-        for key, row in splus.items():
-            second[key] = row
-
-        result: SideState = {roles.first: first, roles.uprime: uprime}
-        if roles.second is not None:
-            result[roles.second] = second
-        return result
-
-    def unify(self, ctx: MapContext) -> SideState:
-        """Partitioned side (+ Uprime) → unified side (Rules 18–25)."""
-        roles = self.roles
-        first = ctx.read(roles.first)
-        second = ctx.read(roles.second) if roles.second is not None else {}
-        uprime = ctx.read(roles.uprime)
-
-        unified: KeyedRows = dict(first)
-        for key, row in second.items():
-            unified.setdefault(key, row)  # R is the primus inter pares
-        for key, row in uprime.items():
-            unified.setdefault(key, row)
-
-        rminus: KeyedRows = {}
-        rstar: KeyedRows = {}
-        splus: KeyedRows = {}
-        sminus: KeyedRows = {}
-        sstar: KeyedRows = {}
-        for key, row in first.items():
-            if not self._cr(row):
-                rstar[key] = ()
-            if roles.second is not None and key not in second and self._cs(row):
-                sminus[key] = ()
-        for key, row in second.items():
-            if key not in first and self._cr(row):
-                rminus[key] = ()
-            if not self._cs(row):
-                sstar[key] = ()
-            twin = first.get(key)
-            if twin is not None and twin != row:
-                splus[key] = row
-
-        result: SideState = {roles.unified: unified, roles.rstar: rstar}
-        if roles.second is not None:
-            result[roles.rminus] = rminus
-            result[roles.splus] = splus
-            result[roles.sminus] = sminus
-            result[roles.sstar] = sstar
-        return result
 
     # -- key-local write propagation ----------------------------------------
 
@@ -286,6 +206,8 @@ class _PartitionLens:
         return result
 
     # -- Datalog rules (Rules 12–25, instantiated) ---------------------------
+    # The partitioned side from the unified one (Rules 12–17) and back
+    # (Rules 18–25).
 
     def partition_rules(self, name: str) -> RuleSet:
         roles = self.roles
@@ -476,12 +398,6 @@ class SplitSemantics(SmoSemantics):
     def aux_tgt(self) -> dict[str, TableSchema]:
         return _aux_schemas(self._lens.roles, self.source_schemas[0], unified_side=False)
 
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return self._lens.partition(ctx)
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return self._lens.unify(ctx)
-
     def propagate_forward(self, changes, ctx):
         change = changes.get("U")
         if change is None:
@@ -536,12 +452,6 @@ class MergeSemantics(SmoSemantics):
 
     def aux_tgt(self) -> dict[str, TableSchema]:
         return _aux_schemas(self._lens.roles, self.source_schemas[0], unified_side=True)
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return self._lens.unify(ctx)
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return self._lens.partition(ctx)
 
     def propagate_forward(self, changes, ctx):
         return self._lens.propagate_to_unified(changes, ctx)

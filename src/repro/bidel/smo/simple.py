@@ -10,10 +10,9 @@ target-side auxiliary table so that older versions can still read them.
 from __future__ import annotations
 
 from repro.bidel.ast import CreateTable, DropTable, RenameColumn, RenameTable
-from repro.bidel.smo.base import MapContext, SideState, SmoSemantics, TableChange, require
+from repro.bidel.smo.base import SmoSemantics, require
 from repro.datalog.ast import Atom, Rule, RuleSet, Var
 from repro.relational.schema import Column, TableSchema
-from repro.relational.types import DataType
 
 
 def _identity_rules(src_pred: str, tgt_pred: str, arity: int, name: str) -> RuleSet:
@@ -37,12 +36,6 @@ class CreateTableSemantics(SmoSemantics):
         columns = tuple(Column(c.name, c.dtype) for c in self.node.columns)
         return (TableSchema(self.node.table, columns),)
 
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return {"R": dict(ctx.read("R"))}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return {}
-
     def gamma_tgt_rules(self) -> RuleSet:
         return RuleSet((), name="create_table.gamma_tgt")  # no source side
 
@@ -64,12 +57,6 @@ class DropTableSemantics(SmoSemantics):
 
     def aux_tgt(self) -> dict[str, TableSchema]:
         return {"R_retired": self.source_schemas[0].with_name("R_retired")}
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return {"R_retired": dict(ctx.read("R"))}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return {"R": dict(ctx.read("R_retired"))}
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")
@@ -96,12 +83,6 @@ class _IdentitySemantics(SmoSemantics):
 
     source_roles = ("R",)
     target_roles = ("R2",)
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return {"R2": dict(ctx.read("R"))}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return {"R": dict(ctx.read("R2"))}
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")

@@ -11,18 +11,10 @@
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import (
-    KeyedRows,
-    MapContext,
-    SideState,
-    SmoSemantics,
-    TableChange,
-    is_all_null,
-    require,
-)
+from repro.bidel.smo.base import SmoSemantics, TableChange, is_all_null, require
 from repro.datalog.ast import Atom, Rule, RuleSet, Var, wildcard
 from repro.relational.schema import TableSchema
-from repro.relational.table import Key, Row
+from repro.relational.table import Row
 
 
 class _VerticalLens:
@@ -48,30 +40,6 @@ class _VerticalLens:
             for value, index in zip(second, self.second_indices):
                 values[index] = value
         return tuple(values)
-
-    # -- full-state maps ----------------------------------------------------
-
-    def decompose(self, wide: KeyedRows) -> tuple[KeyedRows, KeyedRows]:
-        """Rules 133/134: project, skipping all-null parts (ω rows)."""
-        first: KeyedRows = {}
-        second: KeyedRows = {}
-        for key, row in wide.items():
-            left, right = self.split_row(row)
-            if not is_all_null(left):
-                first[key] = left
-            if not is_all_null(right):
-                second[key] = right
-        return first, second
-
-    def outer_join(self, first: KeyedRows, second: KeyedRows) -> KeyedRows:
-        """Rules 135–137: full outer join on the key, ω-filling gaps."""
-        wide: KeyedRows = {}
-        for key, left in first.items():
-            wide[key] = self.combine(left, second.get(key))
-        for key, right in second.items():
-            if key not in wide:
-                wide[key] = self.combine(None, right)
-        return wide
 
 
 class DecomposePkSemantics(SmoSemantics):
@@ -109,13 +77,6 @@ class DecomposePkSemantics(SmoSemantics):
             source.project(self.node.first_columns, table_name=self.node.first_table),
             source.project(self.node.second_columns, table_name=self.node.second_table),
         )
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        first, second = self._lens.decompose(ctx.read("R"))
-        return {"S": first, "T": second}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        return {"R": self._lens.outer_join(ctx.read("S"), ctx.read("T"))}
 
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")
@@ -190,13 +151,6 @@ class OuterJoinPkSemantics(SmoSemantics):
     def target_schemas(self) -> tuple[TableSchema, ...]:
         first, second = self.source_schemas
         return (TableSchema(self.node.target, first.columns + second.columns),)
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        return {"R": self._lens.outer_join(ctx.read("S"), ctx.read("T"))}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        first, second = self._lens.decompose(ctx.read("R"))
-        return {"S": first, "T": second}
 
     def propagate_forward(self, changes, ctx):
         first_change = changes.get("S", TableChange())
@@ -281,37 +235,6 @@ class InnerJoinPkSemantics(SmoSemantics):
             "Rplus": first.with_name("Rplus"),
             "Splus": second.with_name("Splus"),
         }
-
-    def map_forward(self, ctx: MapContext) -> SideState:
-        first = ctx.read("R")
-        second = ctx.read("S")
-        joined: KeyedRows = {}
-        rplus: KeyedRows = {}
-        splus: KeyedRows = {}
-        for key, left in first.items():
-            right = second.get(key)
-            if right is None:
-                rplus[key] = left
-            else:
-                joined[key] = left + right
-        for key, right in second.items():
-            if key not in first:
-                splus[key] = right
-        return {"T": joined, "Rplus": rplus, "Splus": splus}
-
-    def map_backward(self, ctx: MapContext) -> SideState:
-        joined = ctx.read("T")
-        first: KeyedRows = {}
-        second: KeyedRows = {}
-        for key, row in joined.items():
-            left, right = self._lens.split_row(row)
-            first[key] = left
-            second[key] = right
-        for key, row in ctx.read("Rplus").items():
-            first.setdefault(key, row)
-        for key, row in ctx.read("Splus").items():
-            second.setdefault(key, row)
-        return {"R": first, "S": second}
 
     def propagate_forward(self, changes, ctx):
         first_change = changes.get("R", TableChange())

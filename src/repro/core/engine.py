@@ -18,8 +18,9 @@ and implements the two user-facing operations:
 Reads follow the three cases of Section 6: *local* (the table version is
 physical), *forwards* (an outgoing SMO is materialized; read through its
 ``γ_src``), and *backwards* (the incoming SMO is virtualized; read through
-its ``γ_tgt``). Writes propagate the other way, key-locally where the SMO
-provides an incremental fast path and by a full lens put otherwise.
+its ``γ_tgt``), each evaluating the SMO's rule set.  Writes propagate the
+other way, key-locally where the SMO provides an incremental fast path and
+by a full lens put otherwise.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.catalog.materialization import (
 from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
 from repro.errors import (
-    AccessError, CatalogError, EvolutionError, MissingTableError, TableExistsError,
+    AccessError, CatalogError, EvolutionError, MissingTableError, SchemaError, TableExistsError,
 )
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
@@ -65,7 +66,8 @@ def bind_smo(node: SmoNode, working: dict[str, TableSchema]):
     ``working`` (table name -> schema), which it then advances past the
     SMO.  An SMO that does not apply raises :class:`EvolutionError` (or
     :class:`SchemaError` from its semantics) and leaves ``working`` as it
-    was."""
+    was.  A target column may not be named ``p`` in any letter case: the
+    generated views expose the hidden row identifier under that name."""
     names = source_table_names(node)
     missing = [name for name in names if name not in working]
     if missing:
@@ -76,6 +78,12 @@ def bind_smo(node: SmoNode, working: dict[str, TableSchema]):
     targets = semantics.target_schemas()
     advanced = {name: schema for name, schema in working.items() if name not in names}
     for schema in targets:
+        reserved = [column for column in schema.column_names if column.lower() == "p"]
+        if reserved:
+            raise SchemaError(
+                f"SMO {node.unparse()!r}: column {reserved[0]!r} of table {schema.name!r} "
+                "takes the name of the hidden row identifier p"
+            )
         if schema.name in advanced:
             raise TableExistsError(
                 f"SMO {node.unparse()!r}: table {schema.name!r} already exists "
@@ -456,7 +464,10 @@ class InVerDa:
 
     def _initialize_shared_aux(self, smo: SmoInstance) -> None:
         """Populate ID tables eagerly so generated identifiers are stable
-        from the first read onwards (repeatable reads, Appendix B.3)."""
+        from the first read onwards (repeatable reads, Appendix B.3).  A
+        live backend holds the rows, and initializes its own."""
+        if self.live_backend is not None:
+            return
         ctx = EngineMapContext(self, smo, output_side="target")
         state = smo.semantics.map_forward(ctx)
         for role in smo.semantics.aux_shared():
@@ -472,11 +483,47 @@ class InVerDa:
         with self.catalog_lock.write_locked(), self._timed_transition("drop"):
             self._ensure_no_online_move()
             self._quiesce_backend()
+            restore, generation = self._drop_undo(), self.catalog_generation
             version, removed = self._drop_schema_version(name)
             self.catalog_generation += 1
             if self.live_backend is not None:
-                self.live_backend.on_drop(version, removed)
+                try:
+                    self.live_backend.on_drop(version, removed)
+                except BaseException:
+                    # The backend rolled the drop back; so does the catalog,
+                    # or the process would serve a catalog the file lacks.
+                    restore()
+                    self.catalog_generation = generation
+                    raise
             self._notify_catalog("drop", version=name)
+
+    def _drop_undo(self) -> Callable[[], None]:
+        """What restores all a drop changes but the catalog generation: the
+        dropped flags, the removed SMOs' links and memory aux tables and
+        the retired versions."""
+        genealogy = self.genealogy
+        maps = [
+            (live, dict(live))
+            for live in (genealogy.schema_versions, genealogy.table_versions,
+                         genealogy.smo_instances, self.database.tables)
+        ]
+        retired = set(genealogy.retired)
+        links = [(tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()]
+        flags = [(version, version.dropped) for version in genealogy.schema_versions.values()]
+
+        def restore() -> None:
+            for live, saved in maps:
+                live.clear()
+                live.update(saved)
+            genealogy.retired = retired
+            for tv, incoming, outgoing in links:
+                tv.incoming, tv.outgoing[:] = incoming, outgoing
+            for version, dropped in flags:
+                version.dropped = dropped
+            self._fingerprint_memo = None
+            self._propagation_needs.clear()
+
+        return restore
 
     def _drop_schema_version(self, name: str) -> tuple[SchemaVersion, list[SmoInstance]]:
         """The dropped version and the SMO instances that left the catalog."""
@@ -545,6 +592,26 @@ class InVerDa:
             return self.database.table(name).as_dict()
         return {}
 
+    def _derivation(self, tv: TableVersion) -> tuple[SmoInstance, bool, str]:
+        """``(SMO, forward?, role)``: the map a derived table version's
+        extent comes out of (Cases 2 and 3 of Section 6)."""
+        forward = self._forward_smo(tv)
+        if forward is not None:
+            return forward, False, forward.semantics.source_roles[forward.sources.index(tv)]
+        smo = tv.incoming
+        if smo is not None and not smo.is_initial:
+            return smo, True, smo.semantics.target_roles[smo.targets.index(tv)]
+        raise AccessError(f"table version {tv!r} has no data route")  # pragma: no cover
+
+    def _derive(
+        self, tv: TableVersion, cache: ReadCache, keys: set[Key] | None = None
+    ) -> KeyedRows:
+        smo, forward, role = self._derivation(tv)
+        ctx = EngineMapContext(self, smo, output_side="target" if forward else "source", cache=cache)
+        semantics = smo.semantics
+        state = (semantics.map_forward if forward else semantics.map_backward)(ctx, keys)
+        return state.get(role, {})
+
     def read_table_version(
         self, tv: TableVersion, *, cache: ReadCache | None = None
     ) -> KeyedRows:
@@ -555,18 +622,7 @@ class InVerDa:
             extent = self.database.table(tv.data_table_name).as_dict()
         else:
             cache = cache if cache is not None else {}
-            forward = self._forward_smo(tv)
-            if forward is not None:
-                role = forward.semantics.source_roles[forward.sources.index(tv)]
-                ctx = EngineMapContext(self, forward, output_side="source", cache=cache)
-                extent = forward.semantics.map_backward(ctx).get(role, {})
-            elif tv.incoming is not None and not tv.incoming.is_initial:
-                smo = tv.incoming
-                role = smo.semantics.target_roles[smo.targets.index(tv)]
-                ctx = EngineMapContext(self, smo, output_side="target", cache=cache)
-                extent = smo.semantics.map_forward(ctx).get(role, {})
-            else:  # pragma: no cover - catalog invariants prevent this
-                raise AccessError(f"table version {tv!r} has no data route")
+            extent = self._derive(tv, cache)
         if cache is not None:
             cache[tv.uid] = extent
         return extent
@@ -574,11 +630,16 @@ class InVerDa:
     def read_table_version_keys(
         self, tv: TableVersion, keys: set[Key], *, cache: ReadCache | None = None
     ) -> KeyedRows:
-        """Key-restricted read; falls back to a cached full read when the
-        table version is not physical."""
+        """Key-restricted read.  A derived table version whose map is
+        key-local evaluates it over the rows with those keys alone; any
+        other falls back to a cached full read."""
         if self._is_physical(tv):
             table = self.database.table(tv.data_table_name)
             return {key: row for key in keys if (row := table.get(key)) is not None}
+        if cache is None or tv.uid not in cache:
+            smo, forward, _role = self._derivation(tv)
+            if smo.semantics.key_local(forward):
+                return self._derive(tv, cache if cache is not None else {}, keys)
         extent = self.read_table_version(tv, cache=cache)
         return {key: extent[key] for key in keys if key in extent}
 
@@ -996,17 +1057,19 @@ class InVerDa:
 
     def _relayout(self, schema: frozenset[SmoInstance]) -> None:
         """Rebuild the in-memory storage for ``schema`` and flip the
-        materialization flags.  With a live backend attached the tables
-        are empty and only their *layout* matters: the code generators
-        read it (the backend owns the contents)."""
+        materialization flags.  With a live backend attached (or a catalog
+        replayed from a file) the tables are empty and only their *layout*
+        matters: the code generators read it (the backend owns the
+        contents), so no map runs."""
         cache: ReadCache = {}
         new_tables: dict[str, Table] = {}
+        layout_only = self.live_backend is not None or not any(self.database.tables.values())
 
         # 1. Data tables of the new physical table schema.
         for tv in physical_table_versions(self.genealogy, schema):
-            extent = self.read_table_version(tv, cache=cache)
             table = Table(tv.schema.with_name(tv.data_table_name))
-            table.replace_all(extent)
+            if not layout_only:
+                table.replace_all(self.read_table_version(tv, cache=cache))
             new_tables[table.name] = table
 
         # 2. Auxiliary tables for each SMO's newly stored side.  An SMO
@@ -1026,13 +1089,11 @@ class InVerDa:
                     name = smo.aux_table_name(role)
                     new_tables[name] = self.database.table(name)
                 continue
-            output_side = "target" if will_be_materialized else "source"
-            ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
-            state = (
-                semantics.map_forward(ctx)
-                if will_be_materialized
-                else semantics.map_backward(ctx)
-            )
+            state: SideState = {}
+            if not layout_only:
+                output_side = "target" if will_be_materialized else "source"
+                ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
+                state = (semantics.map_forward if will_be_materialized else semantics.map_backward)(ctx)
             for role in needed_roles:
                 schema_for_role = side_aux.get(role) or semantics.aux_shared()[role]
                 table = Table(schema_for_role.with_name(smo.aux_table_name(role)))
@@ -1048,9 +1109,9 @@ class InVerDa:
             if name not in new_tables and not any(
                 out in schema for out in tv.outgoing if not out.is_initial
             ):
-                extent = self.read_table_version(tv, cache=cache)
                 table = Table(tv.schema.with_name(name))
-                table.replace_all(extent)
+                if not layout_only:
+                    table.replace_all(self.read_table_version(tv, cache=cache))
                 new_tables[name] = table
 
         # 4. Atomic swap: replace the physical storage wholesale.

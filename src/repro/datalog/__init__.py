@@ -5,8 +5,8 @@ The paper defines every SMO by two Datalog rule sets ``γ_tgt`` and ``γ_src``
 
 - one rule representation (:mod:`repro.datalog.ast`), the rules the SMOs
   compile into views and triggers;
-- bottom-up evaluation (:mod:`repro.datalog.evaluate`) used as the
-  executable reference semantics of every SMO;
+- bottom-up evaluation (:mod:`repro.datalog.evaluate`), compiled once
+  per rule set: the semantics the memory engine runs for every SMO;
 - the paper's simplification Lemmas 1–5 (:mod:`repro.datalog.simplify`),
   the round-trip composition machinery (:mod:`repro.datalog.compose`) and
   matching modulo renaming (:mod:`repro.datalog.symbolic`), which prove

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Union
 
 from repro.errors import DatalogError
@@ -248,6 +249,14 @@ class RuleSet:
 
     def rules_for(self, pred: str) -> list[Rule]:
         return [rule for rule in self.rules if rule.head.pred == pred]
+
+    @cached_property
+    def program(self) -> list:
+        """The evaluator's compiled form of these rules, built on first use
+        and kept as long as the rule set is."""
+        from repro.datalog.evaluate import compile_rules
+
+        return compile_rules(self)
 
     def __str__(self) -> str:
         return "\n".join(str(rule) for rule in self.rules)

@@ -3,167 +3,153 @@
 The version genealogy is acyclic and no SMO rule set is recursive (the paper
 relies on this: "As neither the rules for a single SMO nor the version
 genealogy have cycles, there is no recursion at all"), so evaluation is a
-single pass over derived predicates in dependency order. Within one rule
-body, literals are greedily reordered so that every literal is evaluated
-only once its variables are sufficiently bound (safety).
+single pass over derived predicates in dependency order.
+
+Each rule is planned once: a filter or assignment runs as soon as its
+arguments are bound, then the positive atom with the most bound terms,
+negated atoms last (safety).  The plan is compiled to one Python function
+that probes every atom through a hash index on the positions bound when it
+runs.  A rule set keeps its program (``RuleSet.program``), so an SMO instance
+evaluating its own rule sets on every read compiles them once.
 """
 
 from __future__ import annotations
 
+import functools
 import graphlib
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
-from repro.datalog.ast import (
-    Assign,
-    Atom,
-    Compare,
-    CondLit,
-    Const,
-    Fact,
-    Literal,
-    Rule,
-    RuleSet,
-    Term,
-    Var,
-)
+from repro.datalog.ast import Assign, Atom, Compare, CondLit, Const, Fact, Literal, Rule, RuleSet, Term
 from repro.errors import DatalogError
 
-Bindings = dict[str, object]
-
-
-def _term_value(term: Term, bindings: Bindings) -> tuple[bool, object]:
-    """Return ``(is_bound, value)`` for a term under ``bindings``."""
-    if isinstance(term, Const):
-        return True, term.value
-    if term.name in bindings:
-        return True, bindings[term.name]
-    return False, None
-
-
-def _all_bound(terms: Iterable[Term], bindings: Bindings) -> bool:
-    return all(_term_value(term, bindings)[0] for term in terms)
-
-
-def _match_fact(terms: tuple[Term, ...], fact: Fact, bindings: Bindings) -> Bindings | None:
-    """Try to extend ``bindings`` so that ``terms`` match ``fact``."""
-    if len(terms) != len(fact):
-        return None
-    extended = dict(bindings)
-    for term, value in zip(terms, fact):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term.name, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term.name] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-class _Unbound:
-    pass
-
-
-_UNBOUND = _Unbound()
-
-
-def _literal_ready(literal: Literal, bindings: Bindings) -> bool:
-    """Can ``literal`` be evaluated now without enumerating unbound vars?"""
+def _needs(literal: Literal) -> set[str]:
+    """The variables that must be bound before ``literal`` can run."""
     if isinstance(literal, Atom):
-        if literal.positive:
-            return True  # positive atoms generate bindings
-        return True  # negative atoms treat unbound vars as wildcards safely
-    if isinstance(literal, CondLit):
-        return _all_bound((term for _, term in literal.columns), bindings)
-    if isinstance(literal, Compare):
-        return _all_bound(literal.left + literal.right, bindings)
+        return set()  # a positive atom binds, a negated one reads the rest as wildcards
     if isinstance(literal, Assign):
-        return _all_bound(literal.args, bindings)
-    raise DatalogError(f"unknown literal {literal!r}")  # pragma: no cover
+        return {term.name for term in literal.args if not isinstance(term, Const)}
+    return literal.variables()
 
 
-def _score_literal(literal: Literal, bindings: Bindings) -> tuple[int, int]:
-    """Ordering heuristic: prefer filters/assignments once evaluable, then
-    positive atoms with the most bound terms, and negative atoms last."""
-    if isinstance(literal, (CondLit, Compare, Assign)):
-        return (0, 0)
-    assert isinstance(literal, Atom)
-    bound = sum(1 for term in literal.terms if _term_value(term, bindings)[0])
-    if literal.positive:
-        return (1, -bound)
-    return (2, -bound)
+def _plan(rule: Rule) -> list[Literal]:
+    """The order the body runs in (fixed once per rule)."""
+    bound: set[str] = set()
+    rest, order = list(rule.body), []
+    while rest:
+        ready = [lit for lit in rest if _needs(lit) <= bound]
+        if not ready:
+            raise DatalogError(f"unsafe rule body: no literal evaluable under {sorted(bound)}")
+        pool = [lit for lit in ready if not (isinstance(lit, Atom) and not lit.positive)] or ready
+
+        def score(lit: Literal) -> tuple[int, int]:
+            if not isinstance(lit, Atom):
+                return (0, 0)
+            known = sum(1 for t in lit.terms if isinstance(t, Const) or t.name in bound)
+            return (1 if lit.positive else 2, -known)
+
+        literal = min(pool, key=score)
+        rest.remove(literal)
+        order.append(literal)
+        if isinstance(literal, Atom) and literal.positive:
+            bound |= literal.variables()
+        elif isinstance(literal, Assign):
+            bound.add(literal.target.name)
+    return order
 
 
-def _evaluate_body(
-    body: list[Literal],
-    bindings: Bindings,
-    store: Mapping[str, set[Fact]],
-    out: list[Bindings],
-) -> None:
-    if not body:
-        out.append(bindings)
-        return
+def _compile(rule: Rule):
+    """``run(facts, index, add)``: ``add`` every head fact of ``rule``;
+    ``facts(pred, ())`` is a predicate's facts, ``index(pred, positions)``
+    them by the values at ``positions`` (a tuple, or the one value)."""
+    order = _plan(rule)
+    env: dict[str, object] = {}
+    local: dict[str, str] = {}  # variable -> Python name holding its value
+    prologue: list[str] = []  # lines run once per call, then the nested loops
+    lines: list[str] = []
+    depth = 1
 
-    ready = [lit for lit in body if _literal_ready(lit, bindings)]
-    if not ready:
-        raise DatalogError(f"unsafe rule body: no literal evaluable under {sorted(bindings)}")
-    # Negative atoms must wait until every other literal had a chance to bind
-    # their variables; only pick one if nothing else is left.
-    positives = [lit for lit in ready if not (isinstance(lit, Atom) and not lit.positive)]
-    pool = positives or ready
-    literal = min(pool, key=lambda lit: _score_literal(lit, bindings))
-    rest = list(body)
-    rest.remove(literal)
+    def ref(value: object) -> str:
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
 
-    if isinstance(literal, Atom) and literal.positive:
-        facts = store.get(literal.pred, frozenset())
-        for fact in facts:
-            extended = _match_fact(literal.terms, fact, bindings)
-            if extended is not None:
-                _evaluate_body(rest, extended, store, out)
-        return
+    def term(t: Term) -> str:
+        return ref(t.value) if isinstance(t, Const) else local[t.name]
 
-    if isinstance(literal, Atom):  # negative
-        facts = store.get(literal.pred, frozenset())
-        for fact in facts:
-            if _match_fact(literal.terms, fact, bindings) is not None:
-                return  # a matching fact exists: negation fails
-        _evaluate_body(rest, bindings, store, out)
-        return
+    def emit(line: str) -> None:
+        nonlocal depth
+        lines.append("    " * depth + line)
+        if line.endswith(":"):
+            depth += 1
 
-    if isinstance(literal, CondLit):
-        row = {
-            column: _term_value(term, bindings)[1] for column, term in literal.columns
-        }
-        holds = literal.expression.evaluate(row) is True
-        if holds == literal.positive:
-            _evaluate_body(rest, bindings, store, out)
-        return
+    def key(terms: tuple[Term, ...], positions: list[int]) -> str:
+        parts = [term(terms[j]) for j in positions]
+        return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
 
-    if isinstance(literal, Compare):
-        left = tuple(_term_value(term, bindings)[1] for term in literal.left)
-        right = tuple(_term_value(term, bindings)[1] for term in literal.right)
-        equal = left == right
-        if equal == (literal.op == "="):
-            _evaluate_body(rest, bindings, store, out)
-        return
+    for step, literal in enumerate(order):
+        later = rule.head.variables().union(*(lit.variables() for lit in order[step + 1:]))
+        if isinstance(literal, Atom):
+            terms = literal.terms
+            known = [j for j, t in enumerate(terms) if isinstance(t, Const) or t.name in local]
+            free: dict[str, list[int]] = {}
+            for j, t in enumerate(terms):
+                if j not in known:
+                    free.setdefault(t.name, []).append(j)
+            source = f"r{step}"
+            if known:
+                prologue.append(f"{source} = index({literal.pred!r}, {tuple(known)!r})")
+                rows = f"{source}.get({key(terms, known)}, ())"
+            else:
+                prologue.append(f"{source} = facts({literal.pred!r}, ())")
+                rows = source
+            if literal.positive:
+                prologue.append(f"if not {source}: return")
+                emit(f"for f{step} in {rows}:")
+                for name, (first, *again) in free.items():
+                    for j in again:
+                        emit(f"if f{step}[{j}] == f{step}[{first}]:")
+                    if name in later:
+                        local[name] = f"v{len(local)}"
+                        emit(f"{local[name]} = f{step}[{first}]")
+                continue
+            repeats = [f"f[{j}] == f[{first}]" for first, *again in free.values() for j in again]
+            if repeats:
+                emit(f"if not any({' and '.join(repeats)} for f in {rows}):")
+            elif known:
+                emit(f"if {key(terms, known)} not in {source}:")
+            else:
+                emit(f"if not {source}:")
+        elif isinstance(literal, CondLit):
+            row = ", ".join(f"{column!r}: {term(t)}" for column, t in literal.columns)
+            test = "is" if literal.positive else "is not"
+            emit(f"if {ref(literal.expression.evaluate)}({{{row}}}) {test} True:")
+        elif isinstance(literal, Compare):
+            left = "".join(f"{term(t)}, " for t in literal.left)
+            right = "".join(f"{term(t)}, " for t in literal.right)
+            emit(f"if ({left}) {'==' if literal.op == '=' else '!='} ({right}):")
+        elif isinstance(literal, Assign):
+            call = f"{ref(literal.function)}({', '.join(term(t) for t in literal.args)})"
+            target = literal.target.name
+            if target in local:
+                emit(f"if {call} == {local[target]}:")
+            else:
+                local[target] = f"v{len(local)}"
+                emit(f"{local[target]} = {call}")
+        else:  # pragma: no cover - the AST has no other literal kind
+            raise DatalogError(f"unknown literal {literal!r}")
+    for t in rule.head.terms:
+        if not isinstance(t, Const) and t.name not in local:
+            raise DatalogError(f"unbound head variable {t} in rule {rule}")
+    emit(f"add(({''.join(term(t) + ', ' for t in rule.head.terms)}))")
+    exec(_code("\n".join(["def run(facts, index, add):", *("    " + p for p in prologue), *lines])), env)
+    return env["run"]
 
-    if isinstance(literal, Assign):
-        args = [_term_value(term, bindings)[1] for term in literal.args]
-        value = literal.function(*args)
-        name = literal.target.name
-        if name in bindings:
-            if bindings[name] == value:
-                _evaluate_body(rest, bindings, store, out)
-            return
-        extended = dict(bindings)
-        extended[name] = value
-        _evaluate_body(rest, extended, store, out)
-        return
 
-    raise DatalogError(f"unknown literal {literal!r}")  # pragma: no cover
+@functools.lru_cache(maxsize=4096)
+def _code(source: str):
+    """Rules of one shape (an SMO kind over one arity) share their code."""
+    return compile(source, "<datalog rule>", "exec")
 
 
 def _dependency_order(rules: RuleSet) -> list[str]:
@@ -185,33 +171,38 @@ def _dependency_order(rules: RuleSet) -> list[str]:
         raise DatalogError(f"cyclic rule dependencies: {exc.args[1]}") from None
 
 
-def evaluate(
-    rules: RuleSet,
-    extensional: Mapping[str, Iterable[Fact]],
-) -> dict[str, set[Fact]]:
-    """Evaluate ``rules`` bottom-up over the extensional facts.
+def compile_rules(rules: RuleSet) -> list:
+    """``[(pred, [compiled rule, ...]), ...]`` in dependency order
+    (:attr:`RuleSet.program <repro.datalog.ast.RuleSet.program>` keeps it)."""
+    return [(pred, [_compile(rule) for rule in rules.rules_for(pred)]) for pred in _dependency_order(rules)]
 
-    Returns the derived predicates only. Extensional predicates missing from
-    ``extensional`` are treated as empty (the paper's Lemma 2 situation:
-    the non-materialized side's auxiliary tables simply do not exist).
-    """
-    store: dict[str, set[Fact]] = {name: set(facts) for name, facts in extensional.items()}
+
+def evaluate(rules: RuleSet, extensional: Mapping[str, Iterable[Fact]]) -> dict[str, set[Fact]]:
+    """The derived predicates of ``rules`` over the extensional facts.  One
+    missing from ``extensional`` is empty (the paper's Lemma 2: the other
+    side's aux tables do not exist); a rule negating its own head reads
+    that predicate's extensional facts."""
+    store: dict[str, Iterable[Fact]] = {
+        name: facts if isinstance(facts, (set, frozenset, list, tuple)) else set(facts)
+        for name, facts in extensional.items()
+    }
+    indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
+
+    def index(pred: str, positions: tuple[int, ...]) -> dict:
+        found = indexes.get((pred, positions))
+        if found is None:
+            found = indexes[(pred, positions)] = {}
+            get = itemgetter(*positions)
+            for fact in store.get(pred, ()):
+                found.setdefault(get(fact), []).append(fact)
+        return found
+
     derived: dict[str, set[Fact]] = {}
-    for pred in _dependency_order(rules):
-        results: set[Fact] = set(store.get(pred, set()) if pred in derived else set())
-        for rule in rules.rules_for(pred):
-            matches: list[Bindings] = []
-            _evaluate_body(list(rule.body), {}, store, matches)
-            for bindings in matches:
-                fact = []
-                for term in rule.head.terms:
-                    bound, value = _term_value(term, bindings)
-                    if not bound:
-                        raise DatalogError(
-                            f"unbound head variable {term} in rule {rule}"
-                        )
-                    fact.append(value)
-                results.add(tuple(fact))
-        derived[pred] = results
-        store[pred] = set(results)
+    for pred, compiled in rules.program:
+        results: set[Fact] = set()
+        for run in compiled:
+            run(store.get, index, results.add)
+        derived[pred] = store[pred] = results
+        for cached in [entry for entry in indexes if entry[0] == pred]:
+            del indexes[cached]
     return derived

@@ -2,7 +2,8 @@
 
 For each SMO with a fast path, apply a random change via propagate_* and
 compare against re-running the full map on the changed input state. This is
-the correctness triangle: Datalog rules ≙ state maps ≙ delta propagation.
+the correctness triangle: the rule-free oracle ≙ the maps the memory engine
+runs (the rule sets, evaluated) ≙ delta propagation.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.bidel.parser import parse_smo
 from repro.bidel.smo.base import FixedContext, TableChange
 from repro.bidel.smo.registry import build_semantics
 from repro.relational.schema import TableSchema
+from tests.bidel.lens_oracle import oracle_backward, oracle_forward
 
 VALUES = st.integers(min_value=0, max_value=4)
 KEYS = st.integers(min_value=1, max_value=12)
@@ -98,7 +100,8 @@ class TestDecomposePkDeltaVsMap:
 
 
 class TestRulesAgreeWithMaps:
-    """The declared Datalog rules evaluate to the same state the maps build."""
+    """The maps the memory engine runs — the rule sets, evaluated — build
+    the state the rule-free oracle builds."""
 
     @pytest.mark.parametrize(
         "smo_text,schemas,source_roles,facts",
@@ -132,21 +135,16 @@ class TestRulesAgreeWithMaps:
     def test_gamma_tgt_rules_match_map_forward(
         self, smo_text, schemas, source_roles, facts
     ):
-        from repro.datalog.evaluate import evaluate
-
         node = parse_smo(smo_text)
         semantics = build_semantics(node, tuple(schemas))
-        rules = semantics.gamma_tgt_rules()
-        assert rules is not None
-        derived = evaluate(rules, facts)
         extents = {
             role: {key: tuple(rest) for key, *rest in fact_set}
             for role, fact_set in facts.items()
         }
         state = semantics.map_forward(FixedContext(extents))
-        for role in semantics.target_roles:
-            rule_rows = {key: tuple(rest) for key, *rest in derived.get(role, set())}
-            assert rule_rows == state.get(role, {}), role
+        expected = oracle_forward(semantics, FixedContext(extents))
+        for role in (*semantics.target_roles, *semantics.aux_tgt()):
+            assert state.get(role, {}) == expected.get(role, {}), role
 
     # States where ID records every row, as eager repair guarantees.  FK:
     # a null FK (row 3), an identifier kept for an ω payload (row 4), a
@@ -211,25 +209,20 @@ class TestRulesAgreeWithMaps:
     def test_identifier_generating_rules_match_both_maps(
         self, smo_text, schemas, forward, backward
     ):
-        """γ_tgt ≡ ``map_forward`` and γ_src ≡ ``map_backward``: every data
-        and side-aux role, Rminus compared as the set of pairs it holds
-        (its stored key is a row number)."""
-        from repro.datalog.evaluate import evaluate
-
+        """``map_forward`` ≡ the oracle's γ_tgt and ``map_backward`` ≡ its
+        γ_src: every data and side-aux role and ``ID``, Rminus compared as
+        the set of pairs it holds (its stored key is a row number)."""
         semantics = build_semantics(parse_smo(smo_text), tuple(schemas))
-        for rules, extents, map_side, roles in (
-            (semantics.gamma_tgt_rules(), forward, semantics.map_forward,
-             (*semantics.target_roles, *semantics.aux_tgt())),
-            (semantics.gamma_src_rules(), backward, semantics.map_backward,
-             (*semantics.source_roles, *semantics.aux_src())),
+        for extents, product, oracle, roles in (
+            (forward, semantics.map_forward, oracle_forward,
+             (*semantics.target_roles, *semantics.aux_tgt(), "ID")),
+            (backward, semantics.map_backward, oracle_backward,
+             (*semantics.source_roles, *semantics.aux_src(), "ID")),
         ):
-            facts = {role: {(key, *row) for key, row in rows.items()} for role, rows in extents.items()}
-            derived = evaluate(rules, facts)
-            state = map_side(FixedContext(extents))
+            state = product(FixedContext(extents))
+            expected = oracle(semantics, FixedContext(extents))
             for role in roles:
-                got = derived[role]
-                expected = {(key, *row) for key, row in state[role].items()}
+                got, want = state[role], expected[role]
                 if role == "Rminus":
-                    got = {fact[1:] for fact in got}
-                    expected = set(state[role].values())
-                assert got == expected, (rules.name, role)
+                    got, want = set(got.values()), set(want.values())
+                assert got == want, (product.__name__, role)

@@ -260,38 +260,42 @@ def _evolve(source: str, target: str, smos: str) -> str:
     return f"CREATE SCHEMA VERSION {target} FROM {source} WITH {smos};"
 
 
+#: One script per SMO form, the last statement holding the form's SMO (also
+#: the forms tests/bidel/test_rules_oracle.py holds against the oracle).
+SINGLE_SMO_FORMS = {
+    "decompose_pk": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK")],
+    "decompose_fk": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON FK fk")],
+    "decompose_cond": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON a = c")],
+    "join_pk": [
+        _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK"),
+        _evolve("v2", "v3", "JOIN TABLE R1, R2 INTO R ON PK"),
+    ],
+    "outer_join_pk": [
+        _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK"),
+        _evolve("v2", "v3", "OUTER JOIN TABLE R1, R2 INTO R ON PK"),
+    ],
+    "outer_join_fk": [
+        "CREATE SCHEMA VERSION w1 WITH "
+        "CREATE TABLE A(x INTEGER, fk INTEGER); CREATE TABLE B(id INTEGER, y INTEGER);",
+        _evolve("w1", "w2", "OUTER JOIN TABLE A, B INTO AB ON FK fk"),
+    ],
+    "join_cond_after_decompose": [
+        _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON a = c"),
+        _evolve("v2", "v3", "JOIN TABLE R1, R2 INTO R ON a = c"),
+    ],
+    "join_cond_without_id": [_ST, _evolve("w1", "w2", "JOIN TABLE S, T INTO ST ON a = e")],
+    "split": [_R, _evolve("v1", "v2", "SPLIT TABLE R INTO P WITH a > 0, N WITH a <= 0")],
+    "merge_incompatible": [_ST, _evolve("w1", "w2", "MERGE TABLE S (a > 0), T (e > 0) INTO U")],
+    "add_column": [_R, _evolve("v1", "v2", "ADD COLUMN d AS a + b INTO R")],
+    "drop_column": [_R, _evolve("v1", "v2", "DROP COLUMN c FROM R DEFAULT 0")],
+    "rename_column": [_R, _evolve("v1", "v2", "RENAME COLUMN a IN R TO z")],
+    "rename_table": [_R, _evolve("v1", "v2", "RENAME TABLE R INTO Q")],
+    "drop_table": [_R, _evolve("v1", "v2", "DROP TABLE R")],
+}
+
+
 def _oracle_cases():
-    forms = {
-        "decompose_pk": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK")],
-        "decompose_fk": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON FK fk")],
-        "decompose_cond": [_R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON a = c")],
-        "join_pk": [
-            _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK"),
-            _evolve("v2", "v3", "JOIN TABLE R1, R2 INTO R ON PK"),
-        ],
-        "outer_join_pk": [
-            _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON PK"),
-            _evolve("v2", "v3", "OUTER JOIN TABLE R1, R2 INTO R ON PK"),
-        ],
-        "outer_join_fk": [
-            "CREATE SCHEMA VERSION w1 WITH "
-            "CREATE TABLE A(x INTEGER, fk INTEGER); CREATE TABLE B(id INTEGER, y INTEGER);",
-            _evolve("w1", "w2", "OUTER JOIN TABLE A, B INTO AB ON FK fk"),
-        ],
-        "join_cond_after_decompose": [
-            _R, _evolve("v1", "v2", "DECOMPOSE TABLE R INTO R1(a, b), R2(c) ON a = c"),
-            _evolve("v2", "v3", "JOIN TABLE R1, R2 INTO R ON a = c"),
-        ],
-        "join_cond_without_id": [_ST, _evolve("w1", "w2", "JOIN TABLE S, T INTO ST ON a = e")],
-        "split": [_R, _evolve("v1", "v2", "SPLIT TABLE R INTO P WITH a > 0, N WITH a <= 0")],
-        "merge_incompatible": [_ST, _evolve("w1", "w2", "MERGE TABLE S (a > 0), T (e > 0) INTO U")],
-        "add_column": [_R, _evolve("v1", "v2", "ADD COLUMN d AS a + b INTO R")],
-        "drop_column": [_R, _evolve("v1", "v2", "DROP COLUMN c FROM R DEFAULT 0")],
-        "rename_column": [_R, _evolve("v1", "v2", "RENAME COLUMN a IN R TO z")],
-        "rename_table": [_R, _evolve("v1", "v2", "RENAME TABLE R INTO Q")],
-        "drop_table": [_R, _evolve("v1", "v2", "DROP TABLE R")],
-    }
-    yield from (pytest.param(scripts, id=name) for name, scripts in forms.items())
+    yield from (pytest.param(scripts, id=name) for name, scripts in SINGLE_SMO_FORMS.items())
     for name, (create, _load, evolutions) in sorted(CHAINS.items()):
         scripts = [f"CREATE SCHEMA VERSION v1 WITH {create};"]
         for step, evolution in enumerate(evolutions, start=2):

@@ -230,3 +230,44 @@ def test_a_refused_script_registers_none_of_its_smos(backend):
     finally:
         if live is not None:
             live.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "CREATE SCHEMA VERSION w WITH CREATE TABLE X(p INTEGER, b TEXT);",
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN P AS a + 1 INTO R;",
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME COLUMN b IN R TO p;",
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH DECOMPOSE TABLE R INTO S(a), T(b) ON FK p;",
+        "CREATE SCHEMA VERSION v2 FROM v1 WITH RENAME COLUMN a IN R TO P; "
+        "DECOMPOSE TABLE R INTO S(P), T(b) ON PK;",
+    ],
+    ids=["create-table", "add-column", "rename-column", "fk-column", "decompose-list"],
+)
+def test_a_column_named_p_is_refused(backend, script):
+    """``p`` is the hidden row identifier of every generated view, so no
+    table may have a column of that name in any letter case: the SMO is
+    refused as pre-flight's RPC201 and registers nothing, on either
+    engine."""
+    from repro.backend.sqlite import LiveSqliteBackend
+    from repro.check.preflight import preflight_script
+    from repro.errors import SchemaError
+
+    engine = engine_with("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
+    live = LiveSqliteBackend.attach(engine) if backend == "sqlite" else None
+    counters = (engine.genealogy._next_table_uid, engine.genealogy._next_smo_uid)
+    fingerprint = engine.catalog_fingerprint()
+    try:
+        assert "RPC201" in [finding.code for finding in preflight_script(engine, script)]
+        with pytest.raises(SchemaError, match="hidden row identifier p"):
+            engine.execute(script)
+        assert engine.version_names() == ["v1"]
+        assert (engine.genealogy._next_table_uid, engine.genealogy._next_smo_uid) == counters
+        assert engine.catalog_fingerprint() == fingerprint
+        engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + 1 INTO R;")
+        sql(engine, "v2", "INSERT INTO R(a, b) VALUES (1, 2)")
+        assert list(keyed(engine, "v1", "R").values()) == [(1, 2)]
+    finally:
+        if live is not None:
+            live.close()

@@ -161,3 +161,44 @@ class TestSplitRules:
         assert result["R"] == {(1, 1)}
         assert result["S"] == {(2, 2)}
         assert result["Uprime"] == {(3, 3)}
+
+
+class TestPlannedEdgeCases:
+    """Shapes the planner must bind, index and check exactly as written."""
+
+    def test_variable_repeated_inside_one_positive_atom(self):
+        rules = RuleSet((Rule(Atom("Out", (p,)), (Atom("In", (p, a, a)),)),))
+        result = evaluate(rules, {"In": {(1, "x", "x"), (2, "x", "y"), (3, None, None)}})
+        assert result["Out"] == {(1,), (3,)}
+
+    def test_negated_atom_with_a_repeated_unbound_variable(self):
+        # No N fact for p whose last two values agree: "a" is unbound there.
+        rules = RuleSet(
+            (Rule(Atom("Out", (p,)), (Atom("L", (p,)), Atom("N", (p, a, a), False))),)
+        )
+        result = evaluate(
+            rules, {"L": {(1,), (2,), (3,)}, "N": {(1, 5, 5), (2, 5, 6), (2, 7, 8)}}
+        )
+        assert result["Out"] == {(2,), (3,)}
+
+    def test_assign_to_an_already_bound_variable_filters(self):
+        rules = RuleSet(
+            (
+                Rule(
+                    Atom("Out", (p, a)),
+                    (Atom("In", (p, a)), Assign(a, lambda x: x * 2, (p,))),
+                ),
+            )
+        )
+        result = evaluate(rules, {"In": {(1, 2), (2, 5), (3, 6)}})
+        assert result["Out"] == {(1, 2), (3, 6)}
+
+    def test_negated_self_reference_reads_the_extensional_facts(self):
+        rules = RuleSet((Rule(Atom("P", (p,)), (Atom("Q", (p,)), Atom("P", (p,), False))),))
+        assert evaluate(rules, {"Q": {(1,), (2,)}, "P": {(2,)}})["P"] == {(1,)}
+        assert evaluate(rules, {"Q": {(1,), (2,)}})["P"] == {(1,), (2,)}
+
+    def test_a_compiled_rule_set_keeps_no_facts_between_runs(self):
+        rules = RuleSet((Rule(Atom("Out", (p,)), (Atom("In", (p,)),)),))
+        assert evaluate(rules, {"In": {(1,)}})["Out"] == {(1,)}
+        assert evaluate(rules, {"In": [(2,), (2,)]})["Out"] == {(2,)}

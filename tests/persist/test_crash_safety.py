@@ -114,12 +114,20 @@ def test_crash_mid_drop(tmp_path):
     try:
         ds.materialize("v2")
         ds.check("materialized")
+        fingerprint = ds.sq.catalog_fingerprint()
         ds.backend.fault_injector = injector("drop:before-commit")
         with pytest.raises(SimulatedCrash):
             ds.sq.drop_schema_version("v1")
+        # The failed drop left the engine as it was: it still lists and
+        # serves v1, under the pre-drop fingerprint.
+        ds.backend.fault_injector = None
+        assert ds.sq.version_names() == ["v1", "v2"]
+        assert ds.sq.catalog_fingerprint() == fingerprint
+        ds.check("served-after-failed-drop")
         ds.reopen()
         ds.check("recovered-after-drop-crash")
         assert ds.sq.version_names() == ["v1", "v2"]
+        assert ds.sq.catalog_fingerprint() == fingerprint
         for conn in (*ds._mem_conns.values(), *ds._sq_conns.values()):
             conn.close()
         ds._mem_conns.clear()
@@ -150,6 +158,7 @@ def test_crash_mid_compaction(tmp_path):
                 f"CREATE SCHEMA VERSION {leaf} FROM v2 WITH RENAME COLUMN c IN R TO c{index};"
             )
             before = catalog(ds)
+            fingerprint = ds.sq.catalog_fingerprint()
             try:
                 ds.sq.drop_schema_version(leaf)
             except SimulatedCrash:
@@ -157,7 +166,12 @@ def test_crash_mid_compaction(tmp_path):
             ds.mem.drop_schema_version(leaf)
         else:
             pytest.fail("no drop compacted the log")
+        ds.backend.fault_injector = None
+        assert leaf in ds.sq.version_names()
+        assert ds.sq.catalog_fingerprint() == fingerprint
+        ds.check("served-after-failed-compaction")
         ds.reopen()
+        assert ds.sq.catalog_fingerprint() == fingerprint
         ds.check("recovered-after-compaction-crash")
         assert catalog(ds) == before
         ds.mem.drop_schema_version(leaf)
