@@ -16,6 +16,11 @@ backend can regenerate its delta code:
 - :meth:`ExecutionBackend.on_drop` after ``DROP SCHEMA VERSION`` removed
   SMO instances from the catalog.
 
+When a hook raises, its transaction has rolled back and the engine restores
+its catalog.  Once a hook has committed, the engine calls
+:meth:`ExecutionBackend.verify_transition`, the backend's post-commit
+check, whose error fails the statement but leaves the transition in place.
+
 Catalog transitions are pool-wide events: the engine takes its catalog
 write lock (draining every in-flight session statement), calls
 :meth:`ExecutionBackend.quiesce` so the backend can end every session's
@@ -64,6 +69,12 @@ class ExecutionBackend(Protocol):
 
     def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"]) -> None:
         """A schema version was dropped; ``removed`` SMOs left the catalog."""
+
+    def verify_transition(self, kind: str) -> None:
+        """Check what the committed transition ``kind`` (evolution,
+        materialize or drop) installed; raise on an error.  The engine
+        calls it after the hook above has committed and keeps the
+        transition when it raises: the file holds it already."""
 
     def quiesce(self) -> None:
         """A catalog transition is imminent (the engine holds the catalog

@@ -996,7 +996,6 @@ class LiveSqliteBackend:
             self._install_delta_code(scope)
             self.store.write_meta(self.engine, self._delta_key())
             self._fault("evolution:before-commit")
-        self._verify_after_transition("evolution")
 
     def on_materialize(
         self,
@@ -1060,7 +1059,6 @@ class LiveSqliteBackend:
             # with it: the delta code is rendered for the old layout again.
             self.renderer = renderer
             raise
-        self._verify_after_transition("materialize")
 
     # ------------------------------------------------------------------
     # The online schedule (journaled backfill; see repro.backend.online)
@@ -1189,9 +1187,10 @@ class LiveSqliteBackend:
             # entries with it: the catalog the engine restores renders afresh.
             self.renderer = codegen.Renderer(self.engine)
             raise
-        self._verify_after_transition("drop")
 
-    def _drop_version(self, version: "SchemaVersion", removed: list["SmoInstance"], scope) -> None:
+    def _drop_version(
+        self, version: "SchemaVersion", removed: list["SmoInstance"], scope
+    ) -> None:
         """The drop's transaction: the removed SMOs' tables, the delta code
         and the catalog log (compacted when it has grown)."""
         with self._transaction():
@@ -1230,12 +1229,13 @@ class LiveSqliteBackend:
         if compacted:
             self._compactions.inc()
 
-    def _verify_after_transition(self, kind: str) -> None:
+    def verify_transition(self, kind: str) -> None:
         """Opt-in post-transition gate: statically verify the delta code
-        the transition just installed.  Runs after the commit (the DDL is
+        the transition just installed.  The engine runs it once the
+        transition has committed here and in its catalog (the DDL is
         durable either way); an error-severity finding raises so the
-        caller's transition fails loudly instead of serving a catalog
-        whose views do not resolve."""
+        transition fails loudly instead of serving a catalog whose views
+        do not resolve."""
         if not self.verify_transitions:
             return
         from repro.check.delta import check_installed, verify_delta_code

@@ -31,7 +31,9 @@ def run(num_tasks: int = 3000, writes: int = 50) -> ExperimentResult:
     source_tv, target_tv = split_smo.sources[0], split_smo.targets[0]
 
     # Reads: γ_tgt of the SPLIT over the whole extent vs over one key's rows.
-    whole_ms = time_call(lambda: engine.read_table_version(target_tv, cache={}), repeat=3) * 1000
+    whole_ms = time_call(
+        lambda: engine.read_table_version(target_tv, cache={}), repeat=3
+    ) * 1000
     key = next(iter(engine.read_table_version(target_tv, cache={})))
     key_ms = time_call(
         lambda: engine.read_table_version_keys(target_tv, {key}, cache={}), repeat=3

@@ -54,9 +54,13 @@ class _Direction:
         self.rules = rules
         atoms = [(rule.head.terms[0], atom) for rule in rules for atom in rule.body_atoms()]
         derived = set(rules.derived_predicates())
-        self.reads = tuple(dict.fromkeys(atom.pred for _, atom in atoms if atom.pred not in derived))
+        self.reads = tuple(
+            dict.fromkeys(atom.pred for _, atom in atoms if atom.pred not in derived)
+        )
         self.writes = tuple(role for role in side if role in derived)
-        self.key_local = all(isinstance(head, Var) and atom.terms[:1] == (head,) for head, atom in atoms)
+        self.key_local = all(
+            isinstance(head, Var) and atom.terms[:1] == (head,) for head, atom in atoms
+        )
         self.grounded = all(rule.body_atoms(positive=True) for rule in rules)
 
 
@@ -190,19 +194,14 @@ class SmoSemantics(ABC):
     def map_forward(self, ctx: MapContext, keys: set[Key] | None = None) -> SideState:
         """``γ_tgt``: the full target side (data roles + aux_tgt +
         aux_shared) from the source side read through ``ctx``; only the
-        rows keyed by ``keys`` when given (see :meth:`key_local`)."""
+        rows keyed by ``keys`` when given."""
         return self._map(True, ctx, keys)
 
     def map_backward(self, ctx: MapContext, keys: set[Key] | None = None) -> SideState:
         """``γ_src``: the full source side (data roles + aux_src +
-        aux_shared) from the target side read through ``ctx``."""
+        aux_shared) from the target side read through ``ctx``; only the
+        rows keyed by ``keys`` when given."""
         return self._map(False, ctx, keys)
-
-    def key_local(self, forward: bool) -> bool:
-        """Does every body atom of the rule set carry its head's key
-        variable first?  Then a row of the output derives from the input
-        rows with its key alone, and a map may read just those."""
-        return self._rule_sets()[forward].key_local
 
     def identifiers(
         self, forward: bool, inputs: dict[str, KeyedRows], ctx: MapContext
@@ -216,15 +215,23 @@ class SmoSemantics(ABC):
         """Both rule sets, built once per instance (keyed by ``forward``)."""
         if self._built_rules is None:
             self._built_rules = {
-                True: _Direction(self.gamma_tgt_rules(), (*self.target_roles, *self.aux_tgt())),
-                False: _Direction(self.gamma_src_rules(), (*self.source_roles, *self.aux_src())),
+                True: _Direction(
+                    self.gamma_tgt_rules(), (*self.target_roles, *self.aux_tgt())
+                ),
+                False: _Direction(
+                    self.gamma_src_rules(), (*self.source_roles, *self.aux_src())
+                ),
             }
         return self._built_rules
 
     def _map(self, forward: bool, ctx: MapContext, keys: set[Key] | None) -> SideState:
+        """A key-local rule set derives a row from the input rows with its
+        key alone, so it reads just those; any other reads whole extents
+        and keeps the rows keyed by ``keys``."""
         direction = self._rule_sets()[forward]
+        narrow = keys is not None and direction.key_local
         inputs = {
-            role: ctx.read(role) if keys is None else ctx.read_keys(role, keys)
+            role: ctx.read_keys(role, keys) if narrow else ctx.read(role)
             for role in direction.reads
         }
         ids = self.identifiers(forward, inputs, ctx)
@@ -232,7 +239,10 @@ class SmoSemantics(ABC):
             inputs["ID"] = ids
         facts: dict = {}
         if not direction.grounded or any(inputs.values()):
-            extensional = {role: [(key, *row) for key, row in rows.items()] for role, rows in inputs.items()}
+            extensional = {
+                role: [(key, *row) for key, row in rows.items()]
+                for role, rows in inputs.items()
+            }
             facts = evaluate(direction.rules, extensional)
         state: SideState = {}
         for role in direction.writes:
@@ -240,9 +250,15 @@ class SmoSemantics(ABC):
                 numbered = sorted(facts.get(role, ()), key=lambda fact: fact[1:])
                 state[role] = {number: fact[1:] for number, fact in enumerate(numbered, 1)}
             else:
-                state[role] = {fact[0]: fact[1:] for fact in sorted(facts.get(role, ()), key=_first)}
+                facts_by_key = sorted(facts.get(role, ()), key=_first)
+                state[role] = {fact[0]: fact[1:] for fact in facts_by_key}
         if ids is not None:
             state["ID"] = ids
+        if keys is not None and not narrow:
+            state = {
+                role: {key: rows[key] for key in keys if key in rows}
+                for role, rows in state.items()
+            }
         return state
 
     # -- incremental write propagation ---------------------------------------

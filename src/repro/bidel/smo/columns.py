@@ -11,7 +11,11 @@ table ``B`` lives on the *target* side, storing the dropped values, and
 from __future__ import annotations
 
 from repro.bidel.ast import AddColumn, DropColumn
-from repro.bidel.smo.base import SmoSemantics, TableChange, require
+from repro.bidel.smo.base import (
+    SmoSemantics,
+    TableChange,
+    require,
+)
 from repro.datalog.ast import Assign, Atom, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema

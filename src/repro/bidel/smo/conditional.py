@@ -22,7 +22,12 @@ identifier).
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import KeyedRows, MapContext, SmoSemantics, require
+from repro.bidel.smo.base import (
+    KeyedRows,
+    MapContext,
+    SmoSemantics,
+    require,
+)
 from repro.datalog.ast import Atom, CondLit, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema
@@ -144,7 +149,9 @@ class _CondJoinLens:
                  recorded[r_key][side] if r_key in recorded else None)
                 for r_key, row in wide.items()
             ]
-            picked.append(_narrow_ids(rows, lambda sequence=sequence: ctx.allocate_id(sequence)))
+            picked.append(
+                _narrow_ids(rows, lambda sequence=sequence: ctx.allocate_id(sequence))
+            )
         return {r_key: (picked[0][r_key], picked[1][r_key]) for r_key in wide}
 
 

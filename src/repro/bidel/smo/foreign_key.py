@@ -25,7 +25,14 @@ data); its row key equals that identifier.
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import KeyedRows, MapContext, SmoSemantics, TableChange, is_all_null, require
+from repro.bidel.smo.base import (
+    KeyedRows,
+    MapContext,
+    SmoSemantics,
+    TableChange,
+    is_all_null,
+    require,
+)
 from repro.datalog.ast import Assign, Atom, Compare, Const, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Literal
 from repro.relational.schema import Column, TableSchema

@@ -11,7 +11,12 @@
 from __future__ import annotations
 
 from repro.bidel.ast import Decompose, Join
-from repro.bidel.smo.base import SmoSemantics, TableChange, is_all_null, require
+from repro.bidel.smo.base import (
+    SmoSemantics,
+    TableChange,
+    is_all_null,
+    require,
+)
 from repro.datalog.ast import Atom, Rule, RuleSet, Var, wildcard
 from repro.relational.schema import TableSchema
 from repro.relational.table import Row

@@ -52,7 +52,8 @@ from repro.catalog.materialization import (
 from repro.catalog.versions import SchemaVersion
 from repro.core.context import EngineMapContext, ReadCache
 from repro.errors import (
-    AccessError, CatalogError, EvolutionError, MissingTableError, SchemaError, TableExistsError,
+    AccessError, CatalogError, EvolutionError, MissingTableError, SchemaError,
+    TableExistsError,
 )
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
@@ -325,6 +326,13 @@ class InVerDa:
             except Exception:  # pragma: no cover - listeners are advisory
                 pass  # the catalog already changed; a listener cannot veto it
 
+    def _verify_transition(self, kind: str) -> None:
+        """The backend's post-commit check of a transition.  It runs after
+        the undo window: the file and the catalog both hold the
+        transition, so an error fails the statement and parts neither."""
+        if self.live_backend is not None:
+            self.live_backend.verify_transition(kind)
+
     def _quiesce_backend(self) -> None:
         """Commit every open transaction before a catalog transition (DDL
         is not transactional): the memory journal and every backend
@@ -376,6 +384,7 @@ class InVerDa:
             if self.live_backend is not None:
                 self.live_backend.on_evolution(version, added)
             self._notify_catalog("evolution", version=version.name)
+            self._verify_transition("evolution")
             return version
 
     def _create_schema_version(
@@ -496,6 +505,7 @@ class InVerDa:
                     self.catalog_generation = generation
                     raise
             self._notify_catalog("drop", version=name)
+            self._verify_transition("drop")
 
     def _drop_undo(self) -> Callable[[], None]:
         """What restores all a drop changes but the catalog generation: the
@@ -508,7 +518,9 @@ class InVerDa:
                          genealogy.smo_instances, self.database.tables)
         ]
         retired = set(genealogy.retired)
-        links = [(tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()]
+        links = [
+            (tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()
+        ]
         flags = [(version, version.dropped) for version in genealogy.schema_versions.values()]
 
         def restore() -> None:
@@ -607,7 +619,8 @@ class InVerDa:
         self, tv: TableVersion, cache: ReadCache, keys: set[Key] | None = None
     ) -> KeyedRows:
         smo, forward, role = self._derivation(tv)
-        ctx = EngineMapContext(self, smo, output_side="target" if forward else "source", cache=cache)
+        output_side = "target" if forward else "source"
+        ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
         semantics = smo.semantics
         state = (semantics.map_forward if forward else semantics.map_backward)(ctx, keys)
         return state.get(role, {})
@@ -630,18 +643,15 @@ class InVerDa:
     def read_table_version_keys(
         self, tv: TableVersion, keys: set[Key], *, cache: ReadCache | None = None
     ) -> KeyedRows:
-        """Key-restricted read.  A derived table version whose map is
-        key-local evaluates it over the rows with those keys alone; any
-        other falls back to a cached full read."""
+        """Key-restricted read.  A derived table version's map reads what
+        the rows of ``keys`` need (see :meth:`SmoSemantics.map_forward`)."""
         if self._is_physical(tv):
             table = self.database.table(tv.data_table_name)
             return {key: row for key in keys if (row := table.get(key)) is not None}
-        if cache is None or tv.uid not in cache:
-            smo, forward, _role = self._derivation(tv)
-            if smo.semantics.key_local(forward):
-                return self._derive(tv, cache if cache is not None else {}, keys)
-        extent = self.read_table_version(tv, cache=cache)
-        return {key: extent[key] for key in keys if key in extent}
+        if cache is not None and tv.uid in cache:
+            extent = cache[tv.uid]
+            return {key: extent[key] for key in keys if key in extent}
+        return self._derive(tv, cache if cache is not None else {}, keys)
 
     # ------------------------------------------------------------------
     # Writes
@@ -1054,6 +1064,7 @@ class InVerDa:
                     self._propagation_needs.clear()
                     raise
             self._notify_catalog("materialize")
+            self._verify_transition("materialize")
 
     def _relayout(self, schema: frozenset[SmoInstance]) -> None:
         """Rebuild the in-memory storage for ``schema`` and flip the
@@ -1093,7 +1104,11 @@ class InVerDa:
             if not layout_only:
                 output_side = "target" if will_be_materialized else "source"
                 ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
-                state = (semantics.map_forward if will_be_materialized else semantics.map_backward)(ctx)
+                state = (
+                    semantics.map_forward(ctx)
+                    if will_be_materialized
+                    else semantics.map_backward(ctx)
+                )
             for role in needed_roles:
                 schema_for_role = side_aux.get(role) or semantics.aux_shared()[role]
                 table = Table(schema_for_role.with_name(smo.aux_table_name(role)))

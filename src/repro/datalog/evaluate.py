@@ -15,13 +15,24 @@ evaluating its own rule sets on every read compiles them once.
 
 from __future__ import annotations
 
-import functools
 import graphlib
 from collections.abc import Iterable, Mapping
 from operator import itemgetter
 
-from repro.datalog.ast import Assign, Atom, Compare, CondLit, Const, Fact, Literal, Rule, RuleSet, Term
+from repro.datalog.ast import (
+    Assign,
+    Atom,
+    Compare,
+    CondLit,
+    Const,
+    Fact,
+    Literal,
+    Rule,
+    RuleSet,
+    Term,
+)
 from repro.errors import DatalogError
+
 
 def _needs(literal: Literal) -> set[str]:
     """The variables that must be bound before ``literal`` can run."""
@@ -40,7 +51,9 @@ def _plan(rule: Rule) -> list[Literal]:
         ready = [lit for lit in rest if _needs(lit) <= bound]
         if not ready:
             raise DatalogError(f"unsafe rule body: no literal evaluable under {sorted(bound)}")
-        pool = [lit for lit in ready if not (isinstance(lit, Atom) and not lit.positive)] or ready
+        pool = [
+            lit for lit in ready if not (isinstance(lit, Atom) and not lit.positive)
+        ] or ready
 
         def score(lit: Literal) -> tuple[int, int]:
             if not isinstance(lit, Atom):
@@ -113,7 +126,9 @@ def _compile(rule: Rule):
                         local[name] = f"v{len(local)}"
                         emit(f"{local[name]} = f{step}[{first}]")
                 continue
-            repeats = [f"f[{j}] == f[{first}]" for first, *again in free.values() for j in again]
+            repeats = [
+                f"f[{j}] == f[{first}]" for first, *again in free.values() for j in again
+            ]
             if repeats:
                 emit(f"if not any({' and '.join(repeats)} for f in {rows}):")
             elif known:
@@ -128,7 +143,7 @@ def _compile(rule: Rule):
             left = "".join(f"{term(t)}, " for t in literal.left)
             right = "".join(f"{term(t)}, " for t in literal.right)
             emit(f"if ({left}) {'==' if literal.op == '=' else '!='} ({right}):")
-        elif isinstance(literal, Assign):
+        else:  # Assign
             call = f"{ref(literal.function)}({', '.join(term(t) for t in literal.args)})"
             target = literal.target.name
             if target in local:
@@ -136,20 +151,15 @@ def _compile(rule: Rule):
             else:
                 local[target] = f"v{len(local)}"
                 emit(f"{local[target]} = {call}")
-        else:  # pragma: no cover - the AST has no other literal kind
-            raise DatalogError(f"unknown literal {literal!r}")
     for t in rule.head.terms:
         if not isinstance(t, Const) and t.name not in local:
             raise DatalogError(f"unbound head variable {t} in rule {rule}")
     emit(f"add(({''.join(term(t) + ', ' for t in rule.head.terms)}))")
-    exec(_code("\n".join(["def run(facts, index, add):", *("    " + p for p in prologue), *lines])), env)
+    source = "\n".join(
+        ["def run(facts, index, add):", *("    " + line for line in prologue), *lines]
+    )
+    exec(compile(source, "<datalog rule>", "exec"), env)
     return env["run"]
-
-
-@functools.lru_cache(maxsize=4096)
-def _code(source: str):
-    """Rules of one shape (an SMO kind over one arity) share their code."""
-    return compile(source, "<datalog rule>", "exec")
 
 
 def _dependency_order(rules: RuleSet) -> list[str]:
@@ -174,10 +184,15 @@ def _dependency_order(rules: RuleSet) -> list[str]:
 def compile_rules(rules: RuleSet) -> list:
     """``[(pred, [compiled rule, ...]), ...]`` in dependency order
     (:attr:`RuleSet.program <repro.datalog.ast.RuleSet.program>` keeps it)."""
-    return [(pred, [_compile(rule) for rule in rules.rules_for(pred)]) for pred in _dependency_order(rules)]
+    return [
+        (pred, [_compile(rule) for rule in rules.rules_for(pred)])
+        for pred in _dependency_order(rules)
+    ]
 
 
-def evaluate(rules: RuleSet, extensional: Mapping[str, Iterable[Fact]]) -> dict[str, set[Fact]]:
+def evaluate(
+    rules: RuleSet, extensional: Mapping[str, Iterable[Fact]]
+) -> dict[str, set[Fact]]:
     """The derived predicates of ``rules`` over the extensional facts.  One
     missing from ``extensional`` is empty (the paper's Lemma 2: the other
     side's aux tables do not exist); a rule negating its own head reads
@@ -186,12 +201,12 @@ def evaluate(rules: RuleSet, extensional: Mapping[str, Iterable[Fact]]) -> dict[
         name: facts if isinstance(facts, (set, frozenset, list, tuple)) else set(facts)
         for name, facts in extensional.items()
     }
-    indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
+    indexes: dict[str, dict[tuple[int, ...], dict]] = {}
 
     def index(pred: str, positions: tuple[int, ...]) -> dict:
-        found = indexes.get((pred, positions))
+        found = indexes.setdefault(pred, {}).get(positions)
         if found is None:
-            found = indexes[(pred, positions)] = {}
+            found = indexes[pred][positions] = {}
             get = itemgetter(*positions)
             for fact in store.get(pred, ()):
                 found.setdefault(get(fact), []).append(fact)
@@ -203,6 +218,5 @@ def evaluate(rules: RuleSet, extensional: Mapping[str, Iterable[Fact]]) -> dict[
         for run in compiled:
             run(store.get, index, results.add)
         derived[pred] = store[pred] = results
-        for cached in [entry for entry in indexes if entry[0] == pred]:
-            del indexes[cached]
+        indexes.pop(pred, None)  # built over the facts a self-negation read
     return derived

@@ -7,7 +7,9 @@ what the oracle's forward map makes of them, aux and ``ID`` included, goes
 through ``map_backward``, once as it is and once with random target rows
 written under new keys; and what the oracle's backward map makes of the
 latter, source-side aux included, through ``map_forward`` again.  Each
-time the product and the oracle must build the same side.
+time the product and the oracle must build the same side, and the product
+asked for a few keys must build those keys' rows of it (a key-local rule
+set reads just those rows, any other the whole extents).
 """
 
 from __future__ import annotations
@@ -72,10 +74,16 @@ def test_rules_agree_with_the_oracle(form):
         }
 
     def both(state: SideState, forward: bool, context) -> SideState:
-        """The side both maps build from ``state``, once they agree."""
+        """The side both maps build from ``state``, once they agree; the
+        map asked for a few keys builds those keys' rows of it."""
         product = (semantics.map_forward if forward else semantics.map_backward)
         oracle = (oracle_forward if forward else oracle_backward)(semantics, FixedContext(state))
         _agree(product(FixedContext(state)), oracle, context)
+        keys = set(rng.sample(range(1, 13), 3))
+        keyed = product(FixedContext(state), keys)
+        for role in semantics.target_roles if forward else semantics.source_roles:
+            expected = {key: row for key, row in oracle[role].items() if key in keys}
+            assert keyed[role] == expected, (context, sorted(keys), role)
         return oracle
 
     for trial in range(TRIALS):

@@ -344,6 +344,41 @@ class TestTransitionVerification:
         finally:
             backend.close()
 
+    def test_a_failed_gate_keeps_the_committed_transition(self, tmp_path, monkeypatch):
+        """An error finding after a MATERIALIZE or a drop has committed
+        fails the statement and parts neither side: the engine and the
+        reopened file list the same versions under the same fingerprint."""
+        import repro
+        from repro.backend.sqlite import LiveSqliteBackend
+        from repro.check import delta
+        from repro.check.diagnostics import Diagnostic
+        from repro.errors import CatalogError
+
+        path = str(tmp_path / "gate.db")
+        engine = InVerDa()
+        engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE T(a INTEGER);")
+        engine.execute("CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN b AS a INTO T;")
+        backend = LiveSqliteBackend.attach(engine, database=path, verify_transitions=True)
+        forced = [Diagnostic("RPC109", "error", "v9__Forced", "forced finding")]
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(delta, "check_installed", lambda installed, statements: forced)
+                with pytest.raises(CatalogError, match="after materialize"):
+                    engine.execute("MATERIALIZE v2;")
+                with pytest.raises(CatalogError, match="after drop"):
+                    engine.execute("DROP SCHEMA VERSION v1;")
+            assert engine.version_names() == ["v2"]
+            assert [smo.materialized for smo in engine.genealogy.evolution_smos()] == [True]
+            fingerprint = engine.catalog_fingerprint()
+        finally:
+            backend.close()
+        reopened = repro.open(path)
+        try:
+            assert reopened.version_names() == ["v2"]
+            assert reopened.catalog_fingerprint() == fingerprint
+        finally:
+            reopened.live_backend.close()
+
     def test_off_by_default(self):
         from repro.backend.sqlite import LiveSqliteBackend
 
