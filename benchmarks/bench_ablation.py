@@ -1,4 +1,4 @@
-"""Design ablations: rules vs fast path; key-local delta vs full put."""
+"""Design ablations: whole-extent vs key-restricted reads; keyed vs whole-extent put."""
 
 from repro.bench.harness import get_experiment
 
@@ -13,5 +13,5 @@ def test_ablation(benchmark, print_result):
     for case, variant, ms in result.rows:
         by_case.setdefault(case, {})[variant] = ms
     writes = by_case[next(k for k in by_case if "inserts" in k)]
-    assert writes["key-local delta"] <= writes["whole-state lens put"]
+    assert writes["keyed put"] <= writes["whole-extent put"]
     print_result(result)

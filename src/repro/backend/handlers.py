@@ -7,13 +7,14 @@ materialization,
   from the SMO's instantiated Datalog rule sets, and
 - the statement list of its ``INSTEAD OF`` trigger programs (writes),
 
-mirroring the engine's native semantics: most SMOs follow their
-``propagate_forward``/``propagate_backward`` fast paths; the FK SMOs follow
-the same recorded-id / payload-reuse / fresh-allocation decision procedure
-in key-local programs; a condition DECOMPOSE/JOIN write is the engine's full
-lens put, one staged program whose stored side comes from the SMO's rule
-set.  Identifiers are drawn from the backend's sequence table.  The rules
-read the identifiers the ID table records; allocating them is all the
+mirroring the engine's lens put (``SmoSemantics.put``): a key-local SMO's
+program is its rule set re-derived at the written row's key, as the
+engine's keyed put evaluates it; the FK SMOs follow the same recorded-id /
+payload-reuse / fresh-allocation decision procedure in key-local programs;
+a condition DECOMPOSE/JOIN write is the engine's whole-extent put, one
+staged program whose stored side comes from the SMO's rule set.
+Identifiers are drawn from the backend's sequence table.  The rules read
+the identifiers the ID table records; allocating them is all the
 identifier-generating handlers add to their rules.
 
 The engine also maintains *shared* auxiliary tables (the ID tables) of SMOs
@@ -676,7 +677,8 @@ class PartitionHandler(SmoHandler):
 
     def _to_unified(self, tv: TableVersion, op) -> list[str]:
         """Write at one partition; the unified side (and its aux tables) is
-        stored.  Mirrors ``_PartitionLens.propagate_to_unified``.
+        stored.  Mirrors the engine's keyed put from the partitions, with
+        its keeper (``_PartitionLens.keeper``).
 
         The written partition's post-write row is known when the program is
         rendered — ``NEW`` for an upsert, none for a delete — and is folded
@@ -834,7 +836,7 @@ class FkHandler(SmoHandler):
         match_t = payload_match([f"t.{q(c)}" for c in b_cols], b_new)
         if isinstance(self.sem, OuterJoinFkSemantics):
             # Backward writes at the wide table run through the engine's
-            # full lens put, whose first pass keeps a recorded identifier
+            # whole-extent put, whose first pass keeps a recorded identifier
             # unconditionally (Rules 141/143).
             decision = (
                 f"CASE WHEN EXISTS (SELECT 1 FROM {id_table} WHERE p IS NEW.p) "
@@ -845,7 +847,7 @@ class FkHandler(SmoHandler):
                 f"ELSE NULL END"
             )
         else:
-            # Forward writes take the incremental fast path: a recorded id
+            # Forward writes take the hand-written Δ: a recorded id
             # survives only while its payload still matches; otherwise the
             # row reuses a payload match or gets a fresh identifier.
             decision = (
@@ -919,7 +921,7 @@ class FkHandler(SmoHandler):
                     values.append(f"(SELECT {q(column)} FROM {put_t})")
             statements.append(self.ctx.upsert(wide_tv, "NEW.p", values))
             if isinstance(self.sem, OuterJoinFkSemantics):
-                # The engine's full put regenerates the stored wide table:
+                # The engine's whole-extent put regenerates the stored wide table:
                 # a T row surfaced as an unreferenced padded row disappears
                 # once this S row references it.
                 statements.append(
@@ -1059,7 +1061,7 @@ class CondHandler(SmoHandler):
     suppresses join results deleted through the wide side (Rule 200).
 
     A write at any of its table versions is one staged put, the engine's
-    full lens put: stage the written side's post-write extents, record
+    whole-extent put: stage the written side's post-write extents, record
     identifiers for them (:meth:`_allocate`, which the extent repair
     shares), and on the storage route stage every role of the stored side
     from the rule set deriving that side, then apply them.  Off the route

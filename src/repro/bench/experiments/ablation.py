@@ -4,8 +4,9 @@
   through a virtualized SPLIT, both evaluating its γ_tgt rule set — the
   whole extent, and the read of one key a one-row write makes, which
   evaluates the key-local rules over that key's rows alone;
-- *delta vs full put*: single-row writes propagated key-locally versus the
-  always-correct whole-state lens put.
+- *keyed vs whole-extent put*: single-row inserts through the same SPLIT's
+  put, evaluating its key-local γ_tgt rule set over the changed key's rows
+  (the put the engine runs) and over whole extents.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import random
 
 from repro.bench.harness import Experiment, ExperimentResult, register, time_call, time_once
 from repro.bidel.smo.base import TableChange
+from repro.core.context import EngineMapContext
 from repro.workloads.tasky import build_tasky, random_task
 
 
 def run(num_tasks: int = 3000, writes: int = 50) -> ExperimentResult:
     result = ExperimentResult(
         experiment="ablation",
-        title="Ablations: whole-extent vs key-restricted rule reads; delta vs full put (ms)",
+        title="Ablations: whole-extent vs key-restricted rule reads; keyed vs whole-extent put (ms)",
         columns=("case", "variant", "ms"),
     )
     scenario = build_tasky(num_tasks, with_tasky2=False)
@@ -41,40 +43,42 @@ def run(num_tasks: int = 3000, writes: int = 50) -> ExperimentResult:
     result.add("read through SPLIT", "whole extent (rules)", whole_ms)
     result.add("read through SPLIT", "one key (key-restricted rules)", key_ms)
 
-    # Writes: key-local delta propagation vs whole-state put.
+    # Writes: one-row inserts at the SPLIT's source, its partitions stored,
+    # through the keyed put and through the whole-extent put.
+    scenario.materialize("Do!")
+    semantics = split_smo.semantics
     rng = random.Random(11)
-    tasky_cursor = scenario.connect("TasKy").cursor()
 
-    def delta_writes() -> None:
-        for index in range(writes):
-            row = random_task(rng, 20_000_000 + index)
-            tasky_cursor.execute(
-                "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)",
-                (row["author"], row["task"], row["prio"]),
-            )
+    def inserts(put, first_key: int):
+        def run() -> None:
+            for index in range(writes):
+                row = random_task(rng, first_key + index)
+                changes = {
+                    "U": TableChange(
+                        upserts={engine.allocate_key(): source_tv.schema.row_from_mapping(row)}
+                    )
+                }
+                ctx = EngineMapContext(
+                    engine, split_smo, output_side="target", cache={}, changes=changes
+                )
+                engine._dispatch(
+                    split_smo, put(changes, ctx), direction="forward", cache={},
+                    visited={split_smo.uid: "forward"},
+                )
 
-    delta_ms = time_once(delta_writes) * 1000
+        return run
 
-    def full_put_writes() -> None:
-        for index in range(writes):
-            row = random_task(rng, 30_000_000 + index)
-            key = engine.allocate_key()
-            change = TableChange(upserts={key: source_tv.schema.row_from_mapping(row)})
-            out = engine._full_put(
-                split_smo, {"U": change}, direction="forward", cache={}
-            )
-            engine._dispatch(
-                split_smo, out, direction="forward", cache={}, visited={split_smo.uid: "forward"}
-            )
-
-    # Only meaningful when the split target is materialized; flip it.
-    scenario.materialize("Do!") if "Do!" in engine.version_names() else None
-    full_ms = time_once(full_put_writes) * 1000
-    result.add(f"{writes} inserts via SPLIT", "key-local delta", delta_ms)
-    result.add(f"{writes} inserts via SPLIT", "whole-state lens put", full_ms)
+    keyed_put_ms = time_once(
+        inserts(lambda changes, ctx: semantics.put(True, changes, ctx), 20_000_000)
+    ) * 1000
+    whole_put_ms = time_once(
+        inserts(lambda changes, ctx: semantics._put(True, changes, ctx, None), 30_000_000)
+    ) * 1000
+    result.add(f"{writes} inserts via SPLIT", "keyed put", keyed_put_ms)
+    result.add(f"{writes} inserts via SPLIT", "whole-extent put", whole_put_ms)
     result.note(
         "design ablation: the rules are the only semantics the memory engine "
-        "runs; key-restricted reads and delta propagation only buy performance"
+        "runs; key-restricted reads and keyed puts only buy performance"
     )
     return result
 
@@ -82,7 +86,7 @@ def run(num_tasks: int = 3000, writes: int = 50) -> ExperimentResult:
 register(
     Experiment(
         name="ablation",
-        title="Whole-extent vs key-restricted rule reads; delta vs full put",
+        title="Whole-extent vs key-restricted rule reads; keyed vs whole-extent put",
         paper_artifact="DESIGN.md",
         runner=run,
         quick_kwargs={"num_tasks": 3000, "writes": 50},

@@ -20,10 +20,11 @@ materialization" for repeatable reads.  The rules read ``ID`` and derive
 none: before a map evaluates them, :meth:`SmoSemantics.identifiers`
 completes ``ID`` for the rows it is about to map.
 
-Incremental write propagation (:meth:`propagate_forward` /
-:meth:`propagate_backward`) transports a :class:`TableChange` across the
-SMO; the default implementation signals "no fast path" and the engine falls
-back to a full-state lens put, which is always correct.
+Writes run the same rules: :meth:`SmoSemantics.put` transports the
+:class:`TableChange` of the written side to the other side by evaluating
+the rule set again — over the changed keys' rows alone when every body atom
+carries the head's key (the rule set is key-local), over whole extents
+otherwise.
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ class TableChange:
     def keys(self) -> set[Key]:
         return set(self.upserts) | self.deletes
 
-    def merge(self, other: "TableChange") -> None:
-        for key in other.deletes:
-            self.upserts.pop(key, None)
-            self.deletes.add(key)
-        for key, row in other.upserts.items():
-            self.deletes.discard(key)
-            self.upserts[key] = row
-
     def apply_to(self, rows: KeyedRows) -> None:
         for key in self.deletes:
             rows.pop(key, None)
@@ -103,11 +96,18 @@ class MapContext(ABC):
     def read(self, role: str) -> KeyedRows:
         """Current extent of the table playing ``role`` for this SMO."""
 
-    def read_keys(self, role: str, keys: set[Key]) -> KeyedRows:
-        """Extent restricted to ``keys``; engines override this to avoid
-        materializing whole tables during key-local write propagation."""
+    def read_keys(self, role: str, keys: set[Key] | None) -> KeyedRows:
+        """Extent restricted to ``keys`` (the whole extent for None);
+        engines override this to avoid materializing whole tables for a
+        keyed map."""
         extent = self.read(role)
+        if keys is None:
+            return extent
         return {key: extent[key] for key in keys if key in extent}
+
+    def keep(self, state: SideState) -> None:
+        """Remember the whole side a keyed map evaluated (it was not
+        key-local); engines cache it for later reads of the same state."""
 
     def written(self, role: str) -> dict[Key, Row | None]:
         """The rows of ``role`` the put being mapped writes, each key with
@@ -211,6 +211,11 @@ class SmoSemantics(ABC):
         generated identifiers."""
         return None
 
+    def keeper(self, forward: bool, ctx: MapContext, keys: set[Key] | None) -> SideState:
+        """Rows a put adds to the inputs of the rule set it evaluates, by
+        role, read at ``keys`` when given; none by default."""
+        return {}
+
     def _rule_sets(self) -> dict[bool, _Direction]:
         """Both rule sets, built once per instance (keyed by ``forward``)."""
         if self._built_rules is None:
@@ -224,14 +229,22 @@ class SmoSemantics(ABC):
             }
         return self._built_rules
 
-    def _map(self, forward: bool, ctx: MapContext, keys: set[Key] | None) -> SideState:
+    def _map(
+        self,
+        forward: bool,
+        ctx: MapContext,
+        keys: set[Key] | None,
+        given: SideState | None = None,
+    ) -> SideState:
         """A key-local rule set derives a row from the input rows with its
-        key alone, so it reads just those; any other reads whole extents
-        and keeps the rows keyed by ``keys``."""
+        key alone, so it reads just those; any other reads whole extents,
+        hands the whole side to :meth:`MapContext.keep` and keeps the rows
+        keyed by ``keys``.  ``given`` replaces the reads of its roles."""
         direction = self._rule_sets()[forward]
         narrow = keys is not None and direction.key_local
+        given = given or {}
         inputs = {
-            role: ctx.read_keys(role, keys) if narrow else ctx.read(role)
+            role: given[role] if role in given else ctx.read_keys(role, keys if narrow else None)
             for role in direction.reads
         }
         ids = self.identifiers(forward, inputs, ctx)
@@ -255,29 +268,59 @@ class SmoSemantics(ABC):
         if ids is not None:
             state["ID"] = ids
         if keys is not None and not narrow:
+            ctx.keep(state)
             state = {
                 role: {key: rows[key] for key in keys if key in rows}
                 for role, rows in state.items()
             }
         return state
 
-    # -- incremental write propagation ---------------------------------------
+    # -- writes ---------------------------------------------------------------
 
-    def propagate_forward(
-        self, changes: dict[str, TableChange], ctx: MapContext
-    ) -> dict[str, TableChange] | None:
-        """Transport source-side data changes to the target side.
+    def put(
+        self, forward: bool, changes: dict[str, TableChange], ctx: MapContext
+    ) -> dict[str, TableChange]:
+        """The lens put: the changes to the other side (data and aux roles)
+        that ``changes`` to the written side's data roles make, forward
+        from the source side or backward from the target side.  A
+        key-local rule set derives a key's rows from that key's rows alone,
+        so the put is keyed by the changed keys; any other is put whole."""
+        keys = None
+        if self._rule_sets()[forward].key_local:
+            keys = set().union(*(change.keys() for change in changes.values()))
+        return self._put(forward, changes, ctx, keys)
 
-        Returns changes for target data roles and for aux roles, or ``None``
-        when the SMO has no incremental fast path (the engine then performs
-        a full lens put, which is always correct)."""
-        return None
-
-    def propagate_backward(
-        self, changes: dict[str, TableChange], ctx: MapContext
-    ) -> dict[str, TableChange] | None:
-        """Transport target-side data changes to the source side."""
-        return None
+    def _put(
+        self,
+        forward: bool,
+        changes: dict[str, TableChange],
+        ctx: MapContext,
+        keys: set[Key] | None,
+    ) -> dict[str, TableChange]:
+        """The put at ``keys``, or over whole extents when None.  It reads
+        the written roles, applies ``changes`` and evaluates the rule set.
+        A keyed put writes every row it derives and deletes the rest of
+        ``keys``, unchanged rows too: a rewrite cascades, as the delta
+        code's triggers do.  A whole put writes the difference to the
+        other side as it stands."""
+        given: SideState = {}
+        for role, change in changes.items():
+            # At the keys its change writes, a role's current rows do not matter.
+            rows = dict(ctx.read_keys(role, None if keys is None else keys - change.keys()))
+            change.apply_to(rows)
+            given[role] = rows
+        given.update(self.keeper(forward, ctx, keys))
+        out: dict[str, TableChange] = {}
+        for role, rows in self._map(forward, ctx, keys, given).items():
+            if keys is not None:
+                out[role] = TableChange(rows, keys - rows.keys())
+                continue
+            current = ctx.read(role)
+            out[role] = TableChange(
+                {key: row for key, row in rows.items() if current.get(key) != row},
+                current.keys() - rows.keys(),
+            )
+        return out
 
     def invalidate_caches(self) -> None:
         """Drop any internal memoization (called on migration/rollback)."""

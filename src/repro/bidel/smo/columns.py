@@ -13,22 +13,11 @@ from __future__ import annotations
 from repro.bidel.ast import AddColumn, DropColumn
 from repro.bidel.smo.base import (
     SmoSemantics,
-    TableChange,
     require,
 )
 from repro.datalog.ast import Assign, Atom, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import Column, TableSchema
-from repro.relational.table import Row
-
-
-def _compile_function(function: Expression, schema: TableSchema):
-    names = schema.column_names
-
-    def compute(row: Row):
-        return function.evaluate(dict(zip(names, row)))
-
-    return compute
 
 
 def _column_rules(
@@ -103,30 +92,6 @@ class AddColumnSemantics(SmoSemantics):
     def aux_src(self) -> dict[str, TableSchema]:
         return {"B": TableSchema("B", (Column(self.node.column, self.node.dtype),))}
 
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("R")
-        if change is None:
-            return {}
-        overrides = ctx.read("B")
-        compute = _compile_function(self.node.function, self.source_schemas[0])
-        out = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            override = overrides.get(key)
-            value = override[0] if override is not None else compute(row)
-            out.upserts[key] = row + (value,)
-        return {"R2": out}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("R2")
-        if change is None:
-            return {}
-        narrow = TableChange(deletes=set(change.deletes))
-        aux = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            narrow.upserts[key] = row[:-1]
-            aux.upserts[key] = (row[-1],)
-        return {"R": narrow, "B": aux}
-
     def gamma_tgt_rules(self) -> RuleSet:
         widening, _ = self._rules()
         return widening
@@ -179,47 +144,6 @@ class DropColumnSemantics(SmoSemantics):
     def aux_tgt(self) -> dict[str, TableSchema]:
         dropped = self.source_schemas[0].column(self.node.column)
         return {"B": TableSchema("B", (dropped,))}
-
-    def _split_row(self, row: Row) -> tuple[Row, Row]:
-        index = self._column_index
-        return row[:index] + row[index + 1 :], (row[index],)
-
-    def _widen_row(self, row: Row, value) -> Row:
-        index = self._column_index
-        return row[:index] + (value,) + row[index:]
-
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("R")
-        if change is None:
-            return {}
-        narrow = TableChange(deletes=set(change.deletes))
-        aux = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            narrow_row, dropped = self._split_row(row)
-            narrow.upserts[key] = narrow_row
-            aux.upserts[key] = dropped
-        return {"R2": narrow, "B": aux}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("R2")
-        if change is None:
-            return {}
-        overrides = ctx.read("B")
-        compute = _compile_function(self.node.default, self._narrow_schema)
-        out = TableChange(deletes=set(change.deletes))
-        aux = TableChange()
-        for key, row in change.upserts.items():
-            override = overrides.get(key)
-            value = override[0] if override is not None else compute(row)
-            out.upserts[key] = self._widen_row(row, value)
-            if override is None:
-                # Record the filled-in value so future reads are repeatable
-                # even if the default function is later considered changed.
-                aux.upserts[key] = (value,)
-        result = {"R": out}
-        if not aux.empty:
-            result["B"] = aux
-        return result
 
     def gamma_tgt_rules(self) -> RuleSet:
         _, narrowing = self._rules()

@@ -8,10 +8,11 @@ second auxiliary table (the paper's ``R⁻``) records join results that were
 deleted through the joined side so they are not resurrected.
 
 These SMOs are not on the hot benchmark paths (the Wikimedia history uses
-FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition), so they
-have no incremental fast path: the memory engine runs a whole-state put
-for every write across them, evaluating their rule sets, and the delta
-code runs the same put, staged.  The rule sets read the identifiers ``ID``
+FK decomposition; TasKy uses SPLIT/DROP COLUMN/FK decomposition).  Their
+rule sets join rows of different keys, so they are not key-local: the
+memory engine's put (:meth:`~repro.bidel.smo.base.SmoSemantics.put`)
+evaluates them over whole extents for every write across them, and the
+delta code runs the same put, staged.  The rule sets read the identifiers ``ID``
 records and generate none.  Before the memory engine evaluates them, the
 :meth:`~repro.bidel.smo.base.SmoSemantics.identifiers` hook allocates the
 ones ``ID`` lacks and re-keys the rows a put changes, as the delta code

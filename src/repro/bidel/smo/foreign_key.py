@@ -282,6 +282,11 @@ class DecomposeFkSemantics(SmoSemantics):
     def gamma_src_rules(self) -> RuleSet:
         return self._lens.join_rules("decompose_fk.gamma_src")
 
+    def put(self, forward, changes, ctx):
+        """Hand-written Δ code: its rule sets are not key-local, and a
+        whole put would re-derive the whole other side per write."""
+        return (self.propagate_forward if forward else self.propagate_backward)(changes, ctx)
+
     def propagate_forward(self, changes, ctx):
         change = changes.get("R")
         if change is None or change.empty:

@@ -25,15 +25,15 @@ from dataclasses import dataclass
 from repro.bidel.ast import Merge, Split
 from repro.bidel.smo.base import (
     MapContext,
+    SideState,
     SmoSemantics,
-    TableChange,
     evaluate_condition,
     require,
 )
 from repro.datalog.ast import Atom, Compare, CondLit, Rule, RuleSet, Var, wildcard
 from repro.expr.ast import Expression
 from repro.relational.schema import TableSchema
-from repro.relational.table import Row
+from repro.relational.table import Key, Row
 
 EMPTY_SCHEMA_COLUMNS: tuple = ()
 
@@ -54,8 +54,8 @@ class _Roles:
 
 
 class _PartitionLens:
-    """The unified↔partitioned lens: its rule sets and its key-local
-    write propagation."""
+    """The unified↔partitioned lens: its rule sets and the keeper of a put
+    from the partitions."""
 
     def __init__(
         self,
@@ -79,131 +79,20 @@ class _PartitionLens:
             self.c_second, self.schema, row
         )
 
-    # -- key-local write propagation ----------------------------------------
+    # -- the put's keeper ----------------------------------------------------
 
-    def propagate_to_partitions(
-        self, change: TableChange, ctx: MapContext
-    ) -> dict[str, TableChange]:
-        """Writes on the unified side with the partitioned side stored.
-
-        The stored partitioned side implies the unified-side aux tables are
-        empty (they exist only when the unified side is materialized), so
-        placement is the plain condition test — exactly the paper's derived
-        update Rules 52–54.
-        """
+    def keeper(self, ctx: MapContext, keys: set[Key] | None) -> SideState:
+        """``Uprime`` for a put from the partitions: the stored rows, and
+        the current unified rows matching neither condition.  No partition
+        shows such a row through its condition, so a write there leaves it
+        in the unified table unless a partition now holds its key."""
         roles = self.roles
-        first = TableChange()
-        second = TableChange()
-        uprime = TableChange()
-        for key in change.deletes:
-            first.deletes.add(key)
-            second.deletes.add(key)
-            uprime.deletes.add(key)
-        for key, row in change.upserts.items():
-            if self._cr(row):
-                first.upserts[key] = row
-            else:
-                first.deletes.add(key)
-            if roles.second is not None:
-                if self._cs(row):
-                    second.upserts[key] = row
-                else:
-                    second.deletes.add(key)
-            if not self._cr(row) and not self._cs(row):
-                uprime.upserts[key] = row
-            else:
-                uprime.deletes.add(key)
-        result = {roles.first: first, roles.uprime: uprime}
-        if roles.second is not None:
-            result[roles.second] = second
-        return result
-
-    def propagate_to_unified(
-        self, changes: dict[str, TableChange], ctx: MapContext
-    ) -> dict[str, TableChange]:
-        """Writes on the partitioned side with the unified side stored.
-
-        Per affected key, compute the post-write partition rows ``R'``/``S'``
-        and re-derive the unified row plus all aux memberships (Rules 18–25
-        restricted to that key)."""
-        roles = self.roles
-        first_change = changes.get(roles.first, TableChange())
-        second_change = changes.get(roles.second, TableChange()) if roles.second else TableChange()
-        keys = first_change.keys() | second_change.keys()
-        if not keys:
-            return {}
-
-        current_first = ctx.read_keys(roles.first, keys)
-        current_second = (
-            ctx.read_keys(roles.second, keys) if roles.second is not None else {}
-        )
-        unified_stored = ctx.read_keys(roles.unified, keys)
-
-        unified = TableChange()
-        rminus = TableChange()
-        rstar = TableChange()
-        splus = TableChange()
-        sminus = TableChange()
-        sstar = TableChange()
-
-        for key in keys:
-            new_first = current_first.get(key)
-            new_second = current_second.get(key)
-            if key in first_change.deletes:
-                new_first = None
-            elif key in first_change.upserts:
-                new_first = first_change.upserts[key]
-            if key in second_change.deletes:
-                new_second = None
-            elif key in second_change.upserts:
-                new_second = second_change.upserts[key]
-
-            # Unified row: R wins, then S, then an invisible Uprime row
-            # (a stored unified row matching neither condition stays put).
-            if new_first is not None:
-                unified.upserts[key] = new_first
-            elif new_second is not None:
-                unified.upserts[key] = new_second
-            else:
-                stored = unified_stored.get(key)
-                if stored is not None and not self._cr(stored) and not self._cs(stored):
-                    pass  # key only ever lived in Uprime; leave it alone
-                else:
-                    unified.deletes.add(key)
-
-            # Aux memberships (Rules 21–25) for this key.
-            def member(change: TableChange, present: bool, payload: Row | None = None) -> None:
-                if present:
-                    change.upserts[key] = payload if payload is not None else ()
-                else:
-                    change.deletes.add(key)
-
-            member(rstar, new_first is not None and not self._cr(new_first))
-            if roles.second is not None:
-                member(
-                    rminus,
-                    new_second is not None and new_first is None and self._cr(new_second),
-                )
-                member(
-                    splus,
-                    new_first is not None
-                    and new_second is not None
-                    and new_first != new_second,
-                    new_second,
-                )
-                member(
-                    sminus,
-                    new_first is not None and new_second is None and self._cs(new_first),
-                )
-                member(sstar, new_second is not None and not self._cs(new_second))
-
-        result = {roles.unified: unified, roles.rstar: rstar}
-        if roles.second is not None:
-            result[roles.rminus] = rminus
-            result[roles.splus] = splus
-            result[roles.sminus] = sminus
-            result[roles.sstar] = sstar
-        return result
+        kept = {
+            key: row
+            for key, row in ctx.read_keys(roles.unified, keys).items()
+            if not self._cr(row) and not self._cs(row)
+        }
+        return {roles.uprime: {**kept, **ctx.read_keys(roles.uprime, keys)}}
 
     # -- Datalog rules (Rules 12–25, instantiated) ---------------------------
     # The partitioned side from the unified one (Rules 12–17) and back
@@ -398,14 +287,8 @@ class SplitSemantics(SmoSemantics):
     def aux_tgt(self) -> dict[str, TableSchema]:
         return _aux_schemas(self._lens.roles, self.source_schemas[0], unified_side=False)
 
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("U")
-        if change is None:
-            return {}
-        return self._lens.propagate_to_partitions(change, ctx)
-
-    def propagate_backward(self, changes, ctx):
-        return self._lens.propagate_to_unified(changes, ctx)
+    def keeper(self, forward, ctx, keys):
+        return {} if forward else self._lens.keeper(ctx, keys)
 
     def gamma_tgt_rules(self) -> RuleSet:
         return self._lens.partition_rules("split.gamma_tgt")
@@ -453,14 +336,8 @@ class MergeSemantics(SmoSemantics):
     def aux_tgt(self) -> dict[str, TableSchema]:
         return _aux_schemas(self._lens.roles, self.source_schemas[0], unified_side=True)
 
-    def propagate_forward(self, changes, ctx):
-        return self._lens.propagate_to_unified(changes, ctx)
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("U")
-        if change is None:
-            return {}
-        return self._lens.propagate_to_partitions(change, ctx)
+    def keeper(self, forward, ctx, keys):
+        return self._lens.keeper(ctx, keys) if forward else {}
 
     def gamma_tgt_rules(self) -> RuleSet:
         return self._lens.unify_rules("merge.gamma_tgt")

@@ -58,18 +58,6 @@ class DropTableSemantics(SmoSemantics):
     def aux_tgt(self) -> dict[str, TableSchema]:
         return {"R_retired": self.source_schemas[0].with_name("R_retired")}
 
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("R")
-        if change is None:
-            return {}
-        return {"R_retired": change}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("R_retired")
-        if change is None:
-            return {}
-        return {"R": change}
-
     def gamma_tgt_rules(self) -> RuleSet:
         return _identity_rules("R", "R_retired", self.source_schemas[0].arity, "drop_table.gamma_tgt")
 
@@ -83,14 +71,6 @@ class _IdentitySemantics(SmoSemantics):
 
     source_roles = ("R",)
     target_roles = ("R2",)
-
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("R")
-        return {} if change is None else {"R2": change}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("R2")
-        return {} if change is None else {"R": change}
 
     def gamma_tgt_rules(self) -> RuleSet:
         return _identity_rules("R", "R2", self.source_schemas[0].arity, "rename.gamma_tgt")

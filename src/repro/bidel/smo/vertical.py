@@ -13,13 +13,10 @@ from __future__ import annotations
 from repro.bidel.ast import Decompose, Join
 from repro.bidel.smo.base import (
     SmoSemantics,
-    TableChange,
-    is_all_null,
     require,
 )
 from repro.datalog.ast import Atom, Rule, RuleSet, Var, wildcard
 from repro.relational.schema import TableSchema
-from repro.relational.table import Row
 
 
 class _VerticalLens:
@@ -29,22 +26,6 @@ class _VerticalLens:
         self.wide_schema = wide_schema
         self.first_indices = [wide_schema.index_of(c) for c in first_columns]
         self.second_indices = [wide_schema.index_of(c) for c in second_columns]
-
-    def split_row(self, row: Row) -> tuple[Row, Row]:
-        return (
-            tuple(row[i] for i in self.first_indices),
-            tuple(row[i] for i in self.second_indices),
-        )
-
-    def combine(self, first: Row | None, second: Row | None) -> Row:
-        values: list = [None] * self.wide_schema.arity
-        if first is not None:
-            for value, index in zip(first, self.first_indices):
-                values[index] = value
-        if second is not None:
-            for value, index in zip(second, self.second_indices):
-                values[index] = value
-        return tuple(values)
 
 
 class DecomposePkSemantics(SmoSemantics):
@@ -83,50 +64,6 @@ class DecomposePkSemantics(SmoSemantics):
             source.project(self.node.second_columns, table_name=self.node.second_table),
         )
 
-    def propagate_forward(self, changes, ctx):
-        change = changes.get("R")
-        if change is None:
-            return {}
-        first = TableChange(deletes=set(change.deletes))
-        second = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            left, right = self._lens.split_row(row)
-            if is_all_null(left):
-                first.deletes.add(key)
-            else:
-                first.upserts[key] = left
-            if is_all_null(right):
-                second.deletes.add(key)
-            else:
-                second.upserts[key] = right
-        return {"S": first, "T": second}
-
-    def propagate_backward(self, changes, ctx):
-        first_change = changes.get("S", TableChange())
-        second_change = changes.get("T", TableChange())
-        keys = first_change.keys() | second_change.keys()
-        if not keys:
-            return {}
-        current_first = ctx.read_keys("S", keys)
-        current_second = ctx.read_keys("T", keys)
-        out = TableChange()
-        for key in keys:
-            left = current_first.get(key)
-            right = current_second.get(key)
-            if key in first_change.deletes:
-                left = None
-            elif key in first_change.upserts:
-                left = first_change.upserts[key]
-            if key in second_change.deletes:
-                right = None
-            elif key in second_change.upserts:
-                right = second_change.upserts[key]
-            if left is None and right is None:
-                out.deletes.add(key)
-            else:
-                out.upserts[key] = self._lens.combine(left, right)
-        return {"R": out}
-
     def gamma_tgt_rules(self) -> RuleSet:
         return _decompose_rules(self._lens, wide="R", first="S", second="T", name="decompose_pk.gamma_tgt")
 
@@ -156,50 +93,6 @@ class OuterJoinPkSemantics(SmoSemantics):
     def target_schemas(self) -> tuple[TableSchema, ...]:
         first, second = self.source_schemas
         return (TableSchema(self.node.target, first.columns + second.columns),)
-
-    def propagate_forward(self, changes, ctx):
-        first_change = changes.get("S", TableChange())
-        second_change = changes.get("T", TableChange())
-        keys = first_change.keys() | second_change.keys()
-        if not keys:
-            return {}
-        current_first = ctx.read_keys("S", keys)
-        current_second = ctx.read_keys("T", keys)
-        out = TableChange()
-        for key in keys:
-            left = current_first.get(key)
-            right = current_second.get(key)
-            if key in first_change.deletes:
-                left = None
-            elif key in first_change.upserts:
-                left = first_change.upserts[key]
-            if key in second_change.deletes:
-                right = None
-            elif key in second_change.upserts:
-                right = second_change.upserts[key]
-            if left is None and right is None:
-                out.deletes.add(key)
-            else:
-                out.upserts[key] = self._lens.combine(left, right)
-        return {"R": out}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("R")
-        if change is None:
-            return {}
-        first = TableChange(deletes=set(change.deletes))
-        second = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            left, right = self._lens.split_row(row)
-            if is_all_null(left):
-                first.deletes.add(key)
-            else:
-                first.upserts[key] = left
-            if is_all_null(right):
-                second.deletes.add(key)
-            else:
-                second.upserts[key] = right
-        return {"S": first, "T": second}
 
     def gamma_tgt_rules(self) -> RuleSet:
         return _outer_join_rules(self._lens, wide="R", first="S", second="T", name="outer_join_pk.gamma_tgt")
@@ -240,56 +133,6 @@ class InnerJoinPkSemantics(SmoSemantics):
             "Rplus": first.with_name("Rplus"),
             "Splus": second.with_name("Splus"),
         }
-
-    def propagate_forward(self, changes, ctx):
-        first_change = changes.get("R", TableChange())
-        second_change = changes.get("S", TableChange())
-        keys = first_change.keys() | second_change.keys()
-        if not keys:
-            return {}
-        current_first = ctx.read_keys("R", keys)
-        current_second = ctx.read_keys("S", keys)
-        joined = TableChange()
-        rplus = TableChange()
-        splus = TableChange()
-        for key in keys:
-            left = current_first.get(key)
-            right = current_second.get(key)
-            if key in first_change.deletes:
-                left = None
-            elif key in first_change.upserts:
-                left = first_change.upserts[key]
-            if key in second_change.deletes:
-                right = None
-            elif key in second_change.upserts:
-                right = second_change.upserts[key]
-            if left is not None and right is not None:
-                joined.upserts[key] = left + right
-                rplus.deletes.add(key)
-                splus.deletes.add(key)
-            else:
-                joined.deletes.add(key)
-                if left is not None:
-                    rplus.upserts[key] = left
-                else:
-                    rplus.deletes.add(key)
-                if right is not None:
-                    splus.upserts[key] = right
-                else:
-                    splus.deletes.add(key)
-        return {"T": joined, "Rplus": rplus, "Splus": splus}
-
-    def propagate_backward(self, changes, ctx):
-        change = changes.get("T")
-        if change is None:
-            return {}
-        first = TableChange(deletes=set(change.deletes))
-        second = TableChange(deletes=set(change.deletes))
-        for key, row in change.upserts.items():
-            left, right = self._lens.split_row(row)
-            first.upserts[key] = left
-            second.upserts[key] = right
-        return {"R": first, "S": second}
 
     def gamma_tgt_rules(self) -> RuleSet:
         key = Var("p")

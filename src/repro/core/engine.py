@@ -19,8 +19,9 @@ Reads follow the three cases of Section 6: *local* (the table version is
 physical), *forwards* (an outgoing SMO is materialized; read through its
 ``γ_src``), and *backwards* (the incoming SMO is virtualized; read through
 its ``γ_tgt``), each evaluating the SMO's rule set.  Writes propagate the
-other way, key-locally where the SMO provides an incremental fast path and
-by a full lens put otherwise.
+other way, through each SMO's lens put (:meth:`SmoSemantics.put`), which
+evaluates the same rule set again: over the changed keys' rows alone when
+it is key-local, over whole extents otherwise.
 """
 
 from __future__ import annotations
@@ -593,17 +594,6 @@ class InVerDa:
             return tv.incoming
         return None
 
-    def read_stored(self, tv: TableVersion) -> KeyedRows:
-        if self._is_physical(tv):
-            return self.database.table(tv.data_table_name).as_dict()
-        return {}
-
-    def read_aux(self, smo: SmoInstance, role: str) -> KeyedRows:
-        name = smo.aux_table_name(role)
-        if self.database.has_table(name):
-            return self.database.table(name).as_dict()
-        return {}
-
     def _derivation(self, tv: TableVersion) -> tuple[SmoInstance, bool, str]:
         """``(SMO, forward?, role)``: the map a derived table version's
         extent comes out of (Cases 2 and 3 of Section 6)."""
@@ -828,14 +818,12 @@ class InVerDa:
             if smo_uid in visited:
                 cache.clear()  # a second path: what the first wrote is read afresh
             visited[smo_uid] = direction
-            output_side = "target" if direction == "forward" else "source"
-            ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
-            if direction == "forward":
-                out = smo.semantics.propagate_forward(role_changes, ctx)
-            else:
-                out = smo.semantics.propagate_backward(role_changes, ctx)
-            if out is None:
-                out = self._full_put(smo, role_changes, direction=direction, cache=cache)
+            forward = direction == "forward"
+            ctx = EngineMapContext(
+                self, smo, output_side="target" if forward else "source", cache=cache,
+                changes=role_changes,
+            )
+            out = smo.semantics.put(forward, role_changes, ctx)
             self._dispatch(smo, out, direction=direction, cache=cache, visited=visited)
 
     def _dispatch(
@@ -873,77 +861,6 @@ class InVerDa:
             # aux roles of the unstored side are simply not persisted
         if next_batch:
             self._propagate_batch(next_batch, cache, visited)
-
-    def _full_put(
-        self,
-        smo: SmoInstance,
-        changes: dict[str, TableChange],
-        *,
-        direction: str,
-        cache: ReadCache,
-    ) -> dict[str, TableChange]:
-        """Whole-state lens put for SMOs without an incremental fast path:
-        read the writing side, apply the change, re-map the whole side, and
-        diff against the currently stored opposite side."""
-        semantics = smo.semantics
-        input_roles = (
-            dict(zip(semantics.source_roles, smo.sources))
-            if direction == "forward"
-            else dict(zip(semantics.target_roles, smo.targets))
-        )
-        overrides: dict[str, KeyedRows] = {}
-        written: dict[str, dict] = {}
-        for role, tv in input_roles.items():
-            extent = dict(self.read_table_version(tv, cache=cache))
-            change = changes.get(role, TableChange())
-            # A stored table holds the change already; it kept what it replaced.
-            written[role] = {
-                key: change.replaced[key] if key in change.replaced else extent.get(key)
-                for key in change.upserts
-            }
-            change.apply_to(extent)
-            overrides[role] = extent
-        output_side = "target" if direction == "forward" else "source"
-        ctx = EngineMapContext(
-            self,
-            smo,
-            output_side=output_side,
-            cache=cache,
-            overrides=overrides,
-            written=written,
-        )
-        new_state: SideState = (
-            semantics.map_forward(ctx) if direction == "forward" else semantics.map_backward(ctx)
-        )
-        out: dict[str, TableChange] = {}
-        output_roles = (
-            dict(zip(semantics.target_roles, smo.targets))
-            if direction == "forward"
-            else dict(zip(semantics.source_roles, smo.sources))
-        )
-        for role, new_rows in new_state.items():
-            tv = output_roles.get(role)
-            if tv is not None:
-                # Diff against the STORED extent when the output table's
-                # read route leads back through this SMO: reading it via the
-                # routing would derive from the already-applied write and
-                # self-suppress the diff, silently skipping downstream
-                # propagation (in particular shared-ID maintenance).
-                if self._route_smo(tv) is smo:
-                    current = self.read_stored(tv)
-                else:
-                    current = self.read_table_version(tv, cache=cache)
-            else:
-                current = self.read_aux(smo, role)
-            diff = TableChange()
-            for key in current:
-                if key not in new_rows:
-                    diff.deletes.add(key)
-            for key, row in new_rows.items():
-                if current.get(key) != row:
-                    diff.upserts[key] = row
-            out[role] = diff
-        return out
 
     # ------------------------------------------------------------------
     # Database Migration Operation (Section 7)

@@ -3,8 +3,9 @@
 A write at one partition re-derives the unified row.  When neither
 partition holds the key afterwards, the stored unified row is deleted —
 unless it matches neither SPLIT condition: such a row was never visible
-in a partition through its condition, and it stays put
-(``_PartitionLens.propagate_to_unified``).  The trigger text tests compare
+in a partition through its condition, and it stays put (the keeper of the
+memory engine's keyed put, ``_PartitionLens.keeper``, which reads it into
+the rules as ``Uprime``).  The trigger text tests compare
 composed triggers with the same handler's hop-by-hop triggers, so they
 cannot see a wrong keeper rule; this differential can.
 

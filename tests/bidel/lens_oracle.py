@@ -144,12 +144,29 @@ def _unify(sem, ctx) -> SideState:
 # -- DECOMPOSE / JOIN ON PK (B.2, B.5) ------------------------------------------
 
 
+def _split_row(lens, row):
+    """A wide row's two column projections."""
+    return (
+        tuple(row[i] for i in lens.first_indices),
+        tuple(row[i] for i in lens.second_indices),
+    )
+
+
+def _combine(lens, first, second):
+    """The wide row of two projections, ω (nulls) for a missing one."""
+    values: list = [None] * lens.wide_schema.arity
+    for part, indices in ((first, lens.first_indices), (second, lens.second_indices)):
+        for value, index in zip(part or (), indices):
+            values[index] = value
+    return tuple(values)
+
+
 def _decompose(lens, wide: KeyedRows) -> tuple[KeyedRows, KeyedRows]:
     """Rules 133/134: project, skipping all-null parts (ω rows)."""
     first: KeyedRows = {}
     second: KeyedRows = {}
     for key, row in wide.items():
-        left, right = lens.split_row(row)
+        left, right = _split_row(lens, row)
         if not is_all_null(left):
             first[key] = left
         if not is_all_null(right):
@@ -159,9 +176,9 @@ def _decompose(lens, wide: KeyedRows) -> tuple[KeyedRows, KeyedRows]:
 
 def _outer_join(lens, first: KeyedRows, second: KeyedRows) -> KeyedRows:
     """Rules 135–137: full outer join on the key, ω-filling gaps."""
-    wide = {key: lens.combine(left, second.get(key)) for key, left in first.items()}
+    wide = {key: _combine(lens, left, second.get(key)) for key, left in first.items()}
     for key, right in second.items():
-        wide.setdefault(key, lens.combine(None, right))
+        wide.setdefault(key, _combine(lens, None, right))
     return wide
 
 
@@ -188,7 +205,7 @@ def _inner_join_backward(sem, ctx):
     first: KeyedRows = {}
     second: KeyedRows = {}
     for key, row in ctx.read("T").items():
-        first[key], second[key] = sem._lens.split_row(row)
+        first[key], second[key] = _split_row(sem._lens, row)
     for key, row in ctx.read("Rplus").items():
         first.setdefault(key, row)
     for key, row in ctx.read("Splus").items():

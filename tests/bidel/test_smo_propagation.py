@@ -1,9 +1,14 @@
-"""Cross-check: incremental delta propagation == full state remapping.
+"""The keyed put against the whole-extent put, and the rules against the
+rule-free oracle.
 
-For each SMO with a fast path, apply a random change via propagate_* and
-compare against re-running the full map on the changed input state. This is
-the correctness triangle: the rule-free oracle ≙ the maps the memory engine
-runs (the rule sets, evaluated) ≙ delta propagation.
+A rule set is key-local when every body atom carries the head's key, so a
+write to the keys K changes the other side at K alone, and the put the
+memory engine runs (:meth:`SmoSemantics.put`) evaluates the rules over the
+rows of K only.  On every key-local single-SMO form, in both directions and
+with either side stored, it must change the state exactly as the same put
+over whole extents does.  The triangle's other edge: the maps the memory
+engine runs — the rule sets, evaluated — build the state the rule-free
+oracle builds.
 """
 
 import pytest
@@ -16,87 +21,145 @@ from repro.bidel.smo.registry import build_semantics
 from repro.relational.schema import TableSchema
 from tests.bidel.lens_oracle import oracle_backward, oracle_forward
 
-VALUES = st.integers(min_value=0, max_value=4)
+VALUES = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
 KEYS = st.integers(min_value=1, max_value=12)
+FRESH = (13, 14, 15, 16)
+
+T_VW = [TableSchema.of("T", ["v", "w"])]
+PARTS = [TableSchema.of("L", ["v"]), TableSchema.of("R", ["w"])]
+
+#: Every key-local single-SMO form.  The SPLIT and MERGE conditions leave
+#: v = 2 and NULL to neither partition.
+KEY_LOCAL_FORMS = {
+    "split": ("SPLIT TABLE T INTO R WITH v <= 1, S WITH v >= 3", T_VW),
+    "split_overlapping": ("SPLIT TABLE T INTO R WITH v <= 2, S WITH v >= 2", T_VW),
+    "split_one_partition": ("SPLIT TABLE T INTO R WITH v <= 1", T_VW),
+    "merge": (
+        "MERGE TABLE R (v <= 1), S (v >= 3) INTO T",
+        [TableSchema.of("R", ["v", "w"]), TableSchema.of("S", ["v", "w"])],
+    ),
+    "add_column": ("ADD COLUMN x AS v + 1 INTO T", T_VW),
+    "drop_column": ("DROP COLUMN w FROM T DEFAULT 0", T_VW),
+    "decompose_pk": ("DECOMPOSE TABLE T INTO L(v), R(w) ON PK", T_VW),
+    "outer_join_pk": ("OUTER JOIN TABLE L, R INTO T ON PK", PARTS),
+    "join_pk": ("JOIN TABLE L, R INTO T ON PK", PARTS),
+    "rename_table": ("RENAME TABLE T INTO U", T_VW),
+    "rename_column": ("RENAME COLUMN v IN T TO x", T_VW),
+    "drop_table": ("DROP TABLE T", T_VW),
+}
 
 
-def rows(arity, **kwargs):
-    return st.dictionaries(KEYS, st.tuples(*([VALUES] * arity)), **kwargs)
+def rows(arity):
+    return st.dictionaries(KEYS, st.tuples(*([VALUES] * arity)), max_size=8)
 
 
-def change_strategy(arity):
-    return st.builds(
-        lambda ups, dels: TableChange(upserts=ups, deletes=dels),
-        rows(arity, max_size=4),
-        st.sets(KEYS, max_size=3),
-    )
+def _semantics(form):
+    smo_text, schemas = KEY_LOCAL_FORMS[form]
+    return build_semantics(parse_smo(smo_text), tuple(schemas))
 
 
-def apply_and_compare_forward(semantics, source_role, extent, change, aux=None):
-    """propagate_forward(change) must equal diff(map_forward(new state))."""
-    base_state = {source_role: dict(extent)}
-    if aux:
-        base_state.update(aux)
-    before = semantics.map_forward(FixedContext(base_state))
-
-    new_extent = dict(extent)
-    change.apply_to(new_extent)
-    new_state = {source_role: new_extent}
-    if aux:
-        new_state.update(aux)
-    expected = semantics.map_forward(FixedContext(new_state))
-
-    out = semantics.propagate_forward({source_role: change}, FixedContext(new_state))
-    assert out is not None
-    for role in semantics.target_roles:
-        derived = dict(before.get(role, {}))
-        out.get(role, TableChange()).apply_to(derived)
-        assert derived == expected.get(role, {}), f"role {role}"
+def _arities(semantics, source):
+    if source:
+        return dict(zip(semantics.source_roles, (s.arity for s in semantics.source_schemas)))
+    return dict(zip(semantics.target_roles, (s.arity for s in semantics.target_schemas())))
 
 
-class TestSplitDeltaVsMap:
-    @settings(max_examples=40, deadline=None)
-    @given(extent=rows(1, max_size=8), change=change_strategy(1))
-    def test_forward(self, extent, change):
-        node = parse_smo("SPLIT TABLE T INTO R WITH v <= 2, S WITH v >= 2")
-        semantics = build_semantics(node, (TableSchema.of("T", ["v"]),))
-        apply_and_compare_forward(semantics, "U", extent, change)
+def _state(semantics, data, source_stored, loaded):
+    """Both sides as the engine reads them with one side stored: that
+    side's data and aux — ``loaded`` there, or else put there from rows on
+    the other side as that side shows them (an all-NULL part, say, drops
+    out) — and the other side's data derived from it."""
+    stored_roles = _arities(semantics, source_stored)
+    other_roles = _arities(semantics, not source_stored)
+    put = semantics.map_backward if source_stored else semantics.map_forward
+    derive = semantics.map_forward if source_stored else semantics.map_backward
+
+    def shown(stored):
+        derived = derive(FixedContext(stored))
+        return {role: derived.get(role, {}) for role in other_roles}
+
+    if loaded:
+        stored = {role: data.draw(rows(arity), label=role) for role, arity in stored_roles.items()}
+    else:
+        other = {role: data.draw(rows(arity), label=role) for role, arity in other_roles.items()}
+        stored = put(FixedContext(shown(put(FixedContext(other)))))
+    return {**stored, **shown(stored)}
 
 
-class TestAddColumnDeltaVsMap:
-    @settings(max_examples=40, deadline=None)
-    @given(extent=rows(1, max_size=8), change=change_strategy(1))
-    def test_forward(self, extent, change):
-        node = parse_smo("ADD COLUMN w AS v + 1 INTO T")
-        semantics = build_semantics(node, (TableSchema.of("T", ["v"]),))
-        apply_and_compare_forward(semantics, "R", extent, change)
+def _puts(semantics, forward, changes, extents):
+    """The keyed put and the whole-extent put of ``changes``."""
+    ctx = FixedContext(extents)
+    return semantics.put(forward, changes, ctx), semantics._put(forward, changes, ctx, None)
 
 
-class TestDropColumnDeltaVsMap:
-    @settings(max_examples=40, deadline=None)
-    @given(extent=rows(2, max_size=8), change=change_strategy(2))
-    def test_forward(self, extent, change):
-        node = parse_smo("DROP COLUMN w FROM T DEFAULT 0")
-        semantics = build_semantics(node, (TableSchema.of("T", ["v", "w"]),))
-        base = {"R": dict(extent)}
-        before = semantics.map_forward(FixedContext(base))
-        new_extent = dict(extent)
-        change.apply_to(new_extent)
-        expected = semantics.map_forward(FixedContext({"R": new_extent}))
-        out = semantics.propagate_forward({"R": change}, FixedContext({"R": new_extent}))
-        for role in ("R2", "B"):
-            derived = dict(before.get(role, {}))
-            out.get(role, TableChange()).apply_to(derived)
-            assert derived == expected.get(role, {})
+@pytest.mark.parametrize(
+    "form,forward",
+    [
+        pytest.param(form, forward, id=f"{form}-{'forward' if forward else 'backward'}")
+        for form in KEY_LOCAL_FORMS
+        for forward in (True, False)
+        if form != "drop_table" or forward  # no target table to write at
+    ],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_keyed_put_is_the_whole_put(form, forward, data):
+    semantics = _semantics(form)
+    assert semantics._rule_sets()[forward].key_local
+    source_stored = data.draw(st.booleans(), label="source side stored")
+    # An unstored written side's aux reads empty, so the whole put derives
+    # the stored side afresh from the written side's data alone: it holds
+    # what was put there from such data, and any stored state otherwise.
+    loaded = source_stored == forward and data.draw(st.booleans(), label="loaded")
+    extents = _state(semantics, data, source_stored, loaded)
+    # Updates of shown rows and inserts at fresh keys: a key the written
+    # table does not show may be held on the other side.
+    changes = {
+        role: TableChange(
+            upserts=data.draw(
+                st.dictionaries(
+                    st.sampled_from([*sorted(extents.get(role, {})), *FRESH]),
+                    st.tuples(*([VALUES] * arity)),
+                    max_size=4,
+                ),
+                label=f"{role} upserts",
+            ),
+            deletes=data.draw(st.sets(KEYS, max_size=3), label=f"{role} deletes"),
+        )
+        for role, arity in _arities(semantics, forward).items()
+    }
+    keyed, whole = _puts(semantics, forward, changes, extents)
+    # The other side's data, and its aux when it is the stored side (an
+    # unstored side's aux is not kept).
+    compared = list(_arities(semantics, not forward))
+    if source_stored != forward:
+        compared += semantics.aux_src() if not forward else semantics.aux_tgt()
+    for role in compared:
+        by_key, by_whole = dict(extents.get(role, {})), dict(extents.get(role, {}))
+        keyed[role].apply_to(by_key)
+        whole[role].apply_to(by_whole)
+        assert by_key == by_whole, role
 
 
-class TestDecomposePkDeltaVsMap:
-    @settings(max_examples=40, deadline=None)
-    @given(extent=rows(2, max_size=8), change=change_strategy(2))
-    def test_forward(self, extent, change):
-        node = parse_smo("DECOMPOSE TABLE T INTO L(a), R(b) ON PK")
-        semantics = build_semantics(node, (TableSchema.of("T", ["a", "b"]),))
-        apply_and_compare_forward(semantics, "R", extent, change)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"R": TableChange(upserts={5: (1, 50)}, deletes={1})},
+        {"S": TableChange(deletes={2})},
+    ],
+    ids=["elsewhere", "at_the_kept_key"],
+)
+def test_a_put_at_a_partition_keeps_a_unified_row_no_partition_shows(changes):
+    """With the unified side stored, ``U(2)`` matches neither condition:
+    no partition shows it, so no write there removes it."""
+    semantics = _semantics("split")
+    unified = {1: (0, 10), 2: (2, 20), 3: (4, 30)}
+    partitions = semantics.map_forward(FixedContext({"U": unified}))
+    extents = {"U": unified, "R": partitions["R"], "S": partitions["S"]}
+    for put in _puts(semantics, False, changes, extents):
+        state = dict(unified)
+        put["U"].apply_to(state)
+        assert state[2] == (2, 20)
 
 
 class TestRulesAgreeWithMaps:
