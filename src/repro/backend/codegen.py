@@ -12,9 +12,9 @@ For the current materialization this module produces, in dependency order,
    handing its row to it), combining the storage-route propagation program
    with shared-aux maintenance for adjacent off-route SMOs and extent
    repairs for shared aux tables deeper down virtual branches; a write
-   into a view whose own program is one row-local statement is that
-   statement, so a write crosses one trigger per real hop, and a delete
-   from a compound view runs that view's key deletes in place,
+   into a view whose own program is row-local runs that program in place
+   (:meth:`Renderer.row_program`), so a write crosses one trigger per hop
+   that is not,
 
 plus the in-place SQL migration script implementing ``MATERIALIZE``.
 """
@@ -64,7 +64,11 @@ from repro.util.naming import physical_name
 #: 12 = an FK SMO's identifier decision seeks an index over the physical
 #:      payload columns it probes (the scaffold creates it), and a wide
 #:      write leaves a T row holding its payload alone.
-EMISSION_STAMP = 12
+#: 13 = a row-local program of more than one statement runs in place where
+#:      what it is bound to reads nothing but row snapshots; a partition's
+#:      keeper follows gamma_tgt's Uprime rule; an upsert names no columns,
+#:      and one without guard or source is a VALUES row.
+EMISSION_STAMP = 13
 
 #: The key of an UPDATE trigger's one statement: ``NEW.p``, unless the
 #: statement changed the row identifier.
@@ -269,8 +273,7 @@ class Renderer:
     change for survivors, so a view is rendered once.  Its triggers also
     read :func:`_off_route_shared` of itself and of every view a write was
     offered to (:meth:`row_program`, since whether that view's program is
-    row-local, and so inlined, turns on those SMOs — and on whether that
-    view is compound, which its memoized body says); all of them lie
+    row-local, and so inlined, turns on those SMOs); all of them lie
     in its connected genealogy component, which is in every scope that
     can change one of those sets (:func:`transition_scope`).  So a scoped
     pass renders the triggers of its table versions again and trusts the
@@ -364,34 +367,27 @@ class Renderer:
         return found
 
     def row_program(self, tv, op, key, values, guard, source) -> list[str] | None:
-        """``tv``'s own ``op`` program bound to a writer's row, when it is
-        row-local — no shared-aux upkeep around it, and the physical
-        pass-through or a handler's
+        """``tv``'s own ``op`` program bound to a writer's row, where it runs
+        in place of the hop: it is row-local — no shared-aux upkeep around
+        it, and the physical pass-through or a handler's
         :meth:`~repro.backend.handlers.SmoHandler.row_write` — and one
-        statement, or a delete from a view whose composed body is a UNION
-        of more than one branch: finding the row there costs SQLite every
-        branch, the deletes it runs do not.  Else ``None``
+        statement, or its key, row, guard and source read nothing but row
+        snapshots, which no row-local program writes, so every statement
+        of it sees what the first one saw.  Else ``None``
         (:attr:`HandlerContext.inline`)."""
         route_smo, adjacent_shared, deep = self._route(tv)
         if adjacent_shared or deep:
             return None
         if route_smo is None:
-            return [_physical_write(tv, op, key, values, guard, source)]
-        handler = handler_for(self.ctx, route_smo)
-        program = handler.row_write(tv, op, key, values, guard, source)
-        if program is None or len(program) == 1 or (op == "DELETE" and self._compound(tv)):
+            program = [_physical_write(tv, op, key, values, guard, source)]
+        else:
+            handler = handler_for(self.ctx, route_smo)
+            program = handler.row_write(tv, op, key, values, guard, source)
+        if program is not None and (
+            len(program) == 1 or emit.reads_only_snapshots(key, *values, guard, source)
+        ):
             return program
         return None
-
-    def _compound(self, tv: TableVersion) -> bool:
-        """Is ``tv``'s composed view body more than one branch?  Renders
-        the views it reads first where the memo lacks them."""
-        if tv.uid not in self._views:
-            for needed in active_table_versions(
-                self.engine, [tv], known=lambda other: other.uid in self._views
-            ):
-                self.view(needed)
-        return len(self.view(tv)[2] or ()) > 1
 
     def triggers(self, tv: TableVersion) -> list[str]:
         """The ``INSTEAD OF`` trigger triple of ``tv``.
@@ -428,14 +424,17 @@ class Renderer:
                 body += handler_for(ctx, smo).repair_statements()
             return body
 
-        update = ctx.upsert(tv, IMMUTABLE_KEY, own_row(tv, "UPSERT")[1])
+        values = own_row(tv, "UPSERT")[1]
+        update = ctx.upsert(tv, IMMUTABLE_KEY, values)
+        if len(update) > 1:
+            update = [emit.upsert_row(tv.view_name, tv.schema.column_names, IMMUTABLE_KEY, values)]
         statements = self._triggers[tv.uid] = [
             emit.create_trigger(
                 tv.trigger_name(operation), operation, tv.view_name, body
             )
             for operation, body in (
                 ("INSERT", program("UPSERT")),
-                ("UPDATE", [update]),
+                ("UPDATE", update),
                 ("DELETE", program("DELETE")),
             )
         ]

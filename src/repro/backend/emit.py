@@ -103,7 +103,28 @@ def rows_differ(left: Mapping[str, str], right: Mapping[str, str]) -> str:
     (column -> SQL reference; ``right`` binds the same columns)."""
     if not left:
         return "0"
-    return "(" + " OR ".join(f"{ref} IS NOT {right[c]}" for c, ref in left.items()) + ")"
+    return "NOT (" + " AND ".join(f"{ref} IS {right[c]}" for c, ref in left.items()) + ")"
+
+
+def operand(sql: str) -> str:
+    """``sql`` as an operand of an operator: as it is when it is one
+    parenthesized group or ``EXISTS`` of one, else parenthesized."""
+    body = sql.removeprefix("EXISTS ")
+    depth, quote = 0, None
+    for index, char in enumerate(body):
+        if quote is not None:
+            quote = None if char == quote else quote
+        elif char in "'\"":
+            quote = char
+        elif char == "(":
+            depth += 1
+        elif char == ")":
+            depth -= 1
+            if depth == 0:
+                return sql if index == len(body) - 1 else f"({sql})"
+        elif depth == 0:
+            break
+    return f"({sql})"
 
 
 def render_expression(expression: Expression, references: Mapping[str, str]) -> str:
@@ -135,6 +156,10 @@ def upsert_row(
     ``source``, the values read that ``FROM`` item and there is a row to
     upsert only where it has one.
 
+    ``columns`` are every column of ``target`` after ``p``, in order — as
+    every generated view, data, aux and staging table has them — so the
+    statement names none.
+
     ``INSERT`` into a generated view *is* an upsert: its ``INSTEAD OF
     INSERT`` program bottoms out in ``INSERT OR REPLACE`` on stored tables.
     View targets take the plain verb because SQLite applies an outer
@@ -142,12 +167,16 @@ def upsert_row(
     fires, which would turn the key clashes the identifier-generating
     programs abort on into silent replaces.
     """
+    assert len(value_sqls) == len(columns), (target, columns, value_sqls)
     verb = "INSERT OR REPLACE" if plain_table else "INSERT"
-    collist = ", ".join(["p", *qcols(columns)])
     values = ", ".join([key_sql, *value_sqls])
+    if source is None and guard is None:
+        # One row: SQLite codes a VALUES row without the SELECT machinery
+        # (for a view target, without staging the row for its trigger).
+        return f"{verb} INTO {target} VALUES ({values})"
     source_sql = f" FROM {source}" if source is not None else ""
     where = f" WHERE {guard}" if guard is not None else ""
-    return f"{verb} INTO {target} ({collist}) SELECT {values}{source_sql}{where}"
+    return f"{verb} INTO {target} SELECT {values}{source_sql}{where}"
 
 
 def delete_row(target: str, key_sql: str, *, guard: str | None = None) -> str:
@@ -156,13 +185,25 @@ def delete_row(target: str, key_sql: str, *, guard: str | None = None) -> str:
 
 
 def snapshot_exists(put: str) -> str:
-    """Whether a write program's row snapshot ``put`` holds its row: the one
-    state a row-local guard may read, as no row-local program writes one."""
+    """Whether a write program's row snapshot ``put`` holds its row."""
     return f"EXISTS (SELECT 1 FROM {put})"
 
 
-#: Every test :func:`snapshot_exists` renders.
-SNAPSHOT_TEST = re.compile(r"EXISTS \(SELECT 1 FROM put__\w+\)")
+#: A name of a relation the delta code reads: every table and view this
+#: package generates is ``<kind>__…`` (:func:`repro.util.naming.physical_name`).
+_RELATION = re.compile(rf"\b\w+?__\w+|\b{SEQUENCES_TABLE}\b")
+
+
+def reads_only_snapshots(*fragments: str | None) -> bool:
+    """Do the SQL ``fragments`` name no relation but write programs' row
+    snapshots (``put__*``)?  No row-local program writes one, so such a
+    fragment reads the same before each statement of one."""
+    return all(
+        name.startswith("put__")
+        for fragment in fragments
+        if fragment
+        for name in _RELATION.findall(fragment)
+    )
 
 
 def member_row(

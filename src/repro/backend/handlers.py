@@ -38,6 +38,7 @@ from repro.backend.emit import (
     ident,
     new_refs,
     not_all_null,
+    operand,
     q,
     qcols,
     render_expression,
@@ -90,6 +91,12 @@ def _never(*_hop) -> None:
     return None
 
 
+#: SMOs whose two table versions hold the same keys.
+_KEY_KEEPING = (
+    RenameTableSemantics, RenameColumnSemantics, AddColumnSemantics, DropColumnSemantics
+)
+
+
 @dataclass
 class HandlerContext:
     """Catalog-aware naming and storage-state lookups for handlers, and the
@@ -112,64 +119,62 @@ class HandlerContext:
             return q(tv.data_table_name)
         return self.view(tv)
 
+    def holds(self, tv: TableVersion, key: str) -> str:
+        """Whether ``tv`` holds ``key``, probed where its keys are stored:
+        renames and column hops keep every key, so past them a physical
+        table version's data table; else ``tv``'s view."""
+        while not self.engine._is_physical(tv):
+            smo = self.engine._route_smo(tv)
+            if not isinstance(smo.semantics, _KEY_KEEPING):
+                return f"EXISTS (SELECT 1 FROM {self.view(tv)} n WHERE n.p IS {key})"
+            tv = (smo.targets if tv in smo.sources else smo.sources)[0]
+        return f"EXISTS (SELECT 1 FROM {q(tv.data_table_name)} n WHERE n.p IS {key})"
+
     def upsert(
         self, tv: TableVersion, key: str, row: Sequence[str],
         guard: str | None = None, source: str | None = None,
-    ) -> str:
+    ) -> list[str]:
         """Upsert ``row`` (one value per column of ``tv``, reading the
         ``FROM`` item ``source`` if given) under ``key`` when ``guard``
         holds: ``tv``'s own program with the row substituted for ``NEW``
-        and the guards conjoined where it is one row-local statement, else
-        the ``INSERT`` into its view that fires it.  Every value is a
+        and the guards conjoined where it runs in place (:attr:`inline`),
+        else the ``INSERT`` into its view that fires it.  Every value is a
         reference, a literal or parenthesized, so it substitutes as an
         operand."""
         inlined = self.inline(tv, "UPSERT", key, row, guard, source)
         if inlined is not None:
-            (statement,) = inlined
-            return statement
-        return upsert_row(
+            return inlined
+        return [upsert_row(
             self.view(tv), tv.schema.column_names, key, row, guard=guard, source=source
-        )
+        )]
 
     def delete(self, tv: TableVersion, key: str, guard: str | None = None) -> list[str]:
-        """Delete ``key`` from ``tv`` when ``guard`` holds, through ``tv``'s
-        row-local program where the guard reads nothing but the row and a
-        write program's row snapshot: no such program deletes a key its
-        view lacks, so an absent row stays no effect, and none writes a
-        snapshot, so the guard reads the same before each statement.  A
-        guard reading any other state stays a hop."""
-        if guard is None or "SELECT" not in emit.SNAPSHOT_TEST.sub("", guard):
-            inlined = self.inline(tv, "DELETE", key, (), guard, None)
-            if inlined is not None:
-                return inlined
+        """Delete ``key`` from ``tv`` when ``guard`` holds: ``tv``'s own
+        program where it runs in place (:attr:`inline`), else the
+        ``DELETE`` from its view that fires it."""
+        inlined = self.inline(tv, "DELETE", key, (), guard, None)
+        if inlined is not None:
+            return inlined
         return [delete_row(self.view(tv), key, guard=guard)]
 
     def aux_is_stored(self, smo: SmoInstance, role: str) -> bool:
-        semantics = smo.semantics
-        if role in semantics.aux_shared():
-            return True
-        if role in semantics.aux_src():
-            return not smo.materialized
-        if role in semantics.aux_tgt():
-            return smo.materialized
-        return False
+        aux = smo.semantics.aux_tables.get(role)
+        return aux is not None and aux.stored(smo.materialized)
 
     def aux_ref(self, smo: SmoInstance, role: str) -> str:
         """Table reference for an aux role: its physical table when stored
         under the current materialization, an empty relation otherwise."""
         if self.aux_is_stored(smo, role):
             return smo.aux_table_name(role)
-        semantics = smo.semantics
-        schemas = {**semantics.aux_shared(), **semantics.aux_src(), **semantics.aux_tgt()}
-        return empty_relation(schemas[role].column_names)
+        return empty_relation(smo.semantics.aux_tables[role].schema.column_names)
 
 
 def cond_true(expression: Expression, refs: dict[str, str]) -> str:
-    return f"({render_expression(expression, refs)}) IS TRUE"
+    return f"{operand(render_expression(expression, refs))} IS TRUE"
 
 
 def cond_not_true(expression: Expression, refs: dict[str, str]) -> str:
-    return f"({render_expression(expression, refs)}) IS NOT TRUE"
+    return f"{operand(render_expression(expression, refs))} IS NOT TRUE"
 
 
 def payload_match(left: Sequence[str], right: Sequence[str]) -> str:
@@ -191,7 +196,23 @@ def _all(*terms: Guard) -> Guard:
 
 
 def _not(term: Guard) -> Guard:
-    return not term if isinstance(term, bool) else f"NOT ({term})"
+    return not term if isinstance(term, bool) else f"NOT {operand(term)}"
+
+
+def _sql(guard: Guard) -> str | None:
+    """A guard that does not fold to false as SQL, ``None`` for true."""
+    assert guard is not False
+    return None if guard is True else guard
+
+
+def _within(source: str | None, guard: Guard) -> Guard:
+    """``guard`` of a row read from the ``FROM`` item ``source`` (if any),
+    as a statement without that item tests it: whether ``source`` has a
+    row for which it holds."""
+    if source is None or guard is False:
+        return guard
+    where = "" if guard is True else f" WHERE {guard}"
+    return f"EXISTS (SELECT 1 FROM {source}{where})"
 
 
 def _guarded(guard: Guard, build, *args, **kwargs) -> list[str]:
@@ -253,10 +274,9 @@ class SmoHandler:
             names[role] = self.ctx.view(tv)
             columns[role] = tv.schema.column_names
             probes[role] = self.ctx.probe(tv)
-        for group in (self.sem.aux_src(), self.sem.aux_tgt(), self.sem.aux_shared()):
-            for role, schema in group.items():
-                names[role] = self.ctx.aux_ref(self.smo, role)
-                columns[role] = schema.column_names
+        for role, aux in self.sem.aux_tables.items():
+            names[role] = self.ctx.aux_ref(self.smo, role)
+            columns[role] = aux.schema.column_names
         for role, table in (staged or {}).items():
             names[role] = probes[role] = table
         args = {"table_names": names, "table_columns": columns, "probe_names": probes}
@@ -315,12 +335,12 @@ class SmoHandler:
         guard: str | None,
         source: str | None,
     ) -> list[str] | None:
-        """``tv``'s ``op`` program when it is row-local — one statement
-        reading nothing but its row and literals, or for a delete, deletes
-        of the key from relations holding no key ``tv`` lacks — rendered
-        for the row ``key`` / ``values`` (none for a delete; reading
-        ``source`` if given) under ``guard``; ``None`` when the program is
-        more (default)."""
+        """``tv``'s ``op`` program when it is row-local — statements reading
+        nothing but its row, literals and what they write themselves,
+        writing no row snapshot and, for a delete, changing nothing at a
+        key ``tv`` lacks — rendered for the row ``key`` / ``values`` (none
+        for a delete; reading ``source`` if given) under ``guard``;
+        ``None`` when the program is more (default)."""
         return None
 
     def repair_statements(self) -> list[str]:
@@ -399,7 +419,7 @@ class IdentityHandler(SmoHandler):
             other = self.smo.sources[0]
         if op == "DELETE":
             return self.ctx.delete(other, key, guard)
-        return [self.ctx.upsert(other, key, values, guard, source)]
+        return self.ctx.upsert(other, key, values, guard, source)
 
 
 # ---------------------------------------------------------------------------
@@ -423,33 +443,38 @@ class ColumnHandler(SmoHandler):
 
     def row_write(self, tv, op, key, values, guard, source):
         narrow_tv, wide_tv, function = self._sides()
+        column = self.sem.node.column
         if tv is not narrow_tv:
-            return None
+            # The wide row is the narrow row plus its column, kept in B.
+            aux = self.smo.aux_table_name("B")
+            if op == "DELETE":
+                # B may hold a key the wide view lacks (a delete at the
+                # narrow side leaves its B row): its row goes only with a
+                # narrow row, so it is deleted first.
+                held = self.ctx.holds(narrow_tv, key)
+                return [
+                    delete_row(aux, key, guard=_sql(_all(held, guard or True))),
+                    *self.ctx.delete(narrow_tv, key, guard),
+                ]
+            row = dict(zip(wide_tv.schema.column_names, values))
+            return [
+                *self.ctx.upsert(
+                    narrow_tv, key, [row[c] for c in narrow_tv.schema.column_names],
+                    guard, source,
+                ),
+                upsert_row(
+                    aux, (column,), key, [row[column]],
+                    guard=guard, source=source, plain_table=True,
+                ),
+            ]
         if op == "DELETE":
             return self.ctx.delete(wide_tv, key, guard)
         row = dict(zip(narrow_tv.schema.column_names, values))
         computed = render_expression(function, row)
         wide_values = [
-            computed if c == self.sem.node.column else row[c]
-            for c in wide_tv.schema.column_names
+            computed if c == column else row[c] for c in wide_tv.schema.column_names
         ]
-        return [self.ctx.upsert(wide_tv, key, wide_values, guard, source)]
-
-    def _write(self, tv, op, apply_data):
-        narrow_tv, _wide_tv, _function = self._sides()
-        if tv is narrow_tv:
-            return super()._write(tv, op, apply_data)
-        column = self.sem.node.column
-        aux = self.smo.aux_table_name("B")
-        if op == "DELETE":
-            # Not row-local: B may hold a key the wide view lacks (a delete
-            # at the narrow side leaves its B row).
-            return [*self.ctx.delete(narrow_tv, "OLD.p"), delete_row(aux, "OLD.p")]
-        narrow_values = [f"NEW.{q(c)}" for c in narrow_tv.schema.column_names]
-        return [
-            self.ctx.upsert(narrow_tv, "NEW.p", narrow_values),
-            upsert_row(aux, (column,), "NEW.p", [f"NEW.{q(column)}"], plain_table=True),
-        ]
+        return self.ctx.upsert(wide_tv, key, wide_values, guard, source)
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +499,23 @@ class VerticalHandler(SmoHandler):
         _wide_tv, *projections = self._tvs()
         return self._row_puts(projections) if self.routed_here(projections[0]) else {}
 
-    def _write(self, tv, op, apply_data):
+    def _parts(self):
+        """((first_tv, its columns), (second_tv, its columns)), each part's
+        columns named as in the wide table."""
         lens = self.sem._lens
         wide_cols = lens.wide_schema.column_names
-        first_cols = tuple(wide_cols[i] for i in lens.first_indices)
-        second_cols = tuple(wide_cols[i] for i in lens.second_indices)
-        wide_tv, first_tv, second_tv = self._tvs()
+        _wide_tv, first_tv, second_tv = self._tvs()
+        return (
+            (first_tv, tuple(wide_cols[i] for i in lens.first_indices)),
+            (second_tv, tuple(wide_cols[i] for i in lens.second_indices)),
+        )
+
+    def _write(self, tv, op, apply_data):
+        wide_tv, first_tv, _second_tv = self._tvs()
         if tv is wide_tv:
-            if op == "DELETE":
-                return super()._write(tv, op, apply_data)
-            return self._split_write(((first_tv, first_cols), (second_tv, second_cols)))
-        if tv is first_tv:
-            own, other_tv, other_cols = first_cols, second_tv, second_cols
-        else:
-            own, other_tv, other_cols = second_cols, first_tv, first_cols
+            return super()._write(tv, op, apply_data)
+        parts = self._parts()
+        (_own_tv, own), (other_tv, other_cols) = parts if tv is first_tv else parts[::-1]
         return self._combine_write(
             wide_tv,
             own,
@@ -498,21 +526,24 @@ class VerticalHandler(SmoHandler):
         )
 
     def row_write(self, tv, op, key, values, guard, source):
-        # A delete at the wide table deletes the key from both parts, and
-        # the wide view is their outer join: it holds every key they hold.
         wide_tv, first_tv, second_tv = self._tvs()
-        if op != "DELETE" or tv is not wide_tv:
+        if tv is not wide_tv:
             return None
-        return self.ctx.delete(first_tv, key, guard) + self.ctx.delete(second_tv, key, guard)
-
-    def _split_write(self, parts):
-        """Upsert at the wide table: project both parts (``(tv, columns)``),
-        suppressing all-null (omega) parts."""
+        if op == "DELETE":
+            # Both parts lose the key, and the wide view is their outer
+            # join: it holds every key they hold.
+            return self.ctx.delete(first_tv, key, guard) + self.ctx.delete(second_tv, key, guard)
+        # An upsert projects both parts, suppressing all-null (omega) parts.
+        row = dict(zip(wide_tv.schema.column_names, values))
         statements = []
-        for part_tv, columns in parts:
-            refs = [f"NEW.{q(c)}" for c in columns]
-            statements += self.ctx.delete(part_tv, "NEW.p", all_null(refs))
-            statements.append(self.ctx.upsert(part_tv, "NEW.p", refs, not_all_null(refs)))
+        for part_tv, columns in self._parts():
+            refs = [row[c] for c in columns]
+            statements += self.ctx.delete(
+                part_tv, key, _sql(_within(source, _all(all_null(refs), guard or True)))
+            )
+            statements += self.ctx.upsert(
+                part_tv, key, refs, _sql(_all(not_all_null(refs), guard or True)), source
+            )
         return statements
 
     def _combine_write(
@@ -538,12 +569,12 @@ class VerticalHandler(SmoHandler):
             # The wide row survives as the other part's, read as a FROM item.
             row = {**new_refs(other_cols, row="o"), **{c: "NULL" for c in own_cols}}
             return statements + [
-                self.ctx.upsert(wide_tv, key, [row[c] for c in wide], source=f"{put_other} o"),
+                *self.ctx.upsert(wide_tv, key, [row[c] for c in wide], source=f"{put_other} o"),
                 *self.ctx.delete(wide_tv, key, f"NOT {snapshot_exists(put_other)}"),
             ]
         row = {c: f"(SELECT {q(c)} FROM {put_other})" for c in other_cols}
         row.update(new_refs(own_cols))
-        return statements + [self.ctx.upsert(wide_tv, key, [row[c] for c in wide])]
+        return statements + self.ctx.upsert(wide_tv, key, [row[c] for c in wide])
 
 
 class InnerJoinPkHandler(SmoHandler):
@@ -554,17 +585,28 @@ class InnerJoinPkHandler(SmoHandler):
         sources = self.smo.sources
         return self._row_puts(sources) if self.routed_here(sources[0]) else {}
 
+    def row_write(self, tv, op, key, values, guard, source):
+        # Backward (virtualized), an upsert splits the joined row into both
+        # parts.  A delete is not row-local: one part may hold a key the
+        # joined view lacks.
+        if self.side_of(tv) != "target" or op == "DELETE":
+            return None
+        row = dict(zip(tv.schema.column_names, values))
+        return [
+            statement
+            for part_tv in self.smo.sources
+            for statement in self.ctx.upsert(
+                part_tv, key, [row[c] for c in part_tv.schema.column_names], guard, source
+            )
+        ]
+
     def _write(self, tv, op, apply_data):
         first_tv, second_tv = self.smo.sources
         joined_tv = self.smo.targets[0]
         if self.side_of(tv) == "target":
-            # Backward (virtualized): split the joined row into both parts.
             if op == "DELETE":
                 return self.ctx.delete(first_tv, "OLD.p") + self.ctx.delete(second_tv, "OLD.p")
-            return [
-                self.ctx.upsert(part_tv, *own_row(part_tv, op))
-                for part_tv in (first_tv, second_tv)
-            ]
+            return super()._write(tv, op, apply_data)
         # Forward (materialized): join with the other source's current row.
         own_tv = tv
         other_tv = second_tv if tv is first_tv else first_tv
@@ -590,7 +632,7 @@ class InnerJoinPkHandler(SmoHandler):
         own = new_refs(own_cols)
         joined_values = [{**other, **own}[c] for c in joined_tv.schema.column_names]
         return statements + [
-            self.ctx.upsert(joined_tv, key, joined_values, source=source),
+            *self.ctx.upsert(joined_tv, key, joined_values, source=source),
             *self.ctx.delete(joined_tv, key, f"NOT {other_exists}"),
             *emit.member_row(own_plus, key, f"NOT {other_exists}", own_cols, list(own.values())),
             delete_row(other_plus, key),
@@ -656,13 +698,13 @@ class PartitionHandler(SmoHandler):
         cr = cond_true(lens.c_first, refs)
         not_cr = cond_not_true(lens.c_first, refs)
         statements = [
-            self.ctx.upsert(first, "NEW.p", values, cr),
+            *self.ctx.upsert(first, "NEW.p", values, cr),
             *self.ctx.delete(first, "NEW.p", not_cr),
         ]
         if second is not None and lens.c_second is not None:
             cs = cond_true(lens.c_second, refs)
             not_cs = cond_not_true(lens.c_second, refs)
-            statements.append(self.ctx.upsert(second, "NEW.p", values, cs))
+            statements += self.ctx.upsert(second, "NEW.p", values, cs)
             statements += self.ctx.delete(second, "NEW.p", not_cs)
             neither = f"{not_cr} AND {not_cs}"
             either = f"({cr} OR {cs})"
@@ -697,11 +739,25 @@ class PartitionHandler(SmoHandler):
         statements = []
         if twin_tv is not None:
             put = self.smo.put_table_name(self.role_of(twin_tv))
-            statements += [
-                f"DELETE FROM {put}",
-                f"INSERT INTO {put} SELECT p, {', '.join(qcols(columns))} "
-                f"FROM {self.ctx.view(twin_tv)} WHERE p IS {key}",
-            ]
+            statements.append(f"DELETE FROM {put}")
+            if op != "DELETE" or tv is not first:
+                statements.append(
+                    f"INSERT INTO {put} SELECT * FROM {self.ctx.view(twin_tv)} WHERE p IS {key}"
+                )
+            else:
+                # R shows the unified row itself, so the row deleted is U's:
+                # S's rules read it as U, beside S's marks and Splus.
+                def marked(role: str) -> str:
+                    return f"EXISTS (SELECT 1 FROM {self.smo.aux_table_name(role)} x WHERE x.p IS OLD.p)"
+
+                old = new_refs(columns, row="OLD")
+                statements += [
+                    f"INSERT INTO {put} SELECT * "
+                    f"FROM {self.smo.aux_table_name(roles.splus)} WHERE p IS OLD.p",
+                    f"INSERT INTO {put} SELECT OLD.p, {', '.join(old.values())} "
+                    f"WHERE NOT {snapshot_exists(put)} AND (({cond_true(c_second, old)} "
+                    f"AND NOT {marked(roles.sminus)}) OR {marked(roles.sstar)})",
+                ]
             twin = _PartitionRow(
                 snapshot_exists(put), new_refs(columns, row=alias), f"{put} {alias}"
             )
@@ -723,17 +779,23 @@ class PartitionHandler(SmoHandler):
                 _all(others, guard), self.ctx.upsert, unified, key, list(row.refs.values()),
                 source=source,
             )
-        # A stored unified row matching neither condition stays put.  Only a
-        # delete leaving neither partition a row gets here.  At R the unified
-        # row is then the row deleted, OLD; S may have shown its separated
-        # twin (Splus) instead, so there it is read from the unified view.
-        refs = new_refs(columns, row="OLD" if tv is first else "d")
-        neither = _all(*(cond_not_true(c, refs) for c in (c_first, c_second) if c is not None))
+        # A stored unified row stays put only as gamma_tgt's Uprime: matching
+        # neither condition and marked in neither Rstar nor Sstar.  Only a
+        # delete leaving neither partition a row gets here, and the partition
+        # written showed the row it deleted, by its condition or its mark.
+        # At R that row is the unified row, so it goes.  S may have shown its
+        # separated twin (Splus) instead, so there the unified row is read;
+        # R shows none, so Rstar does not mark it.
+        kept: Guard = False
         if tv is not first:
-            unified_view = self.ctx.probe(unified)
-            neither = f"EXISTS (SELECT 1 FROM {unified_view} d WHERE d.p IS {key} AND {neither})"
+            refs = new_refs(columns, row="d")
+            kept = (
+                f"EXISTS (SELECT 1 FROM {self.ctx.probe(unified)} d WHERE d.p IS {key} AND "
+                f"{cond_not_true(c_first, refs)} AND {cond_not_true(c_second, refs)} AND NOT "
+                f"EXISTS (SELECT 1 FROM {self.smo.aux_table_name(roles.sstar)} x WHERE x.p IS {key}))"
+            )
         statements += _guarded(
-            _all(_not(f_row.exists), _not(s_row.exists), _not(neither)),
+            _all(_not(f_row.exists), _not(s_row.exists), _not(kept)),
             self.ctx.delete, unified, key,
         )
 
@@ -886,12 +948,12 @@ class FkHandler(SmoHandler):
                 fk_sql if c == fk else f"NEW.{q(c)}" for c in s_tv.schema.column_names
             ]
             statements += [
-                self.ctx.upsert(
+                *self.ctx.upsert(
                     t_tv, fk_sql, t_values,
                     f"{fk_sql} IS NOT NULL AND NOT {b_null} AND NOT EXISTS "
                     f"(SELECT 1 FROM {vt} t WHERE t.p IS {fk_sql} AND {match_t})",
                 ),
-                self.ctx.upsert(s_tv, "NEW.p", s_values),
+                *self.ctx.upsert(s_tv, "NEW.p", s_values),
             ]
         return statements
 
@@ -919,7 +981,7 @@ class FkHandler(SmoHandler):
                     values.append(f"NEW.{q(column)}")
                 else:
                     values.append(f"(SELECT {q(column)} FROM {put_t})")
-            statements.append(self.ctx.upsert(wide_tv, "NEW.p", values))
+            statements += self.ctx.upsert(wide_tv, "NEW.p", values)
             if isinstance(self.sem, OuterJoinFkSemantics):
                 # The engine's whole-extent put regenerates the stored wide table:
                 # a T row surfaced as an unreferenced padded row disappears
@@ -977,7 +1039,7 @@ class FkHandler(SmoHandler):
                 "NULL" if c in a_cols else f"NEW.{q(c)}"
                 for c in wide_tv.schema.column_names
             ]
-            statements.append(self.ctx.upsert(wide_tv, key, values, f"NOT {refs_exist}"))
+            statements += self.ctx.upsert(wide_tv, key, values, f"NOT {refs_exist}")
         statements.append(
             f"INSERT OR REPLACE INTO {id_table} (p, fk) SELECT p, {key} FROM {put_s}"
         )

@@ -32,7 +32,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.datalog.ast import RuleSet, Var
 from repro.datalog.evaluate import evaluate
@@ -86,6 +89,17 @@ class TableChange:
         for key in self.deletes:
             rows.pop(key, None)
         rows.update(self.upserts)
+
+
+class AuxTable(NamedTuple):
+    """One aux role of an SMO: the side it lives on and its schema."""
+
+    side: str  # "source", "target" or "shared"
+    schema: TableSchema
+
+    def stored(self, materialized: bool) -> bool:
+        """Is it stored while its SMO is ``materialized`` (or virtualized)?"""
+        return self.side == "shared" or (self.side == "target") == materialized
 
 
 class MapContext(ABC):
@@ -184,6 +198,18 @@ class SmoSemantics(ABC):
     def sequences(self) -> tuple[str, ...]:
         """Names of identifier sequences this SMO owns."""
         return ()
+
+    @cached_property
+    def aux_tables(self) -> Mapping[str, AuxTable]:
+        """Every aux role of :meth:`aux_src`, :meth:`aux_tgt` and
+        :meth:`aux_shared`, read-only: built once per instance, where each
+        of those builds its schemas afresh."""
+        tables = {role: AuxTable("source", schema) for role, schema in self.aux_src().items()}
+        tables.update((role, AuxTable("target", schema)) for role, schema in self.aux_tgt().items())
+        tables.update(
+            (role, AuxTable("shared", schema)) for role, schema in self.aux_shared().items()
+        )
+        return MappingProxyType(tables)
 
     # -- state-level mappings -------------------------------------------------
 

@@ -83,14 +83,18 @@ class _PartitionLens:
 
     def keeper(self, ctx: MapContext, keys: set[Key] | None) -> SideState:
         """``Uprime`` for a put from the partitions: the stored rows, and
-        the current unified rows matching neither condition.  No partition
-        shows such a row through its condition, so a write there leaves it
-        in the unified table unless a partition now holds its key."""
+        the current unified rows γ_tgt's own ``Uprime`` rule keeps — those
+        matching neither condition and marked in neither ``Rstar`` nor
+        ``Sstar``.  No partition shows such a row, so a write there leaves
+        it in the unified table unless a partition now holds its key."""
         roles = self.roles
+        marked = set(ctx.read_keys(roles.rstar, keys))
+        if roles.second is not None:
+            marked.update(ctx.read_keys(roles.sstar, keys))
         kept = {
             key: row
             for key, row in ctx.read_keys(roles.unified, keys).items()
-            if not self._cr(row) and not self._cs(row)
+            if not self._cr(row) and not self._cs(row) and key not in marked
         }
         return {roles.uprime: {**kept, **ctx.read_keys(roles.uprime, keys)}}
 

@@ -49,9 +49,7 @@ class EngineMapContext(MapContext):
         assert semantics is not None
         self._source_by_role = dict(zip(semantics.source_roles, smo.sources))
         self._target_by_role = dict(zip(semantics.target_roles, smo.targets))
-        self._aux_roles = (
-            set(semantics.aux_src()) | set(semantics.aux_tgt()) | set(semantics.aux_shared())
-        )
+        self._aux_roles = semantics.aux_tables
 
     def read(self, role: str) -> KeyedRows:
         return self.read_keys(role, None)

@@ -841,11 +841,13 @@ class InVerDa:
             if direction == "forward"
             else dict(zip(semantics.source_roles, smo.sources))
         )
-        stored_aux = set(semantics.aux_shared())
-        if direction == "forward":
-            stored_aux |= set(semantics.aux_tgt()) if smo.materialized else set()
-        else:
-            stored_aux |= set(semantics.aux_src()) if not smo.materialized else set()
+        # The stored aux tables of the side the put derives.
+        other_side = "source" if direction == "forward" else "target"
+        stored_aux = {
+            role
+            for role, aux in semantics.aux_tables.items()
+            if aux.side != other_side and aux.stored(smo.materialized)
+        }
         next_batch: list[tuple[TableVersion, TableChange]] = []
         for role, change in outputs.items():
             if change.empty:

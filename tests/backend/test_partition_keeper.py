@@ -114,3 +114,27 @@ def test_delete_at_the_second_partition_keeps_a_unified_row_its_twin_hid():
             ds.check(f"{version}: {sql} {params}")
     finally:
         ds.close()
+
+
+def test_a_delete_at_a_partition_removes_a_unified_row_it_showed_by_its_mark():
+    """A row matching neither condition inserted at P is stored in U with an
+    ``Rstar`` mark, and P shows it by that mark.  gamma_tgt's ``Uprime``
+    rule keeps no marked row, so deleting it at P deletes it from U on both
+    engines: no version shows it any more."""
+    ds = DualSystem()
+    try:
+        ds.execute_ddl(CHAIN[0])
+        ds.attach()
+        ds.execute_ddl(CHAIN[1])
+        ds.execute_ddl(f"CREATE SCHEMA VERSION v3 FROM v2 WITH {SPLITS['overlapping']};")
+        ds.materialize("v1")
+        for version, sql, params in [
+            ("v3", "INSERT INTO P(a, b, d) VALUES (?, ?, ?)", (1, None, 10)),
+            ("v3", "DELETE FROM P WHERE a = ?", (1,)),
+        ]:
+            ds.run(version, sql, params)
+            ds.check(f"{version}: {sql} {params}")
+        shown = ds.run("v2", "SELECT a FROM U WHERE a = ?", (1,))
+        assert [cursor.fetchall() for cursor in shown] == [[], []]
+    finally:
+        ds.close()

@@ -15,15 +15,17 @@ small without changing what any statement does:
 (c) the benchmark chain's installed delta code stays within its byte
     budget, which the ``repro_delta_code_bytes`` gauge reports;
 (d) composition is complete and exact: no installed trigger writes a view
-    whose own program is one row-local statement (that statement is
-    inlined instead), nor deletes from a compound view whose deletes are
-    row-local (they run in place), every write through every view of
-    every chain under every valid materialization leaves the stored
-    tables exactly as the hop-by-hop triggers do, and a DELETE of an
-    absent key changes nothing — on a raw ``sqlite3`` handle;
-(e) what SQLite compiles for a write at either end of the benchmark chain
-    stays its exact size, and no view or trigger reads a physical table
-    version through its pass-through view.
+    whose own program is row-local where that program runs in place (it
+    is one statement, or the write reads nothing but row snapshots) — an
+    UPDATE trigger handing its row to its own view's INSERT trigger
+    aside — every write through every view of every chain under every
+    valid materialization leaves the stored tables exactly as the
+    hop-by-hop triggers do, and a DELETE of an absent key changes
+    nothing — on a raw ``sqlite3`` handle;
+(e) what SQLite compiles and runs for a write at either end of the
+    benchmark chain stays its exact size — opcodes, and trigger statements
+    — and no view or trigger reads a physical table version through its
+    pass-through view.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ import pytest
 import repro
 from repro.backend import codegen
 from repro.backend.compare import generated_id_spaces, visible_state
-from repro.backend.emit import q
+from repro.backend.emit import q, reads_only_snapshots
 from repro.backend.handlers import (
     ColumnHandler,
     DropTableHandler,
     HandlerContext,
     IdentityHandler,
+    InnerJoinPkHandler,
     PartitionHandler,
     VerticalHandler,
     handler_for,
@@ -178,12 +181,29 @@ def test_benchmark_chain_delta_code_fits_its_budget():
 
 #: ``EXPLAIN`` opcodes of the forward INSERT / UPDATE / DELETE the SQL layer
 #: runs on ``v9__Lo`` (S8's Lo), trigger programs included, by SQLite version.
-FWD_OPCODES = {"3.40.1": {"INSERT": 392, "UPDATE": 520, "DELETE": 502}}
+#: Emission stamp 12 compiled them to 392 / 520 / 502: the unified row went
+#: through ``v7__Even``'s INSERT trigger, the keeper deleted from that view,
+#: every upsert was an ``INSERT … SELECT``, and a DELETE staged its twin
+#: through ``v10__Hi`` (now through Hi's rules, over the row deleted).
+FWD_OPCODES = {"3.40.1": {"INSERT": 347, "UPDATE": 457, "DELETE": 397}}
 
 #: The same for the backward writes on ``v0__Item`` (S0's Item).  Emission
 #: stamp 8 compiled them to 180 / 283 / 215: its DELETE found the row in
-#: ``v3__Thing``'s three branches before that view's trigger deleted it.
-BWD_OPCODES = {"3.40.1": {"INSERT": 180, "UPDATE": 283, "DELETE": 129}}
+#: ``v3__Thing``'s three branches before that view's trigger deleted it;
+#: stamp 12 to 180 / 283 / 129, handing the row to ``v3__Thing``'s INSERT
+#: trigger by an ``INSERT … SELECT``.
+BWD_OPCODES = {"3.40.1": {"INSERT": 162, "UPDATE": 265, "DELETE": 129}}
+
+#: Trigger statements SQLite runs for one INSERT / UPDATE / DELETE at either
+#: end of the benchmark chain: each trigger program it enters and each
+#: statement of one, as the trace callback reports them.  Emission stamp 12
+#: ran 16 / 18 / 15 forward (two programs each, the unified row's own
+#: trigger the second) and 9 / 9 / 4 backward.  The forward DELETE runs one
+#: more statement than the INSERT: it stages the twin in two.
+TRIGGER_STATEMENTS = {
+    "fwd": {"INSERT": 14, "UPDATE": 16, "DELETE": 15},
+    "bwd": {"INSERT": 9, "UPDATE": 9, "DELETE": 4},
+}
 
 _WRITE_TARGET = re.compile(r"(?:INSERT INTO|DELETE FROM) (\w+)")
 
@@ -269,6 +289,45 @@ def test_benchmark_chain_backward_writes_compile_to_their_size(tmp_path):
         backend.close()
 
 
+def test_benchmark_chain_writes_run_their_trigger_statements():
+    """Counted on the backend's handle with the trace callback, which
+    reports every trigger program a statement enters and every statement
+    of one after the statement itself — the DELETE included, which the
+    benchmark's traced replay of an UPDATE does not see."""
+    engine, backend = build_chain([(i, i % 7, i % 13, f"n{i}") for i in range(50)])
+    handle = backend.connection
+    writes = {
+        "fwd": (
+            "v9__Lo", "INSERT INTO v9__Lo VALUES (1000, 50, 2, 4, 'x', 5)",
+            "UPDATE v9__Lo SET remark = 'u' WHERE k = 4",
+        ),
+        "bwd": (
+            "v0__Item", "INSERT INTO v0__Item VALUES (1000, 50, 1, 2, 'x')",
+            "UPDATE v0__Item SET note = 'u' WHERE k = 4",
+        ),
+    }
+    try:
+        counted = {}
+        for end, (view, insert, update) in writes.items():
+            counted[end] = {}
+            for op, sql in (
+                ("INSERT", insert), ("UPDATE", update), ("DELETE", f"DELETE FROM {view} WHERE k = 4")
+            ):
+                traced = []
+                handle.execute("SAVEPOINT counted")
+                handle.set_trace_callback(traced.append)
+                try:
+                    handle.execute(sql)
+                finally:
+                    handle.set_trace_callback(None)
+                    handle.execute("ROLLBACK TO counted")
+                    handle.execute("RELEASE counted")
+                counted[end][op] = len(traced) - 1
+        assert counted == TRIGGER_STATEMENTS, f"{SQLITE}: {counted}"
+    finally:
+        backend.close()
+
+
 def _pass_through_names(engine, connection, *, targets: bool = True) -> list[str]:
     """Where an installed view or trigger names a physical table version's
     pass-through view (a trigger's own ``ON`` clause aside): anywhere, or
@@ -331,9 +390,10 @@ class HopByHop(codegen.Renderer):
         return None
 
 
-def _one_row_local_statement(engine, tv) -> bool:
-    """Is ``tv``'s own write program one statement reading nothing but its
-    row — decided from the catalog, not from the rendered text?"""
+def _row_local(engine, tv, op: str) -> bool:
+    """Is ``tv``'s own ``op`` program row-local, so that it runs in place of
+    a write reading nothing but row snapshots — decided from the catalog,
+    not from the rendered text?"""
     route = codegen.route_for(engine, tv)
     smo = route[0] if route is not None else None
     if any(codegen._off_route_shared(tv, smo)):
@@ -341,49 +401,44 @@ def _one_row_local_statement(engine, tv) -> bool:
     if smo is None:
         return True
     handler = handler_for(HandlerContext(engine), smo)
-    if isinstance(handler, ColumnHandler):
-        return tv is handler._sides()[0]
-    return isinstance(handler, (IdentityHandler, DropTableHandler))
+    if isinstance(handler, (IdentityHandler, DropTableHandler, ColumnHandler)):
+        return True
+    if isinstance(handler, VerticalHandler):
+        return tv is handler._tvs()[0]
+    if isinstance(handler, InnerJoinPkHandler):
+        return op == "UPSERT" and tv in smo.targets
+    if isinstance(handler, PartitionHandler):
+        return op == "DELETE" and handler.is_unified(tv)
+    return False
 
 
-_VIEW_INSERT = re.compile(r"INSERT INTO (\w+) \(")
+_VIEW_INSERT = re.compile(r"INSERT INTO (\w+) SELECT (.*)", re.S)
 _ROW_DELETE = re.compile(r"DELETE FROM (\w+) WHERE p IS (?:NEW|OLD)\.p(?: AND \((.*)\))?", re.S)
 
 
-def _key_deletes_in_place(engine, connection, tv) -> bool:
-    """Is a delete from ``tv`` its own program run in place: a compound
-    view whose delete deletes the key from every relation its rows come
-    from (a SPLIT's unified side, a DECOMPOSE's wide side)?"""
-    route = codegen.route_for(engine, tv)
-    if route is None or any(codegen._off_route_shared(tv, route[0])):
-        return False
-    handler = handler_for(HandlerContext(engine), route[0])
-    if isinstance(handler, PartitionHandler):
-        covered = handler.is_unified(tv)
-    else:
-        covered = isinstance(handler, VerticalHandler) and tv is handler._tvs()[0]
-    (view,) = connection.execute(
-        "SELECT sql FROM sqlite_master WHERE name = ?", (tv.view_name,)
-    ).fetchone()
-    return covered and "\nUNION" in view
-
-
-def _hop_writes(connection, inlinable: set[str], spliced: set[str]) -> list[str]:
-    """Installed statements that still write an inlinable view: any INSERT
-    into it, or a row delete whose guard reads nothing but the row — or
-    such a delete from a view whose deletes run in place."""
+def _hop_writes(connection, upserts: set[str], deletes: set[str]) -> list[str]:
+    """Installed statements that still write a view whose own program runs
+    in place of them: an INSERT into a view of ``upserts`` or a row delete
+    from a view of ``deletes`` that reads nothing but row snapshots, or
+    whose target's own program is one statement.  An UPDATE trigger's
+    hand-off to its own view's INSERT trigger is no such write."""
+    triggers = connection.execute(
+        "SELECT tbl_name, sql FROM sqlite_master WHERE type = 'trigger'"
+    ).fetchall()
+    one_statement = {
+        view for view, sql in triggers
+        if "INSTEAD OF INSERT" in sql and len(_trigger_statements(sql)) == 1
+    }
     found = []
-    for (sql,) in connection.execute("SELECT sql FROM sqlite_master WHERE type = 'trigger'"):
-        body = sql[sql.index("\nBEGIN\n  ") + len("\nBEGIN\n  ") : sql.rindex(";\nEND")]
-        for statement in body.split(";\n  "):
+    for view, sql in triggers:
+        for statement in _trigger_statements(sql):
             insert, delete = _VIEW_INSERT.match(statement), _ROW_DELETE.fullmatch(statement)
-            if insert and insert.group(1) in inlinable:
-                found.append(statement)
-            elif (
-                delete
-                and delete.group(1) in inlinable | spliced
-                and "SELECT" not in (delete.group(2) or "")
-            ):
+            if insert and insert.group(1) in upserts:
+                if "INSTEAD OF UPDATE" in sql and insert.group(1) == view:
+                    continue
+                if insert.group(1) in one_statement or reads_only_snapshots(insert.group(2)):
+                    found.append(statement)
+            elif delete and delete.group(1) in deletes and reads_only_snapshots(delete.group(2)):
                 found.append(statement)
     return found
 
@@ -478,19 +533,17 @@ def test_composed_writes_equal_the_hop_by_hop_triggers(name, tmp_path):
         for index in range(count):
             _apply_materialization(ds, index)
             context = f"{SQLITE} {name}/materialization-{index}"
-            inlinable = {
-                tv.view_name
-                for tv in codegen.active_table_versions(ds.sq)
-                if _one_row_local_statement(ds.sq, tv)
-            }
-            handle = sqlite3.connect(path, isolation_level=None)
-            try:
-                spliced = {
+            upserts, deletes = (
+                {
                     tv.view_name
                     for tv in codegen.active_table_versions(ds.sq)
-                    if _key_deletes_in_place(ds.sq, handle, tv)
+                    if _row_local(ds.sq, tv, op)
                 }
-                assert _hop_writes(handle, inlinable, spliced) == [], context
+                for op in ("UPSERT", "DELETE")
+            )
+            handle = sqlite3.connect(path, isolation_level=None)
+            try:
+                assert _hop_writes(handle, upserts, deletes) == [], context
                 before = _stored_state(handle)
                 writes = _writes(ds, handle, rng)
                 if name == TWINS:

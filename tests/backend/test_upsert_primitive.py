@@ -222,16 +222,12 @@ def test_insert_and_update_triggers_share_one_program(name):
             views = codegen.active_table_versions(ds.sq)
             assert len(bodies) == 3 * len(views)
             for tv in views:
-                columns = ", ".join(qcols(tv.schema.column_names))
                 new = ", ".join(f"NEW.{c}" for c in qcols(tv.schema.column_names))
                 delegation = (
-                    f"  INSERT INTO {q(tv.view_name)} (p, {columns}) "
-                    f"SELECT {codegen.IMMUTABLE_KEY}, {new};"
+                    f"  INSERT INTO {q(tv.view_name)} VALUES ({codegen.IMMUTABLE_KEY}, {new});"
                 )
                 insert = bodies[tv.trigger_name("INSERT")]
-                inlined = insert.replace(
-                    "SELECT NEW.p", f"SELECT {codegen.IMMUTABLE_KEY}", 1
-                )
+                inlined = insert.replace("VALUES (NEW.p", f"VALUES ({codegen.IMMUTABLE_KEY}", 1)
                 one_statement = ";\n" not in insert and inlined != insert
                 assert bodies[tv.trigger_name("UPDATE")] in (
                     (delegation, inlined) if one_statement else (delegation,)

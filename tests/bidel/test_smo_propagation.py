@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.bidel.parser import parse_smo
 from repro.bidel.smo.base import FixedContext, TableChange
 from repro.bidel.smo.registry import build_semantics
 from repro.relational.schema import TableSchema
 from tests.bidel.lens_oracle import oracle_backward, oracle_forward
+from tests.conftest import keyed
 
 VALUES = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
 KEYS = st.integers(min_value=1, max_value=12)
@@ -160,6 +162,49 @@ def test_a_put_at_a_partition_keeps_a_unified_row_no_partition_shows(changes):
         state = dict(unified)
         put["U"].apply_to(state)
         assert state[2] == (2, 20)
+
+
+def test_a_put_at_a_partition_deletes_a_unified_row_it_showed_by_its_mark():
+    """``U(2)`` matches neither condition, but ``Rstar`` marks it: R shows it,
+    so gamma_tgt's ``Uprime`` rule does not keep it, and deleting it at R
+    deletes it from the unified table."""
+    semantics = _semantics("split")
+    unified = {1: (0, 10), 2: (2, 20)}
+    partitions = semantics.map_forward(FixedContext({"U": unified, "Rstar": {2: ()}}))
+    assert partitions["R"][2] == (2, 20)
+    extents = {"U": unified, "Rstar": {2: ()}, "R": partitions["R"], "S": partitions["S"]}
+    for put in _puts(semantics, False, {"R": TableChange(deletes={2})}, extents):
+        state = dict(unified)
+        put["U"].apply_to(state)
+        assert state == {1: (0, 10)}
+
+
+def test_split_inserts_build_no_aux_schema(monkeypatch):
+    """A put's map context reads the SMO's aux roles from one mapping built
+    per semantics instance: one-row inserts through a SPLIT into its stored
+    partitions construct no ``TableSchema``, however many there are."""
+    engine = repro.InVerDa()
+    engine.execute(
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE T(a INTEGER, b INTEGER);"
+        " CREATE SCHEMA VERSION v2 FROM v1 WITH SPLIT TABLE T INTO P WITH b = 0, Q WITH b = 1;"
+        " MATERIALIZE 'v2';"
+    )
+    conn = repro.connect(engine, "v1", autocommit=True)
+    built = []
+    post_init = TableSchema.__post_init__
+    monkeypatch.setattr(
+        TableSchema, "__post_init__", lambda schema: built.append(schema) or post_init(schema)
+    )
+    counts = []
+    for rows in (5, 50):
+        built.clear()
+        for index in range(rows):
+            conn.execute("INSERT INTO T(a, b) VALUES (?, ?)", (index, index % 3))
+        counts.append(len(built))
+    assert counts[1] <= counts[0], counts
+    assert sorted(keyed(engine, "v2", "Q").values()) == sorted(
+        (index, 1) for rows in (5, 50) for index in range(rows) if index % 3 == 1
+    )
 
 
 class TestRulesAgreeWithMaps:

@@ -141,19 +141,15 @@ def test_all_five_materializations_preserve_state():
         assert visible_state(scenario) == baseline, schema
 
 
-#: Partition writes whose outcome depends on the stored side: (v1's tables,
-#: v2's SMO, the writes, the table read).  Both engines agree, so no
-#: differential sees them.
+#: Partition writes whose outcome must not depend on the stored side: (v1's
+#: tables, v2's SMO, the writes, the table read).  Both engines agree, so no
+#: differential sees a case that fails here.
 MATERIALIZATION_DEPENDENT = [
     pytest.param(
         "CREATE TABLE R(a INTEGER, b INTEGER); CREATE TABLE S(a INTEGER, b INTEGER);",
         "MERGE TABLE R (b = 0), S (b = 1) INTO U",
         [("v1", "INSERT INTO R VALUES (7, 4)"), ("v1", "DELETE FROM R WHERE a = 7")],
         ("v2", "U"),
-        marks=pytest.mark.xfail(
-            reason="ROADMAP known defect: The keeper keeps a unified row a partition showed",
-            strict=True,
-        ),
         id="merge_keeps_a_deleted_row",
     ),
     pytest.param(
