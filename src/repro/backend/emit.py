@@ -103,28 +103,7 @@ def rows_differ(left: Mapping[str, str], right: Mapping[str, str]) -> str:
     (column -> SQL reference; ``right`` binds the same columns)."""
     if not left:
         return "0"
-    return "NOT (" + " AND ".join(f"{ref} IS {right[c]}" for c, ref in left.items()) + ")"
-
-
-def operand(sql: str) -> str:
-    """``sql`` as an operand of an operator: as it is when it is one
-    parenthesized group or ``EXISTS`` of one, else parenthesized."""
-    body = sql.removeprefix("EXISTS ")
-    depth, quote = 0, None
-    for index, char in enumerate(body):
-        if quote is not None:
-            quote = None if char == quote else quote
-        elif char in "'\"":
-            quote = char
-        elif char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-            if depth == 0:
-                return sql if index == len(body) - 1 else f"({sql})"
-        elif depth == 0:
-            break
-    return f"({sql})"
+    return "(" + " OR ".join(f"{ref} IS NOT {right[c]}" for c, ref in left.items()) + ")"
 
 
 def render_expression(expression: Expression, references: Mapping[str, str]) -> str:

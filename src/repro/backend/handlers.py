@@ -38,7 +38,6 @@ from repro.backend.emit import (
     ident,
     new_refs,
     not_all_null,
-    operand,
     q,
     qcols,
     render_expression,
@@ -91,12 +90,6 @@ def _never(*_hop) -> None:
     return None
 
 
-#: SMOs whose two table versions hold the same keys.
-_KEY_KEEPING = (
-    RenameTableSemantics, RenameColumnSemantics, AddColumnSemantics, DropColumnSemantics
-)
-
-
 @dataclass
 class HandlerContext:
     """Catalog-aware naming and storage-state lookups for handlers, and the
@@ -118,17 +111,6 @@ class HandlerContext:
         if self.engine._is_physical(tv):
             return q(tv.data_table_name)
         return self.view(tv)
-
-    def holds(self, tv: TableVersion, key: str) -> str:
-        """Whether ``tv`` holds ``key``, probed where its keys are stored:
-        renames and column hops keep every key, so past them a physical
-        table version's data table; else ``tv``'s view."""
-        while not self.engine._is_physical(tv):
-            smo = self.engine._route_smo(tv)
-            if not isinstance(smo.semantics, _KEY_KEEPING):
-                return f"EXISTS (SELECT 1 FROM {self.view(tv)} n WHERE n.p IS {key})"
-            tv = (smo.targets if tv in smo.sources else smo.sources)[0]
-        return f"EXISTS (SELECT 1 FROM {q(tv.data_table_name)} n WHERE n.p IS {key})"
 
     def upsert(
         self, tv: TableVersion, key: str, row: Sequence[str],
@@ -158,23 +140,32 @@ class HandlerContext:
         return [delete_row(self.view(tv), key, guard=guard)]
 
     def aux_is_stored(self, smo: SmoInstance, role: str) -> bool:
-        aux = smo.semantics.aux_tables.get(role)
-        return aux is not None and aux.stored(smo.materialized)
+        aux = smo.semantics.aux_tables
+        if role in aux["shared"]:
+            return True
+        if role in aux["source"]:
+            return not smo.materialized
+        if role in aux["target"]:
+            return smo.materialized
+        return False
 
     def aux_ref(self, smo: SmoInstance, role: str) -> str:
         """Table reference for an aux role: its physical table when stored
         under the current materialization, an empty relation otherwise."""
         if self.aux_is_stored(smo, role):
             return smo.aux_table_name(role)
-        return empty_relation(smo.semantics.aux_tables[role].schema.column_names)
+        schema = next(
+            side[role] for side in smo.semantics.aux_tables.values() if role in side
+        )
+        return empty_relation(schema.column_names)
 
 
 def cond_true(expression: Expression, refs: dict[str, str]) -> str:
-    return f"{operand(render_expression(expression, refs))} IS TRUE"
+    return f"({render_expression(expression, refs)}) IS TRUE"
 
 
 def cond_not_true(expression: Expression, refs: dict[str, str]) -> str:
-    return f"{operand(render_expression(expression, refs))} IS NOT TRUE"
+    return f"({render_expression(expression, refs)}) IS NOT TRUE"
 
 
 def payload_match(left: Sequence[str], right: Sequence[str]) -> str:
@@ -196,7 +187,7 @@ def _all(*terms: Guard) -> Guard:
 
 
 def _not(term: Guard) -> Guard:
-    return not term if isinstance(term, bool) else f"NOT {operand(term)}"
+    return not term if isinstance(term, bool) else f"NOT ({term})"
 
 
 def _sql(guard: Guard) -> str | None:
@@ -274,9 +265,10 @@ class SmoHandler:
             names[role] = self.ctx.view(tv)
             columns[role] = tv.schema.column_names
             probes[role] = self.ctx.probe(tv)
-        for role, aux in self.sem.aux_tables.items():
-            names[role] = self.ctx.aux_ref(self.smo, role)
-            columns[role] = aux.schema.column_names
+        for side in self.sem.aux_tables.values():
+            for role, schema in side.items():
+                names[role] = self.ctx.aux_ref(self.smo, role)
+                columns[role] = schema.column_names
         for role, table in (staged or {}).items():
             names[role] = probes[role] = table
         args = {"table_names": names, "table_columns": columns, "probe_names": probes}
@@ -451,7 +443,7 @@ class ColumnHandler(SmoHandler):
                 # B may hold a key the wide view lacks (a delete at the
                 # narrow side leaves its B row): its row goes only with a
                 # narrow row, so it is deleted first.
-                held = self.ctx.holds(narrow_tv, key)
+                held = f"EXISTS (SELECT 1 FROM {self.ctx.probe(narrow_tv)} n WHERE n.p IS {key})"
                 return [
                     delete_row(aux, key, guard=_sql(_all(held, guard or True))),
                     *self.ctx.delete(narrow_tv, key, guard),

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import NamedTuple
 
 from repro.datalog.ast import RuleSet, Var
 from repro.datalog.evaluate import evaluate
@@ -89,17 +88,6 @@ class TableChange:
         for key in self.deletes:
             rows.pop(key, None)
         rows.update(self.upserts)
-
-
-class AuxTable(NamedTuple):
-    """One aux role of an SMO: the side it lives on and its schema."""
-
-    side: str  # "source", "target" or "shared"
-    schema: TableSchema
-
-    def stored(self, materialized: bool) -> bool:
-        """Is it stored while its SMO is ``materialized`` (or virtualized)?"""
-        return self.side == "shared" or (self.side == "target") == materialized
 
 
 class MapContext(ABC):
@@ -200,16 +188,16 @@ class SmoSemantics(ABC):
         return ()
 
     @cached_property
-    def aux_tables(self) -> Mapping[str, AuxTable]:
-        """Every aux role of :meth:`aux_src`, :meth:`aux_tgt` and
-        :meth:`aux_shared`, read-only: built once per instance, where each
-        of those builds its schemas afresh."""
-        tables = {role: AuxTable("source", schema) for role, schema in self.aux_src().items()}
-        tables.update((role, AuxTable("target", schema)) for role, schema in self.aux_tgt().items())
-        tables.update(
-            (role, AuxTable("shared", schema)) for role, schema in self.aux_shared().items()
-        )
-        return MappingProxyType(tables)
+    def aux_tables(self) -> Mapping[str, Mapping[str, TableSchema]]:
+        """:meth:`aux_src`, :meth:`aux_tgt` and :meth:`aux_shared` under
+        ``"source"``, ``"target"`` and ``"shared"``, read-only: built once
+        per instance, where each of those builds its schemas afresh."""
+        return MappingProxyType({
+            side: MappingProxyType(tables())
+            for side, tables in (
+                ("source", self.aux_src), ("target", self.aux_tgt), ("shared", self.aux_shared)
+            )
+        })
 
     # -- state-level mappings -------------------------------------------------
 

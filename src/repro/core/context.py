@@ -49,7 +49,7 @@ class EngineMapContext(MapContext):
         assert semantics is not None
         self._source_by_role = dict(zip(semantics.source_roles, smo.sources))
         self._target_by_role = dict(zip(semantics.target_roles, smo.targets))
-        self._aux_roles = semantics.aux_tables
+        self._aux_roles = {role for side in semantics.aux_tables.values() for role in side}
 
     def read(self, role: str) -> KeyedRows:
         return self.read_keys(role, None)

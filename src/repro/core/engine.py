@@ -841,13 +841,12 @@ class InVerDa:
             if direction == "forward"
             else dict(zip(semantics.source_roles, smo.sources))
         )
-        # The stored aux tables of the side the put derives.
-        other_side = "source" if direction == "forward" else "target"
-        stored_aux = {
-            role
-            for role, aux in semantics.aux_tables.items()
-            if aux.side != other_side and aux.stored(smo.materialized)
-        }
+        aux = semantics.aux_tables
+        stored_aux = set(aux["shared"])
+        if direction == "forward":
+            stored_aux |= set(aux["target"]) if smo.materialized else set()
+        else:
+            stored_aux |= set(aux["source"]) if not smo.materialized else set()
         next_batch: list[tuple[TableVersion, TableChange]] = []
         for role, change in outputs.items():
             if change.empty:

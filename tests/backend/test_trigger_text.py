@@ -412,7 +412,8 @@ def _row_local(engine, tv, op: str) -> bool:
     return False
 
 
-_VIEW_INSERT = re.compile(r"INSERT INTO (\w+) SELECT (.*)", re.S)
+#: An upsert into a relation, as a SELECT or as one VALUES row.
+_VIEW_INSERT = re.compile(r"INSERT INTO (\w+) (?:SELECT|VALUES \()(.*)", re.S)
 _ROW_DELETE = re.compile(r"DELETE FROM (\w+) WHERE p IS (?:NEW|OLD)\.p(?: AND \((.*)\))?", re.S)
 
 

@@ -42,7 +42,7 @@ class TestTokenWiseRewrite:
         # Three-valued: the negated guard also holds for NULL outcomes.
         assert (
             cond_not_true(parse_expression("v >= 10"), new_refs(["v"]))
-            == "(NEW.v >= 10) IS NOT TRUE"
+            == "((NEW.v >= 10)) IS NOT TRUE"
         )
 
     def test_no_columns(self):
