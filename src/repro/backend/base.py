@@ -16,8 +16,11 @@ backend can regenerate its delta code:
 - :meth:`ExecutionBackend.on_drop` after ``DROP SCHEMA VERSION`` removed
   SMO instances from the catalog.
 
-When a hook raises, its transaction has rolled back and the engine restores
-its catalog.  Once a hook has committed, the engine calls
+When a hook raises, its transaction has rolled back, and the engine
+restores its catalog from the one snapshot it takes at the start of every
+transition (``InVerDa._transition``), whichever hook it was; the backend
+forgets the text it rendered for the catalog that failed.  Once a hook
+has committed, the engine calls
 :meth:`ExecutionBackend.verify_transition`, the backend's post-commit
 check, whose error fails the statement but leaves the transition in place.
 

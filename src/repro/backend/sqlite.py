@@ -951,14 +951,21 @@ class LiveSqliteBackend:
     def _transaction(self):
         """Run the block inside the administrative handle's transaction
         (joining the open one, if any), holding the primary: roll back
-        when it raises, commit when it completes."""
+        when it raises, commit when it completes.  A rollback also restores
+        what the install counted and forgets the rendered text: the engine
+        restores its catalog, whose uids the next transition spends
+        again."""
         with self.pool.primary_held():
             self._begin()
+            installed = self._delta_size, self.last_install
             try:
                 yield
                 self.connection.commit()
             except BaseException:
                 self._abort()
+                self.renderer = codegen.Renderer(self.engine)
+                self._delta_size, self.last_install = installed
+                self._delta_bytes.set(codegen.script_bytes(*self._delta_size))
                 raise
 
     def _install_delta_code(self, scope: codegen.Scope | None = None) -> None:
@@ -1011,54 +1018,47 @@ class LiveSqliteBackend:
         staged tables are swapped in, ``apply`` (the engine's layout
         rebuild and flag flip) runs, and delta code and catalog follow.
         """
-        renderer = self.renderer
-        try:
-            with self._transaction():
-                if move is None:
-                    self._roll_back_prepare()
-                    move = online.Move(online.build_plan(self.engine, schema))
-                plan, cursors = move.plan, move.cursors
-                if move.online:
-                    # Rows past the last chunk cursor, then every row live
-                    # writes touched — the write lock makes both final.
-                    self._run([online.copy_sql(t, cursors[t.stage]) for t in plan.trackable()])
-                    bound = int(self.connection.execute(online.dirty_bound_sql()).fetchone()[0])
-                    if bound:
-                        self._run(online.repair_statements(plan, cursors, bound, final=True))
-                    for table_move in plan.trackable():
-                        staged_sql, live_sql = online.count_check_sql(table_move)
-                        staged = self.connection.execute(staged_sql).fetchone()[0]
-                        live = self.connection.execute(live_sql).fetchone()[0]
-                        if staged != live:
-                            raise BackendError(
-                                f"online backfill diverged for {table_move.view}: "
-                                f"staged {staged} rows but the live view serves {live}"
-                            )
-                    self._fault("materialize-online:pre-cutover")
-                    self._run(online.capture_teardown_statements(plan))
-                whole = [t for t in plan.tables if t.stage not in cursors]
-                self._run(online.stage_statements(whole))
-                stage, swap = codegen.migration_statements(self.engine, schema)
-                self._run(stage)
-                self._fault("materialize:staged")
-                self.drop_generated()
-                self._run(swap)
-                self._fault("materialize:swapped")
-                apply()
-                self._install_delta_code()
-                self.store.record_materialize(self.engine)
-                self.store.write_meta(self.engine, self._delta_key())
-                if move.online:
-                    # The journal, the cutover DDL, and the new catalog
-                    # commit together: a crash before this commit leaves
-                    # the backfill resumable, after it the move is done.
-                    self.store.clear_backfill()
-                self._fault("materialize:before-commit")
-        except BaseException:
-            # The layout rolls back with the transaction, and its renders
-            # with it: the delta code is rendered for the old layout again.
-            self.renderer = renderer
-            raise
+        with self._transaction():
+            if move is None:
+                self._roll_back_prepare()
+                move = online.Move(online.build_plan(self.engine, schema))
+            plan, cursors = move.plan, move.cursors
+            if move.online:
+                # Rows past the last chunk cursor, then every row live
+                # writes touched — the write lock makes both final.
+                self._run([online.copy_sql(t, cursors[t.stage]) for t in plan.trackable()])
+                bound = int(self.connection.execute(online.dirty_bound_sql()).fetchone()[0])
+                if bound:
+                    self._run(online.repair_statements(plan, cursors, bound, final=True))
+                for table_move in plan.trackable():
+                    staged_sql, live_sql = online.count_check_sql(table_move)
+                    staged = self.connection.execute(staged_sql).fetchone()[0]
+                    live = self.connection.execute(live_sql).fetchone()[0]
+                    if staged != live:
+                        raise BackendError(
+                            f"online backfill diverged for {table_move.view}: "
+                            f"staged {staged} rows but the live view serves {live}"
+                        )
+                self._fault("materialize-online:pre-cutover")
+                self._run(online.capture_teardown_statements(plan))
+            whole = [t for t in plan.tables if t.stage not in cursors]
+            self._run(online.stage_statements(whole))
+            stage, swap = codegen.migration_statements(self.engine, schema)
+            self._run(stage)
+            self._fault("materialize:staged")
+            self.drop_generated()
+            self._run(swap)
+            self._fault("materialize:swapped")
+            apply()
+            self._install_delta_code()
+            self.store.record_materialize(self.engine)
+            self.store.write_meta(self.engine, self._delta_key())
+            if move.online:
+                # The journal, the cutover DDL, and the new catalog
+                # commit together: a crash before this commit leaves
+                # the backfill resumable, after it the move is done.
+                self.store.clear_backfill()
+            self._fault("materialize:before-commit")
 
     # ------------------------------------------------------------------
     # The online schedule (journaled backfill; see repro.backend.online)
@@ -1180,19 +1180,8 @@ class LiveSqliteBackend:
             # Survivors may have left the active set: the whole catalog,
             # rendered afresh.
             self.renderer = codegen.Renderer(self.engine)
-        try:
-            self._drop_version(version, removed, scope)
-        except BaseException:
-            # The drop rolled back, but a scoped pass has moved the memo's
-            # entries with it: the catalog the engine restores renders afresh.
-            self.renderer = codegen.Renderer(self.engine)
-            raise
-
-    def _drop_version(
-        self, version: "SchemaVersion", removed: list["SmoInstance"], scope
-    ) -> None:
-        """The drop's transaction: the removed SMOs' tables, the delta code
-        and the catalog log (compacted when it has grown)."""
+        # The removed SMOs' tables, the delta code and the catalog log
+        # (compacted when it has grown), in one transaction.
         with self._transaction():
             self._roll_back_prepare()
             cursor = self.connection.cursor()

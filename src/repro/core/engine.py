@@ -284,16 +284,75 @@ class InVerDa:
         )
 
     @contextmanager
-    def _timed_transition(self, kind: str):
-        """Record duration + count of a catalog transition and keep the
-        generation gauge current (``kind`` in evolve|materialize|drop)."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._generation_gauge.set(self.catalog_generation)
-        self._transition_seconds.observe(time.perf_counter() - started, kind=kind)
-        self._transitions_total.inc(kind=kind)
+    def _transition(self, kind: str):
+        """One catalog transition (``kind`` in evolve|materialize|drop)
+        under the write lock, timed, with the generation gauge kept
+        current.  Open transactions end first; then one snapshot of the
+        catalog is taken, and any exception restores it: a refused script
+        and a failed backend hook (whose transaction rolled the file back)
+        alike leave the process serving the catalog it served before.  On
+        success the listeners hear of it, with what the body put in the
+        yielded dict, and the backend's post-commit check runs after the
+        undo window, so its error fails the statement but parts neither."""
+        event = "evolution" if kind == "evolve" else kind
+        with self.catalog_lock.write_locked():
+            started = time.perf_counter()
+            try:
+                if kind != "materialize":  # a cutover runs with the online guard up
+                    self._ensure_no_online_move()
+                self._quiesce_backend()
+                restore, info = self._snapshot(), {}
+                try:
+                    yield info
+                except BaseException:
+                    restore()
+                    raise
+                self._notify_catalog(event, **info)
+                self._verify_transition(event)
+            finally:
+                self._generation_gauge.set(self.catalog_generation)
+            self._transition_seconds.observe(time.perf_counter() - started, kind=kind)
+            self._transitions_total.inc(kind=kind)
+
+    def _snapshot(self) -> Callable[[], None]:
+        """What restores the catalog as it is now: the genealogy's maps,
+        retired names and uid counters, every table version's links, every
+        version's dropped flag and SMO's materialized flag, the memory
+        tables and sequences (an FK SMO's evolution allocates identifiers)
+        and the generation — and clears the memos derived from it."""
+        genealogy = self.genealogy
+        maps = [
+            (live, dict(live))
+            for live in (genealogy.schema_versions, genealogy.table_versions,
+                         genealogy.smo_instances)
+        ]
+        scalars = (
+            set(genealogy.retired), genealogy._next_table_uid, genealogy._next_smo_uid,
+            dict(self.database.tables), dict(self.database.sequences), self.catalog_generation,
+        )
+        links = [
+            (tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()
+        ]
+        dropped = [(version, version.dropped) for version in genealogy.schema_versions.values()]
+        materialized = [(smo, smo.materialized) for smo in genealogy.smo_instances.values()]
+
+        def restore() -> None:
+            for live, saved in maps:
+                live.clear()
+                live.update(saved)
+            (genealogy.retired, genealogy._next_table_uid, genealogy._next_smo_uid,
+             self.database.tables, self.database.sequences, self.catalog_generation) = scalars
+            for tv, incoming, outgoing in links:
+                tv.incoming, tv.outgoing[:] = incoming, outgoing
+            for version, flag in dropped:
+                version.dropped = flag
+            for smo, flag in materialized:
+                smo.materialized = flag
+            self._fingerprint_memo = None
+            self._invalidate_semantics_caches()
+            self._propagation_needs.clear()
+
+        return restore
 
     # ------------------------------------------------------------------
     # Execution backends
@@ -374,37 +433,28 @@ class InVerDa:
     # ------------------------------------------------------------------
 
     def create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
-        with self.catalog_lock.write_locked(), self._timed_transition("evolve"):
-            self._ensure_no_online_move()
-            self._quiesce_backend()
+        with self._transition("evolve") as info:
             version, added = self._create_schema_version(statement)
             # The generation moves BEFORE the backend hooks run, so a
             # persisting backend records the new generation in the same
             # transaction as the DDL it installs.
-            self.catalog_generation += 1
+            self.catalog_generation += 1  # repro-lint: allow(RPC302) — under _transition
             if self.live_backend is not None:
                 self.live_backend.on_evolution(version, added)
-            self._notify_catalog("evolution", version=version.name)
-            self._verify_transition("evolution")
-            return version
+            info["version"] = version.name
+        return version
 
     def _create_schema_version(
         self, statement: CreateSchemaVersion
     ) -> tuple[SchemaVersion, list[SmoInstance]]:
-        """The new version and the SMO instances it added."""
-        # Before any SMO is applied: a refused name or SMO must leave no
-        # SMO, table version, aux table or spent uid behind.  The script
-        # runs first over a schema-only working copy.
+        """The new version and the SMO instances it added.  A refused SMO
+        leaves what the script's earlier SMOs registered to the
+        transition's snapshot to undo."""
         self.genealogy.check_new_name(statement.name)
         working: dict[str, TableVersion] = {}
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
-        schemas = {name: tv.schema for name, tv in working.items()}
-        bound = [bind_smo(node, schemas) for node in statement.smos]
-        added = [
-            self._apply_smo(node, working, statement.name, *binding)
-            for node, binding in zip(statement.smos, bound)
-        ]
+        added = [self._apply_smo(node, working, statement.name) for node in statement.smos]
         version = SchemaVersion(statement.name, working, parent=statement.source)
         self.genealogy.add_schema_version(version)
         self.genealogy.check_acyclic()
@@ -412,10 +462,13 @@ class InVerDa:
         return version, added
 
     def _apply_smo(
-        self, node: SmoNode, working: dict[str, TableVersion], evolution: str,
-        semantics, target_schemas,
+        self, node: SmoNode, working: dict[str, TableVersion], evolution: str
     ) -> SmoInstance:
-        """Register ``node`` as :func:`bind_smo` bound it over ``working``."""
+        """Bind ``node`` over ``working`` (:func:`bind_smo`), register it
+        and advance ``working`` past it."""
+        semantics, target_schemas = bind_smo(
+            node, {name: tv.schema for name, tv in working.items()}
+        )
         sources = [working[name] for name in source_table_names(node)]
         targets = [
             self.genealogy.new_table_version(schema.name, schema, evolution)
@@ -490,53 +543,12 @@ class InVerDa:
     # ------------------------------------------------------------------
 
     def drop_schema_version(self, name: str) -> None:
-        with self.catalog_lock.write_locked(), self._timed_transition("drop"):
-            self._ensure_no_online_move()
-            self._quiesce_backend()
-            restore, generation = self._drop_undo(), self.catalog_generation
+        with self._transition("drop") as info:
             version, removed = self._drop_schema_version(name)
-            self.catalog_generation += 1
+            self.catalog_generation += 1  # repro-lint: allow(RPC302) — under _transition
             if self.live_backend is not None:
-                try:
-                    self.live_backend.on_drop(version, removed)
-                except BaseException:
-                    # The backend rolled the drop back; so does the catalog,
-                    # or the process would serve a catalog the file lacks.
-                    restore()
-                    self.catalog_generation = generation
-                    raise
-            self._notify_catalog("drop", version=name)
-            self._verify_transition("drop")
-
-    def _drop_undo(self) -> Callable[[], None]:
-        """What restores all a drop changes but the catalog generation: the
-        dropped flags, the removed SMOs' links and memory aux tables and
-        the retired versions."""
-        genealogy = self.genealogy
-        maps = [
-            (live, dict(live))
-            for live in (genealogy.schema_versions, genealogy.table_versions,
-                         genealogy.smo_instances, self.database.tables)
-        ]
-        retired = set(genealogy.retired)
-        links = [
-            (tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()
-        ]
-        flags = [(version, version.dropped) for version in genealogy.schema_versions.values()]
-
-        def restore() -> None:
-            for live, saved in maps:
-                live.clear()
-                live.update(saved)
-            genealogy.retired = retired
-            for tv, incoming, outgoing in links:
-                tv.incoming, tv.outgoing[:] = incoming, outgoing
-            for version, dropped in flags:
-                version.dropped = dropped
-            self._fingerprint_memo = None
-            self._propagation_needs.clear()
-
-        return restore
+                self.live_backend.on_drop(version, removed)
+            info["version"] = name
 
     def _drop_schema_version(self, name: str) -> tuple[SchemaVersion, list[SmoInstance]]:
         """The dropped version and the SMO instances that left the catalog."""
@@ -960,29 +972,12 @@ class InVerDa:
         """A move's cutover: the whole offline move, or the end of the
         online ``move`` whose chunks have run.  A live backend runs it as
         one transaction and calls back into :meth:`_relayout` inside it."""
-        with self.catalog_lock.write_locked(), self._timed_transition("materialize"):
-            self._quiesce_backend()
+        with self._transition("materialize"):
             validate_materialization(self.genealogy, schema)
-            backend = self.live_backend
-            if backend is None:
+            if self.live_backend is None:
                 self._relayout(schema)
             else:
-                tables, generation = self.database.tables, self.catalog_generation
-                flags = [(smo, smo.materialized) for smo in self.genealogy.evolution_smos()]
-                try:
-                    backend.on_materialize(schema, lambda: self._relayout(schema), move)
-                except BaseException:
-                    # The backend rolled the cutover back; so does the layout,
-                    # or the process would serve a layout the file lacks.
-                    self.database.tables, self.catalog_generation = tables, generation
-                    self._fingerprint_memo = None
-                    for smo, flag in flags:
-                        smo.materialized = flag
-                    self._invalidate_semantics_caches()
-                    self._propagation_needs.clear()
-                    raise
-            self._notify_catalog("materialize")
-            self._verify_transition("materialize")
+                self.live_backend.on_materialize(schema, lambda: self._relayout(schema), move)
 
     def _relayout(self, schema: frozenset[SmoInstance]) -> None:
         """Rebuild the in-memory storage for ``schema`` and flip the
@@ -1055,7 +1050,7 @@ class InVerDa:
         self._propagation_needs.clear()
         # Inside the backend's transaction, so a persisting backend records
         # the new generation with the regenerated delta code.  Only ever
-        # called from _cut_over(), which holds the write lock.
+        # called from _cut_over(), whose _transition holds the write lock.
         self.catalog_generation += 1  # repro-lint: allow(RPC302)
 
     def current_materialization(self) -> frozenset[SmoInstance]:

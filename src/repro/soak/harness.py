@@ -690,9 +690,9 @@ class SoakHarness:
             hung = [t.name for t in (*clients, smo, sampler) if t.is_alive()]
             if hung:
                 self.record_crash(-2, f"threads did not stop: {hung}")
-            # Final barrier on the fully quiesced system (skipped after an
-            # injected fault: the live engine is mid-transition by design).
-            if differential and self.fault is None and not hung:
+            # Final barrier on the fully quiesced system, also after an
+            # injected fault: the failed transition restored the catalog.
+            if differential and not hung:
                 self.barrier()
             return self._report(clients)
         finally:
@@ -795,6 +795,7 @@ class SoakHarness:
             "probes": [report.to_dict() for report in probe_reports],
             "smo_log": list(self.smo_log),
             "fault": self.fault,
+            "diverged": self.diverged,
             "client_errors": [
                 {"client": index, "traceback": text} for index, text in self.crashes
             ],

@@ -29,6 +29,25 @@ def injector(point: str):
     return inject
 
 
+def in_process(engine) -> tuple:
+    """What a failed transition must leave as it was in the process."""
+    genealogy = engine.genealogy
+    return (
+        engine.version_names(),
+        engine.catalog_generation,
+        engine.catalog_fingerprint(),
+        (genealogy._next_table_uid, genealogy._next_smo_uid),
+        dict(engine.database.sequences),
+    )
+
+
+def close_connections(ds: DualSystem) -> None:
+    for conn in (*ds._mem_conns.values(), *ds._sq_conns.values()):
+        conn.close()
+    ds._mem_conns.clear()
+    ds._sq_conns.clear()
+
+
 def build(tmp_path) -> DualSystem:
     ds = DualSystem(database=str(tmp_path / "crash.db"))
     ds.execute_ddl(
@@ -68,21 +87,83 @@ def test_crash_mid_evolution(tmp_path, point, evolution):
     script, write = EVOLUTIONS[evolution]
     ds = build(tmp_path)
     try:
+        before = in_process(ds.sq)
         ds.backend.fault_injector = injector(point)
         with pytest.raises(SimulatedCrash):
             ds.sq.execute(script)
-        # Reopen the file: the aborted transition must have left no trace,
-        # so the recovered side still matches an engine that never saw it.
-        ds.reopen()
-        ds.check(f"recovered-after-{point}")
-        # The catalog is fully functional: the same evolution now succeeds
-        # on both sides, with identical uids (physical names line up).
+        # The aborted transition left no trace in the process either: the
+        # engine serves the catalog it served before.
+        ds.backend.fault_injector = None
+        assert in_process(ds.sq) == before
+        assert ds.backend.last_install["bytes"] == len(ds.backend.generated_sql().encode())
+        ds.check(f"served-after-{point}")
+        # The same evolution now succeeds on both sides without a reopen,
+        # with identical uids (physical names line up).
         ds.execute_ddl(script)
         ds.check(f"evolved-after-{point}")
         ds.run("v3", write)
         ds.check(f"written-after-{point}")
+        # The reopened file is the engine the process held.
+        evolved = in_process(ds.sq)
+        ds.reopen()
+        assert in_process(ds.sq) == evolved
+        ds.check(f"recovered-after-{point}")
     finally:
         ds.close()
+
+
+def test_a_failed_evolution_then_another_script_under_its_name(tmp_path):
+    """The uids a failed evolution spent are spent again by a different
+    script: its delta code is rendered for that script, not the first."""
+    (split, _), (decompose, write) = EVOLUTIONS["split"], EVOLUTIONS["decompose_fk"]
+    ds = build(tmp_path)
+    try:
+        ds.backend.fault_injector = injector("evolution:before-commit")
+        with pytest.raises(SimulatedCrash):
+            ds.sq.execute(split)
+        ds.backend.fault_injector = None
+        ds.execute_ddl(decompose)
+        ds.check("evolved")
+        ds.run("v3", write)
+        ds.check("written")
+        assert verify_delta_code(ds.sq, connection=ds.backend.connection) == []
+    finally:
+        ds.close()
+
+
+@pytest.mark.parametrize("failure", ["map", "next-smo-refused"])
+def test_a_failed_fk_evolution_registers_nothing(monkeypatch, failure):
+    """On the memory engine the evolution fills the ID table it creates:
+    when that map raises, or a later SMO of the script is refused after
+    it ran, the SMO, its tables, its uids and the identifiers it
+    allocated go with it."""
+    from repro.bidel.smo.foreign_key import DecomposeFkSemantics
+
+    engine = repro.InVerDa()
+    engine.execute("CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);")
+    conn = repro.connect(engine, "v1", autocommit=True)
+    conn.executemany("INSERT INTO R(a, b) VALUES (?, ?)", [(1, 2), (3, 4)])
+    script, _write = EVOLUTIONS["decompose_fk"]
+    script = script.replace("FROM v2", "FROM v1").replace("S(a, c)", "S(a)")
+    before, tables = in_process(engine), sorted(engine.database.tables)
+
+    def fails(*_args, **_kwargs):
+        raise SimulatedCrash("map")
+
+    with monkeypatch.context() as patch:
+        if failure == "map":
+            patch.setattr(DecomposeFkSemantics, "map_forward", fails)
+            with pytest.raises(SimulatedCrash):
+                engine.execute(script)
+        else:
+            with pytest.raises(repro.errors.EvolutionError, match="NOPE"):
+                engine.execute(script + " ADD COLUMN c AS zz + 1 INTO NOPE;")
+    assert in_process(engine) == before
+    assert sorted(engine.database.tables) == tables
+    engine.execute(script)
+    conn = repro.connect(engine, "v3", autocommit=True)
+    # The identifiers are the ones an engine that never failed allocates.
+    assert conn.execute("SELECT id, b FROM T ORDER BY b").fetchall() == [(3, 2), (4, 4)]
 
 
 # The full MATERIALIZE crash matrix (schedule x fault point x emission)
@@ -95,10 +176,15 @@ def test_crash_mid_evolution(tmp_path, point, evolution):
 def test_crash_mid_materialize(tmp_path, point):
     ds = build(tmp_path)
     try:
+        before = in_process(ds.sq)
         ds.backend.fault_injector = injector(point)
         with pytest.raises(SimulatedCrash):
             ds.sq.execute("MATERIALIZE 'v2';")
+        ds.backend.fault_injector = None
+        assert in_process(ds.sq) == before
+        ds.check(f"served-after-{point}")
         ds.reopen()
+        assert in_process(ds.sq) == before
         ds.check(f"recovered-after-{point}")
         ds.materialize("v2")
         ds.check(f"materialized-after-{point}")
@@ -128,10 +214,7 @@ def test_crash_mid_drop(tmp_path):
         ds.check("recovered-after-drop-crash")
         assert ds.sq.version_names() == ["v1", "v2"]
         assert ds.sq.catalog_fingerprint() == fingerprint
-        for conn in (*ds._mem_conns.values(), *ds._sq_conns.values()):
-            conn.close()
-        ds._mem_conns.clear()
-        ds._sq_conns.clear()
+        close_connections(ds)
         ds.mem.drop_schema_version("v1")
         ds.sq.drop_schema_version("v1")
         ds.check("dropped-after-crash")
@@ -237,15 +320,16 @@ def test_crash_between_the_drops_and_the_creates(tmp_path, transition):
     ds = build(tmp_path)
     try:
         statement = HALF_INSTALLED[transition](ds)
-        for conn in (*ds._mem_conns.values(), *ds._sq_conns.values()):
-            conn.close()
-        ds._mem_conns.clear()
-        ds._sq_conns.clear()
+        close_connections(ds)
+        before = in_process(ds.sq)
         committed = ds.sq.catalog_generation
         versions = ds.sq.version_names()
         ds.backend.fault_injector = injector("regenerate:dropped")
         with pytest.raises(SimulatedCrash):
             ds.sq.execute(statement)
+        ds.backend.fault_injector = None
+        assert in_process(ds.sq) == before
+        ds.check(f"served-after-{transition}")
         ds.reopen()
         ds.check(f"recovered-after-{transition}")
         assert ds.sq.version_names() == versions

@@ -71,6 +71,10 @@ def test_injected_fault_reproduces_from_the_printed_seed():
     assert first["fault"]["point"] == "evolution:before-commit"
     assert "--inject-fault 'evolution:before-commit=1'" in first["repro_command"]
     assert first["injector"]["fired"]
+    # The failed transition left the live engine as it was: the final
+    # barrier still finds it equal to the oracle.
+    assert first["stats"]["barriers"] >= 1
+    assert not first["diverged"], brief(first)
 
     second = run_soak(quick_config(**config))
     assert second["fault"] is not None, brief(second)
