@@ -8,8 +8,10 @@ Three rules, each guarding an invariant the test suite cannot see:
   packages.  Error messages that merely *mention* SQL keywords
   mid-sentence are not flagged.
 - **RPC302** — the catalog generation may only move under the RWLock
-  write side: an assignment to ``…catalog_generation`` must be lexically
-  inside a ``with …write_locked()`` block.
+  write side: an assignment to ``…catalog_generation`` (also as one
+  target of a tuple unpacking) must be lexically inside a
+  ``with …write_locked()`` block or a ``with …_transition(…)`` block,
+  the engine's catalog transition, which takes the write lock.
 - **RPC303** — metric series exist only inside the fixed-series
   registry: outside ``repro/obs/metrics.py`` nothing may touch a
   ``._series`` mapping or instantiate a metric family class directly.
@@ -78,14 +80,15 @@ class _FileLinter(ast.NodeVisitor):
         self.is_metrics_module = relpath.endswith("obs/metrics.py")
         self.allowed = _suppressions(lines)
         self.findings: list[Diagnostic] = []
-        # Line ranges of `with ...write_locked()...:` bodies — the only
-        # places an RPC302-guarded mutation is legal.
+        # Line ranges of `with ...write_locked()...:` and
+        # `with ..._transition(...):` bodies — the only places an
+        # RPC302-guarded mutation is legal.
         self.write_locked_ranges: list[tuple[int, int]] = []
         for node in ast.walk(tree):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     expr = ast.unparse(item.context_expr)
-                    if "write_locked" in expr:
+                    if "write_locked" in expr or "._transition(" in expr:
                         self.write_locked_ranges.append(
                             (node.lineno, node.end_lineno or node.lineno)
                         )
@@ -125,7 +128,12 @@ class _FileLinter(ast.NodeVisitor):
     # -- RPC302 ---------------------------------------------------------
 
     def _check_generation_target(self, target: ast.expr, line: int) -> None:
-        if (isinstance(target, ast.Attribute)
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._check_generation_target(element, line)
+        elif isinstance(target, ast.Starred):
+            self._check_generation_target(target.value, line)
+        elif (isinstance(target, ast.Attribute)
                 and target.attr == "catalog_generation"):
             inside = any(
                 start <= line <= end
@@ -135,7 +143,7 @@ class _FileLinter(ast.NodeVisitor):
                 self._report(
                     "RPC302", line,
                     "catalog_generation mutated outside a "
-                    "`with ...write_locked()` block",
+                    "`with ...write_locked()` or `with ..._transition(...)` block",
                 )
 
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -284,16 +284,16 @@ class InVerDa:
         )
 
     @contextmanager
-    def _transition(self, kind: str):
+    def _transition(self, kind: str, **notice):
         """One catalog transition (``kind`` in evolve|materialize|drop)
         under the write lock, timed, with the generation gauge kept
         current.  Open transactions end first; then one snapshot of the
         catalog is taken, and any exception restores it: a refused script
         and a failed backend hook (whose transaction rolled the file back)
         alike leave the process serving the catalog it served before.  On
-        success the listeners hear of it, with what the body put in the
-        yielded dict, and the backend's post-commit check runs after the
-        undo window, so its error fails the statement but parts neither."""
+        success the listeners hear of it with ``notice``, and the
+        backend's post-commit check runs after the undo window, so its
+        error fails the statement but parts neither."""
         event = "evolution" if kind == "evolve" else kind
         with self.catalog_lock.write_locked():
             started = time.perf_counter()
@@ -301,13 +301,14 @@ class InVerDa:
                 if kind != "materialize":  # a cutover runs with the online guard up
                     self._ensure_no_online_move()
                 self._quiesce_backend()
-                restore, info = self._snapshot(), {}
+                restore, generation = self._snapshot(), self.catalog_generation
                 try:
-                    yield info
+                    yield
                 except BaseException:
                     restore()
+                    self.catalog_generation = generation
                     raise
-                self._notify_catalog(event, **info)
+                self._notify_catalog(event, **notice)
                 self._verify_transition(event)
             finally:
                 self._generation_gauge.set(self.catalog_generation)
@@ -317,9 +318,10 @@ class InVerDa:
     def _snapshot(self) -> Callable[[], None]:
         """What restores the catalog as it is now: the genealogy's maps,
         retired names and uid counters, every table version's links, every
-        version's dropped flag and SMO's materialized flag, the memory
+        version's dropped flag and SMO's materialized flag and the memory
         tables and sequences (an FK SMO's evolution allocates identifiers)
-        and the generation — and clears the memos derived from it."""
+        — and clears the memos derived from it.  The generation is
+        :meth:`_transition`'s to put back."""
         genealogy = self.genealogy
         maps = [
             (live, dict(live))
@@ -328,7 +330,7 @@ class InVerDa:
         ]
         scalars = (
             set(genealogy.retired), genealogy._next_table_uid, genealogy._next_smo_uid,
-            dict(self.database.tables), dict(self.database.sequences), self.catalog_generation,
+            dict(self.database.tables), dict(self.database.sequences),
         )
         links = [
             (tv, tv.incoming, list(tv.outgoing)) for tv in genealogy.table_versions.values()
@@ -341,7 +343,7 @@ class InVerDa:
                 live.clear()
                 live.update(saved)
             (genealogy.retired, genealogy._next_table_uid, genealogy._next_smo_uid,
-             self.database.tables, self.database.sequences, self.catalog_generation) = scalars
+             self.database.tables, self.database.sequences) = scalars
             for tv, incoming, outgoing in links:
                 tv.incoming, tv.outgoing[:] = incoming, outgoing
             for version, flag in dropped:
@@ -433,15 +435,14 @@ class InVerDa:
     # ------------------------------------------------------------------
 
     def create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
-        with self._transition("evolve") as info:
+        with self._transition("evolve", version=statement.name):
             version, added = self._create_schema_version(statement)
             # The generation moves BEFORE the backend hooks run, so a
             # persisting backend records the new generation in the same
             # transaction as the DDL it installs.
-            self.catalog_generation += 1  # repro-lint: allow(RPC302) — under _transition
+            self.catalog_generation += 1
             if self.live_backend is not None:
                 self.live_backend.on_evolution(version, added)
-            info["version"] = version.name
         return version
 
     def _create_schema_version(
@@ -543,12 +544,11 @@ class InVerDa:
     # ------------------------------------------------------------------
 
     def drop_schema_version(self, name: str) -> None:
-        with self._transition("drop") as info:
+        with self._transition("drop", version=name):
             version, removed = self._drop_schema_version(name)
-            self.catalog_generation += 1  # repro-lint: allow(RPC302) — under _transition
+            self.catalog_generation += 1
             if self.live_backend is not None:
                 self.live_backend.on_drop(version, removed)
-            info["version"] = name
 
     def _drop_schema_version(self, name: str) -> tuple[SchemaVersion, list[SmoInstance]]:
         """The dropped version and the SMO instances that left the catalog."""

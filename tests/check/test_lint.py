@@ -79,6 +79,27 @@ class TestGenerationLock:
         )
         assert findings == []
 
+    def test_mutation_in_a_transition_ok(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            '''
+            def bump(engine):
+                with engine._transition("drop", version="v1"):
+                    engine.catalog_generation += 1
+            ''',
+        )
+        assert findings == []
+
+    def test_unlocked_tuple_unpacking_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            '''
+            def restore(engine, saved):
+                (engine.tables, engine.catalog_generation) = saved
+            ''',
+        )
+        assert [d.code for d in findings] == ["RPC302"]
+
     def test_suppression_comment(self, tmp_path):
         findings = lint_source(
             tmp_path,

@@ -79,11 +79,21 @@ EVOLUTIONS = {
 }
 
 
-@pytest.mark.parametrize("evolution", sorted(EVOLUTIONS))
-@pytest.mark.parametrize(
-    "point", ["evolution:after-catalog", "evolution:before-commit"]
-)
-def test_crash_mid_evolution(tmp_path, point, evolution):
+# Each fault point x evolution resumes two ways: from the reopened file
+# (the id names point and evolution), and in the process that saw the
+# fault, without a reopen (the id ends in "in-process").
+CRASH_RESUMES = [
+    pytest.param(point, evolution, resume, id="-".join(
+        (point, evolution) if resume == "reopen" else (point, evolution, resume)
+    ))
+    for resume in ("reopen", "in-process")
+    for point in ("evolution:after-catalog", "evolution:before-commit")
+    for evolution in sorted(EVOLUTIONS)
+]
+
+
+@pytest.mark.parametrize("point, evolution, resume", CRASH_RESUMES)
+def test_crash_mid_evolution(tmp_path, point, evolution, resume):
     script, write = EVOLUTIONS[evolution]
     ds = build(tmp_path)
     try:
@@ -91,23 +101,31 @@ def test_crash_mid_evolution(tmp_path, point, evolution):
         ds.backend.fault_injector = injector(point)
         with pytest.raises(SimulatedCrash):
             ds.sq.execute(script)
-        # The aborted transition left no trace in the process either: the
-        # engine serves the catalog it served before.
-        ds.backend.fault_injector = None
-        assert in_process(ds.sq) == before
-        assert ds.backend.last_install["bytes"] == len(ds.backend.generated_sql().encode())
-        ds.check(f"served-after-{point}")
-        # The same evolution now succeeds on both sides without a reopen,
-        # with identical uids (physical names line up).
+        if resume == "reopen":
+            # Reopen the file: the aborted transition must have left no
+            # trace, so the recovered side still matches an engine that
+            # never saw it.
+            ds.reopen()
+            ds.check(f"recovered-after-{point}")
+        else:
+            # The aborted transition left no trace in the process either:
+            # the engine serves the catalog it served before.
+            ds.backend.fault_injector = None
+            assert in_process(ds.sq) == before
+            assert ds.backend.last_install["bytes"] == len(ds.backend.generated_sql().encode())
+            ds.check(f"served-after-{point}")
+        # The catalog is fully functional: the same evolution now succeeds
+        # on both sides, with identical uids (physical names line up).
         ds.execute_ddl(script)
         ds.check(f"evolved-after-{point}")
         ds.run("v3", write)
         ds.check(f"written-after-{point}")
-        # The reopened file is the engine the process held.
-        evolved = in_process(ds.sq)
-        ds.reopen()
-        assert in_process(ds.sq) == evolved
-        ds.check(f"recovered-after-{point}")
+        if resume == "in-process":
+            # The reopened file is the engine the process held.
+            evolved = in_process(ds.sq)
+            ds.reopen()
+            assert in_process(ds.sq) == evolved
+            ds.check(f"recovered-after-{point}")
     finally:
         ds.close()
 
