@@ -27,14 +27,13 @@ from typing import NamedTuple
 
 from repro.backend import emit
 from repro.backend.compose import ViewComposer
-from repro.backend.emit import q, qcols, table_ddl
+from repro.backend.emit import filled_table, q, qcols, table_ddl
 from repro.backend.handlers import (
     HandlerContext,
     handler_for,
     has_shared_aux,
     own_row,
 )
-from repro.backend.online import stage_name
 from repro.catalog.genealogy import SmoInstance, TableVersion
 from repro.catalog.materialization import physical_table_versions
 from repro.errors import BackendError
@@ -578,10 +577,6 @@ def created_name(statement: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _aux_stage_name(smo: SmoInstance, role: str) -> str:
-    return physical_name("stageaux", str(smo.uid), role)
-
-
 def _unserved_views(engine) -> list[str]:
     """``CREATE VIEW`` for each table version an SMO's aux derivation may
     read that is not active: the other side of an SMO whose version was
@@ -612,40 +607,30 @@ def migration_statements(
 ) -> tuple[list[str], list[str]]:
     """(stage_statements, swap_statements) of a ``MATERIALIZE`` cutover.
 
-    Stage statements run against the *old* views: they create staging
-    tables holding every aux table of the newly stored side of each SMO the
-    move flips — small derived state, rebuilt whole — after creating the views
-    those derivations read that no active table version needs any more
-    (:func:`_unserved_views`).  The move stages the new
-    physical data tables itself (:mod:`repro.backend.online`).  Swap
-    statements (run after the generated views/triggers are dropped) drop
-    the old tables and rename both kinds of staged table into place.
-    Shared aux tables (ID), and the aux tables of an SMO the move leaves
-    as it is, survive unchanged: no map of the other side recovers all
-    they hold (a computed column's values stay computed, a pair Rminus
-    suppresses stays suppressed).
+    Stage statements run against the *old* views: they create, under its
+    final name, every aux table of the newly stored side of each SMO the
+    move flips — small derived state, rebuilt whole; no live table holds
+    that name, as an SMO's source, target and shared roles never overlap
+    — after creating the views those derivations read that no active
+    table version needs any more (:func:`_unserved_views`).  The move
+    stages the new physical data tables itself (:mod:`repro.backend.online`).
+    Swap statements (run after the generated views/triggers are dropped)
+    drop the tables that leave the physical layout.  Shared aux tables
+    (ID), and the aux tables of an SMO the move leaves as it is, survive
+    unchanged: no map of the other side recovers all they hold (a computed
+    column's values stay computed, a pair Rminus suppresses stays suppressed).
     """
     ctx = HandlerContext(engine)
     genealogy = engine.genealogy
     stage: list[str] = _unserved_views(engine)
     swap: list[str] = []
 
-    new_physical = physical_table_versions(genealogy, schema)
-    old_physical = [
-        tv
-        for uid in sorted(genealogy.table_versions)
-        if engine._is_physical(tv := genealogy.table_versions[uid])
-    ]
-
-    for tv in new_physical:
-        swap += [
-            f"DROP TABLE IF EXISTS {q(tv.data_table_name)}",
-            f"ALTER TABLE {q(stage_name(tv))} RENAME TO {q(tv.data_table_name)}",
-        ]
-
-    keep_data = {tv.data_table_name for tv in new_physical}
-    for tv in old_physical:
-        if tv.data_table_name not in keep_data:
+    keep_data = {
+        tv.data_table_name for tv in physical_table_versions(genealogy, schema)
+    }
+    for uid in sorted(genealogy.table_versions):
+        tv = genealogy.table_versions[uid]
+        if engine._is_physical(tv) and tv.data_table_name not in keep_data:
             swap.append(f"DROP TABLE IF EXISTS {q(tv.data_table_name)}")
 
     for smo in genealogy.evolution_smos():
@@ -660,21 +645,11 @@ def migration_statements(
         old_side = semantics.aux_tgt() if smo.materialized else semantics.aux_src()
         selects = handler.stored_role_selects(will_materialize)
         for role, schema_for_role in new_side.items():
-            select = selects[role]
-            name = _aux_stage_name(smo, role)
-            stage += [
-                f"DROP TABLE IF EXISTS {q(name)}",
-                table_ddl(name, schema_for_role.column_names),
-                f"INSERT INTO {q(name)} ({', '.join(['p', *qcols(schema_for_role.column_names)])}) "
-                f"{select}",
-            ]
-            swap += [
-                f"DROP TABLE IF EXISTS {q(smo.aux_table_name(role))}",
-                f"ALTER TABLE {q(name)} RENAME TO {q(smo.aux_table_name(role))}",
-            ]
+            stage += filled_table(
+                smo.aux_table_name(role), schema_for_role.column_names, selects[role]
+            )
         for role in old_side:
-            if role not in new_side:
-                swap.append(f"DROP TABLE IF EXISTS {q(smo.aux_table_name(role))}")
+            swap.append(f"DROP TABLE IF EXISTS {q(smo.aux_table_name(role))}")
     return stage, swap
 
 

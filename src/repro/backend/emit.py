@@ -45,6 +45,15 @@ def table_ddl(name: str, columns: Sequence[str]) -> str:
     return f"CREATE TABLE IF NOT EXISTS {q(name)} ({', '.join(parts)})"
 
 
+def filled_table(name: str, columns: Sequence[str], select: str) -> list[str]:
+    """``name`` created by a plain ``CREATE TABLE`` — which fails on a name
+    already taken — and filled from ``select`` (``p``, then ``columns``)."""
+    return [
+        table_ddl(name, columns).replace(" IF NOT EXISTS", "", 1),
+        f"INSERT INTO {q(name)} ({', '.join(['p', *qcols(columns)])}) {select}",
+    ]
+
+
 def empty_relation(columns: Sequence[str]) -> str:
     """A subquery usable as a table name for an aux role that is not stored
     under the current materialization (the engine reads it as empty)."""

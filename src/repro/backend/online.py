@@ -1,11 +1,12 @@
 """MATERIALIZE as one move: its plan, and the SQL of its phases.
 
-Every ``MATERIALIZE`` plans one staging table per new physical data table
-(:func:`build_plan`) and ends in one cutover transaction that stages what
-is not staged yet, swaps the staged tables in and regenerates the delta
-code.  The *offline* schedule is prepare + cutover under one hold of the
-engine's catalog write lock: no capture machinery, no journal, no chunk —
-every table is copied whole at cutover.  The *online* schedule
+Every ``MATERIALIZE`` plans the table versions that gain a physical data
+table (:func:`build_plan`) and ends in one cutover transaction that stages
+what is not staged yet under its final name, drops what leaves the
+physical layout and regenerates the delta code.  The *offline* schedule
+is prepare + cutover under one hold of the engine's catalog write lock:
+no capture machinery, no journal, no chunk — every table is copied whole
+at cutover.  The *online* schedule
 (``MATERIALIZE ONLINE``) adds, before the cutover:
 
 1. **prepare** (a brief write-lock window, one transaction) — the empty
@@ -19,7 +20,8 @@ every table is copied whole at cutover.  The *online* schedule
    triggers record every touched row identifier and each chunk repairs
    the staged rows they name, so staging is never more than one chunk
    stale.  The cutover then copies the keyset tail, drains the capture
-   table, verifies counts and tears the capture machinery down.
+   table, verifies counts, tears the capture machinery down and renames
+   the staging tables, journaled under transitional names, into place.
 
 **Trackability.**  Incremental repair keys staged rows by the row
 identifier ``p``.  That is sound exactly when the moved view *preserves*
@@ -41,14 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.backend.emit import q, qcols, table_ddl
+from repro.backend.emit import filled_table, q, qcols, table_ddl
 from repro.backend.handlers import has_shared_aux
 from repro.catalog.materialization import physical_table_versions
 from repro.errors import CatalogError
 from repro.util.naming import physical_name
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.catalog.genealogy import SmoInstance, TableVersion
+    from repro.catalog.genealogy import SmoInstance
     from repro.core.engine import InVerDa
 
 #: Rows copied per backfill chunk transaction unless overridden.
@@ -70,17 +72,13 @@ def is_transitional(name: str) -> bool:
     return name.startswith(TRANSITIONAL_PREFIX) or name == DIRTY_TABLE
 
 
-def stage_name(tv: "TableVersion") -> str:
-    return physical_name(TRANSITIONAL_PREFIX, str(tv.uid), tv.name)
-
-
 def capture_trigger_name(table: str, op: str) -> str:
     return physical_name(TRANSITIONAL_PREFIX, "cap", table, op.lower())
 
 
 @dataclass
 class TableMove:
-    """One new physical data table in the move."""
+    """One table version that gains a physical data table in the move."""
 
     uid: int
     name: str
@@ -138,15 +136,18 @@ def build_plan(engine: "InVerDa", schema: frozenset["SmoInstance"]) -> MovePlan:
     target always plan the same object names, which is what lets a
     resumed move pick up a journaled plan).
 
-    A target's SMOs and physical sources are those on the views the code
-    generator installs for it — siblings included, so they over-approximate
-    what the view touches (conservative for both trackability and capture
-    coverage)."""
+    A table version physical now is not planned: its extent does not
+    depend on the materialization, so its data table stays.  A target's
+    SMOs and physical sources are those on the views the code generator
+    installs for it — siblings included, so they over-approximate what the
+    view touches (conservative for trackability and capture coverage)."""
     from repro.backend import codegen
 
     tables: list[TableMove] = []
     sources: set[str] = set()
     for tv in physical_table_versions(engine.genealogy, schema):
+        if engine.database.has_table(tv.data_table_name):
+            continue
         walked = codegen.active_table_versions(engine, [tv])
         routes = [codegen.route_for(engine, t) for t in walked]
         smos = {route[0] for route in routes if route is not None}
@@ -171,7 +172,7 @@ def build_plan(engine: "InVerDa", schema: frozenset["SmoInstance"]) -> MovePlan:
                 uid=tv.uid,
                 name=tv.name,
                 data=tv.data_table_name,
-                stage=stage_name(tv),
+                stage=physical_name(TRANSITIONAL_PREFIX, str(tv.uid), tv.name),
                 view=tv.view_name,
                 columns=list(tv.schema.column_names),
                 trackable=trackable,
@@ -259,13 +260,10 @@ def prepare_statements(plan: MovePlan) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def copy_sql(move: TableMove, cursor: int | None = None, limit: int | None = None) -> str:
-    """Copy the view's rows into the staging table: all of them (no
-    ``cursor``), those past ``cursor`` (the cutover's tail), or the next
-    keyset page of ``limit`` rows past it (a chunk)."""
+def copy_sql(move: TableMove, cursor: int, limit: int | None = None) -> str:
+    """Copy the view's rows past ``cursor`` into the staging table: all
+    (the cutover's tail), or the next keyset page of ``limit`` (a chunk)."""
     columns = ", ".join(["p", *qcols(move.columns)])
-    if cursor is None:
-        return f"INSERT INTO {q(move.stage)} SELECT {columns} FROM {q(move.view)}"
     sql = (
         f"INSERT INTO {q(move.stage)} ({columns}) "
         f"SELECT {columns} FROM {q(move.view)} WHERE p > {int(cursor)}"
@@ -310,14 +308,27 @@ def repair_statements(
 
 
 def stage_statements(tables: list[TableMove]) -> list[str]:
-    """Stage ``tables`` whole from their views."""
+    """Stage ``tables`` whole from their views under their final names."""
     statements: list[str] = []
     for move in tables:
-        statements += [
-            f"DROP TABLE IF EXISTS {q(move.stage)}",
-            table_ddl(move.stage, move.columns),
-            copy_sql(move),
-        ]
+        columns = ", ".join(["p", *qcols(move.columns)])
+        statements += filled_table(
+            move.data, move.columns, f"SELECT {columns} FROM {q(move.view)}"
+        )
+    return statements
+
+
+def rename_statements(move: Move) -> list[str]:
+    """Rename each table the chunks copied into place, by the journaled
+    plan.  The drop matters only where that plan lists a table version
+    physical already (an older release's): the staged copy replaces it."""
+    statements: list[str] = []
+    for table in move.plan.tables:
+        if table.stage in move.cursors:
+            statements += [
+                f"DROP TABLE IF EXISTS {q(table.data)}",
+                f"ALTER TABLE {q(table.stage)} RENAME TO {q(table.data)}",
+            ]
     return statements
 
 
@@ -330,7 +341,7 @@ def count_check_sql(move: TableMove) -> tuple[str, str]:
 
 def capture_teardown_statements(plan: MovePlan) -> list[str]:
     """Drop the capture triggers and the dirty table (staging tables are
-    renamed into place by the swap, or dropped by ``rollback``)."""
+    renamed into place at cutover, or dropped by ``rollback``)."""
     statements = []
     for table in plan.sources:
         for op in _CAPTURE_OPS:

@@ -414,9 +414,9 @@ class LiveSqliteBackend:
         # drop; what is *installed* is never remembered — regenerate()
         # reads it from sqlite_master every time.
         self.renderer = codegen.Renderer(engine)
-        #: Generated objects the last regenerate() created / dropped /
-        #: left in place, and the ``bytes`` of delta code it left
-        #: installed; ``None`` until one has run.
+        #: Generated objects the last transition created / dropped / left
+        #: in place, and the ``bytes`` of delta code it left installed;
+        #: ``None`` until one has run.
         self.last_install: dict | None = None
         # (objects, UTF-8 bytes of their text) installed: a scoped
         # regenerate() reads only its own names from sqlite_master and
@@ -823,15 +823,6 @@ class LiveSqliteBackend:
                 if installed[name][0] == kind:
                     cursor.execute(f"DROP {kind.upper()} IF EXISTS {q(name)}")
 
-    def drop_generated(self) -> None:
-        """Drop every generated view and trigger ahead of a MATERIALIZE
-        swap, and forget the rendered text: the move changes the routes it
-        was rendered for."""
-        installed = codegen.installed_objects(self.connection)
-        self._drop(installed, installed)
-        self._delta_objects.inc(len(installed), action="dropped")
-        self.renderer = codegen.Renderer(self.engine)
-
     def regenerate(self, scope: codegen.Scope | None = None) -> None:
         """Bring scaffolding, views, and trigger programs to the catalog's
         current state — atomically, touching only what differs.
@@ -1014,9 +1005,10 @@ class LiveSqliteBackend:
 
         Without ``move`` it is the offline move, prepared in the same
         transaction.  An online ``move`` first finishes what its chunks
-        began.  Then every table no chunk copied is staged whole, the
-        staged tables are swapped in, ``apply`` (the engine's layout
-        rebuild and flag flip) runs, and delta code and catalog follow.
+        began.  Then every table no chunk copied is staged whole under
+        its final name, the old layout is dropped and the chunk-copied
+        tables renamed into place, ``apply`` (the engine's layout rebuild
+        and flag flip) runs, and delta code and catalog follow.
         """
         with self._transaction():
             if move is None:
@@ -1046,11 +1038,17 @@ class LiveSqliteBackend:
             stage, swap = codegen.migration_statements(self.engine, schema)
             self._run(stage)
             self._fault("materialize:staged")
-            self.drop_generated()
-            self._run(swap)
+            # Every generated object goes, and the rendered text with it:
+            # the move changes the routes they were rendered for.
+            generated = codegen.installed_objects(self.connection)
+            self._drop(generated, generated)
+            self.renderer = codegen.Renderer(self.engine)
+            self._run(swap + online.rename_statements(move))
             self._fault("materialize:swapped")
             apply()
             self._install_delta_code()
+            self.last_install["dropped"] += len(generated)
+            self._delta_objects.inc(len(generated), action="dropped")
             self.store.record_materialize(self.engine)
             self.store.write_meta(self.engine, self._delta_key())
             if move.online:

@@ -333,3 +333,25 @@ def test_preflight_agrees_with_the_engine(scripts):
                 for name, tv in engine.genealogy.schema_version(statement.name).tables.items()
             }
             assert _tables(versions[statement.name]) == _tables(engine_tables), script
+
+
+def test_the_aux_roles_of_an_smo_are_pairwise_disjoint():
+    """A MATERIALIZE creates the aux tables of the side an SMO now stores
+    under their final names while the other side's tables still exist:
+    sound because no role name is both a source-side, a target-side or a
+    shared one."""
+    checked = []
+    for name, scripts in SINGLE_SMO_FORMS.items():
+        engine = InVerDa()
+        try:
+            for script in scripts:
+                engine.execute(script)
+        except ReproError:
+            continue  # a form the engine refuses binds no SMO
+        for smo in engine.genealogy.evolution_smos():
+            semantics = smo.semantics
+            sides = (semantics.aux_src(), semantics.aux_tgt(), semantics.aux_shared())
+            roles = [role for side in sides for role in side]
+            assert len(roles) == len(set(roles)), (name, smo, sides)
+            checked.append(smo)
+    assert len(checked) == 16

@@ -55,13 +55,16 @@ def delta_objects(engine) -> dict:
 def assert_delta_objects_follow(conn, engine) -> None:
     """``R`` is one table version per schema version here: a view and its
     trigger triple each.  Evolve adds v2's four and keeps v1's; the move
-    to v2 re-creates all eight; dropping v1 then drops its four and keeps
-    v2's."""
+    to v2 drops and re-creates all eight, and its ``last_install`` says
+    both; dropping v1 then drops its four and keeps v2's."""
     assert delta_objects(engine) == {"created": 4, "dropped": 0, "kept": 0}
     conn.execute(EVOLVE)
     assert delta_objects(engine) == {"created": 8, "dropped": 0, "kept": 4}
     conn.execute(MATERIALIZE)
     assert delta_objects(engine) == {"created": 16, "dropped": 8, "kept": 4}
+    assert engine.live_backend.catalog_stats()["last_install"] == {
+        "created": 8, "dropped": 8, "kept": 0, "bytes": ANY,
+    }
     conn.execute(DROP)
     assert delta_objects(engine) == {"created": 16, "dropped": 12, "kept": 8}
     assert engine.live_backend.catalog_stats()["last_install"] == {

@@ -21,8 +21,11 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.bidel.ast import Materialize
 from repro.bidel.parser import parse_script
 from repro.check.delta import verify_transitional_objects
-from repro.errors import CatalogError
+from repro.catalog.materialization import physical_table_versions
+from repro.errors import BackendError, CatalogError
+from repro.persist.store import BACKFILL_TABLE
 from repro.testing import DualSystem, InjectedFault, NestedEmissionBackend, one_shot
+from repro.util.naming import physical_name
 
 MOVE_FAULT_POINTS = [
     # Online only.  Raised before the prepare transaction commits: the
@@ -391,8 +394,6 @@ class TestGuardsAndDiagnostics:
             ds.reopen(resume_backfill=None)
             # Tear out the journal row behind the verifier's back: every
             # staging table and capture trigger is now an orphan.
-            from repro.persist.store import BACKFILL_TABLE
-
             ds.backend.connection.execute(f"DELETE FROM {BACKFILL_TABLE}")
             ds.backend.connection.commit()
             findings = verify_transitional_objects(
@@ -414,6 +415,170 @@ class TestGuardsAndDiagnostics:
         assert any(
             smo.materialized for smo in engine.genealogy.evolution_smos()
         )
+
+
+def build_two_tables(tmp_path, name: str = "two.db") -> OnlineDual:
+    """``R`` gains a column at v2; ``S`` is the same table version at v1
+    and v2, so it is physical before and after ``MATERIALIZE 'v2'``."""
+    ds = OnlineDual(str(tmp_path / name))
+    ds.execute_ddl(
+        "CREATE SCHEMA VERSION v1 WITH "
+        "CREATE TABLE R(a INTEGER, b INTEGER); CREATE TABLE S(x INTEGER);"
+    )
+    ds.attach()
+    ds.runmany(
+        "v1", "INSERT INTO R(a, b) VALUES (?, ?)", [(i, i * 2) for i in range(40)]
+    )
+    ds.runmany("v1", "INSERT INTO S(x) VALUES (?)", [(i,) for i in range(30)])
+    ds.execute_ddl("CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + b INTO R;")
+    return ds
+
+
+def plan_every_physical_table(real_build_plan):
+    """``online.build_plan`` as releases before moves stayed in place
+    planned: every table version physical after the move, those physical
+    already included — each of them trackable."""
+
+    def build_plan(engine, schema):
+        plan = real_build_plan(engine, schema)
+        for tv in physical_table_versions(engine.genealogy, schema):
+            if engine.database.has_table(tv.data_table_name):
+                plan.tables.append(online.TableMove(
+                    uid=tv.uid,
+                    name=tv.name,
+                    data=tv.data_table_name,
+                    stage=physical_name(
+                        online.TRANSITIONAL_PREFIX, str(tv.uid), tv.name
+                    ),
+                    view=tv.view_name,
+                    columns=list(tv.schema.column_names),
+                    trackable=True,
+                ))
+                plan.sources = sorted({*plan.sources, tv.data_table_name})
+        return plan
+
+    return build_plan
+
+
+def stored(backend) -> dict:
+    """Every data and aux table of the file, with its rows."""
+    names = [
+        name for name in backend.table_names() if name.startswith(("d__", "aux__"))
+    ]
+    return {
+        name: backend.execute(f"SELECT * FROM {name} ORDER BY p").fetchall()
+        for name in names
+    }
+
+
+def file_state(backend) -> tuple:
+    """Every schema object of the file and every table's rows, but for an
+    online prepare's (journal and transitional objects)."""
+    objects = [
+        (kind, name, sql)
+        for kind, name, sql in backend.execute(
+            "SELECT type, name, sql FROM sqlite_master ORDER BY type, name"
+        )
+        if not online.is_transitional(name) and name != BACKFILL_TABLE
+    ]
+    rows = {
+        name: sorted(backend.execute(f'SELECT * FROM "{name}"').fetchall(), key=repr)
+        for kind, name, _sql in objects
+        if kind == "table"
+    }
+    return objects, rows
+
+
+class TestMoveInPlace:
+    """A move stages under final names and leaves a table that stays
+    physical where it is; a journal whose plan still lists such a table
+    (as earlier releases wrote it) converges all the same."""
+
+    @pytest.mark.parametrize("resume", [True, False], ids=["resume", "roll-back"])
+    def test_a_journal_planning_a_table_that_stays_physical(
+        self, tmp_path, monkeypatch, resume
+    ):
+        from repro.check.__main__ import run as check_cli
+
+        reference = build_two_tables(tmp_path, "reference.db")
+        try:
+            before = stored(reference.backend)
+            reference.execute_ddl("MATERIALIZE ONLINE 'v2';")
+            moved = stored(reference.backend)
+        finally:
+            reference.close()
+        assert before["d__1__S"] == moved["d__1__S"]
+
+        ds = build_two_tables(tmp_path)
+        try:
+            monkeypatch.setattr(
+                online, "build_plan", plan_every_physical_table(online.build_plan)
+            )
+            crash_mid_backfill(ds)
+            monkeypatch.undo()
+            record = ds.backend.store.read_backfill()
+            planned = online.plan_from_payload(record.plan)
+            assert [t.data for t in planned.trackable()] == ["d__2__R", "d__1__S"]
+            assert "d__1__S" in planned.sources
+
+            ds.reopen(resume_backfill=resume)
+            assert_clean(ds, "converged")
+            findings = verify_transitional_objects(
+                ds.backend.connection, ds.backend.store
+            )
+            assert findings == [], [f.message for f in findings]
+            assert stored(ds.backend) == (moved if resume else before)
+            assert any(
+                smo.materialized for smo in ds.sq.genealogy.evolution_smos()
+            ) is resume
+            if resume:
+                ds.mem.execute("MATERIALIZE 'v2';")
+            ds.check("converged")
+            ds.run("v2", "INSERT INTO S(x) VALUES (?)", (100,))
+            ds.run("v2", "DELETE FROM R WHERE a = ?", (3,))
+            ds.check("written-after")
+        finally:
+            ds.close()
+        assert check_cli(["--db", ds.database]) == 0
+
+    @pytest.mark.parametrize(
+        "statement", ["MATERIALIZE 'v2';", "MATERIALIZE ONLINE 'v2';"]
+    )
+    def test_a_plan_naming_a_live_table_is_refused(
+        self, tmp_path, monkeypatch, statement
+    ):
+        """Final-name staging creates each table with a plain ``CREATE
+        TABLE``: a plan that would stage over the live ``S`` fails the
+        cutover and rolls back instead of replacing it."""
+        ds = build_two_tables(tmp_path)
+        try:
+
+            def build_plan(engine, schema):
+                plan = plan_every_physical_table(real_build_plan)(engine, schema)
+                for table in plan.tables:
+                    table.trackable = table.data != "d__1__S"
+                return plan
+
+            real_build_plan = online.build_plan
+            generation = ds.sq.catalog_generation
+            fingerprint = ds.sq.catalog_fingerprint()
+            state = file_state(ds.backend)
+            monkeypatch.setattr(online, "build_plan", build_plan)
+            with pytest.raises(BackendError, match="already exists"):
+                ds.sq.execute(statement)
+            monkeypatch.undo()
+            assert ds.sq.catalog_generation == generation
+            assert ds.sq.catalog_fingerprint() == fingerprint
+            assert not any(smo.materialized for smo in ds.sq.genealogy.evolution_smos())
+            # An online prepare committed before its cutover failed (the
+            # journal is resumable); the next move supersedes it.
+            assert file_state(ds.backend) == state
+            ds.check("refused")
+            ds.materialize("v2")
+            ds.check("moved")
+            assert_clean(ds, "moved")
+        finally:
+            ds.close()
 
 
 class TestCutoverHook:
