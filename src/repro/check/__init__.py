@@ -4,8 +4,9 @@ pre-flight, and project lint.
 Three passes, one diagnostic model (stable ``RPC…`` codes, severities,
 locations — :mod:`repro.check.diagnostics`):
 
-- :func:`verify_delta_code` statically checks the generated views and
-  trigger programs against the catalog (RPC1xx);
+- :func:`verify_delta_code` has SQLite compile the generated views and
+  trigger programs on a scratch handle built from the catalog — nothing
+  is stepped — and checks what compiles against the catalog (RPC1xx);
 - :func:`preflight_script` analyzes a BiDEL script before the engine
   runs it (RPC2xx) — also exposed as the ``CHECK <bidel>`` statement on
   both transports;

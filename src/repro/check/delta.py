@@ -1,15 +1,18 @@
 """Static verification of the generated delta code (RPC101–RPC109).
 
 The backend compiles the catalog into ``CREATE VIEW`` and ``CREATE
-TRIGGER`` statements (:mod:`repro.backend.codegen`).  This pass checks
-the *text* of that program against the catalog — without executing any
-of it:
+TRIGGER`` statements (:mod:`repro.backend.codegen`).  This pass asks
+SQLite whether that program resolves: it prepares it on a scratch
+in-memory handle built from the catalog — never from a database file's
+``sqlite_master`` — and steps nothing.
 
-- **RPC101** every referenced table resolves against the physical
-  layout, the scaffolding DDL, or another generated view;
-- **RPC102** every qualified column reference (``alias.col``,
-  ``NEW.col``, ``OLD.col``) resolves against some candidate relation;
-- **RPC103** the view dependency graph is acyclic;
+- **RPC101** every statement resolves and compiles against the physical
+  layout, the scaffolding DDL and the generated views: ``no such
+  table``, and any compile error the codes below do not name (an
+  unknown function, a syntax error);
+- **RPC102** ``no such column``;
+- **RPC103** ``circularly defined``: the view dependency graph has a
+  cycle;
 - **RPC104** every active table version has INSTEAD OF triggers for all
   three DML operations;
 - **RPC105** identifiers that need quoting are never emitted bare;
@@ -32,31 +35,44 @@ of it:
 
 ``view_statements`` / ``trigger_statements`` are injectable so the
 seeded-defect suite can verify *mutated* delta code, and the oracle
-suite the nested reference rendering; RPC106 (which compares the
-generator's two renderings) only runs on generator output.
+suite the nested reference rendering.
 """
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
+import re
+import sqlite3
+from contextlib import closing
 
-from repro.backend.emit import SEQUENCES_TABLE, create_view
+from repro.backend.emit import create_view, q, table_ddl
 from repro.check.diagnostics import Diagnostic, record_findings
-from repro.check.sqlscan import (
-    STRUCTURAL_KEYWORDS,
-    SUBQUERY,
-    StatementScan,
-    scan_statement,
-    unquoted_occurrence,
-)
 from repro.sqlgen.views import key_disjoint
-from repro.util.naming import quote_identifier
 
-_DML_OPS = ("INSERT", "UPDATE", "DELETE")
+#: What a write through a view compiles to: that view's INSTEAD OF
+#: program and every program it writes into.
+_WRITES = {
+    "INSERT": "INSERT INTO {} DEFAULT VALUES",
+    "UPDATE": "UPDATE {} SET p = p",
+    "DELETE": "DELETE FROM {}",
+}
+
+#: SQLite's compile errors by the code they are reported under; any
+#: other compile error is RPC101's.
+_ERROR_CODES = (
+    ("no such column", "RPC102"),
+    ("circularly defined", "RPC103"),
+)
+
+#: Column names :func:`~repro.util.naming.quote_identifier` wraps that
+#: SQLite still parses bare and the emitters write as SQL structure only
+#: for a user's ``LIKE`` condition (``BY``, ``END``, ``VIEW`` and
+#: ``TRIGGER`` they always write).  Any other quotable name emitted bare
+#: does not compile.
+_BARE_KEYWORDS = frozenset({"like"})
 
 #: Bump when a rule below is added or tightened: ``verified_at`` marks
 #: left under older rules stop matching and the next open verifies in full.
-RULES_REVISION = 1
+RULES_REVISION = 2
 
 
 def verified_digest(log_digest: str, delta_key: tuple, installed: dict) -> str:
@@ -72,124 +88,82 @@ def verified_digest(log_digest: str, delta_key: tuple, installed: dict) -> str:
     return digest([log_digest, *delta_key, RULES_REVISION, objects])
 
 
-def _physical_objects(engine) -> dict[str, set[str]]:
-    """Every physical relation the generated code may read or write:
-    the engine's table layout (data + aux tables), the scaffolding DDL's
-    put/staging tables and sequence table."""
-    from repro.backend import codegen
+class _Scratch:
+    """An in-memory database holding what the catalog says a file holds —
+    the engine's physical layout, the sequence table and the scaffolding,
+    the statements a fresh install runs — on which the generated program
+    is created and compiled.  Each failure is one finding, once per
+    SQLite message (a broken view breaks every statement that reads it)."""
 
-    objects: dict[str, set[str]] = {}
-    for name, table in engine.database.tables.items():
-        objects[name] = {"p", *table.schema.column_names}
-    for statement in codegen.scaffold_statements(engine):
-        scan = scan_statement(statement)
-        if scan.kind == "table" and scan.name:
-            objects.setdefault(scan.name, set()).update(scan.columns_defined)
-    objects.setdefault(SEQUENCES_TABLE, {"name", "value"})
-    return objects
+    def __init__(self, engine):
+        from repro.backend import codegen
 
+        self.handle = sqlite3.connect(":memory:", isolation_level=None)
+        for name, table in engine.database.tables.items():
+            self.handle.execute(table_ddl(name, table.schema.column_names))
+        for statement in codegen.scaffold_statements(engine):  # sequences too
+            self.handle.execute(statement)
+        self.findings: list[Diagnostic] = []
+        self._seen: set[str] = set()
+        self.reads: set[str] = set()
+        self.context: str | None = None
+        self.handle.set_authorizer(self._authorize)
 
-def _catalog_view_columns(engine) -> dict[str, set[str]]:
-    from repro.backend import codegen
+    def _authorize(self, action, table, _column, _db, inner) -> int:
+        """Every relation a statement reads, and the innermost trigger or
+        view it was compiling: where an error is."""
+        if action == sqlite3.SQLITE_READ:
+            self.reads.add(table)
+        self.context = inner or self.context
+        return sqlite3.SQLITE_OK
 
-    return {
-        tv.view_name: {"p", *tv.schema.column_names}
-        for tv in codegen.active_table_versions(engine)
-    }
-
-
-def _resolve_references(
-    scans: list[StatementScan],
-    objects: dict[str, set[str]],
-    view_columns: dict[str, set[str] | None],
-) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-
-    def columns_of(name: str) -> set[str] | None:
-        if name in objects:
-            return objects[name]
-        return view_columns.get(name)
-
-    known = set(objects) | set(view_columns)
-    for scan in scans:
-        where = scan.name or "<statement>"
-        for ref in scan.table_refs:
-            if ref not in known:
-                diagnostics.append(Diagnostic(
-                    "RPC101", "error", where,
-                    f"references {ref!r}, which is neither a physical "
-                    "table nor a generated view",
+    def run(self, statement: str, where: str | None, *, innermost: bool = False) -> bool:
+        """Create or compile ``statement``; a failure is found at ``where``,
+        or with ``innermost`` at the trigger or view SQLite was inside."""
+        self.reads, self.context = set(), None
+        try:
+            self.handle.execute(statement)
+        except sqlite3.Error as exc:
+            message = str(exc)
+            if message not in self._seen:
+                self._seen.add(message)
+                code = next(
+                    (code for text, code in _ERROR_CODES if text in message),
+                    "RPC101",
+                )
+                self.findings.append(Diagnostic(
+                    code, "error",
+                    (innermost and self.context) or where or "<statement>",
+                    f"does not compile: {message}",
                 ))
-        for qualifier, column in scan.column_refs:
-            if qualifier.upper() in ("NEW", "OLD"):
-                row_columns = view_columns.get(scan.on_view or "")
-                if row_columns is not None and column not in row_columns:
-                    diagnostics.append(Diagnostic(
-                        "RPC102", "error", where,
-                        f"{qualifier}.{column} does not exist: view "
-                        f"{scan.on_view!r} has no column {column!r}",
-                    ))
-                continue
-            candidates = scan.aliases.get(qualifier)
-            if candidates is not None:
-                if SUBQUERY in candidates:
-                    continue  # derived table: columns are opaque
-                column_sets = [columns_of(c) for c in candidates]
-                if any(cols is None for cols in column_sets):
-                    continue  # some candidate is opaque — don't guess
-                if not any(column in cols for cols in column_sets):
-                    diagnostics.append(Diagnostic(
-                        "RPC102", "error", where,
-                        f"{qualifier}.{column} does not resolve: no table "
-                        f"bound to alias {qualifier!r} "
-                        f"({', '.join(sorted(candidates))}) has a column "
-                        f"{column!r}",
-                    ))
-            elif qualifier in known:
-                cols = columns_of(qualifier)
-                if cols is not None and column not in cols:
-                    diagnostics.append(Diagnostic(
-                        "RPC102", "error", where,
-                        f"{qualifier}.{column} does not resolve: "
-                        f"{qualifier!r} has no column {column!r}",
-                    ))
-            else:
-                diagnostics.append(Diagnostic(
-                    "RPC102", "error", where,
-                    f"{qualifier}.{column} uses unknown reference "
-                    f"qualifier {qualifier!r} (not an alias, row "
-                    "variable, or relation in scope)",
-                ))
-    return diagnostics
+            return False
+        return True
+
+    def bases(self, views: list[str]) -> dict[str, frozenset[str]]:
+        """Per view that compiles, the non-view relations it reads."""
+        names = set(views)
+        return {
+            name: frozenset(self.reads - names)
+            for name in views
+            if self.run(f"EXPLAIN SELECT * FROM {q(name)}", name)
+        }
+
+    def close(self) -> None:
+        self.handle.close()
 
 
-def _check_cycles(view_scans: list[StatementScan]) -> list[Diagnostic]:
-    defined = {scan.name for scan in view_scans if scan.name}
-    graph = {
-        scan.name: {ref for ref in scan.table_refs if ref in defined}
-        for scan in view_scans
-        if scan.name
-    }
-    try:
-        TopologicalSorter(graph).prepare()
-    except CycleError as exc:
-        cycle = exc.args[1] if len(exc.args) > 1 else []
-        return [Diagnostic(
-            "RPC103", "error", str(cycle[0]) if cycle else "<views>",
-            "view dependency cycle: " + " -> ".join(map(str, cycle)),
-        )]
-    return []
-
-
-def _check_trigger_completeness(
-    engine, trigger_scans: list[StatementScan]
-) -> list[Diagnostic]:
+def _created(statements: list[str]) -> list[str]:
     from repro.backend import codegen
 
-    defined = {scan.name for scan in trigger_scans if scan.name}
+    return [name for name in map(codegen.created_name, statements) if name]
+
+
+def _check_trigger_completeness(engine, defined: set[str]) -> list[Diagnostic]:
+    from repro.backend import codegen
+
     diagnostics: list[Diagnostic] = []
     for tv in codegen.active_table_versions(engine):
-        for op in _DML_OPS:
+        for op in _WRITES:
             expected = tv.trigger_name(op)
             if expected not in defined:
                 diagnostics.append(Diagnostic(
@@ -201,78 +175,75 @@ def _check_trigger_completeness(
     return diagnostics
 
 
-def _quotable_catalog_names(engine) -> set[str]:
-    """Catalog identifiers the emitters must always quote: anything
-    :func:`quote_identifier` would wrap.  Names equal to a structural
-    keyword of the generated dialect are skipped — a bare occurrence is
-    indistinguishable from SQL structure."""
+def unquoted_occurrence(sql: str, name: str) -> bool:
+    """Does ``name`` appear in ``sql`` as a *bare* word — outside string
+    literals and outside double-quoted identifiers?  Used by the RPC105
+    pass for names :func:`~repro.util.naming.quote_identifier` would
+    quote."""
+    if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", name):
+        # A name with odd characters cannot appear as a bare identifier
+        # token at all; nothing to scan for.
+        return False
+    pattern = re.compile(rf"\b{re.escape(name)}\b", re.IGNORECASE)
+    i = 0
+    length = len(sql)
+    segment_start = 0
+    while i < length:
+        ch = sql[i]
+        if ch in ("'", '"'):
+            if pattern.search(sql, segment_start, i):
+                return True
+            quote = ch
+            i += 1
+            while i < length:
+                if sql[i] == quote:
+                    if i + 1 < length and sql[i + 1] == quote:
+                        i += 2
+                        continue
+                    break
+                i += 1
+            segment_start = i + 1
+        i += 1
+    return bool(pattern.search(sql, segment_start, length))
+
+
+def _check_quoting(engine, statements: list[str]) -> list[Diagnostic]:
     from repro.backend import codegen
 
-    names: set[str] = set()
-    for tv in codegen.active_table_versions(engine):
-        names.update(tv.schema.column_names)
-        names.add(tv.view_name)
-        names.add(tv.data_table_name)
-    return {
-        name for name in names
-        if quote_identifier(name) != name
-        and name.upper() not in STRUCTURAL_KEYWORDS
-    }
-
-
-def _check_quoting(
-    statements: list[str],
-    scans: list[StatementScan],
-    quotable: set[str],
-) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-    for statement, scan in zip(statements, scans):
-        for name in sorted(quotable):
-            if unquoted_occurrence(statement, name):
-                diagnostics.append(Diagnostic(
-                    "RPC105", "warning", scan.name or "<statement>",
-                    f"identifier {name!r} requires quoting but appears "
-                    "bare in the generated SQL",
-                ))
-    return diagnostics
-
-
-def _physical_basis(
-    view_scans: list[StatementScan],
-) -> dict[str, frozenset[str]]:
-    """Per view, the set of non-view relations it transitively reads."""
-    refs = {scan.name: set(scan.table_refs) for scan in view_scans if scan.name}
-    memo: dict[str, frozenset[str]] = {}
-
-    def leaves(name: str, trail: set[str]) -> frozenset[str]:
-        if name in memo:
-            return memo[name]
-        if name in trail:
-            return frozenset()  # cycle: RPC103 reports it
-        trail = trail | {name}
-        result: set[str] = set()
-        for ref in refs.get(name, ()):
-            if ref in refs:
-                result |= leaves(ref, trail)
-            else:
-                result.add(ref)
-        memo[name] = frozenset(result)
-        return memo[name]
-
-    return {name: leaves(name, set()) for name in refs}
+    quotable = sorted({
+        column
+        for tv in codegen.active_table_versions(engine)
+        for column in tv.schema.column_names
+        if column.lower() in _BARE_KEYWORDS
+    })
+    return [
+        Diagnostic(
+            "RPC105", "warning", codegen.created_name(statement) or "<statement>",
+            f"identifier {name!r} requires quoting but appears "
+            "bare in the generated SQL",
+        )
+        for statement in statements
+        for name in quotable
+        if unquoted_occurrence(statement, name)
+    ]
 
 
 def _check_key_disjoint(
-    view_scans: list[StatementScan], branches: dict[str, list]
+    view_statements: list[str], branches: dict[str, list]
 ) -> list[Diagnostic]:
     """RPC108, on every view the catalog renders (an injected view the
-    catalog does not render has no branches to judge)."""
+    catalog does not render has no branches to judge).  The emitters write
+    a view's top-level compound keyword on a line of its own
+    (:func:`~repro.sqlgen.views.compound_sql`), and no other."""
+    from repro.backend import codegen
+
     diagnostics: list[Diagnostic] = []
-    for scan in view_scans:
-        flat = branches.get(scan.name)
-        if scan.union_all and flat is not None and not key_disjoint(flat):
+    for statement in view_statements:
+        name = codegen.created_name(statement)
+        flat = branches.get(name or "")
+        if "\nUNION ALL\n" in statement and flat is not None and not key_disjoint(flat):
             diagnostics.append(Diagnostic(
-                "RPC108", "error", scan.name or "<view>",
+                "RPC108", "error", name or "<view>",
                 "branches are joined by UNION ALL, but the catalog does "
                 "not prove them key-disjoint: an identifier could be "
                 "served twice",
@@ -281,14 +252,15 @@ def _check_key_disjoint(
 
 
 def _check_emission_agreement(
-    engine, flat_scans: list[StatementScan]
+    engine, flat: dict[str, frozenset[str]]
 ) -> list[Diagnostic]:
     from repro.backend import codegen
 
-    flat = _physical_basis(flat_scans)
-    nested = _physical_basis(
-        [scan_statement(s) for s in codegen.view_statements(engine, flatten=False)]
-    )
+    statements = codegen.view_statements(engine, flatten=False)
+    with closing(_Scratch(engine)) as scratch:  # the reference: its findings go unreported
+        for statement in statements:
+            scratch.run(statement, None)
+        nested = scratch.bases(_created(statements))
     diagnostics: list[Diagnostic] = []
     for name in sorted(set(flat) | set(nested)):
         flat_basis = flat.get(name, frozenset())
@@ -346,12 +318,16 @@ def verify_delta_code(
     pass it back in).  With ``backend`` — the live backend serving the
     engine — the program is the one that backend installs, rendered
     through its ``Renderer`` (an install that follows renders nothing
-    again).  With ``connection`` — the database the code is installed
-    in — the installed text is held against it too (RPC109).
-    Returns every finding; callers gate on error-severity ones."""
+    again).  References resolve as SQLite resolves them: the program is
+    created on a scratch in-memory handle built from the catalog, and
+    every view is prepared, and every write through every active table
+    version (``EXPLAIN``: nothing is stepped).  With ``connection`` — the
+    database the code is installed in — the installed text is held
+    against it too (RPC109); the file's own tables never resolve a
+    reference.  Returns every finding; callers gate on error-severity
+    ones."""
     from repro.backend import codegen
 
-    injected = view_statements is not None or trigger_statements is not None
     renderer = codegen.Renderer(engine) if backend is None else backend.renderer
     if backend is not None:
         view_statements, trigger_statements = backend.delta_statements()
@@ -363,36 +339,27 @@ def verify_delta_code(
     if trigger_statements is None:
         trigger_statements = renderer.trigger_statements()
 
-    view_scans = [scan_statement(s) for s in view_statements]
-    trigger_scans = [scan_statement(s) for s in trigger_statements]
-
-    objects = _physical_objects(engine)
-    view_columns: dict[str, set[str] | None] = dict(
-        _catalog_view_columns(engine)
-    )
-    for scan in view_scans:
-        # A view the statements define but the catalog does not know has
-        # opaque columns; it still counts as a resolvable name.
-        if scan.name and scan.name not in view_columns:
-            view_columns[scan.name] = None
-
-    diagnostics = _resolve_references(
-        view_scans + trigger_scans, objects, view_columns
-    )
-    diagnostics += _check_cycles(view_scans)
-    diagnostics += _check_trigger_completeness(engine, trigger_scans)
-    quotable = _quotable_catalog_names(engine)
-    if quotable:
-        diagnostics += _check_quoting(
-            view_statements + trigger_statements,
-            view_scans + trigger_scans,
-            quotable,
-        )
+    with closing(_Scratch(engine)) as scratch:
+        created = {
+            codegen.created_name(statement)
+            for statement in view_statements + trigger_statements
+            if scratch.run(statement, codegen.created_name(statement))
+        }
+        flat = scratch.bases([n for n in _created(view_statements) if n in created])
+        for tv in codegen.active_table_versions(engine):
+            for op, write in _WRITES.items():
+                if tv.view_name in flat and tv.trigger_name(op) in created:
+                    scratch.run(
+                        "EXPLAIN " + write.format(q(tv.view_name)),
+                        tv.trigger_name(op), innermost=True,
+                    )
+        diagnostics = scratch.findings
+    diagnostics += _check_trigger_completeness(engine, set(_created(trigger_statements)))
+    diagnostics += _check_quoting(engine, view_statements + trigger_statements)
     diagnostics += _check_key_disjoint(
-        view_scans, {name: flat for name, _select, flat in definitions}
+        view_statements, {name: branches for name, _select, branches in definitions}
     )
-    if not injected:
-        diagnostics += _check_emission_agreement(engine, view_scans)
+    diagnostics += _check_emission_agreement(engine, flat)
     if connection is not None:
         diagnostics += check_installed(
             codegen.installed_objects(connection),

@@ -27,8 +27,8 @@ SEVERITIES = ("info", "warning", "error")
 #: example, and the docs test asserts the two stay in sync.
 DIAGNOSTIC_CATALOG: dict[str, str] = {
     # -- delta-code verifier (RPC1xx) -----------------------------------
-    "RPC101": "generated statement references a table or view that does not "
-              "exist in the physical layout or the generated view set",
+    "RPC101": "generated statement does not resolve or compile against the "
+              "physical layout and the generated view set",
     "RPC102": "generated statement references a column (or row-variable "
               "field) that no candidate table or view provides",
     "RPC103": "the generated view dependency graph contains a cycle",

@@ -8,7 +8,11 @@ from unittest.mock import ANY
 import pytest
 
 from repro.backend import codegen
-from repro.check.delta import verify_and_record, verify_delta_code
+from repro.check.delta import (
+    unquoted_occurrence,
+    verify_and_record,
+    verify_delta_code,
+)
 from repro.check.diagnostics import error_count
 from repro.core.engine import InVerDa
 from repro.workloads.tasky import build_tasky
@@ -117,16 +121,35 @@ class TestSeededDefects:
         assert [d.code for d in findings] == ["RPC104"]
         assert "DELETE" in findings[0].message
 
-    def test_unquoted_identifier_rpc105(self, engine):
+    def test_unquoted_identifier_rpc105(self):
+        """``like`` is a name quote_identifier wraps that SQLite still
+        parses bare: emitted bare it compiles, and draws only the
+        warning."""
+        engine = InVerDa()
+        engine.execute(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, like INTEGER);"
+        )
+        engine.execute(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + 1 INTO R;"
+        )
         views, triggers = _emission(engine)
-        views = [s.replace('"alter"', "alter") for s in views]
-        triggers = [t.replace('"alter"', "alter") for t in triggers]
+        views = [s.replace('"like"', "like") for s in views]
+        triggers = [t.replace('"like"', "like") for t in triggers]
         findings = verify_delta_code(
             engine, view_statements=views, trigger_statements=triggers
         )
         assert findings and {d.code for d in findings} == {"RPC105"}
         assert all(d.severity == "warning" for d in findings)
         assert error_count(findings) == 0
+
+    def test_a_bare_keyword_sqlite_refuses_does_not_compile(self, engine):
+        views, triggers = _emission(engine)
+        views = [s.replace('"alter"', "alter") for s in views]
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert findings and {d.code for d in findings} == {"RPC101"}
+        assert 'near "alter": syntax error' in findings[0].message
 
     def test_view_cycle_rpc103(self, engine):
         views = codegen.view_statements(engine, flatten=False)
@@ -138,29 +161,17 @@ class TestSeededDefects:
         )
         assert "RPC103" in {d.code for d in findings}
 
-    def test_flat_reading_extra_base_table_rpc106(self, engine, monkeypatch):
+    def test_flat_reading_extra_base_table_rpc106(self, engine):
         """Pruning is legal; the converse — the flattened program
         answering from a table the nested composition never reads —
         is the defect RPC106 exists for."""
-        from repro.check import delta
-
-        real = codegen.view_statements
-
-        def spiked(eng, *, flatten=True):
-            statements = list(real(eng, flatten=flatten))
-            if flatten:
-                statements.append(
-                    "CREATE VIEW spiked AS SELECT a FROM phantom_table"
-                )
-            else:
-                statements.append("CREATE VIEW spiked AS SELECT 1 AS a")
-            return statements
-
-        monkeypatch.setattr(codegen, "view_statements", spiked)
-        flat_scans = [delta.scan_statement(s) for s in spiked(engine)]
-        findings = delta._check_emission_agreement(engine, flat_scans)
-        assert [d.code for d in findings] == ["RPC106"]
-        assert "phantom_table" in findings[0].message
+        views, triggers = _emission(engine)
+        views.append("CREATE VIEW spiked AS SELECT a FROM d__0__R")
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert [(d.code, d.obj) for d in findings] == [("RPC106", "spiked")]
+        assert "d__0__R" in findings[0].message
 
     def test_forged_union_all_rpc108(self):
         """``UNION ALL`` on branches the catalog does not prove
@@ -202,6 +213,83 @@ class TestSeededDefects:
         )
         assert findings and {d.code for d in findings} == {"RPC102"}
         assert any("uNEW" in d.message for d in findings)
+
+
+class TestWhatSqliteRefuses:
+    """Defects only a compile finds: SQLite is the resolver."""
+
+    @pytest.fixture
+    def engine(self):
+        engine = InVerDa()
+        engine.execute(
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);"
+        )
+        engine.execute(
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS a + b INTO R;"
+        )
+        return engine
+
+    def test_a_column_a_derived_table_lacks_rpc102(self, engine):
+        views, triggers = _emission(engine)
+        views.append("CREATE VIEW derived AS SELECT q.nope FROM (SELECT 1 AS a) q")
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert [(d.code, d.obj) for d in findings] == [("RPC102", "derived")]
+        assert "q.nope" in findings[0].message
+
+    def test_an_unknown_function_in_a_trigger_body_is_an_error(self, engine):
+        views, triggers = _emission(engine)
+        (insert,) = [t for t in triggers if t.startswith("CREATE TRIGGER tg__1__insert ")]
+        triggers = [
+            t.replace("BEGIN\n  ", "BEGIN\n  SELECT COALESCEE(1);\n  ", 1) if t == insert else t
+            for t in triggers
+        ]
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert [(d.code, d.severity, d.obj) for d in findings] == [
+            ("RPC101", "error", "tg__1__insert")
+        ]
+        assert "no such function: COALESCEE" in findings[0].message
+
+    def test_a_table_only_the_file_holds_does_not_resolve_rpc101(self, engine):
+        """The scratch handle is the catalog's layout, not the file's: a
+        table made by hand in the database resolves nothing."""
+        from repro.backend.sqlite import LiveSqliteBackend
+
+        backend = LiveSqliteBackend.attach(engine)
+        try:
+            backend.connection.execute("CREATE TABLE by_hand (p INTEGER PRIMARY KEY, a)")
+            views, triggers = _emission(engine)
+            views.append("CREATE VIEW v9__Hand AS SELECT p, a FROM by_hand")
+            findings = verify_delta_code(
+                engine, view_statements=views, trigger_statements=triggers,
+                connection=backend.connection,
+            )
+        finally:
+            backend.close()
+        assert ("RPC101", "v9__Hand") in [(d.code, d.obj) for d in findings]
+        assert any("no such table: main.by_hand" in d.message for d in findings)
+
+
+class TestUnquotedOccurrence:
+    """The RPC105 scan: a bare word, outside literals and quoted names."""
+
+    def test_bare_hit(self):
+        assert unquoted_occurrence("SELECT alter FROM t", "alter")
+
+    def test_quoted_miss(self):
+        assert not unquoted_occurrence('SELECT "alter" FROM t', "alter")
+
+    def test_string_literal_miss(self):
+        assert not unquoted_occurrence("SELECT 'alter' FROM t", "alter")
+
+    def test_substring_never_matches(self):
+        assert not unquoted_occurrence("SELECT alteration FROM t", "alter")
+
+    def test_case_insensitive(self):
+        assert unquoted_occurrence("SELECT ALTER FROM t", "alter")
 
 
 class TestRecordingSurfaces:

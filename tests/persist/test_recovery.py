@@ -946,6 +946,24 @@ class TestVerifiedAtMark:
         finally:
             engine.live_backend.close()
 
+    def test_a_mark_left_under_older_rules_stops_vouching(self, tmp_path, calls, monkeypatch):
+        """A mark written under revision 1 of the verifier's rules (the
+        hand-written reference scanner) vouches for nothing now that SQLite
+        resolves the references: the next open verifies in full."""
+        from repro.check import delta
+
+        assert delta.RULES_REVISION == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(delta, "RULES_REVISION", 1)
+            path = self.marked(tmp_path, calls)
+        engine = repro.open(path)
+        try:
+            phases = engine.live_backend.catalog_stats()["recovery"]
+            assert "verify_delta_ms" in phases and "verify_skipped" not in phases
+            assert len(calls) == 1 and self.outcomes(engine) == (1, 0)
+        finally:
+            engine.live_backend.close()
+
     def test_force_neither_honours_nor_writes_a_mark(self, tmp_path, calls):
         path = str(tmp_path / "forced.db")
         self.build(path)
