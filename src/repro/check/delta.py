@@ -92,8 +92,10 @@ class _Scratch:
     """An in-memory database holding what the catalog says a file holds —
     the engine's physical layout, the sequence table and the scaffolding,
     the statements a fresh install runs — on which the generated program
-    is created and compiled.  Each failure is one finding, once per
-    SQLite message (a broken view breaks every statement that reads it)."""
+    is created and compiled.  Each failure is one finding, once per place
+    and SQLite message (a broken view breaks every statement that reads
+    it); a missing object that failed to create is not found again at
+    whatever names it."""
 
     def __init__(self, engine):
         from repro.backend import codegen
@@ -104,7 +106,8 @@ class _Scratch:
         for statement in codegen.scaffold_statements(engine):  # sequences too
             self.handle.execute(statement)
         self.findings: list[Diagnostic] = []
-        self._seen: set[str] = set()
+        self._seen: set[tuple[str, str]] = set()
+        self._failed: set[str] = set()  # objects whose creation failed
         self.reads: set[str] = set()
         self.context: str | None = None
         self.handle.set_authorizer(self._authorize)
@@ -125,16 +128,18 @@ class _Scratch:
             self.handle.execute(statement)
         except sqlite3.Error as exc:
             message = str(exc)
-            if message not in self._seen:
-                self._seen.add(message)
+            location = (innermost and self.context) or where or "<statement>"
+            missing = message.partition("no such table: ")[2].removeprefix("main.")
+            if where is not None:
+                self._failed.add(where)
+            if missing not in self._failed and (location, message) not in self._seen:
+                self._seen.add((location, message))
                 code = next(
                     (code for text, code in _ERROR_CODES if text in message),
                     "RPC101",
                 )
                 self.findings.append(Diagnostic(
-                    code, "error",
-                    (innermost and self.context) or where or "<statement>",
-                    f"does not compile: {message}",
+                    code, "error", location, f"does not compile: {message}",
                 ))
             return False
         return True

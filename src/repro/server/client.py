@@ -15,10 +15,10 @@ pages from the server on demand, so a large result never sits in client
 (or server) memory twice.
 
 **Pipelining**: :meth:`RemoteConnection.pipeline` writes a batch of
-statements as back-to-back request frames before reading any response —
-one network round trip for the whole batch instead of one per statement.
-The server executes them strictly in order; each statement gets its own
-cursor in the returned list.
+statements as back-to-back request frames, in one ``sendall``, before
+reading any response — one network round trip for the whole batch instead
+of one per statement.  The server executes them strictly in order; each
+statement gets its own cursor in the returned list.
 """
 
 from __future__ import annotations
@@ -118,9 +118,18 @@ class RemoteCursor(BaseCursor):
         return self
 
     def _install_reply(self, reply: dict) -> None:
+        connection = self._connection
+        if "description" not in reply:  # the shape the server sent last
+            description = connection._description
+        elif reply["description"] is None:
+            description = None
+        else:
+            description = connection._description = protocol.description_from_wire(
+                reply["description"]
+            )
         self._install_result(
             StatementResult(
-                description=protocol.description_from_wire(reply.get("description")),
+                description=description,
                 rows=protocol.rows_from_wire(reply.get("rows", [])),
                 rowcount=reply.get("rowcount", -1),
                 lastrowid=reply.get("lastrowid"),
@@ -192,8 +201,10 @@ class RemoteConnection(BaseConnection):
         #: envelope.  Also owns this driver's slow-query ring buffer.
         self.tracer = Tracer(enabled=trace, slow_ms=slow_ms)
         self._sock = sock
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
+        self._reader = protocol.FrameReader(sock)
+        #: The last non-null result description received: a reply that
+        #: omits its description means this one.
+        self._description: tuple | None = None
         # One in-flight request/response exchange at a time per connection
         # (PEP 249 threadsafety level 1; pipeline() batches under the same
         # lock).
@@ -341,25 +352,31 @@ class RemoteConnection(BaseConnection):
         self._drop_socket()
         return exc
 
-    def _write_request(self, message: dict) -> int:
-        request_id = next(_request_ids)
-        message["id"] = request_id
+    def _write_requests(self, messages: list[dict]) -> list[int]:
+        """Number ``messages`` and send them in one write."""
+        ids = []
+        for message in messages:
+            message["id"] = next(_request_ids)
+            ids.append(message["id"])
+        # A ProtocolError here leaves the stream in sync: nothing was sent.
+        frames = b"".join(protocol.encode_frame(message) for message in messages)
         try:
-            protocol.write_frame(self._wfile, message)
-        except ProtocolError:
-            raise  # nothing was written; the stream is still in sync
-        except (OSError, ValueError) as exc:
+            self._sock.sendall(frames)
+        except OSError as exc:
             raise self._fail(
                 ConnectionLostError(f"connection to server lost: {exc}")
             ) from exc
-        return request_id
+        return ids
+
+    def _write_request(self, message: dict) -> int:
+        return self._write_requests([message])[0]
 
     def _read_reply(self, request_id: int) -> dict:
         try:
-            reply = protocol.read_frame(self._rfile)
+            reply = self._reader.read()
         except ProtocolError as exc:
             raise self._fail(exc)  # garbage frame: position unknowable
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             # Includes a request timeout: the server's late reply would
             # desynchronize every later exchange, so the connection dies.
             raise self._fail(
@@ -394,13 +411,13 @@ class RemoteConnection(BaseConnection):
         """Execute a batch of statements in one round trip.
 
         ``operations`` is a sequence of SQL strings or ``(sql, params)``
-        pairs.  All request frames are written before any response is
-        read; the server executes them in order, each independently (an
-        error in one statement does not skip the rest — transaction
-        semantics are exactly as if the statements had been sent one by
-        one).  Returns one cursor per statement; raises the *first*
-        statement error after the whole batch has been drained, so the
-        stream never desynchronises.
+        pairs.  All request frames go out in one ``sendall`` before any
+        response is read; the server executes them in order, each
+        independently (an error in one statement does not skip the rest —
+        transaction semantics are exactly as if the statements had been
+        sent one by one).  Returns one cursor per statement; raises the
+        *first* statement error after the whole batch has been drained, so
+        the stream never desynchronises.
         """
         self._check_open("pipeline")
         requests = []
@@ -417,7 +434,7 @@ class RemoteConnection(BaseConnection):
         cursors: list[RemoteCursor] = []
         first_error: Exception | None = None
         with self._io_lock:
-            ids = [self._write_request(request) for request in requests]
+            ids = self._write_requests(requests)
             for request_id in ids:
                 cursor = RemoteCursor(self)
                 try:
@@ -459,11 +476,6 @@ class RemoteConnection(BaseConnection):
     # -- lifecycle ---------------------------------------------------------
 
     def _drop_socket(self) -> None:
-        for f in (self._wfile, self._rfile):
-            try:
-                f.close()
-            except OSError:
-                pass
         try:
             self._sock.close()
         except OSError:
@@ -483,7 +495,7 @@ class RemoteConnection(BaseConnection):
             with self._io_lock:
                 self._write_request({"op": "close"})
                 self._sock.settimeout(GOODBYE_TIMEOUT)
-                protocol.read_frame(self._rfile)
+                self._reader.read()
         except Exception:
             pass  # best effort: the server tears down on disconnect anyway
         self._drop_socket()

@@ -6,7 +6,14 @@ JSON — one JSON object per frame.  Requests and responses are both frames;
 the server processes a connection's requests strictly in order and sends
 exactly one response per request, so a client may **pipeline** (write many
 request frames before reading any response) and match responses to
-requests positionally or by the echoed ``id``.
+requests positionally or by the echoed ``id``.  Each side writes what it
+has ready in one ``sendall``: a pipeline's requests together, and the
+server's replies while another whole request is already buffered.
+
+A result reply omits its ``description`` when it equals the last
+non-null description sent on the connection (protocol 2); the client
+keeps that one.  A statement without a result set says
+``"description": null``.
 
 Requests are objects ``{"id": <int>, "op": <str>, ...}``; responses are
 ``{"id": <int>, "ok": true, ...}`` on success and
@@ -35,14 +42,15 @@ response and drop the connection rather than resynchronise.
 from __future__ import annotations
 
 import json
+import socket
 import struct
-from typing import Any, BinaryIO
+from typing import Any
 
 import repro.errors as _errors
 from repro.errors import OperationalError, ReproError
 from repro.relational.types import DataType
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default TCP port of ``python -m repro.server`` (unassigned by IANA).
 DEFAULT_PORT = 7512
@@ -57,64 +65,88 @@ DEFAULT_PAGE_SIZE = 256
 
 _HEADER = struct.Struct(">I")
 
+#: What one ``recv`` asks for at least: a reply page, or a whole pipeline.
+_RECV_BYTES = 64 * 1024
+
 
 class ProtocolError(ReproError):
     """The byte stream violated the framing or message rules."""
 
 
-def write_frame(wfile: BinaryIO, message: dict) -> None:
-    """Serialize ``message`` and write one length-prefixed frame."""
+#: One encoder for every frame: ``json.dumps`` with arguments builds a new
+#: one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_frame(message: dict) -> bytes:
+    """``message`` as one length-prefixed frame, ready for ``sendall``."""
     try:
-        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        payload = _ENCODER.encode(message).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"message is not JSON-serializable: {exc}") from exc
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
-    wfile.write(_HEADER.pack(len(payload)) + payload)
-    wfile.flush()
+    return _HEADER.pack(len(payload)) + payload
 
 
-def _read_exact(rfile: BinaryIO, n: int) -> bytes | None:
-    """``n`` bytes, or ``None`` on EOF at a frame boundary; raises on a
-    mid-frame EOF (the peer vanished between header and body)."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = rfile.read(remaining)
-        if not chunk:
-            if remaining == n:
+class FrameReader:
+    """The frames arriving on ``sock``, through one receive buffer: a
+    ``recv`` may carry many frames or part of one."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buffer = bytearray()
+
+    def buffered(self) -> bool:
+        """Is another whole frame already received — can :meth:`read`
+        return without waiting on the socket?"""
+        buffer = self._buffer
+        if len(buffer) < _HEADER.size:
+            return False
+        (length,) = _HEADER.unpack_from(buffer)
+        return len(buffer) >= _HEADER.size + length
+
+    def _fill(self, need: int) -> bool:
+        """Receive until ``need`` bytes are buffered; False on EOF."""
+        while len(self._buffer) < need:
+            chunk = self._sock.recv(max(need - len(self._buffer), _RECV_BYTES))
+            if not chunk:
+                return False
+            self._buffer += chunk
+        return True
+
+    def read(self) -> dict | None:
+        """The next frame's message, or ``None`` on a clean EOF."""
+        buffer = self._buffer
+        if not self._fill(_HEADER.size):
+            if not buffer:
                 return None
             raise ProtocolError(
-                f"stream truncated: expected {n} bytes, got {n - remaining}"
+                f"stream truncated: expected {_HEADER.size} bytes, got {len(buffer)}"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(rfile: BinaryIO) -> dict | None:
-    """The next frame's message, or ``None`` on a clean EOF."""
-    header = _read_exact(rfile, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame header announces {length} bytes "
-            f"(limit {MAX_FRAME_BYTES}); treating the stream as corrupt"
-        )
-    body = _read_exact(rfile, length)
-    if body is None:
-        raise ProtocolError("stream truncated: frame header without a body")
-    try:
-        message = json.loads(body)
-    except ValueError as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError(f"frame must carry a JSON object, got {type(message).__name__}")
-    return message
+        (length,) = _HEADER.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame header announces {length} bytes "
+                f"(limit {MAX_FRAME_BYTES}); treating the stream as corrupt"
+            )
+        end = _HEADER.size + length
+        if not self._fill(end):
+            raise ProtocolError(
+                f"stream truncated: expected {length} body bytes, "
+                f"got {len(buffer) - _HEADER.size}"
+            )
+        body = buffer[_HEADER.size:end]
+        del buffer[:end]
+        try:
+            message = json.loads(body)
+        except ValueError as exc:
+            raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
+        if not isinstance(message, dict):
+            raise ProtocolError(f"frame must carry a JSON object, got {type(message).__name__}")
+        return message
 
 
 # ---------------------------------------------------------------------------

@@ -56,20 +56,20 @@ class _ClientHandler:
         self.server = server
         self.sock = sock
         self.peer = peer
-        self.rfile = sock.makefile("rb")
-        self.wfile = sock.makefile("wb")
+        self.reader = protocol.FrameReader(sock)
+        #: Encoded replies not yet sent: they go out in one ``sendall``
+        #: before the reader would wait for the next request.
+        self._pending: list[bytes] = []
         self.connection = None  # server-side repro.sql Connection
         self.version_name: str | None = None
         self.version_dropped = False
         self._statements: dict[int, Any] = {}  # stmt_id -> open cursor
         self._stmt_counter = 0
-        #: True while a request is being processed — the graceful drain
-        #: waits on this before disconnecting the client.
+        #: True while a request is processed or its reply unsent — the
+        #: graceful drain waits on this before disconnecting the client.
         self.busy = False
-        # Wire-encoding memo for cursor descriptions: cached plans hand
-        # back the SAME description tuple for a repeated statement, so its
-        # JSON encoding is computed once per plan instead of per execute.
-        self._desc_memo: tuple[Any, Any] | None = None
+        #: The last non-null description sent: the one the client holds.
+        self._described: tuple | None = None
         self.thread = threading.Thread(
             target=self._run, name=f"repro-client-{peer}", daemon=True
         )
@@ -92,24 +92,29 @@ class _ClientHandler:
     def _run(self) -> None:
         try:
             while True:
+                if not self.reader.buffered():
+                    # About to wait on the peer: nothing may stay unsent.
+                    self._flush()
+                    self.busy = False
                 try:
-                    request = protocol.read_frame(self.rfile)
+                    request = self.reader.read()
                 except ProtocolError as exc:
                     # The stream position is unknowable after a framing
                     # error: answer once, then drop the connection.
                     self._send_error(None, exc)
                     break
-                except (OSError, ValueError):
+                except OSError:
                     break  # socket torn down under the reader
                 if request is None:
                     break  # clean disconnect
                 self.busy = True
-                try:
-                    if not self._handle(request):
-                        break
-                finally:
-                    self.busy = False
+                if not self._handle(request):
+                    break
+            self._flush()
+        except _Disconnect:
+            pass
         finally:
+            self.busy = False
             self._teardown()
 
     def _release_connection(self) -> None:
@@ -126,11 +131,6 @@ class _ClientHandler:
 
     def _teardown(self) -> None:
         self._release_connection()
-        for f in (self.wfile, self.rfile):
-            try:
-                f.close()
-            except OSError:
-                pass
         try:
             self.sock.close()
         except OSError:
@@ -141,17 +141,34 @@ class _ClientHandler:
     # Dispatch
     # ------------------------------------------------------------------
 
+    def _flush(self) -> None:
+        """Send every pending reply in one write."""
+        if self._pending:
+            frames = b"".join(self._pending)
+            self._pending.clear()
+            try:
+                self.sock.sendall(frames)
+            except OSError:
+                raise _Disconnect from None
+
     def _send(self, message: dict) -> None:
-        try:
-            protocol.write_frame(self.wfile, message)
-        except (OSError, ValueError):
-            raise _Disconnect from None
+        """Queue a reply; a result description the client holds stays
+        home, a new one goes out in wire form.  Raises ``ProtocolError``
+        (nothing queued) if the reply cannot be encoded."""
+        description = message.get("description")
+        if description is not None:
+            if description == self._described:
+                del message["description"]
+            else:
+                message["description"] = protocol.description_to_wire(description)
+        self._pending.append(protocol.encode_frame(message))
+        if description is not None:
+            self._described = description
 
     def _send_error(self, request_id: Any, exc: BaseException) -> None:
-        try:
-            protocol.write_frame(self.wfile, protocol.error_response(request_id, exc))
-        except (OSError, ValueError, ProtocolError):
-            pass  # the peer is gone; teardown follows
+        self._pending.append(
+            protocol.encode_frame(protocol.error_response(request_id, exc))
+        )
 
     def _handle(self, request: dict) -> bool:
         """Process one request; returns False when the connection ends."""
@@ -163,10 +180,8 @@ class _ClientHandler:
                 raise ProtocolError(f"unknown op {op!r}")
             # Count only known ops: a hostile peer must not mint unbounded
             # label values.
-            self.server._m_requests.inc(op=op)
+            self.server._m_requests[op].inc()
             response = handler(self, request)
-        except _Disconnect:
-            return False
         except Exception as exc:  # noqa: BLE001 - every failure becomes a frame
             self._send_error(request_id, exc)
             return True
@@ -176,8 +191,6 @@ class _ClientHandler:
         response["ok"] = True
         try:
             self._send(response)
-        except _Disconnect:
-            return False
         except ProtocolError as exc:
             # The RESPONSE could not be serialized; the stream is still in
             # sync (nothing was written), so answer with the failure.
@@ -236,27 +249,15 @@ class _ClientHandler:
 
     def _page_size(self, request: dict) -> int:
         size = request.get("page_size", self.server.page_size)
-        if not isinstance(size, int) or size < 1:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise ProtocolError(f"page_size must be a positive integer, got {size!r}")
         return size
-
-    def _describe(self, description) -> Any:
-        """``description_to_wire``, memoized by tuple identity (the plan
-        cache reuses one description object per cached statement plan)."""
-        if description is None:
-            return protocol.description_to_wire(None)
-        memo = self._desc_memo
-        if memo is not None and memo[0] is description:
-            return memo[1]
-        wire = protocol.description_to_wire(description)
-        self._desc_memo = (description, wire)
-        return wire
 
     def _result_payload(self, cursor, request: dict) -> dict:
         page = self._page_size(request)
         rows = cursor.fetchmany(page)
         payload = {
-            "description": self._describe(cursor.description),
+            "description": cursor.description,  # _send puts it in wire form
             "rowcount": cursor.rowcount,
             "lastrowid": cursor.lastrowid,
             "rows": protocol.rows_to_wire(rows),
@@ -402,11 +403,8 @@ class _ClientHandler:
         # Release before acknowledging: a client whose close() returned
         # relies on its transaction being rolled back already.
         self._release_connection()
-        try:
-            self._send({"id": request.get("id"), "ok": True})
-        except _Disconnect:
-            pass
-        return None  # ends the handler loop; teardown closes the connection
+        self._send({"id": request.get("id"), "ok": True})
+        return None  # ends the handler loop; the acknowledgement is flushed
 
 
 class _Disconnect(Exception):
@@ -468,11 +466,12 @@ class ReproServer:
         self._handlers: list[_ClientHandler] = []
         self._lock = threading.Lock()
         self._closed = False
-        self._m_requests = engine.metrics.counter(
+        requests = engine.metrics.counter(
             "repro_server_requests_total",
             "Wire-protocol requests handled, by op.",
             ("op",),
         )
+        self._m_requests = {op: requests.bound(op=op) for op in _OPS}
         self._m_clients = engine.metrics.gauge(
             "repro_server_clients",
             "Currently connected wire-protocol clients.",

@@ -151,6 +151,18 @@ class TestSeededDefects:
         assert findings and {d.code for d in findings} == {"RPC101"}
         assert 'near "alter": syntax error' in findings[0].message
 
+    def test_two_views_broken_alike_are_two_findings(self, engine):
+        views, triggers = _emission(engine)
+        views = [s.replace('"alter"', "alter") for s in views]
+        findings = verify_delta_code(
+            engine, view_statements=views, trigger_statements=triggers
+        )
+        assert [(d.code, d.obj) for d in findings] == [
+            ("RPC101", "v0__R"), ("RPC101", "v1__R"),
+        ]
+        # A trigger on a view that failed to create is not a second finding.
+        assert not any("no such table" in d.message for d in findings)
+
     def test_view_cycle_rpc103(self, engine):
         views = codegen.view_statements(engine, flatten=False)
         triggers = codegen.trigger_statements(engine)

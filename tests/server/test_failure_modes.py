@@ -21,6 +21,20 @@ def remote(server, version=None, **kwargs):
     return connect_remote(*server.address, version, **kwargs)
 
 
+def raw(server):
+    """A bare socket to ``server`` and the frame reader on it."""
+    sock = socket.create_connection(server.address, timeout=10)
+    return sock, protocol.FrameReader(sock)
+
+
+def hello():
+    """The frame binding a raw socket to TasKy, as request 1."""
+    return protocol.encode_frame(
+        {"id": 1, "op": "hello", "version": "TasKy",
+         "protocol": protocol.PROTOCOL_VERSION, "autocommit": True}
+    )
+
+
 def wait_until(predicate, timeout=5.0):
     end = time.monotonic() + timeout
     while time.monotonic() < end:
@@ -119,36 +133,33 @@ class TestVersionDropped:
 class TestMalformedFrames:
     def test_garbage_body_gets_error_then_disconnect(self, tasky_server):
         _, server = tasky_server
-        sock = socket.create_connection(server.address, timeout=10)
+        sock, reader = raw(server)
         try:
             sock.sendall(struct.pack(">I", 12) + b"this is junk")
-            rfile = sock.makefile("rb")
-            reply = protocol.read_frame(rfile)
+            reply = reader.read()
             assert reply["ok"] is False
             assert reply["error"]["code"] == "ProtocolError"
-            assert rfile.read(1) == b""  # server closed the stream
+            assert reader.read() is None  # server closed the stream
         finally:
             sock.close()
 
     def test_hostile_length_prefix(self, tasky_server):
         _, server = tasky_server
-        sock = socket.create_connection(server.address, timeout=10)
+        sock, reader = raw(server)
         try:
             sock.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES * 4))
-            rfile = sock.makefile("rb")
-            reply = protocol.read_frame(rfile)
+            reply = reader.read()
             assert reply["ok"] is False and reply["error"]["code"] == "ProtocolError"
-            assert rfile.read(1) == b""
+            assert reader.read() is None
         finally:
             sock.close()
 
     def test_request_before_hello(self, tasky_server):
         _, server = tasky_server
-        sock = socket.create_connection(server.address, timeout=10)
+        sock, reader = raw(server)
         try:
-            wfile, rfile = sock.makefile("wb"), sock.makefile("rb")
-            protocol.write_frame(wfile, {"id": 1, "op": "execute", "sql": "SELECT 1"})
-            reply = protocol.read_frame(rfile)
+            sock.sendall(protocol.encode_frame({"id": 1, "op": "execute", "sql": "SELECT 1"}))
+            reply = reader.read()
             assert reply["ok"] is False
             assert "hello" in reply["error"]["message"]
         finally:
@@ -156,11 +167,10 @@ class TestMalformedFrames:
 
     def test_unknown_op(self, tasky_server):
         _, server = tasky_server
-        sock = socket.create_connection(server.address, timeout=10)
+        sock, reader = raw(server)
         try:
-            wfile, rfile = sock.makefile("wb"), sock.makefile("rb")
-            protocol.write_frame(wfile, {"id": 1, "op": "teleport"})
-            reply = protocol.read_frame(rfile)
+            sock.sendall(protocol.encode_frame({"id": 1, "op": "teleport"}))
+            reply = reader.read()
             assert reply["ok"] is False
             assert "unknown op" in reply["error"]["message"]
         finally:
@@ -168,15 +178,29 @@ class TestMalformedFrames:
 
     def test_protocol_version_mismatch(self, tasky_server):
         _, server = tasky_server
-        sock = socket.create_connection(server.address, timeout=10)
+        sock, reader = raw(server)
         try:
-            wfile, rfile = sock.makefile("wb"), sock.makefile("rb")
-            protocol.write_frame(
-                wfile, {"id": 1, "op": "hello", "version": "TasKy", "protocol": 99}
-            )
-            reply = protocol.read_frame(rfile)
+            sock.sendall(protocol.encode_frame(
+                {"id": 1, "op": "hello", "version": "TasKy", "protocol": 99}
+            ))
+            reply = reader.read()
             assert reply["ok"] is False
             assert reply["error"]["code"] == "ProtocolError"
+        finally:
+            sock.close()
+
+    def test_a_boolean_page_size_is_refused(self, tasky_server):
+        _, server = tasky_server
+        sock, reader = raw(server)
+        try:
+            sock.sendall(hello() + protocol.encode_frame(
+                {"id": 2, "op": "execute", "sql": "SELECT * FROM Task", "page_size": True}
+            ))
+            assert reader.read()["ok"] is True
+            reply = reader.read()
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "ProtocolError"
+            assert "page_size" in reply["error"]["message"]
         finally:
             sock.close()
 
@@ -189,6 +213,40 @@ class TestMalformedFrames:
         conn = remote(server, "TasKy", autocommit=True)
         assert conn.execute("SELECT * FROM Task").rowcount == 20
         conn.close()
+
+
+class TestPipelinedFrames:
+    def test_a_failing_statement_mid_pipeline_gets_every_reply_in_order(self, tasky_server):
+        _, server = tasky_server
+        sock, reader = raw(server)
+        statements = ["SELECT * FROM Task", "SELECT author FROM Task",
+                      "SELECT nope FROM Task", "SELECT prio FROM Task",
+                      "SELECT * FROM Task"]
+        try:
+            sock.sendall(hello() + b"".join(
+                protocol.encode_frame({"id": 10 + i, "op": "execute", "sql": sql})
+                for i, sql in enumerate(statements)
+            ))
+            assert reader.read()["ok"] is True
+            replies = [reader.read() for _ in statements]
+            assert [r["id"] for r in replies] == [10, 11, 12, 13, 14]
+            assert [r["ok"] for r in replies] == [True, True, False, True, True]
+            assert all(len(r["rows"]) == 20 for r in replies if r["ok"])
+        finally:
+            sock.close()
+
+    def test_half_a_request_does_not_hold_back_the_whole_one(self, tasky_server):
+        _, server = tasky_server
+        sock, reader = raw(server)
+        second = protocol.encode_frame({"id": 3, "op": "ping"})
+        try:
+            sock.sendall(hello() + protocol.encode_frame({"id": 2, "op": "ping"})
+                         + second[:5])
+            assert [reader.read()["id"] for _ in range(2)] == [1, 2]
+            sock.sendall(second[5:])
+            assert reader.read() == {"id": 3, "ok": True}
+        finally:
+            sock.close()
 
 
 class TestConcurrentClients:

@@ -1,7 +1,9 @@
 """Unit tests for the length-prefixed JSON wire protocol."""
 
-import io
+import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -15,59 +17,90 @@ from repro.server import protocol
 from repro.server.protocol import ProtocolError
 
 
-def round_trip(message: dict) -> dict:
-    buffer = io.BytesIO()
-    protocol.write_frame(buffer, message)
-    buffer.seek(0)
-    return protocol.read_frame(buffer)
+@pytest.fixture
+def stream():
+    """``stream(data)``: a :class:`protocol.FrameReader` on one end of a
+    socket pair whose other end sent ``data`` and closed."""
+    sockets = []
+
+    def make(data: bytes) -> protocol.FrameReader:
+        ours, theirs = socket.socketpair()
+        sockets.extend((ours, theirs))
+        ours.settimeout(10)
+        theirs.sendall(data)
+        theirs.close()
+        return protocol.FrameReader(ours)
+
+    yield make
+    for sock in sockets:
+        sock.close()
 
 
 class TestFraming:
-    def test_round_trip(self):
+    def test_round_trip(self, stream):
         message = {"op": "execute", "sql": "SELECT 1", "params": [1, "a", None, 2.5]}
-        assert round_trip(message) == message
+        assert stream(protocol.encode_frame(message)).read() == message
 
-    def test_multiple_frames_in_one_stream(self):
-        buffer = io.BytesIO()
-        protocol.write_frame(buffer, {"id": 1})
-        protocol.write_frame(buffer, {"id": 2})
-        buffer.seek(0)
-        assert protocol.read_frame(buffer) == {"id": 1}
-        assert protocol.read_frame(buffer) == {"id": 2}
-        assert protocol.read_frame(buffer) is None  # clean EOF
+    def test_multiple_frames_in_one_stream(self, stream):
+        reader = stream(protocol.encode_frame({"id": 1}) + protocol.encode_frame({"id": 2}))
+        assert not reader.buffered()  # nothing received yet
+        assert reader.read() == {"id": 1}
+        assert reader.buffered()  # the second frame came with the first
+        assert reader.read() == {"id": 2}
+        assert not reader.buffered()
+        assert reader.read() is None  # clean EOF
 
-    def test_empty_stream_is_clean_eof(self):
-        assert protocol.read_frame(io.BytesIO()) is None
+    def test_empty_stream_is_clean_eof(self, stream):
+        assert stream(b"").read() is None
 
-    def test_truncated_header(self):
+    def test_truncated_header(self, stream):
         with pytest.raises(ProtocolError, match="truncated"):
-            protocol.read_frame(io.BytesIO(b"\x00\x00"))
+            stream(b"\x00\x00").read()
 
-    def test_truncated_body(self):
-        buffer = io.BytesIO(struct.pack(">I", 100) + b'{"id": 1}')
+    def test_truncated_body(self, stream):
         with pytest.raises(ProtocolError, match="truncated"):
-            protocol.read_frame(buffer)
+            stream(struct.pack(">I", 100) + b'{"id": 1}').read()
 
-    def test_body_not_json(self):
+    def test_body_not_json(self, stream):
         body = b"certainly not json"
-        buffer = io.BytesIO(struct.pack(">I", len(body)) + body)
         with pytest.raises(ProtocolError, match="not valid JSON"):
-            protocol.read_frame(buffer)
+            stream(struct.pack(">I", len(body)) + body).read()
 
-    def test_body_not_an_object(self):
+    def test_body_not_an_object(self, stream):
         body = b"[1, 2, 3]"
-        buffer = io.BytesIO(struct.pack(">I", len(body)) + body)
         with pytest.raises(ProtocolError, match="JSON object"):
-            protocol.read_frame(buffer)
+            stream(struct.pack(">I", len(body)) + body).read()
 
-    def test_oversized_header_rejected_without_allocation(self):
-        buffer = io.BytesIO(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
+    def test_oversized_header_rejected_without_allocation(self, stream):
         with pytest.raises(ProtocolError, match="limit"):
-            protocol.read_frame(buffer)
+            stream(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1)).read()
 
     def test_unserializable_message_rejected(self):
         with pytest.raises(ProtocolError, match="JSON-serializable"):
-            protocol.write_frame(io.BytesIO(), {"x": object()})
+            protocol.encode_frame({"x": object()})
+
+    def test_a_frame_arriving_one_byte_per_send(self):
+        message = {"id": 3, "op": "execute", "sql": "SELECT 1"}
+        frame = protocol.encode_frame(message)
+        ours, theirs = socket.socketpair()
+        ours.settimeout(10)
+
+        def trickle():
+            for i in range(len(frame)):
+                theirs.sendall(frame[i:i + 1])
+                time.sleep(0.001)
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            reader = protocol.FrameReader(ours)
+            assert reader.read() == message
+            assert not reader.buffered()
+        finally:
+            sender.join(timeout=10)
+            ours.close()
+            theirs.close()
+        assert not sender.is_alive()
 
 
 class TestErrorMarshalling:

@@ -213,7 +213,7 @@ class TestServerStatus:
         status = a.server_status()
         assert status["clients"] == 2
         assert set(status["versions"]) == {"TasKy", "Do!", "TasKy2"}
-        assert status["protocol"] == 1
+        assert status["protocol"] == 2
         a.close()
         b.close()
 
