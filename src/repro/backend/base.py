@@ -8,13 +8,14 @@ backend can regenerate its delta code:
 
 - :meth:`ExecutionBackend.on_evolution` after a ``CREATE SCHEMA VERSION``
   committed new table versions and SMO instances to the catalog, naming
-  the SMOs it added;
+  the SMOs it added and the tables they add to the physical layout;
 - :meth:`ExecutionBackend.on_materialize`, the one ``MATERIALIZE`` hook,
   for a move's cutover — the whole offline move; ``MATERIALIZE ONLINE``
   runs :meth:`~ExecutionBackend.prepare_move` and
   :meth:`~ExecutionBackend.copy_chunk` first and hands the move over;
 - :meth:`ExecutionBackend.on_drop` after ``DROP SCHEMA VERSION`` removed
-  SMO instances from the catalog.
+  SMO instances from the catalog, naming the tables that left the
+  physical layout (:func:`~repro.catalog.materialization.physical_layout`).
 
 When a hook raises, its transaction has rolled back, and the engine
 restores its catalog from the one snapshot it takes at the start of every
@@ -45,24 +46,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.backend.online import Move
     from repro.catalog.genealogy import SmoInstance
     from repro.catalog.versions import SchemaVersion
+    from repro.relational.schema import TableSchema
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """What the engine expects of an attached execution backend."""
 
-    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"]) -> None:
+    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"],
+                     created: dict[str, "TableSchema"]) -> None:
         """A new schema version and the SMO instances it ``added`` entered
-        the catalog."""
+        the catalog; ``created`` are the tables they store, by name."""
 
     def on_materialize(
         self, schema: frozenset["SmoInstance"], apply: Callable[[], None],
         move: "Move | None" = None,
     ) -> None:
-        """Cut storage over to ``schema`` in one transaction: stage what
-        ``move``'s chunks did not (everything, offline), swap it in, call
-        ``apply`` (the engine's layout rebuild and flag flip) and
-        regenerate views and triggers."""
+        """Cut storage over to ``schema`` in one transaction: stage the
+        tables its layout adds that ``move``'s chunks did not (all of them,
+        offline), drop those it removes, call ``apply`` (the engine's
+        layout rebuild and flag flip) and regenerate views and triggers."""
 
     def prepare_move(self, schema: frozenset["SmoInstance"], chunk_rows=None) -> "Move":
         """Start and journal an online move to ``schema``."""
@@ -70,8 +73,10 @@ class ExecutionBackend(Protocol):
     def copy_chunk(self, move: "Move") -> bool:
         """Copy one chunk of ``move``; ``True`` once the copy has drained."""
 
-    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"]) -> None:
-        """A schema version was dropped; ``removed`` SMOs left the catalog."""
+    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"],
+                dropped: list[str]) -> None:
+        """A schema version was dropped; ``removed`` SMOs left the catalog
+        and the tables ``dropped`` the physical layout."""
 
     def verify_transition(self, kind: str) -> None:
         """Check what the committed transition ``kind`` (evolution,

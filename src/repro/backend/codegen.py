@@ -35,8 +35,8 @@ from repro.backend.handlers import (
     own_row,
 )
 from repro.catalog.genealogy import SmoInstance, TableVersion
-from repro.catalog.materialization import physical_table_versions
 from repro.errors import BackendError
+from repro.relational.schema import TableSchema
 from repro.util.naming import physical_name
 
 #: Revision of the emitted delta-code text, persisted beside the catalog
@@ -603,75 +603,22 @@ def _unserved_views(engine) -> list[str]:
 
 
 def migration_statements(
-    engine, schema: frozenset[SmoInstance]
-) -> tuple[list[str], list[str]]:
-    """(stage_statements, swap_statements) of a ``MATERIALIZE`` cutover.
-
-    Stage statements run against the *old* views: they create, under its
-    final name, every aux table of the newly stored side of each SMO the
-    move flips — small derived state, rebuilt whole; no live table holds
-    that name, as an SMO's source, target and shared roles never overlap
-    — after creating the views those derivations read that no active
-    table version needs any more (:func:`_unserved_views`).  The move
-    stages the new physical data tables itself (:mod:`repro.backend.online`).
-    Swap statements (run after the generated views/triggers are dropped)
-    drop the tables that leave the physical layout.  Shared aux tables
-    (ID), and the aux tables of an SMO the move leaves as it is, survive
-    unchanged: no map of the other side recovers all they hold (a computed
-    column's values stay computed, a pair Rminus suppresses stays suppressed).
-    """
+    engine, schema: frozenset[SmoInstance], created: dict[str, TableSchema]
+) -> list[str]:
+    """Stage statements of a ``MATERIALIZE`` to ``schema``: they create,
+    under its final name, every aux table of ``created`` (what the move
+    adds to the physical layout), filled by its SMO's rule set from the
+    *old* views — small derived state, rebuilt whole — after creating the
+    views those derivations read that no active table version needs any
+    more (:func:`_unserved_views`).  The move stages the new data tables
+    itself (:func:`repro.backend.online.cutover_statements`)."""
     ctx = HandlerContext(engine)
-    genealogy = engine.genealogy
     stage: list[str] = _unserved_views(engine)
-    swap: list[str] = []
-
-    keep_data = {
-        tv.data_table_name for tv in physical_table_versions(genealogy, schema)
-    }
-    for uid in sorted(genealogy.table_versions):
-        tv = genealogy.table_versions[uid]
-        if engine._is_physical(tv) and tv.data_table_name not in keep_data:
-            swap.append(f"DROP TABLE IF EXISTS {q(tv.data_table_name)}")
-
-    for smo in genealogy.evolution_smos():
-        semantics = smo.semantics
-        if semantics is None:
+    for smo in engine.genealogy.evolution_smos():
+        new = {name: role for name, role in smo.aux_table_names().items() if name in created}
+        if not new:
             continue
-        will_materialize = smo in schema
-        if will_materialize == smo.materialized:
-            continue
-        handler = handler_for(ctx, smo)
-        new_side = semantics.aux_tgt() if will_materialize else semantics.aux_src()
-        old_side = semantics.aux_tgt() if smo.materialized else semantics.aux_src()
-        selects = handler.stored_role_selects(will_materialize)
-        for role, schema_for_role in new_side.items():
-            stage += filled_table(
-                smo.aux_table_name(role), schema_for_role.column_names, selects[role]
-            )
-        for role in old_side:
-            swap.append(f"DROP TABLE IF EXISTS {q(smo.aux_table_name(role))}")
-    return stage, swap
-
-
-def evolution_statements(smos: Iterable[SmoInstance]) -> list[str]:
-    """DDL bringing the backend up to date after ``CREATE SCHEMA VERSION``
-    added ``smos``: data tables for new CREATE TABLE targets and (empty)
-    aux tables for the stored sides of the others.  Their staging tables
-    are scaffolding, which the install creates."""
-    statements: list[str] = []
-    for smo in smos:
-        if smo.is_initial:
-            tv = smo.targets[0]
-            statements.append(table_ddl(tv.data_table_name, tv.schema.column_names))
-            continue
-        semantics = smo.semantics
-        if semantics is None:  # pragma: no cover - catalog invariant
-            continue
-        aux_tables = dict(semantics.aux_shared())
-        if not smo.materialized:
-            aux_tables.update(semantics.aux_src())
-        for role, schema in aux_tables.items():
-            statements.append(
-                table_ddl(smo.aux_table_name(role), schema.column_names)
-            )
-    return statements
+        selects = handler_for(ctx, smo).stored_role_selects(smo in schema)
+        for name, role in new.items():
+            stage += filled_table(name, created[name].column_names, selects[role])
+    return stage

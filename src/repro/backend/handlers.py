@@ -139,21 +139,12 @@ class HandlerContext:
             return inlined
         return [delete_row(self.view(tv), key, guard=guard)]
 
-    def aux_is_stored(self, smo: SmoInstance, role: str) -> bool:
-        aux = smo.semantics.aux_tables
-        if role in aux["shared"]:
-            return True
-        if role in aux["source"]:
-            return not smo.materialized
-        if role in aux["target"]:
-            return smo.materialized
-        return False
-
     def aux_ref(self, smo: SmoInstance, role: str) -> str:
-        """Table reference for an aux role: its physical table when stored
-        under the current materialization, an empty relation otherwise."""
-        if self.aux_is_stored(smo, role):
-            return smo.aux_table_name(role)
+        """Table reference for an aux role: its physical table when the
+        physical layout stores it, an empty relation otherwise."""
+        name = smo.aux_table_name(role)
+        if self.engine.database.has_table(name):
+            return name
         schema = next(
             side[role] for side in smo.semantics.aux_tables.values() if role in side
         )

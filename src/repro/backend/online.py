@@ -1,13 +1,14 @@
 """MATERIALIZE as one move: its plan, and the SQL of its phases.
 
 Every ``MATERIALIZE`` plans the table versions that gain a physical data
-table (:func:`build_plan`) and ends in one cutover transaction that stages
-what is not staged yet under its final name, drops what leaves the
-physical layout and regenerates the delta code.  The *offline* schedule
-is prepare + cutover under one hold of the engine's catalog write lock:
-no capture machinery, no journal, no chunk — every table is copied whole
-at cutover.  The *online* schedule
-(``MATERIALIZE ONLINE``) adds, before the cutover:
+table (:func:`build_plan`) and ends in one cutover transaction that
+applies the difference between the physical layout before and after the
+move (:func:`cutover_statements`) — what is not staged yet is staged
+under its final name, what leaves the layout is dropped — and
+regenerates the delta code.  The *offline* schedule is prepare + cutover
+under one hold of the engine's catalog write lock: no capture machinery,
+no journal, no chunk — every table is copied whole at cutover.  The
+*online* schedule (``MATERIALIZE ONLINE``) adds, before the cutover:
 
 1. **prepare** (a brief write-lock window, one transaction) — the empty
    staging tables of the tables the move can track, a change-capture
@@ -29,8 +30,9 @@ identifiers — no SMO on its storage route generates fresh ones (shared
 ID auxiliary tables, :func:`~repro.backend.handlers.has_shared_aux`).
 Targets routed through an identifier-generating SMO are planned as
 non-trackable: they skip the chunks and are copied whole at cutover,
-like every table of an offline move.  Auxiliary tables are always
-rebuilt at cutover (:func:`repro.backend.codegen.migration_statements`).
+like every table of an offline move.  Auxiliary tables the move adds to
+the layout are always derived at cutover
+(:func:`repro.backend.codegen.migration_statements`).
 
 All transitional objects are named ``_repro_bf…`` /
 ``_repro_backfill_dirty`` so :func:`codegen.generated_object_names`
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from repro.backend.emit import filled_table, q, qcols, table_ddl
 from repro.backend.handlers import has_shared_aux
-from repro.catalog.materialization import physical_table_versions
+from repro.catalog.materialization import physical_layout, physical_table_versions
 from repro.errors import CatalogError
 from repro.util.naming import physical_name
 
@@ -157,16 +159,9 @@ def build_plan(engine: "InVerDa", schema: frozenset["SmoInstance"]) -> MovePlan:
                 if route is None:
                     sources.add(t.data_table_name)
             for smo in smos:
-                semantics = smo.semantics
-                if semantics is None:
-                    continue
-                roles = set(semantics.aux_shared()) | set(
-                    semantics.aux_tgt() if smo.materialized else semantics.aux_src()
+                sources.update(
+                    name for name in smo.aux_table_names() if engine.database.has_table(name)
                 )
-                for role in roles:
-                    name = smo.aux_table_name(role)
-                    if engine.database.has_table(name):
-                        sources.add(name)
         tables.append(
             TableMove(
                 uid=tv.uid,
@@ -305,6 +300,26 @@ def repair_statements(
 # ---------------------------------------------------------------------------
 # Cutover
 # ---------------------------------------------------------------------------
+
+
+def cutover_statements(
+    engine: "InVerDa", schema: frozenset["SmoInstance"], move: Move
+) -> tuple[list[str], list[str]]:
+    """``(stage, swap)`` of ``move``'s cutover to ``schema``: from the
+    layout the engine holds to :func:`physical_layout` of ``schema``.
+    Stage statements, against the old views, create every new data table
+    no chunk copied and every new aux table
+    (:func:`repro.backend.codegen.migration_statements`); swap statements
+    drop the tables leaving the layout and rename the chunk-copied ones
+    into place.  A table both layouts name stays as it is."""
+    from repro.backend import codegen
+
+    layout, tables = physical_layout(engine.genealogy, schema), engine.database.tables
+    created = {name: spec for name, spec in layout.items() if name not in tables}
+    stage = stage_statements([t for t in move.plan.tables if t.stage not in move.cursors])
+    stage += codegen.migration_statements(engine, schema, created)
+    swap = [f"DROP TABLE IF EXISTS {q(name)}" for name in tables if name not in layout]
+    return stage, swap + rename_statements(move)
 
 
 def stage_statements(tables: list[TableMove]) -> list[str]:

@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.backend import codegen, emit, online
-from repro.backend.emit import q, qcols
+from repro.backend.emit import q, qcols, table_ddl
 from repro.backend.planner import compile_statement_sqlite
 from repro.backend.pool import SessionPool, shared_memory_uri
 from repro.errors import BackendError, CatalogCorruptError, CatalogError, InterfaceError
@@ -60,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.genealogy import SmoInstance
     from repro.catalog.versions import SchemaVersion
     from repro.core.engine import InVerDa
+    from repro.relational.schema import TableSchema
 
 
 #: Oldest SQLite the backend runs on: ``RETURNING`` (3.35) carries a
@@ -984,13 +985,15 @@ class LiveSqliteBackend:
             self._run(online.rollback_statements(online.plan_from_payload(record.plan)))
             self.store.clear_backfill()
 
-    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"]) -> None:
+    def on_evolution(self, version: "SchemaVersion", added: list["SmoInstance"],
+                     created: dict[str, "TableSchema"]) -> None:
         scope = codegen.transition_scope(self.engine, version, added=added)
         with self._transaction():
             self._roll_back_prepare()
             self.store.record_evolution(self.engine, version)
             self._fault("evolution:after-catalog")
-            self._run(codegen.evolution_statements(added))
+            # The new tables (their staging tables are scaffolding).
+            self._run([table_ddl(name, spec.column_names) for name, spec in created.items()])
             self._install_delta_code(scope)
             self.store.write_meta(self.engine, self._delta_key())
             self._fault("evolution:before-commit")
@@ -1005,10 +1008,10 @@ class LiveSqliteBackend:
 
         Without ``move`` it is the offline move, prepared in the same
         transaction.  An online ``move`` first finishes what its chunks
-        began.  Then every table no chunk copied is staged whole under
-        its final name, the old layout is dropped and the chunk-copied
-        tables renamed into place, ``apply`` (the engine's layout rebuild
-        and flag flip) runs, and delta code and catalog follow.
+        began.  Then it applies the layout's difference
+        (:func:`online.cutover_statements`), ``apply`` (the engine's
+        layout rebuild and flag flip) runs, and delta code and catalog
+        follow.
         """
         with self._transaction():
             if move is None:
@@ -1033,9 +1036,7 @@ class LiveSqliteBackend:
                         )
                 self._fault("materialize-online:pre-cutover")
                 self._run(online.capture_teardown_statements(plan))
-            whole = [t for t in plan.tables if t.stage not in cursors]
-            self._run(online.stage_statements(whole))
-            stage, swap = codegen.migration_statements(self.engine, schema)
+            stage, swap = online.cutover_statements(self.engine, schema, move)
             self._run(stage)
             self._fault("materialize:staged")
             # Every generated object goes, and the rendered text with it:
@@ -1043,7 +1044,7 @@ class LiveSqliteBackend:
             generated = codegen.installed_objects(self.connection)
             self._drop(generated, generated)
             self.renderer = codegen.Renderer(self.engine)
-            self._run(swap + online.rename_statements(move))
+            self._run(swap)
             self._fault("materialize:swapped")
             apply()
             self._install_delta_code()
@@ -1172,31 +1173,25 @@ class LiveSqliteBackend:
             f"online backfill chunk could not get the write lock: {last_error}"
         )
 
-    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"]) -> None:
+    def on_drop(self, version: "SchemaVersion", removed: list["SmoInstance"],
+                dropped: list[str]) -> None:
         scope = codegen.transition_scope(self.engine, version, removed=removed)
         if scope is None:
             # Survivors may have left the active set: the whole catalog,
             # rendered afresh.
             self.renderer = codegen.Renderer(self.engine)
-        # The removed SMOs' tables, the delta code and the catalog log
-        # (compacted when it has grown), in one transaction.
+        # The tables that left the layout, the removed SMOs' staging
+        # tables, the delta code and the catalog log (compacted when it has
+        # grown), in one transaction.
         with self._transaction():
             self._roll_back_prepare()
             cursor = self.connection.cursor()
+            tables = list(dropped)
             for smo in removed:
-                semantics = smo.semantics
-                tables: set[str] = set()
-                if semantics is not None:
-                    for role in (
-                        set(semantics.aux_src())
-                        | set(semantics.aux_tgt())
-                        | set(semantics.aux_shared())
-                    ):
-                        tables.add(smo.aux_table_name(role))
                 # Staging tables by name, not by the handler's declared
                 # set: that set follows the materialization, and a file
                 # scaffolded by an earlier release holds more of them.
-                tables.update(
+                tables += (
                     row[0]
                     for row in cursor.execute(
                         "SELECT name FROM sqlite_master "
@@ -1204,8 +1199,8 @@ class LiveSqliteBackend:
                         (smo.put_table_name("") + "*",),
                     ).fetchall()
                 )
-                for table in tables:
-                    cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
+            for table in tables:
+                cursor.execute(f"DROP TABLE IF EXISTS {q(table)}")
             self.regenerate(scope)
             log_length = self.store.record_drop(version.name)
             compacted = self.store.compact(self.engine, log_length)

@@ -38,7 +38,7 @@ from repro.bidel.ast import (
 from repro.errors import ParseError
 from repro.expr import lexer
 from repro.expr.ast import Expression
-from repro.expr.lexer import Token, tokenize
+from repro.expr.lexer import TokenCursor, tokenize
 from repro.expr.parser import ExpressionParser
 from repro.relational.types import DataType
 
@@ -56,51 +56,7 @@ _SMO_STARTERS = (
 )
 
 
-class BidelParser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._position = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._position + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _next(self) -> Token:
-        token = self._tokens[self._position]
-        if token.kind != lexer.EOF:
-            self._position += 1
-        return token
-
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(message, token.line, token.column)
-
-    def _expect_keyword(self, word: str) -> None:
-        token = self._next()
-        if not token.matches_keyword(word):
-            raise ParseError(
-                f"expected {word}, found {token.value!r}", token.line, token.column
-            )
-
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().matches_keyword(word):
-            self._next()
-            return True
-        return False
-
-    def _expect_kind(self, kind: str, what: str) -> Token:
-        token = self._next()
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {token.value!r}", token.line, token.column
-            )
-        return token
-
-    def _identifier(self, what: str = "identifier") -> str:
-        return self._expect_kind(lexer.IDENT, what).value
-
+class BidelParser(TokenCursor):
     def _expression(self) -> Expression:
         inner = ExpressionParser(self._tokens, self._position)
         expression = inner.parse()
@@ -232,12 +188,12 @@ class BidelParser:
         self._expect_keyword("CREATE")
         self._expect_keyword("TABLE")
         table = self._identifier("table name")
-        self._expect_kind(lexer.LPAREN, "'('")
+        self._expect(lexer.LPAREN, "'('")
         columns = [self._column_def()]
         while self._peek().kind == lexer.COMMA:
             self._next()
             columns.append(self._column_def())
-        self._expect_kind(lexer.RPAREN, "')'")
+        self._expect(lexer.RPAREN, "')'")
         return CreateTable(table, tuple(columns))
 
     def _column_def(self) -> ColumnDef:
@@ -292,12 +248,12 @@ class BidelParser:
         return DropColumn(table, column, default)
 
     def _column_list(self) -> tuple[str, ...]:
-        self._expect_kind(lexer.LPAREN, "'('")
+        self._expect(lexer.LPAREN, "'('")
         names = [self._identifier("column name")]
         while self._peek().kind == lexer.COMMA:
             self._next()
             names.append(self._identifier("column name"))
-        self._expect_kind(lexer.RPAREN, "')'")
+        self._expect(lexer.RPAREN, "')'")
         return tuple(names)
 
     def _join_kind(self) -> JoinKind:
@@ -333,7 +289,7 @@ class BidelParser:
         self._expect_keyword("JOIN")
         self._expect_keyword("TABLE")
         first = self._identifier("table name")
-        self._expect_kind(lexer.COMMA, "','")
+        self._expect(lexer.COMMA, "','")
         second = self._identifier("table name")
         self._expect_keyword("INTO")
         target = self._identifier("table name")
@@ -361,14 +317,14 @@ class BidelParser:
         self._expect_keyword("MERGE")
         self._expect_keyword("TABLE")
         first = self._identifier("table name")
-        self._expect_kind(lexer.LPAREN, "'('")
+        self._expect(lexer.LPAREN, "'('")
         first_condition = self._expression()
-        self._expect_kind(lexer.RPAREN, "')'")
-        self._expect_kind(lexer.COMMA, "','")
+        self._expect(lexer.RPAREN, "')'")
+        self._expect(lexer.COMMA, "','")
         second = self._identifier("table name")
-        self._expect_kind(lexer.LPAREN, "'('")
+        self._expect(lexer.LPAREN, "'('")
         second_condition = self._expression()
-        self._expect_kind(lexer.RPAREN, "')'")
+        self._expect(lexer.RPAREN, "')'")
         self._expect_keyword("INTO")
         target = self._identifier("table name")
         return Merge(first, first_condition, second, second_condition, target)
@@ -385,9 +341,5 @@ def parse_smo(text: str) -> SmoNode:
     smo = parser.parse_smo()
     if parser._peek().kind == lexer.SEMICOLON:
         parser._next()
-    trailing = parser._peek()
-    if trailing.kind != lexer.EOF:
-        raise ParseError(
-            f"unexpected trailing input {trailing.value!r}", trailing.line, trailing.column
-        )
+    parser._expect_end()
     return smo

@@ -45,6 +45,11 @@ class TableVersion:
         """Physical name of this table version's data table (when stored)."""
         return physical_name("d", str(self.uid), self.name)
 
+    @cached_property
+    def data_table_schema(self) -> TableSchema:
+        """The schema of this table version's data table (when stored)."""
+        return self.schema.with_name(self.data_table_name)
+
     @property
     def view_name(self) -> str:
         """Name of the generated view serving this table version's reads
@@ -89,6 +94,21 @@ class SmoInstance:
 
     def aux_table_name(self, role: str) -> str:
         return physical_name("aux", str(self.uid), role)
+
+    @cached_property
+    def aux_schemas(self) -> dict[str, dict[str, TableSchema]]:
+        """This bound SMO's aux tables under ``"source"``, ``"target"`` and
+        ``"shared"``, by role, each schema named as its table; which are
+        stored is :func:`~repro.catalog.materialization.physical_layout`'s
+        to say."""
+        return {
+            side: {role: schema.with_name(self.aux_table_name(role)) for role, schema in aux.items()}
+            for side, aux in self.semantics.aux_tables.items()
+        }
+
+    def aux_table_names(self) -> dict[str, str]:
+        """``{table name: role}`` of every aux table of this SMO."""
+        return {s.name: role for side in self.aux_schemas.values() for role, s in side.items()}
 
     def put_table_name(self, role: str) -> str:
         """Staging table for the ``role`` output of this SMO's generated

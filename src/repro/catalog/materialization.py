@@ -13,6 +13,9 @@ table versions whose data tables exist). The paper's validity conditions:
 materialized (or initial) and that have no outgoing materialized SMO —
 reproducing Table 2 for the TasKy example (including the ``{SPLIT} →
 {Todo-0}`` row, which the provided paper text garbles as ``{Task-0}``).
+Beside those data tables, each SMO stores the auxiliary tables of the side
+``M`` leaves stored, and its shared ones; :func:`physical_layout` is the
+one place that decision is made.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterable
 
 from repro.catalog.genealogy import Genealogy, SmoInstance, TableVersion
 from repro.errors import MaterializationError
+from repro.relational.schema import TableSchema
 
 MaterializationSchema = frozenset[SmoInstance]
 
@@ -68,6 +72,25 @@ def physical_table_versions(
             continue
         physical.append(tv)
     return physical
+
+
+def physical_layout(
+    genealogy: Genealogy, materialized: MaterializationSchema
+) -> dict[str, TableSchema]:
+    """Every physical table ``M`` stores, by name: the data tables of ``P``
+    (by table version), then each evolution SMO's auxiliary tables — those
+    of its target side when it is materialized, of its source side when
+    not, and its shared ones either way."""
+    layout = {
+        tv.data_table_name: tv.data_table_schema
+        for tv in physical_table_versions(genealogy, materialized)
+    }
+    for smo in genealogy.evolution_smos():
+        aux = smo.aux_schemas
+        for schema in (*aux["target" if smo in materialized else "source"].values(),
+                       *aux["shared"].values()):
+            layout[schema.name] = schema
+    return layout
 
 
 def current_materialization(genealogy: Genealogy) -> MaterializationSchema:

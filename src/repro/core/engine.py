@@ -41,13 +41,13 @@ from repro.bidel.ast import (
     Statement,
 )
 from repro.bidel.parser import parse_script
-from repro.bidel.smo.base import KeyedRows, SideState, TableChange
+from repro.bidel.smo.base import KeyedRows, TableChange
 from repro.bidel.smo.registry import build_semantics, source_table_names
 from repro.catalog.genealogy import Genealogy, SmoInstance, TableVersion
 from repro.catalog.materialization import (
     current_materialization,
     materialization_for_versions,
-    physical_table_versions,
+    physical_layout,
     validate_materialization,
 )
 from repro.catalog.versions import SchemaVersion
@@ -436,31 +436,37 @@ class InVerDa:
 
     def create_schema_version(self, statement: CreateSchemaVersion) -> SchemaVersion:
         with self._transition("evolve", version=statement.name):
-            version, added = self._create_schema_version(statement)
+            version, added, created = self._create_schema_version(statement)
             # The generation moves BEFORE the backend hooks run, so a
             # persisting backend records the new generation in the same
             # transaction as the DDL it installs.
             self.catalog_generation += 1
             if self.live_backend is not None:
-                self.live_backend.on_evolution(version, added)
+                self.live_backend.on_evolution(version, added, created)
         return version
 
     def _create_schema_version(
         self, statement: CreateSchemaVersion
-    ) -> tuple[SchemaVersion, list[SmoInstance]]:
-        """The new version and the SMO instances it added.  A refused SMO
-        leaves what the script's earlier SMOs registered to the
-        transition's snapshot to undo."""
+    ) -> tuple[SchemaVersion, list[SmoInstance], dict[str, TableSchema]]:
+        """The new version, the SMO instances it added and the tables they
+        store (all empty but the shared ID tables).  A refused SMO leaves
+        what the script's earlier SMOs registered to the transition's
+        snapshot to undo."""
         self.genealogy.check_new_name(statement.name)
         working: dict[str, TableVersion] = {}
         if statement.source is not None:
             working.update(self.genealogy.schema_version(statement.source).tables)
-        added = [self._apply_smo(node, working, statement.name) for node in statement.smos]
+        added: list[SmoInstance] = []
+        created: dict[str, TableSchema] = {}
+        for node in statement.smos:
+            added.append(self._apply_smo(node, working, statement.name))
+            created.update(self._lay_out(self.current_materialization())[0])
+            self._initialize_shared_aux(added[-1])
         version = SchemaVersion(statement.name, working, parent=statement.source)
         self.genealogy.add_schema_version(version)
         self.genealogy.check_acyclic()
         self._propagation_needs.clear()
-        return version, added
+        return version, added, created
 
     def _apply_smo(
         self, node: SmoNode, working: dict[str, TableVersion], evolution: str
@@ -487,21 +493,6 @@ class InVerDa:
         for tv in sources:
             del working[tv.name]
         working.update((tv.name, tv) for tv in targets)
-
-        # Physical setup: CREATE TABLE targets are stored immediately; all
-        # other SMOs start virtualized, so their source-side auxiliary
-        # tables exist (initially empty) alongside the shared ID tables.
-        if isinstance(node, CreateTable):
-            self.database.create_table(
-                targets[0].schema.with_name(targets[0].data_table_name)
-            )
-        else:
-            for role, schema in semantics.aux_src().items():
-                self.database.create_table(schema.with_name(smo.aux_table_name(role)))
-        for role, schema in semantics.aux_shared().items():
-            self.database.create_table(schema.with_name(smo.aux_table_name(role)))
-        if semantics.aux_shared():
-            self._initialize_shared_aux(smo)
         return smo
 
     def _assign_key_columns(self, node: SmoNode, smo: SmoInstance) -> None:
@@ -527,17 +518,17 @@ class InVerDa:
                     tv.key_column = inherited
 
     def _initialize_shared_aux(self, smo: SmoInstance) -> None:
-        """Populate ID tables eagerly so generated identifiers are stable
-        from the first read onwards (repeatable reads, Appendix B.3).  A
-        live backend holds the rows, and initializes its own."""
-        if self.live_backend is not None:
+        """Populate ``smo``'s ID tables, if any, eagerly so generated
+        identifiers are stable from the first read onwards (repeatable
+        reads, Appendix B.3).  A live backend holds the rows, and
+        initializes its own."""
+        if self.live_backend is not None or not smo.semantics.aux_tables["shared"]:
             return
         ctx = EngineMapContext(self, smo, output_side="target")
         state = smo.semantics.map_forward(ctx)
-        for role in smo.semantics.aux_shared():
+        for role in smo.semantics.aux_tables["shared"]:
             if role in state:
-                table = self.database.table(smo.aux_table_name(role))
-                table.replace_all(state[role])
+                self.database.table(smo.aux_table_name(role)).replace_all(state[role])
 
     # ------------------------------------------------------------------
     # Dropping schema versions
@@ -545,13 +536,16 @@ class InVerDa:
 
     def drop_schema_version(self, name: str) -> None:
         with self._transition("drop", version=name):
-            version, removed = self._drop_schema_version(name)
+            version, removed, dropped = self._drop_schema_version(name)
             self.catalog_generation += 1
             if self.live_backend is not None:
-                self.live_backend.on_drop(version, removed)
+                self.live_backend.on_drop(version, removed, dropped)
 
-    def _drop_schema_version(self, name: str) -> tuple[SchemaVersion, list[SmoInstance]]:
-        """The dropped version and the SMO instances that left the catalog."""
+    def _drop_schema_version(
+        self, name: str
+    ) -> tuple[SchemaVersion, list[SmoInstance], list[str]]:
+        """The dropped version, the SMO instances that left the catalog and
+        the tables that left the physical layout with them."""
         version = self.genealogy.schema_version(name)
         removable = self.genealogy.drop_schema_version(version.name)
         # SMOs no longer connecting remaining versions are garbage-collected
@@ -567,19 +561,10 @@ class InVerDa:
             for tv in smo.sources:
                 if smo in tv.outgoing:
                     tv.outgoing.remove(smo)
-            # The SMO is virtual, so its stored aux is the source side plus
-            # the always-stored shared ID tables — the tables a backend's
-            # on_drop removes from the file.
-            semantics = smo.semantics
-            stored = {**semantics.aux_src(), **semantics.aux_shared()} if semantics else {}
-            for role in stored:
-                table_name = smo.aux_table_name(role)
-                if self.database.has_table(table_name):
-                    self.database.drop_table(table_name)
             self.genealogy.smo_instances.pop(smo.uid, None)
             removed.append(smo)
         self.genealogy.retire_dropped()
-        return version, removed
+        return version, removed, self._lay_out(self.current_materialization())[1]
 
     # ------------------------------------------------------------------
     # Routing
@@ -853,12 +838,6 @@ class InVerDa:
             if direction == "forward"
             else dict(zip(semantics.source_roles, smo.sources))
         )
-        aux = semantics.aux_tables
-        stored_aux = set(aux["shared"])
-        if direction == "forward":
-            stored_aux |= set(aux["target"]) if smo.materialized else set()
-        else:
-            stored_aux |= set(aux["source"]) if not smo.materialized else set()
         next_batch: list[tuple[TableVersion, TableChange]] = []
         for role, change in outputs.items():
             if change.empty:
@@ -867,11 +846,10 @@ class InVerDa:
             if tv is not None:
                 next_batch.append((tv, change))
                 continue
-            if role in stored_aux:
-                table_name = smo.aux_table_name(role)
-                if self.database.has_table(table_name):
-                    self._apply_physical(self.database.table(table_name), change)
-            # aux roles of the unstored side are simply not persisted
+            table_name = smo.aux_table_name(role)
+            if self.database.has_table(table_name):
+                self._apply_physical(self.database.table(table_name), change)
+            # aux roles the layout does not store are simply not persisted
         if next_batch:
             self._propagate_batch(next_batch, cache, visited)
 
@@ -980,70 +958,10 @@ class InVerDa:
                 self.live_backend.on_materialize(schema, lambda: self._relayout(schema), move)
 
     def _relayout(self, schema: frozenset[SmoInstance]) -> None:
-        """Rebuild the in-memory storage for ``schema`` and flip the
-        materialization flags.  With a live backend attached (or a catalog
-        replayed from a file) the tables are empty and only their *layout*
-        matters: the code generators read it (the backend owns the
-        contents), so no map runs."""
-        cache: ReadCache = {}
-        new_tables: dict[str, Table] = {}
-        layout_only = self.live_backend is not None or not any(self.database.tables.values())
-
-        # 1. Data tables of the new physical table schema.
-        for tv in physical_table_versions(self.genealogy, schema):
-            table = Table(tv.schema.with_name(tv.data_table_name))
-            if not layout_only:
-                table.replace_all(self.read_table_version(tv, cache=cache))
-            new_tables[table.name] = table
-
-        # 2. Auxiliary tables for each SMO's newly stored side.  An SMO
-        #    the move leaves as it is keeps its own: no map of the other
-        #    side recovers all they hold (codegen.migration_statements).
-        for smo in self.genealogy.evolution_smos():
-            semantics = smo.semantics
-            if semantics is None:
-                continue
-            will_be_materialized = smo in schema
-            side_aux = semantics.aux_tgt() if will_be_materialized else semantics.aux_src()
-            needed_roles = set(side_aux) | set(semantics.aux_shared())
-            if not needed_roles:
-                continue
-            if will_be_materialized == smo.materialized:
-                for role in needed_roles:
-                    name = smo.aux_table_name(role)
-                    new_tables[name] = self.database.table(name)
-                continue
-            state: SideState = {}
-            if not layout_only:
-                output_side = "target" if will_be_materialized else "source"
-                ctx = EngineMapContext(self, smo, output_side=output_side, cache=cache)
-                state = (
-                    semantics.map_forward(ctx)
-                    if will_be_materialized
-                    else semantics.map_backward(ctx)
-                )
-            for role in needed_roles:
-                schema_for_role = side_aux.get(role) or semantics.aux_shared()[role]
-                table = Table(schema_for_role.with_name(smo.aux_table_name(role)))
-                table.replace_all(state.get(role, {}))
-                new_tables[table.name] = table
-
-        # 3. Initial tables that remain physical keep their storage.
-        for smo in self.genealogy.all_smos():
-            if not smo.is_initial:
-                continue
-            tv = smo.targets[0]
-            name = tv.data_table_name
-            if name not in new_tables and not any(
-                out in schema for out in tv.outgoing if not out.is_initial
-            ):
-                table = Table(tv.schema.with_name(name))
-                if not layout_only:
-                    table.replace_all(self.read_table_version(tv, cache=cache))
-                new_tables[name] = table
-
-        # 4. Atomic swap: replace the physical storage wholesale.
-        self.database.tables = new_tables
+        """Lay the storage out for ``schema`` (its new tables derived from
+        the current state while the engine holds rows) and flip the
+        materialization flags."""
+        self._lay_out(schema, derive=True)
         for smo in self.genealogy.evolution_smos():
             smo.materialized = smo in schema
         self._invalidate_semantics_caches()
@@ -1052,6 +970,40 @@ class InVerDa:
         # the new generation with the regenerated delta code.  Only ever
         # called from _cut_over(), whose _transition holds the write lock.
         self.catalog_generation += 1  # repro-lint: allow(RPC302)
+
+    def _lay_out(
+        self, schema: frozenset[SmoInstance], *, derive: bool = False
+    ) -> tuple[dict[str, TableSchema], list[str]]:
+        """Bring the stored tables to :func:`physical_layout` of ``schema``;
+        returns ``(created, dropped)``.  A table the layout keeps keeps its
+        rows: no map recovers all an aux table holds (a computed column's
+        values stay computed).  A new one is empty, unless ``derive`` and
+        the engine holds the rows (not a live backend): then it takes, as
+        of before the change, its table version's extent or its role's rows
+        of its SMO's map toward the side ``schema`` stores."""
+        layout = physical_layout(self.genealogy, schema)
+        old = self.database.tables
+        created = {name: spec for name, spec in layout.items() if name not in old}
+        tables = {name: old[name] if name in old else Table(spec) for name, spec in layout.items()}
+        if derive and created and self.live_backend is None and any(old.values()):
+            cache: ReadCache = {}
+            for tv in self.genealogy.table_versions.values():
+                if tv.data_table_name in created:
+                    extent = self.read_table_version(tv, cache=cache)
+                    tables[tv.data_table_name].replace_all(extent)
+            for smo in self.genealogy.evolution_smos():
+                roles = {n: role for n, role in smo.aux_table_names().items() if n in created}
+                if not roles:
+                    continue
+                semantics, forward = smo.semantics, smo in schema
+                ctx = EngineMapContext(
+                    self, smo, output_side="target" if forward else "source", cache=cache
+                )
+                state = (semantics.map_forward if forward else semantics.map_backward)(ctx)
+                for name, role in roles.items():
+                    tables[name].replace_all(state.get(role, {}))
+        self.database.tables = tables
+        return created, [name for name in old if name not in layout]
 
     def current_materialization(self) -> frozenset[SmoInstance]:
         return current_materialization(self.genealogy)

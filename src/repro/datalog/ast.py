@@ -26,7 +26,7 @@ Literal kinds:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Union
@@ -275,10 +275,6 @@ class FactStore:
     """Extensional + derived facts, keyed by predicate name."""
 
     facts: dict[str, set[Fact]] = field(default_factory=dict)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Iterable[Fact]]) -> "FactStore":
-        return cls({name: set(facts) for name, facts in mapping.items()})
 
     def predicate(self, name: str) -> set[Fact]:
         return self.facts.setdefault(name, set())

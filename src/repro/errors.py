@@ -84,10 +84,6 @@ class AccessError(ReproError):
     bad value types, write to a dropped version, ...)."""
 
 
-class TransactionError(ReproError):
-    """A write batch could not be applied atomically."""
-
-
 class VerificationError(ReproError):
     """A bidirectionality check (symbolic or runtime) failed."""
 

@@ -1,4 +1,5 @@
-"""Tokenizer shared by the expression parser and the BiDEL parser."""
+"""Tokenizer and token cursor shared by the expression, BiDEL and SQL
+parsers."""
 
 from __future__ import annotations
 
@@ -147,3 +148,57 @@ def tokenize(text: str) -> list[Token]:
 
     tokens.append(Token(EOF, "", line, column))
     return tokens
+
+
+class TokenCursor:
+    """A position in a token list ending with ``EOF`` (it never moves past
+    that token), and the helpers of every recursive-descent parser here:
+    look ahead, consume, accept or expect a keyword or a token kind, and
+    raise a :class:`ParseError` at the current token."""
+
+    def __init__(self, tokens: list[Token], position: int = 0):
+        self._tokens = tokens
+        self._position = position
+
+    @property
+    def position(self) -> int:
+        return self._position
+
+    def _peek(self, offset: int = 0) -> Token:
+        try:
+            return self._tokens[self._position + offset]
+        except IndexError:  # a lookahead past the end reads EOF
+            return self._tokens[-1]
+
+    def _next(self) -> Token:
+        token = self._tokens[self._position]
+        if token.kind != EOF:
+            self._position += 1
+        return token
+
+    def _error(self, message: str) -> ParseError:
+        token = self._peek()
+        return ParseError(message, token.line, token.column)
+
+    def _accept_keyword(self, word: str) -> bool:
+        if self._peek().matches_keyword(word):
+            self._next()
+            return True
+        return False
+
+    def _expect_keyword(self, word: str) -> None:
+        if not self._accept_keyword(word):
+            raise self._error(f"expected {word}, found {self._peek().value!r}")
+
+    def _expect(self, kind: str, what: str) -> Token:
+        if self._peek().kind != kind:
+            raise self._error(f"expected {what}, found {self._peek().value!r}")
+        return self._next()
+
+    def _identifier(self, what: str = "identifier") -> str:
+        return self._expect(IDENT, what).value
+
+    def _expect_end(self) -> None:
+        """Raise unless every token but ``EOF`` has been consumed."""
+        if self._peek().kind != EOF:
+            raise self._error(f"unexpected trailing input {self._peek().value!r}")

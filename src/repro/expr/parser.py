@@ -21,7 +21,6 @@ Grammar (classic SQL precedence, loosest binding first)::
 
 from __future__ import annotations
 
-from repro.errors import ParseError
 from repro.expr import lexer
 from repro.expr.ast import (
     Binary,
@@ -36,45 +35,15 @@ from repro.expr.ast import (
     Literal,
     Unary,
 )
-from repro.expr.lexer import Token
+from repro.expr.lexer import TokenCursor
 
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _RESERVED_WORDS = {"AND", "OR", "NOT", "NULL", "TRUE", "FALSE", "IS", "IN", "LIKE"}
 
 
-class ExpressionParser:
-    """Parses a token stream; usable standalone or embedded in BiDEL."""
-
-    def __init__(self, tokens: list[Token], position: int = 0):
-        self._tokens = tokens
-        self._position = position
-
-    @property
-    def position(self) -> int:
-        return self._position
-
-    def _peek(self) -> Token:
-        return self._tokens[self._position]
-
-    def _next(self) -> Token:
-        token = self._tokens[self._position]
-        self._position += 1
-        return token
-
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(message, token.line, token.column)
-
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().matches_keyword(word):
-            self._next()
-            return True
-        return False
-
-    def _expect(self, kind: str, what: str) -> Token:
-        if self._peek().kind != kind:
-            raise self._error(f"expected {what}, found {self._peek().value!r}")
-        return self._next()
+class ExpressionParser(TokenCursor):
+    """Parses a token stream from ``position``; usable standalone or
+    embedded in BiDEL and SQL, which read :attr:`position` back."""
 
     def parse(self) -> Expression:
         return self._or_expr()
@@ -115,7 +84,7 @@ class ExpressionParser:
             return IsNull(left, negated)
         negated = False
         if token.matches_keyword("NOT"):
-            following = self._tokens[self._position + 1]
+            following = self._peek(1)
             if following.matches_keyword("IN") or following.matches_keyword("LIKE"):
                 self._next()
                 negated = True
@@ -206,12 +175,7 @@ class ExpressionParser:
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone expression string; the whole input must be consumed."""
-    tokens = lexer.tokenize(text)
-    parser = ExpressionParser(tokens)
+    parser = ExpressionParser(lexer.tokenize(text))
     expression = parser.parse()
-    trailing = tokens[parser.position]
-    if trailing.kind != lexer.EOF:
-        raise ParseError(
-            f"unexpected trailing input {trailing.value!r}", trailing.line, trailing.column
-        )
+    parser._expect_end()
     return expression

@@ -88,14 +88,8 @@ class Table:
     def as_dict(self) -> dict[Key, Row]:
         return dict(self._rows)
 
-    def as_set(self) -> frozenset[tuple[Key, Row]]:
-        return frozenset(self._rows.items())
-
     def rows_as_mappings(self) -> list[dict[str, Value]]:
         return [self.schema.row_to_mapping(row) for row in self._rows.values()]
-
-    def items_as_mappings(self) -> list[tuple[Key, dict[str, Value]]]:
-        return [(key, self.schema.row_to_mapping(row)) for key, row in self._rows.items()]
 
     def copy(self, *, schema: TableSchema | None = None) -> "Table":
         clone = Table(schema or self.schema)

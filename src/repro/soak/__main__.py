@@ -95,7 +95,8 @@ def _summarize(report: dict) -> None:
     print(
         f"[{report['config']['transport']}] {status}: "
         f"{stats['ops']} ops in {stats['elapsed_s']}s "
-        f"({stats['ops_per_sec']}/s), {stats['smo_executed']} SMOs executed "
+        f"({stats['ops_per_sec']}/s over {stats['load_s']}s of load, "
+        f"{stats['barrier_s']}s in barriers), {stats['smo_executed']} SMOs executed "
         f"({stats['smo_events']} generated), {stats['barriers']} barriers, "
         f"{len(stats['final_versions'])} live versions "
         f"(generation {stats['final_generation']})"

@@ -493,6 +493,8 @@ class SoakHarness:
         self._barrier_index = 0
         self.t0 = time.monotonic()
         self.workload_elapsed = 0.0
+        # Workload seconds in which a barrier did not block the clients.
+        self.load_elapsed = 0.0
         self.live = None
         self.mem = None
         self.backend: LiveSqliteBackend | None = None
@@ -687,6 +689,7 @@ class SoakHarness:
             for thread in (*clients, smo, sampler):
                 thread.join(timeout=30.0)
             self.workload_elapsed = time.monotonic() - self.t0
+            self.load_elapsed = self.workload_elapsed - _seconds(self.barrier_windows)
             hung = [t.name for t in (*clients, smo, sampler) if t.is_alive()]
             if hung:
                 self.record_crash(-2, f"threads did not stop: {hung}")
@@ -749,7 +752,7 @@ class SoakHarness:
         )
 
     def _report(self, clients: list[_Client]) -> dict:
-        elapsed = max(self.workload_elapsed, 1e-9)
+        load = max(self.load_elapsed, 1e-9)
         executed = [e for e in self.smo_log if e["outcome"] == "executed"]
         probe_reports = []
         if self.fault is None and not self.crashes:
@@ -775,9 +778,11 @@ class SoakHarness:
             },
             "repro_command": self.config.repro_command(),
             "stats": {
-                "elapsed_s": round(elapsed, 3),
+                "elapsed_s": round(self.workload_elapsed, 3),
                 "ops": sum(c.ops for c in clients),
-                "ops_per_sec": round(sum(c.ops for c in clients) / elapsed, 1),
+                "load_s": round(load, 3),
+                "barrier_s": round(_seconds(self.barrier_windows), 3),
+                "ops_per_sec": round(sum(c.ops for c in clients) / load, 1),
                 "retries": sum(c.retries for c in clients),
                 "repins": sum(c.repins for c in clients),
                 "logged_writes": sum(1 for e in self.oplog if e.kind == "sql"),
@@ -786,9 +791,7 @@ class SoakHarness:
                 "barriers": self._barrier_index,
                 "ddl_windows": len(self.ddl_windows),
                 "backfill_windows": len(self.backfill_windows),
-                "backfill_seconds": round(
-                    sum(end - start for start, end in self.backfill_windows), 3
-                ),
+                "backfill_seconds": round(_seconds(self.backfill_windows), 3),
                 "final_versions": self.live.version_names(),
                 "final_generation": self.live.catalog_generation,
             },
@@ -803,6 +806,10 @@ class SoakHarness:
         if self.injector is not None:
             report["injector"] = self.injector.describe()
         return report
+
+
+def _seconds(windows: list[tuple[float, float]]) -> float:
+    return sum(end - start for start, end in windows)
 
 
 def run_soak(config: SoakConfig) -> dict:

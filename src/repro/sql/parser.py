@@ -30,7 +30,7 @@ from functools import lru_cache
 from repro.errors import ParseError, ProgrammingError
 from repro.expr import lexer
 from repro.expr.ast import Expression
-from repro.expr.lexer import Token, tokenize
+from repro.expr.lexer import Token, TokenCursor, tokenize
 from repro.expr.parser import ExpressionParser
 from repro.sql.ast import (
     BidelStatement,
@@ -87,47 +87,11 @@ class SqlExpressionParser(ExpressionParser):
         return super()._primary()
 
 
-class SqlParser:
+class SqlParser(TokenCursor):
     def __init__(self, text: str):
+        super().__init__(tokenize(text))
         self._text = text
-        self._tokens = tokenize(text)
-        self._position = 0
         self._params = _ParamCounter()
-
-    # -- token helpers -----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._position + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _next(self) -> Token:
-        token = self._tokens[self._position]
-        if token.kind != lexer.EOF:
-            self._position += 1
-        return token
-
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(message, token.line, token.column)
-
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().matches_keyword(word):
-            self._next()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            raise self._error(f"expected {word}, found {self._peek().value!r}")
-
-    def _expect(self, kind: str, what: str) -> Token:
-        if self._peek().kind != kind:
-            raise self._error(f"expected {what}, found {self._peek().value!r}")
-        return self._next()
-
-    def _identifier(self, what: str) -> str:
-        token = self._expect(lexer.IDENT, what)
-        return token.value
 
     def _expression(self) -> Expression:
         parser = SqlExpressionParser(self._tokens, self._position, self._params)
@@ -138,9 +102,7 @@ class SqlParser:
     def _end_of_statement(self) -> None:
         while self._peek().kind == lexer.SEMICOLON:
             self._next()
-        token = self._peek()
-        if token.kind != lexer.EOF:
-            raise self._error(f"unexpected trailing input {token.value!r}")
+        self._expect_end()
 
     # -- statements --------------------------------------------------------
 

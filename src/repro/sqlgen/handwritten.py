@@ -149,12 +149,6 @@ class HandwrittenTasky:
             self.task[key] = (name, task, prio)
         return key
 
-    def delete_tasky(self, key: Key) -> None:
-        if self.materialization == "initial":
-            self.task.pop(key, None)
-        else:
-            self.task2.pop(key, None)
-
     # -- migration -----------------------------------------------------------
 
     def migrate_to_evolved(self) -> None:

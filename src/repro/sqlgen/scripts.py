@@ -59,10 +59,10 @@ def tasky_generated_scripts() -> TaskyScripts:
         schema = materialization_for_versions(
             engine.genealogy, list(tasky2.tables.values())
         )
-        data = online.stage_statements(online.build_plan(engine, schema).tables)
-        stage, swap = codegen.migration_statements(engine, schema)
+        move = online.Move(online.build_plan(engine, schema))
+        stage, swap = online.cutover_statements(engine, schema, move)
         engine.execute(MIGRATION_SCRIPT)
-        migration = data + stage + swap + delta_code()
+        migration = stage + swap + delta_code()
     finally:
         backend.close()
 

@@ -5,8 +5,10 @@ import pytest
 
 from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
+from repro.core.engine import InVerDa
 from repro.sqlgen.scripts import script, tasky_generated_scripts
 from repro.util.codemetrics import measure_code
+from repro.workloads.tasky import DO_SCRIPT, MIGRATION_SCRIPT, TASKY2_SCRIPT, TASKY_INITIAL_SCRIPT
 from tests.conftest import build_paper_tasky, keyed, rows
 
 
@@ -64,6 +66,33 @@ class TestGeneratedScripts:
         scripts = tasky_generated_scripts()
         assert "INSERT INTO" in scripts.sql_migration
         assert measure_code(scripts.bidel_migration).lines == 1
+
+    def test_table3_migration_is_the_ddl_the_move_runs(self):
+        """Table 3's migration SQL stages and drops tables with exactly
+        the statements, in the order, that ``MATERIALIZE 'TasKy2'`` runs
+        on a TasKy backend."""
+        engine = InVerDa()
+        engine.execute(TASKY_INITIAL_SCRIPT + DO_SCRIPT + TASKY2_SCRIPT)
+        backend = LiveSqliteBackend.attach(engine)
+        traced: list[str] = []
+        backend.connection.set_trace_callback(traced.append)
+        try:
+            engine.execute(MIGRATION_SCRIPT)
+        finally:
+            backend.connection.set_trace_callback(None)
+            backend.close()
+        staged = [
+            s
+            for s in tasky_generated_scripts().sql_migration.split(";\n")
+            if s.startswith(("CREATE TABLE", "INSERT INTO", "DROP TABLE"))
+        ]
+        assert staged and [s for s in traced if s in staged] == staged
+        # The move creates or drops no other table than the scaffolding.
+        assert all(
+            s in staged
+            for s in traced
+            if s.startswith(("CREATE TABLE", "DROP TABLE")) and "IF NOT EXISTS" not in s
+        )
 
 
 class TestSqliteParity:
