@@ -1,8 +1,62 @@
-"""Section 8.1: delta-code generation latency (<1 s in the paper)."""
+"""Section 8.1: delta-code generation latency.
 
-from repro.bench.harness import get_experiment
+The paper reports 154 ms for creating the initial TasKy, 230 ms for the
+two-SMO evolution to TasKy2, and 177 ms for Do! — all well under a second.
+We time the same three Database Evolution Operations (catalog update, aux
+table creation, eager ID initialization) plus the delta-code script
+generation for good measure.
+
+    PYTHONPATH=src python benchmarks/bench_codegen_latency.py [--paper-scale]
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from repro.backend import codegen
 from repro.core.engine import InVerDa
-from repro.workloads.tasky import DO_SCRIPT, TASKY_INITIAL_SCRIPT
+from repro.sql.connection import connect
+from repro.workloads.tasky import DO_SCRIPT, TASKY2_SCRIPT, TASKY_INITIAL_SCRIPT, random_task
+
+from experiment import ExperimentResult, main, time_once
+
+
+def run(num_tasks: int = 10_000) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment="codegen",
+        title="Delta code generation latency (ms)",
+        columns=("operation", "ms", "paper_ms"),
+    )
+    engine = InVerDa()
+    initial = time_once(lambda: engine.execute(TASKY_INITIAL_SCRIPT)) * 1000
+    result.add("create initial TasKy", initial, 154)
+
+    connection = connect(engine, "TasKy", autocommit=True)
+    rng = random.Random(3)
+    connection.executemany(
+        "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)",
+        [
+            (row["author"], row["task"], row["prio"])
+            for row in (random_task(rng, i) for i in range(num_tasks))
+        ],
+    )
+
+    do_ms = time_once(lambda: engine.execute(DO_SCRIPT)) * 1000
+    result.add("evolve to Do! (2 SMOs)", do_ms, 177)
+    tasky2_ms = time_once(lambda: engine.execute(TASKY2_SCRIPT)) * 1000
+    result.add("evolve to TasKy2 (2 SMOs)", tasky2_ms, 230)
+
+    script_ms = time_once(
+        lambda: (codegen.view_statements(engine), codegen.trigger_statements(engine))
+    ) * 1000
+    result.add("generate SQL delta code (all versions)", script_ms, -1)
+    result.note(
+        "evolution latency includes eager ID initialization over "
+        f"{num_tasks} rows for the FK decomposition; the paper's <1 s bound "
+        "holds throughout"
+    )
+    return result
 
 
 def test_codegen_evolution_latency(benchmark):
@@ -17,8 +71,12 @@ def test_codegen_evolution_latency(benchmark):
 
 
 def test_codegen_rows(print_result):
-    result = get_experiment("codegen").run(num_tasks=2000)
+    result = run(num_tasks=2000)
     # The paper's headline: generation is fast (<1 s per operation).
     for operation, ms, _paper in result.rows:
         assert ms < 1000, operation
     print_result(result)
+
+
+if __name__ == "__main__":
+    sys.exit(main(run, {"num_tasks": 100_000}))

@@ -1,13 +1,117 @@
-"""Figure 8: generated vs handwritten delta code (timed unit: one read of
-each schema version under the evolved materialization)."""
+"""Figure 8: overhead of generated delta code vs hand-optimized code.
+
+Reads on TasKy and TasKy2 plus 100-insert batches on each, under the
+initial (TasKy-side) and evolved (TasKy2-side) materialization. Three
+implementations, making this a real two-backend measurement:
+
+- "BiDEL (memory)"  — the pure-Python engine routing every statement;
+- "BiDEL (SQLite)"  — the live execution backend: generated views and
+  INSTEAD OF triggers executed by SQLite's query engine (the paper's
+  actual architecture);
+- "SQL (handwritten)" — the hand-optimized baseline of the paper.
+
+The pytest-benchmark wrappers time one read of each schema version under
+the evolved materialization, and single-row writes.
+
+    PYTHONPATH=src python benchmarks/bench_fig08_overhead.py [--paper-scale]
+"""
+
+from __future__ import annotations
+
+import random
+import sys
 
 import pytest
 
-from repro.bench.harness import get_experiment
-from repro.sqlgen.handwritten import handwritten_tasky
-from repro.workloads.tasky import build_tasky
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.workloads.tasky import build_tasky, random_task
+
+from experiment import ExperimentResult, main, time_call
+from handwritten import handwritten_tasky
 
 N = 2000
+
+
+def run(num_tasks: int = 5000, writes: int = 100, repeat: int = 3) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment="fig8",
+        title="Figure 8: QET of generated vs handwritten delta code (ms)",
+        columns=("operation", "implementation", "materialization", "ms"),
+    )
+    for materialization in ("initial", "evolved"):
+        scenario = build_tasky(num_tasks)
+        live_scenario = build_tasky(num_tasks)
+        backend = LiveSqliteBackend.attach(live_scenario.engine)
+        if materialization == "evolved":
+            scenario.materialize("TasKy2")
+            live_scenario.materialize("TasKy2")
+        tasky = scenario.connect("TasKy").cursor()
+        tasky2 = scenario.connect("TasKy2").cursor()
+        live_tasky = live_scenario.connect("TasKy").cursor()
+        live_tasky2 = live_scenario.connect("TasKy2").cursor()
+        baseline = handwritten_tasky(num_tasks, materialization=materialization)
+
+        read_cases = [
+            ("read on TasKy", "BiDEL (memory)", lambda: tasky.execute("SELECT * FROM Task").fetchall()),
+            ("read on TasKy", "BiDEL (SQLite)", lambda: live_tasky.execute("SELECT * FROM Task").fetchall()),
+            ("read on TasKy", "SQL (handwritten)", baseline.read_tasky),
+            ("read on TasKy2", "BiDEL (memory)", lambda: tasky2.execute("SELECT * FROM Task").fetchall()),
+            ("read on TasKy2", "BiDEL (SQLite)", lambda: live_tasky2.execute("SELECT * FROM Task").fetchall()),
+            ("read on TasKy2", "SQL (handwritten)", baseline.read_tasky2),
+        ]
+        for operation, implementation, fn in read_cases:
+            seconds = time_call(fn, repeat=repeat)
+            result.add(operation, implementation, materialization, seconds * 1000)
+
+        rng = random.Random(99)
+        rows = [random_task(rng, 10_000_000 + i) for i in range(writes)]
+
+        def writes_tasky(cursor) -> None:
+            for row in rows:
+                cursor.execute(
+                    "INSERT INTO Task(author, task, prio) VALUES (?, ?, ?)",
+                    (row["author"], row["task"], row["prio"]),
+                )
+
+        def baseline_writes_tasky() -> None:
+            for row in rows:
+                baseline.insert_tasky(row["author"], row["task"], row["prio"])
+
+        def writes_tasky2(cursor) -> None:
+            fk = cursor.execute(
+                "SELECT id FROM Author ORDER BY id LIMIT 1"
+            ).fetchone()[0]
+            for row in rows:
+                cursor.execute(
+                    "INSERT INTO Task(task, prio, author) VALUES (?, ?, ?)",
+                    (row["task"], row["prio"], fk),
+                )
+
+        def baseline_writes_tasky2() -> None:
+            _tasks, authors = baseline.read_tasky2()
+            fk = authors[0][0] if authors else 1
+            for row in rows:
+                baseline.insert_tasky2(row["task"], row["prio"], fk)
+
+        write_cases = [
+            (f"{writes} writes on TasKy", "BiDEL (memory)", lambda: writes_tasky(tasky)),
+            (f"{writes} writes on TasKy", "BiDEL (SQLite)", lambda: writes_tasky(live_tasky)),
+            (f"{writes} writes on TasKy", "SQL (handwritten)", baseline_writes_tasky),
+            (f"{writes} writes on TasKy2", "BiDEL (memory)", lambda: writes_tasky2(tasky2)),
+            (f"{writes} writes on TasKy2", "BiDEL (SQLite)", lambda: writes_tasky2(live_tasky2)),
+            (f"{writes} writes on TasKy2", "SQL (handwritten)", baseline_writes_tasky2),
+        ]
+        for operation, implementation, fn in write_cases:
+            seconds = time_call(fn, repeat=1)
+            result.add(operation, implementation, materialization, seconds * 1000)
+        backend.close()
+    result.note(
+        "paper shape: generated code within ~4% of handwritten; reading the "
+        "materialized version up to ~2x faster than the propagated one"
+    )
+    result.note(f"{num_tasks} tasks (paper: 100,000; use --paper-scale)")
+    return result
+
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +141,6 @@ def test_fig8_read_tasky_handwritten(benchmark):
 
 @pytest.fixture(scope="module")
 def live_scenario():
-    from repro.backend.sqlite import LiveSqliteBackend
-
     scenario = build_tasky(N)
     LiveSqliteBackend.attach(scenario.engine)
     scenario.materialize("TasKy2")
@@ -76,4 +178,8 @@ def test_fig8_writes_generated(benchmark, evolved_scenario):
 
 
 def test_fig8_rows(print_result):
-    print_result(get_experiment("fig8").run(num_tasks=N, writes=20))
+    print_result(run(num_tasks=N, writes=20))
+
+
+if __name__ == "__main__":
+    sys.exit(main(run, {"num_tasks": 100_000, "writes": 100}))

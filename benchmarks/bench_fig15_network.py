@@ -1,11 +1,27 @@
-"""Figure 15 (extension): network serving throughput, remote vs
-in-process, at 1/8/32 concurrent clients (timed unit: one batch of
-concurrent clients at each count).
+"""Figure 15 (extension): network serving throughput, remote vs in-process.
 
-Runnable two ways:
+The serving layer's claim is that putting the engine behind a TCP wire
+protocol keeps the concurrency story intact: N remote clients are N real
+server-side sessions, so aggregate throughput must scale with clients
+just as in-process sessions do — the protocol adds per-request latency,
+not serialization.
+
+A TasKy database on a file-backed WAL SQLite backend is driven by the
+same read workload two ways:
+
+- ``local`` — N threads, each with its own in-process connection
+  (pooled session), as in fig14;
+- ``remote`` — a :class:`~repro.server.server.ReproServer` in front of
+  the same engine, N threads each with its own ``connect_remote`` TCP
+  client.
+
+Reported: ops/s over all clients and the speedup against one client of
+the same transport.  The interesting numbers: remote-vs-local overhead
+at 1 client (wire-protocol cost per statement) and the remote speedup
+curve at 8/32 clients (does the server serialize?).  Runnable two ways:
 
 - ``pytest benchmarks/bench_fig15_network.py`` — pytest-benchmark
-  wrappers timing a fixed concurrent batch on each transport;
+  wrappers timing one batch of concurrent clients on each transport;
 - ``python benchmarks/bench_fig15_network.py [--smoke]`` — print the
   full remote-vs-local table (``--smoke`` shrinks the workload for CI
   and asserts that 8-client remote throughput scales over 1 client).
@@ -14,6 +30,9 @@ Runnable two ways:
 import argparse
 import os
 import sys
+import tempfile
+import threading
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -22,20 +41,122 @@ try:
 except ImportError:  # pragma: no cover - CLI use without pytest installed
     pytest = None
 
-from repro.bench.harness import get_experiment
+from repro.backend.sqlite import LiveSqliteBackend
+from repro.server.client import connect_remote
+from repro.server.server import ReproServer
+from repro.sql.connection import connect
+from repro.workloads.tasky import build_tasky
+
+from bench_fig14_concurrency import READ_STATEMENTS
+from experiment import ExperimentResult
 
 N = 2000
 OPS = 50
+
+
+def _run_clients(connect_fn, *, clients: int, ops: int) -> tuple[float, int]:
+    """(elapsed seconds, completed ops) for ``clients`` concurrent
+    connections issuing ``ops`` read statements each."""
+    barrier = threading.Barrier(clients + 1)
+    errors: list[Exception] = []
+
+    def worker(index: int) -> None:
+        conns: list[tuple] = []
+        try:
+            conns = [
+                (connect_fn(version), sql) for version, sql in READ_STATEMENTS
+            ]
+            barrier.wait()
+            for op in range(ops):
+                conn, sql = conns[(index + op) % len(conns)]
+                conn.execute(sql).fetchall()
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+            barrier.abort()
+        finally:
+            for conn, _ in conns:
+                conn.close()
+
+    pool = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
+    for thread in pool:
+        thread.start()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a worker failed during setup; its error is surfaced below
+    start = time.perf_counter()
+    for thread in pool:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    if errors:
+        raise errors[0]
+    return elapsed, clients * ops
+
+
+def run(
+    num_tasks: int = 5000,
+    ops: int = 150,
+    client_counts: tuple[int, ...] = (1, 8, 32),
+) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment="fig15",
+        title="Figure 15: network serving throughput (remote vs in-process)",
+        columns=("transport", "clients", "ops", "seconds", "ops_per_s", "speedup"),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = build_tasky(num_tasks)
+        backend = LiveSqliteBackend.attach(
+            scenario.engine,
+            database=os.path.join(tmp, "fig15.db"),
+            pool_size=max(client_counts) * 2,
+        )
+        server = ReproServer(scenario.engine).start()
+        host, port = server.address
+
+        def local_connect(version):
+            return connect(scenario.engine, version, autocommit=True, backend=backend)
+
+        def remote_connect(version):
+            return connect_remote(
+                host, port, version, autocommit=True, timeout=120.0
+            )
+
+        try:
+            for transport, connect_fn in (
+                ("local", local_connect),
+                ("remote", remote_connect),
+            ):
+                baseline: float | None = None
+                for clients in client_counts:
+                    elapsed, completed = _run_clients(
+                        connect_fn, clients=clients, ops=ops
+                    )
+                    throughput = completed / elapsed if elapsed else float("inf")
+                    if baseline is None:
+                        baseline = throughput
+                    result.add(
+                        transport,
+                        clients,
+                        completed,
+                        elapsed,
+                        throughput,
+                        throughput / baseline,
+                    )
+        finally:
+            server.close()
+            backend.close()
+    result.note(
+        "same WAL database and read workload on both transports; every "
+        "remote client is its own TCP connection and server-side session"
+    )
+    result.note(f"{num_tasks} tasks, {ops} ops/client")
+    return result
 
 
 if pytest is not None:
 
     @pytest.fixture(scope="module")
     def served_backend(tmp_path_factory):
-        from repro.backend.sqlite import LiveSqliteBackend
-        from repro.server.server import ReproServer
-        from repro.workloads.tasky import build_tasky
-
         scenario = build_tasky(N)
         backend = LiveSqliteBackend.attach(
             scenario.engine,
@@ -48,9 +169,6 @@ if pytest is not None:
         backend.close()
 
     def _local(scenario, backend, clients):
-        from repro.bench.experiments.fig15 import _run_clients
-        from repro.sql.connection import connect
-
         return _run_clients(
             lambda v: connect(scenario.engine, v, autocommit=True, backend=backend),
             clients=clients,
@@ -58,9 +176,6 @@ if pytest is not None:
         )
 
     def _remote(server, clients):
-        from repro.bench.experiments.fig15 import _run_clients
-        from repro.server.client import connect_remote
-
         host, port = server.address
         return _run_clients(
             lambda v: connect_remote(host, port, v, autocommit=True, timeout=120.0),
@@ -81,9 +196,7 @@ if pytest is not None:
         benchmark(lambda: _remote(server, 8))
 
     def test_fig15_rows(print_result):
-        print_result(
-            get_experiment("fig15").run(num_tasks=N, ops=30, client_counts=(1, 4))
-        )
+        print_result(run(num_tasks=N, ops=30, client_counts=(1, 4)))
 
 
 def main(argv=None) -> int:
@@ -100,11 +213,9 @@ def main(argv=None) -> int:
         # Rows large enough that each statement is dominated by SQLite's
         # query engine (which releases the GIL while the server's handler
         # threads run it), op counts small enough for CI.
-        result = get_experiment("fig15").run(
-            num_tasks=10_000, ops=40, client_counts=(1, 8)
-        )
+        result = run(num_tasks=10_000, ops=40, client_counts=(1, 8))
     else:
-        result = get_experiment("fig15").run()
+        result = run()
     print(result.format())
     if args.smoke:
         by_key = {(row[0], row[1]): row for row in result.rows}
@@ -146,13 +257,6 @@ def _pipeline_throughput(ops: int = 300) -> tuple[float, float]:
     """(pipelined ops/s, sequential ops/s) for one remote client issuing
     ``ops`` cheap statements — a batch written as back-to-back frames must
     beat one round trip per statement."""
-    import time
-
-    from repro.backend.sqlite import LiveSqliteBackend
-    from repro.server.client import connect_remote
-    from repro.server.server import ReproServer
-    from repro.workloads.tasky import build_tasky
-
     scenario = build_tasky(100)
     backend = LiveSqliteBackend.attach(scenario.engine)
     server = ReproServer(scenario.engine).start()

@@ -1,4 +1,4 @@
-"""pytest-benchmark wrappers around the repro.bench experiment registry.
+"""Fixtures of the pytest-benchmark wrappers in the ``bench_*.py`` files.
 
 Each benchmark file regenerates one table/figure of the paper; the timed
 unit is a representative operation of that experiment, and the full result

@@ -1,12 +1,12 @@
-"""Experiment registry, timing helpers, and result formatting."""
+"""What the ``bench_*.py`` files share: a result table, timing helpers,
+and the command line of a paper artifact's bench file."""
 
 from __future__ import annotations
 
+import argparse
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-from repro.errors import ReproError
 
 
 @dataclass
@@ -54,51 +54,6 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    title: str
-    paper_artifact: str
-    runner: Callable[..., ExperimentResult]
-    quick_kwargs: dict = field(default_factory=dict)
-    paper_kwargs: dict = field(default_factory=dict)
-
-    def run(self, *, paper_scale: bool = False, **overrides) -> ExperimentResult:
-        kwargs = dict(self.paper_kwargs if paper_scale else self.quick_kwargs)
-        kwargs.update(overrides)
-        return self.runner(**kwargs)
-
-
-REGISTRY: dict[str, Experiment] = {}
-
-
-def register(experiment: Experiment) -> Experiment:
-    if experiment.name in REGISTRY:
-        raise ReproError(f"duplicate experiment {experiment.name!r}")
-    REGISTRY[experiment.name] = experiment
-    return experiment
-
-
-def get_experiment(name: str) -> Experiment:
-    _ensure_loaded()
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown experiment {name!r}; available: {sorted(REGISTRY)}"
-        ) from None
-
-
-def all_experiments() -> list[Experiment]:
-    _ensure_loaded()
-    return [REGISTRY[name] for name in sorted(REGISTRY)]
-
-
-def _ensure_loaded() -> None:
-    # Importing the experiment modules populates the registry.
-    from repro.bench import experiments  # noqa: F401
-
-
 def time_call(fn: Callable[[], object], *, repeat: int = 3) -> float:
     """Median wall-clock seconds of ``fn`` over ``repeat`` calls."""
     samples = []
@@ -114,3 +69,17 @@ def time_once(fn: Callable[[], object]) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def main(run: Callable[..., ExperimentResult], paper_scale: dict, argv: list[str] | None = None) -> int:
+    """Print the rows of ``run()``: laptop-scaled by default, with the
+    paper's workload sizes (``paper_scale``) under ``--paper-scale``."""
+    parser = argparse.ArgumentParser(description="Regenerate one of the paper's tables or figures.")
+    parser.add_argument(
+        "--paper-scale",
+        action="store_true",
+        help="run with paper-sized workloads (slow; defaults are scaled down)",
+    )
+    args = parser.parse_args(argv)
+    print(run(**(paper_scale if args.paper_scale else {})).format())
+    return 0

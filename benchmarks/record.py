@@ -39,7 +39,7 @@ def record(name: str, result, *, extra: dict | None = None, root: Path | None = 
     """Write ``result`` (an ``ExperimentResult`` or a plain dict) to
     ``BENCH_<name>.json`` under ``root`` (default: the repo root);
     returns the written path."""
-    if hasattr(result, "columns"):  # repro.bench.harness.ExperimentResult
+    if hasattr(result, "columns"):  # experiment.ExperimentResult
         payload = {
             "experiment": result.experiment,
             "title": result.title,

@@ -1,16 +1,17 @@
-"""``python -m repro.soak`` — run the continuous-evolution soak harness.
+"""``python benchmarks/soak`` — run the continuous-evolution soak harness
+from the repository root.
 
 Examples::
 
     # 30s on both transports, 8 clients, all probes
-    python -m repro.soak
+    python benchmarks/soak
 
     # a quick seeded smoke on one transport, JSON report to a file
-    python -m repro.soak --duration 20 --clients 8 --transport inproc \\
+    python benchmarks/soak --duration 20 --clients 8 --transport inproc \\
         --seed 7 --json soak_report.json
 
     # reproduce a failure: paste the report's repro_command
-    python -m repro.soak --seed 1337 --duration 60 --clients 8 \\
+    python benchmarks/soak --seed 1337 --duration 60 --clients 8 \\
         --smo-rate 0.5 --transport tcp
 
 Exit status is 0 only when every probe on every transport passed.  On
@@ -22,16 +23,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from repro.soak.harness import SoakConfig, run_soak
-from repro.soak.probes import PROBE_FACTORIES
-from repro.testing.faults import parse_fault_spec
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks"), ROOT]
+
+from soak.harness import SoakConfig, run_soak  # noqa: E402 - needs the paths above
+from soak.probes import PROBE_FACTORIES  # noqa: E402
+from tests.testing.faults import parse_fault_spec  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.soak",
+        prog="python benchmarks/soak",
         description="Randomized SMO stream under a live mixed workload, "
         "differentially checked at sync barriers.",
     )

@@ -33,22 +33,23 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.check import error_count, preflight_script, verify_delta_code
 from repro.core.engine import RWLock
 from repro.errors import OperationalError
 from repro.relational.types import DataType
-from repro.soak.probes import FinalState, Probe, make_probes
-from repro.soak.stream import SmoStream
 from repro.sql.connection import connect
-from repro.testing.faults import InjectedFault, RandomFaultInjector
 from repro.workloads.orders import (
     PROTECTED_COLUMNS,
     build_orders,
     order_no_for,
     tenant_name,
 )
+
+from soak.probes import FinalState, Probe, make_probes
+from soak.stream import SmoStream
+from tests.testing.compare import assert_states_match, visible_state
+from tests.testing.faults import InjectedFault, RandomFaultInjector
 
 
 @dataclass
@@ -79,7 +80,7 @@ class SoakConfig:
     def repro_command(self) -> str:
         """The exact one-command replay for this configuration."""
         parts = [
-            "python -m repro.soak",
+            "python benchmarks/soak",
             f"--seed {self.seed}",
             f"--duration {self.duration:g}",
             f"--clients {self.clients}",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-#: Probe registry: name -> factory.  ``python -m repro.soak --probe`` and
+#: Probe registry: name -> factory.  ``python benchmarks/soak --probe`` and
 #: the harness config select by these names.
 PROBE_FACTORIES: dict[str, Callable[[], "Probe"]] = {}
 

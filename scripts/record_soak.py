@@ -16,12 +16,10 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks"), ROOT]
 
 import record  # noqa: E402 - needs the benchmarks/ path above
-
-from repro.soak import SoakConfig, run_soak  # noqa: E402
+from soak import SoakConfig, run_soak  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,8 +6,9 @@ container does not ship mypy, so this wrapper is the portable entry
 point:
 
 - when mypy **is** importable (CI pip-installs it), run it over
-  ``src/repro`` with the ``[tool.mypy]`` configuration from
-  ``pyproject.toml`` and propagate its exit status;
+  ``src/repro`` and the harness code beside it (``benchmarks/*.py``,
+  ``benchmarks/soak``, ``tests/testing``) with the ``[tool.mypy]``
+  configuration from ``pyproject.toml`` and propagate its exit status;
 - when it is **not**, print a notice and exit 0 — the gate must never
   block local work on a missing tool, and the project lint
   (``python -m repro.check --lint``) still runs everywhere.
@@ -17,6 +18,7 @@ Run from the repository root: ``python scripts/typecheck.py``
 
 from __future__ import annotations
 
+import glob
 import importlib.util
 import os
 import subprocess
@@ -36,6 +38,9 @@ def main() -> int:
         "--config-file",
         os.path.join(REPO, "pyproject.toml"),
         os.path.join(REPO, "src", "repro"),
+        *sorted(glob.glob(os.path.join(REPO, "benchmarks", "*.py"))),
+        os.path.join(REPO, "benchmarks", "soak"),
+        os.path.join(REPO, "tests", "testing"),
     ]
     print("typecheck:", " ".join(command[1:]))
     return subprocess.call(command)

@@ -16,9 +16,12 @@ Public entry points:
 - :func:`parse_script` / :func:`parse_smo` — the BiDEL parser.
 - :mod:`repro.verification` — formal (symbolic) and runtime
   bidirectionality checks.
-- :mod:`repro.workloads` — TasKy, Wikimedia, and micro-benchmark scenarios.
-- :mod:`repro.bench` — the harness regenerating every table and figure of
-  the paper's evaluation (``python -m repro.bench --list``).
+- :mod:`repro.workloads` — the TasKy, Wikimedia and orders scenarios.
+
+The package is the product.  The paper's evaluation lives beside it:
+``benchmarks/bench_*.py`` regenerate its tables and figures (one file
+each), ``benchmarks/e2e/`` is the end-to-end benchmark and
+``benchmarks/soak/`` the continuous-evolution soak.
 """
 
 from repro.bidel import parse_script, parse_smo

@@ -401,7 +401,7 @@ class LiveSqliteBackend:
         # catalog transitions, so the crash-safety suite can simulate a
         # process dying between the catalog write and the commit.  Any
         # callable works: one-shot closures for targeted crash tests, or
-        # repro.testing.RandomFaultInjector for seeded probability-based
+        # the test suite's RandomFaultInjector for seeded probability-based
         # injection across a long soak run.
         self.fault_injector = None
         #: When True, the static delta-code verifier runs after every

@@ -81,6 +81,9 @@ class SmoInstance:
     evolution: str  # name of the schema version this SMO helped create
     materialized: bool = False  # True = data stored on the target side
     semantics: "SmoSemantics | None" = None
+    #: Memo of :func:`repro.persist.fingerprint.smo_fingerprint`: the uid
+    #: and the BiDEL operation are fixed once the instance exists.
+    fingerprint: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def smo_type(self) -> str:

@@ -37,12 +37,12 @@ from repro.check.diagnostics import Diagnostic
 #: object names.
 SQL_BUILDER_PACKAGES = ("backend", "sqlgen", "bidel", "persist")
 
-#: Packages that simulate *user applications* (benchmark, workload, and
-#: soak drivers).  Their SQL is this repo's test traffic against the
-#: public statement API — and, for ``soak``, preflight-gated BiDEL
-#: scripts — not engine-emitted SQL, so the emit-helper rule does not
-#: apply.
-SQL_CLIENT_PACKAGES = ("workloads", "bench", "soak")
+#: Code that simulates *user applications*: the workload scenarios and
+#: everything under ``benchmarks/`` (the paper's experiments, the soak).
+#: Its SQL is this repo's test traffic against the public statement API
+#: — and, for the soak, preflight-gated BiDEL scripts — not
+#: engine-emitted SQL, so the emit-helper rule does not apply.
+SQL_CLIENT_PACKAGES = ("workloads", "benchmarks")
 
 _SQL_HEAD = re.compile(
     r"^\s*(SELECT|INSERT|UPDATE|DELETE|CREATE|DROP|ALTER|SAVEPOINT|"

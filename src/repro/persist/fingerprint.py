@@ -15,7 +15,10 @@ iteration quirks, or Python version:
   both from the engine's expectation (:func:`engine_layout`) and from an
   actual SQLite file (:func:`sqlite_layout`), so recovery can detect
   drift between the persisted catalog and the tables on disk.
-- :func:`catalog_fingerprint` combines the two with the genealogy order
+- :func:`smo_fingerprint` hashes one SMO instance: its uid and its BiDEL
+  text, parameters included (two SPLITs of one table that differ only in
+  their conditions differ here).
+- :func:`catalog_fingerprint` combines these with the genealogy order
   and materialization choice into one identity for the whole catalog;
   it is what ``stats()``/``status`` report and what a second process
   compares to detect that the catalog it replayed is the one on disk.
@@ -33,6 +36,7 @@ import sqlite3
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.catalog.genealogy import SmoInstance
     from repro.catalog.versions import SchemaVersion
     from repro.core.engine import InVerDa
 
@@ -68,6 +72,14 @@ def version_fingerprint(version: "SchemaVersion") -> str:
     return version.fingerprint
 
 
+def smo_fingerprint(smo: "SmoInstance") -> str:
+    """Hashed once per :class:`SmoInstance` object, like
+    :func:`version_fingerprint`: its uid and operation never change."""
+    if smo.fingerprint is None:
+        smo.fingerprint = digest([smo.uid, smo.node.unparse()])
+    return smo.fingerprint
+
+
 def engine_layout(engine: "InVerDa") -> dict[str, tuple[str, ...]]:
     """The physical layout the engine believes in: every stored table
     (data, auxiliary, staging scaffolding excluded — it is recreated by
@@ -99,14 +111,16 @@ def sqlite_layout(
 
 def catalog_fingerprint(engine: "InVerDa") -> str:
     """One identity for the whole catalog: genealogy (names, parents,
-    shapes, drop flags, in insertion order), the materialization choice,
-    and the physical layout it implies."""
+    shapes, drop flags, in insertion order), every SMO instance (uid and
+    BiDEL text), the materialization choice, and the physical layout it
+    implies."""
     genealogy = engine.genealogy
     payload = {
         "versions": [
             [v.name, v.parent, bool(v.dropped), version_fingerprint(v)]
             for v in genealogy.schema_versions.values()
         ],
+        "smos": [smo_fingerprint(smo) for smo in genealogy.all_smos()],
         "materialized": sorted(
             smo.uid for smo in genealogy.evolution_smos() if smo.materialized
         ),

@@ -1,11 +1,8 @@
-"""Small shared utilities: code metrics, identifier handling."""
+"""Small shared utilities: identifier handling."""
 
-from repro.util.codemetrics import CodeMetrics, measure_code
 from repro.util.naming import check_identifier, quote_identifier
 
 __all__ = [
-    "CodeMetrics",
-    "measure_code",
     "check_identifier",
     "quote_identifier",
 ]

@@ -1,20 +1,13 @@
-"""Workload scenarios driving the evaluation (Section 8)."""
+"""Workload scenarios: TasKy and Wikimedia (the paper's, Section 8), and
+the orders scenario the end-to-end benchmark and the soak drive."""
 
-from repro.workloads.mixes import WorkloadMix, adoption_curve, run_mix
 from repro.workloads.orders import OrdersScenario, assign_version_pins, build_orders
 from repro.workloads.tasky import TaskyScenario, build_tasky
-from repro.workloads.micro import TWO_SMO_FIRST, TWO_SMO_SECOND, build_two_smo_scenario
 from repro.workloads.wikimedia import WikimediaScenario, build_wikimedia
 
 __all__ = [
     "TaskyScenario",
     "build_tasky",
-    "WorkloadMix",
-    "run_mix",
-    "adoption_curve",
-    "build_two_smo_scenario",
-    "TWO_SMO_FIRST",
-    "TWO_SMO_SECOND",
     "OrdersScenario",
     "assign_version_pins",
     "build_orders",

@@ -16,8 +16,8 @@ Rows are identified by payload, never by rowid: each order carries a
 ranges) and each inventory row a unique ``sku``.  That is what makes
 the scenario safe under concurrent differential checking — workers only
 touch rows they own, so committed writes commute, single-column
-predicates address rows on any backend, and the canonical comparison in
-:mod:`repro.backend.compare` never sees ambiguous duplicate payloads.
+predicates address rows on any backend, and the differential oracle's
+canonical comparison never sees ambiguous duplicate payloads.
 
 The identity columns are *protected*: the soak harness's SMO stream must
 never drop or rename them (everything else is fair game), so client SQL

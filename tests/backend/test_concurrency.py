@@ -15,13 +15,13 @@ import threading
 
 import pytest
 
-from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.pool import SessionPool, shared_memory_uri
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.errors import OperationalError
 from repro.sql.connection import connect
 from repro.workloads.tasky import build_tasky
+from tests.testing.compare import assert_states_match, visible_state
 
 
 def _run_threads(workers):

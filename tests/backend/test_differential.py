@@ -11,7 +11,7 @@ import pytest
 
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.relational.types import DataType
-from repro.testing import DualSystem
+from tests.testing import DualSystem
 
 WORDS = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"]
 

@@ -1,4 +1,4 @@
-"""The ``repro.testing`` fault injectors: the classic one-shot crash
+"""The ``tests.testing`` fault injectors: the classic one-shot crash
 injector and the seeded probability-based injector the soak harness
 installs, plus the CLI fault-spec parser."""
 
@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testing import (
+from tests.testing import (
     DualSystem,
     InjectedFault,
     RandomFaultInjector,

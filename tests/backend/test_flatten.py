@@ -10,12 +10,12 @@ import re
 import pytest
 
 from repro.backend import codegen
-from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.core.engine import InVerDa
 from repro.sql.connection import connect
-from repro.testing import NestedEmissionBackend
+from tests.testing import NestedEmissionBackend
+from tests.testing.compare import assert_states_match, visible_state
 
 WORDS = ["ant", "bee", "cat", "dog", "elk", "fox"]
 

@@ -19,7 +19,7 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.errors import BackendError
 from repro.sql.connection import connect
-from repro.testing import DualSystem
+from tests.testing import DualSystem
 
 
 RESERVED_DDL = (

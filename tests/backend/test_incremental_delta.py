@@ -31,11 +31,11 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.persist.recovery import replay_into
 from repro.persist.store import CatalogStore
-from repro.testing import NestedEmissionBackend
 from repro.workloads.orders import build_orders
 from repro.workloads.tasky import build_tasky
 from tests.backend.test_sargable import CHAIN
 from tests.backend.test_upsert_primitive import ALL_CHAINS, WORDS
+from tests.testing import NestedEmissionBackend
 
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 EMISSIONS = {"composed": LiveSqliteBackend, "nested": NestedEmissionBackend}

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.workloads.tasky import build_tasky
-from repro.testing import DualSystem
+from tests.testing import DualSystem
+from tests.testing.compare import assert_states_match, visible_state
 
 
 def test_tasky_read_parity_every_version():

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testing import DualSystem
+from tests.testing import DualSystem
 
 # Each scenario: (create script for v1, loader, evolution for v2, ops).
 # Loaders and ops run through the SQL layer on both systems; ops name the

@@ -7,11 +7,11 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.backend.compare import visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.sql.connection import connect
 from repro.workloads.tasky import build_tasky
+from tests.testing.compare import visible_state
 
 
 def _physical_layout(backend: LiveSqliteBackend) -> set[str]:
@@ -66,7 +66,7 @@ def test_writes_keep_working_after_migration():
 
 @pytest.mark.parametrize("first,second", [("split", "add_column"), ("decompose_pk", "drop_column")])
 def test_micro_chain_migrations(first, second):
-    from repro.workloads.micro import build_two_smo_scenario
+    from micro import build_two_smo_scenario
 
     engine = build_two_smo_scenario(first, second, rows=30)
     backend = LiveSqliteBackend.attach(engine)

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.testing import DualSystem
+from tests.testing import DualSystem
 
 SPLITS = {
     "complementary_with_null": "SPLIT TABLE U INTO P WITH b % 2 = 0, Q WITH b % 2 = 1",

@@ -16,12 +16,12 @@ from itertools import product
 import pytest
 
 from repro.backend import codegen
-from repro.backend.compare import generated_id_spaces
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.relational.types import DataType
 from repro.sql.connection import connect
-from repro.testing import DualSystem
 from tests.backend.test_differential import CHAINS, WORDS, _apply_materialization
+from tests.testing import DualSystem
+from tests.testing.compare import generated_id_spaces
 
 ABSENT = 4242
 

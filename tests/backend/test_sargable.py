@@ -35,11 +35,11 @@ from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.datalog.ast import Atom, Rule, RuleSet, Var, wildcard
 from repro.sqlgen.views import ViewBranch, branches_for_rules, key_disjoint
-from repro.testing import DualSystem
 from repro.workloads.orders import build_orders
 from repro.workloads.tasky import build_tasky
 from tests.backend.test_differential import CHAINS, WORDS, _fuzz_ops
 from tests.backend.test_flatten import CHAIN_STEPS, CONDITION_CHAIN
+from tests.testing import DualSystem
 
 FLATTEN_CHAINS = {**CHAIN_STEPS, "condition_chain": CONDITION_CHAIN}
 

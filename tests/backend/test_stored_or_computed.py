@@ -18,8 +18,8 @@ import pytest
 
 from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
-from repro.testing import DualSystem, NestedEmissionBackend
 from tests.backend.test_differential import _fuzz_ops
+from tests.testing import DualSystem, NestedEmissionBackend
 
 EMISSIONS = {"composed": LiveSqliteBackend, "nested": NestedEmissionBackend}
 PROBE = "CASE WHEN EXISTS (SELECT 1 FROM aux__"

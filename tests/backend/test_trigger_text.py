@@ -38,7 +38,6 @@ import pytest
 
 import repro
 from repro.backend import codegen
-from repro.backend.compare import generated_id_spaces, visible_state
 from repro.backend.emit import q, reads_only_snapshots
 from repro.backend.handlers import (
     ColumnHandler,
@@ -53,7 +52,6 @@ from repro.backend.handlers import (
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.core.engine import InVerDa
-from repro.testing import DualSystem
 from repro.workloads.orders import build_orders
 from tests.backend.test_differential import CHAINS, _apply_materialization
 from tests.backend.test_sargable import build_chain
@@ -64,6 +62,8 @@ from tests.backend.test_upsert_primitive import (
     _outcome,
     _stored_state,
 )
+from tests.testing import DualSystem
+from tests.testing.compare import generated_id_spaces, visible_state
 
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 IMMUTABLE = "the row identifier p is immutable"

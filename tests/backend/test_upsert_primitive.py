@@ -31,15 +31,15 @@ import sqlite3
 import pytest
 
 from repro.backend import codegen
-from repro.backend.compare import generated_id_spaces
 from repro.backend.emit import q, qcols
 from repro.backend.handlers import HandlerContext, handler_for
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import enumerate_valid_materializations
 from repro.errors import BackendError
 from repro.relational.types import DataType
-from repro.testing import DualSystem, NestedEmissionBackend
 from tests.backend.test_differential import CHAINS, WORDS, _apply_materialization
+from tests.testing import DualSystem, NestedEmissionBackend
+from tests.testing.compare import generated_id_spaces
 
 SQLITE = f"SQLite {sqlite3.sqlite_version}"
 

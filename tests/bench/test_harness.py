@@ -1,7 +1,19 @@
-import pytest
+"""The experiments of the ``bench_*.py`` files run end to end at tiny scale,
+and their result table formats."""
 
-from repro.bench.harness import ExperimentResult, all_experiments, get_experiment
-from repro.errors import ReproError
+import bench_ablation
+import bench_codegen_latency
+import bench_fig08_overhead
+import bench_fig09_flexible_materialization
+import bench_fig10_flexible_materialization_3way
+import bench_fig11_materialization_matrix
+import bench_fig12_wikimedia
+import bench_fig13_two_smo_scaling
+import bench_table2_materializations
+import bench_table3_code_size
+import bench_table4_wikimedia_smos
+from experiment import ExperimentResult
+from micro import TWO_SMO_FIRST
 
 
 class TestResultFormatting:
@@ -20,37 +32,23 @@ class TestResultFormatting:
         assert "1234.6" in text and "0.1234" in text
 
 
-class TestRegistry:
-    def test_all_artifacts_registered(self):
-        names = {e.name for e in all_experiments()}
-        assert {
-            "table2", "table3", "table4",
-            "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "codegen", "ablation",
-        } <= names
-
-    def test_unknown_experiment(self):
-        with pytest.raises(ReproError):
-            get_experiment("nope")
-
-
 class TestExperimentSmoke:
     """Tiny-scale smoke runs proving every experiment executes end to end."""
 
     def test_table2(self):
-        result = get_experiment("table2").run()
+        result = bench_table2_materializations.run()
         assert len(result.rows) == 5
 
     def test_table3(self):
-        result = get_experiment("table3").run()
+        result = bench_table3_code_size.run()
         assert len(result.rows) == 6
 
     def test_table4(self):
-        result = get_experiment("table4").run(scale=0.001, versions=40)
+        result = bench_table4_wikimedia_smos.run(scale=0.001, versions=40)
         assert result.rows[-1][0] == "TOTAL"
 
     def test_fig8(self):
-        result = get_experiment("fig8").run(num_tasks=200, writes=5, repeat=1)
+        result = bench_fig08_overhead.run(num_tasks=200, writes=5, repeat=1)
         # 2 materializations x (2 reads + 2 writes) x 3 implementations.
         assert len(result.rows) == 24
         implementations = {row[1] for row in result.rows}
@@ -61,38 +59,29 @@ class TestExperimentSmoke:
         }
 
     def test_fig9(self):
-        result = get_experiment("fig9").run(num_tasks=100, slices=3, ops_per_slice=3)
+        result = bench_fig09_flexible_materialization.run(num_tasks=100, slices=3, ops_per_slice=3)
         assert len(result.rows) == 3
 
     def test_fig10(self):
-        result = get_experiment("fig10").run(num_tasks=100, slices=3, ops_per_slice=3)
+        result = bench_fig10_flexible_materialization_3way.run(num_tasks=100, slices=3, ops_per_slice=3)
         assert len(result.rows) == 4
 
     def test_fig11(self):
-        result = get_experiment("fig11").run(num_tasks=100, ops=3)
+        result = bench_fig11_materialization_matrix.run(num_tasks=100, ops=3)
         assert len(result.rows) == 15
 
     def test_fig12(self):
-        result = get_experiment("fig12").run(scale=0.001, versions=12, repeat=1)
+        result = bench_fig12_wikimedia.run(scale=0.001, versions=12, repeat=1)
         assert result.rows
 
     def test_fig13(self):
-        result = get_experiment("fig13").run(sizes=(50,), repeat=1)
-        assert len(result.rows) == len(
-            __import__("repro.workloads.micro", fromlist=["TWO_SMO_FIRST"]).TWO_SMO_FIRST
-        )
+        result = bench_fig13_two_smo_scaling.run(sizes=(50,), repeat=1)
+        assert len(result.rows) == len(TWO_SMO_FIRST)
 
     def test_codegen(self):
-        result = get_experiment("codegen").run(num_tasks=200)
+        result = bench_codegen_latency.run(num_tasks=200)
         assert all(row[1] < 10_000 for row in result.rows)
 
     def test_ablation(self):
-        result = get_experiment("ablation").run(num_tasks=200, writes=5)
+        result = bench_ablation.run(num_tasks=200, writes=5)
         assert len(result.rows) == 4
-
-    def test_cli_list(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig8" in out and "table2" in out

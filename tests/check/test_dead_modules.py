@@ -1,9 +1,11 @@
-"""Every module of the package has a caller outside the test suite.
+"""Every module of the package has a caller in the product.
 
-A module that only its own unit test imports is dead weight: it is
-maintained, type-checked and linted, yet no product path, example,
-script or benchmark reaches it.  Package ``__init__`` and ``__main__``
-modules are entry points and need no importer.
+``src/repro`` is the product; the harnesses that measure it live in
+``benchmarks/`` and ``tests/``.  A module that only a harness or its own
+unit test imports belongs beside that harness: inside the package it is
+maintained, type-checked and linted as product code that no product
+path or example reaches.  Package ``__init__`` and ``__main__`` modules
+are entry points and need no importer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "examples", "scripts", "benchmarks")
+CALLER_DIRS = ("src", "examples")
 
 
 def _module_name(path: Path) -> str:
@@ -51,4 +53,4 @@ def dead_modules() -> list[str]:
 
 def test_every_module_is_imported_outside_the_tests():
     dead = dead_modules()
-    assert not dead, "no product path, example, script or benchmark imports " + ", ".join(dead)
+    assert not dead, "no product path or example imports " + ", ".join(dead)

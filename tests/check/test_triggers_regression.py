@@ -57,7 +57,7 @@ class TestViewRendering:
     literal that spells a column name must reach SQLite untouched."""
 
     def test_literals_naming_columns_survive_in_views(self):
-        from repro.testing import DualSystem
+        from tests.testing import DualSystem
 
         ds = DualSystem()
         ds.execute_ddl(

@@ -1,11 +1,21 @@
-"""Shared fixtures: small TasKy scenarios in each materialization."""
+"""Shared fixtures: small TasKy scenarios in each materialization.
+
+The harness modules the suite also tests (the ``bench_*.py`` experiments,
+their workloads and the soak) live in ``benchmarks/``, which goes on the
+import path here.
+"""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.workloads.tasky import build_tasky
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 PAPER_ROWS = [
     ("Ann", "Organize party", 3),

@@ -14,7 +14,7 @@ from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.check.delta import verify_delta_code
 from repro.persist.recovery import catalog_identity
-from repro.testing import DualSystem
+from tests.testing import DualSystem
 
 
 class SimulatedCrash(Exception):

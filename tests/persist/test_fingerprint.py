@@ -81,8 +81,8 @@ class TestCatalogFingerprint:
 
 
 class TestFingerprintMemo:
-    """A version is hashed once; the catalog fingerprint is assembled from
-    the remembered digests."""
+    """A version and an SMO instance are hashed once; the catalog
+    fingerprint is assembled from the remembered digests."""
 
     @staticmethod
     def uncached(engine) -> str:
@@ -92,6 +92,10 @@ class TestFingerprintMemo:
                 [v.name, v.parent, bool(v.dropped),
                  fingerprint.digest(version_payload(v))]
                 for v in genealogy.schema_versions.values()
+            ],
+            "smos": [
+                fingerprint.digest([smo.uid, smo.node.unparse()])
+                for smo in genealogy.all_smos()
             ],
             "materialized": sorted(
                 smo.uid for smo in genealogy.evolution_smos() if smo.materialized
@@ -137,9 +141,10 @@ class TestFingerprintMemo:
             engine.execute(f"DROP SCHEMA VERSION L{index};")
             per_cycle.append(len(calls))
         backend.close()
-        # The new version, the layout and the catalog payload per evolve;
-        # layout and catalog payload per drop — however long the history.
-        assert per_cycle == [5] * 12
+        # The new version, its SMO, the layout and the catalog payload per
+        # evolve; layout and catalog payload per drop — however long the
+        # history.
+        assert per_cycle == [6] * 12
 
 
 class TestLayoutFingerprint:

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend.compare import visible_state
 from repro.backend.emit import SEQUENCES_TABLE
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.catalog.materialization import current_materialization, physical_layout
 from repro.core.engine import InVerDa
 from repro.persist.fingerprint import engine_layout, sqlite_layout
 from repro.sql.connection import connect
-from repro.testing import DualSystem, NestedEmissionBackend
 from repro.workloads.tasky import DO_SCRIPT, TASKY2_SCRIPT
+from tests.testing import DualSystem, NestedEmissionBackend
+from tests.testing.compare import visible_state
 
 EMISSIONS = {"composed": LiveSqliteBackend, "nested": NestedEmissionBackend}
 

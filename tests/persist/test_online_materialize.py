@@ -20,12 +20,12 @@ from repro.backend import online
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.bidel.ast import Materialize
 from repro.bidel.parser import parse_script
-from repro.check.delta import verify_transitional_objects
 from repro.catalog.materialization import physical_table_versions
+from repro.check.delta import verify_transitional_objects
 from repro.errors import BackendError, CatalogError
 from repro.persist.store import BACKFILL_TABLE
-from repro.testing import DualSystem, InjectedFault, NestedEmissionBackend, one_shot
 from repro.util.naming import physical_name
+from tests.testing import DualSystem, InjectedFault, NestedEmissionBackend, one_shot
 
 MOVE_FAULT_POINTS = [
     # Online only.  Raised before the prepare transaction commits: the

@@ -684,6 +684,26 @@ class TestDeltaCodeReuse:
         with pytest.raises(CatalogError, match="different catalog"):
             LiveSqliteBackend.attach(other, database=path)
 
+    def test_reattach_catalog_differing_in_smo_parameters_refused(self, tmp_path):
+        """Two SPLITs of one table that differ only in their conditions are
+        two catalogs: attached to the first one's file, the second would
+        serve ``(3, 30)`` in its ``v2.S``, a row its own SPLIT puts in ``T``."""
+        path = str(tmp_path / "split.db")
+        split = (
+            "CREATE SCHEMA VERSION v1 WITH CREATE TABLE R(a INTEGER, b INTEGER);\n"
+            "CREATE SCHEMA VERSION v2 FROM v1 WITH "
+            "SPLIT TABLE R INTO S WITH a > {0}, T WITH a <= {0};"
+        )
+        first = repro.InVerDa()
+        first.execute(split.format(0))
+        repro.connect(first, "v1", autocommit=True).execute("INSERT INTO R(a, b) VALUES (3, 30)")
+        LiveSqliteBackend.attach(first, database=path).close()
+        second = repro.InVerDa()
+        second.execute(split.format(5))
+        assert second.catalog_fingerprint() != first.catalog_fingerprint()
+        with pytest.raises(CatalogError, match="different catalog"):
+            LiveSqliteBackend.attach(second, database=path)
+
 
 class TestCorruption:
     def _corrupt(self, path: str) -> str:

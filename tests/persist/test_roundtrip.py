@@ -11,13 +11,13 @@ import random
 import pytest
 
 from repro.catalog.materialization import enumerate_valid_materializations
-from repro.testing import DualSystem
 from tests.backend.test_differential import (
     CHAINS,
     WORDS,
     _apply_materialization,
     _fuzz_ops,
 )
+from tests.testing import DualSystem
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

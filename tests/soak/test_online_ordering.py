@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.soak.harness import LogEntry, SoakConfig, SoakHarness
+from soak.harness import LogEntry, SoakConfig, SoakHarness
 
 
 @pytest.fixture

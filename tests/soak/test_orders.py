@@ -8,8 +8,6 @@ import random
 
 import pytest
 
-from repro.backend.compare import visible_state
-from repro.testing import DualSystem
 from repro.workloads.orders import (
     ORDER_NO_STRIDE,
     ORDERS_SCRIPTS,
@@ -22,6 +20,8 @@ from repro.workloads.orders import (
     order_tables,
     tenant_name,
 )
+from tests.testing import DualSystem
+from tests.testing.compare import visible_state
 
 
 class TestDifferentialRoundTrips:

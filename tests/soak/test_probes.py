@@ -10,7 +10,7 @@ from repro.backend import codegen
 from repro.check.delta import verify_delta_code
 from repro.core.engine import InVerDa
 from repro.errors import OperationalError
-from repro.soak.probes import (
+from soak.probes import (
     PROBE_FACTORIES,
     AvailabilityProbe,
     BoundedLatencyProbe,

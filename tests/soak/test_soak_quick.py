@@ -5,9 +5,15 @@ full-length runs live in CI's soak-smoke job, not in the test suite."""
 
 from __future__ import annotations
 
+import json
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.soak import PROBE_FACTORIES, SoakConfig, run_soak
+from soak import PROBE_FACTORIES, SoakConfig, run_soak
 
 pytestmark = pytest.mark.soak_quick
 
@@ -83,3 +89,20 @@ def test_injected_fault_reproduces_from_the_printed_seed():
     assert second["fault"]["point"] == first["fault"]["point"]
     assert second["fault"]["script"] == first["fault"]["script"]
     assert second["fault"]["visit"] == first["fault"]["visit"]
+
+
+def test_the_printed_replay_command_runs(tmp_path):
+    """``repro_command()`` is the one-command replay: run from the
+    repository root, it exits 0 and writes its JSON report."""
+    command = shlex.split(SoakConfig(duration=1.0, clients=2, transport="inproc").repro_command())
+    assert command[:2] == ["python", "benchmarks/soak"]
+    report = tmp_path / "soak.json"
+    done = subprocess.run(
+        [sys.executable, *command[1:], "--json", str(report)],
+        cwd=Path(__file__).resolve().parents[2],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(report.read_text())["ok"]

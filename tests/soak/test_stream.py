@@ -4,13 +4,13 @@ output, version-count bounds, and identity-column protection."""
 from __future__ import annotations
 
 from repro.check import error_count, preflight_script
-from repro.soak.stream import SmoStream
 from repro.workloads.orders import (
     PROTECTED_COLUMNS,
     build_orders,
     inventory_tables,
     order_tables,
 )
+from soak.stream import SmoStream
 
 
 def fresh_engine(seed=5):

@@ -17,9 +17,9 @@ import sqlite3
 import pytest
 
 import repro
-from repro.backend.compare import visible_state
 from repro.errors import OperationalError
 from tests.backend.test_sargable import build_chain
+from tests.testing.compare import visible_state
 
 POISON = 666
 

@@ -6,9 +6,9 @@ import pytest
 from repro.backend import codegen
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
-from repro.sqlgen.scripts import script, tasky_generated_scripts
-from repro.util.codemetrics import measure_code
 from repro.workloads.tasky import DO_SCRIPT, MIGRATION_SCRIPT, TASKY2_SCRIPT, TASKY_INITIAL_SCRIPT
+from bench_table3_code_size import script, tasky_generated_scripts
+from codemetrics import measure_code
 from tests.conftest import build_paper_tasky, keyed, rows
 
 
@@ -134,7 +134,7 @@ class TestSqliteParity:
             backend.close()
 
     def test_two_smo_chain_parity(self):
-        from repro.workloads.micro import build_two_smo_scenario
+        from micro import build_two_smo_scenario
 
         engine = build_two_smo_scenario("split", "add_column", rows=60)
         expected = keyed(engine, "v3", "R")
@@ -148,7 +148,7 @@ class TestSqliteParity:
 
 class TestHandwrittenBaseline:
     def test_matches_engine_reads(self):
-        from repro.sqlgen.handwritten import handwritten_tasky
+        from handwritten import handwritten_tasky
         from repro.workloads.tasky import build_tasky
 
         scenario = build_tasky(50)
@@ -164,7 +164,7 @@ class TestHandwrittenBaseline:
         assert sorted(baseline.read_do()) == engine_do
 
     def test_migration_preserves_reads(self):
-        from repro.sqlgen.handwritten import handwritten_tasky
+        from handwritten import handwritten_tasky
 
         baseline = handwritten_tasky(30, materialization="initial")
         before = sorted(baseline.read_tasky())

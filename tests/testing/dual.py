@@ -3,10 +3,10 @@ and on the live SQLite backend, with canonical state comparison."""
 
 from __future__ import annotations
 
-from repro.backend.compare import assert_states_match, visible_state
 from repro.backend.sqlite import LiveSqliteBackend
 from repro.core.engine import InVerDa
 from repro.sql.connection import connect
+from tests.testing.compare import assert_states_match, visible_state
 
 
 class DualSystem:

@@ -1,4 +1,4 @@
-from repro.util.codemetrics import (
+from codemetrics import (
     count_characters,
     count_lines,
     count_statements,

@@ -2,15 +2,15 @@ import pytest
 
 import repro
 from repro.errors import ReproError
-from repro.workloads.micro import (
+from repro.workloads.tasky import build_tasky
+from repro.workloads.wikimedia import TABLE4_HISTOGRAM, build_wikimedia
+from micro import (
     TWO_SMO_FIRST,
     TWO_SMO_SECOND,
     V3_READ_TABLE,
     build_two_smo_scenario,
 )
-from repro.workloads.mixes import PAPER_MIX, WorkloadMix, adoption_curve
-from repro.workloads.tasky import build_tasky
-from repro.workloads.wikimedia import TABLE4_HISTOGRAM, build_wikimedia
+from mixes import PAPER_MIX, WorkloadMix, adoption_curve
 from tests.conftest import keyed, rows
 
 
